@@ -43,7 +43,6 @@ func main() {
 	datasetSize := flag.Int("dataset-size", 4000, "synthetic dataset size")
 	quantize := flag.Bool("quantize", false, "push int8-quantized updates (8x smaller uplink)")
 	sparseTopK := flag.Int("sparse-topk", 0, "push top-k sparse deltas against the last-acked model (0 disables; overrides --quantize)")
-	wireMode := flag.String("wire", "auto", "transport encoding: auto (negotiate binary, gob fallback), binary, or gob")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace (chrome://tracing) of the pipeline here on exit")
 	telemetry := flag.Bool("telemetry", false, "ship metrics and trace spans to the server (piggybacked on pushes)")
 	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "background telemetry flush interval (0 = piggyback only)")
@@ -97,17 +96,6 @@ func main() {
 	log.Printf("ecofl-portal %d: shard %d samples, %d-stage pipeline, server %s",
 		*id, shard.Len(), pipe.NumStages(), *server)
 
-	var wm flnet.WireMode
-	switch *wireMode {
-	case "auto":
-		wm = flnet.WireAuto
-	case "binary":
-		wm = flnet.WireBinary
-	case "gob":
-		wm = flnet.WireGob
-	default:
-		log.Fatalf("ecofl-portal: unknown --wire %q (want auto, binary or gob)", *wireMode)
-	}
 	// A server bounce or flaky link is survivable: round trips run under a
 	// deadline and retried pushes are deduplicated server-side, so --retries
 	// can be generous without risking a double-applied update.
@@ -118,13 +106,11 @@ func main() {
 	client, err := flnet.DialOptions(*server, *id, flnet.Options{
 		Timeout:    *timeout,
 		MaxRetries: *retries,
-		Wire:       wm,
 		Journal:    rec,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("ecofl-portal %d: %s wire negotiated", *id, client.WireName())
 	defer client.Close()
 	if *telemetry {
 		stop := client.EnableTelemetry(nil, trace, "ecofl-portal", *telemetryEvery)

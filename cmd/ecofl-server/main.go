@@ -87,8 +87,6 @@ func main() {
 	sampleWindow := flag.Int("sample-window", 900, "time-series points kept per metric")
 	stragglerThreshold := flag.Float64("straggler-threshold", 0, "relative push-interval deviation flagging a straggler (0 = default 0.25)")
 	fleetTrace := flag.String("fleet-trace", "", "write the merged fleet Chrome trace here on exit (optional)")
-	gobOnly := flag.Bool("gob-only", false, "disable the binary wire protocol (emulate a pre-binary server; portals fall back to gob)")
-	ingestBatch := flag.Int("ingest-batch", 0, "max pushes mixed per model-lock acquisition (0 = default 32, negative disables batching)")
 	journalCap := flag.Int("journal", 0, "flight-recorder events kept per node lane (0 disables); merged timeline served at /events on the metrics address")
 	leaseTTL := flag.Duration("lease-ttl", 0, "membership lease TTL: portals that stay silent this long lose their session and re-sync on return (0 disables leases)")
 	normGate := flag.Bool("norm-gate", false, "quarantine pushes whose update norm is an outlier against the trailing honest distribution (non-finite pushes are always quarantined)")
@@ -105,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := flnet.ServerOptions{Alpha: *alpha, GobOnly: *gobOnly, IngestBatch: *ingestBatch, LeaseTTL: *leaseTTL,
+	opts := flnet.ServerOptions{Alpha: *alpha, LeaseTTL: *leaseTTL,
 		NormGate: *normGate, NormGateK: *normGateK, NormGateWarmup: *normGateWarmup}
 	if *journalCap > 0 {
 		// The server takes lane -1, matching its fleet-trace pid; journaling

@@ -69,11 +69,9 @@ func BenchmarkPushQuantized(b *testing.B) {
 	b.SetBytes(n) // one byte per weight on the wire
 }
 
-// BenchmarkServerIngest compares the codecs and wires end to end on the
-// server's ingest path for a 100k-weight model: the legacy gob stream as
-// the baseline, then the binary frame protocol with raw, quantized and
-// top-k sparse payloads, plus a concurrent multi-client run through the
-// batching mixer. Each sub-benchmark reports pushes/s and bytes/round —
+// BenchmarkServerIngest compares the codecs end to end on the server's
+// ingest path for a 100k-weight model: raw, quantized and top-k sparse
+// payloads, plus a concurrent multi-client run through the batching mixer. Each sub-benchmark reports pushes/s and bytes/round —
 // the server-side uplink bytes actually read per push, the number the
 // sparse codec exists to shrink.
 func BenchmarkServerIngest(b *testing.B) {
@@ -89,18 +87,15 @@ func BenchmarkServerIngest(b *testing.B) {
 		return nv, err
 	}
 	cases := []struct {
-		name    string
-		gobOnly bool
-		wire    WireMode
-		push    func(c *Client, v int) (int, error)
+		name string
+		push func(c *Client, v int) (int, error)
 	}{
-		{"gob-raw", true, WireGob, dense},
-		{"binary-raw", false, WireAuto, dense},
-		{"binary-quant", false, WireAuto, func(c *Client, v int) (int, error) {
+		{"binary-raw", dense},
+		{"binary-quant", func(c *Client, v int) (int, error) {
 			_, nv, err := c.PushQuantized(w, 10, v)
 			return nv, err
 		}},
-		{"binary-sparse-1k", false, WireAuto, func(c *Client, v int) (int, error) {
+		{"binary-sparse-1k", func(c *Client, v int) (int, error) {
 			// Every push re-selects the top-k of a fully dense delta (the
 			// acked model moves each round), so this measures selection +
 			// encode + ingest, not an artificially sparse input.
@@ -114,12 +109,12 @@ func BenchmarkServerIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := NewServerOpts(ln, make([]float64, n), ServerOptions{Alpha: 0.5, GobOnly: tc.gobOnly})
+			s, err := NewServerOpts(ln, make([]float64, n), ServerOptions{Alpha: 0.5})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { s.Close() })
-			c, err := DialOptions(s.Addr(), 0, Options{Wire: tc.wire})
+			c, err := Dial(s.Addr(), 0)
 			if err != nil {
 				b.Fatal(err)
 			}

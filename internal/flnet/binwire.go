@@ -1,22 +1,16 @@
 package flnet
 
-// Binary transport integration: the hot path speaks the length-prefixed
-// frame format of internal/flnet/wire instead of reflection-based gob.
+// The transport: both ends speak the length-prefixed frame format of
+// internal/flnet/wire and nothing else. A client opens every connection
+// with a hello frame and waits for the hello-ack — the version handshake —
+// then alternates request and reply frames. Any framing violation fails the
+// connection closed (the format has no resync point); a reconnecting portal
+// starts over with a fresh hello.
 //
-// Negotiation keeps old and new nodes interoperable with zero configuration:
-//   - The server sniffs the first four bytes of every connection. The frame
-//     magic routes to the binary loop; anything else is a legacy portal's
-//     gob stream and gets the old loop.
-//   - A client opens with a hello frame and waits for the hello-ack. A
-//     binary-capable server acks; a pre-binary server sees garbage gob,
-//     drops the connection, and the client latches into gob for this and
-//     every future reconnect (WireAuto). WireBinary and WireGob pin the
-//     choice for tests and emulations.
-//
-// Both loops decode into per-connection reusable buffers and hand the
-// shared dispatch path zero-copy views where the host allows it; the only
-// gob left on a binary connection is the telemetry trailer, which is
-// off the hot path by construction.
+// Both ends decode into per-connection reusable buffers and hand the
+// dispatch path zero-copy views where the host allows it. The only
+// reflection-based encoding on a connection is the gob telemetry trailer,
+// which is off the hot path by construction.
 
 import (
 	"bufio"
@@ -30,59 +24,17 @@ import (
 	"ecofl/internal/flnet/wire"
 )
 
-// WireMode selects a client's transport encoding.
-type WireMode int
-
-const (
-	// WireAuto (the default) negotiates binary and falls back to gob when
-	// the server does not ack the hello.
-	WireAuto WireMode = iota
-	// WireBinary requires the binary protocol; dialing a gob-only server
-	// fails instead of falling back.
-	WireBinary
-	// WireGob pins the legacy gob protocol (what a pre-binary portal
-	// speaks).
-	WireGob
-)
-
-func (m WireMode) String() string {
-	switch m {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
+// kindName labels a request kind for journal attrs.
+func kindName(kind byte) string {
+	switch kind {
+	case wire.KindPull:
+		return "pull"
+	case wire.KindPush:
+		return "push"
 	default:
-		return "auto"
+		return "telemetry"
 	}
 }
-
-// clientWire is the per-connection request/reply codec.
-type clientWire interface {
-	writeRequest(*request) error
-	readReply(*reply) error
-	name() string
-}
-
-// WireName reports which encoding the client's current connection speaks
-// ("binary" or "gob").
-func (c *Client) WireName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wire == nil {
-		return ""
-	}
-	return c.wire.name()
-}
-
-// gobClientWire is the legacy codec: one gob stream per connection.
-type gobClientWire struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobClientWire) writeRequest(req *request) error { return g.enc.Encode(req) }
-func (g *gobClientWire) readReply(rep *reply) error      { return g.dec.Decode(rep) }
-func (g *gobClientWire) name() string                    { return "gob" }
 
 // binClientWire frames requests and replies through reusable buffers: one
 // flush per request, zero-copy raw payloads on little-endian hosts, and a
@@ -96,14 +48,13 @@ type binClientWire struct {
 	telBuf  bytes.Buffer // gob-encoded telemetry trailer scratch
 }
 
-func (b *binClientWire) name() string { return "binary" }
-
 func (b *binClientWire) writeRequest(req *request) error {
 	h := wire.Header{
-		A:   int32(req.ClientID),
-		B:   int32(req.NumSamples),
-		C:   int32(req.BaseVersion),
-		Seq: req.Seq,
+		Kind: req.Kind,
+		A:    int32(req.ClientID),
+		B:    int32(req.NumSamples),
+		C:    int32(req.BaseVersion),
+		Seq:  req.Seq,
 	}
 	var trailer []byte
 	if req.Telemetry != nil {
@@ -115,31 +66,21 @@ func (b *binClientWire) writeRequest(req *request) error {
 		h.Flags |= wire.FlagTelemetry
 	}
 	var err error
-	switch req.Kind {
-	case "pull":
-		h.Kind = wire.KindPull
+	switch {
+	case req.Kind != wire.KindPush:
 		err = b.fw.WriteFrame(&h, nil, trailer)
-	case "telemetry":
-		h.Kind = wire.KindTelemetry
-		err = b.fw.WriteFrame(&h, nil, trailer)
-	case "push":
-		h.Kind = wire.KindPush
-		switch {
-		case req.Weights != nil:
-			err = b.fw.WriteRawFrame(&h, req.Weights, trailer)
-		case req.Quant != nil:
-			h.Codec = wire.CodecQuant
-			b.payload = wire.AppendQuant(b.payload[:0], req.Quant.Min, req.Quant.Scale, req.Quant.Data)
-			err = b.fw.WriteFrame(&h, b.payload, trailer)
-		case req.SparseIdx != nil || req.DenseLen > 0:
-			h.Codec = wire.CodecSparse
-			b.payload = wire.AppendSparse(b.payload[:0], req.DenseLen, req.SparseIdx, req.SparseVals)
-			err = b.fw.WriteFrame(&h, b.payload, trailer)
-		default:
-			return errNoPayload
-		}
+	case req.Weights != nil:
+		err = b.fw.WriteRawFrame(&h, req.Weights, trailer)
+	case req.Quant != nil:
+		h.Codec = wire.CodecQuant
+		b.payload = wire.AppendQuant(b.payload[:0], req.Quant.Min, req.Quant.Scale, req.Quant.Data)
+		err = b.fw.WriteFrame(&h, b.payload, trailer)
+	case req.SparseIdx != nil || req.DenseLen > 0:
+		h.Codec = wire.CodecSparse
+		b.payload = wire.AppendSparse(b.payload[:0], req.DenseLen, req.SparseIdx, req.SparseVals)
+		err = b.fw.WriteFrame(&h, b.payload, trailer)
 	default:
-		return fmt.Errorf("flnet: unknown request kind %q", req.Kind)
+		return errNoPayload
 	}
 	if err != nil {
 		return err
@@ -167,10 +108,9 @@ func (b *binClientWire) readReply(rep *reply) error {
 	return nil
 }
 
-// newBinClientWire performs the hello/hello-ack negotiation on a fresh
-// connection and returns the binary codec. Any failure — including a
-// pre-binary server dropping the connection on our hello — is returned for
-// the caller to decide between retry and gob fallback.
+// newBinClientWire performs the hello/hello-ack handshake on a fresh
+// connection and returns its codec. Any failure poisons the connection; the
+// caller redials.
 func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Duration, lim wire.Limits) (*binClientWire, error) {
 	b := &binClientWire{
 		bw: bufio.NewWriterSize(cc, 64<<10),
@@ -182,15 +122,7 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 		defer conn.SetDeadline(time.Time{})
 	}
 	hello := wire.Header{Kind: wire.KindHello, A: int32(id)}
-	// The hello is padded past 70 bytes on purpose: a pre-binary server's
-	// gob decoder reads the magic's 'E' (0x45) as a 69-byte message length,
-	// and with only the 36-byte bare frame on the wire it would block
-	// waiting for the rest until our deadline. With the padding the fake
-	// message completes at once, fails to parse, and the server drops the
-	// connection — so the gob fallback latches immediately instead of after
-	// a full round-trip timeout.
-	var helloPad [64]byte
-	if err := b.fw.WriteFrame(&hello, nil, helloPad[:]); err != nil {
+	if err := b.fw.WriteFrame(&hello, nil, nil); err != nil {
 		return nil, err
 	}
 	if err := b.bw.Flush(); err != nil {
@@ -206,21 +138,93 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 	return b, nil
 }
 
-// handleBinary is the server's frame loop: hello-ack first, then
-// request/reply frames decoded into per-connection reusable buffers. Any
-// framing violation fails the connection closed (the format has no resync
-// point, and a reconnecting portal re-negotiates from scratch).
-func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	srvConnsBinary.Inc()
-	fr := wire.Reader{R: br, Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
+// requestDecoder turns a connection's request frames into requests, reusing
+// one request, quantization header and set of sparse/raw scratch slices for
+// the connection's lifetime so steady-state ingest does not allocate.
+type requestDecoder struct {
+	req        request
+	quant      Quantized
+	weightsBuf []float64 // raw-payload decode scratch (big-endian hosts)
+	idxBuf     []uint32
+	valBuf     []float64
+}
+
+// decode is the boundary where outside input becomes a request: the payload
+// goes through its codec's fail-closed parser, the telemetry trailer through
+// gob, and any frame kind a client has no business sending mid-stream (a
+// hello, a reply) is a protocol violation. The returned request aliases the
+// decoder and the frame buffers; it is valid until the next frame is read.
+func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*request, error) {
+	req := &d.req
+	*req = request{
+		Kind:        h.Kind,
+		ClientID:    int(h.A),
+		Seq:         h.Seq,
+		NumSamples:  int(h.B),
+		BaseVersion: int(h.C),
+	}
+	var err error
+	switch h.Kind {
+	case wire.KindPull, wire.KindTelemetry:
+	case wire.KindPush:
+		switch h.Codec {
+		case wire.CodecRaw:
+			// The view aliases the frame buffer; safe because the mixer
+			// completes before the next frame is read.
+			if v, ok := wire.RawView(payload); ok {
+				req.Weights = v
+			} else if d.weightsBuf, err = wire.ParseRaw(payload, d.weightsBuf); err == nil {
+				req.Weights = d.weightsBuf
+			}
+		case wire.CodecQuant:
+			if d.quant.Min, d.quant.Scale, d.quant.Data, err = wire.ParseQuant(payload); err == nil {
+				req.Quant = &d.quant
+			}
+		case wire.CodecSparse:
+			if req.DenseLen, d.idxBuf, d.valBuf, err = wire.ParseSparse(payload, d.idxBuf, d.valBuf); err == nil {
+				req.SparseIdx, req.SparseVals = d.idxBuf, d.valBuf
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("%w: kind %d where a request was expected", wire.ErrFrame, h.Kind)
+	}
+	if h.Flags&wire.FlagTelemetry != 0 && len(trailer) > 0 {
+		var snap TelemetrySnapshot
+		if err := gob.NewDecoder(bytes.NewReader(trailer)).Decode(&snap); err != nil {
+			return nil, err
+		}
+		req.Telemetry = &snap
+	}
+	return req, nil
+}
+
+// handle serves one portal connection: hello-ack first, then request/reply
+// frames until the portal hangs up or violates the framing.
+func (s *Server) handle(conn net.Conn) {
+	defer conn.Close()
+	if !s.trackConn(conn) {
+		return // server shutting down
+	}
+	defer s.untrackConn(conn)
+	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
+	fr := wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
 	bw := bufio.NewWriterSize(cc, 64<<10)
 	fw := wire.Writer{W: bw}
 
+	if s.opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+	}
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {
-		srvDecodeErrors.Inc()
+		if err != io.EOF {
+			srvDecodeErrors.Inc()
+		}
 		return
 	}
+	srvConnsBinary.Inc()
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
@@ -229,14 +233,8 @@ func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) 
 		return
 	}
 
-	job := s.newIngestJob()
-	var (
-		req        request
-		quant      Quantized
-		weightsBuf []float64 // raw-payload decode scratch (big-endian hosts)
-		idxBuf     []uint32
-		valBuf     []float64
-	)
+	job := &ingestJob{done: make(chan *ingestJob, 1)}
+	var dec requestDecoder
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
@@ -244,64 +242,20 @@ func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) 
 		h, payload, trailer, err := fr.Next()
 		if err != nil {
 			if err != io.EOF {
+				// Anything but a clean close is a malformed or truncated
+				// stream — worth a counter so a misbehaving (or merely
+				// version-skewed) portal shows up on the dashboard.
 				srvDecodeErrors.Inc()
 			}
 			return
 		}
 		t0 := time.Now()
-		req = request{
-			ClientID:    int(h.A),
-			Seq:         h.Seq,
-			NumSamples:  int(h.B),
-			BaseVersion: int(h.C),
-		}
-		switch h.Kind {
-		case wire.KindPull:
-			req.Kind = "pull"
-		case wire.KindTelemetry:
-			req.Kind = "telemetry"
-		case wire.KindPush:
-			req.Kind = "push"
-			switch h.Codec {
-			case wire.CodecRaw:
-				// The view aliases the frame buffer; safe because the
-				// mixer completes before the next frame is read.
-				if v, ok := wire.RawView(payload); ok {
-					req.Weights = v
-				} else if weightsBuf, err = wire.ParseRaw(payload, weightsBuf); err == nil {
-					req.Weights = weightsBuf
-				}
-			case wire.CodecQuant:
-				var min, scale float64
-				var data []byte
-				if min, scale, data, err = wire.ParseQuant(payload); err == nil {
-					quant = Quantized{Min: min, Scale: scale, Data: data}
-					req.Quant = &quant
-				}
-			case wire.CodecSparse:
-				if req.DenseLen, idxBuf, valBuf, err = wire.ParseSparse(payload, idxBuf, valBuf); err == nil {
-					req.SparseIdx, req.SparseVals = idxBuf, valBuf
-				}
-			}
-			if err != nil {
-				srvDecodeErrors.Inc()
-				return
-			}
-		default:
-			// Hello mid-stream, a reply, or a future kind: protocol
-			// violation, fail closed.
+		req, err := dec.decode(h, payload, trailer)
+		if err != nil {
 			srvDecodeErrors.Inc()
 			return
 		}
-		if h.Flags&wire.FlagTelemetry != 0 && len(trailer) > 0 {
-			var snap TelemetrySnapshot
-			if gob.NewDecoder(bytes.NewReader(trailer)).Decode(&snap) != nil {
-				srvDecodeErrors.Inc()
-				return
-			}
-			req.Telemetry = &snap
-		}
-		rep := s.dispatch(&req, job)
+		rep := s.dispatch(req, job)
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
@@ -315,9 +269,15 @@ func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) 
 		} else {
 			err = fw.WriteFrame(&rh, nil, errTrailer)
 		}
-		if err != nil || bw.Flush() != nil {
+		if err != nil {
 			return
 		}
+		// Observed before the flush that completes the reply, so a client
+		// holding its reply is guaranteed to find the request in the
+		// histogram.
 		srvRequestSeconds.Observe(time.Since(t0).Seconds())
+		if bw.Flush() != nil {
+			return
+		}
 	}
 }

@@ -63,7 +63,7 @@ func newSoakHarness(t *testing.T, s *Server, dialer func(id int) Dialer) *soakHa
 }
 
 // newSoakHarnessOpts additionally lets mod customize each client's Options —
-// the mixed-version interop tests pin per-client wire modes through it.
+// TestChaosSoak attaches a flight recorder per client through it.
 func newSoakHarnessOpts(t *testing.T, s *Server, dialer func(id int) Dialer, mod func(id int, o *Options)) *soakHarness {
 	t.Helper()
 	h := &soakHarness{t: t, s: s}

@@ -1,13 +1,12 @@
 // Package flnet is the wire protocol between Eco-FL portal nodes and the
 // Eco-FL server: a TCP transport over which a portal pulls the current
 // global (or group) model and pushes its locally trained update, receiving
-// the freshly mixed model in return. The hot path speaks the length-prefixed
-// binary framing of internal/flnet/wire (raw, quantized or top-k sparse
-// payloads), negotiated per connection with a latched gob fallback so
-// pre-binary portals and servers interoperate unchanged. The server applies
-// the asynchronous aggregation of §5.1 — w ← (1−α)w + α·w_new with a
-// staleness-attenuated α — under a mutex amortized by a batching ingest
-// mixer, so any number of portals can push concurrently. This is the
+// the freshly mixed model in return. It speaks one protocol: the
+// length-prefixed binary framing of internal/flnet/wire (raw, quantized or
+// top-k sparse payloads), opened by a hello/hello-ack version handshake. The
+// server applies the asynchronous aggregation of §5.1 — w ← (1−α)w + α·w_new
+// with a staleness-attenuated α — under a mutex amortized by a batching
+// ingest mixer, so any number of portals can push concurrently. This is the
 // "prototype" transport counterpart of the virtual-time simulator in
 // internal/fl.
 //
@@ -23,12 +22,8 @@
 package flnet
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -47,12 +42,12 @@ import (
 // request is the client→server message. A push carries either raw Weights
 // or a Quantized payload (mutually exclusive). Telemetry piggybacks on
 // pushes when the client has it enabled, and is the sole payload of a
-// standalone "telemetry" request. Seq is the client's monotonically
-// increasing push sequence number (0 on non-push requests and from legacy
-// clients): the server acks a Seq it has already applied from its dedup
-// window instead of mixing the update again.
+// standalone telemetry request. Seq is the client's monotonically
+// increasing push sequence number (0 on non-push requests): the server acks
+// a Seq it has already applied from its dedup window instead of mixing the
+// update again.
 type request struct {
-	Kind        string // "pull", "push" or "telemetry"
+	Kind        byte // wire.KindPull, wire.KindPush or wire.KindTelemetry
 	ClientID    int
 	Seq         uint64
 	Weights     []float64
@@ -64,8 +59,7 @@ type request struct {
 	// ascending indices SparseIdx of a model DenseLen long, relative to the
 	// reference model this client was last acked with (BaseVersion must
 	// match the ack's version). Mutually exclusive with Weights/Quant.
-	// Wire-level validation happens in the binary codec; applyLocked
-	// re-validates because the same fields can arrive via gob.
+	// wire.ParseSparse is the one place their contents are validated.
 	SparseIdx  []uint32
 	SparseVals []float64
 	DenseLen   int
@@ -100,18 +94,9 @@ type ServerOptions struct {
 	// (a reply lost after the update was applied is the case that makes
 	// push dedup a correctness requirement).
 	WrapConn func(net.Conn) net.Conn
-	// GobOnly disables binary-frame sniffing, emulating a pre-PR6 server:
-	// every connection is treated as a gob stream, so a binary client's
-	// hello is a decode error and the client falls back to gob (the
-	// mixed-version interop tests exercise exactly this).
-	GobOnly bool
-	// MaxPayload caps the payload length a binary frame may claim, in
-	// bytes. 0 means the wire default (128 MiB).
+	// MaxPayload caps the payload length a frame may claim, in bytes. 0
+	// means the wire default (128 MiB).
 	MaxPayload int
-	// IngestBatch caps how many queued pushes the ingest mixer applies per
-	// lock acquisition. 0 means 32; negative disables the mixer entirely
-	// (every push takes the model lock itself, the pre-PR6 behaviour).
-	IngestBatch int
 	// Journal, when non-nil, is the server's flight recorder: its local lane
 	// (Journal.Local, conventionally node −1 like the fleet-trace server
 	// lane) records push applies/dedups/rejects and checkpoint events, and
@@ -147,15 +132,9 @@ type ServerOptions struct {
 // DefaultTimeout is the default per-round-trip deadline on both ends.
 const DefaultTimeout = 30 * time.Second
 
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = DefaultTimeout
-	}
-	if o.IngestBatch == 0 {
-		o.IngestBatch = 32
-	}
-	return o
-}
+// ingestBatchCap is how many queued pushes the ingest mixer applies per
+// model-lock acquisition.
+const ingestBatchCap = 32
 
 // ingestJob is one decoded push waiting for the mixer. done is owned by the
 // submitting handler and reused across its connection's lifetime.
@@ -179,16 +158,16 @@ type Server struct {
 	fleet *Fleet
 
 	// Batched ingest: handler goroutines enqueue decoded pushes here and a
-	// single mixer goroutine applies them, draining up to opts.IngestBatch
+	// single mixer goroutine applies them, draining up to ingestBatchCap
 	// per model-lock acquisition so N concurrent portals cost ~1 lock per
 	// batch instead of 1 per push. Arrival order is preserved (one queue,
 	// one consumer), so aggregation is exactly as deterministic as the
-	// mutex it amortizes. nil when the mixer is disabled.
+	// mutex it amortizes.
 	ingestCh chan *ingestJob
 	mixerWG  sync.WaitGroup
 
 	// connMu guards the open-connection set so Close can sever handlers
-	// blocked in Decode on live-but-idle portals.
+	// blocked reading on live-but-idle portals.
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
 	shutdown bool
@@ -229,7 +208,9 @@ func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
 // version, push count, per-client sequence numbers) instead of init; init's
 // length must match the checkpointed model.
 func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server, error) {
-	opts = opts.withDefaults()
+	if opts.WriteTimeout == 0 {
+		opts.WriteTimeout = DefaultTimeout
+	}
 	s := &Server{
 		Alpha:        opts.Alpha,
 		StalenessExp: 1.0,
@@ -237,6 +218,7 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		ln:           ln,
 		fleet:        newFleet(),
 		conns:        make(map[net.Conn]struct{}),
+		ingestCh:     make(chan *ingestJob, 4*ingestBatchCap),
 		weights:      append([]float64(nil), init...),
 		lastSeq:      make(map[int]uint64),
 		lastAck:      make(map[int]reply),
@@ -268,11 +250,8 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		s.jrec().Record("checkpoint.resume", ck.Version, journal.None,
 			"pushes", strconv.Itoa(ck.Pushes), "clients", strconv.Itoa(len(ck.LastSeq)))
 	}
-	if opts.IngestBatch > 0 {
-		s.ingestCh = make(chan *ingestJob, 4*opts.IngestBatch)
-		s.mixerWG.Add(1)
-		go s.mixerLoop()
-	}
+	s.mixerWG.Add(1)
+	go s.mixerLoop()
 	if opts.LeaseTTL > 0 {
 		interval := opts.LeaseTTL / 4
 		if interval < 10*time.Millisecond {
@@ -287,16 +266,16 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 	return s, nil
 }
 
-// mixerLoop drains queued pushes, applying up to opts.IngestBatch of them
+// mixerLoop drains queued pushes, applying up to ingestBatchCap of them
 // per model-lock acquisition. It exits when the ingest channel closes
 // (Close, after every handler has returned).
 func (s *Server) mixerLoop() {
 	defer s.mixerWG.Done()
-	batch := make([]*ingestJob, 0, s.opts.IngestBatch)
+	batch := make([]*ingestJob, 0, ingestBatchCap)
 	for job := range s.ingestCh {
 		batch = append(batch[:0], job)
 	drain:
-		for len(batch) < s.opts.IngestBatch {
+		for len(batch) < ingestBatchCap {
 			select {
 			case j, ok := <-s.ingestCh:
 				if !ok {
@@ -320,11 +299,8 @@ func (s *Server) mixerLoop() {
 }
 
 // submitPush routes one push through the mixer, reusing the handler-owned
-// job, or applies it directly when the mixer is disabled.
+// job.
 func (s *Server) submitPush(req *request, job *ingestJob) (reply, bool) {
-	if s.ingestCh == nil || job == nil {
-		return s.applyPush(req)
-	}
 	job.req = req
 	s.ingestCh <- job
 	<-job.done
@@ -335,7 +311,7 @@ func (s *Server) submitPush(req *request, job *ingestJob) (reply, bool) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting connections, severs every open portal connection
-// (so handlers blocked in Decode on idle links exit), and waits for all
+// (so handlers blocked reading on idle links exit), and waits for all
 // handler goroutines.
 func (s *Server) Close() error {
 	err := s.ln.Close()
@@ -351,10 +327,8 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// All handlers have returned, so nothing can enqueue anymore; drain the
 	// mixer and wait it out.
-	if s.ingestCh != nil {
-		close(s.ingestCh)
-		s.mixerWG.Wait()
-	}
+	close(s.ingestCh)
+	s.mixerWG.Wait()
 	return err
 }
 
@@ -424,88 +398,16 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one portal connection. The first four bytes decide the
-// protocol: a binary-frame magic routes to the frame loop, anything else
-// (a legacy portal's gob stream) to the gob loop. With GobOnly the sniff is
-// skipped entirely, emulating a pre-binary server.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	if !s.trackConn(conn) {
-		return // server shutting down
-	}
-	defer s.untrackConn(conn)
-	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
-	br := bufio.NewReaderSize(cc, 64<<10)
-	if !s.opts.GobOnly {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		head, err := br.Peek(len(wire.Magic))
-		if err != nil {
-			if err != io.EOF {
-				srvDecodeErrors.Inc()
-			}
-			return
-		}
-		if bytes.Equal(head, wire.Magic[:]) {
-			s.handleBinary(conn, cc, br)
-			return
-		}
-	}
-	s.handleGob(conn, cc, br)
-}
-
-// handleGob is the legacy request loop: one gob stream per connection.
-func (s *Server) handleGob(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	srvConnsGob.Inc()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(cc)
-	job := s.newIngestJob()
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				// Anything but a clean close is a malformed or truncated
-				// stream — worth a counter so a misbehaving (or merely
-				// version-skewed) portal shows up on the dashboard.
-				srvDecodeErrors.Inc()
-			}
-			return // connection done
-		}
-		t0 := time.Now()
-		rep := s.dispatch(&req, job)
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		if err := enc.Encode(&rep); err != nil {
-			return
-		}
-		srvRequestSeconds.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// newIngestJob returns the handler-owned mixer job, or nil when the mixer
-// is disabled.
-func (s *Server) newIngestJob() *ingestJob {
-	if s.ingestCh == nil {
-		return nil
-	}
-	return &ingestJob{done: make(chan *ingestJob, 1)}
-}
-
-// dispatch answers one decoded request. It is shared by the gob and binary
-// loops; only payload decode and reply encode differ between them.
+// dispatch answers one decoded request (requestDecoder.decode admits no
+// other kinds).
 func (s *Server) dispatch(req *request, job *ingestJob) reply {
 	var rep reply
 	switch req.Kind {
-	case "pull":
+	case wire.KindPull:
 		srvRequestsPull.Inc()
 		s.touchLease(req.ClientID)
 		rep.Weights, rep.Version = s.Snapshot()
-	case "push":
+	case wire.KindPush:
 		srvRequestsPush.Inc()
 		countPushPayload(req)
 		if err := s.checkPushLease(req.ClientID); err != nil {
@@ -520,15 +422,12 @@ func (s *Server) dispatch(req *request, job *ingestJob) reply {
 		if applied {
 			s.fleet.observePush(req.ClientID)
 		}
-	case "telemetry":
+	case wire.KindTelemetry:
 		srvRequestsTelemetry.Inc()
 		s.touchLease(req.ClientID)
 		if req.Telemetry == nil {
 			rep.Err = "flnet: telemetry request carries no snapshot"
 		}
-	default:
-		srvRequestsBad.Inc()
-		rep.Err = fmt.Sprintf("flnet: unknown request kind %q", req.Kind)
 	}
 	if req.Telemetry != nil {
 		s.fleet.ingest(req.Telemetry)
@@ -536,20 +435,13 @@ func (s *Server) dispatch(req *request, job *ingestJob) reply {
 	return rep
 }
 
-// applyPush mixes one push into the global model, deduplicating retries:
-// a sequence number at or below the client's high-water mark was already
-// applied (the first attempt landed but its ack was lost), so the client
-// gets an acknowledgement — the stored ack for an exact match, the current
-// snapshot for an older straggler — and the model is left untouched.
-// applied reports whether the update was actually mixed in.
-func (s *Server) applyPush(req *request) (rep reply, applied bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyPushLocked(req)
-}
-
-// applyPushLocked is applyPush for callers already holding s.mu (the ingest
-// mixer, which amortizes the lock across a batch of decoded pushes).
+// applyPushLocked mixes one push into the global model, deduplicating
+// retries: a sequence number at or below the client's high-water mark was
+// already applied (the first attempt landed but its ack was lost), so the
+// client gets an acknowledgement — the stored ack for an exact match, the
+// current snapshot for an older straggler — and the model is left untouched.
+// applied reports whether the update was actually mixed in. Caller holds
+// s.mu (the ingest mixer, which amortizes the lock across a batch).
 func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	if req.Seq > 0 && req.Seq <= s.lastSeq[req.ClientID] {
 		s.deduped++
@@ -565,125 +457,123 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		// ack with the current model, which is at least as fresh.
 		return reply{Weights: append([]float64(nil), s.weights...), Version: s.version}, false
 	}
-	norm, reason := s.screenLocked(req)
-	if reason != "" {
+	quarantine, err := s.admitLocked(req)
+	if err != nil {
+		srvPushErrors.Inc()
+		s.jrec().Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
+		return reply{Err: err.Error()}, false
+	}
+	if quarantine != "" {
 		// Semantically poisonous but protocol-valid: ack the client with the
 		// current snapshot (an honest-but-buggy sender resumes from clean
 		// state; a retry dedups) and leave the model untouched. The version
 		// and push counters don't move — a quarantined push never happened
 		// as far as mixing is concerned.
 		s.quarantined++
-		switch reason {
-		case "norm":
+		if quarantine == "norm" {
 			srvQuarNorm.Inc()
-		default:
+		} else {
 			srvQuarNonFinite.Inc()
 		}
-		s.jrec().Record("push.quarantine", s.version, req.ClientID, "reason", reason)
-		rep = reply{Weights: append([]float64(nil), s.weights...), Version: s.version}
-		if req.Seq > 0 {
-			s.lastSeq[req.ClientID] = req.Seq
-			s.lastAck[req.ClientID] = rep
-		}
-		return rep, false
+		s.jrec().Record("push.quarantine", s.version, req.ClientID, "reason", quarantine)
+	} else {
+		s.jrec().Record("push.apply", s.version, req.ClientID,
+			"seq", strconv.FormatUint(req.Seq, 10))
 	}
-	if err := s.applyLocked(req); err != nil {
-		srvPushErrors.Inc()
-		s.jrec().Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
-		return reply{Err: err.Error()}, false
-	}
-	if s.normGate != nil && norm >= 0 {
-		s.normGate.Observe(norm)
-		if th, ok := s.normGate.Threshold(); ok {
-			srvNormGateThreshold.Set(th)
-		}
-	}
-	s.jrec().Record("push.apply", s.version, req.ClientID,
-		"seq", strconv.FormatUint(req.Seq, 10))
 	rep = reply{Weights: append([]float64(nil), s.weights...), Version: s.version}
 	if req.Seq > 0 {
 		s.lastSeq[req.ClientID] = req.Seq
 		s.lastAck[req.ClientID] = rep
 	}
-	return rep, true
+	return rep, quarantine == ""
 }
 
-// screenLocked is the semantic last gate before training state: it judges a
-// push's payload values (where applyLocked and sparseRefLocked judge its
-// shape and protocol). It returns the update's L2 displacement norm against
-// the reference it will mix over (−1 when the shape is wrong — those fall
-// through to applyLocked's hard errors) and a non-empty quarantine reason
-// for semantically poisonous payloads: "non-finite" for NaN/Inf values in
-// any codec, "norm" when the armed gate finds the displacement an outlier
-// against the trailing accepted-norm distribution. Caller holds s.mu.
-func (s *Server) screenLocked(req *request) (norm float64, reason string) {
+// admitLocked is the one gate between a decoded push and training state.
+// The wire codecs already validated what a payload says about itself
+// (wire.ParseSparse: ascending in-range indices, finite values;
+// wire.ParseQuant: finite parameters); this checks it once against the
+// model: the shape, the sparse base in the client's dedup-window ack, every
+// dense value's finiteness (the raw codec is a zero-copy view and validates
+// nothing; a quantized range can overflow only once dequantized) and the L2
+// displacement against the reference it mixes over. It returns an error for
+// a push the protocol rejects, a quarantine reason — "non-finite", or "norm"
+// when the armed gate finds the displacement an outlier against the trailing
+// accepted-norm distribution — for one it acks but must not mix, and
+// otherwise mixes the update in without intermediate copies: raw views in
+// place, quantized updates through pooled scratch, sparse overlays straight
+// against the acked reference. Caller holds s.mu.
+func (s *Server) admitLocked(req *request) (quarantine string, err error) {
 	n := len(s.weights)
-	norm = -1
+	var (
+		dense []float64 // the full update: raw view or dequantized scratch
+		ref   []float64 // the sparse overlay's base
+		sum   float64
+	)
+	sparse := false
 	switch {
 	case req.Weights != nil:
 		if len(req.Weights) != n {
-			return norm, ""
+			return "", fmt.Errorf("flnet: update has %d weights, model has %d", len(req.Weights), n)
 		}
-		var sum float64
-		for i, v := range req.Weights {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return norm, "non-finite"
-			}
-			d := v - s.weights[i]
-			sum += d * d
-		}
-		norm = math.Sqrt(sum)
+		dense = req.Weights
 	case req.Quant != nil:
-		q := req.Quant
-		if len(q.Data) != n {
-			return norm, ""
+		if len(req.Quant.Data) != n {
+			return "", fmt.Errorf("flnet: quantized update has %d weights, model has %d", len(req.Quant.Data), n)
 		}
-		// The whole dequantized range is spanned by Min and Min+255·Scale:
-		// both finite ⇒ every value finite. The binary codec already rejects
-		// non-finite params, but the same fields arrive unchecked via gob.
-		lo, hi := q.Min, q.Min+255*q.Scale
-		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
-			return norm, "non-finite"
-		}
-		var sum float64
-		for i, b := range q.Data {
-			d := q.Min + float64(b)*q.Scale - s.weights[i]
-			sum += d * d
-		}
-		norm = math.Sqrt(sum)
+		t := tensor.GetBufUninit(n)
+		defer tensor.PutBuf(t)
+		dense = req.Quant.DequantizeInto(t.Data)
 	case req.SparseIdx != nil || req.DenseLen > 0:
-		if req.DenseLen != n || len(req.SparseIdx) != len(req.SparseVals) {
-			return norm, ""
-		}
-		prev := int64(-1)
-		for _, ix := range req.SparseIdx {
-			if int64(ix) <= prev || int(ix) >= n {
-				return norm, ""
-			}
-			prev = int64(ix)
-		}
-		for _, v := range req.SparseVals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return norm, "non-finite"
-			}
+		if req.DenseLen != n {
+			return "", fmt.Errorf("flnet: sparse update claims %d weights, model has %d", req.DenseLen, n)
 		}
 		ack, ok := s.lastAck[req.ClientID]
 		if !ok || ack.Version != req.BaseVersion || len(ack.Weights) != n {
-			return norm, "" // base mismatch: sparseRefLocked's re-sync path
+			srvSparseRejects.Inc()
+			have := -1
+			if ok {
+				have = ack.Version
+			}
+			s.jrec().Record("sparse.base-mismatch", s.version, req.ClientID,
+				"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
+			return "", fmt.Errorf("%s: push built on v%d, server ack window holds v%d", sparseBaseMismatch, req.BaseVersion, have)
 		}
-		var sum float64
+		sparse, ref = true, ack.Weights
 		for k, ix := range req.SparseIdx {
-			d := req.SparseVals[k] - ack.Weights[ix]
+			d := req.SparseVals[k] - ref[ix]
 			sum += d * d
 		}
-		norm = math.Sqrt(sum)
+	default:
+		return "", errNoPayload
 	}
-	if s.normGate != nil && norm >= 0 {
+	for i, v := range dense {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return "non-finite", nil
+		}
+		d := v - s.weights[i]
+		sum += d * d
+	}
+	norm := math.Sqrt(sum)
+	if s.normGate != nil {
 		if th, ok := s.normGate.Threshold(); ok && norm > th {
-			return norm, "norm"
+			return "norm", nil
 		}
 	}
-	return norm, ""
+	alpha := fl.StalenessAlpha(s.Alpha, float64(s.version-req.BaseVersion), s.StalenessExp)
+	if sparse {
+		fl.AsyncMixSparse(s.weights, ref, req.SparseIdx, req.SparseVals, alpha)
+	} else {
+		fl.AsyncMix(s.weights, dense, alpha)
+	}
+	s.version++
+	s.pushes++
+	if s.normGate != nil {
+		s.normGate.Observe(norm)
+		if th, ok := s.normGate.Threshold(); ok {
+			srvNormGateThreshold.Set(th)
+		}
+	}
+	return "", nil
 }
 
 // Quarantined reports how many pushes were acked but quarantined by the
@@ -710,80 +600,6 @@ func journalErr(err error) string {
 // recognizes it and falls back to a dense push — a re-sync, not an error.
 const sparseBaseMismatch = "flnet: sparse base mismatch"
 
-// applyLocked mixes the update into the global model without intermediate
-// copies: raw updates (including zero-copy views of a binary frame's
-// payload buffer) are mixed in place, quantized updates dequantize into
-// pooled scratch, and sparse overlays mix straight against the client's
-// last-acked reference. Caller holds s.mu.
-func (s *Server) applyLocked(req *request) error {
-	n := len(s.weights)
-	alpha := fl.StalenessAlpha(s.Alpha, float64(s.version-req.BaseVersion), s.StalenessExp)
-	switch {
-	case req.Weights != nil:
-		if len(req.Weights) != n {
-			return fmt.Errorf("flnet: update has %d weights, model has %d", len(req.Weights), n)
-		}
-		fl.AsyncMix(s.weights, req.Weights, alpha)
-	case req.Quant != nil:
-		if len(req.Quant.Data) != n {
-			return fmt.Errorf("flnet: quantized update has %d weights, model has %d", len(req.Quant.Data), n)
-		}
-		t := tensor.GetBufUninit(n)
-		fl.AsyncMix(s.weights, req.Quant.DequantizeInto(t.Data), alpha)
-		tensor.PutBuf(t)
-	case req.SparseIdx != nil || req.DenseLen > 0:
-		ref, err := s.sparseRefLocked(req)
-		if err != nil {
-			return err
-		}
-		fl.AsyncMixSparse(s.weights, ref, req.SparseIdx, req.SparseVals, alpha)
-	default:
-		return errNoPayload
-	}
-	s.version++
-	s.pushes++
-	return nil
-}
-
-// sparseRefLocked validates a sparse push and returns the reference model
-// it overlays. The binary codec already validated the payload shape, but
-// the same request fields can arrive via gob from an arbitrary peer, so
-// everything is re-checked here: this is the last gate before training
-// state. Caller holds s.mu.
-func (s *Server) sparseRefLocked(req *request) ([]float64, error) {
-	n := len(s.weights)
-	if req.DenseLen != n {
-		return nil, fmt.Errorf("flnet: sparse update claims %d weights, model has %d", req.DenseLen, n)
-	}
-	if len(req.SparseIdx) != len(req.SparseVals) {
-		return nil, fmt.Errorf("flnet: sparse update has %d indices, %d values", len(req.SparseIdx), len(req.SparseVals))
-	}
-	prev := int64(-1)
-	for _, ix := range req.SparseIdx {
-		if int64(ix) <= prev || int(ix) >= n {
-			return nil, fmt.Errorf("flnet: sparse index %d out of order or range", ix)
-		}
-		prev = int64(ix)
-	}
-	for _, v := range req.SparseVals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, errors.New("flnet: non-finite sparse value")
-		}
-	}
-	ack, ok := s.lastAck[req.ClientID]
-	if !ok || ack.Version != req.BaseVersion || len(ack.Weights) != n {
-		srvSparseRejects.Inc()
-		have := -1
-		if ok {
-			have = ack.Version
-		}
-		s.jrec().Record("sparse.base-mismatch", s.version, req.ClientID,
-			"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
-		return nil, fmt.Errorf("%s: push built on v%d, server ack window holds v%d", sparseBaseMismatch, req.BaseVersion, have)
-	}
-	return ack.Weights, nil
-}
-
 // ErrClosed is returned by round trips on a closed client.
 var ErrClosed = errors.New("flnet: client closed")
 
@@ -796,16 +612,11 @@ type Client struct {
 	addr string
 	opts Options
 
-	mu   sync.Mutex      // serializes round trips; guards codec, tel, seq, rng
-	wire clientWire      // per-connection request/reply codec (binary or gob)
+	mu   sync.Mutex      // serializes round trips; guards wire, tel, seq, rng
+	wire *binClientWire  // per-connection request/reply codec
 	tel  *telemetryState // nil until EnableTelemetry
 	seq  uint64          // last assigned push sequence number
 	rng  *rand.Rand      // backoff jitter stream
-
-	// gobFallback is latched when a binary hello is rejected by the peer
-	// (a pre-binary server): every later reconnect goes straight to gob
-	// instead of re-probing.
-	gobFallback bool
 
 	// scratchMu guards the push-side encode scratch (the reusable
 	// quantization buffer and the sparse delta buffers) across concurrent
@@ -872,9 +683,9 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 		return nil, ErrClosed
 	}
 	switch req.Kind {
-	case "pull":
+	case wire.KindPull:
 		cliRequestsPull.Inc()
-	case "telemetry":
+	case wire.KindTelemetry:
 		cliRequestsTelemetry.Inc()
 	default:
 		cliRequestsPush.Inc()
@@ -882,12 +693,12 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 	// Assign the push sequence number once per logical push, before any
 	// retry, so every attempt of the same update carries the same Seq and
 	// the server can dedup a retry whose original landed.
-	if req.Kind == "push" && req.Seq == 0 {
+	if req.Kind == wire.KindPush && req.Seq == 0 {
 		c.seq++
 		req.Seq = c.seq
 		countClientPushPayload(req)
 	}
-	if c.tel != nil && req.Telemetry == nil && req.Kind != "pull" {
+	if c.tel != nil && req.Telemetry == nil && req.Kind != wire.KindPull {
 		req.Telemetry = c.telemetrySnapshotLocked()
 	}
 	t0 := time.Now()
@@ -901,7 +712,7 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 			c.retries.Add(1)
 			cliRetries.Inc()
 			c.opts.Journal.Record("net.retry", journal.None, c.ID,
-				"attempt", strconv.Itoa(attempt), "kind", req.Kind, "err", journalErr(lastErr))
+				"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journalErr(lastErr))
 			if !c.backoff(attempt) {
 				return nil, ErrClosed
 			}
@@ -917,7 +728,7 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 				// deterministic and must not be retried.
 				return nil, errors.New(rep.Err)
 			}
-			if req.Kind == "push" && rep.Weights != nil {
+			if req.Kind == wire.KindPush && rep.Weights != nil {
 				c.noteAck(rep)
 				c.opts.Journal.Record("push.ack", rep.Version, c.ID,
 					"seq", strconv.FormatUint(req.Seq, 10))
@@ -969,7 +780,7 @@ func (c *Client) attemptLocked(req *request) (*reply, error) {
 
 // Pull fetches the current global weights and version.
 func (c *Client) Pull() ([]float64, int, error) {
-	rep, err := c.roundTrip(&request{Kind: "pull", ClientID: c.ID})
+	rep, err := c.roundTrip(&request{Kind: wire.KindPull, ClientID: c.ID})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -984,7 +795,7 @@ func (c *Client) Pull() ([]float64, int, error) {
 // acknowledgement was lost.
 func (c *Client) Push(weights []float64, samples, baseVersion int) ([]float64, int, error) {
 	rep, err := c.pushRoundTrip(&request{
-		Kind: "push", ClientID: c.ID, Weights: weights,
+		Kind: wire.KindPush, ClientID: c.ID, Weights: weights,
 		NumSamples: samples, BaseVersion: baseVersion,
 	})
 	if err != nil {

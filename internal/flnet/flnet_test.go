@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ecofl/internal/data"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/nn"
 )
 
@@ -301,7 +302,7 @@ func TestPushWithoutPayloadRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.roundTrip(&request{Kind: "push", BaseVersion: 0}); err == nil {
+	if _, err := c.roundTrip(&request{Kind: wire.KindPush, BaseVersion: 0}); err == nil {
 		t.Fatal("payload-less push must be rejected")
 	}
 }

@@ -1,39 +1,46 @@
 package flnet
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
 	"ecofl/internal/fl/robust"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs"
 )
 
-// FuzzQuantizeRoundTrip checks the quantization error bound on arbitrary
-// 4-element vectors (runs the seed corpus under plain `go test`; use
-// `go test -fuzz=FuzzQuantizeRoundTrip` for continuous fuzzing).
 // FuzzRequestDecode throws arbitrary byte streams at the server-side request
-// loop: whatever survives the gob decoder is fed through the push
-// aggregation (including the seq-dedup window) and telemetry ingest, which
-// must not panic and must hold their invariants — duplicate sequence numbers
-// are never re-applied, the seq high-water mark never moves backwards, and
-// the model version advances exactly once per accepted push — no matter what
-// kinds, payloads, metric names, or span batches the bytes claim to carry.
-// Truncated streams (a connection severed mid-gob) must decode cleanly up to
-// the cut and reject the rest.
+// path exactly as a connection delivers them: bytes → wire.Reader → the
+// frame decoder → the push gate (including the seq-dedup window) and
+// telemetry ingest, which must not panic and must hold their invariants —
+// duplicate sequence numbers are never re-applied, the seq high-water mark
+// never moves backwards, the model version advances exactly once per accepted
+// push, and no value in the model is ever non-finite — no matter what kinds,
+// payloads, metric names, or span batches the bytes claim to carry. Truncated
+// streams (a connection severed mid-frame) must decode cleanly up to the cut
+// and reject the rest.
 func FuzzRequestDecode(f *testing.F) {
+	// seed frames requests with the client's own encoder, which (like the
+	// Append* codecs under it) encodes whatever it is handed — hostile
+	// payloads included.
 	seed := func(reqs ...*request) []byte {
 		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
+		cw := &binClientWire{bw: bufio.NewWriter(&buf)}
+		cw.fw.W = cw.bw
 		for _, req := range reqs {
-			if err := enc.Encode(req); err != nil {
+			if err := cw.writeRequest(req); err != nil {
 				f.Fatal(err)
 			}
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(&request{Kind: "telemetry", ClientID: 1, Telemetry: &TelemetrySnapshot{
+	push := func(req request) *request {
+		req.Kind, req.NumSamples = wire.KindPush, 1
+		return &req
+	}
+	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: 1, Telemetry: &TelemetrySnapshot{
 		NodeID: 1, Proc: "portal", NodeNow: 1.5,
 		Metrics: []MetricPoint{
 			{Family: "ecofl_x_total", Kind: "counter", Value: 3},
@@ -42,64 +49,67 @@ func FuzzRequestDecode(f *testing.F) {
 		},
 		Spans: []obs.Event{{Name: "train", Cat: "portal", Start: 0.5, Dur: 0.25}},
 	}}))
-	f.Add(seed(&request{Kind: "telemetry", ClientID: -7, Telemetry: &TelemetrySnapshot{
+	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: -7, Telemetry: &TelemetrySnapshot{
 		NodeID: -7, NodeNow: math.Inf(1),
 		Metrics: []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
 	}}))
-	f.Add(seed(&request{Kind: "push", Weights: []float64{1, 2}, NumSamples: 3}))
-	// Sparse-overlay pushes arriving via gob bypass the binary codec's
-	// validation, so applyPush's own gate is what the fuzzer hammers here:
-	// a well-formed overlay (rejected only for the missing ack window), and
-	// hostile ones — unsorted and out-of-range indices, NaN/Inf values,
-	// mismatched pair counts, a dense-length lie.
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0}, SparseVals: []float64{1.5}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{1, 0}, SparseVals: []float64{1, 2}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{7}, SparseVals: []float64{1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0}, SparseVals: []float64{math.NaN()}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0, 1}, SparseVals: []float64{math.Inf(1), 0}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 1 << 30,
-		SparseIdx: []uint32{0}, SparseVals: []float64{1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0, 1}, SparseVals: []float64{1}, NumSamples: 1}))
-	// Semantic poison via gob (the binary codec rejects these at parse time,
-	// so applyPush's screen is the only gate): non-finite dense and quantized
-	// payloads, and an oversized-norm dense update for the adaptive gate.
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1,
-		Weights: []float64{math.NaN(), 0}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1,
-		Weights: []float64{math.Inf(-1), 1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1, NumSamples: 1,
-		Quant: &Quantized{Min: math.NaN(), Scale: 1, Data: []uint8{1, 2}}}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1, NumSamples: 1,
-		Quant: &Quantized{Min: 1e308, Scale: 1e306, Data: []uint8{255, 255}}}))
-	f.Add(seed(&request{Kind: "push", ClientID: 5, Seq: 1,
-		Weights: []float64{1e30, -1e30}, NumSamples: 1}))
+	f.Add(seed(push(request{Weights: []float64{1, 2}})))
+	// Sparse overlays: a well-formed one (rejected only for the missing ack
+	// window), and hostile ones wire.ParseSparse must fail — unsorted and
+	// out-of-range indices, NaN/Inf values, a dense-length lie, mismatched
+	// pair counts.
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{0}, SparseVals: []float64{1.5}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{1, 0}, SparseVals: []float64{1, 2}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{7}, SparseVals: []float64{1}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{0}, SparseVals: []float64{math.NaN()}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{0, 1}, SparseVals: []float64{math.Inf(1), 0}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 1 << 30,
+		SparseIdx: []uint32{0}, SparseVals: []float64{1}})))
+	f.Add(seed(push(request{ClientID: 1, Seq: 1, DenseLen: 2,
+		SparseIdx: []uint32{0, 1}, SparseVals: []float64{1}})))
+	// Semantic poison: non-finite dense values (the raw codec carries any
+	// float64, so the gate's scan is the only check), quantization
+	// parameters that are NaN or overflow once dequantized, and an
+	// oversized-norm dense update for the adaptive gate.
+	f.Add(seed(push(request{ClientID: 4, Seq: 1, Weights: []float64{math.NaN(), 0}})))
+	f.Add(seed(push(request{ClientID: 4, Seq: 1, Weights: []float64{math.Inf(-1), 1}})))
+	f.Add(seed(push(request{ClientID: 4, Seq: 1,
+		Quant: &Quantized{Min: math.NaN(), Scale: 1, Data: []uint8{1, 2}}})))
+	f.Add(seed(push(request{ClientID: 4, Seq: 1,
+		Quant: &Quantized{Min: 1e308, Scale: 1e306, Data: []uint8{255, 255}}})))
+	f.Add(seed(push(request{ClientID: 5, Seq: 1, Weights: []float64{1e30, -1e30}})))
 	// The retry wire patterns: the same Seq pushed twice back to back (an ack
 	// lost in flight), and a stale straggler Seq after a newer one landed.
 	f.Add(seed(
-		&request{Kind: "push", ClientID: 2, Seq: 5, Weights: []float64{1, 2}, NumSamples: 1},
-		&request{Kind: "push", ClientID: 2, Seq: 5, Weights: []float64{1, 2}, NumSamples: 1},
+		push(request{ClientID: 2, Seq: 5, Weights: []float64{1, 2}}),
+		push(request{ClientID: 2, Seq: 5, Weights: []float64{1, 2}}),
 	))
 	f.Add(seed(
-		&request{Kind: "push", ClientID: 1, Seq: 9, Weights: []float64{3, 4}, NumSamples: 1},
-		&request{Kind: "push", ClientID: 1, Seq: 2, Weights: []float64{8, 8}, NumSamples: 1},
-		&request{Kind: "pull", ClientID: 1},
+		push(request{ClientID: 1, Seq: 9, Weights: []float64{3, 4}}),
+		push(request{ClientID: 1, Seq: 2, Weights: []float64{8, 8}}),
+		&request{Kind: wire.KindPull, ClientID: 1},
 	))
-	// Connections severed mid-message: a lone truncated request, and a valid
+	// Connections severed mid-frame: a lone truncated request, and a valid
 	// request followed by a truncated one (decode succeeds, then fails).
-	whole := seed(&request{Kind: "push", ClientID: 3, Seq: 1, Weights: []float64{5, 6}, NumSamples: 2})
+	whole := seed(push(request{ClientID: 3, Seq: 1, Weights: []float64{5, 6}}))
 	f.Add(whole[:len(whole)/2])
 	f.Add(append(append([]byte(nil), whole...), whole[:2*len(whole)/3]...))
-	f.Add([]byte("\x7fthis is not a gob stream"))
+	f.Add([]byte("\x7fthis is not a frame stream"))
 	f.Add([]byte{})
+	// A valid request followed by trailing garbage, and one whose telemetry
+	// trailer is not gob at all.
+	f.Add(append(append([]byte(nil), whole...), "trailing garbage"...))
+	junk := make([]byte, wire.HeaderSize)
+	wire.PutHeader(junk, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, TrailerLen: 4})
+	f.Add(append(junk, "junk"...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// A bare in-package server: applyPush and telemetry ingest never
-		// touch the listener or connection set.
+		// A bare in-package server: the push gate and telemetry ingest never
+		// touch the listener, the connection set or the mixer.
 		s := &Server{
 			Alpha: 0.5, StalenessExp: 1,
 			fleet:    newFleet(),
@@ -108,15 +118,20 @@ func FuzzRequestDecode(f *testing.F) {
 			lastAck:  make(map[int]reply),
 			normGate: robust.NewNormTracker(8, 4, 6),
 		}
-		dec := gob.NewDecoder(bytes.NewReader(raw))
+		fr := wire.Reader{R: bytes.NewReader(raw)}
+		var dec requestDecoder
 		for n := 0; n < 64; n++ {
-			var req request
-			if err := dec.Decode(&req); err != nil {
+			h, payload, trailer, err := fr.Next()
+			if err != nil {
 				break // malformed or truncated: the server drops the conn
 			}
-			if req.Kind == "push" {
+			req, err := dec.decode(h, payload, trailer)
+			if err != nil {
+				break
+			}
+			if req.Kind == wire.KindPush {
 				prev := s.lastSeq[req.ClientID]
-				_, applied := s.applyPush(&req)
+				_, applied := s.applyPushLocked(req)
 				if applied && req.Seq > 0 && req.Seq <= prev {
 					t.Fatalf("duplicate seq %d (high-water %d) was re-applied", req.Seq, prev)
 				}
@@ -142,6 +157,9 @@ func FuzzRequestDecode(f *testing.F) {
 	})
 }
 
+// FuzzQuantizeRoundTrip checks the quantization error bound on arbitrary
+// 4-element vectors (runs the seed corpus under plain `go test`; use
+// `go test -fuzz=FuzzQuantizeRoundTrip` for continuous fuzzing).
 func FuzzQuantizeRoundTrip(f *testing.F) {
 	f.Add(0.0, 1.0, -1.0, 2.5)
 	f.Add(3.0, 3.0, 3.0, 3.0)

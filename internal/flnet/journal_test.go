@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/obs/journal"
 )
@@ -103,11 +104,11 @@ func TestJournalDedupDropEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	req := &request{Kind: "push", ClientID: 3, Seq: 5, Weights: []float64{10}, NumSamples: 1}
+	req := &request{Kind: wire.KindPush, ClientID: 3, Seq: 5, Weights: []float64{10}, NumSamples: 1}
 	if _, err := c.roundTrip(req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.roundTrip(&request{Kind: "push", ClientID: 3, Seq: 5, Weights: []float64{10}, NumSamples: 1}); err != nil {
+	if _, err := c.roundTrip(&request{Kind: wire.KindPush, ClientID: 3, Seq: 5, Weights: []float64{10}, NumSamples: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var gotApply, gotDrop bool

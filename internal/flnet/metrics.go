@@ -9,17 +9,16 @@ import (
 )
 
 // Protocol observability on the metrics Default registry. Counters sit
-// around whole gob round trips — chunky operations — so the cost is a few
+// around whole round trips — chunky operations — so the cost is a few
 // atomic adds per request, invisible next to encode/decode and TCP. Byte
 // counts are measured at the net.Conn boundary (what actually crossed the
-// wire), not at the payload level, so gob framing overhead is included.
+// wire), not at the payload level, so frame headers and trailers are
+// included.
 var (
 	srvRequestsPull = metrics.GetCounter("ecofl_flnet_server_requests_total",
 		"requests served by kind", "kind", "pull")
 	srvRequestsPush = metrics.GetCounter("ecofl_flnet_server_requests_total",
 		"requests served by kind", "kind", "push")
-	srvRequestsBad = metrics.GetCounter("ecofl_flnet_server_requests_total",
-		"requests served by kind", "kind", "unknown")
 	srvRequestsTelemetry = metrics.GetCounter("ecofl_flnet_server_requests_total",
 		"requests served by kind", "kind", "telemetry")
 	srvDecodeErrors = metrics.GetCounter("ecofl_flnet_server_decode_errors_total",
@@ -35,7 +34,7 @@ var (
 	srvBytesOut = metrics.GetCounter("ecofl_flnet_server_bytes_written_total",
 		"bytes written to portal connections")
 	srvRequestSeconds = metrics.GetHistogram("ecofl_flnet_server_request_seconds",
-		"server-side latency from request decode to reply flush", metrics.DefBuckets)
+		"server-side latency from request decode to reply write", metrics.DefBuckets)
 
 	cliRequestsPull = metrics.GetCounter("ecofl_flnet_client_requests_total",
 		"round trips issued by kind", "kind", "pull")
@@ -60,15 +59,13 @@ var (
 	srvDedupedPushes = metrics.GetCounter("ecofl_flnet_server_deduped_pushes_total",
 		"retried pushes acked from the dedup window instead of mixed again")
 
-	// Wire-protocol instrumentation (binary framing, codecs, batched
-	// ingest): which protocol each connection negotiated, how full the
-	// mixer's batches run, and how many payload bytes each codec moved
-	// versus what raw float64 would have cost — the direct measure of the
-	// wire savings /fleet and /dash surface.
-	srvConnsGob = metrics.GetCounter("ecofl_flnet_server_conns_total",
-		"portal connections accepted by negotiated protocol", "proto", "gob")
+	// Wire-protocol instrumentation (framing, codecs, batched ingest): how
+	// many connections completed the hello handshake, how full the mixer's
+	// batches run, and how many payload bytes each codec moved versus what
+	// raw float64 would have cost — the direct measure of the wire savings
+	// /fleet and /dash surface.
 	srvConnsBinary = metrics.GetCounter("ecofl_flnet_server_conns_total",
-		"portal connections accepted by negotiated protocol", "proto", "binary")
+		"portal connections accepted by protocol", "proto", "binary")
 	srvIngestBatch = metrics.GetHistogram("ecofl_flnet_server_ingest_batch_size",
 		"pushes applied per mixer lock acquisition",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
@@ -117,8 +114,6 @@ var (
 	srvNormGateThreshold = metrics.GetGauge("ecofl_flnet_server_norm_gate_threshold",
 		"current adaptive L2 norm-gate admission threshold (0 until warm)")
 
-	cliWireFallbacks = metrics.GetCounter("ecofl_flnet_client_wire_fallbacks_total",
-		"binary hellos rejected, latching the client into gob")
 	cliSparseFallbacks = metrics.GetCounter("ecofl_flnet_client_sparse_fallbacks_total",
 		"sparse pushes sent dense instead (no reference, sparsity unprofitable, or base rejected)")
 
@@ -147,9 +142,8 @@ func (c *compressionGauge) add(rawBytes, actualBytes int) {
 }
 
 // pushPayloadSize returns the logical payload bytes of a push under its
-// codec and under the raw-float64 baseline — identical numbers whichever
-// wire (binary or legacy gob) carried the request, so the compression
-// metrics compare codecs, not framings.
+// codec and under the raw-float64 baseline, so the compression metrics
+// compare codecs, not framing.
 func pushPayloadSize(req *request) (actual, rawEquiv int) {
 	switch {
 	case req.Weights != nil:
@@ -211,8 +205,13 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts the bytes before they leave, so a peer that has read them
+// finds them already on the books; a short write takes the rest back.
 func (c countingConn) Write(p []byte) (int, error) {
+	c.out.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.out.Add(int64(n))
+	if n < len(p) {
+		c.out.Add(int64(n - len(p)))
+	}
 	return n, err
 }

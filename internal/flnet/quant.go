@@ -3,6 +3,8 @@ package flnet
 import (
 	"errors"
 	"math"
+
+	"ecofl/internal/flnet/wire"
 )
 
 // Quantized is an affine int8 quantization of a float64 vector: each value
@@ -79,7 +81,7 @@ func (c *Client) PushQuantized(w []float64, samples, baseVersion int) ([]float64
 	c.scratchMu.Lock()
 	defer c.scratchMu.Unlock()
 	rep, err := c.pushRoundTrip(&request{
-		Kind: "push", ClientID: c.ID, Quant: QuantizeInto(w, &c.qbuf),
+		Kind: wire.KindPush, ClientID: c.ID, Quant: QuantizeInto(w, &c.qbuf),
 		NumSamples: samples, BaseVersion: baseVersion,
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/leakcheck"
 )
 
@@ -21,8 +22,8 @@ func fastOptions(retries int) Options {
 	}
 }
 
-// A server that accepts and never replies must not hang the client: the
-// round-trip deadline fires and bounded retries give up.
+// A server that shakes hands and then never replies must not hang the
+// client: the round-trip deadline fires and bounded retries give up.
 func TestDeadlineOnHungServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,7 +36,11 @@ func TestDeadlineOnHungServer(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go io.Copy(io.Discard, conn) // read forever, never answer
+			go func() {
+				fw := wire.Writer{W: conn}
+				fw.WriteFrame(&wire.Header{Kind: wire.KindHelloAck}, nil, nil)
+				io.Copy(io.Discard, conn) // read forever, never answer
+			}()
 		}
 	}()
 	c, err := DialOptions(ln.Addr().String(), 0, fastOptions(2))
@@ -120,6 +125,48 @@ func TestClientRidesThroughServerRestart(t *testing.T) {
 	s2.Close()
 }
 
+// blackHole swallows every write: the peer never sees it.
+type blackHole struct{ net.Conn }
+
+func (blackHole) Write(p []byte) (int, error) { return len(p), nil }
+
+// A black-holed hello is an ordinary transport failure: the retry loop
+// redials, says hello again in the same protocol, and the client ends up
+// connected.
+func TestBlackHoledHelloRetried(t *testing.T) {
+	s := startServer(t, []float64{1, 2}, 0.5)
+	var dialed []net.Conn
+	opts := fastOptions(5)
+	opts.Dialer = func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		dialed = append(dialed, conn)
+		if len(dialed) == 2 {
+			return blackHole{conn}, nil
+		}
+		return conn, nil
+	}
+	c, err := DialOptions(s.Addr(), 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dialed[0].Close() // the link dies; the redial's hello then vanishes
+	if _, _, err := c.Pull(); err != nil {
+		t.Fatalf("pull after a black-holed hello: %v", err)
+	}
+	retries, reconnects := c.Stats()
+	if len(dialed) != 3 || retries != 2 || reconnects != 1 {
+		t.Fatalf("dials=%d retries=%d reconnects=%d, want 3/2/1 (lost hello redialed once)",
+			len(dialed), retries, reconnects)
+	}
+	if _, v, err := c.Push([]float64{3, 4}, 1, 0); err != nil || v != 1 {
+		t.Fatalf("push over the recovered connection: v%d, %v", v, err)
+	}
+}
+
 // A retried push whose original landed must be acked from the dedup
 // window, not mixed twice — the FedAsync update is not idempotent.
 func TestRetriedPushDeduplicated(t *testing.T) {
@@ -129,13 +176,13 @@ func TestRetriedPushDeduplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	req := &request{Kind: "push", ClientID: 3, Seq: 7, Weights: []float64{10}, NumSamples: 1}
+	req := &request{Kind: wire.KindPush, ClientID: 3, Seq: 7, Weights: []float64{10}, NumSamples: 1}
 	first, err := c.roundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same Seq again — the "ack was lost, client retried" wire sequence.
-	second, err := c.roundTrip(&request{Kind: "push", ClientID: 3, Seq: 7, Weights: []float64{10}, NumSamples: 1})
+	second, err := c.roundTrip(&request{Kind: wire.KindPush, ClientID: 3, Seq: 7, Weights: []float64{10}, NumSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +201,7 @@ func TestRetriedPushDeduplicated(t *testing.T) {
 	}
 	// An older straggler Seq is also acked (with the current model), never
 	// re-applied.
-	older, err := c.roundTrip(&request{Kind: "push", ClientID: 3, Seq: 2, Weights: []float64{99}, NumSamples: 1})
+	older, err := c.roundTrip(&request{Kind: wire.KindPush, ClientID: 3, Seq: 2, Weights: []float64{99}, NumSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +212,7 @@ func TestRetriedPushDeduplicated(t *testing.T) {
 		t.Fatalf("straggler ack weights = %v, want current model [5]", older.Weights)
 	}
 	// A fresh Seq advances normally.
-	if _, err := c.roundTrip(&request{Kind: "push", ClientID: 3, Seq: 8, Weights: []float64{10}, NumSamples: 1}); err != nil {
+	if _, err := c.roundTrip(&request{Kind: wire.KindPush, ClientID: 3, Seq: 8, Weights: []float64{10}, NumSamples: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Pushes() != 2 {
@@ -182,7 +229,7 @@ func TestDedupIsPerClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.roundTrip(&request{Kind: "push", ClientID: id, Seq: 7, Weights: []float64{1}, NumSamples: 1}); err != nil {
+		if _, err := c.roundTrip(&request{Kind: wire.KindPush, ClientID: id, Seq: 7, Weights: []float64{1}, NumSamples: 1}); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -214,7 +261,7 @@ func TestRejectionNotRetried(t *testing.T) {
 }
 
 // Close is idempotent and severs handlers: a server with idle-but-alive
-// portal connections must shut down promptly instead of waiting on Decode.
+// portal connections must shut down promptly instead of waiting on a read.
 func TestServerCloseWithIdleConns(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -233,7 +280,7 @@ func TestServerCloseWithIdleConns(t *testing.T) {
 		}
 		clients = append(clients, c)
 	}
-	_ = clients // all three handlers now sit in Decode on live conns
+	_ = clients // all three handlers now sit reading on live conns
 	done := make(chan error, 1)
 	go func() { done <- s.Close() }()
 	select {

@@ -50,7 +50,7 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 		return c.Push(w, samples, baseVersion)
 	}
 	rep, err := c.pushRoundTrip(&request{
-		Kind: "push", ClientID: c.ID,
+		Kind: wire.KindPush, ClientID: c.ID,
 		SparseIdx: c.sparseIdx, SparseVals: c.sparseVal, DenseLen: len(w),
 		NumSamples: samples, BaseVersion: refV,
 	})

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
@@ -129,7 +130,7 @@ func (c *Client) FlushTelemetry() error {
 	if !enabled {
 		return nil
 	}
-	_, err := c.roundTrip(&request{Kind: "telemetry", ClientID: c.ID})
+	_, err := c.roundTrip(&request{Kind: wire.KindTelemetry, ClientID: c.ID})
 	return err
 }
 

@@ -154,7 +154,7 @@ func TestMalformedStreamCountsDecodeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("\x7fthis is not a gob stream")); err != nil {
+	if _, err := conn.Write([]byte("\x7fthis is not a frame stream")); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()

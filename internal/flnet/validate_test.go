@@ -6,19 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// bareServer is the in-package harness for exercising applyPush without a
-// listener (the fuzz harness uses the same shape).
-func bareServer(init []float64) *Server {
-	return &Server{
-		Alpha: 0.5, StalenessExp: 1,
-		fleet:   newFleet(),
-		weights: append([]float64(nil), init...),
-		lastSeq: make(map[int]uint64),
-		lastAck: make(map[int]reply),
-	}
-}
+	"ecofl/internal/flnet/wire"
+)
 
 func assertFinite(t *testing.T, w []float64) {
 	t.Helper()
@@ -29,65 +19,72 @@ func assertFinite(t *testing.T, w []float64) {
 	}
 }
 
-// A semantically poisonous push in any codec is acked-but-quarantined: no
-// error back to the client (an honest-but-buggy sender resumes from the
-// snapshot), no model change, no version bump, and a retry hits the dedup
-// window exactly like an applied push's retry would.
+// Poison is stopped where it can first be recognized. What a payload says
+// about itself is the wire codecs' to judge — NaN quantization parameters or a
+// non-finite sparse value fail the frame and the connection. What only the
+// model can judge is the gate's: a raw NaN (the raw codec carries any
+// float64) or a quantized range that overflows once dequantized is
+// acked-but-quarantined — no error back to the client (an honest-but-buggy
+// sender resumes from the snapshot), no model change, no version bump, and a
+// retry hits the dedup window exactly like an applied push's retry would.
 func TestQuarantineNonFinitePerCodec(t *testing.T) {
-	s := bareServer([]float64{1, 2})
-
-	// Dense NaN: only the sparse path checked finiteness before the gate.
-	rep, applied := s.applyPush(&request{Kind: "push", ClientID: 1, Seq: 1,
-		Weights: []float64{math.NaN(), 0}, NumSamples: 3})
-	if applied || rep.Err != "" {
-		t.Fatalf("NaN dense push: applied=%v err=%q, want quarantine ack", applied, rep.Err)
+	s := startServer(t, []float64{1, 2}, 0.5)
+	c, err := DialOptions(s.Addr(), 0, fastOptions(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Version != 0 || rep.Weights[0] != 1 || rep.Weights[1] != 2 {
-		t.Fatalf("quarantine ack = %v v%d, want the untouched snapshot", rep.Weights, rep.Version)
-	}
-	// Retried quarantined push lands in the dedup window.
-	rep2, applied2 := s.applyPush(&request{Kind: "push", ClientID: 1, Seq: 1,
-		Weights: []float64{math.NaN(), 0}, NumSamples: 3})
-	if applied2 || rep2.Err != "" || s.deduped != 1 {
-		t.Fatalf("quarantined retry: applied=%v err=%q deduped=%d, want dedup ack", applied2, rep2.Err, s.deduped)
+	defer c.Close()
+	push := func(req *request) (*reply, error) {
+		req.Kind, req.NumSamples = wire.KindPush, 1
+		return c.roundTrip(req)
 	}
 
-	// Quantized poison via gob: NaN params and params that overflow to Inf
-	// only once dequantized (Min + 255·Scale).
-	if _, applied := s.applyPush(&request{Kind: "push", ClientID: 2, Seq: 1, NumSamples: 1,
-		Quant: &Quantized{Min: math.NaN(), Scale: 1, Data: []uint8{0, 0}}}); applied {
-		t.Fatal("NaN quant params were applied")
+	for attempt := 0; attempt < 2; attempt++ { // the retry dedups
+		rep, err := push(&request{ClientID: 1, Seq: 1, Weights: []float64{math.NaN(), 0}})
+		if err != nil {
+			t.Fatalf("NaN dense push (attempt %d): %v, want quarantine ack", attempt, err)
+		}
+		if rep.Version != 0 || rep.Weights[0] != 1 || rep.Weights[1] != 2 {
+			t.Fatalf("quarantine ack = %v v%d, want the untouched snapshot", rep.Weights, rep.Version)
+		}
 	}
-	if _, applied := s.applyPush(&request{Kind: "push", ClientID: 2, Seq: 2, NumSamples: 1,
-		Quant: &Quantized{Min: 1e308, Scale: 1e306, Data: []uint8{0, 0}}}); applied {
-		t.Fatal("overflowing quant params were applied")
+	if s.Deduped() != 1 {
+		t.Fatalf("quarantined retry: deduped=%d, want 1", s.Deduped())
 	}
-
-	// Sparse NaN quarantines too (previously a hard error): establish the
-	// ack window with an honest push first.
-	if rep, applied := s.applyPush(&request{Kind: "push", ClientID: 3, Seq: 1,
-		Weights: []float64{2, 3}, NumSamples: 1}); !applied || rep.Err != "" {
-		t.Fatalf("honest dense push rejected: %q", rep.Err)
+	if _, err := push(&request{ClientID: 2, Seq: 1,
+		Quant: &Quantized{Min: 1e308, Scale: 1e306, Data: []uint8{255, 255}}}); err != nil {
+		t.Fatalf("overflowing quant push: %v, want quarantine ack", err)
 	}
-	base := s.version
-	rep3, applied3 := s.applyPush(&request{Kind: "push", ClientID: 3, Seq: 2, BaseVersion: base,
-		DenseLen: 2, SparseIdx: []uint32{0}, SparseVals: []float64{math.Inf(1)}, NumSamples: 1})
-	if applied3 || rep3.Err != "" {
-		t.Fatalf("Inf sparse push: applied=%v err=%q, want quarantine ack", applied3, rep3.Err)
+	if got := s.Quarantined(); got != 2 {
+		t.Fatalf("Quarantined() = %d, want 2", got)
 	}
 
-	if got := s.Quarantined(); got != 4 {
-		t.Fatalf("Quarantined() = %d, want 4", got)
+	// Wire-level rejections: the frame fails to parse, the server drops the
+	// connection, and the client runs out of retries.
+	for name, req := range map[string]*request{
+		"NaN quant params": {ClientID: 2, Seq: 2,
+			Quant: &Quantized{Min: math.NaN(), Scale: 1, Data: []uint8{0, 0}}},
+		"Inf sparse value": {ClientID: 3, Seq: 1, DenseLen: 2,
+			SparseIdx: []uint32{0}, SparseVals: []float64{math.Inf(1)}},
+	} {
+		decodeErrs := srvDecodeErrors.Value()
+		if _, err := push(req); err == nil {
+			t.Fatalf("%s: push was acked", name)
+		}
+		if srvDecodeErrors.Value() == decodeErrs {
+			t.Fatalf("%s: not rejected by the frame parser", name)
+		}
 	}
-	if s.version != base || s.pushes != s.version {
-		t.Fatalf("quarantined pushes moved version/pushes: v%d pushes %d", s.version, s.pushes)
+
+	w, v := s.Snapshot()
+	if v != 0 || s.Pushes() != 0 || s.Quarantined() != 2 {
+		t.Fatalf("poison moved state: v%d pushes %d quarantined %d", v, s.Pushes(), s.Quarantined())
 	}
-	assertFinite(t, s.weights)
+	assertFinite(t, w)
 
 	// The gate is a filter, not a fuse: honest traffic still flows.
-	if rep, applied := s.applyPush(&request{Kind: "push", ClientID: 4, Seq: 1,
-		Weights: []float64{4, 5}, NumSamples: 1}); !applied || rep.Err != "" {
-		t.Fatalf("honest push after quarantines rejected: %q", rep.Err)
+	if rep, err := push(&request{ClientID: 4, Seq: 1, Weights: []float64{4, 5}}); err != nil || rep.Version != 1 {
+		t.Fatalf("honest push after quarantines: %v", err)
 	}
 }
 

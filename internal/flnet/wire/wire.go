@@ -1,6 +1,5 @@
 // Package wire is the length-prefixed binary framing of the flnet
-// transport — the hot-path replacement for reflection-based encoding/gob.
-// Every frame is
+// transport. Every frame is
 //
 //	magic "EFLB" (4) | version (1) | kind (1) | codec (1) | flags (1)
 //	A int32 | B int32 | C int32 | Seq uint64 | PayloadLen u32 | TrailerLen u32
@@ -40,16 +39,13 @@ const (
 	Version = 1
 )
 
-// Magic opens every frame. It is not a prefix of any gob stream a legacy
-// portal can produce (gob streams open with a length byte well below 0x45),
-// so the server can sniff binary vs gob on the first four bytes of a
-// connection.
+// Magic opens every frame.
 var Magic = [4]byte{'E', 'F', 'L', 'B'}
 
 // Frame kinds.
 const (
-	KindHello     byte = 1 // client→server: first frame on a binary conn
-	KindHelloAck  byte = 2 // server→client: binary negotiated
+	KindHello     byte = 1 // client→server: first frame on a connection
+	KindHelloAck  byte = 2 // server→client: version accepted
 	KindPull      byte = 3
 	KindPush      byte = 4
 	KindTelemetry byte = 5

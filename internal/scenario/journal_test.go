@@ -20,7 +20,7 @@ func journalSmokeSpec(t *testing.T, topology, extra string) *Spec {
 		  "seed": 7,
 		  "fleet": {"clients": 3, "dataset_size": 200, "local_epochs": 1},
 		  "aggregation": {"alpha": 0.5, "mu": 0.05},
-		  "wire": {"codec": "raw", "mode": "binary"},
+		  "wire": {"codec": "raw"},
 		  "run": {"rounds": 2},
 		  "journal": {"enabled": true, "capacity": 512}` + extra + `
 		}`

@@ -429,7 +429,6 @@ func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) 
 			BackoffBase: flnetBackoffBase,
 			BackoffMax:  flnetBackoffMax,
 			JitterSeed:  spec.Seed + int64(i) + 1,
-			Wire:        wireMode(spec.Wire.Mode),
 		}
 		if jn.fleet != nil {
 			o.Journal = journal.New(i, jn.cap)
@@ -571,17 +570,6 @@ func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) 
 		}
 	}
 	return nil
-}
-
-// wireMode maps the spec's wire.mode string onto the transport constant.
-func wireMode(mode string) flnet.WireMode {
-	switch mode {
-	case "binary":
-		return flnet.WireBinary
-	case "gob":
-		return flnet.WireGob
-	}
-	return flnet.WireAuto
 }
 
 // clientCodec resolves which codec client i pushes with.

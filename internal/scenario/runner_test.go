@@ -16,7 +16,7 @@ func flnetSmokeSpec() *Spec {
 	  "seed": 7,
 	  "fleet": {"clients": 3, "dataset_size": 200, "local_epochs": 1},
 	  "aggregation": {"alpha": 0.5, "mu": 0.05},
-	  "wire": {"codec": "mixed", "mode": "binary", "top_k": 64},
+	  "wire": {"codec": "mixed", "top_k": 64},
 	  "run": {"rounds": 2}
 	}`))
 	if err != nil {
@@ -189,7 +189,7 @@ func TestRunFLNetWithChurnLeases(t *testing.T) {
 	  "seed": 11,
 	  "fleet": {"clients": 3, "dataset_size": 200, "local_epochs": 1},
 	  "aggregation": {"alpha": 0.5},
-	  "wire": {"codec": "raw", "mode": "binary"},
+	  "wire": {"codec": "raw"},
 	  "churn": {"model": "diurnal", "period_s": 8, "duty_cycle": 0.5, "lease_ttl_s": 2},
 	  "run": {"rounds": 12},
 	  "journal": {"enabled": true}
@@ -237,7 +237,7 @@ func TestRunFLNetWithChaos(t *testing.T) {
 	  "seed": 9,
 	  "fleet": {"clients": 3, "dataset_size": 200, "local_epochs": 1},
 	  "aggregation": {"alpha": 0.5},
-	  "wire": {"codec": "raw", "mode": "binary"},
+	  "wire": {"codec": "raw"},
 	  "faults": [{"mode": "drop", "prob": 0.2, "after": 6, "clients": [1]}],
 	  "run": {"rounds": 2}
 	}`))
@@ -302,7 +302,7 @@ func TestRunFLNetWithAttackNormGate(t *testing.T) {
 	  "seed": 11,
 	  "fleet": {"clients": 4, "dataset_size": 200, "local_epochs": 1},
 	  "aggregation": {"alpha": 0.5},
-	  "wire": {"codec": "raw", "mode": "binary"},
+	  "wire": {"codec": "raw"},
 	  "attack": {"fraction": 0.5, "mode": "nan",
 	             "defense": {"norm_gate": true}},
 	  "run": {"rounds": 6}

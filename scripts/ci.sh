@@ -11,9 +11,11 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+tier1_start=$SECONDS
 go vet ./...
 go build ./...
 go test ./...
+echo "tier-1 (vet + build + test): $((SECONDS - tier1_start))s"
 # -short keeps the race pass fast: the flnet chaos soak (fault-injected
 # links, server bounces) and the pipeline chaos soak (executor TestChaosSoak:
 # every simnet fault mode plus a killed device, under ./internal/adaptive/...)
@@ -21,12 +23,22 @@ go test ./...
 # above. ./internal/adaptive/... covers the self-healing executor package;
 # ./internal/pipeline/runtime/... covers the hardened link layer;
 # ./internal/flnet/... recursively covers ./internal/flnet/wire/... (binary
-# frame codecs) alongside the mixed-wire interop and codec chaos soaks.
+# frame codecs) alongside the transport and codec chaos soaks.
 go test -race -short ./internal/tensor/... ./internal/fl/... \
 	./internal/fl/robust/... \
 	./internal/metrics/... ./internal/obs/... ./internal/adaptive/... \
 	./internal/flnet/... ./internal/simnet/... ./internal/device/... \
 	./internal/scenario/... ./internal/pipeline/runtime/...
+
+# A short real fuzzing budget for the parsers that face the network (plain
+# `go test` above only replays their seed corpora). Minimization is capped
+# so shrinking one interesting input cannot eat the whole budget.
+fuzz_start=$SECONDS
+fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 200ms "$2"; }
+fuzz FuzzFrameDecode ./internal/flnet/wire
+fuzz FuzzRequestDecode ./internal/flnet
+fuzz FuzzQuantizeRoundTrip ./internal/flnet
+echo "fuzz: $((SECONDS - fuzz_start))s"
 
 # Scenario-harness smoke: one tiny loopback federation through the real
 # transport, end to end — spec loading, the runner, report emission. Finishes
