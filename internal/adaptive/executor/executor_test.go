@@ -157,9 +157,13 @@ func TestChaosSoak(t *testing.T) {
 		simnet.FaultSever, simnet.FaultPartition,
 	}
 	const seed, mbs, lr = 99, 6, 0.05
-	rounds := 6
+	// A link sees exactly one Write per frame, 8 per link per round here, so
+	// the three-round -short run draws from each seeded schedule ~20 times:
+	// it raises the per-write fault probability far enough that every mode's
+	// schedule fires inside those rounds.
+	rounds, prob := 6, 0.03
 	if testing.Short() {
-		rounds = 3
+		rounds, prob = 3, 0.08
 	}
 	rng := rand.New(rand.NewSource(11))
 	x, labels := makeData(rng, 24, 12, 4)
@@ -176,7 +180,7 @@ func TestChaosSoak(t *testing.T) {
 				Trainable:      tr,
 				Devices:        fleet(),
 				MicroBatchSize: mbs,
-				Chaos:          chaosPerLink(mode, 1000+int64(mode), 0.03),
+				Chaos:          chaosPerLink(mode, 1000+int64(mode), prob),
 				MaxHeals:       14,
 				Journal:        rec,
 				LinkOptions: runtime.LinkOptions{

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
@@ -24,10 +25,19 @@ var (
 )
 
 // This file is the distributed flavour of the pipeline runtime: stage
-// workers exchange activations and gradients as gob messages over real
-// net.Conn links (TCP between devices in a deployment; loopback or net.Pipe
-// in tests). Each worker sees only its model segment and its two neighbour
-// links — exactly the information a device in a smart-home pipeline has.
+// workers exchange activations and gradients as binary tensor frames (see
+// link.go) over real net.Conn links (TCP between devices in a deployment;
+// loopback or net.Pipe in tests). Each worker sees only its model segment
+// and its two neighbour links — exactly the information a device in a
+// smart-home pipeline has.
+//
+// Tensor ownership: a tensor a stage received from a link is that stage's
+// alone. It comes from the tensor pool and goes back there after the
+// Backward that consumed it — the received activation once its micro-batch's
+// caches are spent, the received gradient once dx is computed — unless its
+// storage is shared with something the stage passed on (see sharesStorage).
+// Tensors the link did not allocate (stage 0's micro-batches, the loss
+// gradient, every Forward/Backward result) are never recycled here.
 //
 // Failure semantics: weights only ever change at round boundaries (the
 // single optimizer flush after all gradients accumulated). When any stage
@@ -191,11 +201,10 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	micros, microLabels := splitMicroBatches(x, labels, mbs)
 	m := len(micros)
 
-	// Establish links (retrying transient dial failures under backoff).
-	ups := make([]*link, S)   // ups[s]: stage s's link to stage s+1
-	downs := make([]*link, S) // downs[s]: stage s's link to stage s−1
+	// Establish links (retrying transient dial failures under backoff). Every
+	// connection is dialed before any link is built, so a failed dial has no
+	// writer goroutine or heartbeat ticker to unwind.
 	var conns []net.Conn
-	var links []*link
 	for i := 0; i < S-1; i++ {
 		up, down, err := dialLink(d.dial, i, d.opts, d.rng)
 		if err != nil {
@@ -205,14 +214,17 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 			return 0, err
 		}
 		conns = append(conns, up, down)
-		ups[i] = newLink(up, m, d.opts)
-		downs[i+1] = newLink(down, m, d.opts)
-		links = append(links, ups[i], downs[i+1])
+	}
+	ups := make([]*link, S)   // ups[s]: stage s's link to stage s+1
+	downs := make([]*link, S) // downs[s]: stage s's link to stage s−1
+	for i := 0; i < S-1; i++ {
+		ups[i] = newLink(conns[2*i], m, d.opts)
+		downs[i+1] = newLink(conns[2*i+1], m, d.opts)
 	}
 
 	// abort force-closes every connection: goroutines parked in a blocking
-	// recv (gob.Decode) or a stuck write unwind with an error instead of
-	// leaking. Invoked by the first stage that fails; idempotent.
+	// recv or a stuck write unwind with an error instead of leaking. Invoked
+	// by the first stage that fails; idempotent.
 	var abortOnce sync.Once
 	aborted := false
 	abort := func() {
@@ -225,8 +237,9 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		})
 	}
 	defer func() {
-		for _, l := range links {
-			l.close()
+		for i := 0; i < S-1; i++ {
+			ups[i].close()
+			downs[i+1].close()
 		}
 		for _, c := range conns {
 			c.Close()
@@ -284,6 +297,9 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 	tr := d.inner.trace
 	caches := make([][]nn.Cache, m)
 	outputs := make([]*tensor.Tensor, m)
+	// acts[i] is the received activation of micro-batch i while this stage
+	// may still recycle it (nil on stage 0, whose inputs are the caller's).
+	acts := make([]*tensor.Tensor, m)
 	for _, o := range order1F1B(m, S-s) {
 		if o.forward {
 			var in *tensor.Tensor
@@ -315,6 +331,9 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			sm.fwd.Inc()
 			sp.EndMicro(o.micro)
 			caches[o.micro] = c
+			if s > 0 && !sharesStorage(in, out) {
+				acts[o.micro] = in
+			}
 			if s == S-1 {
 				outputs[o.micro] = out
 			} else if err := up.send(o.micro, out); err != nil {
@@ -358,7 +377,29 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 					return fmt.Errorf("stage %d send grad: %w", s, err)
 				}
 			}
+			// The caches are spent and dx is computed: what this stage
+			// received for the micro-batch is dead unless dx is a view of it.
+			if in := acts[o.micro]; in != nil && !sharesStorage(in, dx) {
+				tensor.PutBuf(in)
+			}
+			if s < S-1 && !sharesStorage(dy, dx) {
+				tensor.PutBuf(dy)
+			}
 		}
 	}
 	return nil
+}
+
+// sharesStorage reports whether a and b overlap in memory. View layers hand
+// their input's storage on under a new header (nn.Flatten shares Data with
+// its input in both directions; an eval-mode nn.Dropout returns x and dy
+// themselves), so a segment that begins or ends with one can return a tensor
+// that is the received one in disguise — still queued on a link, or still
+// the last stage's logits. Such a tensor must not go back to the pool.
+func sharesStorage(a, b *tensor.Tensor) bool {
+	if len(a.Data) == 0 || len(b.Data) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(&a.Data[0])), uintptr(unsafe.Pointer(&b.Data[0]))
+	return a0 < b0+8*uintptr(len(b.Data)) && b0 < a0+8*uintptr(len(a.Data))
 }

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -129,7 +127,7 @@ func TestAbortDiscardsRoundAndUnwinds(t *testing.T) {
 }
 
 // TestBlackHoledFrameDetected swallows a frame mid-round: without recv
-// deadlines the receiving stage would park in gob.Decode forever (the
+// deadlines the receiving stage would park in its read forever (the
 // pre-hardening deadlock). The deadline plus budget must turn it into a
 // bounded abort.
 func TestBlackHoledFrameDetected(t *testing.T) {
@@ -198,6 +196,34 @@ func TestDialRetriesRecoverTransientFailure(t *testing.T) {
 	}
 }
 
+// TestFailedDialLeaksNothing partitions link 1 of a 3-stage pipeline with
+// heartbeats on: every attempted round dials link 0, fails on link 1 and
+// gives up. No writer goroutine or heartbeat ticker may outlive the attempt
+// (links built before the failing dial used to: 2 goroutines per round).
+func TestFailedDialLeaksNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x, labels := makeData(rng, 12, 8, 3)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(8)), "leak", 8, []int{10, 9}, 3)
+	pipes := PipeLinks()
+	dp, err := NewDistributed(tr, []int{1, 2}, func(i int) (net.Conn, net.Conn, error) {
+		if i == 1 {
+			return nil, nil, errInjected
+		}
+		return pipes(i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.SetLinkOptions(LinkOptions{Heartbeat: 50 * time.Millisecond, SendTimeout: time.Second, RecvTimeout: time.Second})
+	baseline := leakcheck.Baseline()
+	for round := 0; round < 10; round++ {
+		if _, err := dp.TrainSyncRound(x, labels, 4, &nn.SGD{LR: 0.1}); !errors.Is(err, errInjected) {
+			t.Fatalf("round %d: want the dial error, got %v", round, err)
+		}
+	}
+	leakcheck.Check(t, baseline)
+}
+
 // TestTCPLinksMidStreamClose severs a real TCP link mid-round and checks
 // the abort path on OS sockets, not just net.Pipe.
 func TestTCPLinksMidStreamClose(t *testing.T) {
@@ -235,85 +261,78 @@ func TestThrottledLinksPropagateDialError(t *testing.T) {
 }
 
 // TestValidateFrame is the hostile-frame table: every row is a frame a
-// correct peer can never produce.
+// correct peer can never produce, and recv — where validation happens, on
+// the header before the payload is allocated, on the values after — must
+// reject each as errFrame.
 func TestValidateFrame(t *testing.T) {
-	opts := &LinkOptions{}
-	valid := &tensorMsg{Micro: 0, Shape: []int{2, 3}, Data: make([]float64, 6)}
-	if err := validateFrame(valid, opts); err != nil {
-		t.Fatalf("valid frame rejected: %v", err)
+	micro, tt, err := byteLink(frame(0, []int{2, 3}, make([]float64, 6)...), LinkOptions{}).recv()
+	if err != nil || micro != 0 || len(tt.Shape) != 2 || len(tt.Data) != 6 {
+		t.Fatalf("valid frame rejected: micro=%d err=%v", micro, err)
 	}
-	hostile := map[string]*tensorMsg{
-		"negative micro":  {Micro: -2, Shape: []int{1}, Data: []float64{1}},
-		"no dims":         {Micro: 0},
-		"too many dims":   {Micro: 0, Shape: []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, Data: []float64{1}},
-		"negative dim":    {Micro: 0, Shape: []int{2, -3}, Data: make([]float64, 6)},
-		"zero dim":        {Micro: 0, Shape: []int{0, 4}},
-		"overflow":        {Micro: 0, Shape: []int{1 << 20, 1 << 20, 1 << 20}, Data: nil},
-		"length mismatch": {Micro: 0, Shape: []int{2, 2}, Data: make([]float64, 3)},
-		"NaN":             {Micro: 0, Shape: []int{2}, Data: []float64{1, math.NaN()}},
-		"Inf":             {Micro: 0, Shape: []int{2}, Data: []float64{math.Inf(-1), 1}},
+	hostile := map[string][]byte{
+		"negative micro":  frame(-2, []int{1}, 1),
+		"no dims":         frame(0, nil),
+		"too many dims":   frame(0, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1),
+		"negative dim":    frame(0, []int{2, -3}, make([]float64, 6)...),
+		"zero dim":        frame(0, []int{0, 4}),
+		"overflow":        frame(0, []int{1 << 20, 1 << 20, 1 << 20}),
+		"length mismatch": frame(0, []int{2, 2}, make([]float64, 3)...),
+		"NaN":             frame(0, []int{2}, 1, math.NaN()),
+		"Inf":             frame(0, []int{2}, math.Inf(-1), 1),
+		"bad magic":       rawFrame("EFLB", 0, 1, 8, []int32{1}, make([]byte, 8)),
+		"fat heartbeat":   rawFrame("EFPT", heartbeatMicro, 0, 8, nil, make([]byte, 8)),
 	}
-	for name, m := range hostile {
-		if err := validateFrame(m, opts); !errors.Is(err, errFrame) {
+	for name, raw := range hostile {
+		if _, _, err := byteLink(raw, LinkOptions{}).recv(); !errors.Is(err, errFrame) {
 			t.Errorf("%s: want errFrame, got %v", name, err)
 		}
 	}
 }
 
-// TestRecvRejectsHostilePeer drives link.recv against a raw gob peer that
-// sends hostile frames directly, bypassing the sending link's discipline.
+// TestRecvRejectsHostilePeer drives link.recv against a raw peer that sends
+// hostile frames directly, bypassing the sending link's discipline.
 func TestRecvRejectsHostilePeer(t *testing.T) {
-	send := func(frames ...*tensorMsg) *link {
+	send := func(frames ...[]byte) *link {
 		a, b := net.Pipe()
 		go func() {
-			enc := gob.NewEncoder(a)
-			for _, m := range frames {
-				if err := enc.Encode(m); err != nil {
+			for _, f := range frames {
+				if _, err := a.Write(f); err != nil {
 					return
 				}
 			}
 		}()
 		t.Cleanup(func() { a.Close(); b.Close() })
-		return &link{conn: b, dec: gob.NewDecoder(b), opts: LinkOptions{RecvTimeout: time.Second}}
+		return &link{conn: b, opts: LinkOptions{RecvTimeout: time.Second}}
 	}
 
-	if _, _, err := send(&tensorMsg{Micro: 0, Shape: []int{3}, Data: []float64{1, math.NaN(), 3}}).recv(); !errors.Is(err, errFrame) {
+	if _, _, err := send(frame(0, []int{3}, 1, math.NaN(), 3)).recv(); !errors.Is(err, errFrame) {
 		t.Fatalf("NaN-poisoned frame accepted: %v", err)
 	}
-	if _, _, err := send(&tensorMsg{Micro: 1, Shape: []int{4}, Data: []float64{1}}).recv(); !errors.Is(err, errFrame) {
+	if _, _, err := send(frame(1, []int{4}, 1)).recv(); !errors.Is(err, errFrame) {
 		t.Fatalf("length-mismatched frame accepted: %v", err)
 	}
 	// Heartbeats are skipped; the data frame behind them is delivered.
-	micro, tt, err := send(
-		&tensorMsg{Micro: heartbeatMicro},
-		&tensorMsg{Micro: heartbeatMicro},
-		&tensorMsg{Micro: 2, Shape: []int{2}, Data: []float64{4, 5}},
-	).recv()
+	micro, tt, err := send(heartbeatFrame, heartbeatFrame, frame(2, []int{2}, 4, 5)).recv()
 	if err != nil || micro != 2 || tt.Data[1] != 5 {
 		t.Fatalf("data frame behind heartbeats lost: micro=%d err=%v", micro, err)
 	}
 	// A heartbeat-only stream must exhaust the budget, not spin forever.
-	l := send(func() []*tensorMsg {
-		var hb []*tensorMsg
-		for i := 0; i < 64; i++ {
-			hb = append(hb, &tensorMsg{Micro: heartbeatMicro})
-		}
-		return hb
-	}()...)
+	hb := make([][]byte, 64)
+	for i := range hb {
+		hb[i] = heartbeatFrame
+	}
+	l := send(hb...)
 	l.opts = LinkOptions{RecvTimeout: 50 * time.Millisecond, RecvBudget: 120 * time.Millisecond}
 	if _, _, err := l.recv(); err == nil {
 		t.Fatal("heartbeat-only stream satisfied a data recv")
 	}
 }
 
-// TestTruncatedGobStream feeds a prefix of a valid frame — the severed
-// connection — and expects a decode error, not a hang or panic.
-func TestTruncatedGobStream(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&tensorMsg{Micro: 0, Shape: []int{4}, Data: []float64{1, 2, 3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:buf.Len()/2]
+// TestTruncatedFrameStream feeds a prefix of a valid frame — the severed
+// connection — and expects a read error, not a hang or panic.
+func TestTruncatedFrameStream(t *testing.T) {
+	raw := frame(0, []int{4}, 1, 2, 3, 4)
+	raw = raw[:len(raw)/2]
 
 	a, b := net.Pipe()
 	go func() {
@@ -321,7 +340,7 @@ func TestTruncatedGobStream(t *testing.T) {
 		a.Close()
 	}()
 	defer b.Close()
-	l := &link{conn: b, dec: gob.NewDecoder(b), opts: LinkOptions{RecvTimeout: time.Second}}
+	l := &link{conn: b, opts: LinkOptions{RecvTimeout: time.Second}}
 	if _, _, err := l.recv(); err == nil {
 		t.Fatal("truncated frame decoded successfully")
 	}

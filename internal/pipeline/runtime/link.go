@@ -1,18 +1,42 @@
 package runtime
 
 // The hardened link layer of the distributed pipeline. A link is one duplex
-// neighbour connection carrying gob-framed tensors. PR 4 hardened the
-// server-side flnet transport against misbehaving networks; this file gives
-// the pipeline's peer-to-peer links the same treatment:
+// neighbour connection carrying tensors as length-prefixed binary frames,
+// all little-endian:
+//
+//	magic "EFPT" (4) | micro int32 | ndims uint32 | payloadLen uint32
+//	dims ndims×int32 | payload: payloadLen bytes, 8 per float64 element
+//
+// An idle keepalive (heartbeat) is the 16-byte header alone, with micro −1
+// and both counts zero. Both endpoints of every link are created by the
+// same process, so the format is private and carries no version.
+//
+// Send side: the writer goroutine assembles each frame in one per-link
+// buffer and hands it to the connection in exactly one Write, heartbeats
+// included, so a fault injector that acts per Write (simnet.Chaos) swallows
+// or truncates whole frames.
+//
+// Receive side: recv checks the header fail-closed — magic, micro ≥ 0,
+// 1…MaxFrameDims positive dims, overflow-safe element count ≤ MaxFrameElems,
+// element count × 8 = payloadLen — before any payload allocation, reads the
+// payload straight into a pooled tensor (tensor.GetBufUninit), then scans it
+// for non-finite values. A payload above frameChunk is first gathered in a
+// buffer that grows with the bytes that actually arrive, so a hostile length
+// prefix on a truncated stream cannot force a large allocation. The tensor
+// recv returns belongs to the caller, who may hand it back with
+// tensor.PutBuf once nothing references it (see runStage).
+//
+// PR 4 hardened the server-side flnet transport against misbehaving
+// networks; this file gives the pipeline's peer-to-peer links the same
+// treatment:
 //
 //   - per-frame send/recv deadlines turn silent stalls into errors the
 //     round-abort machinery can act on;
 //   - idle heartbeats let a receiver distinguish "peer is computing" from
 //     "link is dead" without inflating the per-frame deadline, with a total
 //     budget so a black-holed frame is still detected;
-//   - every received frame is validated (dim count, dim positivity, element
-//     count vs payload length, finite values) before it becomes a tensor, so
-//     a hostile or corrupted peer cannot poison training state or allocate
+//   - every received frame is validated before it becomes a tensor, so a
+//     hostile or corrupted peer cannot poison training state or allocate
 //     unboundedly (mirrors flnet's validMetricPoint);
 //   - link establishment retries transient dial failures under flnet's
 //     exponential-backoff-with-jitter policy, so a chaos partition window
@@ -22,9 +46,10 @@ package runtime
 // the pre-hardening link (no deadlines, no heartbeats, validation always on).
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -32,6 +57,7 @@ import (
 	"time"
 
 	"ecofl/internal/flnet"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/simnet"
 	"ecofl/internal/tensor"
@@ -44,10 +70,32 @@ var (
 		"received tensor frames rejected by validation (hostile or corrupt)")
 	linkDialRetriesTotal = metrics.GetCounter("ecofl_pipeline_link_dial_retries_total",
 		"link dial attempts retried after a transient failure")
+	linkFramesSent = metrics.GetCounter("ecofl_pipeline_link_frames_total",
+		"tensor frames moved over pipeline links (heartbeats excluded)", "dir", "sent")
+	linkFramesRecv = metrics.GetCounter("ecofl_pipeline_link_frames_total",
+		"tensor frames moved over pipeline links (heartbeats excluded)", "dir", "recv")
+	linkBytesSent = metrics.GetCounter("ecofl_pipeline_link_bytes_total",
+		"bytes of tensor frames moved over pipeline links, headers included", "dir", "sent")
+	linkBytesRecv = metrics.GetCounter("ecofl_pipeline_link_bytes_total",
+		"bytes of tensor frames moved over pipeline links, headers included", "dir", "recv")
 )
 
 // heartbeatMicro marks an idle keepalive frame; it carries no tensor.
 const heartbeatMicro = -1
+
+// Frame geometry.
+const (
+	frameHeaderSize = 16
+	// frameChunk is both the largest payload read straight into its tensor
+	// and the step by which the gather buffer of a larger one grows — the
+	// most a length prefix alone can make the receiver allocate.
+	frameChunk = 64 << 10
+)
+
+var frameMagic = [4]byte{'E', 'F', 'P', 'T'}
+
+// heartbeatFrame is the one keepalive frame every link writes.
+var heartbeatFrame = appendFrameHeader(nil, heartbeatMicro, 0, 0)
 
 // Defaults for the zero fields of LinkOptions.
 const (
@@ -124,49 +172,31 @@ func (o LinkOptions) backoffMax() time.Duration {
 	return 500 * time.Millisecond
 }
 
-// tensorMsg is the wire format for one micro-batch tensor (or, with
-// Micro == heartbeatMicro and no payload, an idle keepalive).
-type tensorMsg struct {
-	Micro int
-	Shape []int
-	Data  []float64
-}
-
-// errFrame tags a frame-validation failure: the bytes decoded as a tensorMsg
-// but its contents are hostile or corrupt.
+// errFrame tags a frame-validation failure: the bytes were read but a
+// correct peer can never have produced them.
 var errFrame = errors.New("runtime: invalid tensor frame")
 
-// validateFrame rejects frames a correct peer can never produce: dimension
-// counts and sizes outside sane bounds, payload lengths that disagree with
-// the claimed shape, and NaN/Inf-poisoned values that would silently corrupt
-// every parameter they touch.
-func validateFrame(m *tensorMsg, opts *LinkOptions) error {
-	if m.Micro < 0 {
-		return fmt.Errorf("%w: negative micro-batch index %d", errFrame, m.Micro)
+func appendFrameHeader(dst []byte, micro, ndims, payloadLen int) []byte {
+	dst = append(dst, frameMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(micro)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(ndims))
+	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
+}
+
+// appendFrame appends the data frame carrying t for micro-batch micro. It
+// encodes what it is given; validation is the receiver's job.
+func appendFrame(dst []byte, micro int, t *tensor.Tensor) []byte {
+	dst = appendFrameHeader(dst, micro, len(t.Shape), 8*len(t.Data))
+	for _, d := range t.Shape {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(d)))
 	}
-	if len(m.Shape) == 0 || len(m.Shape) > opts.maxDims() {
-		return fmt.Errorf("%w: %d dims", errFrame, len(m.Shape))
-	}
-	maxElems := opts.maxElems()
-	elems := 1
-	for _, d := range m.Shape {
-		if d <= 0 {
-			return fmt.Errorf("%w: non-positive dim %d", errFrame, d)
-		}
-		if elems > maxElems/d {
-			return fmt.Errorf("%w: shape %v exceeds %d elements", errFrame, m.Shape, maxElems)
-		}
-		elems *= d
-	}
-	if elems != len(m.Data) {
-		return fmt.Errorf("%w: shape %v claims %d elements, payload has %d", errFrame, m.Shape, elems, len(m.Data))
-	}
-	for i, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite value at element %d", errFrame, i)
-		}
-	}
-	return nil
+	return wire.AppendRaw(dst, t.Data)
+}
+
+// outFrame is one queued send.
+type outFrame struct {
+	micro int
+	t     *tensor.Tensor
 }
 
 // link is one duplex neighbour connection. Sends are asynchronous through a
@@ -178,9 +208,7 @@ func validateFrame(m *tensorMsg, opts *LinkOptions) error {
 type link struct {
 	conn net.Conn
 	opts LinkOptions
-	out  chan tensorMsg
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	out  chan outFrame
 	done chan struct{}
 	mu   sync.Mutex
 	werr error
@@ -192,11 +220,19 @@ type link struct {
 	// the receiving stage goroutine — no lock needed.
 	wDeadline time.Time
 	rDeadline time.Time
+	// Reused across frames: wbuf (writer goroutine) holds the frame being
+	// sent; hdr, dims and rbuf (receiving goroutine) the header, the decoded
+	// dims and the dim / gathered-payload bytes of the frame being read.
+	wbuf []byte
+	hdr  [frameHeaderSize]byte
+	dims []int
+	rbuf []byte
 }
 
+// newLink wraps c and starts its writer; depth is the number of frames one
+// round sends in each direction, so a send never blocks on the queue.
 func newLink(c net.Conn, depth int, opts LinkOptions) *link {
-	l := &link{conn: c, opts: opts, out: make(chan tensorMsg, depth),
-		enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), done: make(chan struct{})}
+	l := &link{conn: c, opts: opts, out: make(chan outFrame, depth), done: make(chan struct{})}
 	go l.writer()
 	return l
 }
@@ -214,23 +250,26 @@ func (l *link) writer() {
 	}
 	for {
 		select {
-		case m, ok := <-l.out:
+		case f, ok := <-l.out:
 			if !ok {
 				return
 			}
-			l.write(&m)
+			l.wbuf = appendFrame(l.wbuf[:0], f.micro, f.t)
+			if l.write(l.wbuf) {
+				linkFramesSent.Inc()
+				linkBytesSent.Add(int64(len(l.wbuf)))
+			}
 		case <-tickC:
-			hb := tensorMsg{Micro: heartbeatMicro}
-			if l.write(&hb) {
+			if l.write(heartbeatFrame) {
 				linkHeartbeatsTotal.Inc()
 			}
 		}
 	}
 }
 
-// write encodes one frame under the send deadline, recording the first
-// failure. Returns whether the frame went out.
-func (l *link) write(m *tensorMsg) bool {
+// write hands one whole frame to the connection in a single Write under the
+// send deadline, recording the first failure. Returns whether it went out.
+func (l *link) write(frame []byte) bool {
 	l.mu.Lock()
 	failed := l.werr != nil
 	l.mu.Unlock()
@@ -243,15 +282,15 @@ func (l *link) write(m *tensorMsg) bool {
 			l.conn.SetWriteDeadline(l.wDeadline)
 		}
 	}
-	if err := l.enc.Encode(m); err != nil {
+	if _, err := l.conn.Write(frame); err != nil {
 		l.mu.Lock()
 		if l.werr == nil {
 			l.werr = err
 		}
 		l.mu.Unlock()
 		// Make the failure self-announcing: closing the connection unparks
-		// the peer's blocking decode (EOF) even when no deadlines are set,
-		// so a one-sided write fault can never strand the round.
+		// the peer's blocking read (EOF) even when no deadlines are set, so
+		// a one-sided write fault can never strand the round.
 		l.conn.Close()
 		return false
 	}
@@ -265,13 +304,13 @@ func (l *link) send(micro int, t *tensor.Tensor) error {
 	if err != nil {
 		return err
 	}
-	l.out <- tensorMsg{Micro: micro, Shape: t.Shape, Data: t.Data}
+	l.out <- outFrame{micro, t}
 	return nil
 }
 
 // recv blocks for the next data frame, skipping heartbeats, enforcing the
 // per-frame deadline and the overall data-frame budget, and validating the
-// frame before it becomes a tensor.
+// frame before it becomes a tensor. The caller owns the returned tensor.
 func (l *link) recv() (int, *tensor.Tensor, error) {
 	var budgetEnd time.Time
 	if b := l.opts.recvBudget(); b > 0 {
@@ -294,22 +333,134 @@ func (l *link) recv() (int, *tensor.Tensor, error) {
 				l.conn.SetReadDeadline(dl)
 			}
 		}
-		var m tensorMsg
-		if err := l.dec.Decode(&m); err != nil {
+		micro, t, err := l.readFrame()
+		if err != nil {
+			if errors.Is(err, errFrame) {
+				linkRejectedTotal.Inc()
+			}
 			return 0, nil, err
 		}
-		if m.Micro == heartbeatMicro && len(m.Shape) == 0 && len(m.Data) == 0 {
+		if t == nil {
 			if !budgetEnd.IsZero() && !time.Now().Before(budgetEnd) {
 				return 0, nil, fmt.Errorf("runtime: no data frame within %v (heartbeats only)", l.opts.recvBudget())
 			}
 			continue // keepalive: the peer is alive but still computing
 		}
-		if err := validateFrame(&m, &l.opts); err != nil {
-			linkRejectedTotal.Inc()
-			return 0, nil, err
-		}
-		return m.Micro, tensor.FromSlice(m.Data, m.Shape...), nil
+		return micro, t, nil
 	}
+}
+
+// readFrame reads one frame; a heartbeat comes back as a nil tensor. It
+// rejects frames a correct peer can never produce: a wrong magic, dimension
+// counts and sizes outside sane bounds, a payload length that disagrees
+// with the claimed shape — all before the payload is allocated — and
+// NaN/Inf-poisoned values that would silently corrupt every parameter they
+// touch.
+func (l *link) readFrame() (int, *tensor.Tensor, error) {
+	if _, err := io.ReadFull(l.conn, l.hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	if [4]byte(l.hdr[:4]) != frameMagic {
+		return 0, nil, fmt.Errorf("%w: bad magic % x", errFrame, l.hdr[:4])
+	}
+	micro := int(int32(binary.LittleEndian.Uint32(l.hdr[4:])))
+	ndims := int(binary.LittleEndian.Uint32(l.hdr[8:]))
+	payloadLen := int(binary.LittleEndian.Uint32(l.hdr[12:]))
+	if micro == heartbeatMicro && ndims == 0 && payloadLen == 0 {
+		return heartbeatMicro, nil, nil
+	}
+	if micro < 0 {
+		return 0, nil, fmt.Errorf("%w: negative micro-batch index %d", errFrame, micro)
+	}
+	if ndims == 0 || ndims > l.opts.maxDims() {
+		return 0, nil, fmt.Errorf("%w: %d dims", errFrame, ndims)
+	}
+	var err error
+	if l.rbuf, err = readGrow(l.conn, l.rbuf, 4*ndims); err != nil {
+		return 0, nil, err
+	}
+	maxElems := l.opts.maxElems()
+	l.dims = l.dims[:0]
+	elems := 1
+	for i := 0; i < ndims; i++ {
+		d := int(int32(binary.LittleEndian.Uint32(l.rbuf[4*i:])))
+		if d <= 0 {
+			return 0, nil, fmt.Errorf("%w: non-positive dim %d", errFrame, d)
+		}
+		if elems > maxElems/d {
+			return 0, nil, fmt.Errorf("%w: shape exceeds %d elements", errFrame, maxElems)
+		}
+		elems *= d
+		l.dims = append(l.dims, d)
+	}
+	if 8*elems != payloadLen {
+		return 0, nil, fmt.Errorf("%w: shape %v claims %d elements, payload has %d bytes", errFrame, l.dims, elems, payloadLen)
+	}
+	t, err := l.readPayload(elems)
+	if err != nil {
+		return 0, nil, err
+	}
+	for i, v := range t.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			tensor.PutBuf(t)
+			return 0, nil, fmt.Errorf("%w: non-finite value at element %d", errFrame, i)
+		}
+	}
+	linkFramesRecv.Inc()
+	linkBytesRecv.Add(int64(frameHeaderSize + 4*ndims + payloadLen))
+	return micro, t, nil
+}
+
+// forceGather makes readPayload take its gather-then-ParseRaw path for every
+// frame, the one a big-endian host always takes. Only tests set it.
+var forceGather bool
+
+// readPayload reads elems float64 values into a pooled tensor shaped l.dims.
+// A small payload on a little-endian host lands directly in the tensor's
+// storage; anything else is gathered chunk-wise in l.rbuf first, so the
+// tensor is only allocated once its bytes have all arrived.
+func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
+	if 8*elems <= frameChunk && !forceGather {
+		t := tensor.GetBufUninit(l.dims...)
+		if b, ok := wire.BytesView(t.Data); ok {
+			if _, err := io.ReadFull(l.conn, b); err != nil {
+				tensor.PutBuf(t)
+				return nil, err
+			}
+			return t, nil
+		}
+		tensor.PutBuf(t) // big-endian host: no byte view, gather instead
+	}
+	var err error
+	if l.rbuf, err = readGrow(l.conn, l.rbuf, 8*elems); err != nil {
+		return nil, err
+	}
+	t := tensor.GetBufUninit(l.dims...)
+	if _, err := wire.ParseRaw(l.rbuf, t.Data[:0]); err != nil {
+		tensor.PutBuf(t)
+		return nil, err
+	}
+	return t, nil
+}
+
+// readGrow reads exactly n bytes into buf, reusing its capacity and growing
+// it by at most the bytes already received plus frameChunk per step (the
+// discipline of wire.Reader): a truncated stream behind a huge length prefix
+// allocates about twice what arrived, never the claimed n up front.
+func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		start := len(buf)
+		step := min(n-start, start+frameChunk)
+		if cap(buf) < start+step {
+			buf = append(make([]byte, 0, start+step), buf...)
+		}
+		buf = buf[:start+step]
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+			return buf[:start], err
+		}
+	}
+	return buf, nil
 }
 
 // close flushes and stops the writer, and disarms any pending connection

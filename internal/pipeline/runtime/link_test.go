@@ -1,0 +1,292 @@
+package runtime
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ecofl/internal/metrics"
+	"ecofl/internal/model"
+	"ecofl/internal/nn"
+	"ecofl/internal/tensor"
+)
+
+// writeLog records the length of every Write a link makes.
+type writeLog struct {
+	net.Conn
+	mu   sync.Mutex
+	lens []int
+}
+
+func (c *writeLog) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.lens = append(c.lens, len(b))
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// TestOneWritePerFrame pins the contract simnet.Chaos relies on: every
+// frame, heartbeats included, reaches the connection through exactly one
+// Write, so a per-Write fault hits one whole frame. The peer re-parses the
+// byte stream into frames; the Writes must line up with them one to one.
+func TestOneWritePerFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	wl := &writeLog{Conn: a}
+	l := newLink(wl, 4, LinkOptions{Heartbeat: 2 * time.Millisecond})
+
+	var frameLens []int
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		r := bufio.NewReader(b)
+		var hdr [frameHeaderSize]byte
+		for {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return
+			}
+			n := 4*int(binary.LittleEndian.Uint32(hdr[8:])) + int(binary.LittleEndian.Uint32(hdr[12:]))
+			if _, err := r.Discard(n); err != nil {
+				return
+			}
+			frameLens = append(frameLens, frameHeaderSize+n)
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(1))
+	shapes := [][]int{{4, 6}, {16, 96}, {2, 3, 5, 7}, {9000}} // the last one is above frameChunk
+	for i, sh := range shapes {
+		if err := l.send(i, tensor.Randn(rng, 1, sh...)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond) // idle long enough for heartbeats in between
+	}
+	l.close()
+	a.Close()
+	<-peerDone
+
+	heartbeats := 0
+	for _, n := range frameLens {
+		if n == frameHeaderSize {
+			heartbeats++
+		}
+	}
+	if len(frameLens)-heartbeats != len(shapes) || heartbeats == 0 {
+		t.Fatalf("peer parsed %d data frames and %d heartbeats, want %d and some", len(frameLens)-heartbeats, heartbeats, len(shapes))
+	}
+	if fmt.Sprint(wl.lens) != fmt.Sprint(frameLens) {
+		t.Fatalf("writes %v do not line up with frames %v", wl.lens, frameLens)
+	}
+}
+
+// TestFrameCodecParity checks the two payload paths against each other and
+// against the layout spelled out byte by byte: the zero-copy view path a
+// little-endian host takes for small frames, and the gather-then-ParseRaw
+// path taken for large frames and on big-endian hosts.
+func TestFrameCodecParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, shape := range [][]int{{3}, {16, 96}, {2, 3, 4, 5}, {3, 4000}} { // the last one is above frameChunk
+		src := tensor.Randn(rng, 1, shape...)
+		src.Data[0] = math.Float64frombits(0x8000000000000001) // a denormal: bits must survive
+		raw := appendFrame(nil, 7, src)
+
+		want := append([]byte("EFPT"), 7, 0, 0, 0)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(shape)))
+		want = binary.LittleEndian.AppendUint32(want, uint32(8*len(src.Data)))
+		for _, d := range shape {
+			want = binary.LittleEndian.AppendUint32(want, uint32(d))
+		}
+		for _, v := range src.Data {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("shape %v: encoded frame departs from the documented layout", shape)
+		}
+
+		for _, gather := range []bool{false, true} {
+			forceGather = gather
+			micro, got, err := byteLink(raw, LinkOptions{}).recv()
+			forceGather = false
+			if err != nil || micro != 7 {
+				t.Fatalf("shape %v gather=%v: micro=%d err=%v", shape, gather, micro, err)
+			}
+			if fmt.Sprint(got.Shape) != fmt.Sprint(shape) || len(got.Data) != len(src.Data) {
+				t.Fatalf("shape %v gather=%v: decoded shape %v, %d elements", shape, gather, got.Shape, len(got.Data))
+			}
+			for i := range src.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(src.Data[i]) {
+					t.Fatalf("shape %v gather=%v: element %d differs", shape, gather, i)
+				}
+			}
+		}
+	}
+}
+
+// TestHostileLengthTruncated severs the stream 1 MiB into a frame whose
+// header (valid under the default limits) claims 128 MiB: recv must fail
+// with a truncation error having allocated in proportion to the bytes that
+// arrived, not to the claim. Mirrors wire.TestHostileLengthTruncated.
+func TestHostileLengthTruncated(t *testing.T) {
+	const received = 1 << 20
+	raw := rawFrame("EFPT", 0, 1, 128<<20, []int32{1 << 24}, make([]byte, received))
+	l := byteLink(raw, LinkOptions{})
+	if _, _, err := l.recv(); err == nil {
+		t.Fatal("truncated 128 MiB claim accepted")
+	}
+	if cap(l.rbuf) > 2*received+frameChunk {
+		t.Fatalf("link holds a %d-byte buffer for %d bytes received", cap(l.rbuf), received)
+	}
+}
+
+// TestLinkSteadyStateAllocs pins the per-frame allocation budget of the hot
+// path: queueing a 16×96 tensor, framing it, one Write, one header read, one
+// payload read into a pooled tensor that the receiver hands back. The budget
+// leaves room for net.Pipe's own bookkeeping; the link itself allocates
+// nothing once its buffers are warm.
+func TestLinkSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	a, b := net.Pipe()
+	defer b.Close()
+	tx := newLink(a, 1, LinkOptions{})
+	defer func() { tx.close(); a.Close() }()
+	rx := &link{conn: b}
+	src := tensor.Randn(rand.New(rand.NewSource(3)), 1, 16, 96)
+	got := testing.AllocsPerRun(200, func() {
+		if err := tx.send(0, src); err != nil {
+			t.Fatal(err)
+		}
+		_, r, err := rx.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.PutBuf(r)
+	})
+	if got > 3 {
+		t.Errorf("send+recv of one frame allocates %.0f/op, budget 3", got)
+	}
+}
+
+// scrapeCounter reads one counter off the Prometheus exposition.
+func scrapeCounter(t *testing.T, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := metrics.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			var v int64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s not exposed", series)
+	return 0
+}
+
+// TestLinkTrafficCounters scrapes the per-direction frame and byte counters
+// around one round whose traffic is known exactly: 2 stages and 3
+// micro-batches make 3 activations (4×10) and 3 gradients (4×10), each 16
+// header + 8 dim + 320 payload bytes, and every frame sent is received.
+func TestLinkTrafficCounters(t *testing.T) {
+	series := func(family, dir string) string {
+		return fmt.Sprintf(`ecofl_pipeline_link_%s_total{dir="%s"}`, family, dir)
+	}
+	names := []string{series("frames", "sent"), series("frames", "recv"), series("bytes", "sent"), series("bytes", "recv")}
+	before := make([]int64, len(names))
+	for i, n := range names {
+		before[i] = scrapeCounter(t, n)
+	}
+	rng := rand.New(rand.NewSource(4))
+	x, labels := makeData(rng, 12, 8, 3)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(8)), "count", 8, []int{10}, 3)
+	dp, err := NewDistributed(tr, []int{1}, TCPLinks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Heartbeats flow throughout and must not be counted.
+	dp.SetLinkOptions(LinkOptions{Heartbeat: time.Millisecond, SendTimeout: time.Second, RecvTimeout: time.Second})
+	if _, err := dp.TrainSyncRound(x, labels, 4, &nn.SGD{LR: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{6, 6, 6 * (16 + 8 + 320), 6 * (16 + 8 + 320)}
+	for i, n := range names {
+		if got := scrapeCounter(t, n) - before[i]; got != want[i] {
+			t.Errorf("%s moved by %d, want %d", n, got, want[i])
+		}
+	}
+}
+
+// viewTrainable builds a model whose cut points leave view layers at the
+// edges of stages: a stage that is nothing but a Flatten (its output is its
+// input, its dx is its dy), a stage that starts with an eval-mode Dropout and
+// ends with a Flatten around real compute, and a stage that is nothing but
+// an eval-mode Dropout.
+func viewTrainable(seed int64) *model.Trainable {
+	rng := rand.New(rand.NewSource(seed))
+	evalDropout := func() nn.Layer { return &nn.Dropout{P: 0.5, Rng: rand.New(rand.NewSource(1))} }
+	return &model.Trainable{
+		Spec:       &model.Spec{Name: "views"},
+		InputShape: []int{10},
+		Blocks: [][]nn.Layer{
+			{nn.NewDense(rng, 10, 14), nn.ReLU{}},
+			{nn.Flatten{}},
+			{evalDropout(), nn.NewDense(rng, 14, 12), nn.Tanh{}, nn.Flatten{}},
+			{evalDropout()},
+			{nn.NewDense(rng, 12, 4)},
+		},
+	}
+}
+
+// TestViewLayerStagesBitIdentical is the alias guard's pin. Tensors a stage
+// receives are recycled after the Backward that consumed them; a view layer
+// at the edge of a stage can hand that very storage on to a link, where it
+// may still sit in the send queue. With the guard the distributed pipeline
+// stays bit-identical to the in-process one; without it a recycled buffer is
+// overwritten under the writer (a data race, and diverging weights).
+func TestViewLayerStagesBitIdentical(t *testing.T) {
+	const seed = 99
+	cuts := []int{1, 2, 3, 4}
+	ref, err := New(viewTrainable(seed), cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := NewDistributed(viewTrainable(seed), cuts, TCPLinks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, labels := makeData(rand.New(rand.NewSource(6)), 24, 10, 4)
+	optRef, optDist := &nn.SGD{LR: 0.05}, &nn.SGD{LR: 0.05}
+	for round := 0; round < 24; round++ {
+		want, err := ref.TrainSyncRound(x, labels, 4, optRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dp.TrainSyncRound(x, labels, 4, optDist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("round %d: loss %v over links, %v in process", round, got, want)
+		}
+	}
+	wr, wd := ref.Network().FlatWeights(), dp.Network().FlatWeights()
+	for i := range wr {
+		if wr[i] != wd[i] {
+			t.Fatalf("weight %d diverged: %v over links, %v in process", i, wd[i], wr[i])
+		}
+	}
+}

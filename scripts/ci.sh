@@ -38,6 +38,7 @@ fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 200ms "$
 fuzz FuzzFrameDecode ./internal/flnet/wire
 fuzz FuzzRequestDecode ./internal/flnet
 fuzz FuzzQuantizeRoundTrip ./internal/flnet
+fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
 echo "fuzz: $((SECONDS - fuzz_start))s"
 
 # Scenario-harness smoke: one tiny loopback federation through the real
