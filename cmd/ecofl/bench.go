@@ -9,86 +9,56 @@ import (
 	"ecofl/internal/scenario"
 )
 
-// repeatedFlag collects a repeatable string flag.
-type repeatedFlag []string
-
-func (r *repeatedFlag) String() string { return fmt.Sprint([]string(*r)) }
-func (r *repeatedFlag) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
-// cmdBench runs declarative scenarios, writes a bench suite, and optionally
-// gates it against a prior capture. A regression beyond tolerance returns an
-// error (non-zero exit); baseline metrics missing from the current capture
-// only warn, so renames and retired scenarios don't brick the gate.
+// cmdBench is the spec runner: it executes one declarative scenario and
+// writes its scenario-report/v1. A report that carries warnings still exits
+// 0; they go to stderr. Measuring one commit against another is not done
+// here — `go run ./benchmark compare` does that.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var scenarios, tolerances repeatedFlag
-	fs.Var(&scenarios, "scenario", "scenario spec JSON (repeatable)")
-	fs.Var(&tolerances, "tolerance", "allowed drift: 10%, 0.1, or metric=5% (repeatable)")
-	out := fs.String("out", "", "write the bench suite JSON to this path")
-	compare := fs.String("compare", "", "baseline BENCH_*.json to gate against")
+	path := fs.String("scenario", "", "scenario spec JSON")
+	out := fs.String("out", "", "write the report JSON to this path (default stdout)")
 	gitSHA := fs.String("git-sha", "", "git revision recorded in the report (never read ambiently)")
 	now := fs.Int64("now", 0, "capture unix timestamp recorded in the report (never read ambiently)")
 	sampleEvery := fs.Duration("sample-every", 0, "runtime sampler cadence (default 50ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if len(scenarios) == 0 {
-		return fmt.Errorf("bench: at least one --scenario is required")
+	if fs.NArg() > 0 {
+		return fmt.Errorf("bench: unexpected argument %q", fs.Arg(0))
 	}
-	tol, err := scenario.ParseTolerance(tolerances)
+	if *path == "" {
+		return fmt.Errorf("bench: --scenario is required")
+	}
+
+	spec, err := scenario.Load(*path)
 	if err != nil {
 		return err
 	}
-
-	opts := scenario.RunOptions{GitSHA: *gitSHA, Now: *now, SampleEvery: *sampleEvery}
-	reports := make([]*scenario.Report, 0, len(scenarios))
-	for _, path := range scenarios {
-		spec, err := scenario.Load(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "running scenario %s (%s, %s)...\n", spec.Name, spec.Topology, path)
-		t0 := time.Now()
-		rep, err := scenario.Run(spec, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "  done in %.1fs: %d metrics, %d curve points\n",
-			time.Since(t0).Seconds(), len(rep.Metrics), len(rep.Curve))
-		for _, w := range rep.Warnings {
-			fmt.Fprintf(os.Stderr, "  warning: %s\n", w)
-		}
-		reports = append(reports, rep)
-	}
-	suite := scenario.NewSuite("ecofl bench", *gitSHA, *now, reports)
-	if *out != "" {
-		if err := suite.WriteFile(*out); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote bench suite to %s\n", *out)
-	} else if err := suite.WriteJSON(os.Stdout); err != nil {
-		return err
-	}
-
-	if *compare == "" {
-		return nil
-	}
-	base, err := scenario.LoadBaseline(*compare)
+	fmt.Fprintf(os.Stderr, "running scenario %s (%s, %s)...\n", spec.Name, spec.Topology, *path)
+	t0 := time.Now()
+	rep, err := scenario.Run(spec, scenario.RunOptions{GitSHA: *gitSHA, Now: *now, SampleEvery: *sampleEvery})
 	if err != nil {
 		return err
 	}
-	verdicts := scenario.Compare(base, suite.Flatten(), tol)
-	fmt.Printf("\ncomparison against %s:\n", base.Path)
-	scenario.WriteVerdictTable(os.Stdout, verdicts)
-	if missing := scenario.Missing(verdicts); len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d baseline metric(s) absent from this capture (renamed or retired — warning only)\n", len(missing))
+	fmt.Fprintf(os.Stderr, "  done in %.1fs: %d metrics, %d curve points\n",
+		time.Since(t0).Seconds(), len(rep.Metrics), len(rep.Curve))
+	for _, w := range rep.Warnings {
+		fmt.Fprintf(os.Stderr, "  warning: %s\n", w)
 	}
-	if regs := scenario.Regressions(verdicts); len(regs) > 0 {
-		return fmt.Errorf("bench: %d metric(s) regressed beyond tolerance", len(regs))
+
+	if *out == "" {
+		return rep.WriteJSON(os.Stdout)
 	}
-	fmt.Println("\nno regressions beyond tolerance.")
-	return nil
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	werr := rep.WriteJSON(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		fmt.Fprintf(os.Stderr, "wrote report to %s\n", *out)
+	}
+	return werr
 }

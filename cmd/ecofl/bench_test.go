@@ -1,0 +1,48 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ecofl/internal/scenario"
+)
+
+const smokeSpec = "../../examples/scenarios/smoke.json"
+
+// One invocation runs one spec and writes that spec's report, not a
+// container of reports.
+func TestBenchWritesOneReport(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := cmdBench([]string{"--scenario", smokeSpec, "--out", out, "--git-sha", "abc1234"}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep scenario.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != scenario.ReportSchema || rep.Scenario != "smoke" || rep.GitSHA != "abc1234" || len(rep.Metrics) == 0 {
+		t.Fatalf("unexpected report: schema %q scenario %q sha %q, %d metrics", rep.Schema, rep.Scenario, rep.GitSHA, len(rep.Metrics))
+	}
+}
+
+func TestBenchRejectsBadArgs(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"stray positional": {[]string{"--scenario", smokeSpec, "extra.json"}, `unexpected argument "extra.json"`},
+		"no scenario":      {nil, "--scenario is required"},
+	} {
+		err := cmdBench(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}

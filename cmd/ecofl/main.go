@@ -212,7 +212,7 @@ commands:
   headlines  [--scale quick|full]
   devices    (print the Table 1 device presets)
   migrate    --model M --devices A,B,C --spike-device N --load F
-  bench      --scenario <spec.json> ... [--out BENCH.json] [--compare BASE.json] [--tolerance 10%|metric=5%]
+  bench      --scenario <spec.json> [--out report.json]
   all        [--scale quick|full]
 
 global flags (any command):

@@ -1,9 +1,11 @@
 package flnet
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -71,9 +73,10 @@ func BenchmarkPushQuantized(b *testing.B) {
 
 // BenchmarkServerIngest compares the codecs end to end on the server's
 // ingest path for a 100k-weight model: raw, quantized and top-k sparse
-// payloads, plus a concurrent multi-client run through the batching mixer. Each sub-benchmark reports pushes/s and bytes/round —
-// the server-side uplink bytes actually read per push, the number the
-// sparse codec exists to shrink.
+// payloads, plus concurrent multi-client runs contending for the model lock
+// at fixed pusher counts. Each sub-benchmark reports pushes/s and
+// bytes/round — the server-side uplink bytes actually read per push, the
+// number the sparse codec exists to shrink.
 func BenchmarkServerIngest(b *testing.B) {
 	const n = 100_000
 	const topK = 1000
@@ -139,45 +142,55 @@ func BenchmarkServerIngest(b *testing.B) {
 		})
 	}
 
-	// The batched-ingest mixer only shows up under concurrency: one client
-	// per P, all pushing raw binary frames at once.
+	// Contention on the model lock only shows up under concurrency. The
+	// pusher count is explicit, not GOMAXPROCS, so a row means the same
+	// thing on any box: b.N raw pushes split over that many clients, each on
+	// its own connection and goroutine.
 	b.Run("binary-raw-multiclient", func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := NewServerOpts(ln, make([]float64, n), ServerOptions{Alpha: 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { s.Close() })
-		nc := runtime.GOMAXPROCS(0)
-		clients := make(chan *Client, nc)
-		for id := 0; id < nc; id++ {
-			c, err := DialOptions(s.Addr(), id, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { c.Close() })
-			clients <- c
-		}
-		bytesBefore := srvBytesIn.Value()
-		b.ResetTimer()
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			c := <-clients
-			defer func() { clients <- c }()
-			v := 0
-			for pb.Next() {
-				var err error
-				if _, v, err = c.Push(w, 10, v); err != nil {
-					b.Error(err)
-					return
+		for _, pushers := range []int{2, 8, 16} {
+			b.Run(fmt.Sprintf("pushers=%d", pushers), func(b *testing.B) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pushes/s")
-		b.ReportMetric(float64(srvBytesIn.Value()-bytesBefore)/float64(b.N), "bytes/round")
+				s, err := NewServerOpts(ln, make([]float64, n), ServerOptions{Alpha: 0.5})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { s.Close() })
+				clients := make([]*Client, pushers)
+				for id := range clients {
+					c, err := Dial(s.Addr(), id)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { c.Close() })
+					clients[id] = c
+				}
+				bytesBefore := srvBytesIn.Value()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				b.ReportAllocs()
+				for _, c := range clients {
+					wg.Add(1)
+					go func(c *Client) {
+						defer wg.Done()
+						v := 0
+						for next.Add(1) <= int64(b.N) {
+							var err error
+							if _, v, err = c.Push(w, 10, v); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(c)
+				}
+				wg.Wait()
+				b.StopTimer()
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pushes/s")
+				b.ReportMetric(float64(srvBytesIn.Value()-bytesBefore)/float64(b.N), "bytes/round")
+			})
+		}
 	})
 }

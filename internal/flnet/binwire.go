@@ -169,8 +169,8 @@ func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*reques
 	case wire.KindPush:
 		switch h.Codec {
 		case wire.CodecRaw:
-			// The view aliases the frame buffer; safe because the mixer
-			// completes before the next frame is read.
+			// The view aliases the frame buffer; safe because the handler
+			// finishes dispatch before its next fr.Next.
 			if v, ok := wire.RawView(payload); ok {
 				req.Weights = v
 			} else if d.weightsBuf, err = wire.ParseRaw(payload, d.weightsBuf); err == nil {
@@ -233,7 +233,6 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	job := &ingestJob{done: make(chan *ingestJob, 1)}
 	var dec requestDecoder
 	for {
 		if s.opts.IdleTimeout > 0 {
@@ -255,7 +254,7 @@ func (s *Server) handle(conn net.Conn) {
 			srvDecodeErrors.Inc()
 			return
 		}
-		rep := s.dispatch(req, job)
+		rep := s.dispatch(req)
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}

@@ -5,8 +5,8 @@
 // length-prefixed binary framing of internal/flnet/wire (raw, quantized or
 // top-k sparse payloads), opened by a hello/hello-ack version handshake. The
 // server applies the asynchronous aggregation of §5.1 — w ← (1−α)w + α·w_new
-// with a staleness-attenuated α — under a mutex amortized by a batching
-// ingest mixer, so any number of portals can push concurrently. This is the
+// with a staleness-attenuated α — under one mutex each connection's handler
+// takes itself, so any number of portals can push concurrently. This is the
 // "prototype" transport counterpart of the virtual-time simulator in
 // internal/fl.
 //
@@ -132,19 +132,6 @@ type ServerOptions struct {
 // DefaultTimeout is the default per-round-trip deadline on both ends.
 const DefaultTimeout = 30 * time.Second
 
-// ingestBatchCap is how many queued pushes the ingest mixer applies per
-// model-lock acquisition.
-const ingestBatchCap = 32
-
-// ingestJob is one decoded push waiting for the mixer. done is owned by the
-// submitting handler and reused across its connection's lifetime.
-type ingestJob struct {
-	req     *request
-	rep     reply
-	applied bool
-	done    chan *ingestJob
-}
-
 // Server owns the global model and serves pull/push requests.
 type Server struct {
 	// Alpha is the base mixing weight; StalenessExp the polynomial
@@ -156,15 +143,6 @@ type Server struct {
 	ln    net.Listener
 	wg    sync.WaitGroup
 	fleet *Fleet
-
-	// Batched ingest: handler goroutines enqueue decoded pushes here and a
-	// single mixer goroutine applies them, draining up to ingestBatchCap
-	// per model-lock acquisition so N concurrent portals cost ~1 lock per
-	// batch instead of 1 per push. Arrival order is preserved (one queue,
-	// one consumer), so aggregation is exactly as deterministic as the
-	// mutex it amortizes.
-	ingestCh chan *ingestJob
-	mixerWG  sync.WaitGroup
 
 	// connMu guards the open-connection set so Close can sever handlers
 	// blocked reading on live-but-idle portals.
@@ -218,7 +196,6 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		ln:           ln,
 		fleet:        newFleet(),
 		conns:        make(map[net.Conn]struct{}),
-		ingestCh:     make(chan *ingestJob, 4*ingestBatchCap),
 		weights:      append([]float64(nil), init...),
 		lastSeq:      make(map[int]uint64),
 		lastAck:      make(map[int]reply),
@@ -250,8 +227,6 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		s.jrec().Record("checkpoint.resume", ck.Version, journal.None,
 			"pushes", strconv.Itoa(ck.Pushes), "clients", strconv.Itoa(len(ck.LastSeq)))
 	}
-	s.mixerWG.Add(1)
-	go s.mixerLoop()
 	if opts.LeaseTTL > 0 {
 		interval := opts.LeaseTTL / 4
 		if interval < 10*time.Millisecond {
@@ -264,47 +239,6 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
-}
-
-// mixerLoop drains queued pushes, applying up to ingestBatchCap of them
-// per model-lock acquisition. It exits when the ingest channel closes
-// (Close, after every handler has returned).
-func (s *Server) mixerLoop() {
-	defer s.mixerWG.Done()
-	batch := make([]*ingestJob, 0, ingestBatchCap)
-	for job := range s.ingestCh {
-		batch = append(batch[:0], job)
-	drain:
-		for len(batch) < ingestBatchCap {
-			select {
-			case j, ok := <-s.ingestCh:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, j)
-			default:
-				break drain
-			}
-		}
-		s.mu.Lock()
-		for _, j := range batch {
-			j.rep, j.applied = s.applyPushLocked(j.req)
-		}
-		s.mu.Unlock()
-		srvIngestBatch.Observe(float64(len(batch)))
-		for _, j := range batch {
-			j.done <- j
-		}
-	}
-}
-
-// submitPush routes one push through the mixer, reusing the handler-owned
-// job.
-func (s *Server) submitPush(req *request, job *ingestJob) (reply, bool) {
-	job.req = req
-	s.ingestCh <- job
-	<-job.done
-	return job.rep, job.applied
 }
 
 // Addr returns the listen address, e.g. to hand to Dial.
@@ -325,10 +259,6 @@ func (s *Server) Close() error {
 		close(s.reaperStop)
 	}
 	s.wg.Wait()
-	// All handlers have returned, so nothing can enqueue anymore; drain the
-	// mixer and wait it out.
-	close(s.ingestCh)
-	s.mixerWG.Wait()
 	return err
 }
 
@@ -400,7 +330,7 @@ func (s *Server) acceptLoop() {
 
 // dispatch answers one decoded request (requestDecoder.decode admits no
 // other kinds).
-func (s *Server) dispatch(req *request, job *ingestJob) reply {
+func (s *Server) dispatch(req *request) reply {
 	var rep reply
 	switch req.Kind {
 	case wire.KindPull:
@@ -418,7 +348,9 @@ func (s *Server) dispatch(req *request, job *ingestJob) reply {
 			break
 		}
 		var applied bool
-		rep, applied = s.submitPush(req, job)
+		s.mu.Lock()
+		rep, applied = s.applyPushLocked(req)
+		s.mu.Unlock()
 		if applied {
 			s.fleet.observePush(req.ClientID)
 		}
@@ -441,7 +373,7 @@ func (s *Server) dispatch(req *request, job *ingestJob) reply {
 // client gets an acknowledgement — the stored ack for an exact match, the
 // current snapshot for an older straggler — and the model is left untouched.
 // applied reports whether the update was actually mixed in. Caller holds
-// s.mu (the ingest mixer, which amortizes the lock across a batch).
+// s.mu (dispatch, on the pushing connection's handler goroutine).
 func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	if req.Seq > 0 && req.Seq <= s.lastSeq[req.ClientID] {
 		s.deduped++

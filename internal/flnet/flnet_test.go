@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -159,10 +160,15 @@ func TestFederatedTrainingOverTCP(t *testing.T) {
 	}
 }
 
+// Concurrent pushers meet only at the server mutex each handler takes
+// itself, so exactly-once accounting is asserted here, under -race: every
+// push is applied once, each bumps the version once, and each client sees
+// its own replies' versions strictly increase.
 func TestConcurrentClientsRace(t *testing.T) {
+	const pushers, perClient = 8, 25
 	s := startServer(t, make([]float64, 256), 0.3)
 	var wg sync.WaitGroup
-	for id := 0; id < 6; id++ {
+	for id := 0; id < pushers; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -177,21 +183,39 @@ func TestConcurrentClientsRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 10; i++ {
+			for i := 0; i < perClient; i++ {
 				for j := range w {
 					w[j] += 0.01
 				}
+				prev := v
 				w, v, err = c.Push(w, 1, v)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if v <= prev {
+					t.Errorf("client %d push %d: reply version %d after %d, want strictly increasing", id, i, v, prev)
 					return
 				}
 			}
 		}(id)
 	}
 	wg.Wait()
-	if s.Pushes() != 60 {
-		t.Fatalf("pushes = %d, want 60", s.Pushes())
+	const want = pushers * perClient
+	if s.Pushes() != want {
+		t.Fatalf("pushes = %d, want %d", s.Pushes(), want)
+	}
+	w, v := s.Snapshot()
+	if v != want {
+		t.Fatalf("final version = %d, want %d", v, want)
+	}
+	for i, x := range w {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("weight %d is non-finite: %v", i, x)
+		}
+	}
+	if n := s.Deduped() + s.Quarantined(); n != 0 {
+		t.Fatalf("deduped+quarantined = %d on a clean link, want 0", n)
 	}
 }
 

@@ -109,7 +109,7 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(append(junk, "junk"...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// A bare in-package server: the push gate and telemetry ingest never
-		// touch the listener, the connection set or the mixer.
+		// touch the listener or the connection set.
 		s := &Server{
 			Alpha: 0.5, StalenessExp: 1,
 			fleet:    newFleet(),

@@ -59,16 +59,12 @@ var (
 	srvDedupedPushes = metrics.GetCounter("ecofl_flnet_server_deduped_pushes_total",
 		"retried pushes acked from the dedup window instead of mixed again")
 
-	// Wire-protocol instrumentation (framing, codecs, batched ingest): how
-	// many connections completed the hello handshake, how full the mixer's
-	// batches run, and how many payload bytes each codec moved versus what
-	// raw float64 would have cost — the direct measure of the wire savings
-	// /fleet and /dash surface.
+	// Wire-protocol instrumentation (framing, codecs): how many connections
+	// completed the hello handshake and how many payload bytes each codec
+	// moved versus what raw float64 would have cost — the direct measure of
+	// the wire savings /fleet and /dash surface.
 	srvConnsBinary = metrics.GetCounter("ecofl_flnet_server_conns_total",
 		"portal connections accepted by protocol", "proto", "binary")
-	srvIngestBatch = metrics.GetHistogram("ecofl_flnet_server_ingest_batch_size",
-		"pushes applied per mixer lock acquisition",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 	srvSparseRejects = metrics.GetCounter("ecofl_flnet_server_sparse_rejects_total",
 		"sparse pushes rejected for a base-version mismatch (client re-syncs dense)")
 	srvPayloadSparse = metrics.GetCounter("ecofl_flnet_server_push_payload_total",

@@ -337,7 +337,7 @@ func TestClientCloseIdempotentAndFlushRace(t *testing.T) {
 }
 
 // The whole transport must unwind cleanly: after clients and the server are
-// closed, every handler goroutine, mixer, and accept loop has to exit. The
+// closed, every handler goroutine and the accept loop has to exit. The
 // shared leakcheck helper (internal/obs/leakcheck) is the same assertion the
 // pipeline link layer and the self-healing executor run after their faults.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {

@@ -11,17 +11,17 @@
 // of three codecs: raw float64 (zero-copy []byte↔[]float64 views where the
 // host allows it), int8 affine quantization (min + scale + one byte per
 // weight), or a top-k sparse delta (index/value pairs against a reference
-// model both ends hold). The trailer carries out-of-band gob blobs —
-// telemetry snapshots on requests, error strings on replies — none of which
-// are hot.
+// model both ends hold). The trailer carries out-of-band data — a
+// gob-encoded telemetry snapshot on requests, a plain error string on
+// replies — neither of which is hot.
 //
-// Decoding is fail-closed in the style of the pipeline runtime's
-// validateFrame: magic, version, kind, codec, and both length prefixes are
-// validated against hard limits before any allocation, payload buffers grow
-// geometrically while reading (a hostile length prefix on a truncated
-// stream cannot force a giant up-front allocation), and the sparse codec
-// rejects out-of-range or non-ascending indices and non-finite values
-// before they can touch training state.
+// Decoding is fail-closed, like the pipeline runtime's link frames
+// (runtime/link.go recv): magic, version, kind, codec, and both length
+// prefixes are validated against hard limits before any allocation, payload
+// buffers grow geometrically while reading (a hostile length prefix on a
+// truncated stream cannot force a giant up-front allocation), and the
+// sparse codec rejects out-of-range or non-ascending indices and non-finite
+// values before they can touch training state.
 package wire
 
 import (

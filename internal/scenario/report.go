@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
-// Schema identifiers for the machine-readable artifacts. Bump the version on
+// ReportSchema identifies the machine-readable report. Bump the version on
 // any breaking change to the JSON shape; the golden-file test in
 // report_test.go pins the current layout.
-const (
-	ReportSchema = "ecofl/scenario-report/v1"
-	SuiteSchema  = "ecofl/bench-suite/v1"
-)
+const ReportSchema = "ecofl/scenario-report/v1"
 
 // CurvePoint is one accuracy sample. Time is virtual seconds for the fl
 // topology and the 1-based round index for the flnet topology (wall-clock
@@ -37,7 +33,7 @@ type Report struct {
 	StartedUnix int64  `json:"started_unix,omitempty"`
 	// ElapsedSeconds is the wall-clock cost of the run.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Metrics is the flat name→value map the compare engine diffs. Names are
+	// Metrics is the flat name→value map of the run's measurements. Names are
 	// stable identifiers (see runner.go); values are final-state numbers —
 	// accuracies, quantiles, byte rates, runtime peaks.
 	Metrics map[string]float64 `json:"metrics"`
@@ -83,59 +79,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// Suite is a set of scenario reports captured together — the BENCH_prN.json
-// artifact scripts/bench.sh writes and `ecofl bench --compare` reads.
-type Suite struct {
-	Schema      string `json:"schema"`
-	GeneratedBy string `json:"generated_by,omitempty"`
-	GitSHA      string `json:"git_sha,omitempty"`
-	// GeneratedUnix is the caller-supplied capture time (see Report
-	// provenance fields).
-	GeneratedUnix int64     `json:"generated_unix,omitempty"`
-	Scenarios     []*Report `json:"scenarios"`
-}
-
-// NewSuite assembles reports into a versioned suite.
-func NewSuite(generatedBy, gitSHA string, generatedUnix int64, reports []*Report) *Suite {
-	return &Suite{
-		Schema:        SuiteSchema,
-		GeneratedBy:   generatedBy,
-		GitSHA:        gitSHA,
-		GeneratedUnix: generatedUnix,
-		Scenarios:     reports,
-	}
-}
-
-// Flatten renders the suite as the compare engine's flat metric map:
-// "<scenario>.<metric>" → value.
-func (s *Suite) Flatten() map[string]float64 {
-	out := make(map[string]float64)
-	for _, rep := range s.Scenarios {
-		for name, v := range rep.Metrics {
-			out[rep.Scenario+"."+name] = v
-		}
-	}
-	return out
-}
-
-// WriteJSON renders the suite indented.
-func (s *Suite) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteFile writes the suite to path.
-func (s *Suite) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := s.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }

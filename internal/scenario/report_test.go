@@ -58,7 +58,7 @@ func TestReportGolden(t *testing.T) {
 }
 
 // TestReportRoundTrips checks that a serialized report parses back to the
-// same content — the property the compare engine relies on.
+// same content — the property any consumer of a saved report relies on.
 func TestReportRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	orig := goldenReport()
@@ -82,17 +82,6 @@ func TestReportRoundTrips(t *testing.T) {
 	}
 	if len(back.Curve) != 2 || back.Curve[1].Accuracy != 0.75 {
 		t.Fatalf("round trip mangled curve: %+v", back.Curve)
-	}
-}
-
-func TestSuiteFlatten(t *testing.T) {
-	suite := NewSuite("test", "sha", 1754000000, []*Report{goldenReport()})
-	flat := suite.Flatten()
-	if v, ok := flat["golden.final_accuracy"]; !ok || v != 0.75 {
-		t.Fatalf("Flatten missing golden.final_accuracy: %v", flat)
-	}
-	if suite.Schema != SuiteSchema {
-		t.Fatalf("suite schema %q", suite.Schema)
 	}
 }
 

@@ -4,9 +4,8 @@
 // while sampling both the domain metrics (accuracy curve, round-time
 // quantiles, payload bytes per codec) and the Go runtime (goroutine
 // high-water mark, peak heap, GC pause tail), emitting a versioned
-// machine-readable report. The compare engine diffs such reports against a
-// prior capture with per-metric tolerances, turning "did this PR regress the
-// system?" into an exit code.
+// machine-readable report. It runs specs; measuring one commit against
+// another is benchmark/'s job (benchmark/README.md, `compare`).
 package scenario
 
 import (

@@ -30,7 +30,8 @@ go test -race -short ./internal/tensor/... ./internal/fl/... \
 	./internal/flnet/... ./internal/simnet/... ./internal/device/... \
 	./internal/scenario/... ./internal/pipeline/runtime/...
 
-# A short real fuzzing budget for the parsers that face the network (plain
+# A short real fuzzing budget for every fuzz target — the parsers that face
+# the network, the churn-trace loader and the divergence bounds (plain
 # `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
@@ -39,6 +40,8 @@ fuzz FuzzFrameDecode ./internal/flnet/wire
 fuzz FuzzRequestDecode ./internal/flnet
 fuzz FuzzQuantizeRoundTrip ./internal/flnet
 fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
+fuzz FuzzParseTraceSet ./internal/device
+fuzz FuzzJSBounds ./internal/stats
 echo "fuzz: $((SECONDS - fuzz_start))s"
 
 # Scenario-harness smoke: one tiny loopback federation through the real
