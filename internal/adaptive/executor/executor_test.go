@@ -236,10 +236,11 @@ func TestChaosSoak(t *testing.T) {
 func TestMonitorTriggeredRebalance(t *testing.T) {
 	if raceEnabled {
 		// The DP model's comm term dominates this tiny MLP's stage times, so
-		// a cut only moves once the measured slowdown ratio is ~4000×. Race
+		// a cut only moves once the measured slowdown ratio is in the
+		// thousands (the test injects 8000× its recorded baseline). Race
 		// instrumentation inflates the baseline step time roughly tenfold,
-		// which compresses the achievable ratio below that threshold — the
-		// monitor fires but the repartition keeps the layout. The
+		// so the delay hits its bound short of that ratio — the monitor
+		// fires but the repartition keeps the layout. The
 		// race-relevant machinery (abort, migration, link teardown) is
 		// exercised under -race by TestChaosSoak and
 		// TestKillFailoverBitIdentical; this test checks the wall-clock
@@ -279,14 +280,41 @@ func TestMonitorTriggeredRebalance(t *testing.T) {
 	if loadedDev < 0 {
 		t.Fatal("could not map loaded stage to a fleet device")
 	}
-	// The delay must be heavy enough that the measured slowdown ratio drops
-	// the device's modelled rate below the point where compute, not link
+	// The executor turns a stage's measured step time into a slowdown ratio
+	// against the baseline it recorded for that device, and re-baselines
+	// every device after any rebalance — also a spurious one, which a noisy
+	// warm-up round can trigger (the threshold is 25%). So first make sure a
+	// baseline is on record: the round after a rebalance always records one
+	// and cannot itself trigger, the monitor's history being empty.
+	baseline := func() float64 {
+		exec.mu.Lock()
+		defer exec.mu.Unlock()
+		return exec.baseStep[loadedDev]
+	}
+	for r := 0; baseline() == 0; r++ {
+		if r == 3 {
+			t.Fatal("no baseline step time on record after three more warm-up rounds")
+		}
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("re-baselining round %d: %v", r, err)
+		}
+	}
+	// The load must be heavy enough that the measured slowdown drops the
+	// device's modelled rate below the point where compute, not link
 	// bandwidth, is its stage's bottleneck — otherwise the partitioner
-	// rightly keeps the layout. Assert on the first round whose layout
-	// shrinks the loaded stage: after a migration the monitor re-baselines
-	// with the load included, so later noise can legitimately rebalance
-	// again.
-	exec.SetDeviceDelay(loadedDev, 50*time.Millisecond)
+	// rightly keeps the layout. On this model that takes a ratio of ≈ 2,500;
+	// the injected delay aims for 8,000 of whatever baseline was recorded
+	// (a fixed delay is a fixed ratio only against a noise-free baseline),
+	// bounded so that a wildly inflated baseline cannot stall the test. A
+	// loaded stage sleeps once in Forward and once in Backward, so a
+	// micro-batch step grows by twice the delay.
+	const slowdown = 8000
+	delay := time.Duration(slowdown / 2 * baseline() * float64(time.Second))
+	delay = min(max(delay, 10*time.Millisecond), 500*time.Millisecond)
+	// Assert on the first round whose layout shrinks the loaded stage: after
+	// a migration the monitor re-baselines with the load included, so later
+	// noise can legitimately rebalance again.
+	exec.SetDeviceDelay(loadedDev, delay)
 	before := exec.Stats().Migrations
 	for r := 0; r < 6; r++ {
 		if _, err := exec.TrainRound(x, labels, opt); err != nil {

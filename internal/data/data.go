@@ -8,6 +8,14 @@
 // convergence of aggregation strategies under label-distribution skew — is
 // produced by the partitioners, which reproduce the paper's setups exactly:
 // two random classes per client (§6.1), RLG-IID, and RLG-NIID.
+//
+// Mini-batches come from two helpers and nothing else: Subset.AppendShuffled
+// draws one epoch's visiting order (the only place a shard is shuffled) and
+// Dataset.Gather copies the examples an index list names into a batch (the
+// only gather loop). Subset.Batches composes them into freshly allocated
+// batches for callers that want a whole epoch in hand; fl's local update
+// keeps the index order as its plan and gathers each mini-batch into one
+// reused buffer, so an epoch never exists as tensors.
 package data
 
 import (
@@ -32,12 +40,32 @@ type Dataset struct {
 	SampleShape []int
 }
 
-// shapeFor returns the tensor shape for n samples of this dataset.
-func (d *Dataset) shapeFor(n int) []int {
+// appendShape appends the tensor shape for n samples of this dataset to dst.
+func (d *Dataset) appendShape(dst []int, n int) []int {
 	if d.SampleShape == nil {
-		return []int{n, d.Dim}
+		return append(dst, n, d.Dim)
 	}
-	return append([]int{n}, d.SampleShape...)
+	return append(append(dst, n), d.SampleShape...)
+}
+
+// Gather copies the examples idx names into b: row r of b.X and b.Y[r] become
+// example idx[r]. b.X and b.Y need room for len(idx) examples and may have
+// room for more — a short last batch reuses the full-size buffer — and are
+// cut to exactly len(idx): b.X is reshaped to (len(idx), SampleShape...).
+func (d *Dataset) Gather(b *Batch, idx []int) {
+	dim := d.Dim
+	b.X.Data = b.X.Data[:len(idx)*dim]
+	b.X.Shape = d.appendShape(b.X.Shape[:0], len(idx))
+	b.Y = b.Y[:len(idx)]
+	for row, i := range idx {
+		copy(b.X.Data[row*dim:(row+1)*dim], d.X.Data[i*dim:(i+1)*dim])
+		b.Y[row] = d.Y[i]
+	}
+}
+
+// newBatch allocates a batch with room for n examples.
+func (d *Dataset) newBatch(n int) Batch {
+	return Batch{X: tensor.New(n, d.Dim), Y: make([]int, n)}
 }
 
 // Len returns the number of examples.
@@ -169,14 +197,9 @@ func (s *Subset) Len() int { return len(s.Indices) }
 // Materialize copies the subset into a dense (X, Y) pair, shaped per the
 // parent dataset's SampleShape.
 func (s *Subset) Materialize() (*tensor.Tensor, []int) {
-	dim := s.Parent.Dim
-	x := tensor.New(s.Parent.shapeFor(len(s.Indices))...)
-	y := make([]int, len(s.Indices))
-	for row, idx := range s.Indices {
-		copy(x.Data[row*dim:(row+1)*dim], s.Parent.X.Data[idx*dim:(idx+1)*dim])
-		y[row] = s.Parent.Y[idx]
-	}
-	return x, y
+	b := s.Parent.newBatch(len(s.Indices))
+	s.Parent.Gather(&b, s.Indices)
+	return b.X, b.Y
 }
 
 // LabelCounts returns the per-class example counts.
@@ -199,23 +222,26 @@ type Batch struct {
 	Y []int
 }
 
-// Batches shuffles the subset with rng and groups it into mini-batches of
-// the given size (last batch may be short).
-func (s *Subset) Batches(rng *rand.Rand, batchSize int) []Batch {
-	idx := append([]int(nil), s.Indices...)
+// AppendShuffled appends one epoch's visiting order to dst: the subset's
+// example indices (into the parent dataset), shuffled with rng. It is the one
+// place a shard is shuffled, so everything that walks a shard consumes the rng
+// stream identically.
+func (s *Subset) AppendShuffled(dst []int, rng *rand.Rand) []int {
+	dst = append(dst, s.Indices...)
+	idx := dst[len(dst)-len(s.Indices):]
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	dim := s.Parent.Dim
+	return dst
+}
+
+// Batches shuffles the subset with rng and groups it into mini-batches of
+// the given size (last batch may be short), each freshly allocated.
+func (s *Subset) Batches(rng *rand.Rand, batchSize int) []Batch {
+	idx := s.AppendShuffled(nil, rng)
 	var out []Batch
 	for start := 0; start < len(idx); start += batchSize {
-		end := start + batchSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		b := Batch{X: tensor.New(s.Parent.shapeFor(end - start)...), Y: make([]int, end-start)}
-		for row, i := range idx[start:end] {
-			copy(b.X.Data[row*dim:(row+1)*dim], s.Parent.X.Data[i*dim:(i+1)*dim])
-			b.Y[row] = s.Parent.Y[i]
-		}
+		end := min(start+batchSize, len(idx))
+		b := s.Parent.newBatch(end - start)
+		s.Parent.Gather(&b, idx[start:end])
 		out = append(out, b)
 	}
 	return out

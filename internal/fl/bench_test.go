@@ -9,6 +9,7 @@ func BenchmarkLocalTrain(b *testing.B) {
 	pop := testPopulation(1, 10, fastConfig())
 	rng := rand.New(rand.NewSource(1))
 	ref := pop.GlobalInit()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pop.LocalTrain(rng, pop.Clients[i%10], ref, pop.Config.Mu)

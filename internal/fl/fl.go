@@ -408,33 +408,50 @@ func (p *Population) Evaluate(w []float64) float64 {
 }
 
 // planLocal pre-draws the client's mini-batch sequence for one local
-// update: LocalEpochs independent shuffles of the shard. All randomness of
-// a local update is consumed here, in caller order, so the compute phase
-// can run on a worker goroutine without touching the shared rng — and a
-// parallel round consumes the rng stream exactly like a serial one.
-func (p *Population) planLocal(rng *rand.Rand, c *Client) []data.Batch {
-	cfg := p.Config
-	var batches []data.Batch
-	for e := 0; e < cfg.LocalEpochs; e++ {
-		batches = append(batches, c.Train.Batches(rng, cfg.BatchSize)...)
+// update as an index plan: LocalEpochs independent shuffles of the shard,
+// end to end, each Train.Len() dataset indices long. All randomness of a
+// local update is consumed here, in caller order, so the compute phase can
+// run on a worker goroutine without touching the shared rng — and a parallel
+// round consumes the rng stream exactly like a serial one. The plan is the
+// order only; no example is copied until trainPlanned reaches it.
+func (p *Population) planLocal(rng *rand.Rand, c *Client) []int {
+	epochs := p.Config.LocalEpochs
+	plan := make([]int, 0, epochs*c.Train.Len())
+	for e := 0; e < epochs; e++ {
+		plan = c.Train.AppendShuffled(plan, rng)
 	}
-	return batches
+	return plan
 }
 
 // trainPlanned is the pure-compute phase of a local update: mini-batch SGD
-// over a pre-drawn batch sequence with a FedProx proximal term µ‖w − ref‖²/2
-// pulling toward ref. It touches only client-owned state (the client's
-// network clone and LastLoss), so distinct clients may run concurrently.
-func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, batches []data.Batch) []float64 {
+// over a pre-drawn index plan with a FedProx proximal term µ‖w − ref‖²/2
+// pulling toward ref. Every mini-batch — BatchSize consecutive indices of one
+// epoch, the epoch's last one possibly short — is gathered into a single
+// pooled buffer that goes back to the pool when the update is done. It
+// touches only client-owned state (the client's network clone and LastLoss),
+// so distinct clients may run concurrently.
+func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []int) []float64 {
 	cfg := p.Config
 	c.net.SetFlatWeights(ref)
 	opt := &nn.SGD{LR: cfg.LR, Mu: mu, Global: ref}
+	ds, n := c.Train.Parent, c.Train.Len()
+	size := min(cfg.BatchSize, n)
+	buf := tensor.GetBufUninit(size * ds.Dim)
+	full := buf.Data // Gather cuts buf to the batch at hand; the pool wants it whole
+	batch := data.Batch{X: buf, Y: make([]int, size)}
 	var lossSum float64
-	for _, b := range batches {
-		lossSum += c.net.TrainBatch(b.X, b.Y, opt)
+	batches := 0
+	for ; len(plan) > 0; plan = plan[n:] {
+		for start := 0; start < n; start += size {
+			ds.Gather(&batch, plan[start:min(start+size, n)])
+			lossSum += c.net.TrainBatch(batch.X, batch.Y, opt)
+			batches++
+		}
 	}
-	if len(batches) > 0 {
-		c.LastLoss = lossSum / float64(len(batches))
+	buf.Data = full
+	tensor.PutBuf(buf)
+	if batches > 0 {
+		c.LastLoss = lossSum / float64(batches)
 	}
 	return c.net.FlatWeights()
 }
@@ -462,7 +479,7 @@ func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu flo
 // contain duplicates (strategies select distinct clients per round).
 func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, mu float64) [][]float64 {
 	updates := make([][]float64, len(sel))
-	plans := make([][]data.Batch, len(sel))
+	plans := make([][]int, len(sel))
 	for i, c := range sel {
 		plans[i] = p.planLocal(rng, c)
 	}

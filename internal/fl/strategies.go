@@ -61,6 +61,20 @@ type RunResult struct {
 	rm *runMetrics
 }
 
+// newRunResult starts a run's result with one participation counter per
+// client and a curve sized for the run: one point per EvalInterval plus the
+// first and the last. A caller that keeps results (a sweep, the benchmark)
+// keeps their curves' backing arrays too, so the array is allocated once at
+// its final size rather than grown by doubling past it.
+func newRunResult(pop *Population, strategy string, rm *runMetrics) *RunResult {
+	points := 2
+	if n := pop.Config.Duration / pop.Config.EvalInterval; n > 0 && n < 1<<20 {
+		points += int(n)
+	}
+	return &RunResult{Strategy: strategy, Curve: make([]Point, 0, points),
+		Participation: make([]int, len(pop.Clients)), rm: rm}
+}
+
 func (r *RunResult) record(t, acc float64) {
 	r.Curve = append(r.Curve, Point{Time: t, Accuracy: acc})
 	r.FinalAccuracy = acc
@@ -161,7 +175,7 @@ func sampleGuided(rng *rand.Rand, clients []*Client, k int, epsilon float64) []*
 func RunFedAvg(pop *Population) *RunResult {
 	cfg := pop.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &RunResult{Strategy: "FedAvg", Participation: make([]int, len(pop.Clients)), rm: newRunMetrics("FedAvg")}
+	res := newRunResult(pop, "FedAvg", newRunMetrics("FedAvg"))
 	tr := cfg.Trace
 	if tr != nil {
 		tr.SetProcessName(flPID, "fl/FedAvg")
@@ -230,7 +244,7 @@ func RunFedAvg(pop *Population) *RunResult {
 func RunFedAsync(pop *Population) *RunResult {
 	cfg := pop.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &RunResult{Strategy: "FedAsync", Participation: make([]int, len(pop.Clients)), rm: newRunMetrics("FedAsync")}
+	res := newRunResult(pop, "FedAsync", newRunMetrics("FedAsync"))
 	staleness := metrics.GetHistogram("ecofl_fl_staleness",
 		"global-model versions elapsed between snapshot and mix-in (FedAsync)",
 		[]float64{0, 1, 2, 4, 8, 16, 32})
@@ -384,7 +398,7 @@ func RunHierarchical(pop *Population, opts HierOptions) *RunResult {
 	if name == "" {
 		name = "hier-" + opts.Grouping.String()
 	}
-	res := &RunResult{Strategy: name, Participation: make([]int, len(pop.Clients)), rm: newRunMetrics(name)}
+	res := newRunResult(pop, name, newRunMetrics(name))
 	grouper := &Grouper{Lambda: cfg.Lambda, RT: cfg.RTThreshold, NumClasses: pop.TestClasses()}
 
 	var groups []*Group

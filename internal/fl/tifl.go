@@ -16,7 +16,7 @@ import (
 func RunTiFL(pop *Population) *RunResult {
 	cfg := pop.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &RunResult{Strategy: "TiFL", Participation: make([]int, len(pop.Clients))}
+	res := newRunResult(pop, "TiFL", nil)
 	grouper := &Grouper{Lambda: 0, RT: math.Inf(1), NumClasses: pop.TestClasses()}
 	tiers := grouper.LatencyOnlyGrouping(rng, pop.Clients, cfg.NumGroups)
 

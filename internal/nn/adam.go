@@ -73,16 +73,6 @@ var (
 	_ Optimizer = (*Adam)(nil)
 )
 
-// TrainBatchWith runs one forward/backward/update with any optimizer.
-func (n *Network) TrainBatchWith(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
-	n.ZeroGrads()
-	logits, caches := n.Forward(x)
-	loss, dy := SoftmaxCrossEntropy(logits, labels)
-	n.Backward(caches, dy)
-	opt.Step(n.Params())
-	return loss
-}
-
 // ---------------------------------------------------------------- schedules
 
 // LRSchedule maps a step index to a learning rate.

@@ -238,7 +238,7 @@ func (p MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.K)/p.Stride + 1
 	ow := (w-p.K)/p.Stride + 1
-	out := tensor.New(batch, ch, oh, ow)
+	out := tensor.GetBufUninit(batch, ch, oh, ow)
 	arg := make([]int, out.Len())
 	oi := 0
 	for n := 0; n < batch; n++ {
@@ -268,7 +268,7 @@ func (p MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 
 func (p MaxPool2D) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	cache := c.(*poolCache)
-	dx := tensor.New(cache.inShape...)
+	dx := tensor.GetBuf(cache.inShape...)
 	for i, idx := range cache.argmax {
 		dx.Data[idx] += dy.Data[i]
 	}

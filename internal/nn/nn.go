@@ -5,6 +5,20 @@
 //
 // Gradients accumulate across Backward calls until ZeroGrads, matching the
 // gradient-accumulation semantics of a synchronous pipeline sync-round.
+//
+// Buffer ownership. Layers draw their outputs from the tensor pool
+// (tensor.GetBufUninit) and never return them: what Forward and Backward
+// hand back belongs to the caller, because only the caller knows when it is
+// dead — a 1F1B stage keeps several micro-batches' activations alive at
+// once. Network.Forward and Network.Backward pass that contract through
+// unchanged. The single-device step (TrainBatch, TrainBatchWith) and the
+// forward-only Loss and Accuracy do know: they made every activation and
+// gradient of the step themselves, so they return each one to the pool the
+// moment nothing reads it any more (see TrainBatchWith), and a warm training
+// step allocates nothing. The scratch lives in the pool between steps, not on
+// the Network: a federation holds one Network per client and trains a few at
+// a time, and a step's intermediates pinned on each would outweigh the
+// models.
 package nn
 
 import (
@@ -110,7 +124,7 @@ type ReLU struct{}
 func (ReLU) Name() string { return "ReLU" }
 
 func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y := x.Clone()
+	y := pooledCopy(x)
 	for i, v := range y.Data {
 		if v < 0 {
 			y.Data[i] = 0
@@ -121,7 +135,7 @@ func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 
 func (ReLU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	x := c.(*tensor.Tensor)
-	dx := dy.Clone()
+	dx := pooledCopy(dy)
 	for i, v := range x.Data {
 		if v <= 0 {
 			dx.Data[i] = 0
@@ -141,7 +155,7 @@ type Tanh struct{}
 func (Tanh) Name() string { return "Tanh" }
 
 func (Tanh) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y := x.Clone()
+	y := pooledCopy(x)
 	for i, v := range y.Data {
 		y.Data[i] = math.Tanh(v)
 	}
@@ -150,7 +164,7 @@ func (Tanh) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 
 func (Tanh) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	y := c.(*tensor.Tensor)
-	dx := dy.Clone()
+	dx := pooledCopy(dy)
 	for i, v := range y.Data {
 		dx.Data[i] *= 1 - v*v
 	}
@@ -163,13 +177,14 @@ func (Tanh) Clone() Layer     { return Tanh{} }
 // ---------------------------------------------------------------- Loss
 
 // SoftmaxCrossEntropy computes mean cross-entropy over a batch of logits and
-// integer labels, returning the loss and the gradient w.r.t. the logits.
+// integer labels, returning the loss and the gradient w.r.t. the logits (a
+// pooled tensor the caller owns, like a layer's output).
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	rows, cols := logits.Rows(), logits.Cols()
 	if rows != len(labels) {
 		panic(fmt.Sprintf("nn: %d logit rows vs %d labels", rows, len(labels)))
 	}
-	grad := tensor.New(rows, cols)
+	grad := tensor.GetBufUninit(rows, cols) // every element is written below
 	var loss float64
 	for i := 0; i < rows; i++ {
 		row := logits.RowView(i)
@@ -199,13 +214,30 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 
 // ---------------------------------------------------------------- Network
 
-// Network is a sequential stack of layers.
+// Network is a sequential stack of layers. It is not safe for concurrent
+// use: beside the weights, it keeps the parameter list and the per-layer
+// slice headers of the step in progress.
 type Network struct {
 	Layers []Layer
+
+	// params caches Params(), valid while len(Layers) == paramsFor. A
+	// training step asks for the list three times; rebuilding it costs eight
+	// allocations on a two-layer MLP.
+	params    []*Param
+	paramsFor int
+	// acts[i] and caches[i] are layer i's output and forward cache during a
+	// TrainBatchWith, Loss or Accuracy call; only the slice headers outlive
+	// the call.
+	acts   []*tensor.Tensor
+	caches []Cache
 }
 
 // NewNetwork builds a network from the given layers.
-func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
+func NewNetwork(layers ...Layer) *Network {
+	n := &Network{Layers: layers}
+	n.Params() // fill the cache now, so that later readers only read
+	return n
+}
 
 // NewMLP builds Dense+ReLU stacks ending in a linear classifier head:
 // sizes = [in, h1, ..., hk, classes].
@@ -240,13 +272,19 @@ func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-// Params returns all trainable parameters in layer order.
+// Params returns all trainable parameters in layer order. The list is built
+// once and rebuilt when the number of layers changes; callers must not
+// modify it. (Replacing a layer in place, which nothing does, would need a
+// new Network.)
 func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.Layers {
-		ps = append(ps, l.Params()...)
+	if n.paramsFor != len(n.Layers) {
+		var ps []*Param
+		for _, l := range n.Layers {
+			ps = append(ps, l.Params()...)
+		}
+		n.params, n.paramsFor = ps[:len(ps):len(ps)], len(n.Layers)
 	}
-	return ps
+	return n.params
 }
 
 // ZeroGrads clears all accumulated gradients.
@@ -299,22 +337,62 @@ func (n *Network) SetFlatWeights(w []float64) {
 	}
 }
 
+// forwardKept runs all layers like Forward, but keeps every layer's output
+// and cache in n.acts and n.caches (reused slice headers) so the caller can
+// release them: pair it with a backward sweep or releaseActs.
+func (n *Network) forwardKept(x *tensor.Tensor) *tensor.Tensor {
+	if cap(n.acts) < len(n.Layers) {
+		n.acts = make([]*tensor.Tensor, len(n.Layers))
+		n.caches = make([]Cache, len(n.Layers))
+	}
+	n.acts, n.caches = n.acts[:len(n.Layers)], n.caches[:len(n.Layers)]
+	for i, l := range n.Layers {
+		x, n.caches[i] = l.Forward(x)
+		n.acts[i] = x
+	}
+	return x
+}
+
+// releaseAct returns layer i's kept output to the pool, unless it is a view
+// of the layer's input — then the storage belongs to an earlier activation,
+// which returns it in its own turn, or to the caller's x, which never goes
+// back. The layers after i must be done with it.
+func (n *Network) releaseAct(i int, x *tensor.Tensor) {
+	in := x
+	if i > 0 {
+		in = n.acts[i-1]
+	}
+	if !tensor.SharesStorage(n.acts[i], in) {
+		tensor.PutBuf(n.acts[i])
+	}
+	n.acts[i], n.caches[i] = nil, nil
+}
+
+// releaseActs ends a forward-only pass begun by forwardKept on x.
+func (n *Network) releaseActs(x *tensor.Tensor) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		n.releaseAct(i, x)
+	}
+}
+
 // Loss computes the softmax cross-entropy of the network on (x, labels).
 func (n *Network) Loss(x *tensor.Tensor, labels []int) float64 {
-	logits, _ := n.Forward(x)
-	loss, _ := SoftmaxCrossEntropy(logits, labels)
+	loss, dy := SoftmaxCrossEntropy(n.forwardKept(x), labels)
+	tensor.PutBuf(dy)
+	n.releaseActs(x)
 	return loss
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the label.
 func (n *Network) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	logits, _ := n.Forward(x)
+	logits := n.forwardKept(x)
 	correct := 0
 	for i, lab := range labels {
 		if logits.ArgmaxRow(i) == lab {
 			correct++
 		}
 	}
+	n.releaseActs(x)
 	return float64(correct) / float64(len(labels))
 }
 
@@ -336,9 +414,6 @@ type SGD struct {
 
 // Step applies one update to the given parameters from their gradients.
 func (o *SGD) Step(params []*Param) {
-	if o.velocity == nil {
-		o.velocity = make(map[*Param]*tensor.Tensor)
-	}
 	off := 0
 	for _, p := range params {
 		scratch := tensor.GetBufUninit(p.Grad.Shape...)
@@ -357,6 +432,9 @@ func (o *SGD) Step(params []*Param) {
 		if o.Momentum != 0 {
 			v, ok := o.velocity[p]
 			if !ok {
+				if o.velocity == nil { // only an optimizer with momentum pays for the map
+					o.velocity = make(map[*Param]*tensor.Tensor)
+				}
 				v = tensor.New(p.Value.Shape...)
 				o.velocity[p] = v
 			}
@@ -371,10 +449,31 @@ func (o *SGD) Step(params []*Param) {
 // TrainBatch runs one forward/backward/update on a single mini-batch and
 // returns the loss before the update.
 func (n *Network) TrainBatch(x *tensor.Tensor, labels []int, opt *SGD) float64 {
+	return n.TrainBatchWith(x, labels, opt)
+}
+
+// TrainBatchWith is TrainBatch with any optimizer. The step owns every
+// tensor it creates and returns each to the pool as soon as it is dead:
+// after layer i's Backward, the gradient that came into it and layer i's own
+// output (layers i+1… have run their Backward, and layer i's cache is
+// spent); at the end, the gradient with respect to x. Two things never go
+// back: the caller's x, and a tensor whose storage another still-live tensor
+// shares — a Flatten's output is a view of its input and its input gradient
+// a view of the gradient it was given, an eval-mode Dropout returns its
+// arguments themselves — which is returned once, by the last tensor of the
+// chain to die.
+func (n *Network) TrainBatchWith(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
 	n.ZeroGrads()
-	logits, caches := n.Forward(x)
-	loss, dy := SoftmaxCrossEntropy(logits, labels)
-	n.Backward(caches, dy)
+	loss, dy := SoftmaxCrossEntropy(n.forwardKept(x), labels)
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		dx := n.Layers[i].Backward(n.caches[i], dy)
+		if !tensor.SharesStorage(dy, dx) {
+			tensor.PutBuf(dy)
+		}
+		n.releaseAct(i, x)
+		dy = dx
+	}
+	tensor.PutBuf(dy)
 	opt.Step(n.Params())
 	return loss
 }

@@ -81,7 +81,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 		invStd[j] = 1 / math.Sqrt(varr[j]+bn.Eps)
 	}
 	xhat := tensor.New(rows, cols)
-	out := tensor.New(rows, cols)
+	out := tensor.GetBufUninit(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			h := (x.Data[i*cols+j] - mean[j]) * invStd[j]
@@ -95,7 +95,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 func (bn *BatchNorm) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	cache := c.(*bnCache)
 	rows, cols := dy.Rows(), dy.Cols()
-	dx := tensor.New(rows, cols)
+	dx := tensor.GetBufUninit(rows, cols)
 	n := float64(rows)
 	for j := 0; j < cols; j++ {
 		var sumDy, sumDyXhat float64
@@ -162,7 +162,7 @@ func (d *Dropout) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 		return x, nil
 	}
 	mask := tensor.New(x.Shape...)
-	out := tensor.New(x.Shape...)
+	out := tensor.GetBuf(x.Shape...)
 	scale := 1 / (1 - d.P)
 	for i, v := range x.Data {
 		if d.Rng.Float64() >= d.P {
@@ -178,9 +178,7 @@ func (d *Dropout) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 		return dy
 	}
 	mask := c.(*tensor.Tensor)
-	dx := dy.Clone()
-	dx.Hadamard(mask)
-	return dx
+	return pooledCopy(dy).Hadamard(mask)
 }
 
 func (d *Dropout) Params() []*Param { return nil }
@@ -208,9 +206,7 @@ func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if y.Len() != x.Len() {
 		panic(fmt.Sprintf("nn: Residual inner stack changed size %v → %v", x.Shape, y.Shape))
 	}
-	out := y.Clone()
-	out.Add(x)
-	return out, caches
+	return pooledCopy(y).Add(x), caches
 }
 
 func (r *Residual) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
@@ -219,9 +215,7 @@ func (r *Residual) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(r.Inner) - 1; i >= 0; i-- {
 		d = r.Inner[i].Backward(caches[i], d)
 	}
-	dx := d.Clone()
-	dx.Add(dy)
-	return dx
+	return pooledCopy(d).Add(dy)
 }
 
 func (r *Residual) Params() []*Param {

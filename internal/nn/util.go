@@ -7,6 +7,14 @@ import (
 	"ecofl/internal/tensor"
 )
 
+// pooledCopy is t.Clone() drawn from the tensor pool: the copy is the
+// caller's to return with tensor.PutBuf once it is dead.
+func pooledCopy(t *tensor.Tensor) *tensor.Tensor {
+	c := tensor.GetBufUninit(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
 // ClipGradients scales all gradients down so their global L2 norm is at
 // most maxNorm, returning the pre-clip norm. A no-op when already within
 // the bound or when maxNorm ≤ 0.

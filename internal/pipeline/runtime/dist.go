@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
@@ -35,7 +34,7 @@ var (
 // alone. It comes from the tensor pool and goes back there after the
 // Backward that consumed it — the received activation once its micro-batch's
 // caches are spent, the received gradient once dx is computed — unless its
-// storage is shared with something the stage passed on (see sharesStorage).
+// storage is shared with something the stage passed on (see tensor.SharesStorage).
 // Tensors the link did not allocate (stage 0's micro-batches, the loss
 // gradient, every Forward/Backward result) are never recycled here.
 //
@@ -331,7 +330,7 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			sm.fwd.Inc()
 			sp.EndMicro(o.micro)
 			caches[o.micro] = c
-			if s > 0 && !sharesStorage(in, out) {
+			if s > 0 && !tensor.SharesStorage(in, out) {
 				acts[o.micro] = in
 			}
 			if s == S-1 {
@@ -379,27 +378,13 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			}
 			// The caches are spent and dx is computed: what this stage
 			// received for the micro-batch is dead unless dx is a view of it.
-			if in := acts[o.micro]; in != nil && !sharesStorage(in, dx) {
+			if in := acts[o.micro]; in != nil && !tensor.SharesStorage(in, dx) {
 				tensor.PutBuf(in)
 			}
-			if s < S-1 && !sharesStorage(dy, dx) {
+			if s < S-1 && !tensor.SharesStorage(dy, dx) {
 				tensor.PutBuf(dy)
 			}
 		}
 	}
 	return nil
-}
-
-// sharesStorage reports whether a and b overlap in memory. View layers hand
-// their input's storage on under a new header (nn.Flatten shares Data with
-// its input in both directions; an eval-mode nn.Dropout returns x and dy
-// themselves), so a segment that begins or ends with one can return a tensor
-// that is the received one in disguise — still queued on a link, or still
-// the last stage's logits. Such a tensor must not go back to the pool.
-func sharesStorage(a, b *tensor.Tensor) bool {
-	if len(a.Data) == 0 || len(b.Data) == 0 {
-		return false
-	}
-	a0, b0 := uintptr(unsafe.Pointer(&a.Data[0])), uintptr(unsafe.Pointer(&b.Data[0]))
-	return a0 < b0+8*uintptr(len(b.Data)) && b0 < a0+8*uintptr(len(a.Data))
 }

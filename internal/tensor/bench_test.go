@@ -75,3 +75,29 @@ func BenchmarkAddScaled(b *testing.B) {
 		x.AddScaled(0.1, y)
 	}
 }
+
+// benchSmall times the three kernels at the shapes one fedround-train step
+// runs them at (MLP 32→64→10, batch 10): too small to leave the calling
+// goroutine, so this is the serial fast path.
+func benchSmall(b *testing.B, kernel func(dst, x, y *Tensor) *Tensor, dst, x, y *Tensor) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(dst, x, y)
+	}
+}
+
+func BenchmarkMatMulIntoSmall(b *testing.B) {
+	x, y := benchMatPair(b, 10, 32, 64)
+	benchSmall(b, MatMulInto, New(10, 64), x, y)
+}
+
+func BenchmarkMatMulATIntoSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	benchSmall(b, MatMulATInto, New(32, 64), Randn(rng, 1, 10, 32), Randn(rng, 1, 10, 64))
+}
+
+func BenchmarkMatMulBTIntoSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	benchSmall(b, MatMulBTInto, New(10, 32), Randn(rng, 1, 10, 64), Randn(rng, 1, 32, 64))
+}

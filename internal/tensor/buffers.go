@@ -1,15 +1,30 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Buffer pool: per-size free lists for the transient tensors the training
-// hot path churns through (im2col matrices, matmul scratch, activations the
-// caller recycles). GetBuf/PutBuf are opt-in — a pooled tensor that is never
-// returned behaves exactly like one from New and is reclaimed by the GC.
+// hot path churns through — im2col matrices, matmul scratch, and every
+// activation and gradient of a training step. GetBuf/PutBuf are opt-in: a
+// pooled tensor that is never returned behaves exactly like one from New and
+// is reclaimed by the GC, and PutBuf accepts a tensor from New as readily as
+// one from GetBuf.
 //
-// Ownership discipline: only Put a tensor whose storage you know is not
-// aliased (Flatten-style views share Data with their source and must never
-// be returned to the pool).
+// Who returns what: a kernel's own scratch goes back inside the call that
+// drew it (Dense/Conv2D weight-gradient buffers, SGD's step scratch); a
+// layer's outputs belong to whoever called Forward/Backward, and the callers
+// that know a tensor is dead return it — nn.Network.TrainBatch for the
+// activations and gradients of its step, the pipeline runtime for tensors a
+// link received, fl's local update for its mini-batch buffer. Between steps
+// the scratch lives here, not on a model: sync.Pool frees what two GC cycles
+// have not reused, so an idle client pins nothing.
+//
+// Ownership discipline: Put a tensor only when nothing still reads its
+// storage. A tensor whose storage is a view of another's (nn.Flatten shares
+// Data with its input; an eval-mode nn.Dropout returns its input itself) must
+// not go back while the other is in use — SharesStorage is the test.
 
 var bufPools sync.Map // element count → *sync.Pool of *Tensor
 
@@ -52,4 +67,19 @@ func PutBuf(t *Tensor) {
 		return
 	}
 	poolFor(len(t.Data)).Put(t)
+}
+
+// SharesStorage reports whether a and b overlap in memory. View layers hand
+// their input's storage on under a new header (nn.Flatten shares Data with
+// its input in both directions; an eval-mode nn.Dropout returns x and dy
+// themselves), so what a stack of layers returns can be a tensor it was
+// given in disguise — the caller's batch, an activation a later Backward
+// still reads, a tensor still queued on a link. Such a tensor must not go
+// back to the pool while the other is live.
+func SharesStorage(a, b *Tensor) bool {
+	if a == nil || b == nil || len(a.Data) == 0 || len(b.Data) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(&a.Data[0])), uintptr(unsafe.Pointer(&b.Data[0]))
+	return a0 < b0+8*uintptr(len(b.Data)) && b0 < a0+8*uintptr(len(a.Data))
 }

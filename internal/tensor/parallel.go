@@ -112,6 +112,24 @@ func submit(f func()) {
 	}
 }
 
+// blocksFor decides how a kernel over n rows with the given work estimate
+// (total scalar operations) is dispatched, and counts the decision: 1 means
+// the body runs inline on the caller — the estimate is below minParallelWork
+// or only one worker is available — and p ≥ 2 means p contiguous row blocks
+// on the worker pool.
+func blocksFor(n, work int) int {
+	p := Parallelism()
+	if p > n {
+		p = n
+	}
+	if p < 2 || work < minParallelWork {
+		parallelForSerial.Inc()
+		return 1
+	}
+	parallelForParallel.Inc()
+	return p
+}
+
 // ParallelFor splits [0, n) into up to Parallelism() contiguous blocks and
 // runs fn(lo, hi) for each, returning when every block is done. work is an
 // estimate of the total scalar operations; when it is below an internal
@@ -122,16 +140,16 @@ func ParallelFor(n, work int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := Parallelism()
-	if p > n {
-		p = n
-	}
-	if p < 2 || work < minParallelWork {
-		parallelForSerial.Inc()
+	if p := blocksFor(n, work); p > 1 {
+		fanOut(n, p, fn)
+	} else {
 		fn(0, n)
-		return
 	}
-	parallelForParallel.Inc()
+}
+
+// fanOut runs fn over [0, n) in p ≥ 2 contiguous blocks: the first on the
+// caller, the rest on pool workers.
+func fanOut(n, p int, fn func(lo, hi int)) {
 	ensureWorkers(p - 1)
 	chunk := (n + p - 1) / p
 	var wg sync.WaitGroup
@@ -149,4 +167,21 @@ func ParallelFor(n, work int, fn func(lo, hi int)) {
 	}
 	fn(0, chunk)
 	wg.Wait()
+}
+
+// rowKernel is a matmul kernel body: it computes output rows [lo, hi) of
+// dst from a and b.
+type rowKernel func(dst, a, b *Tensor, lo, hi int)
+
+// runRows computes all rows of dst with kernel, split across the worker pool
+// exactly as ParallelFor would. On the inline path — every small-model
+// training step — the body is called directly: the closure that carries the
+// operands to pool workers is built only when there are workers to carry
+// them to, so a serial kernel call allocates nothing.
+func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work int) {
+	if p := blocksFor(rows, work); p > 1 {
+		fanOut(rows, p, func(lo, hi int) { kernel(dst, a, b, lo, hi) })
+	} else {
+		kernel(dst, a, b, 0, rows)
+	}
 }

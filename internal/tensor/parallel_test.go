@@ -147,6 +147,33 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 	PutBuf(nil) // must not panic
 }
 
+func TestSharesStorage(t *testing.T) {
+	a, b := New(4, 5), New(4, 5)
+	view := &Tensor{Shape: []int{20}, Data: a.Data}        // Flatten-style: whole storage, new header
+	tail := &Tensor{Shape: []int{5}, Data: a.Data[15:]}    // partial overlap
+	head := &Tensor{Shape: []int{3, 5}, Data: a.Data[:15]} // adjacent to tail, not overlapping
+	for _, c := range []struct {
+		name string
+		x, y *Tensor
+		want bool
+	}{
+		{"itself", a, a, true},
+		{"full view", a, view, true},
+		{"partial view", a, tail, true},
+		{"adjacent slices of one array", head, tail, false},
+		{"separate tensors", a, b, false},
+		{"empty", a, New(0), false},
+		{"nil", a, nil, false},
+	} {
+		if got := SharesStorage(c.x, c.y); got != c.want {
+			t.Errorf("%s: SharesStorage = %v, want %v", c.name, got, c.want)
+		}
+		if got := SharesStorage(c.y, c.x); got != c.want {
+			t.Errorf("%s (swapped): SharesStorage = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestRowViewSharesStorage(t *testing.T) {
 	a := New(3, 4)
 	row := a.RowView(1)

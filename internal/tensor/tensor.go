@@ -168,6 +168,73 @@ func (t *Tensor) Dot(src *Tensor) float64 {
 // Norm2 returns the squared Euclidean norm of t viewed as a flat vector.
 func (t *Tensor) Norm2() float64 { return t.Dot(t) }
 
+// The three matmul kernels share one structure. Each has a single body, a
+// row-range function that computes output rows [lo, hi); MatMul*Into hands it
+// to runRows, which calls it directly for a small product and splits the rows
+// across the worker pool for a large one. Workers own disjoint rows and every
+// output element accumulates its k products in ascending-k order whatever the
+// row range, so a result is bit-identical at any parallelism.
+//
+// The bodies are register-blocked — four multiply-adds per load/store of an
+// output element, or four independent dot products at once — which changes
+// how many elements are in flight, never the order in which one element's
+// sum is formed. There is no fused multiply-add and no reassociation: the
+// results equal a naive ascending-k triple loop bit for bit
+// (TestKernelsMatchReference).
+
+// axpy adds av·b to o element-wise; len(b) must be at least len(o).
+func axpy(o []float64, av float64, b []float64) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += av * b[j]
+	}
+}
+
+// axpy4 adds a0·b0, then a1·b1, a2·b2 and a3·b3 to o element-wise, in that
+// order for each element — four axpy calls with one load and one store per
+// element instead of four.
+func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		v := o[j]
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		o[j] = v
+	}
+}
+
+// rows4 returns rows kk…kk+3 of the row-major matrix data, each n wide.
+func rows4(data []float64, kk, n int) (r0, r1, r2, r3 []float64) {
+	return data[kk*n : (kk+1)*n], data[(kk+1)*n : (kk+2)*n],
+		data[(kk+2)*n : (kk+3)*n], data[(kk+3)*n : (kk+4)*n]
+}
+
+// accumulate4 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 to the output row o, one
+// product at a time per element. The kernels skip a zero multiplier outright
+// — it contributes nothing, and skipping it keeps 0·Inf from turning into
+// NaN — so a group that holds one takes the one-row-at-a-time path, which
+// skips exactly the zeros.
+func accumulate4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+		axpy4(o, a0, a1, a2, a3, b0, b1, b2, b3)
+		return
+	}
+	if a0 != 0 {
+		axpy(o, a0, b0)
+	}
+	if a1 != 0 {
+		axpy(o, a1, b1)
+	}
+	if a2 != 0 {
+		axpy(o, a2, b2)
+	}
+	if a3 != 0 {
+		axpy(o, a3, b3)
+	}
+}
+
 // setShape2D points dst at an (m, n) view, reusing its Shape slice when
 // possible so reshaping a pooled buffer does not allocate.
 func setShape2D(dst *Tensor, m, n int) {
@@ -177,9 +244,8 @@ func setShape2D(dst *Tensor, m, n int) {
 // MatMulInto computes a×b for 2-D tensors (m×k)·(k×n) → (m×n), overwriting
 // dst (which must hold exactly m·n elements and not alias a or b) and
 // returning it. Output rows are split across the package worker pool when
-// the operation is large enough; each worker owns disjoint rows and
-// accumulates every element in the same order as the serial kernel, so the
-// result is bit-identical at any parallelism.
+// the operation is large enough; the result is bit-identical at any
+// parallelism.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := a.Rows(), a.Cols(), b.Cols()
 	if b.Rows() != k {
@@ -189,27 +255,31 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	ParallelFor(m, 2*m*k*n, func(lo, hi int) {
-		// ikj loop order keeps the inner loop streaming over contiguous
-		// memory.
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			oi := dst.Data[i*n : (i+1)*n]
-			for j := range oi {
-				oi[j] = 0
-			}
-			for kk, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bk := b.Data[kk*n : (kk+1)*n]
-				for j, bv := range bk {
-					oi[j] += av * bv
-				}
+	runRows(matMulRows, dst, a, b, m, 2*m*k*n)
+	return dst
+}
+
+// matMulRows is MatMulInto's body. ikj loop order keeps the inner loop
+// streaming over contiguous memory.
+func matMulRows(dst, a, b *Tensor, lo, hi int) {
+	k, n := a.Cols(), b.Cols()
+	for i := lo; i < hi; i++ {
+		ai := a.Data[i*k : (i+1)*k]
+		oi := dst.Data[i*n : (i+1)*n]
+		for j := range oi {
+			oi[j] = 0
+		}
+		kk := 0
+		for ; kk+4 <= k; kk += 4 {
+			b0, b1, b2, b3 := rows4(b.Data, kk, n)
+			accumulate4(oi, ai[kk], ai[kk+1], ai[kk+2], ai[kk+3], b0, b1, b2, b3)
+		}
+		for ; kk < k; kk++ {
+			if av := ai[kk]; av != 0 {
+				axpy(oi, av, b.Data[kk*n:(kk+1)*n])
 			}
 		}
-	})
-	return dst
+	}
 }
 
 // MatMul returns a×b for 2-D tensors (m×k)·(k×n) → (m×n).
@@ -219,7 +289,7 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulATInto computes aᵀ×b for 2-D tensors (k×m)ᵀ·(k×n) → (m×n) into dst
 // (m·n elements, no aliasing), returning dst. Parallel over output rows;
-// bit-identical to the serial kernel (see MatMulInto).
+// bit-identical at any parallelism (see MatMulInto).
 func MatMulATInto(dst, a, b *Tensor) *Tensor {
 	k, m, n := a.Rows(), a.Cols(), b.Cols()
 	if b.Rows() != k {
@@ -229,31 +299,35 @@ func MatMulATInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulATInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	ParallelFor(m, 2*m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oi := dst.Data[i*n : (i+1)*n]
-			for j := range oi {
-				oi[j] = 0
-			}
-		}
-		// kk stays the outer loop so both operands stream row-wise; each
-		// output element still accumulates in ascending-kk order.
-		for kk := 0; kk < k; kk++ {
-			ak := a.Data[kk*m : (kk+1)*m]
-			bk := b.Data[kk*n : (kk+1)*n]
-			for i := lo; i < hi; i++ {
-				av := ak[i]
-				if av == 0 {
-					continue
-				}
-				oi := dst.Data[i*n : (i+1)*n]
-				for j, bv := range bk {
-					oi[j] += av * bv
-				}
-			}
-		}
-	})
+	runRows(matMulATRows, dst, a, b, m, 2*m*k*n)
 	return dst
+}
+
+// matMulATRows is MatMulATInto's body. kk stays the outer loop so both
+// operands stream row-wise.
+func matMulATRows(dst, a, b *Tensor, lo, hi int) {
+	k, m, n := a.Rows(), a.Cols(), b.Cols()
+	out := dst.Data[lo*n : hi*n]
+	for j := range out {
+		out[j] = 0
+	}
+	kk := 0
+	for ; kk+4 <= k; kk += 4 {
+		a0, a1, a2, a3 := rows4(a.Data, kk, m)
+		b0, b1, b2, b3 := rows4(b.Data, kk, n)
+		for i := lo; i < hi; i++ {
+			accumulate4(dst.Data[i*n:(i+1)*n], a0[i], a1[i], a2[i], a3[i], b0, b1, b2, b3)
+		}
+	}
+	for ; kk < k; kk++ {
+		ak := a.Data[kk*m : (kk+1)*m]
+		bk := b.Data[kk*n : (kk+1)*n]
+		for i := lo; i < hi; i++ {
+			if av := ak[i]; av != 0 {
+				axpy(dst.Data[i*n:(i+1)*n], av, bk)
+			}
+		}
+	}
 }
 
 // MatMulAT returns aᵀ×b for 2-D tensors (k×m)ᵀ·(k×n) → (m×n).
@@ -263,7 +337,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 
 // MatMulBTInto computes a×bᵀ for 2-D tensors (m×k)·(n×k)ᵀ → (m×n) into dst
 // (m·n elements, no aliasing), returning dst. Parallel over output rows;
-// bit-identical to the serial kernel (see MatMulInto).
+// bit-identical at any parallelism (see MatMulInto).
 func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := a.Rows(), a.Cols(), b.Rows()
 	if b.Cols() != k {
@@ -273,21 +347,44 @@ func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulBTInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	ParallelFor(m, 2*m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			oi := dst.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var s float64
-				for kk, av := range ai {
-					s += av * bj[kk]
-				}
-				oi[j] = s
-			}
-		}
-	})
+	runRows(matMulBTRows, dst, a, b, m, 2*m*k*n)
 	return dst
+}
+
+// matMulBTRows is MatMulBTInto's body: every output element is a dot product
+// of a row of a with a row of b. One running sum is a chain of dependent
+// additions, each waiting out the last one's latency, so four output columns
+// are computed at once — four independent chains, each still its element's
+// ascending-kk sum. (A dot product has no zero skip: 0·Inf is NaN here, as it
+// always was.)
+func matMulBTRows(dst, a, b *Tensor, lo, hi int) {
+	k, n := a.Cols(), b.Rows()
+	for i := lo; i < hi; i++ {
+		ai := a.Data[i*k : (i+1)*k]
+		oi := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1, b2, b3 := rows4(b.Data, j, k)
+			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
+			var s0, s1, s2, s3 float64
+			for kk, av := range ai {
+				s0 += av * b0[kk]
+				s1 += av * b1[kk]
+				s2 += av * b2[kk]
+				s3 += av * b3[kk]
+			}
+			oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj := b.Data[j*k : (j+1)*k]
+			bj = bj[:len(ai)]
+			var s float64
+			for kk, av := range ai {
+				s += av * bj[kk]
+			}
+			oi[j] = s
+		}
+	}
 }
 
 // MatMulBT returns a×bᵀ for 2-D tensors (m×k)·(n×k)ᵀ → (m×n).

@@ -24,11 +24,22 @@ echo "tier-1 (vet + build + test): $((SECONDS - tier1_start))s"
 # ./internal/pipeline/runtime/... covers the hardened link layer;
 # ./internal/flnet/... recursively covers ./internal/flnet/wire/... (binary
 # frame codecs) alongside the transport and codec chaos soaks.
-go test -race -short ./internal/tensor/... ./internal/fl/... \
+# ./internal/nn/... ./internal/data/... ./internal/model/... are the training
+# step itself: nn.TrainBatch returns its tensors to a pool every goroutine
+# shares and fl gathers mini-batches into pooled buffers, the kind of
+# ownership change this pass exists for.
+go test -race -short ./internal/tensor/... ./internal/nn/... ./internal/data/... \
+	./internal/model/... ./internal/fl/... \
 	./internal/fl/robust/... \
 	./internal/metrics/... ./internal/obs/... ./internal/adaptive/... \
 	./internal/flnet/... ./internal/simnet/... ./internal/device/... \
 	./internal/scenario/... ./internal/pipeline/runtime/...
+
+# The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
+# (measured stage dominance; monitor-triggered rebalance), repeated so that a
+# returning flake shows here and not in some later change's gate.
+go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/runtime
+go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network, the churn-trace loader and the divergence bounds (plain
