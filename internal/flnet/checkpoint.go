@@ -73,10 +73,14 @@ func (s *Server) Checkpoint() *Checkpoint {
 		Weights: append([]float64(nil), s.weights...),
 		Version: s.version,
 		Pushes:  s.pushes,
-		LastSeq: make(map[int]uint64, len(s.lastSeq)),
+		LastSeq: make(map[int]uint64, len(s.sessions)),
 	}
-	for id, seq := range s.lastSeq {
-		ck.LastSeq[id] = seq
+	for id, ss := range s.sessions {
+		// A session that never had a push acked (a pull-only member) has no
+		// high-water mark to persist.
+		if ss.seq > 0 {
+			ck.LastSeq[id] = ss.seq
+		}
 	}
 	return ck
 }

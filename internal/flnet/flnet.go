@@ -110,7 +110,7 @@ type ServerOptions struct {
 	// recognizable error the client answers by re-syncing (lease.go). 0
 	// disables membership entirely — the pre-lease behaviour.
 	LeaseTTL time.Duration
-	// LeaseNow, when non-nil, replaces wall time as the membership clock —
+	// LeaseNow, when non-nil, replaces time.Now as the membership clock —
 	// deterministic lease tests and virtual-time scenario runs inject their
 	// own clock and call ReapExpiredLeases explicitly.
 	LeaseNow func() time.Time
@@ -150,20 +150,22 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	shutdown bool
 
-	// Lease-based membership (lease.go). leaseMu is taken alone, never
-	// inside s.mu; expired leases stay in the map so a returning client is
-	// re-admitted rather than re-granted.
-	leaseMu    sync.Mutex
-	leases     map[int]*lease
-	reaperStop chan struct{}
+	reaperStop chan struct{} // non-nil while the lease reaper runs
 
+	// mu guards the model and everything the server knows about its clients.
+	// Each request kind is one critical section under it: a pull is lease
+	// contact → snapshot; a push is lease contact → dedup window → sparse
+	// base → admitLocked → store ack; a telemetry flush is lease contact.
 	mu      sync.Mutex
 	weights []float64
 	version int
 	pushes  int
-	lastSeq map[int]uint64 // highest applied push Seq per client
-	lastAck map[int]reply  // dedup window: the ack for lastSeq per client
 	deduped int
+	// sessions is the one per-client table (lease.go): dedup high-water mark,
+	// the ack that is also the sparse base, and the membership lease. live
+	// counts the sessions holding an unexpired lease.
+	sessions map[int]*session
+	live     int
 	// Semantic ingest gate state: the adaptive norm tracker (nil unless
 	// opts.NormGate) and the count of pushes acked but quarantined.
 	normGate    *robust.NormTracker
@@ -189,6 +191,9 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 	if opts.WriteTimeout == 0 {
 		opts.WriteTimeout = DefaultTimeout
 	}
+	if opts.LeaseNow == nil {
+		opts.LeaseNow = time.Now
+	}
 	s := &Server{
 		Alpha:        opts.Alpha,
 		StalenessExp: 1.0,
@@ -197,9 +202,7 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		fleet:        newFleet(),
 		conns:        make(map[net.Conn]struct{}),
 		weights:      append([]float64(nil), init...),
-		lastSeq:      make(map[int]uint64),
-		lastAck:      make(map[int]reply),
-		leases:       make(map[int]*lease),
+		sessions:     make(map[int]*session),
 	}
 	s.fleet.journal = opts.Journal
 	if opts.NormGate {
@@ -221,7 +224,7 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		s.version = ck.Version
 		s.pushes = ck.Pushes
 		for id, seq := range ck.LastSeq {
-			s.lastSeq[id] = seq
+			s.sessions[id] = &session{seq: seq}
 		}
 		srvCkptResumes.Inc()
 		s.jrec().Record("checkpoint.resume", ck.Version, journal.None,
@@ -245,8 +248,9 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting connections, severs every open portal connection
-// (so handlers blocked reading on idle links exit), and waits for all
-// handler goroutines.
+// (so handlers blocked reading on idle links exit), waits for all handler
+// goroutines, and gives this server's live sessions back to the
+// process-global ecofl_flnet_sessions_active gauge.
 func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.connMu.Lock()
@@ -259,6 +263,9 @@ func (s *Server) Close() error {
 		close(s.reaperStop)
 	}
 	s.wg.Wait()
+	s.mu.Lock()
+	srvSessionsActive.Add(-float64(s.live))
+	s.mu.Unlock()
 	return err
 }
 
@@ -284,7 +291,14 @@ func (s *Server) untrackConn(conn net.Conn) {
 func (s *Server) Snapshot() ([]float64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]float64(nil), s.weights...), s.version
+	rep := s.snapshotLocked()
+	return rep.Weights, rep.Version
+}
+
+// snapshotLocked is the current model as a reply: what a pull returns and
+// what every acknowledged push is answered with. Caller holds s.mu.
+func (s *Server) snapshotLocked() reply {
+	return reply{Weights: append([]float64(nil), s.weights...), Version: s.version}
 }
 
 // Fleet returns the server's telemetry aggregator: node-labeled metric
@@ -335,18 +349,13 @@ func (s *Server) dispatch(req *request) reply {
 	switch req.Kind {
 	case wire.KindPull:
 		srvRequestsPull.Inc()
-		s.touchLease(req.ClientID)
-		rep.Weights, rep.Version = s.Snapshot()
+		s.mu.Lock()
+		s.contactLocked(req.ClientID, false)
+		rep = s.snapshotLocked()
+		s.mu.Unlock()
 	case wire.KindPush:
 		srvRequestsPush.Inc()
 		countPushPayload(req)
-		if err := s.checkPushLease(req.ClientID); err != nil {
-			// The lease lapsed while the client was away: the check already
-			// re-admitted it, but this push is rejected so the client's
-			// retry lands on the fresh lease after a re-sync.
-			rep.Err = err.Error()
-			break
-		}
 		var applied bool
 		s.mu.Lock()
 		rep, applied = s.applyPushLocked(req)
@@ -356,7 +365,11 @@ func (s *Server) dispatch(req *request) reply {
 		}
 	case wire.KindTelemetry:
 		srvRequestsTelemetry.Inc()
-		s.touchLease(req.ClientID)
+		if s.opts.LeaseTTL > 0 { // without leases a flush has no business with the model lock
+			s.mu.Lock()
+			s.contactLocked(req.ClientID, false)
+			s.mu.Unlock()
+		}
 		if req.Telemetry == nil {
 			rep.Err = "flnet: telemetry request carries no snapshot"
 		}
@@ -367,29 +380,38 @@ func (s *Server) dispatch(req *request) reply {
 	return rep
 }
 
-// applyPushLocked mixes one push into the global model, deduplicating
-// retries: a sequence number at or below the client's high-water mark was
-// already applied (the first attempt landed but its ack was lost), so the
-// client gets an acknowledgement — the stored ack for an exact match, the
-// current snapshot for an older straggler — and the model is left untouched.
-// applied reports whether the update was actually mixed in. Caller holds
-// s.mu (dispatch, on the pushing connection's handler goroutine).
+// applyPushLocked runs one push through its session, all under s.mu (held by
+// dispatch, on the pushing connection's handler goroutine): the lease
+// contact, which may reject it for re-sync; then dedup — a sequence number at
+// or below the client's high-water mark was already applied (the first
+// attempt landed but its ack was lost), so the client gets an
+// acknowledgement — the stored ack for an exact match, the current snapshot
+// for an older straggler — and the model is left untouched; then the
+// admission gate against the session's ack as sparse base; then the reply is
+// stored as the new ack. applied reports whether the update was actually
+// mixed in.
 func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
-	if req.Seq > 0 && req.Seq <= s.lastSeq[req.ClientID] {
+	ss, err := s.contactLocked(req.ClientID, true)
+	if err != nil {
+		// The lease lapsed while the client was away: the contact already
+		// re-admitted it, but this push is rejected so the client's retry
+		// lands on the fresh lease after a re-sync.
+		return reply{Err: err.Error()}, false
+	}
+	if req.Seq > 0 && req.Seq <= ss.seq {
 		s.deduped++
 		srvDedupedPushes.Inc()
 		s.jrec().Record("push.dedup-drop", s.version, req.ClientID,
 			"seq", strconv.FormatUint(req.Seq, 10))
-		if req.Seq == s.lastSeq[req.ClientID] {
-			if ack, ok := s.lastAck[req.ClientID]; ok {
-				return ack, false
-			}
+		if req.Seq == ss.seq && ss.ack.Weights != nil {
+			return ss.ack, false
 		}
-		// Seq predates the window (or the ack was lost to a restart):
-		// ack with the current model, which is at least as fresh.
-		return reply{Weights: append([]float64(nil), s.weights...), Version: s.version}, false
+		// Seq predates the window (or the ack was lost to a restart or a
+		// lease expiry): ack with the current model, which is at least as
+		// fresh.
+		return s.snapshotLocked(), false
 	}
-	quarantine, err := s.admitLocked(req)
+	quarantine, err := s.admitLocked(req, ss.ack)
 	if err != nil {
 		srvPushErrors.Inc()
 		s.jrec().Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
@@ -412,10 +434,9 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		s.jrec().Record("push.apply", s.version, req.ClientID,
 			"seq", strconv.FormatUint(req.Seq, 10))
 	}
-	rep = reply{Weights: append([]float64(nil), s.weights...), Version: s.version}
+	rep = s.snapshotLocked()
 	if req.Seq > 0 {
-		s.lastSeq[req.ClientID] = req.Seq
-		s.lastAck[req.ClientID] = rep
+		ss.seq, ss.ack = req.Seq, rep
 	}
 	return rep, quarantine == ""
 }
@@ -424,8 +445,9 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 // The wire codecs already validated what a payload says about itself
 // (wire.ParseSparse: ascending in-range indices, finite values;
 // wire.ParseQuant: finite parameters); this checks it once against the
-// model: the shape, the sparse base in the client's dedup-window ack, every
-// dense value's finiteness (the raw codec is a zero-copy view and validates
+// model: the shape, the sparse base against ref — the ack the caller holds
+// for this client, Weights nil when it holds none — every dense value's
+// finiteness (the raw codec is a zero-copy view and validates
 // nothing; a quantized range can overflow only once dequantized) and the L2
 // displacement against the reference it mixes over. It returns an error for
 // a push the protocol rejects, a quarantine reason — "non-finite", or "norm"
@@ -434,11 +456,10 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 // otherwise mixes the update in without intermediate copies: raw views in
 // place, quantized updates through pooled scratch, sparse overlays straight
 // against the acked reference. Caller holds s.mu.
-func (s *Server) admitLocked(req *request) (quarantine string, err error) {
+func (s *Server) admitLocked(req *request, ref reply) (quarantine string, err error) {
 	n := len(s.weights)
 	var (
 		dense []float64 // the full update: raw view or dequantized scratch
-		ref   []float64 // the sparse overlay's base
 		sum   float64
 	)
 	sparse := false
@@ -459,20 +480,19 @@ func (s *Server) admitLocked(req *request) (quarantine string, err error) {
 		if req.DenseLen != n {
 			return "", fmt.Errorf("flnet: sparse update claims %d weights, model has %d", req.DenseLen, n)
 		}
-		ack, ok := s.lastAck[req.ClientID]
-		if !ok || ack.Version != req.BaseVersion || len(ack.Weights) != n {
+		if ref.Weights == nil || ref.Version != req.BaseVersion || len(ref.Weights) != n {
 			srvSparseRejects.Inc()
 			have := -1
-			if ok {
-				have = ack.Version
+			if ref.Weights != nil {
+				have = ref.Version
 			}
 			s.jrec().Record("sparse.base-mismatch", s.version, req.ClientID,
 				"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
 			return "", fmt.Errorf("%s: push built on v%d, server ack window holds v%d", sparseBaseMismatch, req.BaseVersion, have)
 		}
-		sparse, ref = true, ack.Weights
+		sparse = true
 		for k, ix := range req.SparseIdx {
-			d := req.SparseVals[k] - ref[ix]
+			d := req.SparseVals[k] - ref.Weights[ix]
 			sum += d * d
 		}
 	default:
@@ -493,7 +513,7 @@ func (s *Server) admitLocked(req *request) (quarantine string, err error) {
 	}
 	alpha := fl.StalenessAlpha(s.Alpha, float64(s.version-req.BaseVersion), s.StalenessExp)
 	if sparse {
-		fl.AsyncMixSparse(s.weights, ref, req.SparseIdx, req.SparseVals, alpha)
+		fl.AsyncMixSparse(s.weights, ref.Weights, req.SparseIdx, req.SparseVals, alpha)
 	} else {
 		fl.AsyncMix(s.weights, dense, alpha)
 	}

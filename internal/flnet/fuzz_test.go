@@ -5,19 +5,21 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
 
-	"ecofl/internal/fl/robust"
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs"
 )
 
 // FuzzRequestDecode throws arbitrary byte streams at the server-side request
 // path exactly as a connection delivers them: bytes → wire.Reader → the
-// frame decoder → the push gate (including the seq-dedup window) and
-// telemetry ingest, which must not panic and must hold their invariants —
-// duplicate sequence numbers are never re-applied, the seq high-water mark
-// never moves backwards, the model version advances exactly once per accepted
-// push, and no value in the model is ever non-finite — no matter what kinds,
+// frame decoder → dispatch (the lease gate on a clock the input itself
+// advances, the seq-dedup window, the push gate) and telemetry ingest, which
+// must not panic and must hold their invariants — duplicate sequence numbers
+// are never re-applied, the seq high-water mark never moves backwards, the
+// model version advances exactly once per accepted push, no value in the
+// model is ever non-finite, and a client's ack is missing exactly when it
+// never had a push acked or its lease expired since — no matter what kinds,
 // payloads, metric names, or span batches the bytes claim to carry. Truncated
 // streams (a connection severed mid-frame) must decode cleanly up to the cut
 // and reject the rest.
@@ -107,16 +109,42 @@ func FuzzRequestDecode(f *testing.F) {
 	junk := make([]byte, wire.HeaderSize)
 	wire.PutHeader(junk, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, TrailerLen: 4})
 	f.Add(append(junk, "junk"...))
+	// A lease that lapses under an acked client. The trailing bytes are the
+	// clock tape (read from the end, one per frame; see below): the client is
+	// acked, the clock jumps two TTLs, and its sparse push against the acked
+	// base arrives twice — turned away for the lease, then for the base, since
+	// expiry took the ack. Once with the reaper noticing first (odd byte),
+	// once found lapsed on contact (even).
+	away := seed(
+		push(request{ClientID: 6, Seq: 1, Weights: []float64{1, 2}}),
+		push(request{ClientID: 6, Seq: 2, BaseVersion: 1, DenseLen: 2, SparseIdx: []uint32{1}, SparseVals: []float64{3}}),
+		push(request{ClientID: 6, Seq: 2, BaseVersion: 1, DenseLen: 2, SparseIdx: []uint32{1}, SparseVals: []float64{3}}),
+	)
+	f.Add(append(append([]byte(nil), away...), 0x00, 0xff, 0x00))
+	f.Add(append(append([]byte(nil), away...), 0x00, 0xfe, 0x00))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// A bare in-package server: the push gate and telemetry ingest never
-		// touch the listener or the connection set.
-		s := &Server{
-			Alpha: 0.5, StalenessExp: 1,
-			fleet:    newFleet(),
-			weights:  []float64{0, 0},
-			lastSeq:  make(map[int]uint64),
-			lastAck:  make(map[int]reply),
-			normGate: robust.NewNormTracker(8, 4, 6),
+		// The real server behind its front door, dispatch, with the lease gate
+		// armed on an injected clock. Frames are read from the front of the
+		// input; the clock is driven from its tail, one byte per frame
+		// (steps of TTL/128, so the top half of the byte range jumps past the
+		// TTL, and an odd byte also runs the reaper). The hour-long TTL keeps
+		// the wall-clock background reaper out of the run.
+		const ttl = time.Hour
+		lc := newLeaseClock()
+		s := openServer(t, []float64{0, 0}, ServerOptions{
+			Alpha: 0.5, LeaseTTL: ttl, LeaseNow: lc.Now,
+			NormGate: true, NormGateWarmup: 4,
+		})
+		defer s.Close()
+		// What the test knows without looking inside the server: when each
+		// client's lease lapses, and whether it should be holding an ack — a
+		// push stored one and the lease has not lapsed since.
+		deadline := map[int]time.Time{}
+		acked := map[int]bool{}
+		lapse := func(id int, now time.Time) { // the server finds out: reaper or contact
+			if d, ok := deadline[id]; ok && now.After(d) {
+				acked[id] = false
+			}
 		}
 		fr := wire.Reader{R: bytes.NewReader(raw)}
 		var dec requestDecoder
@@ -129,19 +157,46 @@ func FuzzRequestDecode(f *testing.F) {
 			if err != nil {
 				break
 			}
+			step := raw[len(raw)-1-n%len(raw)]
+			lc.Advance(time.Duration(step) * ttl / 128)
+			now := lc.Now()
+			if step&1 == 1 {
+				for id := range deadline {
+					lapse(id, now)
+				}
+				s.ReapExpiredLeases()
+			}
+			id := req.ClientID
+			lapse(id, now)
+			deadline[id] = now.Add(ttl)
+			prev, pushes := uint64(0), s.Pushes()
+			if ss := s.sessions[id]; ss != nil {
+				prev = ss.seq
+			}
+			rep := s.dispatch(req)
+			ss := s.sessions[id]
+			if ss == nil {
+				t.Fatalf("client %d contacted a leased server and has no session", id)
+			}
 			if req.Kind == wire.KindPush {
-				prev := s.lastSeq[req.ClientID]
-				_, applied := s.applyPushLocked(req)
-				if applied && req.Seq > 0 && req.Seq <= prev {
+				if s.Pushes() != pushes && req.Seq > 0 && req.Seq <= prev {
 					t.Fatalf("duplicate seq %d (high-water %d) was re-applied", req.Seq, prev)
 				}
-				if s.lastSeq[req.ClientID] < prev {
-					t.Fatalf("seq high-water mark moved backwards: %d -> %d", prev, s.lastSeq[req.ClientID])
+				if ss.seq < prev {
+					t.Fatalf("seq high-water mark moved backwards: %d -> %d", prev, ss.seq)
+				}
+				if rep.Err == "" && req.Seq > prev {
+					acked[id] = true // applied or quarantined: either way acked
 				}
 			}
-			if req.Telemetry != nil {
-				s.fleet.ingest(req.Telemetry)
-				s.fleet.observePush(req.ClientID)
+			// An ack goes missing only by lease expiry, and expiry always
+			// takes it: ack missing ⇔ the client never had a push acked, or
+			// its lease expired since.
+			for id, ss := range s.sessions {
+				if got := ss.ack.Weights != nil; got != acked[id] {
+					t.Fatalf("client %d after frame %d: ack held = %v, want %v (lease expired=%v, seq %d)",
+						id, n, got, acked[id], ss.expired, ss.seq)
+				}
 			}
 		}
 		if s.version != s.pushes {

@@ -1,18 +1,30 @@
 package flnet
 
-// Lease-based membership: with ServerOptions.LeaseTTL set, every client
-// contact (pull, push, telemetry) grants or renews a TTL lease, a background
-// reaper marks lapsed leases expired, and a push arriving on an expired lease
-// is rejected with a recognizable error — the client re-syncs and retries,
-// mirroring the sparseBaseMismatch discipline. Expiring a lease drops the
-// client's dedup ack (the dense model copy the sparse path overlays), so a
-// returning client's first sparse push takes the dense re-sync path; lastSeq
-// is deliberately kept, so push dedup stays exactly-once across any number of
-// depart/return cycles. Members and SessionCount expose the live membership
-// view a selector (or an operator) reads.
+// The session table: everything the server keeps per client is one session
+// record in Server.sessions, guarded by Server.mu — the push dedup window
+// (seq and the ack sent for it, which doubles as the sparse path's reference
+// model) and, with ServerOptions.LeaseTTL set, the client's membership lease.
+// A record is created by a client's first push or, under leases, by its first
+// contact of any kind, and is never deleted.
 //
-// Lock ordering: leaseMu is always taken alone and released before s.mu
-// (dropping acks); never take leaseMu while holding s.mu.
+// Every contact (pull, push, telemetry) runs the lease state machine once
+// (contactLocked), inside the same critical section as the rest of the
+// request:
+//
+//	no lease yet           → lease.grant
+//	live, within TTL       → lease.renew
+//	live, TTL lapsed       → lease.expire, then as expired (the background
+//	                         reaper makes the same transition on a timer)
+//	expired                → lease.readmit; a push is additionally rejected
+//	                         with leaseExpired, so the client re-syncs and
+//	                         retries — the sparseBaseMismatch discipline
+//
+// Expiry clears the session's ack in the step that marks it expired: no other
+// request can observe one without the other, so a returning client's first
+// sparse push takes the dense re-sync path. seq is deliberately kept, so push
+// dedup stays exactly-once across any number of depart/return cycles. Members
+// and SessionCount expose the live membership view a selector (or an
+// operator) reads.
 
 import (
 	"fmt"
@@ -29,136 +41,89 @@ import (
 // Seq, the rejected push was never applied — lands on the fresh lease.
 const leaseExpired = "flnet: lease expired"
 
-// lease is one client's membership record. Expired leases stay in the map:
-// the record is what distinguishes a returning client (lease.readmit) from a
-// brand-new one (lease.grant), and it is a few words per client.
-type lease struct {
-	granted time.Time // first contact
+// session is one client's record. An expired lease stays on it: that is what
+// distinguishes a returning client (lease.readmit) from a brand-new one
+// (lease.grant), and it is a few words per client.
+type session struct {
+	seq uint64 // highest acked push Seq; survives expiry and restarts
+	ack reply  // dedup window: the reply sent for seq; Weights nil when none is held
+
+	granted time.Time // first contact; zero until a lease is granted
 	renewed time.Time // most recent contact
 	expires time.Time // renewed + TTL
 	expired bool
 }
 
-// leaseNow reads the membership clock: wall time by default, the injected
-// ServerOptions.LeaseNow under test or virtual-time scenarios.
-func (s *Server) leaseNow() time.Time {
-	if s.opts.LeaseNow != nil {
-		return s.opts.LeaseNow()
-	}
-	return time.Now()
+// live reports whether the session holds an unexpired lease.
+func (ss *session) live() bool { return !ss.granted.IsZero() && !ss.expired }
+
+// addLiveLocked moves the live-lease count and this server's share of the
+// process-global sessions gauge together. Caller holds s.mu.
+func (s *Server) addLiveLocked(d int) {
+	s.live += d
+	srvSessionsActive.Add(float64(d))
 }
 
-// grantLeaseLocked admits a first-contact client. Caller holds leaseMu.
-func (s *Server) grantLeaseLocked(id int, now time.Time) {
-	s.leases[id] = &lease{granted: now, renewed: now, expires: now.Add(s.opts.LeaseTTL)}
-	srvLeaseGrants.Inc()
-	srvSessionsActive.Add(1)
-	s.jrec().Record("lease.grant", journal.None, id, "ttl", s.opts.LeaseTTL.String())
-}
-
-// expireLeaseLocked marks a lapsed lease expired. The caller must drop the
-// client's dedup ack after releasing leaseMu (dropAck). Caller holds leaseMu.
-func (s *Server) expireLeaseLocked(id int, l *lease, now time.Time) {
-	l.expired = true
+// expireLocked marks a lapsed lease expired and, in the same step, drops the
+// session's ack: the dense reference copy is freed and the client's next
+// sparse push takes the dense re-sync path. Caller holds s.mu.
+func (s *Server) expireLocked(id int, ss *session, now time.Time) {
+	ss.expired = true
+	ss.ack = reply{}
 	srvLeaseExpired.Inc()
-	srvSessionsActive.Add(-1)
-	s.jrec().Record("lease.expire", journal.None, id, "idle", now.Sub(l.renewed).Round(time.Millisecond).String())
+	s.addLiveLocked(-1)
+	s.jrec().Record("lease.expire", journal.None, id, "idle", now.Sub(ss.renewed).Round(time.Millisecond).String())
 }
 
-// readmitLeaseLocked re-admits a returning client on a fresh TTL. Caller
-// holds leaseMu.
-func (s *Server) readmitLeaseLocked(id int, l *lease, now time.Time) {
-	l.expired = false
-	l.renewed = now
-	l.expires = now.Add(s.opts.LeaseTTL)
-	srvLeaseReadmits.Inc()
-	srvSessionsActive.Add(1)
-	s.jrec().Record("lease.readmit", journal.None, id)
-}
-
-// dropAck discards one client's dedup-window entry after its lease expired:
-// the dense reference copy is freed and the client's next sparse push takes
-// the dense re-sync path. lastSeq is kept so dedup survives the churn.
-func (s *Server) dropAck(id int) {
-	s.mu.Lock()
-	delete(s.lastAck, id)
-	s.mu.Unlock()
-}
-
-// touchLease renews (or grants, or re-admits) a client's lease on a
-// non-push contact — pull and telemetry keep a quiet portal's membership
-// alive between training rounds.
-func (s *Server) touchLease(id int) {
-	if s.opts.LeaseTTL <= 0 {
-		return
+// contactLocked returns the client's session after running the lease state
+// machine for one contact (the table in the file header). It creates the
+// session on a push or, under leases, on any contact; without leases a
+// non-push contact of an unknown client returns nil and keeps no state. A
+// push on an expired lease re-admits the client but is rejected with
+// leaseExpired — its ack is gone, so the client must re-sync before its
+// update can be trusted. The rejection is deterministic and comes before the
+// model is touched, so the retried push (same Seq) is dedup-safe. Caller
+// holds s.mu.
+func (s *Server) contactLocked(id int, push bool) (*session, error) {
+	leases := s.opts.LeaseTTL > 0
+	ss := s.sessions[id]
+	if ss == nil && (push || leases) {
+		ss = &session{}
+		s.sessions[id] = ss
 	}
-	now := s.leaseNow()
-	dropAck := false
-	s.leaseMu.Lock()
-	l, ok := s.leases[id]
-	switch {
-	case !ok:
-		s.grantLeaseLocked(id, now)
-	case l.expired:
-		s.readmitLeaseLocked(id, l, now)
-	case now.After(l.expires):
+	if !leases {
+		return ss, nil
+	}
+	now := s.opts.LeaseNow()
+	if ss.live() && now.After(ss.expires) {
 		// Lapsed but not yet reaped: observe the expiry, then the contact
 		// re-admits — the journal shows the full lifecycle either way.
-		s.expireLeaseLocked(id, l, now)
-		s.readmitLeaseLocked(id, l, now)
-		dropAck = true
+		s.expireLocked(id, ss, now)
+	}
+	ss.renewed, ss.expires = now, now.Add(s.opts.LeaseTTL)
+	switch {
+	case ss.granted.IsZero():
+		ss.granted = now
+		srvLeaseGrants.Inc()
+		s.addLiveLocked(1)
+		s.jrec().Record("lease.grant", journal.None, id, "ttl", s.opts.LeaseTTL.String())
+	case ss.expired:
+		ss.expired = false
+		srvLeaseReadmits.Inc()
+		s.addLiveLocked(1)
+		s.jrec().Record("lease.readmit", journal.None, id)
+		if push {
+			srvLeaseRejectedPushes.Inc()
+			return ss, fmt.Errorf("%s: client %d re-admitted, re-sync and retry", leaseExpired, id)
+		}
 	default:
-		l.renewed = now
-		l.expires = now.Add(s.opts.LeaseTTL)
 		s.jrec().Record("lease.renew", journal.None, id)
 	}
-	s.leaseMu.Unlock()
-	if dropAck {
-		s.dropAck(id)
-	}
-}
-
-// checkPushLease gates a push on the client's lease. A push on a live lease
-// renews it; a push on an expired (or lapsed) lease re-admits the client but
-// rejects this push with leaseExpired — its dedup ack is gone, so the client
-// must re-sync before its update can be trusted, exactly like a sparse base
-// mismatch. The rejection is deterministic and applied before the model is
-// touched, so the retried push (same Seq) is dedup-safe.
-func (s *Server) checkPushLease(id int) error {
-	if s.opts.LeaseTTL <= 0 {
-		return nil
-	}
-	now := s.leaseNow()
-	dropAck := false
-	s.leaseMu.Lock()
-	l, ok := s.leases[id]
-	if !ok {
-		s.grantLeaseLocked(id, now)
-		s.leaseMu.Unlock()
-		return nil
-	}
-	if !l.expired && now.After(l.expires) {
-		s.expireLeaseLocked(id, l, now)
-		dropAck = true
-	}
-	if l.expired {
-		s.readmitLeaseLocked(id, l, now)
-		s.leaseMu.Unlock()
-		if dropAck {
-			s.dropAck(id)
-		}
-		srvLeaseRejectedPushes.Inc()
-		return fmt.Errorf("%s: client %d re-admitted, re-sync and retry", leaseExpired, id)
-	}
-	l.renewed = now
-	l.expires = now.Add(s.opts.LeaseTTL)
-	s.jrec().Record("lease.renew", journal.None, id)
-	s.leaseMu.Unlock()
-	return nil
+	return ss, nil
 }
 
 // ReapExpiredLeases expires every lapsed lease (in ascending client order,
-// so the journal timeline is deterministic) and drops the holders' dedup
+// so the journal timeline is deterministic), dropping the holders' dedup
 // acks. It returns how many leases expired. The background reaper calls this
 // on a timer; virtual-time harnesses call it directly after advancing their
 // injected clock.
@@ -166,25 +131,18 @@ func (s *Server) ReapExpiredLeases() int {
 	if s.opts.LeaseTTL <= 0 {
 		return 0
 	}
-	now := s.leaseNow()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.opts.LeaseNow()
 	var lapsed []int
-	s.leaseMu.Lock()
-	for id, l := range s.leases {
-		if !l.expired && now.After(l.expires) {
+	for id, ss := range s.sessions {
+		if ss.live() && now.After(ss.expires) {
 			lapsed = append(lapsed, id)
 		}
 	}
 	sort.Ints(lapsed)
 	for _, id := range lapsed {
-		s.expireLeaseLocked(id, s.leases[id], now)
-	}
-	s.leaseMu.Unlock()
-	if len(lapsed) > 0 {
-		s.mu.Lock()
-		for _, id := range lapsed {
-			delete(s.lastAck, id)
-		}
-		s.mu.Unlock()
+		s.expireLocked(id, s.sessions[id], now)
 	}
 	return len(lapsed)
 }
@@ -207,11 +165,11 @@ func (s *Server) reaperLoop(interval time.Duration) {
 // Members returns the client IDs holding a live lease, ascending — the
 // membership view selection reads. Without leases (LeaseTTL 0) it is empty.
 func (s *Server) Members() []int {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	ids := make([]int, 0, len(s.leases))
-	for id, l := range s.leases {
-		if !l.expired {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]int, 0, s.live)
+	for id, ss := range s.sessions {
+		if ss.live() {
 			ids = append(ids, id)
 		}
 	}
@@ -221,15 +179,9 @@ func (s *Server) Members() []int {
 
 // SessionCount returns how many clients hold a live lease.
 func (s *Server) SessionCount() int {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	n := 0
-	for _, l := range s.leases {
-		if !l.expired {
-			n++
-		}
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // pushRoundTrip runs a push round trip, transparently re-syncing once when

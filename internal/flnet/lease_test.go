@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/journal"
 	"ecofl/internal/obs/journal/journaltest"
 )
@@ -33,24 +35,32 @@ func (lc *leaseClock) Advance(d time.Duration) {
 	lc.mu.Unlock()
 }
 
+// openServer starts a server the caller closes itself — a restart in the
+// middle of a test, or a Close whose effect is the thing under test.
+func openServer(tb testing.TB, init []float64, opts ServerOptions) *Server {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewServerOpts(ln, init, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 // startLeaseServer starts a server with lease membership on an injected
 // clock. The reaper still runs on its wall-time ticker, but with the clock
 // frozen between Advance calls it only ever observes what the test arranged.
 func startLeaseServer(t *testing.T, init []float64, ttl time.Duration, lc *leaseClock, jn *journal.Fleet) *Server {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServerOpts(ln, init, ServerOptions{
+	s := openServer(t, init, ServerOptions{
 		Alpha:    0.5,
 		LeaseTTL: ttl,
 		LeaseNow: lc.Now,
 		Journal:  jn,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -207,9 +217,9 @@ func TestLeaseDisabledIsInert(t *testing.T) {
 	}
 }
 
-// TestLeaseConcurrentChurn hammers the lease layer from many clients while
-// the clock jumps and the reaper runs — the -race soak for the membership
-// locks (leaseMu vs s.mu ordering).
+// TestLeaseConcurrentChurn hammers the session table from many clients over
+// real connections while the clock jumps and the reaper runs — the -race soak
+// for lease transitions, dedup and mixing sharing s.mu.
 func TestLeaseConcurrentChurn(t *testing.T) {
 	lc := newLeaseClock()
 	s := startLeaseServer(t, []float64{0, 0, 0}, 50*time.Millisecond, lc, nil)
@@ -258,5 +268,95 @@ func TestLeaseConcurrentChurn(t *testing.T) {
 	<-driverDone
 	if s.Pushes() != clients*30 {
 		t.Errorf("server applied %d pushes, want %d", s.Pushes(), clients*30)
+	}
+}
+
+// TestReaperKeepsLiveAck pins lease expiry and the ack drop as one atomic
+// step. Were they two (lease marked expired in one critical section, ack
+// deleted in a later one), a client could be re-admitted and land a push in
+// between, and the late drop would strip the ack of a live lease — the
+// client's next top-k push would silently re-sync dense, so the converged
+// model would depend on goroutine scheduling. Push-only clients keep s.mu
+// contended, a clock lapses every lease every 2 ms, and after every applied
+// push the invariant is read in one critical section: ack missing ⇒ lease
+// marked expired. A two-step expiry fails this in every run (24–39 of 1,280
+// pushes; 1–5 under -race).
+func TestReaperKeepsLiveAck(t *testing.T) {
+	const (
+		clients = 16
+		dim     = 20_000 // mixing holds s.mu ~20 µs: the size at which the old race showed most
+		rounds  = 80
+	)
+	lc := newLeaseClock()
+	s := startLeaseServer(t, make([]float64, dim), 50*time.Millisecond, lc, nil)
+
+	stop, driverDone := make(chan struct{}), make(chan struct{})
+	go func() { // expire the whole fleet over and over
+		defer close(driverDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lc.Advance(60 * time.Millisecond)
+			s.ReapExpiredLeases()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	var violations atomic.Int64
+	var wg sync.WaitGroup
+	for id := 0; id < clients; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			req := &request{Kind: wire.KindPush, ClientID: id, Weights: make([]float64, dim), NumSamples: 1}
+			for req.Seq = 1; req.Seq <= rounds; req.Seq++ {
+				// A lease-expired rejection re-admitted this client; retry
+				// the same Seq until it lands, as pushRoundTrip does.
+				for s.dispatch(req).Err != "" {
+				}
+				s.mu.Lock()
+				if ss := s.sessions[id]; ss.ack.Weights == nil && !ss.expired {
+					violations.Add(1)
+				}
+				s.mu.Unlock()
+			}
+		}(id)
+	}
+	wg.Wait()
+	close(stop)
+	<-driverDone
+	if s.Pushes() != clients*rounds {
+		t.Errorf("server applied %d pushes, want %d", s.Pushes(), clients*rounds)
+	}
+	if v := violations.Load(); v != 0 {
+		t.Errorf("%d of %d applied pushes left a live lease without its ack", v, clients*rounds)
+	}
+}
+
+// TestCloseReturnsSessionsToGauge pins ecofl_flnet_sessions_active as a
+// process-wide count of sessions on servers that are still up: a server that
+// closes with live leases gives them back, so a process that runs servers in
+// sequence (the scenario runner, a test binary) does not accumulate phantoms.
+func TestCloseReturnsSessionsToGauge(t *testing.T) {
+	start := srvSessionsActive.Value()
+	for round := 0; round < 2; round++ {
+		lc := newLeaseClock()
+		s := openServer(t, []float64{0}, ServerOptions{LeaseTTL: 10 * time.Second, LeaseNow: lc.Now})
+		for id := 0; id < 3; id++ {
+			s.dispatch(&request{Kind: wire.KindPull, ClientID: id})
+		}
+		lc.Advance(time.Minute)
+		s.ReapExpiredLeases()
+		s.dispatch(&request{Kind: wire.KindPull, ClientID: 0}) // one returns
+		s.dispatch(&request{Kind: wire.KindPull, ClientID: 9}) // one is new
+		if got := srvSessionsActive.Value() - start; got != 2 || s.SessionCount() != 2 {
+			t.Fatalf("server %d up: gauge moved by %v, SessionCount %d, want 2 and 2", round, got, s.SessionCount())
+		}
+		s.Close()
+		if got := srvSessionsActive.Value(); got != start {
+			t.Fatalf("server %d closed: gauge = %v, want its starting value %v", round, got, start)
+		}
 	}
 }

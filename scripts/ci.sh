@@ -35,6 +35,12 @@ go test -race -short ./internal/tensor/... ./internal/nn/... ./internal/data/...
 	./internal/flnet/... ./internal/simnet/... ./internal/device/... \
 	./internal/scenario/... ./internal/pipeline/runtime/...
 
+# The session table's pins, repeated under the race detector: the reaper/ack
+# race they guard against showed in a handful of pushes per thousand, so one
+# passing run of a scheduling-dependent test means nothing (same reasoning as
+# the -count=10 lines below). The model check rides along; it is 0.2 s a run.
+go test -race -count=20 -run '^(TestReaperKeepsLiveAck|TestSessionModel)$' ./internal/flnet
+
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
 # returning flake shows here and not in some later change's gate.
