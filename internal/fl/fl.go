@@ -57,12 +57,8 @@ type Client struct {
 	// statistical-utility signal guided selection uses (Oort-style).
 	LastLoss float64
 
-	net   *nn.Network
-	dist  stats.Distribution
-	cache struct {
-		x *tensor.Tensor
-		y []int
-	}
+	net  *nn.Network
+	dist stats.Distribution
 }
 
 // Latency returns the client's current response latency: the telemetry
@@ -83,7 +79,6 @@ func (c *Client) Distribution() stats.Distribution { return c.dist }
 func (c *Client) SetShard(s *data.Subset) {
 	c.Train = s
 	c.dist = s.Distribution()
-	c.cache.x, c.cache.y = s.Materialize()
 }
 
 // MaybeRedraw re-samples the collaborative degree with probability p — the
@@ -347,7 +342,6 @@ func NewPopulationWithProto(rng *rand.Rand, shards []*data.Subset, testX *tensor
 			net:          p.Proto.Clone(),
 			dist:         sh.Distribution(),
 		}
-		c.cache.x, c.cache.y = sh.Materialize()
 		p.Clients = append(p.Clients, c)
 	}
 	return p

@@ -163,10 +163,11 @@ func TestLocalTrainImprovesLocalFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ref := pop.GlobalInit()
 	c.net.SetFlatWeights(ref)
-	before := c.net.Loss(c.cache.x, c.cache.y)
+	x, y := c.Train.Materialize()
+	before := c.net.Loss(x, y)
 	updated := pop.LocalTrain(rng, c, ref, pop.Config.Mu)
 	c.net.SetFlatWeights(updated)
-	after := c.net.Loss(c.cache.x, c.cache.y)
+	after := c.net.Loss(x, y)
 	if after >= before {
 		t.Fatalf("local training must reduce local loss: %v → %v", before, after)
 	}

@@ -30,11 +30,14 @@ func TestTrainBatchAllocFree(t *testing.T) {
 		t.Errorf("warm MLP TrainBatch allocates %.1f objects/step, want 0", got)
 	}
 
-	// A convolutional step is not free; the budget is what it measures, and
-	// says what is left: MaxPool2D's argmax index and cache struct (2),
-	// Flatten's two view headers with their shapes and its boxed cache (5),
-	// and the three closures Conv2D hands ParallelFor (im2col, bias, col2im).
-	// No tensor storage: that all comes from the pool.
+	// A convolutional step is not free; the budget is what it measures, at
+	// any parallelism, and says what is left: MaxPool2D's argmax
+	// index and cache struct (2), Flatten's two view headers with their shapes
+	// and its boxed cache (5), and the three closures Conv2D writes for
+	// ParallelFor (im2col, bias, col2im) — the caller's own, which the
+	// compiler puts on the heap whether or not the body is fanned out; the
+	// fan-out itself adds none. No tensor storage: that all comes from the
+	// pool.
 	cnn := NewNetwork(NewConv2D(rng, 1, 4, 3, 1, 1), ReLU{}, MaxPool2D{K: 2, Stride: 2},
 		Flatten{}, NewDense(rng, 4*4*4, 10))
 	img := tensor.Randn(rng, 1, 10, 1, 8, 8)

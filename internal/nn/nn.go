@@ -9,16 +9,20 @@
 // Buffer ownership. Layers draw their outputs from the tensor pool
 // (tensor.GetBufUninit) and never return them: what Forward and Backward
 // hand back belongs to the caller, because only the caller knows when it is
-// dead — a 1F1B stage keeps several micro-batches' activations alive at
-// once. Network.Forward and Network.Backward pass that contract through
-// unchanged. The single-device step (TrainBatch, TrainBatchWith) and the
-// forward-only Loss and Accuracy do know: they made every activation and
-// gradient of the step themselves, so they return each one to the pool the
-// moment nothing reads it any more (see TrainBatchWith), and a warm training
-// step allocates nothing. The scratch lives in the pool between steps, not on
-// the Network: a federation holds one Network per client and trains a few at
-// a time, and a step's intermediates pinned on each would outweigh the
-// models.
+// dead. Network.Forward and Network.Backward pass that contract through
+// unchanged, and return nothing to the pool.
+//
+// A caller that wants the tensors back runs the pass through a Pass record
+// instead: ForwardPass keeps every layer's output and cache in it,
+// BackwardPass — or Release, for a forward-only pass — returns each tensor
+// the moment nothing reads it any more (the rule is Pass.release, and it is
+// written nowhere else). A caller may hold several records at once, one per
+// forward pass still waiting for its backward: a 1F1B pipeline stage holds
+// one per micro-batch in flight, the single-device step (TrainBatch, Loss,
+// Accuracy) one, on the Network. Either way a warm step allocates nothing,
+// and the scratch lives in the pool between steps, not on the Network: a
+// federation holds one Network per client and trains a few at a time, and a
+// step's intermediates pinned on each would outweigh the models.
 package nn
 
 import (
@@ -215,8 +219,8 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 // ---------------------------------------------------------------- Network
 
 // Network is a sequential stack of layers. It is not safe for concurrent
-// use: beside the weights, it keeps the parameter list and the per-layer
-// slice headers of the step in progress.
+// use: beside the weights, it keeps the parameter list and the record of the
+// step in progress.
 type Network struct {
 	Layers []Layer
 
@@ -225,11 +229,9 @@ type Network struct {
 	// allocations on a two-layer MLP.
 	params    []*Param
 	paramsFor int
-	// acts[i] and caches[i] are layer i's output and forward cache during a
-	// TrainBatchWith, Loss or Accuracy call; only the slice headers outlive
-	// the call.
-	acts   []*tensor.Tensor
-	caches []Cache
+	// pass records the forward pass of a TrainBatchWith, Loss or Accuracy
+	// call; only its slice headers outlive the call.
+	pass Pass
 }
 
 // NewNetwork builds a network from the given layers.
@@ -337,62 +339,113 @@ func (n *Network) SetFlatWeights(w []float64) {
 	}
 }
 
-// forwardKept runs all layers like Forward, but keeps every layer's output
-// and cache in n.acts and n.caches (reused slice headers) so the caller can
-// release them: pair it with a backward sweep or releaseActs.
-func (n *Network) forwardKept(x *tensor.Tensor) *tensor.Tensor {
-	if cap(n.acts) < len(n.Layers) {
-		n.acts = make([]*tensor.Tensor, len(n.Layers))
-		n.caches = make([]Cache, len(n.Layers))
+// Pass is the record of one forward pass through a Network: every layer's
+// output and cache, kept until the matching BackwardPass (or Release) has
+// returned each to the tensor pool. The zero value is ready to use, and a
+// finished record can be used again; its slices keep their capacity, so a
+// reused record allocates nothing.
+type Pass struct {
+	// acts[0] is the input and acts[i+1] layer i's output; caches[i] is
+	// layer i's cache. A record is live while acts[0] is set.
+	acts   []*tensor.Tensor
+	caches []Cache
+	// ownsInput says the input is the record's to return as well — a tensor
+	// a pipeline stage received from a link — and not a caller's batch.
+	ownsInput bool
+}
+
+// ForwardPass runs all layers on x like Forward, recording every layer's
+// output and cache in p, and returns the last output, which stays p's. With
+// ownsInput the record takes x over too and returns it with the rest;
+// without, x is the caller's and never goes to the pool, whatever views of
+// it the layers make.
+func (n *Network) ForwardPass(p *Pass, x *tensor.Tensor, ownsInput bool) *tensor.Tensor {
+	if len(p.acts) > 0 && p.acts[0] != nil {
+		panic("nn: Pass reused before its BackwardPass or Release")
 	}
-	n.acts, n.caches = n.acts[:len(n.Layers)], n.caches[:len(n.Layers)]
+	if L := len(n.Layers); cap(p.acts) < L+1 {
+		p.acts, p.caches = make([]*tensor.Tensor, L+1), make([]Cache, L)
+	} else {
+		p.acts, p.caches = p.acts[:L+1], p.caches[:L]
+	}
+	p.acts[0], p.ownsInput = x, ownsInput
 	for i, l := range n.Layers {
-		x, n.caches[i] = l.Forward(x)
-		n.acts[i] = x
+		x, p.caches[i] = l.Forward(x)
+		p.acts[i+1] = x
 	}
 	return x
 }
 
-// releaseAct returns layer i's kept output to the pool, unless it is a view
-// of the layer's input — then the storage belongs to an earlier activation,
-// which returns it in its own turn, or to the caller's x, which never goes
-// back. The layers after i must be done with it.
-func (n *Network) releaseAct(i int, x *tensor.Tensor) {
-	in := x
-	if i > 0 {
-		in = n.acts[i-1]
+// Output returns the last layer's output of a live record.
+func (p *Pass) Output() *tensor.Tensor { return p.acts[len(p.acts)-1] }
+
+// BackwardPass propagates dy through all layers in reverse like Backward,
+// accumulating parameter gradients, and returns to the pool every tensor of
+// the pass as it dies — dy included, which must be the caller's to give.
+// The result, the gradient with respect to the input, is the caller's.
+func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor) *tensor.Tensor {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		dx := n.Layers[i].Backward(p.caches[i], dy)
+		p.release(i, dy, dx)
+		dy = dx
 	}
-	if !tensor.SharesStorage(n.acts[i], in) {
-		tensor.PutBuf(n.acts[i])
-	}
-	n.acts[i], n.caches[i] = nil, nil
+	p.acts[0] = nil
+	return dy
 }
 
-// releaseActs ends a forward-only pass begun by forwardKept on x.
-func (n *Network) releaseActs(x *tensor.Tensor) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		n.releaseAct(i, x)
+// Release ends a forward-only pass: every recorded tensor goes back.
+func (p *Pass) Release() {
+	for i := len(p.caches) - 1; i >= 0; i-- {
+		p.release(i, nil, nil)
+	}
+	p.acts[0] = nil
+}
+
+// release is the release rule, the one place a tensor of a pass goes back to
+// the pool. Layer i is finished — its Backward turned dy into dx, or the pass
+// is forward-only and both are nil — so two tensors are dead: the gradient
+// that came into the layer, and the layer's own output (layers i+1… are done
+// with it, and layer i's cache is spent). After layer 0 an owned input is
+// dead too. A tensor whose storage a still-live tensor shares does not go
+// back: a Flatten's output is a view of its input and its input gradient a
+// view of the gradient it was given, an eval-mode Dropout returns its
+// arguments themselves. Such storage is returned once, by the last tensor of
+// the alias chain to die — the earliest activation, the final gradient — or
+// never, when the chain starts at a caller's batch. (Activations and
+// gradients are separate chains: no layer's Backward returns storage its
+// Forward was given or made.)
+func (p *Pass) release(i int, dy, dx *tensor.Tensor) {
+	if !tensor.SharesStorage(dy, dx) {
+		tensor.PutBuf(dy)
+	}
+	in, out := p.acts[i], p.acts[i+1]
+	if !tensor.SharesStorage(out, in) {
+		tensor.PutBuf(out)
+	}
+	p.acts[i+1], p.caches[i] = nil, nil
+	if i == 0 && p.ownsInput {
+		tensor.PutBuf(in)
 	}
 }
 
 // Loss computes the softmax cross-entropy of the network on (x, labels).
 func (n *Network) Loss(x *tensor.Tensor, labels []int) float64 {
-	loss, dy := SoftmaxCrossEntropy(n.forwardKept(x), labels)
+	loss, dy := SoftmaxCrossEntropy(n.ForwardPass(&n.pass, x, false), labels)
 	tensor.PutBuf(dy)
-	n.releaseActs(x)
+	n.pass.Release()
 	return loss
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the label.
 func (n *Network) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	logits := n.forwardKept(x)
+	logits := n.ForwardPass(&n.pass, x, false)
 	correct := 0
 	for i, lab := range labels {
 		if logits.ArgmaxRow(i) == lab {
 			correct++
 		}
 	}
-	n.releaseActs(x)
+	n.pass.Release()
 	return float64(correct) / float64(len(labels))
 }
 
@@ -453,27 +506,12 @@ func (n *Network) TrainBatch(x *tensor.Tensor, labels []int, opt *SGD) float64 {
 }
 
 // TrainBatchWith is TrainBatch with any optimizer. The step owns every
-// tensor it creates and returns each to the pool as soon as it is dead:
-// after layer i's Backward, the gradient that came into it and layer i's own
-// output (layers i+1… have run their Backward, and layer i's cache is
-// spent); at the end, the gradient with respect to x. Two things never go
-// back: the caller's x, and a tensor whose storage another still-live tensor
-// shares — a Flatten's output is a view of its input and its input gradient
-// a view of the gradient it was given, an eval-mode Dropout returns its
-// arguments themselves — which is returned once, by the last tensor of the
-// chain to die.
+// tensor it creates and returns each to the pool as soon as it is dead (see
+// Pass.release); the caller's x never goes back.
 func (n *Network) TrainBatchWith(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
 	n.ZeroGrads()
-	loss, dy := SoftmaxCrossEntropy(n.forwardKept(x), labels)
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dx := n.Layers[i].Backward(n.caches[i], dy)
-		if !tensor.SharesStorage(dy, dx) {
-			tensor.PutBuf(dy)
-		}
-		n.releaseAct(i, x)
-		dy = dx
-	}
-	tensor.PutBuf(dy)
+	loss, dy := SoftmaxCrossEntropy(n.ForwardPass(&n.pass, x, false), labels)
+	tensor.PutBuf(n.BackwardPass(&n.pass, dy))
 	opt.Step(n.Params())
 	return loss
 }

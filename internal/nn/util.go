@@ -37,7 +37,7 @@ func ClipGradients(params []*Param, maxNorm float64) float64 {
 // SoftmaxCrossEntropyLS is SoftmaxCrossEntropy with label smoothing: the
 // target distribution puts 1−ε on the true class and ε/(K−1) on the rest,
 // a standard regularizer for the over-confident heads small models grow on
-// easy shards.
+// easy shards. The gradient is a pooled tensor the caller owns, as there.
 func SoftmaxCrossEntropyLS(logits *tensor.Tensor, labels []int, eps float64) (float64, *tensor.Tensor) {
 	if eps == 0 {
 		return SoftmaxCrossEntropy(logits, labels)
@@ -51,7 +51,7 @@ func SoftmaxCrossEntropyLS(logits *tensor.Tensor, labels []int, eps float64) (fl
 	}
 	off := eps / float64(cols-1)
 	on := 1 - eps
-	grad := tensor.New(rows, cols)
+	grad := tensor.GetBufUninit(rows, cols) // every element is written below
 	var loss float64
 	for i := 0; i < rows; i++ {
 		row := logits.Data[i*cols : (i+1)*cols]

@@ -49,12 +49,16 @@ func BenchmarkDistRound(b *testing.B) {
 		}, []int{96, 64}, 48, 8)
 	})
 	b.Run("tcp-hardened", func(b *testing.B) {
-		benchDistRound(b, TCPLinks(), LinkOptions{
-			SendTimeout: 300 * time.Millisecond,
-			RecvTimeout: 250 * time.Millisecond,
-			RecvBudget:  1500 * time.Millisecond,
-			Heartbeat:   50 * time.Millisecond,
-			DialRetries: 4,
-		}, []int{96, 64, 48}, 256, 16)
+		benchDistRound(b, TCPLinks(), executorLinkOptions, []int{96, 64, 48}, 256, 16)
 	})
+}
+
+// executorLinkOptions are the LinkOptions the healing executor deploys
+// (experiments.LiveFailover) and the benchmark's pipeline-tcp workload uses.
+var executorLinkOptions = LinkOptions{
+	SendTimeout: 300 * time.Millisecond,
+	RecvTimeout: 250 * time.Millisecond,
+	RecvBudget:  1500 * time.Millisecond,
+	Heartbeat:   50 * time.Millisecond,
+	DialRetries: 4,
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -30,13 +31,41 @@ var (
 // and its two neighbour links — exactly the information a device in a
 // smart-home pipeline has.
 //
-// Tensor ownership: a tensor a stage received from a link is that stage's
-// alone. It comes from the tensor pool and goes back there after the
-// Backward that consumed it — the received activation once its micro-batch's
-// caches are spent, the received gradient once dx is computed — unless its
-// storage is shared with something the stage passed on (see tensor.SharesStorage).
-// Tensors the link did not allocate (stage 0's micro-batches, the loss
-// gradient, every Forward/Backward result) are never recycled here.
+// Tensor ownership. 1F1B keeps at most S−s micro-batches in flight on stage
+// s, and a stage hands what the schedule frees straight to the next
+// micro-batch: every tensor of a warm round comes out of the tensor pool and
+// goes back into it, by one rule, nn.Pass.release, applied to one record per
+// micro-batch in flight. Who returns what:
+//
+//	received activation      the record, after the micro-batch's Backward
+//	                         (it owns its input on stages > 0)
+//	stage 0's micro-batch    nobody: a view of the caller's x
+//	layer outputs, caches    the record, as Backward consumes them
+//	segment output           the record, after Backward — which the stage
+//	                         starts only once the writer has serialized it
+//	received gradient,       the record, once the next gradient down is
+//	gradients in between     computed
+//	loss gradient            the record (it is the last stage's incoming dy)
+//	dx, stage 0              the stage, at once
+//	dx, stages > 0           the down link's writer, once it is framed (give)
+//
+// Storage shared between tensors (a Flatten or eval-mode Dropout at a stage
+// edge makes the output a view of the input, dx a view of dy) goes back
+// once, by the last of the chain to die; that is the record's business too.
+//
+// The one reader the record cannot see is the send queue: the segment output
+// is lent to the up link (and behind a view layer the received activation
+// shares its storage). Backward for micro-batch i is therefore gated on the
+// writer having serialized activation i (link.sent). A correct peer cannot
+// produce gradient i before it has read activation i, so the gate never
+// waits — it is a check: a gradient that arrives early is a protocol
+// violation and aborts the round.
+//
+// An aborted round returns nothing more to the pool: a failing stage drops
+// its records where they stand, a failed link's writer drops what is queued,
+// and the garbage collector takes them. Between rounds the pipeline keeps
+// slice headers only — records, op orders, the loss slice; the tensors
+// themselves wait in the pool, which the GC trims when training stops.
 //
 // Failure semantics: weights only ever change at round boundaries (the
 // single optimizer flush after all gradients accumulated). When any stage
@@ -54,9 +83,12 @@ var (
 // sequential training) but every inter-stage tensor crosses a net.Conn.
 type DistPipeline struct {
 	inner *Pipeline
-	dial  Dialer
-	opts  LinkOptions
-	rng   *rand.Rand // jitter stream for link dial backoff
+	// net is the full network over the stages' shared parameters, resolved
+	// once: ZeroGrads and the flush walk its cached parameter list.
+	net  *nn.Network
+	dial Dialer
+	opts LinkOptions
+	rng  *rand.Rand // jitter stream for link dial backoff
 
 	// delays holds per-stage injected compute delay in nanoseconds — the
 	// in-process stand-in for an external workload stealing the device
@@ -64,9 +96,33 @@ type DistPipeline struct {
 	// so monitors observe the slowdown exactly as they would on hardware.
 	delays []atomic.Int64
 
+	// Round scaffolding that survives a round, headers only (see above).
+	stages []stageScratch
+	losses []float64
+
 	// lastStats holds per-stage measurements of the most recent sync-round.
 	mu        sync.Mutex
 	lastStats *RoundStats
+}
+
+// stageScratch is what one stage worker keeps from round to round.
+type stageScratch struct {
+	// ops is the stage's 1F1B order for len(ops)/2 micro-batches.
+	ops []op
+	// recs holds one forward record per micro-batch the schedule lets be in
+	// flight here; micro-batch i uses recs[i%len(recs)], which 1F1B has
+	// always freed by then (and ForwardPass panics if not).
+	recs []nn.Pass
+}
+
+// prepare sizes the scratch of stage s of S for m micro-batches.
+func (st *stageScratch) prepare(s, S, m int) {
+	if len(st.ops) != 2*m {
+		st.ops = order1F1B(m, S-s)
+	}
+	if k := min(m, S-s); len(st.recs) != k {
+		st.recs = make([]nn.Pass, k)
+	}
 }
 
 // RoundStats are wall-clock measurements of one executed sync-round — the
@@ -136,9 +192,11 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 	}
 	return &DistPipeline{
 		inner:  p,
+		net:    p.Network(),
 		dial:   dial,
 		rng:    rand.New(rand.NewSource(int64(len(cuts)) + 1)),
 		delays: make([]atomic.Int64, p.NumStages()),
+		stages: make([]stageScratch, p.NumStages()),
 	}, nil
 }
 
@@ -175,7 +233,7 @@ func (d *DistPipeline) stageDelay(s int) time.Duration {
 func (d *DistPipeline) SetTrace(tr *obs.Trace) { d.inner.SetTrace(tr) }
 
 // Network returns the underlying full network (shared parameters).
-func (d *DistPipeline) Network() *nn.Network { return d.inner.Network() }
+func (d *DistPipeline) Network() *nn.Network { return d.net }
 
 // NumStages returns the stage count.
 func (d *DistPipeline) NumStages() int { return d.inner.NumStages() }
@@ -197,13 +255,14 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		return 0, fmt.Errorf("runtime: %d rows vs %d labels", rows, len(labels))
 	}
 	S := d.inner.NumStages()
-	micros, microLabels := splitMicroBatches(x, labels, mbs)
-	m := len(micros)
+	r := &syncRound{rows: rows}
+	r.micros, r.labels = splitMicroBatches(x, labels, mbs)
+	m := len(r.micros)
 
 	// Establish links (retrying transient dial failures under backoff). Every
 	// connection is dialed before any link is built, so a failed dial has no
 	// writer goroutine or heartbeat ticker to unwind.
-	var conns []net.Conn
+	conns := make([]net.Conn, 0, 2*(S-1))
 	for i := 0; i < S-1; i++ {
 		up, down, err := dialLink(d.dial, i, d.opts, d.rng)
 		if err != nil {
@@ -214,11 +273,11 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		}
 		conns = append(conns, up, down)
 	}
-	ups := make([]*link, S)   // ups[s]: stage s's link to stage s+1
-	downs := make([]*link, S) // downs[s]: stage s's link to stage s−1
+	r.ups = make([]*link, S)   // ups[s]: stage s's link to stage s+1
+	r.downs = make([]*link, S) // downs[s]: stage s's link to stage s−1
 	for i := 0; i < S-1; i++ {
-		ups[i] = newLink(conns[2*i], m, d.opts)
-		downs[i+1] = newLink(conns[2*i+1], m, d.opts)
+		r.ups[i] = newLink(conns[2*i], m, d.opts)
+		r.downs[i+1] = newLink(conns[2*i+1], m, d.opts)
 	}
 
 	// abort force-closes every connection: goroutines parked in a blocking
@@ -237,26 +296,29 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	}
 	defer func() {
 		for i := 0; i < S-1; i++ {
-			ups[i].close()
-			downs[i+1].close()
+			r.ups[i].close()
+			r.downs[i+1].close()
 		}
 		for _, c := range conns {
 			c.Close()
 		}
 	}()
 
-	d.Network().ZeroGrads()
-	losses := make([]float64, m)
+	d.net.ZeroGrads()
+	if cap(d.losses) < m {
+		d.losses = make([]float64, m)
+	}
+	r.losses = d.losses[:m]
 	errs := make([]error, S)
 	stats := &RoundStats{ComputeTime: make([]time.Duration, S)}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < S; s++ {
+		d.stages[s].prepare(s, S, m)
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = d.runStage(s, S, m, micros, microLabels, rows, losses, downs[s], ups[s], &stats.ComputeTime[s])
-			if errs[s] != nil {
+			if errs[s] = d.runStage(s, r, &stats.ComputeTime[s]); errs[s] != nil {
 				abort()
 			}
 		}(s)
@@ -269,6 +331,9 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	d.lastStats = stats
 	d.mu.Unlock()
 	if aborted {
+		// The records of the micro-batches in flight still hold their
+		// tensors; they go to the garbage collector with the scratch.
+		d.stages = make([]stageScratch, S)
 		re := &RoundError{}
 		for s, err := range errs {
 			if err != nil {
@@ -279,32 +344,38 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		return 0, re
 	}
 	samplesTotal.Add(int64(rows))
-	opt.Step(d.Network().Params())
+	opt.Step(d.net.Params())
 	var loss float64
-	for i, l := range losses {
-		loss += l * float64(len(microLabels[i]))
+	for i, l := range r.losses {
+		loss += l * float64(len(r.labels[i]))
 	}
 	return loss / float64(rows), nil
 }
 
+// syncRound is what the stage workers of one round share.
+type syncRound struct {
+	micros     []*tensor.Tensor // stage 0's inputs: views of the caller's batch
+	labels     [][]int
+	rows       int       // samples in the whole mini-batch
+	losses     []float64 // per micro-batch, written by the last stage
+	ups, downs []*link
+}
+
 // runStage executes segment s's 1F1B order, exchanging tensors with its
-// neighbours over down (to stage s−1) and up (to stage s+1).
-func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabels [][]int,
-	totalRows int, losses []float64, down, up *link, busy *time.Duration) error {
+// neighbours over down (to stage s−1) and up (to stage s+1). The file comment
+// says which tensor goes back to the pool where.
+func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error {
 	seg := d.inner.segments[s]
 	sm := d.inner.sm[s]
 	tr := d.inner.trace
-	caches := make([][]nn.Cache, m)
-	outputs := make([]*tensor.Tensor, m)
-	// acts[i] is the received activation of micro-batch i while this stage
-	// may still recycle it (nil on stage 0, whose inputs are the caller's).
-	acts := make([]*tensor.Tensor, m)
-	for _, o := range order1F1B(m, S-s) {
+	st := &d.stages[s]
+	down, up := r.downs[s], r.ups[s]
+	first, last := s == 0, up == nil
+	for _, o := range st.ops {
+		rec := &st.recs[o.micro%len(st.recs)]
 		if o.forward {
-			var in *tensor.Tensor
-			if s == 0 {
-				in = micros[o.micro]
-			} else {
+			in := r.micros[o.micro]
+			if !first {
 				wait := tr.Begin(0, s, "wait-act", "net")
 				t0 := time.Now()
 				micro, t, err := down.recv()
@@ -320,7 +391,7 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			}
 			sp := tr.Begin(0, s, "fwd", "compute")
 			t0 := time.Now()
-			out, c := seg.Forward(in)
+			out := seg.ForwardPass(rec, in, !first)
 			if dl := d.stageDelay(s); dl > 0 {
 				time.Sleep(dl)
 			}
@@ -329,22 +400,19 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.fwd.Inc()
 			sp.EndMicro(o.micro)
-			caches[o.micro] = c
-			if s > 0 && !tensor.SharesStorage(in, out) {
-				acts[o.micro] = in
-			}
-			if s == S-1 {
-				outputs[o.micro] = out
-			} else if err := up.send(o.micro, out); err != nil {
-				return fmt.Errorf("stage %d send act: %w", s, err)
+			if !last {
+				if err := up.send(o.micro, out); err != nil {
+					return fmt.Errorf("stage %d send act: %w", s, err)
+				}
 			}
 		} else {
 			var dy *tensor.Tensor
-			if s == S-1 {
+			if last {
+				out := rec.Output()
 				var loss float64
-				loss, dy = nn.SoftmaxCrossEntropy(outputs[o.micro], microLabels[o.micro])
-				losses[o.micro] = loss
-				dy.Scale(float64(outputs[o.micro].Rows()) / float64(totalRows))
+				loss, dy = nn.SoftmaxCrossEntropy(out, r.labels[o.micro])
+				r.losses[o.micro] = loss
+				dy.Scale(float64(out.Rows()) / float64(r.rows))
 			} else {
 				wait := tr.Begin(0, s, "wait-grad", "net")
 				t0 := time.Now()
@@ -357,11 +425,17 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 				if micro != o.micro {
 					return fmt.Errorf("stage %d: gradient %d arrived, expected %d", s, micro, o.micro)
 				}
+				// Backward returns this micro-batch's segment output to the
+				// pool; the up link must be done reading it. Activations are
+				// all the up link carries, in micro-batch order.
+				if !up.sent(o.micro) {
+					return fmt.Errorf("stage %d: %w: gradient %d arrived before activation %d was sent", s, errProtocol, micro, o.micro)
+				}
 				dy = t
 			}
 			sp := tr.Begin(0, s, "bwd", "compute")
 			t0 := time.Now()
-			dx := seg.Backward(caches[o.micro], dy)
+			dx := seg.BackwardPass(rec, dy)
 			if dl := d.stageDelay(s); dl > 0 {
 				time.Sleep(dl)
 			}
@@ -370,21 +444,16 @@ func (d *DistPipeline) runStage(s, S, m int, micros []*tensor.Tensor, microLabel
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.bwd.Inc()
 			sp.EndMicro(o.micro)
-			caches[o.micro] = nil
-			if s > 0 {
-				if err := down.send(o.micro, dx); err != nil {
-					return fmt.Errorf("stage %d send grad: %w", s, err)
-				}
-			}
-			// The caches are spent and dx is computed: what this stage
-			// received for the micro-batch is dead unless dx is a view of it.
-			if in := acts[o.micro]; in != nil && !tensor.SharesStorage(in, dx) {
-				tensor.PutBuf(in)
-			}
-			if s < S-1 && !tensor.SharesStorage(dy, dx) {
-				tensor.PutBuf(dy)
+			if first {
+				tensor.PutBuf(dx)
+			} else if err := down.give(o.micro, dx); err != nil {
+				return fmt.Errorf("stage %d send grad: %w", s, err)
 			}
 		}
 	}
 	return nil
 }
+
+// errProtocol tags a frame that is well-formed but that a correct peer cannot
+// have sent at this point of the 1F1B exchange.
+var errProtocol = errors.New("runtime: pipeline protocol violation")

@@ -14,7 +14,11 @@ package runtime
 // Send side: the writer goroutine assembles each frame in one per-link
 // buffer and hands it to the connection in exactly one Write, heartbeats
 // included, so a fault injector that acts per Write (simnet.Chaos) swallows
-// or truncates whole frames.
+// or truncates whole frames. Once a tensor is framed the link is done with
+// it: one that was given to the link (give) goes back to the tensor pool
+// there and then, and either way the frame is counted as serialized, which
+// is what lets the owner of a tensor that was only lent (send) return it
+// later (see the sent-before-released check in dist.go).
 //
 // Receive side: recv checks the header fail-closed — magic, micro ≥ 0,
 // 1…MaxFrameDims positive dims, overflow-safe element count ≤ MaxFrameElems,
@@ -23,8 +27,9 @@ package runtime
 // for non-finite values. A payload above frameChunk is first gathered in a
 // buffer that grows with the bytes that actually arrive, so a hostile length
 // prefix on a truncated stream cannot force a large allocation. The tensor
-// recv returns belongs to the caller, who may hand it back with
-// tensor.PutBuf once nothing references it (see runStage).
+// recv returns belongs to the caller, who hands it back with tensor.PutBuf
+// once nothing references it (a stage gives it to the micro-batch's record,
+// see dist.go).
 //
 // PR 4 hardened the server-side flnet transport against misbehaving
 // networks; this file gives the pipeline's peer-to-peer links the same
@@ -53,7 +58,9 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecofl/internal/flnet"
@@ -186,6 +193,7 @@ func appendFrameHeader(dst []byte, micro, ndims, payloadLen int) []byte {
 // appendFrame appends the data frame carrying t for micro-batch micro. It
 // encodes what it is given; validation is the receiver's job.
 func appendFrame(dst []byte, micro int, t *tensor.Tensor) []byte {
+	dst = slices.Grow(dst, frameHeaderSize+4*len(t.Shape)+8*len(t.Data))
 	dst = appendFrameHeader(dst, micro, len(t.Shape), 8*len(t.Data))
 	for _, d := range t.Shape {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(d)))
@@ -193,10 +201,12 @@ func appendFrame(dst []byte, micro int, t *tensor.Tensor) []byte {
 	return wire.AppendRaw(dst, t.Data)
 }
 
-// outFrame is one queued send.
+// outFrame is one queued send. An owned tensor is the writer's to return to
+// the pool once the frame buffer holds its copy.
 type outFrame struct {
 	micro int
 	t     *tensor.Tensor
+	owned bool
 }
 
 // link is one duplex neighbour connection. Sends are asynchronous through a
@@ -210,8 +220,17 @@ type link struct {
 	opts LinkOptions
 	out  chan outFrame
 	done chan struct{}
-	mu   sync.Mutex
-	werr error
+	// serialized counts the data frames the writer has copied into its frame
+	// buffer. Frames leave in queue order, so the n-th tensor queued is out
+	// of the sender's hands once the count exceeds n.
+	serialized atomic.Int64
+	// mu guards werr and the close/heartbeat hand-shake: closing is set by
+	// close, heartbeating brackets a keepalive Write, and whichever of the
+	// two sides moves the write deadline does so under mu (see heartbeat).
+	mu           sync.Mutex
+	werr         error
+	closing      bool
+	heartbeating bool
 	// Armed connection deadlines. Deadlines are set for 2× the configured
 	// timeout and only re-armed once they no longer guarantee a full timeout
 	// of patience, so back-to-back frames skip the per-frame timer churn
@@ -239,7 +258,9 @@ func newLink(c net.Conn, depth int, opts LinkOptions) *link {
 
 // writer drains the send queue onto the connection, interleaving heartbeats
 // whenever the queue has been idle for a heartbeat interval. After the first
-// write error it keeps draining so senders never block on a dead link.
+// write error it keeps draining so senders never block on a dead link, but
+// touches no tensor: the round is aborting, and an aborted round returns
+// nothing to the pool.
 func (l *link) writer() {
 	defer close(l.done)
 	var tickC <-chan time.Time
@@ -254,59 +275,129 @@ func (l *link) writer() {
 			if !ok {
 				return
 			}
+			if l.sendErr() != nil {
+				continue
+			}
 			l.wbuf = appendFrame(l.wbuf[:0], f.micro, f.t)
+			if f.owned {
+				tensor.PutBuf(f.t)
+			}
+			l.serialized.Add(1)
 			if l.write(l.wbuf) {
 				linkFramesSent.Inc()
 				linkBytesSent.Add(int64(len(l.wbuf)))
 			}
 		case <-tickC:
-			if l.write(heartbeatFrame) {
-				linkHeartbeatsTotal.Inc()
-			}
+			l.heartbeat()
 		}
 	}
 }
 
-// write hands one whole frame to the connection in a single Write under the
-// send deadline, recording the first failure. Returns whether it went out.
-func (l *link) write(frame []byte) bool {
+// sendErr returns the link's first write failure, if any.
+func (l *link) sendErr() error {
 	l.mu.Lock()
-	failed := l.werr != nil
-	l.mu.Unlock()
-	if failed {
-		return false // drain mode: the round is already doomed on this link
+	defer l.mu.Unlock()
+	return l.werr
+}
+
+// fail records the link's first write failure and makes it self-announcing:
+// closing the connection unparks the peer's blocking read (EOF) even when no
+// deadlines are set, so a one-sided write fault can never strand the round.
+func (l *link) fail(err error) {
+	l.mu.Lock()
+	if l.werr == nil {
+		l.werr = err
 	}
+	l.mu.Unlock()
+	l.conn.Close()
+}
+
+// armWriteDeadline gives the next Write a full SendTimeout of patience.
+func (l *link) armWriteDeadline() {
 	if l.opts.SendTimeout > 0 {
 		if now := time.Now(); l.wDeadline.Before(now.Add(l.opts.SendTimeout)) {
 			l.wDeadline = now.Add(2 * l.opts.SendTimeout)
 			l.conn.SetWriteDeadline(l.wDeadline)
 		}
 	}
+}
+
+// write hands one whole data frame to the connection in a single Write under
+// the send deadline. Returns whether it went out.
+func (l *link) write(frame []byte) bool {
+	l.armWriteDeadline()
 	if _, err := l.conn.Write(frame); err != nil {
-		l.mu.Lock()
-		if l.werr == nil {
-			l.werr = err
-		}
-		l.mu.Unlock()
-		// Make the failure self-announcing: closing the connection unparks
-		// the peer's blocking read (EOF) even when no deadlines are set, so
-		// a one-sided write fault can never strand the round.
-		l.conn.Close()
+		l.fail(err)
 		return false
 	}
 	return true
 }
 
-func (l *link) send(micro int, t *tensor.Tensor) error {
+// heartbeat writes one keepalive, in a single Write like any frame. A peer
+// that has finished its round no longer reads, and on a synchronous
+// connection a keepalive written then parks — for good when there is no send
+// deadline — so close must be able to get it out of the way: while
+// heartbeating is set, close expires the write deadline. Both sides move the
+// deadline under mu only, so close can never expire a deadline that a data
+// frame will be written under: either close sees heartbeating and this
+// function restores the deadline once its Write is back, or close comes
+// later and leaves the deadline alone. A keepalive interrupted before its
+// first byte left is skipped, and the queue keeps draining; one cut short
+// mid-frame has broken the framing and fails the link like any write error.
+func (l *link) heartbeat() {
 	l.mu.Lock()
-	err := l.werr
+	if l.closing || l.werr != nil {
+		l.mu.Unlock()
+		return
+	}
+	l.heartbeating = true
+	l.armWriteDeadline()
 	l.mu.Unlock()
-	if err != nil {
+
+	n, err := l.conn.Write(heartbeatFrame)
+
+	l.mu.Lock()
+	l.heartbeating = false
+	skipped := false
+	if l.closing {
+		l.wDeadline = time.Time{}
+		l.conn.SetWriteDeadline(l.wDeadline)
+		skipped = err != nil && n == 0
+	}
+	l.mu.Unlock()
+	switch {
+	case skipped:
+	case err != nil:
+		l.fail(err)
+	default:
+		linkHeartbeatsTotal.Inc()
+	}
+}
+
+// send queues t for micro-batch micro. The tensor stays the caller's, who
+// must keep it intact until the writer has serialized it (sent reports that).
+func (l *link) send(micro int, t *tensor.Tensor) error {
+	return l.enqueue(outFrame{micro: micro, t: t})
+}
+
+// give is send with the tensor handed over: the writer returns it to the
+// pool once it is framed, and the caller must not touch it again.
+func (l *link) give(micro int, t *tensor.Tensor) error {
+	return l.enqueue(outFrame{micro: micro, t: t, owned: true})
+}
+
+func (l *link) enqueue(f outFrame) error {
+	if err := l.sendErr(); err != nil {
 		return err
 	}
-	l.out <- outFrame{micro, t}
+	l.out <- f
 	return nil
 }
+
+// sent reports whether the writer has serialized the n-th data frame queued
+// on this link (counting from 0): the frame buffer holds its bytes, and the
+// tensor it was made from is no longer read.
+func (l *link) sent(n int) bool { return l.serialized.Load() > int64(n) }
 
 // recv blocks for the next data frame, skipping heartbeats, enforcing the
 // per-frame deadline and the overall data-frame budget, and validating the
@@ -466,8 +557,16 @@ func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 // close flushes and stops the writer, and disarms any pending connection
 // deadline so its backing timer is released now instead of lingering in the
 // timer heap until it fires (links are re-dialed every round, so stale
-// timers would otherwise accumulate by the thousand).
+// timers would otherwise accumulate by the thousand). Queued data frames are
+// still written; a keepalive in flight is interrupted (see heartbeat), since
+// nothing guarantees the peer will ever read it.
 func (l *link) close() {
+	l.mu.Lock()
+	l.closing = true
+	if l.heartbeating {
+		l.conn.SetWriteDeadline(time.Unix(1, 0))
+	}
+	l.mu.Unlock()
 	close(l.out)
 	<-l.done
 	if l.opts.SendTimeout > 0 || l.opts.RecvTimeout > 0 {

@@ -17,10 +17,14 @@ import (
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
+	"ecofl/internal/obs/leakcheck"
 	"ecofl/internal/tensor"
 )
 
-// writeLog records the length of every Write a link makes.
+// writeLog records the length of every Write a link makes that the
+// connection accepts. (A Write it refuses whole delivered nothing: close
+// interrupts a keepalive in flight that way. One cut short mid-frame is
+// logged at its full length and shows as a mismatch.)
 type writeLog struct {
 	net.Conn
 	mu   sync.Mutex
@@ -28,10 +32,13 @@ type writeLog struct {
 }
 
 func (c *writeLog) Write(b []byte) (int, error) {
-	c.mu.Lock()
-	c.lens = append(c.lens, len(b))
-	c.mu.Unlock()
-	return c.Conn.Write(b)
+	n, err := c.Conn.Write(b)
+	if n > 0 || err == nil {
+		c.mu.Lock()
+		c.lens = append(c.lens, len(b))
+		c.mu.Unlock()
+	}
+	return n, err
 }
 
 // TestOneWritePerFrame pins the contract simnet.Chaos relies on: every
@@ -86,6 +93,41 @@ func TestOneWritePerFrame(t *testing.T) {
 	if fmt.Sprint(wl.lens) != fmt.Sprint(frameLens) {
 		t.Fatalf("writes %v do not line up with frames %v", wl.lens, frameLens)
 	}
+}
+
+// TestCloseUnparksHeartbeatWrite: a stage that has finished its round stops
+// reading, so on a synchronous connection with no send deadline a keepalive
+// written after that parks in Write for good — and close, which waits for
+// the writer, used to wait with it. close must interrupt the keepalive.
+func TestCloseUnparksHeartbeatWrite(t *testing.T) {
+	baseline := leakcheck.Baseline()
+	a, b := net.Pipe() // b never reads
+	l := newLink(a, 1, LinkOptions{Heartbeat: time.Millisecond})
+	parked := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.heartbeating
+	}
+	for deadline := time.Now().Add(5 * time.Second); !parked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never started a keepalive")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		l.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Error("close is still waiting behind a parked keepalive write after 1s")
+		a.Close() // unpark it the hard way so the test can end
+		<-closed
+	}
+	a.Close()
+	b.Close()
+	leakcheck.Check(t, baseline)
 }
 
 // TestFrameCodecParity checks the two payload paths against each other and

@@ -125,7 +125,7 @@ func order1F1B(m, k int) []op {
 	if k < 1 {
 		k = 1
 	}
-	var ops []op
+	ops := make([]op, 0, 2*m)
 	for i := 0; i < k; i++ {
 		ops = append(ops, op{true, i})
 	}
@@ -139,22 +139,26 @@ func order1F1B(m, k int) []op {
 }
 
 // splitMicroBatches slices a mini-batch into micro-batches of mbs samples,
-// preserving the per-sample tensor shape (e.g. NCHW for CNNs).
+// preserving the per-sample tensor shape (e.g. NCHW for CNNs). Nothing is
+// copied: each micro-batch is a view of its rows of x, so it must be treated
+// like x itself — read, never written, never returned to the tensor pool.
 func splitMicroBatches(x *tensor.Tensor, labels []int, mbs int) ([]*tensor.Tensor, [][]int) {
 	rows := x.Rows()
 	sampleLen := x.Cols()
-	var micros []*tensor.Tensor
-	var microLabels [][]int
-	for start := 0; start < rows; start += mbs {
-		end := start + mbs
-		if end > rows {
-			end = rows
-		}
-		shape := append([]int{end - start}, x.Shape[1:]...)
-		mb := tensor.New(shape...)
-		copy(mb.Data, x.Data[start*sampleLen:end*sampleLen])
-		micros = append(micros, mb)
-		microLabels = append(microLabels, labels[start:end])
+	m := (rows + mbs - 1) / mbs
+	views := make([]tensor.Tensor, m)
+	shapes := make([]int, m*len(x.Shape))
+	micros := make([]*tensor.Tensor, m)
+	microLabels := make([][]int, m)
+	for i := range micros {
+		start := i * mbs
+		end := min(start+mbs, rows)
+		shape := shapes[i*len(x.Shape) : (i+1)*len(x.Shape) : (i+1)*len(x.Shape)]
+		copy(shape, x.Shape)
+		shape[0] = end - start
+		views[i] = tensor.Tensor{Shape: shape, Data: x.Data[start*sampleLen : end*sampleLen : end*sampleLen]}
+		micros[i] = &views[i]
+		microLabels[i] = labels[start:end]
 	}
 	return micros, microLabels
 }

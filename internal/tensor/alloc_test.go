@@ -14,15 +14,14 @@ import (
 //
 // The kernel itself allocates nothing: each MatMul*Into has one body, a named
 // row-range function, and runRows calls it directly when the work stays on
-// the caller. The closure that carries the operands to pool workers is built
-// inside the parallel branch only, so the serial path never pays for it (it
-// used to: 1 allocation per kernel call, 6 per MLP training step).
+// the caller.
 //
-// The parallel path adds O(Parallelism): that closure, one wrapper closure
-// per submitted block and the WaitGroup — independent of matrix size.
+// The parallel path adds nothing either — a fan-out is a pooled job record
+// whose blocks the workers claim; TestParallelKernelAllocFree is the exact
+// pin — so matMulParallelExtras is slack, not an expectation.
 const (
 	matMulSerialAllocs   = 4
-	matMulParallelExtras = 16 // generous bound for blocks + sync at p=8
+	matMulParallelExtras = 16
 )
 
 func TestMatMulAllocBudget(t *testing.T) {
@@ -62,5 +61,47 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y) }); got != 0 {
 			t.Errorf("serial %s allocates %.0f/op, want 0", name, got)
 		}
+	}
+}
+
+// TestParallelKernelAllocFree pins the fan-out: a product large enough to be
+// split across the pool allocates as little as one that is not. The three
+// matmul kernels cost nothing; ParallelFor costs the one closure its caller
+// builds to carry the captured variable, exactly what the serial path costs.
+func TestParallelKernelAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(1))
+	x := Randn(rng, 1, 64, 64) // 2·64³ = 2¹⁹ scalar operations, above minParallelWork
+	y := Randn(rng, 1, 64, 64)
+	dst := New(64, 64)
+	SetParallelism(4)
+	defer requestedParallelism.Store(0)
+	split := parallelForParallel.Value()
+	for name, kernel := range map[string]func(dst, a, b *Tensor) *Tensor{
+		"MatMulInto": MatMulInto, "MatMulATInto": MatMulATInto, "MatMulBTInto": MatMulBTInto,
+	} {
+		kernel(dst, x, y) // start the workers, fill the completion pool
+		if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y) }); got != 0 {
+			t.Errorf("parallel %s allocates %.0f/op, want 0", name, got)
+		}
+	}
+	body := func(work int) func() {
+		return func() {
+			var sum [64]float64
+			ParallelFor(64, work, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					sum[i] = x.Data[i]
+				}
+			})
+		}
+	}
+	serial := testing.AllocsPerRun(100, body(1))
+	if got := testing.AllocsPerRun(100, body(1<<20)); got != serial {
+		t.Errorf("parallel ParallelFor allocates %.0f/op, the same call kept on the caller %.0f", got, serial)
+	}
+	if parallelForParallel.Value() == split {
+		t.Fatal("nothing was split across the pool; the test measured the serial path")
 	}
 }

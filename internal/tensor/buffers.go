@@ -15,16 +15,21 @@ import (
 // Who returns what: a kernel's own scratch goes back inside the call that
 // drew it (Dense/Conv2D weight-gradient buffers, SGD's step scratch); a
 // layer's outputs belong to whoever called Forward/Backward, and the callers
-// that know a tensor is dead return it — nn.Network.TrainBatch for the
-// activations and gradients of its step, the pipeline runtime for tensors a
-// link received, fl's local update for its mini-batch buffer. Between steps
-// the scratch lives here, not on a model: sync.Pool frees what two GC cycles
-// have not reused, so an idle client pins nothing.
+// that know a tensor is dead return it. For the activations and gradients of
+// a forward/backward pass that knowledge is written once, in nn.Pass: the
+// single-device step (nn.Network.TrainBatch, Loss, Accuracy) runs one record,
+// a 1F1B stage of the distributed pipeline one per micro-batch in flight,
+// owning what its link received. Beside that, a pipeline link's writer returns
+// a tensor it was given once it is framed, and fl's local update its
+// mini-batch buffer. Between steps the scratch lives here, not on a model or a
+// pipeline: sync.Pool frees what two GC cycles have not reused, so an idle
+// client pins nothing.
 //
 // Ownership discipline: Put a tensor only when nothing still reads its
 // storage. A tensor whose storage is a view of another's (nn.Flatten shares
-// Data with its input; an eval-mode nn.Dropout returns its input itself) must
-// not go back while the other is in use — SharesStorage is the test.
+// Data with its input; an eval-mode nn.Dropout returns its input itself; the
+// pipeline's micro-batches are views of the caller's batch) must not go back
+// while the other is in use — SharesStorage is the test.
 
 var bufPools sync.Map // element count → *sync.Pool of *Tensor
 

@@ -15,6 +15,14 @@ import (
 // accumulation order is identical to the serial kernels and results are
 // bit-identical at any parallelism level — experiment curves never depend on
 // the machine the simulation ran on.
+//
+// A fan-out is described once, in a job drawn from a pool — the kernel and
+// its operands, or a ParallelFor body, the range and the completion counter —
+// and what travels over the one work queue is a pointer to it: whoever
+// receives it claims the job's next block. No closure is built and nothing is
+// allocated: a parallel MatMul*Into costs what a serial one does, zero
+// (TestParallelKernelAllocFree), and a parallel ParallelFor costs only the
+// closure its caller wrote.
 
 // minParallelWork is the approximate scalar-operation count below which a
 // kernel stays on the calling goroutine: small matrices would spend more
@@ -28,7 +36,7 @@ var (
 
 	workerMu    sync.Mutex
 	workerCount int
-	workQueue   chan func()
+	workQueue   chan *job
 )
 
 // Pool observability: resident-worker busy/idle split and task throughput.
@@ -80,16 +88,16 @@ func SetParallelism(n int) {
 func ensureWorkers(n int) {
 	workerMu.Lock()
 	if workQueue == nil {
-		workQueue = make(chan func(), 128)
+		workQueue = make(chan *job, 128) // one fan-out queues Parallelism()−1 blocks; beyond that, inline
 	}
 	for workerCount < n {
 		workerCount++
 		go func() {
 			idleSince := time.Now()
-			for f := range workQueue {
+			for j := range workQueue {
 				t0 := time.Now()
 				poolIdleNanos.Add(t0.Sub(idleSince).Nanoseconds())
-				f()
+				j.runBlock()
 				idleSince = time.Now()
 				poolBusyNanos.Add(idleSince.Sub(t0).Nanoseconds())
 				poolTasksTotal.Inc()
@@ -100,15 +108,54 @@ func ensureWorkers(n int) {
 	workerMu.Unlock()
 }
 
-// submit hands f to a pool worker, or runs it inline when the queue is
-// saturated. Running inline keeps ParallelFor deadlock-free by construction:
-// no task ever waits on queue capacity.
-func submit(f func()) {
+// rowKernel is a matmul kernel body: it computes output rows [lo, hi) of
+// dst from a and b.
+type rowKernel func(dst, a, b *Tensor, lo, hi int)
+
+// body is what a fan-out runs over its row range: a matmul kernel on dst, a
+// and b or — when kernel is nil — a ParallelFor body.
+type body struct {
+	kernel    rowKernel
+	dst, a, b *Tensor
+	fn        func(lo, hi int)
+}
+
+// job is one fan-out in progress: the body over [0, n) in blocks of chunk
+// rows. Blocks are claimed, not assigned — next counts the claims — which
+// changes who computes a block, never what it computes.
+type job struct {
+	body
+	n, chunk int
+	next     atomic.Int32
+	done     sync.WaitGroup
+}
+
+// runBlock claims the job's next block and runs it.
+func (j *job) runBlock() {
+	lo := int(j.next.Add(1)-1) * j.chunk
+	hi := min(lo+j.chunk, j.n)
+	if j.kernel != nil {
+		j.kernel(j.dst, j.a, j.b, lo, hi)
+	} else {
+		j.fn(lo, hi)
+	}
+	j.done.Done()
+}
+
+// jobs recycles job records: one that workers point to lives on the heap, and
+// once its Wait has returned every block has been claimed and finished, so
+// nothing points to it any more and it is free to describe the next fan-out.
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// submit hands one block of j to a pool worker, or runs it inline when the
+// queue is saturated. Running inline keeps ParallelFor deadlock-free by
+// construction: no block ever waits on queue capacity.
+func submit(j *job) {
 	select {
-	case workQueue <- f:
+	case workQueue <- j:
 	default:
 		poolInlineTotal.Inc()
-		f()
+		j.runBlock()
 	}
 }
 
@@ -141,46 +188,36 @@ func ParallelFor(n, work int, fn func(lo, hi int)) {
 		return
 	}
 	if p := blocksFor(n, work); p > 1 {
-		fanOut(n, p, fn)
+		fanOut(n, p, body{fn: fn})
 	} else {
 		fn(0, n)
 	}
 }
 
-// fanOut runs fn over [0, n) in p ≥ 2 contiguous blocks: the first on the
-// caller, the rest on pool workers.
-func fanOut(n, p int, fn func(lo, hi int)) {
+// fanOut runs b over [0, n) in p ≥ 2 contiguous blocks: one on the caller,
+// the rest on pool workers.
+func fanOut(n, p int, b body) {
 	ensureWorkers(p - 1)
-	chunk := (n + p - 1) / p
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo := lo
-		wg.Add(1)
-		submit(func() {
-			fn(lo, hi)
-			wg.Done()
-		})
+	j := jobs.Get().(*job)
+	j.body, j.n, j.chunk = b, n, (n+p-1)/p
+	blocks := (n + j.chunk - 1) / j.chunk
+	j.next.Store(0)
+	j.done.Add(blocks)
+	for i := 1; i < blocks; i++ {
+		submit(j)
 	}
-	fn(0, chunk)
-	wg.Wait()
+	j.runBlock()
+	j.done.Wait()
+	j.body = body{} // a pooled job must not keep operands alive
+	jobs.Put(j)
 }
 
-// rowKernel is a matmul kernel body: it computes output rows [lo, hi) of
-// dst from a and b.
-type rowKernel func(dst, a, b *Tensor, lo, hi int)
-
 // runRows computes all rows of dst with kernel, split across the worker pool
-// exactly as ParallelFor would. On the inline path — every small-model
-// training step — the body is called directly: the closure that carries the
-// operands to pool workers is built only when there are workers to carry
-// them to, so a serial kernel call allocates nothing.
+// exactly as ParallelFor would; a product too small to split is computed by a
+// direct call.
 func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work int) {
 	if p := blocksFor(rows, work); p > 1 {
-		fanOut(rows, p, func(lo, hi int) { kernel(dst, a, b, lo, hi) })
+		fanOut(rows, p, body{kernel: kernel, dst: dst, a: a, b: b})
 	} else {
 		kernel(dst, a, b, 0, rows)
 	}

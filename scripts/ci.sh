@@ -41,6 +41,12 @@ go test -race -short ./internal/tensor/... ./internal/nn/... ./internal/data/...
 # the -count=10 lines below). The model check rides along; it is 0.2 s a run.
 go test -race -count=20 -run '^(TestReaperKeepsLiveAck|TestSessionModel)$' ./internal/flnet
 
+# The pipeline stages' ownership pins, repeated under the race detector: a
+# tensor returned to the shared pool too early, or twice, shows as an
+# overwrite by whichever goroutine draws it next — scheduling-dependent, so
+# one green run means nothing.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling)$' ./internal/pipeline/runtime
+
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
 # returning flake shows here and not in some later change's gate.
