@@ -29,7 +29,7 @@ func main() {
 	id := flag.Int("id", 0, "portal id (selects the data shard)")
 	of := flag.Int("of", 4, "total number of portals (shard count)")
 	rounds := flag.Int("rounds", 10, "pull/train/push rounds")
-	stages := flag.Int("stages", 3, "pipeline stages (in-home devices)")
+	stages := flag.Int("stages", 2, "pipeline stages (in-home devices); at most 2, one per model block")
 	mbs := flag.Int("mbs", 8, "micro-batch size")
 	batch := flag.Int("batch", 32, "mini-batch size per sync-round")
 	lr := flag.Float64("lr", 0.05, "learning rate")
@@ -64,12 +64,15 @@ func main() {
 	shards := data.PartitionByClasses(rng, ds, *of, 2)
 	shard := shards[*id]
 
-	// The trainable must match the server's architecture exactly; hidden
-	// widths are split across pipeline stages.
-	widths := []int{*hidden}
-	tr := model.NewTrainableMLP(rand.New(rand.NewSource(*modelSeed)), "portal", *dim, widths, *classes)
+	// The trainable must match the server's architecture exactly: one hidden
+	// layer, so two blocks (hidden, classifier) and at most two stages.
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(*modelSeed)), "portal", *dim, []int{*hidden}, *classes)
+	if *stages < 1 || *stages > len(tr.Blocks) {
+		log.Fatalf("ecofl-portal: --stages %d out of range [1,%d]: a stage needs at least one model block, and ecofl-server fixes the architecture at one hidden layer",
+			*stages, len(tr.Blocks))
+	}
 	cuts := make([]int, 0, *stages-1)
-	for c := 1; c < len(tr.Blocks) && len(cuts) < *stages-1; c++ {
+	for c := 1; c < *stages; c++ {
 		cuts = append(cuts, c)
 	}
 	pipe, err := runtime.NewDistributed(tr, cuts, runtime.TCPLinks())

@@ -31,13 +31,6 @@ type Monitor struct {
 	history []float64
 }
 
-// Report records a measurement for stage s and reports whether the
-// deviation from history exceeds the threshold.
-func (m *Monitor) Report(s int, execTime float64) bool {
-	dev, _ := m.Check(s, execTime)
-	return dev > m.Threshold
-}
-
 // Check is the deviation rule itself, shared with the fleet straggler
 // detector (internal/flnet): it records a measurement for key s, folds it
 // into the EMA history, and returns the relative deviation |cur−hist|/hist

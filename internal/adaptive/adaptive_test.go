@@ -11,13 +11,17 @@ import (
 
 func TestMonitorDetectsDeviation(t *testing.T) {
 	var m Monitor
-	if m.Report(0, 1.0) {
+	exceeds := func(s int, execTime float64) bool {
+		dev, _ := m.Check(s, execTime)
+		return m.Exceeds(dev)
+	}
+	if exceeds(0, 1.0) {
 		t.Fatal("first report establishes history, no trigger")
 	}
-	if m.Report(0, 1.05) {
+	if exceeds(0, 1.05) {
 		t.Fatal("5% deviation below default threshold must not trigger")
 	}
-	if !m.Report(0, 2.0) {
+	if !exceeds(0, 2.0) {
 		t.Fatal("~90% deviation must trigger")
 	}
 	if m.History(0) <= 1.0 {
@@ -56,12 +60,12 @@ func TestMonitorCheckDirectionAndDeviation(t *testing.T) {
 
 func TestMonitorPerStageIsolation(t *testing.T) {
 	var m Monitor
-	m.Report(0, 1.0)
-	m.Report(1, 4.0)
-	if m.Report(1, 4.1) {
+	m.Check(0, 1.0)
+	m.Check(1, 4.0)
+	if dev, _ := m.Check(1, 4.1); m.Exceeds(dev) {
 		t.Fatal("stage 1 stable, must not trigger")
 	}
-	if !m.Report(0, 3.0) {
+	if dev, _ := m.Check(0, 3.0); !m.Exceeds(dev) {
 		t.Fatal("stage 0 spiked, must trigger")
 	}
 }

@@ -58,6 +58,12 @@ var (
 // ErrNoSurvivors is returned when every pipeline device has been killed.
 var ErrNoSurvivors = errors.New("executor: no surviving devices")
 
+// Retries between heal attempts are paced under the flnet backoff policy.
+const (
+	healBackoffBase = 10 * time.Millisecond
+	healBackoffMax  = 400 * time.Millisecond
+)
+
 // Config describes a self-healing pipeline deployment.
 type Config struct {
 	// Trainable is the model; its Blocks align 1-to-1 with Spec layers.
@@ -82,11 +88,6 @@ type Config struct {
 	// MaxHeals bounds recovery attempts per round before giving up
 	// (default 8; negative disables healing).
 	MaxHeals int
-	// BackoffBase/BackoffMax pace retries between heal attempts under the
-	// flnet backoff policy (defaults 10ms/400ms). JitterSeed seeds the
-	// jitter stream (0 derives one).
-	BackoffBase, BackoffMax time.Duration
-	JitterSeed              int64
 	// Trace, when non-nil, records abort/migration spans.
 	Trace *obs.Trace
 	// Journal, when non-nil, is the flight recorder: every heal-path
@@ -158,21 +159,12 @@ func New(cfg Config) (*Executor, error) {
 	if cfg.MaxHeals == 0 {
 		cfg.MaxHeals = 8
 	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 10 * time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 400 * time.Millisecond
-	}
-	if cfg.JitterSeed == 0 {
-		cfg.JitterSeed = int64(len(cfg.Devices)) + 7
-	}
 	e := &Executor{
 		cfg:      cfg,
 		spec:     cfg.Trainable.Spec,
 		devs:     device.CloneAll(cfg.Devices),
 		monitor:  cfg.Monitor,
-		rng:      rand.New(rand.NewSource(cfg.JitterSeed)),
+		rng:      rand.New(rand.NewSource(int64(len(cfg.Devices)) + 7)),
 		alive:    make([]bool, len(cfg.Devices)),
 		delays:   make([]time.Duration, len(cfg.Devices)),
 		baseStep: make([]float64, len(cfg.Devices)),
@@ -376,13 +368,6 @@ func (e *Executor) Stages() []pipeline.Stage {
 // Network returns the trained network (shared parameters).
 func (e *Executor) Network() *nn.Network { return e.cfg.Trainable.Network() }
 
-// Rounds returns the number of committed sync-rounds.
-func (e *Executor) Rounds() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.round
-}
-
 // TrainRound runs one sync-round to commit, healing as needed: a fault
 // aborts the round (no weights committed), the executor re-partitions the
 // survivors if a device died, ships moved weight segments over fresh links,
@@ -427,7 +412,7 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 				"attempts", strconv.Itoa(attempt))
 			return 0, fmt.Errorf("executor: round %d unrecoverable after %d heal attempts: %w", e.round, attempt, err)
 		}
-		time.Sleep(flnet.BackoffDelay(attempt+1, e.cfg.BackoffBase, e.cfg.BackoffMax, e.rng))
+		time.Sleep(flnet.BackoffDelay(attempt+1, healBackoffBase, healBackoffMax, e.rng))
 		if herr := e.heal(); herr != nil {
 			return 0, herr
 		}

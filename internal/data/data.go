@@ -20,7 +20,6 @@ package data
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"ecofl/internal/stats"
@@ -298,73 +297,6 @@ func PartitionByClasses(rng *rand.Rand, d *Dataset, n, classesPerClient int) []*
 		subs[c] = sub
 	}
 	return subs
-}
-
-// PartitionDirichlet draws each client's label mixture from a Dirichlet(α)
-// distribution — the standard tunable non-IID benchmark in the FL
-// literature. Small α (e.g. 0.1) gives near-single-class clients; large α
-// approaches IID. Complements the paper's shard-based 2-class partition.
-func PartitionDirichlet(rng *rand.Rand, d *Dataset, n int, alpha float64) []*Subset {
-	if alpha <= 0 {
-		panic("data: Dirichlet concentration must be positive")
-	}
-	byLabel := make([][]int, d.NumClasses)
-	for i, y := range d.Y {
-		byLabel[y] = append(byLabel[y], i)
-	}
-	for _, idxs := range byLabel {
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-	}
-	subs := make([]*Subset, n)
-	for i := range subs {
-		subs[i] = &Subset{Parent: d}
-	}
-	// For each class, split its examples among clients with Dirichlet(α)
-	// proportions sampled via normalized Gamma(α, 1) draws.
-	for _, idxs := range byLabel {
-		props := make([]float64, n)
-		var total float64
-		for i := range props {
-			props[i] = gammaSample(rng, alpha)
-			total += props[i]
-		}
-		cursor := 0
-		for c := 0; c < n; c++ {
-			share := int(float64(len(idxs)) * props[c] / total)
-			if c == n-1 {
-				share = len(idxs) - cursor
-			}
-			subs[c].Indices = append(subs[c].Indices, idxs[cursor:cursor+share]...)
-			cursor += share
-		}
-	}
-	return subs
-}
-
-// gammaSample draws from Gamma(shape, 1) using Marsaglia–Tsang (with the
-// boost for shape < 1).
-func gammaSample(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		// Gamma(a) = Gamma(a+1) · U^(1/a)
-		return gammaSample(rng, shape+1) * math.Pow(rng.Float64(), 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }
 
 // PartitionRLGIID implements the paper's RLG-IID setting: clients are

@@ -241,57 +241,6 @@ func TestPartitionDisjointProperty(t *testing.T) {
 	}
 }
 
-func TestPartitionDirichletSkewControl(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d := MNISTLike(rng, 4000)
-	skewAt := func(alpha float64) float64 {
-		subs := PartitionDirichlet(rand.New(rand.NewSource(5)), d, 20, alpha)
-		var total float64
-		n := 0
-		for _, s := range subs {
-			if s.Len() == 0 {
-				continue
-			}
-			total += stats.JS(s.Distribution(), stats.NewUniform(10))
-			n++
-		}
-		return total / float64(n)
-	}
-	concentrated := skewAt(0.1)
-	spread := skewAt(100)
-	if concentrated <= spread {
-		t.Fatalf("smaller α must be more skewed: α=0.1 JS %v vs α=100 JS %v", concentrated, spread)
-	}
-	if spread > 0.05 {
-		t.Fatalf("α=100 should be near IID, JS %v", spread)
-	}
-	// Partition must be disjoint and cover everything.
-	subs := PartitionDirichlet(rand.New(rand.NewSource(6)), d, 20, 0.5)
-	seen := map[int]bool{}
-	for _, s := range subs {
-		for _, i := range s.Indices {
-			if seen[i] {
-				t.Fatal("Dirichlet partition overlaps")
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != d.Len() {
-		t.Fatalf("Dirichlet partition covers %d of %d", len(seen), d.Len())
-	}
-}
-
-func TestPartitionDirichletValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	d := MNISTLike(rng, 100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive alpha must panic")
-		}
-	}()
-	PartitionDirichlet(rng, d, 4, 0)
-}
-
 func TestImageLikeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	d := ImageLike(rng, 60, 12, 4, 0.4)

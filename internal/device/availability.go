@@ -106,22 +106,6 @@ func (tr *AvailabilityTrace) OnlineThrough(from, to float64) bool {
 	return i >= 0 && tr.sessions[i].End >= to
 }
 
-// NextOnline returns the earliest time ≥ t the device is online, or +Inf when
-// the trace has no session at or after t. The nil trace returns t.
-func (tr *AvailabilityTrace) NextOnline(t float64) float64 {
-	if tr == nil {
-		return t
-	}
-	i := sort.Search(len(tr.sessions), func(i int) bool { return tr.sessions[i].End > t })
-	if i >= len(tr.sessions) {
-		return math.Inf(1)
-	}
-	if tr.sessions[i].Start <= t {
-		return t
-	}
-	return tr.sessions[i].Start
-}
-
 // OnlineFraction returns the fraction of [0, horizon) the device is online —
 // the measured duty cycle of the trace.
 func (tr *AvailabilityTrace) OnlineFraction(horizon float64) float64 {

@@ -51,7 +51,6 @@ func FuzzParseTraceSet(f *testing.F) {
 			tr := ts.For(id)
 			tr.OnlineAt(0)
 			tr.OnlineThrough(0, 1)
-			tr.NextOnline(0)
 			tr.OnlineFraction(1)
 		}
 		// Accepted documents must survive a re-encode/re-parse round trip.

@@ -37,18 +37,6 @@ func TestTraceQueries(t *testing.T) {
 	if tr.OnlineThrough(5, 15) {
 		t.Error("OnlineThrough starting offline should fail")
 	}
-	if got := tr.NextOnline(0); got != 10 {
-		t.Errorf("NextOnline(0) = %g, want 10", got)
-	}
-	if got := tr.NextOnline(12); got != 12 {
-		t.Errorf("NextOnline(12) = %g, want 12 (already online)", got)
-	}
-	if got := tr.NextOnline(25); got != 30 {
-		t.Errorf("NextOnline(25) = %g, want 30", got)
-	}
-	if got := tr.NextOnline(60); !math.IsInf(got, 1) {
-		t.Errorf("NextOnline past the last session = %g, want +Inf", got)
-	}
 	if got := tr.OnlineFraction(100); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("OnlineFraction(100) = %g, want 0.3", got)
 	}
@@ -56,7 +44,7 @@ func TestTraceQueries(t *testing.T) {
 
 func TestNilTraceAlwaysOnline(t *testing.T) {
 	var tr *AvailabilityTrace
-	if !tr.OnlineAt(123) || !tr.OnlineThrough(0, 1e9) || tr.NextOnline(7) != 7 || tr.OnlineFraction(10) != 1 {
+	if !tr.OnlineAt(123) || !tr.OnlineThrough(0, 1e9) || tr.OnlineFraction(10) != 1 {
 		t.Error("nil trace must behave as always online")
 	}
 	var ts *TraceSet

@@ -268,15 +268,24 @@ func TestHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Direction and magnitude of the paper's three abstract claims.
-	if h.AccuracyUpgrade < 0.05 {
-		t.Fatalf("accuracy upgrade %.3f too small", h.AccuracyUpgrade)
-	}
-	if h.TrainingTimeReduction < 0.3 {
-		t.Fatalf("training time reduction %.3f too small", h.TrainingTimeReduction)
-	}
-	if h.ThroughputGain < 2.6 {
-		t.Fatalf("throughput gain %.2f below the paper's 2.6x", h.ThroughputGain)
+	// The run is seeded and deterministic, so each headline is held within
+	// ±15 % of the value measured at 2617ef6 (seed 1, Quick): a refactor
+	// that halves or doubles one fails here. The floor is the looser second
+	// check: direction and magnitude of the paper's three abstract claims.
+	for _, c := range []struct {
+		name                 string
+		got, measured, floor float64
+	}{
+		{"accuracy upgrade", h.AccuracyUpgrade, 0.2072, 0.05},
+		{"training time reduction", h.TrainingTimeReduction, 0.6861, 0.3},
+		{"throughput gain", h.ThroughputGain, 6.257, 2.6},
+	} {
+		if c.got < 0.85*c.measured || c.got > 1.15*c.measured {
+			t.Errorf("%s %.4f outside ±15%% of the measured %.4f", c.name, c.got, c.measured)
+		}
+		if c.got < c.floor {
+			t.Errorf("%s %.4f below the paper floor %.2f", c.name, c.got, c.floor)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ type Client struct {
 	// TryReadmit reverses — Offline clears automatically when the trace
 	// brings the device back.
 	Offline bool
-	// LastLoss is the client's most recent mean training loss — the
-	// statistical-utility signal guided selection uses (Oort-style).
+	// LastLoss is the client's most recent mean training loss; the
+	// serial-equivalence tests compare it bit for bit.
 	LastLoss float64
 
 	net  *nn.Network

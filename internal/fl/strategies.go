@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"ecofl/internal/fl/robust"
@@ -30,9 +29,6 @@ type RunResult struct {
 	Rounds int
 	// Participation counts how many times each client trained.
 	Participation []int
-	// GroupCurves traces each group model's test accuracy over time when
-	// HierOptions.TrackGroups is set (paper §5.1's intra-group level).
-	GroupCurves map[int][]Point
 	// AvgJS and AvgLatency describe the final grouping (hierarchical
 	// strategies only) — the Fig. 9 axes.
 	AvgJS, AvgLatency float64
@@ -132,39 +128,6 @@ func sample(rng *rand.Rand, clients []*Client, k int) []*Client {
 	}
 	rng.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
 	return active[:k]
-}
-
-// sampleGuided is Oort-inspired utility-based selection: clients with
-// higher recent training loss (more to learn from) are preferred, with an
-// ε fraction chosen at random for exploration. Unvisited clients (LastLoss
-// zero) rank above everyone, so coverage is established first.
-func sampleGuided(rng *rand.Rand, clients []*Client, k int, epsilon float64) []*Client {
-	var active []*Client
-	for _, c := range clients {
-		if !c.Dropped && !c.Offline {
-			active = append(active, c)
-		}
-	}
-	if k >= len(active) {
-		return active
-	}
-	rng.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
-	sort.SliceStable(active, func(i, j int) bool {
-		ui, uj := active[i].LastLoss, active[j].LastLoss
-		if ui == 0 {
-			ui = math.Inf(1)
-		}
-		if uj == 0 {
-			uj = math.Inf(1)
-		}
-		return ui > uj
-	})
-	explore := int(float64(k) * epsilon)
-	sel := append([]*Client(nil), active[:k-explore]...)
-	rest := active[k-explore:]
-	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	sel = append(sel, rest[:explore]...)
-	return sel
 }
 
 // ---------------------------------------------------------------- FedAvg
@@ -380,11 +343,6 @@ type HierOptions struct {
 	// FedATWeighting up-weights slower groups in the global mix, FedAT's
 	// bias correction.
 	FedATWeighting bool
-	// GuidedSelection picks high-loss clients inside each group instead of
-	// sampling uniformly (Oort-style statistical utility, 10% exploration).
-	GuidedSelection bool
-	// TrackGroups records each group model's own accuracy curve.
-	TrackGroups bool
 }
 
 // RunHierarchical simulates a grouping-based hierarchical FL system:
@@ -458,12 +416,7 @@ func RunHierarchical(pop *Population, opts HierOptions) *RunResult {
 			return
 		}
 		ch.sync(start, g.Members, res.Rounds)
-		var sel []*Client
-		if opts.GuidedSelection {
-			sel = sampleGuided(rng, g.Members, perGroup, 0.1)
-		} else {
-			sel = sample(rng, g.Members, perGroup)
-		}
+		sel := sample(rng, g.Members, perGroup)
 		if len(sel) == 0 {
 			eng.Schedule(cfg.MeanDelay, func() { scheduleRound(g) })
 			return
@@ -538,13 +491,6 @@ func RunHierarchical(pop *Population, opts HierOptions) *RunResult {
 			if now-lastEval >= cfg.EvalInterval {
 				res.record(now, pop.Evaluate(w))
 				lastEval = now
-			}
-			if opts.TrackGroups {
-				if res.GroupCurves == nil {
-					res.GroupCurves = make(map[int][]Point)
-				}
-				res.GroupCurves[g.ID] = append(res.GroupCurves[g.ID],
-					Point{Time: now, Accuracy: pop.Evaluate(groupW)})
 			}
 			scheduleRound(g)
 		})

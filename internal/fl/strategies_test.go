@@ -145,52 +145,6 @@ func TestParticipationTracked(t *testing.T) {
 	}
 }
 
-func TestGuidedSelectionPrefersHighLoss(t *testing.T) {
-	pop := testPopulation(41, 20, fastConfig())
-	rng := rand.New(rand.NewSource(1))
-	// Mark some clients with known losses; zero (unvisited) ranks first.
-	for i, c := range pop.Clients {
-		c.LastLoss = float64(i+1) * 0.1
-	}
-	pop.Clients[3].LastLoss = 0 // unvisited
-	sel := sampleGuided(rng, pop.Clients, 5, 0)
-	found := false
-	for _, c := range sel {
-		if c == pop.Clients[3] {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("unvisited client must be selected first")
-	}
-	// The rest should be the highest-loss clients.
-	for _, c := range sel {
-		if c != pop.Clients[3] && c.LastLoss < 1.6 {
-			t.Fatalf("low-loss client %v selected without exploration", c.LastLoss)
-		}
-	}
-}
-
-func TestGuidedSelectionRunsEndToEnd(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Duration = 500
-	pop := testPopulation(42, 24, cfg)
-	res := RunHierarchical(pop, HierOptions{Grouping: GroupEcoFL, GuidedSelection: true})
-	if res.Rounds == 0 || res.FinalAccuracy < 0.3 {
-		t.Fatalf("guided selection run failed: rounds %d acc %.3f", res.Rounds, res.FinalAccuracy)
-	}
-	// LastLoss must have been populated by training.
-	touched := 0
-	for _, c := range pop.Clients {
-		if c.LastLoss > 0 {
-			touched++
-		}
-	}
-	if touched == 0 {
-		t.Fatal("training must record client losses")
-	}
-}
-
 // Federated learning with a convolutional global model on image-shaped
 // shards — the paper's CNN setting end to end.
 func TestHierarchicalWithCNNProto(t *testing.T) {
@@ -251,30 +205,5 @@ func TestTiFLFasterRoundsThanFedAvg(t *testing.T) {
 	// more rounds in the same virtual time.
 	if tifl.Rounds <= avg.Rounds {
 		t.Fatalf("TiFL (%d rounds) should out-pace FedAvg (%d rounds)", tifl.Rounds, avg.Rounds)
-	}
-}
-
-func TestTrackGroupsRecordsPerGroupCurves(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Duration = 400
-	pop := testPopulation(70, 20, cfg)
-	res := RunHierarchical(pop, HierOptions{Grouping: GroupEcoFL, TrackGroups: true})
-	if len(res.GroupCurves) == 0 {
-		t.Fatal("TrackGroups must record per-group curves")
-	}
-	for id, curve := range res.GroupCurves {
-		if len(curve) == 0 {
-			t.Fatalf("group %d has an empty curve", id)
-		}
-		for i := 1; i < len(curve); i++ {
-			if curve[i].Time < curve[i-1].Time {
-				t.Fatalf("group %d curve times must be non-decreasing", id)
-			}
-		}
-	}
-	// Untracked runs carry no group curves.
-	pop2 := testPopulation(70, 20, cfg)
-	if res2 := RunHierarchical(pop2, HierOptions{Grouping: GroupEcoFL}); res2.GroupCurves != nil {
-		t.Fatal("group curves must be nil when not tracked")
 	}
 }

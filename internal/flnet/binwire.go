@@ -214,9 +214,6 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriterSize(cc, 64<<10)
 	fw := wire.Writer{W: bw}
 
-	if s.opts.IdleTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-	}
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {
 		if err != io.EOF {
@@ -225,9 +222,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	srvConnsBinary.Inc()
-	if s.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	ack := wire.Header{Kind: wire.KindHelloAck}
 	if fw.WriteFrame(&ack, nil, nil) != nil || bw.Flush() != nil {
 		return
@@ -235,9 +230,6 @@ func (s *Server) handle(conn net.Conn) {
 
 	var dec requestDecoder
 	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
 		h, payload, trailer, err := fr.Next()
 		if err != nil {
 			if err != io.EOF {
@@ -255,9 +247,11 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		rep := s.dispatch(req)
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
+		// Bounds each reply write so a dead portal cannot pin this
+		// goroutine mid-send. Reads carry no deadline: portals legitimately
+		// go quiet for whole local-training rounds, and Close force-closes
+		// every tracked connection anyway.
+		conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 		rh := wire.Header{Kind: wire.KindReply, A: int32(rep.Version)}
 		var errTrailer []byte
 		if rep.Err != "" {

@@ -76,16 +76,6 @@ type reply struct {
 type ServerOptions struct {
 	// Alpha is the base mixing weight of the asynchronous aggregation.
 	Alpha float64
-	// IdleTimeout bounds how long a connection may sit idle between
-	// requests before the server drops it (a reconnecting client rides
-	// through, and its next push is deduplicated if needed). 0 disables:
-	// portals legitimately go quiet for whole local-training rounds, and
-	// Close force-closes every tracked connection anyway.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write so a dead portal cannot pin a
-	// handler goroutine mid-send. 0 means the 30s default; negative
-	// disables.
-	WriteTimeout time.Duration
 	// Resume restores weights, version, push count and the per-client
 	// sequence numbers from a checkpoint (crash recovery).
 	Resume *Checkpoint
@@ -129,7 +119,8 @@ type ServerOptions struct {
 	NormGateWarmup int
 }
 
-// DefaultTimeout is the default per-round-trip deadline on both ends.
+// DefaultTimeout is the client's default per-round-trip deadline and the
+// server's deadline on each reply write.
 const DefaultTimeout = 30 * time.Second
 
 // Server owns the global model and serves pull/push requests.
@@ -188,9 +179,6 @@ func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
 // version, push count, per-client sequence numbers) instead of init; init's
 // length must match the checkpointed model.
 func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server, error) {
-	if opts.WriteTimeout == 0 {
-		opts.WriteTimeout = DefaultTimeout
-	}
 	if opts.LeaseNow == nil {
 		opts.LeaseNow = time.Now
 	}

@@ -86,7 +86,7 @@ type Header struct {
 // means the defaults.
 type Limits struct {
 	// MaxPayload caps PayloadLen (default 128 MiB — 16M float64 weights,
-	// mirroring the pipeline link's defaultMaxFrameElems).
+	// mirroring the pipeline link's maxFrameElems).
 	MaxPayload int
 	// MaxTrailer caps TrailerLen (default 4 MiB; trailers carry telemetry
 	// snapshots and error strings, never weights).

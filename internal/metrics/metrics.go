@@ -142,9 +142,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return QuantileFromBuckets(buckets, q)
 }
 
-// Bounds returns the histogram's (non-+Inf) upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // DefBuckets is a general-purpose latency bucket layout in seconds, spanning
 // 100 µs to ~10 s.
 var DefBuckets = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}

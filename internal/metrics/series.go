@@ -49,9 +49,6 @@ func (s *Series) Len() int {
 	return s.n
 }
 
-// Capacity returns the ring size.
-func (s *Series) Capacity() int { return len(s.ts) }
-
 // Points returns the stored samples oldest-first.
 func (s *Series) Points() (ts, vs []float64) {
 	s.mu.Lock()
@@ -63,17 +60,6 @@ func (s *Series) Points() (ts, vs []float64) {
 		ts[i], vs[i] = s.ts[j], s.vs[j]
 	}
 	return ts, vs
-}
-
-// Last returns the most recent sample.
-func (s *Series) Last() (t, v float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return 0, 0, false
-	}
-	j := (s.head + s.n - 1) % len(s.ts)
-	return s.ts[j], s.vs[j], true
 }
 
 // Sampler turns point-in-time registry snapshots into bounded history: each

@@ -10,8 +10,8 @@ import (
 
 func TestSeriesRingBuffer(t *testing.T) {
 	s := NewSeries(3)
-	if _, _, ok := s.Last(); ok {
-		t.Fatal("empty series reported a last sample")
+	if s.Len() != 0 {
+		t.Fatal("empty series reported samples")
 	}
 	s.Append(1, 10)
 	s.Append(2, 20)
@@ -32,11 +32,8 @@ func TestSeriesRingBuffer(t *testing.T) {
 			t.Fatalf("after wrap: points = %v %v", ts, vs)
 		}
 	}
-	if lt, lv, ok := s.Last(); !ok || lt != 5 || lv != 50 {
-		t.Fatalf("Last = %v %v %v", lt, lv, ok)
-	}
-	if s.Len() != 3 || s.Capacity() != 3 {
-		t.Fatalf("Len/Capacity = %d/%d", s.Len(), s.Capacity())
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
 	}
 }
 

@@ -229,7 +229,7 @@ type Network struct {
 	// allocations on a two-layer MLP.
 	params    []*Param
 	paramsFor int
-	// pass records the forward pass of a TrainBatchWith, Loss or Accuracy
+	// pass records the forward pass of a TrainBatch, Loss or Accuracy
 	// call; only its slice headers outlive the call.
 	pass Pass
 }
@@ -500,15 +500,10 @@ func (o *SGD) Step(params []*Param) {
 }
 
 // TrainBatch runs one forward/backward/update on a single mini-batch and
-// returns the loss before the update.
+// returns the loss before the update. The step owns every tensor it creates
+// and returns each to the pool as soon as it is dead (see Pass.release); the
+// caller's x never goes back.
 func (n *Network) TrainBatch(x *tensor.Tensor, labels []int, opt *SGD) float64 {
-	return n.TrainBatchWith(x, labels, opt)
-}
-
-// TrainBatchWith is TrainBatch with any optimizer. The step owns every
-// tensor it creates and returns each to the pool as soon as it is dead (see
-// Pass.release); the caller's x never goes back.
-func (n *Network) TrainBatchWith(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
 	n.ZeroGrads()
 	loss, dy := SoftmaxCrossEntropy(n.ForwardPass(&n.pass, x, false), labels)
 	tensor.PutBuf(n.BackwardPass(&n.pass, dy))

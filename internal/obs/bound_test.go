@@ -62,7 +62,7 @@ func TestTraceUnboundedWhenCapZero(t *testing.T) {
 	tr.SetMaxEvents(2)
 	tr.SetMaxEvents(0)
 	for i := 0; i < 10; i++ {
-		tr.Instant(1, 0, "m", "c")
+		tr.Span(1, 0, "m", "c", 0, 0, nil)
 	}
 	if tr.Len() != 10 || tr.Dropped() != 0 {
 		t.Fatalf("unbounded trace Len=%d Dropped=%d, want 10/0", tr.Len(), tr.Dropped())

@@ -84,14 +84,6 @@ func NewClock(node, capacity int, clock func() float64) *Recorder {
 	return &Recorder{clock: clock, node: node, max: capacity}
 }
 
-// Node reports the fleet node id stamped on recorded events.
-func (r *Recorder) Node() int {
-	if r == nil {
-		return None
-	}
-	return r.node
-}
-
 // Now reads the recorder's clock (0 for nil or clockless recorders). It is
 // handed to peers as a shared clock and to journal.Fleet for offset math.
 func (r *Recorder) Now() float64 {
@@ -197,14 +189,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.ring)
-}
-
-// Cap reports the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.max
 }
 
 // Dropped reports how many events were overwritten after the ring filled.

@@ -35,13 +35,13 @@ func TestImportEventsRemapsPidAndShiftsClock(t *testing.T) {
 	// The remote node records on its own clock starting at 0.
 	remote := New(nil)
 	remote.Span(7, 2, "fwd", "stage", 1.0, 1.5, map[string]float64{"micro": 3})
-	remote.InstantAt(7, 2, "mark", "stage", 2.0)
 
 	// The server's clock reads 10.25 when the batch (senderNow = 2.5) lands.
 	server := New(nil)
 	offset := 10.25 - 2.5
 	server.Span(0, 0, "serve", "srv", 10, 10.1, nil)
-	server.ImportEvents(3, offset, remote.Events())
+	batch := append(remote.Events(), Event{Name: "mark", Cat: "stage", Start: 2.0, PID: 7, TID: 2, Instant: true})
+	server.ImportEvents(3, offset, batch)
 
 	evs := server.Events()
 	if len(evs) != 3 {

@@ -1,10 +1,10 @@
-// Package obs records spans and instant events on named timelines and
+// Package obs records spans on named timelines and
 // exports them as Chrome trace-event JSON (the catapult format understood by
 // chrome://tracing and https://ui.perfetto.dev), so a pipeline sync-round or
 // an FL run renders as a real per-device timeline.
 //
 // Two clocks are supported: wall time (NewWall), for the live goroutine
-// pipeline and the TCP daemons, and an arbitrary virtual clock (NewVirtual),
+// pipeline and the TCP daemons, and an arbitrary virtual clock (New),
 // for the discrete-event simulations — spans can also be emitted with
 // explicit start/end timestamps, bypassing the clock entirely.
 //
@@ -38,11 +38,13 @@ type Event struct {
 	// Args are optional numeric annotations (micro-batch index, bytes, …).
 	Args map[string]float64
 	// Instant marks a zero-duration marker event (ph "i" in Chrome format).
+	// No recorder here makes one; Event travels in the gob telemetry trailer
+	// (flnet.TelemetrySnapshot), where dropping a field changes the bytes.
 	Instant bool
 }
 
 // Trace is a concurrency-safe span/event recorder. Create with NewWall or
-// NewVirtual; a nil *Trace discards everything at ~0 cost.
+// New; a nil *Trace discards everything at ~0 cost.
 type Trace struct {
 	clock func() float64
 
@@ -61,12 +63,8 @@ func NewWall() *Trace {
 	return New(func() float64 { return time.Since(t0).Seconds() })
 }
 
-// NewVirtual returns a recorder whose Now is the given virtual clock (e.g. a
-// sim.Engine's Now).
-func NewVirtual(now func() float64) *Trace { return New(now) }
-
 // New returns a recorder over an arbitrary clock. A nil clock is valid when
-// every event carries explicit timestamps (Span/InstantAt).
+// every event carries explicit timestamps (Span).
 func New(clock func() float64) *Trace {
 	return &Trace{
 		clock:     clock,
@@ -110,9 +108,6 @@ func (t *Trace) appendLocked(e Event) {
 	}
 	t.events = append(t.events, e)
 }
-
-// Enabled reports whether events are being recorded.
-func (t *Trace) Enabled() bool { return t != nil }
 
 // Now returns the recorder's current clock reading (0 when nil or clockless).
 func (t *Trace) Now() float64 {
@@ -158,24 +153,6 @@ func (t *Trace) Span(pid, tid int, name, cat string, start, end float64, args ma
 		Name: name, Cat: cat, Start: start, Dur: dur, PID: pid, TID: tid, Args: args,
 	})
 	t.mu.Unlock()
-}
-
-// InstantAt records a zero-duration marker at an explicit timestamp.
-func (t *Trace) InstantAt(pid, tid int, name, cat string, at float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.appendLocked(Event{Name: name, Cat: cat, Start: at, PID: pid, TID: tid, Instant: true})
-	t.mu.Unlock()
-}
-
-// Instant records a marker at the current clock reading.
-func (t *Trace) Instant(pid, tid int, name, cat string) {
-	if t == nil {
-		return
-	}
-	t.InstantAt(pid, tid, name, cat, t.Now())
 }
 
 // Span handle for clock-driven begin/end recording.

@@ -9,13 +9,9 @@ import (
 
 func TestNilTraceIsSafeNop(t *testing.T) {
 	var tr *Trace
-	if tr.Enabled() {
-		t.Fatal("nil trace reports enabled")
-	}
 	sp := tr.Begin(0, 0, "x", "y")
 	sp.End()
 	tr.Span(0, 0, "a", "b", 0, 1, nil)
-	tr.Instant(0, 0, "m", "c")
 	tr.SetProcessName(0, "p")
 	tr.SetThreadName(0, 0, "t")
 	if tr.Len() != 0 || tr.Events() != nil || tr.Now() != 0 {
@@ -33,7 +29,7 @@ func TestNilTraceIsSafeNop(t *testing.T) {
 
 func TestVirtualClockSpans(t *testing.T) {
 	now := 0.0
-	tr := NewVirtual(func() float64 { return now })
+	tr := New(func() float64 { return now })
 	sp := tr.Begin(0, 1, "round", "fl")
 	now = 2.5
 	sp.EndArgs(map[string]float64{"clients": 4})
@@ -70,7 +66,8 @@ func TestChromeExportShape(t *testing.T) {
 	tr.SetThreadName(1, 1, "stage 1")
 	tr.Span(1, 0, "F0", "compute", 0, 1, map[string]float64{"micro": 0})
 	tr.Span(1, 1, "F0", "compute", 1, 2, nil)
-	tr.InstantAt(1, 0, "flush", "sync", 2.25)
+	// No recorder here makes a marker; one arrives from a peer that does.
+	tr.ImportEvents(1, 0, []Event{{Name: "flush", Cat: "sync", Start: 2.25, Instant: true}})
 
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {

@@ -94,16 +94,3 @@ func DataParallel(spec *model.Spec, devs []*device.Device, globalBatch int) (*DP
 	}
 	return res, nil
 }
-
-// AsyncSteadyThroughput returns PipeDream-style asynchronous steady-state
-// throughput: with no flush, the pipeline is limited purely by the slowest
-// stage's per-micro-batch compute time.
-func AsyncSteadyThroughput(c *Config) float64 {
-	var bottleneck float64
-	for _, t := range c.Times() {
-		if ct := t.Compute(); ct > bottleneck {
-			bottleneck = ct
-		}
-	}
-	return float64(c.MicroBatchSize) / bottleneck
-}

@@ -382,21 +382,6 @@ func TestDataParallelSplitsByRate(t *testing.T) {
 	}
 }
 
-func TestAsyncSteadyThroughput(t *testing.T) {
-	cfg := balancedConfig(3, 8, PipeDreamAsync)
-	got := AsyncSteadyThroughput(cfg)
-	times := cfg.Times()
-	want := float64(cfg.MicroBatchSize) / times[0].Compute()
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("async throughput %v, want %v", got, want)
-	}
-	// Async steady state beats the synchronous round (no flush bubble).
-	sync, _ := Schedule(balancedConfig(3, 8, OneFOneBSync))
-	if got <= sync.Throughput {
-		t.Fatal("asynchronous pipeline must exceed synchronous throughput")
-	}
-}
-
 func TestPipeDreamAsyncMemoryIncludesVersions(t *testing.T) {
 	syncRes, err := Schedule(balancedConfig(3, 8, OneFOneBSync))
 	if err != nil {

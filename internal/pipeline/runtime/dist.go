@@ -238,10 +238,6 @@ func (d *DistPipeline) Network() *nn.Network { return d.net }
 // NumStages returns the stage count.
 func (d *DistPipeline) NumStages() int { return d.inner.NumStages() }
 
-// Boundaries returns the block boundaries of the current partition
-// (len = NumStages+1): stage s runs blocks [b[s], b[s+1]).
-func (d *DistPipeline) Boundaries() []int { return d.inner.Boundaries() }
-
 // TrainSyncRound runs one 1F1B-Sync sync-round with inter-stage traffic on
 // real connections, applies the flush update, and returns the mean loss.
 // On a mid-round fault it aborts cleanly — all stage goroutines and link

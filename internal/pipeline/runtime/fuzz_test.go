@@ -25,8 +25,8 @@ func (c *byteConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *byteConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // byteLink is a receive-only link over a fixed byte stream.
-func byteLink(raw []byte, opts LinkOptions) *link {
-	return &link{conn: &byteConn{r: bytes.NewReader(raw)}, opts: opts}
+func byteLink(raw []byte) *link {
+	return &link{conn: &byteConn{r: bytes.NewReader(raw)}}
 }
 
 // frame encodes data frames through the link's own encoder. The encoder does
@@ -72,20 +72,16 @@ func FuzzLinkRecvDecode(f *testing.F) {
 	f.Add([]byte("\x7fthis is not a frame stream"))
 	f.Add([]byte{})
 	f.Add(rawFrame("EFLB", 0, 1, 8, []int32{1}, make([]byte, 8)))
-	// A 128 MB claim (inside the default limits) on a 100-byte stream.
+	// A 128 MB claim (inside the limits) on a 100-byte stream.
 	f.Add(rawFrame("EFPT", 0, 1, 128<<20, []int32{1 << 24}, make([]byte, 80)))
 	f.Add(rawFrame("EFPT", heartbeatMicro, 0, 8, nil, make([]byte, 8)))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, opts := range []LinkOptions{{MaxFrameDims: 8, MaxFrameElems: 1 << 16}, {}} {
-			checkDecodedStream(t, raw, opts)
-		}
-	})
+	f.Fuzz(checkDecodedStream)
 }
 
-// checkDecodedStream decodes raw under opts and checks every tensor that
-// comes out against the frame invariants.
-func checkDecodedStream(t *testing.T, raw []byte, opts LinkOptions) {
-	l := byteLink(raw, opts)
+// checkDecodedStream decodes raw and checks every tensor that comes out
+// against the frame invariants.
+func checkDecodedStream(t *testing.T, raw []byte) {
+	l := byteLink(raw)
 	for n := 0; n < 64; n++ {
 		micro, tt, err := l.recv()
 		if err != nil {
@@ -94,7 +90,7 @@ func checkDecodedStream(t *testing.T, raw []byte, opts LinkOptions) {
 		if micro < 0 {
 			t.Fatalf("negative micro %d escaped validation", micro)
 		}
-		if len(tt.Shape) == 0 || len(tt.Shape) > opts.maxDims() {
+		if len(tt.Shape) == 0 || len(tt.Shape) > maxFrameDims {
 			t.Fatalf("shape %v escaped dim bounds", tt.Shape)
 		}
 		elems := 1
@@ -104,7 +100,7 @@ func checkDecodedStream(t *testing.T, raw []byte, opts LinkOptions) {
 			}
 			elems *= d
 		}
-		if elems != len(tt.Data) || elems > opts.maxElems() {
+		if elems != len(tt.Data) || elems > maxFrameElems {
 			t.Fatalf("shape %v vs %d elements escaped validation", tt.Shape, len(tt.Data))
 		}
 		for _, v := range tt.Data {

@@ -181,7 +181,7 @@ func TestDialRetriesRecoverTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp.SetLinkOptions(LinkOptions{DialRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
+	dp.SetLinkOptions(LinkOptions{DialRetries: 3})
 	if _, err := dp.TrainSyncRound(x, labels, 4, &nn.SGD{LR: 0.1}); err != nil {
 		t.Fatalf("round failed despite dial retries: %v", err)
 	}
@@ -265,7 +265,7 @@ func TestThrottledLinksPropagateDialError(t *testing.T) {
 // the header before the payload is allocated, on the values after — must
 // reject each as errFrame.
 func TestValidateFrame(t *testing.T) {
-	micro, tt, err := byteLink(frame(0, []int{2, 3}, make([]float64, 6)...), LinkOptions{}).recv()
+	micro, tt, err := byteLink(frame(0, []int{2, 3}, make([]float64, 6)...)).recv()
 	if err != nil || micro != 0 || len(tt.Shape) != 2 || len(tt.Data) != 6 {
 		t.Fatalf("valid frame rejected: micro=%d err=%v", micro, err)
 	}
@@ -283,7 +283,7 @@ func TestValidateFrame(t *testing.T) {
 		"fat heartbeat":   rawFrame("EFPT", heartbeatMicro, 0, 8, nil, make([]byte, 8)),
 	}
 	for name, raw := range hostile {
-		if _, _, err := byteLink(raw, LinkOptions{}).recv(); !errors.Is(err, errFrame) {
+		if _, _, err := byteLink(raw).recv(); !errors.Is(err, errFrame) {
 			t.Errorf("%s: want errFrame, got %v", name, err)
 		}
 	}

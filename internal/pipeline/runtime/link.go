@@ -21,7 +21,7 @@ package runtime
 // later (see the sent-before-released check in dist.go).
 //
 // Receive side: recv checks the header fail-closed — magic, micro ≥ 0,
-// 1…MaxFrameDims positive dims, overflow-safe element count ≤ MaxFrameElems,
+// 1…maxFrameDims positive dims, overflow-safe element count ≤ maxFrameElems,
 // element count × 8 = payloadLen — before any payload allocation, reads the
 // payload straight into a pooled tensor (tensor.GetBufUninit), then scans it
 // for non-finite values. A payload above frameChunk is first gathered in a
@@ -104,10 +104,13 @@ var frameMagic = [4]byte{'E', 'F', 'P', 'T'}
 // heartbeatFrame is the one keepalive frame every link writes.
 var heartbeatFrame = appendFrameHeader(nil, heartbeatMicro, 0, 0)
 
-// Defaults for the zero fields of LinkOptions.
+// Bounds on accepted tensor frames, and the dial-retry backoff.
 const (
-	defaultMaxFrameDims  = 8
-	defaultMaxFrameElems = 1 << 24 // 16M float64 elements = 128 MB, far above any stage tensor here
+	maxFrameDims  = 8
+	maxFrameElems = 1 << 24 // 16M float64 elements = 128 MB, far above any stage tensor here
+
+	dialBackoffBase = 10 * time.Millisecond
+	dialBackoffMax  = 500 * time.Millisecond
 )
 
 // LinkOptions configures the fault tolerance of pipeline links. The zero
@@ -127,32 +130,11 @@ type LinkOptions struct {
 	// Heartbeat is the idle keepalive interval; 0 disables heartbeats. Must
 	// be comfortably below RecvTimeout to keep a healthy link quiet-proof.
 	Heartbeat time.Duration
-	// MaxFrameDims and MaxFrameElems bound accepted tensor frames
-	// (defaults 8 dims, 1<<24 elements).
-	MaxFrameDims  int
-	MaxFrameElems int
 	// DialRetries is how many times a failed link dial is retried under the
 	// flnet backoff policy before the round gives up. 0 disables retries.
 	DialRetries int
-	// BackoffBase/BackoffMax shape the dial-retry backoff (defaults
-	// 10ms/500ms). JitterSeed seeds the jitter stream; 0 derives one.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	JitterSeed  int64
-}
-
-func (o LinkOptions) maxDims() int {
-	if o.MaxFrameDims > 0 {
-		return o.MaxFrameDims
-	}
-	return defaultMaxFrameDims
-}
-
-func (o LinkOptions) maxElems() int {
-	if o.MaxFrameElems > 0 {
-		return o.MaxFrameElems
-	}
-	return defaultMaxFrameElems
+	// JitterSeed seeds the backoff jitter stream; 0 derives one.
+	JitterSeed int64
 }
 
 func (o LinkOptions) recvBudget() time.Duration {
@@ -163,20 +145,6 @@ func (o LinkOptions) recvBudget() time.Duration {
 		return 8 * o.RecvTimeout
 	}
 	return 0
-}
-
-func (o LinkOptions) backoffBase() time.Duration {
-	if o.BackoffBase > 0 {
-		return o.BackoffBase
-	}
-	return 10 * time.Millisecond
-}
-
-func (o LinkOptions) backoffMax() time.Duration {
-	if o.BackoffMax > 0 {
-		return o.BackoffMax
-	}
-	return 500 * time.Millisecond
 }
 
 // errFrame tags a frame-validation failure: the bytes were read but a
@@ -463,14 +431,13 @@ func (l *link) readFrame() (int, *tensor.Tensor, error) {
 	if micro < 0 {
 		return 0, nil, fmt.Errorf("%w: negative micro-batch index %d", errFrame, micro)
 	}
-	if ndims == 0 || ndims > l.opts.maxDims() {
+	if ndims == 0 || ndims > maxFrameDims {
 		return 0, nil, fmt.Errorf("%w: %d dims", errFrame, ndims)
 	}
 	var err error
 	if l.rbuf, err = readGrow(l.conn, l.rbuf, 4*ndims); err != nil {
 		return 0, nil, err
 	}
-	maxElems := l.opts.maxElems()
 	l.dims = l.dims[:0]
 	elems := 1
 	for i := 0; i < ndims; i++ {
@@ -478,8 +445,8 @@ func (l *link) readFrame() (int, *tensor.Tensor, error) {
 		if d <= 0 {
 			return 0, nil, fmt.Errorf("%w: non-positive dim %d", errFrame, d)
 		}
-		if elems > maxElems/d {
-			return 0, nil, fmt.Errorf("%w: shape exceeds %d elements", errFrame, maxElems)
+		if elems > maxFrameElems/d {
+			return 0, nil, fmt.Errorf("%w: shape exceeds %d elements", errFrame, maxFrameElems)
 		}
 		elems *= d
 		l.dims = append(l.dims, d)
@@ -669,6 +636,6 @@ func dialLink(dial Dialer, i int, opts LinkOptions, rng *rand.Rand) (net.Conn, n
 			return nil, nil, fmt.Errorf("runtime: link %d dial failed after %d attempts: %w", i, attempt+1, lastErr)
 		}
 		linkDialRetriesTotal.Inc()
-		time.Sleep(flnet.BackoffDelay(attempt+1, opts.backoffBase(), opts.backoffMax(), rng))
+		time.Sleep(flnet.BackoffDelay(attempt+1, dialBackoffBase, dialBackoffMax, rng))
 	}
 }

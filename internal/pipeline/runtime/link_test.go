@@ -156,7 +156,7 @@ func TestFrameCodecParity(t *testing.T) {
 
 		for _, gather := range []bool{false, true} {
 			forceGather = gather
-			micro, got, err := byteLink(raw, LinkOptions{}).recv()
+			micro, got, err := byteLink(raw).recv()
 			forceGather = false
 			if err != nil || micro != 7 {
 				t.Fatalf("shape %v gather=%v: micro=%d err=%v", shape, gather, micro, err)
@@ -180,7 +180,7 @@ func TestFrameCodecParity(t *testing.T) {
 func TestHostileLengthTruncated(t *testing.T) {
 	const received = 1 << 20
 	raw := rawFrame("EFPT", 0, 1, 128<<20, []int32{1 << 24}, make([]byte, received))
-	l := byteLink(raw, LinkOptions{})
+	l := byteLink(raw)
 	if _, _, err := l.recv(); err == nil {
 		t.Fatal("truncated 128 MiB claim accepted")
 	}

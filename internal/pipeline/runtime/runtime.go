@@ -59,11 +59,9 @@ func newStageMetrics(s int) stageMetrics {
 // Pipeline is a live pipelined trainer over a block-aligned Trainable.
 type Pipeline struct {
 	trainable *model.Trainable
-	// boundaries[s] .. boundaries[s+1] are the blocks of stage s.
-	boundaries []int
-	segments   []*nn.Network
-	sm         []stageMetrics
-	trace      *obs.Trace
+	segments  []*nn.Network
+	sm        []stageMetrics
+	trace     *obs.Trace
 }
 
 // New builds a pipeline from cut points (block indices where the model is
@@ -78,8 +76,8 @@ func New(tr *model.Trainable, cuts []int) (*Pipeline, error) {
 			return nil, fmt.Errorf("runtime: invalid cuts %v for %d blocks", cuts, nb)
 		}
 	}
-	p := &Pipeline{trainable: tr, boundaries: b}
-	for s := 0; s+1 < len(b); s++ {
+	p := &Pipeline{trainable: tr}
+	for s := 0; s+1 < len(b); s++ { // stage s runs blocks [b[s], b[s+1])
 		p.segments = append(p.segments, tr.SegmentNet(b[s], b[s+1]))
 		p.sm = append(p.sm, newStageMetrics(s))
 	}
@@ -101,13 +99,6 @@ func (p *Pipeline) SetTrace(tr *obs.Trace) {
 
 // NumStages returns the number of pipeline stages.
 func (p *Pipeline) NumStages() int { return len(p.segments) }
-
-// Boundaries returns a copy of the block boundaries (len = NumStages+1):
-// stage s executes blocks [b[s], b[s+1]) — the layout healers and
-// experiments report when a partition changes at runtime.
-func (p *Pipeline) Boundaries() []int {
-	return append([]int(nil), p.boundaries...)
-}
 
 // Network returns the underlying full network (shared parameters).
 func (p *Pipeline) Network() *nn.Network { return p.trainable.Network() }

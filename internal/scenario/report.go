@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // ReportSchema identifies the machine-readable report. Bump the version on
@@ -60,16 +59,6 @@ func (r *Report) setMetric(name string, v float64) {
 // warnf appends a formatted warning.
 func (r *Report) warnf(format string, args ...any) {
 	r.Warnings = append(r.Warnings, fmt.Sprintf(format, args...))
-}
-
-// MetricNames returns the report's metric names, sorted.
-func (r *Report) MetricNames() []string {
-	names := make([]string, 0, len(r.Metrics))
-	for name := range r.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON renders the report with stable formatting (indented, sorted

@@ -75,21 +75,12 @@ func TestReportRoundTrips(t *testing.T) {
 	if len(back.Metrics) != len(orig.Metrics) {
 		t.Fatalf("round trip lost metrics: %d != %d", len(back.Metrics), len(orig.Metrics))
 	}
-	for _, name := range orig.MetricNames() {
+	for name := range orig.Metrics {
 		if back.Metrics[name] != orig.Metrics[name] {
 			t.Errorf("metric %s: %v != %v", name, back.Metrics[name], orig.Metrics[name])
 		}
 	}
 	if len(back.Curve) != 2 || back.Curve[1].Accuracy != 0.75 {
 		t.Fatalf("round trip mangled curve: %+v", back.Curve)
-	}
-}
-
-func TestMetricNamesSorted(t *testing.T) {
-	names := goldenReport().MetricNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("MetricNames not sorted: %v", names)
-		}
 	}
 }

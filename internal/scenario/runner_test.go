@@ -49,7 +49,7 @@ func TestRunFLNetSmoke(t *testing.T) {
 		"goroutine_hwm", "peak_heap_bytes",
 	} {
 		if _, ok := rep.Metrics[name]; !ok {
-			t.Errorf("report missing metric %s (have %v)", name, rep.MetricNames())
+			t.Errorf("report missing metric %s (have %v)", name, rep.Metrics)
 		}
 	}
 	if len(rep.Curve) != 2 {
@@ -120,7 +120,7 @@ func TestRunFLTopology(t *testing.T) {
 	}
 	for _, name := range []string{"final_accuracy", "rounds", "round_time_p50_s", "round_time_p95_s", "goroutine_hwm"} {
 		if _, ok := rep.Metrics[name]; !ok {
-			t.Errorf("fl report missing %s (have %v)", name, rep.MetricNames())
+			t.Errorf("fl report missing %s (have %v)", name, rep.Metrics)
 		}
 	}
 	if rep.Metrics["rounds"] <= 0 {
@@ -168,7 +168,7 @@ func TestRunFLWithChurn(t *testing.T) {
 	}
 	for _, name := range []string{"final_accuracy", "rounds", "churn_departures", "readmissions"} {
 		if _, ok := rep.Metrics[name]; !ok {
-			t.Errorf("churn report missing %s (have %v)", name, rep.MetricNames())
+			t.Errorf("churn report missing %s (have %v)", name, rep.Metrics)
 		}
 	}
 	if rep.Metrics["readmissions"] <= 0 {
@@ -205,7 +205,7 @@ func TestRunFLNetWithChurnLeases(t *testing.T) {
 	leakcheck.Check(t, base)
 	for _, name := range []string{"offline_skips", "lease_expired", "lease_resyncs", "sessions_final", "pushes"} {
 		if _, ok := rep.Metrics[name]; !ok {
-			t.Errorf("lease churn report missing %s (have %v)", name, rep.MetricNames())
+			t.Errorf("lease churn report missing %s (have %v)", name, rep.Metrics)
 		}
 	}
 	if rep.Metrics["offline_skips"] <= 0 {
@@ -251,7 +251,7 @@ func TestRunFLNetWithChaos(t *testing.T) {
 	}
 	leakcheck.Check(t, base)
 	if _, ok := rep.Metrics["client_retries"]; !ok {
-		t.Fatalf("chaos run missing client_retries (have %v)", rep.MetricNames())
+		t.Fatalf("chaos run missing client_retries (have %v)", rep.Metrics)
 	}
 	if len(rep.Curve) != 2 {
 		t.Fatalf("chaos run lost curve points: %d", len(rep.Curve))
@@ -284,7 +284,7 @@ func TestRunFLWithAttack(t *testing.T) {
 	}
 	for _, name := range []string{"final_accuracy", "adversary_corruptions", "norm_clipped"} {
 		if _, ok := rep.Metrics[name]; !ok {
-			t.Errorf("attack report missing %s (have %v)", name, rep.MetricNames())
+			t.Errorf("attack report missing %s (have %v)", name, rep.Metrics)
 		}
 	}
 	if rep.Metrics["adversary_corruptions"] <= 0 {

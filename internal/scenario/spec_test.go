@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,21 @@ func TestParseValidSpec(t *testing.T) {
 	}
 	if spec.Name != "t" || spec.Topology != TopologyFLNet || spec.Fleet.Clients != 2 {
 		t.Fatalf("Parse mangled the spec: %+v", spec)
+	}
+}
+
+// TestExampleSpecsValidate loads (parse + Validate, no run) every shipped
+// example spec. Parse rejects unknown fields, so a renamed spec field breaks
+// the examples nothing else loads; this is where that shows.
+func TestExampleSpecsValidate(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found (err %v)", err)
+	}
+	for _, path := range paths {
+		if _, err := Load(path); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

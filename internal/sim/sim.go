@@ -45,9 +45,6 @@ func (h *eventHeap) Pop() interface{} {
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Schedule queues fn to run delay time units from now. Negative delays are
 // rejected — virtual time never flows backward.
 func (e *Engine) Schedule(delay float64, fn func()) {
@@ -76,17 +73,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	ev.fn()
 	return true
-}
-
-// RunUntil executes events with timestamps ≤ t, then advances the clock to
-// exactly t (even if the queue drains earlier).
-func (e *Engine) RunUntil(t float64) {
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
 }
 
 // Run executes events until the queue is empty or maxEvents fire; it

@@ -51,27 +51,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAndAdvances(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(10, func() { fired++ })
-	e.RunUntil(5)
-	if fired != 1 {
-		t.Fatalf("fired %d events before t=5, want 1", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("RunUntil must advance clock to 5, got %v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("one event should remain, got %d", e.Pending())
-	}
-	e.RunUntil(10)
-	if fired != 2 {
-		t.Fatal("second event must fire at t=10")
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	var e Engine
 	defer func() {
@@ -102,8 +81,8 @@ func TestRunMaxEvents(t *testing.T) {
 	if n := e.Run(4); n != 4 {
 		t.Fatalf("Run(4) executed %d", n)
 	}
-	if e.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", e.Pending())
+	if n := e.Run(0); n != 6 {
+		t.Fatalf("%d events were left, want 6", n)
 	}
 }
 

@@ -49,8 +49,3 @@ func (l *Link) Write(b []byte) (int, error) {
 	}
 	return l.Conn.Write(b)
 }
-
-// TransferTime returns the ideal serialization time of n bytes on the link.
-func (l *Link) TransferTime(n int) time.Duration {
-	return time.Duration(float64(n)/l.Bandwidth*float64(time.Second)) + l.Latency
-}

@@ -80,14 +80,6 @@ func TestBackToBackWritesQueue(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	l := &Link{Bandwidth: 12.5e6, Latency: 2 * time.Millisecond} // 100 Mbps
-	got := l.TransferTime(12_500_000)
-	if got < 1000*time.Millisecond || got > 1010*time.Millisecond {
-		t.Fatalf("TransferTime = %v, want ≈1.002s", got)
-	}
-}
-
 func TestThrottleValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -52,15 +52,6 @@ func Mix(a, b Distribution, w float64) Distribution {
 	return out
 }
 
-// Sum reports the total probability mass (≈1 for a valid distribution).
-func (d Distribution) Sum() float64 {
-	var s float64
-	for _, v := range d {
-		s += v
-	}
-	return s
-}
-
 // KL returns the Kullback–Leibler divergence D(p‖q) in bits (log base 2).
 // Terms with p_i = 0 contribute 0; p_i > 0 with q_i = 0 yields +Inf.
 func KL(p, q Distribution) float64 {
@@ -172,29 +163,4 @@ func KMeans1D(rng *rand.Rand, values []float64, k int) (assign []int, centers []
 		assign[i] = remap[assign[i]]
 	}
 	return assign, centers
-}
-
-// Mean returns the arithmetic mean of values (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
-// Stddev returns the population standard deviation of values.
-func Stddev(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := Mean(values)
-	var s float64
-	for _, v := range values {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(values)))
 }

@@ -164,16 +164,3 @@ func TestKMeansInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeanStddev(t *testing.T) {
-	if Mean(nil) != 0 || Stddev(nil) != 0 {
-		t.Fatal("empty input must yield 0")
-	}
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(vals) != 5 {
-		t.Fatalf("Mean = %v, want 5", Mean(vals))
-	}
-	if Stddev(vals) != 2 {
-		t.Fatalf("Stddev = %v, want 2", Stddev(vals))
-	}
-}

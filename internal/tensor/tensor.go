@@ -139,9 +139,6 @@ func (t *Tensor) AddScaled(a float64, src *Tensor) *Tensor {
 // Add adds src to t element-wise in place and returns t.
 func (t *Tensor) Add(src *Tensor) *Tensor { return t.AddScaled(1, src) }
 
-// Sub subtracts src from t element-wise in place and returns t.
-func (t *Tensor) Sub(src *Tensor) *Tensor { return t.AddScaled(-1, src) }
-
 // Hadamard multiplies t by src element-wise in place and returns t.
 func (t *Tensor) Hadamard(src *Tensor) *Tensor {
 	if len(t.Data) != len(src.Data) {
@@ -152,21 +149,6 @@ func (t *Tensor) Hadamard(src *Tensor) *Tensor {
 	}
 	return t
 }
-
-// Dot returns the inner product of t and src viewed as flat vectors.
-func (t *Tensor) Dot(src *Tensor) float64 {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	var s float64
-	for i, v := range src.Data {
-		s += t.Data[i] * v
-	}
-	return s
-}
-
-// Norm2 returns the squared Euclidean norm of t viewed as a flat vector.
-func (t *Tensor) Norm2() float64 { return t.Dot(t) }
 
 // The three matmul kernels share one structure. Each has a single body, a
 // row-range function that computes output rows [lo, hi); MatMul*Into hands it

@@ -11,6 +11,21 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# Package reach: every package is a dependency of a binary, the benchmark or
+# an example, except the two test instruments. A package nothing runs is
+# deleted, not kept green.
+unreached=$(comm -13 <(go list -deps ./cmd/... ./benchmark ./examples/... | grep '^ecofl' | sort -u) \
+	<(go list ./... | sort -u))
+want_unreached='ecofl/internal/obs/journal/journaltest
+ecofl/internal/obs/leakcheck'
+if [ "$unreached" != "$want_unreached" ]; then
+	echo "package reach: packages no cmd/, benchmark or example imports:" >&2
+	echo "$unreached" >&2
+	echo "want exactly:" >&2
+	echo "$want_unreached" >&2
+	exit 1
+fi
+
 tier1_start=$SECONDS
 go vet ./...
 go build ./...
@@ -90,3 +105,12 @@ go run ./cmd/ecofl bench --scenario examples/scenarios/byzantine30.json \
 	--out /tmp/ecofl_ci_byz.json >/dev/null
 rm -f /tmp/ecofl_ci_byz.json
 echo "byzantine smoke: ok"
+
+# The examples are roots of the reach rule above (they alone reach
+# internal/profiler, fl.RunTiFL and runtime.New), so each must run: an
+# example that cannot run is not a reason to keep code.
+examples_start=$SECONDS
+for main in examples/*/main.go; do
+	go run "./$(dirname "$main")" >/dev/null
+done
+echo "examples: $((SECONDS - examples_start))s"
