@@ -9,10 +9,12 @@ import (
 	"ecofl/internal/scenario"
 )
 
-// cmdBench is the spec runner: it executes one declarative scenario and
-// writes its scenario-report/v1. A report that carries warnings still exits
-// 0; they go to stderr. Measuring one commit against another is not done
-// here — `go run ./benchmark compare` does that.
+// cmdBench is the spec runner: it executes one declarative scenario (every
+// cell of it, if the spec carries a sweep block) and writes its one
+// scenario-report/v1. A report that carries warnings still exits 0; they go
+// to stderr, as does the tail of a journaled run's timeline. Measuring one
+// commit against another is not done here — `go run ./benchmark compare`
+// does that.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	path := fs.String("scenario", "", "scenario spec JSON")
@@ -40,8 +42,12 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "  done in %.1fs: %d metrics, %d curve points\n",
-		time.Since(t0).Seconds(), len(rep.Metrics), len(rep.Curve))
+	if rep.Table != nil {
+		fmt.Fprintf(os.Stderr, "  done in %.1fs: a table of %d rows\n", time.Since(t0).Seconds(), len(rep.Table.Rows))
+	} else {
+		fmt.Fprintf(os.Stderr, "  done in %.1fs: %d metrics, %d curve points\n",
+			time.Since(t0).Seconds(), len(rep.Metrics), len(rep.Curve))
+	}
 	for _, w := range rep.Warnings {
 		fmt.Fprintf(os.Stderr, "  warning: %s\n", w)
 	}

@@ -46,3 +46,22 @@ func TestBenchRejectsBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// The dropout, churn, Byzantine and failover studies are sweep specs, not
+// --experiment names: asking for one says what remains and where they went.
+func TestRetiredExperimentsNameWhatRemains(t *testing.T) {
+	for _, tc := range []struct {
+		run       func([]string) error
+		exp, want string
+	}{
+		{cmdFL, "dropout", `unknown fl experiment "dropout" (fig7, fig8, fig9; `},
+		{cmdFL, "churn", "ecofl bench --scenario"},
+		{cmdFL, "byzantine", "ecofl bench --scenario"},
+		{cmdPipeline, "failover", `unknown pipeline experiment "failover" (fig5, fig10, fig11, fig12, fig13, table2; `},
+	} {
+		err := tc.run([]string{"--experiment", tc.exp})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("--experiment %s: err = %v, want one containing %q", tc.exp, err, tc.want)
+		}
+	}
+}

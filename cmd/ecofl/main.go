@@ -1,13 +1,14 @@
 // Command ecofl regenerates the tables and figures of the Eco-FL paper
-// (ICPP '22) from this repository's implementation.
+// (ICPP '22) from this repository's implementation, and runs every study
+// that is not a paper figure from a scenario spec.
 //
 // Usage:
 //
-//	ecofl fl --experiment {fig7|fig8|fig9|dropout|churn|byzantine} [--scale quick|full] [--seed N]
-//	ecofl pipeline --experiment {fig5|fig10|fig11|fig12|fig13|table2|failover}
-//	ecofl pipeline --experiment failover --chaos sever --chaos-prob 0.03 --fail-stage 1 --fail-round 3
+//	ecofl fl --experiment {fig7|fig8|fig9} [--scale quick|full] [--seed N]
+//	ecofl pipeline --experiment {fig5|fig10|fig11|fig12|fig13|table2}
 //	ecofl pipeline --show-schedule     # Fig. 3-style 1F1B-Sync Gantt chart
-//	ecofl all [--scale quick]          # everything
+//	ecofl all [--scale quick]          # every paper figure and table
+//	ecofl bench --scenario examples/scenarios/sweep-dropout.json   # a spec, or a sweep of one
 package main
 
 import (
@@ -24,11 +25,9 @@ import (
 	"ecofl/internal/experiments"
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
-	"ecofl/internal/obs/journal"
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline"
 	"ecofl/internal/plot"
-	"ecofl/internal/simnet"
 	"ecofl/internal/tensor"
 	"ecofl/internal/trace"
 )
@@ -206,14 +205,15 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: ecofl <command> [flags]
 
 commands:
-  fl         --experiment {fig7|fig8|fig9|dropout|churn|byzantine} [--scale quick|full] [--seed N]
-  pipeline   --experiment {fig5|fig10|fig11|fig12|fig13|table2|failover} | --show-schedule
+  fl         --experiment {fig7|fig8|fig9} [--scale quick|full] [--seed N]
+  pipeline   --experiment {fig5|fig10|fig11|fig12|fig13|table2} | --show-schedule
   partition  --model {effnet-bN|mobilenet-wX} --devices A,B,C [--mbs N] [--m M]
   headlines  [--scale quick|full]
   devices    (print the Table 1 device presets)
   migrate    --model M --devices A,B,C --spike-device N --load F
-  bench      --scenario <spec.json> [--out report.json]
-  all        [--scale quick|full]
+  bench      --scenario <spec.json> [--out report.json]   (one run, or a sweep's table:
+             examples/scenarios/sweep-{dropout,churn,byzantine,failover}.json)
+  all        [--scale quick|full]   (every paper figure and table)
 
 global flags (any command):
   --metrics-json <path>   dump an end-of-run metrics snapshot as JSON (- for stdout)
@@ -229,7 +229,7 @@ func scaleByName(name string) experiments.Scale {
 
 func cmdFL(args []string) error {
 	fs := flag.NewFlagSet("fl", flag.ExitOnError)
-	exp := fs.String("experiment", "fig7", "fig7, fig8, fig9, dropout, churn or byzantine")
+	exp := fs.String("experiment", "fig7", "fig7, fig8 or fig9")
 	scale := fs.String("scale", "quick", "quick or full")
 	seed := fs.Int64("seed", 1, "random seed")
 	csvDir := fs.String("csv", "", "directory for CSV export (optional)")
@@ -270,36 +270,17 @@ func cmdFL(args []string) error {
 			fmt.Fprintf(os.Stderr, "wrote 3 SVG charts to %s\n", *svgDir)
 		}
 		return writeCSV(*csvDir, experiments.Fig9ToSeries(rows))
-	case "dropout":
-		rows := experiments.Dropout(*seed, sc)
-		experiments.PrintDropout(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.DropoutToSeries(rows))
-	case "churn":
-		rows := experiments.Churn(*seed, sc)
-		experiments.PrintChurn(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.ChurnToSeries(rows))
-	case "byzantine":
-		rows := experiments.Byzantine(*seed, sc)
-		experiments.PrintByzantine(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.ByzantineToSeries(rows))
 	default:
-		return fmt.Errorf("unknown fl experiment %q", *exp)
+		return fmt.Errorf("unknown fl experiment %q (fig7, fig8, fig9; other studies are specs: ecofl bench --scenario)", *exp)
 	}
 }
 
 func cmdPipeline(args []string) error {
 	fs := flag.NewFlagSet("pipeline", flag.ExitOnError)
-	exp := fs.String("experiment", "", "fig5, fig10, fig11, fig12, fig13, table2 or failover")
+	exp := fs.String("experiment", "", "fig5, fig10, fig11, fig12, fig13 or table2")
 	show := fs.Bool("show-schedule", false, "print a Fig. 3-style 1F1B-Sync schedule")
 	csvDir := fs.String("csv", "", "directory for CSV export (optional)")
 	svgDir := fs.String("svg", "", "directory for SVG charts (optional)")
-	chaosMode := fs.String("chaos", "none", "failover link fault mode: none, drop, stall, black-hole, sever, partition")
-	chaosProb := fs.Float64("chaos-prob", 0.03, "failover per-write fault probability")
-	failStage := fs.Int("fail-stage", 1, "failover: fleet device to kill (-1 disables)")
-	failRound := fs.Int("fail-round", 3, "failover: round at which the device dies")
-	rounds := fs.Int("rounds", 8, "failover: sync-rounds to train")
-	seed := fs.Int64("seed", 1, "failover: experiment seed")
-	journalTail := fs.Int("journal", 0, "failover: print the last N flight-recorder events after the run (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -371,45 +352,8 @@ func cmdPipeline(args []string) error {
 		}
 		experiments.PrintTable2(os.Stdout, rows)
 		return writeCSV(*csvDir, experiments.Table2ToSeries(rows))
-	case "failover":
-		mode, err := simnet.ParseFaultMode(*chaosMode)
-		if err != nil {
-			return err
-		}
-		fr := *failRound
-		if *failStage < 0 {
-			fr = -1
-		}
-		cfg := &experiments.LiveFailover{
-			Seed:           *seed,
-			Rounds:         *rounds,
-			FailRound:      fr,
-			FailDevice:     *failStage,
-			Chaos:          mode,
-			ChaosProb:      *chaosProb,
-			MicroBatchSize: 6,
-		}
-		if *journalTail > 0 {
-			cfg.Journal = journal.New(0, 4096)
-		}
-		rep, err := cfg.Run()
-		if err != nil {
-			// A failed heal is exactly when the forensic record matters most:
-			// dump the tail before surfacing the error.
-			if cfg.Journal != nil {
-				fmt.Fprintf(os.Stderr, "flight recorder (last %d events):\n%s",
-					*journalTail, journal.Timeline(journal.Tail(cfg.Journal.Events(), *journalTail)))
-			}
-			return err
-		}
-		experiments.PrintFailover(os.Stdout, rep)
-		if cfg.Journal != nil {
-			fmt.Printf("flight recorder (last %d of %d events):\n%s",
-				*journalTail, cfg.Journal.Len(), journal.Timeline(journal.Tail(cfg.Journal.Events(), *journalTail)))
-		}
-		return nil
 	default:
-		return fmt.Errorf("unknown pipeline experiment %q", *exp)
+		return fmt.Errorf("unknown pipeline experiment %q (fig5, fig10, fig11, fig12, fig13, table2; other studies are specs: ecofl bench --scenario)", *exp)
 	}
 }
 
@@ -611,58 +555,29 @@ func cmdAll(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sc := scaleByName(*scale)
+	flags := []string{"--scale", *scale, "--seed", strconv.FormatInt(*seed, 10)}
 
 	section := func(s string) { fmt.Printf("\n######## %s ########\n", s) }
-	section("Fig. 5 — device order and micro-batch size")
-	rows5, err := experiments.Fig5()
-	if err != nil {
-		return err
+	for _, part := range []struct {
+		title string
+		run   func([]string) error
+		args  []string
+	}{
+		{"Fig. 5 — device order and micro-batch size", cmdPipeline, []string{"--experiment", "fig5"}},
+		{"Figs. 10/11 — training methods", cmdPipeline, []string{"--experiment", "fig10"}},
+		{"Fig. 12 — workload partitioning", cmdPipeline, []string{"--experiment", "fig12"}},
+		{"Table 2 — 1F1B-Sync vs GPipe", cmdPipeline, []string{"--experiment", "table2"}},
+		{"Fig. 13 — adaptive re-scheduling under load spike", cmdPipeline, []string{"--experiment", "fig13"}},
+		{"Fig. 7 — FL training performance", cmdFL, append([]string{"--experiment", "fig7"}, flags...)},
+		{"Fig. 8 — grouping effectiveness", cmdFL, append([]string{"--experiment", "fig8"}, flags...)},
+		{"Fig. 9 — λ sensitivity", cmdFL, append([]string{"--experiment", "fig9"}, flags...)},
+	} {
+		section(part.title)
+		if err := part.run(part.args); err != nil {
+			return err
+		}
 	}
-	experiments.PrintFig5(os.Stdout, rows5)
-
-	section("Figs. 10/11 — training methods")
-	panels, err := experiments.Fig10(2000, 20)
-	if err != nil {
-		return err
-	}
-	experiments.PrintPanels(os.Stdout, panels)
-
-	section("Fig. 12 — workload partitioning")
-	rows12, err := experiments.Fig12()
-	if err != nil {
-		return err
-	}
-	experiments.PrintFig12(os.Stdout, rows12)
-
-	section("Table 2 — 1F1B-Sync vs GPipe")
-	rowsT2, err := experiments.Table2()
-	if err != nil {
-		return err
-	}
-	experiments.PrintTable2(os.Stdout, rowsT2)
-
-	section("Fig. 13 — adaptive re-scheduling under load spike")
-	r13, err := experiments.Fig13()
-	if err != nil {
-		return err
-	}
-	experiments.PrintFig13(os.Stdout, r13)
-
-	section("Fig. 7 — FL training performance")
-	experiments.PrintCurves(os.Stdout, experiments.Fig7(*seed, sc))
-
-	section("Fig. 8 — grouping effectiveness")
-	experiments.PrintCurves(os.Stdout, experiments.Fig8(*seed, sc))
-
-	section("Fig. 9 — λ sensitivity")
-	experiments.PrintFig9(os.Stdout, experiments.Fig9(*seed, sc))
 
 	section("Headline claims")
-	h, err := experiments.ComputeHeadlines(*seed, sc)
-	if err != nil {
-		return err
-	}
-	experiments.PrintHeadlines(os.Stdout, h)
-	return nil
+	return cmdHeadlines(flags)
 }

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -477,8 +478,13 @@ func (e *Executor) migrateTo(devs []*device.Device) error {
 	oldStages := append([]pipeline.Stage(nil), e.stages...)
 	round := e.round
 	e.mu.Unlock()
+	var layout []string
+	for _, st := range plan.Stages {
+		layout = append(layout, fmt.Sprintf("%s[%d,%d)", st.Device.Name, st.From, st.To))
+	}
 	e.cfg.Journal.Record("exec.repartition", round, journal.None,
-		"stages", strconv.Itoa(len(plan.Stages)), "devices", strconv.Itoa(len(devs)))
+		"stages", strconv.Itoa(len(plan.Stages)), "devices", strconv.Itoa(len(devs)),
+		"layout", strings.Join(layout, " | "))
 
 	moved, err := movedRanges(e.spec, oldStages, plan.Stages)
 	if err != nil {

@@ -5,7 +5,9 @@ package executor
 // injected chaos faults logging their cause into the same timeline.
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +85,19 @@ func TestJournalHealTimeline(t *testing.T) {
 	killIdx := kindIndexAfter(evs, "exec.kill", 0)
 	if k := evs[killIdx]; k.Round != 1 || k.Client != 1 {
 		t.Fatalf("exec.kill uncorrelated: %+v", k)
+	}
+	// The last repartition names the survivor layout the run ended on.
+	var layout []string
+	for _, st := range exec.Stages() {
+		layout = append(layout, fmt.Sprintf("%s[%d,%d)", st.Device.Name, st.From, st.To))
+	}
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Kind == "exec.repartition" {
+			if got, want := evs[i].Attrs["layout"], strings.Join(layout, " | "); got != want {
+				t.Fatalf("exec.repartition layout %q, want %q", got, want)
+			}
+			break
+		}
 	}
 	// The replayed round commits under the same round id it aborted under.
 	detIdx := kindIndexAfter(evs, "exec.detect", killIdx)

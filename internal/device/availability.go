@@ -220,6 +220,13 @@ func Diurnal(seed int64, n int, m DiurnalModel) (*TraceSet, error) {
 				sessions = append(sessions, Session{Start: start, End: end})
 			}
 		}
+		if m.DutyCycle == 1 {
+			// No offline gap, whatever the phase. The days above make one
+			// session only if each day's end and the next day's start, one
+			// instant computed two ways, agree to the last bit. They do not:
+			// some pairs overlap by an ulp and some leave an ulp's gap.
+			sessions = []Session{{Start: 0, End: m.Horizon}}
+		}
 		tr, err := NewAvailabilityTrace(sessions)
 		if err != nil {
 			return nil, fmt.Errorf("device: diurnal trace for device %d: %w", id, err)

@@ -1,7 +1,11 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§6), shared by the ecofl CLI, the benchmark suite,
 // and the integration tests. Each runner returns structured results and can
-// render the same rows/series the paper reports.
+// render the same rows/series the paper reports. Two things here serve the
+// scenario harness as well: BuildPopulation, the one fleet builder, and
+// LiveFailover, the pipeline topology's driver. Studies that are not paper
+// figures (dropout, churn, Byzantine, failover grids) are sweep specs under
+// examples/scenarios, not drivers in this package.
 package experiments
 
 // Scale sizes an experiment. Full mirrors the paper's setup (§6.1:
@@ -14,6 +18,12 @@ type Scale struct {
 	EvalInterval  float64
 	MaxConcurrent int
 	LocalEpochs   int
+	// ClassesPerClient is how many classes each client's shard draws from.
+	// 0 means the paper's 2 (every figure); the scenario harness's Byzantine
+	// sweep shards all 10 so that coordinate-wise robust mixers are judged on
+	// the attack, not on a 2-class skew that starves most coordinates of
+	// honest gradient even with no attacker.
+	ClassesPerClient int
 }
 
 // Full is the paper-scale configuration.

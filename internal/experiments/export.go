@@ -54,47 +54,6 @@ func Fig9ToSeries(rows []Fig9Row) []*trace.Series {
 	return []*trace.Series{s}
 }
 
-// DropoutToSeries exports the dropout-vs-quorum resilience sweep.
-func DropoutToSeries(rows []DropoutRow) []*trace.Series {
-	s := trace.New("dropout_quorum", "dropout_prob", "quorum", "rounds",
-		"dropouts", "discarded", "failed_rounds", "final_acc", "best_acc")
-	for _, r := range rows {
-		s.Add(r.DropoutProb, r.Quorum, float64(r.Rounds), float64(r.Dropouts),
-			float64(r.Discarded), float64(r.FailedRounds), r.FinalAcc, r.BestAcc)
-	}
-	return []*trace.Series{s}
-}
-
-// ChurnToSeries exports the churn-survival sweep.
-func ChurnToSeries(rows []ChurnRow) []*trace.Series {
-	s := trace.New("churn_quorum", "offline_pct", "quorum", "rounds",
-		"departures", "readmissions", "failed_rounds", "final_acc", "best_acc")
-	for _, r := range rows {
-		s.Add(r.OfflinePct, r.Quorum, float64(r.Rounds), float64(r.Departures),
-			float64(r.Readmissions), float64(r.FailedRounds), r.FinalAcc, r.BestAcc)
-	}
-	return []*trace.Series{s}
-}
-
-// ByzantineToSeries exports the Byzantine-resilience sweep. The defense is
-// encoded as its grid index (the CSV layer carries floats); the printed
-// table keeps the names.
-func ByzantineToSeries(rows []ByzantineRow) []*trace.Series {
-	s := trace.New("byzantine_defense", "fraction", "defense_idx", "rounds",
-		"corrupted", "final_acc", "best_acc")
-	for _, r := range rows {
-		idx := -1.0
-		for i, name := range ByzantineDefenses {
-			if name == r.Defense {
-				idx = float64(i)
-			}
-		}
-		s.Add(r.Fraction, idx, float64(r.Rounds),
-			float64(r.Corrupted), r.FinalAcc, r.BestAcc)
-	}
-	return []*trace.Series{s}
-}
-
 // PanelsToSeries exports Figs. 10/11: per-method epoch times plus each
 // method's accuracy-versus-time curve.
 func PanelsToSeries(panels []Panel) []*trace.Series {

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ecofl/internal/adaptive/executor"
@@ -11,7 +11,6 @@ import (
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/journal"
-	"ecofl/internal/pipeline"
 	"ecofl/internal/pipeline/runtime"
 	"ecofl/internal/simnet"
 	"ecofl/internal/tensor"
@@ -30,10 +29,10 @@ type LiveFailover struct {
 	// FailRound/FailDevice schedule a device kill (FailRound < 0 disables).
 	FailRound  int
 	FailDevice int
-	// Chaos injects the given link fault mode at ChaosProb per write
-	// (FaultNone disables).
-	Chaos     simnet.FaultMode
-	ChaosProb float64
+	// Fault is the chaos plan of every inter-stage link (Mode FaultNone or
+	// Prob 0 leaves the links clean). Its Seed is not read: link i draws its
+	// schedule from the lane Seed + 100 + i of the run's own seed.
+	Fault simnet.FaultPlan
 	// Journal, when non-nil, is handed to the executor as its flight
 	// recorder: heal steps and injected chaos faults land in it.
 	Journal *journal.Recorder
@@ -41,22 +40,16 @@ type LiveFailover struct {
 
 // FailoverReport is what the live run measured.
 type FailoverReport struct {
-	Config      *LiveFailover
-	Stats       executor.Stats
-	FinalLoss   float64
-	FirstLoss   float64
-	StagesAfter []pipeline.Stage
+	Stats     executor.Stats
+	FinalLoss float64
+	FirstLoss float64
 	// BitIdentical reports whether the recovered model exactly equals the
 	// fault-free oracle's — the §4.4 correctness claim, executed.
 	BitIdentical bool
-	Elapsed      time.Duration
 }
 
 // Run executes the live failover scenario on a Table 1 fleet.
 func (c *LiveFailover) Run() (*FailoverReport, error) {
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
 	if c.MicroBatchSize <= 0 {
 		c.MicroBatchSize = 6
 	}
@@ -75,14 +68,13 @@ func (c *LiveFailover) Run() (*FailoverReport, error) {
 	}
 
 	var chaos func(int) *simnet.Chaos
-	if c.Chaos != simnet.FaultNone && c.ChaosProb > 0 {
+	if c.Fault.Mode != simnet.FaultNone && c.Fault.Prob > 0 {
 		links := map[int]*simnet.Chaos{}
 		chaos = func(i int) *simnet.Chaos {
 			if _, ok := links[i]; !ok {
-				links[i] = simnet.NewChaos(simnet.FaultPlan{
-					Seed: c.Seed + 100 + int64(i), Mode: c.Chaos, Prob: c.ChaosProb,
-					After: 4, Stall: 400 * time.Millisecond, Partition: 120 * time.Millisecond,
-				})
+				plan := c.Fault
+				plan.Seed = c.Seed + 100 + int64(i)
+				links[i] = simnet.NewChaos(plan)
 			}
 			return links[i]
 		}
@@ -112,8 +104,7 @@ func (c *LiveFailover) Run() (*FailoverReport, error) {
 		exec.ScheduleKill(c.FailRound, c.FailDevice)
 	}
 
-	rep := &FailoverReport{Config: c}
-	start := time.Now()
+	rep := &FailoverReport{}
 	opt := &nn.SGD{LR: lr}
 	for r := 0; r < c.Rounds; r++ {
 		loss, err := exec.TrainRound(x, labels, opt)
@@ -125,9 +116,7 @@ func (c *LiveFailover) Run() (*FailoverReport, error) {
 		}
 		rep.FinalLoss = loss
 	}
-	rep.Elapsed = time.Since(start)
 	rep.Stats = exec.Stats()
-	rep.StagesAfter = exec.Stages()
 
 	// Fault-free oracle: the identically-seeded model trained in-process.
 	ref := model.NewTrainableMLP(rand.New(rand.NewSource(c.Seed)), "failover", dim, hidden, classes)
@@ -141,37 +130,6 @@ func (c *LiveFailover) Run() (*FailoverReport, error) {
 			return nil, err
 		}
 	}
-	rep.BitIdentical = true
-	got, want := tr.Network().FlatWeights(), ref.Network().FlatWeights()
-	for i := range want {
-		if got[i] != want[i] {
-			rep.BitIdentical = false
-			break
-		}
-	}
+	rep.BitIdentical = slices.Equal(tr.Network().FlatWeights(), ref.Network().FlatWeights())
 	return rep, nil
-}
-
-// PrintFailover renders the executed-recovery report.
-func PrintFailover(w io.Writer, r *FailoverReport) {
-	c := r.Config
-	fmt.Fprintf(w, "live failover: %d rounds, chaos=%s p=%.2g, kill device %d at round %d\n",
-		c.Rounds, c.Chaos, c.ChaosProb, c.FailDevice, c.FailRound)
-	fmt.Fprintf(w, "  committed rounds      %d (%.1fms total)\n", r.Stats.Rounds, float64(r.Elapsed.Microseconds())/1000)
-	fmt.Fprintf(w, "  aborted rounds        %d\n", r.Stats.Aborts)
-	fmt.Fprintf(w, "  heal cycles           %d\n", r.Stats.Heals)
-	fmt.Fprintf(w, "  executed migrations   %d (%d bytes shipped; plan predicted %.0f)\n",
-		r.Stats.Migrations, r.Stats.MigratedBytes, r.Stats.PlannedMoveBytes)
-	fmt.Fprintf(w, "  last detect latency   %v\n", r.Stats.LastDetectLatency.Round(time.Microsecond))
-	fmt.Fprintf(w, "  last migration time   %v\n", r.Stats.LastMigrationTime.Round(time.Microsecond))
-	fmt.Fprintf(w, "  loss %.4f -> %.4f\n", r.FirstLoss, r.FinalLoss)
-	fmt.Fprintf(w, "  surviving stages      ")
-	for i, s := range r.StagesAfter {
-		if i > 0 {
-			fmt.Fprint(w, " | ")
-		}
-		fmt.Fprintf(w, "%s[%d,%d)", s.Device.Name, s.From, s.To)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  bit-identical to fault-free run: %v\n", r.BitIdentical)
 }

@@ -40,10 +40,10 @@ func flConfig(seed int64, scale Scale, lambda float64, dynamic bool) fl.Config {
 }
 
 // BuildPopulation creates a population on the named dataset preset with the
-// paper's 2-classes-per-client non-IID partition. Exported because every
-// harness that replays the paper's fleet — the figure runners here and the
-// declarative scenario runner — must shard data and draw latencies from the
-// same seeded stream to be comparable.
+// scale's classes-per-client non-IID partition (the paper's is 2). Exported
+// because every harness that replays the paper's fleet — the figure runners
+// here and the declarative scenario runner — must shard data and draw
+// latencies from the same seeded stream to be comparable.
 func BuildPopulation(seed int64, dataset string, scale Scale, cfg fl.Config) *fl.Population {
 	rng := rand.New(rand.NewSource(seed))
 	var ds *data.Dataset
@@ -56,7 +56,11 @@ func BuildPopulation(seed int64, dataset string, scale Scale, cfg fl.Config) *fl
 		ds = data.MNISTLike(rng, scale.DatasetSize)
 	}
 	_, test := ds.Split(0.85)
-	shards := data.PartitionByClasses(rng, ds, scale.Clients, 2)
+	classes := scale.ClassesPerClient
+	if classes == 0 {
+		classes = 2
+	}
+	shards := data.PartitionByClasses(rng, ds, scale.Clients, classes)
 	tx, ty := test.Materialize()
 	return fl.NewPopulation(rng, shards, tx, ty, cfg)
 }
@@ -177,65 +181,6 @@ func Fig9(seed int64, scale Scale) []Fig9Row {
 		})
 	}
 	return rows
-}
-
-// DropoutRow is one point of the dropout-resilience sweep.
-type DropoutRow struct {
-	DropoutProb  float64
-	Quorum       float64
-	FinalAcc     float64
-	BestAcc      float64
-	Rounds       int
-	Dropouts     int
-	Discarded    int
-	FailedRounds int
-}
-
-// DropoutGrid is the sweep grid: client dropout probability crossed with the
-// quorum fraction (1.0 = the classic wait-for-everyone synchronous round).
-var (
-	DropoutProbs   = []float64{0, 0.1, 0.2, 0.3}
-	DropoutQuorums = []float64{1.0, 0.6}
-)
-
-// Dropout sweeps per-round client dropout against quorum aggregation on the
-// Eco-FL hierarchical strategy (MNIST, dynamic setting): how much accuracy
-// does the system keep as clients start failing mid-round, and how much does
-// cutting rounds at a quorum — discarding stragglers — buy back. The
-// degradation story behind the fault-tolerant transport: losing a fraction
-// of updates costs little, and not waiting for them costs less.
-func Dropout(seed int64, scale Scale) []DropoutRow {
-	var rows []DropoutRow
-	for _, p := range DropoutProbs {
-		for _, q := range DropoutQuorums {
-			cfg := flConfig(seed, scale, 500, true)
-			cfg.DropoutProb = p
-			cfg.Quorum = q
-			pop := BuildPopulation(seed, "mnist", scale, cfg)
-			r := fl.RunHierarchical(pop, fl.HierOptions{Grouping: fl.GroupEcoFL, DynamicRegroup: true})
-			rows = append(rows, DropoutRow{
-				DropoutProb:  p,
-				Quorum:       q,
-				FinalAcc:     r.FinalAccuracy,
-				BestAcc:      r.BestAccuracy,
-				Rounds:       r.Rounds,
-				Dropouts:     r.Dropouts,
-				Discarded:    r.QuorumDiscarded,
-				FailedRounds: r.QuorumFailures,
-			})
-		}
-	}
-	return rows
-}
-
-// PrintDropout renders the dropout sweep table.
-func PrintDropout(w io.Writer, rows []DropoutRow) {
-	fmt.Fprintf(w, "%8s %7s %7s %9s %8s %9s %10s %7s\n",
-		"dropout", "quorum", "rounds", "dropouts", "cut", "failed", "final-acc", "best")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8.2f %7.2f %7d %9d %8d %9d %10.3f %7.3f\n",
-			r.DropoutProb, r.Quorum, r.Rounds, r.Dropouts, r.Discarded, r.FailedRounds, r.FinalAcc, r.BestAcc)
-	}
 }
 
 // PrintCurves renders curve sets as aligned text series.

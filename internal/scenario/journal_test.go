@@ -57,10 +57,7 @@ func journalSmokeSpec(t *testing.T, topology, extra string) *Spec {
 // journal, client push.ack lanes arrive over the telemetry piggyback, and
 // the report records the summary.
 func TestRunFLNetJournalSummary(t *testing.T) {
-	rep, err := Run(journalSmokeSpec(t, TopologyFLNet, ""), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, journalSmokeSpec(t, TopologyFLNet, ""), RunOptions{})
 	if rep.JournalEvents == nil {
 		t.Fatal("journaled run produced no journal_events summary")
 	}
@@ -78,10 +75,7 @@ func TestRunFLNetJournalSummary(t *testing.T) {
 // TestRunFLJournalSummary: the virtual-time simulation journals round
 // lifecycle and quorum casualties.
 func TestRunFLJournalSummary(t *testing.T) {
-	rep, err := Run(journalSmokeSpec(t, TopologyFL, ""), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, journalSmokeSpec(t, TopologyFL, ""), RunOptions{})
 	if rep.JournalEvents["fl.round-start"] == 0 {
 		t.Fatalf("no fl.round-start events: %v", rep.JournalEvents)
 	}
@@ -91,16 +85,21 @@ func TestRunFLJournalSummary(t *testing.T) {
 }
 
 // TestRunPipelineJournalSummary: the failover run journals the kill and the
-// full heal sequence.
+// full heal sequence, and a run that succeeds prints the tail of its
+// timeline too — the heal steps and the survivor layout, which the report
+// only counts.
 func TestRunPipelineJournalSummary(t *testing.T) {
-	rep, err := Run(journalSmokeSpec(t, TopologyPipeline, ""), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var dump strings.Builder
+	rep := runDeclared(t, journalSmokeSpec(t, TopologyPipeline, ""), RunOptions{DumpTo: &dump})
 	for _, kind := range []string{"exec.kill", "exec.detect", "exec.abort",
 		"exec.repartition", "exec.ship-segment", "exec.resume", "exec.round-commit"} {
 		if rep.JournalEvents[kind] == 0 {
 			t.Fatalf("no %s events in journal summary: %v", kind, rep.JournalEvents)
+		}
+	}
+	for _, want := range []string{"scenario journal-pipeline: flight recorder", "exec.repartition", "layout=TX2-N["} {
+		if !strings.Contains(dump.String(), want) {
+			t.Fatalf("timeline of the successful run lacks %q:\n%s", want, dump.String())
 		}
 	}
 }
@@ -108,10 +107,7 @@ func TestRunPipelineJournalSummary(t *testing.T) {
 // TestJournalDisabledLeavesReportClean: without the journal knob the report
 // has no summary and no journal metric.
 func TestJournalDisabledLeavesReportClean(t *testing.T) {
-	rep, err := Run(flnetSmokeSpec(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, flnetSmokeSpec(), RunOptions{})
 	if rep.JournalEvents != nil {
 		t.Fatalf("journal disabled but summary present: %v", rep.JournalEvents)
 	}

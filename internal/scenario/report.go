@@ -46,6 +46,27 @@ type Report struct {
 	// present when the spec enabled journaling. The full timeline is not
 	// embedded — it is dumped on failure and queryable live via /events.
 	JournalEvents map[string]int `json:"journal_events,omitempty"`
+	// Table is a sweep's result, present when the spec carries a sweep block
+	// (Metrics is then empty: every measurement belongs to a row).
+	Table *Table `json:"table,omitempty"`
+}
+
+// Table holds one row per sweep cell, in row-major order of the axes (the
+// last axis varies fastest).
+type Table struct {
+	// Axes are the swept paths and Metrics the reported metric names: the
+	// column headings of Rows' two halves.
+	Axes    []string   `json:"axes"`
+	Metrics []string   `json:"metrics"`
+	Rows    []TableRow `json:"rows"`
+}
+
+// TableRow is one cell: the value each axis took, as the spec wrote it, and
+// the cell's reading of each reported metric (0 for one that cell's run does
+// not produce, such as churn_departures with churn off).
+type TableRow struct {
+	Values  []json.RawMessage `json:"values"`
+	Metrics []float64         `json:"metrics"`
 }
 
 // setMetric records one named measurement.

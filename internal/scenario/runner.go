@@ -32,12 +32,12 @@ type RunOptions struct {
 	// SampleEvery is the runtime-sampler cadence. 0 means 50ms — frequent
 	// enough to catch a goroutine spike inside a single flnet round.
 	SampleEvery time.Duration
-	// DumpTo receives the flight-recorder timeline tail when a journaled
-	// scenario fails. Nil means os.Stderr.
+	// DumpTo receives the tail of a journaled scenario's merged timeline when
+	// the run ends, failed or not. Nil means os.Stderr.
 	DumpTo io.Writer
 }
 
-// dumpTail is how many trailing journal events a failing scenario prints.
+// dumpTail is how many trailing journal events a journaled scenario prints.
 const dumpTail = 40
 
 // journals holds the flight recorders a journaled scenario run attaches;
@@ -46,7 +46,6 @@ const dumpTail = 40
 type journals struct {
 	rec   *journal.Recorder // fl / pipeline topologies: one local lane
 	fleet *journal.Fleet    // flnet topology: server + imported client lanes
-	cap   int
 }
 
 // newJournals builds the recorders the spec's topology needs.
@@ -54,11 +53,8 @@ func newJournals(spec *Spec) journals {
 	if !spec.Journal.Enabled {
 		return journals{}
 	}
-	capacity := spec.Journal.Capacity
-	if capacity == 0 {
-		capacity = journal.DefaultCapacity
-	}
-	j := journals{cap: capacity}
+	capacity := spec.Journal.Capacity // 0: the journal package's default
+	var j journals
 	switch spec.Topology {
 	case TopologyFLNet:
 		j.fleet = journal.NewFleet(capacity, journal.New(-1, capacity))
@@ -81,11 +77,12 @@ func (j journals) events() []journal.Event {
 	return j.rec.Events()
 }
 
-// Run executes one validated scenario end to end and returns its report.
-// Domain metrics (accuracy, round times, wire bytes) come from the run
-// itself and from before/after deltas of the process-wide metrics registry;
-// runtime health (goroutine HWM, peak heap, GC pause tail) comes from a
-// RuntimeSampler that samples throughout the run.
+// Run executes one validated scenario end to end and returns its report: a
+// sweep's table (sweep.go), or one run's measurements. Domain metrics
+// (accuracy, round times, wire bytes) come from the run itself and from
+// before/after deltas of the process-wide metrics registry; runtime health
+// (goroutine HWM, peak heap, GC pause tail) comes from a RuntimeSampler that
+// samples throughout the run.
 func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -101,6 +98,9 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 		GitSHA:      opts.GitSHA,
 		StartedUnix: opts.Now,
 		Metrics:     make(map[string]float64),
+	}
+	if spec.Sweep != nil {
+		return runSweep(spec, rep, opts)
 	}
 
 	// The runtime sampler lives on a private registry so repeated runs in
@@ -122,24 +122,23 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	}
 	stop()
 	rs.Sample() // end-of-run state: the freshest peaks
-	if err != nil {
-		if jn.enabled() {
-			// Dump-on-failure: the forensic record of what led up to it.
-			w := opts.DumpTo
-			if w == nil {
-				w = os.Stderr
-			}
-			evs := jn.events()
-			tail := journal.Tail(evs, dumpTail)
-			fmt.Fprintf(w, "scenario %s failed; flight recorder (last %d of %d events):\n%s",
-				spec.Name, len(tail), len(evs), journal.Timeline(tail))
-		}
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-	}
 	if jn.enabled() {
+		// The tail of the timeline: the forensic record of what led up to a
+		// failure, and after a success the heal steps and survivor layout
+		// the report's counters only count.
+		w := opts.DumpTo
+		if w == nil {
+			w = os.Stderr
+		}
 		evs := jn.events()
+		tail := journal.Tail(evs, dumpTail)
+		fmt.Fprintf(w, "scenario %s: flight recorder (last %d of %d events):\n%s",
+			spec.Name, len(tail), len(evs), journal.Timeline(tail))
 		rep.JournalEvents = journal.CountByKind(evs)
 		rep.setMetric("journal_events_total", float64(len(evs)))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
 	rep.ElapsedSeconds = time.Since(t0).Seconds()
@@ -153,39 +152,23 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	return rep, nil
 }
 
-// knownStrategy reports whether fl.RunByName accepts the name.
-func knownStrategy(name string) bool {
-	for _, s := range fl.StrategyNames() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-// scaleFromSpec translates the fleet spec into the experiments scale used by
-// BuildPopulation. The dataset size defaults to 40 samples per client — a
-// shard big enough to train on, small enough for a CI smoke run.
+// scaleFromSpec translates the fleet spec into the fields of the experiments
+// scale that BuildPopulation reads (the run's horizon and training knobs
+// reach it in the fl.Config). The dataset size defaults to 40 samples per
+// client — a shard big enough to train on, small enough for a CI smoke run.
 func scaleFromSpec(spec *Spec) experiments.Scale {
 	f := spec.Fleet
 	size := f.DatasetSize
 	if size == 0 {
 		size = 40 * f.Clients
 	}
-	return experiments.Scale{
-		Clients:       f.Clients,
-		DatasetSize:   size,
-		Duration:      spec.Run.Duration,
-		EvalInterval:  spec.Run.EvalInterval,
-		MaxConcurrent: f.MaxConcurrent,
-		LocalEpochs:   f.LocalEpochs,
-	}
+	return experiments.Scale{Clients: f.Clients, DatasetSize: size, ClassesPerClient: f.ClassesPerClient}
 }
 
 // flConfigFromSpec builds the simulation config. Zero-valued knobs fall to
 // the paper defaults via fl.Config's own withDefaults.
 func flConfigFromSpec(spec *Spec) fl.Config {
-	return fl.Config{
+	cfg := fl.Config{
 		Seed:            spec.Seed,
 		MaxConcurrent:   spec.Fleet.MaxConcurrent,
 		LocalEpochs:     spec.Fleet.LocalEpochs,
@@ -205,12 +188,22 @@ func flConfigFromSpec(spec *Spec) fl.Config {
 		MeanDelay:       spec.Fleet.MeanDelay,
 		StdDelay:        spec.Fleet.StdDelay,
 	}
+	if a := spec.Attack; a.Fraction > 0 {
+		// pop.LocalTrain corrupts compromised clients' updates before they
+		// reach the mixer (fl) or the wire (flnet: exactly what a hijacked
+		// client process would send the server's ingest gate). Seed 0 derives
+		// the adversary's own rng lane from cfg.Seed, so the compromised set
+		// is reproducible per scenario seed.
+		cfg.Adversary = &fl.Adversary{Fraction: a.Fraction, Mode: a.Mode, Scale: a.Scale}
+	}
+	return cfg
 }
 
 // churnSeedOffset separates the availability-trace seed lane from the
 // scenario's other derived seeds (chaos uses +1000+id, datasets use the seed
-// itself), so attaching churn never perturbs them.
-const churnSeedOffset = 5000
+// itself), so attaching churn never perturbs them. 7000 is the lane the
+// published churn table (EXPERIMENTS.md) was drawn on.
+const churnSeedOffset = 7000
 
 // churnTraces materializes the spec's availability model into one trace per
 // client over the given horizon (virtual seconds). Returns nil when the spec
@@ -258,46 +251,22 @@ func (lc *leaseClock) Advance(d time.Duration) {
 	lc.mu.Unlock()
 }
 
-// dataset returns the fleet's dataset preset name.
-func dataset(spec *Spec) string {
-	if spec.Fleet.Dataset == "" {
-		return "mnist"
-	}
-	return spec.Fleet.Dataset
-}
-
 // ---------------------------------------------------------------- fl
 
 // runFL executes the in-process virtual-time simulation.
 func runFL(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) error {
 	cfg := flConfigFromSpec(spec)
 	cfg.Journal = jn.rec
-	if spec.Churn.enabled() {
-		traces, err := churnTraces(spec, cfg.Duration)
-		if err != nil {
+	var err error
+	if cfg.Churn, err = churnTraces(spec, cfg.Duration); err != nil {
+		return err
+	}
+	if name := spec.Attack.Defense.Aggregator; name != "" {
+		if cfg.Robust, err = robust.ByName(name, spec.Attack.Defense.Trim); err != nil {
 			return err
 		}
-		cfg.Churn = traces
 	}
-	if spec.Attack.enabled() {
-		if spec.Attack.Fraction > 0 {
-			// Seed 0 derives the adversary's own rng lane from cfg.Seed, so
-			// the compromised set is reproducible per scenario seed.
-			cfg.Adversary = &fl.Adversary{
-				Fraction: spec.Attack.Fraction,
-				Mode:     spec.Attack.Mode,
-				Scale:    spec.Attack.Scale,
-			}
-		}
-		if name := spec.Attack.Defense.Aggregator; name != "" {
-			agg, err := robust.ByName(name, spec.Attack.Defense.Trim)
-			if err != nil {
-				return err
-			}
-			cfg.Robust = agg
-		}
-	}
-	pop := experiments.BuildPopulation(spec.Seed, dataset(spec), scaleFromSpec(spec), cfg)
+	pop := experiments.BuildPopulation(spec.Seed, spec.Fleet.Dataset, scaleFromSpec(spec), cfg)
 	before := snapshotMap(metrics.Default)
 	r, err := fl.RunByName(pop, spec.Agg.Strategy)
 	if err != nil {
@@ -361,18 +330,7 @@ const (
 // deterministic for a given spec; chaos (when scheduled) perturbs delivery,
 // not the training stream, and push dedup keeps retried updates exactly-once.
 func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) error {
-	cfg := flConfigFromSpec(spec)
-	if spec.Attack.Fraction > 0 {
-		// pop.LocalTrain corrupts compromised clients' updates before they
-		// ever reach the wire, so the attack exercises the server's ingest
-		// gate with exactly what a hijacked client process would send.
-		cfg.Adversary = &fl.Adversary{
-			Fraction: spec.Attack.Fraction,
-			Mode:     spec.Attack.Mode,
-			Scale:    spec.Attack.Scale,
-		}
-	}
-	pop := experiments.BuildPopulation(spec.Seed, dataset(spec), scaleFromSpec(spec), cfg)
+	pop := experiments.BuildPopulation(spec.Seed, spec.Fleet.Dataset, scaleFromSpec(spec), flConfigFromSpec(spec))
 	alpha := spec.Agg.Alpha
 	if alpha == 0 {
 		alpha = 0.5
@@ -431,7 +389,7 @@ func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) 
 			JitterSeed:  spec.Seed + int64(i) + 1,
 		}
 		if jn.fleet != nil {
-			o.Journal = journal.New(i, jn.cap)
+			o.Journal = journal.New(i, spec.Journal.Capacity)
 		}
 		if chaos := chaosForClient(spec, i); chaos != nil {
 			// The chaos state logs injected faults into the client's lane, so
@@ -516,17 +474,16 @@ func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) 
 	}
 	after := snapshotMap(metrics.Default)
 
-	if len(rep.Curve) > 0 {
-		final := rep.Curve[len(rep.Curve)-1].Accuracy
-		best := final
-		for _, p := range rep.Curve {
-			if p.Accuracy > best {
-				best = p.Accuracy
-			}
+	// Validate requires run.rounds > 0, so the curve has a point per round.
+	final := rep.Curve[len(rep.Curve)-1].Accuracy
+	best := final
+	for _, p := range rep.Curve {
+		if p.Accuracy > best {
+			best = p.Accuracy
 		}
-		rep.setMetric("final_accuracy", final)
-		rep.setMetric("best_accuracy", best)
 	}
+	rep.setMetric("final_accuracy", final)
+	rep.setMetric("best_accuracy", best)
 	rep.setMetric("rounds", float64(spec.Run.Rounds))
 	rep.setMetric("pushes", float64(srv.Pushes()))
 	rep.setMetric("deduped_pushes", float64(srv.Deduped()))
@@ -609,8 +566,7 @@ func runPipeline(spec *Spec, rep *Report, jn journals) error {
 		Journal:        jn.rec,
 	}
 	if len(spec.Faults) > 0 {
-		cfg.Chaos = spec.Faults[0].Mode
-		cfg.ChaosProb = spec.Faults[0].Prob
+		cfg.Fault = spec.Faults[0].plan(spec.Seed, 0)
 	}
 	r, err := cfg.Run()
 	if err != nil {
@@ -626,12 +582,9 @@ func runPipeline(spec *Spec, rep *Report, jn journals) error {
 	rep.setMetric("migration_time_s", r.Stats.LastMigrationTime.Seconds())
 	rep.setMetric("first_loss", r.FirstLoss)
 	rep.setMetric("final_loss", r.FinalLoss)
-	bit := 0.0
-	if r.BitIdentical {
-		bit = 1
-	}
-	rep.setMetric("bit_identical", bit)
+	rep.setMetric("bit_identical", 1)
 	if !r.BitIdentical {
+		rep.setMetric("bit_identical", 0)
 		rep.warnf("recovered model diverged from the fault-free oracle")
 	}
 	return nil

@@ -29,10 +29,7 @@ func flnetSmokeSpec() *Spec {
 // carries every metric the regression gate keys on.
 func TestRunFLNetSmoke(t *testing.T) {
 	base := leakcheck.Baseline()
-	rep, err := Run(flnetSmokeSpec(), RunOptions{GitSHA: "testsha", Now: 1754000000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, flnetSmokeSpec(), RunOptions{GitSHA: "testsha", Now: 1754000000})
 	leakcheck.Check(t, base)
 
 	if rep.Schema != ReportSchema || rep.Scenario != "smoke-test" || rep.Topology != TopologyFLNet {
@@ -114,10 +111,7 @@ func TestRunFLTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	for _, name := range []string{"final_accuracy", "rounds", "round_time_p50_s", "round_time_p95_s", "goroutine_hwm"} {
 		if _, ok := rep.Metrics[name]; !ok {
 			t.Errorf("fl report missing %s (have %v)", name, rep.Metrics)
@@ -162,10 +156,7 @@ func TestRunFLWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	for _, name := range []string{"final_accuracy", "rounds", "churn_departures", "readmissions"} {
 		if _, ok := rep.Metrics[name]; !ok {
 			t.Errorf("churn report missing %s (have %v)", name, rep.Metrics)
@@ -198,10 +189,7 @@ func TestRunFLNetWithChurnLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := leakcheck.Baseline()
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	leakcheck.Check(t, base)
 	for _, name := range []string{"offline_skips", "lease_expired", "lease_resyncs", "sessions_final", "pushes"} {
 		if _, ok := rep.Metrics[name]; !ok {
@@ -245,10 +233,7 @@ func TestRunFLNetWithChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := leakcheck.Baseline()
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	leakcheck.Check(t, base)
 	if _, ok := rep.Metrics["client_retries"]; !ok {
 		t.Fatalf("chaos run missing client_retries (have %v)", rep.Metrics)
@@ -278,10 +263,7 @@ func TestRunFLWithAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	for _, name := range []string{"final_accuracy", "adversary_corruptions", "norm_clipped"} {
 		if _, ok := rep.Metrics[name]; !ok {
 			t.Errorf("attack report missing %s (have %v)", name, rep.Metrics)
@@ -310,10 +292,7 @@ func TestRunFLNetWithAttackNormGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runDeclared(t, spec, RunOptions{})
 	if rep.Metrics["adversary_corruptions"] <= 0 {
 		t.Errorf("50%% nan adversary corrupted nothing: %+v", rep.Metrics)
 	}

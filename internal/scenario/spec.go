@@ -4,8 +4,9 @@
 // while sampling both the domain metrics (accuracy curve, round-time
 // quantiles, payload bytes per codec) and the Go runtime (goroutine
 // high-water mark, peak heap, GC pause tail), emitting a versioned
-// machine-readable report. It runs specs; measuring one commit against
-// another is benchmark/'s job (benchmark/README.md, `compare`).
+// machine-readable report. A spec with a sweep block is a grid of such runs
+// reported as one table (sweep.go). It runs specs; measuring one commit
+// against another is benchmark/'s job (benchmark/README.md, `compare`).
 package scenario
 
 import (
@@ -13,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"ecofl/internal/fl"
@@ -55,6 +57,9 @@ type Spec struct {
 	Run      RunSpec      `json:"run"`
 	Pipeline PipelineSpec `json:"pipeline,omitempty"`
 	Journal  JournalSpec  `json:"journal,omitempty"`
+	// Sweep, when present, runs the spec once per combination of its axes'
+	// values and reports one table instead of one run's metrics.
+	Sweep *SweepSpec `json:"sweep,omitempty"`
 }
 
 // AttackSpec injects Byzantine clients into the run and selects the defense
@@ -154,6 +159,9 @@ type FleetSpec struct {
 	Clients     int    `json:"clients"`
 	Dataset     string `json:"dataset,omitempty"` // mnist (default), fashion-mnist, cifar10
 	DatasetSize int    `json:"dataset_size,omitempty"`
+	// ClassesPerClient is how many of the dataset's 10 classes each client's
+	// shard draws from. 0 means the paper's 2-class non-IID partition.
+	ClassesPerClient int `json:"classes_per_client,omitempty"`
 	// MaxConcurrent caps clients training at once (fl topology).
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	LocalEpochs   int `json:"local_epochs,omitempty"`
@@ -166,8 +174,9 @@ type FleetSpec struct {
 // AggSpec selects the aggregation strategy and its knobs.
 type AggSpec struct {
 	// Strategy is one of fl.StrategyNames(): fedavg, fedasync, fedat,
-	// astraea, eco-fl, eco-fl-nodg. flnet topology ignores it (the server is
-	// always the asynchronous staleness-aware aggregator).
+	// astraea, eco-fl, eco-fl-nodg. fl topology only: the flnet server is
+	// always the asynchronous staleness-aware aggregator, which reads Mu and
+	// Alpha and nothing else of this block.
 	Strategy string `json:"strategy,omitempty"`
 	// Mu is the FedProx proximal coefficient; Alpha the asynchronous mixing
 	// weight; Lambda the grouping trade-off of Eq. 4.
@@ -206,8 +215,8 @@ type WireSpec struct {
 
 // FaultSpec is one entry of the fault schedule, reusing the deterministic
 // simnet chaos modes. In the flnet topology each entry owns the links of the
-// clients it names (empty Clients = every client); in the pipeline topology
-// the first entry sets the link chaos plan.
+// clients it names (empty Clients = every client); the pipeline topology
+// takes at most one entry, which every inter-stage link runs.
 type FaultSpec struct {
 	Mode simnet.FaultMode `json:"mode"`
 	// Prob is the per-write trigger probability in [0, 1].
@@ -217,7 +226,7 @@ type FaultSpec struct {
 	// StallMS / PartitionMS size the stall freeze and partition outage.
 	StallMS     int `json:"stall_ms,omitempty"`
 	PartitionMS int `json:"partition_ms,omitempty"`
-	// Clients restricts the faulty links to these client IDs.
+	// Clients restricts the faulty links to these client IDs (flnet topology).
 	Clients []int `json:"clients,omitempty"`
 }
 
@@ -298,10 +307,10 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	if err := s.Churn.validate(s.Topology); err != nil {
+	if err := s.Churn.validate(); err != nil {
 		return err
 	}
-	if err := s.Attack.validate(s.Topology); err != nil {
+	if err := s.Attack.validate(); err != nil {
 		return err
 	}
 	if err := s.Run.validate(s.Topology); err != nil {
@@ -309,6 +318,56 @@ func (s *Spec) Validate() error {
 	}
 	if s.Journal.Capacity < 0 {
 		return fmt.Errorf("journal.capacity must not be negative (got %d)", s.Journal.Capacity)
+	}
+	if err := s.unreadField(); err != nil || s.Sweep == nil {
+		return err
+	}
+	_, err := s.cells()
+	return err
+}
+
+// unreadField reports the first block or field the spec sets that its
+// topology never reads. A knob that is silently ignored is worse than a
+// typo: the run succeeds and means something else (and a sweep over it
+// prints a table of identical rows), so it fails closed like one.
+func (s *Spec) unreadField() error {
+	fl, net, pipe := s.Topology == TopologyFL, s.Topology == TopologyFLNet, s.Topology == TopologyPipeline
+	a, r := s.Agg, s.Run
+	for _, k := range []struct {
+		name string
+		set  bool
+	}{
+		{"wire", (fl || pipe) && s.Wire != WireSpec{}},
+		{"pipeline", (fl || net) && s.Pipeline != PipelineSpec{}},
+		{"faults", fl && len(s.Faults) > 0},
+		{"run.rounds", fl && r.Rounds != 0},
+		{"churn.lease_ttl_s", fl && s.Churn.LeaseTTLS != 0},
+		{"aggregation.strategy", net && a.Strategy != ""},
+		{"aggregation.lambda", net && a.Lambda != 0},
+		{"aggregation.num_groups", net && a.NumGroups != 0},
+		{"aggregation.group_sync_every", net && a.GroupSyncEvery != 0},
+		{"aggregation.dropout_prob", net && a.DropoutProb != 0},
+		{"aggregation.quorum", net && a.Quorum != 0},
+		{"aggregation.dynamic", net && a.Dynamic},
+		{"fleet.max_concurrent", net && s.Fleet.MaxConcurrent != 0},
+		{"run.duration_s", net && r.Duration != 0},
+		{"run.eval_interval_s", net && r.EvalInterval != 0},
+		{"fleet", pipe && s.Fleet != FleetSpec{}},
+		{"aggregation", pipe && a != AggSpec{}},
+		{"churn", pipe && s.Churn.enabled()},
+		{"attack", pipe && s.Attack.enabled()},
+		// The flnet server's asynchronous mixer is defended by the norm gate,
+		// the simulator's committees by a robust aggregator.
+		{"attack.defense.aggregator", net && s.Attack.Defense.Aggregator != ""},
+		{"attack.defense.norm_gate", fl && s.Attack.Defense.NormGate},
+		// Every inter-stage link runs the one entry; there are no clients
+		// to restrict it to.
+		{"faults[1]", pipe && len(s.Faults) > 1},
+		{"faults[0].clients", pipe && len(s.Faults) > 0 && len(s.Faults[0].Clients) > 0},
+	} {
+		if k.set {
+			return fmt.Errorf("%s is set but the %s topology never reads it", k.name, s.Topology)
+		}
 	}
 	return nil
 }
@@ -324,6 +383,17 @@ func (f FleetSpec) validate(topology string) error {
 	}
 	if f.DatasetSize < 0 {
 		return fmt.Errorf("fleet.dataset_size must not be negative (got %d)", f.DatasetSize)
+	}
+	if f.ClassesPerClient < 0 || f.ClassesPerClient > 10 {
+		return fmt.Errorf("fleet.classes_per_client must be in [0, 10] (got %d)", f.ClassesPerClient)
+	}
+	// The partitioner cuts clients × classes shards and needs a sample in each.
+	shards := f.Clients * f.ClassesPerClient
+	if f.ClassesPerClient == 0 {
+		shards = f.Clients * 2
+	}
+	if f.DatasetSize > 0 && f.DatasetSize < shards {
+		return fmt.Errorf("fleet.dataset_size %d is smaller than the %d shards of %d clients", f.DatasetSize, shards, f.Clients)
 	}
 	if f.MaxConcurrent < 0 {
 		return fmt.Errorf("fleet.max_concurrent must not be negative (got %d)", f.MaxConcurrent)
@@ -342,7 +412,7 @@ func (a AggSpec) validate(topology string) error {
 		if a.Strategy == "" {
 			return fmt.Errorf("aggregation.strategy must be set for the fl topology")
 		}
-		if !knownStrategy(a.Strategy) {
+		if !slices.Contains(fl.StrategyNames(), a.Strategy) {
 			return fmt.Errorf("unknown aggregation.strategy %q", a.Strategy)
 		}
 	}
@@ -397,6 +467,9 @@ func (f FaultSpec) validate(i int) error {
 	if f.StallMS < 0 || f.PartitionMS < 0 {
 		return fmt.Errorf("faults[%d] durations must not be negative (stall %dms, partition %dms)", i, f.StallMS, f.PartitionMS)
 	}
+	if (f.Mode == simnet.FaultStall && f.StallMS == 0) || (f.Mode == simnet.FaultPartition && f.PartitionMS == 0) {
+		return fmt.Errorf("faults[%d].%s_ms must be positive for the %s mode (a fault of no length injects nothing)", i, f.Mode, f.Mode)
+	}
 	for _, id := range f.Clients {
 		if id < 0 {
 			return fmt.Errorf("faults[%d].clients contains negative id %d", i, id)
@@ -405,19 +478,16 @@ func (f FaultSpec) validate(i int) error {
 	return nil
 }
 
-func (c ChurnSpec) validate(topology string) error {
+func (c ChurnSpec) validate() error {
+	if c.LeaseTTLS < 0 {
+		return fmt.Errorf("churn.lease_ttl_s must not be negative (got %g)", c.LeaseTTLS)
+	}
 	switch c.Model {
 	case "":
-		if c.LeaseTTLS < 0 {
-			return fmt.Errorf("churn.lease_ttl_s must not be negative (got %g)", c.LeaseTTLS)
-		}
 		return nil
 	case ChurnDiurnal, ChurnSessions, ChurnTrace:
 	default:
 		return fmt.Errorf("unknown churn.model %q (diurnal, sessions, trace)", c.Model)
-	}
-	if topology == TopologyPipeline {
-		return fmt.Errorf("churn is not supported on the pipeline topology")
 	}
 	if c.PeriodS < 0 {
 		return fmt.Errorf("churn.period_s must not be negative (got %g)", c.PeriodS)
@@ -440,22 +510,16 @@ func (c ChurnSpec) validate(topology string) error {
 	if c.Model != ChurnTrace && c.TraceFile != "" {
 		return fmt.Errorf("churn.trace_file is only valid with the trace model (got model %q)", c.Model)
 	}
-	if c.LeaseTTLS < 0 {
-		return fmt.Errorf("churn.lease_ttl_s must not be negative (got %g)", c.LeaseTTLS)
-	}
 	return nil
 }
 
-func (a AttackSpec) validate(topology string) error {
+func (a AttackSpec) validate() error {
 	if !a.enabled() {
 		if a.Mode != "" || a.Scale != 0 || a.Defense.Trim != 0 {
 			return fmt.Errorf("attack parameters set without attack.fraction or a defense (mode %q, scale %g, trim %g)",
 				a.Mode, a.Scale, a.Defense.Trim)
 		}
 		return nil
-	}
-	if topology == TopologyPipeline {
-		return fmt.Errorf("attack is not supported on the pipeline topology")
 	}
 	if a.Fraction < 0 || a.Fraction > 1 {
 		return fmt.Errorf("attack.fraction must be in [0, 1] (got %g)", a.Fraction)
@@ -472,18 +536,12 @@ func (a AttackSpec) validate(topology string) error {
 		return fmt.Errorf("attack.scale must not be negative (got %g)", a.Scale)
 	}
 	if d := a.Defense; d.Aggregator != "" {
-		if topology != TopologyFL {
-			return fmt.Errorf("attack.defense.aggregator is only supported on the fl topology (the flnet server is defended by the norm gate)")
-		}
 		if _, err := robust.ByName(d.Aggregator, d.Trim); err != nil {
 			return fmt.Errorf("attack.defense.aggregator: %w", err)
 		}
 	}
 	if a.Defense.Trim < 0 || a.Defense.Trim >= 0.5 {
 		return fmt.Errorf("attack.defense.trim must be in [0, 0.5) (got %g)", a.Defense.Trim)
-	}
-	if a.Defense.NormGate && topology != TopologyFLNet {
-		return fmt.Errorf("attack.defense.norm_gate is only supported on the flnet topology")
 	}
 	return nil
 }
@@ -513,7 +571,8 @@ func (r RunSpec) validate(topology string) error {
 
 // plan materializes one fault entry into a simnet plan for client id's link,
 // deriving the chaos seed from the scenario seed and the client id so every
-// link gets an independent but reproducible schedule.
+// link gets an independent but reproducible schedule. (The pipeline topology
+// reseeds the plan per inter-stage link on its own lane.)
 func (f FaultSpec) plan(scenarioSeed int64, id int) simnet.FaultPlan {
 	return simnet.FaultPlan{
 		Seed:      scenarioSeed + 1000 + int64(id),
@@ -527,13 +586,5 @@ func (f FaultSpec) plan(scenarioSeed int64, id int) simnet.FaultPlan {
 
 // appliesTo reports whether the fault entry covers client id.
 func (f FaultSpec) appliesTo(id int) bool {
-	if len(f.Clients) == 0 {
-		return true
-	}
-	for _, c := range f.Clients {
-		if c == id {
-			return true
-		}
-	}
-	return false
+	return len(f.Clients) == 0 || slices.Contains(f.Clients, id)
 }

@@ -67,17 +67,6 @@ func (m FaultMode) String() string {
 // inside a partition window.
 var ErrPartitioned = errors.New("simnet: link partitioned")
 
-// ParseFaultMode maps a mode name (as produced by FaultMode.String) back to
-// the mode — the CLI's --chaos flag format.
-func ParseFaultMode(s string) (FaultMode, error) {
-	for m := FaultNone; m <= FaultPartition; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return FaultNone, fmt.Errorf("simnet: unknown fault mode %q (none, drop, stall, black-hole, sever, partition)", s)
-}
-
 // MarshalText renders the mode by name, so a FaultMode field serializes as
 // "drop" / "partition" in JSON scenario specs instead of a bare integer.
 func (m FaultMode) MarshalText() ([]byte, error) {
@@ -87,15 +76,16 @@ func (m FaultMode) MarshalText() ([]byte, error) {
 	return []byte(m.String()), nil
 }
 
-// UnmarshalText parses a mode name (the ParseFaultMode format), making
+// UnmarshalText parses a mode name (as produced by FaultMode.String), making
 // FaultMode usable directly in JSON-decoded configuration.
 func (m *FaultMode) UnmarshalText(b []byte) error {
-	parsed, err := ParseFaultMode(string(b))
-	if err != nil {
-		return err
+	for mode := FaultNone; mode <= FaultPartition; mode++ {
+		if mode.String() == string(b) {
+			*m = mode
+			return nil
+		}
 	}
-	*m = parsed
-	return nil
+	return fmt.Errorf("simnet: unknown fault mode %q (none, drop, stall, black-hole, sever, partition)", b)
 }
 
 // FaultPlan is a deterministic fault schedule.
