@@ -7,7 +7,8 @@
 // aggregation state — weights, version, accepted pushes, and the per-client
 // dedup sequence numbers — and resumes from that file on restart, so a crash
 // loses no accepted updates: portals retry in-flight pushes and the restored
-// dedup window applies each exactly once.
+// dedup window applies each exactly once. The checkpoint file is also the
+// model file: one wire.KindCheckpoint frame whose raw payload is the weights.
 //
 //	ecofl-server --listen 127.0.0.1:9000 --duration 30s --checkpoint srv.ckpt
 package main
@@ -82,7 +83,6 @@ func main() {
 	evalEvery := flag.Duration("eval-every", 5*time.Second, "evaluation period")
 	checkpoint := flag.String("checkpoint", "", "server state checkpoint path: resumed on start when present, rewritten every --checkpoint-every and on exit (crash recovery)")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval")
-	saveModel := flag.String("save-model", "", "write the final model weights here on exit (optional)")
 	sampleEvery := flag.Duration("sample-every", 2*time.Second, "time-series sampling period for /dash")
 	sampleWindow := flag.Int("sample-window", 900, "time-series points kept per metric")
 	stragglerThreshold := flag.Float64("straggler-threshold", 0, "relative push-interval deviation flagging a straggler (0 = default 0.25)")
@@ -211,10 +211,4 @@ serveLoop:
 	}
 	fmt.Printf("final: version %d, pushes %d, deduped %d, test accuracy %.2f%%\n",
 		version, server.Pushes(), server.Deduped(), proto.Accuracy(tx, ty)*100)
-	if *saveModel != "" {
-		if err := proto.SaveFile(*saveModel); err != nil {
-			log.Fatalf("save-model: %v", err)
-		}
-		log.Printf("ecofl-server: model written to %s", *saveModel)
-	}
 }

@@ -12,15 +12,15 @@
 // so an aborted round can be replayed on the healed pipeline and the model
 // stays bit-identical to a fault-free run on the same final partition. The
 // migration itself is executed, not simulated: every moved weight segment
-// is gob-serialized, crosses a fresh net.Conn, and is installed on the
-// receiving side, with bytes and wall time measured against the analytical
-// plan (adaptive.PlanMigration).
+// crosses a fresh net.Conn as one wire.KindSegment frame and is validated
+// and installed on the receiving side, with bytes and wall time measured
+// against the analytical plan (adaptive.PlanMigration).
 package executor
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -31,6 +31,7 @@ import (
 	"ecofl/internal/adaptive"
 	"ecofl/internal/device"
 	"ecofl/internal/flnet"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
@@ -462,7 +463,7 @@ func (e *Executor) heal() error {
 // migrateTo re-partitions the model over devs, executes the weight
 // migration for every layer whose owner changed, and swaps in the rebuilt
 // pipeline. Weight shipping is real: each moved segment crosses a fresh
-// connection as a gob frame and is installed on arrival.
+// connection as a wire.KindSegment frame and is installed on arrival.
 func (e *Executor) migrateTo(devs []*device.Device) error {
 	if len(devs) == 0 {
 		return ErrNoSurvivors
@@ -556,16 +557,12 @@ func movedRanges(spec *model.Spec, old, new []pipeline.Stage) ([]movedRange, err
 	return out, nil
 }
 
-// segmentMsg is the wire format of one migrated weight segment.
-type segmentMsg struct {
-	From, To int
-	Data     []float64
-}
-
-// shipSegments executes the migration: for every moved range, the portal
-// serializes the segment's weights from the last committed round boundary,
-// sends them over a fresh connection, and the receiving side validates and
-// installs them. Returns the shipped byte volume.
+// shipSegments executes the migration: every moved range's weights, as of
+// the last committed round boundary, cross a fresh connection as one
+// wire.KindSegment frame and are installed on arrival — once the frame is a
+// segment frame for exactly that range, holds exactly its parameter count
+// and every weight is finite; a frame that fails has not touched the model.
+// Returns the shipped byte volume.
 func (e *Executor) shipSegments(moved []movedRange, round int) (int64, error) {
 	up, down, err := e.cfg.Links(0)
 	if err != nil {
@@ -576,36 +573,39 @@ func (e *Executor) shipSegments(moved []movedRange, round int) (int64, error) {
 
 	sendErr := make(chan error, 1)
 	go func() {
-		enc := gob.NewEncoder(up)
+		fw := wire.Writer{W: up}
+		var err error
 		for _, r := range moved {
-			seg := e.cfg.Trainable.SegmentNet(r.from, r.to)
-			if err := enc.Encode(&segmentMsg{From: r.from, To: r.to, Data: seg.FlatWeights()}); err != nil {
-				sendErr <- err
-				return
+			h := wire.Header{Kind: wire.KindSegment, A: int32(r.from), B: int32(r.to)}
+			if err = fw.WriteRawFrame(&h, e.cfg.Trainable.SegmentNet(r.from, r.to).FlatWeights(), nil); err != nil {
+				break
 			}
 		}
-		sendErr <- nil
+		sendErr <- err
 	}()
 
 	var shipped int64
-	dec := gob.NewDecoder(down)
+	fr := wire.Reader{R: down}
 	for _, r := range moved {
-		var msg segmentMsg
-		if err := dec.Decode(&msg); err != nil {
+		h, payload, _, err := fr.Next()
+		if err != nil {
 			return shipped, err
 		}
-		if msg.From != r.from || msg.To != r.to {
-			return shipped, fmt.Errorf("segment [%d,%d) arrived, expected [%d,%d)", msg.From, msg.To, r.from, r.to)
+		seg := e.cfg.Trainable.SegmentNet(r.from, r.to)
+		weights, _ := wire.ParseRaw(payload, nil) // ParseHeader checked the length
+		if h.Kind != wire.KindSegment || int(h.A) != r.from || int(h.B) != r.to || len(weights) != seg.NumParams() {
+			return shipped, fmt.Errorf("%w: kind %d [%d,%d) with %d weights arrived, expected segment [%d,%d) with %d",
+				wire.ErrFrame, h.Kind, h.A, h.B, len(weights), r.from, r.to, seg.NumParams())
 		}
-		seg := e.cfg.Trainable.SegmentNet(msg.From, msg.To)
-		if want := seg.NumParams(); len(msg.Data) != want {
-			return shipped, fmt.Errorf("segment [%d,%d): %d weights, expected %d", msg.From, msg.To, len(msg.Data), want)
+		for i, v := range weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return shipped, fmt.Errorf("%w: segment [%d,%d): weight %d is non-finite", wire.ErrFrame, r.from, r.to, i)
+			}
 		}
-		seg.SetFlatWeights(msg.Data)
-		shipped += int64(len(msg.Data) * 8)
+		seg.SetFlatWeights(weights)
+		shipped += int64(len(payload))
 		e.cfg.Journal.Record("exec.ship-segment", round, journal.None,
-			"from", strconv.Itoa(msg.From), "to", strconv.Itoa(msg.To),
-			"bytes", strconv.Itoa(len(msg.Data)*8))
+			"from", strconv.Itoa(r.from), "to", strconv.Itoa(r.to), "bytes", strconv.Itoa(len(payload)))
 	}
 	return shipped, <-sendErr
 }

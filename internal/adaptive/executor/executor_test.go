@@ -1,13 +1,18 @@
 package executor
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"ecofl/internal/device"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/journal"
@@ -401,5 +406,74 @@ func TestMovedRangesDiff(t *testing.T) {
 	}
 	if total > tr.Spec.NumLayers() {
 		t.Fatalf("moved %d of %d layers", total, tr.Spec.NumLayers())
+	}
+}
+
+// TestShipSegmentsRejectsBeforeInstall plays the receiving side of a
+// migration against frames no honest sender makes. Each must be refused
+// with the model exactly as it was — the checks run before SetFlatWeights —
+// and the one honest frame, through the same door, must install.
+func TestShipSegmentsRejectsBeforeInstall(t *testing.T) {
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(9)), "seg", 8, []int{10}, 3)
+	r := movedRange{0, 1}
+	n := tr.SegmentNet(r.from, r.to).NumParams()
+	honest := make([]float64, n)
+	for i := range honest {
+		honest[i] = float64(i) / 8
+	}
+	frame := func(h wire.Header, w []float64) []byte {
+		var buf bytes.Buffer
+		fw := wire.Writer{W: &buf}
+		if err := fw.WriteRawFrame(&h, w, nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	seg := wire.Header{Kind: wire.KindSegment, A: int32(r.from), B: int32(r.to)}
+	poisoned := append([]float64(nil), honest...)
+	poisoned[n-1] = math.NaN()
+	good := frame(seg, honest)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		ok     bool
+	}{
+		{"wrong range start", frame(wire.Header{Kind: wire.KindSegment, A: 1, B: 1}, honest), false},
+		{"wrong range end", frame(wire.Header{Kind: wire.KindSegment, A: 0, B: 2}, honest), false},
+		{"wrong kind", frame(wire.Header{Kind: wire.KindCheckpoint, A: seg.A, B: seg.B}, honest), false},
+		{"wrong length", frame(seg, honest[:n-1]), false},
+		{"NaN", frame(seg, poisoned), false},
+		{"truncated", good[:len(good)-3], false},
+		{"not a frame", []byte("]\x7f\x03\x01\x01\nsegment"), false},
+		{"honest", good, true},
+	} {
+		var incoming io.Reader = bytes.NewReader(tc.stream)
+		exec, err := New(Config{Trainable: tr, Devices: fleet()[:1], MicroBatchSize: 4,
+			Links: func(int) (net.Conn, net.Conn, error) {
+				// The executor's own sender talks to nobody; what arrives
+				// is the test's stream — once the sender's one frame is out,
+				// as on a real link, where nothing arrives before it is sent.
+				up, drain := net.Pipe()
+				down, feed := net.Pipe()
+				go func() {
+					io.CopyN(io.Discard, drain, int64(len(good)))
+					io.Copy(feed, incoming)
+					feed.Close()
+					io.Copy(io.Discard, drain)
+				}()
+				return up, down, nil
+			}})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		before := tr.Network().FlatWeights()
+		shipped, err := exec.shipSegments([]movedRange{r}, 0)
+		after := tr.Network().FlatWeights()
+		switch {
+		case tc.ok && (err != nil || shipped != int64(8*n) || !weightsEqual(after[:n], honest)):
+			t.Fatalf("%s: shipped %d, err %v, installed %v", tc.name, shipped, err, after[:n])
+		case !tc.ok && (err == nil || shipped != 0 || !weightsEqual(before, after)):
+			t.Fatalf("%s: err %v, shipped %d, model changed: %v", tc.name, err, shipped, !weightsEqual(before, after))
+		}
 	}
 }

@@ -8,14 +8,14 @@ package flnet
 // starts over with a fresh hello.
 //
 // Both ends decode into per-connection reusable buffers and hand the
-// dispatch path zero-copy views where the host allows it. The only
-// reflection-based encoding on a connection is the gob telemetry trailer,
-// which is off the hot path by construction.
+// dispatch path zero-copy views where the host allows it. The one part of a
+// frame this package does not parse itself is the telemetry trailer: JSON,
+// through encoding/json, on bytes the frame header has already bounded, and
+// off the hot path by construction.
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -44,8 +44,7 @@ type binClientWire struct {
 	bw      *bufio.Writer
 	fw      wire.Writer
 	fr      wire.Reader
-	payload []byte       // quant/sparse payload encode scratch
-	telBuf  bytes.Buffer // gob-encoded telemetry trailer scratch
+	payload []byte // quant/sparse payload encode scratch
 }
 
 func (b *binClientWire) writeRequest(req *request) error {
@@ -57,15 +56,14 @@ func (b *binClientWire) writeRequest(req *request) error {
 		Seq:  req.Seq,
 	}
 	var trailer []byte
-	if req.Telemetry != nil {
-		b.telBuf.Reset()
-		if err := gob.NewEncoder(&b.telBuf).Encode(req.Telemetry); err != nil {
-			return err
-		}
-		trailer = b.telBuf.Bytes()
-		h.Flags |= wire.FlagTelemetry
-	}
 	var err error
+	if req.Telemetry != nil {
+		// A snapshot that will not encode (the builder already skips what
+		// JSON cannot carry) is dropped; the push it rides on still goes.
+		if trailer, err = json.Marshal(req.Telemetry); err == nil {
+			h.Flags |= wire.FlagTelemetry
+		}
+	}
 	switch {
 	case req.Kind != wire.KindPush:
 		err = b.fw.WriteFrame(&h, nil, trailer)
@@ -116,7 +114,7 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 		bw: bufio.NewWriterSize(cc, 64<<10),
 		fr: wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: lim},
 	}
-	b.fw.W = b.bw
+	b.fw = wire.Writer{W: b.bw, Lim: lim}
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
@@ -151,9 +149,10 @@ type requestDecoder struct {
 
 // decode is the boundary where outside input becomes a request: the payload
 // goes through its codec's fail-closed parser, the telemetry trailer through
-// gob, and any frame kind a client has no business sending mid-stream (a
-// hello, a reply) is a protocol violation. The returned request aliases the
-// decoder and the frame buffers; it is valid until the next frame is read.
+// encoding/json, and any frame kind a client has no business sending (a
+// hello mid-stream, a reply, a checkpoint, a segment) is a protocol
+// violation. The returned request aliases the decoder and the frame
+// buffers; it is valid until the next frame is read.
 func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*request, error) {
 	req := &d.req
 	*req = request{
@@ -193,7 +192,7 @@ func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*reques
 	}
 	if h.Flags&wire.FlagTelemetry != 0 && len(trailer) > 0 {
 		var snap TelemetrySnapshot
-		if err := gob.NewDecoder(bytes.NewReader(trailer)).Decode(&snap); err != nil {
+		if err := json.Unmarshal(trailer, &snap); err != nil {
 			return nil, err
 		}
 		req.Telemetry = &snap
@@ -212,7 +211,7 @@ func (s *Server) handle(conn net.Conn) {
 	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
 	fr := wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
 	bw := bufio.NewWriterSize(cc, 64<<10)
-	fw := wire.Writer{W: bw}
+	fw := wire.Writer{W: bw, Lim: fr.Lim}
 
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {

@@ -84,8 +84,8 @@ type ServerOptions struct {
 	// (a reply lost after the update was applied is the case that makes
 	// push dedup a correctness requirement).
 	WrapConn func(net.Conn) net.Conn
-	// MaxPayload caps the payload length a frame may claim, in bytes. 0
-	// means the wire default (128 MiB).
+	// MaxPayload caps the payload length a frame may claim or a reply may
+	// carry, in bytes. 0 means the wire default (128 MiB).
 	MaxPayload int
 	// Journal, when non-nil, is the server's flight recorder: its local lane
 	// (Journal.Local, conventionally node −1 like the fleet-trace server
@@ -203,10 +203,8 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		// Fail closed on a poisoned checkpoint: resuming non-finite weights
 		// would re-serve the poison to every client the ingest gate exists
 		// to protect.
-		for i, v := range ck.Weights {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("flnet: checkpoint weight %d is non-finite (%v), refusing to resume a poisoned model", i, v)
-			}
+		if !finite(ck.Weights...) {
+			return nil, errors.New("flnet: checkpoint holds a non-finite weight, refusing to resume a poisoned model")
 		}
 		s.weights = append([]float64(nil), ck.Weights...)
 		s.version = ck.Version
@@ -363,7 +361,7 @@ func (s *Server) dispatch(req *request) reply {
 		}
 	}
 	if req.Telemetry != nil {
-		s.fleet.ingest(req.Telemetry)
+		s.fleet.ingest(req.ClientID, req.Telemetry)
 	}
 	return rep
 }

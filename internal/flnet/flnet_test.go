@@ -221,11 +221,11 @@ func TestConcurrentClientsRace(t *testing.T) {
 
 func TestQuantizeRoundTrip(t *testing.T) {
 	w := []float64{-1.5, 0, 0.25, 2.5}
-	q := Quantize(w)
-	back := q.Dequantize()
+	var q Quantized
+	back := QuantizeInto(w, &q).DequantizeInto(make([]float64, len(w)))
 	for i := range w {
-		if d := w[i] - back[i]; d > q.MaxError()+1e-12 || d < -q.MaxError()-1e-12 {
-			t.Fatalf("element %d error %v exceeds bound %v", i, d, q.MaxError())
+		if d := w[i] - back[i]; d > q.Scale/2+1e-12 || d < -q.Scale/2-1e-12 {
+			t.Fatalf("element %d error %v exceeds bound %v", i, d, q.Scale/2)
 		}
 	}
 	// Extremes are exact.
@@ -233,14 +233,13 @@ func TestQuantizeRoundTrip(t *testing.T) {
 		t.Fatalf("min/max must round-trip exactly: %v", back)
 	}
 	// Constant vector.
-	c := Quantize([]float64{3, 3, 3})
-	for _, v := range c.Dequantize() {
+	for _, v := range QuantizeInto([]float64{3, 3, 3}, &q).DequantizeInto(make([]float64, 3)) {
 		if v != 3 {
 			t.Fatalf("constant vector must round-trip, got %v", v)
 		}
 	}
 	// Empty vector.
-	if len(Quantize(nil).Dequantize()) != 0 {
+	if len(QuantizeInto(nil, &q).DequantizeInto(nil)) != 0 {
 		t.Fatal("empty vector must stay empty")
 	}
 }

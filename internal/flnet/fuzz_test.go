@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +45,7 @@ func FuzzRequestDecode(f *testing.F) {
 		return &req
 	}
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: 1, Telemetry: &TelemetrySnapshot{
-		NodeID: 1, Proc: "portal", NodeNow: 1.5,
+		Proc: "portal", NodeNow: 1.5,
 		Metrics: []MetricPoint{
 			{Family: "ecofl_x_total", Kind: "counter", Value: 3},
 			{Family: "ecofl_step_seconds", Labels: []string{"stage", "0"},
@@ -52,7 +54,7 @@ func FuzzRequestDecode(f *testing.F) {
 		Spans: []obs.Event{{Name: "train", Cat: "portal", Start: 0.5, Dur: 0.25}},
 	}}))
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: -7, Telemetry: &TelemetrySnapshot{
-		NodeID: -7, NodeNow: math.Inf(1),
+		NodeNow: -1e300,
 		Metrics: []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
 	}}))
 	f.Add(seed(push(request{Weights: []float64{1, 2}})))
@@ -103,12 +105,35 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), whole...), whole[:2*len(whole)/3]...))
 	f.Add([]byte("\x7fthis is not a frame stream"))
 	f.Add([]byte{})
-	// A valid request followed by trailing garbage, and one whose telemetry
-	// trailer is not gob at all.
+	// A valid request followed by trailing garbage.
 	f.Add(append(append([]byte(nil), whole...), "trailing garbage"...))
-	junk := make([]byte, wire.HeaderSize)
-	wire.PutHeader(junk, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, TrailerLen: 4})
-	f.Add(append(junk, "junk"...))
+	// Telemetry trailers, framed by hand so nothing is filtered on the way
+	// out: not JSON at all, well-formed, as deep as the trailer limit allows,
+	// a literal JSON has no word for, wrong field types, duplicate keys.
+	tel := func(trailer string) []byte {
+		b := make([]byte, wire.HeaderSize)
+		wire.PutHeader(b, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 3, TrailerLen: uint32(len(trailer))})
+		return append(b, trailer...)
+	}
+	f.Add(tel("junk"))
+	f.Add(tel(`{"proc":"p","now":1.5,"m":[{"f":"x_total","k":"counter","v":1},{"f":"s","l":["stage","0"],"k":"histogram","n":2,"sum":0.2,"p50":0.1,"p99":0.19}],` +
+		`"sp":[{"n":"train","c":"portal","s":0.5,"d":0.25,"a":{"micro":1}}],"j":[{"ts":1,"node":3,"seq":1,"round":0,"client":3,"kind":"push.ack"}],"jnow":2}`))
+	f.Add(tel(strings.Repeat("[", 4<<20)))
+	f.Add(tel(`{"now":NaN,"m":[{"f":"x","k":"gauge","v":Infinity}]}`))
+	f.Add(tel(`{"now":"soon","m":{"f":1},"sp":[7],"j":"all of it"}`))
+	f.Add(tel(`{"now":1,"now":2,"m":[],"m":[{"f":"dup_total","k":"counter","v":1,"v":2}]}`))
+	// Frames that belong in a checkpoint file and on a pipeline link: a
+	// protocol violation on a server connection, whatever follows them.
+	misplaced := func(kind byte) []byte {
+		var buf bytes.Buffer
+		fw := wire.Writer{W: &buf}
+		if err := fw.WriteRawFrame(&wire.Header{Kind: kind, A: 1, B: 2, Seq: 3}, []float64{9, 9}, nil); err != nil {
+			f.Fatal(err)
+		}
+		return append(buf.Bytes(), whole...)
+	}
+	f.Add(misplaced(wire.KindCheckpoint))
+	f.Add(misplaced(wire.KindSegment))
 	// A lease that lapses under an acked client. The trailing bytes are the
 	// clock tape (read from the end, one per frame; see below): the client is
 	// acked, the clock jumps two TTLs, and its sparse push against the acked
@@ -212,6 +237,57 @@ func FuzzRequestDecode(f *testing.F) {
 	})
 }
 
+// FuzzCheckpointDecode throws arbitrary files at the checkpoint reader, the
+// one parser the server trusts with its whole model: it must not panic, must
+// not allocate for a length the file only claims, must never hand back a
+// non-finite weight, and whatever it accepts must re-encode to the bytes it
+// was read from — one state, one file.
+func FuzzCheckpointDecode(f *testing.F) {
+	encode := func(ck *Checkpoint) []byte {
+		var buf bytes.Buffer
+		if err := ck.encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := encode(&Checkpoint{Weights: []float64{0.5, -1.25, 3}, Version: 7, Pushes: 9,
+		LastSeq: map[int]uint64{-2: 1, 1: 4, 2: 3}})
+	f.Add(good)
+	f.Add(encode(&Checkpoint{}))
+	f.Add(encode(&Checkpoint{Weights: []float64{1, math.NaN()}, Version: 1, Pushes: 1}))
+	f.Add(good[:len(good)-7])
+	f.Add(append(append([]byte(nil), good...), good...))
+	claims := append([]byte(nil), good...) // a header claiming the full 128 MiB and 4 MiB
+	wire.PutHeader(claims, &wire.Header{Kind: wire.KindCheckpoint, Codec: wire.CodecRaw, A: 7, Seq: 9,
+		PayloadLen: 128 << 20, TrailerLen: 4 << 20})
+	f.Add(claims)
+	f.Add([]byte("]\x7f\x03\x01\x01\nCheckpoint\x01\xff\x80")) // how a gob checkpoint began
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, file []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := decodeCheckpoint(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		// What arrived, twice over for the grow-as-read buffers, the parsed
+		// copy, the marks as a map, and slack for the first 64 KiB chunk a
+		// length prefix can ask for before any byte is read.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+16*uint64(len(file)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(file), grew)
+		}
+		if err != nil {
+			return
+		}
+		for i, v := range ck.Weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite weight %d: %v", i, v)
+			}
+		}
+		if again := encode(ck); !bytes.Equal(again, file) {
+			t.Fatalf("accepted file does not re-encode to itself:\n% x\n% x", file, again)
+		}
+	})
+}
+
 // FuzzQuantizeRoundTrip checks the quantization error bound on arbitrary
 // 4-element vectors (runs the seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzQuantizeRoundTrip` for continuous fuzzing).
@@ -227,12 +303,12 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 				t.Skip()
 			}
 		}
-		q := Quantize(w)
-		back := q.Dequantize()
+		var q Quantized
+		back := QuantizeInto(w, &q).DequantizeInto(make([]float64, len(w)))
 		if len(back) != len(w) {
 			t.Fatalf("length changed: %d", len(back))
 		}
-		bound := q.MaxError() * (1 + 1e-9)
+		bound := q.Scale / 2 * (1 + 1e-9)
 		for i := range w {
 			if diff := math.Abs(w[i] - back[i]); diff > bound+1e-300 {
 				t.Fatalf("element %d: error %v exceeds bound %v", i, diff, bound)

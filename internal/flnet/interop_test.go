@@ -229,8 +229,8 @@ func TestQuantizeIntoReuse(t *testing.T) {
 	back := make([]float64, len(w))
 	q.DequantizeInto(back)
 	for i := range w {
-		if diff := w[i] - back[i]; diff > q.MaxError() || -diff > q.MaxError() {
-			t.Fatalf("element %d: %v vs %v exceeds bound %v", i, w[i], back[i], q.MaxError())
+		if diff := w[i] - back[i]; diff > q.Scale/2 || -diff > q.Scale/2 {
+			t.Fatalf("element %d: %v vs %v exceeds bound %v", i, w[i], back[i], q.Scale/2)
 		}
 	}
 	QuantizeInto([]float64{9, 8, 7, 6}, &q)

@@ -17,15 +17,10 @@ type Quantized struct {
 	Data  []uint8
 }
 
-// Quantize encodes w. A constant vector quantizes with Scale 0.
-func Quantize(w []float64) *Quantized {
-	return QuantizeInto(w, &Quantized{})
-}
-
-// QuantizeInto encodes w into q, reusing q.Data's capacity — the
-// destination-passing variant for hot paths that quantize every push
-// (same discipline as the tensor buffer pool: the caller owns and recycles
-// the storage). Returns q.
+// QuantizeInto encodes w into q, reusing q.Data's capacity (same discipline
+// as the tensor buffer pool: the caller owns and recycles the storage) —
+// hot paths quantize every push. A constant vector quantizes with Scale 0.
+// Returns q.
 func QuantizeInto(w []float64, q *Quantized) *Quantized {
 	if cap(q.Data) < len(w) {
 		q.Data = make([]uint8, len(w))
@@ -54,14 +49,9 @@ func QuantizeInto(w []float64, q *Quantized) *Quantized {
 	return q
 }
 
-// Dequantize reconstructs the vector (max error Scale/2 per element).
-func (q *Quantized) Dequantize() []float64 {
-	return q.DequantizeInto(make([]float64, len(q.Data)))
-}
-
 // DequantizeInto reconstructs the vector into dst, which must have
-// len(q.Data) elements — the destination-passing variant the server's
-// ingest path uses with pooled scratch instead of allocating per push.
+// len(q.Data) elements (the server's ingest path passes pooled scratch
+// instead of allocating per push). The error is at most Scale/2 per element.
 func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 	dst = dst[:len(q.Data)]
 	for i, b := range q.Data {
@@ -69,9 +59,6 @@ func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// MaxError returns the worst-case reconstruction error per element.
-func (q *Quantized) MaxError() float64 { return q.Scale / 2 }
 
 // PushQuantized submits a quantized update; the server dequantizes before
 // mixing. The returned global model is full precision. The quantization

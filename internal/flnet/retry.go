@@ -41,8 +41,8 @@ type Options struct {
 	JitterSeed int64
 	// Dialer opens connections; nil means plain TCP.
 	Dialer Dialer
-	// MaxPayload caps the reply payload bytes the client will accept (0 =
-	// the wire package default, 128 MiB).
+	// MaxPayload caps the payload bytes of a frame the client will accept
+	// or send (0 = the wire package default, 128 MiB).
 	MaxPayload int
 	// Journal, when non-nil, receives flight-recorder events for every
 	// fault-path decision this client takes (retry, reconnect, sparse

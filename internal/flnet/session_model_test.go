@@ -228,7 +228,7 @@ func (h *modelHarness) request(id int, seq uint64, p payload, quant bool) *reque
 			cur[h.rng.Intn(modelDim)] += 1e6
 		}
 		if quant && p == dense {
-			req.Quant = Quantize(cur)
+			req.Quant = QuantizeInto(cur, &Quantized{})
 		} else {
 			req.Weights = cur
 		}
@@ -326,7 +326,7 @@ func (h *modelHarness) op() {
 		h.s.dispatch(&request{Kind: wire.KindPull, ClientID: id})
 		h.m.contact(id, false)
 	case 13:
-		h.s.dispatch(&request{Kind: wire.KindTelemetry, ClientID: id, Telemetry: &TelemetrySnapshot{NodeID: id}})
+		h.s.dispatch(&request{Kind: wire.KindTelemetry, ClientID: id, Telemetry: &TelemetrySnapshot{}})
 		h.m.contact(id, false)
 	case 14:
 		h.advance(modelTTL / 3)

@@ -11,7 +11,8 @@ package flnet
 // curves are byte-identical with it on or off (tested).
 
 import (
-	"encoding/json"
+	"maps"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,37 +29,33 @@ import (
 // fleet view re-exposes them as gauges, and shipping four floats per family
 // keeps the piggyback payload tiny next to the model weights it rides with.
 type MetricPoint struct {
-	Family string
-	Labels []string // alternating k, v in canonical order
-	Kind   string   // "counter", "gauge" or "histogram"
-	Value  float64  // counter/gauge value
-	Count  int64    // histogram observation count
-	Sum    float64
-	P50    float64
-	P99    float64
+	Family string   `json:"f"`
+	Labels []string `json:"l,omitempty"` // alternating k, v in canonical order
+	Kind   string   `json:"k"`           // "counter", "gauge" or "histogram"
+	Value  float64  `json:"v,omitempty"` // counter/gauge value
+	Count  int64    `json:"n,omitempty"` // histogram observation count
+	Sum    float64  `json:"sum,omitempty"`
+	P50    float64  `json:"p50,omitempty"`
+	P99    float64  `json:"p99,omitempty"`
 }
 
 // TelemetrySnapshot is the payload a node attaches to a push or ships in a
-// standalone "telemetry" request.
+// standalone "telemetry" request: the frame's trailer, as JSON (what /events,
+// specs and reports speak), on bytes wire.ParseHeader has capped at
+// Limits.MaxTrailer. Which node it is from is the frame's client id to say.
 type TelemetrySnapshot struct {
-	NodeID int
-	Proc   string // process label for the node's fleet-trace lane
+	Proc string `json:"proc,omitempty"` // process label for the node's fleet-trace lane
 	// NodeNow is the sender's trace clock at snapshot time; the receiver
 	// derives the clock offset from it (obs.Trace.ClockOffset).
-	NodeNow float64
-	Metrics []MetricPoint
-	Spans   []obs.Event
-	// JournalBlob is the tail of the node's flight recorder not yet shipped
-	// (incremental, like Spans), as JSON-encoded []journal.Event. Opaque
-	// bytes on purpose: a typed field would pull journal.Event into the gob
-	// type-descriptor closure, and a fresh gob stream re-sends every
-	// descriptor on reconnect — each extra descriptor message is one more
-	// write a faulty link can kill, which measurably shrinks the chaos
-	// soak's recovery margin. JournalNow is the journal clock at snapshot
+	NodeNow float64       `json:"now"`
+	Metrics []MetricPoint `json:"m,omitempty"`
+	Spans   []obs.Event   `json:"sp,omitempty"`
+	// Journal is the tail of the node's flight recorder not yet shipped
+	// (incremental, like Spans). JournalNow is the journal clock at snapshot
 	// time, aligning events onto the server clock the same way NodeNow
 	// aligns spans.
-	JournalBlob []byte
-	JournalNow  float64
+	Journal    []journal.Event `json:"j,omitempty"`
+	JournalNow float64         `json:"jnow,omitempty"`
 }
 
 // telemetryState is a client's telemetry configuration, guarded by Client.mu
@@ -134,11 +131,23 @@ func (c *Client) FlushTelemetry() error {
 	return err
 }
 
+// finite reports whether every v is a number JSON can carry.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // telemetrySnapshotLocked builds the snapshot attached to an outgoing
-// request. Caller holds c.mu and has checked c.tel != nil.
+// request. JSON has no NaN or Inf, so a metric point holding one is skipped
+// and a span loses the offending arg; the rest of the snapshot travels.
+// Caller holds c.mu and has checked c.tel != nil.
 func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 	tel := c.tel
-	snap := &TelemetrySnapshot{NodeID: c.ID, Proc: tel.proc, NodeNow: tel.trace.Now()}
+	snap := &TelemetrySnapshot{Proc: tel.proc, NodeNow: tel.trace.Now()}
 	for _, s := range tel.reg.Snapshot() {
 		mp := MetricPoint{Family: s.Family, Labels: s.Labels, Kind: s.Kind.String()}
 		if s.Kind == metrics.KindHistogram {
@@ -149,19 +158,28 @@ func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 		} else {
 			mp.Value = s.Value
 		}
-		snap.Metrics = append(snap.Metrics, mp)
+		if finite(mp.Value, mp.Sum, mp.P50, mp.P99) {
+			snap.Metrics = append(snap.Metrics, mp)
+		}
 	}
 	if spans := tel.trace.EventsFrom(tel.sentSpans); len(spans) > 0 {
 		tel.sentSpans += len(spans)
+		for i, sp := range spans {
+			for _, v := range sp.Args {
+				if !finite(v) { // filter a copy: the trace keeps its own map
+					spans[i].Args = maps.Clone(sp.Args)
+					maps.DeleteFunc(spans[i].Args, func(_ string, v float64) bool { return !finite(v) })
+					break
+				}
+			}
+		}
 		snap.Spans = spans
 	}
 	if rec := c.opts.Journal; rec != nil {
 		snap.JournalNow = rec.Now()
 		if evs := rec.EventsSince(tel.sentJournal); len(evs) > 0 {
-			if b, err := json.Marshal(evs); err == nil {
-				tel.sentJournal = evs[len(evs)-1].Seq
-				snap.JournalBlob = b
-			}
+			tel.sentJournal = evs[len(evs)-1].Seq
+			snap.Journal = evs
 		}
 	}
 	return snap
@@ -180,7 +198,6 @@ type Fleet struct {
 	journal  *journal.Fleet // nil unless ServerOptions.Journal was set
 
 	mu       sync.Mutex
-	named    map[int]bool    // node lanes already labeled in the trace
 	lastPush map[int]float64 // trace-clock time of each client's last push
 }
 
@@ -189,7 +206,6 @@ func newFleet() *Fleet {
 		reg:      metrics.NewRegistry(),
 		trace:    obs.NewWall(),
 		detector: NewStragglerDetector(metrics.Default, 0, 0),
-		named:    make(map[int]bool),
 		lastPush: make(map[int]float64),
 	}
 }
@@ -227,9 +243,11 @@ func validMetricPoint(mp *MetricPoint) bool {
 	return true
 }
 
-// ingest merges one node's snapshot into the fleet views.
-func (f *Fleet) ingest(snap *TelemetrySnapshot) {
-	node := strconv.Itoa(snap.NodeID)
+// ingest merges a snapshot into the fleet views of the node whose
+// connection delivered it: id is the frame's client id, never a value the
+// snapshot itself supplies, so no portal can write another node's lane.
+func (f *Fleet) ingest(id int, snap *TelemetrySnapshot) {
+	node := strconv.Itoa(id)
 	for i := range snap.Metrics {
 		mp := &snap.Metrics[i]
 		if !validMetricPoint(mp) {
@@ -246,28 +264,15 @@ func (f *Fleet) ingest(snap *TelemetrySnapshot) {
 		}
 	}
 	if len(snap.Spans) > 0 {
-		offset := f.trace.ClockOffset(snap.NodeNow)
-		f.mu.Lock()
-		if !f.named[snap.NodeID] {
-			f.named[snap.NodeID] = true
-			name := snap.Proc
-			if name == "" {
-				name = "node"
-			}
-			f.trace.SetProcessName(snap.NodeID, name+" "+node)
-			f.mu.Unlock()
-		} else {
-			f.mu.Unlock()
+		name := snap.Proc
+		if name == "" {
+			name = "node"
 		}
-		f.trace.ImportEvents(snap.NodeID, offset, snap.Spans)
+		f.trace.SetProcessName(id, name+" "+node) // a map write: the lane carries its latest name
+		f.trace.ImportEvents(id, f.trace.ClockOffset(snap.NodeNow), snap.Spans)
 	}
-	if len(snap.JournalBlob) > 0 && f.journal != nil {
-		var evs []journal.Event
-		if err := json.Unmarshal(snap.JournalBlob, &evs); err != nil {
-			srvDecodeErrors.Inc() // hostile or corrupt blob; forensics are best-effort
-		} else {
-			f.journal.Import(snap.NodeID, f.journal.ClockOffset(snap.JournalNow), evs)
-		}
+	if len(snap.Journal) > 0 {
+		f.journal.Import(id, f.journal.ClockOffset(snap.JournalNow), snap.Journal)
 	}
 }
 

@@ -1,7 +1,9 @@
 package flnet
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"ecofl/internal/data"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs"
@@ -89,7 +92,7 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 // and families would make the registry panic if ingested unchecked.
 func TestTelemetryRejectsHostileMetricNames(t *testing.T) {
 	f := newFleet()
-	f.ingest(&TelemetrySnapshot{NodeID: 1, Metrics: []MetricPoint{
+	f.ingest(1, &TelemetrySnapshot{Metrics: []MetricPoint{
 		{Family: `bad{name}`, Kind: "counter", Value: 1},
 		{Family: "odd_labels", Labels: []string{"k"}, Kind: "counter", Value: 1},
 		{Family: "bad_label_key", Labels: []string{`a=b`, "v"}, Kind: "gauge", Value: 1},
@@ -101,6 +104,92 @@ func TestTelemetryRejectsHostileMetricNames(t *testing.T) {
 	}
 	if _, ok := f.Registry().Get(`ok_metric{node="1",shard="hostile \"value\""}`); !ok {
 		t.Fatalf("valid point with hostile label value missing: %+v", f.Registry().Snapshot())
+	}
+}
+
+// TestTelemetryLaneIsTheFramesClient: a snapshot lands in the fleet views of
+// the client whose frame carried it, whatever its body says — the body has no
+// field to say it with, and one smuggled into the JSON is ignored.
+func TestTelemetryLaneIsTheFramesClient(t *testing.T) {
+	s := startServer(t, []float64{0, 0}, 0.5)
+	hdr := make([]byte, wire.HeaderSize)
+	trailer := []byte(`{"NodeID":2,"node":2,"proc":"spoof","now":1,` +
+		`"m":[{"f":"ecofl_fake","k":"gauge","v":42}],"sp":[{"n":"train","s":0.5,"d":0.25,"p":2}]}`)
+	wire.PutHeader(hdr, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 1, TrailerLen: uint32(len(trailer))})
+	h, err := wire.ParseHeader(hdr, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec requestDecoder
+	req, err := dec.decode(h, nil, trailer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.dispatch(req); rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	if smp, ok := s.Fleet().Registry().Get(`ecofl_fake{node="1"}`); !ok || smp.Value != 42 {
+		t.Fatalf(`ecofl_fake{node="1"} = %+v, %v; want 42 under the frame's client`, smp, ok)
+	}
+	for _, smp := range s.Fleet().Registry().Snapshot() {
+		for i := 0; i+1 < len(smp.Labels); i += 2 {
+			if smp.Labels[i] == "node" && smp.Labels[i+1] != "1" {
+				t.Fatalf("client 1 wrote a series in another node's lane: %+v", smp)
+			}
+		}
+	}
+	for _, e := range s.Fleet().Trace().Events() {
+		if e.Name == "train" && e.PID != 1 {
+			t.Fatalf("client 1's span landed in lane %d", e.PID)
+		}
+	}
+}
+
+// TestTelemetrySkipsNonFinite: JSON cannot carry NaN or Inf, so the snapshot
+// builder leaves those points and span args out — and the push the snapshot
+// rides on is applied with everything else the registry holds.
+func TestTelemetrySkipsNonFinite(t *testing.T) {
+	s := startServer(t, []float64{0, 0}, 0.5)
+	reg := metrics.NewRegistry()
+	reg.Gauge("ecofl_test_poison", "a gauge someone divided by zero into").Set(math.NaN())
+	reg.Gauge("ecofl_test_inf", "likewise").Set(math.Inf(1))
+	reg.Counter("ecofl_test_rounds_total", "rounds trained").Add(3)
+	tr := obs.NewWall()
+	args := map[string]float64{"loss": math.NaN(), "micro": 2}
+	tr.Span(0, 0, "train", "portal", 0, 1, args)
+
+	c, err := Dial(s.Addr(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer c.EnableTelemetry(reg, tr, "portal", 0)()
+	if _, v, err := c.Push([]float64{1, 1}, 1, 0); err != nil || v != 1 {
+		t.Fatalf("push beside a NaN gauge: version %d, err %v", v, err)
+	}
+	if s.Pushes() != 1 {
+		t.Fatalf("server applied %d pushes, want 1", s.Pushes())
+	}
+	fleet := s.Fleet().Registry()
+	if smp, ok := fleet.Get(`ecofl_test_rounds_total{node="5"}`); !ok || smp.Value != 3 {
+		t.Fatalf("finite counter did not travel: %+v, %v", smp, ok)
+	}
+	for _, name := range []string{`ecofl_test_poison{node="5"}`, `ecofl_test_inf{node="5"}`} {
+		if smp, ok := fleet.Get(name); ok {
+			t.Fatalf("non-finite point travelled: %+v", smp)
+		}
+	}
+	var got map[string]float64
+	for _, e := range s.Fleet().Trace().Events() {
+		if e.Name == "train" && e.PID == 5 {
+			got = e.Args
+		}
+	}
+	if len(got) != 1 || got["micro"] != 2 {
+		t.Fatalf("imported span args = %v, want just micro=2", got)
+	}
+	if len(args) != 2 {
+		t.Fatalf("the snapshot builder edited the trace's own args: %v", args)
 	}
 }
 
@@ -145,25 +234,54 @@ func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	}
 }
 
-// TestMalformedStreamCountsDecodeError writes garbage at the server and
-// checks the decode-error counter moves while healthy clients keep working.
+// TestMalformedStreamCountsDecodeError sends the server what no portal
+// sends — garbage, then, behind a proper hello, the frames that belong in a
+// checkpoint file or on a pipeline link, and a telemetry trailer that is not
+// JSON — and checks each is a protocol violation: the decode-error counter
+// moves, the connection is closed, the model is untouched, and healthy
+// clients keep working.
 func TestMalformedStreamCountsDecodeError(t *testing.T) {
-	before := srvDecodeErrors.Value()
 	s := startServer(t, []float64{1}, 0.5)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	frames := func(write func(fw *wire.Writer)) []byte {
+		var buf bytes.Buffer
+		fw := wire.Writer{W: &buf}
+		fw.WriteFrame(&wire.Header{Kind: wire.KindHello, A: 3}, nil, nil)
+		write(&fw)
+		return buf.Bytes()
 	}
-	if _, err := conn.Write([]byte("\x7fthis is not a frame stream")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for srvDecodeErrors.Value() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("decode error was not counted")
+	for name, stream := range map[string][]byte{
+		"garbage": []byte("\x7fthis is not a frame stream"),
+		"checkpoint frame": frames(func(fw *wire.Writer) {
+			fw.WriteRawFrame(&wire.Header{Kind: wire.KindCheckpoint, A: 9, Seq: 9}, []float64{7}, nil)
+		}),
+		"segment frame": frames(func(fw *wire.Writer) {
+			fw.WriteRawFrame(&wire.Header{Kind: wire.KindSegment, A: 0, B: 1}, []float64{7}, nil)
+		}),
+		"trailer that is not JSON": frames(func(fw *wire.Writer) {
+			fw.WriteFrame(&wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 3}, nil, []byte(`{"now":NaN}`))
+		}),
+	} {
+		before := srvDecodeErrors.Value()
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite() // garbage may be shorter than a header
+		// The server answers a hello, then hangs up on the violation.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if rest, err := io.ReadAll(conn); err != nil || len(rest) > wire.HeaderSize {
+			t.Fatalf("%s: read %d bytes, err %v; want at most a hello-ack and a close", name, len(rest), err)
+		}
+		conn.Close()
+		if srvDecodeErrors.Value() == before {
+			t.Fatalf("%s: decode error was not counted", name)
+		}
+	}
+	if w, v := s.Snapshot(); v != 0 || w[0] != 1 || s.Pushes() != 0 {
+		t.Fatalf("a protocol violation moved the model: %v v%d", w, v)
 	}
 	c, err := Dial(s.Addr(), 0)
 	if err != nil {
@@ -240,7 +358,7 @@ func TestTelemetryDoesNotPerturbTraining(t *testing.T) {
 
 // BenchmarkPushRawWithTelemetry is BenchmarkPushRaw plus an enabled
 // telemetry pipeline — the delta between the two is the true piggyback cost
-// (snapshot build + extra gob payload) per push.
+// (snapshot build + the JSON trailer) per push.
 func BenchmarkPushRawWithTelemetry(b *testing.B) {
 	const n = 100_000
 	_, c := benchServer(b, n)

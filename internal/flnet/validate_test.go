@@ -183,8 +183,7 @@ func TestNormGateQuarantinesOutlier(t *testing.T) {
 // resume — restarting must never re-serve poison the live gate would block.
 func TestCheckpointRejectsNonFinite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "poison.ckpt")
-	ck := &Checkpoint{Magic: checkpointMagic, Format: checkpointFormat,
-		Weights: []float64{1, math.NaN(), 3}, Version: 7, Pushes: 7}
+	ck := &Checkpoint{Weights: []float64{1, math.NaN(), 3}, Version: 7, Pushes: 7}
 	if err := ck.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +196,7 @@ func TestCheckpointRejectsNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	inf := &Checkpoint{Magic: checkpointMagic, Format: checkpointFormat,
-		Weights: []float64{math.Inf(1), 0, 0}}
+	inf := &Checkpoint{Weights: []float64{math.Inf(1), 0, 0}}
 	if _, err := NewServerOpts(ln, []float64{0, 0, 0}, ServerOptions{Alpha: 0.5, Resume: inf}); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("Resume accepted a poisoned checkpoint: %v", err)
 	}

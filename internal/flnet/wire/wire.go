@@ -7,13 +7,18 @@
 //
 // all little-endian, 36 bytes of fixed header. The A/B/C fields are
 // kind-specific (client id / num samples / base version on requests; model
-// version / unused / unused on replies). Payloads carry model weights in one
-// of three codecs: raw float64 (zero-copy []byte↔[]float64 views where the
-// host allows it), int8 affine quantization (min + scale + one byte per
-// weight), or a top-k sparse delta (index/value pairs against a reference
-// model both ends hold). The trailer carries out-of-band data — a
-// gob-encoded telemetry snapshot on requests, a plain error string on
-// replies — neither of which is hot.
+// version / unused / unused on replies and checkpoints; layer range on
+// migrated segments). Payloads carry model weights in one of three codecs:
+// raw float64 (zero-copy []byte↔[]float64 views where the host allows it),
+// int8 affine quantization (min + scale + one byte per weight), or a top-k
+// sparse delta (index/value pairs against a reference model both ends
+// hold). The trailer carries out-of-band data — a JSON telemetry snapshot
+// on requests, a plain error string on replies, the dedup marks on a
+// checkpoint — none of which is hot.
+//
+// The same frame is a weight vector at rest and in migration: a server
+// checkpoint is one KindCheckpoint frame in a file, a segment a healing
+// pipeline re-homes one KindSegment frame on a link; both raw, like a push.
 //
 // Decoding is fail-closed, like the pipeline runtime's link frames
 // (runtime/link.go recv): magic, version, kind, codec, and both length
@@ -29,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Frame geometry.
@@ -44,12 +50,14 @@ var Magic = [4]byte{'E', 'F', 'L', 'B'}
 
 // Frame kinds.
 const (
-	KindHello     byte = 1 // client→server: first frame on a connection
-	KindHelloAck  byte = 2 // server→client: version accepted
-	KindPull      byte = 3
-	KindPush      byte = 4
-	KindTelemetry byte = 5
-	KindReply     byte = 6
+	KindHello      byte = 1 // client→server: first frame on a connection
+	KindHelloAck   byte = 2 // server→client: version accepted
+	KindPull       byte = 3
+	KindPush       byte = 4
+	KindTelemetry  byte = 5
+	KindReply      byte = 6
+	KindCheckpoint byte = 7 // at rest: A version, Seq pushes, raw weights, trailer dedup marks
+	KindSegment    byte = 8 // migrated layers [A, B), raw weights
 )
 
 // Payload codecs.
@@ -62,8 +70,8 @@ const (
 
 // Frame flags.
 const (
-	// FlagTelemetry marks a request whose trailer is a gob-encoded
-	// telemetry snapshot.
+	// FlagTelemetry marks a request whose trailer is a JSON telemetry
+	// snapshot.
 	FlagTelemetry byte = 1
 )
 
@@ -89,7 +97,7 @@ type Limits struct {
 	// mirroring the pipeline link's maxFrameElems).
 	MaxPayload int
 	// MaxTrailer caps TrailerLen (default 4 MiB; trailers carry telemetry
-	// snapshots and error strings, never weights).
+	// snapshots, error strings and dedup marks, never weights).
 	MaxTrailer int
 }
 
@@ -170,6 +178,10 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 		if h.Codec != CodecRaw && h.Codec != CodecQuant && h.Codec != CodecSparse {
 			return h, fmt.Errorf("%w: push codec %d", ErrFrame, h.Codec)
 		}
+	case KindCheckpoint, KindSegment:
+		if h.Codec != CodecRaw {
+			return h, fmt.Errorf("%w: kind %d codec %d, want raw", ErrFrame, h.Kind, h.Codec)
+		}
 	case KindReply:
 		if h.Codec != CodecNone && h.Codec != CodecRaw {
 			return h, fmt.Errorf("%w: reply codec %d", ErrFrame, h.Codec)
@@ -208,35 +220,27 @@ func (r *Reader) Next() (Header, []byte, []byte, error) {
 	if err != nil {
 		return h, nil, nil, err
 	}
-	if r.payload, err = readGrow(r.R, r.payload, int(h.PayloadLen)); err != nil {
+	if r.payload, err = ReadGrow(r.R, r.payload, int(h.PayloadLen)); err != nil {
 		return h, nil, nil, err
 	}
-	if r.trailer, err = readGrow(r.R, r.trailer, int(h.TrailerLen)); err != nil {
+	if r.trailer, err = ReadGrow(r.R, r.trailer, int(h.TrailerLen)); err != nil {
 		return h, nil, nil, err
 	}
 	return h, r.payload, r.trailer, nil
 }
 
-// readGrow reads exactly n bytes into buf, reusing its capacity and growing
+// ReadGrow reads exactly n bytes into buf, reusing its capacity and growing
 // geometrically as bytes actually arrive: a hostile length prefix on a
 // truncated stream allocates at most ~2× the bytes received, never the
-// claimed n up front.
-func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	if n == 0 {
-		return buf, nil
-	}
+// claimed n up front. The pipeline's link frames read through it too.
+func ReadGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 	const chunk = 64 << 10
+	buf = buf[:0]
 	for len(buf) < n {
-		step := n - len(buf)
-		if max := len(buf) + chunk; step > max {
-			step = max
-		}
 		start := len(buf)
+		step := min(n-start, start+chunk)
 		if cap(buf) < start+step {
-			grown := make([]byte, start, start+step)
-			copy(grown, buf)
-			buf = grown
+			buf = append(make([]byte, 0, start+step), buf...)
 		}
 		buf = buf[:start+step]
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
@@ -250,18 +254,23 @@ func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 // with at most three Write calls per frame (header, payload, trailer) so
 // raw float64 payloads go out as zero-copy views on little-endian hosts.
 type Writer struct {
-	W io.Writer
+	W   io.Writer
+	Lim Limits
 
 	hdr     [HeaderSize]byte
 	scratch []byte
 }
 
 // WriteFrame emits one frame with an explicit byte payload. h.PayloadLen
-// and h.TrailerLen are set from the slices.
+// and h.TrailerLen are set from the slices (saturating: no length wraps into
+// range), and what a Reader under the same Lim would refuse is refused here.
 func (w *Writer) WriteFrame(h *Header, payload, trailer []byte) error {
-	h.PayloadLen = uint32(len(payload))
-	h.TrailerLen = uint32(len(trailer))
+	h.PayloadLen = uint32(min(uint64(len(payload)), math.MaxUint32))
+	h.TrailerLen = uint32(min(uint64(len(trailer)), math.MaxUint32))
 	PutHeader(w.hdr[:], h)
+	if _, err := ParseHeader(w.hdr[:], w.Lim); err != nil {
+		return err
+	}
 	if _, err := w.W.Write(w.hdr[:]); err != nil {
 		return err
 	}

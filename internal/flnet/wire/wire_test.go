@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -56,6 +57,10 @@ func TestParseHeaderRejects(t *testing.T) {
 		{"push codec unknown", mk(func(b []byte) { b[6] = 9 })},
 		{"reply codec quant", mk(func(b []byte) { b[5] = KindReply; b[6] = CodecQuant })},
 		{"codec-less reply with payload", mk(func(b []byte) { b[5] = KindReply; b[6] = CodecNone })},
+		{"checkpoint codec none", mk(func(b []byte) { b[5] = KindCheckpoint; b[6] = CodecNone; binary.LittleEndian.PutUint32(b[28:], 0) })},
+		{"checkpoint codec quant", mk(func(b []byte) { b[5] = KindCheckpoint; b[6] = CodecQuant })},
+		{"segment codec sparse", mk(func(b []byte) { b[5] = KindSegment; b[6] = CodecSparse })},
+		{"segment not 8-aligned", mk(func(b []byte) { b[5] = KindSegment; binary.LittleEndian.PutUint32(b[28:], 12) })},
 		{"raw payload not 8-aligned", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 15) })},
 		{"payload over limit", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 1<<30) })},
 		{"trailer over limit", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[32:], 1<<30) })},
@@ -73,6 +78,47 @@ func TestParseHeaderRejects(t *testing.T) {
 	}
 	if _, err := ParseHeader(tight, Limits{MaxPayload: 2048}); err != nil {
 		t.Errorf("payload under custom limit rejected: %v", err)
+	}
+}
+
+// TestWriterRefusesWhatItsReaderWould: a frame a Reader under the same
+// limits would reject — too much payload, too much trailer, a kind/codec pair
+// no peer accepts — is refused by the Writer before a byte goes out, and what
+// it does write, that Reader reads.
+func TestWriterRefusesWhatItsReaderWould(t *testing.T) {
+	var buf bytes.Buffer
+	lim := Limits{MaxPayload: 64, MaxTrailer: 16}
+	w := Writer{W: &buf, Lim: lim}
+	for name, write := range map[string]func() error{
+		"payload over limit": func() error {
+			return w.WriteRawFrame(&Header{Kind: KindCheckpoint}, make([]float64, 9), nil)
+		},
+		"trailer over limit": func() error {
+			return w.WriteRawFrame(&Header{Kind: KindCheckpoint}, []float64{1}, make([]byte, 17))
+		},
+		"segment without the raw codec": func() error {
+			return w.WriteFrame(&Header{Kind: KindSegment, Codec: CodecQuant}, make([]byte, 17), nil)
+		},
+		"pull with a payload": func() error {
+			return w.WriteFrame(&Header{Kind: KindPull}, []byte{1}, nil)
+		},
+	} {
+		if err := write(); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: Writer returned %v, want ErrFrame", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%s: a refused frame still wrote %d bytes", name, buf.Len())
+		}
+	}
+	for _, kind := range []byte{KindCheckpoint, KindSegment} {
+		if err := w.WriteRawFrame(&Header{Kind: kind, A: 1, B: 2, Seq: 3}, make([]float64, 8), make([]byte, 16)); err != nil {
+			t.Fatalf("kind %d at the limit refused: %v", kind, err)
+		}
+		r := Reader{R: &buf, Lim: lim}
+		h, payload, trailer, err := r.Next()
+		if err != nil || h.Kind != kind || h.Codec != CodecRaw || h.A != 1 || h.B != 2 || h.Seq != 3 || len(payload) != 64 || len(trailer) != 16 {
+			t.Fatalf("kind %d read back as %+v (%d, %d), %v", kind, h, len(payload), len(trailer), err)
+		}
 	}
 }
 
@@ -161,7 +207,7 @@ func TestHostileLengthTruncated(t *testing.T) {
 	if _, _, _, err := r.Next(); err == nil {
 		t.Fatal("truncated 64MiB claim accepted")
 	}
-	// readGrow grows with the bytes that actually arrived (~1KiB), never the
+	// ReadGrow grows with the bytes that actually arrived (~1KiB), never the
 	// claimed 64 MiB up front.
 	if cap(r.payload) > 1<<20 {
 		t.Fatalf("reader allocated %d bytes for a truncated stream", cap(r.payload))

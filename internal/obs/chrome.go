@@ -8,8 +8,8 @@ import (
 )
 
 // chromeEvent is the trace-event JSON schema (catapult format). Complete
-// spans use ph "X" with ts/dur in microseconds; instants use ph "i";
-// process/thread names are "M" metadata events.
+// spans use ph "X" with ts/dur in microseconds; process/thread names are
+// "M" metadata events.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -18,7 +18,6 @@ type chromeEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope ("t" = thread)
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -91,17 +90,10 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 
 	for _, e := range events {
+		dur := e.Dur * secondsToMicros
 		ce := chromeEvent{
-			Name: e.Name, Cat: e.Cat, TS: e.Start * secondsToMicros,
-			PID: e.PID, TID: e.TID,
-		}
-		if e.Instant {
-			ce.Ph = "i"
-			ce.S = "t"
-		} else {
-			ce.Ph = "X"
-			dur := e.Dur * secondsToMicros
-			ce.Dur = &dur
+			Name: e.Name, Cat: e.Cat, Ph: "X", TS: e.Start * secondsToMicros,
+			Dur: &dur, PID: e.PID, TID: e.TID,
 		}
 		if len(e.Args) > 0 {
 			ce.Args = make(map[string]any, len(e.Args))

@@ -40,7 +40,7 @@ func TestImportEventsRemapsPidAndShiftsClock(t *testing.T) {
 	server := New(nil)
 	offset := 10.25 - 2.5
 	server.Span(0, 0, "serve", "srv", 10, 10.1, nil)
-	batch := append(remote.Events(), Event{Name: "mark", Cat: "stage", Start: 2.0, PID: 7, TID: 2, Instant: true})
+	batch := append(remote.Events(), Event{Name: "mark", Cat: "stage", Start: 2.0, PID: 7, TID: 2})
 	server.ImportEvents(3, offset, batch)
 
 	evs := server.Events()
@@ -60,8 +60,8 @@ func TestImportEventsRemapsPidAndShiftsClock(t *testing.T) {
 	if imported.Args["micro"] != 3 {
 		t.Fatalf("imported args lost: %+v", imported.Args)
 	}
-	if inst := evs[2]; !inst.Instant || inst.Start != 2.0+offset {
-		t.Fatalf("imported instant = %+v, want shifted marker", inst)
+	if mark := evs[2]; mark.Dur != 0 || mark.Start != 2.0+offset {
+		t.Fatalf("imported zero-length span = %+v, want it shifted", mark)
 	}
 	// The original batch is untouched (import copies).
 	if remote.Events()[0].PID != 7 {

@@ -27,20 +27,18 @@ import (
 const DefaultMaxEvents = 1 << 18
 
 // Event is one recorded trace event. Timestamps are in the trace's clock
-// units (seconds); the Chrome exporter converts to microseconds.
+// units (seconds); the Chrome exporter converts to microseconds. The JSON
+// tags are what a span costs inside a telemetry trailer
+// (flnet.TelemetrySnapshot).
 type Event struct {
-	Name  string
-	Cat   string
-	Start float64
-	Dur   float64 // 0 for instant events
-	PID   int
-	TID   int
+	Name  string  `json:"n"`
+	Cat   string  `json:"c,omitempty"`
+	Start float64 `json:"s"`
+	Dur   float64 `json:"d,omitempty"`
+	PID   int     `json:"p,omitempty"`
+	TID   int     `json:"t,omitempty"`
 	// Args are optional numeric annotations (micro-batch index, bytes, …).
-	Args map[string]float64
-	// Instant marks a zero-duration marker event (ph "i" in Chrome format).
-	// No recorder here makes one; Event travels in the gob telemetry trailer
-	// (flnet.TelemetrySnapshot), where dropping a field changes the bytes.
-	Instant bool
+	Args map[string]float64 `json:"a,omitempty"`
 }
 
 // Trace is a concurrency-safe span/event recorder. Create with NewWall or

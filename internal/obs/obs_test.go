@@ -66,8 +66,6 @@ func TestChromeExportShape(t *testing.T) {
 	tr.SetThreadName(1, 1, "stage 1")
 	tr.Span(1, 0, "F0", "compute", 0, 1, map[string]float64{"micro": 0})
 	tr.Span(1, 1, "F0", "compute", 1, 2, nil)
-	// No recorder here makes a marker; one arrives from a peer that does.
-	tr.ImportEvents(1, 0, []Event{{Name: "flush", Cat: "sync", Start: 2.25, Instant: true}})
 
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
@@ -91,7 +89,7 @@ func TestChromeExportShape(t *testing.T) {
 	if out.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", out.DisplayTimeUnit)
 	}
-	var meta, spans, instants int
+	var meta, spans int
 	for _, e := range out.TraceEvents {
 		switch e.Ph {
 		case "M":
@@ -101,17 +99,12 @@ func TestChromeExportShape(t *testing.T) {
 			if e.Dur != 1e6 { // 1 s in µs
 				t.Fatalf("span dur = %v µs, want 1e6", e.Dur)
 			}
-		case "i":
-			instants++
-			if e.TS != 2.25e6 {
-				t.Fatalf("instant ts = %v µs, want 2.25e6", e.TS)
-			}
 		default:
 			t.Fatalf("unexpected ph %q", e.Ph)
 		}
 	}
-	if meta != 3 || spans != 2 || instants != 1 {
-		t.Fatalf("meta=%d spans=%d instants=%d, want 3/2/1:\n%s", meta, spans, instants, b.String())
+	if meta != 3 || spans != 2 {
+		t.Fatalf("meta=%d spans=%d, want 3/2:\n%s", meta, spans, b.String())
 	}
 	// Timestamps converted to microseconds.
 	if !strings.Contains(b.String(), `"name":"process_name"`) {

@@ -25,8 +25,9 @@ package runtime
 // element count × 8 = payloadLen — before any payload allocation, reads the
 // payload straight into a pooled tensor (tensor.GetBufUninit), then scans it
 // for non-finite values. A payload above frameChunk is first gathered in a
-// buffer that grows with the bytes that actually arrive, so a hostile length
-// prefix on a truncated stream cannot force a large allocation. The tensor
+// buffer that grows with the bytes that actually arrive (wire.ReadGrow, the
+// flnet frame reader's own), so a hostile length prefix on a truncated
+// stream cannot force a large allocation. The tensor
 // recv returns belongs to the caller, who hands it back with tensor.PutBuf
 // once nothing references it (a stage gives it to the micro-batch's record,
 // see dist.go).
@@ -93,9 +94,10 @@ const heartbeatMicro = -1
 // Frame geometry.
 const (
 	frameHeaderSize = 16
-	// frameChunk is both the largest payload read straight into its tensor
-	// and the step by which the gather buffer of a larger one grows — the
-	// most a length prefix alone can make the receiver allocate.
+	// frameChunk is the largest payload read straight into its tensor, and
+	// equals the step by which wire.ReadGrow grows the gather buffer of a
+	// larger one — the most a length prefix alone can make the receiver
+	// allocate.
 	frameChunk = 64 << 10
 )
 
@@ -435,7 +437,7 @@ func (l *link) readFrame() (int, *tensor.Tensor, error) {
 		return 0, nil, fmt.Errorf("%w: %d dims", errFrame, ndims)
 	}
 	var err error
-	if l.rbuf, err = readGrow(l.conn, l.rbuf, 4*ndims); err != nil {
+	if l.rbuf, err = wire.ReadGrow(l.conn, l.rbuf, 4*ndims); err != nil {
 		return 0, nil, err
 	}
 	l.dims = l.dims[:0]
@@ -490,7 +492,7 @@ func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
 		tensor.PutBuf(t) // big-endian host: no byte view, gather instead
 	}
 	var err error
-	if l.rbuf, err = readGrow(l.conn, l.rbuf, 8*elems); err != nil {
+	if l.rbuf, err = wire.ReadGrow(l.conn, l.rbuf, 8*elems); err != nil {
 		return nil, err
 	}
 	t := tensor.GetBufUninit(l.dims...)
@@ -499,26 +501,6 @@ func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// readGrow reads exactly n bytes into buf, reusing its capacity and growing
-// it by at most the bytes already received plus frameChunk per step (the
-// discipline of wire.Reader): a truncated stream behind a huge length prefix
-// allocates about twice what arrived, never the claimed n up front.
-func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
-		start := len(buf)
-		step := min(n-start, start+frameChunk)
-		if cap(buf) < start+step {
-			buf = append(make([]byte, 0, start+step), buf...)
-		}
-		buf = buf[:start+step]
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return buf[:start], err
-		}
-	}
-	return buf, nil
 }
 
 // close flushes and stops the writer, and disarms any pending connection

@@ -8,7 +8,7 @@ import (
 
 // A zero-length write must not sleep for the latency-free serialization of
 // zero bytes, must not disturb the pacing clock, and must still hit the
-// underlying conn exactly once (gob never emits empty writes, but a flushing
+// underlying conn exactly once (no frame writer emits empty writes, but a flushing
 // caller may).
 func TestZeroLengthWrite(t *testing.T) {
 	a, b := net.Pipe()

@@ -38,7 +38,7 @@ const (
 	// peer waits for a reply that never comes.
 	FaultBlackHole
 	// FaultSever delivers a prefix of the message and then closes the
-	// connection — a truncated gob stream on the receiver.
+	// connection — a truncated frame on the receiver.
 	FaultSever
 	// FaultPartition fails all traffic (and new dials through Dialer) for
 	// Plan.Partition, then heals.

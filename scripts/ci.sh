@@ -26,6 +26,14 @@ if [ "$unreached" != "$want_unreached" ]; then
 	exit 1
 fi
 
+# One codec family: what leaves memory is an EFLB/EFPT frame or JSON (DESIGN.md,
+# "What leaves memory"). encoding/gob stays out of the program, tests included.
+if gob=$(grep -rln '"encoding/gob"' --include='*.go' .); then
+	echo "encoding/gob is imported by:" >&2
+	echo "$gob" >&2
+	exit 1
+fi
+
 tier1_start=$SECONDS
 go vet ./...
 go build ./...
@@ -69,13 +77,15 @@ go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/run
 go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
-# the network, the churn-trace loader and the divergence bounds (plain
+# the network or a checkpoint file, the churn-trace loader and the divergence
+# bounds (plain
 # `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
 fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 200ms "$2"; }
 fuzz FuzzFrameDecode ./internal/flnet/wire
 fuzz FuzzRequestDecode ./internal/flnet
+fuzz FuzzCheckpointDecode ./internal/flnet
 fuzz FuzzQuantizeRoundTrip ./internal/flnet
 fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
 fuzz FuzzParseTraceSet ./internal/device
