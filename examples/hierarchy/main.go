@@ -1,5 +1,6 @@
 // Hierarchy: Eco-FL's grouping-based hierarchical aggregation versus
-// FedAvg, FedAsync and FedAT on non-IID clients.
+// FedAvg, FedAsync, TiFL and FedAT on non-IID clients — five rows of fl's
+// strategy table, run by name through the one round lifecycle.
 //
 // Sixty clients hold 2-class data shards and heterogeneous, fluctuating
 // response latencies. Eco-FL groups them by latency AND data balance
@@ -46,20 +47,13 @@ func main() {
 		return fl.NewPopulation(rng, shards, tx, ty, cfg)
 	}
 
-	runs := []*fl.RunResult{
-		fl.RunFedAvg(build()),
-		fl.RunFedAsync(build()),
-		fl.RunTiFL(build()),
-		func() *fl.RunResult {
-			r := fl.RunHierarchical(build(), fl.HierOptions{Grouping: fl.GroupLatencyOnly, FedATWeighting: true})
-			r.Strategy = "FedAT"
-			return r
-		}(),
-		func() *fl.RunResult {
-			r := fl.RunHierarchical(build(), fl.HierOptions{Grouping: fl.GroupEcoFL, DynamicRegroup: true})
-			r.Strategy = "Eco-FL"
-			return r
-		}(),
+	var runs []*fl.RunResult
+	for _, strategy := range []string{"fedavg", "fedasync", "tifl", "fedat", "eco-fl"} {
+		r, err := fl.RunByName(build(), strategy)
+		if err != nil {
+			panic(err)
+		}
+		runs = append(runs, r)
 	}
 
 	fmt.Println("accuracy over virtual time (60 clients, 2-class non-IID, dynamic latencies):")

@@ -72,27 +72,26 @@ func Fig7(seed int64, scale Scale) []CurveSet {
 	var out []CurveSet
 	for _, dataset := range []string{"cifar10", "fashion-mnist"} {
 		set := CurveSet{Dataset: dataset}
-		run := func(name string, f func(p *fl.Population) *fl.RunResult, lambda float64) {
-			cfg := flConfig(seed, scale, lambda, true)
-			pop := BuildPopulation(seed, dataset, scale, cfg)
-			r := f(pop)
-			r.Strategy = name
-			set.Runs = append(set.Runs, r)
+		for _, s := range []struct {
+			strategy string
+			lambda   float64
+		}{{"fedavg", 0}, {"fedasync", 0}, {"fedat", 0}, {"eco-fl-nodg", 500}, {"eco-fl", 500}} {
+			cfg := flConfig(seed, scale, s.lambda, true)
+			set.Runs = append(set.Runs, runStrategy(BuildPopulation(seed, dataset, scale, cfg), s.strategy))
 		}
-		run("FedAvg", fl.RunFedAvg, 0)
-		run("FedAsync", fl.RunFedAsync, 0)
-		run("FedAT", func(p *fl.Population) *fl.RunResult {
-			return fl.RunHierarchical(p, fl.HierOptions{Grouping: fl.GroupLatencyOnly, FedATWeighting: true})
-		}, 0)
-		run("Eco-FL w/o DG", func(p *fl.Population) *fl.RunResult {
-			return fl.RunHierarchical(p, fl.HierOptions{Grouping: fl.GroupEcoFL})
-		}, 500)
-		run("Eco-FL", func(p *fl.Population) *fl.RunResult {
-			return fl.RunHierarchical(p, fl.HierOptions{Grouping: fl.GroupEcoFL, DynamicRegroup: true})
-		}, 500)
 		out = append(out, set)
 	}
 	return out
+}
+
+// runStrategy runs a row of fl's strategy table; the keys used here are
+// constants, so an unknown one is a programming error.
+func runStrategy(pop *fl.Population, strategy string) *fl.RunResult {
+	r, err := fl.RunByName(pop, strategy)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // rlgPopulation builds the Fig. 8 populations: clients are first placed in
@@ -134,16 +133,13 @@ func Fig8(seed int64, scale Scale) []CurveSet {
 			name = "RLG-NIID @ MNIST"
 		}
 		set := CurveSet{Dataset: name}
-		run := func(label string, opts fl.HierOptions, lambda float64) {
-			cfg := flConfig(seed, scale, lambda, false)
-			pop := rlgPopulation(seed, scale, cfg, niid)
-			r := fl.RunHierarchical(pop, opts)
-			r.Strategy = label
-			set.Runs = append(set.Runs, r)
+		for _, s := range []struct {
+			strategy string
+			lambda   float64
+		}{{"astraea", 0}, {"fedat", 0}, {"eco-fl", 500}} {
+			cfg := flConfig(seed, scale, s.lambda, false)
+			set.Runs = append(set.Runs, runStrategy(rlgPopulation(seed, scale, cfg, niid), s.strategy))
 		}
-		run("Astraea", fl.HierOptions{Grouping: fl.GroupDataOnly}, 0)
-		run("FedAT", fl.HierOptions{Grouping: fl.GroupLatencyOnly, FedATWeighting: true}, 0)
-		run("Eco-FL", fl.HierOptions{Grouping: fl.GroupEcoFL, DynamicRegroup: true}, 500)
 		out = append(out, set)
 	}
 	return out
@@ -171,7 +167,7 @@ func Fig9(seed int64, scale Scale) []Fig9Row {
 		// A wide RT threshold lets λ really trade latency for balance.
 		cfg.RTThreshold = 60
 		pop := rlgPopulation(seed, scale, cfg, true)
-		r := fl.RunHierarchical(pop, fl.HierOptions{Grouping: fl.GroupEcoFL, DynamicRegroup: true})
+		r := runStrategy(pop, "eco-fl")
 		rows = append(rows, Fig9Row{
 			Lambda:     lambda,
 			AvgJS:      r.AvgJS,

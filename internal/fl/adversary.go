@@ -149,15 +149,6 @@ type advClient struct {
 	offset float64   // accumulated drift magnitude
 }
 
-// Compromised reports whether the client ID is under adversary control.
-func (p *AdversaryPlan) Compromised(id int) bool {
-	if p == nil {
-		return false
-	}
-	_, ok := p.state[id]
-	return ok
-}
-
 // Corruptions returns how many updates the plan has corrupted so far.
 func (p *AdversaryPlan) Corruptions() int {
 	if p == nil {

@@ -18,37 +18,66 @@ import (
 func TestRobustDefenseNopByteIdentical(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 400
-	for _, run := range []struct {
-		name string
-		fn   func(p *Population) *RunResult
-	}{
-		{"FedAvg", RunFedAvg},
-		{"FedAsync", RunFedAsync},
-		{"eco-fl", func(p *Population) *RunResult {
-			return RunHierarchical(p, HierOptions{Grouping: GroupEcoFL, DynamicRegroup: true})
-		}},
-	} {
-		base := run.fn(testPopulation(2, 12, cfg))
+	for _, name := range StrategyNames() {
+		base := runStrategy(t, testPopulation(2, 12, cfg), name)
 
 		armed := cfg
 		armed.Robust = robust.Mean{}
 		armed.Adversary = &Adversary{Fraction: 0, Mode: AdvSignFlip}
-		got := run.fn(testPopulation(2, 12, armed))
+		got := runStrategy(t, testPopulation(2, 12, armed), name)
 
 		if !reflect.DeepEqual(base.Curve, got.Curve) {
 			t.Errorf("%s: defenses at f=0 changed the curve:\nbase %v\ngot  %v",
-				run.name, base.Curve, got.Curve)
+				name, base.Curve, got.Curve)
 		}
 		if !reflect.DeepEqual(base.Participation, got.Participation) {
-			t.Errorf("%s: defenses at f=0 changed participation", run.name)
+			t.Errorf("%s: defenses at f=0 changed participation", name)
 		}
 		if got.Corrupted != 0 {
-			t.Errorf("%s: fraction-0 adversary corrupted %d updates", run.name, got.Corrupted)
+			t.Errorf("%s: fraction-0 adversary corrupted %d updates", name, got.Corrupted)
 		}
 		if got.Clipped != 0 {
-			t.Errorf("%s: norm clip fired %d times on a clean run", run.name, got.Clipped)
+			t.Errorf("%s: norm clip fired %d times on a clean run", name, got.Clipped)
 		}
 	}
+}
+
+// TestEveryStrategyReportsItsFaults: the adversary, the dropout coin and the
+// availability traces come with the lifecycle, so every row of the strategy
+// table honours and counts them. TiFL's own loop read none of the three and
+// reported 0 for each — while mixing corrupted updates with a plain mean.
+func TestEveryStrategyReportsItsFaults(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Duration = 300
+	churn := sessionTraces(t, 20, 4*cfg.Duration)
+	for _, name := range StrategyNames() {
+		attacked := cfg
+		attacked.Adversary, attacked.Robust = &Adversary{Fraction: 0.2, Mode: AdvSignFlip}, robust.Median{}
+		if r := runStrategy(t, testPopulation(3, 20, attacked), name); r.Corrupted == 0 {
+			t.Errorf("%s: a 20%% adversary corrupted nothing", name)
+		}
+		churned := cfg
+		churned.Churn = churn
+		if r := runStrategy(t, testPopulation(3, 20, churned), name); r.ChurnDepartures == 0 {
+			t.Errorf("%s: session churn took nobody mid-round", name)
+		}
+		// A lone update has no committee for the coin to cut (the scenario
+		// spec refuses the knob there); every other strategy must count it.
+		dropping := cfg
+		dropping.DropoutProb, dropping.Quorum = 0.3, 0.6
+		if r := runStrategy(t, testPopulation(3, 20, dropping), name); r.Dropouts == 0 && !strategies[name].async {
+			t.Errorf("%s: a 30%% dropout coin dropped nobody", name)
+		}
+	}
+}
+
+// compromised reports whether the client ID is under adversary control.
+func (p *AdversaryPlan) compromised(id int) bool {
+	if p == nil {
+		return false
+	}
+	_, ok := p.state[id]
+	return ok
 }
 
 // The compromised set and every corruption draw come from the adversary's
@@ -59,10 +88,10 @@ func TestAdversaryPlanDeterministic(t *testing.T) {
 	p1, p2 := a.Plan(20), a.Plan(20)
 	count := 0
 	for id := 0; id < 20; id++ {
-		if p1.Compromised(id) != p2.Compromised(id) {
+		if p1.compromised(id) != p2.compromised(id) {
 			t.Fatalf("plans disagree on client %d", id)
 		}
-		if p1.Compromised(id) {
+		if p1.compromised(id) {
 			count++
 		}
 	}
@@ -85,7 +114,7 @@ func TestAdversaryPlanDeterministic(t *testing.T) {
 	}
 	// Nil-plan discipline: fraction 0 materializes to nil and nops.
 	var nilPlan *AdversaryPlan = (&Adversary{Fraction: 0, Mode: AdvNaN}).Plan(20)
-	if nilPlan != nil || nilPlan.Compromised(3) || nilPlan.Corrupt(3, ref, append([]float64(nil), ref...)) {
+	if nilPlan != nil || nilPlan.compromised(3) || nilPlan.Corrupt(3, ref, append([]float64(nil), ref...)) {
 		t.Fatal("fraction-0 adversary is not a nop")
 	}
 }

@@ -50,9 +50,7 @@ func (ch *churnState) sync(now float64, clients []*Client, round int) {
 		case online && c.Offline:
 			c.Offline = false
 			ch.res.Readmissions++
-			if ch.res.rm != nil {
-				ch.res.rm.readmits.Inc()
-			}
+			ch.res.rm.readmits.Inc()
 			ch.rec.RecordAt(now, "fl.readmit", round, c.ID)
 		}
 	}

@@ -25,6 +25,17 @@ func alwaysOnTraces(t *testing.T, n int, horizon float64) *device.TraceSet {
 	return device.NewTraceSet(traces)
 }
 
+// sessionTraces builds seeded session churn for n devices: online for 60
+// virtual seconds and offline for 30 on average, so most rounds lose someone.
+func sessionTraces(t *testing.T, n int, horizon float64) *device.TraceSet {
+	t.Helper()
+	ts, err := device.Sessions(9, n, device.SessionModel{MeanOnline: 60, MeanOffline: 30, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
 // TestChurnByteIdenticalWhenAlwaysOn is the acceptance gate for the churn
 // refactor: attaching a trace set that never takes anyone offline must leave
 // every strategy's curve byte-identical to the no-trace path — same rng
@@ -32,33 +43,24 @@ func alwaysOnTraces(t *testing.T, n int, horizon float64) *device.TraceSet {
 func TestChurnByteIdenticalWhenAlwaysOn(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 400
-	for _, run := range []struct {
-		name string
-		fn   func(p *Population) *RunResult
-	}{
-		{"FedAvg", RunFedAvg},
-		{"FedAsync", RunFedAsync},
-		{"eco-fl", func(p *Population) *RunResult {
-			return RunHierarchical(p, HierOptions{Grouping: GroupEcoFL, DynamicRegroup: true})
-		}},
-	} {
-		base := run.fn(testPopulation(2, 12, cfg))
+	for _, name := range StrategyNames() {
+		base := runStrategy(t, testPopulation(2, 12, cfg), name)
 
 		traced := cfg
 		// The horizon must cover round tails that finish past Duration.
 		traced.Churn = alwaysOnTraces(t, 12, cfg.Duration*100)
-		got := run.fn(testPopulation(2, 12, traced))
+		got := runStrategy(t, testPopulation(2, 12, traced), name)
 
 		if !reflect.DeepEqual(base.Curve, got.Curve) {
 			t.Errorf("%s: always-online trace changed the curve:\nbase %v\ngot  %v",
-				run.name, base.Curve, got.Curve)
+				name, base.Curve, got.Curve)
 		}
 		if !reflect.DeepEqual(base.Participation, got.Participation) {
-			t.Errorf("%s: always-online trace changed participation", run.name)
+			t.Errorf("%s: always-online trace changed participation", name)
 		}
 		if got.ChurnDepartures != 0 || got.Readmissions != 0 {
 			t.Errorf("%s: always-online trace counted churn: departures %d, readmissions %d",
-				run.name, got.ChurnDepartures, got.Readmissions)
+				name, got.ChurnDepartures, got.Readmissions)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"ecofl/internal/nn"
 	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
-	"ecofl/internal/stats"
 	"ecofl/internal/tensor"
 )
 
@@ -57,8 +56,7 @@ type Client struct {
 	// serial-equivalence tests compare it bit for bit.
 	LastLoss float64
 
-	net  *nn.Network
-	dist stats.Distribution
+	net *nn.Network
 }
 
 // Latency returns the client's current response latency: the telemetry
@@ -71,15 +69,9 @@ func (c *Client) Latency() float64 {
 	return c.BaseDelay * c.CollabDegree
 }
 
-// Distribution returns the client's label distribution π_n.
-func (c *Client) Distribution() stats.Distribution { return c.dist }
-
 // SetShard replaces the client's local data (used by experiment setups that
 // assign data after latencies are known, e.g. the RLG protocols of §6.1).
-func (c *Client) SetShard(s *data.Subset) {
-	c.Train = s
-	c.dist = s.Distribution()
-}
+func (c *Client) SetShard(s *data.Subset) { c.Train = s }
 
 // MaybeRedraw re-samples the collaborative degree with probability p — the
 // paper's dynamic setting where available edge resources fluctuate.
@@ -131,7 +123,8 @@ type Config struct {
 	// survivors' work is discarded. If fewer than the quorum survive, the
 	// round fails: the full round timeout elapses and the model is unchanged.
 	// 0 (or ≥1) means every selected client must report — the classic
-	// synchronous round.
+	// synchronous round. A lone asynchronous update (fedasync) is no
+	// committee: neither DropoutProb nor Quorum applies to it.
 	Quorum float64
 
 	// Robust, when non-nil, replaces the sample-weighted mean of every
@@ -340,7 +333,6 @@ func NewPopulationWithProto(rng *rand.Rand, shards []*data.Subset, testX *tensor
 			BaseDelay:    base,
 			CollabDegree: CollabDegrees[rng.Intn(len(CollabDegrees))],
 			net:          p.Proto.Clone(),
-			dist:         sh.Distribution(),
 		}
 		p.Clients = append(p.Clients, c)
 	}

@@ -21,6 +21,16 @@ func testPopulation(seed int64, n int, cfg Config) *Population {
 	return NewPopulation(rng, shards, tx, ty, cfg)
 }
 
+// runStrategy runs one row of the strategy table by its key.
+func runStrategy(t *testing.T, pop *Population, name string) *RunResult {
+	t.Helper()
+	r, err := RunByName(pop, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func fastConfig() Config {
 	return Config{
 		Seed:          1,
@@ -144,7 +154,7 @@ func TestPopulationConstruction(t *testing.T) {
 		if c.Train.Len() == 0 {
 			t.Fatal("every client needs data")
 		}
-		if len(c.Distribution()) != 10 {
+		if len(c.Train.Distribution()) != 10 {
 			t.Fatal("distribution over 10 classes expected")
 		}
 	}
@@ -411,7 +421,7 @@ func TestRunFedAvgLearns(t *testing.T) {
 
 func TestRunFedAsyncLearns(t *testing.T) {
 	pop := testPopulation(15, 30, fastConfig())
-	res := RunFedAsync(pop)
+	res := runStrategy(t, pop, "fedasync")
 	if res.Rounds == 0 {
 		t.Fatal("FedAsync must process updates")
 	}

@@ -69,7 +69,7 @@ func TestFedAsyncTraceSpansMatchRounds(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 300
 	cfg.Trace = obs.New(nil)
-	res := RunFedAsync(testPopulation(7, 12, cfg))
+	res := runStrategy(t, testPopulation(7, 12, cfg), "fedasync")
 	if res.Rounds == 0 {
 		t.Fatal("no rounds executed")
 	}

@@ -70,23 +70,16 @@ func TestTrainClientsMatchesSerialLocalTrain(t *testing.T) {
 func TestStrategiesCurveInvariantUnderParallelism(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 300
-	run := func(procs int, strat func(*Population) *RunResult) []Point {
+	run := func(procs int, name string) []Point {
 		var curve []Point
 		withParallelism(procs, func() {
-			curve = curveKey(strat(testPopulation(4, 8, cfg)))
+			curve = curveKey(runStrategy(t, testPopulation(4, 8, cfg), name))
 		})
 		return curve
 	}
-	strategies := map[string]func(*Population) *RunResult{
-		"FedAvg": RunFedAvg,
-		"TiFL":   RunTiFL,
-		"EcoFL": func(p *Population) *RunResult {
-			return RunHierarchical(p, HierOptions{Grouping: GroupEcoFL, DynamicRegroup: true})
-		},
-	}
-	for name, strat := range strategies {
-		serial := run(1, strat)
-		parallel := run(8, strat)
+	for _, name := range StrategyNames() {
+		serial := run(1, name)
+		parallel := run(8, name)
 		if len(serial) != len(parallel) {
 			t.Fatalf("%s: curve length %d vs %d", name, len(serial), len(parallel))
 		}

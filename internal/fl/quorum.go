@@ -6,8 +6,8 @@ package fl
 // Config.Churn attaches availability traces, depart because its trace goes
 // dark mid-round; the round commits as soon as a Config.Quorum fraction of
 // the selection has reported, aggregating sample-weighted over exactly those
-// fastest reporters. The cut is applied identically by RunFedAvg (to the
-// global round) and RunHierarchical (to each group's intra-group round).
+// fastest reporters. The one lifecycle (run) applies the cut to every
+// committee: the fleet-wide round and each group's intra-group round alike.
 
 import (
 	"math"
@@ -134,20 +134,13 @@ func journalCut(rec *journal.Recorder, t float64, round int, cut roundCut) {
 	}
 }
 
-// tally folds one cut's casualty counts into the result and its metrics.
+// tally folds one cut's casualty counts into the result and its metrics. A
+// failed quorum is counted where the failed round is closed (run).
 func (r *RunResult) tally(cut roundCut) {
 	r.Dropouts += cut.dropouts
 	r.ChurnDepartures += cut.departed
 	r.QuorumDiscarded += cut.discarded
-	if cut.failed {
-		r.QuorumFailures++
-	}
-	if r.rm != nil {
-		r.rm.dropouts.Add(int64(cut.dropouts))
-		r.rm.departs.Add(int64(cut.departed))
-		r.rm.discarded.Add(int64(cut.discarded))
-		if cut.failed {
-			r.rm.failed.Inc()
-		}
-	}
+	r.rm.dropouts.Add(int64(cut.dropouts))
+	r.rm.departs.Add(int64(cut.departed))
+	r.rm.discarded.Add(int64(cut.discarded))
 }

@@ -168,11 +168,13 @@ func TestQuorumRunsDeterministic(t *testing.T) {
 	cfg.Duration = 300
 	cfg.DropoutProb = 0.2
 	cfg.Quorum = 0.5
-	a := RunFedAvg(testPopulation(11, 16, cfg))
-	b := RunFedAvg(testPopulation(11, 16, cfg))
-	if a.FinalAccuracy != b.FinalAccuracy || a.Rounds != b.Rounds ||
-		a.Dropouts != b.Dropouts || a.QuorumDiscarded != b.QuorumDiscarded {
-		t.Fatal("same seed must reproduce the faulty run exactly")
+	for _, name := range StrategyNames() {
+		a := runStrategy(t, testPopulation(11, 16, cfg), name)
+		b := runStrategy(t, testPopulation(11, 16, cfg), name)
+		if a.FinalAccuracy != b.FinalAccuracy || a.Rounds != b.Rounds ||
+			a.Dropouts != b.Dropouts || a.QuorumDiscarded != b.QuorumDiscarded {
+			t.Fatalf("%s: same seed must reproduce the faulty run exactly", name)
+		}
 	}
 }
 

@@ -296,6 +296,3 @@ func ByName(name string, trim float64) (Aggregator, error) {
 	}
 	return nil, fmt.Errorf("robust: unknown aggregator %q (mean, median, trimmed, norm-clip, krum)", name)
 }
-
-// Names lists the aggregator names ByName accepts.
-func Names() []string { return []string{"mean", "median", "trimmed", "norm-clip", "krum"} }

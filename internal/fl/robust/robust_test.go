@@ -108,7 +108,7 @@ func TestKrumSelectsClusteredUpdate(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range robust.Names() {
+	for _, name := range []string{"mean", "median", "trimmed", "norm-clip", "krum"} {
 		agg, err := robust.ByName(name, 0.25)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 
 	"ecofl/internal/fl/robust"
@@ -77,9 +78,7 @@ func (r *RunResult) record(t, acc float64) {
 	if acc > r.BestAccuracy {
 		r.BestAccuracy = acc
 	}
-	if r.rm != nil {
-		r.rm.accuracy.Set(acc)
-	}
+	r.rm.accuracy.Set(acc)
 }
 
 // TimeToAccuracy returns the earliest virtual time the curve reaches the
@@ -130,184 +129,7 @@ func sample(rng *rand.Rand, clients []*Client, k int) []*Client {
 	return active[:k]
 }
 
-// ---------------------------------------------------------------- FedAvg
-
-// RunFedAvg simulates the synchronous FedAvg baseline: every round selects
-// up to MaxConcurrent random clients, waits for the slowest, and averages
-// their updates weighted by sample count.
-func RunFedAvg(pop *Population) *RunResult {
-	cfg := pop.Config
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := newRunResult(pop, "FedAvg", newRunMetrics("FedAvg"))
-	tr := cfg.Trace
-	if tr != nil {
-		tr.SetProcessName(flPID, "fl/FedAvg")
-		tr.SetThreadName(flPID, 0, "global rounds")
-	}
-	w := pop.GlobalInit()
-	dyn := dynamics{next: cfg.DynamicInterval, cfg: cfg}
-	ch := newChurnState(cfg, res)
-	t, lastEval := 0.0, math.Inf(-1)
-	for t < cfg.Duration {
-		ch.sync(t, pop.Clients, res.Rounds)
-		sel := sample(rng, pop.Clients, cfg.MaxConcurrent)
-		if len(sel) == 0 {
-			if ch == nil {
-				break
-			}
-			// Whole fleet offline: wait out a mean delay, then re-check the
-			// availability traces — the heal loop under churn.
-			t += cfg.MeanDelay
-			continue
-		}
-		cfg.Journal.RecordAt(t, "fl.round-start", res.Rounds, journal.None,
-			"selected", strconv.Itoa(len(sel)))
-		cut := cutRound(rng, cfg, ch, t, sel)
-		res.tally(cut)
-		roundTime := cut.roundTime
-		journalCut(cfg.Journal, t+roundTime, res.Rounds, cut)
-		if !cut.failed {
-			weights := make([]float64, len(cut.committee))
-			for i, c := range cut.committee {
-				weights[i] = float64(c.Train.Len())
-				res.Participation[c.ID]++
-			}
-			updates := pop.TrainClients(rng, cut.committee, w, 0) // plain FedAvg: no proximal term
-			w = cfg.aggregate(w, updates, weights)
-			res.rm.selected.Add(int64(len(cut.committee)))
-		}
-		if tr != nil {
-			tr.Span(flPID, 0, "round", "fl", t, t+roundTime,
-				map[string]float64{"clients": float64(len(cut.committee))})
-		}
-		if !cut.failed {
-			cfg.Journal.RecordAt(t+roundTime, "fl.round-commit", res.Rounds, journal.None,
-				"clients", strconv.Itoa(len(cut.committee)))
-		}
-		t += roundTime
-		res.Rounds++
-		res.rm.rounds.Inc()
-		res.rm.roundSec.Observe(roundTime)
-		dyn.advance(rng, pop, t)
-		if t-lastEval >= cfg.EvalInterval {
-			res.record(t, pop.Evaluate(w))
-			lastEval = t
-		}
-	}
-	res.Corrupted = pop.Corruptions()
-	return res
-}
-
-// ---------------------------------------------------------------- FedAsync
-
-// RunFedAsync simulates the asynchronous baseline on the discrete-event
-// engine: MaxConcurrent clients train continuously; each arriving update is
-// mixed into the global model with a staleness-attenuated α, and a fresh
-// client is dispatched.
-func RunFedAsync(pop *Population) *RunResult {
-	cfg := pop.Config
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := newRunResult(pop, "FedAsync", newRunMetrics("FedAsync"))
-	staleness := metrics.GetHistogram("ecofl_fl_staleness",
-		"global-model versions elapsed between snapshot and mix-in (FedAsync)",
-		[]float64{0, 1, 2, 4, 8, 16, 32})
-	tr := cfg.Trace
-	if tr != nil {
-		tr.SetProcessName(flPID, "fl/FedAsync")
-		tr.SetThreadName(flPID, 0, "client updates")
-	}
-	w := pop.GlobalInit()
-	dyn := dynamics{next: cfg.DynamicInterval, cfg: cfg}
-	ch := newChurnState(cfg, res)
-	// With a robust config attached, async mix-ins pass a staleness-aware
-	// norm clip: the trailing median+MAD of accepted delta norms bounds each
-	// new delta, tighter for staler updates (see robust.NormTracker). The
-	// tracker's 2×median floor keeps honest traffic unclipped, so a clean
-	// run's curve stays byte-identical — pinned by test.
-	var clip *robust.NormTracker
-	if cfg.Robust != nil {
-		clip = robust.NewNormTracker(0, 0, 0)
-	}
-
-	var eng sim.Engine
-	version := 0
-	lastEval := math.Inf(-1)
-	var dispatch func()
-	dispatch = func() {
-		ch.sync(eng.Now(), pop.Clients, res.Rounds)
-		sel := sample(rng, pop.Clients, 1)
-		if len(sel) == 0 {
-			if ch != nil && eng.Now()+cfg.MeanDelay <= cfg.Duration {
-				// Whole fleet offline: keep this worker slot alive and poll
-				// the availability traces again after a mean delay.
-				eng.Schedule(cfg.MeanDelay, dispatch)
-			}
-			return
-		}
-		c := sel[0]
-		snapshot := append([]float64(nil), w...)
-		baseVersion := version
-		dispatched := eng.Now()
-		finish := dispatched + c.Latency()
-		if finish > cfg.Duration {
-			return
-		}
-		eng.ScheduleAt(finish, func() {
-			if ch.departs(c, dispatched, finish) {
-				// The trace took the client offline before its update landed:
-				// the work is lost, the worker slot redispatches. No rng is
-				// consumed, matching cutRound's departure semantics.
-				res.ChurnDepartures++
-				res.rm.departs.Inc()
-				cfg.Journal.RecordAt(finish, "fl.depart", res.Rounds, c.ID)
-				dispatch()
-				return
-			}
-			update := pop.LocalTrain(rng, c, snapshot, 0)
-			res.Participation[c.ID]++
-			stale := float64(version - baseVersion)
-			if clip != nil {
-				norm := robust.DeltaNorm(update, snapshot)
-				if max, ok := clip.StaleThreshold(stale); ok && norm > max {
-					robust.ClipDelta(update, snapshot, max)
-					norm = max
-					res.Clipped++
-					res.rm.clips.Inc()
-					cfg.Journal.RecordAt(finish, "fl.norm-clip", version, c.ID)
-				}
-				clip.Observe(norm)
-			}
-			alpha := StalenessAlpha(cfg.Alpha, stale, 1.0)
-			AsyncMix(w, update, alpha)
-			version++
-			res.Rounds++
-			res.rm.rounds.Inc()
-			res.rm.selected.Inc()
-			res.rm.roundSec.Observe(finish - dispatched)
-			staleness.Observe(stale)
-			if tr != nil {
-				tr.Span(flPID, 0, "update", "fl", dispatched, finish,
-					map[string]float64{"client": float64(c.ID), "staleness": stale})
-			}
-			cfg.Journal.RecordAt(finish, "fl.round-commit", version, c.ID,
-				"staleness", strconv.FormatFloat(stale, 'g', -1, 64))
-			dyn.advance(rng, pop, eng.Now())
-			if eng.Now()-lastEval >= cfg.EvalInterval {
-				res.record(eng.Now(), pop.Evaluate(w))
-				lastEval = eng.Now()
-			}
-			dispatch()
-		})
-	}
-	for i := 0; i < cfg.MaxConcurrent; i++ {
-		dispatch()
-	}
-	eng.Run(0)
-	res.Corrupted = pop.Corruptions()
-	return res
-}
-
-// ---------------------------------------------------------------- Hierarchical
+// ---------------------------------------------------------------- strategies
 
 // GroupingKind selects how clients are grouped.
 type GroupingKind int
@@ -345,167 +167,400 @@ type HierOptions struct {
 	FedATWeighting bool
 }
 
+// policy is one row of the strategy table: everything that tells one strategy
+// from another, as data. The lifecycle reads the fields, never the name.
+type policy struct {
+	// HierOptions names the strategy (RunResult.Strategy and the metric
+	// label) and, where clients are grouped, says how.
+	HierOptions
+	// grouped gives every group a lane of its own (§5.1): synchronous FedProx
+	// rounds of MaxConcurrent/groups clients from the group's model, which is
+	// async-mixed into the global model every GroupSyncEvery rounds. Without
+	// it lanes draw from the whole fleet and train from the global model.
+	grouped bool
+	// async runs MaxConcurrent worker-slot lanes of one client each (FedAsync):
+	// a lane trains from a snapshot of the global model and mixes its lone
+	// update back in with a staleness-attenuated α. Without it a lane's round
+	// is a committee whose aggregate replaces the lane's model.
+	async bool
+	// tiered makes the one fleet-wide lane draw each round's clients from a
+	// single latency tier, picked by TiFL's credit rule (see tierPick).
+	tiered bool
+}
+
+// strategies is the strategy table, keyed by the stable lowercase names that
+// declarative configuration (the scenario harness, the CLI) uses. The Names
+// are what the figures print, so RunResult.Strategy and the per-strategy
+// metric labels (ecofl_fl_round_virtual_seconds{strategy=…}) are the same
+// whichever entry point launched the run.
+var strategies = map[string]policy{
+	"fedavg":      {HierOptions: HierOptions{Name: "FedAvg"}},
+	"fedasync":    {HierOptions: HierOptions{Name: "FedAsync"}, async: true},
+	"tifl":        {HierOptions: HierOptions{Name: "TiFL", Grouping: GroupLatencyOnly}, tiered: true},
+	"fedat":       {HierOptions: HierOptions{Name: "FedAT", Grouping: GroupLatencyOnly, FedATWeighting: true}, grouped: true},
+	"astraea":     {HierOptions: HierOptions{Name: "Astraea", Grouping: GroupDataOnly}, grouped: true},
+	"eco-fl":      {HierOptions: HierOptions{Name: "Eco-FL", Grouping: GroupEcoFL, DynamicRegroup: true}, grouped: true},
+	"eco-fl-nodg": {HierOptions: HierOptions{Name: "Eco-FL w/o DG", Grouping: GroupEcoFL}, grouped: true},
+}
+
+// StrategyNames lists the names RunByName accepts, sorted.
+func StrategyNames() []string {
+	names := make([]string, 0, len(strategies))
+	for name := range strategies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// RunByName runs the named row of the strategy table, so that the choice of
+// strategy can live in data instead of code. Valid names are StrategyNames().
+func RunByName(pop *Population, strategy string) (*RunResult, error) {
+	pol, ok := strategies[strategy]
+	if !ok {
+		return nil, fmt.Errorf("fl: unknown strategy %q (valid: %v)", strategy, StrategyNames())
+	}
+	return run(pop, pol), nil
+}
+
+// RunFedAvg simulates the synchronous FedAvg baseline: every round selects
+// up to MaxConcurrent random clients, waits for the slowest, and averages
+// their updates weighted by sample count.
+func RunFedAvg(pop *Population) *RunResult { return run(pop, strategies["fedavg"]) }
+
 // RunHierarchical simulates a grouping-based hierarchical FL system:
 // synchronous FedProx rounds inside each group, asynchronous mixing of group
 // models into the global model (§5.1), and optionally Algorithm 1's dynamic
 // regrouping.
 func RunHierarchical(pop *Population, opts HierOptions) *RunResult {
+	if opts.Name == "" {
+		opts.Name = "hier-" + opts.Grouping.String()
+	}
+	return run(pop, policy{HierOptions: opts, grouped: true})
+}
+
+// tierPick is TiFL's tier selection (Chai et al., HPDC 2020): every round
+// trains clients of ONE latency tier, so the round time is bounded by that
+// tier's latency rather than by the global straggler. Faster tiers are
+// likelier to be drawn, and a credit budget per tier bounds how often, so
+// that selection re-spreads to the slow tiers as the fast ones run out.
+type tierPick struct {
+	credits []int
+	probs   []float64
+}
+
+const tierCredits = 40
+
+// pick draws the tier of the next round and spends one of its credits. It
+// returns nil only when no tier has a member.
+func (tp *tierPick) pick(rng *rand.Rand, tiers []*Group) *Group {
+	for refilled := false; ; refilled = true {
+		var total float64
+		for i, tier := range tiers {
+			tp.probs[i] = 0
+			if tp.credits[i] > 0 && len(tier.Members) > 0 {
+				tp.probs[i] = 1 / (1 + tier.Center) // a smaller center is a faster tier
+				total += tp.probs[i]
+			}
+		}
+		if total > 0 {
+			r := rng.Float64() * total
+			sel := 0
+			for i, p := range tp.probs {
+				if r < p {
+					sel = i
+					break
+				}
+				r -= p
+			}
+			tp.credits[sel]--
+			return tiers[sel]
+		}
+		if refilled {
+			return nil
+		}
+		// All credits exhausted: replenish (TiFL's epoch boundary).
+		for i := range tp.credits {
+			tp.credits[i] = tierCredits
+		}
+	}
+}
+
+// lane is one sequence of rounds on the run's virtual clock. Lanes run
+// concurrently; a lane's next round starts when its last one has resolved.
+type lane struct {
+	id    int
+	group *Group // the group whose members the lane selects from; nil for the fleet
+	// base is the model the lane's rounds train from: the global model itself
+	// for a fleet-wide committee lane, the group's model for a group lane, the
+	// snapshot taken at dispatch for an async lane.
+	base      []float64
+	sinceSync int // committed rounds since the group model was last mixed into the global one
+}
+
+// run is the one round lifecycle every strategy goes through. Each lane
+// repeats: horizon → membership → churn sync → selection → cut → round time →
+// (when the round resolves) training → commit → dynamics and Algorithm 1 →
+// evaluation → redispatch. What differs between strategies is pol.
+func run(pop *Population, pol policy) *RunResult {
 	cfg := pop.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	name := opts.Name
-	if name == "" {
-		name = "hier-" + opts.Grouping.String()
-	}
-	res := newRunResult(pop, name, newRunMetrics(name))
+	res := newRunResult(pop, pol.Name, newRunMetrics(pol.Name))
+	jn, tr := cfg.Journal, cfg.Trace
+
 	grouper := &Grouper{Lambda: cfg.Lambda, RT: cfg.RTThreshold, NumClasses: pop.TestClasses()}
-
 	var groups []*Group
-	switch opts.Grouping {
-	case GroupLatencyOnly:
-		groups = grouper.LatencyOnlyGrouping(rng, pop.Clients, cfg.NumGroups)
-	case GroupDataOnly:
-		groups = grouper.DataOnlyGrouping(rng, pop.Clients, cfg.NumGroups)
-	default:
-		groups = grouper.InitialGrouping(rng, pop.Clients, cfg.NumGroups)
-	}
-
-	tr := cfg.Trace
-	if tr != nil {
-		tr.SetProcessName(flPID, "fl/"+name)
-	}
-	groupSize := make(map[*Group]*metrics.Gauge, len(groups))
-	for _, g := range groups {
-		if tr != nil {
-			tr.SetThreadName(flPID, g.ID, fmt.Sprintf("group %d", g.ID))
+	if pol.grouped || pol.tiered {
+		switch pol.Grouping {
+		case GroupLatencyOnly:
+			groups = grouper.LatencyOnlyGrouping(rng, pop.Clients, cfg.NumGroups)
+		case GroupDataOnly:
+			groups = grouper.DataOnlyGrouping(rng, pop.Clients, cfg.NumGroups)
+		default:
+			groups = grouper.InitialGrouping(rng, pop.Clients, cfg.NumGroups)
 		}
-		groupSize[g] = metrics.GetGauge("ecofl_fl_group_size",
-			"current member count per group", "strategy", name, "group", strconv.Itoa(g.ID))
-		groupSize[g].Set(float64(len(g.Members)))
 	}
-
-	w := pop.GlobalInit()
-	groupModel := make(map[*Group][]float64, len(groups))
-	roundsSinceSync := make(map[*Group]int, len(groups))
-	for _, g := range groups {
-		groupModel[g] = append([]float64(nil), w...)
-	}
-	perGroup := cfg.MaxConcurrent / len(groups)
-	if perGroup < 1 {
-		perGroup = 1
-	}
-	var meanCenter float64
-	for _, g := range groups {
+	groupSize := make([]*metrics.Gauge, len(groups))
+	var meanCenter float64 // of the initial grouping: FedAT's weighting reference
+	for i, g := range groups {
+		groupSize[i] = metrics.GetGauge("ecofl_fl_group_size",
+			"current member count per group", "strategy", pol.Name, "group", strconv.Itoa(g.ID))
+		groupSize[i].Set(float64(len(g.Members)))
 		meanCenter += g.Center
 	}
 	meanCenter /= float64(len(groups))
+
+	// The lanes, how many clients a lane's round selects, and the proximal
+	// coefficient of its local updates (only intra-group training is FedProx).
+	w := pop.GlobalInit()
+	var lanes []*lane
+	perRound, mu, laneName := cfg.MaxConcurrent, 0.0, "fleet"
+	switch {
+	case pol.grouped:
+		perRound, mu, laneName = max(1, cfg.MaxConcurrent/len(groups)), cfg.Mu, "group"
+		for _, g := range groups {
+			lanes = append(lanes, &lane{id: g.ID, group: g, base: append([]float64(nil), w...)})
+		}
+	case pol.async:
+		perRound, laneName = 1, "slot"
+		for i := 0; i < cfg.MaxConcurrent; i++ {
+			lanes = append(lanes, &lane{id: i})
+		}
+	default:
+		lanes = []*lane{{base: w}}
+	}
+	if tr != nil {
+		tr.SetProcessName(flPID, "fl/"+pol.Name)
+		for _, ln := range lanes {
+			tr.SetThreadName(flPID, ln.id, fmt.Sprintf("%s %d", laneName, ln.id))
+		}
+	}
+	// flat: one lane is the whole run, as in the for-loop FedAvg and TiFL were
+	// written as. Two accidents of that loop are carried below, not fixed.
+	flat := !pol.grouped && !pol.async
+
+	var tiers *tierPick
+	if pol.tiered {
+		tiers = &tierPick{credits: make([]int, len(groups)), probs: make([]float64, len(groups))}
+	}
+	// A lone update has no committee to cut: only its client's trace can take
+	// it. With a robust config attached it passes a staleness-aware norm clip
+	// instead: the trailing median+MAD of accepted delta norms bounds each
+	// new delta, tighter for staler updates (see robust.NormTracker). The
+	// tracker's 2×median floor keeps honest traffic unclipped, so a clean
+	// run's curve stays byte-identical — pinned by test.
+	cutCfg := cfg
+	var clip *robust.NormTracker
+	var staleness *metrics.Histogram
+	if pol.async {
+		cutCfg.DropoutProb, cutCfg.Quorum = 0, 0
+		if cfg.Robust != nil {
+			clip = robust.NewNormTracker(0, 0, 0)
+		}
+		staleness = metrics.GetHistogram("ecofl_fl_staleness",
+			"global-model versions elapsed between snapshot and mix-in (FedAsync)",
+			[]float64{0, 1, 2, 4, 8, 16, 32})
+	}
 
 	dyn := dynamics{next: cfg.DynamicInterval, cfg: cfg}
 	ch := newChurnState(cfg, res)
 	lastEval := math.Inf(-1)
 	var eng sim.Engine
-	var scheduleRound func(g *Group)
-	scheduleRound = func(g *Group) {
+	var dispatch func(ln *lane)
+	dispatch = func(ln *lane) {
+		// Horizon. Carried, not fixed: a flat lane stops once the clock has
+		// reached the horizon, a group or slot lane still starts a round that
+		// begins exactly on it (the published dropout/churn/Byzantine tables
+		// and TestStrategyGolden pin both).
 		start := eng.Now()
-		if start > cfg.Duration {
+		if start > cfg.Duration || flat && start >= cfg.Duration {
 			return
 		}
-		if len(g.Members) == 0 {
-			// Empty group: re-check after a mean delay (members may be
-			// regrouped into it later).
-			eng.Schedule(cfg.MeanDelay, func() { scheduleRound(g) })
-			return
+		// Membership: the lane's group, the tier drawn for this round, or the
+		// whole fleet — as the availability traces have it at this instant.
+		g := ln.group
+		if pol.tiered {
+			g = tiers.pick(rng, groups)
 		}
-		ch.sync(start, g.Members, res.Rounds)
-		sel := sample(rng, g.Members, perGroup)
+		members := pop.Clients
+		if g != nil {
+			members = g.Members
+		}
+		ch.sync(start, members, res.Rounds)
+		sel := sample(rng, members, perRound)
 		if len(sel) == 0 {
-			eng.Schedule(cfg.MeanDelay, func() { scheduleRound(g) })
+			// Nobody to select — the members are offline or dropped, or the
+			// group is empty. Look again after a mean delay: traces bring
+			// devices back and regrouping refills groups.
+			eng.Schedule(cfg.MeanDelay, func() { dispatch(ln) })
 			return
 		}
-		round := res.Rounds
-		cfg.Journal.RecordAt(start, "fl.round-start", round, journal.None,
-			"group", strconv.Itoa(g.ID), "selected", strconv.Itoa(len(sel)))
-		cut := cutRound(rng, cfg, ch, start, sel)
-		res.tally(cut)
-		roundTime := cut.roundTime
-		eng.Schedule(roundTime, func() {
-			now := eng.Now()
-			journalCut(cfg.Journal, now, round, cut)
-			if cut.failed {
-				// The group waited out the round window without reaching its
-				// quorum: no aggregation, try again with a fresh selection.
-				res.Rounds++
-				res.rm.rounds.Inc()
-				res.rm.roundSec.Observe(roundTime)
-				if tr != nil {
-					tr.Span(flPID, g.ID, "group-round-failed", "fl", start, now,
-						map[string]float64{"dropouts": float64(cut.dropouts)})
-				}
-				scheduleRound(g)
+		dispatched := res.Rounds
+		cut := cutRound(rng, cutCfg, ch, start, sel)
+		if pol.async {
+			// A lone update that would land past the horizon is not dispatched.
+			if start+cut.roundTime > cfg.Duration {
 				return
 			}
-			weights := make([]float64, len(cut.committee))
-			ref := groupModel[g]
-			for i, c := range cut.committee {
-				weights[i] = float64(c.Train.Len())
-				res.Participation[c.ID]++
+			ln.base = append(ln.base[:0], w...)
+		} else if jn != nil {
+			jn.RecordAt(start, "fl.round-start", dispatched, journal.None, groupAttrs(g, "selected", strconv.Itoa(len(sel)))...)
+		}
+		res.tally(cut)
+
+		eng.Schedule(cut.roundTime, func() {
+			now, round := eng.Now(), dispatched
+			var stale float64
+			if pol.async {
+				// A lone update is numbered when it lands, and is as stale as
+				// the number of updates that have landed since its snapshot.
+				stale, round = float64(res.Rounds-dispatched), res.Rounds
+				if cut.failed {
+					// The client's trace went dark before its update landed:
+					// the work is lost and the slot redispatches. A lost
+					// update is not an aggregation event and fails no quorum.
+					jn.RecordAt(now, "fl.depart", round, sel[0].ID)
+					dispatch(ln)
+					return
+				}
 			}
-			updates := pop.TrainClients(rng, cut.committee, ref, cfg.Mu)
-			groupW := cfg.aggregate(ref, updates, weights)
-			copy(groupModel[g], groupW)
+			journalCut(jn, now, round, cut)
+			if cut.failed {
+				// The committee waited out the round window without reaching
+				// its quorum: no aggregation, a fresh selection next round.
+				res.QuorumFailures++
+				res.rm.failed.Inc()
+			} else {
+				weights := make([]float64, len(cut.committee))
+				for i, c := range cut.committee {
+					weights[i] = float64(c.Train.Len())
+					res.Participation[c.ID]++
+				}
+				updates := pop.TrainClients(rng, cut.committee, ln.base, mu)
+				res.rm.selected.Add(int64(len(updates)))
+				if pol.async {
+					if clip != nil {
+						norm := robust.DeltaNorm(updates[0], ln.base)
+						if max, ok := clip.StaleThreshold(stale); ok && norm > max {
+							robust.ClipDelta(updates[0], ln.base, max)
+							norm = max
+							res.Clipped++
+							res.rm.clips.Inc()
+							jn.RecordAt(now, "fl.norm-clip", round, sel[0].ID)
+						}
+						clip.Observe(norm)
+					}
+					AsyncMix(w, updates[0], StalenessAlpha(cfg.Alpha, stale, 1.0))
+					staleness.Observe(stale)
+					if jn != nil {
+						jn.RecordAt(now, "fl.round-commit", round+1, sel[0].ID,
+							"staleness", strconv.FormatFloat(stale, 'g', -1, 64))
+					}
+				} else {
+					agg := cfg.aggregate(ln.base, updates, weights)
+					copy(ln.base, agg) // replaces the global model itself on a flat lane
+					if jn != nil {
+						jn.RecordAt(now, "fl.round-commit", round, journal.None, groupAttrs(g, "clients", strconv.Itoa(len(updates)))...)
+					}
+					if ln.sinceSync++; pol.grouped && ln.sinceSync >= cfg.GroupSyncEvery {
+						// Push the group model to the async aggregator and pull
+						// the fresh global as the next sync-round's base (§5.1).
+						ln.sinceSync = 0
+						alpha := cfg.Alpha
+						if pol.FedATWeighting && meanCenter > 0 {
+							alpha = math.Min(0.9, cfg.Alpha*g.Center/meanCenter)
+						}
+						AsyncMix(w, agg, alpha)
+						copy(ln.base, w)
+						if jn != nil {
+							jn.RecordAt(now, "fl.group-sync", round, journal.None, groupAttrs(g, "alpha", strconv.FormatFloat(alpha, 'g', 4, 64))...)
+						}
+					}
+				}
+			}
 			res.Rounds++
 			res.rm.rounds.Inc()
-			res.rm.selected.Add(int64(len(cut.committee)))
-			res.rm.roundSec.Observe(roundTime)
+			res.rm.roundSec.Observe(cut.roundTime)
 			if tr != nil {
-				tr.Span(flPID, g.ID, "group-round", "fl", start, now,
-					map[string]float64{"clients": float64(len(cut.committee))})
-			}
-			cfg.Journal.RecordAt(now, "fl.round-commit", round, journal.None,
-				"group", strconv.Itoa(g.ID), "clients", strconv.Itoa(len(cut.committee)))
-			roundsSinceSync[g]++
-			if roundsSinceSync[g] >= cfg.GroupSyncEvery {
-				// Push the group model to the async aggregator and pull
-				// the fresh global as the next sync-round's base (§5.1).
-				roundsSinceSync[g] = 0
-				alpha := cfg.Alpha
-				if opts.FedATWeighting && meanCenter > 0 {
-					alpha = math.Min(0.9, cfg.Alpha*g.Center/meanCenter)
+				name, args := "round", map[string]float64{"clients": float64(len(cut.committee)),
+					"dropouts": float64(cut.dropouts), "departed": float64(cut.departed)}
+				if cut.failed {
+					name = "round-failed"
 				}
-				AsyncMix(w, groupW, alpha)
-				copy(groupModel[g], w)
-				cfg.Journal.RecordAt(now, "fl.group-sync", round, journal.None,
-					"group", strconv.Itoa(g.ID), "alpha", strconv.FormatFloat(alpha, 'g', 4, 64))
+				if pol.async {
+					args["client"], args["staleness"] = float64(sel[0].ID), stale
+				}
+				tr.Span(flPID, ln.id, name, "fl", start, now, args)
 			}
-
-			if dyn.advance(rng, pop, now) && opts.DynamicRegroup {
+			// Carried, not fixed: after a failed round a flat lane still
+			// advances the dynamics and evaluates, a group lane goes straight
+			// to its next selection (pinned like the horizon rule above).
+			if cut.failed && !flat {
+				dispatch(ln)
+				return
+			}
+			if dyn.advance(rng, pop, now) && pol.DynamicRegroup {
+				// Algorithm 1: move or drop the members a re-draw pushed out
+				// of their group's latency range, re-admit who fits again.
 				for _, gg := range groups {
 					grouper.CheckAndRegroup(gg, groups)
 				}
 				for _, c := range pop.Clients {
 					grouper.TryReadmit(c, groups)
 				}
-				for _, gg := range groups {
-					groupSize[gg].Set(float64(len(gg.Members)))
+				for i, gg := range groups {
+					groupSize[i].Set(float64(len(gg.Members)))
 				}
 			}
 			if now-lastEval >= cfg.EvalInterval {
 				res.record(now, pop.Evaluate(w))
 				lastEval = now
 			}
-			scheduleRound(g)
+			dispatch(ln)
 		})
 	}
-	for _, g := range groups {
-		scheduleRound(g)
+	for _, ln := range lanes {
+		dispatch(ln)
 	}
 	eng.Run(0)
-	res.AvgJS = AvgGroupJS(groups, pop.TestClasses())
-	res.AvgLatency = AvgGroupLatency(groups)
-	for _, c := range pop.Clients {
-		if c.Dropped {
-			res.Dropped++
+	if groups != nil {
+		res.AvgJS = AvgGroupJS(groups, pop.TestClasses())
+		res.AvgLatency = AvgGroupLatency(groups)
+		for _, c := range pop.Clients {
+			if c.Dropped {
+				res.Dropped++
+			}
 		}
 	}
 	res.Corrupted = pop.Corruptions()
 	return res
+}
+
+// groupAttrs prefixes a round's journal attributes with its group's id, when
+// the round is a group's (or a tier's).
+func groupAttrs(g *Group, kv ...string) []string {
+	if g != nil {
+		return append([]string{"group", strconv.Itoa(g.ID)}, kv...)
+	}
+	return kv
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ecofl/internal/data"
+	"ecofl/internal/metrics"
 	"ecofl/internal/nn"
 )
 
@@ -86,7 +87,7 @@ func TestAllClientsDroppedIsHandled(t *testing.T) {
 	if res.Rounds != 0 {
 		t.Fatal("no active clients → no rounds")
 	}
-	res2 := RunFedAsync(pop)
+	res2 := runStrategy(t, pop, "fedasync")
 	if res2.Rounds != 0 {
 		t.Fatal("FedAsync with no clients must terminate cleanly")
 	}
@@ -109,15 +110,8 @@ func TestHierarchicalReportsDropped(t *testing.T) {
 func TestCurveTimesWithinDuration(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 500
-	for name, run := range map[string]func(*Population) *RunResult{
-		"fedavg":   RunFedAvg,
-		"fedasync": RunFedAsync,
-		"hier": func(p *Population) *RunResult {
-			return RunHierarchical(p, HierOptions{Grouping: GroupEcoFL})
-		},
-	} {
-		pop := testPopulation(35, 16, cfg)
-		res := run(pop)
+	for _, name := range StrategyNames() {
+		res := runStrategy(t, testPopulation(35, 16, cfg), name)
 		for _, p := range res.Curve {
 			// FedAvg rounds can overrun slightly (round completes past the
 			// horizon); allow one mean round of slack.
@@ -132,13 +126,20 @@ func TestParticipationTracked(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 400
 	pop := testPopulation(40, 16, cfg)
+	selected := metrics.GetCounter("ecofl_fl_selected_clients_total", "", "strategy", "FedAvg")
+	before := selected.Value()
 	res := RunFedAvg(pop)
 	total := 0
 	for _, n := range res.Participation {
 		total += n
 	}
-	if total != res.Rounds*cfg.MaxConcurrent && total == 0 {
-		t.Fatalf("participation total %d inconsistent with %d rounds", total, res.Rounds)
+	// A fault-free fleet of 16 fills every round's MaxConcurrent seats, and
+	// every seat is one dispatched local update.
+	if res.Rounds == 0 || total != res.Rounds*cfg.MaxConcurrent {
+		t.Fatalf("participation total %d inconsistent with %d rounds of %d", total, res.Rounds, cfg.MaxConcurrent)
+	}
+	if got := selected.Value() - before; got != int64(total) {
+		t.Fatalf("participation total %d, but ecofl_fl_selected_clients_total moved by %d", total, got)
 	}
 	if len(res.Participation) != len(pop.Clients) {
 		t.Fatal("participation vector must cover all clients")
@@ -177,7 +178,7 @@ func TestTiFLRunsAndLearns(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 800
 	pop := testPopulation(60, 30, cfg)
-	res := RunTiFL(pop)
+	res := runStrategy(t, pop, "tifl")
 	if res.Rounds == 0 {
 		t.Fatal("TiFL must complete rounds")
 	}
@@ -199,7 +200,7 @@ func TestTiFLRunsAndLearns(t *testing.T) {
 func TestTiFLFasterRoundsThanFedAvg(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Duration = 800
-	tifl := RunTiFL(testPopulation(61, 30, cfg))
+	tifl := runStrategy(t, testPopulation(61, 30, cfg), "tifl")
 	avg := RunFedAvg(testPopulation(61, 30, cfg))
 	// Tiered rounds wait only for the selected tier, so TiFL completes
 	// more rounds in the same virtual time.

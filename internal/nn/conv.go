@@ -41,10 +41,6 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 	}
 }
 
-func (c *Conv2D) Name() string {
-	return fmt.Sprintf("Conv2D(%d→%d,k%d,s%d,p%d)", c.InC, c.OutC, c.K, c.Stride, c.Pad)
-}
-
 func (c *Conv2D) outDims(h, w int) (int, int) {
 	oh := (h+2*c.Pad-c.K)/c.Stride + 1
 	ow := (w+2*c.Pad-c.K)/c.Stride + 1
@@ -224,8 +220,6 @@ type MaxPool2D struct {
 	K, Stride int
 }
 
-func (p MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(k%d,s%d)", p.K, p.Stride) }
-
 type poolCache struct {
 	inShape []int
 	argmax  []int // flat input index of each output element
@@ -283,8 +277,6 @@ func (p MaxPool2D) Clone() Layer   { return p }
 // Flatten reshapes (batch, ...) to (batch, features). Row-major layout makes
 // this a metadata-only operation.
 type Flatten struct{}
-
-func (Flatten) Name() string { return "Flatten" }
 
 func (Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	out := &tensor.Tensor{Shape: []int{x.Rows(), x.Cols()}, Data: x.Data}

@@ -46,7 +46,6 @@ type Cache interface{}
 // Layer is a differentiable module. Backward must accumulate (+=) parameter
 // gradients so that micro-batch gradients sum naturally.
 type Layer interface {
-	Name() string
 	// Forward maps a (batch × in) tensor to (batch × out) plus a cache.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, Cache)
 	// Backward consumes the cache from the matching Forward call and the
@@ -77,8 +76,6 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 		B:   &Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), Value: tensor.New(out), Grad: tensor.New(out)},
 	}
 }
-
-func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.In, d.Out) }
 
 func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := tensor.MatMulInto(tensor.GetBufUninit(x.Rows(), d.Out), x, d.W.Value)
@@ -125,8 +122,6 @@ func (d *Dense) Clone() Layer {
 // ReLU applies max(0, x) element-wise.
 type ReLU struct{}
 
-func (ReLU) Name() string { return "ReLU" }
-
 func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := pooledCopy(x)
 	for i, v := range y.Data {
@@ -155,8 +150,6 @@ func (ReLU) Clone() Layer     { return ReLU{} }
 
 // Tanh applies tanh element-wise.
 type Tanh struct{}
-
-func (Tanh) Name() string { return "Tanh" }
 
 func (Tanh) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := pooledCopy(x)

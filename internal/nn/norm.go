@@ -38,8 +38,6 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-func (bn *BatchNorm) Name() string { return fmt.Sprintf("BatchNorm(%d)", bn.Dim) }
-
 type bnCache struct {
 	xhat   *tensor.Tensor
 	invStd []float64
@@ -155,8 +153,6 @@ func NewDropout(p float64, seed int64) *Dropout {
 	return &Dropout{P: p, Train: true, Rng: rand.New(rand.NewSource(seed))}
 }
 
-func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.P) }
-
 func (d *Dropout) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if !d.Train || d.P == 0 {
 		return x, nil
@@ -194,8 +190,6 @@ func (d *Dropout) Clone() Layer {
 type Residual struct {
 	Inner []Layer
 }
-
-func (r *Residual) Name() string { return fmt.Sprintf("Residual(%d layers)", len(r.Inner)) }
 
 func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	caches := make([]Cache, len(r.Inner))

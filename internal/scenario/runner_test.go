@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ecofl/internal/fl"
 	"ecofl/internal/obs/leakcheck"
 )
 
@@ -94,18 +95,26 @@ func TestRunFLNetAccuracyDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunFLTopology drives a miniature virtual-time simulation end to end.
+// TestRunFLTopology drives a miniature virtual-time simulation end to end,
+// once per row of fl's strategy table: a strategy is valid in a spec because
+// it is in the table.
 func TestRunFLTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fl simulation smoke is not -short")
 	}
+	for _, strategy := range fl.StrategyNames() {
+		t.Run(strategy, func(t *testing.T) { testRunFLTopology(t, strategy) })
+	}
+}
+
+func testRunFLTopology(t *testing.T, strategy string) {
 	spec, err := Parse([]byte(`{
 	  "name": "fl-mini",
 	  "topology": "fl",
 	  "seed": 3,
 	  "fleet": {"clients": 8, "dataset_size": 300, "max_concurrent": 4, "local_epochs": 1,
 	            "mean_delay_s": 40, "std_delay_s": 12},
-	  "aggregation": {"strategy": "fedavg", "mu": 0.05},
+	  "aggregation": {"strategy": "` + strategy + `", "mu": 0.05, "num_groups": 2},
 	  "run": {"duration_s": 200, "eval_interval_s": 50}
 	}`))
 	if err != nil {

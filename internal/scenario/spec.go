@@ -81,7 +81,7 @@ type AttackSpec struct {
 
 // DefenseSpec selects the countermeasures.
 type DefenseSpec struct {
-	// Aggregator is one of robust.Names(): mean, median, trimmed,
+	// Aggregator is a name robust.ByName accepts: mean, median, trimmed,
 	// norm-clip, krum. Empty keeps the legacy weighted mean. fl topology
 	// only — the flnet server's asynchronous mixer is defended by the norm
 	// gate instead.
@@ -173,7 +173,7 @@ type FleetSpec struct {
 
 // AggSpec selects the aggregation strategy and its knobs.
 type AggSpec struct {
-	// Strategy is one of fl.StrategyNames(): fedavg, fedasync, fedat,
+	// Strategy is one of fl.StrategyNames(): fedavg, fedasync, tifl, fedat,
 	// astraea, eco-fl, eco-fl-nodg. fl topology only: the flnet server is
 	// always the asynchronous staleness-aware aggregator, which reads Mu and
 	// Alpha and nothing else of this block.
@@ -333,10 +333,21 @@ func (s *Spec) Validate() error {
 func (s *Spec) unreadField() error {
 	fl, net, pipe := s.Topology == TopologyFL, s.Topology == TopologyFLNet, s.Topology == TopologyPipeline
 	a, r := s.Agg, s.Run
-	for _, k := range []struct {
+	type knob struct {
 		name string
 		set  bool
-	}{
+	}
+	// fedasync mixes lone updates: there is no committee for the dropout coin
+	// or the quorum to cut, and the simulator applies neither.
+	for _, k := range []knob{
+		{"aggregation.dropout_prob", a.DropoutProb != 0},
+		{"aggregation.quorum", a.Quorum != 0},
+	} {
+		if fl && a.Strategy == "fedasync" && k.set {
+			return fmt.Errorf("%s is set but the fedasync strategy never reads it", k.name)
+		}
+	}
+	for _, k := range []knob{
 		{"wire", (fl || pipe) && s.Wire != WireSpec{}},
 		{"pipeline", (fl || net) && s.Pipeline != PipelineSpec{}},
 		{"faults", fl && len(s.Faults) > 0},

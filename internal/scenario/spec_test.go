@@ -128,6 +128,8 @@ func TestParseHostileSpecs(t *testing.T) {
 		{"pipeline on fl", flSpec(`"pipeline":{"fail_round":2}`), "pipeline is set but the fl topology never reads it"},
 		{"rounds on fl", flSpec(`"run":{"duration_s":10,"rounds":3}`), "run.rounds is set but the fl topology never reads it"},
 		{"lease ttl on fl", flSpec(`"churn":{"lease_ttl_s":2}`), "churn.lease_ttl_s is set but the fl topology never reads it"},
+		{"dropout on fedasync", flSpec(`"aggregation":{"strategy":"fedasync","dropout_prob":0.3}`), "aggregation.dropout_prob is set but the fedasync strategy never reads it"},
+		{"quorum on fedasync", flSpec(`"aggregation":{"strategy":"fedasync","quorum":0.6}`), "aggregation.quorum is set but the fedasync strategy never reads it"},
 		{"strategy on flnet", flnetSpec(`"aggregation":{"strategy":"eco-fl"}`), "aggregation.strategy is set but the flnet topology never reads it"},
 		{"lambda on flnet", flnetSpec(`"aggregation":{"lambda":500}`), "aggregation.lambda is set but the flnet topology never reads it"},
 		{"num groups on flnet", flnetSpec(`"aggregation":{"num_groups":4}`), "aggregation.num_groups is set but the flnet topology never reads it"},

@@ -34,6 +34,20 @@ if gob=$(grep -rln '"encoding/gob"' --include='*.go' .); then
 	exit 1
 fi
 
+# One round lifecycle: every FL strategy is a row of fl's strategy table run by
+# the one loop in internal/fl (DESIGN.md, "One round lifecycle"). A second
+# event engine, or a second call site of a lifecycle step, is a second loop
+# growing back. Comment lines and the steps' own definitions do not count.
+fl_src=$(ls internal/fl/*.go | grep -v '_test\.go$')
+for step in 'sim\.Engine' 'cutRound(' 'newChurnState(' '\.advance(' 'TrainClients(' 'newRunMetrics('; do
+	sites=$(grep -hv '^[[:space:]]*//' $fl_src | grep -v '^func ' | grep -c -- "$step" || true)
+	if [ "$sites" != 1 ]; then
+		echo "one lifecycle: non-test internal/fl has $sites sites of '$step', want exactly 1:" >&2
+		grep -n -- "$step" $fl_src >&2 || true
+		exit 1
+	fi
+done
+
 tier1_start=$SECONDS
 go vet ./...
 go build ./...
@@ -119,8 +133,8 @@ if grep -rnE -- '--experiment (dropout|churn|byzantine|failover)' README.md EXPE
 fi
 
 # The examples are roots of the reach rule above (they alone reach
-# internal/profiler, fl.RunTiFL and runtime.New), so each must run: an
-# example that cannot run is not a reason to keep code.
+# internal/profiler and runtime.New), so each must run: an example that
+# cannot run is not a reason to keep code.
 examples_start=$SECONDS
 for main in examples/*/main.go; do
 	go run "./$(dirname "$main")" >/dev/null
