@@ -394,8 +394,10 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 			e.round++
 			e.stats.Rounds++
 			e.mu.Unlock()
-			e.cfg.Journal.Record("exec.round-commit", round, journal.None,
-				"loss", strconv.FormatFloat(loss, 'g', 6, 64), "attempt", strconv.Itoa(attempt))
+			if jr := e.cfg.Journal; jr != nil { // the loss is formatted only for a journal that is on
+				jr.Record("exec.round-commit", round, journal.None,
+					"loss", strconv.FormatFloat(loss, 'g', 6, 64), "attempt", strconv.Itoa(attempt))
+			}
 			e.observe(x.Rows())
 			return loss, nil
 		}

@@ -456,8 +456,8 @@ func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu flo
 
 // TrainClients runs the local updates of the selected clients from the
 // shared reference weights ref, fanning the compute across up to
-// tensor.Parallelism() goroutines, and returns the updated weight vectors
-// indexed like sel. Each client owns its network clone and data shard, so
+// tensor.Parallelism() trainer goroutines, and returns the updated weight
+// vectors indexed like sel. Each client owns its network clone and data shard, so
 // the work is embarrassingly parallel; updates land in pre-indexed slots
 // and all randomness is drawn sequentially up front (see planLocal), so
 // aggregation order, the rng stream, and therefore every experiment curve
@@ -484,22 +484,51 @@ func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, 
 	// update costs) vary, so static chunking would leave workers idle.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sel) {
-					return
-				}
-				updates[i] = p.trainPlanned(sel[i], ref, mu, plans[i])
+	wg.Add(workers)
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(sel) {
+				return
 			}
-		}()
+			updates[i] = p.trainPlanned(sel[i], ref, mu, plans[i])
+		}
+	}
+	ensureTrainers(workers)
+	for k := 0; k < workers; k++ {
+		trainerQueue <- work
 	}
 	wg.Wait()
 	p.corruptAll(sel, ref, updates)
 	return updates
+}
+
+// TrainClients' work runs on trainer goroutines that live for the process,
+// like tensor's worker pool, not on goroutines each round starts and ends.
+// The runtime keeps a finished goroutine's record on a free list of the
+// processor it finished on, up to 64 of them, and reuses it only for a
+// goroutine started there; a round's goroutines start on the caller's
+// processor and often finish on another, so a long simulation would park
+// dozens of records for good. The trainers are separate from tensor's
+// workers because a client update runs kernels that may fan out onto those.
+var (
+	trainerMu    sync.Mutex
+	trainerCount int
+	trainerQueue = make(chan func())
+)
+
+// ensureTrainers grows the trainer set to at least n.
+func ensureTrainers(n int) {
+	trainerMu.Lock()
+	defer trainerMu.Unlock()
+	for ; trainerCount < n; trainerCount++ {
+		go func() {
+			for work := range trainerQueue {
+				work()
+			}
+		}()
+	}
 }
 
 // corruptAll applies the adversary to a finished round's updates in

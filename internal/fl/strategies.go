@@ -553,6 +553,7 @@ func run(pop *Population, pol policy) *RunResult {
 		}
 	}
 	res.Corrupted = pop.Corruptions()
+	res.rm = nil // a result someone keeps holds its numbers, not the run's instruments
 	return res
 }
 

@@ -387,8 +387,12 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	if req.Seq > 0 && req.Seq <= ss.seq {
 		s.deduped++
 		srvDedupedPushes.Inc()
-		s.jrec().Record("push.dedup-drop", s.version, req.ClientID,
-			"seq", strconv.FormatUint(req.Seq, 10))
+		// Every attribute formatted on the push path sits behind the nil
+		// check: strconv caches only the numbers below 100, so a push past
+		// seq 99 would otherwise allocate for a journal that is off.
+		if jr := s.jrec(); jr != nil {
+			jr.Record("push.dedup-drop", s.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
+		}
 		if req.Seq == ss.seq && ss.ack.Weights != nil {
 			return ss.ack, false
 		}
@@ -400,7 +404,9 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	quarantine, err := s.admitLocked(req, ss.ack)
 	if err != nil {
 		srvPushErrors.Inc()
-		s.jrec().Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
+		if jr := s.jrec(); jr != nil {
+			jr.Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
+		}
 		return reply{Err: err.Error()}, false
 	}
 	if quarantine != "" {
@@ -416,9 +422,8 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 			srvQuarNonFinite.Inc()
 		}
 		s.jrec().Record("push.quarantine", s.version, req.ClientID, "reason", quarantine)
-	} else {
-		s.jrec().Record("push.apply", s.version, req.ClientID,
-			"seq", strconv.FormatUint(req.Seq, 10))
+	} else if jr := s.jrec(); jr != nil {
+		jr.Record("push.apply", s.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
 	}
 	rep = s.snapshotLocked()
 	if req.Seq > 0 {
@@ -472,8 +477,10 @@ func (s *Server) admitLocked(req *request, ref reply) (quarantine string, err er
 			if ref.Weights != nil {
 				have = ref.Version
 			}
-			s.jrec().Record("sparse.base-mismatch", s.version, req.ClientID,
-				"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
+			if jr := s.jrec(); jr != nil {
+				jr.Record("sparse.base-mismatch", s.version, req.ClientID,
+					"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
+			}
 			return "", fmt.Errorf("%s: push built on v%d, server ack window holds v%d", sparseBaseMismatch, req.BaseVersion, have)
 		}
 		sparse = true
@@ -649,8 +656,10 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 			}
 			c.retries.Add(1)
 			cliRetries.Inc()
-			c.opts.Journal.Record("net.retry", journal.None, c.ID,
-				"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journalErr(lastErr))
+			if jr := c.opts.Journal; jr != nil {
+				jr.Record("net.retry", journal.None, c.ID,
+					"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journalErr(lastErr))
+			}
 			if !c.backoff(attempt) {
 				return nil, ErrClosed
 			}
@@ -668,8 +677,9 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 			}
 			if req.Kind == wire.KindPush && rep.Weights != nil {
 				c.noteAck(rep)
-				c.opts.Journal.Record("push.ack", rep.Version, c.ID,
-					"seq", strconv.FormatUint(req.Seq, 10))
+				if jr := c.opts.Journal; jr != nil {
+					jr.Record("push.ack", rep.Version, c.ID, "seq", strconv.FormatUint(req.Seq, 10))
+				}
 			}
 			return rep, nil
 		}

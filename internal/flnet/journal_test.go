@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ecofl/internal/flnet/wire"
@@ -202,6 +203,40 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatalf("no checkpoint.resume event:\n%s", journal.Timeline(fj2.Events()))
 	}
 	os.Remove(path)
+}
+
+// TestPushAllocsFlatWithJournalOff pins the push path with the flight
+// recorder off on both ends: no journal attribute is formatted, so a push
+// allocates as often at seq 250 as at seq 50. (strconv caches the decimal
+// strings of the numbers below 100 only; a formatted seq costs an allocation
+// from push 100 on, once on the server and once on the client.) The model is
+// a few weights, so no GC cycle empties a pool in between.
+func TestPushAllocsFlatWithJournalOff(t *testing.T) {
+	s := startServer(t, make([]float64, 4), 0.5)
+	c, err := Dial(s.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w, v := []float64{0.25, 0.5, 0.75, 1}, 0
+	allocsPerPush := func(pushes int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pushes; i++ {
+			if _, v, err = c.Push(w, 1, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(pushes)
+	}
+	allocsPerPush(19)          // pushes 1–19: connection and pools warm up
+	early := allocsPerPush(81) // pushes 20–100
+	allocsPerPush(99)          // pushes 101–199
+	late := allocsPerPush(101) // pushes 200–300
+	if late != early {
+		t.Fatalf("pushes 200–300 allocate %.2f times each, pushes 20–100 %.2f: something on the push path formats a journal attribute the journal never records", late, early)
+	}
 }
 
 // BenchmarkPushJournal measures the 100k-weight push round trip with the

@@ -166,6 +166,30 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 
 func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor) *tensor.Tensor {
 	cache := cc.(*convCache)
+	flat := c.accumulate(cache, dy)
+	// dcols = flat × W
+	batch, oh, ow := cache.x.Shape[0], cache.oh, cache.ow
+	dcols := tensor.MatMulInto(tensor.GetBufUninit(batch*oh*ow, c.InC*c.K*c.K), flat, c.W.Value)
+	tensor.PutBuf(flat)
+	dx := tensor.GetBufUninit(batch, c.InC, cache.h, cache.w)
+	c.col2im(dx, dcols, batch, cache.h, cache.w, oh, ow)
+	tensor.PutBuf(dcols)
+	cache.recycle()
+	return dx
+}
+
+// paramGrads is Backward without the input gradient: it accumulates dW and
+// db and recycles the cache.
+func (c *Conv2D) paramGrads(cc Cache, dy *tensor.Tensor) {
+	cache := cc.(*convCache)
+	tensor.PutBuf(c.accumulate(cache, dy))
+	cache.recycle()
+}
+
+// accumulate adds one Forward's contribution to dW and db and returns dy laid
+// out as the (batch·OH·OW, OutC) matrix flat, a pooled tensor the caller
+// returns.
+func (c *Conv2D) accumulate(cache *convCache, dy *tensor.Tensor) *tensor.Tensor {
 	if cache.x == nil {
 		panic("nn: Conv2D cache passed to Backward twice (caches are single-use)")
 	}
@@ -187,20 +211,18 @@ func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dW = flatᵀ × cols;  dcols = flat × W
-	fan := c.InC * c.K * c.K
-	dw := tensor.MatMulATInto(tensor.GetBufUninit(c.OutC, fan), flat, cache.cols)
+	// dW = flatᵀ × cols
+	dw := tensor.MatMulATInto(tensor.GetBufUninit(c.OutC, c.InC*c.K*c.K), flat, cache.cols)
 	c.W.Grad.Add(dw)
 	tensor.PutBuf(dw)
-	dcols := tensor.MatMulInto(tensor.GetBufUninit(batch*oh*ow, fan), flat, c.W.Value)
-	tensor.PutBuf(flat)
-	dx := tensor.GetBufUninit(batch, c.InC, cache.h, cache.w)
-	c.col2im(dx, dcols, batch, cache.h, cache.w, oh, ow)
-	tensor.PutBuf(dcols)
+	return flat
+}
+
+// recycle returns a spent cache and the cols buffer it holds to their pools.
+func (cache *convCache) recycle() {
 	tensor.PutBuf(cache.cols)
 	*cache = convCache{}
 	convCachePool.Put(cache)
-	return dx
 }
 
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }

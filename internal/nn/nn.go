@@ -79,31 +79,29 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 
 func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := tensor.MatMulInto(tensor.GetBufUninit(x.Rows(), d.Out), x, d.W.Value)
-	rows := y.Rows()
-	bias := d.B.Value.Data
-	for i := 0; i < rows; i++ {
-		yr := y.RowView(i)
-		for j := range yr {
-			yr[j] += bias[j]
-		}
+	for i := 0; i < y.Rows(); i++ {
+		row := tensor.Tensor{Data: y.RowView(i)}
+		row.Add(d.B.Value)
 	}
 	return y, x
 }
 
 func (d *Dense) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+	d.paramGrads(c, dy)
+	return tensor.MatMulBTInto(tensor.GetBufUninit(dy.Rows(), d.In), dy, d.W.Value)
+}
+
+// paramGrads is Backward without the input gradient: it accumulates dW and
+// db and nothing else.
+func (d *Dense) paramGrads(c Cache, dy *tensor.Tensor) {
 	x := c.(*tensor.Tensor)
 	dw := tensor.MatMulATInto(tensor.GetBufUninit(d.In, d.Out), x, dy)
 	d.W.Grad.Add(dw)
 	tensor.PutBuf(dw)
-	rows := dy.Rows()
-	bg := d.B.Grad.Data
-	for i := 0; i < rows; i++ {
-		dr := dy.RowView(i)
-		for j := range dr {
-			bg[j] += dr[j]
-		}
+	for i := 0; i < dy.Rows(); i++ {
+		row := tensor.Tensor{Data: dy.RowView(i)}
+		d.B.Grad.Add(&row)
 	}
-	return tensor.MatMulBTInto(tensor.GetBufUninit(dy.Rows(), d.In), dy, d.W.Value)
 }
 
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
@@ -219,9 +217,11 @@ type Network struct {
 
 	// params caches Params(), valid while len(Layers) == paramsFor. A
 	// training step asks for the list three times; rebuilding it costs eight
-	// allocations on a two-layer MLP.
+	// allocations on a two-layer MLP. lowest, cached with it, is the index of
+	// the lowest layer with parameters (len(Layers) when none has any).
 	params    []*Param
 	paramsFor int
+	lowest    int
 	// pass records the forward pass of a TrainBatch, Loss or Accuracy
 	// call; only its slice headers outlive the call.
 	pass Pass
@@ -274,8 +274,13 @@ func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
 func (n *Network) Params() []*Param {
 	if n.paramsFor != len(n.Layers) {
 		var ps []*Param
-		for _, l := range n.Layers {
-			ps = append(ps, l.Params()...)
+		n.lowest = len(n.Layers)
+		for i, l := range n.Layers {
+			lp := l.Params()
+			if len(lp) > 0 && n.lowest == len(n.Layers) {
+				n.lowest = i
+			}
+			ps = append(ps, lp...)
 		}
 		n.params, n.paramsFor = ps[:len(ps):len(ps)], len(n.Layers)
 	}
@@ -375,15 +380,43 @@ func (p *Pass) Output() *tensor.Tensor { return p.acts[len(p.acts)-1] }
 // BackwardPass propagates dy through all layers in reverse like Backward,
 // accumulating parameter gradients, and returns to the pool every tensor of
 // the pass as it dies — dy included, which must be the caller's to give.
-// The result, the gradient with respect to the input, is the caller's.
-func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor) *tensor.Tensor {
+//
+// With wantDx the result, the gradient with respect to the input, is the
+// caller's. Without it nothing computes that gradient and the result is nil:
+// the lowest layer with parameters only accumulates its parameter gradients
+// (Dense and Conv2D skip their input-gradient product), and the layers below
+// it, having nothing to accumulate, only give their tensors back.
+func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor, wantDx bool) *tensor.Tensor {
+	stop := 0
+	if !wantDx {
+		n.Params() // brings n.lowest up to date
+		stop = n.lowest
+	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dx := n.Layers[i].Backward(p.caches[i], dy)
+		var dx *tensor.Tensor
+		if i > stop || wantDx {
+			dx = n.Layers[i].Backward(p.caches[i], dy)
+		} else if i == stop {
+			paramGrads(n.Layers[i], p.caches[i], dy)
+		}
 		p.release(i, dy, dx)
 		dy = dx
 	}
 	p.acts[0] = nil
 	return dy
+}
+
+// paramGrads accumulates l's parameter gradients from the cache and upstream
+// gradient of one Forward, without the input gradient where the layer can
+// skip it; where it cannot, the input gradient is computed and dropped.
+func paramGrads(l Layer, c Cache, dy *tensor.Tensor) {
+	if pl, ok := l.(interface{ paramGrads(Cache, *tensor.Tensor) }); ok {
+		pl.paramGrads(c, dy)
+		return
+	}
+	if dx := l.Backward(c, dy); !tensor.SharesStorage(dx, dy) {
+		tensor.PutBuf(dx)
+	}
 }
 
 // Release ends a forward-only pass: every recorded tensor goes back.
@@ -469,10 +502,14 @@ func (o *SGD) Step(params []*Param) {
 			g.AddScaled(o.WeightDecay, p.Value)
 		}
 		if o.Mu != 0 && o.Global != nil {
-			// ∇[µ/2‖w−w_g‖²] = µ(w − w_g)
-			for i := range g.Data {
-				g.Data[i] += o.Mu * (p.Value.Data[i] - o.Global[off+i])
-			}
+			// ∇[µ/2‖w−w_g‖²] = µ(w − w_g). w + (−1)·w_g is w − w_g exactly —
+			// IEEE subtraction is the addition of the negation — so the two
+			// vector passes round as the one scalar expression did.
+			diff := tensor.GetBufUninit(p.Value.Shape...)
+			diff.CopyFrom(p.Value)
+			global := tensor.Tensor{Data: o.Global[off : off+p.Value.Len()]}
+			g.AddScaled(o.Mu, diff.AddScaled(-1, &global))
+			tensor.PutBuf(diff)
 		}
 		off += p.Value.Len()
 		if o.Momentum != 0 {
@@ -495,11 +532,12 @@ func (o *SGD) Step(params []*Param) {
 // TrainBatch runs one forward/backward/update on a single mini-batch and
 // returns the loss before the update. The step owns every tensor it creates
 // and returns each to the pool as soon as it is dead (see Pass.release); the
-// caller's x never goes back.
+// caller's x never goes back. Nothing reads the gradient with respect to x,
+// so nothing computes it.
 func (n *Network) TrainBatch(x *tensor.Tensor, labels []int, opt *SGD) float64 {
 	n.ZeroGrads()
 	loss, dy := SoftmaxCrossEntropy(n.ForwardPass(&n.pass, x, false), labels)
-	tensor.PutBuf(n.BackwardPass(&n.pass, dy))
+	n.BackwardPass(&n.pass, dy, false)
 	opt.Step(n.Params())
 	return loss
 }

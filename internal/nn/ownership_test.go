@@ -114,6 +114,53 @@ func TestTrainBatchMatchesNonRecyclingStep(t *testing.T) {
 	}
 }
 
+// TestBackwardPassWithoutDxSameParamGrads: a backward pass that computes no
+// input gradient accumulates the same parameter gradients, bit for bit, as
+// one that does — for an MLP, a stack whose lowest layer with parameters is a
+// Conv2D or (behind a Flatten) a Dense, both of which skip their dx product,
+// and one where it is a BatchNorm, which cannot and drops its dx instead.
+func TestBackwardPassWithoutDxSameParamGrads(t *testing.T) {
+	build := func() (nets []*Network, inputs [][]int) {
+		rng := rand.New(rand.NewSource(5))
+		nets = append(nets, NewMLP(rng, 6, 8, 4))
+		inputs = append(inputs, []int{6})
+		nets = append(nets, NewNetwork(NewConv2D(rng, 2, 3, 3, 1, 1), ReLU{}, Flatten{}, NewDense(rng, 3*5*5, 4)))
+		inputs = append(inputs, []int{2, 5, 5})
+		nets = append(nets, NewNetwork(Flatten{}, NewDense(rng, 18, 8), Tanh{}, NewDense(rng, 8, 4)))
+		inputs = append(inputs, []int{2, 3, 3})
+		nets = append(nets, NewNetwork(Flatten{}, NewBatchNorm(18), NewDense(rng, 18, 4)))
+		inputs = append(inputs, []int{2, 3, 3})
+		return nets, inputs
+	}
+	with, inputs := build()
+	without, _ := build()
+	rng := rand.New(rand.NewSource(6))
+	for i := range with {
+		x := tensor.Randn(rng, 1, append([]int{7}, inputs[i]...)...)
+		labels := []int{0, 1, 2, 3, 0, 1, 2}
+		for _, n := range []*Network{with[i], without[i]} {
+			n.ZeroGrads()
+			var p Pass
+			_, dy := SoftmaxCrossEntropy(n.ForwardPass(&p, x, false), labels)
+			if dx := n.BackwardPass(&p, dy, n == with[i]); n == with[i] {
+				if dx == nil || dx.Len() != x.Len() {
+					t.Fatalf("net %d: BackwardPass with dx returned %v", i, dx)
+				}
+			} else if dx != nil {
+				t.Fatalf("net %d: BackwardPass without dx returned a tensor", i)
+			}
+		}
+		got, want := without[i].Params(), with[i].Params()
+		for pi := range want {
+			for j, w := range want[pi].Grad.Data {
+				if g := got[pi].Grad.Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("net %d: %s grad %d is %v without dx, %v with", i, want[pi].Name, j, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestEvaluateLeavesBatchAndViewsAlone: the forward-only passes recycle too,
 // and must likewise leave the caller's batch out of the pool when the first
 // layer's output is a view of it.

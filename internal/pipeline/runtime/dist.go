@@ -431,7 +431,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			}
 			sp := tr.Begin(0, s, "bwd", "compute")
 			t0 := time.Now()
-			dx := seg.BackwardPass(rec, dy)
+			dx := seg.BackwardPass(rec, dy, !first) // stage 0 has no one to send dx to
 			if dl := d.stageDelay(s); dl > 0 {
 				time.Sleep(dl)
 			}
@@ -440,10 +440,10 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.bwd.Inc()
 			sp.EndMicro(o.micro)
-			if first {
-				tensor.PutBuf(dx)
-			} else if err := down.give(o.micro, dx); err != nil {
-				return fmt.Errorf("stage %d send grad: %w", s, err)
+			if !first {
+				if err := down.give(o.micro, dx); err != nil {
+					return fmt.Errorf("stage %d send grad: %w", s, err)
+				}
 			}
 		}
 	}

@@ -130,9 +130,7 @@ func (t *Tensor) AddScaled(a float64, src *Tensor) *Tensor {
 	if len(t.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: AddScaled size mismatch %d vs %d", len(t.Data), len(src.Data)))
 	}
-	for i, v := range src.Data {
-		t.Data[i] += a * v
-	}
+	axpy(t.Data, a, src.Data)
 	return t
 }
 
@@ -157,25 +155,26 @@ func (t *Tensor) Hadamard(src *Tensor) *Tensor {
 // output element accumulates its k products in ascending-k order whatever the
 // row range, so a result is bit-identical at any parallelism.
 //
-// The bodies are register-blocked — four multiply-adds per load/store of an
-// output element, or four independent dot products at once — which changes
-// how many elements are in flight, never the order in which one element's
-// sum is formed. There is no fused multiply-add and no reassociation: the
-// results equal a naive ascending-k triple loop bit for bit
-// (TestKernelsMatchReference).
+// Every body is made of two primitives that add scaled rows of b to an output
+// row: axpy (one row) and axpy4 (four, with one load and one store per output
+// element instead of four). Each has a Go body, below, and on amd64 with AVX2
+// an assembly body (kernels_amd64.s) that forms every element the same way —
+// a separate multiply and add per product, in argument order. The primitives
+// change how many elements are in flight, never the order in which one
+// element's sum is formed. There is no fused multiply-add and no
+// reassociation: the results equal a naive ascending-k triple loop bit for
+// bit, under either body (TestKernelsMatchReference).
 
-// axpy adds av·b to o element-wise; len(b) must be at least len(o).
-func axpy(o []float64, av float64, b []float64) {
+// axpyGo is axpy's Go body; len(b) must be at least len(o).
+func axpyGo(o []float64, av float64, b []float64) {
 	b = b[:len(o)]
 	for j := range o {
 		o[j] += av * b[j]
 	}
 }
 
-// axpy4 adds a0·b0, then a1·b1, a2·b2 and a3·b3 to o element-wise, in that
-// order for each element — four axpy calls with one load and one store per
-// element instead of four.
-func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+// axpy4Go is axpy4's Go body.
+func axpy4Go(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	for j := range o {
 		v := o[j]
@@ -193,27 +192,30 @@ func rows4(data []float64, kk, n int) (r0, r1, r2, r3 []float64) {
 		data[(kk+2)*n : (kk+3)*n], data[(kk+3)*n : (kk+4)*n]
 }
 
-// accumulate4 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 to the output row o, one
-// product at a time per element. The kernels skip a zero multiplier outright
-// — it contributes nothing, and skipping it keeps 0·Inf from turning into
-// NaN — so a group that holds one takes the one-row-at-a-time path, which
-// skips exactly the zeros.
-func accumulate4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
-	if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-		axpy4(o, a0, a1, a2, a3, b0, b1, b2, b3)
-		return
+// accumulateNonzero adds av·b_kk to the output row o for every multiplier
+// av = a[kk·stride] with kk in [0, k), ascending, where b_kk is row kk of the
+// row-major matrix b, len(o) wide. A zero multiplier is skipped outright — it
+// contributes nothing, and skipping it keeps 0·Inf from turning into NaN.
+// The non-zero ones are compacted as they come and handed to axpy4 four at a
+// time, the last one to three to axpy, so each element sees exactly the
+// additions of one axpy per non-zero multiplier, in the same order.
+func accumulateNonzero(o, a []float64, stride, k int, b []float64) {
+	n := len(o)
+	var ks [4]int // the pending non-zero multipliers' kk, ascending
+	g := 0
+	for kk := 0; kk < k; kk++ {
+		ks[g&3] = kk
+		if a[kk*stride] != 0 {
+			g++
+		}
+		if g == 4 {
+			axpy4(o, a[ks[0]*stride], a[ks[1]*stride], a[ks[2]*stride], a[ks[3]*stride],
+				b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:])
+			g = 0
+		}
 	}
-	if a0 != 0 {
-		axpy(o, a0, b0)
-	}
-	if a1 != 0 {
-		axpy(o, a1, b1)
-	}
-	if a2 != 0 {
-		axpy(o, a2, b2)
-	}
-	if a3 != 0 {
-		axpy(o, a3, b3)
+	for _, kk := range ks[:g] {
+		axpy(o, a[kk*stride], b[kk*n:])
 	}
 }
 
@@ -246,21 +248,11 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 func matMulRows(dst, a, b *Tensor, lo, hi int) {
 	k, n := a.Cols(), b.Cols()
 	for i := lo; i < hi; i++ {
-		ai := a.Data[i*k : (i+1)*k]
 		oi := dst.Data[i*n : (i+1)*n]
 		for j := range oi {
 			oi[j] = 0
 		}
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			b0, b1, b2, b3 := rows4(b.Data, kk, n)
-			accumulate4(oi, ai[kk], ai[kk+1], ai[kk+2], ai[kk+3], b0, b1, b2, b3)
-		}
-		for ; kk < k; kk++ {
-			if av := ai[kk]; av != 0 {
-				axpy(oi, av, b.Data[kk*n:(kk+1)*n])
-			}
-		}
+		accumulateNonzero(oi, a.Data[i*k:(i+1)*k], 1, k, b.Data)
 	}
 }
 
@@ -285,30 +277,16 @@ func MatMulATInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// matMulATRows is MatMulATInto's body. kk stays the outer loop so both
-// operands stream row-wise.
+// matMulATRows is MatMulATInto's body: MatMulInto's, with output row i
+// taking its multipliers down column i of a.
 func matMulATRows(dst, a, b *Tensor, lo, hi int) {
 	k, m, n := a.Rows(), a.Cols(), b.Cols()
-	out := dst.Data[lo*n : hi*n]
-	for j := range out {
-		out[j] = 0
-	}
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		a0, a1, a2, a3 := rows4(a.Data, kk, m)
-		b0, b1, b2, b3 := rows4(b.Data, kk, n)
-		for i := lo; i < hi; i++ {
-			accumulate4(dst.Data[i*n:(i+1)*n], a0[i], a1[i], a2[i], a3[i], b0, b1, b2, b3)
+	for i := lo; i < hi; i++ {
+		oi := dst.Data[i*n : (i+1)*n]
+		for j := range oi {
+			oi[j] = 0
 		}
-	}
-	for ; kk < k; kk++ {
-		ak := a.Data[kk*m : (kk+1)*m]
-		bk := b.Data[kk*n : (kk+1)*n]
-		for i := lo; i < hi; i++ {
-			if av := ak[i]; av != 0 {
-				axpy(dst.Data[i*n:(i+1)*n], av, bk)
-			}
-		}
+		accumulateNonzero(oi, a.Data[i:], m, k, b.Data)
 	}
 }
 
@@ -329,42 +307,40 @@ func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulBTInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	runRows(matMulBTRows, dst, a, b, m, 2*m*k*n)
+	// Every output element is a dot product of a row of a with a row of b.
+	// With b packed transposed, once and before any fan-out, output rows are
+	// formed the way MatMulInto forms them — each element one running sum over
+	// ascending kk from +0, as a dot product is — with the vector width across
+	// output columns.
+	bt := GetBufUninit(k, n)
+	for j := 0; j < n; j++ {
+		for kk, v := range b.Data[j*k : (j+1)*k] {
+			bt.Data[kk*n+j] = v
+		}
+	}
+	runRows(matMulBTRows, dst, a, bt, m, 2*m*k*n)
+	PutBuf(bt)
 	return dst
 }
 
-// matMulBTRows is MatMulBTInto's body: every output element is a dot product
-// of a row of a with a row of b. One running sum is a chain of dependent
-// additions, each waiting out the last one's latency, so four output columns
-// are computed at once — four independent chains, each still its element's
-// ascending-kk sum. (A dot product has no zero skip: 0·Inf is NaN here, as it
-// always was.)
-func matMulBTRows(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.Cols(), b.Rows()
+// matMulBTRows is MatMulBTInto's body, over b packed transposed (bt, k×n).
+// Unlike MatMulInto it has no zero skip: a dot product never had one, so 0·Inf
+// is NaN here, as it always was.
+func matMulBTRows(dst, a, bt *Tensor, lo, hi int) {
+	k, n := a.Cols(), bt.Cols()
 	for i := lo; i < hi; i++ {
 		ai := a.Data[i*k : (i+1)*k]
 		oi := dst.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0, b1, b2, b3 := rows4(b.Data, j, k)
-			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
-			var s0, s1, s2, s3 float64
-			for kk, av := range ai {
-				s0 += av * b0[kk]
-				s1 += av * b1[kk]
-				s2 += av * b2[kk]
-				s3 += av * b3[kk]
-			}
-			oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
+		for j := range oi {
+			oi[j] = 0
 		}
-		for ; j < n; j++ {
-			bj := b.Data[j*k : (j+1)*k]
-			bj = bj[:len(ai)]
-			var s float64
-			for kk, av := range ai {
-				s += av * bj[kk]
-			}
-			oi[j] = s
+		kk := 0
+		for ; kk+4 <= k; kk += 4 {
+			b0, b1, b2, b3 := rows4(bt.Data, kk, n)
+			axpy4(oi, ai[kk], ai[kk+1], ai[kk+2], ai[kk+3], b0, b1, b2, b3)
+		}
+		for ; kk < k; kk++ {
+			axpy(oi, ai[kk], bt.Data[kk*n:])
 		}
 	}
 }

@@ -53,6 +53,11 @@ go vet ./...
 go build ./...
 go test ./...
 echo "tier-1 (vet + build + test): $((SECONDS - tier1_start))s"
+
+# The tensor kernels have assembly bodies on amd64 only (vet's asmdecl, above,
+# checks their frames against the Go declarations); every other GOARCH builds
+# the Go bodies alone, so build one so that fallback cannot rot.
+GOARCH=arm64 go vet ./internal/tensor/... && GOARCH=arm64 go build ./...
 # -short keeps the race pass fast: the flnet chaos soak (fault-injected
 # links, server bounces) and the pipeline chaos soak (executor TestChaosSoak:
 # every simnet fault mode plus a killed device, under ./internal/adaptive/...)
@@ -64,7 +69,9 @@ echo "tier-1 (vet + build + test): $((SECONDS - tier1_start))s"
 # ./internal/nn/... ./internal/data/... ./internal/model/... are the training
 # step itself: nn.TrainBatch returns its tensors to a pool every goroutine
 # shares and fl gathers mini-batches into pooled buffers, the kind of
-# ownership change this pass exists for.
+# ownership change this pass exists for. Under -race the tensor kernels run
+# their Go bodies: the detector cannot see what an assembly body touches, so
+# the amd64 build leaves those out (kernels_generic.go).
 go test -race -short ./internal/tensor/... ./internal/nn/... ./internal/data/... \
 	./internal/model/... ./internal/fl/... \
 	./internal/fl/robust/... \
@@ -91,8 +98,8 @@ go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/run
 go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
-# the network or a checkpoint file, the churn-trace loader and the divergence
-# bounds (plain
+# the network or a checkpoint file, the churn-trace loader, the divergence
+# bounds and the tensor kernels' assembly bodies against their Go ones (plain
 # `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
@@ -104,6 +111,7 @@ fuzz FuzzQuantizeRoundTrip ./internal/flnet
 fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
 fuzz FuzzParseTraceSet ./internal/device
 fuzz FuzzJSBounds ./internal/stats
+fuzz FuzzAxpyBodies ./internal/tensor
 echo "fuzz: $((SECONDS - fuzz_start))s"
 
 # Every example spec runs through the one spec runner, end to end: spec
