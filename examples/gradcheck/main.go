@@ -5,8 +5,8 @@
 // accumulate across the sync-round and the model updates once at the
 // pipeline flush, so there is no weight staleness (unlike PipeDream's
 // asynchronous 1F1B). This example trains the same initialization twice —
-// sequentially and through 2/3/4-stage pipelines — and prints the maximum
-// weight divergence after several updates.
+// sequentially and through 2/3/4-stage pipelines over in-process links — and
+// prints the maximum weight divergence after several updates.
 //
 //	go run ./examples/gradcheck
 package main
@@ -52,7 +52,7 @@ func main() {
 		for i := range cuts {
 			cuts[i] = i + 1
 		}
-		pipe, err := runtime.New(tr, cuts)
+		pipe, err := runtime.NewDistributed(tr, cuts, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

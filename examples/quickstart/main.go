@@ -2,10 +2,11 @@
 //
 // This example builds a block-structured network, splits it into three
 // pipeline stages, and trains it on synthetic data with Eco-FL's
-// memory-efficient synchronous pipeline — real forward/backward math
-// flowing through goroutine stages. Because 1F1B-Sync is synchronous, the
-// result is identical to training the whole model on one device, just
-// pipelined.
+// memory-efficient synchronous pipeline — real forward/backward math, one
+// goroutine per stage, activations and gradients crossing in-process links
+// as the same binary frames a TCP link carries. Because 1F1B-Sync is
+// synchronous, the result is identical to training the whole model on one
+// device, just pipelined.
 //
 //	go run ./examples/quickstart
 package main
@@ -35,7 +36,7 @@ func main() {
 
 	// Split after blocks 1 and 2 → a 3-stage pipeline: in a smart home,
 	// each stage would live on a different trusted device.
-	pipe, err := runtime.New(tr, []int{1, 2})
+	pipe, err := runtime.NewDistributed(tr, []int{1, 2}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,12 +41,12 @@ func fleet() []*device.Device {
 }
 
 // trainRef trains an identically-seeded model for the same rounds on a
-// fault-free single-stage in-process pipeline — the bit-identity oracle
+// fault-free single-stage pipeline — the bit-identity oracle
 // (1F1B-Sync gradient accumulation is partition-independent).
 func trainRef(t *testing.T, seed int64, rounds int, x *tensor.Tensor, labels []int, mbs int, lr float64) []float64 {
 	t.Helper()
 	tr := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "ref", x.Cols(), []int{14, 12, 10}, 4)
-	p, err := runtime.New(tr, nil)
+	p, err := runtime.NewDistributed(tr, nil, nil)
 	if err != nil {
 		t.Fatalf("ref pipeline: %v", err)
 	}

@@ -118,9 +118,9 @@ func (c *LiveFailover) Run() (*FailoverReport, error) {
 	}
 	rep.Stats = exec.Stats()
 
-	// Fault-free oracle: the identically-seeded model trained in-process.
+	// Fault-free oracle: the identically-seeded model trained on one stage.
 	ref := model.NewTrainableMLP(rand.New(rand.NewSource(c.Seed)), "failover", dim, hidden, classes)
-	pref, err := runtime.New(ref, nil)
+	pref, err := runtime.NewDistributed(ref, nil, nil)
 	if err != nil {
 		return nil, err
 	}

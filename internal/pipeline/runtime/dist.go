@@ -10,26 +10,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs"
+	"ecofl/internal/pipeline"
 	"ecofl/internal/tensor"
 )
 
-var (
-	distRoundsTotal = metrics.GetCounter("ecofl_pipeline_dist_rounds_total",
-		"1F1B-Sync sync-rounds executed over real network links")
-	distAbortsTotal = metrics.GetCounter("ecofl_pipeline_dist_aborts_total",
-		"sync-rounds aborted mid-flight (link fault or stage failure); no weights were committed")
-)
-
-// This file is the distributed flavour of the pipeline runtime: stage
-// workers exchange activations and gradients as binary tensor frames (see
-// link.go) over real net.Conn links (TCP between devices in a deployment;
-// loopback or net.Pipe in tests). Each worker sees only its model segment
-// and its two neighbour links — exactly the information a device in a
-// smart-home pipeline has.
+// This file is the pipeline executor: stage workers exchange activations and
+// gradients as binary tensor frames (see link.go) over net.Conn links (TCP
+// between devices in a deployment; net.Pipe in process). Each worker sees
+// only its model segment and its two neighbour links — exactly the
+// information a device in a smart-home pipeline has.
 //
 // Tensor ownership. 1F1B keeps at most S−s micro-batches in flight on stage
 // s, and a stage hands what the schedule frees straight to the next
@@ -78,11 +70,13 @@ var (
 // and obtain a model bit-identical to a fault-free run (the healing
 // executor in internal/adaptive/executor does exactly this).
 
-// DistPipeline trains a partitioned model with 1F1B-Sync over real network
-// links. It is behaviourally identical to Pipeline (gradient-equivalent to
-// sequential training) but every inter-stage tensor crosses a net.Conn.
+// DistPipeline trains a partitioned model with 1F1B-Sync, every inter-stage
+// tensor crossing a net.Conn. A round is gradient-equivalent to sequential
+// training of the whole mini-batch.
 type DistPipeline struct {
-	inner *Pipeline
+	segments []*nn.Network // stage s's blocks, sharing parameters with net
+	sm       []stageMetrics
+	trace    *obs.Trace
 	// net is the full network over the stages' shared parameters, resolved
 	// once: ZeroGrads and the flush walk its cached parameter list.
 	net  *nn.Network
@@ -108,17 +102,18 @@ type DistPipeline struct {
 // stageScratch is what one stage worker keeps from round to round.
 type stageScratch struct {
 	// ops is the stage's 1F1B order for len(ops)/2 micro-batches.
-	ops []op
+	ops []pipeline.Op
 	// recs holds one forward record per micro-batch the schedule lets be in
 	// flight here; micro-batch i uses recs[i%len(recs)], which 1F1B has
 	// always freed by then (and ForwardPass panics if not).
 	recs []nn.Pass
 }
 
-// prepare sizes the scratch of stage s of S for m micro-batches.
+// prepare sizes the scratch of stage s of S for m micro-batches. The
+// residency is S−s: pipeline.ResidencyP's answer when links cost nothing.
 func (st *stageScratch) prepare(s, S, m int) {
 	if len(st.ops) != 2*m {
-		st.ops = order1F1B(m, S-s)
+		st.ops = pipeline.Order(pipeline.OneFOneBSync, m, S-s)
 	}
 	if k := min(m, S-s); len(st.recs) != k {
 		st.recs = make([]nn.Pass, k)
@@ -180,24 +175,35 @@ func (d *DistPipeline) LastRoundStats() *RoundStats {
 	return d.lastStats
 }
 
-// NewDistributed builds a distributed pipeline from cut points and a link
-// dialer.
+// NewDistributed builds a pipeline from cut points — block indices where the
+// model is split, strictly increasing within (0, numBlocks), len(cuts)+1
+// stages — and a link dialer; a nil dialer means PipeLinks. A pipeline with
+// no cuts is one stage and dials nothing.
 func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline, error) {
-	p, err := New(tr, cuts)
-	if err != nil {
-		return nil, err
+	nb := len(tr.Blocks)
+	b := append([]int{0}, cuts...)
+	b = append(b, nb)
+	for i := 1; i < len(b); i++ {
+		if b[i] <= b[i-1] || b[i] > nb {
+			return nil, fmt.Errorf("runtime: invalid cuts %v for %d blocks", cuts, nb)
+		}
 	}
 	if dial == nil {
 		dial = PipeLinks()
 	}
-	return &DistPipeline{
-		inner:  p,
-		net:    p.Network(),
+	S := len(b) - 1
+	d := &DistPipeline{
+		net:    tr.Network(),
 		dial:   dial,
 		rng:    rand.New(rand.NewSource(int64(len(cuts)) + 1)),
-		delays: make([]atomic.Int64, p.NumStages()),
-		stages: make([]stageScratch, p.NumStages()),
-	}, nil
+		delays: make([]atomic.Int64, S),
+		stages: make([]stageScratch, S),
+	}
+	for s := 0; s < S; s++ { // stage s runs blocks [b[s], b[s+1])
+		d.segments = append(d.segments, tr.SegmentNet(b[s], b[s+1]))
+		d.sm = append(d.sm, newStageMetrics(s))
+	}
+	return d, nil
 }
 
 // SetLinkOptions installs the link fault-tolerance options (deadlines,
@@ -229,14 +235,23 @@ func (d *DistPipeline) stageDelay(s int) time.Duration {
 }
 
 // SetTrace attaches a span recorder to the stage workers: subsequent rounds
-// record per-micro-batch fwd/bwd spans and network-wait spans per stage.
-func (d *DistPipeline) SetTrace(tr *obs.Trace) { d.inner.SetTrace(tr) }
+// record per-micro-batch fwd/bwd spans and network-wait spans, one timeline
+// track per stage. A nil trace (the default) disables recording at ~0 cost.
+func (d *DistPipeline) SetTrace(tr *obs.Trace) {
+	d.trace = tr
+	if tr != nil {
+		tr.SetProcessName(0, "pipeline")
+		for s := range d.segments {
+			tr.SetThreadName(0, s, fmt.Sprintf("stage %d", s))
+		}
+	}
+}
 
 // Network returns the underlying full network (shared parameters).
 func (d *DistPipeline) Network() *nn.Network { return d.net }
 
 // NumStages returns the stage count.
-func (d *DistPipeline) NumStages() int { return d.inner.NumStages() }
+func (d *DistPipeline) NumStages() int { return len(d.segments) }
 
 // TrainSyncRound runs one 1F1B-Sync sync-round with inter-stage traffic on
 // real connections, applies the flush update, and returns the mean loss.
@@ -250,7 +265,7 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	if rows != len(labels) || rows == 0 {
 		return 0, fmt.Errorf("runtime: %d rows vs %d labels", rows, len(labels))
 	}
-	S := d.inner.NumStages()
+	S := d.NumStages()
 	r := &syncRound{rows: rows}
 	r.micros, r.labels = splitMicroBatches(x, labels, mbs)
 	m := len(r.micros)
@@ -284,7 +299,7 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	abort := func() {
 		abortOnce.Do(func() {
 			aborted = true
-			distAbortsTotal.Inc()
+			abortsTotal.Inc()
 			for _, c := range conns {
 				c.Close()
 			}
@@ -322,7 +337,6 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	wg.Wait()
 	stats.WallTime = time.Since(start)
 	stats.Aborted = aborted
-	distRoundsTotal.Inc()
 	d.mu.Lock()
 	d.lastStats = stats
 	d.mu.Unlock()
@@ -339,6 +353,7 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		}
 		return 0, re
 	}
+	roundsTotal.Inc()
 	samplesTotal.Add(int64(rows))
 	opt.Step(d.net.Params())
 	var loss float64
@@ -361,16 +376,16 @@ type syncRound struct {
 // neighbours over down (to stage s−1) and up (to stage s+1). The file comment
 // says which tensor goes back to the pool where.
 func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error {
-	seg := d.inner.segments[s]
-	sm := d.inner.sm[s]
-	tr := d.inner.trace
+	seg := d.segments[s]
+	sm := d.sm[s]
+	tr := d.trace
 	st := &d.stages[s]
 	down, up := r.downs[s], r.ups[s]
 	first, last := s == 0, up == nil
 	for _, o := range st.ops {
-		rec := &st.recs[o.micro%len(st.recs)]
-		if o.forward {
-			in := r.micros[o.micro]
+		rec := &st.recs[o.Micro%len(st.recs)]
+		if o.Kind == pipeline.TaskForward {
+			in := r.micros[o.Micro]
 			if !first {
 				wait := tr.Begin(0, s, "wait-act", "net")
 				t0 := time.Now()
@@ -380,8 +395,8 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				if err != nil {
 					return fmt.Errorf("stage %d recv act: %w", s, err)
 				}
-				if micro != o.micro {
-					return fmt.Errorf("stage %d: activation %d arrived, expected %d", s, micro, o.micro)
+				if micro != o.Micro {
+					return fmt.Errorf("stage %d: activation %d arrived, expected %d", s, micro, o.Micro)
 				}
 				in = t
 			}
@@ -395,9 +410,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			*busy += el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.fwd.Inc()
-			sp.EndMicro(o.micro)
+			sp.EndMicro(o.Micro)
 			if !last {
-				if err := up.send(o.micro, out); err != nil {
+				if err := up.send(o.Micro, out); err != nil {
 					return fmt.Errorf("stage %d send act: %w", s, err)
 				}
 			}
@@ -406,8 +421,8 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			if last {
 				out := rec.Output()
 				var loss float64
-				loss, dy = nn.SoftmaxCrossEntropy(out, r.labels[o.micro])
-				r.losses[o.micro] = loss
+				loss, dy = nn.SoftmaxCrossEntropy(out, r.labels[o.Micro])
+				r.losses[o.Micro] = loss
 				dy.Scale(float64(out.Rows()) / float64(r.rows))
 			} else {
 				wait := tr.Begin(0, s, "wait-grad", "net")
@@ -418,14 +433,14 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				if err != nil {
 					return fmt.Errorf("stage %d recv grad: %w", s, err)
 				}
-				if micro != o.micro {
-					return fmt.Errorf("stage %d: gradient %d arrived, expected %d", s, micro, o.micro)
+				if micro != o.Micro {
+					return fmt.Errorf("stage %d: gradient %d arrived, expected %d", s, micro, o.Micro)
 				}
 				// Backward returns this micro-batch's segment output to the
 				// pool; the up link must be done reading it. Activations are
 				// all the up link carries, in micro-batch order.
-				if !up.sent(o.micro) {
-					return fmt.Errorf("stage %d: %w: gradient %d arrived before activation %d was sent", s, errProtocol, micro, o.micro)
+				if !up.sent(o.Micro) {
+					return fmt.Errorf("stage %d: %w: gradient %d arrived before activation %d was sent", s, errProtocol, micro, o.Micro)
 				}
 				dy = t
 			}
@@ -439,9 +454,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			*busy += el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.bwd.Inc()
-			sp.EndMicro(o.micro)
+			sp.EndMicro(o.Micro)
 			if !first {
-				if err := down.give(o.micro, dx); err != nil {
+				if err := down.give(o.Micro, dx); err != nil {
 					return fmt.Errorf("stage %d send grad: %w", s, err)
 				}
 			}

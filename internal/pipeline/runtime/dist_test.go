@@ -81,13 +81,15 @@ func TestDistributedLearns(t *testing.T) {
 
 func TestDistributedValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	tr := model.NewTrainableMLP(rng, "x", 4, []int{6}, 2)
-	if _, err := NewDistributed(tr, []int{5}, nil); err == nil {
-		t.Fatal("invalid cuts must be rejected")
+	tr := model.NewTrainableMLP(rng, "x", 4, []int{6, 6}, 2) // 3 blocks
+	for _, cuts := range [][]int{{0}, {3}, {2, 2}, {2, 1}, {4}, {5}} {
+		if _, err := NewDistributed(tr, cuts, nil); err == nil {
+			t.Fatalf("cuts %v must be rejected", cuts)
+		}
 	}
-	dp, err := NewDistributed(tr, []int{1}, nil)
+	dp, err := NewDistributed(tr, []int{1, 2}, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("valid cuts rejected: %v", err)
 	}
 	x := tensor.New(2, 4)
 	if _, err := dp.TrainSyncRound(x, []int{0, 1}, 0, &nn.SGD{LR: 0.1}); err == nil {
@@ -95,6 +97,39 @@ func TestDistributedValidation(t *testing.T) {
 	}
 	if _, err := dp.TrainSyncRound(x, []int{0}, 2, &nn.SGD{LR: 0.1}); err == nil {
 		t.Fatal("label mismatch must error")
+	}
+}
+
+// TestRoundCountersCountCommittedRounds scrapes the round counters around one
+// aborted and three committed rounds: a round counts once it commits, an
+// aborted one counts as an abort only, and samples are the committed rows.
+func TestRoundCountersCountCommittedRounds(t *testing.T) {
+	const rows = 12
+	names := []string{"ecofl_pipeline_rounds_total", "ecofl_pipeline_dist_aborts_total", "ecofl_pipeline_samples_total"}
+	before := make([]int64, len(names))
+	for i, n := range names {
+		before[i] = scrapeCounter(t, n)
+	}
+	x, labels := makeData(rand.New(rand.NewSource(3)), rows, 8, 3)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(5)), "count", 8, []int{10}, 3)
+	dp, err := NewDistributed(tr, []int{1}, severedOnce(0, true, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &nn.SGD{LR: 0.1}
+	if _, err := dp.TrainSyncRound(x, labels, 4, opt); err == nil {
+		t.Fatal("the round over the severed link committed")
+	}
+	for r := 0; r < 3; r++ {
+		if _, err := dp.TrainSyncRound(x, labels, 4, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []int64{3, 1, 3 * rows}
+	for i, n := range names {
+		if got := scrapeCounter(t, n) - before[i]; got != want[i] {
+			t.Errorf("%s moved by %d, want %d", n, got, want[i])
+		}
 	}
 }
 

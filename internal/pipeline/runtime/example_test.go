@@ -13,9 +13,9 @@ import (
 // Train one sync-round through a 3-stage pipeline: the flush update is
 // identical to sequential training, so pipelining is purely an execution
 // strategy.
-func ExamplePipeline_TrainSyncRound() {
+func ExampleDistPipeline_TrainSyncRound() {
 	tr := model.NewTrainableMLP(rand.New(rand.NewSource(1)), "demo", 8, []int{12, 10}, 3)
-	pipe, err := runtime.New(tr, []int{1, 2})
+	pipe, err := runtime.NewDistributed(tr, []int{1, 2}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -111,7 +111,7 @@ func TestAbortDiscardsRoundAndUnwinds(t *testing.T) {
 		t.Fatalf("retry round: %v", err)
 	}
 	ref := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "abort", 10, []int{14, 12}, 4)
-	pref, err := New(ref, nil)
+	pref, err := NewDistributed(ref, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

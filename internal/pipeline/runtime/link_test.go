@@ -296,16 +296,13 @@ func viewTrainable(seed int64) *model.Trainable {
 // TestViewLayerStagesBitIdentical is the alias guard's pin. Tensors a stage
 // receives are recycled after the Backward that consumed them; a view layer
 // at the edge of a stage can hand that very storage on to a link, where it
-// may still sit in the send queue. With the guard the distributed pipeline
-// stays bit-identical to the in-process one; without it a recycled buffer is
+// may still sit in the send queue. With the guard the pipeline stays
+// bit-identical to the sequential reference; without it a recycled buffer is
 // overwritten under the writer (a data race, and diverging weights).
 func TestViewLayerStagesBitIdentical(t *testing.T) {
 	const seed = 99
 	cuts := []int{1, 2, 3, 4}
-	ref, err := New(viewTrainable(seed), cuts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSequential(viewTrainable(seed))
 	dp, err := NewDistributed(viewTrainable(seed), cuts, TCPLinks())
 	if err != nil {
 		t.Fatal(err)
@@ -322,13 +319,13 @@ func TestViewLayerStagesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("round %d: loss %v over links, %v in process", round, got, want)
+			t.Fatalf("round %d: loss %v over links, %v sequential", round, got, want)
 		}
 	}
 	wr, wd := ref.Network().FlatWeights(), dp.Network().FlatWeights()
 	for i := range wr {
 		if wr[i] != wd[i] {
-			t.Fatalf("weight %d diverged: %v over links, %v in process", i, wd[i], wr[i])
+			t.Fatalf("weight %d diverged: %v over links, %v sequential", i, wd[i], wr[i])
 		}
 	}
 }

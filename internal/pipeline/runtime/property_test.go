@@ -41,7 +41,7 @@ func TestRandomizedGradientEquivalenceProperty(t *testing.T) {
 		}
 		sort.Ints(cuts)
 
-		p, err := New(trPipe, cuts)
+		p, err := NewDistributed(trPipe, cuts, nil)
 		if err != nil {
 			return false
 		}

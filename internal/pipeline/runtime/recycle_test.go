@@ -22,9 +22,9 @@ import (
 // frame not yet serialized — or returned twice does not fail where the
 // mistake is: it is overwritten by whichever goroutine draws it next, and
 // which one that is depends on scheduling. These tests hold DistPipeline
-// against the in-process Pipeline, which returns nothing to the pool and so
-// cannot go wrong that way, bit for bit; scripts/ci.sh repeats them under
-// the race detector.
+// against the sequential reference (runtime_test.go), which returns nothing
+// to the pool and so cannot go wrong that way, bit for bit; scripts/ci.sh
+// repeats them under the race detector.
 
 // recyclingCase is one model cut so that particular layers sit at stage edges.
 type recyclingCase struct {
@@ -120,7 +120,7 @@ func sameBits(got, want *nn.Network) error {
 // TestRecyclingStagesMatchReference trains every case over in-process pipes
 // and over TCP at once — the pipelines share the pool, so a buffer one of
 // them returns early lands in another's round as well as its own — and holds
-// each to the in-process reference on the same model: every loss and, at the
+// each to the sequential reference on the same model: every loss and, at the
 // end, every weight bit-identical. 26 rows in micro-batches of 4 leave an
 // uneven last micro-batch of 2.
 func TestRecyclingStagesMatchReference(t *testing.T) {
@@ -135,11 +135,7 @@ func TestRecyclingStagesMatchReference(t *testing.T) {
 					t.Errorf("%s over %s: %s", c.name, name, fmt.Sprintf(format, args...))
 				}
 				tr := c.build(seed)
-				ref, err := New(tr.Clone(), c.cuts)
-				if err != nil {
-					fail("%v", err)
-					return
-				}
+				ref := newSequential(tr.Clone())
 				dp, err := NewDistributed(tr, c.cuts, dial)
 				if err != nil {
 					fail("%v", err)
@@ -164,7 +160,7 @@ func TestRecyclingStagesMatchReference(t *testing.T) {
 						return
 					}
 					if math.Float64bits(got) != math.Float64bits(want) {
-						fail("round %d: loss %v, in process %v", r, got, want)
+						fail("round %d: loss %v, sequential %v", r, got, want)
 						return
 					}
 				}
@@ -217,10 +213,7 @@ func severedLinkThenRetry(t *testing.T) {
 	xs, ys := c.batches(seed, 1, rows)
 	x, y := xs[0], ys[0]
 
-	ref, err := New(c.build(seed), c.cuts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newSequential(c.build(seed))
 	optRef := &nn.SGD{LR: 0.05}
 	var want []float64
 	for r := 0; r <= after; r++ {

@@ -20,6 +20,35 @@ func makeData(rng *rand.Rand, n, dim, classes int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
+// sequential is the reference the executor is held to bit for bit: one
+// 1F1B-Sync round written as a loop over the whole network — ZeroGrads, then
+// per micro-batch Forward, SoftmaxCrossEntropy, the loss gradient scaled by
+// the micro-batch's share of the rows, Backward, and one optimizer step at
+// the end. It shares no code with the executor and returns nothing to the
+// tensor pool, so a tensor the stages recycle too early cannot reach it.
+type sequential struct{ net *nn.Network }
+
+func newSequential(tr *model.Trainable) sequential { return sequential{tr.Network()} }
+
+func (r sequential) Network() *nn.Network { return r.net }
+
+func (r sequential) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, opt *nn.SGD) (float64, error) {
+	rows, sampleLen := x.Rows(), x.Cols()
+	r.net.ZeroGrads()
+	var loss float64
+	for start := 0; start < rows; start += mbs {
+		end := min(start+mbs, rows)
+		xi := &tensor.Tensor{Shape: append([]int{end - start}, x.Shape[1:]...), Data: x.Data[start*sampleLen : end*sampleLen]}
+		out, caches := r.net.Forward(xi)
+		l, dy := nn.SoftmaxCrossEntropy(out, labels[start:end])
+		dy.Scale(float64(end-start) / float64(rows))
+		r.net.Backward(caches, dy)
+		loss += l * float64(end-start)
+	}
+	opt.Step(r.net.Params())
+	return loss / float64(rows), nil
+}
+
 // The headline property of 1F1B-Sync: pipelined training applies the same
 // update as sequential full-mini-batch training — no weight staleness.
 func TestGradientEquivalenceWithSequential(t *testing.T) {
@@ -32,7 +61,7 @@ func TestGradientEquivalenceWithSequential(t *testing.T) {
 		for i := range cuts {
 			cuts[i] = i + 1
 		}
-		p, err := New(trPipe, cuts)
+		p, err := NewDistributed(trPipe, cuts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +97,7 @@ func TestUnevenMicroBatches(t *testing.T) {
 	seed := int64(55)
 	trSeq := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "seq", 8, []int{10, 10}, 3)
 	trPipe := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "pipe", 8, []int{10, 10}, 3)
-	p, err := New(trPipe, []int{1, 2})
+	p, err := NewDistributed(trPipe, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +121,7 @@ func TestUnevenMicroBatches(t *testing.T) {
 func TestPipelineLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := model.NewTrainableMLP(rng, "learn", 10, []int{20, 16}, 4)
-	p, err := New(tr, []int{1, 2})
+	p, err := NewDistributed(tr, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,37 +146,11 @@ func TestPipelineLearns(t *testing.T) {
 	}
 }
 
-func TestInvalidCuts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tr := model.NewTrainableMLP(rng, "x", 4, []int{6, 6}, 2)
-	for _, cuts := range [][]int{{0}, {3}, {2, 2}, {2, 1}, {4}} {
-		if _, err := New(tr, cuts); err == nil {
-			t.Fatalf("cuts %v must be rejected", cuts)
-		}
-	}
-	if _, err := New(tr, []int{1, 2}); err != nil {
-		t.Fatalf("valid cuts rejected: %v", err)
-	}
-}
-
-func TestTrainSyncRoundValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr := model.NewTrainableMLP(rng, "x", 4, []int{6}, 2)
-	p, _ := New(tr, []int{1})
-	x := tensor.New(4, 4)
-	if _, err := p.TrainSyncRound(x, []int{0, 1}, 2, &nn.SGD{LR: 0.1}); err == nil {
-		t.Fatal("label/row mismatch must error")
-	}
-	if _, err := p.TrainSyncRound(x, []int{0, 1, 0, 1}, 0, &nn.SGD{LR: 0.1}); err == nil {
-		t.Fatal("zero micro-batch size must error")
-	}
-}
-
 func TestSingleStagePipelineDegeneratesToSequential(t *testing.T) {
 	seed := int64(77)
 	trSeq := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "seq", 6, []int{8}, 3)
 	trPipe := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "pipe", 6, []int{8}, 3)
-	p, err := New(trPipe, nil) // no cuts → 1 stage
+	p, err := NewDistributed(trPipe, nil, nil) // no cuts → 1 stage, no links
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,78 @@
 package runtime
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"ecofl/internal/device"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
+	"ecofl/internal/obs"
+	"ecofl/internal/pipeline"
 )
+
+// TestExecutedOrderMatchesSchedule holds every stage's executed op sequence,
+// read off a clockless trace, to pipeline.Schedule's task order for the same
+// partition on an ideal device (free links, ample memory, where the plan's
+// K_s is S−s), and the stage's record pool to K_s. Micro-batch counts below
+// the stage count are included.
+func TestExecutedOrderMatchesSchedule(t *testing.T) {
+	const mbs = 2
+	spanKinds := map[string]pipeline.TaskKind{"fwd": pipeline.TaskForward, "bwd": pipeline.TaskBackward}
+	ideal := &device.Device{Name: "ideal", ComputeRate: 1e9, MemoryBytes: 1 << 40, LinkBandwidth: math.Inf(1)}
+	for S := 1; S <= 5; S++ {
+		tr := model.NewTrainableMLP(rand.New(rand.NewSource(int64(S))), "order", 6, []int{8, 8, 8, 8}, 3)
+		cuts := make([]int, S-1)
+		var stages []pipeline.Stage
+		for s := range S {
+			if s > 0 {
+				cuts[s-1] = s
+			}
+			stages = append(stages, pipeline.Stage{Device: ideal, From: s, To: s + 1})
+		}
+		stages[S-1].To = len(tr.Blocks)
+		dp, err := NewDistributed(tr, cuts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 1; m <= 7; m++ {
+			res, err := pipeline.Schedule(&pipeline.Config{Spec: tr.Spec, Stages: stages,
+				MicroBatchSize: mbs, NumMicroBatches: m, Strategy: pipeline.OneFOneBSync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace := obs.New(nil)
+			dp.SetTrace(trace)
+			x, labels := makeData(rand.New(rand.NewSource(int64(m))), m*mbs, 6, 3)
+			if _, err := dp.TrainSyncRound(x, labels, mbs, &nn.SGD{LR: 0.01}); err != nil {
+				t.Fatal(err)
+			}
+			executed := make([][]pipeline.Op, S)
+			for _, e := range trace.Events() {
+				if k, ok := spanKinds[e.Name]; ok {
+					executed[e.TID] = append(executed[e.TID], pipeline.Op{Kind: k, Micro: int(e.Args["micro"])})
+				}
+			}
+			for s := range S {
+				var scheduled []pipeline.Op
+				for _, task := range res.Tasks {
+					if task.Stage == s && (task.Kind == pipeline.TaskForward || task.Kind == pipeline.TaskBackward) {
+						scheduled = append(scheduled, pipeline.Op{Kind: task.Kind, Micro: task.Micro})
+					}
+				}
+				if !slices.Equal(executed[s], scheduled) {
+					t.Fatalf("S=%d m=%d stage %d executed %v, scheduled %v", S, m, s, executed[s], scheduled)
+				}
+				if got := len(dp.stages[s].recs); got != res.Ks[s] {
+					t.Fatalf("S=%d m=%d stage %d holds %d records, the plan's K_s is %d", S, m, s, got, res.Ks[s])
+				}
+			}
+		}
+	}
+}
 
 // TestSimulatorMatchesPrototype cross-validates the schedule simulator
 // against the executing prototype: a deliberately imbalanced partition (one

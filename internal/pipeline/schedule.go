@@ -59,35 +59,39 @@ type Result struct {
 	Ps, Qs, Ks []int
 }
 
-type op struct {
-	kind  TaskKind
-	micro int
+// Op is one entry of a stage's static execution order: the forward or
+// backward pass of one micro-batch.
+type Op struct {
+	Kind  TaskKind // TaskForward or TaskBackward
+	Micro int
 }
 
-// policyOrder returns the static per-stage execution order for the strategy.
-func policyOrder(strategy Strategy, m, k int) []op {
-	var ops []op
+// Order returns a stage's static execution order for m micro-batches under
+// the strategy, with k forward passes resident before the first backward
+// (1F1B; BAF runs all m). Schedule times this order and the runtime executes
+// it, so the two cannot disagree on what a stage does next.
+func Order(strategy Strategy, m, k int) []Op {
+	ops := make([]Op, 0, 2*m)
 	switch strategy {
 	case GPipeBAF:
 		for i := 0; i < m; i++ {
-			ops = append(ops, op{TaskForward, i})
+			ops = append(ops, Op{TaskForward, i})
 		}
 		for i := 0; i < m; i++ {
-			ops = append(ops, op{TaskBackward, i})
+			ops = append(ops, Op{TaskBackward, i})
 		}
 	default: // 1F1B (sync and async share the op order)
 		if k > m {
 			k = m
 		}
 		for i := 0; i < k; i++ {
-			ops = append(ops, op{TaskForward, i})
+			ops = append(ops, Op{TaskForward, i})
 		}
 		for i := 0; i < m-k; i++ {
-			ops = append(ops, op{TaskBackward, i})
-			ops = append(ops, op{TaskForward, k + i})
+			ops = append(ops, Op{TaskBackward, i}, Op{TaskForward, k + i})
 		}
 		for i := m - k; i < m; i++ {
-			ops = append(ops, op{TaskBackward, i})
+			ops = append(ops, Op{TaskBackward, i})
 		}
 	}
 	return ops
@@ -128,13 +132,13 @@ func Schedule(c *Config) (*Result, error) {
 		finCF[s] = nanSlice(M)
 		finCB[s] = nanSlice(M)
 	}
-	orders := make([][]op, S)
+	orders := make([][]Op, S)
 	cursor := make([]int, S)
 	stageFree := make([]float64, S)
 	linkFreeF := make([]float64, S)
 	linkFreeB := make([]float64, S)
 	for s := 0; s < S; s++ {
-		orders[s] = policyOrder(c.Strategy, M, ks[s])
+		orders[s] = Order(c.Strategy, M, ks[s])
 	}
 
 	var tasks []Task
@@ -151,42 +155,42 @@ func Schedule(c *Config) (*Result, error) {
 			for cursor[s] < len(orders[s]) {
 				o := orders[s][cursor[s]]
 				var dep float64
-				switch o.kind {
+				switch o.Kind {
 				case TaskForward:
 					if s > 0 {
-						dep = finCF[s-1][o.micro]
+						dep = finCF[s-1][o.Micro]
 					}
 				case TaskBackward:
 					if s == S-1 {
-						dep = finF[s][o.micro]
+						dep = finF[s][o.Micro]
 					} else {
-						dep = finCB[s][o.micro]
+						dep = finCB[s][o.Micro]
 					}
 				}
 				if math.IsNaN(dep) {
 					break // input not yet produced: stage stalls here
 				}
 				start := math.Max(stageFree[s], dep)
-				switch o.kind {
+				switch o.Kind {
 				case TaskForward:
-					end := emit(s, o.micro, TaskForward, start, times[s].Tf)
-					finF[s][o.micro] = end
+					end := emit(s, o.Micro, TaskForward, start, times[s].Tf)
+					finF[s][o.Micro] = end
 					stageFree[s] = end
 					if s < S-1 {
 						cs := math.Max(end, linkFreeF[s])
-						ce := emit(s, o.micro, TaskCommF, cs, times[s].CommF)
+						ce := emit(s, o.Micro, TaskCommF, cs, times[s].CommF)
 						linkFreeF[s] = ce
-						finCF[s][o.micro] = ce
+						finCF[s][o.Micro] = ce
 					}
 				case TaskBackward:
-					end := emit(s, o.micro, TaskBackward, start, times[s].Tb)
-					finB[s][o.micro] = end
+					end := emit(s, o.Micro, TaskBackward, start, times[s].Tb)
+					finB[s][o.Micro] = end
 					stageFree[s] = end
 					if s > 0 {
 						cs := math.Max(end, linkFreeB[s-1])
-						ce := emit(s-1, o.micro, TaskCommB, cs, times[s-1].CommB)
+						ce := emit(s-1, o.Micro, TaskCommB, cs, times[s-1].CommB)
 						linkFreeB[s-1] = ce
-						finCB[s-1][o.micro] = ce
+						finCB[s-1][o.Micro] = ce
 					}
 				}
 				cursor[s]++

@@ -48,6 +48,43 @@ for step in 'sim\.Engine' 'cutRound(' 'newChurnState(' '\.advance(' 'TrainClient
 	fi
 done
 
+# One pipeline executor, one op order: every pipeline trains through
+# runtime.DistPipeline, whose stages walk pipeline.Order, the order Schedule
+# times (DESIGN.md, "Self-healing pipeline"). A tensor channel in the runtime
+# is a second executor growing back; a second function returning an op list
+# is a second order.
+rt_src=$(ls internal/pipeline/runtime/*.go | grep -v '_test\.go$')
+pl_src=$(ls internal/pipeline/*.go | grep -v '_test\.go$')
+if grep -n 'chan \*tensor\.Tensor' $rt_src >&2; then
+	echo "one executor: non-test internal/pipeline/runtime has a tensor channel" >&2
+	exit 1
+fi
+sites=$(grep -hv '^[[:space:]]*//' $rt_src | grep -c 'pipeline\.Order(' || true)
+orders=$(grep -hE '^func .*\) \[\](pipeline\.)?[Oo]p\b' $pl_src $rt_src | wc -l)
+if [ "$sites" != 1 ] || [ "$orders" != 1 ] || ! grep -q '^func Order(' $pl_src; then
+	echo "one order: want 1 pipeline.Order( site in non-test internal/pipeline/runtime (have $sites)" >&2
+	echo "and 1 op-order function, pipeline.Order (have $orders):" >&2
+	grep -nE 'pipeline\.Order\(|^func .*\) \[\](pipeline\.)?[Oo]p\b' $pl_src $rt_src >&2 || true
+	exit 1
+fi
+
+# Docs budget (ROADMAP item 0b): a CHANGES.md entry is at most 1,200 bytes —
+# claim, what was expected to move, what must not move, verdict. An entry
+# runs from its "- PR N" line to the next one. Entries numbered below
+# $first_budgeted predate the budget and keep their long form until item 0b
+# rewrites them.
+first_budgeted=31
+over=$(LC_ALL=C awk -v first="$first_budgeted" '
+	function flush() { if (n >= first && length(text) > 1200) print "PR " n ": " length(text) " bytes"; n = 0 }
+	/^- PR [0-9]+/ { flush(); n = $3 + 0; text = $0; next }
+	n { text = text "\n" $0 }
+	END { flush() }' CHANGES.md)
+if [ -n "$over" ]; then
+	echo "CHANGES.md entries over the 1,200-byte budget:" >&2
+	echo "$over" >&2
+	exit 1
+fi
+
 tier1_start=$SECONDS
 go vet ./...
 go build ./...
@@ -141,8 +178,8 @@ if grep -rnE -- '--experiment (dropout|churn|byzantine|failover)' README.md EXPE
 fi
 
 # The examples are roots of the reach rule above (they alone reach
-# internal/profiler and runtime.New), so each must run: an example that
-# cannot run is not a reason to keep code.
+# internal/profiler), so each must run: an example that cannot run is not a
+# reason to keep code.
 examples_start=$SECONDS
 for main in examples/*/main.go; do
 	go run "./$(dirname "$main")" >/dev/null
