@@ -579,7 +579,7 @@ func (e *Executor) shipSegments(moved []movedRange, round int) (int64, error) {
 		var err error
 		for _, r := range moved {
 			h := wire.Header{Kind: wire.KindSegment, A: int32(r.from), B: int32(r.to)}
-			if err = fw.WriteRawFrame(&h, e.cfg.Trainable.SegmentNet(r.from, r.to).FlatWeights(), nil); err != nil {
+			if err = fw.WriteRawFrame(&h, e.cfg.Trainable.SegmentNet(r.from, r.to).Weights(), nil); err != nil {
 				break
 			}
 		}

@@ -70,7 +70,7 @@ func NewTrainableCNN(rng *rand.Rand, name string, inC, size, classes int, blocks
 		ParamBytes:      float64(feat*classes+classes) * 8,
 	})
 	t.Blocks = append(t.Blocks, head)
-	return t
+	return t.pack()
 }
 
 // MicroEfficientNet is a laptop-scale stand-in for EfficientNet: front-heavy

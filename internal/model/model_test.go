@@ -160,6 +160,42 @@ func TestTrainableSegmentsShareParams(t *testing.T) {
 	}
 }
 
+// TestTrainableIsOneModel: a segment is a window of the one model, at the
+// offset its blocks start, and a clone is a model of its own.
+func TestTrainableIsOneModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := NewTrainableMLP(rng, "test", 4, []int{6, 5, 3}, 2)
+	before := tr.Network().FlatWeights()
+	seg := tr.SegmentNet(1, 3)
+	w := make([]float64, seg.NumParams())
+	for i := range w {
+		w[i] = float64(i) + 0.5
+	}
+	seg.SetFlatWeights(w)
+	off := tr.SegmentNet(0, 1).NumParams()
+	for i, got := range tr.Network().FlatWeights() {
+		want := before[i]
+		if i >= off && i < off+len(w) {
+			want = w[i-off]
+		}
+		if got != want {
+			t.Fatalf("weight %d = %v after SegmentNet(1, 3).SetFlatWeights, want %v", i, got, want)
+		}
+	}
+
+	cl := tr.Clone()
+	for i, p := range cl.Network().Params() {
+		q := tr.Network().Params()[i]
+		for _, a := range []*tensor.Tensor{p.Value, p.Grad} {
+			for _, b := range []*tensor.Tensor{q.Value, q.Grad} {
+				if tensor.SharesStorage(a, b) {
+					t.Fatalf("clone's %s shares storage with its source", p.Name)
+				}
+			}
+		}
+	}
+}
+
 func TestTrainableTrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr := NewTrainableMLP(rng, "test", 6, []int{12}, 3)

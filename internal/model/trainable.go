@@ -11,12 +11,33 @@ import (
 // one-to-one with the Spec's layers, so a partition decision computed on the
 // cost model can be applied directly to real training (the quickstart and
 // the gradient-equivalence runtime use this).
+//
+// A Trainable is one packed nn.Network, which Network and SegmentNet view.
+// A Trainable literal is not packed; its Clone is.
 type Trainable struct {
 	Spec   *Spec
 	Blocks [][]nn.Layer // Blocks[i] executes Spec.Layers[i]
 	// InputShape is the per-sample input tensor shape (e.g. [dim] for an
 	// MLP, [C,H,W] for a CNN).
 	InputShape []int
+
+	net *nn.Network
+	// starts[i] indexes block i's first layer in net.Layers, i ≤ len(Blocks).
+	starts []int
+}
+
+// pack builds the one network over all blocks, at construction, since
+// SegmentNet is called from several goroutines at a time.
+func (t *Trainable) pack() *Trainable {
+	var layers []nn.Layer
+	t.starts = make([]int, 0, len(t.Blocks)+1)
+	for _, b := range t.Blocks {
+		t.starts = append(t.starts, len(layers))
+		layers = append(layers, b...)
+	}
+	t.starts = append(t.starts, len(layers))
+	t.net = nn.NewNetwork(layers...)
+	return t
 }
 
 // NewTrainableMLP builds a block-structured MLP: one Dense(+ReLU) block per
@@ -47,30 +68,22 @@ func NewTrainableMLP(rng *rand.Rand, name string, inDim int, hidden []int, class
 			ParamBytes:      float64(in*out+out) * 8,
 		})
 	}
-	return t
+	return t.pack()
 }
 
-// Network returns the full sequential network over all blocks. The returned
-// network shares parameters with the Trainable's blocks.
-func (t *Trainable) Network() *nn.Network {
-	var layers []nn.Layer
-	for _, b := range t.Blocks {
-		layers = append(layers, b...)
-	}
-	return nn.NewNetwork(layers...)
-}
+// Network returns the view of the whole model.
+func (t *Trainable) Network() *nn.Network { return t.SegmentNet(0, len(t.Blocks)) }
 
-// SegmentNet returns a network over blocks [i, j), sharing parameters with
-// the Trainable — the model segment a pipeline stage executes.
+// SegmentNet returns the network over blocks [i, j), a view of the
+// Trainable's model — the model segment a pipeline stage executes.
 func (t *Trainable) SegmentNet(i, j int) *nn.Network {
-	var layers []nn.Layer
-	for _, b := range t.Blocks[i:j] {
-		layers = append(layers, b...)
+	if t.net == nil {
+		panic("model: Trainable literal used before packing; use its Clone")
 	}
-	return nn.NewNetwork(layers...)
+	return t.net.Sub(t.starts[i], t.starts[j])
 }
 
-// Clone deep-copies the trainable (independent parameters).
+// Clone deep-copies the trainable into a model of its own.
 func (t *Trainable) Clone() *Trainable {
 	out := &Trainable{Spec: t.Spec, InputShape: t.InputShape}
 	for _, b := range t.Blocks {
@@ -80,5 +93,5 @@ func (t *Trainable) Clone() *Trainable {
 		}
 		out.Blocks = append(out.Blocks, nb)
 	}
-	return out
+	return out.pack()
 }

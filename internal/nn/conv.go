@@ -230,8 +230,8 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 func (c *Conv2D) Clone() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
-		W: &Param{Name: c.W.Name, Value: c.W.Value.Clone(), Grad: c.W.Grad.Clone()},
-		B: &Param{Name: c.B.Name, Value: c.B.Value.Clone(), Grad: c.B.Grad.Clone()},
+		W: c.W.view(),
+		B: c.B.view(),
 	}
 }
 

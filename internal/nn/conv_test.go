@@ -61,7 +61,7 @@ func TestConv2DKnownValue(t *testing.T) {
 	// Identity-ish kernel: w = [1 0; 0 0], b = 0 → output = top-left of
 	// each receptive field.
 	c.W.Value.Data = []float64{1, 0, 0, 0}
-	c.B.Value.Zero()
+	clear(c.B.Value.Data)
 	x := tensor.FromSlice([]float64{
 		1, 2, 3,
 		4, 5, 6,
@@ -241,8 +241,8 @@ func TestResidualSkipPath(t *testing.T) {
 	// Inner stack that outputs zero → residual is identity.
 	rng := rand.New(rand.NewSource(10))
 	inner := NewDense(rng, 3, 3)
-	inner.W.Value.Zero()
-	inner.B.Value.Zero()
+	clear(inner.W.Value.Data)
+	clear(inner.B.Value.Data)
 	r := &Residual{Inner: []Layer{inner}}
 	x := tensor.Randn(rng, 1, 2, 3)
 	y, _ := r.Forward(x)
@@ -311,13 +311,15 @@ func TestConvCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c := NewConv2D(rng, 2, 2, 3, 1, 1)
 	cl := c.Clone().(*Conv2D)
+	NewNetwork(cl)
 	cl.W.Value.Data[0] = 99
 	if c.W.Value.Data[0] == 99 {
-		t.Fatal("Clone must deep-copy")
+		t.Fatal("a clone packed into a network must be independent")
 	}
 	bn := NewBatchNorm(4)
 	bn.RunningMean[0] = 7
 	bcl := bn.Clone().(*BatchNorm)
+	NewNetwork(bcl)
 	bcl.RunningMean[0] = 1
 	if bn.RunningMean[0] != 7 {
 		t.Fatal("BatchNorm clone must deep-copy running stats")

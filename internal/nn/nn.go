@@ -38,6 +38,15 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	packed bool // Value and Grad view a Network's slabs
+}
+
+// view is a new, unpacked Param over p's storage: what a Layer.Clone holds
+// until NewNetwork gives it storage of its own.
+func (p *Param) view() *Param {
+	v, g := *p.Value, *p.Grad
+	return &Param{Name: p.Name, Value: &v, Grad: &g}
 }
 
 // Cache carries whatever a layer's Forward needs to remember for Backward.
@@ -53,7 +62,8 @@ type Layer interface {
 	// gradient with respect to the input.
 	Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
-	// Clone returns a deep copy (independent parameters and gradients).
+	// Clone copies the layer's structure, not its storage: the copy's new,
+	// unpacked params view the original's until NewNetwork packs them.
 	Clone() Layer
 }
 
@@ -107,12 +117,7 @@ func (d *Dense) paramGrads(c Cache, dy *tensor.Tensor) {
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 func (d *Dense) Clone() Layer {
-	return &Dense{
-		In:  d.In,
-		Out: d.Out,
-		W:   &Param{Name: d.W.Name, Value: d.W.Value.Clone(), Grad: d.W.Grad.Clone()},
-		B:   &Param{Name: d.B.Name, Value: d.B.Value.Clone(), Grad: d.B.Grad.Clone()},
-	}
+	return &Dense{In: d.In, Out: d.Out, W: d.W.view(), B: d.B.view()}
 }
 
 // ---------------------------------------------------------------- ReLU
@@ -209,29 +214,62 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 
 // ---------------------------------------------------------------- Network
 
-// Network is a sequential stack of layers. It is not safe for concurrent
-// use: beside the weights, it keeps the parameter list and the record of the
-// step in progress.
+// Network is a sequential stack of layers over one model vector: every
+// Param's Value.Data and Grad.Data view the slabs w and g in layer order, and
+// a Sub views a window of its parent's. A Network is not safe for concurrent
+// use: beside the weights, it keeps the record of the step in progress.
 type Network struct {
 	Layers []Layer
 
-	// params caches Params(), valid while len(Layers) == paramsFor. A
-	// training step asks for the list three times; rebuilding it costs eight
-	// allocations on a two-layer MLP. lowest, cached with it, is the index of
-	// the lowest layer with parameters (len(Layers) when none has any).
-	params    []*Param
-	paramsFor int
-	lowest    int
+	w, g []float64
+	// offs[i]−offs[0] is where layer i's parameters start in w and g;
+	// offs[len(Layers)]−offs[0] is len(w).
+	offs   []int
+	params []*Param
 	// pass records the forward pass of a TrainBatch, Loss or Accuracy
 	// call; only its slice headers outlive the call.
 	pass Pass
 }
 
-// NewNetwork builds a network from the given layers.
+// NewNetwork builds a network from the given layers, copying their params'
+// values and gradients into its own slabs. A param already packed into a
+// network panics: packing it again would silently split a shared model.
 func NewNetwork(layers ...Layer) *Network {
-	n := &Network{Layers: layers}
-	n.Params() // fill the cache now, so that later readers only read
+	n := &Network{Layers: layers, offs: make([]int, len(layers)+1)}
+	for i, l := range layers {
+		lp := l.Params()
+		n.offs[i+1] = n.offs[i]
+		for _, p := range lp {
+			if p.packed {
+				panic(fmt.Sprintf("nn: NewNetwork: param %s already belongs to a network", p.Name))
+			}
+			p.packed = true
+			n.offs[i+1] += p.Value.Len()
+		}
+		n.params = append(n.params, lp...)
+	}
+	n.w, n.g = make([]float64, n.offs[len(layers)]), make([]float64, n.offs[len(layers)])
+	off := 0
+	for _, p := range n.params {
+		k := off + p.Value.Len()
+		copy(n.w[off:k], p.Value.Data)
+		copy(n.g[off:k], p.Grad.Data)
+		p.Value.Data, p.Grad.Data = n.w[off:k:k], n.g[off:k:k]
+		off = k
+	}
 	return n
+}
+
+// Sub returns the network over Layers[i:j], a view of its window of n's
+// slabs with a Pass record of its own.
+func (n *Network) Sub(i, j int) *Network {
+	base := n.offs[0]
+	lo, hi := n.offs[i]-base, n.offs[j]-base
+	s := &Network{Layers: n.Layers[i:j:j], w: n.w[lo:hi:hi], g: n.g[lo:hi:hi], offs: n.offs[i : j+1 : j+1]}
+	for _, l := range s.Layers {
+		s.params = append(s.params, l.Params()...)
+	}
+	return s
 }
 
 // NewMLP builds Dense+ReLU stacks ending in a linear classifier head:
@@ -267,41 +305,17 @@ func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-// Params returns all trainable parameters in layer order. The list is built
-// once and rebuilt when the number of layers changes; callers must not
-// modify it. (Replacing a layer in place, which nothing does, would need a
-// new Network.)
-func (n *Network) Params() []*Param {
-	if n.paramsFor != len(n.Layers) {
-		var ps []*Param
-		n.lowest = len(n.Layers)
-		for i, l := range n.Layers {
-			lp := l.Params()
-			if len(lp) > 0 && n.lowest == len(n.Layers) {
-				n.lowest = i
-			}
-			ps = append(ps, lp...)
-		}
-		n.params, n.paramsFor = ps[:len(ps):len(ps)], len(n.Layers)
-	}
-	return n.params
-}
+// Params returns all trainable parameters in layer order; do not modify it.
+func (n *Network) Params() []*Param { return n.params }
+
+// Weights returns the network's weight slab itself, for reading.
+func (n *Network) Weights() []float64 { return n.w }
 
 // ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
+func (n *Network) ZeroGrads() { clear(n.g) }
 
 // NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Value.Len()
-	}
-	return total
-}
+func (n *Network) NumParams() int { return len(n.w) }
 
 // Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
@@ -313,28 +327,14 @@ func (n *Network) Clone() *Network {
 }
 
 // FlatWeights returns a copy of all parameter values as one flat vector.
-func (n *Network) FlatWeights() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Value.Data...)
-	}
-	return out
-}
+func (n *Network) FlatWeights() []float64 { return append(make([]float64, 0, len(n.w)), n.w...) }
 
 // SetFlatWeights installs a flat vector previously produced by FlatWeights.
 func (n *Network) SetFlatWeights(w []float64) {
-	off := 0
-	for _, p := range n.Params() {
-		k := p.Value.Len()
-		if off+k > len(w) {
-			panic(fmt.Sprintf("nn: SetFlatWeights vector too short: %d < %d", len(w), off+k))
-		}
-		copy(p.Value.Data, w[off:off+k])
-		off += k
+	if len(w) != len(n.w) {
+		panic(fmt.Sprintf("nn: SetFlatWeights got %d weights, network has %d", len(w), len(n.w)))
 	}
-	if off != len(w) {
-		panic(fmt.Sprintf("nn: SetFlatWeights vector too long: %d > %d", len(w), off))
-	}
+	copy(n.w, w)
 }
 
 // Pass is the record of one forward pass through a Network: every layer's
@@ -388,9 +388,10 @@ func (p *Pass) Output() *tensor.Tensor { return p.acts[len(p.acts)-1] }
 // it, having nothing to accumulate, only give their tensors back.
 func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	stop := 0
-	if !wantDx {
-		n.Params() // brings n.lowest up to date
-		stop = n.lowest
+	if !wantDx { // the lowest layer with parameters, len(n.Layers) if none has any
+		for stop < len(n.Layers) && n.offs[stop+1] == n.offs[stop] {
+			stop++
+		}
 	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		var dx *tensor.Tensor
@@ -477,56 +478,57 @@ func (n *Network) Accuracy(x *tensor.Tensor, labels []int) float64 {
 
 // ---------------------------------------------------------------- SGD
 
-// SGD is stochastic gradient descent with optional momentum, weight decay,
-// and a FedProx proximal term µ‖w − w_global‖²/2 (set Mu > 0 and Global).
+// SGD is stochastic gradient descent with optional momentum and a FedProx
+// proximal term µ‖w − w_global‖²/2 (set Mu > 0 and Global).
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
+	LR       float64
+	Momentum float64
 	// Mu is the FedProx proximal coefficient; Global is the flat reference
 	// weight vector the proximal term pulls toward. Both optional.
 	Mu     float64
 	Global []float64
 
-	velocity map[*Param]*tensor.Tensor
+	// velocity is the momentum of the slab whose first weight is slab.
+	velocity []float64
+	slab     *float64
 }
 
-// Step applies one update to the given parameters from their gradients.
-func (o *SGD) Step(params []*Param) {
-	off := 0
-	for _, p := range params {
-		scratch := tensor.GetBufUninit(p.Grad.Shape...)
-		scratch.CopyFrom(p.Grad)
-		g := scratch
-		if o.WeightDecay != 0 {
-			g.AddScaled(o.WeightDecay, p.Value)
-		}
-		if o.Mu != 0 && o.Global != nil {
-			// ∇[µ/2‖w−w_g‖²] = µ(w − w_g). w + (−1)·w_g is w − w_g exactly —
-			// IEEE subtraction is the addition of the negation — so the two
-			// vector passes round as the one scalar expression did.
-			diff := tensor.GetBufUninit(p.Value.Shape...)
-			diff.CopyFrom(p.Value)
-			global := tensor.Tensor{Data: o.Global[off : off+p.Value.Len()]}
-			g.AddScaled(o.Mu, diff.AddScaled(-1, &global))
-			tensor.PutBuf(diff)
-		}
-		off += p.Value.Len()
-		if o.Momentum != 0 {
-			v, ok := o.velocity[p]
-			if !ok {
-				if o.velocity == nil { // only an optimizer with momentum pays for the map
-					o.velocity = make(map[*Param]*tensor.Tensor)
-				}
-				v = tensor.New(p.Value.Shape...)
-				o.velocity[p] = v
-			}
-			v.Scale(o.Momentum).Add(g)
-			g = v
-		}
-		p.Value.AddScaled(-o.LR, g)
-		tensor.PutBuf(scratch)
+// Step applies one update to n's weights from its gradients, in one pass
+// over the slabs. A Global of the wrong length panics before anything is
+// written, and so does a momentum optimizer stepping a second model.
+func (o *SGD) Step(n *Network) {
+	size := len(n.w)
+	prox := o.Mu != 0 && o.Global != nil
+	if prox && len(o.Global) != size {
+		panic(fmt.Sprintf("nn: SGD.Step: FedProx reference has %d weights, network has %d", len(o.Global), size))
 	}
+	if size == 0 {
+		return
+	}
+	if o.Momentum != 0 {
+		if o.slab == nil {
+			o.velocity, o.slab = make([]float64, size), &n.w[0]
+		} else if o.slab != &n.w[0] || len(o.velocity) != size {
+			panic("nn: SGD.Step: a momentum optimizer steps the one model it first stepped")
+		}
+	}
+	g := tensor.GetBufUninit(size)
+	copy(g.Data, n.g)
+	if prox {
+		// ∇[µ/2‖w−w_g‖²] = µ(w − w_g). w + (−1)·w_g is w − w_g exactly —
+		// IEEE subtraction is the addition of the negation — so the two
+		// vector passes round as the one scalar expression did.
+		diff := tensor.GetBufUninit(size)
+		copy(diff.Data, n.w)
+		g.AddScaled(o.Mu, diff.AddScaled(-1, &tensor.Tensor{Data: o.Global}))
+		tensor.PutBuf(diff)
+	}
+	step := g
+	if o.Momentum != 0 {
+		step = (&tensor.Tensor{Data: o.velocity}).Scale(o.Momentum).Add(g)
+	}
+	(&tensor.Tensor{Data: n.w}).AddScaled(-o.LR, step)
+	tensor.PutBuf(g)
 }
 
 // TrainBatch runs one forward/backward/update on a single mini-batch and
@@ -538,6 +540,6 @@ func (n *Network) TrainBatch(x *tensor.Tensor, labels []int, opt *SGD) float64 {
 	n.ZeroGrads()
 	loss, dy := SoftmaxCrossEntropy(n.ForwardPass(&n.pass, x, false), labels)
 	n.BackwardPass(&n.pass, dy, false)
-	opt.Step(n.Params())
+	opt.Step(n)
 	return loss
 }

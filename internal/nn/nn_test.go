@@ -197,7 +197,7 @@ func TestFedProxPullsTowardGlobal(t *testing.T) {
 	// toward 0.
 	n.ZeroGrads()
 	for i := 0; i < 20; i++ {
-		opt.Step(n.Params())
+		opt.Step(n)
 	}
 	for i, w := range n.FlatWeights() {
 		if math.Abs(w) > 0.1*math.Abs(before[i]) {
@@ -252,18 +252,105 @@ func TestSoftmaxPropertyNonNegative(t *testing.T) {
 	}
 }
 
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := NewMLP(rng, 3, 3)
-	n.ZeroGrads()
-	before := n.FlatWeights()
-	opt := &SGD{LR: 0.1, WeightDecay: 1.0}
-	for i := 0; i < 10; i++ {
-		opt.Step(n.Params())
+// TestFedProxWrongReferenceLeavesModel: a FedProx reference of the wrong
+// length panics before the step writes a single weight.
+func TestFedProxWrongReferenceLeavesModel(t *testing.T) {
+	n := NewMLP(rand.New(rand.NewSource(19)), 3, 4, 2)
+	for i := range n.g {
+		n.g[i] = 1
 	}
-	for i, w := range n.FlatWeights() {
-		if before[i] != 0 && math.Abs(w) >= math.Abs(before[i]) {
-			t.Fatalf("weight decay must shrink weight %d with zero gradients: %v → %v", i, before[i], w)
+	for _, size := range []int{n.NumParams() - 1, n.NumParams() + 1} {
+		before := n.FlatWeights()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("reference of %d weights for %d accepted", size, n.NumParams())
+				}
+			}()
+			(&SGD{LR: 0.5, Momentum: 0.9, Mu: 1, Global: make([]float64, size)}).Step(n)
+		}()
+		for i, w := range n.FlatWeights() {
+			if math.Float64bits(w) != math.Float64bits(before[i]) {
+				t.Fatalf("reference of %d weights: weight %d moved %v → %v", size, i, before[i], w)
+			}
 		}
+	}
+}
+
+// TestNetworkIsOneSlab pins the layout: every parameter views its network's
+// slabs in layer order, a Sub is a window of them, and a model is packed
+// once.
+func TestNetworkIsOneSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n := NewNetwork(
+		NewConv2D(rng, 1, 2, 3, 1, 1), ReLU{}, Flatten{},
+		&Residual{Inner: []Layer{NewDense(rng, 4, 4), Tanh{}}},
+		NewBatchNorm(4), NewDense(rng, 4, 3),
+	)
+	off := 0
+	for i, l := range n.Layers {
+		if n.offs[i] != off {
+			t.Fatalf("layer %d starts at %d, want %d", i, n.offs[i], off)
+		}
+		for _, p := range l.Params() {
+			k := p.Value.Len()
+			if &p.Value.Data[0] != &n.w[off] || &p.Grad.Data[0] != &n.g[off] {
+				t.Fatalf("%s does not view the slabs at %d", p.Name, off)
+			}
+			if cap(p.Value.Data) != k || cap(p.Grad.Data) != k {
+				t.Fatalf("%s can grow into its neighbour", p.Name)
+			}
+			off += k
+		}
+	}
+	if off != n.NumParams() || off != len(n.g) {
+		t.Fatalf("params cover %d of %d weights", off, n.NumParams())
+	}
+
+	sub := n.Sub(3, 5)
+	ones := make([]float64, sub.NumParams())
+	for i := range ones {
+		ones[i] = 1
+	}
+	sub.SetFlatWeights(ones)
+	lo, hi := n.offs[3], n.offs[5]
+	for i, w := range n.Weights() {
+		if (i >= lo && i < hi) != (w == 1) {
+			t.Fatalf("Sub(3, 5) wrote weight %d = %v; its window is [%d,%d)", i, w, lo, hi)
+		}
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewNetwork packed a layer that already belongs to a network")
+			}
+		}()
+		NewNetwork(n.Layers[0])
+	}()
+
+	cl := n.Clone()
+	cl.Weights()[0] = 99
+	if n.Weights()[0] == 99 || &cl.Params()[0].Value.Data[0] != &cl.Weights()[0] {
+		t.Fatal("a clone must own its slabs")
+	}
+	// A clone allocates structure and two slabs, 49 allocations here; a
+	// per-parameter copy would add two arrays for each of the ten parameters.
+	mlp := NewMLP(rng, 4, 4, 4, 4, 4, 4)
+	if a := testing.AllocsPerRun(20, func() { mlp.Clone() }); a > 60 {
+		t.Fatalf("Clone of a 10-param MLP: %v allocations", a)
+	}
+
+	opt := &SGD{LR: 0.1, Momentum: 0.9}
+	opt.Step(n)
+	for name, other := range map[string]*Network{"clone": cl, "sub": n.Sub(0, 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a momentum SGD stepped a second model (%s)", name)
+				}
+			}()
+			opt.Step(other)
+		}()
 	}
 }

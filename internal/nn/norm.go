@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ecofl/internal/tensor"
 )
@@ -123,15 +124,10 @@ func (bn *BatchNorm) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
 func (bn *BatchNorm) Clone() Layer {
-	c := NewBatchNorm(bn.Dim)
-	c.Eps, c.Momentum, c.Train = bn.Eps, bn.Momentum, bn.Train
-	c.Gamma.Value.CopyFrom(bn.Gamma.Value)
-	c.Gamma.Grad.CopyFrom(bn.Gamma.Grad)
-	c.Beta.Value.CopyFrom(bn.Beta.Value)
-	c.Beta.Grad.CopyFrom(bn.Beta.Grad)
-	copy(c.RunningMean, bn.RunningMean)
-	copy(c.RunningVar, bn.RunningVar)
-	return c
+	c := *bn
+	c.Gamma, c.Beta = bn.Gamma.view(), bn.Beta.view()
+	c.RunningMean, c.RunningVar = slices.Clone(bn.RunningMean), slices.Clone(bn.RunningVar)
+	return &c
 }
 
 // ---------------------------------------------------------------- Dropout

@@ -53,7 +53,7 @@ func explicitStep(n *Network, x *tensor.Tensor, labels []int, opt *SGD) float64 
 	logits, caches := n.Forward(x)
 	loss, dy := SoftmaxCrossEntropy(logits, labels)
 	n.Backward(caches, dy)
-	opt.Step(n.Params())
+	opt.Step(n)
 	return loss
 }
 

@@ -59,7 +59,7 @@ func TestTrainBatchParallelBitIdenticalToSerial(t *testing.T) {
 			for i := range labels {
 				labels[i] = i % 10
 			}
-			opt := &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
+			opt := &SGD{LR: 0.05, Momentum: 0.9}
 			for step := 0; step < 5; step++ {
 				net.TrainBatch(x, labels, opt)
 			}

@@ -355,7 +355,7 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	}
 	roundsTotal.Inc()
 	samplesTotal.Add(int64(rows))
-	opt.Step(d.net.Params())
+	opt.Step(d.net)
 	var loss float64
 	for i, l := range r.losses {
 		loss += l * float64(len(r.labels[i]))

@@ -280,7 +280,7 @@ func TestLinkTrafficCounters(t *testing.T) {
 func viewTrainable(seed int64) *model.Trainable {
 	rng := rand.New(rand.NewSource(seed))
 	evalDropout := func() nn.Layer { return &nn.Dropout{P: 0.5, Rng: rand.New(rand.NewSource(1))} }
-	return &model.Trainable{
+	return (&model.Trainable{
 		Spec:       &model.Spec{Name: "views"},
 		InputShape: []int{10},
 		Blocks: [][]nn.Layer{
@@ -290,7 +290,7 @@ func viewTrainable(seed int64) *model.Trainable {
 			{evalDropout()},
 			{nn.NewDense(rng, 12, 4)},
 		},
-	}
+	}).Clone()
 }
 
 // TestViewLayerStagesBitIdentical is the alias guard's pin. Tensors a stage

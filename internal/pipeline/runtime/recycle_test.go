@@ -37,7 +37,7 @@ type recyclingCase struct {
 func evalDropout() nn.Layer { return &nn.Dropout{P: 0.5, Rng: rand.New(rand.NewSource(1))} }
 
 func handTrainable(name string, blocks ...[]nn.Layer) *model.Trainable {
-	return &model.Trainable{Spec: &model.Spec{Name: name}, Blocks: blocks}
+	return (&model.Trainable{Spec: &model.Spec{Name: name}, Blocks: blocks}).Clone()
 }
 
 // recyclingCases put every layer type first and last in a stage, with every

@@ -45,7 +45,7 @@ func (r sequential) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, opt 
 		r.net.Backward(caches, dy)
 		loss += l * float64(end-start)
 	}
-	opt.Step(r.net.Params())
+	opt.Step(r.net)
 	return loss / float64(rows), nil
 }
 

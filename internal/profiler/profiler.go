@@ -53,10 +53,6 @@ func Profile(rng *rand.Rand, tr *model.Trainable, batch, reps int) (*Result, err
 	res := &Result{Batch: batch}
 	for b := range tr.Blocks {
 		seg := tr.SegmentNet(b, b+1)
-		var paramBytes float64
-		for _, p := range seg.Params() {
-			paramBytes += float64(p.Value.Len()) * 8
-		}
 		// Warm-up + measure forward.
 		out, cache := seg.Forward(x)
 		dy := tensor.New(out.Shape...)
@@ -79,7 +75,7 @@ func Profile(rng *rand.Rand, tr *model.Trainable, batch, reps int) (*Result, err
 			ActivationBytes: actBytes,
 			GradientBytes:   actBytes,
 			ResidentBytes:   float64(x.Len())*8/float64(batch) + actBytes,
-			ParamBytes:      paramBytes,
+			ParamBytes:      float64(seg.NumParams()) * 8,
 		})
 		x = out // next block's input
 	}

@@ -103,13 +103,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	copy(t.Data, src.Data)
 }
 
-// Zero sets all elements to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // Fill sets all elements to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {

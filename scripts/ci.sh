@@ -68,6 +68,21 @@ if [ "$sites" != 1 ] || [ "$orders" != 1 ] || ! grep -q '^func Order(' $pl_src; 
 	exit 1
 fi
 
+# One model vector: nn.NewNetwork packs a model's parameters into one weight
+# slab and one gradient slab (DESIGN.md, "Parallel substrate"), so nothing
+# keeps state per parameter or walks them one at a time. A map keyed by
+# parameter is per-parameter state growing back (momentum was one, weight
+# decay the knob that read the values beside it); a loop over Params() outside
+# internal/nn rebuilds the flat layout by hand.
+if grep -rnE 'map\[\*(nn\.)?Param\]|paramsFor|WeightDecay' --include='*.go' . >&2; then
+	echo "one vector: the lines above keep per-parameter state or the removed weight decay" >&2
+	exit 1
+fi
+if grep -rnE 'range .*\.Params\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/nn/' >&2; then
+	echo "one vector: the lines above loop over Params() outside internal/nn; use the slab" >&2
+	exit 1
+fi
+
 # Docs budget (ROADMAP item 0b): a CHANGES.md entry is at most 1,200 bytes —
 # claim, what was expected to move, what must not move, verdict. An entry
 # runs from its "- PR N" line to the next one. Entries numbered below
