@@ -11,7 +11,11 @@ package fl
 // accuracy cost is the untransmitted (smallest-magnitude) coordinates
 // reverting to the reference.
 
-import "ecofl/internal/tensor"
+import (
+	"math"
+
+	"ecofl/internal/tensor"
+)
 
 // AsyncMixSparse applies the FedAsync update w ← (1−α)w + α·u in place,
 // where u is ref overlaid with vals at the strictly ascending indices idx —
@@ -31,51 +35,86 @@ func AsyncMixSparse(global, ref []float64, idx []uint32, vals []float64, alpha f
 	}
 }
 
+// Magnitude buckets for top-k selection. A non-negative float64 orders like
+// its bit pattern, so bits >> magShift — the 11 exponent bits and the top two
+// mantissa bits, a quarter binade — is a bucket index that never decreases
+// with |d|. 8192 uint32 counts are 32 KB, on the stack; masking the index,
+// a no-op on a pattern without a sign bit, spares the bounds check.
+const (
+	magShift     = 50
+	magBuckets   = 1 << (63 - magShift)
+	magNonFinite = 0x7FF << (52 - magShift) // the first bucket of ±Inf and NaN
+)
+
 // TopKDelta selects the k coordinates where w diverges most from ref (by
 // |w[i]−ref[i]|) and appends their indices (strictly ascending) and new
 // values to idx[:0] and vals[:0], reusing the destination capacity.
 // Coordinates that did not move at all are never selected, so the result
 // may hold fewer than k pairs; ties at the selection threshold are broken
 // deterministically in index order. k ≥ len(w) selects exactly the changed
-// coordinates (a lossless sparse encoding of w against ref).
+// coordinates (a lossless sparse encoding of w against ref). Every
+// |w[i]−ref[i]| must be finite; TopKDeltaFinite says whether it was.
 func TopKDelta(w, ref []float64, k int, idx []uint32, vals []float64) ([]uint32, []float64) {
+	idx, vals, _ = TopKDeltaFinite(w, ref, k, idx, vals)
+	return idx, vals
+}
+
+// TopKDeltaFinite is TopKDelta that also reports whether every |w[i]−ref[i]|
+// is finite. When one is not, it selects nothing and returns false: no
+// selection ships a NaN, and a sparse push would silently revert it to ref.
+func TopKDeltaFinite(w, ref []float64, k int, idx []uint32, vals []float64) ([]uint32, []float64, bool) {
 	idx, vals = idx[:0], vals[:0]
 	n := len(w)
-	if k <= 0 || n == 0 {
-		return idx, vals
+	if n == 0 {
+		return idx, vals, true
 	}
-	if k > n {
-		k = n
-	}
-	// Selection threshold: the kth largest |w−ref|. The magnitudes are
-	// computed once into pooled scratch (the training hot path must not
-	// churn allocations) and kept unmutated, so the count and collect
-	// passes below read the cheap single array instead of re-deriving
-	// |w−ref| from two model-sized ones.
+	ref = ref[:n]
+	// The magnitudes are computed once into pooled scratch (the training hot
+	// path must not churn allocations) and kept unmutated, so the passes
+	// below read the cheap single array instead of re-deriving |w−ref| from
+	// two model-sized ones. The same pass histograms them by bucket.
 	scratch := tensor.GetBufUninit(n)
+	defer tensor.PutBuf(scratch)
 	mags := scratch.Data[:n]
-	for i := range mags {
-		d := w[i] - ref[i]
-		if d < 0 {
-			d = -d
-		}
+	var hist [magBuckets]uint32
+	for i, v := range w {
+		d := math.Abs(v - ref[i])
 		mags[i] = d
+		hist[math.Float64bits(d)>>magShift&(magBuckets-1)]++
+	}
+	for _, c := range hist[magNonFinite:] {
+		if c != 0 {
+			return idx, vals, false
+		}
+	}
+	if k <= 0 {
+		return idx, vals, true
+	}
+	k = min(k, n)
+
+	// Selection threshold τ: the kth largest |w−ref|. Walking down from the
+	// top bucket finds the one that holds it, with above larger magnitudes
+	// in the buckets over it; τ is the (k−above)th largest in that bucket.
+	b, above := magNonFinite-1, 0
+	for above+int(hist[b]) < k {
+		above += int(hist[b])
+		b--
 	}
 	heap := tensor.GetBufUninit(k)
-	tau := kthLargest(mags, k, heap.Data)
-	tensor.PutBuf(heap)
-
-	// Count how many coordinates sit strictly above the threshold (fewer
-	// than k by definition of the kth largest); the remaining budget goes to
-	// coordinates exactly at it, taken in index order. A zero threshold
-	// means fewer than k coordinates moved at all; transmitting v == ref[i]
-	// would be a no-op, so ties at zero are skipped.
-	above := 0
-	for _, d := range mags {
+	top := bucketTop(mags, uint64(b), k-above, heap.Data)
+	tau := top[0]
+	// Every magnitude strictly above τ is in a higher bucket or among the
+	// bucket's top candidates, so counting those counts them all (fewer than
+	// k by definition of the kth largest). The remaining budget goes to
+	// coordinates exactly at τ, taken in index order. A zero threshold means
+	// fewer than k coordinates moved at all; transmitting v == ref[i] would
+	// be a no-op, so ties at zero are skipped.
+	for _, d := range top {
 		if d > tau {
 			above++
 		}
 	}
+	tensor.PutBuf(heap)
 	allowEq := 0
 	if tau > 0 {
 		allowEq = k - above
@@ -91,28 +130,33 @@ func TopKDelta(w, ref []float64, k int, idx []uint32, vals []float64) ([]uint32,
 		idx = append(idx, uint32(i))
 		vals = append(vals, w[i])
 	}
-	tensor.PutBuf(scratch)
-	return idx, vals
+	return idx, vals, true
 }
 
-// kthLargest returns the k-th largest element of a (1-based, 1 ≤ k ≤
-// len(a)) without mutating a, using h (len ≥ k) as scratch. A size-k
-// min-heap tracks the k largest values seen; its root is the running
-// threshold, so for k ≪ len(a) almost every element is rejected with a
-// single compare. Value arithmetic only — deterministic by construction.
-func kthLargest(a []float64, k int, h []float64) float64 {
-	h = h[:k]
-	copy(h, a[:k])
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDownMin(h, i)
-	}
-	for _, v := range a[k:] {
-		if v > h[0] {
-			h[0] = v
+// bucketTop returns the k largest (1 ≤ k ≤ the bucket's count) of the
+// magnitudes in bucket b as a min-heap in h[:k] (len(h) ≥ k), its root the kth
+// largest. The heap's root is the running threshold: a candidate that does
+// not beat it costs one compare, and every other magnitude is rejected by its
+// bucket alone. Value arithmetic only — deterministic by construction.
+func bucketTop(mags []float64, b uint64, k int, h []float64) []float64 {
+	h = h[:0]
+	for _, d := range mags {
+		if math.Float64bits(d)>>magShift != b {
+			continue
+		}
+		switch {
+		case len(h) < k:
+			if h = append(h, d); len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDownMin(h, i)
+				}
+			}
+		case d > h[0]:
+			h[0] = d
 			siftDownMin(h, 0)
 		}
 	}
-	return h[0]
+	return h
 }
 
 // siftDownMin restores the min-heap property of h below index i.

@@ -239,6 +239,55 @@ func TestPushAllocsFlatWithJournalOff(t *testing.T) {
 	}
 }
 
+// TestCodecPushAllocBudget pins what a steady-state quantized and sparse push
+// allocate, client and server together, with the journal off: 3 objects, the
+// same as before their encoders had vector bodies and a histogram (the
+// encoders' scratch is pooled or on the stack). The least of a few windows is
+// compared, so a stray runtime allocation in one window does not count.
+func TestCodecPushAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const budget = 3
+	vecs := make([][]float64, 4)
+	for j := range vecs {
+		vecs[j] = make([]float64, 64)
+		for i := range vecs[j] {
+			vecs[j][i] = float64((i*7+j*13)%17) / 8
+		}
+	}
+	for _, codec := range codecPushes[1:] {
+		t.Run(codec.name, func(t *testing.T) {
+			s := startServer(t, make([]float64, 64), 0.5)
+			c, err := Dial(s.Addr(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			v := 0
+			allocsPerPush := func(pushes int) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < pushes; i++ {
+					if _, v, err = codec.push(c, vecs[i%len(vecs)], v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs-before.Mallocs) / float64(pushes)
+			}
+			allocsPerPush(19) // the first push is dense; connection and pools warm up
+			least := allocsPerPush(40)
+			for w := 0; w < 3; w++ {
+				least = min(least, allocsPerPush(40))
+			}
+			if least > budget {
+				t.Fatalf("a steady-state %s push allocates %.2f objects, budget %d", codec.name, least, budget)
+			}
+		})
+	}
+}
+
 // BenchmarkPushJournal measures the 100k-weight push round trip with the
 // flight recorder nil, attached-but-disabled, and recording on both ends —
 // the satellite overhead guard: nil must be free, recording <2% (gated via

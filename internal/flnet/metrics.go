@@ -111,7 +111,7 @@ var (
 		"current adaptive L2 norm-gate admission threshold (0 until warm)")
 
 	cliSparseFallbacks = metrics.GetCounter("ecofl_flnet_client_sparse_fallbacks_total",
-		"sparse pushes sent dense instead (no reference, sparsity unprofitable, or base rejected)")
+		"sparse pushes sent dense instead (no reference, a non-finite delta, sparsity unprofitable, or base rejected)")
 
 	srvCompressionRatio = compressionGauge{g: metrics.GetGauge(
 		"ecofl_flnet_server_push_compression_ratio",

@@ -2,9 +2,9 @@ package flnet
 
 import (
 	"errors"
-	"math"
 
 	"ecofl/internal/flnet/wire"
+	"ecofl/internal/tensor"
 )
 
 // Quantized is an affine int8 quantization of a float64 vector: each value
@@ -17,35 +17,17 @@ type Quantized struct {
 	Data  []uint8
 }
 
-// QuantizeInto encodes w into q, reusing q.Data's capacity (same discipline
-// as the tensor buffer pool: the caller owns and recycles the storage) —
-// hot paths quantize every push. A constant vector quantizes with Scale 0.
-// Returns q.
+// QuantizeInto encodes w into q with tensor.QuantizeU8, reusing q.Data's
+// capacity (same discipline as the tensor buffer pool: the caller owns and
+// recycles the storage) — hot paths quantize every push. A constant vector
+// quantizes with Scale 0; a vector with a non-finite element with Min and
+// Scale NaN, which wire.ParseQuant refuses. Returns q.
 func QuantizeInto(w []float64, q *Quantized) *Quantized {
 	if cap(q.Data) < len(w) {
 		q.Data = make([]uint8, len(w))
 	}
 	q.Data = q.Data[:len(w)]
-	q.Min, q.Scale = 0, 0
-	if len(w) == 0 {
-		return q
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range w {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	q.Min = lo
-	if hi > lo {
-		q.Scale = (hi - lo) / 255
-		for i, v := range w {
-			q.Data[i] = uint8(math.Round((v - lo) / q.Scale))
-		}
-	} else {
-		for i := range q.Data {
-			q.Data[i] = 0
-		}
-	}
+	q.Min, q.Scale = tensor.QuantizeU8(q.Data, w)
 	return q
 }
 
@@ -63,14 +45,23 @@ func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 // PushQuantized submits a quantized update; the server dequantizes before
 // mixing. The returned global model is full precision. The quantization
 // buffer is owned by the client and reused across pushes (QuantizeInto), so
-// a steady-state quantized uplink does not churn allocations.
+// a steady-state quantized uplink does not churn allocations. An update the
+// quantized payload cannot carry — a non-finite weight, or a range that
+// overflows — goes as a dense Push instead, so it meets the server's gate
+// (quarantine) rather than the frame parser (a dropped connection).
 func (c *Client) PushQuantized(w []float64, samples, baseVersion int) ([]float64, int, error) {
 	c.scratchMu.Lock()
-	defer c.scratchMu.Unlock()
+	q := QuantizeInto(w, &c.qbuf)
+	if !finite(q.Min, q.Scale) {
+		c.scratchMu.Unlock()
+		c.opts.Journal.Record("quant.dense", baseVersion, c.ID, "reason", "non-finite")
+		return c.Push(w, samples, baseVersion)
+	}
 	rep, err := c.pushRoundTrip(&request{
-		Kind: wire.KindPush, ClientID: c.ID, Quant: QuantizeInto(w, &c.qbuf),
+		Kind: wire.KindPush, ClientID: c.ID, Quant: q,
 		NumSamples: samples, BaseVersion: baseVersion,
 	})
+	c.scratchMu.Unlock()
 	if err != nil {
 		return nil, 0, err
 	}

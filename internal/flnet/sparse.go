@@ -6,7 +6,8 @@ package flnet
 // or profitably. The fallback is always correct — a dense push needs no
 // shared reference — so sparse mode degrades gracefully rather than
 // failing: first push of a session, reference lost to a server restart,
-// or a delta too dense to pay all silently re-sync dense.
+// a delta too dense to pay or one with a non-finite coordinate all silently
+// re-sync dense.
 
 import (
 	"strings"
@@ -23,7 +24,9 @@ import (
 // when
 //   - no usable reference exists yet (first push, reconnect after Close,
 //     dimension change),
-//   - the delta is too dense for the sparse encoding to beat raw bytes, or
+//   - the delta is too dense for the sparse encoding to beat raw bytes,
+//   - a coordinate of the delta is not finite (the dense push meets the
+//     server's gate and is quarantined, where a selection would drop it), or
 //   - the server rejects the base version (its dedup window moved on, e.g.
 //     across a checkpoint restart) — the dense re-sync re-seeds both sides.
 func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float64, int, error) {
@@ -32,21 +35,25 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 	c.trackRef = true
 	haveRef := len(w) > 0 && len(c.refW) == len(w)
 	var refV int
+	finite := true
 	if haveRef {
-		c.sparseIdx, c.sparseVal = fl.TopKDelta(w, c.refW, topK, c.sparseIdx, c.sparseVal)
+		c.sparseIdx, c.sparseVal, finite = fl.TopKDeltaFinite(w, c.refW, topK, c.sparseIdx, c.sparseVal)
 		refV = c.refV
 	}
 	c.refMu.Unlock()
-	if !haveRef {
-		c.scratchMu.Unlock()
-		cliSparseFallbacks.Inc()
-		c.opts.Journal.Record("sparse.resync", baseVersion, c.ID, "reason", "no-ref")
-		return c.Push(w, samples, baseVersion)
+	var reason string
+	switch {
+	case !haveRef:
+		reason = "no-ref"
+	case !finite:
+		reason = "non-finite"
+	case wire.SparseSize(len(c.sparseIdx)) >= 8*len(w):
+		reason = "too-dense"
 	}
-	if wire.SparseSize(len(c.sparseIdx)) >= 8*len(w) {
+	if reason != "" {
 		c.scratchMu.Unlock()
 		cliSparseFallbacks.Inc()
-		c.opts.Journal.Record("sparse.resync", baseVersion, c.ID, "reason", "too-dense")
+		c.opts.Journal.Record("sparse.resync", baseVersion, c.ID, "reason", reason)
 		return c.Push(w, samples, baseVersion)
 	}
 	rep, err := c.pushRoundTrip(&request{

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"path/filepath"
@@ -199,5 +200,66 @@ func TestCheckpointRejectsNonFinite(t *testing.T) {
 	inf := &Checkpoint{Weights: []float64{math.Inf(1), 0, 0}}
 	if _, err := NewServerOpts(ln, []float64{0, 0, 0}, ServerOptions{Alpha: 0.5, Resume: inf}); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("Resume accepted a poisoned checkpoint: %v", err)
+	}
+}
+
+// codecPushes are the client's three ways to push an update, raw, quantized
+// and sparse (top 4, which the updates below exceed).
+var codecPushes = []struct {
+	name string
+	push func(c *Client, w []float64, v int) ([]float64, int, error)
+}{
+	{"raw", func(c *Client, w []float64, v int) ([]float64, int, error) { return c.Push(w, 1, v) }},
+	{"quant", func(c *Client, w []float64, v int) ([]float64, int, error) { return c.PushQuantized(w, 1, v) }},
+	{"sparse", func(c *Client, w []float64, v int) ([]float64, int, error) { return c.PushDelta(w, 1, v, 4) }},
+}
+
+// A non-finite update gets one verdict whatever the codec: acked and
+// quarantined, the model untouched, no retry and no reconnect. The quantized
+// and the sparse payload cannot carry it — the frame parser refuses NaN
+// quantization parameters, and a top-k selection would never pick the NaN
+// and leave it applied as the reference — so those clients send it dense.
+func TestNonFiniteUpdateQuarantinedPerCodec(t *testing.T) {
+	for _, codec := range codecPushes {
+		for _, poison := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s/%v", codec.name, poison), func(t *testing.T) {
+				s := startServer(t, make([]float64, 8), 0.5)
+				c, err := DialOptions(s.Addr(), 0, fastOptions(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				// An honest push first, which gives the sparse client its reference.
+				w, v, err := codec.push(c, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before, _ := s.Snapshot()
+				upd := append([]float64(nil), w...)
+				for i := range upd {
+					upd[i] += float64(i) / 8
+				}
+				upd[5] = poison
+				got, gotV, err := codec.push(c, upd, v)
+				if err != nil {
+					t.Fatalf("poisoned push: %v, want a quarantine ack", err)
+				}
+				if s.Quarantined() != 1 {
+					t.Fatalf("Quarantined() = %d, want 1", s.Quarantined())
+				}
+				if retries, reconnects := c.Stats(); retries != 0 || reconnects != 0 {
+					t.Fatalf("%d retries and %d reconnects, want none", retries, reconnects)
+				}
+				after, afterV := s.Snapshot()
+				if gotV != v || afterV != v {
+					t.Fatalf("version moved: v%d, ack v%d, server v%d", v, gotV, afterV)
+				}
+				for i := range before {
+					if math.Float64bits(after[i]) != math.Float64bits(before[i]) || math.Float64bits(got[i]) != math.Float64bits(before[i]) {
+						t.Fatalf("weight %d moved: %v → server %v, ack %v", i, before[i], after[i], got[i])
+					}
+				}
+			})
+		}
 	}
 }

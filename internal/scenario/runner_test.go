@@ -284,34 +284,40 @@ func TestRunFLWithAttack(t *testing.T) {
 }
 
 // TestRunFLNetWithAttackNormGate pushes NaN-corrupted updates through the
-// real transport with the server's norm gate armed: poisoned pushes are
-// quarantined, the model stays finite, and the run completes cleanly.
+// real transport with the server's norm gate armed, once per codec: poisoned
+// pushes are quarantined, the model stays finite, and the run completes
+// cleanly. A quantized or sparse client sends its poisoned update dense, so
+// the verdict does not depend on the codec.
 func TestRunFLNetWithAttackNormGate(t *testing.T) {
-	spec, err := Parse([]byte(`{
-	  "name": "flnet-attack",
-	  "topology": "flnet",
-	  "seed": 11,
-	  "fleet": {"clients": 4, "dataset_size": 200, "local_epochs": 1},
-	  "aggregation": {"alpha": 0.5},
-	  "wire": {"codec": "raw"},
-	  "attack": {"fraction": 0.5, "mode": "nan",
-	             "defense": {"norm_gate": true}},
-	  "run": {"rounds": 6}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := runDeclared(t, spec, RunOptions{})
-	if rep.Metrics["adversary_corruptions"] <= 0 {
-		t.Errorf("50%% nan adversary corrupted nothing: %+v", rep.Metrics)
-	}
-	if rep.Metrics["quarantined_pushes"] <= 0 {
-		t.Errorf("NaN pushes were not quarantined: %+v", rep.Metrics)
-	}
-	if rep.Metrics["push_failures"] > 0 {
-		t.Errorf("quarantine must ack, not error: %v push failures", rep.Metrics["push_failures"])
-	}
-	if f, ok := rep.Metrics["final_accuracy"]; !ok || f <= 0 {
-		t.Errorf("attacked flnet run produced no usable model: final %v", f)
+	for _, codec := range []string{CodecRaw, CodecQuant, CodecSparse} {
+		t.Run(codec, func(t *testing.T) {
+			spec, err := Parse([]byte(`{
+			  "name": "flnet-attack",
+			  "topology": "flnet",
+			  "seed": 11,
+			  "fleet": {"clients": 4, "dataset_size": 200, "local_epochs": 1},
+			  "aggregation": {"alpha": 0.5},
+			  "wire": {"codec": "` + codec + `"},
+			  "attack": {"fraction": 0.5, "mode": "nan",
+			             "defense": {"norm_gate": true}},
+			  "run": {"rounds": 6}
+			}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := runDeclared(t, spec, RunOptions{})
+			if rep.Metrics["adversary_corruptions"] <= 0 {
+				t.Errorf("50%% nan adversary corrupted nothing: %+v", rep.Metrics)
+			}
+			if rep.Metrics["quarantined_pushes"] <= 0 {
+				t.Errorf("NaN pushes were not quarantined: %+v", rep.Metrics)
+			}
+			if rep.Metrics["push_failures"] > 0 {
+				t.Errorf("quarantine must ack, not error: %v push failures", rep.Metrics["push_failures"])
+			}
+			if f, ok := rep.Metrics["final_accuracy"]; !ok || f <= 0 {
+				t.Errorf("attacked flnet run produced no usable model: final %v", f)
+			}
+		})
 	}
 }

@@ -175,9 +175,16 @@ func metricsOf(s *Spec) []string {
 		}
 	}
 	// Clients 0–2 between them push every codec the fleet uses (a mixed fleet
-	// cycles raw, quant, sparse by id).
+	// cycles raw, quant, sparse by id). Every client can push raw: a sparse
+	// client's first push and its re-syncs are dense, and a quantized or
+	// sparse client sends a non-finite update dense.
+	if net {
+		names = append(names, "push_bytes_total_"+CodecRaw, "bytes_per_push_"+CodecRaw)
+	}
 	for i := 0; net && i < 3 && i < s.Fleet.Clients; i++ {
-		names = append(names, "push_bytes_total_"+clientCodec(s, i), "bytes_per_push_"+clientCodec(s, i))
+		if codec := clientCodec(s, i); codec != CodecRaw {
+			names = append(names, "push_bytes_total_"+codec, "bytes_per_push_"+codec)
+		}
 	}
 	return names
 }

@@ -2,11 +2,11 @@
 
 package tensor
 
-// useAsm selects the AVX2 bodies of axpy and axpy4 (kernels_amd64.s) over
-// the Go ones. It is decided once, here, from what the CPU and the OS
-// support; the tests flip it to run every kernel table under both bodies.
-// Under -race the Go bodies run instead (kernels_generic.go): the race
-// detector cannot see the memory an assembly body touches.
+// useAsm selects the AVX2 bodies of axpy, axpy4, minMax and quantize
+// (kernels_amd64.s) over the Go ones. It is decided once, here, from what the
+// CPU and the OS support; the tests flip it to run every kernel table under
+// both bodies. Under -race the Go bodies run instead (kernels_generic.go):
+// the race detector cannot see the memory an assembly body touches.
 var useAsm = hasAVX2()
 
 // hasAVX2 reports whether the CPU implements AVX2 (CPUID) and the OS saves
@@ -18,6 +18,12 @@ func axpyAVX2(o []float64, av float64, b []float64)
 
 //go:noescape
 func axpy4AVX2(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64)
+
+//go:noescape
+func minMaxAVX2(w []float64) (lo, hi float64, finite bool)
+
+//go:noescape
+func quantizeAVX2(dst []uint8, w []float64, lo, scale float64)
 
 // axpy adds av·b to o element-wise; len(b) must be at least len(o).
 func axpy(o []float64, av float64, b []float64) {
@@ -38,4 +44,24 @@ func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
 		return
 	}
 	axpy4Go(o, a0, a1, a2, a3, b0, b1, b2, b3)
+}
+
+// minMax returns the least and the greatest element of w (a zero minimum
+// with either sign) and whether every element is finite.
+func minMax(w []float64) (lo, hi float64, finite bool) {
+	if useAsm {
+		return minMaxAVX2(w)
+	}
+	return minMaxGo(w)
+}
+
+// quantize writes round((w[i] − lo) / scale) to dst[i]; len(dst) must be at
+// least len(w).
+func quantize(dst []uint8, w []float64, lo, scale float64) {
+	dst = dst[:len(w)]
+	if useAsm {
+		quantizeAVX2(dst, w, lo, scale)
+		return
+	}
+	quantizeGo(dst, w, lo, scale)
 }

@@ -2,11 +2,13 @@
 
 #include "textflag.h"
 
-// The AVX2 bodies of axpy and axpy4 (kernels_amd64.go). Each output element
-// is formed exactly as the Go body forms it: a separate VMULPD and VADDPD per
-// product, never a fused multiply-add, and the products added in argument
-// order. Every instruction is VEX-encoded, the scalar tails included, and
-// VZEROUPPER precedes RET, so no SSE code runs with a dirty upper YMM state.
+// The AVX2 bodies of axpy, axpy4, minMax and quantize (kernels_amd64.go).
+// Each output element is formed exactly as the Go body forms it: in axpy and
+// axpy4 a separate VMULPD and VADDPD per product, never a fused multiply-add,
+// and the products added in argument order; in quantize a VDIVPD, never a
+// multiply by the reciprocal. Every instruction is VEX-encoded, the scalar
+// tails included, and VZEROUPPER precedes RET, so no SSE code runs with a
+// dirty upper YMM state.
 
 // func axpyAVX2(o []float64, av float64, b []float64)
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
@@ -129,6 +131,182 @@ axpy4_scalar:
 	JMP    axpy4_scalar
 
 axpy4_done:
+	VZEROUPPER
+	RET
+
+// func minMaxAVX2(w []float64) (lo, hi float64, finite bool)
+//
+// Y0/Y3 fold the minimum, Y1/Y4 the maximum and Y2/Y5 the sum of v − v, which
+// is +0 for a finite v and NaN for ±Inf or NaN. VMINPD may return either zero
+// of a ±0 pair; the caller settles the sign of a zero minimum.
+TEXT ·minMaxAVX2(SB), NOSPLIT, $0-41
+	MOVQ         w_base+0(FP), SI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         $0x7ff0000000000000, AX // +Inf
+	VMOVQ        AX, X0
+	VBROADCASTSD X0, Y0
+	VMOVAPD      Y0, Y3
+	MOVQ         $-0x10000000000000, AX  // -Inf
+	VMOVQ        AX, X1
+	VBROADCASTSD X1, Y1
+	VMOVAPD      Y1, Y4
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y5, Y5, Y5
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	JZ           minmax_vec4
+
+minmax_loop8:
+	VMOVUPD (SI)(AX*8), Y6
+	VMOVUPD 32(SI)(AX*8), Y7
+	VMINPD  Y6, Y0, Y0
+	VMINPD  Y7, Y3, Y3
+	VMAXPD  Y6, Y1, Y1
+	VMAXPD  Y7, Y4, Y4
+	VSUBPD  Y6, Y6, Y6
+	VSUBPD  Y7, Y7, Y7
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y5, Y5
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JB      minmax_loop8
+	VMINPD  Y3, Y0, Y0
+	VMAXPD  Y4, Y1, Y1
+	VADDPD  Y5, Y2, Y2
+
+minmax_vec4:
+	MOVQ    CX, DX
+	SUBQ    AX, DX
+	CMPQ    DX, $4
+	JB      minmax_fold
+	VMOVUPD (SI)(AX*8), Y6
+	VMINPD  Y6, Y0, Y0
+	VMAXPD  Y6, Y1, Y1
+	VSUBPD  Y6, Y6, Y6
+	VADDPD  Y6, Y2, Y2
+	ADDQ    $4, AX
+
+minmax_fold:
+	VEXTRACTF128 $1, Y0, X3
+	VMINPD       X3, X0, X0
+	VEXTRACTF128 $1, Y1, X4
+	VMAXPD       X4, X1, X1
+	VEXTRACTF128 $1, Y2, X5
+	VADDPD       X5, X2, X2
+	VUNPCKHPD    X0, X0, X3
+	VMINSD       X3, X0, X0
+	VUNPCKHPD    X1, X1, X4
+	VMAXSD       X4, X1, X1
+	VUNPCKHPD    X2, X2, X5
+	VADDSD       X5, X2, X2
+
+minmax_scalar:
+	CMPQ   AX, CX
+	JAE    minmax_done
+	VMOVSD (SI)(AX*8), X6
+	VMINSD X6, X0, X0
+	VMAXSD X6, X1, X1
+	VSUBSD X6, X6, X6
+	VADDSD X6, X2, X2
+	INCQ   AX
+	JMP    minmax_scalar
+
+minmax_done:
+	VMOVSD   X0, lo+24(FP)
+	VMOVSD   X1, hi+32(FP)
+	VUCOMISD X2, X2            // unordered: some v − v was NaN
+	SETPC    finite+40(FP)
+	VZEROUPPER
+	RET
+
+// func quantizeAVX2(dst []uint8, w []float64, lo, scale float64)
+//
+// Per element: x = (v − lo) / scale, t = trunc(x), t += 1 where x − t ≥ 0.5
+// (x − t is exact, so this is math.Round for 0 ≤ x < 2⁵²), then the low byte
+// of the truncating int32 conversion, which is what Go's uint8(t) is on amd64
+// (0 for a NaN or an infinite t).
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         w_base+24(FP), SI
+	MOVQ         w_len+32(FP), CX
+	VBROADCASTSD lo+48(FP), Y0
+	VBROADCASTSD scale+56(FP), Y1
+	MOVQ         $0x3fe0000000000000, AX // 0.5
+	VMOVQ        AX, X2
+	VBROADCASTSD X2, Y2
+	MOVQ         $0x3ff0000000000000, AX // 1.0
+	VMOVQ        AX, X3
+	VBROADCASTSD X3, Y3
+	MOVL         $0x0c080400, AX         // VPSHUFB: byte 0 of each doubleword to bytes 0–3
+	VMOVD        AX, X8
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	JZ           quant_vec4
+
+quant_loop8:
+	VMOVUPD     (SI)(AX*8), Y4
+	VMOVUPD     32(SI)(AX*8), Y5
+	VSUBPD      Y0, Y4, Y4
+	VSUBPD      Y0, Y5, Y5
+	VDIVPD      Y1, Y4, Y4
+	VDIVPD      Y1, Y5, Y5
+	VROUNDPD    $3, Y4, Y6
+	VROUNDPD    $3, Y5, Y7
+	VSUBPD      Y6, Y4, Y4
+	VSUBPD      Y7, Y5, Y5
+	VCMPPD      $0x1d, Y2, Y4, Y4 // x − t ≥ 0.5, ordered
+	VCMPPD      $0x1d, Y2, Y5, Y5
+	VANDPD      Y3, Y4, Y4
+	VANDPD      Y3, Y5, Y5
+	VADDPD      Y4, Y6, Y6
+	VADDPD      Y5, Y7, Y7
+	VCVTTPD2DQY Y6, X6
+	VCVTTPD2DQY Y7, X7
+	VPSHUFB     X8, X6, X6
+	VPSHUFB     X8, X7, X7
+	VPUNPCKLDQ  X7, X6, X6
+	VMOVQ       X6, (DI)(AX*1)
+	ADDQ        $8, AX
+	CMPQ        AX, DX
+	JB          quant_loop8
+
+quant_vec4:
+	MOVQ        CX, DX
+	SUBQ        AX, DX
+	CMPQ        DX, $4
+	JB          quant_scalar
+	VMOVUPD     (SI)(AX*8), Y4
+	VSUBPD      Y0, Y4, Y4
+	VDIVPD      Y1, Y4, Y4
+	VROUNDPD    $3, Y4, Y6
+	VSUBPD      Y6, Y4, Y4
+	VCMPPD      $0x1d, Y2, Y4, Y4
+	VANDPD      Y3, Y4, Y4
+	VADDPD      Y4, Y6, Y6
+	VCVTTPD2DQY Y6, X6
+	VPSHUFB     X8, X6, X6
+	VMOVD       X6, (DI)(AX*1)
+	ADDQ        $4, AX
+
+quant_scalar:
+	CMPQ       AX, CX
+	JAE        quant_done
+	VMOVSD     (SI)(AX*8), X4
+	VSUBSD     X0, X4, X4
+	VDIVSD     X1, X4, X4
+	VROUNDSD   $3, X4, X4, X6
+	VSUBSD     X6, X4, X4
+	VCMPSD     $0x1d, X2, X4, X4
+	VANDPD     X3, X4, X4
+	VADDSD     X4, X6, X6
+	VCVTTSD2SI X6, BX
+	MOVB       BX, (DI)(AX*1)
+	INCQ       AX
+	JMP        quant_scalar
+
+quant_done:
 	VZEROUPPER
 	RET
 

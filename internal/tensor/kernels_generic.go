@@ -16,3 +16,11 @@ func axpy(o []float64, av float64, b []float64) { axpyGo(o, av, b) }
 func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
 	axpy4Go(o, a0, a1, a2, a3, b0, b1, b2, b3)
 }
+
+// minMax returns the least and the greatest element of w (a zero minimum
+// with either sign) and whether every element is finite.
+func minMax(w []float64) (lo, hi float64, finite bool) { return minMaxGo(w) }
+
+// quantize writes round((w[i] − lo) / scale) to dst[i]; len(dst) must be at
+// least len(w).
+func quantize(dst []uint8, w []float64, lo, scale float64) { quantizeGo(dst, w, lo, scale) }

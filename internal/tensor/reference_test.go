@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -295,6 +296,160 @@ func FuzzAxpyBodies(f *testing.F) {
 		}
 		if i, ok := sameBits(asmFour, goFour); !ok {
 			t.Fatalf("axpy4 n=%d: element %d is %v under assembly, %v under Go", n, i, asmFour.Data[i], goFour.Data[i])
+		}
+	})
+}
+
+// refQuantize is the quantizer as the uplink codec first shipped it
+// (flnet.QuantizeInto): math.Min and math.Max folds, then math.Round of each
+// (v − lo) / scale. It is the definition of the bytes QuantizeU8 must
+// produce, under both bodies, for every finite input.
+func refQuantize(dst []uint8, w []float64) (lo, scale float64) {
+	dst = dst[:len(w)]
+	if len(w) == 0 {
+		return 0, 0
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range w {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	if hi > lo {
+		scale = (hi - lo) / 255
+		for i, v := range w {
+			dst[i] = uint8(math.Round((v - lo) / scale))
+		}
+	} else {
+		for i := range dst {
+			dst[i] = 0
+		}
+	}
+	return lo, scale
+}
+
+// TestQuantizeMatchesReferenceAtTheEdges pins, under each body, the finite
+// inputs whose bytes come from the corners of the arithmetic: a range of a
+// few subnormal ulps whose scale underflows to zero (x is +Inf or NaN) or
+// rounds down to one ulp (x passes 255 and the byte wraps), a range that
+// overflows to an infinite scale, zero extremes of either sign, ties at x.5
+// and the largest double below one half.
+func TestQuantizeMatchesReferenceAtTheEdges(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ulp := math.SmallestNonzeroFloat64
+	for _, w := range [][]float64{
+		{0, ulp, 2 * ulp, 0, ulp},
+		{0, 381 * ulp, 200 * ulp, 380 * ulp, 7 * ulp},
+		{-1e308, 1e308, 0, 5e307, -3},
+		{1, negZero, 0, 2, 3},
+		{0, negZero, 0, negZero},
+		{-1, negZero, 0, -2},
+		{0, 255, 0.5, 1.5, 2.5, 253.5, 254.5},
+		{0, 255, 0.49999999999999994, 127.49999999999999, 254.49999999999997},
+	} {
+		want := make([]uint8, len(w))
+		wantLo, wantScale := refQuantize(want, w)
+		forEachBody(t, func(t *testing.T) {
+			got := make([]uint8, len(w))
+			lo, scale := QuantizeU8(got, w)
+			if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(scale) != math.Float64bits(wantScale) {
+				t.Fatalf("%v: (Min, Scale) = (%v, %v), reference (%v, %v)", w, lo, scale, wantLo, wantScale)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v: bytes %v, reference %v", w, got, want)
+			}
+		})
+	}
+}
+
+// quantizeVector builds one of FuzzQuantizeBodies' vector shapes: n values
+// around a with spread b, a constant, subnormals, ties at x.5, a zero
+// minimum or maximum of either sign, or values with specials mixed in.
+func quantizeVector(rng *rand.Rand, shape uint8, n int, a, b float64) []float64 {
+	negZero := math.Copysign(0, -1)
+	zero := func() float64 {
+		if rng.Intn(2) == 0 {
+			return negZero
+		}
+		return 0
+	}
+	w := make([]float64, n)
+	for i := range w {
+		switch shape % 7 {
+		case 0:
+			w[i] = a + b*rng.NormFloat64()
+		case 1:
+			w[i] = a
+		case 2: // subnormals, a few ulps apart: the scale can underflow
+			w[i] = float64(rng.Intn(600)-300) * 5e-324
+		case 3: // lo = 0, hi = 255, scale = 1: every x.5 is a tie
+			w[i] = float64(rng.Intn(255)) + 0.5
+		case 4: // the minimum is a zero of either sign
+			w[i] = math.Abs(rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				w[i] = zero()
+			}
+		case 5: // the maximum is a zero of either sign
+			w[i] = -math.Abs(rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				w[i] = zero()
+			}
+		case 6:
+			specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), a, b}
+			if w[i] = rng.NormFloat64(); rng.Intn(4) == 0 {
+				w[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	if shape%7 == 3 && n >= 2 {
+		w[rng.Intn(n)], w[rng.Intn(n)] = 0, 255
+	}
+	if n > 0 && shape%7 == 0 && rng.Intn(2) == 0 {
+		w[rng.Intn(n)] = b // an extreme the fuzzer picks: ±0, huge, tiny
+	}
+	return w
+}
+
+// FuzzQuantizeBodies holds QuantizeU8 to refQuantize under each body: for
+// every finite input Min and Scale must match bit for bit and the bytes byte
+// for byte; an input with ±Inf or NaN gives NaN parameters and zero bytes
+// under both. Each input runs at every length around the four- and
+// eight-wide steps, at an offset that unaligns the loads.
+func FuzzQuantizeBodies(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1), 0.0, 1.0)
+	f.Add(uint8(1), uint8(1), int64(2), math.Copysign(0, -1), 0.0)
+	f.Add(uint8(2), uint8(2), int64(3), 0.0, 0.0)
+	f.Add(uint8(3), uint8(3), int64(4), 0.0, 0.0)
+	f.Add(uint8(4), uint8(0), int64(5), 0.0, 0.0)
+	f.Add(uint8(5), uint8(1), int64(6), 0.0, 0.0)
+	f.Add(uint8(6), uint8(2), int64(7), 1e308, -1e308)
+	f.Add(uint8(0), uint8(3), int64(8), 1e308, -1e308)
+	f.Add(uint8(0), uint8(1), int64(9), 3.0, 1e-310)
+	f.Fuzz(func(t *testing.T, shape, off uint8, seed int64, a, b float64) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 31, 33} {
+			w := quantizeVector(rng, shape, int(off)%4+n, a, b)[int(off)%4:]
+			finite := true
+			for _, v := range w {
+				finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			}
+			want := make([]uint8, n)
+			wantLo, wantScale := math.NaN(), math.NaN()
+			if finite {
+				wantLo, wantScale = refQuantize(want, w)
+			}
+			forEachBody(t, func(t *testing.T) {
+				got := make([]uint8, n)
+				for i := range got {
+					got[i] = 0xAA // stale bytes must be overwritten
+				}
+				lo, scale := QuantizeU8(got, w)
+				if _, ok := sameBits(&Tensor{Data: []float64{lo, scale}}, &Tensor{Data: []float64{wantLo, wantScale}}); !ok {
+					t.Fatalf("n=%d %v: (Min, Scale) = (%v, %v), reference (%v, %v)", n, w, lo, scale, wantLo, wantScale)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("n=%d %v: bytes % x, reference % x", n, w, got, want)
+				}
+			})
 		}
 	})
 }

@@ -83,6 +83,25 @@ if grep -rnE 'range .*\.Params\(\)' --include='*.go' . | grep -v '_test\.go:' | 
 	exit 1
 fi
 
+# One encoder per uplink codec, at memory speed (DESIGN.md, "Tensor kernels"
+# and "Sparse-delta versioning"). The int8 quantizer is tensor.QuantizeU8, Go
+# and AVX2 bodies behind one switch: a second `/ 255` scale in the program is
+# a second quantizer body. Top-k selection histograms the magnitudes and runs
+# its heap on one bucket's candidates: a heap fed from anywhere but bucketTop
+# is the scan over all n growing back.
+quant_sites=$(grep -rnE --include='*.go' '/ ?255([^0-9.]|$)' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(grep -c . <<<"$quant_sites")" != 1 ] || ! grep -q '^\./internal/tensor/quantize\.go:' <<<"$quant_sites"; then
+	echo "one quantizer: want the one / 255 scale in internal/tensor/quantize.go, have:" >&2
+	echo "$quant_sites" >&2
+	exit 1
+fi
+heap_fns=$(awk '/^func /{fn = $2; sub(/\(.*/, "", fn)} /siftDownMin\(/ && !/^func / && !/^[[:space:]]*\/\//{print fn}' $fl_src | sort -u)
+if [ "$heap_fns" != bucketTop ]; then
+	echo "one top-k heap: non-test internal/fl feeds siftDownMin from, want bucketTop alone:" >&2
+	echo "$heap_fns" >&2
+	exit 1
+fi
+
 # Docs budget (ROADMAP item 0b): a CHANGES.md entry is at most 1,200 bytes —
 # claim, what was expected to move, what must not move, verdict. An entry
 # runs from its "- PR N" line to the next one. Entries numbered below
@@ -151,7 +170,8 @@ go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/exe
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network or a checkpoint file, the churn-trace loader, the divergence
-# bounds and the tensor kernels' assembly bodies against their Go ones (plain
+# bounds, the tensor kernels' assembly bodies against their Go ones and the
+# uplink encoders against the bodies they replaced (plain
 # `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
@@ -164,6 +184,8 @@ fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
 fuzz FuzzParseTraceSet ./internal/device
 fuzz FuzzJSBounds ./internal/stats
 fuzz FuzzAxpyBodies ./internal/tensor
+fuzz FuzzQuantizeBodies ./internal/tensor
+fuzz FuzzTopKDeltaBodies ./internal/fl
 echo "fuzz: $((SECONDS - fuzz_start))s"
 
 # Every example spec runs through the one spec runner, end to end: spec
