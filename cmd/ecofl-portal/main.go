@@ -19,7 +19,6 @@ import (
 	"ecofl/internal/flnet"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
 	"ecofl/internal/pipeline/runtime"
 )
@@ -43,12 +42,12 @@ func main() {
 	datasetSize := flag.Int("dataset-size", 4000, "synthetic dataset size")
 	quantize := flag.Bool("quantize", false, "push int8-quantized updates (8x smaller uplink)")
 	sparseTopK := flag.Int("sparse-topk", 0, "push top-k sparse deltas against the last-acked model (0 disables; overrides --quantize)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace (chrome://tracing) of the pipeline here on exit")
-	telemetry := flag.Bool("telemetry", false, "ship metrics and trace spans to the server (piggybacked on pushes)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace (chrome://tracing) of the recorder — pipeline spans and events — here on exit")
+	telemetry := flag.Bool("telemetry", false, "ship metrics and the recorder's events and spans to the server (piggybacked on pushes)")
 	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "background telemetry flush interval (0 = piggyback only)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-round-trip deadline (negative disables)")
 	retries := flag.Int("retries", 5, "round-trip retries over fresh connections before giving up (negative disables)")
-	journalCap := flag.Int("journal", 0, "flight-recorder events kept (0 disables); with --telemetry the lane ships to the server's /events timeline")
+	journalCap := flag.Int("journal", 0, "recorder events kept (0: off, or 262144 when --trace-out or --telemetry turns the recorder on); with --telemetry the lane ships to the server's /events timeline")
 	napAfter := flag.Int("nap-after", 0, "go dark after this many rounds (0 disables) — churn drill for a lease-running server")
 	napFor := flag.Duration("nap-for", 0, "how long to stay dark at the --nap-after point")
 	adversary := flag.String("adversary", "", "act as a compromised portal: corrupt every update before pushing (sign-flip, noise, zero, nan, drift; empty disables) — defense drill for a norm-gated server")
@@ -79,21 +78,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var trace *obs.Trace
-	if *traceOut != "" || *telemetry {
-		// Telemetry ships the same spans the local trace export records, so
-		// enabling either turns the recorder on.
-		trace = obs.NewWall()
-		pipe.SetTrace(trace)
+	// One recorder serves --journal, --trace-out and --telemetry: the
+	// transport's events and the pipeline's spans land in it, the Chrome
+	// trace exports it and telemetry ships it.
+	var rec *journal.Recorder
+	if capacity := *journalCap; capacity > 0 || *traceOut != "" || *telemetry {
+		if capacity == 0 {
+			capacity = 1 << 18
+		}
+		rec = journal.New(*id, capacity)
+		rec.SetName(journal.None, fmt.Sprintf("ecofl-portal %d", *id))
+		pipe.SetTrace(rec)
 	}
 	if *traceOut != "" {
 		defer func() {
-			if err := trace.WriteChromeTraceFile(*traceOut); err != nil {
+			if err := journal.WriteChromeTraceFile(*traceOut, rec.WriteChromeTrace); err != nil {
 				log.Printf("ecofl-portal %d: trace export: %v", *id, err)
 				return
 			}
 			log.Printf("ecofl-portal %d: wrote %d trace events to %s (load in chrome://tracing)",
-				*id, trace.Len(), *traceOut)
+				*id, rec.Len(), *traceOut)
 		}()
 	}
 	log.Printf("ecofl-portal %d: shard %d samples, %d-stage pipeline, server %s",
@@ -102,10 +106,6 @@ func main() {
 	// A server bounce or flaky link is survivable: round trips run under a
 	// deadline and retried pushes are deduplicated server-side, so --retries
 	// can be generous without risking a double-applied update.
-	var rec *journal.Recorder
-	if *journalCap > 0 {
-		rec = journal.New(*id, *journalCap)
-	}
 	client, err := flnet.DialOptions(*server, *id, flnet.Options{
 		Timeout:    *timeout,
 		MaxRetries: *retries,
@@ -116,7 +116,7 @@ func main() {
 	}
 	defer client.Close()
 	if *telemetry {
-		stop := client.EnableTelemetry(nil, trace, "ecofl-portal", *telemetryEvery)
+		stop := client.EnableTelemetry(nil, nil, "ecofl-portal", *telemetryEvery)
 		defer stop()
 		log.Printf("ecofl-portal %d: telemetry enabled (flush every %v)", *id, *telemetryEvery)
 	}
@@ -188,7 +188,7 @@ func main() {
 	}
 	rt, rc := client.Stats()
 	if rec != nil {
-		log.Printf("ecofl-portal %d: flight recorder captured %d events (%d dropped)",
+		log.Printf("ecofl-portal %d: recorder captured %d events (%d dropped)",
 			*id, rec.Len(), rec.Dropped())
 	}
 	fmt.Printf("portal %d done after %d rounds (global v%d, %d retries, %d reconnects)\n",

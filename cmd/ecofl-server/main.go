@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strconv"
 	"time"
 
 	"ecofl/internal/data"
@@ -35,9 +36,9 @@ import (
 // server's own registry at /metrics and of the federated per-node views at
 // /fleet, the live dashboard at /dash with its /api/series JSON feed, the
 // merged flight-recorder timeline at /events (filterable by node, round,
-// client and kind; empty unless --journal enables recording), a liveness
-// probe at /healthz, and the standard pprof handlers under /debug/pprof/
-// (registered explicitly — the server deliberately does not use
+// client and kind; empty unless --journal or --fleet-trace enables it), a
+// liveness probe at /healthz, and the standard pprof handlers under
+// /debug/pprof/ (registered explicitly — the server deliberately does not use
 // http.DefaultServeMux).
 func metricsMux(sp *metrics.Sampler, fleet *flnet.Fleet) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -86,8 +87,8 @@ func main() {
 	sampleEvery := flag.Duration("sample-every", 2*time.Second, "time-series sampling period for /dash")
 	sampleWindow := flag.Int("sample-window", 900, "time-series points kept per metric")
 	stragglerThreshold := flag.Float64("straggler-threshold", 0, "relative push-interval deviation flagging a straggler (0 = default 0.25)")
-	fleetTrace := flag.String("fleet-trace", "", "write the merged fleet Chrome trace here on exit (optional)")
-	journalCap := flag.Int("journal", 0, "flight-recorder events kept per node lane (0 disables); merged timeline served at /events on the metrics address")
+	fleetTrace := flag.String("fleet-trace", "", "write the fleet journal as a Chrome trace here on exit (optional; turns the journal on)")
+	journalCap := flag.Int("journal", 0, "fleet-journal events kept on the server lane and across imported lanes (0: off, or 262144 when --fleet-trace turns the journal on); merged timeline served at /events on the metrics address")
 	leaseTTL := flag.Duration("lease-ttl", 0, "membership lease TTL: portals that stay silent this long lose their session and re-sync on return (0 disables leases)")
 	normGate := flag.Bool("norm-gate", false, "quarantine pushes whose update norm is an outlier against the trailing honest distribution (non-finite pushes are always quarantined)")
 	normGateK := flag.Float64("norm-gate-k", 0, "norm-gate sensitivity: threshold = median + k·MAD of recent accepted push norms (0 = default 6)")
@@ -105,10 +106,15 @@ func main() {
 	}
 	opts := flnet.ServerOptions{Alpha: *alpha, LeaseTTL: *leaseTTL,
 		NormGate: *normGate, NormGateK: *normGateK, NormGateWarmup: *normGateWarmup}
-	if *journalCap > 0 {
-		// The server takes lane -1, matching its fleet-trace pid; journaling
-		// portals ship their own lanes in over the telemetry piggyback.
-		opts.Journal = journal.NewFleet(*journalCap, journal.New(-1, *journalCap))
+	if capacity := *journalCap; capacity > 0 || *fleetTrace != "" {
+		if capacity == 0 {
+			capacity = 1 << 18
+		}
+		// The server takes node -1; journaling portals ship their own lanes
+		// (node = portal id) in over the telemetry piggyback.
+		local := journal.New(-1, capacity)
+		local.SetName(journal.None, "ecofl-server")
+		opts.Journal = journal.NewFleet(capacity, local)
 	}
 	if *checkpoint != "" {
 		ck, err := flnet.LoadCheckpoint(*checkpoint)
@@ -137,17 +143,14 @@ func main() {
 	}
 	fleet := server.Fleet()
 	fleet.Straggler().SetThreshold(*stragglerThreshold, 0)
-	// The server's own lane in the merged fleet trace. Portals own the
-	// non-negative pids (pid = client id), so the server takes -1.
-	fleet.Trace().SetProcessName(-1, "ecofl-server")
 	if *fleetTrace != "" {
 		defer func() {
-			if err := fleet.Trace().WriteChromeTraceFile(*fleetTrace); err != nil {
+			if err := journal.WriteChromeTraceFile(*fleetTrace, opts.Journal.WriteChromeTrace); err != nil {
 				log.Printf("ecofl-server: fleet trace export: %v", err)
 				return
 			}
 			log.Printf("ecofl-server: wrote %d fleet trace events to %s (load in chrome://tracing)",
-				fleet.Trace().Len(), *fleetTrace)
+				len(opts.Journal.Events()), *fleetTrace)
 		}()
 	}
 	log.Printf("ecofl-server: serving on %s (α=%.2f, model %d→%d→%d)",
@@ -186,11 +189,11 @@ serveLoop:
 		case <-deadline.C:
 			break serveLoop
 		case <-ticker.C:
-			sp := fleet.Trace().Begin(-1, 0, "eval", "server")
+			sp := opts.Journal.Local().Begin()
 			w, version := server.Snapshot()
 			proto.SetFlatWeights(w)
 			acc := proto.Accuracy(tx, ty)
-			sp.EndArgs(map[string]float64{"version": float64(version), "accuracy": acc})
+			sp.End(0, "server.eval", version, journal.None, "accuracy", strconv.FormatFloat(acc, 'f', 4, 64))
 			evalAccuracy.Set(acc)
 			modelVersion.Set(float64(version))
 			totalPushes.Set(float64(server.Pushes()))
@@ -206,7 +209,7 @@ serveLoop:
 	w, version := server.Snapshot()
 	proto.SetFlatWeights(w)
 	if opts.Journal != nil {
-		log.Printf("ecofl-server: flight recorder holds %d events across %d node lanes",
+		log.Printf("ecofl-server: fleet journal holds %d events across %d node lanes",
 			len(opts.Journal.Events()), opts.Journal.Nodes())
 	}
 	fmt.Printf("final: version %d, pushes %d, deduped %d, test accuracy %.2f%%\n",

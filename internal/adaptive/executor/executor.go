@@ -35,7 +35,6 @@ import (
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline"
@@ -90,8 +89,6 @@ type Config struct {
 	// MaxHeals bounds recovery attempts per round before giving up
 	// (default 8; negative disables healing).
 	MaxHeals int
-	// Trace, when non-nil, records abort/migration spans.
-	Trace *obs.Trace
 	// Journal, when non-nil, is the flight recorder: every heal-path
 	// decision (kill, detect, abort, repartition, segment shipping, resume,
 	// round commit) lands in it as a correlated event, and each chaos link
@@ -228,9 +225,7 @@ func (e *Executor) installPlanLocked(stages []pipeline.Stage) error {
 		return err
 	}
 	pipe.SetLinkOptions(e.cfg.LinkOptions)
-	if e.cfg.Trace != nil {
-		pipe.SetTrace(e.cfg.Trace)
-	}
+	// The journal stays off the pipe: per-op spans would bury the heal story.
 	e.stages = stages
 	e.pipe = pipe
 	for s, st := range stages {
@@ -404,7 +399,7 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 		detect := time.Since(start)
 		detectSeconds.Observe(detect.Seconds())
 		e.cfg.Journal.Record("exec.detect", round, journal.None,
-			"err", journalErrText(err), "attempt", strconv.Itoa(attempt))
+			"err", journal.ErrText(err), "attempt", strconv.Itoa(attempt))
 		e.mu.Lock()
 		e.stats.Aborts++
 		e.stats.LastDetectLatency = detect
@@ -427,22 +422,11 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 	}
 }
 
-// journalErrText keeps journaled error strings bounded.
-func journalErrText(err error) string {
-	s := err.Error()
-	if len(s) > 120 {
-		s = s[:117] + "..."
-	}
-	return s
-}
-
 // heal recovers from an aborted round. If the current plan includes a dead
 // device, survivors are re-partitioned and weights migrate; for transient
 // link faults the plan stands and the next attempt simply dials fresh links
 // (through the same chaos state, so open partition windows persist).
 func (e *Executor) heal() error {
-	sp := e.cfg.Trace.Begin(0, 0, "heal", "executor")
-	defer sp.End()
 	e.mu.Lock()
 	e.stats.Heals++
 	healsTotal.Inc()
@@ -470,8 +454,6 @@ func (e *Executor) migrateTo(devs []*device.Device) error {
 	if len(devs) == 0 {
 		return ErrNoSurvivors
 	}
-	sp := e.cfg.Trace.Begin(0, 0, "migrate", "executor")
-	defer sp.End()
 	start := time.Now()
 	plan, err := partition.DynamicProgrammingBatch(e.spec, devs, e.cfg.MicroBatchSize)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"ecofl/internal/fl/robust"
 	"ecofl/internal/metrics"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
 	"ecofl/internal/tensor"
 )
@@ -157,23 +156,17 @@ type Config struct {
 	// original response delays are sampled from.
 	MeanDelay, StdDelay float64
 
-	// Trace, when non-nil, records every aggregation round as a span on the
-	// run's virtual clock (one timeline track per group for hierarchical
-	// strategies) for Chrome-trace export. Instrumentation only reads
-	// simulation state — it never touches the rng stream or the math, so
-	// curves are byte-identical with or without a trace attached.
-	Trace *obs.Trace
 	// Journal, when non-nil, is the flight recorder for round lifecycle
 	// decisions: round start/commit, quorum burns, dropout casualties and
-	// straggler evictions. Use a clockless recorder (journal.NewClock with a
-	// nil clock): strategies stamp events with the run's virtual time, so
-	// the journal timeline aligns with the Trace spans. Same read-only
-	// discipline as Trace — curves are byte-identical with it on or off.
+	// straggler evictions. A resolved round's fl.round-commit or
+	// fl.quorum-fail event is its span: its duration is the round time, its
+	// lane the run's lane (the fleet, a group, or an async worker slot). Use
+	// a clockless recorder (journal.NewClock with a nil clock): strategies
+	// stamp events with the run's virtual time. Recording only reads
+	// simulation state — it never touches the rng stream or the math, so
+	// curves are byte-identical with it on or off.
 	Journal *journal.Recorder
 }
-
-// flPID is the trace process lane shared by all FL strategies.
-const flPID = 1
 
 // runMetrics are one simulation run's instruments on the Default registry,
 // resolved once at run start so per-round updates never take the registry

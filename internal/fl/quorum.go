@@ -118,7 +118,8 @@ func cutRound(rng *rand.Rand, cfg Config, ch *churnState, now float64, sel []*Cl
 // journalCut records one cut's casualties into the flight recorder at the
 // virtual time the round resolves (rec nil is a nop). round is the strategy's
 // aggregation-event counter at the cut, the correlation id shared with the
-// round-start/commit events around it.
+// round-start/commit events around it. A failed quorum is the round's span,
+// recorded where the round is closed (run).
 func journalCut(rec *journal.Recorder, t float64, round int, cut roundCut) {
 	if cut.dropouts > 0 {
 		rec.RecordAt(t, "fl.dropout", round, journal.None, "count", strconv.Itoa(cut.dropouts))
@@ -128,9 +129,6 @@ func journalCut(rec *journal.Recorder, t float64, round int, cut roundCut) {
 	}
 	if cut.discarded > 0 {
 		rec.RecordAt(t, "fl.quorum-burn", round, journal.None, "discarded", strconv.Itoa(cut.discarded))
-	}
-	if cut.failed {
-		rec.RecordAt(t, "fl.quorum-fail", round, journal.None)
 	}
 }
 

@@ -306,7 +306,7 @@ func run(pop *Population, pol policy) *RunResult {
 	cfg := pop.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := newRunResult(pop, pol.Name, newRunMetrics(pol.Name))
-	jn, tr := cfg.Journal, cfg.Trace
+	jn := cfg.Journal
 
 	grouper := &Grouper{Lambda: cfg.Lambda, RT: cfg.RTThreshold, NumClasses: pop.TestClasses()}
 	var groups []*Group
@@ -334,26 +334,20 @@ func run(pop *Population, pol policy) *RunResult {
 	// coefficient of its local updates (only intra-group training is FedProx).
 	w := pop.GlobalInit()
 	var lanes []*lane
-	perRound, mu, laneName := cfg.MaxConcurrent, 0.0, "fleet"
+	perRound, mu := cfg.MaxConcurrent, 0.0
 	switch {
 	case pol.grouped:
-		perRound, mu, laneName = max(1, cfg.MaxConcurrent/len(groups)), cfg.Mu, "group"
+		perRound, mu = max(1, cfg.MaxConcurrent/len(groups)), cfg.Mu
 		for _, g := range groups {
 			lanes = append(lanes, &lane{id: g.ID, group: g, base: append([]float64(nil), w...)})
 		}
 	case pol.async:
-		perRound, laneName = 1, "slot"
+		perRound = 1
 		for i := 0; i < cfg.MaxConcurrent; i++ {
 			lanes = append(lanes, &lane{id: i})
 		}
 	default:
 		lanes = []*lane{{base: w}}
-	}
-	if tr != nil {
-		tr.SetProcessName(flPID, "fl/"+pol.Name)
-		for _, ln := range lanes {
-			tr.SetThreadName(flPID, ln.id, fmt.Sprintf("%s %d", laneName, ln.id))
-		}
 	}
 	// flat: one lane is the whole run, as in the for-loop FedAvg and TiFL were
 	// written as. Two accidents of that loop are carried below, not fixed.
@@ -448,6 +442,7 @@ func run(pop *Population, pol policy) *RunResult {
 			if cut.failed {
 				// The committee waited out the round window without reaching
 				// its quorum: no aggregation, a fresh selection next round.
+				jn.SpanAt(start, now, ln.id, "fl.quorum-fail", round, journal.None)
 				res.QuorumFailures++
 				res.rm.failed.Inc()
 			} else {
@@ -473,14 +468,14 @@ func run(pop *Population, pol policy) *RunResult {
 					AsyncMix(w, updates[0], StalenessAlpha(cfg.Alpha, stale, 1.0))
 					staleness.Observe(stale)
 					if jn != nil {
-						jn.RecordAt(now, "fl.round-commit", round+1, sel[0].ID,
+						jn.SpanAt(start, now, ln.id, "fl.round-commit", round+1, sel[0].ID,
 							"staleness", strconv.FormatFloat(stale, 'g', -1, 64))
 					}
 				} else {
 					agg := cfg.aggregate(ln.base, updates, weights)
 					copy(ln.base, agg) // replaces the global model itself on a flat lane
 					if jn != nil {
-						jn.RecordAt(now, "fl.round-commit", round, journal.None, groupAttrs(g, "clients", strconv.Itoa(len(updates)))...)
+						jn.SpanAt(start, now, ln.id, "fl.round-commit", round, journal.None, groupAttrs(g, "clients", strconv.Itoa(len(updates)))...)
 					}
 					if ln.sinceSync++; pol.grouped && ln.sinceSync >= cfg.GroupSyncEvery {
 						// Push the group model to the async aggregator and pull
@@ -501,17 +496,6 @@ func run(pop *Population, pol policy) *RunResult {
 			res.Rounds++
 			res.rm.rounds.Inc()
 			res.rm.roundSec.Observe(cut.roundTime)
-			if tr != nil {
-				name, args := "round", map[string]float64{"clients": float64(len(cut.committee)),
-					"dropouts": float64(cut.dropouts), "departed": float64(cut.departed)}
-				if cut.failed {
-					name = "round-failed"
-				}
-				if pol.async {
-					args["client"], args["staleness"] = float64(sel[0].ID), stale
-				}
-				tr.Span(flPID, ln.id, name, "fl", start, now, args)
-			}
 			// Carried, not fixed: after a failed round a flat lane still
 			// advances the dynamics and evaluates, a group lane goes straight
 			// to its next selection (pinned like the horizon rule above).

@@ -90,9 +90,8 @@ func (s *Server) Checkpoint() *Checkpoint {
 func (s *Server) SaveCheckpoint(path string) error {
 	ck := s.Checkpoint()
 	t0 := time.Now()
-	sp := s.fleet.Trace().Begin(-1, 0, "checkpoint", "server")
+	sp := s.jrec().Begin()
 	err := ck.WriteFile(path)
-	sp.EndArgs(map[string]float64{"version": float64(ck.Version), "pushes": float64(ck.Pushes)})
 	srvCkptWriteSeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		srvCkptWriteErrors.Inc()
@@ -100,8 +99,7 @@ func (s *Server) SaveCheckpoint(path string) error {
 	}
 	srvCkptWrites.Inc()
 	srvCkptVersion.Set(float64(ck.Version))
-	s.jrec().Record("checkpoint.write", ck.Version, journal.None,
-		"pushes", strconv.Itoa(ck.Pushes))
+	sp.End(0, "checkpoint.write", ck.Version, journal.None, "pushes", strconv.Itoa(ck.Pushes))
 	return nil
 }
 

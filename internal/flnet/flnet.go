@@ -88,10 +88,10 @@ type ServerOptions struct {
 	// carry, in bytes. 0 means the wire default (128 MiB).
 	MaxPayload int
 	// Journal, when non-nil, is the server's flight recorder: its local lane
-	// (Journal.Local, conventionally node −1 like the fleet-trace server
-	// lane) records push applies/dedups/rejects and checkpoint events, and
-	// client journals arriving piggybacked on telemetry are merged into it
-	// on the server clock — the /events timeline. nil disables at ~0 cost.
+	// (Journal.Local, conventionally node −1) records push
+	// applies/dedups/rejects and checkpoint events, and client journals
+	// arriving piggybacked on telemetry are merged into it on the server
+	// clock — the /events timeline. nil disables at ~0 cost.
 	Journal *journal.Fleet
 	// LeaseTTL enables lease-based membership: every client contact grants
 	// or renews a TTL lease, a background reaper expires lapsed ones
@@ -288,7 +288,7 @@ func (s *Server) snapshotLocked() reply {
 }
 
 // Fleet returns the server's telemetry aggregator: node-labeled metric
-// views, the merged fleet trace, and the straggler detector.
+// views, the fleet journal, and the straggler detector.
 func (s *Server) Fleet() *Fleet { return s.fleet }
 
 // jrec is the server-lane flight recorder (nil when journaling is off; every
@@ -405,7 +405,7 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	if err != nil {
 		srvPushErrors.Inc()
 		if jr := s.jrec(); jr != nil {
-			jr.Record("push.reject", s.version, req.ClientID, "err", journalErr(err))
+			jr.Record("push.reject", s.version, req.ClientID, "err", journal.ErrText(err))
 		}
 		return reply{Err: err.Error()}, false
 	}
@@ -529,16 +529,6 @@ func (s *Server) Quarantined() int {
 	return s.quarantined
 }
 
-// journalErr truncates an error for use as a journal attr: the timeline
-// wants the cause, not a page of wrapped context.
-func journalErr(err error) string {
-	msg := err.Error()
-	if len(msg) > 120 {
-		msg = msg[:117] + "..."
-	}
-	return msg
-}
-
 // sparseBaseMismatch prefixes the rejection of a sparse push whose
 // reference model the server no longer holds (no ack for the client, an ack
 // at a different version, or a dedup window lost to a restart). The client
@@ -658,7 +648,7 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 			cliRetries.Inc()
 			if jr := c.opts.Journal; jr != nil {
 				jr.Record("net.retry", journal.None, c.ID,
-					"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journalErr(lastErr))
+					"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journal.ErrText(lastErr))
 			}
 			if !c.backoff(attempt) {
 				return nil, ErrClosed

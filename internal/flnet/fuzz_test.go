@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"ecofl/internal/flnet/wire"
-	"ecofl/internal/obs"
+	"ecofl/internal/obs/journal"
 )
 
 // FuzzRequestDecode throws arbitrary byte streams at the server-side request
@@ -20,9 +20,10 @@ import (
 // must not panic and must hold their invariants — duplicate sequence numbers
 // are never re-applied, the seq high-water mark never moves backwards, the
 // model version advances exactly once per accepted push, no value in the
-// model is ever non-finite, and a client's ack is missing exactly when it
-// never had a push acked or its lease expired since — no matter what kinds,
-// payloads, metric names, or span batches the bytes claim to carry. Truncated
+// model is ever non-finite, a client's ack is missing exactly when it never
+// had a push acked or its lease expired since, and every event and span the
+// fleet journal merged has a finite time and duration — no matter what kinds,
+// payloads, metric names, or journal batches the bytes claim to carry. Truncated
 // streams (a connection severed mid-frame) must decode cleanly up to the cut
 // and reject the rest.
 func FuzzRequestDecode(f *testing.F) {
@@ -45,17 +46,17 @@ func FuzzRequestDecode(f *testing.F) {
 		return &req
 	}
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: 1, Telemetry: &TelemetrySnapshot{
-		Proc: "portal", NodeNow: 1.5,
+		Proc: "portal", JournalNow: 1.5, Epoch: 9,
 		Metrics: []MetricPoint{
 			{Family: "ecofl_x_total", Kind: "counter", Value: 3},
 			{Family: "ecofl_step_seconds", Labels: []string{"stage", "0"},
 				Kind: "histogram", Count: 2, Sum: 0.2, P50: 0.1, P99: 0.19},
 		},
-		Spans: []obs.Event{{Name: "train", Cat: "portal", Start: 0.5, Dur: 0.25}},
+		Journal: []journal.Event{{TS: 0.75, Dur: 0.25, Lane: 1, Seq: 1, Kind: "pipe.fwd"}},
 	}}))
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: -7, Telemetry: &TelemetrySnapshot{
-		NodeNow: -1e300,
-		Metrics: []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
+		JournalNow: -1e300,
+		Metrics:    []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
 	}}))
 	f.Add(seed(push(request{Weights: []float64{1, 2}})))
 	// Sparse overlays: a well-formed one (rejected only for the missing ack
@@ -117,7 +118,7 @@ func FuzzRequestDecode(f *testing.F) {
 	}
 	f.Add(tel("junk"))
 	f.Add(tel(`{"proc":"p","now":1.5,"m":[{"f":"x_total","k":"counter","v":1},{"f":"s","l":["stage","0"],"k":"histogram","n":2,"sum":0.2,"p50":0.1,"p99":0.19}],` +
-		`"sp":[{"n":"train","c":"portal","s":0.5,"d":0.25,"a":{"micro":1}}],"j":[{"ts":1,"node":3,"seq":1,"round":0,"client":3,"kind":"push.ack"}],"jnow":2}`))
+		`"j":[{"ts":0.75,"dur":0.25,"lane":1,"seq":1,"round":-1,"client":-1,"kind":"pipe.fwd","attrs":{"micro":"1"}},{"ts":1,"node":3,"seq":2,"round":0,"client":3,"kind":"push.ack"}],"jnow":2,"je":7}`))
 	f.Add(tel(strings.Repeat("[", 4<<20)))
 	f.Add(tel(`{"now":NaN,"m":[{"f":"x","k":"gauge","v":Infinity}]}`))
 	f.Add(tel(`{"now":"soon","m":{"f":1},"sp":[7],"j":"all of it"}`))
@@ -147,6 +148,12 @@ func FuzzRequestDecode(f *testing.F) {
 	)
 	f.Add(append(append([]byte(nil), away...), 0x00, 0xff, 0x00))
 	f.Add(append(append([]byte(nil), away...), 0x00, 0xfe, 0x00))
+	// Hostile span durations: negative, huge enough to overflow a clock shift
+	// that is itself huge, and the ones JSON has no word for or cannot hold.
+	f.Add(tel(`{"proc":"p","j":[{"ts":1,"dur":-5,"seq":1,"kind":"a"},{"ts":1e308,"dur":1e308,"seq":2,"kind":"b"}],"jnow":-1e308,"je":3}`))
+	f.Add(tel(`{"j":[{"ts":1,"dur":NaN,"seq":1,"kind":"a"}],"jnow":1}`))
+	f.Add(tel(`{"j":[{"ts":1,"dur":1e999,"seq":1,"kind":"a"}],"jnow":1}`))
+	f.Add(tel(`{"j":[{"ts":-1e308,"dur":1e308,"seq":1,"kind":"a","lane":-7}],"jnow":1e308}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// The real server behind its front door, dispatch, with the lease gate
 		// armed on an injected clock. Frames are read from the front of the
@@ -159,6 +166,7 @@ func FuzzRequestDecode(f *testing.F) {
 		s := openServer(t, []float64{0, 0}, ServerOptions{
 			Alpha: 0.5, LeaseTTL: ttl, LeaseNow: lc.Now,
 			NormGate: true, NormGateWarmup: 4,
+			Journal: journal.NewFleet(64, nil),
 		})
 		defer s.Close()
 		// What the test knows without looking inside the server: when each
@@ -232,6 +240,12 @@ func FuzzRequestDecode(f *testing.F) {
 		for i, v := range s.weights {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("model weight %d is non-finite (%v) after fuzz input", i, v)
+			}
+		}
+		// Nor a non-finite or negative time in the merged timeline.
+		for _, e := range s.Fleet().Journal().Events() {
+			if math.IsNaN(e.TS) || math.IsInf(e.TS, 0) || math.IsNaN(e.Dur) || math.IsInf(e.Dur, 0) || e.Dur < 0 || e.TS < e.Dur {
+				t.Fatalf("merged timeline holds %+v after fuzz input", e)
 			}
 		}
 	})

@@ -192,7 +192,7 @@ func (c *Client) pushRoundTrip(req *request) (*reply, error) {
 	rep, err := c.roundTrip(req)
 	if err != nil && strings.Contains(err.Error(), leaseExpired) {
 		cliLeaseResyncs.Inc()
-		c.opts.Journal.Record("lease.readmit", journal.None, c.ID, "err", journalErr(err))
+		c.opts.Journal.Record("lease.readmit", journal.None, c.ID, "err", journal.ErrText(err))
 		return c.roundTrip(req)
 	}
 	return rep, err

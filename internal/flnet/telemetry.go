@@ -1,17 +1,16 @@
 package flnet
 
 // Fleet telemetry: portals piggyback a snapshot of their local metrics
-// registry and their unsent trace spans onto the push traffic they already
-// send (plus an optional interval flush over the same connection, for nodes
-// that push rarely). The server folds every snapshot into one node-labeled
-// fleet registry and one merged wall-clock trace, so a single scrape of the
-// server answers for the whole fleet and a single Chrome trace shows every
-// node's lanes side by side. Telemetry is strictly read-only on the FL path:
-// it never touches weights, rng state, or aggregation order, so training
-// curves are byte-identical with it on or off (tested).
+// registry and their unsent journal events and spans onto the push traffic
+// they already send (plus an optional interval flush over the same
+// connection, for nodes that push rarely). The server folds every snapshot
+// into one node-labeled fleet registry and its fleet journal, so a single
+// scrape of the server answers for the whole fleet and a single Chrome trace
+// shows every node's lanes side by side. Telemetry is strictly read-only on
+// the FL path: it never touches weights, rng state, or aggregation order, so
+// training curves are byte-identical with it on or off (tested).
 
 import (
-	"maps"
 	"math"
 	"strconv"
 	"strings"
@@ -20,7 +19,6 @@ import (
 
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
-	"ecofl/internal/obs"
 	"ecofl/internal/obs/journal"
 )
 
@@ -44,48 +42,48 @@ type MetricPoint struct {
 // specs and reports speak), on bytes wire.ParseHeader has capped at
 // Limits.MaxTrailer. Which node it is from is the frame's client id to say.
 type TelemetrySnapshot struct {
-	Proc string `json:"proc,omitempty"` // process label for the node's fleet-trace lane
-	// NodeNow is the sender's trace clock at snapshot time; the receiver
-	// derives the clock offset from it (obs.Trace.ClockOffset).
-	NodeNow float64       `json:"now"`
+	Proc    string        `json:"proc,omitempty"` // process label for the node's fleet-trace lane
 	Metrics []MetricPoint `json:"m,omitempty"`
-	Spans   []obs.Event   `json:"sp,omitempty"`
-	// Journal is the tail of the node's flight recorder not yet shipped
-	// (incremental, like Spans). JournalNow is the journal clock at snapshot
-	// time, aligning events onto the server clock the same way NodeNow
-	// aligns spans.
+	// Journal is the tail of the node's recorder not yet shipped: events and
+	// spans alike. JournalNow is the recorder's clock at snapshot time, from
+	// which the server derives the clock offset (journal.Fleet.ClockOffset);
+	// Epoch names the recorder instance, so a portal restarted under the same
+	// id is not deduped against its predecessor's Seqs.
 	Journal    []journal.Event `json:"j,omitempty"`
 	JournalNow float64         `json:"jnow,omitempty"`
+	Epoch      uint64          `json:"je,omitempty"`
 }
 
 // telemetryState is a client's telemetry configuration, guarded by Client.mu
 // (snapshots are built inside roundTrip, which already holds it, so the
-// sent-spans high-water mark stays consistent between piggybacks and the
+// sent-journal high-water mark stays consistent between piggybacks and the
 // background flusher).
 type telemetryState struct {
-	reg       *metrics.Registry
-	trace     *obs.Trace
-	proc      string
-	sentSpans int
+	reg     *metrics.Registry
+	journal *journal.Recorder
+	proc    string
 	// sentJournal is the Seq high-water mark of journal events already
-	// shipped (the journal itself is Options.Journal). A retried request
-	// re-sends the same snapshot verbatim; the server-side fleet journal
-	// dedups by Seq, so re-delivery is harmless.
+	// shipped. A retried request re-sends the same snapshot verbatim; the
+	// server-side fleet journal dedups by Seq, so re-delivery is harmless.
 	sentJournal uint64
 }
 
-// EnableTelemetry starts shipping this node's metrics and trace spans to the
+// EnableTelemetry starts shipping this node's metrics and journal to the
 // server: every subsequent push carries a snapshot, and if every > 0 a
 // background flusher also sends standalone snapshots on that interval (for
-// long local-training gaps). reg defaults to metrics.Default; trace may be
-// nil (metrics-only telemetry). The returned stop function halts the flusher
-// and ships one final snapshot; it is idempotent.
-func (c *Client) EnableTelemetry(reg *metrics.Registry, trace *obs.Trace, proc string, every time.Duration) (stop func()) {
+// long local-training gaps). reg defaults to metrics.Default and rec to
+// Options.Journal; with neither journal the telemetry is metrics only. The
+// returned stop function halts the flusher and ships one final snapshot; it
+// is idempotent.
+func (c *Client) EnableTelemetry(reg *metrics.Registry, rec *journal.Recorder, proc string, every time.Duration) (stop func()) {
 	if reg == nil {
 		reg = metrics.Default
 	}
+	if rec == nil {
+		rec = c.opts.Journal
+	}
 	c.mu.Lock()
-	c.tel = &telemetryState{reg: reg, trace: trace, proc: proc}
+	c.tel = &telemetryState{reg: reg, journal: rec, proc: proc}
 	c.mu.Unlock()
 
 	done := make(chan struct{})
@@ -142,12 +140,12 @@ func finite(vs ...float64) bool {
 }
 
 // telemetrySnapshotLocked builds the snapshot attached to an outgoing
-// request. JSON has no NaN or Inf, so a metric point holding one is skipped
-// and a span loses the offending arg; the rest of the snapshot travels.
-// Caller holds c.mu and has checked c.tel != nil.
+// request. JSON has no NaN or Inf, so a metric point holding one is skipped;
+// the rest of the snapshot travels. Caller holds c.mu and has checked
+// c.tel != nil.
 func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 	tel := c.tel
-	snap := &TelemetrySnapshot{Proc: tel.proc, NodeNow: tel.trace.Now()}
+	snap := &TelemetrySnapshot{Proc: tel.proc}
 	for _, s := range tel.reg.Snapshot() {
 		mp := MetricPoint{Family: s.Family, Labels: s.Labels, Kind: s.Kind.String()}
 		if s.Kind == metrics.KindHistogram {
@@ -162,21 +160,8 @@ func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 			snap.Metrics = append(snap.Metrics, mp)
 		}
 	}
-	if spans := tel.trace.EventsFrom(tel.sentSpans); len(spans) > 0 {
-		tel.sentSpans += len(spans)
-		for i, sp := range spans {
-			for _, v := range sp.Args {
-				if !finite(v) { // filter a copy: the trace keeps its own map
-					spans[i].Args = maps.Clone(sp.Args)
-					maps.DeleteFunc(spans[i].Args, func(_ string, v float64) bool { return !finite(v) })
-					break
-				}
-			}
-		}
-		snap.Spans = spans
-	}
-	if rec := c.opts.Journal; rec != nil {
-		snap.JournalNow = rec.Now()
+	if rec := tel.journal; rec != nil {
+		snap.JournalNow, snap.Epoch = rec.Now(), rec.Epoch()
 		if evs := rec.EventsSince(tel.sentJournal); len(evs) > 0 {
 			tel.sentJournal = evs[len(evs)-1].Seq
 			snap.Journal = evs
@@ -186,41 +171,37 @@ func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 }
 
 // Fleet is the server-side telemetry aggregator: node-labeled views of every
-// reporting node's metrics, a merged wall-clock trace with one process lane
-// per node, and a straggler detector fed by measured per-client push
+// reporting node's metrics, the fleet journal (one node lane per portal, on
+// the server clock), and a straggler detector fed by measured per-client push
 // intervals. The fleet registry is separate from metrics.Default so remote
 // families (re-exposed as gauges) can never collide with the same-named
 // local instruments.
 type Fleet struct {
 	reg      *metrics.Registry
-	trace    *obs.Trace
 	detector *StragglerDetector
 	journal  *journal.Fleet // nil unless ServerOptions.Journal was set
 
 	mu       sync.Mutex
-	lastPush map[int]float64 // trace-clock time of each client's last push
+	lastPush map[int]time.Time // monotonic time of each client's last push
 }
 
 func newFleet() *Fleet {
 	return &Fleet{
 		reg:      metrics.NewRegistry(),
-		trace:    obs.NewWall(),
 		detector: NewStragglerDetector(metrics.Default, 0, 0),
-		lastPush: make(map[int]float64),
+		lastPush: make(map[int]time.Time),
 	}
 }
 
 // Registry returns the node-labeled fleet metrics registry.
 func (f *Fleet) Registry() *metrics.Registry { return f.reg }
 
-// Trace returns the merged fleet trace (server clock; pid = node id).
-func (f *Fleet) Trace() *obs.Trace { return f.trace }
-
 // Straggler returns the detector fed by measured push intervals.
 func (f *Fleet) Straggler() *StragglerDetector { return f.detector }
 
-// Journal returns the merged fleet flight recorder (nil when journaling was
-// not enabled on the server; journal.Fleet methods are nil-safe).
+// Journal returns the merged fleet recorder — events and spans, node = client
+// id, the server on -1 — or nil when journaling was not enabled on the
+// server (journal.Fleet methods are nil-safe).
 func (f *Fleet) Journal() *journal.Fleet { return f.journal }
 
 // validMetricPoint rejects wire-supplied names the registry would refuse
@@ -263,16 +244,9 @@ func (f *Fleet) ingest(id int, snap *TelemetrySnapshot) {
 			f.nodeGauge(mp.Family, mp.Labels, node).Set(mp.Value)
 		}
 	}
-	if len(snap.Spans) > 0 {
-		name := snap.Proc
-		if name == "" {
-			name = "node"
-		}
-		f.trace.SetProcessName(id, name+" "+node) // a map write: the lane carries its latest name
-		f.trace.ImportEvents(id, f.trace.ClockOffset(snap.NodeNow), snap.Spans)
-	}
 	if len(snap.Journal) > 0 {
-		f.journal.Import(id, f.journal.ClockOffset(snap.JournalNow), snap.Journal)
+		f.journal.SetProcessName(id, snap.Proc) // the lane carries its latest name
+		f.journal.Import(id, snap.Epoch, f.journal.ClockOffset(snap.JournalNow), snap.Journal)
 	}
 }
 
@@ -294,12 +268,12 @@ func (f *Fleet) observePush(client int) {
 	if client < 0 {
 		return
 	}
-	now := f.trace.Now()
+	now := time.Now()
 	f.mu.Lock()
 	last, seen := f.lastPush[client]
 	f.lastPush[client] = now
 	f.mu.Unlock()
 	if seen {
-		f.detector.Observe(client, now-last)
+		f.detector.Observe(client, now.Sub(last).Seconds())
 	}
 }

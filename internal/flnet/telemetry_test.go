@@ -14,31 +14,30 @@ import (
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
+	"ecofl/internal/obs/journal"
 )
 
 // TestTelemetryFederatesMetricsAndTraces is the fleet-telemetry shape check:
 // two portals with telemetry enabled push over real TCP, and afterwards the
-// server holds node-labeled views of both portals' metrics, a merged trace
-// with spans under both node pids, a measured push interval per client, and
+// server holds node-labeled views of both portals' metrics, a fleet journal
+// with spans under both node lanes, a measured push interval per client, and
 // an exported ecofl_straggler gauge.
 func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
-	s := startServer(t, []float64{0, 0}, 0.5)
+	s, _ := journalServer(t, []float64{0, 0})
 	for id := 1; id <= 2; id++ {
 		reg := metrics.NewRegistry()
 		reg.Counter("ecofl_test_rounds_total", "rounds trained").Add(int64(10 * id))
 		reg.Histogram("ecofl_test_step_seconds", "step latency",
 			[]float64{0.1, 1}).Observe(0.05 * float64(id))
 
-		tr := obs.NewWall()
-		sp := tr.Begin(0, 0, "train", "portal")
-		sp.End()
+		rec := journal.New(id, 64)
+		rec.SpanAt(0.5, 0.75, 0, "portal.train", journal.None, journal.None)
 
 		c, err := Dial(s.Addr(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stop := c.EnableTelemetry(reg, tr, "portal", 0)
+		stop := c.EnableTelemetry(reg, rec, "portal", 0)
 		_, v, err := c.Pull()
 		if err != nil {
 			t.Fatal(err)
@@ -68,12 +67,14 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 		}
 	}
 
-	pids := map[int]bool{}
-	for _, e := range fleet.Trace().Events() {
-		pids[e.PID] = true
+	nodes := map[int]bool{}
+	for _, e := range fleet.Journal().Events() {
+		if e.Kind == "portal.train" && e.Dur == 0.25 {
+			nodes[e.Node] = true
+		}
 	}
-	if !pids[1] || !pids[2] {
-		t.Fatalf("fleet trace spans cover pids %v, want both nodes 1 and 2", pids)
+	if !nodes[1] || !nodes[2] {
+		t.Fatalf("fleet journal spans cover nodes %v, want both nodes 1 and 2", nodes)
 	}
 
 	// Two pushes per client = one measured inter-push interval each.
@@ -111,10 +112,10 @@ func TestTelemetryRejectsHostileMetricNames(t *testing.T) {
 // the client whose frame carried it, whatever its body says — the body has no
 // field to say it with, and one smuggled into the JSON is ignored.
 func TestTelemetryLaneIsTheFramesClient(t *testing.T) {
-	s := startServer(t, []float64{0, 0}, 0.5)
+	s, _ := journalServer(t, []float64{0, 0})
 	hdr := make([]byte, wire.HeaderSize)
-	trailer := []byte(`{"NodeID":2,"node":2,"proc":"spoof","now":1,` +
-		`"m":[{"f":"ecofl_fake","k":"gauge","v":42}],"sp":[{"n":"train","s":0.5,"d":0.25,"p":2}]}`)
+	trailer := []byte(`{"NodeID":2,"node":2,"proc":"spoof","jnow":1,` +
+		`"m":[{"f":"ecofl_fake","k":"gauge","v":42}],"j":[{"ts":0.75,"dur":0.25,"node":2,"seq":1,"kind":"portal.train"}]}`)
 	wire.PutHeader(hdr, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 1, TrailerLen: uint32(len(trailer))})
 	h, err := wire.ParseHeader(hdr, wire.Limits{})
 	if err != nil {
@@ -138,32 +139,36 @@ func TestTelemetryLaneIsTheFramesClient(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range s.Fleet().Trace().Events() {
-		if e.Name == "train" && e.PID != 1 {
-			t.Fatalf("client 1's span landed in lane %d", e.PID)
+	spans := 0
+	for _, e := range s.Fleet().Journal().Events() {
+		if e.Kind == "portal.train" {
+			if spans++; e.Node != 1 {
+				t.Fatalf("client 1's span landed in lane %d", e.Node)
+			}
 		}
+	}
+	if spans != 1 {
+		t.Fatalf("fleet journal holds %d of client 1's spans, want 1", spans)
 	}
 }
 
 // TestTelemetrySkipsNonFinite: JSON cannot carry NaN or Inf, so the snapshot
-// builder leaves those points and span args out — and the push the snapshot
-// rides on is applied with everything else the registry holds.
+// builder leaves those points out — and the push the snapshot rides on is
+// applied with everything else the registry holds. Journal events arriving
+// with a hostile duration are dropped or clamped, not merged.
 func TestTelemetrySkipsNonFinite(t *testing.T) {
-	s := startServer(t, []float64{0, 0}, 0.5)
+	s, _ := journalServer(t, []float64{0, 0})
 	reg := metrics.NewRegistry()
 	reg.Gauge("ecofl_test_poison", "a gauge someone divided by zero into").Set(math.NaN())
 	reg.Gauge("ecofl_test_inf", "likewise").Set(math.Inf(1))
 	reg.Counter("ecofl_test_rounds_total", "rounds trained").Add(3)
-	tr := obs.NewWall()
-	args := map[string]float64{"loss": math.NaN(), "micro": 2}
-	tr.Span(0, 0, "train", "portal", 0, 1, args)
 
 	c, err := Dial(s.Addr(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	defer c.EnableTelemetry(reg, tr, "portal", 0)()
+	defer c.EnableTelemetry(reg, nil, "portal", 0)()
 	if _, v, err := c.Push([]float64{1, 1}, 1, 0); err != nil || v != 1 {
 		t.Fatalf("push beside a NaN gauge: version %d, err %v", v, err)
 	}
@@ -179,17 +184,25 @@ func TestTelemetrySkipsNonFinite(t *testing.T) {
 			t.Fatalf("non-finite point travelled: %+v", smp)
 		}
 	}
-	var got map[string]float64
-	for _, e := range s.Fleet().Trace().Events() {
-		if e.Name == "train" && e.PID == 5 {
-			got = e.Args
+
+	s.Fleet().ingest(6, &TelemetrySnapshot{Epoch: 1, Journal: []journal.Event{
+		{TS: 1, Dur: math.NaN(), Seq: 1, Kind: "nan-dur"},
+		{TS: 1, Dur: math.Inf(1), Seq: 2, Kind: "inf-dur"},
+		{TS: 1, Dur: math.Inf(-1), Seq: 3, Kind: "neg-inf-dur"},
+		{TS: 1, Dur: -2, Seq: 4, Kind: "neg-dur"},
+	}})
+	var kinds []string
+	for _, e := range s.Fleet().Journal().Events() {
+		if e.Node != 6 {
+			continue
+		}
+		kinds = append(kinds, e.Kind)
+		if e.Dur != 0 || math.IsNaN(e.TS) || math.IsInf(e.TS, 0) {
+			t.Fatalf("hostile duration merged as %+v", e)
 		}
 	}
-	if len(got) != 1 || got["micro"] != 2 {
-		t.Fatalf("imported span args = %v, want just micro=2", got)
-	}
-	if len(args) != 2 {
-		t.Fatalf("the snapshot builder edited the trace's own args: %v", args)
+	if len(kinds) != 1 || kinds[0] != "neg-dur" {
+		t.Fatalf("merged %v, want only neg-dur, clamped", kinds)
 	}
 }
 
@@ -311,11 +324,11 @@ func runSequentialFL(t *testing.T, telemetry bool) []float64 {
 		if telemetry {
 			reg := metrics.NewRegistry()
 			reg.Counter("ecofl_test_invariance_total", "x").Inc()
-			tr := obs.NewWall()
-			tr.Span(0, 0, "train", "portal", 0, 1, nil)
+			rec := journal.New(id, 64)
+			rec.SpanAt(0, 1, 0, "portal.train", journal.None, journal.None)
 			// An aggressive flush interval interleaves plenty of telemetry
 			// requests between the pushes.
-			stop = c.EnableTelemetry(reg, tr, "portal", time.Millisecond)
+			stop = c.EnableTelemetry(reg, rec, "portal", time.Millisecond)
 		}
 		local := proto.Clone()
 		lrng := rand.New(rand.NewSource(int64(7 + id)))
@@ -365,7 +378,7 @@ func BenchmarkPushRawWithTelemetry(b *testing.B) {
 	reg := metrics.NewRegistry()
 	reg.Counter("ecofl_bench_rounds_total", "x").Inc()
 	reg.Histogram("ecofl_bench_step_seconds", "x", metrics.DefBuckets).Observe(0.01)
-	stop := c.EnableTelemetry(reg, obs.NewWall(), "bench", 0)
+	stop := c.EnableTelemetry(reg, journal.New(1, 0), "bench", 0)
 	defer stop()
 	rng := rand.New(rand.NewSource(1))
 	w := make([]float64, n)
@@ -393,7 +406,7 @@ func BenchmarkTelemetrySnapshot(b *testing.B) {
 		reg.Counter(fmt.Sprintf("ecofl_bench_c%d_total", i), "x").Inc()
 		reg.Histogram(fmt.Sprintf("ecofl_bench_h%d_seconds", i), "x", metrics.DefBuckets).Observe(0.01)
 	}
-	c := &Client{ID: 1, tel: &telemetryState{reg: reg, trace: obs.NewWall(), proc: "bench"}}
+	c := &Client{ID: 1, tel: &telemetryState{reg: reg, journal: journal.New(1, 0), proc: "bench"}}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

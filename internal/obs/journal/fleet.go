@@ -9,19 +9,24 @@ import (
 // Fleet merges journals from many nodes into one causally-ordered timeline.
 // The server owns one: its own lane records locally, and client journals
 // arrive piggybacked on telemetry pushes, get shifted onto the server clock
-// with the same offset convention as obs.Trace.ClockOffset, and land in a
-// bounded imported ring. Re-delivered batches (telemetry snapshots are
-// re-sent verbatim when a push is retried) are deduped with a per-node Seq
-// high-water mark. A nil *Fleet is a valid nop, like a nil *Recorder.
+// (ClockOffset), and land in a bounded imported ring. Re-delivered batches
+// (telemetry snapshots are re-sent verbatim when a push is retried) are
+// deduped with a Seq high-water mark per recorder instance — node and epoch —
+// so a node that restarts under the same id lands its fresh Seq 1 onward. A
+// nil *Fleet is a valid nop, like a nil *Recorder.
 type Fleet struct {
 	local *Recorder
-	max   int
 
 	mu       sync.Mutex
-	imported []Event
-	next     int
-	dropped  uint64
-	hwm      map[int]uint64
+	imported ring
+	hwm      map[instance]uint64
+	procs    map[int]string // imported nodes' process labels
+}
+
+// instance is one recorder's lifetime: a node id and the epoch it drew.
+type instance struct {
+	node  int
+	epoch uint64
 }
 
 // NewFleet builds a fleet journal around the server's local recorder (which
@@ -31,7 +36,7 @@ func NewFleet(capacity int, local *Recorder) *Fleet {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Fleet{local: local, max: capacity, hwm: make(map[int]uint64)}
+	return &Fleet{local: local, imported: ring{max: capacity}, hwm: make(map[instance]uint64), procs: make(map[int]string)}
 }
 
 // Local returns the server-lane recorder (nil-safe).
@@ -42,59 +47,63 @@ func (f *Fleet) Local() *Recorder {
 	return f.local
 }
 
-// ClockOffset mirrors obs.Trace.ClockOffset: given a remote journal clock
-// reading taken "now", it returns the seconds to add to that node's event
-// timestamps to place them on the local clock. Non-finite remote readings
-// (hostile or uninitialized) yield offset 0 rather than poisoning the merge.
+// ClockOffset returns the seconds to add to a remote node's timestamps to
+// place them on the local clock, given that node's clock reading taken "now":
+// remote TS + offset ≈ local time of the same instant (transit time is
+// attributed to the offset, the best a one-way exchange can do). The offset
+// is negative whenever the remote clock reads ahead of ours. Non-finite
+// remote readings (hostile or uninitialized) yield offset 0 rather than
+// poisoning the merge.
 func (f *Fleet) ClockOffset(remoteNow float64) float64 {
-	if f == nil {
-		return 0
-	}
-	if math.IsNaN(remoteNow) || math.IsInf(remoteNow, 0) {
+	if f == nil || math.IsNaN(remoteNow) || math.IsInf(remoteNow, 0) {
 		return 0
 	}
 	return f.local.Now() - remoteNow
 }
 
-// Import merges a batch of events from a remote node, shifting timestamps by
-// offset onto the local clock. Events whose Seq is at or below the node's
-// high-water mark are dropped as re-deliveries; shifted timestamps are
-// clamped at 0 so a negative offset (remote clock ahead) cannot push events
-// before the epoch, and non-finite inputs are sanitized instead of imported.
-func (f *Fleet) Import(node int, offset float64, evs []Event) {
+// SetProcessName labels an imported node's process in a Chrome export (the
+// export appends the node id).
+func (f *Fleet) SetProcessName(node int, name string) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.procs[node] = name
+	f.mu.Unlock()
+}
+
+// Import merges a batch of events from one instance of a remote node's
+// recorder, shifting timestamps by offset onto the local clock. Events whose
+// Seq is at or below the instance's high-water mark are dropped as
+// re-deliveries. Wire input is hostile input: an event whose shifted
+// timestamp or duration is not finite is dropped, a negative duration counts
+// as 0, and an event that would start before the local epoch (a negative
+// offset: the remote clock ahead) is moved to start at 0, keeping its length.
+func (f *Fleet) Import(node int, epoch uint64, offset float64, evs []Event) {
 	if f == nil || len(evs) == 0 {
 		return
 	}
 	if math.IsNaN(offset) || math.IsInf(offset, 0) {
 		offset = 0
 	}
+	key := instance{node, epoch}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, e := range evs {
-		if e.Seq != 0 && e.Seq <= f.hwm[node] {
+		if e.Seq != 0 && e.Seq <= f.hwm[key] {
 			continue // re-delivered on retry
 		}
-		if e.Seq > f.hwm[node] {
-			f.hwm[node] = e.Seq
+		if e.Seq > f.hwm[key] {
+			f.hwm[key] = e.Seq
 		}
-		if math.IsNaN(e.TS) || math.IsInf(e.TS, 0) {
+		e.TS += offset
+		if math.IsNaN(e.TS) || math.IsInf(e.TS, 0) || math.IsNaN(e.Dur) || math.IsInf(e.Dur, 0) {
 			continue
 		}
 		e.Node = node
-		e.TS += offset
-		if e.TS < 0 {
-			e.TS = 0
-		}
-		if len(f.imported) < f.max {
-			f.imported = append(f.imported, e)
-		} else {
-			f.imported[f.next] = e
-			f.next++
-			if f.next == f.max {
-				f.next = 0
-			}
-			f.dropped++
-		}
+		e.Dur = max(e.Dur, 0)
+		e.TS = max(e.TS, e.Dur)
+		f.imported.push(e)
 	}
 }
 
@@ -105,9 +114,7 @@ func (f *Fleet) Events() []Event {
 		return nil
 	}
 	f.mu.Lock()
-	imported := make([]Event, 0, len(f.imported))
-	imported = append(imported, f.imported[f.next:]...)
-	imported = append(imported, f.imported[:f.next]...)
+	imported := f.imported.events()
 	f.mu.Unlock()
 	return Merge(f.local.Events(), imported)
 }
@@ -120,7 +127,7 @@ func (f *Fleet) Dropped() uint64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dropped
+	return f.imported.dropped
 }
 
 // Nodes reports how many distinct remote nodes have imported events.
@@ -130,7 +137,11 @@ func (f *Fleet) Nodes() int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.hwm)
+	nodes := make(map[int]bool, len(f.hwm))
+	for k := range f.hwm {
+		nodes[k.node] = true
+	}
+	return len(nodes)
 }
 
 // Merge concatenates event batches and sorts them into causal order:

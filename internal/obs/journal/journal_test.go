@@ -13,15 +13,26 @@ func TestNilRecorderIsNop(t *testing.T) {
 	var r *Recorder
 	r.Record("x", 1, 2, "k", "v")
 	r.RecordAt(1.0, "x", 1, 2)
+	r.SpanAt(0, 1, 3, "x", 1, 2)
+	r.Begin().End(0, "x", None, None)
 	r.SetDisabled(true)
+	r.SetName(None, "p")
+	r.SetName(0, "t")
 	if r.Events() != nil || r.EventsSince(0) != nil {
 		t.Fatal("nil recorder returned events")
 	}
-	if r.Len() != 0 || r.Dropped() != 0 || r.Total() != 0 {
+	if r.Len() != 0 || r.Dropped() != 0 || r.Total() != 0 || r.Epoch() != 0 {
 		t.Fatal("nil recorder reported non-zero state")
 	}
 	if r.Now() != 0 {
 		t.Fatal("nil recorder clock not zeroed")
+	}
+	var b strings.Builder
+	if err := r.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid([]byte(b.String())) {
+		t.Fatalf("nil recorder export invalid: %s", b.String())
 	}
 }
 
@@ -29,9 +40,11 @@ func TestNilRecordZeroAlloc(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record("push.ack", 3, 7, "seq", "41")
+		sp := r.Begin()
+		sp.End(1, "pipe.fwd", None, None, "micro", "3")
 	})
 	if allocs != 0 {
-		t.Fatalf("nil Record allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("nil Record and span allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -157,8 +170,8 @@ func TestFleetImportOffsetAndDedup(t *testing.T) {
 		{TS: 2, Seq: 1, Kind: "cli.a", Round: 1, Client: None},
 		{TS: 3, Seq: 2, Kind: "cli.b", Round: 1, Client: None},
 	}
-	f.Import(7, 1.5, batch) // remote clock behind by 1.5s
-	f.Import(7, 1.5, batch) // verbatim re-delivery (telemetry retry)
+	f.Import(7, 1, 1.5, batch) // remote clock behind by 1.5s
+	f.Import(7, 1, 1.5, batch) // verbatim re-delivery (telemetry retry)
 	evs := f.Events()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3 (dedup failed?): %+v", len(evs), evs)
@@ -175,12 +188,45 @@ func TestFleetImportOffsetAndDedup(t *testing.T) {
 	}
 }
 
+// TestFleetNegativeOffsetClampsAtZero: the remote clock reads ahead of ours,
+// so imported timestamps shift backward; an event that would start before
+// the local epoch starts at 0 instead, a span keeping its length.
 func TestFleetNegativeOffsetClampsAtZero(t *testing.T) {
 	f := NewFleet(8, nil)
-	f.Import(1, -10, []Event{{TS: 2, Seq: 1, Kind: "x"}})
+	f.Import(1, 0, -10, []Event{{TS: 2, Seq: 1, Kind: "x"}})
+	f.Import(2, 0, f.ClockOffset(103), []Event{{TS: 100.5, Dur: 0.5, Seq: 1, Kind: "late"}})
 	evs := f.Events()
-	if len(evs) != 1 || evs[0].TS != 0 {
+	if len(evs) != 2 || evs[0].TS != 0 {
 		t.Fatalf("negative offset not clamped: %+v", evs)
+	}
+	if late := evs[1]; late.TS != 0.5 || late.Dur != 0.5 {
+		t.Fatalf("span that would start at -2.5 = %+v, want it to start at 0 with its 0.5 s", late)
+	}
+}
+
+// TestFleetImportRestartedNode: a node that restarts under the same id begins
+// again at Seq 1 with a new recorder; all its events land, while a verbatim
+// retry of its batch still dedups.
+func TestFleetImportRestartedNode(t *testing.T) {
+	f := NewFleet(64, nil)
+	a, b := NewClock(3, 16, nil), NewClock(3, 16, nil)
+	for i := 0; i < 10; i++ {
+		a.RecordAt(float64(i), "a", i, None)
+	}
+	for i := 0; i < 5; i++ {
+		b.RecordAt(float64(10+i), "b", i, None)
+	}
+	if a.Epoch() == b.Epoch() {
+		t.Fatal("two recorders drew the same epoch")
+	}
+	f.Import(3, a.Epoch(), 0, a.Events())
+	f.Import(3, b.Epoch(), 0, b.Events())
+	f.Import(3, b.Epoch(), 0, b.Events()) // the restarted node's retry
+	if evs := f.Events(); len(evs) != 15 {
+		t.Fatalf("merged timeline holds %d events, want 10 + 5:\n%s", len(evs), Timeline(evs))
+	}
+	if f.Nodes() != 1 {
+		t.Fatalf("Nodes = %d, want 1", f.Nodes())
 	}
 }
 
@@ -189,8 +235,8 @@ func TestFleetHostileInputsSanitized(t *testing.T) {
 	if off := f.ClockOffset(math.NaN()); off != 0 {
 		t.Fatalf("ClockOffset(NaN) = %v, want 0", off)
 	}
-	f.Import(1, math.Inf(1), []Event{{TS: 1, Seq: 1, Kind: "a"}})
-	f.Import(2, 0, []Event{{TS: math.NaN(), Seq: 1, Kind: "b"}})
+	f.Import(1, 0, math.Inf(1), []Event{{TS: 1, Seq: 1, Kind: "a"}})
+	f.Import(2, 0, 0, []Event{{TS: math.NaN(), Seq: 1, Kind: "b"}})
 	evs := f.Events()
 	if len(evs) != 1 || evs[0].Kind != "a" || evs[0].TS != 1 {
 		t.Fatalf("hostile inputs leaked: %+v", evs)
@@ -203,7 +249,7 @@ func TestFleetImportBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		batch = append(batch, Event{TS: float64(i), Seq: uint64(i + 1), Kind: "e", Round: i})
 	}
-	f.Import(1, 0, batch)
+	f.Import(1, 0, 0, batch)
 	evs := f.Events()
 	if len(evs) != 4 || f.Dropped() != 6 {
 		t.Fatalf("len=%d dropped=%d, want 4/6", len(evs), f.Dropped())
@@ -215,7 +261,7 @@ func TestFleetImportBounded(t *testing.T) {
 
 func TestNilFleetIsNop(t *testing.T) {
 	var f *Fleet
-	f.Import(1, 0, []Event{{Seq: 1}})
+	f.Import(1, 0, 0, []Event{{Seq: 1}})
 	if f.Events() != nil || f.Dropped() != 0 || f.Nodes() != 0 || f.Local() != nil {
 		t.Fatal("nil fleet not a nop")
 	}
@@ -274,7 +320,7 @@ func TestHandlerFilters(t *testing.T) {
 	local := NewClock(None, 16, nil)
 	f := NewFleet(16, local)
 	local.RecordAt(1, "srv.start", None, None)
-	f.Import(1, 0, []Event{
+	f.Import(1, 0, 0, []Event{
 		{TS: 2, Seq: 1, Round: 4, Client: 1, Kind: "push.apply"},
 		{TS: 3, Seq: 2, Round: 5, Client: 1, Kind: "push.apply"},
 		{TS: 4, Seq: 3, Round: 5, Client: 1, Kind: "net.retry"},

@@ -8,8 +8,9 @@ import (
 )
 
 // WriteTimeline renders events (already in causal order) one per line for
-// humans: timestamp, node, correlation ids, kind, then sorted attrs. This is
-// the dump-on-failure format printed by soak tests and the scenario runner.
+// humans: timestamp, node, correlation ids, kind, a span's duration, then
+// sorted attrs. This is the dump-on-failure format printed by soak tests and
+// the scenario runner.
 func WriteTimeline(w io.Writer, evs []Event) {
 	for _, e := range evs {
 		var b strings.Builder
@@ -25,6 +26,9 @@ func WriteTimeline(w io.Writer, evs []Event) {
 			b.WriteString("           ")
 		}
 		fmt.Fprintf(&b, " %-22s", e.Kind)
+		if e.Dur > 0 {
+			fmt.Fprintf(&b, " dur=%.6fs", e.Dur)
+		}
 		keys := make([]string, 0, len(e.Attrs))
 		for k := range e.Attrs {
 			keys = append(keys, k)

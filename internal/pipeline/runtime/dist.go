@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
+	"ecofl/internal/obs/journal"
 	"ecofl/internal/pipeline"
 	"ecofl/internal/tensor"
 )
@@ -76,7 +77,7 @@ import (
 type DistPipeline struct {
 	segments []*nn.Network // stage s's blocks, sharing parameters with net
 	sm       []stageMetrics
-	trace    *obs.Trace
+	journal  *journal.Recorder
 	// net is the full network over the stages' shared parameters, resolved
 	// once: ZeroGrads and the flush walk its cached parameter list.
 	net  *nn.Network
@@ -234,16 +235,14 @@ func (d *DistPipeline) stageDelay(s int) time.Duration {
 	return time.Duration(d.delays[s].Load())
 }
 
-// SetTrace attaches a span recorder to the stage workers: subsequent rounds
-// record per-micro-batch fwd/bwd spans and network-wait spans, one timeline
-// track per stage. A nil trace (the default) disables recording at ~0 cost.
-func (d *DistPipeline) SetTrace(tr *obs.Trace) {
-	d.trace = tr
-	if tr != nil {
-		tr.SetProcessName(0, "pipeline")
-		for s := range d.segments {
-			tr.SetThreadName(0, s, fmt.Sprintf("stage %d", s))
-		}
+// SetTrace attaches a recorder to the stage workers: subsequent rounds record
+// per-micro-batch pipe.fwd/pipe.bwd spans and pipe.wait-act/pipe.wait-grad
+// link-wait spans, lane s for stage s. A nil recorder (the default) disables
+// recording at ~0 cost.
+func (d *DistPipeline) SetTrace(rec *journal.Recorder) {
+	d.journal = rec
+	for s := range d.segments {
+		rec.SetName(s, fmt.Sprintf("stage %d", s))
 	}
 }
 
@@ -378,7 +377,7 @@ type syncRound struct {
 func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error {
 	seg := d.segments[s]
 	sm := d.sm[s]
-	tr := d.trace
+	jr := d.journal
 	st := &d.stages[s]
 	down, up := r.downs[s], r.ups[s]
 	first, last := s == 0, up == nil
@@ -387,11 +386,11 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 		if o.Kind == pipeline.TaskForward {
 			in := r.micros[o.Micro]
 			if !first {
-				wait := tr.Begin(0, s, "wait-act", "net")
+				wait := jr.Begin()
 				t0 := time.Now()
 				micro, t, err := down.recv()
 				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
-				wait.End()
+				endStageSpan(wait, s, "pipe.wait-act", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv act: %w", s, err)
 				}
@@ -400,7 +399,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				}
 				in = t
 			}
-			sp := tr.Begin(0, s, "fwd", "compute")
+			sp := jr.Begin()
 			t0 := time.Now()
 			out := seg.ForwardPass(rec, in, !first)
 			if dl := d.stageDelay(s); dl > 0 {
@@ -410,7 +409,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			*busy += el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.fwd.Inc()
-			sp.EndMicro(o.Micro)
+			endStageSpan(sp, s, "pipe.fwd", o.Micro)
 			if !last {
 				if err := up.send(o.Micro, out); err != nil {
 					return fmt.Errorf("stage %d send act: %w", s, err)
@@ -425,11 +424,11 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				r.losses[o.Micro] = loss
 				dy.Scale(float64(out.Rows()) / float64(r.rows))
 			} else {
-				wait := tr.Begin(0, s, "wait-grad", "net")
+				wait := jr.Begin()
 				t0 := time.Now()
 				micro, t, err := up.recv()
 				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
-				wait.End()
+				endStageSpan(wait, s, "pipe.wait-grad", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv grad: %w", s, err)
 				}
@@ -444,7 +443,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				}
 				dy = t
 			}
-			sp := tr.Begin(0, s, "bwd", "compute")
+			sp := jr.Begin()
 			t0 := time.Now()
 			dx := seg.BackwardPass(rec, dy, !first) // stage 0 has no one to send dx to
 			if dl := d.stageDelay(s); dl > 0 {
@@ -454,7 +453,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			*busy += el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.bwd.Inc()
-			sp.EndMicro(o.Micro)
+			endStageSpan(sp, s, "pipe.bwd", o.Micro)
 			if !first {
 				if err := down.give(o.Micro, dx); err != nil {
 					return fmt.Errorf("stage %d send grad: %w", s, err)
@@ -463,6 +462,15 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 		}
 	}
 	return nil
+}
+
+// endStageSpan records sp on stage s's lane, tagged with its micro-batch. The
+// tag is formatted only for a live span, so the nop recorder stays
+// allocation-free.
+func endStageSpan(sp journal.Span, s int, kind string, micro int) {
+	if sp != (journal.Span{}) {
+		sp.End(s, kind, journal.None, journal.None, "micro", strconv.Itoa(micro))
+	}
 }
 
 // errProtocol tags a frame that is well-formed but that a correct peer cannot

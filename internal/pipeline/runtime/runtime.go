@@ -17,10 +17,10 @@ import (
 )
 
 // Observability: per-stage counters on the Default registry plus optional
-// span recording through an obs.Trace. Counters are cheap atomic adds; span
-// recording costs nothing when no trace is attached (nil *obs.Trace is the
-// nop recorder). None of it touches the math — pipelined updates remain
-// bit-identical to sequential training.
+// span recording into a journal.Recorder. Counters are cheap atomic adds;
+// span recording costs nothing when no recorder is attached (a nil
+// *journal.Recorder is the nop recorder). None of it touches the math —
+// pipelined updates remain bit-identical to sequential training.
 var (
 	roundsTotal = metrics.GetCounter("ecofl_pipeline_rounds_total",
 		"1F1B-Sync sync-rounds committed by the pipeline runtime")

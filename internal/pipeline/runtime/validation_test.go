@@ -4,24 +4,25 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"ecofl/internal/device"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
-	"ecofl/internal/obs"
+	"ecofl/internal/obs/journal"
 	"ecofl/internal/pipeline"
 )
 
 // TestExecutedOrderMatchesSchedule holds every stage's executed op sequence,
-// read off a clockless trace, to pipeline.Schedule's task order for the same
+// read off a clockless journal, to pipeline.Schedule's task order for the same
 // partition on an ideal device (free links, ample memory, where the plan's
 // K_s is S−s), and the stage's record pool to K_s. Micro-batch counts below
 // the stage count are included.
 func TestExecutedOrderMatchesSchedule(t *testing.T) {
 	const mbs = 2
-	spanKinds := map[string]pipeline.TaskKind{"fwd": pipeline.TaskForward, "bwd": pipeline.TaskBackward}
+	spanKinds := map[string]pipeline.TaskKind{"pipe.fwd": pipeline.TaskForward, "pipe.bwd": pipeline.TaskBackward}
 	ideal := &device.Device{Name: "ideal", ComputeRate: 1e9, MemoryBytes: 1 << 40, LinkBandwidth: math.Inf(1)}
 	for S := 1; S <= 5; S++ {
 		tr := model.NewTrainableMLP(rand.New(rand.NewSource(int64(S))), "order", 6, []int{8, 8, 8, 8}, 3)
@@ -44,16 +45,17 @@ func TestExecutedOrderMatchesSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			trace := obs.New(nil)
-			dp.SetTrace(trace)
+			rec := journal.NewClock(0, 1<<12, nil)
+			dp.SetTrace(rec)
 			x, labels := makeData(rand.New(rand.NewSource(int64(m))), m*mbs, 6, 3)
 			if _, err := dp.TrainSyncRound(x, labels, mbs, &nn.SGD{LR: 0.01}); err != nil {
 				t.Fatal(err)
 			}
 			executed := make([][]pipeline.Op, S)
-			for _, e := range trace.Events() {
-				if k, ok := spanKinds[e.Name]; ok {
-					executed[e.TID] = append(executed[e.TID], pipeline.Op{Kind: k, Micro: int(e.Args["micro"])})
+			for _, e := range rec.Events() {
+				if k, ok := spanKinds[e.Kind]; ok {
+					micro, _ := strconv.Atoi(e.Attrs["micro"])
+					executed[e.Lane] = append(executed[e.Lane], pipeline.Op{Kind: k, Micro: micro})
 				}
 			}
 			for s := range S {

@@ -13,9 +13,9 @@ fi
 
 # Package reach: every package is a dependency of a binary, the benchmark or
 # an example, except the two test instruments. A package nothing runs is
-# deleted, not kept green.
+# deleted, not kept green. A directory of tests alone has no code to reach.
 unreached=$(comm -13 <(go list -deps ./cmd/... ./benchmark ./examples/... | grep '^ecofl' | sort -u) \
-	<(go list ./... | sort -u))
+	<(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sort -u))
 want_unreached='ecofl/internal/obs/journal/journaltest
 ecofl/internal/obs/leakcheck'
 if [ "$unreached" != "$want_unreached" ]; then
@@ -31,6 +31,23 @@ fi
 if gob=$(grep -rln '"encoding/gob"' --include='*.go' .); then
 	echo "encoding/gob is imported by:" >&2
 	echo "$gob" >&2
+	exit 1
+fi
+
+# One recorder: a span is a journal event with a duration (DESIGN.md,
+# "Observability"). The span recorder with its own buffer, shipping and clock
+# offset (package ecofl/internal/obs, now only tests of its contracts on the
+# journal) stays deleted, and journal's ring is the
+# one event buffer: an untagged struct field holding events (a wire envelope's
+# field has a JSON tag) is a second ring growing back.
+if grep -rn --include='*.go' '"ecofl/internal/obs"' . >&2; then
+	echo "one recorder: the lines above import the deleted span recorder package" >&2
+	exit 1
+fi
+rings=$(grep -rnE --include='*.go' '^[[:space:]]+[[:alnum:]_]+[[:space:]]+\[\]\*?([[:alnum:]_]+\.)?Event[[:space:]]*(//.*)?$' . | grep -v '_test\.go:' || true)
+if [ "$(grep -c . <<<"$rings")" != 1 ] || ! grep -q '^\./internal/obs/journal/journal\.go:[0-9]*:[[:space:]]*buf ' <<<"$rings"; then
+	echo "one event ring: want journal's ring.buf as the only untagged event-slice field, have:" >&2
+	echo "$rings" >&2
 	exit 1
 fi
 
