@@ -3,9 +3,10 @@ package fl
 // Sparse-overlay strategy hooks for communication-efficient uplinks: a
 // client that knows which reference model the server holds for it (flnet's
 // last-acked reply) can ship only the k coordinates that moved most, as
-// (index, new value) pairs. The server reconstructs the full update as the
-// reference overlaid with those values and mixes it with the usual FedAsync
-// step. Transmitting absolute values rather than differences makes the
+// (index, new value) pairs. The server (flnet's commit) reconstructs the
+// full update as the reference overlaid with those values and mixes it with
+// the usual FedAsync step, element by element as AsyncMix does.
+// Transmitting absolute values rather than differences makes the
 // reconstruction exact: with k = len(w) the sparse push is bit-identical to
 // a dense push, so sparsification is a pure wire-size lever whose only
 // accuracy cost is the untransmitted (smallest-magnitude) coordinates
@@ -16,24 +17,6 @@ import (
 
 	"ecofl/internal/tensor"
 )
-
-// AsyncMixSparse applies the FedAsync update w ← (1−α)w + α·u in place,
-// where u is ref overlaid with vals at the strictly ascending indices idx —
-// without ever materializing u. The arithmetic per element is identical to
-// AsyncMix on the reconstructed update, so a sparse push with a full index
-// set reproduces the dense push bit for bit. Callers must have validated
-// idx against len(global) (flnet's wire decode and applyPush both do).
-func AsyncMixSparse(global, ref []float64, idx []uint32, vals []float64, alpha float64) {
-	j := 0
-	for i := range global {
-		u := ref[i]
-		if j < len(idx) && int(idx[j]) == i {
-			u = vals[j]
-			j++
-		}
-		global[i] = (1-alpha)*global[i] + alpha*u
-	}
-}
 
 // Magnitude buckets for top-k selection. A non-negative float64 orders like
 // its bit pattern, so bits >> magShift — the 11 exponent bits and the top two

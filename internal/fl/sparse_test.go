@@ -7,48 +7,6 @@ import (
 	"testing"
 )
 
-func TestAsyncMixSparseLosslessMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 257
-	ref := make([]float64, n)
-	w := make([]float64, n)
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-		w[i] = ref[i]
-		if i%3 != 0 { // leave every third coordinate unchanged
-			w[i] += rng.NormFloat64()
-		}
-	}
-	idx, vals := TopKDelta(w, ref, n, nil, nil)
-
-	global := make([]float64, n)
-	globalDense := make([]float64, n)
-	for i := range global {
-		global[i] = rng.NormFloat64()
-		globalDense[i] = global[i]
-	}
-	AsyncMixSparse(global, ref, idx, vals, 0.37)
-	AsyncMix(globalDense, w, 0.37)
-	for i := range global {
-		if global[i] != globalDense[i] {
-			t.Fatalf("coordinate %d: sparse %v != dense %v (bitwise)", i, global[i], globalDense[i])
-		}
-	}
-}
-
-func TestAsyncMixSparseOverlay(t *testing.T) {
-	global := []float64{10, 20, 30, 40}
-	ref := []float64{0, 2, 4, 6}
-	// Only index 2 transmitted: the others mix toward ref, not toward w.
-	AsyncMixSparse(global, ref, []uint32{2}, []float64{100}, 0.5)
-	want := []float64{5, 11, 65, 23}
-	for i := range want {
-		if global[i] != want[i] {
-			t.Fatalf("got %v, want %v", global, want)
-		}
-	}
-}
-
 func TestTopKDeltaSelection(t *testing.T) {
 	ref := []float64{0, 0, 0, 0, 0, 0}
 	w := []float64{0.1, -5, 0, 3, -0.2, 3}

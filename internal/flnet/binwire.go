@@ -7,8 +7,9 @@ package flnet
 // connection closed (the format has no resync point); a reconnecting portal
 // starts over with a fresh hello.
 //
-// Both ends decode into per-connection reusable buffers and hand the
-// dispatch path zero-copy views where the host allows it. The one part of a
+// The server decodes into per-connection reusable buffers and hands the
+// dispatch path zero-copy views where the host allows it; the client reads a
+// reply's model straight into the slice it returns. The one part of a
 // frame this package does not parse itself is the telemetry trailer: JSON,
 // through encoding/json, on bytes the frame header has already bounded, and
 // off the hot path by construction.
@@ -38,8 +39,8 @@ func kindName(kind byte) string {
 
 // binClientWire frames requests and replies through reusable buffers: one
 // flush per request, zero-copy raw payloads on little-endian hosts, and a
-// reply decode that allocates only the weights slice whose ownership passes
-// to the caller.
+// reply read that allocates only the weights slice whose ownership passes
+// to the caller, filled from the socket with no copy in between.
 type binClientWire struct {
 	bw      *bufio.Writer
 	fw      wire.Writer
@@ -86,22 +87,20 @@ func (b *binClientWire) writeRequest(req *request) error {
 	return b.bw.Flush()
 }
 
-func (b *binClientWire) readReply(rep *reply) error {
-	h, payload, trailer, err := b.fr.Next()
+// readReply reads a reply's model straight into the slice whose ownership
+// passes to the caller. hint is the model size the client expects, the most
+// the read allocates before the bytes arrive.
+func (b *binClientWire) readReply(rep *reply, hint int) error {
+	h, weights, trailer, err := b.fr.NextOwned(hint)
 	if err != nil {
 		return err
 	}
 	if h.Kind != wire.KindReply {
 		return fmt.Errorf("%w: kind %d where a reply was expected", wire.ErrFrame, h.Kind)
 	}
-	*rep = reply{Version: int(h.A)}
+	*rep = reply{Weights: weights, Version: int(h.A)}
 	if len(trailer) > 0 {
 		rep.Err = string(trailer)
-	}
-	if h.Codec == wire.CodecRaw {
-		if rep.Weights, err = wire.ParseRaw(payload, nil); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -261,14 +260,17 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			err = fw.WriteFrame(&rh, nil, errTrailer)
 		}
-		if err != nil {
-			return
+		if err == nil {
+			// Observed before the flush that completes the reply, so a client
+			// holding its reply is guaranteed to find the request in the
+			// histogram.
+			srvRequestSeconds.Observe(time.Since(t0).Seconds())
+			err = bw.Flush()
 		}
-		// Observed before the flush that completes the reply, so a client
-		// holding its reply is guaranteed to find the request in the
-		// histogram.
-		srvRequestSeconds.Observe(time.Since(t0).Seconds())
-		if bw.Flush() != nil {
+		// Flushed or failed, the model's bytes are no longer needed: the
+		// reply's reference goes back.
+		s.release(rep.held)
+		if err != nil {
 			return
 		}
 	}

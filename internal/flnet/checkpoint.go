@@ -64,13 +64,14 @@ var (
 		"model version captured by the last written checkpoint")
 )
 
-// Checkpoint captures the server's current aggregation state.
+// Checkpoint captures the server's current aggregation state. The model is
+// copied after s.mu is released, from a reference taken under it, so pushes
+// do not wait on the copy.
 func (s *Server) Checkpoint() *Checkpoint {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	m := s.cur.hold()
 	ck := &Checkpoint{
-		Weights: append([]float64(nil), s.weights...),
-		Version: s.version,
+		Version: m.version,
 		Pushes:  s.pushes,
 		LastSeq: make(map[int]uint64, len(s.sessions)),
 	}
@@ -81,6 +82,9 @@ func (s *Server) Checkpoint() *Checkpoint {
 			ck.LastSeq[id] = ss.seq
 		}
 	}
+	s.mu.Unlock()
+	ck.Weights = append([]float64(nil), m.weights...)
+	s.release(m)
 	return ck
 }
 

@@ -36,7 +36,6 @@ import (
 	"ecofl/internal/fl/robust"
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/journal"
-	"ecofl/internal/tensor"
 )
 
 // request is the client→server message. A push carries either raw Weights
@@ -65,12 +64,31 @@ type request struct {
 	DenseLen   int
 }
 
-// reply is the server→client message.
+// reply is the server→client message. On the server, held is the reference
+// the reply keeps on the model whose weights it carries, until the handler
+// has flushed it; on the client, Weights is the caller's own slice.
 type reply struct {
 	Weights []float64
 	Version int
 	Err     string
+	held    *model
 }
+
+// model is one committed model version, immutable once published: a push
+// commits into a recycled or fresh model rather than into the current one,
+// so every reply, session ack and sparse base shares the version it names
+// instead of copying it. refs counts its holders — the server while it is
+// current, each session acked with it, each reply until its flush — and it
+// is recycled only when the last of them lets go.
+type model struct {
+	weights []float64
+	version int
+	refs    atomic.Int32
+}
+
+// spareModels is how many released models the server keeps for its next
+// commits to write into; more go to the garbage collector.
+const spareModels = 4
 
 // ServerOptions configures fault-tolerance aspects of a Server.
 type ServerOptions struct {
@@ -143,13 +161,13 @@ type Server struct {
 
 	reaperStop chan struct{} // non-nil while the lease reaper runs
 
-	// mu guards the model and everything the server knows about its clients.
-	// Each request kind is one critical section under it: a pull is lease
-	// contact → snapshot; a push is lease contact → dedup window → sparse
-	// base → admitLocked → store ack; a telemetry flush is lease contact.
+	// mu guards the current model and everything the server knows about its
+	// clients. Each request kind is one critical section under it: a pull is
+	// lease contact → reference the current model; a push is lease contact →
+	// dedup window → sparse base → admitLocked → store ack; a telemetry flush
+	// is lease contact. No model is copied under it.
 	mu      sync.Mutex
-	weights []float64
-	version int
+	cur     *model
 	pushes  int
 	deduped int
 	// sessions is the one per-client table (lease.go): dedup high-water mark,
@@ -161,6 +179,8 @@ type Server struct {
 	// opts.NormGate) and the count of pushes acked but quarantined.
 	normGate    *robust.NormTracker
 	quarantined int
+
+	spare chan *model // released models, recycled by the next commits
 }
 
 // NewServer creates a server holding the initial global weights and starts
@@ -189,9 +209,11 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		ln:           ln,
 		fleet:        newFleet(),
 		conns:        make(map[net.Conn]struct{}),
-		weights:      append([]float64(nil), init...),
+		cur:          &model{weights: append([]float64(nil), init...)},
 		sessions:     make(map[int]*session),
+		spare:        make(chan *model, spareModels),
 	}
+	s.cur.refs.Store(1)
 	s.fleet.journal = opts.Journal
 	if opts.NormGate {
 		s.normGate = robust.NewNormTracker(0, opts.NormGateWarmup, opts.NormGateK)
@@ -206,8 +228,8 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		if !finite(ck.Weights...) {
 			return nil, errors.New("flnet: checkpoint holds a non-finite weight, refusing to resume a poisoned model")
 		}
-		s.weights = append([]float64(nil), ck.Weights...)
-		s.version = ck.Version
+		s.cur.weights = append(s.cur.weights[:0], ck.Weights...)
+		s.cur.version = ck.Version
 		s.pushes = ck.Pushes
 		for id, seq := range ck.LastSeq {
 			s.sessions[id] = &session{seq: seq}
@@ -274,17 +296,57 @@ func (s *Server) untrackConn(conn net.Conn) {
 }
 
 // Snapshot returns a copy of the current global weights and model version.
+// The copy is made after s.mu is released, from a reference taken under it.
 func (s *Server) Snapshot() ([]float64, int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep := s.snapshotLocked()
-	return rep.Weights, rep.Version
+	m := s.cur.hold()
+	s.mu.Unlock()
+	defer s.release(m)
+	return append([]float64(nil), m.weights...), m.version
 }
 
-// snapshotLocked is the current model as a reply: what a pull returns and
-// what every acknowledged push is answered with. Caller holds s.mu.
-func (s *Server) snapshotLocked() reply {
-	return reply{Weights: append([]float64(nil), s.weights...), Version: s.version}
+// replyLocked answers with model m — the current one for a pull or a push,
+// a session's ack for its dedup replay — by reference: the reply holds m
+// until the handler releases it after the flush. Caller holds s.mu.
+func (s *Server) replyLocked(m *model) reply {
+	return reply{Weights: m.weights, Version: m.version, held: m.hold()}
+}
+
+// hold takes a reference to m for its caller. Caller holds s.mu and m is
+// the current model or a session's ack, so m is referenced already and
+// cannot be recycled under it.
+func (m *model) hold() *model {
+	m.refs.Add(1)
+	return m
+}
+
+// release drops one reference to m (nil is no reference); the last one
+// recycles it. It needs no lock, so a handler releases its reply's model
+// after the flush without waiting on s.mu.
+func (s *Server) release(m *model) {
+	if m != nil && m.refs.Add(-1) == 0 {
+		s.recycle(m)
+	}
+}
+
+// recycle keeps an unreferenced model for a later commit to write into.
+func (s *Server) recycle(m *model) {
+	select {
+	case s.spare <- m:
+	default:
+	}
+}
+
+// blankModelLocked returns an unreferenced model of the current size for a
+// commit to write into: a recycled one, or a fresh one when none is spare.
+// Caller holds s.mu.
+func (s *Server) blankModelLocked() *model {
+	select {
+	case m := <-s.spare:
+		return m
+	default:
+		return &model{weights: make([]float64, len(s.cur.weights))}
+	}
 }
 
 // Fleet returns the server's telemetry aggregator: node-labeled metric
@@ -337,7 +399,7 @@ func (s *Server) dispatch(req *request) reply {
 		srvRequestsPull.Inc()
 		s.mu.Lock()
 		s.contactLocked(req.ClientID, false)
-		rep = s.snapshotLocked()
+		rep = s.replyLocked(s.cur)
 		s.mu.Unlock()
 	case wire.KindPush:
 		srvRequestsPush.Inc()
@@ -371,11 +433,11 @@ func (s *Server) dispatch(req *request) reply {
 // contact, which may reject it for re-sync; then dedup — a sequence number at
 // or below the client's high-water mark was already applied (the first
 // attempt landed but its ack was lost), so the client gets an
-// acknowledgement — the stored ack for an exact match, the current snapshot
+// acknowledgement — the stored ack for an exact match, the current model
 // for an older straggler — and the model is left untouched; then the
-// admission gate against the session's ack as sparse base; then the reply is
-// stored as the new ack. applied reports whether the update was actually
-// mixed in.
+// admission gate against the session's ack as sparse base; then the model
+// the reply carries becomes the new ack. applied reports whether the update
+// was actually mixed in.
 func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	ss, err := s.contactLocked(req.ClientID, true)
 	if err != nil {
@@ -391,27 +453,27 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		// check: strconv caches only the numbers below 100, so a push past
 		// seq 99 would otherwise allocate for a journal that is off.
 		if jr := s.jrec(); jr != nil {
-			jr.Record("push.dedup-drop", s.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
+			jr.Record("push.dedup-drop", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
 		}
-		if req.Seq == ss.seq && ss.ack.Weights != nil {
-			return ss.ack, false
+		if req.Seq == ss.seq && ss.ack != nil {
+			return s.replyLocked(ss.ack), false
 		}
 		// Seq predates the window (or the ack was lost to a restart or a
 		// lease expiry): ack with the current model, which is at least as
 		// fresh.
-		return s.snapshotLocked(), false
+		return s.replyLocked(s.cur), false
 	}
 	quarantine, err := s.admitLocked(req, ss.ack)
 	if err != nil {
 		srvPushErrors.Inc()
 		if jr := s.jrec(); jr != nil {
-			jr.Record("push.reject", s.version, req.ClientID, "err", journal.ErrText(err))
+			jr.Record("push.reject", s.cur.version, req.ClientID, "err", journal.ErrText(err))
 		}
 		return reply{Err: err.Error()}, false
 	}
 	if quarantine != "" {
 		// Semantically poisonous but protocol-valid: ack the client with the
-		// current snapshot (an honest-but-buggy sender resumes from clean
+		// current model (an honest-but-buggy sender resumes from clean
 		// state; a retry dedups) and leave the model untouched. The version
 		// and push counters don't move — a quarantined push never happened
 		// as far as mixing is concerned.
@@ -421,15 +483,16 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		} else {
 			srvQuarNonFinite.Inc()
 		}
-		s.jrec().Record("push.quarantine", s.version, req.ClientID, "reason", quarantine)
+		s.jrec().Record("push.quarantine", s.cur.version, req.ClientID, "reason", quarantine)
 	} else if jr := s.jrec(); jr != nil {
-		jr.Record("push.apply", s.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
+		jr.Record("push.apply", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
 	}
-	rep = s.snapshotLocked()
 	if req.Seq > 0 {
-		ss.seq, ss.ack = req.Seq, rep
+		prev := ss.ack
+		ss.seq, ss.ack = req.Seq, s.cur.hold()
+		s.release(prev)
 	}
-	return rep, quarantine == ""
+	return s.replyLocked(s.cur), quarantine == ""
 }
 
 // admitLocked is the one gate between a decoded push and training state.
@@ -437,80 +500,102 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 // (wire.ParseSparse: ascending in-range indices, finite values;
 // wire.ParseQuant: finite parameters); this checks it once against the
 // model: the shape, the sparse base against ref — the ack the caller holds
-// for this client, Weights nil when it holds none — every dense value's
-// finiteness (the raw codec is a zero-copy view and validates
-// nothing; a quantized range can overflow only once dequantized) and the L2
-// displacement against the reference it mixes over. It returns an error for
-// a push the protocol rejects, a quarantine reason — "non-finite", or "norm"
-// when the armed gate finds the displacement an outlier against the trailing
-// accepted-norm distribution — for one it acks but must not mix, and
-// otherwise mixes the update in without intermediate copies: raw views in
-// place, quantized updates through pooled scratch, sparse overlays straight
-// against the acked reference. Caller holds s.mu.
-func (s *Server) admitLocked(req *request, ref reply) (quarantine string, err error) {
-	n := len(s.weights)
-	var (
-		dense []float64 // the full update: raw view or dequantized scratch
-		sum   float64
-	)
-	sparse := false
+// for this client, nil when it holds none — every dense value's finiteness
+// (the raw codec is a zero-copy view and validates nothing; a quantized
+// range can overflow only once dequantized) and the L2 displacement against
+// the reference it mixes over. It returns an error for a push the protocol
+// rejects, a quarantine reason — "non-finite", or "norm" when the armed gate
+// finds the displacement an outlier against the trailing accepted-norm
+// distribution — for one it acks but must not mix, and otherwise publishes
+// the mixed model as the current one. One pass over the update does it all:
+// dequantize or overlay, check, sum the norm and write (1−α)·w + α·u into a
+// recycled model, which is dropped again unless the gate admits the push.
+// Caller holds s.mu.
+func (s *Server) admitLocked(req *request, ref *model) (quarantine string, err error) {
+	old := s.cur.weights
+	n := len(old)
 	switch {
 	case req.Weights != nil:
 		if len(req.Weights) != n {
 			return "", fmt.Errorf("flnet: update has %d weights, model has %d", len(req.Weights), n)
 		}
-		dense = req.Weights
 	case req.Quant != nil:
 		if len(req.Quant.Data) != n {
 			return "", fmt.Errorf("flnet: quantized update has %d weights, model has %d", len(req.Quant.Data), n)
 		}
-		t := tensor.GetBufUninit(n)
-		defer tensor.PutBuf(t)
-		dense = req.Quant.DequantizeInto(t.Data)
 	case req.SparseIdx != nil || req.DenseLen > 0:
 		if req.DenseLen != n {
 			return "", fmt.Errorf("flnet: sparse update claims %d weights, model has %d", req.DenseLen, n)
 		}
-		if ref.Weights == nil || ref.Version != req.BaseVersion || len(ref.Weights) != n {
+		if ref == nil || ref.version != req.BaseVersion {
 			srvSparseRejects.Inc()
 			have := -1
-			if ref.Weights != nil {
-				have = ref.Version
+			if ref != nil {
+				have = ref.version
 			}
 			if jr := s.jrec(); jr != nil {
-				jr.Record("sparse.base-mismatch", s.version, req.ClientID,
+				jr.Record("sparse.base-mismatch", s.cur.version, req.ClientID,
 					"base", strconv.Itoa(req.BaseVersion), "have", strconv.Itoa(have))
 			}
 			return "", fmt.Errorf("%s: push built on v%d, server ack window holds v%d", sparseBaseMismatch, req.BaseVersion, have)
 		}
-		sparse = true
-		for k, ix := range req.SparseIdx {
-			d := req.SparseVals[k] - ref.Weights[ix]
-			sum += d * d
-		}
 	default:
 		return "", errNoPayload
 	}
-	for i, v := range dense {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return "non-finite", nil
+	alpha := fl.StalenessAlpha(s.Alpha, float64(s.cur.version-req.BaseVersion), s.StalenessExp)
+	next := s.blankModelLocked()
+	w := next.weights
+	var sum float64
+	switch {
+	case req.Weights != nil:
+		for i, v := range req.Weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				s.recycle(next)
+				return "non-finite", nil
+			}
+			d := v - old[i]
+			sum += d * d
+			w[i] = (1-alpha)*old[i] + alpha*v
 		}
-		d := v - s.weights[i]
-		sum += d * d
+	case req.Quant != nil:
+		q := req.Quant
+		for i, b := range q.Data {
+			v := q.Min + float64(b)*q.Scale
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				s.recycle(next)
+				return "non-finite", nil
+			}
+			d := v - old[i]
+			sum += d * d
+			w[i] = (1-alpha)*old[i] + alpha*v
+		}
+	default:
+		// The overlay: the update is the acked reference with the pushed
+		// values at their (ascending, validated) indices; only those move
+		// the norm.
+		idx, vals, j := req.SparseIdx, req.SparseVals, 0
+		for i, r := range ref.weights {
+			u := r
+			if j < len(idx) && int(idx[j]) == i {
+				u = vals[j]
+				d := u - r
+				sum += d * d
+				j++
+			}
+			w[i] = (1-alpha)*old[i] + alpha*u
+		}
 	}
 	norm := math.Sqrt(sum)
 	if s.normGate != nil {
 		if th, ok := s.normGate.Threshold(); ok && norm > th {
+			s.recycle(next)
 			return "norm", nil
 		}
 	}
-	alpha := fl.StalenessAlpha(s.Alpha, float64(s.version-req.BaseVersion), s.StalenessExp)
-	if sparse {
-		fl.AsyncMixSparse(s.weights, ref.Weights, req.SparseIdx, req.SparseVals, alpha)
-	} else {
-		fl.AsyncMix(s.weights, dense, alpha)
-	}
-	s.version++
+	next.version = s.cur.version + 1
+	next.refs.Store(1)
+	s.release(s.cur)
+	s.cur = next
 	s.pushes++
 	if s.normGate != nil {
 		s.normGate.Observe(norm)
@@ -547,11 +632,15 @@ type Client struct {
 	addr string
 	opts Options
 
-	mu   sync.Mutex      // serializes round trips; guards wire, tel, seq, rng
+	mu   sync.Mutex      // serializes round trips; guards wire, tel, seq, rng and the model sizes
 	wire *binClientWire  // per-connection request/reply codec
 	tel  *telemetryState // nil until EnableTelemetry
 	seq  uint64          // last assigned push sequence number
 	rng  *rand.Rand      // backoff jitter stream
+	// pushLen and replyLen are the weights in the last model pushed and in
+	// the last reply accepted; the larger caps what a reply read allocates
+	// before its bytes arrive.
+	pushLen, replyLen int
 
 	// scratchMu guards the push-side encode scratch (the reusable
 	// quantization buffer and the sparse delta buffers) across concurrent
@@ -632,6 +721,8 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 		c.seq++
 		req.Seq = c.seq
 		countClientPushPayload(req)
+		_, raw := pushPayloadSize(req)
+		c.pushLen = raw / 8
 	}
 	if c.tel != nil && req.Telemetry == nil && req.Kind != wire.KindPull {
 		req.Telemetry = c.telemetrySnapshotLocked()
@@ -665,6 +756,9 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 				// deterministic and must not be retried.
 				return nil, errors.New(rep.Err)
 			}
+			if rep.Weights != nil {
+				c.replyLen = len(rep.Weights)
+			}
 			if req.Kind == wire.KindPush && rep.Weights != nil {
 				c.noteAck(rep)
 				if jr := c.opts.Journal; jr != nil {
@@ -692,6 +786,11 @@ func (c *Client) noteAck(rep *reply) {
 }
 
 // attemptLocked runs one encode/decode round trip under the deadline.
+// The deadline is left armed afterwards, not cleared: every read and write
+// on the connection after the handshake happens here, behind a fresh
+// deadline, and re-arming moves the connection's timers in place, where
+// clearing them would make the next attempt re-add them to a runtime timer
+// heap — an allocation on the push path whenever that heap has to grow.
 // Caller holds c.mu.
 func (c *Client) attemptLocked(req *request) (*reply, error) {
 	c.connMu.Lock()
@@ -707,11 +806,8 @@ func (c *Client) attemptLocked(req *request) (*reply, error) {
 		return nil, err
 	}
 	var rep reply
-	if err := c.wire.readReply(&rep); err != nil {
+	if err := c.wire.readReply(&rep, max(c.pushLen, c.replyLen)); err != nil {
 		return nil, err
-	}
-	if c.opts.Timeout > 0 {
-		conn.SetDeadline(time.Time{})
 	}
 	return &rep, nil
 }

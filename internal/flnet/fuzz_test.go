@@ -226,18 +226,18 @@ func FuzzRequestDecode(f *testing.F) {
 			// takes it: ack missing ⇔ the client never had a push acked, or
 			// its lease expired since.
 			for id, ss := range s.sessions {
-				if got := ss.ack.Weights != nil; got != acked[id] {
+				if got := ss.ack != nil; got != acked[id] {
 					t.Fatalf("client %d after frame %d: ack held = %v, want %v (lease expired=%v, seq %d)",
 						id, n, got, acked[id], ss.expired, ss.seq)
 				}
 			}
 		}
-		if s.version != s.pushes {
-			t.Fatalf("version %d != accepted pushes %d", s.version, s.pushes)
+		if s.cur.version != s.pushes {
+			t.Fatalf("version %d != accepted pushes %d", s.cur.version, s.pushes)
 		}
 		// The semantic gate's core invariant: no byte stream, via any codec,
 		// leaves a non-finite value in the model.
-		for i, v := range s.weights {
+		for i, v := range s.cur.weights {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("model weight %d is non-finite (%v) after fuzz input", i, v)
 			}

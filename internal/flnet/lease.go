@@ -46,7 +46,7 @@ const leaseExpired = "flnet: lease expired"
 // (lease.grant), and it is a few words per client.
 type session struct {
 	seq uint64 // highest acked push Seq; survives expiry and restarts
-	ack reply  // dedup window: the reply sent for seq; Weights nil when none is held
+	ack *model // dedup window: a reference to the model sent for seq; nil when none is held
 
 	granted time.Time // first contact; zero until a lease is granted
 	renewed time.Time // most recent contact
@@ -65,11 +65,12 @@ func (s *Server) addLiveLocked(d int) {
 }
 
 // expireLocked marks a lapsed lease expired and, in the same step, drops the
-// session's ack: the dense reference copy is freed and the client's next
-// sparse push takes the dense re-sync path. Caller holds s.mu.
+// session's ack: its reference to the model is released and the client's
+// next sparse push takes the dense re-sync path. Caller holds s.mu.
 func (s *Server) expireLocked(id int, ss *session, now time.Time) {
 	ss.expired = true
-	ss.ack = reply{}
+	s.release(ss.ack)
+	ss.ack = nil
 	srvLeaseExpired.Inc()
 	s.addLiveLocked(-1)
 	s.jrec().Record("lease.expire", journal.None, id, "idle", now.Sub(ss.renewed).Round(time.Millisecond).String())

@@ -317,7 +317,7 @@ func TestReaperKeepsLiveAck(t *testing.T) {
 				for s.dispatch(req).Err != "" {
 				}
 				s.mu.Lock()
-				if ss := s.sessions[id]; ss.ack.Weights == nil && !ss.expired {
+				if ss := s.sessions[id]; ss.ack == nil && !ss.expired {
 					violations.Add(1)
 				}
 				s.mu.Unlock()

@@ -32,8 +32,9 @@ func QuantizeInto(w []float64, q *Quantized) *Quantized {
 }
 
 // DequantizeInto reconstructs the vector into dst, which must have
-// len(q.Data) elements (the server's ingest path passes pooled scratch
-// instead of allocating per push). The error is at most Scale/2 per element.
+// len(q.Data) elements. The server's commit dequantizes with the same
+// expression inside its mixing pass instead. The error is at most Scale/2
+// per element.
 func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 	dst = dst[:len(q.Data)]
 	for i, b := range q.Data {

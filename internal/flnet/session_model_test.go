@@ -375,8 +375,12 @@ func (h *modelHarness) check() {
 		if ss.seq != rs.seq {
 			h.failf("client %d high-water seq %d, model says %d", id, ss.seq, rs.seq)
 		}
-		if got := ss.ack.Weights != nil; got != rs.acked || (got && ss.ack.Version != rs.ackVer) {
-			h.failf("client %d ack held=%v at v%d, model says held=%v at v%d", id, got, ss.ack.Version, rs.acked, rs.ackVer)
+		ackVer := -1
+		if ss.ack != nil {
+			ackVer = ss.ack.version
+		}
+		if got := ss.ack != nil; got != rs.acked || (got && ackVer != rs.ackVer) {
+			h.failf("client %d ack held=%v at v%d, model says held=%v at v%d", id, got, ackVer, rs.acked, rs.ackVer)
 		}
 	}
 }

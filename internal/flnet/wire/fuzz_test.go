@@ -13,7 +13,10 @@ import (
 // allocation blow-up — while well-formed frames keep decoding. Whatever a
 // push frame's payload claims to be is fed through the matching codec
 // parser, which must uphold its own invariants (ascending in-range sparse
-// indices, finite values) or reject.
+// indices, finite values) or reject. A second reader takes the same stream
+// through NextOwned, as a client reads its replies: it must keep step with
+// Next, refuse exactly the frames whose payload is not raw, and hand back
+// what ParseRaw makes of the same payload.
 func FuzzFrameDecode(f *testing.F) {
 	frame := func(h Header, payload, trailer []byte) []byte {
 		var buf bytes.Buffer
@@ -77,12 +80,17 @@ func FuzzFrameDecode(f *testing.F) {
 	lim := Limits{MaxPayload: 1 << 16, MaxTrailer: 1 << 12}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := Reader{R: bytes.NewReader(stream), Lim: lim}
+		owned := Reader{R: bytes.NewReader(stream), Lim: lim}
 		var idxDst []uint32
 		var valDst []float64
 		var rawDst []float64
 		for n := 0; n < 32; n++ {
 			h, payload, trailer, err := r.Next()
+			oh, vals, otrailer, oerr := owned.NextOwned(n)
 			if err != nil {
+				if oerr == nil {
+					t.Fatalf("NextOwned accepted a frame Next refused (%v): %+v", err, oh)
+				}
 				return // poisoned stream: the transport drops the connection
 			}
 			if len(payload) != int(h.PayloadLen) || len(trailer) != int(h.TrailerLen) {
@@ -91,6 +99,18 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			if len(payload) > lim.maxPayload() || len(trailer) > lim.maxTrailer() {
 				t.Fatal("frame body exceeds limits")
+			}
+			if (oerr == nil) != (h.Codec == CodecRaw || len(payload) == 0) {
+				t.Fatalf("NextOwned on a codec %d frame of %d payload bytes: %v", h.Codec, len(payload), oerr)
+			}
+			if oerr != nil {
+				return
+			}
+			want, _ := ParseRaw(payload, nil)
+			if oh != h || 8*len(vals) != int(oh.PayloadLen) || !bytes.Equal(otrailer, trailer) ||
+				!bytes.Equal(AppendRaw(nil, vals), AppendRaw(nil, want)) {
+				t.Fatalf("NextOwned read %+v, %d weights, trailer %q; Next %+v, %d weights, trailer %q",
+					oh, len(vals), otrailer, h, len(want), trailer)
 			}
 			if h.Kind != KindPush {
 				continue

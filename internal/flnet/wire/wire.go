@@ -200,7 +200,7 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 
 // Reader decodes frames from a stream into reusable buffers. The payload
 // and trailer slices returned by Next alias the Reader's internal buffers
-// and are valid only until the following Next call.
+// and are valid only until the following Next or NextOwned call.
 type Reader struct {
 	R   io.Reader
 	Lim Limits
@@ -213,10 +213,7 @@ type Reader struct {
 // Next reads one frame. On any validation or transport error the reader is
 // poisoned for the connection (framing has no resync point, by design).
 func (r *Reader) Next() (Header, []byte, []byte, error) {
-	if _, err := io.ReadFull(r.R, r.hdr[:]); err != nil {
-		return Header{}, nil, nil, err
-	}
-	h, err := ParseHeader(r.hdr[:], r.Lim)
+	h, err := r.header()
 	if err != nil {
 		return h, nil, nil, err
 	}
@@ -227,6 +224,71 @@ func (r *Reader) Next() (Header, []byte, []byte, error) {
 		return h, nil, nil, err
 	}
 	return h, r.payload, r.trailer, nil
+}
+
+// NextOwned reads one frame like Next, except that a raw payload goes
+// straight from the stream into a fresh []float64 the caller owns, with no
+// copy through the reader's buffer; vals is nil when the frame has no
+// payload, and a payload in any other codec fails closed. Up to hint weights
+// are allocated up front (a caller passes the model size it expects); beyond
+// that the slice grows only as bytes arrive, as in ReadGrow, so a hostile
+// length claim on a truncated stream still cannot allocate its stated size.
+// The trailer aliases the reader's buffer, as in Next.
+func (r *Reader) NextOwned(hint int) (h Header, vals []float64, trailer []byte, err error) {
+	if h, err = r.header(); err != nil {
+		return h, nil, nil, err
+	}
+	switch {
+	case h.Codec == CodecRaw:
+		if vals, err = r.readRaw(int(h.PayloadLen)/8, hint); err != nil {
+			return h, nil, nil, err
+		}
+	case h.PayloadLen != 0:
+		return h, nil, nil, fmt.Errorf("%w: kind %d codec %d where a raw payload was expected", ErrFrame, h.Kind, h.Codec)
+	}
+	if r.trailer, err = ReadGrow(r.R, r.trailer, int(h.TrailerLen)); err != nil {
+		return h, nil, nil, err
+	}
+	return h, vals, r.trailer, nil
+}
+
+// header reads and validates one frame header.
+func (r *Reader) header() (Header, error) {
+	if _, err := io.ReadFull(r.R, r.hdr[:]); err != nil {
+		return Header{}, err
+	}
+	return ParseHeader(r.hdr[:], r.Lim)
+}
+
+// readRaw reads n raw weights into a new slice, allocating min(n, hint) of
+// them up front and growing past that geometrically as bytes arrive. A
+// big-endian host reads through the frame buffer and ParseRaw instead.
+func (r *Reader) readRaw(n, hint int) ([]float64, error) {
+	if !hostLittleEndian {
+		var err error
+		if r.payload, err = ReadGrow(r.R, r.payload, 8*n); err != nil {
+			return nil, err
+		}
+		return ParseRaw(r.payload, nil)
+	}
+	const chunk = 8 << 10 // weights: ReadGrow's 64 KiB step
+	var vals []float64
+	if c := min(n, hint); c > 0 {
+		vals = make([]float64, 0, c)
+	}
+	for len(vals) < n {
+		start := len(vals)
+		end := min(n, max(cap(vals), 2*start+chunk))
+		if cap(vals) < end {
+			vals = append(make([]float64, 0, end), vals...)
+		}
+		vals = vals[:end]
+		b, _ := BytesView(vals[start:])
+		if _, err := io.ReadFull(r.R, b); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
 // ReadGrow reads exactly n bytes into buf, reusing its capacity and growing

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -211,6 +212,29 @@ func TestHostileLengthTruncated(t *testing.T) {
 	// claimed 64 MiB up front.
 	if cap(r.payload) > 1<<20 {
 		t.Fatalf("reader allocated %d bytes for a truncated stream", cap(r.payload))
+	}
+
+	// A reply read into a caller-owned slice allocates up to its hint, the
+	// model size the caller expects, and past it only as bytes arrive.
+	PutHeader(hdr[:], &Header{Kind: KindReply, Codec: CodecRaw, PayloadLen: 64 << 20})
+	for _, arrived := range []int{1 << 10, 4 << 20} {
+		for _, hint := range []int{0, 1000, 1 << 20} {
+			stream := append(append([]byte(nil), hdr[:]...), make([]byte, arrived)...)
+			r := Reader{R: bytes.NewReader(stream)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, vals, _, err := r.NextOwned(hint)
+			runtime.ReadMemStats(&after)
+			if err == nil || vals != nil {
+				t.Fatalf("truncated 64 MiB reply claim accepted (%d weights)", len(vals))
+			}
+			// Past the hint the slice doubles as bytes arrive: the last
+			// buffer is at most twice what arrived plus a 64 KiB step, and
+			// the ones before it add up to less than the last.
+			if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(8*hint+4*arrived+256<<10); grew > most {
+				t.Fatalf("%d bytes arrived, hint %d weights: the reply read allocated %d bytes, want at most %d", arrived, hint, grew, most)
+			}
+		}
 	}
 }
 
