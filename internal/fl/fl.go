@@ -10,6 +10,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -392,15 +393,21 @@ func (p *Population) Evaluate(w []float64) float64 {
 // local update is consumed here, in caller order, so the compute phase can
 // run on a worker goroutine without touching the shared rng — and a parallel
 // round consumes the rng stream exactly like a serial one. The plan is the
-// order only; no example is copied until trainPlanned reaches it.
-func (p *Population) planLocal(rng *rand.Rand, c *Client) []int {
-	epochs := p.Config.LocalEpochs
-	plan := make([]int, 0, epochs*c.Train.Len())
-	for e := 0; e < epochs; e++ {
-		plan = c.Train.AppendShuffled(plan, rng)
+// order only; no example is copied until trainPlanned reaches it. The plan
+// is pooled scratch: return it to intScratch once the update is trained.
+func (p *Population) planLocal(rng *rand.Rand, c *Client) *[]int {
+	plan := intScratch.Get().(*[]int)
+	*plan = (*plan)[:0]
+	for e := 0; e < p.Config.LocalEpochs; e++ {
+		*plan = c.Train.AppendShuffled(*plan, rng)
 	}
 	return plan
 }
+
+// intScratch pools the index plans and label slices of local updates. A
+// round holds one plan per selected client and none after it, so the scratch
+// scales with the clients training at once, not with the fleet.
+var intScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // trainPlanned is the pure-compute phase of a local update: mini-batch SGD
 // over a pre-drawn index plan with a FedProx proximal term µ‖w − ref‖²/2
@@ -408,7 +415,8 @@ func (p *Population) planLocal(rng *rand.Rand, c *Client) []int {
 // epoch, the epoch's last one possibly short — is gathered into a single
 // pooled buffer that goes back to the pool when the update is done. It
 // touches only client-owned state (the client's network clone and LastLoss),
-// so distinct clients may run concurrently.
+// so distinct clients may run concurrently. It returns the client's weight
+// slab itself, not a copy; ref must not be that slab (see detachRef).
 func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []int) []float64 {
 	cfg := p.Config
 	c.net.SetFlatWeights(ref)
@@ -417,7 +425,8 @@ func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []i
 	size := min(cfg.BatchSize, n)
 	buf := tensor.GetBufUninit(size * ds.Dim)
 	full := buf.Data // Gather cuts buf to the batch at hand; the pool wants it whole
-	batch := data.Batch{X: buf, Y: make([]int, size)}
+	labels := intScratch.Get().(*[]int)
+	batch := data.Batch{X: buf, Y: slices.Grow((*labels)[:0], size)}
 	var lossSum float64
 	batches := 0
 	for ; len(plan) > 0; plan = plan[n:] {
@@ -429,21 +438,49 @@ func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []i
 	}
 	buf.Data = full
 	tensor.PutBuf(buf)
+	*labels = batch.Y
+	intScratch.Put(labels)
 	if batches > 0 {
 		c.LastLoss = lossSum / float64(batches)
 	}
-	return c.net.FlatWeights()
+	return c.net.Weights()
+}
+
+// detachRef returns ref itself, or, when ref is the weight slab of one of
+// the clients about to train — an update that client returned — a copy of
+// it in the pooled tensor start, for the caller to return with
+// tensor.PutBuf. Training overwrites the slab, while the proximal term, the
+// other clients and the adversary all need the weights the updates start
+// from.
+func detachRef(ref []float64, clients ...*Client) (_ []float64, start *tensor.Tensor) {
+	for _, c := range clients {
+		if tensor.SharesStorage(&tensor.Tensor{Data: ref}, &tensor.Tensor{Data: c.net.Weights()}) {
+			start = tensor.GetBufUninit(len(ref))
+			copy(start.Data, ref)
+			return start.Data, start
+		}
+	}
+	return ref, nil
 }
 
 // LocalTrain runs the client's local update: LocalEpochs passes of
 // mini-batch SGD from the reference weights ref, with a FedProx proximal
 // term µ‖w − ref‖²/2 pulling toward ref (§5.1). Only Eco-FL's intra-group
 // training uses the proximal term in the paper, so mu is a parameter:
-// baselines pass 0, hierarchical strategies pass Config.Mu. It returns the
-// updated weights; the client's sample count is Train.Len().
+// baselines pass 0, hierarchical strategies pass Config.Mu. The client's
+// sample count is Train.Len().
+//
+// The updated weights it returns are the client's own weight slab, not a
+// copy: they stay valid, and may be written to, until the client's next
+// local update overwrites them. A caller that keeps an update past that
+// copies it. ref may be the client's previous update.
 func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu float64) []float64 {
-	update := p.trainPlanned(c, ref, mu, p.planLocal(rng, c))
+	ref, start := detachRef(ref, c)
+	plan := p.planLocal(rng, c)
+	update := p.trainPlanned(c, ref, mu, *plan)
+	intScratch.Put(plan)
 	p.corrupt(c, ref, update)
+	tensor.PutBuf(start)
 	return update
 }
 
@@ -455,20 +492,28 @@ func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu flo
 // and all randomness is drawn sequentially up front (see planLocal), so
 // aggregation order, the rng stream, and therefore every experiment curve
 // are identical to a serial round at any parallelism level. sel must not
-// contain duplicates (strategies select distinct clients per round).
+// contain duplicates (strategies select distinct clients per round). Like
+// LocalTrain's, each update is its client's weight slab, valid until that
+// client's next local update; ref may be one of them.
 func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, mu float64) [][]float64 {
+	ref, start := detachRef(ref, sel...)
+	defer tensor.PutBuf(start)
 	updates := make([][]float64, len(sel))
-	plans := make([][]int, len(sel))
+	plans := make([]*[]int, len(sel))
 	for i, c := range sel {
 		plans[i] = p.planLocal(rng, c)
+	}
+	train := func(i int) {
+		updates[i] = p.trainPlanned(sel[i], ref, mu, *plans[i])
+		intScratch.Put(plans[i])
 	}
 	workers := tensor.Parallelism()
 	if workers > len(sel) {
 		workers = len(sel)
 	}
 	if workers < 2 {
-		for i, c := range sel {
-			updates[i] = p.trainPlanned(c, ref, mu, plans[i])
+		for i := range sel {
+			train(i)
 		}
 		p.corruptAll(sel, ref, updates)
 		return updates
@@ -485,7 +530,7 @@ func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, 
 			if i >= len(sel) {
 				return
 			}
-			updates[i] = p.trainPlanned(sel[i], ref, mu, plans[i])
+			train(i)
 		}
 	}
 	ensureTrainers(workers)
@@ -536,15 +581,17 @@ func (p *Population) corruptAll(sel []*Client, ref []float64, updates [][]float6
 	}
 }
 
-// aggregate mixes one synchronous round's updates: the legacy
-// sample-weighted mean when no robust aggregator is configured (the
-// byte-identical path), the configured Byzantine-resilient mixer otherwise.
-// ref is the model the updates were trained from.
-func (c Config) aggregate(ref []float64, updates [][]float64, weights []float64) []float64 {
+// aggregateInto mixes one synchronous round's updates into dst: the legacy
+// sample-weighted mean, written in place, when no robust aggregator is
+// configured (the byte-identical path), the configured Byzantine-resilient
+// mixer otherwise. ref is the model the updates were trained from; dst may
+// be ref.
+func (c Config) aggregateInto(dst, ref []float64, updates [][]float64, weights []float64) {
 	if c.Robust == nil {
-		return WeightedAverage(updates, weights)
+		weightedMeanInto(dst, updates, weights)
+		return
 	}
-	return c.Robust.Aggregate(ref, updates, weights)
+	copy(dst, c.Robust.Aggregate(ref, updates, weights))
 }
 
 // WeightedAverage aggregates weight vectors with the given weights
@@ -553,18 +600,25 @@ func WeightedAverage(vectors [][]float64, weights []float64) []float64 {
 	if len(vectors) == 0 {
 		return nil
 	}
+	out := make([]float64, len(vectors[0]))
+	weightedMeanInto(out, vectors, weights)
+	return out
+}
+
+// weightedMeanInto overwrites out with WeightedAverage(vectors, weights):
+// from +0, one AddScaled pass per vector, in order. AddScaled rounds each
+// product before adding it, so every element is the scalar loop's
+// out[j] += f·x[j], bit for bit (robust.Mean is that loop).
+func weightedMeanInto(out []float64, vectors [][]float64, weights []float64) {
 	var total float64
 	for _, w := range weights {
 		total += w
 	}
-	out := make([]float64, len(vectors[0]))
+	clear(out)
+	acc := tensor.Tensor{Data: out}
 	for i, v := range vectors {
-		f := weights[i] / total
-		for j, x := range v {
-			out[j] += f * x
-		}
+		acc.AddScaled(weights[i]/total, &tensor.Tensor{Data: v})
 	}
-	return out
 }
 
 // AsyncMix applies the FedAsync global update w ← (1−α)w + αw_new in place.

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecofl/internal/tensor"
@@ -21,6 +22,8 @@ func curveKey(r *RunResult) []Point { return r.Curve }
 
 // TestTrainClientsMatchesSerialLocalTrain proves the fan-out helper is a
 // drop-in for the sequential loop: same rng stream, same per-slot updates.
+// An update is its client's slab until the client trains again, so the serial
+// side is cloned before TrainClients retrains the same clients.
 func TestTrainClientsMatchesSerialLocalTrain(t *testing.T) {
 	pop := testPopulation(9, 8, fastConfig())
 	ref := pop.GlobalInit()
@@ -30,7 +33,7 @@ func TestTrainClientsMatchesSerialLocalTrain(t *testing.T) {
 	rngA := rand.New(rand.NewSource(33))
 	withParallelism(1, func() {
 		for i, c := range sel {
-			serial[i] = pop.LocalTrain(rngA, c, ref, pop.Config.Mu)
+			serial[i] = slices.Clone(pop.LocalTrain(rngA, c, ref, pop.Config.Mu))
 		}
 	})
 	serialLoss := make([]float64, len(sel))

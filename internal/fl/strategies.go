@@ -472,8 +472,9 @@ func run(pop *Population, pol policy) *RunResult {
 							"staleness", strconv.FormatFloat(stale, 'g', -1, 64))
 					}
 				} else {
-					agg := cfg.aggregate(ln.base, updates, weights)
-					copy(ln.base, agg) // replaces the global model itself on a flat lane
+					// The mix replaces the lane's base: on a flat lane, the
+					// global model itself.
+					cfg.aggregateInto(ln.base, ln.base, updates, weights)
 					if jn != nil {
 						jn.SpanAt(start, now, ln.id, "fl.round-commit", round, journal.None, groupAttrs(g, "clients", strconv.Itoa(len(updates)))...)
 					}
@@ -485,7 +486,7 @@ func run(pop *Population, pol policy) *RunResult {
 						if pol.FedATWeighting && meanCenter > 0 {
 							alpha = math.Min(0.9, cfg.Alpha*g.Center/meanCenter)
 						}
-						AsyncMix(w, agg, alpha)
+						AsyncMix(w, ln.base, alpha)
 						copy(ln.base, w)
 						if jn != nil {
 							jn.RecordAt(now, "fl.group-sync", round, journal.None, groupAttrs(g, "alpha", strconv.FormatFloat(alpha, 'g', 4, 64))...)

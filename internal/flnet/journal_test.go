@@ -210,7 +210,9 @@ func TestJournalCheckpointEvents(t *testing.T) {
 // allocates as often at seq 250 as at seq 50. (strconv caches the decimal
 // strings of the numbers below 100 only; a formatted seq costs an allocation
 // from push 100 on, once on the server and once on the client.) The model is
-// a few weights, so no GC cycle empties a pool in between.
+// a few weights, so no GC cycle empties a pool in between. The least of a few
+// windows on each side is compared, so a stray runtime allocation in one
+// window (a P growing its timer heap, say) does not count.
 func TestPushAllocsFlatWithJournalOff(t *testing.T) {
 	s := startServer(t, make([]float64, 4), 0.5)
 	c, err := Dial(s.Addr(), 0)
@@ -230,12 +232,20 @@ func TestPushAllocsFlatWithJournalOff(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(pushes)
 	}
-	allocsPerPush(19)          // pushes 1–19: connection and pools warm up
-	early := allocsPerPush(81) // pushes 20–100
-	allocsPerPush(99)          // pushes 101–199
-	late := allocsPerPush(101) // pushes 200–300
+	// least is the fewest allocations per push over four windows of 20.
+	least := func() float64 {
+		l := allocsPerPush(20)
+		for w := 0; w < 3; w++ {
+			l = min(l, allocsPerPush(20))
+		}
+		return l
+	}
+	allocsPerPush(19)  // pushes 1–19: connection and pools warm up
+	early := least()   // pushes 20–99
+	allocsPerPush(100) // pushes 100–199
+	late := least()    // pushes 200–279
 	if late != early {
-		t.Fatalf("pushes 200–300 allocate %.2f times each, pushes 20–100 %.2f: something on the push path formats a journal attribute the journal never records", late, early)
+		t.Fatalf("pushes 200–279 allocate at least %.2f times each, pushes 20–99 %.2f: something on the push path formats a journal attribute the journal never records", late, early)
 	}
 }
 

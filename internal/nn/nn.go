@@ -122,26 +122,36 @@ func (d *Dense) Clone() Layer {
 
 // ---------------------------------------------------------------- ReLU
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise: +0 where x < 0, x itself elsewhere, so
+// −0 stays −0 and NaN passes through. Backward passes dy where x > 0 and +0
+// elsewhere, NaN x included. About half the outputs are zero in no learnable
+// pattern, so both select a value's bits instead of branching on it: an if
+// that only picks one of two integers compiles to a CMOV on amd64.
 type ReLU struct{}
 
 func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y := pooledCopy(x)
-	for i, v := range y.Data {
+	y := tensor.GetBufUninit(x.Shape...)
+	out := y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float64bits(v)
 		if v < 0 {
-			y.Data[i] = 0
+			b = 0
 		}
+		out[i] = math.Float64frombits(b)
 	}
 	return y, x
 }
 
 func (ReLU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	x := c.(*tensor.Tensor)
-	dx := pooledCopy(dy)
+	dx := tensor.GetBufUninit(dy.Shape...)
+	in, out := dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
 	for i, v := range x.Data {
+		b := math.Float64bits(in[i])
 		if v <= 0 {
-			dx.Data[i] = 0
+			b = 0
 		}
+		out[i] = math.Float64frombits(b)
 	}
 	return dx
 }
@@ -494,8 +504,10 @@ type SGD struct {
 }
 
 // Step applies one update to n's weights from its gradients, in one pass
-// over the slabs. A Global of the wrong length panics before anything is
-// written, and so does a momentum optimizer stepping a second model.
+// over the slabs: per weight the FedProx difference, its scaled add to the
+// gradient, the optional momentum, then the update. A Global of the wrong
+// length panics before anything is written, and so does a momentum optimizer
+// stepping a second model.
 func (o *SGD) Step(n *Network) {
 	size := len(n.w)
 	prox := o.Mu != 0 && o.Global != nil
@@ -512,23 +524,29 @@ func (o *SGD) Step(n *Network) {
 			panic("nn: SGD.Step: a momentum optimizer steps the one model it first stepped")
 		}
 	}
-	g := tensor.GetBufUninit(size)
-	copy(g.Data, n.g)
+	// Each weight's expressions round as the tensor passes they replace did:
+	// a product is rounded before it is added (the float64 conversions forbid
+	// a fused multiply-add), and ∇[µ/2‖w−w_g‖²] = µ(w − w_g).
+	w := n.w
+	g := n.g[:len(w)]
+	var ref, vel []float64
 	if prox {
-		// ∇[µ/2‖w−w_g‖²] = µ(w − w_g). w + (−1)·w_g is w − w_g exactly —
-		// IEEE subtraction is the addition of the negation — so the two
-		// vector passes round as the one scalar expression did.
-		diff := tensor.GetBufUninit(size)
-		copy(diff.Data, n.w)
-		g.AddScaled(o.Mu, diff.AddScaled(-1, &tensor.Tensor{Data: o.Global}))
-		tensor.PutBuf(diff)
+		ref = o.Global[:len(w)]
 	}
-	step := g
 	if o.Momentum != 0 {
-		step = (&tensor.Tensor{Data: o.velocity}).Scale(o.Momentum).Add(g)
+		vel = o.velocity[:len(w)]
 	}
-	(&tensor.Tensor{Data: n.w}).AddScaled(-o.LR, step)
-	tensor.PutBuf(g)
+	mu, m, nlr := o.Mu, o.Momentum, -o.LR
+	for j, gj := range g {
+		if prox {
+			gj += float64(mu * (w[j] - ref[j]))
+		}
+		if vel != nil {
+			gj = float64(vel[j]*m) + gj
+			vel[j] = gj
+		}
+		w[j] += float64(nlr * gj)
+	}
 }
 
 // TrainBatch runs one forward/backward/update on a single mini-batch and

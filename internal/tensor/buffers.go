@@ -13,7 +13,7 @@ import (
 // one from GetBuf.
 //
 // Who returns what: a kernel's own scratch goes back inside the call that
-// drew it (Dense/Conv2D weight-gradient buffers, SGD's step scratch); a
+// drew it (Dense/Conv2D weight-gradient buffers, im2col matrices); a
 // layer's outputs belong to whoever called Forward/Backward, and the callers
 // that know a tensor is dead return it. For the activations and gradients of
 // a forward/backward pass that knowledge is written once, in nn.Pass: the

@@ -189,23 +189,30 @@ func rows4(data []float64, kk, n int) (r0, r1, r2, r3 []float64) {
 // av = a[kk·stride] with kk in [0, k), ascending, where b_kk is row kk of the
 // row-major matrix b, len(o) wide. A zero multiplier is skipped outright — it
 // contributes nothing, and skipping it keeps 0·Inf from turning into NaN.
-// The non-zero ones are compacted as they come and handed to axpy4 four at a
-// time, the last one to three to axpy, so each element sees exactly the
+// About half of a ReLU output is zero, in no pattern a branch predictor can
+// learn, so the non-zero multipliers' kk are first compacted into ks without
+// a branch, a chunk at a time. Then they go to axpy4 four at a time,
+// ascending, the last one to three to axpy, so each element sees exactly the
 // additions of one axpy per non-zero multiplier, in the same order.
 func accumulateNonzero(o, a []float64, stride, k int, b []float64) {
 	n := len(o)
-	var ks [4]int // the pending non-zero multipliers' kk, ascending
-	g := 0
-	for kk := 0; kk < k; kk++ {
-		ks[g&3] = kk
-		if a[kk*stride] != 0 {
-			g++
+	var ks [64]int
+	g := 0 // ks[:g] are the compacted kk not yet added, ascending
+	for lo := 0; lo < k; {
+		hi := min(k, lo+len(ks)-g)
+		for kk := lo; kk < hi; kk++ {
+			ks[g] = kk
+			u := math.Float64bits(a[kk*stride]) << 1 // 0 for ±0 only; NaN is non-zero
+			g += int((u | -u) >> 63)
 		}
-		if g == 4 {
-			axpy4(o, a[ks[0]*stride], a[ks[1]*stride], a[ks[2]*stride], a[ks[3]*stride],
-				b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:])
-			g = 0
+		lo = hi
+		full := g &^ 3
+		for j := 0; j < full; j += 4 {
+			k0, k1, k2, k3 := ks[j], ks[j+1], ks[j+2], ks[j+3]
+			axpy4(o, a[k0*stride], a[k1*stride], a[k2*stride], a[k3*stride],
+				b[k0*n:], b[k1*n:], b[k2*n:], b[k3*n:])
 		}
+		g = copy(ks[:], ks[full:g])
 	}
 	for _, kk := range ks[:g] {
 		axpy(o, a[kk*stride], b[kk*n:])

@@ -187,8 +187,8 @@ go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/exe
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network or a checkpoint file, the churn-trace loader, the divergence
-# bounds, the tensor kernels' assembly bodies against their Go ones and the
-# uplink encoders against the bodies they replaced (plain
+# bounds, the tensor kernels' assembly bodies against their Go ones, and the
+# branch-free ReLU and the uplink encoders against the bodies they replaced (plain
 # `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
@@ -202,6 +202,7 @@ fuzz FuzzParseTraceSet ./internal/device
 fuzz FuzzJSBounds ./internal/stats
 fuzz FuzzAxpyBodies ./internal/tensor
 fuzz FuzzQuantizeBodies ./internal/tensor
+fuzz FuzzReLUBodies ./internal/nn
 fuzz FuzzTopKDeltaBodies ./internal/fl
 echo "fuzz: $((SECONDS - fuzz_start))s"
 
