@@ -84,8 +84,8 @@ func main() {
 	evalEvery := flag.Duration("eval-every", 5*time.Second, "evaluation period")
 	checkpoint := flag.String("checkpoint", "", "server state checkpoint path: resumed on start when present, rewritten every --checkpoint-every and on exit (crash recovery)")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval")
-	sampleEvery := flag.Duration("sample-every", 2*time.Second, "time-series sampling period for /dash")
-	sampleWindow := flag.Int("sample-window", 900, "time-series points kept per metric")
+	sampleEvery := flag.Duration("sample-every", 2*time.Second, "sampling period of the runtime gauges and the /dash history")
+	sampleWindow := flag.Int("sample-window", 900, "sampling ticks the /dash history keeps (<= 0: the journal's default, 4096)")
 	stragglerThreshold := flag.Float64("straggler-threshold", 0, "relative push-interval deviation flagging a straggler (0 = default 0.25)")
 	fleetTrace := flag.String("fleet-trace", "", "write the fleet journal as a Chrome trace here on exit (optional; turns the journal on)")
 	journalCap := flag.Int("journal", 0, "fleet-journal events kept on the server lane and across imported lanes (0: off, or 262144 when --fleet-trace turns the journal on); merged timeline served at /events on the metrics address")
@@ -156,16 +156,14 @@ func main() {
 	log.Printf("ecofl-server: serving on %s (α=%.2f, model %d→%d→%d)",
 		server.Addr(), *alpha, *dim, *hidden, *classes)
 
-	// History for the dashboard: sample the server's own registry plus the
-	// federated per-node views. The runtime sampler publishes goroutine,
-	// heap, and GC-pause gauges on the Default registry, so they ride the
-	// same pipeline onto /metrics and the /dash sparklines.
+	// Each --sample-every tick samples the runtime gauges (goroutines, heap,
+	// GC pauses, on the Default registry), then records the dashboard's
+	// history of the server's own registry plus the federated per-node views:
+	// one metric.sample event on a recorder of its own, not the fleet journal.
 	runtimeSampler := metrics.NewRuntimeSampler(metrics.Default)
-	stopRuntime := runtimeSampler.Start(*sampleEvery)
-	defer stopRuntime()
-	sampler := metrics.NewSampler(*sampleWindow, metrics.Default, fleet.Registry())
-	stopSampler := sampler.Start(*sampleEvery)
-	defer stopSampler()
+	history := metrics.NewSampler(journal.New(journal.None, *sampleWindow), metrics.Default, fleet.Registry())
+	sampleTicker := time.NewTicker(*sampleEvery)
+	defer sampleTicker.Stop()
 
 	if *metricsListen != "" {
 		mln, err := net.Listen("tcp", *metricsListen)
@@ -173,7 +171,7 @@ func main() {
 			log.Fatalf("metrics listener: %v", err)
 		}
 		defer mln.Close()
-		go http.Serve(mln, metricsMux(sampler, fleet))
+		go http.Serve(mln, metricsMux(history, fleet))
 		log.Printf("ecofl-server: metrics on http://%s/metrics, dashboard on http://%s/dash",
 			mln.Addr(), mln.Addr())
 	}
@@ -188,6 +186,9 @@ serveLoop:
 		select {
 		case <-deadline.C:
 			break serveLoop
+		case <-sampleTicker.C:
+			runtimeSampler.Sample()
+			history.Sample()
 		case <-ticker.C:
 			sp := opts.Journal.Local().Begin()
 			w, version := server.Snapshot()

@@ -21,7 +21,6 @@ func cmdBench(args []string) error {
 	out := fs.String("out", "", "write the report JSON to this path (default stdout)")
 	gitSHA := fs.String("git-sha", "", "git revision recorded in the report (never read ambiently)")
 	now := fs.Int64("now", 0, "capture unix timestamp recorded in the report (never read ambiently)")
-	sampleEvery := fs.Duration("sample-every", 0, "runtime sampler cadence (default 50ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -38,7 +37,7 @@ func cmdBench(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "running scenario %s (%s, %s)...\n", spec.Name, spec.Topology, *path)
 	t0 := time.Now()
-	rep, err := scenario.Run(spec, scenario.RunOptions{GitSHA: *gitSHA, Now: *now, SampleEvery: *sampleEvery})
+	rep, err := scenario.Run(spec, scenario.RunOptions{GitSHA: *gitSHA, Now: *now})
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"ecofl/internal/adaptive"
 
@@ -127,41 +126,12 @@ func dumpMetricsJSON(path string) error {
 	return werr
 }
 
-// dumpSeriesJSON stops the sampler, takes one final sample, and writes the
-// recorded time series ("-" means stdout).
-func dumpSeriesJSON(sp *metrics.Sampler, stop func(), path string) error {
-	stop()
-	sp.Sample() // capture the end-of-run state even for sub-interval runs
-	if path == "-" {
-		return sp.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := sp.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		fmt.Fprintf(os.Stderr, "wrote metrics time series to %s\n", path)
-	}
-	return werr
-}
-
 func main() {
 	configureParallelism()
 	args, metricsJSON := extractGlobalFlag(os.Args[1:], "metrics-json")
-	args, seriesJSON := extractGlobalFlag(args, "series-json")
 	if len(args) < 1 {
 		usage()
 		os.Exit(2)
-	}
-	var sampler *metrics.Sampler
-	var stopSampler func()
-	if seriesJSON != "" {
-		sampler = metrics.NewSampler(4096)
-		stopSampler = sampler.Start(250 * time.Millisecond)
 	}
 	var err error
 	switch args[0] {
@@ -190,11 +160,6 @@ func main() {
 			err = merr
 		}
 	}
-	if seriesJSON != "" {
-		if serr := dumpSeriesJSON(sampler, stopSampler, seriesJSON); err == nil {
-			err = serr
-		}
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ecofl:", err)
 		os.Exit(1)
@@ -216,8 +181,7 @@ commands:
   all        [--scale quick|full]   (every paper figure and table)
 
 global flags (any command):
-  --metrics-json <path>   dump an end-of-run metrics snapshot as JSON (- for stdout)
-  --series-json <path>    sample metrics during the run and dump the time series as JSON`)
+  --metrics-json <path>   dump an end-of-run metrics snapshot as JSON (- for stdout)`)
 }
 
 func scaleByName(name string) experiments.Scale {

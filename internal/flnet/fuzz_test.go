@@ -48,15 +48,17 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: 1, Telemetry: &TelemetrySnapshot{
 		Proc: "portal", JournalNow: 1.5, Epoch: 9,
 		Metrics: []MetricPoint{
-			{Family: "ecofl_x_total", Kind: "counter", Value: 3},
-			{Family: "ecofl_step_seconds", Labels: []string{"stage", "0"},
-				Kind: "histogram", Count: 2, Sum: 0.2, P50: 0.1, P99: 0.19},
+			{Family: "ecofl_x_total", Value: 3},
+			{Family: "ecofl_step_seconds:count", Labels: []string{"stage", "0"}, Value: 2},
+			{Family: "ecofl_step_seconds:sum", Labels: []string{"stage", "0"}, Value: 0.2},
+			{Family: "ecofl_step_seconds:p50", Labels: []string{"stage", "0"}, Value: 0.1},
+			{Family: "ecofl_step_seconds:p99", Labels: []string{"stage", "0"}, Value: 0.19},
 		},
 		Journal: []journal.Event{{TS: 0.75, Dur: 0.25, Lane: 1, Seq: 1, Kind: "pipe.fwd"}},
 	}}))
 	f.Add(seed(&request{Kind: wire.KindTelemetry, ClientID: -7, Telemetry: &TelemetrySnapshot{
 		JournalNow: -1e300,
-		Metrics:    []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
+		Metrics:    []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}}},
 	}}))
 	f.Add(seed(push(request{Weights: []float64{1, 2}})))
 	// Sparse overlays: a well-formed one (rejected only for the missing ack
@@ -117,12 +119,13 @@ func FuzzRequestDecode(f *testing.F) {
 		return append(b, trailer...)
 	}
 	f.Add(tel("junk"))
-	f.Add(tel(`{"proc":"p","now":1.5,"m":[{"f":"x_total","k":"counter","v":1},{"f":"s","l":["stage","0"],"k":"histogram","n":2,"sum":0.2,"p50":0.1,"p99":0.19}],` +
+	f.Add(tel(`{"proc":"p","now":1.5,"m":[{"f":"x_total","v":1},{"f":"s:count","l":["stage","0"],"v":2},{"f":"s:sum","l":["stage","0"],"v":0.2},` +
+		`{"f":"s:p50","l":["stage","0"],"v":0.1},{"f":"s:p99","l":["stage","0"],"v":0.19}],` +
 		`"j":[{"ts":0.75,"dur":0.25,"lane":1,"seq":1,"round":-1,"client":-1,"kind":"pipe.fwd","attrs":{"micro":"1"}},{"ts":1,"node":3,"seq":2,"round":0,"client":3,"kind":"push.ack"}],"jnow":2,"je":7}`))
 	f.Add(tel(strings.Repeat("[", 4<<20)))
-	f.Add(tel(`{"now":NaN,"m":[{"f":"x","k":"gauge","v":Infinity}]}`))
+	f.Add(tel(`{"now":NaN,"m":[{"f":"x","v":Infinity}]}`))
 	f.Add(tel(`{"now":"soon","m":{"f":1},"sp":[7],"j":"all of it"}`))
-	f.Add(tel(`{"now":1,"now":2,"m":[],"m":[{"f":"dup_total","k":"counter","v":1,"v":2}]}`))
+	f.Add(tel(`{"now":1,"now":2,"m":[],"m":[{"f":"dup_total","v":1,"v":2}]}`))
 	// Frames that belong in a checkpoint file and on a pipeline link: a
 	// protocol violation on a server connection, whatever follows them.
 	misplaced := func(kind byte) []byte {

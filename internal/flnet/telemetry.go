@@ -22,19 +22,15 @@ import (
 	"ecofl/internal/obs/journal"
 )
 
-// MetricPoint is one metric's state inside a telemetry snapshot. Histograms
-// travel pre-digested (count/sum/p50/p99) rather than bucket-by-bucket: the
-// fleet view re-exposes them as gauges, and shipping four floats per family
-// keeps the piggyback payload tiny next to the model weights it rides with.
+// MetricPoint is one scalar of a node's metrics: a counter's or gauge's
+// value, or one of a histogram's digested count/sum/p50/p99 (family
+// "name:p50" and so on, metrics.Sample.Digest). The fleet view re-exposes
+// every point as a gauge, and four floats per histogram keep the piggyback
+// payload tiny next to the model weights it rides with.
 type MetricPoint struct {
 	Family string   `json:"f"`
 	Labels []string `json:"l,omitempty"` // alternating k, v in canonical order
-	Kind   string   `json:"k"`           // "counter", "gauge" or "histogram"
-	Value  float64  `json:"v,omitempty"` // counter/gauge value
-	Count  int64    `json:"n,omitempty"` // histogram observation count
-	Sum    float64  `json:"sum,omitempty"`
-	P50    float64  `json:"p50,omitempty"`
-	P99    float64  `json:"p99,omitempty"`
+	Value  float64  `json:"v,omitempty"`
 }
 
 // TelemetrySnapshot is the payload a node attaches to a push or ships in a
@@ -140,25 +136,16 @@ func finite(vs ...float64) bool {
 }
 
 // telemetrySnapshotLocked builds the snapshot attached to an outgoing
-// request. JSON has no NaN or Inf, so a metric point holding one is skipped;
-// the rest of the snapshot travels. Caller holds c.mu and has checked
-// c.tel != nil.
+// request. A metric travels as the values its sample Digests into, so one
+// holding a NaN or Inf stays home and the rest of the snapshot travels.
+// Caller holds c.mu and has checked c.tel != nil.
 func (c *Client) telemetrySnapshotLocked() *TelemetrySnapshot {
 	tel := c.tel
 	snap := &TelemetrySnapshot{Proc: tel.proc}
 	for _, s := range tel.reg.Snapshot() {
-		mp := MetricPoint{Family: s.Family, Labels: s.Labels, Kind: s.Kind.String()}
-		if s.Kind == metrics.KindHistogram {
-			mp.Count = s.Count
-			mp.Sum = s.Sum
-			mp.P50 = metrics.QuantileFromBuckets(s.Buckets, 0.5)
-			mp.P99 = metrics.QuantileFromBuckets(s.Buckets, 0.99)
-		} else {
-			mp.Value = s.Value
-		}
-		if finite(mp.Value, mp.Sum, mp.P50, mp.P99) {
-			snap.Metrics = append(snap.Metrics, mp)
-		}
+		s.Digest(func(family string, v float64) {
+			snap.Metrics = append(snap.Metrics, MetricPoint{Family: family, Labels: s.Labels, Value: v})
+		})
 	}
 	if rec := tel.journal; rec != nil {
 		snap.JournalNow, snap.Epoch = rec.Now(), rec.Epoch()
@@ -230,17 +217,7 @@ func validMetricPoint(mp *MetricPoint) bool {
 func (f *Fleet) ingest(id int, snap *TelemetrySnapshot) {
 	node := strconv.Itoa(id)
 	for i := range snap.Metrics {
-		mp := &snap.Metrics[i]
-		if !validMetricPoint(mp) {
-			continue
-		}
-		switch mp.Kind {
-		case "histogram":
-			f.nodeGauge(mp.Family+":count", mp.Labels, node).Set(float64(mp.Count))
-			f.nodeGauge(mp.Family+":sum", mp.Labels, node).Set(mp.Sum)
-			f.nodeGauge(mp.Family+":p50", mp.Labels, node).Set(mp.P50)
-			f.nodeGauge(mp.Family+":p99", mp.Labels, node).Set(mp.P99)
-		default:
+		if mp := &snap.Metrics[i]; validMetricPoint(mp) {
 			f.nodeGauge(mp.Family, mp.Labels, node).Set(mp.Value)
 		}
 	}
@@ -251,8 +228,8 @@ func (f *Fleet) ingest(id int, snap *TelemetrySnapshot) {
 }
 
 // nodeGauge re-registers a remote metric as a gauge carrying the original
-// labels plus node=<id>. Histogram-derived series use a ":" suffix separator
-// (not "_") so a remote family can never alias another node's plain family.
+// labels plus node=<id>. A histogram's digested families carry a ":" suffix
+// (not "_"), so a remote family can never alias another node's plain family.
 func (f *Fleet) nodeGauge(family string, labels []string, node string) *metrics.Gauge {
 	kv := make([]string, 0, len(labels)+2)
 	kv = append(kv, labels...)

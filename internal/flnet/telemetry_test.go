@@ -54,7 +54,7 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 	fleet := s.Fleet()
 	for id := 1; id <= 2; id++ {
 		name := fmt.Sprintf(`ecofl_test_rounds_total{node="%d"}`, id)
-		smp, ok := fleet.Registry().Get(name)
+		smp, ok := lookup(fleet.Registry(), name)
 		if !ok {
 			t.Fatalf("fleet registry missing %s", name)
 		}
@@ -62,7 +62,7 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 			t.Fatalf("%s = %v, want %d", name, smp.Value, 10*id)
 		}
 		p50 := fmt.Sprintf(`ecofl_test_step_seconds:p50{node="%d"}`, id)
-		if smp, ok = fleet.Registry().Get(p50); !ok || smp.Value <= 0 {
+		if smp, ok = lookup(fleet.Registry(), p50); !ok || smp.Value <= 0 {
 			t.Fatalf("fleet registry missing histogram digest %s (%+v)", p50, smp)
 		}
 	}
@@ -83,7 +83,7 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 			t.Fatalf("client %d has no measured latency", id)
 		}
 		gauge := fmt.Sprintf(`ecofl_straggler{client="%d"}`, id)
-		if _, ok := metrics.Default.Get(gauge); !ok {
+		if _, ok := lookup(metrics.Default, gauge); !ok {
 			t.Fatalf("%s not exported on the default registry", gauge)
 		}
 	}
@@ -94,16 +94,16 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 func TestTelemetryRejectsHostileMetricNames(t *testing.T) {
 	f := newFleet()
 	f.ingest(1, &TelemetrySnapshot{Metrics: []MetricPoint{
-		{Family: `bad{name}`, Kind: "counter", Value: 1},
-		{Family: "odd_labels", Labels: []string{"k"}, Kind: "counter", Value: 1},
-		{Family: "bad_label_key", Labels: []string{`a=b`, "v"}, Kind: "gauge", Value: 1},
-		{Family: "node_collision", Labels: []string{"node", "7"}, Kind: "gauge", Value: 1},
-		{Family: "ok_metric", Labels: []string{"shard", `hostile "value"`}, Kind: "gauge", Value: 4},
+		{Family: `bad{name}`, Value: 1},
+		{Family: "odd_labels", Labels: []string{"k"}, Value: 1},
+		{Family: "bad_label_key", Labels: []string{`a=b`, "v"}, Value: 1},
+		{Family: "node_collision", Labels: []string{"node", "7"}, Value: 1},
+		{Family: "ok_metric", Labels: []string{"shard", `hostile "value"`}, Value: 4},
 	}})
 	if len(f.Registry().Snapshot()) != 1 {
 		t.Fatalf("only the valid point should register: %+v", f.Registry().Snapshot())
 	}
-	if _, ok := f.Registry().Get(`ok_metric{node="1",shard="hostile \"value\""}`); !ok {
+	if _, ok := lookup(f.Registry(), `ok_metric{node="1",shard="hostile \"value\""}`); !ok {
 		t.Fatalf("valid point with hostile label value missing: %+v", f.Registry().Snapshot())
 	}
 }
@@ -115,7 +115,7 @@ func TestTelemetryLaneIsTheFramesClient(t *testing.T) {
 	s, _ := journalServer(t, []float64{0, 0})
 	hdr := make([]byte, wire.HeaderSize)
 	trailer := []byte(`{"NodeID":2,"node":2,"proc":"spoof","jnow":1,` +
-		`"m":[{"f":"ecofl_fake","k":"gauge","v":42}],"j":[{"ts":0.75,"dur":0.25,"node":2,"seq":1,"kind":"portal.train"}]}`)
+		`"m":[{"f":"ecofl_fake","v":42}],"j":[{"ts":0.75,"dur":0.25,"node":2,"seq":1,"kind":"portal.train"}]}`)
 	wire.PutHeader(hdr, &wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 1, TrailerLen: uint32(len(trailer))})
 	h, err := wire.ParseHeader(hdr, wire.Limits{})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestTelemetryLaneIsTheFramesClient(t *testing.T) {
 	if rep := s.dispatch(req); rep.Err != "" {
 		t.Fatal(rep.Err)
 	}
-	if smp, ok := s.Fleet().Registry().Get(`ecofl_fake{node="1"}`); !ok || smp.Value != 42 {
+	if smp, ok := lookup(s.Fleet().Registry(), `ecofl_fake{node="1"}`); !ok || smp.Value != 42 {
 		t.Fatalf(`ecofl_fake{node="1"} = %+v, %v; want 42 under the frame's client`, smp, ok)
 	}
 	for _, smp := range s.Fleet().Registry().Snapshot() {
@@ -176,11 +176,11 @@ func TestTelemetrySkipsNonFinite(t *testing.T) {
 		t.Fatalf("server applied %d pushes, want 1", s.Pushes())
 	}
 	fleet := s.Fleet().Registry()
-	if smp, ok := fleet.Get(`ecofl_test_rounds_total{node="5"}`); !ok || smp.Value != 3 {
+	if smp, ok := lookup(fleet, `ecofl_test_rounds_total{node="5"}`); !ok || smp.Value != 3 {
 		t.Fatalf("finite counter did not travel: %+v, %v", smp, ok)
 	}
 	for _, name := range []string{`ecofl_test_poison{node="5"}`, `ecofl_test_inf{node="5"}`} {
-		if smp, ok := fleet.Get(name); ok {
+		if smp, ok := lookup(fleet, name); ok {
 			t.Fatalf("non-finite point travelled: %+v", smp)
 		}
 	}
@@ -206,6 +206,17 @@ func TestTelemetrySkipsNonFinite(t *testing.T) {
 	}
 }
 
+// lookup returns the snapshot sample under a full metric name (family plus
+// labels).
+func lookup(r *metrics.Registry, name string) (metrics.Sample, bool) {
+	for _, s := range r.Snapshot() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return metrics.Sample{}, false
+}
+
 func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	reg := metrics.NewRegistry()
 	d := NewStragglerDetector(reg, 0.25, 0.3)
@@ -217,7 +228,7 @@ func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	if !d.Observe(3, 2.0) {
 		t.Fatal("a 2x slowdown must flag the client")
 	}
-	if smp, ok := reg.Get(`ecofl_straggler{client="3"}`); !ok || smp.Value != 1 {
+	if smp, ok := lookup(reg, `ecofl_straggler{client="3"}`); !ok || smp.Value != 1 {
 		t.Fatalf("straggler gauge = %+v, want 1", smp)
 	}
 	if got := d.Straggling(); len(got) != 1 || got[0] != 3 {
@@ -227,7 +238,7 @@ func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	if d.Observe(3, d.MeasuredLatency(3)) {
 		t.Fatal("an on-history observation must not be flagged")
 	}
-	if smp, _ := reg.Get(`ecofl_straggler{client="3"}`); smp.Value != 0 {
+	if smp, _ := lookup(reg, `ecofl_straggler{client="3"}`); smp.Value != 0 {
 		t.Fatalf("straggler gauge = %v after recovery, want 0", smp.Value)
 	}
 	// Deviating fast is not straggling.
@@ -413,7 +424,7 @@ func BenchmarkTelemetrySnapshot(b *testing.B) {
 		c.mu.Lock()
 		snap := c.telemetrySnapshotLocked()
 		c.mu.Unlock()
-		if len(snap.Metrics) != 40 {
+		if len(snap.Metrics) != 100 { // a counter's value, a histogram's four
 			b.Fatalf("snapshot has %d points", len(snap.Metrics))
 		}
 	}

@@ -3,6 +3,8 @@ package metrics
 import (
 	"fmt"
 	"testing"
+
+	"ecofl/internal/obs/journal"
 )
 
 // benchRegistry builds a registry shaped like a live fleet server: a few
@@ -22,22 +24,11 @@ func benchRegistry() *Registry {
 	return r
 }
 
-// BenchmarkSeriesAppend is the sampler's hot write: one ring-buffer slot
-// store under a mutex, allocation-free at steady state.
-func BenchmarkSeriesAppend(b *testing.B) {
-	s := NewSeries(512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Append(float64(i), float64(i))
-	}
-}
-
 // BenchmarkSamplerSample measures one full sampling pass over the fleet-shaped
 // registry — the per-interval cost a live server pays (default every 1s).
 func BenchmarkSamplerSample(b *testing.B) {
 	r := benchRegistry()
-	sp := NewSampler(512, r)
-	sp.SetClock(func() float64 { return 0 })
+	sp := NewSampler(journal.NewClock(0, 512, func() float64 { return 0 }), r)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

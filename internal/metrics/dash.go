@@ -1,6 +1,110 @@
 package metrics
 
-import "net/http"
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+
+	"ecofl/internal/obs/journal"
+)
+
+// sampleKind is the journal kind of one history tick.
+const sampleKind = "metric.sample"
+
+// Sampler keeps the live dashboard's history as journal events: each Sample
+// records one metric.sample event whose one attribute, "v", holds every
+// value the registries' samples Digest into, comma-separated in column
+// order, an empty field for a value not yielded that tick. A name's column is
+// fixed the first time the sampler sees it, and the sampler keeps the names,
+// so the ring holds values alone; a Registry never unregisters, so a column
+// never changes meaning. Metrics registered late get a column at their first
+// tick. The recorder's ring bounds the history, and its clock stamps it.
+type Sampler struct {
+	rec  *journal.Recorder
+	regs []*Registry
+
+	mu    sync.Mutex
+	cols  map[string]int // history name -> column
+	names []string       // column order
+	vals  []float64      // this tick's values, NaN where none was yielded
+	buf   []byte
+}
+
+// NewSampler returns a sampler recording the given registries into rec.
+func NewSampler(rec *journal.Recorder, regs ...*Registry) *Sampler {
+	return &Sampler{rec: rec, regs: regs, cols: make(map[string]int)}
+}
+
+// Sample records one tick of every attached registry.
+func (sp *Sampler) Sample() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for i := range sp.vals {
+		sp.vals[i] = math.NaN()
+	}
+	for _, r := range sp.regs {
+		for _, s := range r.Snapshot() {
+			labels := s.Name[len(s.Family):] // "" or {k="v",...}
+			s.Digest(func(family string, v float64) {
+				sp.buf = append(append(sp.buf[:0], family...), labels...)
+				col, ok := sp.cols[string(sp.buf)]
+				if !ok {
+					name := string(sp.buf)
+					col = len(sp.names)
+					sp.cols[name] = col
+					sp.names = append(sp.names, name)
+					sp.vals = append(sp.vals, 0)
+				}
+				sp.vals[col] = v
+			})
+		}
+	}
+	sp.buf = sp.buf[:0]
+	for i, v := range sp.vals {
+		if i > 0 {
+			sp.buf = append(sp.buf, ',')
+		}
+		if !math.IsNaN(v) {
+			sp.buf = strconv.AppendFloat(sp.buf, v, 'g', -1, 64)
+		}
+	}
+	sp.rec.Record(sampleKind, journal.None, journal.None, "v", string(sp.buf))
+}
+
+// seriesJSON is the /api/series wire schema for one metric history.
+type seriesJSON struct {
+	Name   string       `json:"name"`
+	Points [][2]float64 `json:"points"`
+}
+
+// WriteJSON writes the history as {"series":[{name, points:[[t,v],...]}]},
+// one series per column, oldest point first.
+func (sp *Sampler) WriteJSON(w io.Writer) error {
+	sp.mu.Lock()
+	names, evs := sp.names, sp.rec.Events()
+	sp.mu.Unlock()
+	out := struct {
+		Series []seriesJSON `json:"series"`
+	}{Series: make([]seriesJSON, len(names))}
+	for i, name := range names {
+		out.Series[i] = seriesJSON{Name: name, Points: [][2]float64{}}
+	}
+	for _, e := range evs {
+		if e.Kind != sampleKind {
+			continue
+		}
+		for col, field := range strings.Split(e.Attrs["v"], ",") {
+			if v, err := strconv.ParseFloat(field, 64); err == nil {
+				out.Series[col].Points = append(out.Series[col].Points, [2]float64{e.TS, v})
+			}
+		}
+	}
+	return json.NewEncoder(w).Encode(out)
+}
 
 // SeriesHandler serves the sampler's recorded history as JSON — the /api/series
 // endpoint behind the live dashboard.

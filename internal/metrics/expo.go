@@ -37,36 +37,6 @@ func escapeLabelValue(v string) string {
 	return b.String()
 }
 
-// UnescapeLabelValue reverses escapeLabelValue — the exposition-format
-// round-trip used by tests and by text-format consumers.
-func UnescapeLabelValue(v string) string {
-	if !strings.Contains(v, `\`) {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v))
-	for i := 0; i < len(v); i++ {
-		if v[i] == '\\' && i+1 < len(v) {
-			switch v[i+1] {
-			case '\\':
-				b.WriteByte('\\')
-				i++
-				continue
-			case '"':
-				b.WriteByte('"')
-				i++
-				continue
-			case 'n':
-				b.WriteByte('\n')
-				i++
-				continue
-			}
-		}
-		b.WriteByte(v[i])
-	}
-	return b.String()
-}
-
 // formatValue renders a float the way the Prometheus text format expects.
 func formatValue(v float64) string {
 	switch {
@@ -176,14 +146,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		jm := jsonMetric{Name: s.Name, Kind: s.Kind.String(), Help: s.Help}
 		switch s.Kind {
 		case KindCounter, KindGauge:
-			v := s.Value
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			if v := s.Value; finite(v) {
 				jm.Value = &v
 			}
 		case KindHistogram:
 			c, sum := s.Count, s.Sum
 			jm.Count = &c
-			if !math.IsNaN(sum) && !math.IsInf(sum, 0) {
+			if finite(sum) {
 				jm.Sum = &sum
 			}
 			jm.Buckets = make(map[string]int64, len(s.Buckets))

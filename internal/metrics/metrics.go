@@ -171,6 +171,7 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
+	digest  *[4]string // a histogram's Digest families, named once
 }
 
 // fullName renders family{k="v",...} with an optional extra label appended
@@ -287,6 +288,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labelKV ...str
 		sort.Float64s(bs)
 		h := &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs))}
 		m.hist = h
+		m.digest = &[4]string{name + ":count", name + ":sum", name + ":p50", name + ":p99"}
 	})
 	return m.hist
 }
@@ -324,6 +326,7 @@ type Sample struct {
 	Count   int64
 	Sum     float64
 	Buckets []BucketSample
+	digest  *[4]string // the histogram's Digest families
 }
 
 // Snapshot returns every metric's current state, sorted by full name. It is
@@ -341,7 +344,7 @@ func (r *Registry) Snapshot() []Sample {
 	out := make([]Sample, 0, len(ms))
 	for i, m := range ms {
 		s := Sample{Name: keys[i], Family: m.family, Kind: m.kind, Help: m.help,
-			Labels: append([]string(nil), m.labels...)}
+			Labels: append([]string(nil), m.labels...), digest: m.digest}
 		switch m.kind {
 		case KindCounter:
 			s.Value = float64(m.counter.Value())
@@ -365,12 +368,64 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Get returns the sample for a full metric name (including labels), or false.
-func (r *Registry) Get(name string) (Sample, bool) {
-	for _, s := range r.Snapshot() {
-		if s.Name == name {
-			return s, true
+// Digest yields s's scalar values, the one rule the dashboard's history and
+// fleet telemetry share: a counter or gauge yields its value under its own
+// family, a histogram its count, sum, p50 and p99 under family:count, :sum,
+// :p50 and :p99. Every value carries s.Labels. A sample holding a non-finite
+// value yields nothing: JSON has no word for NaN or Inf, and a histogram
+// with no observations has no quantiles.
+func (s *Sample) Digest(yield func(family string, v float64)) {
+	if s.Kind != KindHistogram {
+		if finite(s.Value) {
+			yield(s.Family, s.Value)
 		}
+		return
 	}
-	return Sample{}, false
+	p50, p99 := QuantileFromBuckets(s.Buckets, 0.5), QuantileFromBuckets(s.Buckets, 0.99)
+	if finite(s.Sum) && finite(p50) && finite(p99) {
+		yield(s.digest[0], float64(s.Count))
+		yield(s.digest[1], s.Sum)
+		yield(s.digest[2], p50)
+		yield(s.digest[3], p99)
+	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// QuantileFromBuckets estimates the q-quantile from cumulative snapshot
+// buckets with the same linear-interpolation rule as Histogram.Quantile.
+func QuantileFromBuckets(buckets []BucketSample, q float64) float64 {
+	if math.IsNaN(q) || q < 0 || q > 1 || len(buckets) == 0 {
+		return math.NaN()
+	}
+	total := buckets[len(buckets)-1].Cumulative
+	if total == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(total)
+	lower := 0.0
+	var prev int64
+	for _, b := range buckets {
+		if float64(b.Cumulative) >= rank {
+			if math.IsInf(b.UpperBound, 1) {
+				// Rank falls in the +Inf bucket: clamp to the highest
+				// finite bound (the previous bucket's upper edge).
+				return lower
+			}
+			inBucket := b.Cumulative - prev
+			if inBucket == 0 {
+				return lower
+			}
+			if b.UpperBound == lower {
+				return b.UpperBound
+			}
+			frac := (rank - float64(prev)) / float64(inBucket)
+			return lower + (b.UpperBound-lower)*frac
+		}
+		if !math.IsInf(b.UpperBound, 1) {
+			lower = b.UpperBound
+		}
+		prev = b.Cumulative
+	}
+	return lower
 }

@@ -10,6 +10,17 @@ import (
 	"testing"
 )
 
+// lookup returns the snapshot sample under a full metric name (family plus
+// labels).
+func lookup(r *Registry, name string) (Sample, bool) {
+	for _, s := range r.Snapshot() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Sample{}, false
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ecofl_test_total", "a counter")
@@ -48,7 +59,7 @@ func TestLabelsCanonicalOrder(t *testing.T) {
 	if a != b {
 		t.Fatal("label order should not distinguish metrics")
 	}
-	s, ok := r.Get(`ecofl_lbl_total{a="1",b="2"}`)
+	s, ok := lookup(r, `ecofl_lbl_total{a="1",b="2"}`)
 	if !ok {
 		t.Fatalf("canonical name not found in snapshot: %+v", r.Snapshot())
 	}
@@ -69,7 +80,7 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	if got, want := h.Sum(), 56.05; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
-	s, ok := r.Get("ecofl_lat_seconds")
+	s, ok := lookup(r, "ecofl_lat_seconds")
 	if !ok {
 		t.Fatal("histogram missing from snapshot")
 	}
@@ -253,7 +264,7 @@ func TestHistogramQuantileInfBucket(t *testing.T) {
 		t.Fatalf("p50 = %v, want clamp to highest finite bound 2", got)
 	}
 	// The snapshot-based estimator agrees with the live one.
-	s, ok := r.Get("ecofl_qinf_seconds")
+	s, ok := lookup(r, "ecofl_qinf_seconds")
 	if !ok {
 		t.Fatal("histogram missing from snapshot")
 	}

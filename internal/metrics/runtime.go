@@ -21,8 +21,8 @@ const (
 // bytes, and the GC stop-the-world pause tail — as gauges on a metrics
 // Registry, plus monotone high-water marks so an end-of-run snapshot still
 // shows the worst moment of the run. Because the instruments live on the
-// ordinary registry they appear on /metrics (Prometheus text format) and are
-// picked up by any Sampler feeding /dash without extra wiring.
+// ordinary registry they appear on /metrics (Prometheus text format) and in
+// the /dash history of any Sampler over that registry without extra wiring.
 type RuntimeSampler struct {
 	goroutines   *Gauge
 	goroutineHWM *Gauge

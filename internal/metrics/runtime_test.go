@@ -12,14 +12,14 @@ func TestRuntimeSamplerGauges(t *testing.T) {
 	reg := NewRegistry()
 	rs := NewRuntimeSampler(reg)
 
-	g, ok := reg.Get("ecofl_runtime_goroutines")
+	g, ok := lookup(reg, "ecofl_runtime_goroutines")
 	if !ok {
 		t.Fatal("goroutine gauge not registered")
 	}
 	if g.Value < 1 {
 		t.Fatalf("goroutine gauge = %v, want >= 1", g.Value)
 	}
-	h, _ := reg.Get("ecofl_runtime_heap_bytes")
+	h, _ := lookup(reg, "ecofl_runtime_heap_bytes")
 	if h.Value <= 0 {
 		t.Fatalf("heap gauge = %v, want > 0", h.Value)
 	}
@@ -49,7 +49,7 @@ func TestRuntimeSamplerGCPause(t *testing.T) {
 	rs := NewRuntimeSampler(reg)
 	runtime.GC()
 	rs.Sample()
-	p, _ := reg.Get("ecofl_runtime_gc_pauses_total")
+	p, _ := lookup(reg, "ecofl_runtime_gc_pauses_total")
 	if p.Value < 1 {
 		t.Fatalf("GC pauses gauge = %v after forced GC, want >= 1", p.Value)
 	}

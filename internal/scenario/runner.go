@@ -20,22 +20,23 @@ import (
 	"ecofl/internal/simnet"
 )
 
-// RunOptions carries per-invocation provenance and sampling cadence. GitSHA
-// and Now are recorded verbatim into the report — the runner never shells
-// out to git or reads the wall clock for provenance, so reports built in
-// tests or hermetic environments stay reproducible.
+// RunOptions carries per-invocation provenance. GitSHA and Now are recorded
+// verbatim into the report — the runner never shells out to git or reads the
+// wall clock for provenance, so reports built in tests or hermetic
+// environments stay reproducible.
 type RunOptions struct {
 	GitSHA string
 	// Now is the capture timestamp (unix seconds) stamped into the report; 0
 	// leaves the field out.
 	Now int64
-	// SampleEvery is the runtime-sampler cadence. 0 means 50ms — frequent
-	// enough to catch a goroutine spike inside a single flnet round.
-	SampleEvery time.Duration
 	// DumpTo receives the tail of a journaled scenario's merged timeline when
 	// the run ends, failed or not. Nil means os.Stderr.
 	DumpTo io.Writer
 }
+
+// sampleEvery is the runtime sampler's cadence: frequent enough to catch a
+// goroutine spike inside a single flnet round.
+const sampleEvery = 50 * time.Millisecond
 
 // dumpTail is how many trailing journal events a journaled scenario prints.
 const dumpTail = 40
@@ -87,9 +88,6 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 50 * time.Millisecond
-	}
 	rep := &Report{
 		Schema:      ReportSchema,
 		Scenario:    spec.Name,
@@ -107,7 +105,7 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 	// one process each get fresh high-water marks.
 	reg := metrics.NewRegistry()
 	rs := metrics.NewRuntimeSampler(reg)
-	stop := rs.Start(opts.SampleEvery)
+	stop := rs.Start(sampleEvery)
 	t0 := time.Now()
 
 	jn := newJournals(spec)

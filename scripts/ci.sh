@@ -50,6 +50,14 @@ if [ "$(grep -c . <<<"$rings")" != 1 ] || ! grep -q '^\./internal/obs/journal/jo
 	echo "$rings" >&2
 	exit 1
 fi
+# Metric history is journal events too: the dashboard's samples are
+# metric.sample events, so a per-series ring type in non-test internal/metrics,
+# or a CLI flag dumping one, is the third recorder growing back.
+metrics_src=$(ls internal/metrics/*.go | grep -v '_test\.go$')
+if grep -nE '^func NewSeries\b|^type Series\b' $metrics_src >&2 || grep -rn -- 'series-json' cmd >&2; then
+	echo "one recorder: the lines above bring back metrics.Series or --series-json" >&2
+	exit 1
+fi
 
 # One round lifecycle: every FL strategy is a row of fl's strategy table run by
 # the one loop in internal/fl (DESIGN.md, "One round lifecycle"). A second
