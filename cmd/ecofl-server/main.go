@@ -73,7 +73,7 @@ var (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9000", "listen address")
 	metricsListen := flag.String("metrics-listen", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
-	alpha := flag.Float64("alpha", 0.5, "asynchronous mixing weight α")
+	alpha := flag.Float64("alpha", 0.5, "asynchronous mixing weight α, in [0, 1]")
 	dim := flag.Int("dim", 32, "model input dimension")
 	hidden := flag.Int("hidden", 64, "model hidden width")
 	classes := flag.Int("classes", 10, "number of classes")

@@ -621,12 +621,9 @@ func weightedMeanInto(out []float64, vectors [][]float64, weights []float64) {
 	}
 }
 
-// AsyncMix applies the FedAsync global update w ← (1−α)w + αw_new in place.
-func AsyncMix(global, update []float64, alpha float64) {
-	for i := range global {
-		global[i] = (1-alpha)*global[i] + alpha*update[i]
-	}
-}
+// AsyncMix applies the FedAsync global update w ← (1−α)w + αw_new in place,
+// through the server's commit kernel (tensor.Mix).
+func AsyncMix(global, update []float64, alpha float64) { tensor.Mix(global, global, update, alpha) }
 
 // StalenessAlpha attenuates the mixing weight by update staleness, the
 // polynomial staleness function of FedAsync: α_eff = α / (1 + staleness)^a.

@@ -5,7 +5,7 @@ package fl
 // last-acked reply) can ship only the k coordinates that moved most, as
 // (index, new value) pairs. The server (flnet's commit) reconstructs the
 // full update as the reference overlaid with those values and mixes it with
-// the usual FedAsync step, element by element as AsyncMix does.
+// the usual FedAsync step, through the kernel AsyncMix uses (tensor.Mix).
 // Transmitting absolute values rather than differences makes the
 // reconstruction exact: with k = len(w) the sparse push is bit-identical to
 // a dense push, so sparsification is a pure wire-size lever whose only

@@ -1,13 +1,18 @@
 package flnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ecofl/internal/fl"
+	"ecofl/internal/fl/robust"
 	"ecofl/internal/flnet/wire"
 )
 
@@ -156,7 +161,7 @@ func TestSharedModelLifetime(t *testing.T) {
 func TestSparseOverlayMixesTowardAck(t *testing.T) {
 	s := openServer(t, []float64{9, 9, 9, 9}, ServerOptions{Alpha: 1})
 	defer s.Close()
-	s.StalenessExp = 0
+	s.stalenessExp = 0
 	push := func(req *request) reply {
 		req.Kind = wire.KindPush
 		rep := s.dispatch(req)
@@ -169,9 +174,240 @@ func TestSparseOverlayMixesTowardAck(t *testing.T) {
 	// [0 2 4 6] at v1, then client 1 moves the model to [10 20 30 40].
 	push(&request{ClientID: 0, Seq: 1, Weights: []float64{0, 2, 4, 6}})
 	push(&request{ClientID: 1, Seq: 1, Weights: []float64{10, 20, 30, 40}, BaseVersion: 1})
-	s.Alpha = 0.5
+	s.alpha = 0.5
 	rep := push(&request{ClientID: 0, Seq: 2, BaseVersion: 1, DenseLen: 4, SparseIdx: []uint32{2}, SparseVals: []float64{100}})
 	if want := []float64{5, 11, 65, 23}; !sameBits(rep.Weights, want) {
 		t.Fatalf("sparse push mixed to %v, want %v", rep.Weights, want)
+	}
+}
+
+// refCommit is the server's commit as it was written before the mix
+// kernels: one loop per codec, with a per-element finiteness branch and the
+// displacement summed alongside the mix. It is the definition of the model,
+// the quarantine verdict and the norm that admitLocked must reproduce bit
+// for bit. ref is the weights of the sparse push's base.
+func refCommit(old []float64, req *request, ref []float64, alpha float64) (w []float64, norm float64, finite bool) {
+	w = make([]float64, len(old))
+	var sum float64
+	switch {
+	case req.Weights != nil:
+		for i, v := range req.Weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, 0, false
+			}
+			d := v - old[i]
+			sum += d * d
+			w[i] = (1-alpha)*old[i] + alpha*v
+		}
+	case req.Quant != nil:
+		q := req.Quant
+		for i, b := range q.Data {
+			v := q.Min + float64(b)*q.Scale
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, 0, false
+			}
+			d := v - old[i]
+			sum += d * d
+			w[i] = (1-alpha)*old[i] + alpha*v
+		}
+	default:
+		idx, vals, j := req.SparseIdx, req.SparseVals, 0
+		for i, r := range ref {
+			u := r
+			if j < len(idx) && int(idx[j]) == i {
+				u = vals[j]
+				d := u - r
+				sum += d * d
+				j++
+			}
+			w[i] = (1-alpha)*old[i] + alpha*u
+		}
+	}
+	return w, math.Sqrt(sum), true
+}
+
+// TestCommitMatchesReference drives each codec's pushes through dispatch,
+// with the norm gate off and armed, and holds every commit to refCommit: the
+// model Float64bits-equal, the same verdict (applied, "non-finite" or
+// "norm"), and with the gate armed the same norms observed — the server's
+// tracker equal to one fed refCommit's norms in the same call pattern (norms
+// are non-negative and finite, so == is bit equality). Client 0 pushes in
+// the codec under test; client 1 pushes raw between, so a sparse base is
+// not the model it mixes over. A non-finite update goes as the client sends
+// it: raw, or quantized with a finite range that overflows once
+// dequantized; a sparse frame cannot carry one (wire.ParseSparse), so the
+// sparse client sends it raw. The model is 203 weights, so every vector
+// tail of the kernels runs.
+func TestCommitMatchesReference(t *testing.T) {
+	const n, steps, alpha = 203, 60, 0.4
+	for _, codec := range []string{"raw", "quant", "sparse"} {
+		for _, gate := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/gate=%v", codec, gate), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(7))
+				init := make([]float64, n)
+				for i := range init {
+					init[i] = rng.NormFloat64()
+				}
+				s := openServer(t, init, ServerOptions{Alpha: alpha, NormGate: gate, NormGateWarmup: 4})
+				defer s.Close()
+				var tracker *robust.NormTracker
+				if gate {
+					tracker = robust.NewNormTracker(0, 4, 0)
+				}
+				verdicts := map[string]int{}
+				push := func(req *request) {
+					t.Helper()
+					s.mu.Lock()
+					old, ver := slices.Clone(s.cur.weights), s.cur.version
+					var ref []float64
+					if ss := s.sessions[req.ClientID]; ss != nil && ss.ack != nil {
+						ref = slices.Clone(ss.ack.weights)
+					}
+					s.mu.Unlock()
+					want, norm, finite := refCommit(old, req, ref, fl.StalenessAlpha(alpha, float64(ver-req.BaseVersion), 1))
+					verdict := "applied"
+					switch {
+					case !finite:
+						verdict = "non-finite"
+					case tracker != nil:
+						if th, ok := tracker.Threshold(); ok && norm > th {
+							verdict = "norm"
+							break
+						}
+						tracker.Observe(norm)
+						tracker.Threshold()
+					}
+					verdicts[verdict]++
+					wantV, wantQ := ver+1, 0
+					if verdict != "applied" {
+						want, wantV, wantQ = old, ver, 1
+					}
+					q := s.Quarantined()
+					req.Kind = wire.KindPush
+					rep := s.dispatch(req)
+					s.release(rep.held)
+					if rep.Err != "" {
+						t.Fatal(rep.Err)
+					}
+					if got := s.Quarantined() - q; got != wantQ {
+						t.Fatalf("push %d of client %d: %d quarantined, reference verdict %s", req.Seq, req.ClientID, got, verdict)
+					}
+					if got, v := s.Snapshot(); v != wantV || !sameBits(got, want) {
+						t.Fatalf("push %d of client %d (%s): model v%d differs from the reference's v%d", req.Seq, req.ClientID, verdict, v, wantV)
+					}
+					if tracker != nil {
+						s.mu.Lock()
+						same := reflect.DeepEqual(s.normGate, tracker)
+						s.mu.Unlock()
+						if !same {
+							t.Fatalf("push %d of client %d: the gate observed norms other than the reference's", req.Seq, req.ClientID)
+						}
+					}
+				}
+				update := func(spread float64) []float64 {
+					s.mu.Lock()
+					u := slices.Clone(s.cur.weights)
+					s.mu.Unlock()
+					for i := range u {
+						u[i] += spread * rng.NormFloat64()
+					}
+					return u
+				}
+				var ackV int
+				for step := 1; step <= steps; step++ {
+					spread := 0.1
+					if step%9 == 0 {
+						spread = 1e3 // an outlier the armed gate quarantines
+					}
+					u := update(spread)
+					req := &request{ClientID: 0, Seq: uint64(step), Weights: u, BaseVersion: ackV}
+					switch {
+					case step%7 == 0:
+						u[rng.Intn(n)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[step%3]
+						if codec == "quant" {
+							// A finite range whose top bytes overflow.
+							q := &Quantized{Data: make([]uint8, n), Min: 1e308, Scale: 1e307}
+							for i := range q.Data {
+								q.Data[i] = uint8(rng.Intn(256))
+							}
+							req.Weights, req.Quant = nil, q
+						}
+					case codec == "quant":
+						req.Weights, req.Quant = nil, QuantizeInto(u, &Quantized{})
+					case codec == "sparse" && step > 1: // from step 2 on, client 0 has an ack
+						req.Weights, req.DenseLen = nil, n
+						for i := range u {
+							if rng.Intn(4) == 0 {
+								req.SparseIdx = append(req.SparseIdx, uint32(i))
+								req.SparseVals = append(req.SparseVals, u[i])
+							}
+						}
+					}
+					push(req)
+					ackV = s.sessions[0].ack.version
+					if step%2 == 0 {
+						push(&request{ClientID: 1, Seq: uint64(step), Weights: update(0.1), BaseVersion: ackV - 1})
+					}
+				}
+				for _, v := range []string{"applied", "non-finite", "norm"} {
+					if verdicts[v] == 0 && (v != "norm" || gate) {
+						t.Errorf("no push got the verdict %q: %v", v, verdicts)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCommit times one commit (admitLocked) of a 100 000-weight push per
+// codec, with the norm gate off as on ingest-dense and ingest-fleet: raw, an
+// int8 payload, and a top-1 000 sparse overlay on a base one version old.
+func BenchmarkCommit(b *testing.B) {
+	const n, k = 100_000, 1_000
+	rng := rand.New(rand.NewSource(1))
+	vec := func() []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		return w
+	}
+	init, u := vec(), vec()
+	sparse := &request{DenseLen: n}
+	for i := 0; i < k; i++ {
+		sparse.SparseIdx = append(sparse.SparseIdx, uint32(i*(n/k)))
+		sparse.SparseVals = append(sparse.SparseVals, u[i*(n/k)])
+	}
+	for _, c := range []struct {
+		name string
+		req  *request
+	}{
+		{"raw", &request{Weights: u}},
+		{"quant", &request{Quant: QuantizeInto(u, &Quantized{})}},
+		{"sparse", sparse},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := openServer(b, init, ServerOptions{Alpha: 0.5})
+			defer s.Close()
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			ref := s.cur.hold()
+			defer s.release(ref)
+			c.req.BaseVersion = ref.version
+			commit := func() {
+				if q, err := s.admitLocked(c.req, ref); q != "" || err != nil {
+					b.Fatal(q, err)
+				}
+			}
+			for i := 0; i < spareModels; i++ { // fill the recycler: no model is allocated below
+				commit()
+			}
+			b.SetBytes(8 * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				commit()
+			}
+		})
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"ecofl/internal/fl/robust"
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/journal"
+	"ecofl/internal/tensor"
 )
 
 // request is the client→server message. A push carries either raw Weights
@@ -92,7 +93,8 @@ const spareModels = 4
 
 // ServerOptions configures fault-tolerance aspects of a Server.
 type ServerOptions struct {
-	// Alpha is the base mixing weight of the asynchronous aggregation.
+	// Alpha is the base mixing weight of the asynchronous aggregation, a
+	// finite number in [0, 1].
 	Alpha float64
 	// Resume restores weights, version, push count and the per-client
 	// sequence numbers from a checkpoint (crash recovery).
@@ -143,10 +145,11 @@ const DefaultTimeout = 30 * time.Second
 
 // Server owns the global model and serves pull/push requests.
 type Server struct {
-	// Alpha is the base mixing weight; StalenessExp the polynomial
-	// staleness attenuation exponent (0 disables attenuation).
-	Alpha        float64
-	StalenessExp float64
+	// alpha is the base mixing weight, in [0, 1]; stalenessExp the
+	// polynomial staleness attenuation exponent (0 disables attenuation).
+	// Both are fixed before the first request is served.
+	alpha        float64
+	stalenessExp float64
 
 	opts  ServerOptions
 	ln    net.Listener
@@ -188,7 +191,8 @@ type Server struct {
 func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
 	s, err := NewServerOpts(ln, init, ServerOptions{Alpha: alpha})
 	if err != nil {
-		// Only Resume validation can fail, and there is no Resume here.
+		// There is no Resume here, so only an alpha that is not a finite
+		// number in [0, 1] fails.
 		panic(err)
 	}
 	return s
@@ -197,14 +201,18 @@ func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
 // NewServerOpts is NewServer with fault-tolerance options. With
 // opts.Resume, the server starts from the checkpointed state (weights,
 // version, push count, per-client sequence numbers) instead of init; init's
-// length must match the checkpointed model.
+// length must match the checkpointed model. opts.Alpha must be a finite
+// number in [0, 1]: any other mixes a finite push into a non-finite model.
 func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server, error) {
+	if !(opts.Alpha >= 0 && opts.Alpha <= 1) {
+		return nil, fmt.Errorf("flnet: alpha must be in [0, 1] (got %g)", opts.Alpha)
+	}
 	if opts.LeaseNow == nil {
 		opts.LeaseNow = time.Now
 	}
 	s := &Server{
-		Alpha:        opts.Alpha,
-		StalenessExp: 1.0,
+		alpha:        opts.Alpha,
+		stalenessExp: 1.0,
 		opts:         opts,
 		ln:           ln,
 		fleet:        newFleet(),
@@ -502,15 +510,17 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 // model: the shape, the sparse base against ref — the ack the caller holds
 // for this client, nil when it holds none — every dense value's finiteness
 // (the raw codec is a zero-copy view and validates nothing; a quantized
-// range can overflow only once dequantized) and the L2 displacement against
-// the reference it mixes over. It returns an error for a push the protocol
-// rejects, a quarantine reason — "non-finite", or "norm" when the armed gate
-// finds the displacement an outlier against the trailing accepted-norm
-// distribution — for one it acks but must not mix, and otherwise publishes
-// the mixed model as the current one. One pass over the update does it all:
-// dequantize or overlay, check, sum the norm and write (1−α)·w + α·u into a
-// recycled model, which is dropped again unless the gate admits the push.
-// Caller holds s.mu.
+// range can overflow only once dequantized) and, when the norm gate is
+// armed, the L2 displacement against the reference it mixes over. It
+// returns an error for a push the protocol rejects, a quarantine reason —
+// "non-finite", or "norm" when the armed gate finds the displacement an
+// outlier against the trailing accepted-norm distribution — for one it acks
+// but must not mix, and otherwise publishes the mixed model as the current
+// one. The mix is one kernel pass (tensor.Mix, or tensor.MixU8 dequantizing
+// in the same pass) that writes (1−α)·w + α·u into a recycled model and
+// checks u's finiteness; a sparse push mixes toward its base and then fixes
+// up the pushed indices (tensor.MixAt). The model is dropped again unless
+// the gate admits the push. Caller holds s.mu.
 func (s *Server) admitLocked(req *request, ref *model) (quarantine string, err error) {
 	old := s.cur.weights
 	n := len(old)
@@ -542,51 +552,29 @@ func (s *Server) admitLocked(req *request, ref *model) (quarantine string, err e
 	default:
 		return "", errNoPayload
 	}
-	alpha := fl.StalenessAlpha(s.Alpha, float64(s.cur.version-req.BaseVersion), s.StalenessExp)
+	alpha := fl.StalenessAlpha(s.alpha, float64(s.cur.version-req.BaseVersion), s.stalenessExp)
 	next := s.blankModelLocked()
 	w := next.weights
-	var sum float64
+	finite := true
 	switch {
 	case req.Weights != nil:
-		for i, v := range req.Weights {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.recycle(next)
-				return "non-finite", nil
-			}
-			d := v - old[i]
-			sum += d * d
-			w[i] = (1-alpha)*old[i] + alpha*v
-		}
+		finite = tensor.Mix(w, old, req.Weights, alpha)
 	case req.Quant != nil:
 		q := req.Quant
-		for i, b := range q.Data {
-			v := q.Min + float64(b)*q.Scale
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.recycle(next)
-				return "non-finite", nil
-			}
-			d := v - old[i]
-			sum += d * d
-			w[i] = (1-alpha)*old[i] + alpha*v
-		}
+		finite = tensor.MixU8(w, old, q.Data, q.Min, q.Scale, alpha)
 	default:
 		// The overlay: the update is the acked reference with the pushed
-		// values at their (ascending, validated) indices; only those move
-		// the norm.
-		idx, vals, j := req.SparseIdx, req.SparseVals, 0
-		for i, r := range ref.weights {
-			u := r
-			if j < len(idx) && int(idx[j]) == i {
-				u = vals[j]
-				d := u - r
-				sum += d * d
-				j++
-			}
-			w[i] = (1-alpha)*old[i] + alpha*u
-		}
+		// values (validated finite) at their indices.
+		tensor.Mix(w, old, ref.weights, alpha)
+		tensor.MixAt(w, old, req.SparseIdx, req.SparseVals, alpha)
 	}
-	norm := math.Sqrt(sum)
+	if !finite {
+		s.recycle(next)
+		return "non-finite", nil
+	}
+	var norm float64
 	if s.normGate != nil {
+		norm = displacement(req, old, ref)
 		if th, ok := s.normGate.Threshold(); ok && norm > th {
 			s.recycle(next)
 			return "norm", nil
@@ -604,6 +592,34 @@ func (s *Server) admitLocked(req *request, ref *model) (quarantine string, err e
 		}
 	}
 	return "", nil
+}
+
+// displacement is the L2 norm of a finite push's update u minus the model it
+// mixes over, summed in ascending index order: u − old for a raw or
+// quantized push; for a sparse one only the pushed indices, against the
+// base ref they overlay.
+func displacement(req *request, old []float64, ref *model) float64 {
+	var sum float64
+	switch {
+	case req.Weights != nil:
+		for i, v := range req.Weights {
+			d := v - old[i]
+			sum += d * d
+		}
+	case req.Quant != nil:
+		q := req.Quant
+		for i, b := range q.Data {
+			v := q.Min + float64(b)*q.Scale
+			d := v - old[i]
+			sum += d * d
+		}
+	default:
+		for j, i := range req.SparseIdx {
+			d := req.SparseVals[j] - ref.weights[i]
+			sum += d * d
+		}
+	}
+	return math.Sqrt(sum)
 }
 
 // Quarantined reports how many pushes were acked but quarantined by the

@@ -113,7 +113,7 @@ func TestSparseLosslessBitIdentical(t *testing.T) {
 	}
 	run := func(sparse bool) ([]float64, int) {
 		s := startServerOpts(t, make([]float64, n), ServerOptions{Alpha: 0.5})
-		s.StalenessExp = 0
+		s.stalenessExp = 0
 		c, err := Dial(s.Addr(), 0)
 		if err != nil {
 			t.Fatal(err)

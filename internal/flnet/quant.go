@@ -32,9 +32,9 @@ func QuantizeInto(w []float64, q *Quantized) *Quantized {
 }
 
 // DequantizeInto reconstructs the vector into dst, which must have
-// len(q.Data) elements. The server's commit dequantizes with the same
-// expression inside its mixing pass instead. The error is at most Scale/2
-// per element.
+// len(q.Data) elements: Min + float64(byte)·Scale per element, within
+// Scale/2 of the weight it quantizes. The server's commit never materializes
+// it: tensor.MixU8 dequantizes with the same expression inside the mix.
 func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 	dst = dst[:len(q.Data)]
 	for i, b := range q.Data {

@@ -263,3 +263,42 @@ func TestNonFiniteUpdateQuarantinedPerCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestAlphaOutsideUnitIntervalRefused: the mixing weight is fixed at
+// construction, so NewServerOpts refuses one that is not a finite number in
+// [0, 1] — a NaN α turned the first finite push into a NaN model, past the
+// ingest gate. The ends are accepted: α = 0 keeps the model, α = 1 takes
+// the push.
+func TestAlphaOutsideUnitIntervalRefused(t *testing.T) {
+	init, update := []float64{1, 2, 3}, []float64{4, 5, 6}
+	for _, c := range []struct {
+		alpha float64
+		want  []float64 // nil: refused
+	}{
+		{math.NaN(), nil}, {math.Inf(1), nil}, {math.Inf(-1), nil}, {-0.1, nil}, {1.5, nil},
+		{0, init}, {1, update},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewServerOpts(ln, init, ServerOptions{Alpha: c.alpha})
+		if c.want == nil {
+			ln.Close()
+			if err == nil {
+				s.Close()
+				t.Errorf("alpha %v: accepted, want refused", c.alpha)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("alpha %v: %v", c.alpha, err)
+		}
+		rep := s.dispatch(&request{Kind: wire.KindPush, ClientID: 0, Seq: 1, Weights: update})
+		s.release(rep.held)
+		if w, v := s.Snapshot(); rep.Err != "" || v != 1 || !sameBits(w, c.want) {
+			t.Errorf("alpha %v: push gave v%d %v (%q), want v1 %v", c.alpha, v, w, rep.Err, c.want)
+		}
+		s.Close()
+	}
+}

@@ -2,10 +2,10 @@
 
 package tensor
 
-// useAsm selects the AVX2 bodies of axpy, axpy4, minMax and quantize
-// (kernels_amd64.s) over the Go ones. It is decided once, here, from what the
-// CPU and the OS support; the tests flip it to run every kernel table under
-// both bodies. Under -race the Go bodies run instead (kernels_generic.go):
+// useAsm selects the AVX2 bodies of axpy, axpy4, minMax, quantize, mix and
+// mixU8 (kernels_amd64.s) over the Go ones. It is decided once, here, from
+// what the CPU and the OS support; the tests flip it to run every kernel
+// table under both bodies. Under -race the Go bodies run instead (kernels_generic.go):
 // the race detector cannot see the memory an assembly body touches.
 var useAsm = hasAVX2()
 
@@ -24,6 +24,12 @@ func minMaxAVX2(w []float64) (lo, hi float64, finite bool)
 
 //go:noescape
 func quantizeAVX2(dst []uint8, w []float64, lo, scale float64)
+
+//go:noescape
+func mixAVX2(dst, a, b []float64, alpha, beta float64) (finite bool)
+
+//go:noescape
+func mixU8AVX2(dst, a []float64, q []uint8, lo, scale, alpha, beta float64) (finite bool)
 
 // axpy adds av·b to o element-wise; len(b) must be at least len(o).
 func axpy(o []float64, av float64, b []float64) {
@@ -64,4 +70,21 @@ func quantize(dst []uint8, w []float64, lo, scale float64) {
 		return
 	}
 	quantizeGo(dst, w, lo, scale)
+}
+
+// mix writes (1−alpha)·a[i] + alpha·b[i] to dst[i] and reports whether every
+// b[i] is finite; a and b are len(dst) long.
+func mix(dst, a, b []float64, alpha float64) bool {
+	if useAsm {
+		return mixAVX2(dst, a, b, alpha, 1-alpha)
+	}
+	return mixGo(dst, a, b, alpha)
+}
+
+// mixU8 is mix with b[i] = lo + float64(q[i])·scale.
+func mixU8(dst, a []float64, q []uint8, lo, scale, alpha float64) bool {
+	if useAsm {
+		return mixU8AVX2(dst, a, q, lo, scale, alpha, 1-alpha)
+	}
+	return mixU8Go(dst, a, q, lo, scale, alpha)
 }

@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// The AVX2 bodies of axpy, axpy4, minMax and quantize (kernels_amd64.go).
-// Each output element is formed exactly as the Go body forms it: in axpy and
-// axpy4 a separate VMULPD and VADDPD per product, never a fused multiply-add,
-// and the products added in argument order; in quantize a VDIVPD, never a
-// multiply by the reciprocal. Every instruction is VEX-encoded, the scalar
+// The AVX2 bodies of axpy, axpy4, minMax, quantize, mix and mixU8
+// (kernels_amd64.go). Each output element is formed exactly as the Go body
+// forms it: in axpy, axpy4, mix and mixU8 a separate VMULPD and VADDPD per
+// product, never a fused multiply-add, and in axpy and axpy4 the products
+// added in argument order; in quantize a VDIVPD, never a multiply by the
+// reciprocal. Every instruction is VEX-encoded, the scalar
 // tails included, and VZEROUPPER precedes RET, so no SSE code runs with a
 // dirty upper YMM state.
 
@@ -307,6 +308,177 @@ quant_scalar:
 	JMP        quant_scalar
 
 quant_done:
+	VZEROUPPER
+	RET
+
+// func mixAVX2(dst, a, b []float64, alpha, beta float64) (finite bool)
+//
+// Per element: beta·a + alpha·b. Y2/Y3 sum b − b, +0 for a finite b and NaN
+// otherwise, as in minMax. dst may be a: each block is loaded before it is
+// stored.
+TEXT ·mixAVX2(SB), NOSPLIT, $0-89
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         a_base+24(FP), SI
+	MOVQ         b_base+48(FP), R8
+	VBROADCASTSD alpha+72(FP), Y0
+	VBROADCASTSD beta+80(FP), Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	JZ           mix_vec4
+
+mix_loop8:
+	VMOVUPD (R8)(AX*8), Y4
+	VMOVUPD 32(R8)(AX*8), Y5
+	VMULPD  (SI)(AX*8), Y1, Y6
+	VMULPD  32(SI)(AX*8), Y1, Y7
+	VMULPD  Y4, Y0, Y8
+	VMULPD  Y5, Y0, Y9
+	VADDPD  Y8, Y6, Y6
+	VADDPD  Y9, Y7, Y7
+	VMOVUPD Y6, (DI)(AX*8)
+	VMOVUPD Y7, 32(DI)(AX*8)
+	VSUBPD  Y4, Y4, Y4
+	VSUBPD  Y5, Y5, Y5
+	VADDPD  Y4, Y2, Y2
+	VADDPD  Y5, Y3, Y3
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JB      mix_loop8
+	VADDPD  Y3, Y2, Y2
+
+mix_vec4:
+	MOVQ    CX, DX
+	SUBQ    AX, DX
+	CMPQ    DX, $4
+	JB      mix_fold
+	VMOVUPD (R8)(AX*8), Y4
+	VMULPD  (SI)(AX*8), Y1, Y6
+	VMULPD  Y4, Y0, Y8
+	VADDPD  Y8, Y6, Y6
+	VMOVUPD Y6, (DI)(AX*8)
+	VSUBPD  Y4, Y4, Y4
+	VADDPD  Y4, Y2, Y2
+	ADDQ    $4, AX
+
+mix_fold:
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VUNPCKHPD    X2, X2, X3
+	VADDSD       X3, X2, X2
+
+mix_scalar:
+	CMPQ   AX, CX
+	JAE    mix_done
+	VMOVSD (R8)(AX*8), X4
+	VMULSD (SI)(AX*8), X1, X6
+	VMULSD X4, X0, X8
+	VADDSD X8, X6, X6
+	VMOVSD X6, (DI)(AX*8)
+	VSUBSD X4, X4, X4
+	VADDSD X4, X2, X2
+	INCQ   AX
+	JMP    mix_scalar
+
+mix_done:
+	VUCOMISD X2, X2            // unordered: some b − b was NaN
+	SETPC    finite+88(FP)
+	VZEROUPPER
+	RET
+
+// func mixU8AVX2(dst, a []float64, q []uint8, lo, scale, alpha, beta float64) (finite bool)
+//
+// mixAVX2 with b = lo + float64(q)·scale: VPMOVZXBD widens four bytes to
+// doublewords, VCVTDQ2PD converts them exactly, then a VMULPD by scale and a
+// VADDPD of lo. The finiteness sum runs over those dequantized values.
+TEXT ·mixU8AVX2(SB), NOSPLIT, $0-105
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         a_base+24(FP), SI
+	MOVQ         q_base+48(FP), R8
+	VBROADCASTSD lo+72(FP), Y10
+	VBROADCASTSD scale+80(FP), Y11
+	VBROADCASTSD alpha+88(FP), Y0
+	VBROADCASTSD beta+96(FP), Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	JZ           mixu8_vec4
+
+mixu8_loop8:
+	VPMOVZXBD (R8)(AX*1), X4
+	VPMOVZXBD 4(R8)(AX*1), X5
+	VCVTDQ2PD X4, Y4
+	VCVTDQ2PD X5, Y5
+	VMULPD    Y11, Y4, Y4
+	VMULPD    Y11, Y5, Y5
+	VADDPD    Y10, Y4, Y4
+	VADDPD    Y10, Y5, Y5
+	VMULPD    (SI)(AX*8), Y1, Y6
+	VMULPD    32(SI)(AX*8), Y1, Y7
+	VMULPD    Y4, Y0, Y8
+	VMULPD    Y5, Y0, Y9
+	VADDPD    Y8, Y6, Y6
+	VADDPD    Y9, Y7, Y7
+	VMOVUPD   Y6, (DI)(AX*8)
+	VMOVUPD   Y7, 32(DI)(AX*8)
+	VSUBPD    Y4, Y4, Y4
+	VSUBPD    Y5, Y5, Y5
+	VADDPD    Y4, Y2, Y2
+	VADDPD    Y5, Y3, Y3
+	ADDQ      $8, AX
+	CMPQ      AX, DX
+	JB        mixu8_loop8
+	VADDPD    Y3, Y2, Y2
+
+mixu8_vec4:
+	MOVQ      CX, DX
+	SUBQ      AX, DX
+	CMPQ      DX, $4
+	JB        mixu8_fold
+	VPMOVZXBD (R8)(AX*1), X4
+	VCVTDQ2PD X4, Y4
+	VMULPD    Y11, Y4, Y4
+	VADDPD    Y10, Y4, Y4
+	VMULPD    (SI)(AX*8), Y1, Y6
+	VMULPD    Y4, Y0, Y8
+	VADDPD    Y8, Y6, Y6
+	VMOVUPD   Y6, (DI)(AX*8)
+	VSUBPD    Y4, Y4, Y4
+	VADDPD    Y4, Y2, Y2
+	ADDQ      $4, AX
+
+mixu8_fold:
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VUNPCKHPD    X2, X2, X3
+	VADDSD       X3, X2, X2
+
+mixu8_scalar:
+	CMPQ      AX, CX
+	JAE       mixu8_done
+	MOVBLZX   (R8)(AX*1), BX
+	VMOVD     BX, X4
+	VCVTDQ2PD X4, X4
+	VMULSD    X11, X4, X4
+	VADDSD    X10, X4, X4
+	VMULSD    (SI)(AX*8), X1, X6
+	VMULSD    X4, X0, X8
+	VADDSD    X8, X6, X6
+	VMOVSD    X6, (DI)(AX*8)
+	VSUBSD    X4, X4, X4
+	VADDSD    X4, X2, X2
+	INCQ      AX
+	JMP       mixu8_scalar
+
+mixu8_done:
+	VUCOMISD X2, X2
+	SETPC    finite+104(FP)
 	VZEROUPPER
 	RET
 

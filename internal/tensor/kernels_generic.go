@@ -24,3 +24,12 @@ func minMax(w []float64) (lo, hi float64, finite bool) { return minMaxGo(w) }
 // quantize writes round((w[i] − lo) / scale) to dst[i]; len(dst) must be at
 // least len(w).
 func quantize(dst []uint8, w []float64, lo, scale float64) { quantizeGo(dst, w, lo, scale) }
+
+// mix writes (1−alpha)·a[i] + alpha·b[i] to dst[i] and reports whether every
+// b[i] is finite; a and b are len(dst) long.
+func mix(dst, a, b []float64, alpha float64) bool { return mixGo(dst, a, b, alpha) }
+
+// mixU8 is mix with b[i] = lo + float64(q[i])·scale.
+func mixU8(dst, a []float64, q []uint8, lo, scale, alpha float64) bool {
+	return mixU8Go(dst, a, q, lo, scale, alpha)
+}

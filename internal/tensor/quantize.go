@@ -45,11 +45,8 @@ func QuantizeU8(dst []uint8, w []float64) (lo, scale float64) {
 // minMaxGo is minMax's Go body: the least and the greatest element of w (a
 // zero minimum with either sign), and whether every element is finite.
 func minMaxGo(w []float64) (lo, hi float64, finite bool) {
-	const expMask = 0x7FF << 52
 	lo, hi = math.Inf(1), math.Inf(-1)
-	// An all-ones exponent field (±Inf, NaN) plus one carries into bit 63;
-	// no other does.
-	var carry uint64
+	var carry uint64 // bit 63 set by a non-finite v (expMask)
 	for _, v := range w {
 		if v < lo {
 			lo = v

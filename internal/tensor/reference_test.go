@@ -197,7 +197,95 @@ func TestKernelsMatchReference(t *testing.T) {
 				})
 			}
 		}
+		// The mix kernels at every length around the four- and eight-wide
+		// steps, out of place and in place, with ±0 and subnormals, and in
+		// most rows one special in b or one byte that overflows once
+		// dequantized, at a random position (any lane of a vector step).
+		for n := 0; n <= 70; n++ {
+			for _, alpha := range []float64{0, 1, 0.4, 0.123456789, 1e-310} {
+				a, b := mixOperand(rng, n, 0), mixOperand(rng, n, 0)
+				q := make([]uint8, n)
+				for i := range q {
+					q[i] = uint8(rng.Intn(256))
+				}
+				lo, scale := rng.NormFloat64(), rng.Float64()
+				if n > 0 && rng.Intn(4) != 0 {
+					b[rng.Intn(n)] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+					lo, scale = 1e308, 1e306 // a byte below 80 stays finite, 255 overflows
+					for i := range q {
+						q[i] %= 80
+					}
+					q[rng.Intn(n)] = 255
+				}
+				for _, c := range []struct {
+					name string
+					mix  func(dst, a []float64) bool
+					ref  func(dst, a []float64) bool
+				}{
+					{"Mix", func(d, a []float64) bool { return Mix(d, a, b, alpha) },
+						func(d, a []float64) bool { return refMix(d, a, b, alpha) }},
+					{"MixU8", func(d, a []float64) bool { return MixU8(d, a, q, lo, scale, alpha) },
+						func(d, a []float64) bool { return refMixU8(d, a, q, lo, scale, alpha) }},
+				} {
+					for _, inPlace := range []bool{false, true} {
+						got, want := make([]float64, n), make([]float64, n)
+						gotA, wantA := a, a
+						if inPlace {
+							copy(got, a)
+							copy(want, a)
+							gotA, wantA = got, want
+						}
+						gotOK, wantOK := c.mix(got, gotA), c.ref(want, wantA)
+						if gotOK != wantOK {
+							t.Fatalf("%s n=%d alpha=%v in place %v: finite %v, reference %v", c.name, n, alpha, inPlace, gotOK, wantOK)
+						}
+						if i, ok := sameBits(&Tensor{Data: got}, &Tensor{Data: want}); !ok {
+							t.Fatalf("%s n=%d alpha=%v in place %v: element %d is %v, reference %v", c.name, n, alpha, inPlace, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	})
+}
+
+// refMix is the commit's mixing loop as the server and fl.AsyncMix first
+// wrote it, with the finiteness of b checked element by element: the
+// definition of what Mix writes and reports, under both bodies.
+func refMix(dst, a, b []float64, alpha float64) (finite bool) {
+	finite = true
+	for i := range dst {
+		if math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
+			finite = false
+		}
+		dst[i] = (1-alpha)*a[i] + alpha*b[i]
+	}
+	return finite
+}
+
+// refMixU8 is refMix over the dequantized vector lo + float64(q[i])·scale.
+func refMixU8(dst, a []float64, q []uint8, lo, scale, alpha float64) (finite bool) {
+	b := make([]float64, len(dst))
+	for i := range b {
+		b[i] = lo + float64(q[i])*scale
+	}
+	return refMix(dst, a, b, alpha)
+}
+
+// mixOperand is n normal values with zeros of either sign and subnormals
+// mixed in and, when specials is not zero, ±Inf or NaN one time in
+// specials.
+func mixOperand(rng *rand.Rand, n, specials int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		switch v[i] = rng.NormFloat64(); {
+		case specials > 0 && rng.Intn(specials) == 0:
+			v[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+		case rng.Intn(8) == 0:
+			v[i] = []float64{0, math.Copysign(0, -1), 5e-324, v[i] * 1e-310}[rng.Intn(4)]
+		}
+	}
+	return v
 }
 
 // TestZeroSkipKeepsInfOut states the zero-skip contract on its own: a zero
@@ -296,6 +384,64 @@ func FuzzAxpyBodies(f *testing.F) {
 		}
 		if i, ok := sameBits(asmFour, goFour); !ok {
 			t.Fatalf("axpy4 n=%d: element %d is %v under assembly, %v under Go", n, i, asmFour.Data[i], goFour.Data[i])
+		}
+	})
+}
+
+// FuzzMixBodies holds the assembly bodies of Mix and MixU8 to the Go ones on
+// fuzzed lengths, offsets into the operands (so unaligned loads and every
+// vector tail), values (±0, subnormals, ±Inf and NaN), dequantization
+// parameters and α: dst must agree bit for bit, NaN payloads aside
+// (sameBits), and so must the finite flag, out of place and in place.
+func FuzzMixBodies(f *testing.F) {
+	f.Add(uint8(10), uint8(0), int64(1), 0.4, -1.0, 0.01)
+	f.Add(uint8(65), uint8(3), int64(2), 1.0, 1e308, 1e307)
+	f.Add(uint8(7), uint8(5), int64(3), 5e-324, math.Copysign(0, -1), 5e-324)
+	f.Add(uint8(12), uint8(1), int64(4), math.NaN(), math.Inf(-1), 0.0)
+	f.Fuzz(func(t *testing.T, n, off uint8, seed int64, alpha, lo, scale float64) {
+		if !useAsm {
+			t.Skip("no assembly body on this build or CPU")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		// off picks the offset and how rare specials are: none, or one in
+		// 4·(off/8), so a single one can sit in any lane.
+		o, specials := int(off)%8, 4*(int(off)/8)
+		a := mixOperand(rng, o+int(n), specials)[o:]
+		b := mixOperand(rng, o+int(n), specials)[o:]
+		q := make([]uint8, o+int(n))
+		for i := range q {
+			q[i] = uint8(rng.Intn(256))
+		}
+		q = q[o:]
+		type result struct {
+			out, inPlace, outU8, inPlaceU8 []float64
+			finite                         [4]bool
+		}
+		run := func(asm bool) (r result) {
+			defer func() { useAsm = true }()
+			useAsm = asm
+			r.out, r.outU8 = make([]float64, len(a)), make([]float64, len(a))
+			r.inPlace, r.inPlaceU8 = append([]float64(nil), a...), append([]float64(nil), a...)
+			r.finite = [4]bool{
+				Mix(r.out, a, b, alpha), Mix(r.inPlace, r.inPlace, b, alpha),
+				MixU8(r.outU8, a, q, lo, scale, alpha), MixU8(r.inPlaceU8, r.inPlaceU8, q, lo, scale, alpha),
+			}
+			return r
+		}
+		asm, gob := run(true), run(false)
+		if asm.finite != gob.finite {
+			t.Fatalf("n=%d: finite flags %v under assembly, %v under Go", n, asm.finite, gob.finite)
+		}
+		for _, c := range []struct {
+			name     string
+			asm, gob []float64
+		}{
+			{"Mix", asm.out, gob.out}, {"Mix in place", asm.inPlace, gob.inPlace},
+			{"MixU8", asm.outU8, gob.outU8}, {"MixU8 in place", asm.inPlaceU8, gob.inPlaceU8},
+		} {
+			if i, ok := sameBits(&Tensor{Data: c.asm}, &Tensor{Data: c.gob}); !ok {
+				t.Fatalf("%s n=%d: element %d is %v under assembly, %v under Go", c.name, n, i, c.asm[i], c.gob[i])
+			}
 		}
 	})
 }

@@ -127,6 +127,19 @@ if [ "$heap_fns" != bucketTop ]; then
 	exit 1
 fi
 
+# One mix body (DESIGN.md, "Tensor kernels" and "Ingest"): the commit
+# w ← (1−α)·w + α·u is tensor.Mix, MixU8 and MixAt, Go and AVX2 bodies behind
+# one switch, for the server's raw, int8 and sparse pushes and fl.AsyncMix
+# alike. A 1−alpha factor in non-test internal/fl or internal/flnet is a second
+# mix loop growing back. internal/adaptive's scalar EWMA is not a vector mix
+# and is not checked.
+mix_sites=$(grep -rnE --include='*.go' '1 ?- ?[[:alnum:]_.]*[Aa]lpha\b' internal/fl internal/flnet | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$mix_sites" ]; then
+	echo "one mix body: non-test internal/fl and internal/flnet mix outside tensor.Mix:" >&2
+	echo "$mix_sites" >&2
+	exit 1
+fi
+
 # Docs budget (ROADMAP item 0b): a CHANGES.md entry is at most 1,200 bytes —
 # claim, what was expected to move, what must not move, verdict. An entry
 # runs from its "- PR N" line to the next one. Entries numbered below
@@ -195,9 +208,9 @@ go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/exe
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network or a checkpoint file, the churn-trace loader, the divergence
-# bounds, the tensor kernels' assembly bodies against their Go ones, and the
-# branch-free ReLU and the uplink encoders against the bodies they replaced (plain
-# `go test` above only replays their seed corpora). Minimization is capped
+# bounds, the tensor kernels' assembly bodies (axpy, mix) against their Go
+# ones, and the branch-free ReLU and the uplink encoders against the bodies they
+# replaced (plain `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
 fuzz_start=$SECONDS
 fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 200ms "$2"; }
@@ -210,6 +223,7 @@ fuzz FuzzParseTraceSet ./internal/device
 fuzz FuzzJSBounds ./internal/stats
 fuzz FuzzAxpyBodies ./internal/tensor
 fuzz FuzzQuantizeBodies ./internal/tensor
+fuzz FuzzMixBodies ./internal/tensor
 fuzz FuzzReLUBodies ./internal/nn
 fuzz FuzzTopKDeltaBodies ./internal/fl
 echo "fuzz: $((SECONDS - fuzz_start))s"
