@@ -7,12 +7,15 @@ package flnet
 // connection closed (the format has no resync point); a reconnecting portal
 // starts over with a fresh hello.
 //
-// The server decodes into per-connection reusable buffers and hands the
-// dispatch path zero-copy views where the host allows it; the client reads a
-// reply's model straight into the slice it returns. The one part of a
-// frame this package does not parse itself is the telemetry trailer: JSON,
-// through encoding/json, on bytes the frame header has already bounded, and
-// off the hot path by construction.
+// The server decodes each request into its connection's frame buffers — a
+// payload over 64 KiB into one borrowed from wire's process-wide spare list
+// and handed back before the connection waits for its next request — and
+// hands the dispatch path zero-copy views where the host allows it. The
+// client encodes a large int8 or sparse push through a spare the same way,
+// and reads a reply's model straight into the slice it returns. The one part
+// of a frame this package does not parse itself is the telemetry trailer:
+// JSON, through encoding/json, on bytes the frame header has already
+// bounded, and off the hot path by construction.
 
 import (
 	"bufio"
@@ -42,10 +45,9 @@ func kindName(kind byte) string {
 // reply read that allocates only the weights slice whose ownership passes
 // to the caller, filled from the socket with no copy in between.
 type binClientWire struct {
-	bw      *bufio.Writer
-	fw      wire.Writer
-	fr      wire.Reader
-	payload []byte // quant/sparse payload encode scratch
+	bw *bufio.Writer
+	fw wire.Writer
+	fr wire.Reader
 }
 
 func (b *binClientWire) writeRequest(req *request) error {
@@ -71,13 +73,9 @@ func (b *binClientWire) writeRequest(req *request) error {
 	case req.Weights != nil:
 		err = b.fw.WriteRawFrame(&h, req.Weights, trailer)
 	case req.Quant != nil:
-		h.Codec = wire.CodecQuant
-		b.payload = wire.AppendQuant(b.payload[:0], req.Quant.Min, req.Quant.Scale, req.Quant.Data)
-		err = b.fw.WriteFrame(&h, b.payload, trailer)
+		err = b.fw.WriteQuantFrame(&h, req.Quant.Min, req.Quant.Scale, req.Quant.Data, trailer)
 	case req.SparseIdx != nil || req.DenseLen > 0:
-		h.Codec = wire.CodecSparse
-		b.payload = wire.AppendSparse(b.payload[:0], req.DenseLen, req.SparseIdx, req.SparseVals)
-		err = b.fw.WriteFrame(&h, b.payload, trailer)
+		err = b.fw.WriteSparseFrame(&h, req.DenseLen, req.SparseIdx, req.SparseVals, trailer)
 	default:
 		return errNoPayload
 	}

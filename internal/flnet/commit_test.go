@@ -411,3 +411,77 @@ func BenchmarkCommit(b *testing.B) {
 		})
 	}
 }
+
+// TestLargeFramesAcrossConnections: two sessions on one server push
+// 100 000-weight updates concurrently, each alternating raw and int8, so
+// every payload is over 64 KiB and is read into a buffer that wire's spare
+// list passes between the two connections. Every reply must be
+// Float64bits-equal to the model refCommit builds from the pushes in the
+// order the server versioned them: a payload view that outlived its frame,
+// or a buffer handed out twice, would have mixed the other connection's
+// bytes.
+func TestLargeFramesAcrossConnections(t *testing.T) {
+	const n, pushes, alpha = 100_000, 8, 0.5
+	s := openServer(t, make([]float64, n), ServerOptions{Alpha: alpha})
+	defer s.Close()
+	type push struct {
+		req   request // the update as the server must have read it
+		base  int
+		reply []float64
+	}
+	byVersion := make([]*push, 2*pushes+1)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c, err := Dial(s.Addr(), id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(id)))
+			v := 0
+			for i := 0; i < pushes; i++ {
+				w := make([]float64, n)
+				for j := range w {
+					w[j] = rng.NormFloat64()
+				}
+				p := &push{req: request{Weights: w}, base: v}
+				var next int
+				if (i+id)%2 == 0 {
+					p.reply, next, err = c.Push(w, 1, v)
+				} else {
+					p.req = request{Quant: QuantizeInto(w, new(Quantized))}
+					p.reply, next, err = c.PushQuantized(w, 1, v)
+				}
+				if err != nil {
+					t.Errorf("session %d push %d: %v", id, i, err)
+					return
+				}
+				mu.Lock()
+				byVersion[next] = p
+				mu.Unlock()
+				v = next
+			}
+		}(id)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	model := make([]float64, n)
+	for ver := 1; ver < len(byVersion); ver++ {
+		p := byVersion[ver]
+		if p == nil {
+			t.Fatalf("no reply carries v%d", ver)
+		}
+		want, _, _ := refCommit(model, &p.req, nil, fl.StalenessAlpha(alpha, float64(ver-1-p.base), s.stalenessExp))
+		if !sameBits(p.reply, want) {
+			t.Fatalf("the reply for v%d differs from the reference mix of the pushes before it", ver)
+		}
+		model = want
+	}
+}

@@ -452,6 +452,9 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		// The lease lapsed while the client was away: the contact already
 		// re-admitted it, but this push is rejected so the client's retry
 		// lands on the fresh lease after a re-sync.
+		if jr := s.jrec(); jr != nil {
+			jr.Record("push.reject", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10), "err", journal.ErrText(err))
+		}
 		return reply{Err: err.Error()}, false
 	}
 	if req.Seq > 0 && req.Seq <= ss.seq {
@@ -475,7 +478,7 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 	if err != nil {
 		srvPushErrors.Inc()
 		if jr := s.jrec(); jr != nil {
-			jr.Record("push.reject", s.cur.version, req.ClientID, "err", journal.ErrText(err))
+			jr.Record("push.reject", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10), "err", journal.ErrText(err))
 		}
 		return reply{Err: err.Error()}, false
 	}
@@ -491,7 +494,9 @@ func (s *Server) applyPushLocked(req *request) (rep reply, applied bool) {
 		} else {
 			srvQuarNonFinite.Inc()
 		}
-		s.jrec().Record("push.quarantine", s.cur.version, req.ClientID, "reason", quarantine)
+		if jr := s.jrec(); jr != nil {
+			jr.Record("push.quarantine", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10), "reason", quarantine)
+		}
 	} else if jr := s.jrec(); jr != nil {
 		jr.Record("push.apply", s.cur.version, req.ClientID, "seq", strconv.FormatUint(req.Seq, 10))
 	}

@@ -7,11 +7,16 @@ package flnet
 // journal nil must cost ~nothing, recording must stay within a few percent.
 
 import (
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
@@ -126,6 +131,56 @@ func TestJournalDedupDropEvent(t *testing.T) {
 	}
 	if !gotApply || !gotDrop {
 		t.Fatalf("apply=%v drop=%v, want both:\n%s", gotApply, gotDrop, journal.Timeline(fj.Events()))
+	}
+}
+
+// TestJournalPushOutcomesCarrySeq: every push outcome on the server lane
+// names its push. A push rejected because its lease lapsed records
+// push.reject with its seq and the lease error (the client's retry of the
+// same seq then applies), and a quarantined push records its seq beside the
+// reason.
+func TestJournalPushOutcomesCarrySeq(t *testing.T) {
+	lc := newLeaseClock()
+	jn := journal.NewFleet(256, journal.New(-1, 256))
+	s := startLeaseServer(t, []float64{0, 0}, 10*time.Second, lc, jn)
+	c, err := Dial(s.Addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Push([]float64{2, 2}, 1, 0); err != nil { // seq 1: applied
+		t.Fatal(err)
+	}
+	lc.Advance(time.Minute)
+	s.ReapExpiredLeases()
+	if _, _, err := c.Push([]float64{4, 4}, 1, 1); err != nil { // seq 2: rejected, then applied
+		t.Fatal(err)
+	}
+	if _, _, err := c.Push([]float64{math.NaN(), 0}, 1, 2); err != nil { // seq 3: quarantined
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range jn.Local().Events() {
+		if !strings.HasPrefix(e.Kind, "push.") {
+			continue
+		}
+		if e.Client != 3 {
+			t.Fatalf("%s on client %d, want 3", e.Kind, e.Client)
+		}
+		out := e.Kind + " seq=" + e.Attrs["seq"]
+		switch e.Kind {
+		case "push.reject":
+			if !strings.Contains(e.Attrs["err"], leaseExpired) {
+				t.Fatalf("push.reject err %q, want the lease error", e.Attrs["err"])
+			}
+		case "push.quarantine":
+			out += " reason=" + e.Attrs["reason"]
+		}
+		got = append(got, out)
+	}
+	want := []string{"push.apply seq=1", "push.reject seq=2", "push.apply seq=2", "push.quarantine seq=3 reason=non-finite"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("server push events %q, want %q:\n%s", got, want, journal.Timeline(jn.Local().Events()))
 	}
 }
 
@@ -295,6 +350,64 @@ func TestCodecPushAllocBudget(t *testing.T) {
 			}
 			if least > budget {
 				t.Fatalf("a steady-state %s push allocates %.2f objects, budget %d", codec.name, least, budget)
+			}
+		})
+	}
+}
+
+// TestLargePushAllocBudget holds raw and int8 pushes of a 100 000-weight
+// model to TestCodecPushAllocBudget's budget. Their frames are over 64 KiB,
+// so the client's int8 encode and the server's read of either payload go
+// through buffers borrowed from wire's spare list. Each window starts with
+// two GC cycles, which empty a sync.Pool but not the spare list, and then
+// counts with the collector off: the runtime allocates about one object of
+// its own per cycle (go1.24's unique-map cleanup), and an 800 KB reply per
+// push would run a cycle every few pushes.
+func TestLargePushAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n, budget = 100_000, 2
+	vecs := make([][]float64, 4)
+	for j := range vecs {
+		vecs[j] = make([]float64, n)
+		for i := range vecs[j] {
+			vecs[j][i] = float64((i*7+j*13)%17) / 8
+		}
+	}
+	for _, codec := range codecPushes {
+		if codec.name == "sparse" { // top 4: a small frame
+			continue
+		}
+		t.Run(codec.name, func(t *testing.T) {
+			s := startServer(t, make([]float64, n), 0.5)
+			c, err := Dial(s.Addr(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			v := 0
+			allocsPerPush := func(pushes int) float64 {
+				runtime.GC()
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < pushes; i++ {
+					if _, v, err = codec.push(c, vecs[i%len(vecs)], v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs-before.Mallocs) / float64(pushes)
+			}
+			allocsPerPush(19)
+			least := allocsPerPush(40)
+			for w := 0; w < 3; w++ {
+				least = min(least, allocsPerPush(40))
+			}
+			if least > budget {
+				t.Fatalf("a steady-state %d-weight %s push allocates %.2f objects, budget %d", n, codec.name, least, budget)
 			}
 		})
 	}

@@ -147,3 +147,115 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReaderReuse reads two fuzzed streams of frames of mixed sizes — bodies
+// of none, a few bytes, exactly spareMin and above it, some cut short or
+// corrupted — through two Readers in turn, so large bodies pass between them
+// through the shared spare list. Each frame's views are checked only after
+// the other Reader has read its next frame: they must still equal what a
+// fresh Reader decoded from the same stream, and a malformed frame must fail
+// with the same error at the same place.
+//
+// The recipe is four bytes per frame: the stream (bit 0) and the payload
+// size class (bits 1–2) and a truncation or corruption flag (bits 3–4) in the
+// first, the payload length within its class in the second, the trailer
+// length in the third (above 127, in KiB), and the fill pattern in the fourth.
+func FuzzReaderReuse(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 3, 5, 2, 4, 9, 0, 3, 5, 200, 1, 4, 6, 0, 200, 5, 7, 255, 7, 6})
+	f.Add([]byte{4, 1, 0, 1, 5, 2, 0, 2, 6, 0, 0, 3, 7, 0, 0, 4, 4, 3, 130, 5, 5, 255, 255, 6})
+	f.Add([]byte{4, 1, 0, 1, 13, 7, 0, 2, 4, 9, 0, 3, 21, 9, 0, 4})
+	f.Add([]byte{6, 0, 0, 1, 7, 1, 0, 2, 6, 0, 0, 3, 31, 1, 0, 4, 4, 5, 0, 5})
+	f.Fuzz(func(t *testing.T, recipe []byte) {
+		var streams [2][]byte
+		var done [2]bool
+		for i := 0; i+4 <= len(recipe) && i < 4*16; i += 4 {
+			b0, b1, b2, fill := recipe[i], int(recipe[i+1]), int(recipe[i+2]), recipe[i+3]
+			s := b0 & 1
+			if done[s] {
+				continue
+			}
+			var n int
+			switch b0 >> 1 & 3 {
+			case 1:
+				n = 8 * b1
+			case 2:
+				n = spareMin + 8 + 512*b1
+			case 3:
+				n = spareMin + 8*(b1%2)
+			}
+			tn := b2
+			if b2 > 127 {
+				tn = (b2 - 127) << 10
+			}
+			payload, trailer := make([]byte, n), make([]byte, tn)
+			for j := range payload {
+				payload[j] = fill + byte(j*7+i)
+			}
+			for j := range trailer {
+				trailer[j] = fill ^ byte(j+i)
+			}
+			var buf bytes.Buffer
+			w := Writer{W: &buf}
+			h := Header{Kind: KindPush, Codec: CodecRaw, A: int32(i), Seq: uint64(fill)}
+			if n == 0 {
+				h = Header{Kind: KindPull, A: int32(i)}
+			}
+			if err := w.WriteFrame(&h, payload, trailer); err != nil {
+				t.Fatal(err)
+			}
+			frame := buf.Bytes()
+			switch b0 >> 3 & 3 {
+			case 1: // cut short inside the body
+				frame, done[s] = frame[:HeaderSize+(n+tn)/2], true
+			case 2: // corrupted header
+				frame[int(fill)%HeaderSize] ^= 0x5a
+			}
+			streams[s] = append(streams[s], frame...)
+		}
+
+		type decoded struct {
+			h                Header
+			payload, trailer []byte
+			err              string
+		}
+		var want [2][]decoded
+		for s := range streams {
+			fresh := Reader{R: bytes.NewReader(streams[s])}
+			for {
+				h, p, tr, err := fresh.Next()
+				d := decoded{h: h, payload: bytes.Clone(p), trailer: bytes.Clone(tr)}
+				if err != nil {
+					d = decoded{err: err.Error()}
+				}
+				want[s] = append(want[s], d)
+				if err != nil {
+					break
+				}
+			}
+		}
+
+		readers := [2]*Reader{{R: bytes.NewReader(streams[0])}, {R: bytes.NewReader(streams[1])}}
+		var got [2]decoded
+		for i := 0; i < max(len(want[0]), len(want[1])); i++ {
+			for s, r := range readers {
+				if i < len(want[s]) {
+					h, p, tr, err := r.Next()
+					got[s] = decoded{h: h, payload: p, trailer: tr}
+					if err != nil {
+						got[s] = decoded{err: err.Error()}
+					}
+				}
+			}
+			for s := range readers {
+				if i >= len(want[s]) {
+					continue
+				}
+				g, w := got[s], want[s][i]
+				if g.err != w.err || g.h != w.h || !bytes.Equal(g.payload, w.payload) || !bytes.Equal(g.trailer, w.trailer) {
+					t.Fatalf("stream %d frame %d, checked after the other reader's next frame: %+v, %d payload and %d trailer bytes, error %q; a fresh reader decoded %+v, %d and %d bytes, error %q",
+						s, i, g.h, len(g.payload), len(g.trailer), g.err, w.h, len(w.payload), len(w.trailer), w.err)
+				}
+			}
+		}
+	})
+}

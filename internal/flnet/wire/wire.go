@@ -198,32 +198,108 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 	return h, nil
 }
 
+// Frame buffers. A Reader's payload or trailer buffer, and a Writer's
+// encode scratch, of up to spareMin bytes belong to their owner and are
+// reused frame after frame. A larger one belongs to no connection: it is
+// borrowed from spares for one frame and handed back once the frame is done
+// with (a Reader's at its next Next or NextOwned, before it blocks on the
+// header; a Writer's once the frame is written), so an idle connection holds
+// no large buffer and the process holds about as many as it has large frames
+// in flight, not one per connection.
+const (
+	// spareMin is the largest buffer an owner keeps between frames. It is
+	// ReadGrow's first step, so a frame body of at most spareMin bytes never
+	// grows its owner's buffer past it.
+	spareMin = 64 << 10
+	// spareCap bounds the spare list: a buffer handed back to a full list
+	// is dropped to the GC. Eight covers the large frames a busy process has
+	// in flight at once — one per pushing connection on each end — while
+	// holding at most a few MB of 800 KB pushes when all are idle.
+	spareCap = 8
+)
+
+// spares is the process-wide free list of buffers over spareMin bytes. It is
+// a channel, not a sync.Pool: two GC cycles empty a sync.Pool, and a server
+// ingesting 800 KB pushes runs one every few pushes.
+var spares = make(chan []byte, spareCap)
+
+// takeSpare borrows a buffer from spares, or returns nil when the list is
+// empty.
+func takeSpare() []byte {
+	select {
+	case b := <-spares:
+		return b
+	default:
+		return nil
+	}
+}
+
+// putSpare hands b back to spares. It drops b when the list is full, or when
+// b is no larger than spareMin (a body cut short early).
+func putSpare(b []byte) {
+	if cap(b) <= spareMin {
+		return
+	}
+	select {
+	case spares <- b:
+	default:
+	}
+}
+
+// frameBuf is one of a Reader's two frame-body buffers.
+type frameBuf struct {
+	own []byte // at most spareMin bytes of capacity, kept between frames
+	big []byte // borrowed for the current frame's body, nil between frames
+}
+
+// read reads an n-byte frame body into own, or into a buffer borrowed from
+// spares when n is over spareMin. ReadGrow grows either as bytes arrive: a
+// borrowed buffer only saves allocations, and a hostile length claim still
+// cannot allocate its stated size up front.
+func (f *frameBuf) read(r io.Reader, n int) ([]byte, error) {
+	var err error
+	if n <= spareMin {
+		f.own, err = ReadGrow(r, f.own, n)
+		return f.own, err
+	}
+	f.big, err = ReadGrow(r, takeSpare(), n)
+	return f.big, err
+}
+
+// release hands a borrowed buffer back to spares.
+func (f *frameBuf) release() {
+	putSpare(f.big)
+	f.big = nil
+}
+
 // Reader decodes frames from a stream into reusable buffers. The payload
-// and trailer slices returned by Next alias the Reader's internal buffers
-// and are valid only until the following Next or NextOwned call.
+// and trailer slices returned by Next alias the Reader's buffers and are
+// valid only until the following Next or NextOwned call. A body over
+// 64 KiB is read into a buffer borrowed from the process-wide spare list,
+// which that call hands back for another connection to read into, so a view
+// kept past it corrupts someone else's frame.
 type Reader struct {
 	R   io.Reader
 	Lim Limits
 
-	hdr     [HeaderSize]byte
-	payload []byte
-	trailer []byte
+	hdr              [HeaderSize]byte
+	payload, trailer frameBuf
 }
 
 // Next reads one frame. On any validation or transport error the reader is
 // poisoned for the connection (framing has no resync point, by design).
-func (r *Reader) Next() (Header, []byte, []byte, error) {
-	h, err := r.header()
+func (r *Reader) Next() (h Header, payload, trailer []byte, err error) {
+	if h, err = r.header(); err != nil {
+		return h, nil, nil, err
+	}
+	if payload, err = r.payload.read(r.R, int(h.PayloadLen)); err == nil {
+		trailer, err = r.trailer.read(r.R, int(h.TrailerLen))
+	}
 	if err != nil {
+		r.release()
 		return h, nil, nil, err
 	}
-	if r.payload, err = ReadGrow(r.R, r.payload, int(h.PayloadLen)); err != nil {
-		return h, nil, nil, err
-	}
-	if r.trailer, err = ReadGrow(r.R, r.trailer, int(h.TrailerLen)); err != nil {
-		return h, nil, nil, err
-	}
-	return h, r.payload, r.trailer, nil
+	return h, payload, trailer, nil
 }
 
 // NextOwned reads one frame like Next, except that a raw payload goes
@@ -240,24 +316,34 @@ func (r *Reader) NextOwned(hint int) (h Header, vals []float64, trailer []byte, 
 	}
 	switch {
 	case h.Codec == CodecRaw:
-		if vals, err = r.readRaw(int(h.PayloadLen)/8, hint); err != nil {
-			return h, nil, nil, err
-		}
+		vals, err = r.readRaw(int(h.PayloadLen)/8, hint)
 	case h.PayloadLen != 0:
-		return h, nil, nil, fmt.Errorf("%w: kind %d codec %d where a raw payload was expected", ErrFrame, h.Kind, h.Codec)
+		err = fmt.Errorf("%w: kind %d codec %d where a raw payload was expected", ErrFrame, h.Kind, h.Codec)
 	}
-	if r.trailer, err = ReadGrow(r.R, r.trailer, int(h.TrailerLen)); err != nil {
+	if err == nil {
+		trailer, err = r.trailer.read(r.R, int(h.TrailerLen))
+	}
+	if err != nil {
+		r.release()
 		return h, nil, nil, err
 	}
-	return h, vals, r.trailer, nil
+	return h, vals, trailer, nil
 }
 
-// header reads and validates one frame header.
+// header hands the previous frame's borrowed buffers back, then reads and
+// validates one frame header.
 func (r *Reader) header() (Header, error) {
+	r.release()
 	if _, err := io.ReadFull(r.R, r.hdr[:]); err != nil {
 		return Header{}, err
 	}
 	return ParseHeader(r.hdr[:], r.Lim)
+}
+
+// release hands the reader's borrowed buffers back to the spare list.
+func (r *Reader) release() {
+	r.payload.release()
+	r.trailer.release()
 }
 
 // readRaw reads n raw weights into a new slice, allocating min(n, hint) of
@@ -265,11 +351,11 @@ func (r *Reader) header() (Header, error) {
 // big-endian host reads through the frame buffer and ParseRaw instead.
 func (r *Reader) readRaw(n, hint int) ([]float64, error) {
 	if !hostLittleEndian {
-		var err error
-		if r.payload, err = ReadGrow(r.R, r.payload, 8*n); err != nil {
+		p, err := r.payload.read(r.R, 8*n)
+		if err != nil {
 			return nil, err
 		}
-		return ParseRaw(r.payload, nil)
+		return ParseRaw(p, nil)
 	}
 	const chunk = 8 << 10 // weights: ReadGrow's 64 KiB step
 	var vals []float64
@@ -296,11 +382,10 @@ func (r *Reader) readRaw(n, hint int) ([]float64, error) {
 // truncated stream allocates at most ~2× the bytes received, never the
 // claimed n up front. The pipeline's link frames read through it too.
 func ReadGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
-	const chunk = 64 << 10
 	buf = buf[:0]
 	for len(buf) < n {
 		start := len(buf)
-		step := min(n-start, start+chunk)
+		step := min(n-start, start+spareMin)
 		if cap(buf) < start+step {
 			buf = append(make([]byte, 0, start+step), buf...)
 		}
@@ -312,15 +397,17 @@ func ReadGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Writer encodes frames onto a stream through a reusable scratch buffer,
-// with at most three Write calls per frame (header, payload, trailer) so
-// raw float64 payloads go out as zero-copy views on little-endian hosts.
+// Writer encodes frames onto a stream, with at most three Write calls per
+// frame (header, payload, trailer) so raw float64 payloads go out as
+// zero-copy views on little-endian hosts. A payload that must be encoded
+// goes through the Writer's scratch, or, over 64 KiB, through a buffer
+// borrowed from the spare list for the one frame.
 type Writer struct {
 	W   io.Writer
 	Lim Limits
 
 	hdr     [HeaderSize]byte
-	scratch []byte
+	scratch []byte // encode scratch of at most spareMin bytes
 }
 
 // WriteFrame emits one frame with an explicit byte payload. h.PayloadLen
@@ -356,6 +443,46 @@ func (w *Writer) WriteRawFrame(h *Header, vals []float64, trailer []byte) error 
 	if b, ok := BytesView(vals); ok {
 		return w.WriteFrame(h, b, trailer)
 	}
-	w.scratch = AppendRaw(w.scratch[:0], vals)
-	return w.WriteFrame(h, w.scratch, trailer)
+	return w.writeEncoded(h, AppendRaw(w.encodeBuf(8*len(vals)), vals), trailer)
+}
+
+// WriteQuantFrame emits one frame whose payload is an int8 quantization in
+// the quant codec (AppendQuant).
+func (w *Writer) WriteQuantFrame(h *Header, min, scale float64, data []uint8, trailer []byte) error {
+	h.Codec = CodecQuant
+	return w.writeEncoded(h, AppendQuant(w.encodeBuf(QuantSize(len(data))), min, scale, data), trailer)
+}
+
+// WriteSparseFrame emits one frame whose payload is a top-k delta in the
+// sparse codec (AppendSparse).
+func (w *Writer) WriteSparseFrame(h *Header, denseLen int, idx []uint32, vals []float64, trailer []byte) error {
+	h.Codec = CodecSparse
+	return w.writeEncoded(h, AppendSparse(w.encodeBuf(SparseSize(len(idx))), denseLen, idx, vals), trailer)
+}
+
+// encodeBuf returns an empty buffer that holds an n-byte payload: the
+// Writer's scratch, or for n over spareMin a borrowed spare; either is
+// replaced by an exact allocation when it is too small (a spare dropped).
+func (w *Writer) encodeBuf(n int) []byte {
+	b := w.scratch
+	if n > spareMin {
+		b = takeSpare()
+	}
+	if cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	return b[:0]
+}
+
+// writeEncoded writes a frame whose payload p came from encodeBuf, then keeps
+// p as the scratch or, once the frame is written, hands it back to the spare
+// list.
+func (w *Writer) writeEncoded(h *Header, p, trailer []byte) error {
+	err := w.WriteFrame(h, p, trailer)
+	if cap(p) > spareMin {
+		putSpare(p)
+	} else {
+		w.scratch = p
+	}
+	return err
 }

@@ -199,19 +199,34 @@ func TestWriteRawFrameRoundTrip(t *testing.T) {
 
 // TestHostileLengthTruncated severs the stream right after a header claiming
 // a large payload: the reader must fail with a truncation error, not block
-// or succeed, and must not have allocated anywhere near the claimed size.
+// or succeed, and must not have allocated anywhere near the claimed size —
+// whether it grows a buffer of its own or reads into a large one borrowed
+// from the spare list, which it hands back as it was.
 func TestHostileLengthTruncated(t *testing.T) {
 	var hdr [HeaderSize]byte
 	PutHeader(hdr[:], &Header{Kind: KindPush, Codec: CodecRaw, PayloadLen: 64 << 20})
 	stream := append(append([]byte(nil), hdr[:]...), make([]byte, 1024)...)
-	r := Reader{R: bytes.NewReader(stream)}
-	if _, _, _, err := r.Next(); err == nil {
-		t.Fatal("truncated 64MiB claim accepted")
-	}
-	// ReadGrow grows with the bytes that actually arrived (~1KiB), never the
-	// claimed 64 MiB up front.
-	if cap(r.payload) > 1<<20 {
-		t.Fatalf("reader allocated %d bytes for a truncated stream", cap(r.payload))
+	for _, spare := range []int{0, 1 << 20} {
+		drainSpares()
+		if spare > 0 {
+			putSpare(make([]byte, spare))
+		}
+		r := Reader{R: bytes.NewReader(stream)}
+		var err error
+		// ReadGrow grows with the bytes that actually arrived (~1KiB), never
+		// the claimed 64 MiB up front.
+		if grew := allocated(func() { _, _, _, err = r.Next() }); grew > 1<<20 {
+			t.Fatalf("spare of %d bytes: reader allocated %d bytes for a truncated stream", spare, grew)
+		}
+		if err == nil {
+			t.Fatal("truncated 64MiB claim accepted")
+		}
+		if r.payload.big != nil {
+			t.Fatalf("spare of %d bytes: the failed read kept its buffer", spare)
+		}
+		if spare > 0 && (len(spares) != 1 || cap(<-spares) != spare) {
+			t.Fatal("the failed read did not hand back the spare it borrowed, as it was")
+		}
 	}
 
 	// A reply read into a caller-owned slice allocates up to its hint, the
@@ -221,20 +236,87 @@ func TestHostileLengthTruncated(t *testing.T) {
 		for _, hint := range []int{0, 1000, 1 << 20} {
 			stream := append(append([]byte(nil), hdr[:]...), make([]byte, arrived)...)
 			r := Reader{R: bytes.NewReader(stream)}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, vals, _, err := r.NextOwned(hint)
-			runtime.ReadMemStats(&after)
+			var vals []float64
+			var err error
+			grew := allocated(func() { _, vals, _, err = r.NextOwned(hint) })
 			if err == nil || vals != nil {
 				t.Fatalf("truncated 64 MiB reply claim accepted (%d weights)", len(vals))
 			}
 			// Past the hint the slice doubles as bytes arrive: the last
 			// buffer is at most twice what arrived plus a 64 KiB step, and
 			// the ones before it add up to less than the last.
-			if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(8*hint+4*arrived+256<<10); grew > most {
+			if most := uint64(8*hint + 4*arrived + 256<<10); grew > most {
 				t.Fatalf("%d bytes arrived, hint %d weights: the reply read allocated %d bytes, want at most %d", arrived, hint, grew, most)
 			}
 		}
+	}
+}
+
+// allocated reports how many bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// drainSpares empties the process-wide spare list.
+func drainSpares() {
+	for takeSpare() != nil {
+	}
+}
+
+// TestLargeBuffersAreBorrowed pins who holds a frame buffer over spareMin:
+// nobody between frames. A Reader that has read a large frame and then a
+// small one holds no buffer over spareMin, and the large one is in the spare
+// list; a Writer that has encoded a large payload keeps only its small
+// scratch. A small frame after a large one reuses the small buffer the
+// Reader kept.
+func TestLargeBuffersAreBorrowed(t *testing.T) {
+	drainSpares()
+	var buf bytes.Buffer
+	w := Writer{W: &buf}
+	small, large := make([]uint8, 1000), make([]uint8, 100_000)
+	for i, data := range [][]uint8{small, large, small} {
+		h := Header{Kind: KindPush, Seq: uint64(i)}
+		if err := w.WriteQuantFrame(&h, -1, 0.5, data, bytes.Repeat([]byte{'t'}, len(data))); err != nil {
+			t.Fatal(err)
+		}
+		if cap(w.scratch) > spareMin {
+			t.Fatalf("after frame %d the writer keeps %d bytes of scratch", i, cap(w.scratch))
+		}
+	}
+	if len(spares) != 1 {
+		t.Fatalf("the writer handed back %d buffers, want the large payload's", len(spares))
+	}
+	r := Reader{R: &buf}
+	var kept []byte
+	for i, data := range [][]uint8{small, large, small} {
+		_, p, tr, err := r.Next()
+		if err != nil || len(p) != QuantSize(len(data)) || len(tr) != len(data) {
+			t.Fatalf("frame %d: %d payload and %d trailer bytes, %v", i, len(p), len(tr), err)
+		}
+		switch i {
+		case 0:
+			kept = p
+		case 1:
+			if len(spares) != 0 || cap(r.payload.big) <= spareMin {
+				t.Fatalf("the large payload was not read into the borrowed spare (%d left)", len(spares))
+			}
+		case 2:
+			if &p[0] != &kept[0] {
+				t.Fatal("the small frame after a large one did not reuse the reader's own buffer")
+			}
+		}
+	}
+	for name, f := range map[string]*frameBuf{"payload": &r.payload, "trailer": &r.trailer} {
+		if f.big != nil || cap(f.own) > spareMin {
+			t.Fatalf("after a small frame the reader's %s holds %d + %d bytes", name, cap(f.own), cap(f.big))
+		}
+	}
+	if len(spares) != 2 {
+		t.Fatalf("the spare list holds %d buffers, want the large frame's payload and trailer", len(spares))
 	}
 }
 

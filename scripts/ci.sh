@@ -194,6 +194,11 @@ go test -race -short ./internal/tensor/... ./internal/nn/... ./internal/data/...
 # the -count=10 lines below). The model check rides along; it is 0.2 s a run.
 go test -race -count=20 -run '^(TestReaperKeepsLiveAck|TestSessionModel)$' ./internal/flnet
 
+# The frame buffers wire lends between connections, repeated under the race
+# detector: a payload view that outlives its frame corrupts whichever
+# connection borrows the buffer next, so one green run means little.
+go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flnet
+
 # The pipeline stages' ownership pins, repeated under the race detector: a
 # tensor returned to the shared pool too early, or twice, shows as an
 # overwrite by whichever goroutine draws it next — scheduling-dependent, so
@@ -207,7 +212,7 @@ go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/run
 go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
-# the network or a checkpoint file, the churn-trace loader, the divergence
+# the network or a checkpoint file, two frame readers trading borrowed buffers, the churn-trace loader, the divergence
 # bounds, the tensor kernels' assembly bodies (axpy, mix) against their Go
 # ones, and the branch-free ReLU and the uplink encoders against the bodies they
 # replaced (plain `go test` above only replays their seed corpora). Minimization is capped
@@ -215,6 +220,7 @@ go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/exe
 fuzz_start=$SECONDS
 fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s -fuzzminimizetime 200ms "$2"; }
 fuzz FuzzFrameDecode ./internal/flnet/wire
+fuzz FuzzReaderReuse ./internal/flnet/wire
 fuzz FuzzRequestDecode ./internal/flnet
 fuzz FuzzCheckpointDecode ./internal/flnet
 fuzz FuzzQuantizeRoundTrip ./internal/flnet
