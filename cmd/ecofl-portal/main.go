@@ -78,6 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pipe.Close()
 	// One recorder serves --journal, --trace-out and --telemetry: the
 	// transport's events and the pipeline's spans land in it, the Chrome
 	// trace exports it and telemetry ships it.

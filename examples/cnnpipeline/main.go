@@ -68,6 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pipe.Close()
 	fmt.Printf("\ntraining %d-stage CNN pipeline over throttled TCP links:\n", pipe.NumStages())
 	opt := &nn.SGD{LR: 0.01}
 	tx, ty := test.Materialize()

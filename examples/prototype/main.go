@@ -74,6 +74,7 @@ func runHome(id int, serverAddr string, proto *model.Trainable, shard *data.Subs
 	if err != nil {
 		return err
 	}
+	defer pipe.Close()
 	client, err := flnet.Dial(serverAddr, id)
 	if err != nil {
 		return err

@@ -213,8 +213,8 @@ func (e *Executor) rebuildLocked(devs []*device.Device) error {
 	return e.installPlanLocked(plan.Stages)
 }
 
-// installPlanLocked builds the DistPipeline for a stage layout. Caller
-// holds e.mu.
+// installPlanLocked builds the DistPipeline for a stage layout and closes
+// the links of the one it replaces. Caller holds e.mu.
 func (e *Executor) installPlanLocked(stages []pipeline.Stage) error {
 	cuts := make([]int, 0, len(stages)-1)
 	for _, s := range stages[:len(stages)-1] {
@@ -226,6 +226,9 @@ func (e *Executor) installPlanLocked(stages []pipeline.Stage) error {
 	}
 	pipe.SetLinkOptions(e.cfg.LinkOptions)
 	// The journal stays off the pipe: per-op spans would bury the heal story.
+	if e.pipe != nil {
+		e.pipe.Close()
+	}
 	e.stages = stages
 	e.pipe = pipe
 	for s, st := range stages {
@@ -237,7 +240,8 @@ func (e *Executor) installPlanLocked(stages []pipeline.Stage) error {
 }
 
 // dialer wraps the base links with chaos injection, the dead-device kill
-// switch, and a tap that lets KillDevice sever a stage's links mid-round.
+// switch, and a tap that lets KillDevice sever a stage's links, mid-round or
+// held by the pipeline between rounds.
 func (e *Executor) dialer() runtime.Dialer {
 	base := e.cfg.Links
 	if e.cfg.Chaos != nil {
@@ -298,7 +302,8 @@ func (c *downedConn) Read([]byte) (int, error)  { return 0, errDeviceDown }
 func (c *downedConn) Write([]byte) (int, error) { return 0, errDeviceDown }
 
 // KillDevice marks fleet device i dead and severs its stage's live links,
-// aborting any in-flight round. The next TrainRound heals: survivors are
+// aborting any in-flight round; links the pipeline holds between rounds fail
+// the next round instead. The next TrainRound heals: survivors are
 // re-partitioned and the dead device's layers migrate to them. Killing an
 // already-dead device is a no-op.
 func (e *Executor) KillDevice(i int) {
@@ -309,7 +314,8 @@ func (e *Executor) KillDevice(i int) {
 	}
 	e.alive[i] = false
 	e.cfg.Journal.Record("exec.kill", e.round, i)
-	// Sever the dead stage's links mid-round, if it is part of the plan.
+	// Sever the dead stage's links, in a round or held between rounds, if
+	// it is part of the plan.
 	for s, st := range e.stages {
 		if e.devIndex(st.Device) == i {
 			for _, li := range []int{s - 1, s} {
@@ -425,7 +431,8 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 // heal recovers from an aborted round. If the current plan includes a dead
 // device, survivors are re-partitioned and weights migrate; for transient
 // link faults the plan stands and the next attempt simply dials fresh links
-// (through the same chaos state, so open partition windows persist).
+// (the abort closed the old ones; the dial goes through the same chaos
+// state, so open partition windows persist).
 func (e *Executor) heal() error {
 	e.mu.Lock()
 	e.stats.Heals++

@@ -7,10 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ecofl/internal/adaptive"
 	"ecofl/internal/device"
 	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
@@ -127,6 +130,68 @@ func TestKillFailoverBitIdentical(t *testing.T) {
 	// Two kills and two migrations later, nothing may still be running:
 	// stage goroutines, link readers, and heal machinery all unwound.
 	leakcheck.Check(t, baseline)
+}
+
+// TestKillDeviceSeversHeldLinks: the pipeline holds its links between clean
+// rounds, so the connections KillDevice taps are the very ones the next
+// round would reuse. Killing a device between rounds must close them: the
+// next round aborts on them, heals onto the survivors and commits, and the
+// model stays bit-identical to a fault-free run.
+func TestKillDeviceSeversHeldLinks(t *testing.T) {
+	const seed, mbs, rounds, lr = 42, 6, 4, 0.05
+	x, labels := makeData(rand.New(rand.NewSource(7)), 24, 12, 4)
+	var mu sync.Mutex
+	var dialed []net.Conn
+	pipes := runtime.PipeLinks()
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "ref", 12, []int{14, 12, 10}, 4)
+	exec, err := New(Config{
+		Trainable:      tr,
+		Devices:        fleet(),
+		MicroBatchSize: mbs,
+		Monitor:        &adaptive.Monitor{Threshold: math.Inf(1)}, // no rebalancing: the kill is the only event
+		Links: func(i int) (net.Conn, net.Conn, error) {
+			up, down, err := pipes(i)
+			mu.Lock()
+			dialed = append(dialed, up, down)
+			mu.Unlock()
+			return up, down, err
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	opt := &nn.SGD{LR: lr}
+	for r := 0; r < rounds/2; r++ {
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	stages := exec.Stages()
+	mu.Lock()
+	held := slices.Clone(dialed)
+	mu.Unlock()
+	if len(stages) < 2 || len(held) != 2*(len(stages)-1) {
+		t.Fatalf("%d clean rounds on %d stages dialed %d connections, want each link once", rounds/2, len(stages), len(held))
+	}
+	exec.KillDevice(exec.devIndex(stages[0].Device))
+	// Stage 0's only link is link 0: both of its held ends are closed.
+	for _, c := range held[:2] {
+		c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		if _, err := c.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("KillDevice left a held connection of the dead stage open")
+		}
+	}
+	for r := rounds / 2; r < rounds; r++ {
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if st := exec.Stats(); st.Rounds != rounds || st.Aborts != 1 || st.Migrations != 1 {
+		t.Fatalf("want one abort on the severed links and one migration, got %+v", st)
+	}
+	if !weightsEqual(exec.Network().FlatWeights(), trainRef(t, seed, rounds, x, labels, mbs, lr)) {
+		t.Fatal("recovered model is not bit-identical to the fault-free run")
+	}
 }
 
 // chaosPerLink memoizes one shared Chaos per link index so the fault

@@ -33,18 +33,19 @@ func TestTrainBatchAllocFree(t *testing.T) {
 	// A convolutional step is not free; the budget is what it measures, at
 	// any parallelism, and says what is left: MaxPool2D's argmax
 	// index and cache struct (2), Flatten's two view headers with their shapes
-	// and its boxed cache (5), and the three closures Conv2D writes for
-	// ParallelFor (im2col, bias, col2im) — the caller's own, which the
-	// compiler puts on the heap whether or not the body is fanned out; the
-	// fan-out itself adds none. No tensor storage: that all comes from the
-	// pool.
+	// and its boxed cache (5). Conv2D adds none: its im2col, bias and col2im
+	// loops are typed jobs kept in its pooled cache, and neither the fan-out
+	// nor the inline call allocates. No tensor storage: that all comes from
+	// the pool.
 	cnn := NewNetwork(NewConv2D(rng, 1, 4, 3, 1, 1), ReLU{}, MaxPool2D{K: 2, Stride: 2},
 		Flatten{}, NewDense(rng, 4*4*4, 10))
 	img := tensor.Randn(rng, 1, 10, 1, 8, 8)
 	copt := &SGD{LR: 0.05, Mu: 0.05, Global: cnn.FlatWeights()}
 	cnn.TrainBatch(img, labels, copt)
-	const cnnStepAllocs = 10
-	if got := testing.AllocsPerRun(100, func() { cnn.TrainBatch(img, labels, copt) }); got > cnnStepAllocs {
+	const cnnStepAllocs = 7
+	got := testing.AllocsPerRun(100, func() { cnn.TrainBatch(img, labels, copt) })
+	t.Logf("warm CNN TrainBatch: %.1f allocations", got)
+	if got > cnnStepAllocs {
 		t.Errorf("warm CNN TrainBatch allocates %.1f objects/step, budget %d", got, cnnStepAllocs)
 	}
 }

@@ -52,6 +52,9 @@ type convCache struct {
 	cols   *tensor.Tensor // (batch·OH·OW, InC·K·K), pooled — recycled by Backward
 	h, w   int
 	oh, ow int
+	// job carries Conv2D's per-sample loops to tensor.ParallelRows, one at
+	// a time; kept here, handing it over allocates nothing.
+	job convJob
 }
 
 // convCachePool recycles cache structs across Forward/Backward pairs. A
@@ -59,75 +62,116 @@ type convCache struct {
 // collected by the GC.
 var convCachePool = sync.Pool{New: func() any { return new(convCache) }}
 
-// im2col lowers the padded input into cols, whose rows are receptive
-// fields, one row per (sample, output position). Every element of cols is
-// written (padding positions explicitly zeroed), so cols may be a stale
-// pooled buffer. Samples are processed in parallel: each owns a disjoint
-// row range.
-func (c *Conv2D) im2col(cols, x *tensor.Tensor, h, w, oh, ow int) {
-	batch := x.Shape[0]
-	fan := c.InC * c.K * c.K
-	tensor.ParallelFor(batch, batch*oh*ow*fan, func(nLo, nHi int) {
-		for n := nLo; n < nHi; n++ {
-			base := n * c.InC * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := cols.Data[((n*oh+oy)*ow+ox)*fan : ((n*oh+oy)*ow+ox+1)*fan]
-					idx := 0
-					for ch := 0; ch < c.InC; ch++ {
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride + ky - c.Pad
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride + kx - c.Pad
-								if iy >= 0 && iy < h && ix >= 0 && ix < w {
-									row[idx] = x.Data[base+ch*h*w+iy*w+ix]
-								} else {
-									row[idx] = 0
-								}
-								idx++
-							}
-						}
-					}
-				}
-			}
-		}
-	})
+// convJob is one of Conv2D's loops over the samples of a batch, as a typed
+// fan-out job: the layer, the input and output sizes and the tensor the loop
+// reads (src) and the one it writes (dst). Each sample owns a disjoint
+// region of dst, so samples run in parallel and every element is computed
+// in the order the serial loop uses. The loops are views of the one record,
+// each with its own Rows.
+type convJob struct {
+	c            *Conv2D
+	src, dst     *tensor.Tensor
+	h, w, oh, ow int
 }
 
-// col2im scatters column gradients back to input positions (the transpose
-// of im2col), writing into dx. Each sample's input region is zeroed then
-// accumulated by the goroutine that owns it, so dx may be a stale pooled
-// buffer and the per-element accumulation order matches the serial kernel.
-func (c *Conv2D) col2im(dx, cols *tensor.Tensor, batch, h, w, oh, ow int) {
+type (
+	// im2colRows lowers the padded input src into dst, whose rows are
+	// receptive fields, one row per (sample, output position). Every element
+	// of dst is written (padding positions explicitly zeroed), so dst may be
+	// a stale pooled buffer.
+	im2colRows convJob
+	// col2imRows scatters column gradients src back to input positions
+	// (the transpose of im2col), writing into dx = dst. Each sample's input
+	// region is zeroed then accumulated, so dst may be a stale pooled
+	// buffer.
+	col2imRows convJob
+	// biasRows lays the (batch·OH·OW, OutC) matmul product src out as the
+	// NCHW output dst and adds the bias.
+	biasRows convJob
+)
+
+// run fans the loop out over the batch; work is its scalar-operation count.
+// The job holds its tensors only while it runs.
+func (j *convJob) run(rows tensor.RowJob, batch, work int) {
+	tensor.ParallelRows(batch, work, rows)
+	j.src, j.dst = nil, nil
+}
+
+func (j *im2colRows) Rows(nLo, nHi int) {
+	c, cols, x := j.c, j.dst, j.src
+	h, w, oh, ow := j.h, j.w, j.oh, j.ow
 	fan := c.InC * c.K * c.K
-	per := c.InC * h * w
-	tensor.ParallelFor(batch, batch*oh*ow*fan, func(nLo, nHi int) {
-		for n := nLo; n < nHi; n++ {
-			base := n * per
-			region := dx.Data[base : base+per]
-			for i := range region {
-				region[i] = 0
-			}
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := cols.Data[((n*oh+oy)*ow+ox)*fan : ((n*oh+oy)*ow+ox+1)*fan]
-					idx := 0
-					for ch := 0; ch < c.InC; ch++ {
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride + ky - c.Pad
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride + kx - c.Pad
-								if iy >= 0 && iy < h && ix >= 0 && ix < w {
-									dx.Data[base+ch*h*w+iy*w+ix] += row[idx]
-								}
-								idx++
+	for n := nLo; n < nHi; n++ {
+		base := n * c.InC * h * w
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := cols.Data[((n*oh+oy)*ow+ox)*fan : ((n*oh+oy)*ow+ox+1)*fan]
+				idx := 0
+				for ch := 0; ch < c.InC; ch++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy*c.Stride + ky - c.Pad
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox*c.Stride + kx - c.Pad
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								row[idx] = x.Data[base+ch*h*w+iy*w+ix]
+							} else {
+								row[idx] = 0
 							}
+							idx++
 						}
 					}
 				}
 			}
 		}
-	})
+	}
+}
+
+func (j *col2imRows) Rows(nLo, nHi int) {
+	c, dx, cols := j.c, j.dst, j.src
+	h, w, oh, ow := j.h, j.w, j.oh, j.ow
+	fan := c.InC * c.K * c.K
+	per := c.InC * h * w
+	for n := nLo; n < nHi; n++ {
+		base := n * per
+		region := dx.Data[base : base+per]
+		for i := range region {
+			region[i] = 0
+		}
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := cols.Data[((n*oh+oy)*ow+ox)*fan : ((n*oh+oy)*ow+ox+1)*fan]
+				idx := 0
+				for ch := 0; ch < c.InC; ch++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy*c.Stride + ky - c.Pad
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox*c.Stride + kx - c.Pad
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								dx.Data[base+ch*h*w+iy*w+ix] += row[idx]
+							}
+							idx++
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func (j *biasRows) Rows(nLo, nHi int) {
+	c, out, flat := j.c, j.dst, j.src
+	oh, ow := j.oh, j.ow
+	bias := c.B.Value.Data
+	for n := nLo; n < nHi; n++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				r := ((n*oh+oy)*ow + ox) * c.OutC
+				for ch := 0; ch < c.OutC; ch++ {
+					out.Data[((n*c.OutC+ch)*oh+oy)*ow+ox] = flat.Data[r+ch] + bias[ch]
+				}
+			}
+		}
+	}
 }
 
 func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
@@ -140,27 +184,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 		panic(fmt.Sprintf("nn: Conv2D output empty for input %v", x.Shape))
 	}
 	fan := c.InC * c.K * c.K
-	cols := tensor.GetBufUninit(batch*oh*ow, fan)
-	c.im2col(cols, x, h, w, oh, ow)
-	// (batch·OH·OW, fan) × (OutC, fan)ᵀ → (batch·OH·OW, OutC)
-	flat := tensor.MatMulBTInto(tensor.GetBufUninit(batch*oh*ow, c.OutC), cols, c.W.Value)
-	out := tensor.GetBufUninit(batch, c.OutC, oh, ow)
-	bias := c.B.Value.Data
-	tensor.ParallelFor(batch, batch*c.OutC*oh*ow, func(nLo, nHi int) {
-		for n := nLo; n < nHi; n++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					r := ((n*oh+oy)*ow + ox) * c.OutC
-					for ch := 0; ch < c.OutC; ch++ {
-						out.Data[((n*c.OutC+ch)*oh+oy)*ow+ox] = flat.Data[r+ch] + bias[ch]
-					}
-				}
-			}
-		}
-	})
-	tensor.PutBuf(flat)
 	cc := convCachePool.Get().(*convCache)
-	cc.x, cc.cols, cc.h, cc.w, cc.oh, cc.ow = x, cols, h, w, oh, ow
+	cc.x, cc.cols, cc.h, cc.w, cc.oh, cc.ow = x, tensor.GetBufUninit(batch*oh*ow, fan), h, w, oh, ow
+	j := &cc.job
+	*j = convJob{c: c, src: x, dst: cc.cols, h: h, w: w, oh: oh, ow: ow}
+	j.run((*im2colRows)(j), batch, batch*oh*ow*fan)
+	// (batch·OH·OW, fan) × (OutC, fan)ᵀ → (batch·OH·OW, OutC)
+	flat := tensor.MatMulBTInto(tensor.GetBufUninit(batch*oh*ow, c.OutC), cc.cols, c.W.Value)
+	out := tensor.GetBufUninit(batch, c.OutC, oh, ow)
+	j.src, j.dst = flat, out
+	j.run((*biasRows)(j), batch, batch*c.OutC*oh*ow)
+	tensor.PutBuf(flat)
 	return out, cc
 }
 
@@ -172,7 +206,9 @@ func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor) *tensor.Tensor {
 	dcols := tensor.MatMulInto(tensor.GetBufUninit(batch*oh*ow, c.InC*c.K*c.K), flat, c.W.Value)
 	tensor.PutBuf(flat)
 	dx := tensor.GetBufUninit(batch, c.InC, cache.h, cache.w)
-	c.col2im(dx, dcols, batch, cache.h, cache.w, oh, ow)
+	j := &cache.job
+	j.src, j.dst = dcols, dx
+	j.run((*col2imRows)(j), batch, batch*oh*ow*c.InC*c.K*c.K)
 	tensor.PutBuf(dcols)
 	cache.recycle()
 	return dx

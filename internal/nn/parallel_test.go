@@ -97,10 +97,10 @@ func TestConvColsBufferRecycled(t *testing.T) {
 		tensor.PutBuf(y)
 		tensor.PutBuf(dx)
 	})
-	// All tensor storage comes from the pool in steady state. What remains
-	// is a handful of ~64-byte ParallelFor dispatch closures (escape
-	// analysis heap-allocates them even on the serial path) plus slack for
-	// a GC clearing a sync.Pool mid-run — versus ~1.6 MB/op before reuse.
+	// All tensor storage comes from the pool in steady state, and the
+	// per-sample loops are typed jobs in the pooled cache, so nothing
+	// remains; the bound is slack for a GC clearing a sync.Pool mid-run —
+	// versus ~1.6 MB/op before reuse.
 	if allocs > 8 {
 		t.Fatalf("steady-state Conv2D step allocates %.1f objects/op, want ~0 (buffer reuse broken)", allocs)
 	}

@@ -57,8 +57,22 @@ import (
 // An aborted round returns nothing more to the pool: a failing stage drops
 // its records where they stand, a failed link's writer drops what is queued,
 // and the garbage collector takes them. Between rounds the pipeline keeps
-// slice headers only — records, op orders, the loss slice; the tensors
-// themselves wait in the pool, which the GC trims when training stops.
+// slice headers only — records, op orders, the loss slice — and its links;
+// the tensors themselves wait in the pool, which the GC trims when training
+// stops.
+//
+// Connections. The pipeline dials its S−1 connection pairs on its first
+// round and holds them, link state and armed deadlines included, for every
+// later round that ends clean; between rounds a link has no writer
+// goroutine, no running ticker and no frame buffer (see link.go), so a
+// pipeline nobody closes leaks nothing but its open connections. Three
+// things force a re-dial: an aborted round, a link whose write failed
+// (a keepalive cut off mid-frame leaves half a frame in the peer's stream),
+// and Close; each closes every held connection, and the next round dials
+// afresh through the Dialer — so fault injectors wrapping it (ChaosLinks,
+// the executor's kill switch) see every new connection. A held connection
+// that dies while idle — its peer gone, its endpoint closed by a kill
+// switch — fails the next round like any link fault.
 //
 // Failure semantics: weights only ever change at round boundaries (the
 // single optimizer flush after all gradients accumulated). When any stage
@@ -67,9 +81,10 @@ import (
 // a blocked write unwind immediately, the partial gradients are discarded
 // (the next round's ZeroGrads wipes them), and TrainSyncRound returns a
 // *RoundError without stepping the optimizer. A caller can therefore retry
-// the same mini-batch — on fresh links, or on a re-partitioned pipeline —
-// and obtain a model bit-identical to a fault-free run (the healing
-// executor in internal/adaptive/executor does exactly this).
+// the same mini-batch — on fresh links, which the retry dials, or on a
+// re-partitioned pipeline — and obtain a model bit-identical to a
+// fault-free run (the healing executor in internal/adaptive/executor does
+// exactly this).
 
 // DistPipeline trains a partitioned model with 1F1B-Sync, every inter-stage
 // tensor crossing a net.Conn. A round is gradient-equivalent to sequential
@@ -94,6 +109,11 @@ type DistPipeline struct {
 	// Round scaffolding that survives a round, headers only (see above).
 	stages []stageScratch
 	losses []float64
+
+	// The held links: ups[s] is stage s's link to stage s+1, downs[s] its
+	// link to stage s−1. Nil from construction, and after a round that
+	// forced a re-dial, until the next round dials them.
+	ups, downs []*link
 
 	// lastStats holds per-stage measurements of the most recent sync-round.
 	mu        sync.Mutex
@@ -199,6 +219,8 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		rng:    rand.New(rand.NewSource(int64(len(cuts)) + 1)),
 		delays: make([]atomic.Int64, S),
 		stages: make([]stageScratch, S),
+		ups:    make([]*link, S),
+		downs:  make([]*link, S),
 	}
 	for s := 0; s < S; s++ { // stage s runs blocks [b[s], b[s+1])
 		d.segments = append(d.segments, tr.SegmentNet(b[s], b[s+1]))
@@ -209,8 +231,11 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 
 // SetLinkOptions installs the link fault-tolerance options (deadlines,
 // heartbeats, dial retries) used by subsequent rounds. The zero value is
-// the default: no deadlines, no heartbeats, frame validation only.
+// the default: no deadlines, no heartbeats, frame validation only. Held
+// links were set up under the old options; they are closed, and the next
+// round dials afresh.
 func (d *DistPipeline) SetLinkOptions(opts LinkOptions) {
+	d.Close()
 	d.opts = opts
 	if opts.JitterSeed != 0 {
 		d.rng = rand.New(rand.NewSource(opts.JitterSeed))
@@ -269,27 +294,16 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	r.micros, r.labels = splitMicroBatches(x, labels, mbs)
 	m := len(r.micros)
 
-	// Establish links (retrying transient dial failures under backoff). Every
-	// connection is dialed before any link is built, so a failed dial has no
-	// writer goroutine or heartbeat ticker to unwind.
-	conns := make([]net.Conn, 0, 2*(S-1))
-	for i := 0; i < S-1; i++ {
-		up, down, err := dialLink(d.dial, i, d.opts, d.rng)
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
+	if S > 1 && d.ups[0] == nil {
+		if err := d.dialLinks(m); err != nil {
 			return 0, err
 		}
-		conns = append(conns, up, down)
+	} else {
+		for s := 0; s < S-1; s++ {
+			d.ups[s].start(m)
+			d.downs[s+1].start(m)
+		}
 	}
-	r.ups = make([]*link, S)   // ups[s]: stage s's link to stage s+1
-	r.downs = make([]*link, S) // downs[s]: stage s's link to stage s−1
-	for i := 0; i < S-1; i++ {
-		r.ups[i] = newLink(conns[2*i], m, d.opts)
-		r.downs[i+1] = newLink(conns[2*i+1], m, d.opts)
-	}
-
 	// abort force-closes every connection: goroutines parked in a blocking
 	// recv or a stuck write unwind with an error instead of leaking. Invoked
 	// by the first stage that fails; idempotent.
@@ -299,18 +313,21 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		abortOnce.Do(func() {
 			aborted = true
 			abortsTotal.Inc()
-			for _, c := range conns {
-				c.Close()
+			for s := 0; s < S-1; s++ {
+				d.ups[s].conn.Close()
+				d.downs[s+1].conn.Close()
 			}
 		})
 	}
 	defer func() {
-		for i := 0; i < S-1; i++ {
-			r.ups[i].close()
-			r.downs[i+1].close()
+		reuse := !aborted
+		for s := 0; s < S-1; s++ {
+			d.ups[s].close()
+			d.downs[s+1].close()
+			reuse = reuse && d.ups[s].sendErr() == nil && d.downs[s+1].sendErr() == nil
 		}
-		for _, c := range conns {
-			c.Close()
+		if !reuse {
+			d.Close()
 		}
 	}()
 
@@ -362,13 +379,54 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	return loss / float64(rows), nil
 }
 
+// dialLinks dials the S−1 connection pairs (retrying transient failures
+// under backoff) and starts their links' first round of m micro-batches.
+// Every connection is dialed before any link is built, so a failed dial has
+// no writer goroutine or heartbeat ticker to unwind.
+func (d *DistPipeline) dialLinks(m int) error {
+	S := d.NumStages()
+	conns := make([]net.Conn, 0, 2*(S-1))
+	for i := 0; i < S-1; i++ {
+		up, down, err := dialLink(d.dial, i, d.opts, d.rng)
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return err
+		}
+		conns = append(conns, up, down)
+	}
+	for i := 0; i < S-1; i++ {
+		d.ups[i] = newLink(conns[2*i], m, d.opts)
+		d.downs[i+1] = newLink(conns[2*i+1], m, d.opts)
+	}
+	return nil
+}
+
+// Close closes the connections the pipeline holds between rounds; a later
+// round dials afresh. Closing a pipeline that holds none, or closing twice,
+// does nothing. Close must not run concurrently with TrainSyncRound.
+func (d *DistPipeline) Close() {
+	for _, l := range d.ups {
+		if l != nil {
+			l.conn.Close()
+		}
+	}
+	for _, l := range d.downs {
+		if l != nil {
+			l.conn.Close()
+		}
+	}
+	clear(d.ups)
+	clear(d.downs)
+}
+
 // syncRound is what the stage workers of one round share.
 type syncRound struct {
-	micros     []*tensor.Tensor // stage 0's inputs: views of the caller's batch
-	labels     [][]int
-	rows       int       // samples in the whole mini-batch
-	losses     []float64 // per micro-batch, written by the last stage
-	ups, downs []*link
+	micros []*tensor.Tensor // stage 0's inputs: views of the caller's batch
+	labels [][]int
+	rows   int       // samples in the whole mini-batch
+	losses []float64 // per micro-batch, written by the last stage
 }
 
 // runStage executes segment s's 1F1B order, exchanging tensors with its
@@ -379,7 +437,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 	sm := d.sm[s]
 	jr := d.journal
 	st := &d.stages[s]
-	down, up := r.downs[s], r.ups[s]
+	down, up := d.downs[s], d.ups[s]
 	first, last := s == 0, up == nil
 	for _, o := range st.ops {
 		rec := &st.recs[o.Micro%len(st.recs)]

@@ -11,26 +11,38 @@ package runtime
 // and both counts zero. Both endpoints of every link are created by the
 // same process, so the format is private and carries no version.
 //
-// Send side: the writer goroutine assembles each frame in one per-link
-// buffer and hands it to the connection in exactly one Write, heartbeats
-// included, so a fault injector that acts per Write (simnet.Chaos) swallows
-// or truncates whole frames. Once a tensor is framed the link is done with
-// it: one that was given to the link (give) goes back to the tensor pool
-// there and then, and either way the frame is counted as serialized, which
-// is what lets the owner of a tensor that was only lent (send) return it
-// later (see the sent-before-released check in dist.go).
+// Lifetime: a link and its connection outlive the round. The DistPipeline
+// that dialed it holds it between rounds and starts it again for the next
+// (start); the writer goroutine, the running heartbeat ticker and the frame
+// buffers belong to one round only (close ends it), so a held link owns no
+// goroutine, no running timer and no buffer — only its connection, its armed
+// deadlines and a few header-sized fields. The pipeline closes the
+// connection, and dials afresh next round, after an aborted round, after a
+// write error on any link (its peer may hold half a frame) and on Close. A
+// connection that dies while held fails the next round's first read or
+// write like any link fault (see dist.go).
+//
+// Send side: the writer goroutine assembles each frame in one buffer,
+// borrowed from frameBufs for the round, and hands it to the connection in
+// exactly one Write, heartbeats included, so a fault injector that acts per
+// Write (simnet.Chaos) swallows or truncates whole frames. Once a tensor is
+// framed the link is done with it: one that was given to the link (give)
+// goes back to the tensor pool there and then, and either way the frame is
+// counted as serialized, which is what lets the owner of a tensor that was
+// only lent (send) return it later (see the sent-before-released check in
+// dist.go).
 //
 // Receive side: recv checks the header fail-closed — magic, micro ≥ 0,
 // 1…maxFrameDims positive dims, overflow-safe element count ≤ maxFrameElems,
 // element count × 8 = payloadLen — before any payload allocation, reads the
 // payload straight into a pooled tensor (tensor.GetBufUninit), then scans it
 // for non-finite values. A payload above frameChunk is first gathered in a
-// buffer that grows with the bytes that actually arrive (wire.ReadGrow, the
-// flnet frame reader's own), so a hostile length prefix on a truncated
-// stream cannot force a large allocation. The tensor
-// recv returns belongs to the caller, who hands it back with tensor.PutBuf
-// once nothing references it (a stage gives it to the micro-batch's record,
-// see dist.go).
+// buffer borrowed from frameBufs until the round ends, which grows with the
+// bytes that actually arrive (wire.ReadGrow, the flnet frame reader's own),
+// so a hostile length prefix on a truncated stream cannot force a large
+// allocation. The tensor recv returns belongs to the caller, who hands it
+// back with tensor.PutBuf once nothing references it (a stage gives it to
+// the micro-batch's record, see dist.go).
 //
 // PR 4 hardened the server-side flnet transport against misbehaving
 // networks; this file gives the pipeline's peer-to-peer links the same
@@ -103,6 +115,11 @@ const (
 
 var frameMagic = [4]byte{'E', 'F', 'P', 'T'}
 
+// frameBufs lends links their frame buffers for one round: the writer's, and
+// the receiver's gather buffer for payloads above frameChunk. A link held
+// between rounds keeps none, and the GC trims the pool once training stops.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // heartbeatFrame is the one keepalive frame every link writes.
 var heartbeatFrame = appendFrameHeader(nil, heartbeatMicro, 0, 0)
 
@@ -172,7 +189,8 @@ func appendFrame(dst []byte, micro int, t *tensor.Tensor) []byte {
 }
 
 // outFrame is one queued send. An owned tensor is the writer's to return to
-// the pool once the frame buffer holds its copy.
+// the pool once the frame buffer holds its copy. A frame with no tensor ends
+// the writer's round.
 type outFrame struct {
 	micro int
 	t     *tensor.Tensor
@@ -188,11 +206,15 @@ type outFrame struct {
 type link struct {
 	conn net.Conn
 	opts LinkOptions
+	// out is the send queue, done the writer's exit signal; both are reused
+	// round after round (a frame with no tensor stops the writer).
 	out  chan outFrame
 	done chan struct{}
+	// tick paces heartbeats; it runs only while a writer does.
+	tick *time.Ticker
 	// serialized counts the data frames the writer has copied into its frame
-	// buffer. Frames leave in queue order, so the n-th tensor queued is out
-	// of the sender's hands once the count exceeds n.
+	// buffer this round. Frames leave in queue order, so the n-th tensor
+	// queued is out of the sender's hands once the count exceeds n.
 	serialized atomic.Int64
 	// mu guards werr and the close/heartbeat hand-shake: closing is set by
 	// close, heartbeating brackets a keepalive Write, and whichever of the
@@ -201,61 +223,83 @@ type link struct {
 	werr         error
 	closing      bool
 	heartbeating bool
-	// Armed connection deadlines. Deadlines are set for 2× the configured
-	// timeout and only re-armed once they no longer guarantee a full timeout
-	// of patience, so back-to-back frames skip the per-frame timer churn
+	// Armed connection deadlines, kept with the connection from round to
+	// round. Deadlines are set for 2× the configured timeout and only
+	// re-armed once they no longer guarantee a full timeout of patience, so
+	// back-to-back frames — and back-to-back rounds — skip the timer churn
 	// (SetDeadline takes a mutex and resets a timer on every call).
 	// wDeadline is touched only by the writer goroutine, rDeadline only by
 	// the receiving stage goroutine — no lock needed.
 	wDeadline time.Time
 	rDeadline time.Time
-	// Reused across frames: wbuf (writer goroutine) holds the frame being
-	// sent; hdr, dims and rbuf (receiving goroutine) the header, the decoded
-	// dims and the dim / gathered-payload bytes of the frame being read.
-	wbuf []byte
-	hdr  [frameHeaderSize]byte
-	dims []int
-	rbuf []byte
+	// The receiving goroutine's scratch: the header, the dim bytes and the
+	// decoded dims of the frame being read, and the gather buffer borrowed
+	// from frameBufs for the round (nil until a large payload needs it).
+	hdr     [frameHeaderSize]byte
+	dimsRaw [4 * maxFrameDims]byte
+	dims    []int
+	rbuf    *[]byte
 }
 
-// newLink wraps c and starts its writer; depth is the number of frames one
-// round sends in each direction, so a send never blocks on the queue.
+// newLink wraps c and starts its first round (see start).
 func newLink(c net.Conn, depth int, opts LinkOptions) *link {
-	l := &link{conn: c, opts: opts, out: make(chan outFrame, depth), done: make(chan struct{})}
-	go l.writer()
+	l := &link{conn: c, opts: opts, done: make(chan struct{}, 1)}
+	l.start(depth)
 	return l
 }
 
+// start begins a round on the link: depth is the number of frames the round
+// sends, so a send never blocks on the queue. It starts the writer and, with
+// heartbeats on, the ticker.
+func (l *link) start(depth int) {
+	if cap(l.out) <= depth { // room for depth frames and the one that stops the writer
+		l.out = make(chan outFrame, depth+1)
+	}
+	l.serialized.Store(0)
+	l.mu.Lock()
+	l.closing = false
+	l.mu.Unlock()
+	if hb := l.opts.Heartbeat; hb > 0 {
+		if l.tick == nil {
+			l.tick = time.NewTicker(hb)
+		} else {
+			l.tick.Reset(hb)
+		}
+	}
+	go l.writer()
+}
+
 // writer drains the send queue onto the connection, interleaving heartbeats
-// whenever the queue has been idle for a heartbeat interval. After the first
-// write error it keeps draining so senders never block on a dead link, but
-// touches no tensor: the round is aborting, and an aborted round returns
-// nothing to the pool.
+// whenever the queue has been idle for a heartbeat interval, until close
+// queues the frame that ends the round. After the first write error it
+// keeps draining so senders never block on a dead link, but touches no
+// tensor: the round is aborting, and an aborted round returns nothing to
+// the pool.
 func (l *link) writer() {
-	defer close(l.done)
+	buf := frameBufs.Get().(*[]byte)
 	var tickC <-chan time.Time
-	if l.opts.Heartbeat > 0 {
-		tick := time.NewTicker(l.opts.Heartbeat)
-		defer tick.Stop()
-		tickC = tick.C
+	if l.tick != nil {
+		tickC = l.tick.C
 	}
 	for {
 		select {
-		case f, ok := <-l.out:
-			if !ok {
+		case f := <-l.out:
+			if f.t == nil {
+				frameBufs.Put(buf)
+				l.done <- struct{}{}
 				return
 			}
 			if l.sendErr() != nil {
 				continue
 			}
-			l.wbuf = appendFrame(l.wbuf[:0], f.micro, f.t)
+			*buf = appendFrame((*buf)[:0], f.micro, f.t)
 			if f.owned {
 				tensor.PutBuf(f.t)
 			}
 			l.serialized.Add(1)
-			if l.write(l.wbuf) {
+			if l.write(*buf) {
 				linkFramesSent.Inc()
-				linkBytesSent.Add(int64(len(l.wbuf)))
+				linkBytesSent.Add(int64(len(*buf)))
 			}
 		case <-tickC:
 			l.heartbeat()
@@ -436,14 +480,13 @@ func (l *link) readFrame() (int, *tensor.Tensor, error) {
 	if ndims == 0 || ndims > maxFrameDims {
 		return 0, nil, fmt.Errorf("%w: %d dims", errFrame, ndims)
 	}
-	var err error
-	if l.rbuf, err = wire.ReadGrow(l.conn, l.rbuf, 4*ndims); err != nil {
+	if _, err := io.ReadFull(l.conn, l.dimsRaw[:4*ndims]); err != nil {
 		return 0, nil, err
 	}
 	l.dims = l.dims[:0]
 	elems := 1
 	for i := 0; i < ndims; i++ {
-		d := int(int32(binary.LittleEndian.Uint32(l.rbuf[4*i:])))
+		d := int(int32(binary.LittleEndian.Uint32(l.dimsRaw[4*i:])))
 		if d <= 0 {
 			return 0, nil, fmt.Errorf("%w: non-positive dim %d", errFrame, d)
 		}
@@ -477,8 +520,9 @@ var forceGather bool
 
 // readPayload reads elems float64 values into a pooled tensor shaped l.dims.
 // A small payload on a little-endian host lands directly in the tensor's
-// storage; anything else is gathered chunk-wise in l.rbuf first, so the
-// tensor is only allocated once its bytes have all arrived.
+// storage; anything else is gathered chunk-wise in the round's gather
+// buffer first, so the tensor is only allocated once its bytes have all
+// arrived.
 func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
 	if 8*elems <= frameChunk && !forceGather {
 		t := tensor.GetBufUninit(l.dims...)
@@ -491,24 +535,28 @@ func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
 		}
 		tensor.PutBuf(t) // big-endian host: no byte view, gather instead
 	}
+	if l.rbuf == nil {
+		l.rbuf = frameBufs.Get().(*[]byte)
+	}
 	var err error
-	if l.rbuf, err = wire.ReadGrow(l.conn, l.rbuf, 8*elems); err != nil {
+	if *l.rbuf, err = wire.ReadGrow(l.conn, *l.rbuf, 8*elems); err != nil {
 		return nil, err
 	}
 	t := tensor.GetBufUninit(l.dims...)
-	if _, err := wire.ParseRaw(l.rbuf, t.Data[:0]); err != nil {
+	if _, err := wire.ParseRaw(*l.rbuf, t.Data[:0]); err != nil {
 		tensor.PutBuf(t)
 		return nil, err
 	}
 	return t, nil
 }
 
-// close flushes and stops the writer, and disarms any pending connection
-// deadline so its backing timer is released now instead of lingering in the
-// timer heap until it fires (links are re-dialed every round, so stale
-// timers would otherwise accumulate by the thousand). Queued data frames are
-// still written; a keepalive in flight is interrupted (see heartbeat), since
-// nothing guarantees the peer will ever read it.
+// close ends the link's round: queued data frames are still written, a
+// keepalive in flight is interrupted (see heartbeat), since nothing
+// guarantees the peer will ever read it, and the writer, the ticker and the
+// frame buffers stop or go back to the pool. The connection stays open, its
+// deadlines armed: the pipeline holding the link either starts it again next
+// round or closes the connection (see dist.go). Call it once the round's
+// stages are done with the link.
 func (l *link) close() {
 	l.mu.Lock()
 	l.closing = true
@@ -516,10 +564,18 @@ func (l *link) close() {
 		l.conn.SetWriteDeadline(time.Unix(1, 0))
 	}
 	l.mu.Unlock()
-	close(l.out)
+	l.out <- outFrame{}
 	<-l.done
-	if l.opts.SendTimeout > 0 || l.opts.RecvTimeout > 0 {
-		l.conn.SetDeadline(time.Time{})
+	if l.tick != nil {
+		l.tick.Stop()
+		select { // a tick that fired before Stop must not open the next round
+		case <-l.tick.C:
+		default:
+		}
+	}
+	if l.rbuf != nil {
+		frameBufs.Put(l.rbuf)
+		l.rbuf = nil
 	}
 }
 

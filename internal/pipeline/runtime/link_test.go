@@ -184,8 +184,8 @@ func TestHostileLengthTruncated(t *testing.T) {
 	if _, _, err := l.recv(); err == nil {
 		t.Fatal("truncated 128 MiB claim accepted")
 	}
-	if cap(l.rbuf) > 2*received+frameChunk {
-		t.Fatalf("link holds a %d-byte buffer for %d bytes received", cap(l.rbuf), received)
+	if cap(*l.rbuf) > 2*received+frameChunk {
+		t.Fatalf("link holds a %d-byte buffer for %d bytes received", cap(*l.rbuf), received)
 	}
 }
 

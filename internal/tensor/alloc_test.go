@@ -66,8 +66,7 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 
 // TestParallelKernelAllocFree pins the fan-out: a product large enough to be
 // split across the pool allocates as little as one that is not. The three
-// matmul kernels cost nothing; ParallelFor costs the one closure its caller
-// builds to carry the captured variable, exactly what the serial path costs.
+// matmul kernels cost nothing, and so does a ParallelRows job.
 func TestParallelKernelAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -87,21 +86,20 @@ func TestParallelKernelAllocFree(t *testing.T) {
 			t.Errorf("parallel %s allocates %.0f/op, want 0", name, got)
 		}
 	}
-	body := func(work int) func() {
-		return func() {
-			var sum [64]float64
-			ParallelFor(64, work, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					sum[i] = x.Data[i]
-				}
-			})
+	// A typed job held by pointer in storage the caller owns costs nothing
+	// either, split across the pool or kept on the caller.
+	job := &copyRows{dst: make([]float64, 64), src: x.Data}
+	for _, work := range []int{1, 1 << 20} {
+		if got := testing.AllocsPerRun(100, func() { ParallelRows(64, work, job) }); got != 0 {
+			t.Errorf("ParallelRows with work %d allocates %.0f/op, want 0", work, got)
 		}
-	}
-	serial := testing.AllocsPerRun(100, body(1))
-	if got := testing.AllocsPerRun(100, body(1<<20)); got != serial {
-		t.Errorf("parallel ParallelFor allocates %.0f/op, the same call kept on the caller %.0f", got, serial)
 	}
 	if parallelForParallel.Value() == split {
 		t.Fatal("nothing was split across the pool; the test measured the serial path")
 	}
 }
+
+// copyRows copies src into dst, one index per row.
+type copyRows struct{ dst, src []float64 }
+
+func (j *copyRows) Rows(lo, hi int) { copy(j.dst[lo:hi], j.src[lo:hi]) }

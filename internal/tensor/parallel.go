@@ -17,12 +17,12 @@ import (
 // the machine the simulation ran on.
 //
 // A fan-out is described once, in a job drawn from a pool — the kernel and
-// its operands, or a ParallelFor body, the range and the completion counter —
-// and what travels over the one work queue is a pointer to it: whoever
-// receives it claims the job's next block. No closure is built and nothing is
-// allocated: a parallel MatMul*Into costs what a serial one does, zero
-// (TestParallelKernelAllocFree), and a parallel ParallelFor costs only the
-// closure its caller wrote.
+// its operands, or a RowJob, the range and the completion counter — and what
+// travels over the one work queue is a pointer to it: whoever receives it
+// claims the job's next block. No closure is built and nothing is allocated:
+// a parallel MatMul*Into costs what a serial one does, zero
+// (TestParallelKernelAllocFree), and neither does a ParallelRows job kept in
+// storage its caller already owns.
 
 // minParallelWork is the approximate scalar-operation count below which a
 // kernel stays on the calling goroutine: small matrices would spend more
@@ -40,7 +40,7 @@ var (
 )
 
 // Pool observability: resident-worker busy/idle split and task throughput.
-// Tasks are chunky (ParallelFor only dispatches when the estimated work
+// Tasks are chunky (ParallelRows only dispatches when the estimated work
 // exceeds minParallelWork), so the two time.Now calls per task are noise;
 // every update is a single atomic add. Inline fallbacks (queue saturated)
 // are counted separately and not timed — they run on the caller's clock.
@@ -56,9 +56,9 @@ var (
 	poolIdleNanos = metrics.GetCounter("ecofl_tensor_pool_idle_nanoseconds_total",
 		"total time resident pool workers spent waiting for tasks")
 	parallelForSerial = metrics.GetCounter("ecofl_tensor_parallel_for_total",
-		"ParallelFor invocations by dispatch path", "path", "serial")
+		"fan-out decisions (matmul kernels and ParallelRows) by dispatch path", "path", "serial")
 	parallelForParallel = metrics.GetCounter("ecofl_tensor_parallel_for_total",
-		"ParallelFor invocations by dispatch path", "path", "parallel")
+		"fan-out decisions (matmul kernels and ParallelRows) by dispatch path", "path", "parallel")
 )
 
 // Parallelism returns the number of row-block workers kernels may use.
@@ -113,11 +113,11 @@ func ensureWorkers(n int) {
 type rowKernel func(dst, a, b *Tensor, lo, hi int)
 
 // body is what a fan-out runs over its row range: a matmul kernel on dst, a
-// and b or — when kernel is nil — a ParallelFor body.
+// and b or — when kernel is nil — a RowJob.
 type body struct {
 	kernel    rowKernel
 	dst, a, b *Tensor
-	fn        func(lo, hi int)
+	rows      RowJob
 }
 
 // job is one fan-out in progress: the body over [0, n) in blocks of chunk
@@ -137,7 +137,7 @@ func (j *job) runBlock() {
 	if j.kernel != nil {
 		j.kernel(j.dst, j.a, j.b, lo, hi)
 	} else {
-		j.fn(lo, hi)
+		j.rows.Rows(lo, hi)
 	}
 	j.done.Done()
 }
@@ -148,7 +148,7 @@ func (j *job) runBlock() {
 var jobs = sync.Pool{New: func() any { return new(job) }}
 
 // submit hands one block of j to a pool worker, or runs it inline when the
-// queue is saturated. Running inline keeps ParallelFor deadlock-free by
+// queue is saturated. Running inline keeps a fan-out deadlock-free by
 // construction: no block ever waits on queue capacity.
 func submit(j *job) {
 	select {
@@ -177,20 +177,26 @@ func blocksFor(n, work int) int {
 	return p
 }
 
-// ParallelFor splits [0, n) into up to Parallelism() contiguous blocks and
-// runs fn(lo, hi) for each, returning when every block is done. work is an
-// estimate of the total scalar operations; when it is below an internal
-// threshold — or parallelism is 1 — fn(0, n) runs inline on the caller.
-// fn must touch only disjoint state per index; blocks may run on pool
-// workers concurrently with the caller.
-func ParallelFor(n, work int, fn func(lo, hi int)) {
+// RowJob is a typed fan-out body: Rows(lo, hi) does the work of indices
+// [lo, hi), touching only state that belongs to them. A job kept in storage
+// its caller already owns — a field of a pooled cache, say — and handed over
+// by pointer costs no allocation, where a closure capturing the same
+// operands is put on the heap.
+type RowJob interface{ Rows(lo, hi int) }
+
+// ParallelRows splits [0, n) into up to Parallelism() contiguous blocks and
+// runs j.Rows(lo, hi) for each, returning when every block is done. work is
+// an estimate of the total scalar operations; when it is below an internal
+// threshold — or parallelism is 1 — j.Rows(0, n) runs inline on the caller.
+// Blocks may run on pool workers concurrently with the caller.
+func ParallelRows(n, work int, j RowJob) {
 	if n <= 0 {
 		return
 	}
 	if p := blocksFor(n, work); p > 1 {
-		fanOut(n, p, body{fn: fn})
+		fanOut(n, p, body{rows: j})
 	} else {
-		fn(0, n)
+		j.Rows(0, n)
 	}
 }
 
@@ -213,7 +219,7 @@ func fanOut(n, p int, b body) {
 }
 
 // runRows computes all rows of dst with kernel, split across the worker pool
-// exactly as ParallelFor would; a product too small to split is computed by a
+// exactly as ParallelRows would; a product too small to split is computed by a
 // direct call.
 func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work int) {
 	if p := blocksFor(rows, work); p > 1 {

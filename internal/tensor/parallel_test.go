@@ -99,19 +99,24 @@ func TestMatMulIntoRejectsWrongDstSize(t *testing.T) {
 	MatMulInto(New(2, 2), New(3, 4), New(4, 5))
 }
 
-func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
+// rowsFunc makes a closure a RowJob.
+type rowsFunc func(lo, hi int)
+
+func (f rowsFunc) Rows(lo, hi int) { f(lo, hi) }
+
+func TestParallelRowsCoversRangeExactlyOnce(t *testing.T) {
 	withParallelism(4, func() {
 		for _, n := range []int{0, 1, 3, 4, 5, 97} {
 			var mu sync.Mutex
 			seen := make([]int, n)
 			// Force the parallel path with a huge work estimate.
-			ParallelFor(n, 1<<30, func(lo, hi int) {
+			ParallelRows(n, 1<<30, rowsFunc(func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {
 					seen[i]++
 				}
-			})
+			}))
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("n=%d: index %d covered %d times", n, i, c)

@@ -202,8 +202,10 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # The pipeline stages' ownership pins, repeated under the race detector: a
 # tensor returned to the shared pool too early, or twice, shows as an
 # overwrite by whichever goroutine draws it next — scheduling-dependent, so
-# one green run means nothing.
-go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling)$' ./internal/pipeline/runtime
+# one green run means nothing. The link lifetime pin rides along: a link
+# held between rounds is restarted by one goroutine and drained by another,
+# and a keepalive cut at a round's end races the close that cuts it.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds)$' ./internal/pipeline/runtime
 
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
