@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
+	"unicode"
 
+	"ecofl/internal/plot"
 	"ecofl/internal/scenario"
 )
 
@@ -21,6 +25,7 @@ func cmdBench(args []string) error {
 	out := fs.String("out", "", "write the report JSON to this path (default stdout)")
 	gitSHA := fs.String("git-sha", "", "git revision recorded in the report (never read ambiently)")
 	now := fs.Int64("now", 0, "capture unix timestamp recorded in the report (never read ambiently)")
+	svgDir := fs.String("svg", "", "draw a sweep's charts into this directory: accuracy curves per value of the first axis, or each metric against a lone numeric axis")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -34,6 +39,9 @@ func cmdBench(args []string) error {
 	spec, err := scenario.Load(*path)
 	if err != nil {
 		return err
+	}
+	if *svgDir != "" && spec.Sweep == nil {
+		return fmt.Errorf("bench: --svg draws a sweep's table, and %s has no sweep", *path)
 	}
 	fmt.Fprintf(os.Stderr, "running scenario %s (%s, %s)...\n", spec.Name, spec.Topology, *path)
 	t0 := time.Now()
@@ -49,6 +57,15 @@ func cmdBench(args []string) error {
 	}
 	for _, w := range rep.Warnings {
 		fmt.Fprintf(os.Stderr, "  warning: %s\n", w)
+	}
+	if *svgDir != "" {
+		charts := reportCharts(rep.Scenario, rep.Table)
+		for name, chart := range charts {
+			if err := plot.WriteFile(*svgDir, name, chart); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d SVG charts to %s\n", len(charts), *svgDir)
 	}
 
 	if *out == "" {
@@ -66,4 +83,70 @@ func cmdBench(args []string) error {
 		fmt.Fprintf(os.Stderr, "wrote report to %s\n", *out)
 	}
 	return werr
+}
+
+// reportCharts draws a sweep's table, keyed by file name. A sweep over one
+// numeric axis (Fig. 9's λ) gets a chart per reported metric against that
+// axis; any other sweep a chart of accuracy curves per value of its first
+// axis, one line per row, named by the row's other values (a swept
+// aggregation block by its strategy).
+func reportCharts(name string, t *scenario.Table) map[string]*plot.Chart {
+	charts := map[string]*plot.Chart{}
+	if xs, ok := numericAxis(t); ok {
+		for m, metric := range t.Metrics {
+			line := plot.Line{Name: metric, X: xs}
+			for _, row := range t.Rows {
+				line.Y = append(line.Y, row.Metrics[m])
+			}
+			charts[name+"_"+metric] = &plot.Chart{Title: name + ": " + metric + " vs " + t.Axes[0],
+				XLabel: t.Axes[0], YLabel: metric, Lines: []plot.Line{line}}
+		}
+		return charts
+	}
+	for i, row := range t.Rows {
+		first := string(row.Values[0])
+		file := name + "_" + strings.Trim(strings.Map(fileRune, first), "-")
+		if charts[file] == nil {
+			charts[file] = &plot.Chart{Title: name + ": " + t.Axes[0] + "=" + first, XLabel: "t", YLabel: "accuracy"}
+		}
+		var label []string
+		for _, axis := range t.Axes[1:] {
+			v := t.Value(i, axis+".strategy")
+			if v == "" {
+				v = t.Value(i, axis)
+			}
+			label = append(label, strings.Trim(v, `"`))
+		}
+		line := plot.Line{Name: strings.Join(label, " ")}
+		for _, p := range row.Curve {
+			line.X = append(line.X, p.Time)
+			line.Y = append(line.Y, p.Accuracy)
+		}
+		charts[file].Lines = append(charts[file].Lines, line)
+	}
+	return charts
+}
+
+// numericAxis returns the values of a sweep's one axis when every one is a
+// number.
+func numericAxis(t *scenario.Table) ([]float64, bool) {
+	if len(t.Axes) != 1 {
+		return nil, false
+	}
+	xs := make([]float64, len(t.Rows))
+	for i, row := range t.Rows {
+		if json.Unmarshal(row.Values[0], &xs[i]) != nil {
+			return nil, false
+		}
+	}
+	return xs, true
+}
+
+// fileRune keeps letters, digits, dots and dashes of an axis value in a file
+// name and turns the rest into dashes.
+func fileRune(r rune) rune {
+	if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '.' || r == '-' {
+		return unicode.ToLower(r)
+	}
+	return '-'
 }

@@ -1,14 +1,14 @@
 // Command ecofl regenerates the tables and figures of the Eco-FL paper
-// (ICPP '22) from this repository's implementation, and runs every study
-// that is not a paper figure from a scenario spec.
+// (ICPP '22) from this repository's implementation: the pipeline figures
+// through their runners, the FL figures (7, 8, 9) and every other study from
+// a scenario spec.
 //
 // Usage:
 //
-//	ecofl fl --experiment {fig7|fig8|fig9} [--scale quick|full] [--seed N]
 //	ecofl pipeline --experiment {fig5|fig10|fig11|fig12|fig13|table2}
 //	ecofl pipeline --show-schedule     # Fig. 3-style 1F1B-Sync Gantt chart
-//	ecofl all [--scale quick]          # every paper figure and table
-//	ecofl bench --scenario examples/scenarios/sweep-dropout.json   # a spec, or a sweep of one
+//	ecofl bench --scenario examples/scenarios/fig7.json [--svg DIR]   # a spec, or a sweep of one
+//	ecofl headlines --scenario examples/scenarios/fig8.json
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"ecofl/internal/adaptive"
-
 	"ecofl/internal/device"
 	"ecofl/internal/experiments"
 	"ecofl/internal/metrics"
@@ -27,30 +26,10 @@ import (
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline"
 	"ecofl/internal/plot"
+	"ecofl/internal/scenario"
 	"ecofl/internal/tensor"
 	"ecofl/internal/trace"
 )
-
-// writeCurveSVGs renders one accuracy-vs-time SVG per curve panel.
-func writeCurveSVGs(dir, prefix string, sets []experiments.CurveSet) error {
-	if dir == "" {
-		return nil
-	}
-	for _, set := range sets {
-		series := experiments.CurvesToSeries(prefix, []experiments.CurveSet{set})
-		chart, err := plot.CurveChart(set.Dataset, "time_s", "accuracy", series)
-		if err != nil {
-			return err
-		}
-		name := strings.ReplaceAll(strings.ToLower(prefix+"_"+set.Dataset), " ", "-")
-		name = strings.ReplaceAll(name, "@", "at")
-		if err := plot.WriteFile(dir, name, chart); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d SVG charts to %s\n", len(sets), dir)
-	return nil
-}
 
 // writeCSV exports series to dir when dir is non-empty.
 func writeCSV(dir string, series []*trace.Series) error {
@@ -135,12 +114,8 @@ func main() {
 	}
 	var err error
 	switch args[0] {
-	case "fl":
-		err = cmdFL(args[1:])
 	case "pipeline":
 		err = cmdPipeline(args[1:])
-	case "all":
-		err = cmdAll(args[1:])
 	case "partition":
 		err = cmdPartition(args[1:])
 	case "headlines":
@@ -170,73 +145,16 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: ecofl <command> [flags]
 
 commands:
-  fl         --experiment {fig7|fig8|fig9} [--scale quick|full] [--seed N]
   pipeline   --experiment {fig5|fig10|fig11|fig12|fig13|table2} | --show-schedule
   partition  --model {effnet-bN|mobilenet-wX} --devices A,B,C [--mbs N] [--m M]
-  headlines  [--scale quick|full]
+  headlines  [--scenario examples/scenarios/fig8.json]
   devices    (print the Table 1 device presets)
   migrate    --model M --devices A,B,C --spike-device N --load F
-  bench      --scenario <spec.json> [--out report.json]   (one run, or a sweep's table:
-             examples/scenarios/sweep-{dropout,churn,byzantine,failover}.json)
-  all        [--scale quick|full]   (every paper figure and table)
+  bench      --scenario <spec.json> [--out report.json] [--svg DIR]   (one run, or a sweep's
+             table: examples/scenarios/fig{7,8,9}[-full].json are the FL figures)
 
 global flags (any command):
   --metrics-json <path>   dump an end-of-run metrics snapshot as JSON (- for stdout)`)
-}
-
-func scaleByName(name string) experiments.Scale {
-	if name == "full" {
-		return experiments.Full
-	}
-	return experiments.Quick
-}
-
-func cmdFL(args []string) error {
-	fs := flag.NewFlagSet("fl", flag.ExitOnError)
-	exp := fs.String("experiment", "fig7", "fig7, fig8 or fig9")
-	scale := fs.String("scale", "quick", "quick or full")
-	seed := fs.Int64("seed", 1, "random seed")
-	csvDir := fs.String("csv", "", "directory for CSV export (optional)")
-	svgDir := fs.String("svg", "", "directory for SVG charts (optional)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sc := scaleByName(*scale)
-	switch *exp {
-	case "fig7":
-		sets := experiments.Fig7(*seed, sc)
-		experiments.PrintCurves(os.Stdout, sets)
-		if err := writeCurveSVGs(*svgDir, "fig7", sets); err != nil {
-			return err
-		}
-		return writeCSV(*csvDir, experiments.CurvesToSeries("fig7", sets))
-	case "fig8":
-		sets := experiments.Fig8(*seed, sc)
-		experiments.PrintCurves(os.Stdout, sets)
-		if err := writeCurveSVGs(*svgDir, "fig8", sets); err != nil {
-			return err
-		}
-		return writeCSV(*csvDir, experiments.CurvesToSeries("fig8", sets))
-	case "fig9":
-		rows := experiments.Fig9(*seed, sc)
-		experiments.PrintFig9(os.Stdout, rows)
-		if *svgDir != "" {
-			series := experiments.Fig9ToSeries(rows)[0]
-			for _, col := range []string{"avg_js", "avg_latency_s", "best_acc"} {
-				chart := &plot.Chart{Title: "Fig. 9 — " + col + " vs lambda", XLabel: "lambda", YLabel: col}
-				if err := chart.AddSeries(col, series, "lambda", col); err != nil {
-					return err
-				}
-				if err := plot.WriteFile(*svgDir, "fig9_"+col, chart); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(os.Stderr, "wrote 3 SVG charts to %s\n", *svgDir)
-		}
-		return writeCSV(*csvDir, experiments.Fig9ToSeries(rows))
-	default:
-		return fmt.Errorf("unknown fl experiment %q (fig7, fig8, fig9; other studies are specs: ecofl bench --scenario)", *exp)
-	}
 }
 
 func cmdPipeline(args []string) error {
@@ -317,7 +235,7 @@ func cmdPipeline(args []string) error {
 		experiments.PrintTable2(os.Stdout, rows)
 		return writeCSV(*csvDir, experiments.Table2ToSeries(rows))
 	default:
-		return fmt.Errorf("unknown pipeline experiment %q (fig5, fig10, fig11, fig12, fig13, table2; other studies are specs: ecofl bench --scenario)", *exp)
+		return fmt.Errorf("unknown pipeline experiment %q (fig5, fig10, fig11, fig12, fig13, table2; Figs. 7-9 and other studies are specs: ecofl bench --scenario)", *exp)
 	}
 }
 
@@ -496,52 +414,34 @@ func cmdDevices() error {
 	return nil
 }
 
-// cmdHeadlines recomputes the paper's abstract claims.
+// cmdHeadlines recomputes the paper's abstract claims, the accuracy upgrade
+// off a run of the Fig. 8 spec.
 func cmdHeadlines(args []string) error {
 	fs := flag.NewFlagSet("headlines", flag.ExitOnError)
-	scale := fs.String("scale", "quick", "quick or full")
-	seed := fs.Int64("seed", 1, "random seed")
+	path := fs.String("scenario", "examples/scenarios/fig8.json", "the Fig. 8 sweep spec: its RLG-NIID eco-fl and fedat rows")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	h, err := experiments.ComputeHeadlines(*seed, scaleByName(*scale))
+	spec, err := scenario.Load(*path)
+	if err != nil {
+		return err
+	}
+	rep, err := scenario.Run(spec, scenario.RunOptions{})
+	if err != nil {
+		return err
+	}
+	if rep.Table == nil {
+		return fmt.Errorf("headlines: %s is not a sweep", *path)
+	}
+	eco := rep.Table.Row("fleet.partition", `"rlg-niid"`, "aggregation.strategy", `"eco-fl"`)
+	fedat := rep.Table.Row("fleet.partition", `"rlg-niid"`, "aggregation.strategy", `"fedat"`)
+	if eco == nil || fedat == nil {
+		return fmt.Errorf("headlines: %s has no rlg-niid eco-fl and fedat rows to compare", *path)
+	}
+	h, err := experiments.ComputeHeadlines(eco.Curve, fedat.Curve)
 	if err != nil {
 		return err
 	}
 	experiments.PrintHeadlines(os.Stdout, h)
 	return nil
-}
-
-func cmdAll(args []string) error {
-	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	scale := fs.String("scale", "quick", "quick or full")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	flags := []string{"--scale", *scale, "--seed", strconv.FormatInt(*seed, 10)}
-
-	section := func(s string) { fmt.Printf("\n######## %s ########\n", s) }
-	for _, part := range []struct {
-		title string
-		run   func([]string) error
-		args  []string
-	}{
-		{"Fig. 5 — device order and micro-batch size", cmdPipeline, []string{"--experiment", "fig5"}},
-		{"Figs. 10/11 — training methods", cmdPipeline, []string{"--experiment", "fig10"}},
-		{"Fig. 12 — workload partitioning", cmdPipeline, []string{"--experiment", "fig12"}},
-		{"Table 2 — 1F1B-Sync vs GPipe", cmdPipeline, []string{"--experiment", "table2"}},
-		{"Fig. 13 — adaptive re-scheduling under load spike", cmdPipeline, []string{"--experiment", "fig13"}},
-		{"Fig. 7 — FL training performance", cmdFL, append([]string{"--experiment", "fig7"}, flags...)},
-		{"Fig. 8 — grouping effectiveness", cmdFL, append([]string{"--experiment", "fig8"}, flags...)},
-		{"Fig. 9 — λ sensitivity", cmdFL, append([]string{"--experiment", "fig9"}, flags...)},
-	} {
-		section(part.title)
-		if err := part.run(part.args); err != nil {
-			return err
-		}
-	}
-
-	section("Headline claims")
-	return cmdHeadlines(flags)
 }

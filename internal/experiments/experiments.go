@@ -1,16 +1,14 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation (§6), shared by the ecofl CLI, the benchmark suite,
-// and the integration tests. Each runner returns structured results and can
-// render the same rows/series the paper reports. Two things here serve the
-// scenario harness as well: BuildPopulation, the one fleet builder, and
-// LiveFailover, the pipeline topology's driver. Studies that are not paper
-// figures (dropout, churn, Byzantine, failover grids) are sweep specs under
-// examples/scenarios, not drivers in this package.
+// Package experiments holds the paper's pipeline figures (Figs. 5 and
+// 10–13, Table 2) and the three headline claims, shared by the ecofl CLI and
+// the integration tests; each runner returns structured results and renders
+// the rows the paper reports. Two things here serve the scenario harness:
+// BuildPopulation, the one fleet builder, and LiveFailover, the pipeline
+// topology's driver. The FL figures (7, 8, 9) and every study that is not a
+// paper figure are sweep specs under examples/scenarios.
 package experiments
 
-// Scale sizes an experiment. Full mirrors the paper's setup (§6.1:
-// 300 clients, ≤20 concurrent); Quick is a minutes-scale variant for tests
-// and benchmarks that preserves every qualitative relationship.
+// Scale sizes a simulated fleet: Full is the paper's setup (§6.1: 300
+// clients, ≤20 concurrent), which the benchmark replays.
 type Scale struct {
 	Clients       int
 	DatasetSize   int
@@ -24,10 +22,10 @@ type Scale struct {
 	// the attack, not on a 2-class skew that starves most coordinates of
 	// honest gradient even with no attacker.
 	ClassesPerClient int
+	// Partition is "" for the classes-per-client shards, or one of Fig. 8's
+	// PartitionRLGIID and PartitionRLGNIID.
+	Partition string
 }
 
 // Full is the paper-scale configuration.
 var Full = Scale{Clients: 300, DatasetSize: 12000, Duration: 4000, EvalInterval: 120, MaxConcurrent: 20, LocalEpochs: 3}
-
-// Quick preserves the experiment shapes at a fraction of the cost.
-var Quick = Scale{Clients: 40, DatasetSize: 2400, Duration: 1100, EvalInterval: 80, MaxConcurrent: 20, LocalEpochs: 2}

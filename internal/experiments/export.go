@@ -19,37 +19,12 @@ func slug(parts ...string) string {
 	return strings.Trim(s, "-")
 }
 
-// CurvesToSeries exports training curves: one series per (panel, strategy)
-// with time/accuracy columns.
-func CurvesToSeries(prefix string, sets []CurveSet) []*trace.Series {
-	var out []*trace.Series
-	for _, set := range sets {
-		for _, r := range set.Runs {
-			s := trace.New(slug(prefix, set.Dataset, r.Strategy), "time_s", "accuracy")
-			for _, p := range r.Curve {
-				s.Add(p.Time, p.Accuracy)
-			}
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Fig5ToSeries exports the Fig. 5 configuration rows.
 func Fig5ToSeries(rows []Fig5Row) []*trace.Series {
 	s := trace.New("fig5_configs", "config", "mbs", "throughput", "util_s0", "util_s1", "util_s2", "k0", "p0")
 	for i, r := range rows {
 		s.Add(float64(i), float64(r.MicroBatchSize), r.Throughput,
 			r.StageUtil[0], r.StageUtil[1], r.StageUtil[2], float64(r.Ks[0]), float64(r.Ps[0]))
-	}
-	return []*trace.Series{s}
-}
-
-// Fig9ToSeries exports the λ sweep.
-func Fig9ToSeries(rows []Fig9Row) []*trace.Series {
-	s := trace.New("fig9_lambda", "lambda", "avg_js", "avg_latency_s", "final_acc", "best_acc")
-	for _, r := range rows {
-		s.Add(r.Lambda, r.AvgJS, r.AvgLatency, r.FinalAcc, r.BestAcc)
 	}
 	return []*trace.Series{s}
 }

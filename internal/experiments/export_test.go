@@ -1,42 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"ecofl/internal/fl"
-)
-
-func TestCurvesToSeries(t *testing.T) {
-	sets := []CurveSet{{
-		Dataset: "cifar10",
-		Runs: []*fl.RunResult{{
-			Strategy: "Eco-FL w/o DG",
-			Curve:    []fl.Point{{Time: 1, Accuracy: 0.2}, {Time: 2, Accuracy: 0.4}},
-		}},
-	}}
-	series := CurvesToSeries("fig7", sets)
-	if len(series) != 1 {
-		t.Fatalf("got %d series", len(series))
-	}
-	s := series[0]
-	if s.Name != "fig7_cifar10_eco-fl-w-o-dg" {
-		t.Fatalf("slug %q", s.Name)
-	}
-	if s.Len() != 2 || s.Rows[1][1] != 0.4 {
-		t.Fatalf("rows %+v", s.Rows)
-	}
-}
-
-func TestFig9ToSeries(t *testing.T) {
-	series := Fig9ToSeries([]Fig9Row{{Lambda: 250, AvgJS: 0.1, AvgLatency: 40, FinalAcc: 0.9, BestAcc: 0.95}})
-	if len(series) != 1 || series[0].Len() != 1 {
-		t.Fatal("one-row series expected")
-	}
-	js, err := series[0].Col("avg_js")
-	if err != nil || js[0] != 0.1 {
-		t.Fatalf("avg_js %v %v", js, err)
-	}
-}
+import "testing"
 
 func TestTable2ToSeriesHandlesOOM(t *testing.T) {
 	series := Table2ToSeries([]Table2Row{

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"ecofl/internal/fl"
 )
 
 // Headlines computes this implementation's counterparts of the paper's
@@ -21,44 +23,20 @@ type Headlines struct {
 	ThroughputGain float64
 }
 
-// ComputeHeadlines runs the minimal experiments needed for the three
-// headline numbers at the given scale.
-func ComputeHeadlines(seed int64, scale Scale) (*Headlines, error) {
+// ComputeHeadlines derives the three headline numbers: the accuracy upgrade
+// from Fig. 8's RLG-NIID Eco-FL and FedAT curves (a report of
+// examples/scenarios/fig8.json carries them), the other two from a short
+// Fig. 10 run.
+func ComputeHeadlines(eco, fedat []fl.Point) (*Headlines, error) {
 	h := &Headlines{}
-
-	sets := Fig8(seed, scale)
-	niid := sets[1]
-	var eco, fedat float64
-	for _, r := range niid.Runs {
-		switch r.Strategy {
-		case "Eco-FL":
-			eco = r.BestAccuracy
-		case "FedAT":
-			fedat = r.BestAccuracy
+	// The gap in best accuracy, and the gap at matched mid-training times:
+	// the largest anywhere on the curves is the paper's "up to" number.
+	h.AccuracyUpgrade = best(eco) - best(fedat)
+	for _, p := range eco {
+		if f := interpAt(fedat, p.Time); !math.IsNaN(f) && p.Accuracy-f > h.AccuracyUpgrade {
+			h.AccuracyUpgrade = p.Accuracy - f
 		}
 	}
-	// Compare at matched mid-training times too: the largest gap anywhere
-	// on the curves is the paper's "up to" number.
-	var maxGap float64 = eco - fedat
-	var ecoCurve, fedatCurve []CurvePointLike
-	for _, r := range niid.Runs {
-		pts := make([]CurvePointLike, len(r.Curve))
-		for i, p := range r.Curve {
-			pts[i] = CurvePointLike{p.Time, p.Accuracy}
-		}
-		if r.Strategy == "Eco-FL" {
-			ecoCurve = pts
-		}
-		if r.Strategy == "FedAT" {
-			fedatCurve = pts
-		}
-	}
-	for _, p := range ecoCurve {
-		if f := interpAt(fedatCurve, p.Time); !math.IsNaN(f) && p.Acc-f > maxGap {
-			maxGap = p.Acc - f
-		}
-	}
-	h.AccuracyUpgrade = maxGap
 
 	panels, err := Fig10(2000, 2)
 	if err != nil {
@@ -88,13 +66,17 @@ func ComputeHeadlines(seed int64, scale Scale) (*Headlines, error) {
 	return h, nil
 }
 
-// CurvePointLike is a (time, accuracy) sample for interpolation.
-type CurvePointLike struct {
-	Time, Acc float64
+// best is a curve's highest accuracy, as fl.RunResult.BestAccuracy has it.
+func best(curve []fl.Point) float64 {
+	var b float64
+	for _, p := range curve {
+		b = max(b, p.Accuracy)
+	}
+	return b
 }
 
 // interpAt linearly interpolates a curve at time t (NaN outside its range).
-func interpAt(curve []CurvePointLike, t float64) float64 {
+func interpAt(curve []fl.Point, t float64) float64 {
 	if len(curve) == 0 || t < curve[0].Time || t > curve[len(curve)-1].Time {
 		return math.NaN()
 	}
@@ -102,13 +84,13 @@ func interpAt(curve []CurvePointLike, t float64) float64 {
 		if curve[i].Time >= t {
 			a, b := curve[i-1], curve[i]
 			if b.Time == a.Time {
-				return b.Acc
+				return b.Accuracy
 			}
 			f := (t - a.Time) / (b.Time - a.Time)
-			return a.Acc + f*(b.Acc-a.Acc)
+			return a.Accuracy + f*(b.Accuracy-a.Accuracy)
 		}
 	}
-	return curve[len(curve)-1].Acc
+	return curve[len(curve)-1].Accuracy
 }
 
 // PrintHeadlines renders the three claims next to the paper's numbers.

@@ -8,6 +8,7 @@ import (
 
 	"ecofl/internal/data"
 	"ecofl/internal/device"
+	"ecofl/internal/fl"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/partition"
@@ -80,13 +81,7 @@ type MethodResult struct {
 	// virtual time axis (time = epoch × EpochTime). All synchronous
 	// methods share identical per-epoch dynamics because 1F1B-Sync and
 	// synchronous DP are gradient-equivalent to sequential training.
-	Curve []CurvePoint
-}
-
-// CurvePoint is one (time, accuracy) point.
-type CurvePoint struct {
-	Time     float64
-	Accuracy float64
+	Curve []fl.Point
 }
 
 // Panel is one subplot of Figs. 10/11.
@@ -192,10 +187,10 @@ func accuracyPerEpoch(seed int64, epochs int) []float64 {
 // devices), synchronous data parallelism, and the Eco-FL pipeline.
 func Fig10(epochSamples, epochs int) ([]Panel, error) {
 	accs := accuracyPerEpoch(42, epochs)
-	curveFor := func(epochTime float64) []CurvePoint {
-		var c []CurvePoint
+	curveFor := func(epochTime float64) []fl.Point {
+		var c []fl.Point
 		for e, a := range accs {
-			c = append(c, CurvePoint{Time: float64(e+1) * epochTime, Accuracy: a})
+			c = append(c, fl.Point{Time: float64(e+1) * epochTime, Accuracy: a})
 		}
 		return c
 	}

@@ -13,10 +13,12 @@ import (
 	"ecofl/internal/sim"
 )
 
-// Point is one sample of the accuracy-versus-virtual-time curve.
+// Point is one sample of an accuracy-versus-time curve: virtual seconds in
+// the simulation, the 1-based round in a loopback federation, seconds of
+// training on the pipeline figures' axis.
 type Point struct {
-	Time     float64
-	Accuracy float64
+	Time     float64 `json:"t"`
+	Accuracy float64 `json:"accuracy"`
 }
 
 // RunResult is the outcome of one FL simulation.
@@ -211,6 +213,28 @@ func StrategyNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Reads names the aggregation knobs of Config that a strategy's run reads.
+type Reads struct {
+	Mu, Alpha, Lambda, RTThreshold, NumGroups, GroupSyncEvery, DropoutProb, Quorum bool
+}
+
+// StrategyReads says which aggregation knobs a run of the named strategy
+// reads, from the policy run acts on: only group lanes train FedProx rounds
+// (Mu) and mix their model into the global one every GroupSyncEvery rounds;
+// those and FedAsync's lone updates mix with Alpha; only Eq. 4 grouping
+// weighs Lambda and RTThreshold; groups and tiers alike are NumGroups; and a
+// lone update leaves no committee for DropoutProb or Quorum to cut.
+func StrategyReads(strategy string) Reads {
+	pol := strategies[strategy]
+	grouping := pol.grouped || pol.tiered
+	return Reads{
+		Mu: pol.grouped, Alpha: pol.grouped || pol.async,
+		Lambda: grouping && pol.Grouping == GroupEcoFL, RTThreshold: grouping && pol.Grouping == GroupEcoFL,
+		NumGroups: grouping, GroupSyncEvery: pol.grouped,
+		DropoutProb: !pol.async, Quorum: !pol.async,
+	}
 }
 
 // RunByName runs the named row of the strategy table, so that the choice of

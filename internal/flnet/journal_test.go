@@ -414,7 +414,7 @@ func TestLargePushAllocBudget(t *testing.T) {
 }
 
 // BenchmarkPushJournal measures the 100k-weight push round trip with the
-// flight recorder nil, attached-but-disabled, and recording on both ends —
+// flight recorder nil and recording on both ends —
 // the satellite overhead guard: nil must be free, recording <2% (gated via
 // the scenario bench capture, mirroring the internal/obs nop-recorder
 // proof).
@@ -450,13 +450,6 @@ func BenchmarkPushJournal(b *testing.B) {
 		b.SetBytes(n * 8)
 	}
 	b.Run("nil", func(b *testing.B) { run(b, nil, nil) })
-	b.Run("disabled", func(b *testing.B) {
-		cliJ := journal.New(0, journal.DefaultCapacity)
-		cliJ.SetDisabled(true)
-		srvLocal := journal.New(-1, journal.DefaultCapacity)
-		srvLocal.SetDisabled(true)
-		run(b, cliJ, journal.NewFleet(journal.DefaultCapacity, srvLocal))
-	})
 	b.Run("recording", func(b *testing.B) {
 		run(b, journal.New(0, journal.DefaultCapacity),
 			journal.NewFleet(journal.DefaultCapacity, journal.New(-1, journal.DefaultCapacity)))

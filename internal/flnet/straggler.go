@@ -11,7 +11,6 @@ package flnet
 // the dashboard and scrapes see flags the moment they flip.
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 
@@ -93,20 +92,6 @@ func (d *StragglerDetector) Observe(client int, latency float64) bool {
 	}
 	lat.Set(latency)
 	return straggling
-}
-
-// Straggling returns the currently flagged client ids, sorted.
-func (d *StragglerDetector) Straggling() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []int
-	for c, s := range d.straggling {
-		if s {
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // MeasuredLatency returns the EMA-smoothed round latency for a client

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,8 +232,14 @@ func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	if smp, ok := lookup(reg, `ecofl_straggler{client="3"}`); !ok || smp.Value != 1 {
 		t.Fatalf("straggler gauge = %+v, want 1", smp)
 	}
-	if got := d.Straggling(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Straggling() = %v, want [3]", got)
+	var flagged []string
+	for _, smp := range reg.Snapshot() {
+		if strings.HasPrefix(smp.Name, "ecofl_straggler{") && smp.Value == 1 {
+			flagged = append(flagged, smp.Name)
+		}
+	}
+	if len(flagged) != 1 || flagged[0] != `ecofl_straggler{client="3"}` {
+		t.Fatalf("flagged %v, want client 3 alone", flagged)
 	}
 	// Observing right on the smoothed history clears the flag.
 	if d.Observe(3, d.MeasuredLatency(3)) {

@@ -62,11 +62,11 @@ func TestConv2DKnownValue(t *testing.T) {
 	// each receptive field.
 	c.W.Value.Data = []float64{1, 0, 0, 0}
 	clear(c.B.Value.Data)
-	x := tensor.FromSlice([]float64{
+	x := &tensor.Tensor{Shape: []int{1, 1, 3, 3}, Data: []float64{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
-	}, 1, 1, 3, 3)
+	}}
 	y, _ := c.Forward(x)
 	want := []float64{1, 2, 4, 5}
 	for i, w := range want {
@@ -78,12 +78,12 @@ func TestConv2DKnownValue(t *testing.T) {
 
 func TestMaxPoolForwardAndRouting(t *testing.T) {
 	p := MaxPool2D{K: 2, Stride: 2}
-	x := tensor.FromSlice([]float64{
+	x := &tensor.Tensor{Shape: []int{1, 1, 4, 4}, Data: []float64{
 		1, 2, 5, 3,
 		4, 0, 1, 1,
 		0, 0, 9, 2,
 		3, 1, 2, 0,
-	}, 1, 1, 4, 4)
+	}}
 	y, cache := p.Forward(x)
 	want := []float64{4, 5, 3, 9}
 	for i, w := range want {
@@ -92,7 +92,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		}
 	}
 	// Gradient routes only to the argmax positions.
-	dy := tensor.FromSlice([]float64{10, 20, 30, 40}, 1, 1, 2, 2)
+	dy := &tensor.Tensor{Shape: []int{1, 1, 2, 2}, Data: []float64{10, 20, 30, 40}}
 	dx := p.Backward(cache, dy)
 	if dx.Data[4] != 10 || dx.Data[2] != 20 || dx.Data[12] != 30 || dx.Data[10] != 40 {
 		t.Fatalf("pool gradient misrouted: %v", dx.Data)
@@ -178,7 +178,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	}
 	bn.Train = false
 	// A single eval sample equal to the running mean maps near beta (0).
-	x := tensor.FromSlice([]float64{bn.RunningMean[0], bn.RunningMean[1]}, 1, 2)
+	x := &tensor.Tensor{Shape: []int{1, 2}, Data: []float64{bn.RunningMean[0], bn.RunningMean[1]}}
 	y, _ := bn.Forward(x)
 	if math.Abs(y.Data[0]) > 0.1 {
 		t.Fatalf("eval-mode output %v, want ≈0", y.Data[0])

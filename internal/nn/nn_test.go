@@ -79,7 +79,7 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		var s float64
 		for j := 0; j < 4; j++ {
-			s += grad.At(i, j)
+			s += grad.RowView(i)[j]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Fatalf("grad row %d sums to %v, want 0", i, s)
@@ -241,7 +241,7 @@ func TestSoftmaxPropertyNonNegative(t *testing.T) {
 			return false
 		}
 		for i, lab := range labels {
-			if grad.At(i, lab) > 0 {
+			if grad.RowView(i)[lab] > 0 {
 				return false
 			}
 		}

@@ -30,7 +30,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -64,10 +63,9 @@ type Event struct {
 // Recorder is a bounded, concurrency-safe event ring. The zero value is not
 // usable; construct with New or NewClock. A nil *Recorder is a valid nop.
 type Recorder struct {
-	clock    func() float64 // nil => clockless: Record stamps 0, use RecordAt
-	node     int
-	epoch    uint64
-	disabled atomic.Bool
+	clock func() float64 // nil => clockless: Record stamps 0, use RecordAt
+	node  int
+	epoch uint64
 
 	mu    sync.Mutex
 	ring  ring
@@ -134,21 +132,11 @@ func (r *Recorder) Epoch() uint64 {
 	return r.epoch
 }
 
-// SetDisabled toggles recording at runtime. A disabled recorder keeps its
-// buffered events but ignores new ones; the check is a single atomic load so
-// the disabled cost is within noise of the nil nop.
-func (r *Recorder) SetDisabled(v bool) {
-	if r == nil {
-		return
-	}
-	r.disabled.Store(v)
-}
-
 // Record appends an event stamped with the recorder's clock. kv is an
 // alternating key/value list; an odd trailing key is paired with "". Use
 // journal.None for a non-applicable round or client.
 func (r *Recorder) Record(kind string, round, client int, kv ...string) {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return
 	}
 	r.record(r.Now(), 0, 0, kind, round, client, kv)
@@ -156,7 +144,7 @@ func (r *Recorder) Record(kind string, round, client int, kv ...string) {
 
 // RecordAt is Record with an explicit timestamp, for virtual-time callers.
 func (r *Recorder) RecordAt(ts float64, kind string, round, client int, kv ...string) {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return
 	}
 	r.record(ts, 0, 0, kind, round, client, kv)
@@ -166,7 +154,7 @@ func (r *Recorder) RecordAt(ts float64, kind string, round, client int, kv ...st
 // timestamps — the virtual-time form of Begin/End. A backwards or
 // non-finite length is recorded as 0.
 func (r *Recorder) SpanAt(start, end float64, lane int, kind string, round, client int, kv ...string) {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return
 	}
 	dur := end - start
@@ -177,7 +165,7 @@ func (r *Recorder) SpanAt(start, end float64, lane int, kind string, round, clie
 }
 
 // Span is a span opened by Begin on the recorder's clock; End records it.
-// The zero Span, which a nil or disabled recorder hands out, records nothing.
+// The zero Span, which a nil recorder hands out, records nothing.
 type Span struct {
 	r     *Recorder
 	start float64
@@ -185,7 +173,7 @@ type Span struct {
 
 // Begin opens a span now.
 func (r *Recorder) Begin() Span {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return Span{}
 	}
 	return Span{r: r, start: r.Now()}
@@ -279,16 +267,6 @@ func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.dropped
-}
-
-// Total reports how many events were ever recorded (buffered + dropped).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
 }
 
 // ErrText truncates an error for use as an attr: the timeline wants the

@@ -15,13 +15,12 @@ func TestNilRecorderIsNop(t *testing.T) {
 	r.RecordAt(1.0, "x", 1, 2)
 	r.SpanAt(0, 1, 3, "x", 1, 2)
 	r.Begin().End(0, "x", None, None)
-	r.SetDisabled(true)
 	r.SetName(None, "p")
 	r.SetName(0, "t")
 	if r.Events() != nil || r.EventsSince(0) != nil {
 		t.Fatal("nil recorder returned events")
 	}
-	if r.Len() != 0 || r.Dropped() != 0 || r.Total() != 0 || r.Epoch() != 0 {
+	if r.Len() != 0 || r.Dropped() != 0 || r.Epoch() != 0 {
 		t.Fatal("nil recorder reported non-zero state")
 	}
 	if r.Now() != 0 {
@@ -96,8 +95,8 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	if r.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", r.Dropped())
 	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", r.Total())
+	if total := uint64(r.Len()) + r.Dropped(); total != 5 {
+		t.Fatalf("Len+Dropped = %d, want 5", total)
 	}
 }
 
@@ -112,20 +111,6 @@ func TestEventsSince(t *testing.T) {
 	}
 	if got := r.EventsSince(99); got != nil {
 		t.Fatalf("EventsSince past head = %+v, want nil", got)
-	}
-}
-
-func TestDisabled(t *testing.T) {
-	r := NewClock(0, 4, nil)
-	r.SetDisabled(true)
-	r.RecordAt(1, "x", None, None)
-	if r.Len() != 0 {
-		t.Fatal("disabled recorder recorded")
-	}
-	r.SetDisabled(false)
-	r.RecordAt(2, "y", None, None)
-	if r.Len() != 1 {
-		t.Fatal("re-enabled recorder did not record")
 	}
 }
 
@@ -153,8 +138,8 @@ func TestConcurrentRecord(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Total() != 800 {
-		t.Fatalf("Total = %d, want 800", r.Total())
+	if total := uint64(r.Len()) + r.Dropped(); total != 800 {
+		t.Fatalf("Len+Dropped = %d, want 800", total)
 	}
 	if r.Len() != 64 || r.Dropped() != 800-64 {
 		t.Fatalf("Len=%d Dropped=%d, want 64/736", r.Len(), r.Dropped())

@@ -115,8 +115,8 @@ func TestTraceEventCapDropsAndCounts(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
-	if r.Dropped() != 2 || r.Total() != 5 {
-		t.Fatalf("Dropped = %d, Total = %d, want 2 and 5", r.Dropped(), r.Total())
+	if r.Dropped() != 2 || uint64(r.Len())+r.Dropped() != 5 {
+		t.Fatalf("Dropped = %d, Len+Dropped = %d, want 2 and 5", r.Dropped(), uint64(r.Len())+r.Dropped())
 	}
 	// Drop-oldest: the last three spans survive, in recording order.
 	evs := r.Events()

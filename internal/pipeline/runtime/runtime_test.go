@@ -112,8 +112,8 @@ func TestUnevenMicroBatches(t *testing.T) {
 		t.Fatalf("uneven micro-batches: loss %v vs %v", lossSeq, lossPipe)
 	}
 	if !tensor.AlmostEqual(
-		tensor.FromSlice(trSeq.Network().FlatWeights(), trSeq.Network().NumParams()),
-		tensor.FromSlice(p.Network().FlatWeights(), p.Network().NumParams()), 1e-9) {
+		&tensor.Tensor{Shape: []int{trSeq.Network().NumParams()}, Data: trSeq.Network().FlatWeights()},
+		&tensor.Tensor{Shape: []int{p.Network().NumParams()}, Data: p.Network().FlatWeights()}, 1e-9) {
 		t.Fatal("weights diverged with uneven micro-batches")
 	}
 }

@@ -1,6 +1,7 @@
-// Package plot renders trace series as standalone SVG line charts using
-// only the standard library — enough to turn every regenerated experiment
-// into an actual figure file next to its CSV.
+// Package plot renders standalone SVG line and bar charts using only the
+// standard library — enough to turn every regenerated figure into a file:
+// `ecofl bench --svg` draws a scenario report, `ecofl pipeline --svg` the
+// pipeline figures.
 package plot
 
 import (
@@ -166,18 +167,6 @@ func WriteFile(dir, name string, c *Chart) error {
 		err = cerr
 	}
 	return err
-}
-
-// CurveChart builds a chart from many single-curve series that share column
-// names (e.g. the fig7/fig8 accuracy curves).
-func CurveChart(title, xCol, yCol string, series []*trace.Series) (*Chart, error) {
-	c := &Chart{Title: title, XLabel: xCol, YLabel: yCol}
-	for _, s := range series {
-		if err := c.AddSeries(s.Name, s, xCol, yCol); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // BarChart renders grouped horizontal bars — the Fig. 11-style epoch-time

@@ -4,20 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
+
+	"ecofl/internal/fl"
 )
 
 // ReportSchema identifies the machine-readable report. Bump the version on
 // any breaking change to the JSON shape; the golden-file test in
 // report_test.go pins the current layout.
 const ReportSchema = "ecofl/scenario-report/v1"
-
-// CurvePoint is one accuracy sample. Time is virtual seconds for the fl
-// topology and the 1-based round index for the flnet topology (wall-clock
-// would make the curve machine-dependent).
-type CurvePoint struct {
-	Time     float64 `json:"t"`
-	Accuracy float64 `json:"accuracy"`
-}
 
 // Report is one executed scenario's measurements.
 type Report struct {
@@ -37,8 +32,10 @@ type Report struct {
 	// accuracies, quantiles, byte rates, runtime peaks.
 	Metrics map[string]float64 `json:"metrics"`
 	// Curve is the accuracy-over-time series, when the topology trains a
-	// global model.
-	Curve []CurvePoint `json:"accuracy_curve,omitempty"`
+	// global model: t is virtual seconds for the fl topology and the 1-based
+	// round for the flnet topology (wall-clock would make the curve
+	// machine-dependent).
+	Curve []fl.Point `json:"accuracy_curve,omitempty"`
 	// Warnings records non-fatal anomalies observed during the run (push
 	// failures under chaos, missing instrumentation).
 	Warnings []string `json:"warnings,omitempty"`
@@ -61,12 +58,54 @@ type Table struct {
 	Rows    []TableRow `json:"rows"`
 }
 
-// TableRow is one cell: the value each axis took, as the spec wrote it, and
-// the cell's reading of each reported metric (0 for one that cell's run does
-// not produce, such as churn_departures with churn off).
+// TableRow is one cell: the value each axis took, as the spec wrote it, the
+// cell's reading of each reported metric (0 for one that cell's run does not
+// produce, such as churn_departures with churn off), and its accuracy curve.
 type TableRow struct {
 	Values  []json.RawMessage `json:"values"`
 	Metrics []float64         `json:"metrics"`
+	Curve   []fl.Point        `json:"accuracy_curve,omitempty"`
+}
+
+// Value returns what row i sets at the dotted path, as compact JSON: an
+// axis's own value, or a member of a block an axis sets whole
+// ("aggregation.strategy" out of an "aggregation" axis). It is "" when no
+// axis sets the path.
+func (t *Table) Value(i int, path string) string {
+	for j, axis := range t.Axes {
+		v := t.Rows[i].Values[j]
+		if path == axis {
+			return string(v)
+		}
+		rest, ok := strings.CutPrefix(path, axis+".")
+		if !ok {
+			continue
+		}
+		for _, key := range strings.Split(rest, ".") {
+			var block map[string]json.RawMessage
+			if json.Unmarshal(v, &block) != nil || block[key] == nil {
+				return ""
+			}
+			v = block[key]
+		}
+		return string(v)
+	}
+	return ""
+}
+
+// Row returns the first row that sets each path of where's (path, JSON
+// value) pairs to that value (Value), or nil when none does.
+func (t *Table) Row(where ...string) *TableRow {
+	for i := range t.Rows {
+		match := true
+		for k := 0; k+1 < len(where); k += 2 {
+			match = match && t.Value(i, where[k]) == where[k+1]
+		}
+		if match {
+			return &t.Rows[i]
+		}
+	}
+	return nil
 }
 
 // setMetric records one named measurement.

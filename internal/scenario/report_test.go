@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ecofl/internal/fl"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -23,7 +25,7 @@ func goldenReport() *Report {
 		GitSHA:         "abc1234",
 		StartedUnix:    1754000000,
 		ElapsedSeconds: 1.5,
-		Curve: []CurvePoint{
+		Curve: []fl.Point{
 			{Time: 1, Accuracy: 0.5},
 			{Time: 2, Accuracy: 0.75},
 		},

@@ -160,7 +160,7 @@ func scaleFromSpec(spec *Spec) experiments.Scale {
 	if size == 0 {
 		size = 40 * f.Clients
 	}
-	return experiments.Scale{Clients: f.Clients, DatasetSize: size, ClassesPerClient: f.ClassesPerClient}
+	return experiments.Scale{Clients: f.Clients, DatasetSize: size, ClassesPerClient: f.ClassesPerClient, Partition: f.Partition}
 }
 
 // flConfigFromSpec builds the simulation config. Zero-valued knobs fall to
@@ -175,6 +175,7 @@ func flConfigFromSpec(spec *Spec) fl.Config {
 		Mu:              spec.Agg.Mu,
 		Alpha:           spec.Agg.Alpha,
 		Lambda:          spec.Agg.Lambda,
+		RTThreshold:     spec.Agg.RTThreshold,
 		NumGroups:       spec.Agg.NumGroups,
 		GroupSyncEvery:  spec.Agg.GroupSyncEvery,
 		Duration:        spec.Run.Duration,
@@ -273,9 +274,7 @@ func runFL(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) err
 	rs.Sample()
 	after := snapshotMap(metrics.Default)
 
-	for _, p := range r.Curve {
-		rep.Curve = append(rep.Curve, CurvePoint{Time: p.Time, Accuracy: p.Accuracy})
-	}
+	rep.Curve = r.Curve
 	rep.setMetric("final_accuracy", r.FinalAccuracy)
 	rep.setMetric("best_accuracy", r.BestAccuracy)
 	rep.setMetric("rounds", float64(r.Rounds))
@@ -461,7 +460,7 @@ func runFLNet(spec *Spec, rep *Report, rs *metrics.RuntimeSampler, jn journals) 
 		roundHist.Observe(time.Since(t0).Seconds())
 		rs.Sample()
 		w, _ := srv.Snapshot()
-		rep.Curve = append(rep.Curve, CurvePoint{Time: float64(r + 1), Accuracy: pop.Evaluate(w)})
+		rep.Curve = append(rep.Curve, fl.Point{Time: float64(r + 1), Accuracy: pop.Evaluate(w)})
 	}
 
 	var retries, reconnects int64

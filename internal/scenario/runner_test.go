@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ecofl/internal/experiments"
 	"ecofl/internal/fl"
 	"ecofl/internal/obs/leakcheck"
 )
@@ -108,13 +111,19 @@ func TestRunFLTopology(t *testing.T) {
 }
 
 func testRunFLTopology(t *testing.T, strategy string) {
+	// A spec sets only what its strategy reads (unreadField): the grouped and
+	// tiered strategies split the 8 clients into 2 groups.
+	agg := `"strategy": "` + strategy + `"`
+	if strategy != "fedavg" && strategy != "fedasync" {
+		agg += `, "num_groups": 2`
+	}
 	spec, err := Parse([]byte(`{
 	  "name": "fl-mini",
 	  "topology": "fl",
 	  "seed": 3,
 	  "fleet": {"clients": 8, "dataset_size": 300, "max_concurrent": 4, "local_epochs": 1,
 	            "mean_delay_s": 40, "std_delay_s": 12},
-	  "aggregation": {"strategy": "` + strategy + `", "mu": 0.05, "num_groups": 2},
+	  "aggregation": {` + agg + `},
 	  "run": {"duration_s": 200, "eval_interval_s": 50}
 	}`))
 	if err != nil {
@@ -158,7 +167,7 @@ func TestRunFLWithChurn(t *testing.T) {
 	  "seed": 5,
 	  "fleet": {"clients": 8, "dataset_size": 300, "max_concurrent": 4, "local_epochs": 1,
 	            "mean_delay_s": 40, "std_delay_s": 12},
-	  "aggregation": {"strategy": "fedavg", "mu": 0.05, "quorum": 0.6},
+	  "aggregation": {"strategy": "fedavg", "quorum": 0.6},
 	  "churn": {"model": "diurnal", "duty_cycle": 0.5},
 	  "run": {"duration_s": 300, "eval_interval_s": 60}
 	}`))
@@ -264,7 +273,7 @@ func TestRunFLWithAttack(t *testing.T) {
 	  "seed": 5,
 	  "fleet": {"clients": 8, "dataset_size": 300, "max_concurrent": 4, "local_epochs": 1,
 	            "mean_delay_s": 40, "std_delay_s": 12},
-	  "aggregation": {"strategy": "fedavg", "mu": 0.05},
+	  "aggregation": {"strategy": "fedavg"},
 	  "attack": {"fraction": 0.3, "mode": "sign-flip", "scale": 4,
 	             "defense": {"aggregator": "median"}},
 	  "run": {"duration_s": 300, "eval_interval_s": 60}
@@ -319,5 +328,45 @@ func TestRunFLNetWithAttackNormGate(t *testing.T) {
 				t.Errorf("attacked flnet run produced no usable model: final %v", f)
 			}
 		})
+	}
+}
+
+// TestAggregationRuleMatchesRun holds unreadField's per-strategy rule
+// (fl.StrategyReads) to fl.run itself: every aggregation member the validator rejects for a
+// strategy, set anyway (past the validator), leaves that strategy's whole
+// result bit-identical, and every member it accepts moves it. The rule
+// refuses exactly the knobs a run would ignore.
+func TestAggregationRuleMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("63 small fl simulations are not -short")
+	}
+	members := []string{`"mu":5`, `"alpha":0.9`, `"lambda":800`, `"rt_threshold":1`, `"num_groups":3`,
+		`"group_sync_every":3`, `"dropout_prob":0.5`, `"quorum":0.5`}
+	for _, strategy := range fl.StrategyNames() {
+		doc := func(member string) []byte {
+			return []byte(flSpec(`"seed":2,"fleet":{"clients":10,"dataset_size":300,"max_concurrent":10,"local_epochs":2},` +
+				`"aggregation":{"strategy":"` + strategy + `"` + member + `},"run":{"duration_s":300,"eval_interval_s":50}`))
+		}
+		run := func(member string) *fl.RunResult {
+			var spec Spec
+			if err := json.Unmarshal(doc(member), &spec); err != nil {
+				t.Fatal(err)
+			}
+			r, err := fl.RunByName(experiments.BuildPopulation(spec.Seed, spec.Fleet.Dataset, scaleFromSpec(&spec), flConfigFromSpec(&spec)), strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		plain := run("")
+		for _, m := range members {
+			_, err := Parse(doc("," + m))
+			if err != nil && !strings.Contains(err.Error(), "strategy never reads it") {
+				t.Fatalf("%s with %s: %v", strategy, m, err)
+			}
+			if moved := !reflect.DeepEqual(run(","+m), plain); moved != (err == nil) {
+				t.Errorf("%s: %s is accepted %v, but moves the run %v", strategy, m, err == nil, moved)
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"time"
 
+	"ecofl/internal/experiments"
 	"ecofl/internal/fl"
 	"ecofl/internal/fl/robust"
 	"ecofl/internal/simnet"
@@ -162,6 +163,10 @@ type FleetSpec struct {
 	// ClassesPerClient is how many of the dataset's 10 classes each client's
 	// shard draws from. 0 means the paper's 2-class non-IID partition.
 	ClassesPerClient int `json:"classes_per_client,omitempty"`
+	// Partition replaces the classes-per-client shards with one of Fig. 8's
+	// response-latency-group partitions: rlg-iid or rlg-niid
+	// (experiments.BuildPopulation).
+	Partition string `json:"partition,omitempty"`
 	// MaxConcurrent caps clients training at once (fl topology).
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	LocalEpochs   int `json:"local_epochs,omitempty"`
@@ -179,10 +184,13 @@ type AggSpec struct {
 	// Alpha and nothing else of this block.
 	Strategy string `json:"strategy,omitempty"`
 	// Mu is the FedProx proximal coefficient; Alpha the asynchronous mixing
-	// weight; Lambda the grouping trade-off of Eq. 4.
-	Mu     float64 `json:"mu,omitempty"`
-	Alpha  float64 `json:"alpha,omitempty"`
-	Lambda float64 `json:"lambda,omitempty"`
+	// weight; Lambda the grouping trade-off of Eq. 4, and RTThreshold the
+	// widest latency gap (virtual seconds) between a client and its group's
+	// center that Eq. 4 grouping admits (0 means 15).
+	Mu          float64 `json:"mu,omitempty"`
+	Alpha       float64 `json:"alpha,omitempty"`
+	Lambda      float64 `json:"lambda,omitempty"`
+	RTThreshold float64 `json:"rt_threshold,omitempty"`
 	// NumGroups / GroupSyncEvery shape the hierarchical strategies.
 	NumGroups      int `json:"num_groups,omitempty"`
 	GroupSyncEvery int `json:"group_sync_every,omitempty"`
@@ -331,21 +339,32 @@ func (s *Spec) Validate() error {
 // typo: the run succeeds and means something else (and a sweep over it
 // prints a table of identical rows), so it fails closed like one.
 func (s *Spec) unreadField() error {
+	reads := fl.StrategyReads(s.Agg.Strategy) // before the fl below shadows the package
 	fl, net, pipe := s.Topology == TopologyFL, s.Topology == TopologyFLNet, s.Topology == TopologyPipeline
 	a, r := s.Agg, s.Run
 	type knob struct {
 		name string
 		set  bool
 	}
-	// fedasync mixes lone updates: there is no committee for the dropout coin
-	// or the quorum to cut, and the simulator applies neither.
-	for _, k := range []knob{
-		{"aggregation.dropout_prob", a.DropoutProb != 0},
-		{"aggregation.quorum", a.Quorum != 0},
+	for _, k := range []struct {
+		knob
+		read bool
+	}{
+		{knob{"aggregation.mu", a.Mu != 0}, reads.Mu},
+		{knob{"aggregation.alpha", a.Alpha != 0}, reads.Alpha},
+		{knob{"aggregation.lambda", a.Lambda != 0}, reads.Lambda},
+		{knob{"aggregation.rt_threshold", a.RTThreshold != 0}, reads.RTThreshold},
+		{knob{"aggregation.num_groups", a.NumGroups != 0}, reads.NumGroups},
+		{knob{"aggregation.group_sync_every", a.GroupSyncEvery != 0}, reads.GroupSyncEvery},
+		{knob{"aggregation.dropout_prob", a.DropoutProb != 0}, reads.DropoutProb},
+		{knob{"aggregation.quorum", a.Quorum != 0}, reads.Quorum},
 	} {
-		if fl && a.Strategy == "fedasync" && k.set {
-			return fmt.Errorf("%s is set but the fedasync strategy never reads it", k.name)
+		if fl && k.set && !k.read {
+			return fmt.Errorf("%s is set but the %s strategy never reads it", k.name, a.Strategy)
 		}
+	}
+	if f := s.Fleet; f.Partition != "" && f.ClassesPerClient != 0 {
+		return fmt.Errorf("fleet.classes_per_client is set but the %s partition never reads it", f.Partition)
 	}
 	for _, k := range []knob{
 		{"wire", (fl || pipe) && s.Wire != WireSpec{}},
@@ -355,6 +374,7 @@ func (s *Spec) unreadField() error {
 		{"churn.lease_ttl_s", fl && s.Churn.LeaseTTLS != 0},
 		{"aggregation.strategy", net && a.Strategy != ""},
 		{"aggregation.lambda", net && a.Lambda != 0},
+		{"aggregation.rt_threshold", net && a.RTThreshold != 0},
 		{"aggregation.num_groups", net && a.NumGroups != 0},
 		{"aggregation.group_sync_every", net && a.GroupSyncEvery != 0},
 		{"aggregation.dropout_prob", net && a.DropoutProb != 0},
@@ -394,6 +414,11 @@ func (f FleetSpec) validate(topology string) error {
 	}
 	if f.DatasetSize < 0 {
 		return fmt.Errorf("fleet.dataset_size must not be negative (got %d)", f.DatasetSize)
+	}
+	switch f.Partition {
+	case "", experiments.PartitionRLGIID, experiments.PartitionRLGNIID:
+	default:
+		return fmt.Errorf("unknown fleet.partition %q (rlg-iid, rlg-niid)", f.Partition)
 	}
 	if f.ClassesPerClient < 0 || f.ClassesPerClient > 10 {
 		return fmt.Errorf("fleet.classes_per_client must be in [0, 10] (got %d)", f.ClassesPerClient)
@@ -435,6 +460,9 @@ func (a AggSpec) validate(topology string) error {
 	}
 	if a.Lambda < 0 {
 		return fmt.Errorf("aggregation.lambda must not be negative (got %g)", a.Lambda)
+	}
+	if a.RTThreshold < 0 {
+		return fmt.Errorf("aggregation.rt_threshold must not be negative (got %g)", a.RTThreshold)
 	}
 	if a.NumGroups < 0 {
 		return fmt.Errorf("aggregation.num_groups must not be negative (got %d)", a.NumGroups)

@@ -130,6 +130,16 @@ func TestParseHostileSpecs(t *testing.T) {
 		{"lease ttl on fl", flSpec(`"churn":{"lease_ttl_s":2}`), "churn.lease_ttl_s is set but the fl topology never reads it"},
 		{"dropout on fedasync", flSpec(`"aggregation":{"strategy":"fedasync","dropout_prob":0.3}`), "aggregation.dropout_prob is set but the fedasync strategy never reads it"},
 		{"quorum on fedasync", flSpec(`"aggregation":{"strategy":"fedasync","quorum":0.6}`), "aggregation.quorum is set but the fedasync strategy never reads it"},
+		{"mu on fedavg", flSpec(`"aggregation":{"strategy":"fedavg","mu":0.05}`), "aggregation.mu is set but the fedavg strategy never reads it"},
+		{"alpha on tifl", flSpec(`"aggregation":{"strategy":"tifl","alpha":0.5}`), "aggregation.alpha is set but the tifl strategy never reads it"},
+		{"lambda sweep on fedat", flSpec(`"aggregation":{"strategy":"fedat"},` + sweepOf(`{"path":"aggregation.lambda","values":[0,500]}`, `"rounds"`)), "sweep cell [aggregation.lambda=500]: aggregation.lambda is set but the fedat strategy never reads it"},
+		{"rt threshold on astraea", flSpec(`"aggregation":{"strategy":"astraea","rt_threshold":60}`), "aggregation.rt_threshold is set but the astraea strategy never reads it"},
+		{"num groups on fedasync", flSpec(`"aggregation":{"strategy":"fedasync","num_groups":4}`), "aggregation.num_groups is set but the fedasync strategy never reads it"},
+		{"group sync on tifl", flSpec(`"aggregation":{"strategy":"tifl","group_sync_every":2}`), "aggregation.group_sync_every is set but the tifl strategy never reads it"},
+		{"classes per client under rlg", flSpec(`"fleet":{"clients":2,"partition":"rlg-niid","classes_per_client":3}`), "fleet.classes_per_client is set but the rlg-niid partition never reads it"},
+		{"unknown partition", flSpec(`"fleet":{"clients":2,"partition":"dirichlet"}`), `unknown fleet.partition "dirichlet"`},
+		{"negative rt threshold", flSpec(`"aggregation":{"strategy":"eco-fl","rt_threshold":-1}`), "aggregation.rt_threshold must not be negative"},
+		{"rt threshold on flnet", flnetSpec(`"aggregation":{"rt_threshold":60}`), "aggregation.rt_threshold is set but the flnet topology never reads it"},
 		{"strategy on flnet", flnetSpec(`"aggregation":{"strategy":"eco-fl"}`), "aggregation.strategy is set but the flnet topology never reads it"},
 		{"lambda on flnet", flnetSpec(`"aggregation":{"lambda":500}`), "aggregation.lambda is set but the flnet topology never reads it"},
 		{"num groups on flnet", flnetSpec(`"aggregation":{"num_groups":4}`), "aggregation.num_groups is set but the flnet topology never reads it"},

@@ -133,7 +133,7 @@ func runSweep(spec *Spec, rep *Report, opts RunOptions) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep cell %s: %w", c.label, err)
 		}
-		row := TableRow{Values: c.values}
+		row := TableRow{Values: c.values, Curve: r.Curve}
 		for _, name := range rep.Table.Metrics {
 			row.Metrics = append(row.Metrics, r.Metrics[name])
 		}

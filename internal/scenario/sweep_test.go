@@ -136,7 +136,8 @@ func TestSweepGolden(t *testing.T) {
 }
 
 // TestSweepOfOneCellEqualsPlainRun: a 1 × 1 sweep's row is the plain spec's
-// Metrics, name for name — a sweep adds a table, not a second way to run.
+// Metrics, name for name, and its accuracy curve, point for point — a sweep
+// adds a table, not a second way to run.
 func TestSweepOfOneCellEqualsPlainRun(t *testing.T) {
 	swept := sweepSmoke(t, `"quant"`, `2`, `"rounds", "pushes", "final_accuracy", "bytes_per_push_quant"`)
 	plain := *swept
@@ -147,11 +148,14 @@ func TestSweepOfOneCellEqualsPlainRun(t *testing.T) {
 	if len(table.Rows) != 1 || string(table.Rows[0].Values[0]) != `"quant"` || string(table.Rows[0].Values[1]) != "2" {
 		t.Fatalf("1 × 1 sweep produced %+v", table)
 	}
-	metrics := runDeclared(t, &plain, RunOptions{}).Metrics
+	rep := runDeclared(t, &plain, RunOptions{})
 	for i, name := range table.Metrics {
-		if got, want := table.Rows[0].Metrics[i], metrics[name]; got != want || want == 0 {
+		if got, want := table.Rows[0].Metrics[i], rep.Metrics[name]; got != want || want == 0 {
 			t.Errorf("%s: the sweep's row has %v, the plain run %v", name, got, want)
 		}
+	}
+	if got := table.Rows[0].Curve; len(got) != 2 || !reflect.DeepEqual(got, rep.Curve) {
+		t.Errorf("accuracy curve: the sweep's row has %v, the plain run %v", got, rep.Curve)
 	}
 }
 

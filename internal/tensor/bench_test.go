@@ -24,7 +24,7 @@ func BenchmarkMatMulAT64(b *testing.B) {
 	x, y := benchMatPair(b, 64, 64, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulAT(x, y)
+		MatMulATInto(New(x.Cols(), y.Cols()), x, y)
 	}
 }
 
@@ -32,7 +32,7 @@ func BenchmarkMatMulBT64(b *testing.B) {
 	x, y := benchMatPair(b, 64, 64, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulBT(x, y)
+		MatMulBTInto(New(x.Rows(), y.Rows()), x, y)
 	}
 }
 

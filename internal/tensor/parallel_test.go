@@ -46,14 +46,14 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		var serial, parallel [3]*Tensor
 		withParallelism(1, func() {
 			serial[0] = MatMul(a, b)
-			serial[1] = MatMulAT(aT, b)
-			serial[2] = MatMulBT(a, bT)
+			serial[1] = MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)
+			serial[2] = MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)
 		})
 		for _, procs := range []int{2, 3, 8} {
 			withParallelism(procs, func() {
 				parallel[0] = MatMul(a, b)
-				parallel[1] = MatMulAT(aT, b)
-				parallel[2] = MatMulBT(a, bT)
+				parallel[1] = MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)
+				parallel[2] = MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)
 			})
 			for i, name := range []string{"MatMul", "MatMulAT", "MatMulBT"} {
 				if !Equal(serial[i], parallel[i]) {
@@ -78,11 +78,11 @@ func TestMatMulIntoMatchesAllocatingKernels(t *testing.T) {
 		t.Fatal("MatMulInto differs from MatMul")
 	}
 	dst.Fill(math.NaN())
-	if got := MatMulATInto(dst, aT, b); !Equal(got, MatMulAT(aT, b)) {
+	if got := MatMulATInto(dst, aT, b); !Equal(got, MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)) {
 		t.Fatal("MatMulATInto differs from MatMulAT")
 	}
 	dst.Fill(math.NaN())
-	if got := MatMulBTInto(dst, a, bT); !Equal(got, MatMulBT(a, bT)) {
+	if got := MatMulBTInto(dst, a, bT); !Equal(got, MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)) {
 		t.Fatal("MatMulBTInto differs from MatMulBT")
 	}
 	if dst.Rows() != 23 || dst.Cols() != 17 {
@@ -186,7 +186,7 @@ func TestRowViewSharesStorage(t *testing.T) {
 		t.Fatalf("RowView length %d, want 4", len(row))
 	}
 	row[2] = 9
-	if a.At(1, 2) != 9 {
+	if a.RowView(1)[2] != 9 {
 		t.Fatal("RowView must alias the tensor's storage")
 	}
 }

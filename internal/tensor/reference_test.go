@@ -301,7 +301,7 @@ func TestZeroSkipKeepsInfOut(t *testing.T) {
 			}
 			a.Data[k-1], aT.Data[k-1] = 0, 0
 			b.Data[(k-1)*2] = math.Inf(1)
-			for name, got := range map[string]*Tensor{"MatMul": MatMul(a, b), "MatMulAT": MatMulAT(aT, b)} {
+			for name, got := range map[string]*Tensor{"MatMul": MatMul(a, b), "MatMulATInto": MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)} {
 				if got.Data[0] != float64(k-1) || got.Data[1] != float64(k-1) {
 					t.Fatalf("%s k=%d: got %v, want [%d %d]", name, k, got.Data, k-1, k-1)
 				}

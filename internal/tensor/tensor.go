@@ -29,19 +29,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
-// directly (not copied); len(data) must equal the shape's element count.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v wants %d elements, got %d", shape, n, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
 // Randn returns a tensor with entries drawn i.i.d. from N(0, std²) using rng.
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -74,14 +61,11 @@ func (t *Tensor) Cols() int {
 	return c
 }
 
-// At returns the element at a 2-D index (row-major).
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols()+j] }
-
 // Set assigns the element at a 2-D index.
 func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols()+j] = v }
 
 // RowView returns row i of the tensor (viewed 2-D) as a slice sharing t's
-// storage. Prefer it over At/Set in per-element loops: it hoists the Cols()
+// storage. Prefer it over Set in per-element loops: it hoists the Cols()
 // stride computation out of the loop and indexes the row directly.
 func (t *Tensor) RowView(i int) []float64 {
 	c := t.Cols()
@@ -290,11 +274,6 @@ func matMulATRows(dst, a, b *Tensor, lo, hi int) {
 	}
 }
 
-// MatMulAT returns aᵀ×b for 2-D tensors (k×m)ᵀ·(k×n) → (m×n).
-func MatMulAT(a, b *Tensor) *Tensor {
-	return MatMulATInto(New(a.Cols(), b.Cols()), a, b)
-}
-
 // MatMulBTInto computes a×bᵀ for 2-D tensors (m×k)·(n×k)ᵀ → (m×n) into dst
 // (m·n elements, no aliasing), returning dst. Parallel over output rows;
 // bit-identical at any parallelism (see MatMulInto).
@@ -343,11 +322,6 @@ func matMulBTRows(dst, a, bt *Tensor, lo, hi int) {
 			axpy(oi, ai[kk], bt.Data[kk*n:])
 		}
 	}
-}
-
-// MatMulBT returns a×bᵀ for 2-D tensors (m×k)·(n×k)ᵀ → (m×n).
-func MatMulBT(a, b *Tensor) *Tensor {
-	return MatMulBTInto(New(a.Rows(), b.Rows()), a, b)
 }
 
 // ArgmaxRow returns the index of the maximum element in row i.

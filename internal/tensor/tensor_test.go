@@ -22,15 +22,6 @@ func TestNewShapeAndLen(t *testing.T) {
 	}
 }
 
-func TestFromSliceMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on size mismatch")
-		}
-	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
-}
-
 func TestNegativeDimPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -43,8 +34,8 @@ func TestNegativeDimPanics(t *testing.T) {
 func TestAtSet(t *testing.T) {
 	a := New(3, 4)
 	a.Set(2, 3, 7.5)
-	if a.At(2, 3) != 7.5 {
-		t.Fatalf("At(2,3) = %v, want 7.5", a.At(2, 3))
+	if a.RowView(2)[3] != 7.5 {
+		t.Fatalf("row 2, column 3 = %v, want 7.5", a.RowView(2)[3])
 	}
 	if a.Data[2*4+3] != 7.5 {
 		t.Fatal("row-major layout violated")
@@ -52,7 +43,7 @@ func TestAtSet(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	a := &Tensor{Shape: []int{2, 2}, Data: []float64{1, 2, 3, 4}}
 	b := a.Clone()
 	b.Data[0] = 99
 	if a.Data[0] != 1 {
@@ -61,8 +52,8 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := &Tensor{Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}}
+	b := &Tensor{Shape: []int{3, 2}, Data: []float64{7, 8, 9, 10, 11, 12}}
 	c := MatMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
@@ -86,29 +77,29 @@ func transpose(a *Tensor) *Tensor {
 	out := New(a.Cols(), a.Rows())
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
-			out.Set(j, i, a.At(i, j))
+			out.Set(j, i, a.RowView(i)[j])
 		}
 	}
 	return out
 }
 
-// MatMulAT(a,b) must equal MatMul(aᵀ,b); MatMulBT(a,b) must equal MatMul(a,bᵀ).
+// MatMulATInto(a,b) must equal MatMul(aᵀ,b); MatMulBTInto(a,b) must equal MatMul(a,bᵀ).
 func TestTransposedMatMulVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(rng, 1, 4, 3)
 	b := Randn(rng, 1, 4, 5)
-	if got, want := MatMulAT(a, b), MatMul(transpose(a), b); !AlmostEqual(got, want, 1e-12) {
+	if got, want := MatMulATInto(New(a.Cols(), b.Cols()), a, b), MatMul(transpose(a), b); !AlmostEqual(got, want, 1e-12) {
 		t.Fatal("MatMulAT disagrees with explicit transpose")
 	}
 	c := Randn(rng, 1, 5, 3) // (4×3)·(5×3)ᵀ → 4×5
-	if got, want := MatMulBT(a, c), MatMul(a, transpose(c)); !AlmostEqual(got, want, 1e-12) {
+	if got, want := MatMulBTInto(New(a.Rows(), c.Rows()), a, c), MatMul(a, transpose(c)); !AlmostEqual(got, want, 1e-12) {
 		t.Fatal("MatMulBT disagrees with explicit transpose")
 	}
 }
 
 func TestAxpyOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{10, 20}, 2)
+	a := &Tensor{Shape: []int{2}, Data: []float64{1, 2}}
+	b := &Tensor{Shape: []int{2}, Data: []float64{10, 20}}
 	a.AddScaled(0.5, b)
 	if a.Data[0] != 6 || a.Data[1] != 12 {
 		t.Fatalf("AddScaled got %v", a.Data)
@@ -124,7 +115,7 @@ func TestAxpyOps(t *testing.T) {
 }
 
 func TestArgmaxRow(t *testing.T) {
-	a := FromSlice([]float64{0, 5, 2, 9, 1, 3}, 2, 3)
+	a := &Tensor{Shape: []int{2, 3}, Data: []float64{0, 5, 2, 9, 1, 3}}
 	if a.ArgmaxRow(0) != 1 {
 		t.Fatalf("ArgmaxRow(0) = %d, want 1", a.ArgmaxRow(0))
 	}
@@ -134,8 +125,8 @@ func TestArgmaxRow(t *testing.T) {
 }
 
 func TestHadamard(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
+	a := &Tensor{Shape: []int{3}, Data: []float64{1, 2, 3}}
+	b := &Tensor{Shape: []int{3}, Data: []float64{4, 5, 6}}
 	a.Hadamard(b)
 	want := []float64{4, 10, 18}
 	for i, w := range want {
@@ -146,12 +137,12 @@ func TestHadamard(t *testing.T) {
 }
 
 func TestEqualAndAlmostEqual(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{1, 2}, 1, 2)
+	a := &Tensor{Shape: []int{2}, Data: []float64{1, 2}}
+	b := &Tensor{Shape: []int{1, 2}, Data: []float64{1, 2}}
 	if Equal(a, b) {
 		t.Fatal("Equal must compare shapes")
 	}
-	c := FromSlice([]float64{1, 2.0000001}, 2)
+	c := &Tensor{Shape: []int{2}, Data: []float64{1, 2.0000001}}
 	if Equal(a, c) {
 		t.Fatal("Equal must compare exact data")
 	}

@@ -1,6 +1,5 @@
-// Package trace records named numeric time series and exports them as CSV —
-// the bridge between experiment runners and plotting tools when regenerating
-// the paper's figures.
+// Package trace records named numeric time series and writes them as CSV —
+// the pipeline figures' export for plotting tools (`ecofl pipeline --csv`).
 package trace
 
 import (
@@ -66,31 +65,6 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a series previously written by WriteCSV.
-func ReadCSV(name string, r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV for %s", name)
-	}
-	s := New(name, records[0]...)
-	for _, rec := range records[1:] {
-		vals := make([]float64, len(rec))
-		for i, f := range rec {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad value %q: %w", f, err)
-			}
-			vals[i] = v
-		}
-		s.Rows = append(s.Rows, vals)
-	}
-	return s, nil
 }
 
 // WriteDir writes the series as <dir>/<name>.csv, creating dir if needed.

@@ -239,10 +239,12 @@ echo "fuzz: $((SECONDS - fuzz_start))s"
 # Every example spec runs through the one spec runner, end to end: spec
 # loading, the three topologies' runners, sweeps, report emission. The eight
 # single runs (smokes, churn50 with the flight recorder on, byzantine30,
-# failover, …) take well under a second together; the four sweeps are the
-# dropout, churn, Byzantine and failover tables of EXPERIMENTS.md at the scale
-# they are published at, a few seconds each. A spec nothing runs is not a
-# reason to keep it. stderr (progress, journal tails) shows only on failure.
+# failover, …) take well under a second together; the four sweep-*.json are
+# the dropout, churn, Byzantine and failover tables of EXPERIMENTS.md at the
+# scale they are published at, a few seconds each; fig{7,8,9}.json are the
+# paper's FL figures at that scale (about 6 s) and fig{7,8,9}-full.json at
+# the paper's 300 clients (about 30 s). A spec nothing runs is not a reason
+# to keep it. stderr (progress, journal tails) shows only on failure.
 specs_start=$SECONDS
 ci_tmp=$(mktemp -d)
 trap 'rm -rf "$ci_tmp"' EXIT
@@ -255,10 +257,11 @@ for spec in examples/scenarios/*.json; do
 done
 echo "example specs: $((SECONDS - specs_start))s"
 
-# The dropout, churn, Byzantine and failover studies are sweep specs; nothing
-# may point a reader back at the --experiment names they used to have.
-if grep -rnE -- '--experiment (dropout|churn|byzantine|failover)' README.md EXPERIMENTS.md DESIGN.md cmd internal; then
-	echo "the lines above name an --experiment that is now a spec under examples/scenarios/" >&2
+# The FL figures and the dropout, churn, Byzantine and failover studies are
+# sweep specs; nothing may point a reader back at the --experiment names they
+# used to have, or at the `fl` and `all` commands that ran them.
+if grep -rnE -- '--experiment (fig7|fig8|fig9|dropout|churn|byzantine|failover)|ecofl (fl|all)\b' README.md EXPERIMENTS.md DESIGN.md cmd internal; then
+	echo "the lines above name an --experiment or a command that is now a spec under examples/scenarios/" >&2
 	exit 1
 fi
 
