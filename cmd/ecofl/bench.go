@@ -60,6 +60,9 @@ func cmdBench(args []string) error {
 	}
 	if *svgDir != "" {
 		charts := reportCharts(rep.Scenario, rep.Table)
+		if len(charts) == 0 {
+			return fmt.Errorf("bench: --svg draws accuracy curves or metrics against a numeric axis, and %s's table has neither", *path)
+		}
 		for name, chart := range charts {
 			if err := plot.WriteFile(*svgDir, name, chart); err != nil {
 				return err
@@ -88,8 +91,8 @@ func cmdBench(args []string) error {
 // reportCharts draws a sweep's table, keyed by file name. A sweep over one
 // numeric axis (Fig. 9's λ) gets a chart per reported metric against that
 // axis; any other sweep a chart of accuracy curves per value of its first
-// axis, one line per row, named by the row's other values (a swept
-// aggregation block by its strategy).
+// axis, one line per row that has a curve, named by the row's other values
+// (a swept aggregation block by its strategy).
 func reportCharts(name string, t *scenario.Table) map[string]*plot.Chart {
 	charts := map[string]*plot.Chart{}
 	if xs, ok := numericAxis(t); ok {
@@ -104,6 +107,9 @@ func reportCharts(name string, t *scenario.Table) map[string]*plot.Chart {
 		return charts
 	}
 	for i, row := range t.Rows {
+		if len(row.Curve) == 0 {
+			continue
+		}
 		first := string(row.Values[0])
 		file := name + "_" + strings.Trim(strings.Map(fileRune, first), "-")
 		if charts[file] == nil {

@@ -50,15 +50,15 @@ func TestBenchRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// The FL figures and the dropout, churn, Byzantine and failover studies are
-// sweep specs, not --experiment names: asking for one says what remains and
-// where they went.
+// Every figure of the paper and every study beside them is a spec, not a
+// command: asking for a retired command says what remains and where they
+// went.
 func TestRetiredExperimentsNameWhatRemains(t *testing.T) {
-	for _, exp := range []string{"failover", "fig7", "fig9"} {
-		err := cmdPipeline([]string{"--experiment", exp})
-		want := `unknown pipeline experiment "` + exp + `" (fig5, fig10, fig11, fig12, fig13, table2; Figs. 7-9 and other studies are specs: ecofl bench --scenario)`
+	for _, cmd := range []string{"pipeline", "migrate", "fl", "all"} {
+		err := dispatch([]string{cmd, "--model", "effnet-b4"})
+		want := `unknown command "` + cmd + `" (bench, headlines, partition, devices; every figure of the paper is a spec: ecofl bench --scenario examples/scenarios/<figure>.json)`
 		if err == nil || err.Error() != want {
-			t.Errorf("--experiment %s: err = %v, want %q", exp, err, want)
+			t.Errorf("%s: err = %v, want %q", cmd, err, want)
 		}
 	}
 }

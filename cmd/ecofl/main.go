@@ -1,47 +1,33 @@
 // Command ecofl regenerates the tables and figures of the Eco-FL paper
-// (ICPP '22) from this repository's implementation: the pipeline figures
-// through their runners, the FL figures (7, 8, 9) and every other study from
-// a scenario spec.
+// (ICPP '22) from this repository's implementation. Every figure is a
+// scenario spec under examples/scenarios that `ecofl bench` runs: the
+// pipeline figures (5, 10–13, Table 2) on the schedule topology, the FL
+// figures (7, 8, 9) and every other study on the fl and flnet topologies.
 //
 // Usage:
 //
-//	ecofl pipeline --experiment {fig5|fig10|fig11|fig12|fig13|table2}
-//	ecofl pipeline --show-schedule     # Fig. 3-style 1F1B-Sync Gantt chart
-//	ecofl bench --scenario examples/scenarios/fig7.json [--svg DIR]   # a spec, or a sweep of one
-//	ecofl headlines --scenario examples/scenarios/fig8.json
+//	ecofl bench --scenario examples/scenarios/fig5.json [--svg DIR]   # a spec, or a sweep of one
+//	ecofl headlines --scenario examples/scenarios/fig8.json           # with fig10.json beside it
+//	ecofl partition --model effnet-b1                                 # a plan and its 1F1B-Sync schedule
+//	ecofl devices
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
-	"ecofl/internal/adaptive"
 	"ecofl/internal/device"
-	"ecofl/internal/experiments"
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline"
-	"ecofl/internal/plot"
 	"ecofl/internal/scenario"
 	"ecofl/internal/tensor"
-	"ecofl/internal/trace"
 )
-
-// writeCSV exports series to dir when dir is non-empty.
-func writeCSV(dir string, series []*trace.Series) error {
-	if dir == "" {
-		return nil
-	}
-	if err := trace.WriteDir(dir, series...); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d CSV series to %s\n", len(series), dir)
-	return nil
-}
 
 // configureParallelism applies the ECOFL_PROCS override to the compute
 // substrate. Unset means tensor's default (GOMAXPROCS); 1 forces the fully
@@ -112,24 +98,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch args[0] {
-	case "pipeline":
-		err = cmdPipeline(args[1:])
-	case "partition":
-		err = cmdPartition(args[1:])
-	case "headlines":
-		err = cmdHeadlines(args[1:])
-	case "devices":
-		err = cmdDevices()
-	case "migrate":
-		err = cmdMigrate(args[1:])
-	case "bench":
-		err = cmdBench(args[1:])
-	default:
-		usage()
-		os.Exit(2)
-	}
+	err := dispatch(args)
 	if metricsJSON != "" {
 		if merr := dumpMetricsJSON(metricsJSON); err == nil {
 			err = merr
@@ -141,122 +110,35 @@ func main() {
 	}
 }
 
+// dispatch runs one command. An unknown one is an error that names the
+// commands there are and where the paper's figures are.
+func dispatch(args []string) error {
+	switch args[0] {
+	case "bench":
+		return cmdBench(args[1:])
+	case "headlines":
+		return cmdHeadlines(args[1:])
+	case "partition":
+		return cmdPartition(args[1:])
+	case "devices":
+		return cmdDevices()
+	}
+	return fmt.Errorf("unknown command %q (bench, headlines, partition, devices; every figure of the paper is a spec: ecofl bench --scenario examples/scenarios/<figure>.json)", args[0])
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: ecofl <command> [flags]
 
 commands:
-  pipeline   --experiment {fig5|fig10|fig11|fig12|fig13|table2} | --show-schedule
-  partition  --model {effnet-bN|mobilenet-wX} --devices A,B,C [--mbs N] [--m M]
-  headlines  [--scenario examples/scenarios/fig8.json]
-  devices    (print the Table 1 device presets)
-  migrate    --model M --devices A,B,C --spike-device N --load F
   bench      --scenario <spec.json> [--out report.json] [--svg DIR]   (one run, or a sweep's
-             table: examples/scenarios/fig{7,8,9}[-full].json are the FL figures)
+             table: examples/scenarios/fig{5,7,8,9,10,12,13}.json and table2.json are the
+             paper's figures; fig{7,8,9}-full.json the FL ones at paper scale)
+  headlines  [--scenario examples/scenarios/fig8.json]   (and fig10.json beside it)
+  partition  --model {effnet-bN|mobilenet-wX} --devices A,B,C [--mbs N] [--m M] [--search]
+  devices    (print the Table 1 device presets)
 
 global flags (any command):
   --metrics-json <path>   dump an end-of-run metrics snapshot as JSON (- for stdout)`)
-}
-
-func cmdPipeline(args []string) error {
-	fs := flag.NewFlagSet("pipeline", flag.ExitOnError)
-	exp := fs.String("experiment", "", "fig5, fig10, fig11, fig12, fig13 or table2")
-	show := fs.Bool("show-schedule", false, "print a Fig. 3-style 1F1B-Sync schedule")
-	csvDir := fs.String("csv", "", "directory for CSV export (optional)")
-	svgDir := fs.String("svg", "", "directory for SVG charts (optional)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *show {
-		return showSchedule()
-	}
-	switch *exp {
-	case "fig5":
-		rows, err := experiments.Fig5()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig5(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.Fig5ToSeries(rows))
-	case "fig10", "fig11":
-		panels, err := experiments.Fig10(2000, 20)
-		if err != nil {
-			return err
-		}
-		experiments.PrintPanels(os.Stdout, panels)
-		if *svgDir != "" {
-			for _, panel := range panels {
-				bars := &plot.BarChart{Title: "Fig. 11 — " + panel.Setting, XLabel: "epoch time (s)"}
-				for _, meth := range panel.Methods {
-					bars.Bars = append(bars.Bars, plot.Bar{Label: meth.Method, Value: meth.EpochTime})
-				}
-				name := strings.ToLower(strings.NewReplacer(" ", "-", "@", "at").Replace("fig11_" + panel.Setting))
-				if err := plot.WriteBarFile(*svgDir, name, bars); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d SVG charts to %s\n", len(panels), *svgDir)
-		}
-		return writeCSV(*csvDir, experiments.PanelsToSeries(panels))
-	case "fig12":
-		rows, err := experiments.Fig12()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig12(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.Fig12ToSeries(rows))
-	case "fig13":
-		r, err := experiments.Fig13()
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig13(os.Stdout, r)
-		if *csvDir != "" || *svgDir != "" {
-			series := experiments.Fig13ToSeries(r)
-			if *svgDir != "" {
-				chart := &plot.Chart{Title: "Fig. 13 — throughput under load spike", XLabel: "time_s", YLabel: "throughput"}
-				for _, sr := range series {
-					if err := chart.AddSeries(sr.Name, sr, "time_s", "throughput"); err != nil {
-						return err
-					}
-				}
-				if err := plot.WriteFile(*svgDir, "fig13_throughput", chart); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote 1 SVG chart to %s\n", *svgDir)
-			}
-			return writeCSV(*csvDir, series)
-		}
-		return nil
-	case "table2":
-		rows, err := experiments.Table2()
-		if err != nil {
-			return err
-		}
-		experiments.PrintTable2(os.Stdout, rows)
-		return writeCSV(*csvDir, experiments.Table2ToSeries(rows))
-	default:
-		return fmt.Errorf("unknown pipeline experiment %q (fig5, fig10, fig11, fig12, fig13, table2; Figs. 7-9 and other studies are specs: ecofl bench --scenario)", *exp)
-	}
-}
-
-// showSchedule prints the Fig. 3 illustration: a 3-stage 1F1B-Sync
-// sync-round as an ASCII Gantt chart (digits = forward, letters = backward).
-func showSchedule() error {
-	spec := model.EfficientNet(1)
-	devs := []*device.Device{device.TX2Q(), device.NanoH(), device.NanoH()}
-	plan, err := partition.DynamicProgramming(spec, devs)
-	if err != nil {
-		return err
-	}
-	cfg := &pipeline.Config{Spec: spec, Stages: plan.Stages, MicroBatchSize: 8, NumMicroBatches: 8}
-	res, err := pipeline.Schedule(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("1F1B-Sync sync-round on %s: M=%d, round=%.2fs, throughput=%.1f samples/s, K=%v\n",
-		spec.Name, cfg.NumMicroBatches, res.RoundTime, res.Throughput, res.Ks)
-	fmt.Print(res.RenderGantt(110))
-	return nil
 }
 
 // cmdPartition is a planning utility: partition a named model over a
@@ -271,7 +153,7 @@ func cmdPartition(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := specByName(*modelName)
+	spec, err := model.ByName(*modelName)
 	if err != nil {
 		return err
 	}
@@ -316,90 +198,6 @@ func printPlanResult(spec *model.Spec, stages []pipeline.Stage, res *pipeline.Re
 	fmt.Print(res.RenderGantt(100))
 }
 
-// specByName parses "effnet-b4" / "mobilenet-w2.5" style model names.
-func specByName(name string) (*model.Spec, error) {
-	switch {
-	case strings.HasPrefix(name, "effnet-b"):
-		var b int
-		if _, err := fmt.Sscanf(name, "effnet-b%d", &b); err != nil {
-			return nil, fmt.Errorf("bad model %q", name)
-		}
-		return model.EfficientNet(b), nil
-	case strings.HasPrefix(name, "mobilenet-w"):
-		var w float64
-		if _, err := fmt.Sscanf(name, "mobilenet-w%g", &w); err != nil {
-			return nil, fmt.Errorf("bad model %q", name)
-		}
-		return model.MobileNetV2(w), nil
-	case name == "fedavg-cnn":
-		return model.FedAvgCNN(), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (effnet-bN, mobilenet-wX, fedavg-cnn)", name)
-}
-
-// cmdMigrate runs a what-if for §4.4's adaptive re-scheduling: apply an
-// external load to one device of a pipeline and report the migration the
-// scheduler would perform and the throughput it recovers.
-func cmdMigrate(args []string) error {
-	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
-	modelName := fs.String("model", "effnet-b4", "effnet-bN or mobilenet-wX")
-	devNames := fs.String("devices", "Nano-H,TX2-Q,Nano-H", "device order")
-	spikeDev := fs.Int("spike-device", 1, "index of the loaded device")
-	load := fs.Float64("load", 0.35, "remaining training share on the loaded device")
-	mbs := fs.Int("mbs", 8, "micro-batch size")
-	m := fs.Int("m", 8, "micro-batches per sync-round")
-	restart := fs.Float64("restart", 2.0, "pipeline restart overhead (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := specByName(*modelName)
-	if err != nil {
-		return err
-	}
-	var devs []*device.Device
-	for _, name := range strings.Split(*devNames, ",") {
-		d, err := device.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		devs = append(devs, d)
-	}
-	if *spikeDev < 0 || *spikeDev >= len(devs) {
-		return fmt.Errorf("spike device %d out of range", *spikeDev)
-	}
-	plan, err := partition.DynamicProgrammingBatch(spec, devs, *mbs)
-	if err != nil {
-		return err
-	}
-	cfg := &pipeline.Config{Spec: spec, Stages: plan.Stages, MicroBatchSize: *mbs, NumMicroBatches: *m}
-	healthy, err := pipeline.Schedule(cfg)
-	if err != nil {
-		return err
-	}
-	devs[*spikeDev].LoadFactor = *load
-	degraded, err := pipeline.Schedule(cfg)
-	if err != nil {
-		return err
-	}
-	mig, recovered, err := adaptive.Reschedule(spec, plan.Stages, *mbs, *m, *restart)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("healthy:   %7.2f samples/s\n", healthy.Throughput)
-	fmt.Printf("degraded:  %7.2f samples/s (%s at %.0f%% capacity)\n",
-		degraded.Throughput, devs[*spikeDev].Name, *load*100)
-	fmt.Printf("migration: %.1f MB of parameters, %.1f s downtime\n",
-		mig.MovedParamBytes/1e6, mig.MigrationTime)
-	fmt.Printf("recovered: %7.2f samples/s (%.0f%% of healthy, mbs=%d)\n",
-		recovered.Throughput, recovered.Throughput/healthy.Throughput*100,
-		recovered.Config.MicroBatchSize)
-	fmt.Println("new layout:")
-	for i, st := range mig.New {
-		fmt.Printf("  stage %d on %-7s layers [%2d,%2d)\n", i, st.Device.Name, st.From, st.To)
-	}
-	return nil
-}
-
 // cmdDevices prints the Table 1 device presets this simulator models.
 func cmdDevices() error {
 	fmt.Printf("%-8s %14s %12s %14s %16s\n", "device", "compute", "memory", "bandwidth", "saturation batch")
@@ -414,34 +212,36 @@ func cmdDevices() error {
 	return nil
 }
 
-// cmdHeadlines recomputes the paper's abstract claims, the accuracy upgrade
-// off a run of the Fig. 8 spec.
+// cmdHeadlines recomputes the paper's abstract claims off runs of the Fig. 8
+// spec and of the fig10.json beside it.
 func cmdHeadlines(args []string) error {
 	fs := flag.NewFlagSet("headlines", flag.ExitOnError)
-	path := fs.String("scenario", "examples/scenarios/fig8.json", "the Fig. 8 sweep spec: its RLG-NIID eco-fl and fedat rows")
+	path := fs.String("scenario", "examples/scenarios/fig8.json", "the Fig. 8 sweep spec: its RLG-NIID eco-fl and fedat rows; fig10.json in its directory gives the throughputs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := scenario.Load(*path)
+	var tables []*scenario.Table
+	for _, p := range []string{*path, filepath.Join(filepath.Dir(*path), "fig10.json")} {
+		spec, err := scenario.Load(p)
+		if err != nil {
+			return err
+		}
+		rep, err := scenario.Run(spec, scenario.RunOptions{})
+		if err != nil {
+			return err
+		}
+		if rep.Table == nil {
+			return fmt.Errorf("headlines: %s is not a sweep", p)
+		}
+		tables = append(tables, rep.Table)
+	}
+	h, err := scenario.ComputeHeadlines(tables[0], tables[1])
 	if err != nil {
 		return err
 	}
-	rep, err := scenario.Run(spec, scenario.RunOptions{})
-	if err != nil {
-		return err
-	}
-	if rep.Table == nil {
-		return fmt.Errorf("headlines: %s is not a sweep", *path)
-	}
-	eco := rep.Table.Row("fleet.partition", `"rlg-niid"`, "aggregation.strategy", `"eco-fl"`)
-	fedat := rep.Table.Row("fleet.partition", `"rlg-niid"`, "aggregation.strategy", `"fedat"`)
-	if eco == nil || fedat == nil {
-		return fmt.Errorf("headlines: %s has no rlg-niid eco-fl and fedat rows to compare", *path)
-	}
-	h, err := experiments.ComputeHeadlines(eco.Curve, fedat.Curve)
-	if err != nil {
-		return err
-	}
-	experiments.PrintHeadlines(os.Stdout, h)
+	fmt.Printf("%-28s %10s %12s\n", "headline", "paper", "this repo")
+	fmt.Printf("%-28s %10s %11.1f%%\n", "accuracy upgrade vs FedAT", "26.3%", h.AccuracyUpgrade*100)
+	fmt.Printf("%-28s %10s %11.1f%%\n", "training time reduction", "61.5%", h.TrainingTimeReduction*100)
+	fmt.Printf("%-28s %10s %11.1fx\n", "throughput improvement", "2.6x", h.ThroughputGain)
 	return nil
 }

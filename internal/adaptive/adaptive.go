@@ -227,6 +227,11 @@ func (e *SpikeExperiment) Run(withScheduler bool) (*Timeline, error) {
 	if e.SpikeDevice < 0 || e.SpikeDevice >= len(e.Devices) {
 		return nil, fmt.Errorf("adaptive: spike device %d out of range", e.SpikeDevice)
 	}
+	// A load factor is the training share left: 0 or less would be read as
+	// an idle device, and NaN poisons every schedule after the spike.
+	if !(e.SpikeLoadFactor > 0 && e.SpikeLoadFactor <= 1) {
+		return nil, fmt.Errorf("adaptive: spike load factor %g outside (0, 1]", e.SpikeLoadFactor)
+	}
 	devs := device.CloneAll(e.Devices)
 	plan, err := partition.DynamicProgrammingBatch(e.Spec, devs, e.MicroBatchSize)
 	if err != nil {

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"math"
 	"testing"
 
 	"ecofl/internal/device"
@@ -208,15 +209,24 @@ func TestSpikeTimelineShapes(t *testing.T) {
 }
 
 func TestSpikeExperimentValidation(t *testing.T) {
-	e := spikeExperiment()
-	e.SampleInterval = 0
-	if _, err := e.Run(true); err == nil {
-		t.Fatal("zero sample interval must error")
-	}
-	e = spikeExperiment()
-	e.SpikeDevice = 9
-	if _, err := e.Run(true); err == nil {
-		t.Fatal("out-of-range spike device must error")
+	for _, c := range []struct {
+		name string
+		mut  func(*SpikeExperiment)
+	}{
+		{"zero sample interval", func(e *SpikeExperiment) { e.SampleInterval = 0 }},
+		{"out-of-range spike device", func(e *SpikeExperiment) { e.SpikeDevice = 9 }},
+		{"zero load factor", func(e *SpikeExperiment) { e.SpikeLoadFactor = 0 }},
+		{"negative load factor", func(e *SpikeExperiment) { e.SpikeLoadFactor = -1 }},
+		{"load factor above 1", func(e *SpikeExperiment) { e.SpikeLoadFactor = 1.5 }},
+		{"NaN load factor", func(e *SpikeExperiment) { e.SpikeLoadFactor = math.NaN() }},
+	} {
+		e := spikeExperiment()
+		c.mut(e)
+		for _, with := range []bool{true, false} {
+			if _, err := e.Run(with); err == nil {
+				t.Errorf("%s (scheduler %v) must error", c.name, with)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,7 @@
-// Package experiments holds the paper's pipeline figures (Figs. 5 and
-// 10–13, Table 2) and the three headline claims, shared by the ecofl CLI and
-// the integration tests; each runner returns structured results and renders
-// the rows the paper reports. Two things here serve the scenario harness:
-// BuildPopulation, the one fleet builder, and LiveFailover, the pipeline
-// topology's driver. The FL figures (7, 8, 9) and every study that is not a
-// paper figure are sweep specs under examples/scenarios.
+// Package experiments holds what the scenario harness and the benchmark
+// share: Scale and Full, the paper's fleet sizes; BuildPopulation, the one
+// fleet builder; and LiveFailover, the pipeline topology's driver. The
+// paper's figures and every other study are specs under examples/scenarios.
 package experiments
 
 // Scale sizes a simulated fleet: Full is the paper's setup (§6.1: 300

@@ -9,6 +9,8 @@ package model
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // LayerCost is the per-layer profile the workload partitioner consumes.
@@ -116,6 +118,29 @@ func (s *Spec) String() string {
 }
 
 const bytesPerScalar = 4 // float32, as in the paper's PyTorch prototype
+
+// ByName returns the cost model a name spells: effnet-bN (N a digit 0–7),
+// mobilenet-wX (X a finite positive width multiplier) or fedavg-cnn. Any
+// other name, trailing characters included, is an error.
+func ByName(name string) (*Spec, error) {
+	if b, ok := strings.CutPrefix(name, "effnet-b"); ok {
+		if len(b) == 1 && b[0] >= '0' && b[0] <= '7' {
+			return EfficientNet(int(b[0] - '0')), nil
+		}
+		return nil, fmt.Errorf("model: bad model %q (effnet-b0 … effnet-b7)", name)
+	}
+	if w, ok := strings.CutPrefix(name, "mobilenet-w"); ok {
+		x, err := strconv.ParseFloat(w, 64)
+		if err != nil || !(x > 0) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("model: bad model %q (mobilenet-wX, X a finite positive width)", name)
+		}
+		return MobileNetV2(x), nil
+	}
+	if name == "fedavg-cnn" {
+		return FedAvgCNN(), nil
+	}
+	return nil, fmt.Errorf("model: unknown model %q (effnet-bN, mobilenet-wX, fedavg-cnn)", name)
+}
 
 // ---------------------------------------------------------------- EfficientNet
 

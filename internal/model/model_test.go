@@ -233,3 +233,36 @@ func TestInvalidArgsPanic(t *testing.T) {
 		}()
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"effnet-b0", "EfficientNet-B0"},
+		{"effnet-b7", "EfficientNet-B7"},
+		{"mobilenet-w2", "MobileNetV2-W2"},
+		{"mobilenet-w2.5", "MobileNetV2-W2.5"},
+		{"fedavg-cnn", "FedAvgCNN"},
+		// Every other name is an error, not a near miss or a panic.
+		{"effnet-b4junk", ""},
+		{"effnet-b-3", ""},
+		{"effnet-b99", ""},
+		{"effnet-b8", ""},
+		{"effnet-b", ""},
+		{"mobilenet-w-1", ""},
+		{"mobilenet-w0", ""},
+		{"mobilenet-wNaN", ""},
+		{"mobilenet-wInf", ""},
+		{"mobilenet-w2x", ""},
+		{"resnet-50", ""},
+		{"", ""},
+	} {
+		spec, err := ByName(c.name)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", c.name, spec.Name)
+		case c.want != "" && err != nil:
+			t.Errorf("ByName(%q): %v", c.name, err)
+		case c.want != "" && spec.Name != c.want:
+			t.Errorf("ByName(%q) = %s, want %s", c.name, spec.Name, c.want)
+		}
+	}
+}

@@ -112,6 +112,11 @@ func (c *Config) Validate() error {
 		if st.Device == nil {
 			return fmt.Errorf("pipeline: stage %d has no device", i)
 		}
+		// A NaN or infinite rate would reach the residency rule as an
+		// integer of any size; a non-positive one is no device at all.
+		if r := st.Device.EffectiveRate(); !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("pipeline: stage %d (%s) has effective rate %g FLOP/s, want finite and positive", i, st.Device.Name, r)
+		}
 		next = st.To
 	}
 	if next != c.Spec.NumLayers() {

@@ -58,6 +58,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestScheduleRefusesBadRates: a stage whose effective rate is NaN,
+// infinite or not positive stops Schedule with an error instead of reaching
+// the residency rule (a NaN load factor used to make K_s MinInt64 there).
+func TestScheduleRefusesBadRates(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		rate, load float64
+	}{
+		{"nan load", 100e9, math.NaN()},
+		{"inf load", 100e9, math.Inf(1)},
+		{"nan rate", math.NaN(), 1},
+		{"inf rate", math.Inf(1), 1},
+		{"zero rate", 0, 1},
+		{"negative rate", -100e9, 1},
+	} {
+		cfg := balancedConfig(3, 6, OneFOneBSync)
+		cfg.Stages[1].Device = bigDevice("d", c.rate)
+		cfg.Stages[1].Device.LoadFactor = c.load
+		if _, err := Schedule(cfg); err == nil || !strings.Contains(err.Error(), "effective rate") {
+			t.Errorf("%s: Schedule = %v, want an effective-rate error", c.name, err)
+		}
+	}
+}
+
 func TestResidencyPRules(t *testing.T) {
 	// Negligible comm: P_s = S − s.
 	times := []StageTimes{{Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}}

@@ -1,7 +1,5 @@
-// Package plot renders standalone SVG line and bar charts using only the
-// standard library — enough to turn every regenerated figure into a file:
-// `ecofl bench --svg` draws a scenario report, `ecofl pipeline --svg` the
-// pipeline figures.
+// Package plot renders standalone SVG line charts using only the standard
+// library: `ecofl bench --svg` draws a scenario report's sweep with it.
 package plot
 
 import (
@@ -11,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"ecofl/internal/trace"
 )
 
 // Chart is one SVG line chart over multiple series sharing an x column.
@@ -34,20 +30,6 @@ type Line struct {
 
 // palette is a small colour cycle for series.
 var palette = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"}
-
-// AddSeries appends a line from two columns of a trace.Series.
-func (c *Chart) AddSeries(name string, s *trace.Series, xCol, yCol string) error {
-	x, err := s.Col(xCol)
-	if err != nil {
-		return err
-	}
-	y, err := s.Col(yCol)
-	if err != nil {
-		return err
-	}
-	c.Lines = append(c.Lines, Line{Name: name, X: x, Y: y})
-	return nil
-}
 
 // bounds returns the data extent across all lines.
 func (c *Chart) bounds() (xmin, xmax, ymin, ymax float64, ok bool) {
@@ -155,79 +137,6 @@ func xmlEscape(s string) string {
 
 // WriteFile renders the chart to <dir>/<name>.svg.
 func WriteFile(dir, name string, c *Chart) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".svg"))
-	if err != nil {
-		return err
-	}
-	err = c.Render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// BarChart renders grouped horizontal bars — the Fig. 11-style epoch-time
-// panels and Table 2 comparisons.
-type BarChart struct {
-	Title         string
-	XLabel        string
-	Bars          []Bar
-	Width, Height int
-}
-
-// Bar is one labelled value.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// Render writes the bar chart as a standalone SVG document.
-func (c *BarChart) Render(w io.Writer) error {
-	if len(c.Bars) == 0 {
-		return fmt.Errorf("plot: bar chart %q has no data", c.Title)
-	}
-	width, height := c.Width, c.Height
-	if width == 0 {
-		width = 640
-	}
-	if height == 0 {
-		height = 60 + 28*len(c.Bars)
-	}
-	const marginL, marginR, marginT, marginB = 150, 60, 30, 30
-	plotW := float64(width - marginL - marginR)
-	maxV := 0.0
-	for _, b := range c.Bars {
-		if b.Value > maxV {
-			maxV = b.Value
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n", width, height)
-	fmt.Fprintf(&sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
-	fmt.Fprintf(&sb, `<text x="%d" y="18" font-size="14" text-anchor="middle">%s</text>`+"\n", width/2, xmlEscape(c.Title))
-	barH := 20
-	for i, b := range c.Bars {
-		y := marginT + i*28
-		w := b.Value / maxV * plotW
-		fmt.Fprintf(&sb, `<text x="%d" y="%d" text-anchor="end">%s</text>`+"\n", marginL-8, y+barH-5, xmlEscape(b.Label))
-		fmt.Fprintf(&sb, `<rect x="%d" y="%d" width="%.1f" height="%d" fill="%s"/>`+"\n",
-			marginL, y, w, barH, palette[i%len(palette)])
-		fmt.Fprintf(&sb, `<text x="%.1f" y="%d">%s</text>`+"\n", float64(marginL)+w+4, y+barH-5, fmtTick(b.Value))
-	}
-	fmt.Fprintf(&sb, `<text x="%d" y="%d" text-anchor="middle">%s</text>`+"\n", marginL+int(plotW)/2, height-8, xmlEscape(c.XLabel))
-	fmt.Fprintln(&sb, "</svg>")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// WriteBarFile renders the bar chart to <dir>/<name>.svg.
-func WriteBarFile(dir, name string, c *BarChart) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

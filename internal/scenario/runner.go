@@ -117,6 +117,8 @@ func Run(spec *Spec, opts RunOptions) (*Report, error) {
 		err = runFLNet(spec, rep, rs, jn)
 	case TopologyPipeline:
 		err = runPipeline(spec, rep, jn)
+	case TopologySchedule:
+		err = runSchedule(spec, rep)
 	}
 	stop()
 	rs.Sample() // end-of-run state: the freshest peaks

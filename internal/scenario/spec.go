@@ -13,13 +13,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"slices"
 	"time"
 
+	"ecofl/internal/device"
 	"ecofl/internal/experiments"
 	"ecofl/internal/fl"
 	"ecofl/internal/fl/robust"
+	"ecofl/internal/model"
 	"ecofl/internal/simnet"
 )
 
@@ -37,6 +41,11 @@ const (
 	// TopologyPipeline is the distributed pipeline failover run
 	// (experiments.LiveFailover): live migration under link chaos.
 	TopologyPipeline = "pipeline"
+	// TopologySchedule is the cost-model planner and scheduler of a smart
+	// home's pipeline (schedule.go): partitioners, the 1F1B-Sync, GPipe and
+	// baseline schedules and the adaptive re-scheduler, with no training
+	// and no sockets. The paper's pipeline figures run on it.
+	TopologySchedule = "schedule"
 )
 
 // Spec is one declarative scenario. The zero value is not runnable; load
@@ -243,19 +252,64 @@ type RunSpec struct {
 	// Duration and EvalInterval are virtual seconds (fl topology).
 	Duration     float64 `json:"duration_s,omitempty"`
 	EvalInterval float64 `json:"eval_interval_s,omitempty"`
-	// Rounds drives the flnet topology (push rounds per client) and the
-	// pipeline topology (sync-rounds trained).
+	// Rounds drives the flnet topology (push rounds per client), the
+	// pipeline topology (sync-rounds trained) and the schedule topology's
+	// accuracy curve (epochs, Fig. 10; none when 0).
 	Rounds int `json:"rounds,omitempty"`
 }
 
-// PipelineSpec configures the pipeline topology's failover run.
+// PipelineSpec configures a smart home's pipeline: the pipeline topology's
+// failover run and the schedule topology's cost-model run.
 type PipelineSpec struct {
 	MicroBatchSize int `json:"micro_batch_size,omitempty"`
-	// FailRound / FailDevice schedule a stage-device kill; FailRound < 0
-	// disables the kill.
+	// FailRound / FailDevice schedule a stage-device kill (pipeline
+	// topology); FailRound < 0 disables the kill.
 	FailRound  int `json:"fail_round,omitempty"`
 	FailDevice int `json:"fail_device,omitempty"`
+
+	// The rest is the schedule topology's. Model is a model.ByName name
+	// (effnet-bN, mobilenet-wX) and Devices the home in pipeline order.
+	Model   string       `json:"model,omitempty"`
+	Devices []DeviceSpec `json:"devices,omitempty"`
+	// Method is 1f1b (Eco-FL's 1F1B-Sync on the heterogeneity-aware
+	// partition), gpipe (GPipe's BAF-Sync on the same partition), pipedream
+	// (PipeDream's uniform-workload partition, scheduled 1F1B-Sync: Fig. 12
+	// compares partitioners), single (the whole model on the one device) or
+	// data-parallel (a replica per device, gradients synchronized through
+	// the portal).
+	Method string `json:"method,omitempty"`
+	// MicroBatches is M, the micro-batches of a sync-round; with
+	// micro_batch_size it fixes a pipeline method's configuration.
+	MicroBatches int `json:"micro_batches,omitempty"`
+	// GlobalBatch fixes the mini-batch instead (Fig. 10): single and
+	// data-parallel halve it until the model fits; 1f1b searches device
+	// orders and the micro-batch sizes 32, 16, 8 and 4 with M = global_batch
+	// / size of at least 2 for the highest throughput.
+	GlobalBatch int `json:"global_batch,omitempty"`
 }
+
+// DeviceSpec is one device of a schedule home: a Table 1 preset
+// (device.ByName) with optional overrides.
+type DeviceSpec struct {
+	Name string `json:"name"`
+	// MemoryGB replaces the preset's usable training memory (10⁹ bytes).
+	MemoryGB float64 `json:"memory_gb,omitempty"`
+	// LoadFactor is the training share, in (0, 1], that an external load
+	// spike arriving at t = 100 s leaves the device (Fig. 13): the 1f1b
+	// method at a fixed micro-batch size then reports the pipeline after
+	// the spike with and without the adaptive re-scheduler. One device at
+	// most carries one.
+	LoadFactor float64 `json:"load_factor,omitempty"`
+}
+
+// Schedule methods (PipelineSpec.Method).
+const (
+	Method1F1B         = "1f1b"
+	MethodGPipe        = "gpipe"
+	MethodPipeDream    = "pipedream"
+	MethodSingle       = "single"
+	MethodDataParallel = "data-parallel"
+)
 
 // Load reads and validates a scenario spec file.
 func Load(path string) (*Spec, error) {
@@ -295,11 +349,11 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("name must be set")
 	}
 	switch s.Topology {
-	case TopologyFL, TopologyFLNet, TopologyPipeline:
+	case TopologyFL, TopologyFLNet, TopologyPipeline, TopologySchedule:
 	case "":
-		return fmt.Errorf("topology must be set (fl, flnet or pipeline)")
+		return fmt.Errorf("topology must be set (fl, flnet, pipeline or schedule)")
 	default:
-		return fmt.Errorf("unknown topology %q (fl, flnet or pipeline)", s.Topology)
+		return fmt.Errorf("unknown topology %q (fl, flnet, pipeline or schedule)", s.Topology)
 	}
 	if err := s.Fleet.validate(s.Topology); err != nil {
 		return err
@@ -324,6 +378,9 @@ func (s *Spec) Validate() error {
 	if err := s.Run.validate(s.Topology); err != nil {
 		return err
 	}
+	if err := s.Pipeline.validate(s.Topology); err != nil {
+		return err
+	}
 	if s.Journal.Capacity < 0 {
 		return fmt.Errorf("journal.capacity must not be negative (got %d)", s.Journal.Capacity)
 	}
@@ -340,8 +397,9 @@ func (s *Spec) Validate() error {
 // prints a table of identical rows), so it fails closed like one.
 func (s *Spec) unreadField() error {
 	reads := fl.StrategyReads(s.Agg.Strategy) // before the fl below shadows the package
-	fl, net, pipe := s.Topology == TopologyFL, s.Topology == TopologyFLNet, s.Topology == TopologyPipeline
-	a, r := s.Agg, s.Run
+	fl, net := s.Topology == TopologyFL, s.Topology == TopologyFLNet
+	pipe, sched := s.Topology == TopologyPipeline, s.Topology == TopologySchedule
+	a, r, p := s.Agg, s.Run, s.Pipeline
 	type knob struct {
 		name string
 		set  bool
@@ -366,10 +424,43 @@ func (s *Spec) unreadField() error {
 	if f := s.Fleet; f.Partition != "" && f.ClassesPerClient != 0 {
 		return fmt.Errorf("fleet.classes_per_client is set but the %s partition never reads it", f.Partition)
 	}
+	if sched {
+		// The methods at a fixed mini-batch never read a micro-batch
+		// configuration, and the ones at a fixed configuration no global
+		// batch; only the 1f1b method at a fixed one runs the load spike.
+		global := p.GlobalBatch != 0
+		fixed := p.Method == MethodGPipe || p.Method == MethodPipeDream || (p.Method == Method1F1B && !global)
+		who := "the " + p.Method + " method"
+		if p.Method == Method1F1B && global {
+			who += " at a global batch"
+		}
+		for _, k := range []knob{
+			{"pipeline.micro_batch_size", !fixed && p.MicroBatchSize != 0},
+			{"pipeline.micro_batches", !fixed && p.MicroBatches != 0},
+			{"pipeline.global_batch", fixed && global},
+		} {
+			if k.set {
+				return fmt.Errorf("%s is set but %s never reads it", k.name, who)
+			}
+		}
+		for i, d := range p.Devices {
+			if d.LoadFactor != 0 && !(p.Method == Method1F1B && !global) {
+				return fmt.Errorf("pipeline.devices[%d].load_factor is set but %s never reads it", i, who)
+			}
+		}
+	}
 	for _, k := range []knob{
-		{"wire", (fl || pipe) && s.Wire != WireSpec{}},
-		{"pipeline", (fl || net) && s.Pipeline != PipelineSpec{}},
-		{"faults", fl && len(s.Faults) > 0},
+		{"wire", (fl || pipe || sched) && s.Wire != WireSpec{}},
+		{"pipeline", (fl || net) && !reflect.ValueOf(p).IsZero()},
+		{"pipeline.model", pipe && p.Model != ""},
+		{"pipeline.devices", pipe && len(p.Devices) > 0},
+		{"pipeline.method", pipe && p.Method != ""},
+		{"pipeline.micro_batches", pipe && p.MicroBatches != 0},
+		{"pipeline.global_batch", pipe && p.GlobalBatch != 0},
+		{"pipeline.fail_round", sched && p.FailRound != 0},
+		{"pipeline.fail_device", sched && p.FailDevice != 0},
+		{"faults", (fl || sched) && len(s.Faults) > 0},
+		{"journal", sched && s.Journal != JournalSpec{}},
 		{"run.rounds", fl && r.Rounds != 0},
 		{"churn.lease_ttl_s", fl && s.Churn.LeaseTTLS != 0},
 		{"aggregation.strategy", net && a.Strategy != ""},
@@ -381,12 +472,12 @@ func (s *Spec) unreadField() error {
 		{"aggregation.quorum", net && a.Quorum != 0},
 		{"aggregation.dynamic", net && a.Dynamic},
 		{"fleet.max_concurrent", net && s.Fleet.MaxConcurrent != 0},
-		{"run.duration_s", net && r.Duration != 0},
-		{"run.eval_interval_s", net && r.EvalInterval != 0},
-		{"fleet", pipe && s.Fleet != FleetSpec{}},
-		{"aggregation", pipe && a != AggSpec{}},
-		{"churn", pipe && s.Churn.enabled()},
-		{"attack", pipe && s.Attack.enabled()},
+		{"run.duration_s", (net || sched) && r.Duration != 0},
+		{"run.eval_interval_s", (net || sched) && r.EvalInterval != 0},
+		{"fleet", (pipe || sched) && s.Fleet != FleetSpec{}},
+		{"aggregation", (pipe || sched) && a != AggSpec{}},
+		{"churn", (pipe || sched) && s.Churn.enabled()},
+		{"attack", (pipe || sched) && s.Attack.enabled()},
 		// The flnet server's asynchronous mixer is defended by the norm gate,
 		// the simulator's committees by a robust aggregator.
 		{"attack.defense.aggregator", net && s.Attack.Defense.Aggregator != ""},
@@ -404,7 +495,7 @@ func (s *Spec) unreadField() error {
 }
 
 func (f FleetSpec) validate(topology string) error {
-	if topology != TopologyPipeline && f.Clients <= 0 {
+	if (topology == TopologyFL || topology == TopologyFLNet) && f.Clients <= 0 {
 		return fmt.Errorf("fleet.clients must be positive (got %d)", f.Clients)
 	}
 	switch f.Dataset {
@@ -604,6 +695,66 @@ func (r RunSpec) validate(topology string) error {
 		if r.Rounds == 0 {
 			return fmt.Errorf("run.rounds must be positive for the %s topology", topology)
 		}
+	}
+	return nil
+}
+
+// validate checks the schedule topology's home: the model and every device
+// name what model.ByName and device.ByName accept, and the method has the
+// batch it trains at.
+func (p PipelineSpec) validate(topology string) error {
+	for _, k := range []struct {
+		name string
+		v    int
+	}{{"micro_batch_size", p.MicroBatchSize}, {"micro_batches", p.MicroBatches}, {"global_batch", p.GlobalBatch}} {
+		if k.v < 0 {
+			return fmt.Errorf("pipeline.%s must not be negative (got %d)", k.name, k.v)
+		}
+	}
+	if topology != TopologySchedule {
+		return nil
+	}
+	if _, err := model.ByName(p.Model); err != nil {
+		return fmt.Errorf("pipeline.model: %w", err)
+	}
+	if len(p.Devices) == 0 {
+		return fmt.Errorf("pipeline.devices must list at least one device")
+	}
+	spiked := -1
+	for i, d := range p.Devices {
+		if _, err := device.ByName(d.Name); err != nil {
+			return fmt.Errorf("pipeline.devices[%d]: %w", i, err)
+		}
+		if !(d.MemoryGB >= 0) || math.IsInf(d.MemoryGB, 1) {
+			return fmt.Errorf("pipeline.devices[%d].memory_gb must be finite and not negative (got %g)", i, d.MemoryGB)
+		}
+		if d.LoadFactor == 0 {
+			continue
+		}
+		if !(d.LoadFactor > 0 && d.LoadFactor <= 1) {
+			return fmt.Errorf("pipeline.devices[%d].load_factor must be in (0, 1] (got %g)", i, d.LoadFactor)
+		}
+		if spiked >= 0 {
+			return fmt.Errorf("pipeline.devices[%d].load_factor: the spike loads one device, and devices[%d] carries it", i, spiked)
+		}
+		spiked = i
+	}
+	switch p.Method {
+	case "":
+		return fmt.Errorf("pipeline.method must be set for the schedule topology (1f1b, gpipe, pipedream, single, data-parallel)")
+	case MethodSingle, MethodDataParallel:
+		if p.GlobalBatch == 0 {
+			return fmt.Errorf("pipeline.global_batch must be positive for the %s method", p.Method)
+		}
+		if p.Method == MethodSingle && len(p.Devices) != 1 {
+			return fmt.Errorf("pipeline.devices must list one device for the single method (got %d)", len(p.Devices))
+		}
+	case Method1F1B, MethodGPipe, MethodPipeDream:
+		if (p.MicroBatchSize == 0 || p.MicroBatches == 0) && (p.Method != Method1F1B || p.GlobalBatch == 0) {
+			return fmt.Errorf("pipeline.micro_batch_size and pipeline.micro_batches must be positive for the %s method", p.Method)
+		}
+	default:
+		return fmt.Errorf("unknown pipeline.method %q (1f1b, gpipe, pipedream, single, data-parallel)", p.Method)
 	}
 	return nil
 }

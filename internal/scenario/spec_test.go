@@ -57,6 +57,13 @@ func pipelineSpec(members string) string {
 	return `{"name":"t","topology":"pipeline","run":{"rounds":1},` + members + `}`
 }
 
+// scheduleSpec is a minimal valid schedule spec whose pipeline block holds
+// the given members beside a model and two devices.
+func scheduleSpec(pipeline, members string) string {
+	return `{"name":"t","topology":"schedule","pipeline":{"model":"effnet-b1","devices":[{"name":"TX2-N"},{"name":"Nano-H"}],` +
+		pipeline + `}` + members + `}`
+}
+
 func sweepOf(axes, report string) string {
 	return `"sweep":{"axes":[` + axes + `],"report":[` + report + `]}`
 }
@@ -156,6 +163,61 @@ func TestParseHostileSpecs(t *testing.T) {
 		{"wire on pipeline", pipelineSpec(`"wire":{"codec":"raw"}`), "wire is set but the pipeline topology never reads it"},
 		{"two faults on pipeline", pipelineSpec(`"faults":[{"mode":"drop","prob":0.1},{"mode":"sever","prob":0.1}]`), "faults[1] is set but the pipeline topology never reads it"},
 		{"fault clients on pipeline", pipelineSpec(`"faults":[{"mode":"drop","prob":0.1,"clients":[1]}]`), "faults[0].clients is set but the pipeline topology never reads it"},
+
+		// The schedule topology's fields: each refused where it is not read.
+		{"model on fl", flSpec(`"pipeline":{"model":"effnet-b1"}`), "pipeline is set but the fl topology never reads it"},
+		{"devices on fl", flSpec(`"pipeline":{"devices":[{"name":"TX2-N"}]}`), "pipeline is set but the fl topology never reads it"},
+		{"method on fl", flSpec(`"pipeline":{"method":"1f1b"}`), "pipeline is set but the fl topology never reads it"},
+		{"micro batches on fl", flSpec(`"pipeline":{"micro_batches":8}`), "pipeline is set but the fl topology never reads it"},
+		{"global batch on fl", flSpec(`"pipeline":{"global_batch":256}`), "pipeline is set but the fl topology never reads it"},
+		{"model on flnet", flnetSpec(`"pipeline":{"model":"effnet-b1"}`), "pipeline is set but the flnet topology never reads it"},
+		{"devices on flnet", flnetSpec(`"pipeline":{"devices":[{"name":"TX2-N","memory_gb":2}]}`), "pipeline is set but the flnet topology never reads it"},
+		{"method on flnet", flnetSpec(`"pipeline":{"method":"gpipe"}`), "pipeline is set but the flnet topology never reads it"},
+		{"micro batches on flnet", flnetSpec(`"pipeline":{"micro_batches":8}`), "pipeline is set but the flnet topology never reads it"},
+		{"global batch on flnet", flnetSpec(`"pipeline":{"global_batch":256}`), "pipeline is set but the flnet topology never reads it"},
+		{"model on pipeline", pipelineSpec(`"pipeline":{"model":"effnet-b1"}`), "pipeline.model is set but the pipeline topology never reads it"},
+		{"devices on pipeline", pipelineSpec(`"pipeline":{"devices":[{"name":"TX2-N"}]}`), "pipeline.devices is set but the pipeline topology never reads it"},
+		{"method on pipeline", pipelineSpec(`"pipeline":{"method":"1f1b"}`), "pipeline.method is set but the pipeline topology never reads it"},
+		{"micro batches on pipeline", pipelineSpec(`"pipeline":{"micro_batches":8}`), "pipeline.micro_batches is set but the pipeline topology never reads it"},
+		{"global batch on pipeline", pipelineSpec(`"pipeline":{"global_batch":256}`), "pipeline.global_batch is set but the pipeline topology never reads it"},
+		{"micro batch size on single", scheduleSpec(`"devices":[{"name":"TX2-N"}],"method":"single","global_batch":256,"micro_batch_size":8`, ``), "pipeline.micro_batch_size is set but the single method never reads it"},
+		{"micro batches on data parallel", scheduleSpec(`"method":"data-parallel","global_batch":256,"micro_batches":8`, ``), "pipeline.micro_batches is set but the data-parallel method never reads it"},
+		{"micro batch size beside a global batch", scheduleSpec(`"method":"1f1b","global_batch":256,"micro_batch_size":8`, ``), "pipeline.micro_batch_size is set but the 1f1b method at a global batch never reads it"},
+		{"global batch on gpipe", scheduleSpec(`"method":"gpipe","micro_batch_size":8,"micro_batches":8,"global_batch":64`, ``), "pipeline.global_batch is set but the gpipe method never reads it"},
+		{"global batch on pipedream", scheduleSpec(`"method":"pipedream","micro_batch_size":8,"micro_batches":8,"global_batch":64`, ``), "pipeline.global_batch is set but the pipedream method never reads it"},
+		{"load factor on gpipe", scheduleSpec(`"devices":[{"name":"TX2-N","load_factor":0.5},{"name":"Nano-H"}],"method":"gpipe","micro_batch_size":8,"micro_batches":8`, ``), "pipeline.devices[0].load_factor is set but the gpipe method never reads it"},
+		{"load factor at a global batch", scheduleSpec(`"devices":[{"name":"TX2-N"},{"name":"Nano-H","load_factor":0.5}],"method":"1f1b","global_batch":256`, ``), "pipeline.devices[1].load_factor is set but the 1f1b method at a global batch never reads it"},
+		{"load factor on single", scheduleSpec(`"devices":[{"name":"TX2-N","load_factor":0.5}],"method":"single","global_batch":256`, ``), "pipeline.devices[0].load_factor is set but the single method never reads it"},
+		{"fail round on schedule", scheduleSpec(`"method":"1f1b","micro_batch_size":8,"micro_batches":8,"fail_round":2`, ``), "pipeline.fail_round is set but the schedule topology never reads it"},
+		{"fail device on schedule", scheduleSpec(`"method":"1f1b","micro_batch_size":8,"micro_batches":8,"fail_device":1`, ``), "pipeline.fail_device is set but the schedule topology never reads it"},
+		{"fleet on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"fleet":{"clients":3}`), "fleet is set but the schedule topology never reads it"},
+		{"aggregation on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"aggregation":{"alpha":0.5}`), "aggregation is set but the schedule topology never reads it"},
+		{"wire on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"wire":{"codec":"raw"}`), "wire is set but the schedule topology never reads it"},
+		{"faults on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"faults":[{"mode":"drop","prob":0.1}]`), "faults is set but the schedule topology never reads it"},
+		{"churn on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"churn":{"model":"diurnal","duty_cycle":0.5}`), "churn is set but the schedule topology never reads it"},
+		{"attack on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"attack":{"fraction":0.3,"mode":"sign-flip"}`), "attack is set but the schedule topology never reads it"},
+		{"journal on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"journal":{"enabled":true}`), "journal is set but the schedule topology never reads it"},
+		{"duration on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"run":{"duration_s":10}`), "run.duration_s is set but the schedule topology never reads it"},
+		{"eval interval on schedule", scheduleSpec(`"method":"single","devices":[{"name":"TX2-N"}],"global_batch":8`, `,"run":{"eval_interval_s":5}`), "run.eval_interval_s is set but the schedule topology never reads it"},
+
+		// ... and out of range where it is.
+		{"no model", `{"name":"t","topology":"schedule","pipeline":{"devices":[{"name":"TX2-N"}],"method":"single","global_batch":8}}`, `pipeline.model: model: unknown model ""`},
+		{"model with a tail", scheduleSpec(`"model":"effnet-b4junk","method":"1f1b","global_batch":64`, ``), `pipeline.model: model: bad model "effnet-b4junk"`},
+		{"NaN width", scheduleSpec(`"model":"mobilenet-wNaN","method":"1f1b","global_batch":64`, ``), `pipeline.model: model: bad model "mobilenet-wNaN"`},
+		{"no devices", `{"name":"t","topology":"schedule","pipeline":{"model":"effnet-b1","method":"1f1b","global_batch":64}}`, "pipeline.devices must list at least one device"},
+		{"unknown device", scheduleSpec(`"devices":[{"name":"TX3"}],"method":"single","global_batch":8`, ``), `pipeline.devices[0]: device: unknown preset "TX3"`},
+		{"negative memory", scheduleSpec(`"devices":[{"name":"TX2-N","memory_gb":-1}],"method":"single","global_batch":8`, ``), "pipeline.devices[0].memory_gb must be finite and not negative"},
+		{"negative load factor", scheduleSpec(`"devices":[{"name":"TX2-N","load_factor":-1},{"name":"Nano-H"}],"method":"1f1b","micro_batch_size":8,"micro_batches":8`, ``), "pipeline.devices[0].load_factor must be in (0, 1] (got -1)"},
+		{"load factor above 1", scheduleSpec(`"devices":[{"name":"TX2-N"},{"name":"Nano-H","load_factor":1.5}],"method":"1f1b","micro_batch_size":8,"micro_batches":8`, ``), "pipeline.devices[1].load_factor must be in (0, 1] (got 1.5)"},
+		{"two loaded devices", scheduleSpec(`"devices":[{"name":"TX2-N","load_factor":0.5},{"name":"Nano-H","load_factor":0.5}],"method":"1f1b","micro_batch_size":8,"micro_batches":8`, ``), "pipeline.devices[1].load_factor: the spike loads one device, and devices[0] carries it"},
+		{"no method", scheduleSpec(`"global_batch":8`, ``), "pipeline.method must be set for the schedule topology"},
+		{"unknown method", scheduleSpec(`"method":"zero-bubble","global_batch":8`, ``), `unknown pipeline.method "zero-bubble"`},
+		{"single on two devices", scheduleSpec(`"method":"single","global_batch":8`, ``), "pipeline.devices must list one device for the single method (got 2)"},
+		{"data parallel without a batch", scheduleSpec(`"method":"data-parallel"`, ``), "pipeline.global_batch must be positive for the data-parallel method"},
+		{"gpipe without micro-batches", scheduleSpec(`"method":"gpipe","micro_batch_size":8`, ``), "pipeline.micro_batch_size and pipeline.micro_batches must be positive for the gpipe method"},
+		{"1f1b without a batch", scheduleSpec(`"method":"1f1b"`, ``), "pipeline.micro_batch_size and pipeline.micro_batches must be positive for the 1f1b method"},
+		{"negative micro batches", scheduleSpec(`"method":"1f1b","micro_batch_size":8,"micro_batches":-8`, ``), "pipeline.micro_batches must not be negative (got -8)"},
+		{"negative global batch", scheduleSpec(`"method":"single","global_batch":-8`, ``), "pipeline.global_batch must not be negative (got -8)"},
 
 		// Sweeps: every cell is a spec, and fails like one.
 		{"sweep without report", flSpec(sweepOf(`{"path":"seed","values":[1,2]}`, ``)), "sweep.report must name at least one metric"},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -151,6 +152,9 @@ func runSweep(spec *Spec, rep *Report, opts RunOptions) (*Report, error) {
 // included; the scenario tests check every run they make against it.
 func metricsOf(s *Spec) []string {
 	fl, net := s.Topology == TopologyFL, s.Topology == TopologyFLNet
+	sched, p := s.Topology == TopologySchedule, s.Pipeline
+	piped := sched && p.Method != MethodSingle && p.Method != MethodDataParallel
+	spiked := piped && slices.ContainsFunc(p.Devices, func(d DeviceSpec) bool { return d.LoadFactor != 0 })
 	var names []string
 	for _, m := range []struct {
 		when  bool
@@ -169,9 +173,21 @@ func metricsOf(s *Spec) []string {
 		{net && s.Churn.LeaseTTLS > 0, "lease_expired lease_resyncs sessions_final"},
 		{s.Topology == TopologyPipeline, "rounds_committed rounds_aborted heals migrations migrated_bytes " +
 			"planned_move_bytes detect_latency_s migration_time_s first_loss final_loss bit_identical"},
+		{sched, "samples_per_s"},
+		{sched && s.Run.Rounds > 0, "epoch_s"},
+		{sched && p.Method == MethodDataParallel, "transmission_share"},
+		{piped, "oom"},
+		{spiked, "spiked_samples_per_s recovered_samples_per_s migration_start_s migration_end_s"},
 	} {
 		if m.when {
 			names = append(names, strings.Fields(m.names)...)
+		}
+	}
+	// A pipeline has a stage per device.
+	for d := 0; piped && d < len(p.Devices); d++ {
+		names = append(names, fmt.Sprintf("stage_util_%d", d), fmt.Sprintf("k_%d", d), fmt.Sprintf("p_%d", d), fmt.Sprintf("peak_mem_gb_%d", d))
+		if spiked {
+			names = append(names, fmt.Sprintf("spiked_util_%d", d), fmt.Sprintf("recovered_util_%d", d))
 		}
 	}
 	// Clients 0–2 between them push every codec the fleet uses (a mixed fleet
