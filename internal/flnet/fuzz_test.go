@@ -128,16 +128,25 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(tel(`{"now":1,"now":2,"m":[],"m":[{"f":"dup_total","v":1,"v":2}]}`))
 	// Frames that belong in a checkpoint file and on a pipeline link: a
 	// protocol violation on a server connection, whatever follows them.
-	misplaced := func(kind byte) []byte {
+	misplaced := func(kind byte, weights ...float64) []byte {
 		var buf bytes.Buffer
 		fw := wire.Writer{W: &buf}
-		if err := fw.WriteRawFrame(&wire.Header{Kind: kind, A: 1, B: 2, Seq: 3}, []float64{9, 9}, nil); err != nil {
+		h := &wire.Header{Kind: kind, A: 1, B: 2, Seq: 3}
+		var err error
+		if weights == nil {
+			err = fw.WriteFrame(h, nil, nil)
+		} else {
+			err = fw.WriteRawFrame(h, weights, nil)
+		}
+		if err != nil {
 			f.Fatal(err)
 		}
 		return append(buf.Bytes(), whole...)
 	}
-	f.Add(misplaced(wire.KindCheckpoint))
-	f.Add(misplaced(wire.KindSegment))
+	f.Add(misplaced(wire.KindCheckpoint, 9, 9))
+	f.Add(misplaced(wire.KindSegment, 9, 9))
+	f.Add(misplaced(wire.KindTensor, 9, 9))
+	f.Add(misplaced(wire.KindHeartbeat))
 	// A lease that lapses under an acked client. The trailing bytes are the
 	// clock tape (read from the end, one per frame; see below): the client is
 	// acked, the clock jumps two TTLs, and its sparse push against the acked

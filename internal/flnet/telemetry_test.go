@@ -288,6 +288,12 @@ func TestMalformedStreamCountsDecodeError(t *testing.T) {
 		"segment frame": frames(func(fw *wire.Writer) {
 			fw.WriteRawFrame(&wire.Header{Kind: wire.KindSegment, A: 0, B: 1}, []float64{7}, nil)
 		}),
+		"tensor frame": frames(func(fw *wire.Writer) {
+			fw.WriteRawFrame(&wire.Header{Kind: wire.KindTensor, A: 0, B: 1}, []float64{7}, nil)
+		}),
+		"heartbeat": frames(func(fw *wire.Writer) {
+			fw.WriteFrame(&wire.Header{Kind: wire.KindHeartbeat}, nil, nil)
+		}),
 		"trailer that is not JSON": frames(func(fw *wire.Writer) {
 			fw.WriteFrame(&wire.Header{Kind: wire.KindTelemetry, Flags: wire.FlagTelemetry, A: 3}, nil, []byte(`{"now":NaN}`))
 		}),

@@ -38,6 +38,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(Header{Kind: KindReply, Codec: CodecRaw, A: 9}, raw, nil))
 	f.Add(frame(Header{Kind: KindCheckpoint, Codec: CodecRaw, A: 9, Seq: 9}, raw, make([]byte, 12)))
 	f.Add(frame(Header{Kind: KindSegment, Codec: CodecRaw, A: 0, B: 2}, raw, nil))
+	f.Add(append(frame(Header{Kind: KindHeartbeat}, nil, nil),
+		frame(Header{Kind: KindTensor, Codec: CodecRaw, A: 4, B: 3}, raw, nil)...))
 	// Two frames back to back, then the stream severed mid-header.
 	two := append(frame(Header{Kind: KindPull}, nil, nil),
 		frame(Header{Kind: KindPush, Codec: CodecRaw, Seq: 1}, raw, nil)...)

@@ -1,27 +1,27 @@
-// Package wire is the length-prefixed binary framing of the flnet
-// transport. Every frame is
+// Package wire is the length-prefixed binary framing of every byte the
+// program sends: the flnet transport, server checkpoints and the pipeline's
+// stage links. Every frame is
 //
 //	magic "EFLB" (4) | version (1) | kind (1) | codec (1) | flags (1)
 //	A int32 | B int32 | C int32 | Seq uint64 | PayloadLen u32 | TrailerLen u32
 //	payload (PayloadLen bytes) | trailer (TrailerLen bytes)
 //
-// all little-endian, 36 bytes of fixed header. The A/B/C fields are
-// kind-specific (client id / num samples / base version on requests; model
-// version / unused / unused on replies and checkpoints; layer range on
-// migrated segments). Payloads carry model weights in one of three codecs:
-// raw float64 (zero-copy []byte↔[]float64 views where the host allows it),
-// int8 affine quantization (min + scale + one byte per weight), or a top-k
-// sparse delta (index/value pairs against a reference model both ends
-// hold). The trailer carries out-of-band data — a JSON telemetry snapshot
-// on requests, a plain error string on replies, the dedup marks on a
-// checkpoint — none of which is hot.
+// all little-endian, 36 bytes of fixed header; the A/B/C fields are
+// kind-specific (see Header). Payloads carry model weights in one of three
+// codecs: raw float64 (zero-copy []byte↔[]float64 views where the host
+// allows it), int8 affine quantization (min + scale + one byte per weight),
+// or a top-k sparse delta (index/value pairs against a reference model both
+// ends hold). The trailer carries out-of-band data — a JSON telemetry
+// snapshot on requests, a plain error string on replies, the dedup marks on
+// a checkpoint — none of which is hot.
 //
-// The same frame is a weight vector at rest and in migration: a server
-// checkpoint is one KindCheckpoint frame in a file, a segment a healing
-// pipeline re-homes one KindSegment frame on a link; both raw, like a push.
+// The same raw frame is a weight vector at rest and in migration and a
+// tensor between pipeline stages: a server checkpoint is one KindCheckpoint
+// frame in a file, a segment a healing pipeline re-homes one KindSegment
+// frame on a link, an activation or gradient one KindTensor frame. An idle
+// stage link's keepalive is a KindHeartbeat header with no body.
 //
-// Decoding is fail-closed, like the pipeline runtime's link frames
-// (runtime/link.go recv): magic, version, kind, codec, and both length
+// Decoding is fail-closed: magic, version, kind, codec, and both length
 // prefixes are validated against hard limits before any allocation, payload
 // buffers grow geometrically while reading (a hostile length prefix on a
 // truncated stream cannot force a giant up-front allocation), and the
@@ -56,8 +56,10 @@ const (
 	KindPush       byte = 4
 	KindTelemetry  byte = 5
 	KindReply      byte = 6
-	KindCheckpoint byte = 7 // at rest: A version, Seq pushes, raw weights, trailer dedup marks
-	KindSegment    byte = 8 // migrated layers [A, B), raw weights
+	KindCheckpoint byte = 7  // at rest: A version, Seq pushes, raw weights, trailer dedup marks
+	KindSegment    byte = 8  // migrated layers [A, B), raw weights
+	KindTensor     byte = 9  // stage activation or gradient: micro-batch A, B rows, raw values
+	KindHeartbeat  byte = 10 // idle stage link keepalive: no codec, no body
 )
 
 // Payload codecs.
@@ -80,9 +82,9 @@ type Header struct {
 	Kind  byte
 	Codec byte
 	Flags byte
-	A     int32  // clientID (requests) | model version (replies)
-	B     int32  // numSamples (requests) | unused (replies)
-	C     int32  // baseVersion (requests) | unused (replies)
+	A     int32  // clientID (requests) | model version (replies) | first layer (segments) | micro-batch (tensors)
+	B     int32  // numSamples (requests) | end layer (segments) | rows (tensors)
+	C     int32  // baseVersion (requests); unused elsewhere
 	Seq   uint64 // push sequence number; 0 elsewhere
 	// PayloadLen and TrailerLen are set by the writer from the slices it is
 	// handed; readers get them validated against Limits.
@@ -93,8 +95,7 @@ type Header struct {
 // Limits bounds what a reader will accept from the peer. The zero value
 // means the defaults.
 type Limits struct {
-	// MaxPayload caps PayloadLen (default 128 MiB — 16M float64 weights,
-	// mirroring the pipeline link's maxFrameElems).
+	// MaxPayload caps PayloadLen (default 128 MiB — 16M float64 weights).
 	MaxPayload int
 	// MaxTrailer caps TrailerLen (default 4 MiB; trailers carry telemetry
 	// snapshots, error strings and dedup marks, never weights).
@@ -170,13 +171,17 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 		return h, fmt.Errorf("%w: trailer %d exceeds limit %d", ErrFrame, h.TrailerLen, lim.maxTrailer())
 	}
 	switch h.Kind {
-	case KindHello, KindHelloAck, KindPull, KindTelemetry:
-		if h.Codec != CodecNone || h.PayloadLen != 0 {
-			return h, fmt.Errorf("%w: kind %d carries a payload", ErrFrame, h.Kind)
+	case KindHello, KindHelloAck, KindPull, KindTelemetry, KindHeartbeat:
+		if h.Codec != CodecNone || h.PayloadLen != 0 || h.Kind == KindHeartbeat && h.TrailerLen != 0 {
+			return h, fmt.Errorf("%w: kind %d carries a body", ErrFrame, h.Kind)
 		}
 	case KindPush:
 		if h.Codec != CodecRaw && h.Codec != CodecQuant && h.Codec != CodecSparse {
 			return h, fmt.Errorf("%w: push codec %d", ErrFrame, h.Codec)
+		}
+	case KindTensor:
+		if h.Codec != CodecRaw || h.TrailerLen != 0 || h.A < 0 || h.B <= 0 {
+			return h, fmt.Errorf("%w: tensor codec %d, trailer %d, micro-batch %d, rows %d", ErrFrame, h.Codec, h.TrailerLen, h.A, h.B)
 		}
 	case KindCheckpoint, KindSegment:
 		if h.Codec != CodecRaw {
@@ -208,7 +213,7 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 // in flight, not one per connection.
 const (
 	// spareMin is the largest buffer an owner keeps between frames. It is
-	// ReadGrow's first step, so a frame body of at most spareMin bytes never
+	// readGrow's first step, so a frame body of at most spareMin bytes never
 	// grows its owner's buffer past it.
 	spareMin = 64 << 10
 	// spareCap bounds the spare list: a buffer handed back to a full list
@@ -253,16 +258,16 @@ type frameBuf struct {
 }
 
 // read reads an n-byte frame body into own, or into a buffer borrowed from
-// spares when n is over spareMin. ReadGrow grows either as bytes arrive: a
+// spares when n is over spareMin. readGrow grows either as bytes arrive: a
 // borrowed buffer only saves allocations, and a hostile length claim still
 // cannot allocate its stated size up front.
 func (f *frameBuf) read(r io.Reader, n int) ([]byte, error) {
 	var err error
 	if n <= spareMin {
-		f.own, err = ReadGrow(r, f.own, n)
+		f.own, err = readGrow(r, f.own, n)
 		return f.own, err
 	}
-	f.big, err = ReadGrow(r, takeSpare(), n)
+	f.big, err = readGrow(r, takeSpare(), n)
 	return f.big, err
 }
 
@@ -307,7 +312,7 @@ func (r *Reader) Next() (h Header, payload, trailer []byte, err error) {
 // copy through the reader's buffer; vals is nil when the frame has no
 // payload, and a payload in any other codec fails closed. Up to hint weights
 // are allocated up front (a caller passes the model size it expects); beyond
-// that the slice grows only as bytes arrive, as in ReadGrow, so a hostile
+// that the slice grows only as bytes arrive, as in readGrow, so a hostile
 // length claim on a truncated stream still cannot allocate its stated size.
 // The trailer aliases the reader's buffer, as in Next.
 func (r *Reader) NextOwned(hint int) (h Header, vals []float64, trailer []byte, err error) {
@@ -347,17 +352,9 @@ func (r *Reader) release() {
 }
 
 // readRaw reads n raw weights into a new slice, allocating min(n, hint) of
-// them up front and growing past that geometrically as bytes arrive. A
-// big-endian host reads through the frame buffer and ParseRaw instead.
+// them up front and growing past that geometrically as bytes arrive.
 func (r *Reader) readRaw(n, hint int) ([]float64, error) {
-	if !hostLittleEndian {
-		p, err := r.payload.read(r.R, 8*n)
-		if err != nil {
-			return nil, err
-		}
-		return ParseRaw(p, nil)
-	}
-	const chunk = 8 << 10 // weights: ReadGrow's 64 KiB step
+	const chunk = 8 << 10 // weights: readGrow's 64 KiB step
 	var vals []float64
 	if c := min(n, hint); c > 0 {
 		vals = make([]float64, 0, c)
@@ -369,19 +366,38 @@ func (r *Reader) readRaw(n, hint int) ([]float64, error) {
 			vals = append(make([]float64, 0, end), vals...)
 		}
 		vals = vals[:end]
-		b, _ := BytesView(vals[start:])
-		if _, err := io.ReadFull(r.R, b); err != nil {
+		if err := ReadRaw(r.R, vals[start:]); err != nil {
 			return nil, err
 		}
 	}
 	return vals, nil
 }
 
-// ReadGrow reads exactly n bytes into buf, reusing its capacity and growing
+// ReadRaw fills dst with len(dst) raw-codec values read from r: straight
+// into dst's storage where the host allows a byte view of it, through a
+// small buffer and ParseRaw elsewhere.
+func ReadRaw(r io.Reader, dst []float64) error {
+	if b, ok := BytesView(dst); ok {
+		_, err := io.ReadFull(r, b)
+		return err
+	}
+	var buf [512]byte
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
+			return err
+		}
+		_, _ = ParseRaw(buf[:8*n], dst[:0]) // decodes into dst[:n]; 8n bytes cannot fail
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// readGrow reads exactly n bytes into buf, reusing its capacity and growing
 // geometrically as bytes actually arrive: a hostile length prefix on a
 // truncated stream allocates at most ~2× the bytes received, never the
-// claimed n up front. The pipeline's link frames read through it too.
-func ReadGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
+// claimed n up front.
+func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < n {
 		start := len(buf)

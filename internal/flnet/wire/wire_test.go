@@ -22,6 +22,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 		{Kind: KindTelemetry, A: 2, TrailerLen: 128},
 		{Kind: KindReply, Codec: CodecRaw, A: 12, PayloadLen: 8},
 		{Kind: KindReply, A: 12, TrailerLen: 30},
+		{Kind: KindTensor, Codec: CodecRaw, A: 3, B: 16, PayloadLen: 16 * 96 * 8},
+		{Kind: KindHeartbeat},
 	}
 	var buf [HeaderSize]byte
 	for _, h := range cases {
@@ -62,6 +64,13 @@ func TestParseHeaderRejects(t *testing.T) {
 		{"checkpoint codec quant", mk(func(b []byte) { b[5] = KindCheckpoint; b[6] = CodecQuant })},
 		{"segment codec sparse", mk(func(b []byte) { b[5] = KindSegment; b[6] = CodecSparse })},
 		{"segment not 8-aligned", mk(func(b []byte) { b[5] = KindSegment; binary.LittleEndian.PutUint32(b[28:], 12) })},
+		{"tensor codec quant", mk(func(b []byte) { b[5] = KindTensor; b[6] = CodecQuant; b[12] = 1 })},
+		{"tensor with a trailer", mk(func(b []byte) { b[5] = KindTensor; b[12] = 1; b[32] = 1 })},
+		{"tensor with no rows", mk(func(b []byte) { b[5] = KindTensor })},
+		{"tensor of micro-batch −1", mk(func(b []byte) { b[5] = KindTensor; b[12] = 1; binary.LittleEndian.PutUint32(b[8:], math.MaxUint32) })},
+		{"tensor not 8-aligned", mk(func(b []byte) { b[5] = KindTensor; b[12] = 1; binary.LittleEndian.PutUint32(b[28:], 12) })},
+		{"heartbeat with a payload", mk(func(b []byte) { b[5] = KindHeartbeat; b[6] = CodecNone })},
+		{"heartbeat with a trailer", mk(func(b []byte) { b[5] = KindHeartbeat; b[6] = CodecNone; b[28] = 0; b[32] = 1 })},
 		{"raw payload not 8-aligned", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 15) })},
 		{"payload over limit", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 1<<30) })},
 		{"trailer over limit", mk(func(b []byte) { binary.LittleEndian.PutUint32(b[32:], 1<<30) })},
@@ -197,6 +206,50 @@ func TestWriteRawFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawPortablePath runs the raw codec on both of its paths — the
+// zero-copy byte views of a little-endian host and the value-by-value
+// encoding and decoding a big-endian host falls back to — and holds each to
+// the layout spelled out byte by byte and the other bit for bit: AppendRaw,
+// ReadRaw straight off a stream (over several of its buffers' worth), and a
+// raw frame through WriteRawFrame and NextOwned.
+func TestRawPortablePath(t *testing.T) {
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	vals := make([]float64, 1000)
+	for i := range vals {
+		vals[i] = math.Float64frombits(uint64(i)*0x9e3779b97f4a7c15 + 1) // scattered bit patterns
+	}
+	vals[0], vals[1] = math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x8000000000000001) // a NaN payload, a denormal
+	var want []byte
+	for _, v := range vals {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+	}
+	sameBits := func(got []float64) bool {
+		return len(got) == len(vals) && bytes.Equal(AppendRaw(nil, got), want)
+	}
+	for _, le := range []bool{true, false} {
+		hostLittleEndian = le
+		if !bytes.Equal(AppendRaw(nil, vals), want) {
+			t.Fatalf("little-endian host %v: AppendRaw departs from the layout", le)
+		}
+		got := make([]float64, len(vals))
+		if err := ReadRaw(bytes.NewReader(want), got); err != nil || !sameBits(got) {
+			t.Fatalf("little-endian host %v: ReadRaw changed the values (%v)", le, err)
+		}
+		if err := ReadRaw(bytes.NewReader(want[:len(want)-1]), got); err == nil {
+			t.Fatalf("little-endian host %v: ReadRaw filled %d values from a stream one byte short", le, len(got))
+		}
+		var buf bytes.Buffer
+		w := Writer{W: &buf}
+		if err := w.WriteRawFrame(&Header{Kind: KindReply, A: 1}, vals, nil); err != nil {
+			t.Fatal(err)
+		}
+		r := Reader{R: &buf}
+		if _, owned, _, err := r.NextOwned(10); err != nil || !sameBits(owned) {
+			t.Fatalf("little-endian host %v: NextOwned changed the values (%v)", le, err)
+		}
+	}
+}
+
 // TestHostileLengthTruncated severs the stream right after a header claiming
 // a large payload: the reader must fail with a truncation error, not block
 // or succeed, and must not have allocated anywhere near the claimed size —
@@ -213,7 +266,7 @@ func TestHostileLengthTruncated(t *testing.T) {
 		}
 		r := Reader{R: bytes.NewReader(stream)}
 		var err error
-		// ReadGrow grows with the bytes that actually arrived (~1KiB), never
+		// readGrow grows with the bytes that actually arrived (~1KiB), never
 		// the claimed 64 MiB up front.
 		if grew := allocated(func() { _, _, _, err = r.Next() }); grew > 1<<20 {
 			t.Fatalf("spare of %d bytes: reader allocated %d bytes for a truncated stream", spare, grew)

@@ -263,6 +263,11 @@ func (cache *convCache) recycle() {
 
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
+func (c *Conv2D) OutShape(in []int) []int {
+	oh, ow := c.outDims(in[1], in[2])
+	return []int{c.OutC, oh, ow}
+}
+
 func (c *Conv2D) Clone() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
@@ -330,6 +335,10 @@ func (p MaxPool2D) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 func (MaxPool2D) Params() []*Param { return nil }
 func (p MaxPool2D) Clone() Layer   { return p }
 
+func (p MaxPool2D) OutShape(in []int) []int {
+	return []int{in[0], (in[1]-p.K)/p.Stride + 1, (in[2]-p.K)/p.Stride + 1}
+}
+
 // ---------------------------------------------------------------- Flatten
 
 // Flatten reshapes (batch, ...) to (batch, features). Row-major layout makes
@@ -348,3 +357,11 @@ func (Flatten) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 
 func (Flatten) Params() []*Param { return nil }
 func (Flatten) Clone() Layer     { return Flatten{} }
+
+func (Flatten) OutShape(in []int) []int {
+	n := 1
+	for _, d := range in {
+		n *= d
+	}
+	return []int{n}
+}

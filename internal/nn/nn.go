@@ -62,6 +62,10 @@ type Layer interface {
 	// gradient with respect to the input.
 	Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+	// OutShape maps a per-sample input shape (no batch dimension) to that
+	// of Forward's output, from the layer's geometry alone: nothing runs, so
+	// no statistic or random stream moves.
+	OutShape(in []int) []int
 	// Clone copies the layer's structure, not its storage: the copy's new,
 	// unpacked params view the original's until NewNetwork packs them.
 	Clone() Layer
@@ -114,7 +118,8 @@ func (d *Dense) paramGrads(c Cache, dy *tensor.Tensor) {
 	}
 }
 
-func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
+func (d *Dense) Params() []*Param     { return []*Param{d.W, d.B} }
+func (d *Dense) OutShape([]int) []int { return []int{d.Out} }
 
 func (d *Dense) Clone() Layer {
 	return &Dense{In: d.In, Out: d.Out, W: d.W.view(), B: d.B.view()}
@@ -156,8 +161,9 @@ func (ReLU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (ReLU) Params() []*Param { return nil }
-func (ReLU) Clone() Layer     { return ReLU{} }
+func (ReLU) Params() []*Param        { return nil }
+func (ReLU) OutShape(in []int) []int { return in }
+func (ReLU) Clone() Layer            { return ReLU{} }
 
 // ---------------------------------------------------------------- Tanh
 
@@ -181,8 +187,9 @@ func (Tanh) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (Tanh) Params() []*Param { return nil }
-func (Tanh) Clone() Layer     { return Tanh{} }
+func (Tanh) Params() []*Param        { return nil }
+func (Tanh) OutShape(in []int) []int { return in }
+func (Tanh) Clone() Layer            { return Tanh{} }
 
 // ---------------------------------------------------------------- Loss
 
@@ -313,6 +320,15 @@ func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
 		dy = n.Layers[i].Backward(caches[i], dy)
 	}
 	return dy
+}
+
+// OutShape maps a per-sample input shape to that of the network's output
+// (see Layer.OutShape).
+func (n *Network) OutShape(in []int) []int {
+	for _, l := range n.Layers {
+		in = l.OutShape(in)
+	}
+	return in
 }
 
 // Params returns all trainable parameters in layer order; do not modify it.

@@ -121,7 +121,8 @@ func (bn *BatchNorm) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
+func (bn *BatchNorm) Params() []*Param     { return []*Param{bn.Gamma, bn.Beta} }
+func (bn *BatchNorm) OutShape([]int) []int { return []int{bn.Dim} }
 
 func (bn *BatchNorm) Clone() Layer {
 	c := *bn
@@ -173,7 +174,8 @@ func (d *Dropout) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 	return pooledCopy(dy).Hadamard(mask)
 }
 
-func (d *Dropout) Params() []*Param { return nil }
+func (d *Dropout) Params() []*Param        { return nil }
+func (d *Dropout) OutShape(in []int) []int { return in }
 
 func (d *Dropout) Clone() Layer {
 	return &Dropout{P: d.P, Train: d.Train, Rng: rand.New(rand.NewSource(d.Rng.Int63()))}
@@ -215,6 +217,8 @@ func (r *Residual) Params() []*Param {
 	}
 	return ps
 }
+
+func (r *Residual) OutShape(in []int) []int { return (&Network{Layers: r.Inner}).OutShape(in) }
 
 func (r *Residual) Clone() Layer {
 	inner := make([]Layer, len(r.Inner))

@@ -19,10 +19,17 @@ import (
 )
 
 // This file is the pipeline executor: stage workers exchange activations and
-// gradients as binary tensor frames (see link.go) over net.Conn links (TCP
+// gradients as wire tensor frames (see link.go) over net.Conn links (TCP
 // between devices in a deployment; net.Pipe in process). Each worker sees
 // only its model segment and its two neighbour links — exactly the
 // information a device in a smart-home pipeline has.
+//
+// Expected shapes. A frame carries no shape: NewDistributed works out the
+// per-sample shape each stage receives once, through the layers' geometry
+// (nn.Layer.OutShape; a dry forward would move BatchNorm statistics and
+// random streams), every stage knows each micro-batch's rows, and a gradient
+// must be shaped like the stage's own output. A frame of any other shape is
+// refused from its header (link.recv) and aborts the round.
 //
 // Tensor ownership. 1F1B keeps at most S−s micro-batches in flight on stage
 // s, and a stage hands what the schedule frees straight to the next
@@ -91,8 +98,11 @@ import (
 // training of the whole mini-batch.
 type DistPipeline struct {
 	segments []*nn.Network // stage s's blocks, sharing parameters with net
-	sm       []stageMetrics
-	journal  *journal.Recorder
+	// in[s] is the activation stage s > 0 receives; the stage writes each
+	// micro-batch's rows into in[s][0] before it reads one.
+	in      [][]int
+	sm      []stageMetrics
+	journal *journal.Recorder
 	// net is the full network over the stages' shared parameters, resolved
 	// once: ZeroGrads and the flush walk its cached parameter list.
 	net  *nn.Network
@@ -199,8 +209,12 @@ func (d *DistPipeline) LastRoundStats() *RoundStats {
 // NewDistributed builds a pipeline from cut points — block indices where the
 // model is split, strictly increasing within (0, numBlocks), len(cuts)+1
 // stages — and a link dialer; a nil dialer means PipeLinks. A pipeline with
-// no cuts is one stage and dials nothing.
+// no cuts is one stage and dials nothing. The model must declare its
+// per-sample input shape.
 func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline, error) {
+	if len(tr.InputShape) == 0 {
+		return nil, errors.New("runtime: the model declares no input shape")
+	}
 	nb := len(tr.Blocks)
 	b := append([]int{0}, cuts...)
 	b = append(b, nb)
@@ -222,8 +236,12 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		ups:    make([]*link, S),
 		downs:  make([]*link, S),
 	}
+	sample := tr.InputShape
 	for s := 0; s < S; s++ { // stage s runs blocks [b[s], b[s+1])
-		d.segments = append(d.segments, tr.SegmentNet(b[s], b[s+1]))
+		seg := tr.SegmentNet(b[s], b[s+1])
+		d.segments = append(d.segments, seg)
+		d.in = append(d.in, append([]int{0}, sample...))
+		sample = seg.OutShape(sample)
 		d.sm = append(d.sm, newStageMetrics(s))
 	}
 	return d, nil
@@ -446,7 +464,8 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			if !first {
 				wait := jr.Begin()
 				t0 := time.Now()
-				micro, t, err := down.recv()
+				d.in[s][0] = len(r.labels[o.Micro])
+				micro, t, err := down.recv(d.in[s])
 				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
 				endStageSpan(wait, s, "pipe.wait-act", o.Micro)
 				if err != nil {
@@ -484,7 +503,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			} else {
 				wait := jr.Begin()
 				t0 := time.Now()
-				micro, t, err := up.recv()
+				micro, t, err := up.recv(rec.Output().Shape)
 				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
 				endStageSpan(wait, s, "pipe.wait-grad", o.Micro)
 				if err != nil {

@@ -87,6 +87,12 @@ func TestDistributedValidation(t *testing.T) {
 			t.Fatalf("cuts %v must be rejected", cuts)
 		}
 	}
+	// Stages refuse any tensor not shaped as they expect, which they work
+	// out from the model's input shape.
+	bare := handTrainable("bare", nil, []nn.Layer{nn.NewConv2D(rng, 1, 2, 3, 1, 1)}, []nn.Layer{nn.Flatten{}})
+	if _, err := NewDistributed(bare, []int{1}, nil); err == nil {
+		t.Fatal("a model with no input shape must be rejected")
+	}
 	dp, err := NewDistributed(tr, []int{1, 2}, nil)
 	if err != nil {
 		t.Fatalf("valid cuts rejected: %v", err)

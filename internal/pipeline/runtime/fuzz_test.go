@@ -2,12 +2,13 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/tensor"
 )
 
@@ -33,48 +34,53 @@ func byteLink(raw []byte) *link {
 // not validate, so a tensor whose Shape and Data disagree, or whose values
 // are poisoned, comes out as the hostile frame it describes.
 func frame(micro int, shape []int, data ...float64) []byte {
-	return appendFrame(nil, micro, &tensor.Tensor{Shape: shape, Data: data})
+	return encodeFrame(nil, micro, &tensor.Tensor{Shape: shape, Data: data})
 }
 
 // rawFrame hand-assembles a frame whose header fields need not agree with
-// each other or with the payload — what only a hostile peer can send.
-func rawFrame(magic string, micro int32, ndims, payloadLen uint32, dims []int32, payload []byte) []byte {
-	b := append([]byte(nil), magic...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(micro))
-	b = binary.LittleEndian.AppendUint32(b, ndims)
-	b = binary.LittleEndian.AppendUint32(b, payloadLen)
-	for _, d := range dims {
-		b = binary.LittleEndian.AppendUint32(b, uint32(d))
-	}
-	return append(b, payload...)
+// each other or with the body — what only a hostile peer can send.
+func rawFrame(h wire.Header, body []byte) []byte {
+	b := make([]byte, wire.HeaderSize, wire.HeaderSize+len(body))
+	wire.PutHeader(b, &h)
+	return append(b, body...)
 }
 
-// FuzzLinkRecvDecode throws arbitrary byte streams at the pipeline link's
-// frame decoder (runs the seed corpus under plain `go test`; use
+// fuzzShape is the tensor FuzzLinkRecvDecode's receiver waits for.
+var fuzzShape = []int{2, 3}
+
+// FuzzLinkRecvDecode throws arbitrary byte streams at a pipeline link that
+// waits for 2×3 tensors (runs the seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzLinkRecvDecode` for continuous fuzzing). Every tensor
-// handed back has a shape that exactly matches its payload, within the
-// dimension bounds, with only finite values — no matter what shapes, lengths,
-// or payloads the bytes claim to carry. Truncated streams (a connection
-// severed mid-frame) must error out, never panic or hang.
+// handed back has exactly that shape, a non-negative micro-batch index and
+// only finite values — no matter what kinds, rows, lengths or payloads the
+// bytes claim to carry. Truncated streams (a connection severed mid-frame)
+// must error out, never panic or hang.
 func FuzzLinkRecvDecode(f *testing.F) {
-	f.Add(frame(0, []int{2, 3}, 1, 2, 3, 4, 5, 6))
-	f.Add(append(append([]byte(nil), heartbeatFrame...), frame(1, []int{4}, 1, 2, 3, 4)...))
-	// Hostile frames: truncated stream, oversized dim counts, dim products
-	// that overflow, negative dims, NaN-poisoned payloads, length mismatch.
-	whole := frame(2, []int{8}, make([]float64, 8)...)
+	six := []float64{1, 2, 3, 4, 5, 6}
+	whole := frame(2, fuzzShape, six...)
+	tensorHdr := wire.Header{Kind: wire.KindTensor, Codec: wire.CodecRaw, B: 2, PayloadLen: 48}
+	f.Add(whole)
+	f.Add(append(slices.Clone(heartbeatFrame), frame(1, fuzzShape, six...)...))
+	f.Add(append(slices.Clone(whole), whole...))
+	// Hostile frames: a truncated stream, a heartbeat with a body, frames of
+	// another kind, rows or length, a 128 MiB claim (inside the limits) on a
+	// short stream, poisoned values, negative micro-batches.
 	f.Add(whole[:len(whole)/2])
-	f.Add(frame(0, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 0))
-	f.Add(frame(0, []int{1 << 20, 1 << 20, 1 << 20}))
-	f.Add(frame(0, []int{-4, 2}, 1))
-	f.Add(frame(0, []int{2}, math.NaN(), 1))
-	f.Add(frame(0, []int{3}, 1))
-	f.Add(frame(-9, []int{1}, 1))
+	f.Add(rawFrame(wire.Header{Kind: wire.KindHeartbeat, PayloadLen: 8}, make([]byte, 8)))
+	f.Add(rawFrame(wire.Header{Kind: wire.KindHeartbeat, TrailerLen: 8}, make([]byte, 8)))
+	f.Add(rawFrame(wire.Header{Kind: wire.KindSegment, Codec: wire.CodecRaw, B: 2, PayloadLen: 48}, make([]byte, 48)))
+	f.Add(frame(0, []int{3, 2}, six...))
+	f.Add(frame(0, []int{2, 4}, make([]float64, 8)...))
+	f.Add(frame(0, fuzzShape, 1, 2, 3, 4))
+	f.Add(rawFrame(wire.Header{Kind: wire.KindTensor, Codec: wire.CodecRaw, B: 2, PayloadLen: 128 << 20}, make([]byte, 80)))
+	f.Add(frame(0, fuzzShape, 1, math.NaN(), 3, 4, 5, 6))
+	f.Add(frame(0, fuzzShape, 1, 2, 3, 4, 5, math.Inf(-1)))
+	f.Add(frame(-9, fuzzShape, six...))
+	trailer := tensorHdr
+	trailer.TrailerLen = 8
+	f.Add(rawFrame(trailer, make([]byte, 56)))
 	f.Add([]byte("\x7fthis is not a frame stream"))
 	f.Add([]byte{})
-	f.Add(rawFrame("EFLB", 0, 1, 8, []int32{1}, make([]byte, 8)))
-	// A 128 MB claim (inside the limits) on a 100-byte stream.
-	f.Add(rawFrame("EFPT", 0, 1, 128<<20, []int32{1 << 24}, make([]byte, 80)))
-	f.Add(rawFrame("EFPT", heartbeatMicro, 0, 8, nil, make([]byte, 8)))
 	f.Fuzz(checkDecodedStream)
 }
 
@@ -83,25 +89,15 @@ func FuzzLinkRecvDecode(f *testing.F) {
 func checkDecodedStream(t *testing.T, raw []byte) {
 	l := byteLink(raw)
 	for n := 0; n < 64; n++ {
-		micro, tt, err := l.recv()
+		micro, tt, err := l.recv(fuzzShape)
 		if err != nil {
 			break // malformed, hostile, or exhausted: the round aborts
 		}
 		if micro < 0 {
 			t.Fatalf("negative micro %d escaped validation", micro)
 		}
-		if len(tt.Shape) == 0 || len(tt.Shape) > maxFrameDims {
-			t.Fatalf("shape %v escaped dim bounds", tt.Shape)
-		}
-		elems := 1
-		for _, d := range tt.Shape {
-			if d <= 0 {
-				t.Fatalf("non-positive dim in %v escaped validation", tt.Shape)
-			}
-			elems *= d
-		}
-		if elems != len(tt.Data) || elems > maxFrameElems {
-			t.Fatalf("shape %v vs %d elements escaped validation", tt.Shape, len(tt.Data))
+		if !slices.Equal(tt.Shape, fuzzShape) || len(tt.Data) != 6 {
+			t.Fatalf("a %v tensor of %d elements escaped validation", tt.Shape, len(tt.Data))
 		}
 		for _, v := range tt.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

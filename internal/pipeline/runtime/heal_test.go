@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/leakcheck"
@@ -261,30 +263,42 @@ func TestThrottledLinksPropagateDialError(t *testing.T) {
 }
 
 // TestValidateFrame is the hostile-frame table: every row is a frame a
-// correct peer can never produce, and recv — where validation happens, on
-// the header before the payload is allocated, on the values after — must
-// reject each as errFrame.
+// correct peer can never send to a stage waiting for a 2×3 tensor, and recv
+// — where validation happens, on the header before the payload is read, on
+// the values after — must reject each as wire.ErrFrame.
 func TestValidateFrame(t *testing.T) {
-	micro, tt, err := byteLink(frame(0, []int{2, 3}, make([]float64, 6)...)).recv()
-	if err != nil || micro != 0 || len(tt.Shape) != 2 || len(tt.Data) != 6 {
+	shape := []int{2, 3}
+	micro, tt, err := byteLink(frame(4, shape, make([]float64, 6)...)).recv(shape)
+	if err != nil || micro != 4 || !slices.Equal(tt.Shape, shape) || len(tt.Data) != 6 {
 		t.Fatalf("valid frame rejected: micro=%d err=%v", micro, err)
 	}
+	// edited is a well-formed 2×3 tensor frame with one header field changed.
+	edited := func(edit func(h *wire.Header)) []byte {
+		h := wire.Header{Kind: wire.KindTensor, Codec: wire.CodecRaw, B: 2, PayloadLen: 48}
+		edit(&h)
+		return rawFrame(h, make([]byte, h.PayloadLen+h.TrailerLen))
+	}
+	badMagic := frame(0, shape, make([]float64, 6)...)
+	badMagic[3] = 'T'
 	hostile := map[string][]byte{
-		"negative micro":  frame(-2, []int{1}, 1),
-		"no dims":         frame(0, nil),
-		"too many dims":   frame(0, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1),
-		"negative dim":    frame(0, []int{2, -3}, make([]float64, 6)...),
-		"zero dim":        frame(0, []int{0, 4}),
-		"overflow":        frame(0, []int{1 << 20, 1 << 20, 1 << 20}),
-		"length mismatch": frame(0, []int{2, 2}, make([]float64, 3)...),
-		"NaN":             frame(0, []int{2}, 1, math.NaN()),
-		"Inf":             frame(0, []int{2}, math.Inf(-1), 1),
-		"bad magic":       rawFrame("EFLB", 0, 1, 8, []int32{1}, make([]byte, 8)),
-		"fat heartbeat":   rawFrame("EFPT", heartbeatMicro, 0, 8, nil, make([]byte, 8)),
+		"negative micro":    frame(-2, shape, make([]float64, 6)...),
+		"zero rows":         frame(0, []int{0, 3}),
+		"wrong rows":        frame(0, []int{3, 2}, make([]float64, 6)...),
+		"wrong width":       frame(0, []int{2, 4}, make([]float64, 8)...),
+		"length mismatch":   frame(0, shape, make([]float64, 5)...),
+		"NaN":               frame(0, shape, 1, math.NaN(), 0, 0, 0, 0),
+		"Inf":               frame(0, shape, math.Inf(-1), 1, 0, 0, 0, 0),
+		"segment kind":      edited(func(h *wire.Header) { h.Kind = wire.KindSegment }),
+		"push kind":         edited(func(h *wire.Header) { h.Kind = wire.KindPush }),
+		"quant codec":       edited(func(h *wire.Header) { h.Codec = wire.CodecQuant }),
+		"trailer":           edited(func(h *wire.Header) { h.TrailerLen = 8 }),
+		"bad magic":         badMagic,
+		"fat heartbeat":     rawFrame(wire.Header{Kind: wire.KindHeartbeat, PayloadLen: 8}, make([]byte, 8)),
+		"heartbeat trailer": rawFrame(wire.Header{Kind: wire.KindHeartbeat, TrailerLen: 8}, make([]byte, 8)),
 	}
 	for name, raw := range hostile {
-		if _, _, err := byteLink(raw).recv(); !errors.Is(err, errFrame) {
-			t.Errorf("%s: want errFrame, got %v", name, err)
+		if _, _, err := byteLink(raw).recv(shape); !errors.Is(err, wire.ErrFrame) {
+			t.Errorf("%s: want wire.ErrFrame, got %v", name, err)
 		}
 	}
 }
@@ -305,14 +319,14 @@ func TestRecvRejectsHostilePeer(t *testing.T) {
 		return &link{conn: b, opts: LinkOptions{RecvTimeout: time.Second}}
 	}
 
-	if _, _, err := send(frame(0, []int{3}, 1, math.NaN(), 3)).recv(); !errors.Is(err, errFrame) {
+	if _, _, err := send(frame(0, []int{1, 3}, 1, math.NaN(), 3)).recv([]int{1, 3}); !errors.Is(err, wire.ErrFrame) {
 		t.Fatalf("NaN-poisoned frame accepted: %v", err)
 	}
-	if _, _, err := send(frame(1, []int{4}, 1)).recv(); !errors.Is(err, errFrame) {
+	if _, _, err := send(frame(1, []int{1, 4}, 1)).recv([]int{1, 4}); !errors.Is(err, wire.ErrFrame) {
 		t.Fatalf("length-mismatched frame accepted: %v", err)
 	}
 	// Heartbeats are skipped; the data frame behind them is delivered.
-	micro, tt, err := send(heartbeatFrame, heartbeatFrame, frame(2, []int{2}, 4, 5)).recv()
+	micro, tt, err := send(heartbeatFrame, heartbeatFrame, frame(2, []int{1, 2}, 4, 5)).recv([]int{1, 2})
 	if err != nil || micro != 2 || tt.Data[1] != 5 {
 		t.Fatalf("data frame behind heartbeats lost: micro=%d err=%v", micro, err)
 	}
@@ -323,7 +337,7 @@ func TestRecvRejectsHostilePeer(t *testing.T) {
 	}
 	l := send(hb...)
 	l.opts = LinkOptions{RecvTimeout: 50 * time.Millisecond, RecvBudget: 120 * time.Millisecond}
-	if _, _, err := l.recv(); err == nil {
+	if _, _, err := l.recv([]int{1, 2}); err == nil {
 		t.Fatal("heartbeat-only stream satisfied a data recv")
 	}
 }
@@ -331,8 +345,8 @@ func TestRecvRejectsHostilePeer(t *testing.T) {
 // TestTruncatedFrameStream feeds a prefix of a valid frame — the severed
 // connection — and expects a read error, not a hang or panic.
 func TestTruncatedFrameStream(t *testing.T) {
-	raw := frame(0, []int{4}, 1, 2, 3, 4)
-	raw = raw[:len(raw)/2]
+	raw := frame(0, []int{1, 4}, 1, 2, 3, 4)
+	raw = raw[:len(raw)-16] // the header and half the payload
 
 	a, b := net.Pipe()
 	go func() {
@@ -341,7 +355,7 @@ func TestTruncatedFrameStream(t *testing.T) {
 	}()
 	defer b.Close()
 	l := &link{conn: b, opts: LinkOptions{RecvTimeout: time.Second}}
-	if _, _, err := l.recv(); err == nil {
+	if _, _, err := l.recv([]int{1, 4}); err == nil {
 		t.Fatal("truncated frame decoded successfully")
 	}
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -13,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/leakcheck"
@@ -149,7 +149,7 @@ func (c *cutKeepalive) SetWriteDeadline(t time.Time) error {
 }
 
 func (c *cutKeepalive) Write(b []byte) (int, error) {
-	if len(b) != frameHeaderSize || int32(binary.LittleEndian.Uint32(b[4:])) != heartbeatMicro {
+	if h, err := wire.ParseHeader(b, wire.Limits{}); err != nil || h.Kind != wire.KindHeartbeat {
 		c.data--
 	} else if c.data <= 0 {
 		<-c.expired

@@ -1,26 +1,21 @@
 package runtime
 
 // The hardened link layer of the distributed pipeline. A link is one duplex
-// neighbour connection carrying tensors as length-prefixed binary frames,
-// all little-endian:
-//
-//	magic "EFPT" (4) | micro int32 | ndims uint32 | payloadLen uint32
-//	dims ndims×int32 | payload: payloadLen bytes, 8 per float64 element
-//
-// An idle keepalive (heartbeat) is the 16-byte header alone, with micro −1
-// and both counts zero. Both endpoints of every link are created by the
-// same process, so the format is private and carries no version.
+// neighbour connection carrying tensors as wire frames (internal/flnet/wire):
+// an activation or gradient is one KindTensor frame — A its micro-batch, B
+// its rows, its values the raw payload, no shape — and an idle keepalive
+// (heartbeat) one KindHeartbeat header with no body.
 //
 // Lifetime: a link and its connection outlive the round. The DistPipeline
 // that dialed it holds it between rounds and starts it again for the next
 // (start); the writer goroutine, the running heartbeat ticker and the frame
-// buffers belong to one round only (close ends it), so a held link owns no
+// buffer belong to one round only (close ends it), so a held link owns no
 // goroutine, no running timer and no buffer — only its connection, its armed
-// deadlines and a few header-sized fields. The pipeline closes the
-// connection, and dials afresh next round, after an aborted round, after a
-// write error on any link (its peer may hold half a frame) and on Close. A
-// connection that dies while held fails the next round's first read or
-// write like any link fault (see dist.go).
+// deadlines and a header-sized scratch. The pipeline closes the connection,
+// and dials afresh next round, after an aborted round, after a write error
+// on any link (its peer may hold half a frame) and on Close. A connection
+// that dies while held fails the next round's first read or write like any
+// link fault (see dist.go).
 //
 // Send side: the writer goroutine assembles each frame in one buffer,
 // borrowed from frameBufs for the round, and hands it to the connection in
@@ -32,30 +27,23 @@ package runtime
 // only lent (send) return it later (see the sent-before-released check in
 // dist.go).
 //
-// Receive side: recv checks the header fail-closed — magic, micro ≥ 0,
-// 1…maxFrameDims positive dims, overflow-safe element count ≤ maxFrameElems,
-// element count × 8 = payloadLen — before any payload allocation, reads the
-// payload straight into a pooled tensor (tensor.GetBufUninit), then scans it
-// for non-finite values. A payload above frameChunk is first gathered in a
-// buffer borrowed from frameBufs until the round ends, which grows with the
-// bytes that actually arrive (wire.ReadGrow, the flnet frame reader's own),
-// so a hostile length prefix on a truncated stream cannot force a large
-// allocation. The tensor recv returns belongs to the caller, who hands it
-// back with tensor.PutBuf once nothing references it (a stage gives it to
-// the micro-batch's record, see dist.go).
+// Receive side: recv checks a frame's header fail-closed against the tensor
+// the caller expects — wire.ParseHeader, then kind, rows and payload length —
+// before it allocates or reads anything more, reads the payload straight
+// into a pooled tensor of that shape (tensor.GetBufUninit, wire.ReadRaw),
+// then scans it for non-finite values: a hostile or corrupted peer can
+// neither poison training state, nor crash a stage with a tensor of the
+// wrong shape, nor allocate unboundedly. The tensor belongs to the caller,
+// who hands it back with tensor.PutBuf once nothing references it (a stage
+// gives it to the micro-batch's record, see dist.go).
 //
-// PR 4 hardened the server-side flnet transport against misbehaving
-// networks; this file gives the pipeline's peer-to-peer links the same
-// treatment:
+// The links get the hardening of the server-side flnet transport:
 //
 //   - per-frame send/recv deadlines turn silent stalls into errors the
 //     round-abort machinery can act on;
 //   - idle heartbeats let a receiver distinguish "peer is computing" from
 //     "link is dead" without inflating the per-frame deadline, with a total
 //     budget so a black-holed frame is still detected;
-//   - every received frame is validated before it becomes a tensor, so a
-//     hostile or corrupted peer cannot poison training state or allocate
-//     unboundedly (mirrors flnet's validMetricPoint);
 //   - link establishment retries transient dial failures under flnet's
 //     exponential-backoff-with-jitter policy, so a chaos partition window
 //     delays a round instead of failing it.
@@ -64,7 +52,6 @@ package runtime
 // the pre-hardening link (no deadlines, no heartbeats, validation always on).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -100,34 +87,19 @@ var (
 		"bytes of tensor frames moved over pipeline links, headers included", "dir", "recv")
 )
 
-// heartbeatMicro marks an idle keepalive frame; it carries no tensor.
-const heartbeatMicro = -1
-
-// Frame geometry.
-const (
-	frameHeaderSize = 16
-	// frameChunk is the largest payload read straight into its tensor, and
-	// equals the step by which wire.ReadGrow grows the gather buffer of a
-	// larger one — the most a length prefix alone can make the receiver
-	// allocate.
-	frameChunk = 64 << 10
-)
-
-var frameMagic = [4]byte{'E', 'F', 'P', 'T'}
-
-// frameBufs lends links their frame buffers for one round: the writer's, and
-// the receiver's gather buffer for payloads above frameChunk. A link held
-// between rounds keeps none, and the GC trims the pool once training stops.
+// frameBufs lends each link's writer its frame buffer for one round. A held
+// link keeps none, and the GC trims the pool once training stops.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // heartbeatFrame is the one keepalive frame every link writes.
-var heartbeatFrame = appendFrameHeader(nil, heartbeatMicro, 0, 0)
+var heartbeatFrame = func() []byte {
+	b := make([]byte, wire.HeaderSize)
+	wire.PutHeader(b, &wire.Header{Kind: wire.KindHeartbeat})
+	return b
+}()
 
-// Bounds on accepted tensor frames, and the dial-retry backoff.
+// The dial-retry backoff.
 const (
-	maxFrameDims  = 8
-	maxFrameElems = 1 << 24 // 16M float64 elements = 128 MB, far above any stage tensor here
-
 	dialBackoffBase = 10 * time.Millisecond
 	dialBackoffMax  = 500 * time.Millisecond
 )
@@ -166,26 +138,13 @@ func (o LinkOptions) recvBudget() time.Duration {
 	return 0
 }
 
-// errFrame tags a frame-validation failure: the bytes were read but a
-// correct peer can never have produced them.
-var errFrame = errors.New("runtime: invalid tensor frame")
-
-func appendFrameHeader(dst []byte, micro, ndims, payloadLen int) []byte {
-	dst = append(dst, frameMagic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(micro)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ndims))
-	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
-}
-
-// appendFrame appends the data frame carrying t for micro-batch micro. It
-// encodes what it is given; validation is the receiver's job.
-func appendFrame(dst []byte, micro int, t *tensor.Tensor) []byte {
-	dst = slices.Grow(dst, frameHeaderSize+4*len(t.Shape)+8*len(t.Data))
-	dst = appendFrameHeader(dst, micro, len(t.Shape), 8*len(t.Data))
-	for _, d := range t.Shape {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(d)))
-	}
-	return wire.AppendRaw(dst, t.Data)
+// encodeFrame frames t for micro-batch micro in buf's storage, grown as
+// needed. It encodes what it is given; validation is the receiver's job.
+func encodeFrame(buf []byte, micro int, t *tensor.Tensor) []byte {
+	buf = slices.Grow(buf[:0], wire.HeaderSize+8*len(t.Data))[:wire.HeaderSize]
+	wire.PutHeader(buf, &wire.Header{Kind: wire.KindTensor, Codec: wire.CodecRaw,
+		A: int32(micro), B: int32(t.Rows()), PayloadLen: uint32(8 * len(t.Data))})
+	return wire.AppendRaw(buf, t.Data)
 }
 
 // outFrame is one queued send. An owned tensor is the writer's to return to
@@ -232,13 +191,8 @@ type link struct {
 	// the receiving stage goroutine — no lock needed.
 	wDeadline time.Time
 	rDeadline time.Time
-	// The receiving goroutine's scratch: the header, the dim bytes and the
-	// decoded dims of the frame being read, and the gather buffer borrowed
-	// from frameBufs for the round (nil until a large payload needs it).
-	hdr     [frameHeaderSize]byte
-	dimsRaw [4 * maxFrameDims]byte
-	dims    []int
-	rbuf    *[]byte
+	// hdr is the receiving goroutine's scratch for the header being read.
+	hdr [wire.HeaderSize]byte
 }
 
 // newLink wraps c and starts its first round (see start).
@@ -292,7 +246,7 @@ func (l *link) writer() {
 			if l.sendErr() != nil {
 				continue
 			}
-			*buf = appendFrame((*buf)[:0], f.micro, f.t)
+			*buf = encodeFrame(*buf, f.micro, f.t)
 			if f.owned {
 				tensor.PutBuf(f.t)
 			}
@@ -413,10 +367,10 @@ func (l *link) enqueue(f outFrame) error {
 // tensor it was made from is no longer read.
 func (l *link) sent(n int) bool { return l.serialized.Load() > int64(n) }
 
-// recv blocks for the next data frame, skipping heartbeats, enforcing the
-// per-frame deadline and the overall data-frame budget, and validating the
-// frame before it becomes a tensor. The caller owns the returned tensor.
-func (l *link) recv() (int, *tensor.Tensor, error) {
+// recv blocks for the next data frame, a tensor shaped shape, skipping
+// heartbeats and enforcing the per-frame deadline and the overall data-frame
+// budget. The caller owns the returned tensor.
+func (l *link) recv(shape []int) (int, *tensor.Tensor, error) {
 	var budgetEnd time.Time
 	if b := l.opts.recvBudget(); b > 0 {
 		budgetEnd = time.Now().Add(b)
@@ -438,9 +392,9 @@ func (l *link) recv() (int, *tensor.Tensor, error) {
 				l.conn.SetReadDeadline(dl)
 			}
 		}
-		micro, t, err := l.readFrame()
+		micro, t, err := l.readFrame(shape)
 		if err != nil {
-			if errors.Is(err, errFrame) {
+			if errors.Is(err, wire.ErrFrame) {
 				linkRejectedTotal.Inc()
 			}
 			return 0, nil, err
@@ -456,104 +410,50 @@ func (l *link) recv() (int, *tensor.Tensor, error) {
 }
 
 // readFrame reads one frame; a heartbeat comes back as a nil tensor. It
-// rejects frames a correct peer can never produce: a wrong magic, dimension
-// counts and sizes outside sane bounds, a payload length that disagrees
-// with the claimed shape — all before the payload is allocated — and
-// NaN/Inf-poisoned values that would silently corrupt every parameter they
-// touch.
-func (l *link) readFrame() (int, *tensor.Tensor, error) {
+// rejects as wire.ErrFrame what a correct peer can never send: a header
+// wire.ParseHeader refuses, another kind, rows or payload length than shape
+// calls for — all before the payload is read — and NaN/Inf values that would
+// silently corrupt every parameter they touch.
+func (l *link) readFrame(shape []int) (int, *tensor.Tensor, error) {
 	if _, err := io.ReadFull(l.conn, l.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	if [4]byte(l.hdr[:4]) != frameMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic % x", errFrame, l.hdr[:4])
-	}
-	micro := int(int32(binary.LittleEndian.Uint32(l.hdr[4:])))
-	ndims := int(binary.LittleEndian.Uint32(l.hdr[8:]))
-	payloadLen := int(binary.LittleEndian.Uint32(l.hdr[12:]))
-	if micro == heartbeatMicro && ndims == 0 && payloadLen == 0 {
-		return heartbeatMicro, nil, nil
-	}
-	if micro < 0 {
-		return 0, nil, fmt.Errorf("%w: negative micro-batch index %d", errFrame, micro)
-	}
-	if ndims == 0 || ndims > maxFrameDims {
-		return 0, nil, fmt.Errorf("%w: %d dims", errFrame, ndims)
-	}
-	if _, err := io.ReadFull(l.conn, l.dimsRaw[:4*ndims]); err != nil {
+	h, err := wire.ParseHeader(l.hdr[:], wire.Limits{})
+	switch {
+	case err != nil:
 		return 0, nil, err
+	case h.Kind == wire.KindHeartbeat:
+		return 0, nil, nil
+	case h.Kind != wire.KindTensor:
+		return 0, nil, fmt.Errorf("%w: kind %d on a pipeline link", wire.ErrFrame, h.Kind)
 	}
-	l.dims = l.dims[:0]
 	elems := 1
-	for i := 0; i < ndims; i++ {
-		d := int(int32(binary.LittleEndian.Uint32(l.dimsRaw[4*i:])))
-		if d <= 0 {
-			return 0, nil, fmt.Errorf("%w: non-positive dim %d", errFrame, d)
-		}
-		if elems > maxFrameElems/d {
-			return 0, nil, fmt.Errorf("%w: shape exceeds %d elements", errFrame, maxFrameElems)
-		}
+	for _, d := range shape {
 		elems *= d
-		l.dims = append(l.dims, d)
 	}
-	if 8*elems != payloadLen {
-		return 0, nil, fmt.Errorf("%w: shape %v claims %d elements, payload has %d bytes", errFrame, l.dims, elems, payloadLen)
+	if int(h.B) != shape[0] || int(h.PayloadLen) != 8*elems {
+		return 0, nil, fmt.Errorf("%w: %d rows in %d bytes, expected a %v tensor", wire.ErrFrame, h.B, h.PayloadLen, shape)
 	}
-	t, err := l.readPayload(elems)
-	if err != nil {
+	t := tensor.GetBufUninit(shape...)
+	if err := wire.ReadRaw(l.conn, t.Data); err != nil {
+		tensor.PutBuf(t)
 		return 0, nil, err
 	}
 	for i, v := range t.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			tensor.PutBuf(t)
-			return 0, nil, fmt.Errorf("%w: non-finite value at element %d", errFrame, i)
+			return 0, nil, fmt.Errorf("%w: non-finite value at element %d", wire.ErrFrame, i)
 		}
 	}
 	linkFramesRecv.Inc()
-	linkBytesRecv.Add(int64(frameHeaderSize + 4*ndims + payloadLen))
-	return micro, t, nil
-}
-
-// forceGather makes readPayload take its gather-then-ParseRaw path for every
-// frame, the one a big-endian host always takes. Only tests set it.
-var forceGather bool
-
-// readPayload reads elems float64 values into a pooled tensor shaped l.dims.
-// A small payload on a little-endian host lands directly in the tensor's
-// storage; anything else is gathered chunk-wise in the round's gather
-// buffer first, so the tensor is only allocated once its bytes have all
-// arrived.
-func (l *link) readPayload(elems int) (*tensor.Tensor, error) {
-	if 8*elems <= frameChunk && !forceGather {
-		t := tensor.GetBufUninit(l.dims...)
-		if b, ok := wire.BytesView(t.Data); ok {
-			if _, err := io.ReadFull(l.conn, b); err != nil {
-				tensor.PutBuf(t)
-				return nil, err
-			}
-			return t, nil
-		}
-		tensor.PutBuf(t) // big-endian host: no byte view, gather instead
-	}
-	if l.rbuf == nil {
-		l.rbuf = frameBufs.Get().(*[]byte)
-	}
-	var err error
-	if *l.rbuf, err = wire.ReadGrow(l.conn, *l.rbuf, 8*elems); err != nil {
-		return nil, err
-	}
-	t := tensor.GetBufUninit(l.dims...)
-	if _, err := wire.ParseRaw(*l.rbuf, t.Data[:0]); err != nil {
-		tensor.PutBuf(t)
-		return nil, err
-	}
-	return t, nil
+	linkBytesRecv.Add(int64(wire.HeaderSize) + int64(h.PayloadLen))
+	return int(h.A), t, nil
 }
 
 // close ends the link's round: queued data frames are still written, a
 // keepalive in flight is interrupted (see heartbeat), since nothing
 // guarantees the peer will ever read it, and the writer, the ticker and the
-// frame buffers stop or go back to the pool. The connection stays open, its
+// frame buffer stop or go back to the pool. The connection stays open, its
 // deadlines armed: the pipeline holding the link either starts it again next
 // round or closes the connection (see dist.go). Call it once the round's
 // stages are done with the link.
@@ -572,10 +472,6 @@ func (l *link) close() {
 		case <-l.tick.C:
 		default:
 		}
-	}
-	if l.rbuf != nil {
-		frameBufs.Put(l.rbuf)
-		l.rbuf = nil
 	}
 }
 

@@ -4,16 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
+	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
@@ -52,25 +56,33 @@ func TestOneWritePerFrame(t *testing.T) {
 	l := newLink(wl, 4, LinkOptions{Heartbeat: 2 * time.Millisecond})
 
 	var frameLens []int
+	heartbeats := 0
 	peerDone := make(chan struct{})
 	go func() {
 		defer close(peerDone)
 		r := bufio.NewReader(b)
-		var hdr [frameHeaderSize]byte
+		var hdr [wire.HeaderSize]byte
 		for {
 			if _, err := io.ReadFull(r, hdr[:]); err != nil {
 				return
 			}
-			n := 4*int(binary.LittleEndian.Uint32(hdr[8:])) + int(binary.LittleEndian.Uint32(hdr[12:]))
-			if _, err := r.Discard(n); err != nil {
+			h, err := wire.ParseHeader(hdr[:], wire.Limits{})
+			if err != nil {
+				t.Errorf("the link wrote a frame wire refuses: %v", err)
 				return
 			}
-			frameLens = append(frameLens, frameHeaderSize+n)
+			if h.Kind == wire.KindHeartbeat {
+				heartbeats++
+			}
+			if _, err := r.Discard(int(h.PayloadLen + h.TrailerLen)); err != nil {
+				return
+			}
+			frameLens = append(frameLens, wire.HeaderSize+int(h.PayloadLen+h.TrailerLen))
 		}
 	}()
 
 	rng := rand.New(rand.NewSource(1))
-	shapes := [][]int{{4, 6}, {16, 96}, {2, 3, 5, 7}, {9000}} // the last one is above frameChunk
+	shapes := [][]int{{4, 6}, {16, 96}, {2, 3, 5, 7}, {9000}} // the last one is above 64 KiB
 	for i, sh := range shapes {
 		if err := l.send(i, tensor.Randn(rng, 1, sh...)); err != nil {
 			t.Fatal(err)
@@ -81,12 +93,6 @@ func TestOneWritePerFrame(t *testing.T) {
 	a.Close()
 	<-peerDone
 
-	heartbeats := 0
-	for _, n := range frameLens {
-		if n == frameHeaderSize {
-			heartbeats++
-		}
-	}
 	if len(frameLens)-heartbeats != len(shapes) || heartbeats == 0 {
 		t.Fatalf("peer parsed %d data frames and %d heartbeats, want %d and some", len(frameLens)-heartbeats, heartbeats, len(shapes))
 	}
@@ -130,23 +136,24 @@ func TestCloseUnparksHeartbeatWrite(t *testing.T) {
 	leakcheck.Check(t, baseline)
 }
 
-// TestFrameCodecParity checks the two payload paths against each other and
-// against the layout spelled out byte by byte: the zero-copy view path a
-// little-endian host takes for small frames, and the gather-then-ParseRaw
-// path taken for large frames and on big-endian hosts.
+// TestFrameCodecParity checks the link's frame against the layout spelled
+// out byte by byte — a wire KindTensor header, micro-batch in A and rows in
+// B, then the raw payload — and the decoder against the encoder, bit for
+// bit. wire's own tests cover the raw codec's portable decoding path.
 func TestFrameCodecParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, shape := range [][]int{{3}, {16, 96}, {2, 3, 4, 5}, {3, 4000}} { // the last one is above frameChunk
+	for _, shape := range [][]int{{3}, {16, 96}, {2, 3, 4, 5}, {3, 4000}} { // the last one is above 64 KiB
 		src := tensor.Randn(rng, 1, shape...)
 		src.Data[0] = math.Float64frombits(0x8000000000000001) // a denormal: bits must survive
-		raw := appendFrame(nil, 7, src)
+		raw := encodeFrame(nil, 7, src)
 
-		want := append([]byte("EFPT"), 7, 0, 0, 0)
-		want = binary.LittleEndian.AppendUint32(want, uint32(len(shape)))
+		want := append([]byte("EFLB"), wire.Version, wire.KindTensor, wire.CodecRaw, 0)
+		want = binary.LittleEndian.AppendUint32(want, 7)
+		want = binary.LittleEndian.AppendUint32(want, uint32(shape[0]))
+		want = binary.LittleEndian.AppendUint32(want, 0)
+		want = binary.LittleEndian.AppendUint64(want, 0)
 		want = binary.LittleEndian.AppendUint32(want, uint32(8*len(src.Data)))
-		for _, d := range shape {
-			want = binary.LittleEndian.AppendUint32(want, uint32(d))
-		}
+		want = binary.LittleEndian.AppendUint32(want, 0)
 		for _, v := range src.Data {
 			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
 		}
@@ -154,38 +161,42 @@ func TestFrameCodecParity(t *testing.T) {
 			t.Fatalf("shape %v: encoded frame departs from the documented layout", shape)
 		}
 
-		for _, gather := range []bool{false, true} {
-			forceGather = gather
-			micro, got, err := byteLink(raw).recv()
-			forceGather = false
-			if err != nil || micro != 7 {
-				t.Fatalf("shape %v gather=%v: micro=%d err=%v", shape, gather, micro, err)
-			}
-			if fmt.Sprint(got.Shape) != fmt.Sprint(shape) || len(got.Data) != len(src.Data) {
-				t.Fatalf("shape %v gather=%v: decoded shape %v, %d elements", shape, gather, got.Shape, len(got.Data))
-			}
-			for i := range src.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(src.Data[i]) {
-					t.Fatalf("shape %v gather=%v: element %d differs", shape, gather, i)
-				}
+		micro, got, err := byteLink(raw).recv(shape)
+		if err != nil || micro != 7 {
+			t.Fatalf("shape %v: micro=%d err=%v", shape, micro, err)
+		}
+		if !slices.Equal(got.Shape, shape) || len(got.Data) != len(src.Data) {
+			t.Fatalf("shape %v: decoded shape %v, %d elements", shape, got.Shape, len(got.Data))
+		}
+		for i := range src.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(src.Data[i]) {
+				t.Fatalf("shape %v: element %d differs", shape, i)
 			}
 		}
 	}
 }
 
 // TestHostileLengthTruncated severs the stream 1 MiB into a frame whose
-// header (valid under the default limits) claims 128 MiB: recv must fail
-// with a truncation error having allocated in proportion to the bytes that
-// arrived, not to the claim. Mirrors wire.TestHostileLengthTruncated.
+// header (valid under the default limits) claims 128 MiB: recv must refuse
+// it from the header, since it is not the tensor the stage waits for, and
+// allocate nothing in proportion to the claim. Mirrors
+// wire.TestHostileLengthTruncated.
 func TestHostileLengthTruncated(t *testing.T) {
 	const received = 1 << 20
-	raw := rawFrame("EFPT", 0, 1, 128<<20, []int32{1 << 24}, make([]byte, received))
+	shape := []int{1 << 10, 12}
+	raw := rawFrame(wire.Header{Kind: wire.KindTensor, Codec: wire.CodecRaw, B: int32(shape[0]), PayloadLen: 128 << 20},
+		make([]byte, received))
 	l := byteLink(raw)
-	if _, _, err := l.recv(); err == nil {
-		t.Fatal("truncated 128 MiB claim accepted")
+	var err error
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, _, err = l.recv(shape)
+	goruntime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrFrame) {
+		t.Fatalf("truncated 128 MiB claim: want wire.ErrFrame, got %v", err)
 	}
-	if cap(*l.rbuf) > 2*received+frameChunk {
-		t.Fatalf("link holds a %d-byte buffer for %d bytes received", cap(*l.rbuf), received)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("refusing a 128 MiB claim allocated %d bytes", grew)
 	}
 }
 
@@ -208,7 +219,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 		if err := tx.send(0, src); err != nil {
 			t.Fatal(err)
 		}
-		_, r, err := rx.recv()
+		_, r, err := rx.recv(src.Shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +252,8 @@ func scrapeCounter(t *testing.T, series string) int64 {
 
 // TestLinkTrafficCounters scrapes the per-direction frame and byte counters
 // around one round whose traffic is known exactly: 2 stages and 3
-// micro-batches make 3 activations (4×10) and 3 gradients (4×10), each 16
-// header + 8 dim + 320 payload bytes, and every frame sent is received.
+// micro-batches make 3 activations (4×10) and 3 gradients (4×10), each 36
+// header + 320 payload bytes, and every frame sent is received.
 func TestLinkTrafficCounters(t *testing.T) {
 	series := func(family, dir string) string {
 		return fmt.Sprintf(`ecofl_pipeline_link_%s_total{dir="%s"}`, family, dir)
@@ -264,7 +275,7 @@ func TestLinkTrafficCounters(t *testing.T) {
 	if _, err := dp.TrainSyncRound(x, labels, 4, &nn.SGD{LR: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{6, 6, 6 * (16 + 8 + 320), 6 * (16 + 8 + 320)}
+	want := []int64{6, 6, 6 * (36 + 320), 6 * (36 + 320)}
 	for i, n := range names {
 		if got := scrapeCounter(t, n) - before[i]; got != want[i] {
 			t.Errorf("%s moved by %d, want %d", n, got, want[i])

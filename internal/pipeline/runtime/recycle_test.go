@@ -3,14 +3,17 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/leakcheck"
@@ -36,8 +39,8 @@ type recyclingCase struct {
 
 func evalDropout() nn.Layer { return &nn.Dropout{P: 0.5, Rng: rand.New(rand.NewSource(1))} }
 
-func handTrainable(name string, blocks ...[]nn.Layer) *model.Trainable {
-	return (&model.Trainable{Spec: &model.Spec{Name: name}, Blocks: blocks}).Clone()
+func handTrainable(name string, input []int, blocks ...[]nn.Layer) *model.Trainable {
+	return (&model.Trainable{Spec: &model.Spec{Name: name}, InputShape: input, Blocks: blocks}).Clone()
 }
 
 // recyclingCases put every layer type first and last in a stage, with every
@@ -52,7 +55,7 @@ var recyclingCases = []recyclingCase{
 		input: []int{2, 3, 3},
 		build: func(seed int64) *model.Trainable {
 			rng := rand.New(rand.NewSource(seed))
-			return handTrainable("views",
+			return handTrainable("views", []int{2, 3, 3},
 				[]nn.Layer{nn.Flatten{}, nn.NewDense(rng, 18, 14), nn.ReLU{}},
 				[]nn.Layer{nn.Flatten{}},
 				[]nn.Layer{evalDropout()},
@@ -70,7 +73,7 @@ var recyclingCases = []recyclingCase{
 		input: []int{1, 8, 8},
 		build: func(seed int64) *model.Trainable {
 			rng := rand.New(rand.NewSource(seed))
-			return handTrainable("cnn",
+			return handTrainable("cnn", []int{1, 8, 8},
 				[]nn.Layer{nn.NewConv2D(rng, 1, 3, 3, 1, 1), nn.ReLU{}, nn.MaxPool2D{K: 2, Stride: 2}},
 				[]nn.Layer{nn.NewConv2D(rng, 3, 3, 3, 1, 1)},
 				[]nn.Layer{&nn.Residual{Inner: []nn.Layer{nn.NewConv2D(rng, 3, 3, 3, 1, 1), nn.Tanh{}}}},
@@ -310,9 +313,15 @@ func earlyGradientAborts(t *testing.T) {
 			t.Fatalf("the aborted round changed weight %d", i)
 		}
 	}
-	// Every size the round moved through the pool: a tensor returned twice
-	// would be handed out twice.
-	for _, n := range []int{mbs * 10, mbs * hidden, mbs * 4, 10 * hidden, hidden * 4} {
+	// Every size the round moved through the pool.
+	poolHandsOutOnce(t, mbs*10, mbs*hidden, mbs*4, 10*hidden, hidden*4)
+}
+
+// poolHandsOutOnce fails if the tensor pool hands out one tensor of any of
+// the given sizes twice — what a tensor returned to it twice would be.
+func poolHandsOutOnce(t *testing.T, sizes ...int) {
+	t.Helper()
+	for _, n := range sizes {
 		seen := map[*tensor.Tensor]bool{}
 		for i := 0; i < 64; i++ {
 			b := tensor.GetBufUninit(n)
@@ -321,5 +330,80 @@ func earlyGradientAborts(t *testing.T) {
 			}
 			seen[b] = true
 		}
+	}
+}
+
+// TestHostileShapesAbortRound scripts a neighbour that sends finite,
+// well-formed tensors of the wrong shape: activations shaped [4 5], [5 12]
+// and [2 24] to a stage that expects [4 12] — its Dense(12, 4) cannot take
+// the first, the loss has no label for the second's fifth row — and a
+// gradient shaped unlike the output it is for. Each must end the round in a
+// *RoundError carrying wire.ErrFrame: no panic, no optimizer step, and no
+// pooled tensor returned twice.
+func TestHostileShapesAbortRound(t *testing.T) {
+	const seed, rows, mbs, hidden = 11, 12, 4, 12
+	for _, c := range []struct {
+		name  string
+		grad  bool // the peer is stage 1 and answers stage 0; else it is stage 0 to stage 1
+		shape []int
+	}{
+		{"activation [4 5]", false, []int{4, 5}},
+		{"activation [5 12]", false, []int{5, 12}},
+		{"activation [2 24]", false, []int{2, 24}},
+		{"gradient [4 5]", true, []int{4, 5}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "hostile", 10, []int{hidden}, 4)
+			values := make([]float64, c.shape[0]*c.shape[1])
+			for i := range values {
+				values[i] = 0.5
+			}
+			hostile := frame(0, c.shape, values...)
+			peerDone := make(chan struct{})
+			scripted := func(int) (net.Conn, net.Conn, error) {
+				up, upPeer := net.Pipe()
+				down, downPeer := net.Pipe()
+				go func() {
+					defer close(peerDone)
+					defer upPeer.Close()
+					defer downPeer.Close()
+					if !c.grad {
+						downPeer.Write(hostile) // returns once the abort closes the stage's end
+						return
+					}
+					// Read activation 0 off stage 0, then answer it.
+					var hdr [wire.HeaderSize]byte
+					if _, err := io.ReadFull(upPeer, hdr[:]); err != nil {
+						return
+					}
+					h, err := wire.ParseHeader(hdr[:], wire.Limits{})
+					if err != nil {
+						return
+					}
+					if _, err := io.CopyN(io.Discard, upPeer, int64(h.PayloadLen)); err == nil {
+						upPeer.Write(hostile)
+					}
+				}()
+				return up, down, nil
+			}
+			dp, err := NewDistributed(tr, []int{1}, scripted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := leakcheck.Baseline()
+			x, y := makeData(rand.New(rand.NewSource(seed)), rows, 10, 4)
+			before := dp.Network().FlatWeights()
+			_, err = dp.TrainSyncRound(x, y, mbs, &nn.SGD{LR: 0.1})
+			var re *RoundError
+			if !errors.As(err, &re) || !slices.ContainsFunc(re.Errs, func(e error) bool { return errors.Is(e, wire.ErrFrame) }) {
+				t.Fatalf("want a *RoundError carrying wire.ErrFrame, got %v", err)
+			}
+			<-peerDone
+			leakcheck.Check(t, baseline)
+			if !slices.Equal(before, dp.Network().FlatWeights()) {
+				t.Fatal("the aborted round changed the weights")
+			}
+			poolHandsOutOnce(t, len(values), mbs*10, mbs*hidden, mbs*4, 10*hidden, hidden*4)
+		})
 	}
 }

@@ -26,8 +26,9 @@ if [ "$unreached" != "$want_unreached" ]; then
 	exit 1
 fi
 
-# One codec family: what leaves memory is an EFLB/EFPT frame or JSON (DESIGN.md,
-# "What leaves memory"). encoding/gob stays out of the program, tests included.
+# One codec family: what leaves memory is an EFLB frame or JSON (DESIGN.md,
+# "What leaves memory"); pipeline links send EFLB frames too. encoding/gob
+# stays out of the program, tests included.
 if gob=$(grep -rln '"encoding/gob"' --include='*.go' .); then
 	echo "encoding/gob is imported by:" >&2
 	echo "$gob" >&2
@@ -204,8 +205,10 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # overwrite by whichever goroutine draws it next — scheduling-dependent, so
 # one green run means nothing. The link lifetime pin rides along: a link
 # held between rounds is restarted by one goroutine and drained by another,
-# and a keepalive cut at a round's end races the close that cuts it.
-go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds)$' ./internal/pipeline/runtime
+# and a keepalive cut at a round's end races the close that cuts it. So does
+# the hostile-shape pin: a refused frame hands back any pooled tensor it was
+# read into, and a double return shows here.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound)$' ./internal/pipeline/runtime
 
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
