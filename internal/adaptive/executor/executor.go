@@ -361,16 +361,6 @@ func (e *Executor) Stats() Stats {
 	return e.stats
 }
 
-// Stages returns the current stage layout (device + layer range per stage).
-func (e *Executor) Stages() []pipeline.Stage {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]pipeline.Stage(nil), e.stages...)
-}
-
-// Network returns the trained network (shared parameters).
-func (e *Executor) Network() *nn.Network { return e.cfg.Trainable.Network() }
-
 // TrainRound runs one sync-round to commit, healing as needed: a fault
 // aborts the round (no weights committed), the executor re-partitions the
 // survivors if a device died, ships moved weight segments over fresh links,

@@ -22,6 +22,7 @@ import (
 	"ecofl/internal/obs/journal/journaltest"
 	"ecofl/internal/obs/leakcheck"
 	"ecofl/internal/partition"
+	"ecofl/internal/pipeline"
 	"ecofl/internal/pipeline/runtime"
 	"ecofl/internal/simnet"
 	"ecofl/internal/tensor"
@@ -542,3 +543,16 @@ func TestShipSegmentsRejectsBeforeInstall(t *testing.T) {
 		}
 	}
 }
+
+// Stages and Network let these tests read the executor's layout and model;
+// the program reads neither back.
+
+// Stages returns the current stage layout (device + layer range per stage).
+func (e *Executor) Stages() []pipeline.Stage {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]pipeline.Stage(nil), e.stages...)
+}
+
+// Network returns the trained network (shared parameters).
+func (e *Executor) Network() *nn.Network { return e.cfg.Trainable.Network() }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ecofl/internal/stats"
 	"ecofl/internal/tensor"
 )
 
@@ -208,11 +207,6 @@ func (s *Subset) LabelCounts() []int {
 		counts[s.Parent.Y[idx]]++
 	}
 	return counts
-}
-
-// Distribution returns the label distribution π of the subset (paper §5.2).
-func (s *Subset) Distribution() stats.Distribution {
-	return stats.FromCounts(s.LabelCounts())
 }
 
 // Batch is one training mini-batch.

@@ -66,14 +66,6 @@ func NewAvailabilityTrace(sessions []Session) (*AvailabilityTrace, error) {
 	return &AvailabilityTrace{sessions: norm}, nil
 }
 
-// Sessions returns a copy of the normalized session list.
-func (tr *AvailabilityTrace) Sessions() []Session {
-	if tr == nil {
-		return nil
-	}
-	return append([]Session(nil), tr.sessions...)
-}
-
 // sessionAt returns the index of the session containing t, or -1.
 func (tr *AvailabilityTrace) sessionAt(t float64) int {
 	i := sort.Search(len(tr.sessions), func(i int) bool { return tr.sessions[i].End > t })
@@ -104,25 +96,6 @@ func (tr *AvailabilityTrace) OnlineThrough(from, to float64) bool {
 	}
 	i := tr.sessionAt(from)
 	return i >= 0 && tr.sessions[i].End >= to
-}
-
-// OnlineFraction returns the fraction of [0, horizon) the device is online —
-// the measured duty cycle of the trace.
-func (tr *AvailabilityTrace) OnlineFraction(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	if tr == nil {
-		return 1
-	}
-	online := 0.0
-	for _, s := range tr.sessions {
-		lo, hi := s.Start, math.Min(s.End, horizon)
-		if hi > lo {
-			online += hi - lo
-		}
-	}
-	return online / horizon
 }
 
 // TraceSet maps device (client) IDs to availability traces. The zero/nil set
@@ -158,19 +131,6 @@ func (ts *TraceSet) Len() int {
 		return 0
 	}
 	return len(ts.traces)
-}
-
-// IDs returns the traced device IDs in ascending order.
-func (ts *TraceSet) IDs() []int {
-	if ts == nil {
-		return nil
-	}
-	ids := make([]int, 0, len(ts.traces))
-	for id := range ts.traces {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // ---------------------------------------------------------------- generators
@@ -343,14 +303,4 @@ func LoadTraceSet(path string) (*TraceSet, error) {
 		return nil, fmt.Errorf("device: %s: %w", path, err)
 	}
 	return ts, nil
-}
-
-// EncodeJSON renders the set in the ecofl/churn-trace/v1 format, devices in
-// ascending ID order so the output is deterministic and diffable.
-func (ts *TraceSet) EncodeJSON() ([]byte, error) {
-	f := traceFile{Schema: TraceSchema}
-	for _, id := range ts.IDs() {
-		f.Devices = append(f.Devices, deviceTrace{Device: id, Sessions: ts.For(id).Sessions()})
-	}
-	return json.MarshalIndent(f, "", "  ")
 }

@@ -1,9 +1,11 @@
 package device
 
 import (
+	"encoding/json"
 	"hash/crc32"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -267,4 +269,58 @@ func TestParseTraceSetFailsClosed(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// Sessions, OnlineFraction, IDs and EncodeJSON read a trace back for these
+// tests and the fuzz target's round trip; the program only queries a trace
+// (OnlineAt, OnlineThrough) and parses one.
+
+// Sessions returns a copy of the normalized session list.
+func (tr *AvailabilityTrace) Sessions() []Session {
+	if tr == nil {
+		return nil
+	}
+	return append([]Session(nil), tr.sessions...)
+}
+
+// OnlineFraction returns the fraction of [0, horizon) the device is online —
+// the measured duty cycle of the trace.
+func (tr *AvailabilityTrace) OnlineFraction(horizon float64) float64 {
+	if horizon <= 0 {
+		return 0
+	}
+	if tr == nil {
+		return 1
+	}
+	online := 0.0
+	for _, s := range tr.sessions {
+		lo, hi := s.Start, math.Min(s.End, horizon)
+		if hi > lo {
+			online += hi - lo
+		}
+	}
+	return online / horizon
+}
+
+// IDs returns the traced device IDs in ascending order.
+func (ts *TraceSet) IDs() []int {
+	if ts == nil {
+		return nil
+	}
+	ids := make([]int, 0, len(ts.traces))
+	for id := range ts.traces {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// EncodeJSON renders the set in the ecofl/churn-trace/v1 format, devices in
+// ascending ID order so the output is deterministic and diffable.
+func (ts *TraceSet) EncodeJSON() ([]byte, error) {
+	f := traceFile{Schema: TraceSchema}
+	for _, id := range ts.IDs() {
+		f.Devices = append(f.Devices, deviceTrace{Device: id, Sessions: ts.For(id).Sessions()})
+	}
+	return json.MarshalIndent(f, "", "  ")
 }

@@ -154,7 +154,7 @@ func TestPopulationConstruction(t *testing.T) {
 		if c.Train.Len() == 0 {
 			t.Fatal("every client needs data")
 		}
-		if len(c.Train.Distribution()) != 10 {
+		if len(c.Train.LabelCounts()) != 10 {
 			t.Fatal("distribution over 10 classes expected")
 		}
 	}

@@ -84,21 +84,3 @@ func MicroEfficientNet(rng *rand.Rand, inC, size, classes int) *Trainable {
 		{OutC: 24, Pool: true},
 	})
 }
-
-// MicroMobileNet is a narrower stand-in for MobileNetV2 with a width
-// multiplier.
-func MicroMobileNet(rng *rand.Rand, inC, size, classes int, width float64) *Trainable {
-	w := func(c int) int {
-		out := int(float64(c) * width)
-		if out < 2 {
-			out = 2
-		}
-		return out
-	}
-	return NewTrainableCNN(rng, fmt.Sprintf("MicroMobileNet-W%g", width), inC, size, classes, []CNNBlockSpec{
-		{OutC: w(4), Pool: true},
-		{OutC: w(8), Pool: true},
-		{OutC: w(8), Residual: true},
-		{OutC: w(16), Pool: true},
-	})
-}

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecofl/internal/nn"
@@ -48,7 +50,7 @@ func TestTrainableCNNSegmentsCompose(t *testing.T) {
 	full, _ := tr.Network().Forward(x)
 	mid, _ := tr.SegmentNet(0, 2).Forward(x)
 	out, _ := tr.SegmentNet(2, len(tr.Blocks)).Forward(mid)
-	if !tensor.AlmostEqual(full, out, 1e-12) {
+	if !slices.Equal(full.Shape, out.Shape) || !slices.Equal(full.Data, out.Data) {
 		t.Fatal("CNN segments must compose to the full forward pass")
 	}
 }
@@ -88,5 +90,24 @@ func TestResidualBlockShapeGuard(t *testing.T) {
 	NewTrainableCNN(rng, "bad", 1, 8, 2, []CNNBlockSpec{
 		{OutC: 4},
 		{OutC: 8, Residual: true}, // channel change under residual
+	})
+}
+
+// MicroMobileNet is a narrower stand-in for MobileNetV2 with a width
+// multiplier. No figure trains it; it stays for the CNN arithmetic its golden
+// checksum pins (TestTrainBatchGoldenChecksums).
+func MicroMobileNet(rng *rand.Rand, inC, size, classes int, width float64) *Trainable {
+	w := func(c int) int {
+		out := int(float64(c) * width)
+		if out < 2 {
+			out = 2
+		}
+		return out
+	}
+	return NewTrainableCNN(rng, fmt.Sprintf("MicroMobileNet-W%g", width), inC, size, classes, []CNNBlockSpec{
+		{OutC: w(4), Pool: true},
+		{OutC: w(8), Pool: true},
+		{OutC: w(8), Residual: true},
+		{OutC: w(16), Pool: true},
 	})
 }

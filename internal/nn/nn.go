@@ -63,8 +63,7 @@ type Layer interface {
 	Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	// OutShape maps a per-sample input shape (no batch dimension) to that
-	// of Forward's output, from the layer's geometry alone: nothing runs, so
-	// no statistic or random stream moves.
+	// of Forward's output, from the layer's geometry alone.
 	OutShape(in []int) []int
 	// Clone copies the layer's structure, not its storage: the copy's new,
 	// unpacked params view the original's until NewNetwork packs them.
@@ -165,32 +164,6 @@ func (ReLU) Params() []*Param        { return nil }
 func (ReLU) OutShape(in []int) []int { return in }
 func (ReLU) Clone() Layer            { return ReLU{} }
 
-// ---------------------------------------------------------------- Tanh
-
-// Tanh applies tanh element-wise.
-type Tanh struct{}
-
-func (Tanh) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y := pooledCopy(x)
-	for i, v := range y.Data {
-		y.Data[i] = math.Tanh(v)
-	}
-	return y, y
-}
-
-func (Tanh) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	y := c.(*tensor.Tensor)
-	dx := pooledCopy(dy)
-	for i, v := range y.Data {
-		dx.Data[i] *= 1 - v*v
-	}
-	return dx
-}
-
-func (Tanh) Params() []*Param        { return nil }
-func (Tanh) OutShape(in []int) []int { return in }
-func (Tanh) Clone() Layer            { return Tanh{} }
-
 // ---------------------------------------------------------------- Loss
 
 // SoftmaxCrossEntropy computes mean cross-entropy over a batch of logits and
@@ -227,6 +200,61 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	n := float64(rows)
 	grad.Scale(1 / n)
 	return loss / n, grad
+}
+
+// ---------------------------------------------------------------- Residual
+
+// Residual wraps an inner stack with a skip connection: y = x + f(x).
+// The inner stack must preserve shape.
+type Residual struct {
+	Inner []Layer
+}
+
+func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+	caches := make([]Cache, len(r.Inner))
+	y := x
+	for i, l := range r.Inner {
+		y, caches[i] = l.Forward(y)
+	}
+	if y.Len() != x.Len() {
+		panic(fmt.Sprintf("nn: Residual inner stack changed size %v → %v", x.Shape, y.Shape))
+	}
+	return pooledCopy(y).Add(x), caches
+}
+
+func (r *Residual) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+	caches := c.([]Cache)
+	d := dy
+	for i := len(r.Inner) - 1; i >= 0; i-- {
+		d = r.Inner[i].Backward(caches[i], d)
+	}
+	return pooledCopy(d).Add(dy)
+}
+
+func (r *Residual) Params() []*Param {
+	var ps []*Param
+	for _, l := range r.Inner {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
+}
+
+func (r *Residual) OutShape(in []int) []int { return (&Network{Layers: r.Inner}).OutShape(in) }
+
+func (r *Residual) Clone() Layer {
+	inner := make([]Layer, len(r.Inner))
+	for i, l := range r.Inner {
+		inner[i] = l.Clone()
+	}
+	return &Residual{Inner: inner}
+}
+
+// pooledCopy is a copy of t drawn from the tensor pool: the copy is the
+// caller's to return with tensor.PutBuf once it is dead.
+func pooledCopy(t *tensor.Tensor) *tensor.Tensor {
+	c := tensor.GetBufUninit(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
 }
 
 // ---------------------------------------------------------------- Network
@@ -461,12 +489,11 @@ func (p *Pass) Release() {
 // with it, and layer i's cache is spent). After layer 0 an owned input is
 // dead too. A tensor whose storage a still-live tensor shares does not go
 // back: a Flatten's output is a view of its input and its input gradient a
-// view of the gradient it was given, an eval-mode Dropout returns its
-// arguments themselves. Such storage is returned once, by the last tensor of
-// the alias chain to die — the earliest activation, the final gradient — or
-// never, when the chain starts at a caller's batch. (Activations and
-// gradients are separate chains: no layer's Backward returns storage its
-// Forward was given or made.)
+// view of the gradient it was given. Such storage is returned once, by the
+// last tensor of the alias chain to die — the earliest activation, the final
+// gradient — or never, when the chain starts at a caller's batch.
+// (Activations and gradients are separate chains: no layer's Backward returns
+// storage its Forward was given or made.)
 func (p *Pass) release(i int, dy, dx *tensor.Tensor) {
 	if !tensor.SharesStorage(dy, dx) {
 		tensor.PutBuf(dy)

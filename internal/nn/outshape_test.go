@@ -26,8 +26,6 @@ func TestOutShapeMatchesForward(t *testing.T) {
 		}
 		return y.Shape[1:]
 	}
-	evalDropout := nn.NewDropout(0.5, 2)
-	evalDropout.Train = false
 	for _, c := range []struct {
 		name string
 		l    nn.Layer
@@ -35,13 +33,10 @@ func TestOutShapeMatchesForward(t *testing.T) {
 	}{
 		{"Dense", nn.NewDense(rng, 6, 4), []int{6}},
 		{"ReLU", nn.ReLU{}, []int{2, 3, 3}},
-		{"Tanh", nn.Tanh{}, []int{5}},
 		{"Conv2D", nn.NewConv2D(rng, 2, 3, 3, 2, 1), []int{2, 7, 7}},
 		{"MaxPool2D", nn.MaxPool2D{K: 2, Stride: 2}, []int{3, 7, 6}},
 		{"Flatten", nn.Flatten{}, []int{2, 3, 4}},
-		{"BatchNorm", nn.NewBatchNorm(5), []int{5}},
-		{"Dropout", nn.NewDropout(0.5, 1), []int{2, 4}},
-		{"Dropout/eval", evalDropout, []int{2, 4}},
+		{"Flatten/2-D", nn.Flatten{}, []int{5}},
 		{"Residual", &nn.Residual{Inner: []nn.Layer{nn.NewConv2D(rng, 3, 3, 3, 1, 1), nn.ReLU{}}}, []int{3, 4, 4}},
 	} {
 		check(c.name, c.in, c.l.OutShape(c.in), func(x *tensor.Tensor) (*tensor.Tensor, any) { return c.l.Forward(x) })

@@ -36,13 +36,13 @@ func TestConv2DParallelBitIdenticalToSerial(t *testing.T) {
 	y1, dx1, wg1, bg1 := convStep(1, 11)
 	for _, procs := range []int{2, 5} {
 		y, dx, wg, bg := convStep(procs, 11)
-		if !tensor.Equal(y1, y) {
+		if !sameTensor(y1, y) {
 			t.Fatalf("parallel(%d) forward output differs from serial", procs)
 		}
-		if !tensor.Equal(dx1, dx) {
+		if !sameTensor(dx1, dx) {
 			t.Fatalf("parallel(%d) input gradient differs from serial", procs)
 		}
-		if !tensor.Equal(wg1, wg) || !tensor.Equal(bg1, bg) {
+		if !sameTensor(wg1, wg) || !sameTensor(bg1, bg) {
 			t.Fatalf("parallel(%d) parameter gradients differ from serial", procs)
 		}
 	}

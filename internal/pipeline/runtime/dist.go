@@ -26,10 +26,10 @@ import (
 //
 // Expected shapes. A frame carries no shape: NewDistributed works out the
 // per-sample shape each stage receives once, through the layers' geometry
-// (nn.Layer.OutShape; a dry forward would move BatchNorm statistics and
-// random streams), every stage knows each micro-batch's rows, and a gradient
-// must be shaped like the stage's own output. A frame of any other shape is
-// refused from its header (link.recv) and aborts the round.
+// (nn.Layer.OutShape: nothing runs), every stage knows each micro-batch's
+// rows, and a gradient must be shaped like the stage's own output. A frame of
+// any other shape is refused from its header (link.recv) and aborts the
+// round.
 //
 // Tensor ownership. 1F1B keeps at most S−s micro-batches in flight on stage
 // s, and a stage hands what the schedule frees straight to the next
@@ -49,9 +49,9 @@ import (
 //	dx, stage 0              the stage, at once
 //	dx, stages > 0           the down link's writer, once it is framed (give)
 //
-// Storage shared between tensors (a Flatten or eval-mode Dropout at a stage
-// edge makes the output a view of the input, dx a view of dy) goes back
-// once, by the last of the chain to die; that is the record's business too.
+// Storage shared between tensors (a Flatten at a stage edge makes the output
+// a view of the input, dx a view of dy) goes back once, by the last of the
+// chain to die; that is the record's business too.
 //
 // The one reader the record cannot see is the send queue: the segment output
 // is lent to the up link (and behind a view layer the received activation

@@ -284,24 +284,17 @@ func TestLinkTrafficCounters(t *testing.T) {
 }
 
 // viewTrainable builds a model whose cut points leave view layers at the
-// edges of stages: a stage that is nothing but a Flatten (its output is its
-// input, its dx is its dy), a stage that starts with an eval-mode Dropout and
-// ends with a Flatten around real compute, and a stage that is nothing but
-// an eval-mode Dropout.
+// edges of stages: a stage that is nothing but a Flatten (its output is a
+// view of its input, its dx of its dy), a stage that starts and ends with a
+// Flatten around real compute, and a second Flatten-only stage.
 func viewTrainable(seed int64) *model.Trainable {
 	rng := rand.New(rand.NewSource(seed))
-	evalDropout := func() nn.Layer { return &nn.Dropout{P: 0.5, Rng: rand.New(rand.NewSource(1))} }
-	return (&model.Trainable{
-		Spec:       &model.Spec{Name: "views"},
-		InputShape: []int{10},
-		Blocks: [][]nn.Layer{
-			{nn.NewDense(rng, 10, 14), nn.ReLU{}},
-			{nn.Flatten{}},
-			{evalDropout(), nn.NewDense(rng, 14, 12), nn.Tanh{}, nn.Flatten{}},
-			{evalDropout()},
-			{nn.NewDense(rng, 12, 4)},
-		},
-	}).Clone()
+	return handTrainable("views", []int{10},
+		[]nn.Layer{nn.NewDense(rng, 10, 14), nn.ReLU{}},
+		[]nn.Layer{nn.Flatten{}},
+		[]nn.Layer{nn.Flatten{}, nn.NewDense(rng, 14, 12), nn.ReLU{}, nn.Flatten{}},
+		[]nn.Layer{nn.Flatten{}},
+		[]nn.Layer{nn.NewDense(rng, 12, 4)})
 }
 
 // TestViewLayerStagesBitIdentical is the alias guard's pin. Tensors a stage

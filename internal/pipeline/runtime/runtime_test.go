@@ -111,10 +111,11 @@ func TestUnevenMicroBatches(t *testing.T) {
 	if math.Abs(lossSeq-lossPipe) > 1e-9 {
 		t.Fatalf("uneven micro-batches: loss %v vs %v", lossSeq, lossPipe)
 	}
-	if !tensor.AlmostEqual(
-		&tensor.Tensor{Shape: []int{trSeq.Network().NumParams()}, Data: trSeq.Network().FlatWeights()},
-		&tensor.Tensor{Shape: []int{p.Network().NumParams()}, Data: p.Network().FlatWeights()}, 1e-9) {
-		t.Fatal("weights diverged with uneven micro-batches")
+	ws, wp := trSeq.Network().FlatWeights(), p.Network().FlatWeights()
+	for i := range ws {
+		if !(math.Abs(ws[i]-wp[i]) <= 1e-9) {
+			t.Fatalf("weights diverged with uneven micro-batches: weight %d is %v, sequential %v", i, wp[i], ws[i])
+		}
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 //
 // Ownership discipline: Put a tensor only when nothing still reads its
 // storage. A tensor whose storage is a view of another's (nn.Flatten shares
-// Data with its input; an eval-mode nn.Dropout returns its input itself; the
-// pipeline's micro-batches are views of the caller's batch) must not go back
-// while the other is in use — SharesStorage is the test.
+// Data with its input; the pipeline's micro-batches are views of the caller's
+// batch) must not go back while the other is in use — SharesStorage is the
+// test.
 
 var bufPools sync.Map // element count → *sync.Pool of *Tensor
 
@@ -74,11 +74,10 @@ func PutBuf(t *Tensor) {
 	poolFor(len(t.Data)).Put(t)
 }
 
-// SharesStorage reports whether a and b overlap in memory. View layers hand
-// their input's storage on under a new header (nn.Flatten shares Data with
-// its input in both directions; an eval-mode nn.Dropout returns x and dy
-// themselves), so what a stack of layers returns can be a tensor it was
-// given in disguise — the caller's batch, an activation a later Backward
+// SharesStorage reports whether a and b overlap in memory. A view layer hands
+// its input's storage on under a new header (nn.Flatten shares Data with its
+// input in both directions), so what a stack of layers returns can be a
+// tensor it was given in disguise — the caller's batch, an activation a later Backward
 // still reads, a tensor still queued on a link. Such a tensor must not go
 // back to the pool while the other is live.
 func SharesStorage(a, b *Tensor) bool {

@@ -72,21 +72,6 @@ func (t *Tensor) RowView(i int) []float64 {
 	return t.Data[i*c : (i+1)*c]
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// CopyFrom copies src's data into t. Shapes must have equal element counts.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	copy(t.Data, src.Data)
-}
-
 // Fill sets all elements to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
@@ -113,17 +98,6 @@ func (t *Tensor) AddScaled(a float64, src *Tensor) *Tensor {
 
 // Add adds src to t element-wise in place and returns t.
 func (t *Tensor) Add(src *Tensor) *Tensor { return t.AddScaled(1, src) }
-
-// Hadamard multiplies t by src element-wise in place and returns t.
-func (t *Tensor) Hadamard(src *Tensor) *Tensor {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: Hadamard size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	for i, v := range src.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
 
 // The three matmul kernels share one structure. Each has a single body, a
 // row-range function that computes output rows [lo, hi); MatMul*Into hands it
@@ -334,43 +308,4 @@ func (t *Tensor) ArgmaxRow(i int) int {
 		}
 	}
 	return best
-}
-
-// Equal reports whether two tensors have identical shape and identical data.
-func Equal(a, b *Tensor) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AlmostEqual reports whether two tensors have equal shape and element-wise
-// absolute difference at most tol. Any NaN element (in either tensor) makes
-// the comparison fail: NaN is never almost-equal to anything, including NaN.
-func AlmostEqual(a, b *Tensor, tol float64) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	for i := range a.Data {
-		d := math.Abs(a.Data[i] - b.Data[i])
-		if d > tol || math.IsNaN(d) {
-			return false
-		}
-	}
-	return true
 }

@@ -124,18 +124,6 @@ func TestArgmaxRow(t *testing.T) {
 	}
 }
 
-func TestHadamard(t *testing.T) {
-	a := &Tensor{Shape: []int{3}, Data: []float64{1, 2, 3}}
-	b := &Tensor{Shape: []int{3}, Data: []float64{4, 5, 6}}
-	a.Hadamard(b)
-	want := []float64{4, 10, 18}
-	for i, w := range want {
-		if a.Data[i] != w {
-			t.Fatalf("Hadamard[%d] = %v, want %v", i, a.Data[i], w)
-		}
-	}
-}
-
 func TestEqualAndAlmostEqual(t *testing.T) {
 	a := &Tensor{Shape: []int{2}, Data: []float64{1, 2}}
 	b := &Tensor{Shape: []int{1, 2}, Data: []float64{1, 2}}
@@ -199,4 +187,53 @@ func TestRandnDeterminism(t *testing.T) {
 	if std <= 0 || std > 0.5 {
 		t.Fatalf("Randn std wildly off: %v", std)
 	}
+}
+
+// Clone, Equal and AlmostEqual are the test helpers of this package's tests;
+// no binary copies or compares whole tensors.
+
+// Clone returns a deep copy.
+func (t *Tensor) Clone() *Tensor {
+	c := New(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
+// Equal reports whether two tensors have identical shape and identical data.
+func Equal(a, b *Tensor) bool {
+	if len(a.Shape) != len(b.Shape) {
+		return false
+	}
+	for i := range a.Shape {
+		if a.Shape[i] != b.Shape[i] {
+			return false
+		}
+	}
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// AlmostEqual reports whether two tensors have equal shape and element-wise
+// absolute difference at most tol. Any NaN element (in either tensor) makes
+// the comparison fail: NaN is never almost-equal to anything, including NaN.
+func AlmostEqual(a, b *Tensor, tol float64) bool {
+	if len(a.Shape) != len(b.Shape) {
+		return false
+	}
+	for i := range a.Shape {
+		if a.Shape[i] != b.Shape[i] {
+			return false
+		}
+	}
+	for i := range a.Data {
+		d := math.Abs(a.Data[i] - b.Data[i])
+		if d > tol || math.IsNaN(d) {
+			return false
+		}
+	}
+	return true
 }

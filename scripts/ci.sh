@@ -11,20 +11,14 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-# Package reach: every package is a dependency of a binary, the benchmark or
-# an example, except the two test instruments. A package nothing runs is
-# deleted, not kept green. A directory of tests alone has no code to reach.
-unreached=$(comm -13 <(go list -deps ./cmd/... ./benchmark ./examples/... | grep '^ecofl' | sort -u) \
-	<(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sort -u))
-want_unreached='ecofl/internal/obs/journal/journaltest
-ecofl/internal/obs/leakcheck'
-if [ "$unreached" != "$want_unreached" ]; then
-	echo "package reach: packages no cmd/, benchmark or example imports:" >&2
-	echo "$unreached" >&2
-	echo "want exactly:" >&2
-	echo "$want_unreached" >&2
-	exit 1
-fi
+# Function reach: every non-test function is kept by the linker in some
+# binary — cmd/, the benchmark or an example — or is on scripts/reach.go's
+# allow-list with its reason (the two test instruments, a few functions
+# waiting for a ROADMAP item). A function nothing runs is deleted or moved into
+# a _test.go file, not kept green. It links all ten main packages (≈ 8 s warm).
+reach_start=$SECONDS
+go run scripts/reach.go
+echo "reach: $((SECONDS - reach_start))s"
 
 # One codec family: what leaves memory is an EFLB frame or JSON (DESIGN.md,
 # "What leaves memory"); pipeline links send EFLB frames too. encoding/gob
@@ -37,8 +31,8 @@ fi
 
 # One recorder: a span is a journal event with a duration (DESIGN.md,
 # "Observability"). The span recorder with its own buffer, shipping and clock
-# offset (package ecofl/internal/obs, now only tests of its contracts on the
-# journal) stays deleted, and journal's ring is the
+# offset (package ecofl/internal/obs; the tests of its contracts run on the
+# journal, in internal/obs/journal) stays deleted, and journal's ring is the
 # one event buffer: an untagged struct field holding events (a wire envelope's
 # field has a JSON tag) is a second ring growing back.
 if grep -rn --include='*.go' '"ecofl/internal/obs"' . >&2; then
@@ -158,6 +152,21 @@ if [ -n "$over" ]; then
 	exit 1
 fi
 
+# Perf trajectory (ROADMAP item 20): each BENCH_<PR>.json at the root is the
+# results.json of `go run ./benchmark --sets 3 --out DIR` in a clean checkout
+# of that PR's commit, which CHANGES.md names. compare F F parses the file
+# and refuses a scaled self-test; a capture of a dirty tree names no commit.
+for f in BENCH_*.json; do
+	if ! go run ./benchmark compare "$f" "$f" >/dev/null; then
+		echo "perf trajectory: $f does not pass benchmark compare" >&2
+		exit 1
+	fi
+	if ! grep -q '"git_dirty": false' "$f"; then
+		echo "perf trajectory: $f was captured from a dirty tree" >&2
+		exit 1
+	fi
+done
+
 tier1_start=$SECONDS
 go vet ./...
 go build ./...
@@ -207,8 +216,10 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # held between rounds is restarted by one goroutine and drained by another,
 # and a keepalive cut at a round's end races the close that cuts it. So does
 # the hostile-shape pin: a refused frame hands back any pooled tensor it was
-# read into, and a double return shows here.
-go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound)$' ./internal/pipeline/runtime
+# read into, and a double return shows here. So does the view-layer pin: a
+# Flatten at a stage edge hands a received tensor's storage on to the send
+# queue, and only the sent-before-released gate keeps it from the pool.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical)$' ./internal/pipeline/runtime
 
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
@@ -270,9 +281,9 @@ if grep -rnE -- '--experiment|--csv|ecofl (fl|all|pipeline|migrate)\b' README.md
 	exit 1
 fi
 
-# The examples are roots of the reach rule above (they alone reach
-# internal/profiler), so each must run: an example that cannot run is not a
-# reason to keep code.
+# The examples are roots of the function-reach check above (scripts/reach.go;
+# they alone reach internal/profiler), so each must run: an example that
+# cannot run is not a reason to keep code.
 examples_start=$SECONDS
 for main in examples/*/main.go; do
 	go run "./$(dirname "$main")" >/dev/null
