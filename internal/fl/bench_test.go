@@ -33,3 +33,27 @@ func BenchmarkWeightedAverage20(b *testing.B) {
 		WeightedAverage(vectors, weights)
 	}
 }
+
+// BenchmarkTopKDelta is the sparse push's selection at the fleet's shape
+// (100 000 weights → 1 000): a dense delta the sampled threshold fits, and
+// mass off the sample's stride, which sends it to the histogram's.
+func BenchmarkTopKDelta(b *testing.B) {
+	const stride = 100_000 / sampleN
+	for _, c := range []struct {
+		name  string
+		delta func(i int, z float64) float64
+	}{
+		{"dense", func(_ int, z float64) float64 { return z }},
+		{"fallback", func(i int, z float64) float64 { return z * float64(min(i%stride, 1)) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w, ref := fleetDelta(1, c.delta)
+			idx, vals := TopKDelta(w, ref, 1000, nil, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, vals = TopKDelta(w, ref, 1000, idx, vals)
+			}
+		})
+	}
+}
