@@ -106,19 +106,21 @@ fi
 # One encoder per uplink codec, at memory speed (DESIGN.md, "Tensor kernels"
 # and "Sparse-delta versioning"). The int8 quantizer is tensor.QuantizeU8, Go
 # and AVX2 bodies behind one switch: a second `/ 255` scale in the program is
-# a second quantizer body. Top-k selection histograms the magnitudes and runs
-# its heap on one bucket's candidates: a heap fed from anywhere but bucketTop
-# is the scan over all n growing back.
+# a second quantizer body. Top-k selection gathers the few magnitudes at or
+# above a sampled (or histogram) threshold and selects over those alone: a
+# heap in the program, or kthLargest fed from anywhere but the sample and the
+# gathered candidates, is the scan over all n growing back.
 quant_sites=$(grep -rnE --include='*.go' '/ ?255([^0-9.]|$)' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ "$(grep -c . <<<"$quant_sites")" != 1 ] || ! grep -q '^\./internal/tensor/quantize\.go:' <<<"$quant_sites"; then
 	echo "one quantizer: want the one / 255 scale in internal/tensor/quantize.go, have:" >&2
 	echo "$quant_sites" >&2
 	exit 1
 fi
-heap_fns=$(awk '/^func /{fn = $2; sub(/\(.*/, "", fn)} /siftDownMin\(/ && !/^func / && !/^[[:space:]]*\/\//{print fn}' $fl_src | sort -u)
-if [ "$heap_fns" != bucketTop ]; then
-	echo "one top-k heap: non-test internal/fl feeds siftDownMin from, want bucketTop alone:" >&2
-	echo "$heap_fns" >&2
+heap_sites=$(grep -n 'siftDown' $fl_src || true)
+select_fns=$(awk '/^func /{fn = $2; sub(/\(.*/, "", fn)} /kthLargest\(/ && !/^func / && !/^[[:space:]]*\/\//{print fn}' $fl_src | sort -u | tr '\n' ' ')
+if [ -n "$heap_sites" ] || [ "$select_fns" != "sampledThreshold selectTop " ]; then
+	echo "one top-k select: want no heap in non-test internal/fl and kthLargest fed from sampledThreshold and selectTop alone, have:" >&2
+	echo "${heap_sites}${select_fns}" >&2
 	exit 1
 fi
 
