@@ -339,6 +339,7 @@ func TestTopKDeltaPaths(t *testing.T) {
 		{"few-levels", "over-gather", func(i int, _ float64) float64 { return float64(i%5 - 2) }},
 		{"nan-off-sample", "sampled", func(i int, z float64) float64 { return at(i, 5, math.NaN(), z) }},
 		{"inf-in-sample", "sampled", func(i int, z float64) float64 { return at(i, 0, math.Inf(1), z) }},
+		// A NaN in the sample makes its threshold arbitrary: any path will do.
 		{"nan-in-sample", "", func(i int, z float64) float64 { return at(i, 0, math.NaN(), z) }},
 	}
 	for _, c := range cases {
