@@ -7,18 +7,21 @@ package flnet
 // connection closed (the format has no resync point); a reconnecting portal
 // starts over with a fresh hello.
 //
-// The server decodes each request into its connection's frame buffers — a
-// payload over 64 KiB into one borrowed from wire's process-wide spare list
-// and handed back before the connection waits for its next request — and
-// hands the dispatch path zero-copy views where the host allows it. The
-// client encodes a large int8 or sparse push through a spare the same way,
-// and reads a reply's model straight into the slice it returns. The one part
-// of a frame this package does not parse itself is the telemetry trailer:
-// JSON, through encoding/json, on bytes the frame header has already
-// bounded, and off the hot path by construction.
+// No buffer belongs to a connection, on either end. A frame header is read
+// into the wire.Reader's header array; a request body into a buffer borrowed
+// from wire's process-wide lists for that frame, and decoded into scratch
+// borrowed the same way; both go back before the connection waits for its
+// next request. A reply's model is read straight into the slice the client
+// returns. Every frame is written through a wire.Coalescer, whose buffer is
+// borrowed for the frame and goes out in the Write calls a 64 KiB
+// bufio.Writer would make. So an idle connection holds its header arrays and
+// its session state, and the process about as many buffers as it has frames
+// in flight. The server hands the dispatch path zero-copy views where the
+// host allows it. The one part of a frame this package does not parse
+// itself is the telemetry trailer: JSON, through encoding/json, on bytes the
+// frame header has already bounded, and off the hot path by construction.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,14 +43,14 @@ func kindName(kind byte) string {
 	}
 }
 
-// binClientWire frames requests and replies through reusable buffers: one
-// flush per request, zero-copy raw payloads on little-endian hosts, and a
+// binClientWire frames requests and replies with no buffer of its own
+// between round trips: zero-copy raw payloads on little-endian hosts, and a
 // reply read that allocates only the weights slice whose ownership passes
 // to the caller, filled from the socket with no copy in between.
 type binClientWire struct {
-	bw *bufio.Writer
-	fw wire.Writer
-	fr wire.Reader
+	out wire.Coalescer
+	fw  wire.Writer
+	fr  wire.Reader
 }
 
 func (b *binClientWire) writeRequest(req *request) error {
@@ -82,7 +85,7 @@ func (b *binClientWire) writeRequest(req *request) error {
 	if err != nil {
 		return err
 	}
-	return b.bw.Flush()
+	return b.out.Flush()
 }
 
 // readReply reads a reply's model straight into the slice whose ownership
@@ -100,6 +103,7 @@ func (b *binClientWire) readReply(rep *reply, hint int) error {
 	if len(trailer) > 0 {
 		rep.Err = string(trailer)
 	}
+	b.fr.Release()
 	return nil
 }
 
@@ -107,11 +111,8 @@ func (b *binClientWire) readReply(rep *reply, hint int) error {
 // connection and returns its codec. Any failure poisons the connection; the
 // caller redials.
 func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Duration, lim wire.Limits) (*binClientWire, error) {
-	b := &binClientWire{
-		bw: bufio.NewWriterSize(cc, 64<<10),
-		fr: wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: lim},
-	}
-	b.fw = wire.Writer{W: b.bw, Lim: lim}
+	b := &binClientWire{out: wire.Coalescer{W: cc}, fr: wire.Reader{R: cc, Lim: lim}}
+	b.fw = wire.Writer{W: &b.out, Lim: lim}
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
@@ -120,7 +121,7 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 	if err := b.fw.WriteFrame(&hello, nil, nil); err != nil {
 		return nil, err
 	}
-	if err := b.bw.Flush(); err != nil {
+	if err := b.out.Flush(); err != nil {
 		return nil, err
 	}
 	h, _, _, err := b.fr.Next()
@@ -133,15 +134,16 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 	return b, nil
 }
 
-// requestDecoder turns a connection's request frames into requests, reusing
-// one request, quantization header and set of sparse/raw scratch slices for
-// the connection's lifetime so steady-state ingest does not allocate.
+// requestDecoder turns a connection's request frames into requests. It
+// reuses one request and quantization header for the connection's lifetime;
+// the sparse (or, on big-endian hosts, raw) scratch a payload decodes into is
+// borrowed for the frame and handed back by release, so steady-state ingest
+// does not allocate and an idle connection holds none.
 type requestDecoder struct {
-	req        request
-	quant      Quantized
-	weightsBuf []float64 // raw-payload decode scratch (big-endian hosts)
-	idxBuf     []uint32
-	valBuf     []float64
+	req   request
+	quant Quantized
+	idx   []uint32  // sparse indices, borrowed for the frame
+	vals  []float64 // sparse values or raw weights, borrowed for the frame
 }
 
 // decode is the boundary where outside input becomes a request: the payload
@@ -149,7 +151,7 @@ type requestDecoder struct {
 // encoding/json, and any frame kind a client has no business sending (a
 // hello mid-stream, a reply, a checkpoint, a segment) is a protocol
 // violation. The returned request aliases the decoder and the frame
-// buffers; it is valid until the next frame is read.
+// buffers; it is valid until release.
 func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*request, error) {
 	req := &d.req
 	*req = request{
@@ -166,19 +168,19 @@ func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*reques
 		switch h.Codec {
 		case wire.CodecRaw:
 			// The view aliases the frame buffer; safe because the handler
-			// finishes dispatch before its next fr.Next.
+			// finishes dispatch before it releases the frame.
 			if v, ok := wire.RawView(payload); ok {
 				req.Weights = v
-			} else if d.weightsBuf, err = wire.ParseRaw(payload, d.weightsBuf); err == nil {
-				req.Weights = d.weightsBuf
+			} else if d.vals, err = wire.ParseRaw(payload, valSpares.Get()); err == nil {
+				req.Weights = d.vals
 			}
 		case wire.CodecQuant:
 			if d.quant.Min, d.quant.Scale, d.quant.Data, err = wire.ParseQuant(payload); err == nil {
 				req.Quant = &d.quant
 			}
 		case wire.CodecSparse:
-			if req.DenseLen, d.idxBuf, d.valBuf, err = wire.ParseSparse(payload, d.idxBuf, d.valBuf); err == nil {
-				req.SparseIdx, req.SparseVals = d.idxBuf, d.valBuf
+			if req.DenseLen, d.idx, d.vals, err = wire.ParseSparse(payload, idxSpares.Get(), valSpares.Get()); err == nil {
+				req.SparseIdx, req.SparseVals = d.idx, d.vals
 			}
 		}
 		if err != nil {
@@ -197,6 +199,14 @@ func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*reques
 	return req, nil
 }
 
+// release hands the frame's scratch back and drops the request's views of
+// it and of the frame, which another connection may read into next.
+func (d *requestDecoder) release() {
+	idxSpares.Put(d.idx)
+	valSpares.Put(d.vals)
+	*d = requestDecoder{}
+}
+
 // handle serves one portal connection: hello-ack first, then request/reply
 // frames until the portal hangs up or violates the framing.
 func (s *Server) handle(conn net.Conn) {
@@ -206,9 +216,9 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer s.untrackConn(conn)
 	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
-	fr := wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
-	bw := bufio.NewWriterSize(cc, 64<<10)
-	fw := wire.Writer{W: bw, Lim: fr.Lim}
+	fr := wire.Reader{R: cc, Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
+	out := wire.Coalescer{W: cc}
+	fw := wire.Writer{W: &out, Lim: fr.Lim}
 
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {
@@ -220,7 +230,7 @@ func (s *Server) handle(conn net.Conn) {
 	srvConnsBinary.Inc()
 	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	ack := wire.Header{Kind: wire.KindHelloAck}
-	if fw.WriteFrame(&ack, nil, nil) != nil || bw.Flush() != nil {
+	if fw.WriteFrame(&ack, nil, nil) != nil || out.Flush() != nil {
 		return
 	}
 
@@ -243,6 +253,10 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		rep := s.dispatch(req)
+		// The request is done with: its frame and scratch go back before the
+		// reply borrows its own.
+		dec.release()
+		fr.Release()
 		// Bounds each reply write so a dead portal cannot pin this
 		// goroutine mid-send. Reads carry no deadline: portals legitimately
 		// go quiet for whole local-training rounds, and Close force-closes
@@ -263,7 +277,7 @@ func (s *Server) handle(conn net.Conn) {
 			// holding its reply is guaranteed to find the request in the
 			// histogram.
 			srvRequestSeconds.Observe(time.Since(t0).Seconds())
-			err = bw.Flush()
+			err = out.Flush()
 		}
 		// Flushed or failed, the model's bytes are no longer needed: the
 		// reply's reference goes back.

@@ -413,75 +413,106 @@ func BenchmarkCommit(b *testing.B) {
 }
 
 // TestLargeFramesAcrossConnections: two sessions on one server push
-// 100 000-weight updates concurrently, each alternating raw and int8, so
-// every payload is over 64 KiB and is read into a buffer that wire's spare
-// list passes between the two connections. Every reply must be
-// Float64bits-equal to the model refCommit builds from the pushes in the
-// order the server versioned them: a payload view that outlived its frame,
-// or a buffer handed out twice, would have mixed the other connection's
-// bytes.
+// updates concurrently, so every frame body is read into a buffer wire's
+// lists pass between the two connections. In the large case the model has
+// 100 000 weights and the sessions alternate raw and int8, so every payload
+// is over 64 KiB; in the small one it has 1 000, and after a first dense
+// push they send top-100 sparse deltas and every third push int8, so every
+// body is a small buffer and the server's sparse decode scratch is lent
+// between them too. Every reply must be Float64bits-equal to the model
+// refCommit builds from the pushes in the order the server versioned them:
+// a payload view that outlived its frame, or a buffer handed out twice,
+// would have mixed the other connection's bytes.
 func TestLargeFramesAcrossConnections(t *testing.T) {
-	const n, pushes, alpha = 100_000, 8, 0.5
-	s := openServer(t, make([]float64, n), ServerOptions{Alpha: alpha})
-	defer s.Close()
-	type push struct {
-		req   request // the update as the server must have read it
-		base  int
-		reply []float64
-	}
-	byVersion := make([]*push, 2*pushes+1)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := Dial(s.Addr(), id)
-			if err != nil {
-				t.Error(err)
+	const alpha = 0.5
+	for _, tc := range []struct {
+		name      string
+		n, pushes int
+		// push sends session id's push i of w on c and returns the request
+		// as the server must have read it, given the session's last ack.
+		push func(c *Client, id, i int, w, ack []float64, v int) (request, []float64, int, error)
+	}{
+		{"large", 100_000, 8, func(c *Client, id, i int, w, _ []float64, v int) (request, []float64, int, error) {
+			if (i+id)%2 == 0 {
+				rep, next, err := c.Push(w, 1, v)
+				return request{Weights: w}, rep, next, err
+			}
+			rep, next, err := c.PushQuantized(w, 1, v)
+			return request{Quant: QuantizeInto(w, new(Quantized))}, rep, next, err
+		}},
+		{"small-sparse", 1000, 24, func(c *Client, id, i int, w, ack []float64, v int) (request, []float64, int, error) {
+			const k = 100
+			switch {
+			case i == 0:
+				rep, next, err := c.PushDelta(w, 1, v, k)
+				return request{Weights: w}, rep, next, err
+			case (i+id)%3 == 0:
+				rep, next, err := c.PushQuantized(w, 1, v)
+				return request{Quant: QuantizeInto(w, new(Quantized))}, rep, next, err
+			}
+			idx, vals, _ := fl.TopKDeltaFinite(w, ack, k, nil, nil)
+			rep, next, err := c.PushDelta(w, 1, v, k)
+			return request{SparseIdx: idx, SparseVals: vals, DenseLen: len(w)}, rep, next, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openServer(t, make([]float64, tc.n), ServerOptions{Alpha: alpha})
+			defer s.Close()
+			type push struct {
+				req   request // the update as the server must have read it
+				base  int
+				ack   []float64 // the session's ack the push was built on
+				reply []float64
+			}
+			byVersion := make([]*push, 2*tc.pushes+1)
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			for id := 0; id < 2; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					c, err := Dial(s.Addr(), id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer c.Close()
+					rng := rand.New(rand.NewSource(int64(id)))
+					v, ack := 0, make([]float64, tc.n)
+					for i := 0; i < tc.pushes; i++ {
+						w := make([]float64, tc.n)
+						for j := range w {
+							w[j] = rng.NormFloat64()
+						}
+						p := &push{base: v, ack: ack}
+						var next int
+						if p.req, p.reply, next, err = tc.push(c, id, i, w, ack, v); err != nil {
+							t.Errorf("session %d push %d: %v", id, i, err)
+							return
+						}
+						mu.Lock()
+						byVersion[next] = p
+						mu.Unlock()
+						v, ack = next, slices.Clone(p.reply)
+					}
+				}(id)
+			}
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			defer c.Close()
-			rng := rand.New(rand.NewSource(int64(id)))
-			v := 0
-			for i := 0; i < pushes; i++ {
-				w := make([]float64, n)
-				for j := range w {
-					w[j] = rng.NormFloat64()
+			model := make([]float64, tc.n)
+			for ver := 1; ver < len(byVersion); ver++ {
+				p := byVersion[ver]
+				if p == nil {
+					t.Fatalf("no reply carries v%d", ver)
 				}
-				p := &push{req: request{Weights: w}, base: v}
-				var next int
-				if (i+id)%2 == 0 {
-					p.reply, next, err = c.Push(w, 1, v)
-				} else {
-					p.req = request{Quant: QuantizeInto(w, new(Quantized))}
-					p.reply, next, err = c.PushQuantized(w, 1, v)
+				want, _, _ := refCommit(model, &p.req, p.ack, fl.StalenessAlpha(alpha, float64(ver-1-p.base), s.stalenessExp))
+				if !sameBits(p.reply, want) {
+					t.Fatalf("the reply for v%d differs from the reference mix of the pushes before it", ver)
 				}
-				if err != nil {
-					t.Errorf("session %d push %d: %v", id, i, err)
-					return
-				}
-				mu.Lock()
-				byVersion[next] = p
-				mu.Unlock()
-				v = next
+				model = want
 			}
-		}(id)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	model := make([]float64, n)
-	for ver := 1; ver < len(byVersion); ver++ {
-		p := byVersion[ver]
-		if p == nil {
-			t.Fatalf("no reply carries v%d", ver)
-		}
-		want, _, _ := refCommit(model, &p.req, nil, fl.StalenessAlpha(alpha, float64(ver-1-p.base), s.stalenessExp))
-		if !sameBits(p.reply, want) {
-			t.Fatalf("the reply for v%d differs from the reference mix of the pushes before it", ver)
-		}
-		model = want
+		})
 	}
 }

@@ -663,13 +663,12 @@ type Client struct {
 	// before its bytes arrive.
 	pushLen, replyLen int
 
-	// scratchMu guards the push-side encode scratch (the reusable
-	// quantization buffer and the sparse delta buffers) across concurrent
-	// Push* calls; round trips themselves serialize on mu.
-	scratchMu sync.Mutex
-	qbuf      Quantized
-	sparseIdx []uint32
-	sparseVal []float64
+	// encodeMu serializes PushQuantized and PushDelta from the encode to the
+	// ack, so a delta is taken against the ack of the push before it. Their
+	// encode scratch is borrowed for the push, not kept: quant holds only an
+	// int8 push's parameters between pushes.
+	encodeMu sync.Mutex
+	quant    Quantized
 
 	// refMu guards the sparse reference: a private copy of the weights this
 	// client was last acked with, mirroring the server's dedup-window entry.
@@ -721,11 +720,11 @@ func (c *Client) Close() error {
 	return c.closeErr
 }
 
-func (c *Client) roundTrip(req *request) (*reply, error) {
+func (c *Client) roundTrip(req *request) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		return nil, ErrClosed
+		return reply{}, ErrClosed
 	}
 	switch req.Kind {
 	case wire.KindPull:
@@ -754,7 +753,7 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if attempt > c.opts.MaxRetries {
-				return nil, fmt.Errorf("flnet: round trip failed after %d attempts: %w", attempt, lastErr)
+				return reply{}, fmt.Errorf("flnet: round trip failed after %d attempts: %w", attempt, lastErr)
 			}
 			c.retries.Add(1)
 			cliRetries.Inc()
@@ -763,7 +762,7 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 					"attempt", strconv.Itoa(attempt), "kind", kindName(req.Kind), "err", journal.ErrText(lastErr))
 			}
 			if !c.backoff(attempt) {
-				return nil, ErrClosed
+				return reply{}, ErrClosed
 			}
 			if err := c.reconnectLocked(); err != nil {
 				lastErr = err
@@ -775,13 +774,13 @@ func (c *Client) roundTrip(req *request) (*reply, error) {
 			if rep.Err != "" {
 				// The server answered: an application-level rejection is
 				// deterministic and must not be retried.
-				return nil, errors.New(rep.Err)
+				return reply{}, errors.New(rep.Err)
 			}
 			if rep.Weights != nil {
 				c.replyLen = len(rep.Weights)
 			}
 			if req.Kind == wire.KindPush && rep.Weights != nil {
-				c.noteAck(rep)
+				c.noteAck(&rep)
 				if jr := c.opts.Journal; jr != nil {
 					jr.Record("push.ack", rep.Version, c.ID, "seq", strconv.FormatUint(req.Seq, 10))
 				}
@@ -812,25 +811,23 @@ func (c *Client) noteAck(rep *reply) {
 // deadline, and re-arming moves the connection's timers in place, where
 // clearing them would make the next attempt re-add them to a runtime timer
 // heap — an allocation on the push path whenever that heap has to grow.
-// Caller holds c.mu.
-func (c *Client) attemptLocked(req *request) (*reply, error) {
+// The reply goes back by value, through roundTrip and pushRoundTrip too: a
+// pointer to it would put every round trip's reply on the heap beside its
+// weights. Caller holds c.mu.
+func (c *Client) attemptLocked(req *request) (rep reply, err error) {
 	c.connMu.Lock()
 	conn := c.conn
 	c.connMu.Unlock()
 	if conn == nil || c.closed.Load() {
-		return nil, ErrClosed
+		return rep, ErrClosed
 	}
 	if c.opts.Timeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	if err := c.wire.writeRequest(req); err != nil {
-		return nil, err
+	if err = c.wire.writeRequest(req); err == nil {
+		err = c.wire.readReply(&rep, max(c.pushLen, c.replyLen))
 	}
-	var rep reply
-	if err := c.wire.readReply(&rep, max(c.pushLen, c.replyLen)); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	return rep, err
 }
 
 // Pull fetches the current global weights and version.

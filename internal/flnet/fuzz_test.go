@@ -1,7 +1,6 @@
 package flnet
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"runtime"
@@ -32,8 +31,8 @@ func FuzzRequestDecode(f *testing.F) {
 	// payloads included.
 	seed := func(reqs ...*request) []byte {
 		var buf bytes.Buffer
-		cw := &binClientWire{bw: bufio.NewWriter(&buf)}
-		cw.fw.W = cw.bw
+		cw := &binClientWire{out: wire.Coalescer{W: &buf}}
+		cw.fw.W = &cw.out
 		for _, req := range reqs {
 			if err := cw.writeRequest(req); err != nil {
 				f.Fatal(err)

@@ -305,17 +305,18 @@ func TestPushAllocsFlatWithJournalOff(t *testing.T) {
 }
 
 // TestCodecPushAllocBudget pins what a steady-state push allocates in each
-// codec, client and server together, with the journal off: 2 objects, the
-// slice the client returns and its reply. The server commits into a
-// recycled model and replies by reference, the client reads the reply
-// straight into the returned slice, and the encoders' scratch is pooled or
-// on the stack. The least of a few windows is compared, so a stray runtime
-// allocation in one window does not count.
+// codec, client and server together, with the journal off: 1 object, the
+// slice the client returns. The server commits into a recycled model and
+// replies by reference, the client reads the reply straight into the
+// returned slice and returns the reply by value, and every frame buffer and
+// encoder's scratch is borrowed from a list or on the stack. The least of a
+// few windows is compared, so a stray runtime allocation in one window does
+// not count.
 func TestCodecPushAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const budget = 2
+	const budget = 1
 	vecs := make([][]float64, 4)
 	for j := range vecs {
 		vecs[j] = make([]float64, 64)
@@ -357,9 +358,9 @@ func TestCodecPushAllocBudget(t *testing.T) {
 
 // TestLargePushAllocBudget holds raw and int8 pushes of a 100 000-weight
 // model to TestCodecPushAllocBudget's budget. Their frames are over 64 KiB,
-// so the client's int8 encode and the server's read of either payload go
-// through buffers borrowed from wire's spare list. Each window starts with
-// two GC cycles, which empty a sync.Pool but not the spare list, and then
+// so the client's int8 buffers and the server's read of either payload go
+// through buffers borrowed from wire's list of large ones. Each window starts
+// with two GC cycles, which empty a sync.Pool but not the lists, and then
 // counts with the collector off: the runtime allocates about one object of
 // its own per cycle (go1.24's unique-map cleanup), and an 800 KB reply per
 // push would run a cycle every few pushes.
@@ -367,7 +368,7 @@ func TestLargePushAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const n, budget = 100_000, 2
+	const n, budget = 100_000, 1
 	vecs := make([][]float64, 4)
 	for j := range vecs {
 		vecs[j] = make([]float64, n)

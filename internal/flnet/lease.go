@@ -189,7 +189,7 @@ func (s *Server) SessionCount() int {
 // the server rejects it for an expired lease: the rejection already
 // re-admitted this client, so the identical request — same Seq; the rejected
 // push was never applied — is safe to resend and lands on the fresh lease.
-func (c *Client) pushRoundTrip(req *request) (*reply, error) {
+func (c *Client) pushRoundTrip(req *request) (reply, error) {
 	rep, err := c.roundTrip(req)
 	if err != nil && strings.Contains(err.Error(), leaseExpired) {
 		cliLeaseResyncs.Inc()

@@ -45,16 +45,22 @@ func (q *Quantized) DequantizeInto(dst []float64) []float64 {
 
 // PushQuantized submits a quantized update; the server dequantizes before
 // mixing. The returned global model is full precision. The quantization
-// buffer is owned by the client and reused across pushes (QuantizeInto), so
-// a steady-state quantized uplink does not churn allocations. An update the
-// quantized payload cannot carry — a non-finite weight, or a range that
-// overflows — goes as a dense Push instead, so it meets the server's gate
-// (quarantine) rather than the frame parser (a dropped connection).
+// buffer is borrowed from wire's lists for the push (QuantizeInto), so a
+// steady-state quantized uplink neither churns allocations nor keeps a
+// buffer between pushes. An update the quantized payload cannot carry — a
+// non-finite weight, or a range that overflows — goes as a dense Push
+// instead, so it meets the server's gate (quarantine) rather than the frame
+// parser (a dropped connection).
 func (c *Client) PushQuantized(w []float64, samples, baseVersion int) ([]float64, int, error) {
-	c.scratchMu.Lock()
-	q := QuantizeInto(w, &c.qbuf)
+	c.encodeMu.Lock()
+	defer c.encodeMu.Unlock()
+	c.quant.Data = wire.Borrow(len(w))
+	q := QuantizeInto(w, &c.quant)
+	defer func() {
+		wire.Return(q.Data)
+		q.Data = nil
+	}()
 	if !finite(q.Min, q.Scale) {
-		c.scratchMu.Unlock()
 		c.opts.Journal.Record("quant.dense", baseVersion, c.ID, "reason", "non-finite")
 		return c.Push(w, samples, baseVersion)
 	}
@@ -62,7 +68,6 @@ func (c *Client) PushQuantized(w []float64, samples, baseVersion int) ([]float64
 		Kind: wire.KindPush, ClientID: c.ID, Quant: q,
 		NumSamples: samples, BaseVersion: baseVersion,
 	})
-	c.scratchMu.Unlock()
 	if err != nil {
 		return nil, 0, err
 	}

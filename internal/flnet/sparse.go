@@ -30,14 +30,19 @@ import (
 //   - the server rejects the base version (its dedup window moved on, e.g.
 //     across a checkpoint restart) — the dense re-sync re-seeds both sides.
 func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float64, int, error) {
-	c.scratchMu.Lock()
+	c.encodeMu.Lock()
+	defer c.encodeMu.Unlock()
 	c.refMu.Lock()
 	c.trackRef = true
 	haveRef := len(w) > 0 && len(c.refW) == len(w)
+	var idx []uint32
+	var vals []float64
 	var refV int
 	finite := true
 	if haveRef {
-		c.sparseIdx, c.sparseVal, finite = fl.TopKDeltaFinite(w, c.refW, topK, c.sparseIdx, c.sparseVal)
+		idx, vals, finite = fl.TopKDeltaFinite(w, c.refW, topK, idxSpares.Get(), valSpares.Get())
+		defer idxSpares.Put(idx)
+		defer valSpares.Put(vals)
 		refV = c.refV
 	}
 	c.refMu.Unlock()
@@ -47,21 +52,19 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 		reason = "no-ref"
 	case !finite:
 		reason = "non-finite"
-	case wire.SparseSize(len(c.sparseIdx)) >= 8*len(w):
+	case wire.SparseSize(len(idx)) >= 8*len(w):
 		reason = "too-dense"
 	}
 	if reason != "" {
-		c.scratchMu.Unlock()
 		cliSparseFallbacks.Inc()
 		c.opts.Journal.Record("sparse.resync", baseVersion, c.ID, "reason", reason)
 		return c.Push(w, samples, baseVersion)
 	}
 	rep, err := c.pushRoundTrip(&request{
 		Kind: wire.KindPush, ClientID: c.ID,
-		SparseIdx: c.sparseIdx, SparseVals: c.sparseVal, DenseLen: len(w),
+		SparseIdx: idx, SparseVals: vals, DenseLen: len(w),
 		NumSamples: samples, BaseVersion: refV,
 	})
-	c.scratchMu.Unlock()
 	if err != nil {
 		if strings.Contains(err.Error(), sparseBaseMismatch) {
 			cliSparseFallbacks.Inc()
@@ -72,3 +75,14 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 	}
 	return rep.Weights, rep.Version, nil
 }
+
+// Sparse scratch — a push's top-k on the client, a decoded sparse payload
+// (or, on big-endian hosts, a raw one) on the server — is borrowed for the
+// push from these lists, as wire's frame buffers are, so no session keeps
+// any between pushes. Eight deep, as wire's large list: a sparse push holds
+// one pair on the client for its round trip and one on the server for its
+// dispatch, and a busy process has a few pushes in flight.
+var (
+	idxSpares = make(wire.Spares[uint32], 8)
+	valSpares = make(wire.Spares[float64], 8)
+)

@@ -35,7 +35,7 @@ func TestQuarantineNonFinitePerCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	push := func(req *request) (*reply, error) {
+	push := func(req *request) (reply, error) {
 		req.Kind, req.NumSamples = wire.KindPush, 1
 		return c.roundTrip(req)
 	}

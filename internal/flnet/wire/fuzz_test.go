@@ -152,11 +152,12 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzReaderReuse reads two fuzzed streams of frames of mixed sizes — bodies
 // of none, a few bytes, exactly spareMin and above it, some cut short or
-// corrupted — through two Readers in turn, so large bodies pass between them
-// through the shared spare list. Each frame's views are checked only after
-// the other Reader has read its next frame: they must still equal what a
-// fresh Reader decoded from the same stream, and a malformed frame must fail
-// with the same error at the same place.
+// corrupted — through two Readers in turn, so bodies of every size pass
+// between them through the shared lists (a small one must be in a borrowed
+// 64 KiB buffer). Each frame's views are checked only after the other Reader
+// has read its next frame: they must still equal what a fresh Reader decoded
+// from the same stream, and a malformed frame must fail with the same error
+// at the same place.
 //
 // The recipe is four bytes per frame: the stream (bit 0) and the payload
 // size class (bits 1–2) and a truncation or corruption flag (bits 3–4) in the
@@ -242,6 +243,11 @@ func FuzzReaderReuse(f *testing.F) {
 			for s, r := range readers {
 				if i < len(want[s]) {
 					h, p, tr, err := r.Next()
+					for _, b := range [][]byte{p, tr} {
+						if len(b) > 0 && len(b) <= spareMin && cap(b) != spareMin {
+							t.Fatalf("stream %d frame %d: a %d-byte body was read into %d bytes, not a borrowed %d-byte buffer", s, i, len(b), cap(b), spareMin)
+						}
+					}
 					got[s] = decoded{h: h, payload: p, trailer: tr}
 					if err != nil {
 						got[s] = decoded{err: err.Error()}

@@ -203,92 +203,102 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 	return h, nil
 }
 
-// Frame buffers. A Reader's payload or trailer buffer, and a Writer's
-// encode scratch, of up to spareMin bytes belong to their owner and are
-// reused frame after frame. A larger one belongs to no connection: it is
-// borrowed from spares for one frame and handed back once the frame is done
-// with (a Reader's at its next Next or NextOwned, before it blocks on the
-// header; a Writer's once the frame is written), so an idle connection holds
-// no large buffer and the process holds about as many as it has large frames
-// in flight, not one per connection.
+// Frame buffers. No buffer belongs to a connection. Every frame body a
+// Reader reads, every payload a Writer encodes and every frame a Coalescer
+// gathers goes into a buffer borrowed for that one frame, and is handed back
+// once the frame is done with: a Reader's at its next Next or NextOwned,
+// before it blocks on the header, or at Release; a Writer's once the frame is
+// written; a Coalescer's at Flush. So an idle connection holds no buffer,
+// and the process holds about as many as it has frames in flight, not as
+// many as it has connections. A buffer comes from one of two bounded lists:
+// small ones of exactly spareMin bytes, for bodies of at most that, and
+// larger ones.
 const (
-	// spareMin is the largest buffer an owner keeps between frames. It is
-	// readGrow's first step, so a frame body of at most spareMin bytes never
-	// grows its owner's buffer past it.
+	// spareMin is the size of every small buffer and readGrow's first step,
+	// so a body of at most spareMin bytes never grows the buffer it is read
+	// into.
 	spareMin = 64 << 10
-	// spareCap bounds the spare list: a buffer handed back to a full list
-	// is dropped to the GC. Eight covers the large frames a busy process has
-	// in flight at once — one per pushing connection on each end — while
-	// holding at most a few MB of 800 KB pushes when all are idle.
-	spareCap = 8
+	// smallCap and largeCap bound the lists: a buffer handed back to a full
+	// list is dropped to the GC. They cover the frames a busy process has in
+	// flight at once, a few per pushing connection on each end (a request's
+	// body, its reply's gathered head, an encoded payload), while holding at
+	// most a few MB when all are idle.
+	smallCap = 16
+	largeCap = 8
 )
 
-// spares is the process-wide free list of buffers over spareMin bytes. It is
+// Spares is a bounded free list of buffers, each lent for one frame. It is
 // a channel, not a sync.Pool: two GC cycles empty a sync.Pool, and a server
-// ingesting 800 KB pushes runs one every few pushes.
-var spares = make(chan []byte, spareCap)
+// ingesting 800 KB pushes runs one every few pushes, after which every
+// pooled buffer would be allocated again.
+type Spares[T any] chan []T
 
-// takeSpare borrows a buffer from spares, or returns nil when the list is
-// empty.
-func takeSpare() []byte {
+// Get borrows an empty buffer from s, or returns nil when s is empty.
+func (s Spares[T]) Get() []T {
 	select {
-	case b := <-spares:
-		return b
+	case b := <-s:
+		return b[:0]
 	default:
 		return nil
 	}
 }
 
-// putSpare hands b back to spares. It drops b when the list is full, or when
-// b is no larger than spareMin (a body cut short early).
-func putSpare(b []byte) {
-	if cap(b) <= spareMin {
+// Put hands b back to s. It drops b when s is full or b has no capacity.
+func (s Spares[T]) Put(b []T) {
+	if cap(b) == 0 {
 		return
 	}
 	select {
-	case spares <- b:
+	case s <- b:
 	default:
 	}
 }
 
-// frameBuf is one of a Reader's two frame-body buffers.
-type frameBuf struct {
-	own []byte // at most spareMin bytes of capacity, kept between frames
-	big []byte // borrowed for the current frame's body, nil between frames
-}
+var (
+	smalls = make(Spares[byte], smallCap) // buffers of exactly spareMin bytes
+	larges = make(Spares[byte], largeCap) // buffers over spareMin bytes
+)
 
-// read reads an n-byte frame body into own, or into a buffer borrowed from
-// spares when n is over spareMin. readGrow grows either as bytes arrive: a
-// borrowed buffer only saves allocations, and a hostile length claim still
-// cannot allocate its stated size up front.
-func (f *frameBuf) read(r io.Reader, n int) ([]byte, error) {
-	var err error
+// Borrow returns an empty buffer with room for n bytes: a small one for n of
+// at most 64 KiB, a large one otherwise, taken from its list or made when the
+// list is empty. A large list's head too small for n is dropped, and a new
+// large buffer is made in whole 64 KiB steps, so payloads a few bytes apart
+// share buffers. Hand it back with Return.
+func Borrow(n int) []byte {
 	if n <= spareMin {
-		f.own, err = readGrow(r, f.own, n)
-		return f.own, err
+		if b := smalls.Get(); b != nil {
+			return b
+		}
+		return make([]byte, 0, spareMin)
 	}
-	f.big, err = readGrow(r, takeSpare(), n)
-	return f.big, err
+	if b := larges.Get(); cap(b) >= n {
+		return b
+	}
+	return make([]byte, 0, (n+spareMin-1)/spareMin*spareMin)
 }
 
-// release hands a borrowed buffer back to spares.
-func (f *frameBuf) release() {
-	putSpare(f.big)
-	f.big = nil
+// Return hands b, borrowed (and perhaps grown) from Borrow or a Reader, back
+// to the list its size belongs to; one of neither size is dropped. The
+// caller must not touch b afterwards: another frame may be in it.
+func Return(b []byte) {
+	switch {
+	case cap(b) == spareMin:
+		smalls.Put(b)
+	case cap(b) > spareMin:
+		larges.Put(b)
+	}
 }
 
-// Reader decodes frames from a stream into reusable buffers. The payload
-// and trailer slices returned by Next alias the Reader's buffers and are
-// valid only until the following Next or NextOwned call. A body over
-// 64 KiB is read into a buffer borrowed from the process-wide spare list,
-// which that call hands back for another connection to read into, so a view
-// kept past it corrupts someone else's frame.
+// Reader decodes frames from a stream. The payload and trailer slices
+// returned by Next alias buffers borrowed for the frame, which the following
+// Next, NextOwned or Release hands back for another connection to read
+// into, so a view kept past that call corrupts someone else's frame.
 type Reader struct {
 	R   io.Reader
 	Lim Limits
 
 	hdr              [HeaderSize]byte
-	payload, trailer frameBuf
+	payload, trailer []byte // the current frame's borrowed bodies
 }
 
 // Next reads one frame. On any validation or transport error the reader is
@@ -297,24 +307,24 @@ func (r *Reader) Next() (h Header, payload, trailer []byte, err error) {
 	if h, err = r.header(); err != nil {
 		return h, nil, nil, err
 	}
-	if payload, err = r.payload.read(r.R, int(h.PayloadLen)); err == nil {
-		trailer, err = r.trailer.read(r.R, int(h.TrailerLen))
+	if r.payload, err = readBody(r.R, int(h.PayloadLen)); err == nil {
+		r.trailer, err = readBody(r.R, int(h.TrailerLen))
 	}
 	if err != nil {
-		r.release()
+		r.Release()
 		return h, nil, nil, err
 	}
-	return h, payload, trailer, nil
+	return h, r.payload, r.trailer, nil
 }
 
 // NextOwned reads one frame like Next, except that a raw payload goes
 // straight from the stream into a fresh []float64 the caller owns, with no
-// copy through the reader's buffer; vals is nil when the frame has no
-// payload, and a payload in any other codec fails closed. Up to hint weights
-// are allocated up front (a caller passes the model size it expects); beyond
-// that the slice grows only as bytes arrive, as in readGrow, so a hostile
-// length claim on a truncated stream still cannot allocate its stated size.
-// The trailer aliases the reader's buffer, as in Next.
+// copy through a buffer; vals is nil when the frame has no payload, and a
+// payload in any other codec fails closed. Up to hint weights are allocated
+// up front (a caller passes the model size it expects); beyond that the
+// slice grows only as bytes arrive, as in readGrow, so a hostile length
+// claim on a truncated stream still cannot allocate its stated size. The
+// trailer is borrowed, as in Next.
 func (r *Reader) NextOwned(hint int) (h Header, vals []float64, trailer []byte, err error) {
 	if h, err = r.header(); err != nil {
 		return h, nil, nil, err
@@ -326,29 +336,48 @@ func (r *Reader) NextOwned(hint int) (h Header, vals []float64, trailer []byte, 
 		err = fmt.Errorf("%w: kind %d codec %d where a raw payload was expected", ErrFrame, h.Kind, h.Codec)
 	}
 	if err == nil {
-		trailer, err = r.trailer.read(r.R, int(h.TrailerLen))
+		r.trailer, err = readBody(r.R, int(h.TrailerLen))
 	}
 	if err != nil {
-		r.release()
+		r.Release()
 		return h, nil, nil, err
 	}
-	return h, vals, trailer, nil
+	return h, vals, r.trailer, nil
 }
 
-// header hands the previous frame's borrowed buffers back, then reads and
-// validates one frame header.
+// header hands the previous frame's buffers back, then reads and validates
+// one frame header.
 func (r *Reader) header() (Header, error) {
-	r.release()
+	r.Release()
 	if _, err := io.ReadFull(r.R, r.hdr[:]); err != nil {
 		return Header{}, err
 	}
 	return ParseHeader(r.hdr[:], r.Lim)
 }
 
-// release hands the reader's borrowed buffers back to the spare list.
-func (r *Reader) release() {
-	r.payload.release()
-	r.trailer.release()
+// Release hands the current frame's buffers back; the views Next returned
+// for it are invalid afterwards. The next Next or NextOwned calls it first,
+// so a caller calls it itself only to let the buffers go before then.
+func (r *Reader) Release() {
+	Return(r.payload)
+	Return(r.trailer)
+	r.payload, r.trailer = nil, nil
+}
+
+// readBody reads an n-byte frame body into a borrowed buffer: a small one
+// for n of at most 64 KiB, otherwise a large spare, or none, that readGrow
+// grows as bytes arrive. A borrowed buffer only saves allocations: a hostile
+// length claim still cannot allocate its stated size up front. An empty body
+// borrows nothing.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	switch {
+	case n == 0:
+		return nil, nil
+	case n <= spareMin:
+		return readGrow(r, Borrow(n), n)
+	default:
+		return readGrow(r, larges.Get(), n)
+	}
 }
 
 // readRaw reads n raw weights into a new slice, allocating min(n, hint) of
@@ -416,14 +445,12 @@ func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 // Writer encodes frames onto a stream, with at most three Write calls per
 // frame (header, payload, trailer) so raw float64 payloads go out as
 // zero-copy views on little-endian hosts. A payload that must be encoded
-// goes through the Writer's scratch, or, over 64 KiB, through a buffer
-// borrowed from the spare list for the one frame.
+// goes through a buffer borrowed for the one frame.
 type Writer struct {
 	W   io.Writer
 	Lim Limits
 
-	hdr     [HeaderSize]byte
-	scratch []byte // encode scratch of at most spareMin bytes
+	hdr [HeaderSize]byte
 }
 
 // WriteFrame emits one frame with an explicit byte payload. h.PayloadLen
@@ -459,46 +486,87 @@ func (w *Writer) WriteRawFrame(h *Header, vals []float64, trailer []byte) error 
 	if b, ok := BytesView(vals); ok {
 		return w.WriteFrame(h, b, trailer)
 	}
-	return w.writeEncoded(h, AppendRaw(w.encodeBuf(8*len(vals)), vals), trailer)
+	return w.writeEncoded(h, AppendRaw(Borrow(8*len(vals)), vals), trailer)
 }
 
 // WriteQuantFrame emits one frame whose payload is an int8 quantization in
 // the quant codec (AppendQuant).
 func (w *Writer) WriteQuantFrame(h *Header, min, scale float64, data []uint8, trailer []byte) error {
 	h.Codec = CodecQuant
-	return w.writeEncoded(h, AppendQuant(w.encodeBuf(QuantSize(len(data))), min, scale, data), trailer)
+	return w.writeEncoded(h, AppendQuant(Borrow(QuantSize(len(data))), min, scale, data), trailer)
 }
 
 // WriteSparseFrame emits one frame whose payload is a top-k delta in the
 // sparse codec (AppendSparse).
 func (w *Writer) WriteSparseFrame(h *Header, denseLen int, idx []uint32, vals []float64, trailer []byte) error {
 	h.Codec = CodecSparse
-	return w.writeEncoded(h, AppendSparse(w.encodeBuf(SparseSize(len(idx))), denseLen, idx, vals), trailer)
+	return w.writeEncoded(h, AppendSparse(Borrow(SparseSize(len(idx))), denseLen, idx, vals), trailer)
 }
 
-// encodeBuf returns an empty buffer that holds an n-byte payload: the
-// Writer's scratch, or for n over spareMin a borrowed spare; either is
-// replaced by an exact allocation when it is too small (a spare dropped).
-func (w *Writer) encodeBuf(n int) []byte {
-	b := w.scratch
-	if n > spareMin {
-		b = takeSpare()
-	}
-	if cap(b) < n {
-		b = make([]byte, 0, n)
-	}
-	return b[:0]
-}
-
-// writeEncoded writes a frame whose payload p came from encodeBuf, then keeps
-// p as the scratch or, once the frame is written, hands it back to the spare
-// list.
+// writeEncoded writes a frame whose payload p was encoded into a borrowed
+// buffer, then hands the buffer back.
 func (w *Writer) writeEncoded(h *Header, p, trailer []byte) error {
 	err := w.WriteFrame(h, p, trailer)
-	if cap(p) > spareMin {
-		putSpare(p)
-	} else {
-		w.scratch = p
+	Return(p)
+	return err
+}
+
+// Coalescer gathers the Writes of one frame into a buffer borrowed for it
+// and writes them to W in the calls a 64 KiB bufio.Writer flushed once per
+// frame makes: a frame of at most 64 KiB goes out in one Write at Flush; in
+// a larger one, a Write that overflows the buffer fills it and writes it,
+// and a Write still over 64 KiB on an empty buffer goes straight to W. Flush
+// hands the buffer back, so a Coalescer holds none between frames. After an
+// error it is done with, as its connection is; the buffer goes to the GC.
+type Coalescer struct {
+	W io.Writer
+
+	buf []byte // borrowed on the frame's first Write, nil between frames
+}
+
+// Write gathers p into the frame.
+func (c *Coalescer) Write(p []byte) (n int, err error) {
+	for len(p) > spareMin-len(c.buf) {
+		var k int
+		if len(c.buf) == 0 {
+			k, err = c.W.Write(p)
+		} else {
+			k = copy(c.buf[len(c.buf):spareMin], p)
+			c.buf = c.buf[:len(c.buf)+k]
+			err = c.flush()
+		}
+		n, p = n+k, p[k:]
+		if err != nil {
+			return n, err
+		}
 	}
+	if len(p) > 0 {
+		if c.buf == nil {
+			c.buf = Borrow(spareMin)
+		}
+		c.buf = append(c.buf, p...)
+	}
+	return n + len(p), nil
+}
+
+// Flush writes what the frame has gathered and hands the buffer back.
+func (c *Coalescer) Flush() error {
+	err := c.flush()
+	Return(c.buf)
+	c.buf = nil
+	return err
+}
+
+// flush writes the gathered bytes, keeping the buffer for the rest of the
+// frame.
+func (c *Coalescer) flush() error {
+	if len(c.buf) == 0 {
+		return nil
+	}
+	n, err := c.W.Write(c.buf)
+	if err == nil && n < len(c.buf) {
+		err = io.ErrShortWrite
+	}
+	c.buf = c.buf[:0]
 	return err
 }

@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -262,7 +265,7 @@ func TestHostileLengthTruncated(t *testing.T) {
 	for _, spare := range []int{0, 1 << 20} {
 		drainSpares()
 		if spare > 0 {
-			putSpare(make([]byte, spare))
+			larges.Put(make([]byte, spare))
 		}
 		r := Reader{R: bytes.NewReader(stream)}
 		var err error
@@ -274,10 +277,10 @@ func TestHostileLengthTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatal("truncated 64MiB claim accepted")
 		}
-		if r.payload.big != nil {
+		if r.payload != nil {
 			t.Fatalf("spare of %d bytes: the failed read kept its buffer", spare)
 		}
-		if spare > 0 && (len(spares) != 1 || cap(<-spares) != spare) {
+		if spare > 0 && (len(larges) != 1 || cap(<-larges) != spare) {
 			t.Fatal("the failed read did not hand back the spare it borrowed, as it was")
 		}
 	}
@@ -314,18 +317,21 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// drainSpares empties the process-wide spare list.
+// drainSpares empties the process-wide buffer lists.
 func drainSpares() {
-	for takeSpare() != nil {
+	for smalls.Get() != nil {
+	}
+	for larges.Get() != nil {
 	}
 }
 
-// TestLargeBuffersAreBorrowed pins who holds a frame buffer over spareMin:
-// nobody between frames. A Reader that has read a large frame and then a
-// small one holds no buffer over spareMin, and the large one is in the spare
-// list; a Writer that has encoded a large payload keeps only its small
-// scratch. A small frame after a large one reuses the small buffer the
-// Reader kept.
+// TestLargeBuffersAreBorrowed pins who holds a frame buffer: nobody between
+// frames, whatever its size. A Writer that has encoded a small and a large
+// payload keeps neither; each went back to the list of its size. A Reader
+// reads a small body into a borrowed 64 KiB buffer and a large one into a
+// borrowed spare, and holds none once Release has handed them back; the
+// small frame after a large one reads into the small buffer the first frame
+// handed back.
 func TestLargeBuffersAreBorrowed(t *testing.T) {
 	drainSpares()
 	var buf bytes.Buffer
@@ -336,15 +342,12 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 		if err := w.WriteQuantFrame(&h, -1, 0.5, data, bytes.Repeat([]byte{'t'}, len(data))); err != nil {
 			t.Fatal(err)
 		}
-		if cap(w.scratch) > spareMin {
-			t.Fatalf("after frame %d the writer keeps %d bytes of scratch", i, cap(w.scratch))
-		}
 	}
-	if len(spares) != 1 {
-		t.Fatalf("the writer handed back %d buffers, want the large payload's", len(spares))
+	if len(smalls) != 1 || len(larges) != 1 {
+		t.Fatalf("the writer handed back %d small and %d large buffers, want its one of each", len(smalls), len(larges))
 	}
 	r := Reader{R: &buf}
-	var kept []byte
+	var kept *byte
 	for i, data := range [][]uint8{small, large, small} {
 		_, p, tr, err := r.Next()
 		if err != nil || len(p) != QuantSize(len(data)) || len(tr) != len(data) {
@@ -352,25 +355,84 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 		}
 		switch i {
 		case 0:
-			kept = p
+			if cap(p) != spareMin || cap(tr) != spareMin {
+				t.Fatalf("small bodies read into %d and %d bytes, want borrowed %d-byte buffers", cap(p), cap(tr), spareMin)
+			}
+			kept = &p[0]
 		case 1:
-			if len(spares) != 0 || cap(r.payload.big) <= spareMin {
-				t.Fatalf("the large payload was not read into the borrowed spare (%d left)", len(spares))
+			if len(larges) != 0 || cap(p) <= spareMin {
+				t.Fatalf("the large payload was not read into the borrowed spare (%d left)", len(larges))
 			}
 		case 2:
-			if &p[0] != &kept[0] {
-				t.Fatal("the small frame after a large one did not reuse the reader's own buffer")
+			if &p[0] != kept {
+				t.Fatal("the small frame after a large one did not reuse the small buffer handed back")
 			}
 		}
 	}
-	for name, f := range map[string]*frameBuf{"payload": &r.payload, "trailer": &r.trailer} {
-		if f.big != nil || cap(f.own) > spareMin {
-			t.Fatalf("after a small frame the reader's %s holds %d + %d bytes", name, cap(f.own), cap(f.big))
+	r.Release()
+	if r.payload != nil || r.trailer != nil {
+		t.Fatalf("after Release the reader holds %d + %d bytes", cap(r.payload), cap(r.trailer))
+	}
+	if len(smalls) != 2 || len(larges) != 2 {
+		t.Fatalf("the lists hold %d small and %d large buffers, want each frame's payload and trailer", len(smalls), len(larges))
+	}
+}
+
+// TestCoalescerWritesLikeBufio holds a Coalescer to the Write calls a 64 KiB
+// bufio.Writer flushed once per frame makes, over frames of random shape
+// around the buffer size, and to holding no buffer once a frame is flushed.
+func TestCoalescerWritesLikeBufio(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{0, 1, 36, 1000, spareMin - 36, spareMin - 1, spareMin, spareMin + 1, 2 * spareMin, 800_000}
+	for frame := 0; frame < 500; frame++ {
+		var writes [][]byte
+		for n := rng.Intn(4) + 1; n > 0; n-- {
+			size := sizes[rng.Intn(len(sizes))]
+			if rng.Intn(2) == 0 {
+				size += rng.Intn(64) - 32
+			}
+			p := make([]byte, max(size, 0))
+			for i := range p {
+				p[i] = byte(rng.Intn(256))
+			}
+			writes = append(writes, p)
+		}
+		var want, got writeRecorder
+		bw := bufio.NewWriterSize(&want, spareMin)
+		c := Coalescer{W: &got}
+		for _, p := range writes {
+			if _, err := bw.Write(p); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := c.Write(p); err != nil || n != len(p) {
+				t.Fatalf("Write of %d bytes wrote %d, %v", len(p), n, err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.sizes, want.sizes) || !bytes.Equal(got.bytes, want.bytes) {
+			t.Fatalf("frame %d: the coalescer wrote %v, a 64 KiB bufio.Writer %v", frame, got.sizes, want.sizes)
+		}
+		if c.buf != nil {
+			t.Fatalf("frame %d: the coalescer holds %d bytes after Flush", frame, cap(c.buf))
 		}
 	}
-	if len(spares) != 2 {
-		t.Fatalf("the spare list holds %d buffers, want the large frame's payload and trailer", len(spares))
-	}
+}
+
+// writeRecorder keeps what is written to it and the size of each Write.
+type writeRecorder struct {
+	sizes []int
+	bytes []byte
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	w.bytes = append(w.bytes, p...)
+	return len(p), nil
 }
 
 func TestQuantCodecRoundTrip(t *testing.T) {

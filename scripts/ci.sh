@@ -137,6 +137,18 @@ if [ -n "$mix_sites" ]; then
 	exit 1
 fi
 
+# Per-frame buffers (DESIGN.md, "Wire protocol", "Frame layout"): no flnet
+# connection keeps a buffer between frames, so none holds a bufio end, and the
+# lists its frame buffers and push scratch are borrowed from are channels a GC
+# does not empty, not sync.Pools. Comment lines do not count.
+flnet_src=$(find internal/flnet -name '*.go' ! -name '*_test.go')
+frame_sites=$(grep -nE '"bufio"|sync\.Pool' $flnet_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$frame_sites" ]; then
+	echo "per-frame buffers: non-test internal/flnet holds a bufio end or a sync.Pool:" >&2
+	echo "$frame_sites" >&2
+	exit 1
+fi
+
 # Docs budget (ROADMAP item 0b): a CHANGES.md entry is at most 1,200 bytes —
 # claim, what was expected to move, what must not move, verdict. An entry
 # runs from its "- PR N" line to the next one. Entries numbered below
