@@ -158,12 +158,12 @@ func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 		_, v, err := codecPushes[i%len(codecPushes)].push(c, w, v)
 		return v, err
 	}
-	live := func() uint64 {
+	live := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
 	}
 	run := func(sessions int) (*Server, []*Client, []int) {
 		s := openServer(t, make([]float64, n), ServerOptions{Alpha: 0.5})

@@ -384,18 +384,17 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 func TestCoalescerWritesLikeBufio(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sizes := []int{0, 1, 36, 1000, spareMin - 36, spareMin - 1, spareMin, spareMin + 1, 2 * spareMin, 800_000}
+	src := make([]byte, 900_000)
+	rng.Read(src)
 	for frame := 0; frame < 500; frame++ {
 		var writes [][]byte
 		for n := rng.Intn(4) + 1; n > 0; n-- {
 			size := sizes[rng.Intn(len(sizes))]
 			if rng.Intn(2) == 0 {
-				size += rng.Intn(64) - 32
+				size = max(size+rng.Intn(64)-32, 0)
 			}
-			p := make([]byte, max(size, 0))
-			for i := range p {
-				p[i] = byte(rng.Intn(256))
-			}
-			writes = append(writes, p)
+			off := rng.Intn(len(src) - size + 1)
+			writes = append(writes, src[off:off+size])
 		}
 		var want, got writeRecorder
 		bw := bufio.NewWriterSize(&want, spareMin)
