@@ -12,14 +12,15 @@ package flnet
 // from wire's process-wide lists for that frame, and decoded into scratch
 // borrowed the same way; both go back before the connection waits for its
 // next request. A reply's model is read straight into the slice the client
-// returns. Every frame is written through a wire.Coalescer, whose buffer is
-// borrowed for the frame and goes out in the Write calls a 64 KiB
-// bufio.Writer would make. So an idle connection holds its header arrays and
-// its session state, and the process about as many buffers as it has frames
-// in flight. The server hands the dispatch path zero-copy views where the
-// host allows it. The one part of a frame this package does not parse
-// itself is the telemetry trailer: JSON, through encoding/json, on bytes the
-// frame header has already bounded, and off the hot path by construction.
+// returns. Every frame is written through a 64 KiB bufio.Writer borrowed for
+// it alone (wire.Writer's Begin and End) and flushed once, in the Write calls
+// a connection's own bufio.Writer made. So an idle connection holds its
+// header arrays and its session state, and the process about as many
+// buffers as it has had frames in flight, up to the depth of wire's lists.
+// The server hands the dispatch path zero-copy views where the host allows
+// it. The one part of a frame this package does not parse itself is the
+// telemetry trailer: JSON, through encoding/json, on bytes the frame header
+// has already bounded, and off the hot path by construction.
 
 import (
 	"encoding/json"
@@ -48,9 +49,9 @@ func kindName(kind byte) string {
 // reply read that allocates only the weights slice whose ownership passes
 // to the caller, filled from the socket with no copy in between.
 type binClientWire struct {
-	out wire.Coalescer
-	fw  wire.Writer
-	fr  wire.Reader
+	conn io.Writer // each request's borrowed writer flushes here
+	fw   wire.Writer
+	fr   wire.Reader
 }
 
 func (b *binClientWire) writeRequest(req *request) error {
@@ -70,6 +71,7 @@ func (b *binClientWire) writeRequest(req *request) error {
 			h.Flags |= wire.FlagTelemetry
 		}
 	}
+	b.fw.Begin(b.conn)
 	switch {
 	case req.Kind != wire.KindPush:
 		err = b.fw.WriteFrame(&h, nil, trailer)
@@ -80,12 +82,9 @@ func (b *binClientWire) writeRequest(req *request) error {
 	case req.SparseIdx != nil || req.DenseLen > 0:
 		err = b.fw.WriteSparseFrame(&h, req.DenseLen, req.SparseIdx, req.SparseVals, trailer)
 	default:
-		return errNoPayload
+		err = errNoPayload
 	}
-	if err != nil {
-		return err
-	}
-	return b.out.Flush()
+	return b.fw.End(err)
 }
 
 // readReply reads a reply's model straight into the slice whose ownership
@@ -111,17 +110,14 @@ func (b *binClientWire) readReply(rep *reply, hint int) error {
 // connection and returns its codec. Any failure poisons the connection; the
 // caller redials.
 func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Duration, lim wire.Limits) (*binClientWire, error) {
-	b := &binClientWire{out: wire.Coalescer{W: cc}, fr: wire.Reader{R: cc, Lim: lim}}
-	b.fw = wire.Writer{W: &b.out, Lim: lim}
+	b := &binClientWire{conn: cc, fw: wire.Writer{Lim: lim}, fr: wire.Reader{R: cc, Lim: lim}}
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
 	hello := wire.Header{Kind: wire.KindHello, A: int32(id)}
-	if err := b.fw.WriteFrame(&hello, nil, nil); err != nil {
-		return nil, err
-	}
-	if err := b.out.Flush(); err != nil {
+	b.fw.Begin(b.conn)
+	if err := b.fw.End(b.fw.WriteFrame(&hello, nil, nil)); err != nil {
 		return nil, err
 	}
 	h, _, _, err := b.fr.Next()
@@ -144,6 +140,10 @@ type requestDecoder struct {
 	quant Quantized
 	idx   []uint32  // sparse indices, borrowed for the frame
 	vals  []float64 // sparse values or raw weights, borrowed for the frame
+	// dim is the model's length. Scratch larger than it held a payload the
+	// server refuses (a sparse k may claim any dense length up to the frame
+	// limit), so release drops it rather than list it.
+	dim int
 }
 
 // decode is the boundary where outside input becomes a request: the payload
@@ -202,9 +202,13 @@ func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte) (*reques
 // release hands the frame's scratch back and drops the request's views of
 // it and of the frame, which another connection may read into next.
 func (d *requestDecoder) release() {
-	idxSpares.Put(d.idx)
-	valSpares.Put(d.vals)
-	*d = requestDecoder{}
+	if cap(d.idx) <= d.dim {
+		idxSpares.Put(d.idx)
+	}
+	if cap(d.vals) <= d.dim {
+		valSpares.Put(d.vals)
+	}
+	*d = requestDecoder{dim: d.dim}
 }
 
 // handle serves one portal connection: hello-ack first, then request/reply
@@ -215,10 +219,9 @@ func (s *Server) handle(conn net.Conn) {
 		return // server shutting down
 	}
 	defer s.untrackConn(conn)
-	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
+	var cc io.ReadWriter = countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
 	fr := wire.Reader{R: cc, Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
-	out := wire.Coalescer{W: cc}
-	fw := wire.Writer{W: &out, Lim: fr.Lim}
+	fw := wire.Writer{Lim: fr.Lim}
 
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {
@@ -230,11 +233,14 @@ func (s *Server) handle(conn net.Conn) {
 	srvConnsBinary.Inc()
 	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	ack := wire.Header{Kind: wire.KindHelloAck}
-	if fw.WriteFrame(&ack, nil, nil) != nil || out.Flush() != nil {
+	fw.Begin(cc)
+	if fw.End(fw.WriteFrame(&ack, nil, nil)) != nil {
 		return
 	}
 
-	var dec requestDecoder
+	s.mu.Lock()
+	dec := requestDecoder{dim: len(s.cur.weights)}
+	s.mu.Unlock()
 	for {
 		h, payload, trailer, err := fr.Next()
 		if err != nil {
@@ -267,6 +273,7 @@ func (s *Server) handle(conn net.Conn) {
 		if rep.Err != "" {
 			errTrailer = []byte(rep.Err)
 		}
+		fw.Begin(cc)
 		if rep.Weights != nil {
 			err = fw.WriteRawFrame(&rh, rep.Weights, errTrailer)
 		} else {
@@ -277,8 +284,8 @@ func (s *Server) handle(conn net.Conn) {
 			// holding its reply is guaranteed to find the request in the
 			// histogram.
 			srvRequestSeconds.Observe(time.Since(t0).Seconds())
-			err = out.Flush()
 		}
+		err = fw.End(err)
 		// Flushed or failed, the model's bytes are no longer needed: the
 		// reply's reference goes back.
 		s.release(rep.held)

@@ -1,14 +1,17 @@
 package flnet
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/metrics"
 )
 
@@ -139,9 +142,8 @@ func TestFrameWriteCalls(t *testing.T) {
 // 1 000-weight model, a third each in raw, int8 and sparse, and each pushes
 // until its codec is warm; two GC cycles later the live heap they add is
 // under 48 KiB a session (a 64 KiB read or write buffer per connection end
-// would be 256 KiB). A warm push made after two forced GC cycles still
-// allocates at most the slice it returns: the buffers it borrows come from
-// lists a GC does not empty.
+// would be 256 KiB). That a warm push after two GC cycles still finds its
+// buffers listed is TestLargePushAllocBudget's 1 000-weight rows.
 func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -151,13 +153,6 @@ func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i%13) / 4
 	}
-	// push sends session i's update in its codec; the second push of a
-	// sparse session is its first sparse one.
-	push := func(c *Client, i int, v int) (int, error) {
-		w[i%n]++
-		_, v, err := codecPushes[i%len(codecPushes)].push(c, w, v)
-		return v, err
-	}
 	live := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -165,22 +160,26 @@ func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	run := func(sessions int) (*Server, []*Client, []int) {
+	// run connects the sessions; each pushes three times in its codec, so
+	// a sparse session's second and third pushes are sparse ones.
+	run := func(sessions int) (*Server, []*Client) {
 		s := openServer(t, make([]float64, n), ServerOptions{Alpha: 0.5})
-		cs, vs := make([]*Client, sessions), make([]int, sessions)
+		cs := make([]*Client, sessions)
 		for i := range cs {
 			c, err := Dial(s.Addr(), i)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cs[i] = c
+			v := 0
 			for p := 0; p < 3; p++ {
-				if vs[i], err = push(c, i, vs[i]); err != nil {
+				w[(i+p)%n]++
+				if _, v, err = codecPushes[i%len(codecPushes)].push(c, w, v); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		return s, cs, vs
+		return s, cs
 	}
 	stop := func(s *Server, cs []*Client) {
 		for _, c := range cs {
@@ -190,34 +189,162 @@ func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 	}
 	// A first federation fills the process-wide buffer lists, which then
 	// hold what the frames in flight need, whatever the number of sessions.
-	s, cs, _ := run(len(codecPushes))
+	s, cs := run(len(codecPushes))
 	stop(s, cs)
 	before := live()
-	s, cs, vs := run(sessions)
-	defer func() { stop(s, cs) }()
+	s, cs = run(sessions)
+	defer stop(s, cs)
 	per := (live() - before) / sessions
 	t.Logf("an idle session holds %d bytes of live heap", per)
 	if per >= perSession {
 		t.Errorf("an idle session holds %d bytes of live heap, want under %d", per, perSession)
 	}
-	for i, codec := range codecPushes {
-		least := uint64(1 << 20)
-		for try := 0; try < 3; try++ {
-			live()
-			gc := debug.SetGCPercent(-1)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			v, err := push(cs[i], i, vs[i])
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gc)
+}
+
+// TestHostileSparseScratchNotListed sends a well-formed sparse push whose k
+// is far larger than the model: ParseSparse grows scratch for it, the server
+// refuses the push, and the scratch must go to the GC rather than onto the
+// process-wide lists, where it would outlive the connection.
+func TestHostileSparseScratchNotListed(t *testing.T) {
+	const n, k = 1000, 1 << 18
+	s := startServer(t, make([]float64, n), 0.5)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw, fr := wire.Writer{W: conn}, wire.Reader{R: conn}
+	if err := fw.WriteFrame(&wire.Header{Kind: wire.KindHello}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, _, err := fr.Next(); err != nil || h.Kind != wire.KindHelloAck {
+		t.Fatalf("hello: kind %d, %v", h.Kind, err)
+	}
+	idx, vals := make([]uint32, k), make([]float64, k)
+	for i := range idx {
+		idx[i], vals[i] = uint32(i), 1
+	}
+	push := wire.Header{Kind: wire.KindPush, B: 1, Seq: 1}
+	if err := fw.WriteSparseFrame(&push, 2*k, idx, vals, nil); err != nil {
+		t.Fatal(err)
+	}
+	h, _, trailer, err := fr.Next()
+	if err != nil || h.Kind != wire.KindReply || len(trailer) == 0 {
+		t.Fatalf("a %d-weight sparse push to a %d-weight model: kind %d, error %q, %v; want a refusal", 2*k, n, h.Kind, trailer, err)
+	}
+	// The server hands the push's scratch back before it writes the reply.
+	if most := largestListed(idxSpares); most >= k {
+		t.Errorf("the index list holds a %d-entry buffer after a refused %d-entry push", most, k)
+	}
+	if most := largestListed(valSpares); most >= k {
+		t.Errorf("the value list holds a %d-entry buffer after a refused %d-entry push", most, k)
+	}
+}
+
+// largestListed returns the capacity of the largest buffer on l, and leaves
+// l as it found it.
+func largestListed[T any](l wire.Spares[T]) int {
+	var held [][]T
+	most := 0
+	for b := l.Get(); b != nil; b = l.Get() {
+		most = max(most, cap(b))
+		held = append(held, b)
+	}
+	for _, b := range held {
+		l.Put(b)
+	}
+	return most
+}
+
+// slowConn waits before each Write, as a write on a thin link whose socket
+// buffer is full blocks, so the frames of sessions pushing at once overlap.
+type slowConn struct {
+	net.Conn
+	wait time.Duration
+}
+
+func (c slowConn) Write(b []byte) (int, error) {
+	time.Sleep(c.wait)
+	return c.Conn.Write(b)
+}
+
+// TestPushesInFlight measures what the depth of the buffer lists buys when
+// many pushes are in flight at once. Sessions on a 1 000-weight model, a
+// third each in raw, int8 and sparse, push concurrently over links that
+// wait 1 ms before every Write on either end, so every session holds its
+// frame buffers at the same time. A push in flight holds about one small
+// buffer and one writer (wire.ListDepth), so with 64 sessions a warm push
+// allocates its 8 KB reply and no buffer. With twice wire.ListDepth, the frames
+// past the depth allocate their buffers and drop them, at most one 64 KiB
+// buffer for each of a push's borrows; the test logs what that costs.
+func TestPushesInFlight(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("pushes over slowed links")
+	}
+	const n, pushes, reply = 1000, 6, 8 * 1000
+	slow := func(c net.Conn) net.Conn { return slowConn{Conn: c, wait: time.Millisecond} }
+	measure := func(sessions int) (allocs, bytes float64) {
+		s := startServerOpts(t, make([]float64, n), ServerOptions{Alpha: 0.5, WrapConn: slow})
+		cs := make([]*Client, sessions)
+		for i := range cs {
+			c, err := DialOptions(s.Addr(), i, Options{Dialer: func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return slow(conn), nil
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs[i] = v
-			least = min(least, after.Mallocs-before.Mallocs)
+			defer c.Close()
+			cs[i] = c
 		}
-		if least > 1 {
-			t.Errorf("a warm %s push after two GC cycles allocates %d objects, want at most 1", codec.name, least)
+		vs := make([]int, sessions)
+		round := func() {
+			var wg sync.WaitGroup
+			errs := make([]error, sessions)
+			for i, c := range cs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					w := make([]float64, n)
+					for p := 0; p < pushes && errs[i] == nil; p++ {
+						w[(i+p)%n] = float64(p + 1)
+						_, vs[i], errs[i] = codecPushes[i%len(codecPushes)].push(c, w, vs[i])
+					}
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
 		}
+		round() // references, connections and lists warm up
+		round()
+		allocs, bytes = math.Inf(1), math.Inf(1)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			round()
+			runtime.ReadMemStats(&after)
+			total := float64(sessions * pushes)
+			allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/total)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/total)
+		}
+		return allocs, bytes
+	}
+	allocs, bytes := measure(64)
+	t.Logf("64 sessions in flight: %.2f objects and %.0f bytes a push", allocs, bytes)
+	if bytes > reply+16<<10 {
+		t.Errorf("with 64 sessions in flight a push allocates %.0f bytes, want its %d-byte reply and no 64 KiB buffer", bytes, reply)
+	}
+	allocs, bytes = measure(2 * wire.ListDepth)
+	t.Logf("%d sessions in flight: %.2f objects and %.0f bytes a push", 2*wire.ListDepth, allocs, bytes)
+	if bytes > reply+5*64<<10+16<<10 {
+		t.Errorf("with %d sessions in flight a push allocates %.0f bytes, want at most its reply and one 64 KiB buffer for each of its five borrows", 2*wire.ListDepth, bytes)
 	}
 }

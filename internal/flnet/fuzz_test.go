@@ -31,8 +31,7 @@ func FuzzRequestDecode(f *testing.F) {
 	// payloads included.
 	seed := func(reqs ...*request) []byte {
 		var buf bytes.Buffer
-		cw := &binClientWire{out: wire.Coalescer{W: &buf}}
-		cw.fw.W = &cw.out
+		cw := &binClientWire{conn: &buf}
 		for _, req := range reqs {
 			if err := cw.writeRequest(req); err != nil {
 				f.Fatal(err)

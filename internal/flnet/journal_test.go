@@ -7,6 +7,7 @@ package flnet
 // journal nil must cost ~nothing, recording must stay within a few percent.
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -357,58 +358,64 @@ func TestCodecPushAllocBudget(t *testing.T) {
 }
 
 // TestLargePushAllocBudget holds raw and int8 pushes of a 100 000-weight
-// model to TestCodecPushAllocBudget's budget. Their frames are over 64 KiB,
-// so the client's int8 buffers and the server's read of either payload go
-// through buffers borrowed from wire's list of large ones. Each window starts
-// with two GC cycles, which empty a sync.Pool but not the lists, and then
-// counts with the collector off: the runtime allocates about one object of
-// its own per cycle (go1.24's unique-map cleanup), and an 800 KB reply per
-// push would run a cycle every few pushes.
+// model, and every codec's push of a 1 000-weight one, to
+// TestCodecPushAllocBudget's budget. The 100 000-weight frames are over 64
+// KiB, so the client's int8 buffers and the server's read of either payload
+// go through buffers borrowed from wire's list of large ones; the 1 000-weight
+// ones through its small buffers and the sparse scratch lists. Each window
+// starts with two GC cycles, which empty a sync.Pool but not the lists, and
+// then counts with the collector off: the runtime allocates about one object
+// of its own per cycle (go1.24's unique-map cleanup), and an 800 KB reply
+// per push would run a cycle every few pushes.
 func TestLargePushAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const n, budget = 100_000, 1
-	vecs := make([][]float64, 4)
-	for j := range vecs {
-		vecs[j] = make([]float64, n)
-		for i := range vecs[j] {
-			vecs[j][i] = float64((i*7+j*13)%17) / 8
-		}
-	}
+	const budget = 1
 	for _, codec := range codecPushes {
-		if codec.name == "sparse" { // top 4: a small frame
-			continue
-		}
 		t.Run(codec.name, func(t *testing.T) {
-			s := startServer(t, make([]float64, n), 0.5)
-			c, err := Dial(s.Addr(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			v := 0
-			allocsPerPush := func(pushes int) float64 {
-				runtime.GC()
-				runtime.GC()
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < pushes; i++ {
-					if _, v, err = codec.push(c, vecs[i%len(vecs)], v); err != nil {
+			for _, n := range []int{1000, 100_000} {
+				if n > 1000 && codec.name == "sparse" { // top 4: a small frame
+					continue
+				}
+				t.Run(fmt.Sprint(n), func(t *testing.T) {
+					vecs := make([][]float64, 4)
+					for j := range vecs {
+						vecs[j] = make([]float64, n)
+						for i := range vecs[j] {
+							vecs[j][i] = float64((i*7+j*13)%17) / 8
+						}
+					}
+					s := startServer(t, make([]float64, n), 0.5)
+					c, err := Dial(s.Addr(), 0)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				runtime.ReadMemStats(&after)
-				return float64(after.Mallocs-before.Mallocs) / float64(pushes)
-			}
-			allocsPerPush(19)
-			least := allocsPerPush(40)
-			for w := 0; w < 3; w++ {
-				least = min(least, allocsPerPush(40))
-			}
-			if least > budget {
-				t.Fatalf("a steady-state %d-weight %s push allocates %.2f objects, budget %d", n, codec.name, least, budget)
+					defer c.Close()
+					v := 0
+					allocsPerPush := func(pushes int) float64 {
+						runtime.GC()
+						runtime.GC()
+						defer debug.SetGCPercent(debug.SetGCPercent(-1))
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						for i := 0; i < pushes; i++ {
+							if _, v, err = codec.push(c, vecs[i%len(vecs)], v); err != nil {
+								t.Fatal(err)
+							}
+						}
+						runtime.ReadMemStats(&after)
+						return float64(after.Mallocs-before.Mallocs) / float64(pushes)
+					}
+					allocsPerPush(19)
+					least := allocsPerPush(40)
+					for w := 0; w < 3; w++ {
+						least = min(least, allocsPerPush(40))
+					}
+					if least > budget {
+						t.Fatalf("a steady-state %d-weight %s push allocates %.2f objects, budget %d", n, codec.name, least, budget)
+					}
+				})
 			}
 		})
 	}

@@ -79,10 +79,10 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 // Sparse scratch — a push's top-k on the client, a decoded sparse payload
 // (or, on big-endian hosts, a raw one) on the server — is borrowed for the
 // push from these lists, as wire's frame buffers are, so no session keeps
-// any between pushes. Eight deep, as wire's large list: a sparse push holds
-// one pair on the client for its round trip and one on the server for its
-// dispatch, and a busy process has a few pushes in flight.
+// any between pushes. A sparse push holds one pair on the client for its
+// round trip and one on the server for its dispatch; the lists are as deep
+// as wire's small list.
 var (
-	idxSpares = make(wire.Spares[uint32], 8)
-	valSpares = make(wire.Spares[float64], 8)
+	idxSpares = make(wire.Spares[uint32], wire.ListDepth)
+	valSpares = make(wire.Spares[float64], wire.ListDepth)
 )

@@ -30,6 +30,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -204,26 +205,34 @@ func ParseHeader(buf []byte, lim Limits) (Header, error) {
 }
 
 // Frame buffers. No buffer belongs to a connection. Every frame body a
-// Reader reads, every payload a Writer encodes and every frame a Coalescer
-// gathers goes into a buffer borrowed for that one frame, and is handed back
-// once the frame is done with: a Reader's at its next Next or NextOwned,
-// before it blocks on the header, or at Release; a Writer's once the frame is
-// written; a Coalescer's at Flush. So an idle connection holds no buffer,
-// and the process holds about as many as it has frames in flight, not as
-// many as it has connections. A buffer comes from one of two bounded lists:
-// small ones of exactly spareMin bytes, for bodies of at most that, and
-// larger ones.
+// Reader reads, every payload a Writer encodes and every frame a Writer
+// gathers between Begin and End goes into a buffer borrowed for that one
+// frame, and is handed back once the frame is done with: a Reader's at its
+// next Next or NextOwned, before it blocks on the header, or at Release; an
+// encoded payload once its frame is written; a gathering writer at End. So
+// an idle connection holds no buffer. A buffer comes from one of three
+// bounded lists: small ones of exactly spareMin bytes, for bodies of at most
+// that, larger ones, and spareMin-byte bufio.Writers. A list is only as full
+// as the most buffers of its kind ever borrowed at once, so the process holds
+// about as many as it has had frames in flight, up to the list's depth; past
+// the depth, a frame allocates its buffer and drops it.
 const (
-	// spareMin is the size of every small buffer and readGrow's first step,
-	// so a body of at most spareMin bytes never grows the buffer it is read
-	// into.
+	// spareMin is the size of every small buffer and gathering writer, and
+	// readGrow's first step, so a body of at most spareMin bytes never grows
+	// the buffer it is read into.
 	spareMin = 64 << 10
-	// smallCap and largeCap bound the lists: a buffer handed back to a full
-	// list is dropped to the GC. They cover the frames a busy process has in
-	// flight at once, a few per pushing connection on each end (a request's
-	// body, its reply's gathered head, an encoded payload), while holding at
-	// most a few MB when all are idle.
-	smallCap = 16
+	// ListDepth is how deep the small list and the writer list are, and
+	// flnet's sparse scratch lists. A push in flight holds about one small
+	// buffer and one writer at a time across both ends: counted under the
+	// load of TestPushesInFlight in internal/flnet, where a slow link holds
+	// up every session's frames, the peak was 61 and 65 of them with 64
+	// sessions, 131 and 128 with 128. So 128 covers twice the benchmark's
+	// 64-session fleet all in flight at once, or a server whose 128 portals
+	// all have a frame in flight; past that, a frame allocates its buffer
+	// and drops it.
+	ListDepth = 128
+	// largeCap covers fewer: a frame over 64 KiB carries a model, which its
+	// receiver allocates anyway.
 	largeCap = 8
 )
 
@@ -255,8 +264,8 @@ func (s Spares[T]) Put(b []T) {
 }
 
 var (
-	smalls = make(Spares[byte], smallCap) // buffers of exactly spareMin bytes
-	larges = make(Spares[byte], largeCap) // buffers over spareMin bytes
+	smalls = make(Spares[byte], ListDepth) // buffers of exactly spareMin bytes
+	larges = make(Spares[byte], largeCap)  // buffers over spareMin bytes
 )
 
 // Borrow returns an empty buffer with room for n bytes: a small one for n of
@@ -445,7 +454,8 @@ func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
 // Writer encodes frames onto a stream, with at most three Write calls per
 // frame (header, payload, trailer) so raw float64 payloads go out as
 // zero-copy views on little-endian hosts. A payload that must be encoded
-// goes through a buffer borrowed for the one frame.
+// goes through a buffer borrowed for the one frame. Between Begin and End, W
+// is a writer borrowed for the frame, which gathers those Writes.
 type Writer struct {
 	W   io.Writer
 	Lim Limits
@@ -511,62 +521,37 @@ func (w *Writer) writeEncoded(h *Header, p, trailer []byte) error {
 	return err
 }
 
-// Coalescer gathers the Writes of one frame into a buffer borrowed for it
-// and writes them to W in the calls a 64 KiB bufio.Writer flushed once per
-// frame makes: a frame of at most 64 KiB goes out in one Write at Flush; in
-// a larger one, a Write that overflows the buffer fills it and writes it,
-// and a Write still over 64 KiB on an empty buffer goes straight to W. Flush
-// hands the buffer back, so a Coalescer holds none between frames. After an
-// error it is done with, as its connection is; the buffer goes to the GC.
-type Coalescer struct {
-	W io.Writer
+// writers lists the spareMin-byte bufio.Writers Begin lends to frames.
+var writers = make(chan *bufio.Writer, ListDepth)
 
-	buf []byte // borrowed on the frame's first Write, nil between frames
+// Begin points w at a spareMin-byte bufio.Writer onto conn, borrowed for the
+// next frame alone; End flushes it once and hands it back. So a frame goes
+// out in the Write calls a connection's own 64 KiB bufio.Writer, flushed
+// once per frame, made: one for a frame of at most 64 KiB; for a larger one,
+// the header with the payload's head, the payload's rest, then the trailer.
+func (w *Writer) Begin(conn io.Writer) {
+	select {
+	case bw := <-writers:
+		bw.Reset(conn)
+		w.W = bw
+	default:
+		w.W = bufio.NewWriterSize(conn, spareMin)
+	}
 }
 
-// Write gathers p into the frame.
-func (c *Coalescer) Write(p []byte) (n int, err error) {
-	for len(p) > spareMin-len(c.buf) {
-		var k int
-		if len(c.buf) == 0 {
-			k, err = c.W.Write(p)
-		} else {
-			k = copy(c.buf[len(c.buf):spareMin], p)
-			c.buf = c.buf[:len(c.buf)+k]
-			err = c.flush()
-		}
-		n, p = n+k, p[k:]
-		if err != nil {
-			return n, err
-		}
+// End finishes the frame begun last: it flushes the frame unless err, the
+// error writing it, is set, and hands the borrowed writer back. It returns
+// the first error.
+func (w *Writer) End(err error) error {
+	bw := w.W.(*bufio.Writer)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if len(p) > 0 {
-		if c.buf == nil {
-			c.buf = Borrow(spareMin)
-		}
-		c.buf = append(c.buf, p...)
+	bw.Reset(nil) // no hold on the connection while the writer is listed
+	w.W = nil
+	select {
+	case writers <- bw:
+	default:
 	}
-	return n + len(p), nil
-}
-
-// Flush writes what the frame has gathered and hands the buffer back.
-func (c *Coalescer) Flush() error {
-	err := c.flush()
-	Return(c.buf)
-	c.buf = nil
-	return err
-}
-
-// flush writes the gathered bytes, keeping the buffer for the rest of the
-// frame.
-func (c *Coalescer) flush() error {
-	if len(c.buf) == 0 {
-		return nil
-	}
-	n, err := c.W.Write(c.buf)
-	if err == nil && n < len(c.buf) {
-		err = io.ErrShortWrite
-	}
-	c.buf = c.buf[:0]
 	return err
 }

@@ -1,15 +1,12 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
-	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -376,62 +373,6 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 	if len(smalls) != 2 || len(larges) != 2 {
 		t.Fatalf("the lists hold %d small and %d large buffers, want each frame's payload and trailer", len(smalls), len(larges))
 	}
-}
-
-// TestCoalescerWritesLikeBufio holds a Coalescer to the Write calls a 64 KiB
-// bufio.Writer flushed once per frame makes, over frames of random shape
-// around the buffer size, and to holding no buffer once a frame is flushed.
-func TestCoalescerWritesLikeBufio(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	sizes := []int{0, 1, 36, 1000, spareMin - 36, spareMin - 1, spareMin, spareMin + 1, 2 * spareMin, 800_000}
-	src := make([]byte, 900_000)
-	rng.Read(src)
-	for frame := 0; frame < 500; frame++ {
-		var writes [][]byte
-		for n := rng.Intn(4) + 1; n > 0; n-- {
-			size := sizes[rng.Intn(len(sizes))]
-			if rng.Intn(2) == 0 {
-				size = max(size+rng.Intn(64)-32, 0)
-			}
-			off := rng.Intn(len(src) - size + 1)
-			writes = append(writes, src[off:off+size])
-		}
-		var want, got writeRecorder
-		bw := bufio.NewWriterSize(&want, spareMin)
-		c := Coalescer{W: &got}
-		for _, p := range writes {
-			if _, err := bw.Write(p); err != nil {
-				t.Fatal(err)
-			}
-			if n, err := c.Write(p); err != nil || n != len(p) {
-				t.Fatalf("Write of %d bytes wrote %d, %v", len(p), n, err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.sizes, want.sizes) || !bytes.Equal(got.bytes, want.bytes) {
-			t.Fatalf("frame %d: the coalescer wrote %v, a 64 KiB bufio.Writer %v", frame, got.sizes, want.sizes)
-		}
-		if c.buf != nil {
-			t.Fatalf("frame %d: the coalescer holds %d bytes after Flush", frame, cap(c.buf))
-		}
-	}
-}
-
-// writeRecorder keeps what is written to it and the size of each Write.
-type writeRecorder struct {
-	sizes []int
-	bytes []byte
-}
-
-func (w *writeRecorder) Write(p []byte) (int, error) {
-	w.sizes = append(w.sizes, len(p))
-	w.bytes = append(w.bytes, p...)
-	return len(p), nil
 }
 
 func TestQuantCodecRoundTrip(t *testing.T) {

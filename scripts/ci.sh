@@ -138,14 +138,19 @@ if [ -n "$mix_sites" ]; then
 fi
 
 # Per-frame buffers (DESIGN.md, "Wire protocol", "Frame layout"): no flnet
-# connection keeps a buffer between frames, so none holds a bufio end, and the
-# lists its frame buffers and push scratch are borrowed from are channels a GC
-# does not empty, not sync.Pools. Comment lines do not count.
+# connection keeps a buffer between frames, and the lists its frame buffers,
+# writers and push scratch are borrowed from are channels a GC does not
+# empty, not sync.Pools. The one bufio in non-test internal/flnet is the
+# 64 KiB writer wire.Writer.Begin borrows for one frame from such a list:
+# a bufio reader, or a bufio struct field, is a connection's end growing
+# back. Comment lines do not count.
 flnet_src=$(find internal/flnet -name '*.go' ! -name '*_test.go')
-frame_sites=$(grep -nE '"bufio"|sync\.Pool' $flnet_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ -n "$frame_sites" ]; then
-	echo "per-frame buffers: non-test internal/flnet holds a bufio end or a sync.Pool:" >&2
-	echo "$frame_sites" >&2
+frame_sites=$(grep -nE 'sync\.Pool|bufio\.(NewReader|Reader|ReadWriter)|^[[:space:]]+[[:alnum:]_]+[[:space:]]+\*?bufio\.' $flnet_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+bufio_files=$(grep -lE '"bufio"' $flnet_src || true)
+if [ -n "$frame_sites" ] || [ "$bufio_files" != internal/flnet/wire/wire.go ]; then
+	echo "per-frame buffers: want no sync.Pool, bufio reader or bufio field in non-test internal/flnet," >&2
+	echo "and bufio imported by internal/flnet/wire/wire.go alone, have:" >&2
+	printf '%s\n' "$frame_sites" "$bufio_files" >&2
 	exit 1
 fi
 
