@@ -243,7 +243,7 @@ func TestHostileSparseScratchNotListed(t *testing.T) {
 
 // largestListed returns the capacity of the largest buffer on l, and leaves
 // l as it found it.
-func largestListed[T any](l wire.Spares[T]) int {
+func largestListed[T any](l *wire.Spares[T]) int {
 	var held [][]T
 	most := 0
 	for b := l.Get(); b != nil; b = l.Get() {

@@ -83,6 +83,6 @@ func (c *Client) PushDelta(w []float64, samples, baseVersion, topK int) ([]float
 // round trip and one on the server for its dispatch; the lists are as deep
 // as wire's small list.
 var (
-	idxSpares = make(wire.Spares[uint32], wire.ListDepth)
-	valSpares = make(wire.Spares[float64], wire.ListDepth)
+	idxSpares = wire.NewSpares[uint32](wire.ListDepth)
+	valSpares = wire.NewSpares[float64](wire.ListDepth)
 )

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Frame geometry.
@@ -237,35 +238,50 @@ const (
 )
 
 // Spares is a bounded free list of buffers, each lent for one frame. It is
-// a channel, not a sync.Pool: two GC cycles empty a sync.Pool, and a server
-// ingesting 800 KB pushes runs one every few pushes, after which every
-// pooled buffer would be allocated again.
-type Spares[T any] chan []T
+// not a sync.Pool: two GC cycles empty a sync.Pool, and a server ingesting
+// 800 KB pushes runs one every few pushes, after which every pooled buffer
+// would be allocated again. Nor is it a channel, which allocates all its
+// slots when it is made: its backing array grows only as far as the most
+// buffers ever listed at once, so a list no frame has used costs a few
+// words in every process.
+type Spares[T any] struct {
+	mu    sync.Mutex
+	free  [][]T
+	depth int
+}
+
+// NewSpares returns an empty list that holds at most depth buffers.
+func NewSpares[T any](depth int) *Spares[T] { return &Spares[T]{depth: depth} }
 
 // Get borrows an empty buffer from s, or returns nil when s is empty.
-func (s Spares[T]) Get() []T {
-	select {
-	case b := <-s:
-		return b[:0]
-	default:
+func (s *Spares[T]) Get() []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
 		return nil
 	}
+	b := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return b[:0]
 }
 
 // Put hands b back to s. It drops b when s is full or b has no capacity.
-func (s Spares[T]) Put(b []T) {
+func (s *Spares[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	select {
-	case s <- b:
-	default:
+	s.mu.Lock()
+	if len(s.free) < s.depth {
+		s.free = append(s.free, b)
 	}
+	s.mu.Unlock()
 }
 
 var (
-	smalls = make(Spares[byte], ListDepth) // buffers of exactly spareMin bytes
-	larges = make(Spares[byte], largeCap)  // buffers over spareMin bytes
+	smalls = NewSpares[byte](ListDepth) // buffers of exactly spareMin bytes
+	larges = NewSpares[byte](largeCap)  // buffers over spareMin bytes
 )
 
 // Borrow returns an empty buffer with room for n bytes: a small one for n of
@@ -521,8 +537,12 @@ func (w *Writer) writeEncoded(h *Header, p, trailer []byte) error {
 	return err
 }
 
-// writers lists the spareMin-byte bufio.Writers Begin lends to frames.
-var writers = make(chan *bufio.Writer, ListDepth)
+// writers lists the spareMin-byte bufio.Writers Begin lends to frames, at
+// most ListDepth of them, the way a Spares list does buffers.
+var writers struct {
+	sync.Mutex
+	free []*bufio.Writer
+}
 
 // Begin points w at a spareMin-byte bufio.Writer onto conn, borrowed for the
 // next frame alone; End flushes it once and hands it back. So a frame goes
@@ -530,13 +550,20 @@ var writers = make(chan *bufio.Writer, ListDepth)
 // once per frame, made: one for a frame of at most 64 KiB; for a larger one,
 // the header with the payload's head, the payload's rest, then the trailer.
 func (w *Writer) Begin(conn io.Writer) {
-	select {
-	case bw := <-writers:
-		bw.Reset(conn)
-		w.W = bw
-	default:
-		w.W = bufio.NewWriterSize(conn, spareMin)
+	var bw *bufio.Writer
+	writers.Lock()
+	if n := len(writers.free); n > 0 {
+		bw = writers.free[n-1]
+		writers.free[n-1] = nil
+		writers.free = writers.free[:n-1]
 	}
+	writers.Unlock()
+	if bw == nil {
+		bw = bufio.NewWriterSize(conn, spareMin)
+	} else {
+		bw.Reset(conn)
+	}
+	w.W = bw
 }
 
 // End finishes the frame begun last: it flushes the frame unless err, the
@@ -549,9 +576,10 @@ func (w *Writer) End(err error) error {
 	}
 	bw.Reset(nil) // no hold on the connection while the writer is listed
 	w.W = nil
-	select {
-	case writers <- bw:
-	default:
+	writers.Lock()
+	if len(writers.free) < ListDepth {
+		writers.free = append(writers.free, bw)
 	}
+	writers.Unlock()
 	return err
 }

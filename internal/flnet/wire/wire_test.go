@@ -277,7 +277,7 @@ func TestHostileLengthTruncated(t *testing.T) {
 		if r.payload != nil {
 			t.Fatalf("spare of %d bytes: the failed read kept its buffer", spare)
 		}
-		if spare > 0 && (len(larges) != 1 || cap(<-larges) != spare) {
+		if spare > 0 && (len(larges.free) != 1 || cap(larges.Get()) != spare) {
 			t.Fatal("the failed read did not hand back the spare it borrowed, as it was")
 		}
 	}
@@ -327,7 +327,7 @@ func drainSpares() {
 // payload keeps neither; each went back to the list of its size. A Reader
 // reads a small body into a borrowed 64 KiB buffer and a large one into a
 // borrowed spare, and holds none once Release has handed them back; the
-// small frame after a large one reads into the small buffer the first frame
+// small frame after a large one reads into a small buffer the first frame
 // handed back.
 func TestLargeBuffersAreBorrowed(t *testing.T) {
 	drainSpares()
@@ -340,11 +340,11 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(smalls) != 1 || len(larges) != 1 {
-		t.Fatalf("the writer handed back %d small and %d large buffers, want its one of each", len(smalls), len(larges))
+	if len(smalls.free) != 1 || len(larges.free) != 1 {
+		t.Fatalf("the writer handed back %d small and %d large buffers, want its one of each", len(smalls.free), len(larges.free))
 	}
 	r := Reader{R: &buf}
-	var kept *byte
+	var kept [2]*byte
 	for i, data := range [][]uint8{small, large, small} {
 		_, p, tr, err := r.Next()
 		if err != nil || len(p) != QuantSize(len(data)) || len(tr) != len(data) {
@@ -355,14 +355,14 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 			if cap(p) != spareMin || cap(tr) != spareMin {
 				t.Fatalf("small bodies read into %d and %d bytes, want borrowed %d-byte buffers", cap(p), cap(tr), spareMin)
 			}
-			kept = &p[0]
+			kept = [2]*byte{&p[0], &tr[0]}
 		case 1:
-			if len(larges) != 0 || cap(p) <= spareMin {
-				t.Fatalf("the large payload was not read into the borrowed spare (%d left)", len(larges))
+			if len(larges.free) != 0 || cap(p) <= spareMin {
+				t.Fatalf("the large payload was not read into the borrowed spare (%d left)", len(larges.free))
 			}
 		case 2:
-			if &p[0] != kept {
-				t.Fatal("the small frame after a large one did not reuse the small buffer handed back")
+			if &p[0] != kept[0] && &p[0] != kept[1] {
+				t.Fatal("the small frame after a large one did not reuse a small buffer handed back")
 			}
 		}
 	}
@@ -370,8 +370,8 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 	if r.payload != nil || r.trailer != nil {
 		t.Fatalf("after Release the reader holds %d + %d bytes", cap(r.payload), cap(r.trailer))
 	}
-	if len(smalls) != 2 || len(larges) != 2 {
-		t.Fatalf("the lists hold %d small and %d large buffers, want each frame's payload and trailer", len(smalls), len(larges))
+	if len(smalls.free) != 2 || len(larges.free) != 2 {
+		t.Fatalf("the lists hold %d small and %d large buffers, want each frame's payload and trailer", len(smalls.free), len(larges.free))
 	}
 }
 

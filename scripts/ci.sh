@@ -139,7 +139,7 @@ fi
 
 # Per-frame buffers (DESIGN.md, "Wire protocol", "Frame layout"): no flnet
 # connection keeps a buffer between frames, and the lists its frame buffers,
-# writers and push scratch are borrowed from are channels a GC does not
+# writers and push scratch are borrowed from are bounded lists a GC does not
 # empty, not sync.Pools. The one bufio in non-test internal/flnet is the
 # 64 KiB writer wire.Writer.Begin borrows for one frame from such a list:
 # a bufio reader, or a bufio struct field, is a connection's end growing
