@@ -286,9 +286,9 @@ var (
 
 // Borrow returns an empty buffer with room for n bytes: a small one for n of
 // at most 64 KiB, a large one otherwise, taken from its list or made when the
-// list is empty. A large list's head too small for n is dropped, and a new
-// large buffer is made in whole 64 KiB steps, so payloads a few bytes apart
-// share buffers. Hand it back with Return.
+// list is empty. A large buffer taken from the list but too small for n is
+// dropped, and a new large buffer is made in whole 64 KiB steps, so payloads
+// a few bytes apart share buffers. Hand it back with Return.
 func Borrow(n int) []byte {
 	if n <= spareMin {
 		if b := smalls.Get(); b != nil {
