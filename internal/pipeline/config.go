@@ -152,8 +152,26 @@ func (c *Config) Times() []StageTimes {
 // P_s from the Eq. 3 recurrence (P_{S-1} = 1, iterating backward). With
 // negligible inter-stage communication this reduces to P_s = S−s; with
 // comm comparable to compute it reaches the paper's P_s = 2(S−s)−1.
-func ResidencyP(times []StageTimes) []int {
+//
+// It fails closed: a stage whose compute time is not finite and positive, a
+// term that is negative or not finite, or a P_s past math.MaxInt32 is an
+// error, never an integer — the runtime sizes its stages from measured
+// times, and a stage measured at zero must not size the ones before it.
+func ResidencyP(times []StageTimes) ([]int, error) {
 	S := len(times)
+	if S == 0 {
+		return nil, errors.New("pipeline: residency of no stages")
+	}
+	for s, t := range times {
+		for _, v := range [...]float64{t.Tf, t.Tb, t.CommF, t.CommB} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("pipeline: stage %d times %+v are not finite and non-negative", s, t)
+			}
+		}
+		if !(t.Compute() > 0) {
+			return nil, fmt.Errorf("pipeline: stage %d has no compute time", s)
+		}
+	}
 	p := make([]int, S)
 	p[S-1] = 1
 	for s := S - 1; s >= 1; s-- {
@@ -161,9 +179,13 @@ func ResidencyP(times []StageTimes) []int {
 		// stage s's compute plus the transfer across the (s−1, s) link in
 		// both directions, normalized by stage s's per-micro-batch time.
 		ratio := (times[s].Compute() + times[s-1].CommF + times[s-1].CommB) / times[s].Compute()
-		p[s-1] = int(math.Ceil(float64(p[s]) + ratio - 1e-9))
+		f := math.Ceil(float64(p[s]) + ratio - 1e-9)
+		if !(f <= math.MaxInt32) {
+			return nil, fmt.Errorf("pipeline: stage %d's residency %g does not fit an int32", s-1, f)
+		}
+		p[s-1] = int(f)
 	}
-	return p
+	return p, nil
 }
 
 // residentBytesPerMicroBatch is the activation working set one in-flight
@@ -216,8 +238,9 @@ func (c *Config) CapacityQ() []int {
 // chosen strategy cannot fit: GPipe requires Q_s ≥ M on every stage (it
 // cannot throttle resident forwards), 1F1B variants require Q_s ≥ 1.
 func (c *Config) Residency() (ps, qs, ks []int, err error) {
-	times := c.Times()
-	ps = ResidencyP(times)
+	if ps, err = ResidencyP(c.Times()); err != nil {
+		return nil, nil, nil, err
+	}
 	qs = c.CapacityQ()
 	ks = make([]int, len(ps))
 	for s := range ps {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,25 +83,44 @@ func TestScheduleRefusesBadRates(t *testing.T) {
 	}
 }
 
+// TestResidencyPRules pins Eq. 3 and its failure modes: a row with no want
+// must be an error, never an integer.
 func TestResidencyPRules(t *testing.T) {
-	// Negligible comm: P_s = S − s.
-	times := []StageTimes{{Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}}
-	p := ResidencyP(times)
-	for s, want := range []int{3, 2, 1} {
-		if p[s] != want {
-			t.Fatalf("no-comm P = %v, want [3 2 1]", p)
+	for _, c := range []struct {
+		name  string
+		times []StageTimes
+		want  []int
+	}{
+		// Negligible comm: P_s = S − s.
+		{"no comm", []StageTimes{{Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}, {Tf: 1, Tb: 2}}, []int{3, 2, 1}},
+		// Comm equal to compute: P_s = 2(S−s) − 1 (paper §4.3).
+		{"comm equal to compute", []StageTimes{
+			{Tf: 1, Tb: 2, CommF: 1.5, CommB: 1.5},
+			{Tf: 1, Tb: 2, CommF: 1.5, CommB: 1.5},
+			{Tf: 1, Tb: 2},
+		}, []int{5, 3, 1}},
+		{"one stage", []StageTimes{{Tf: 1, Tb: 1}}, []int{1}},
+		// A stage with no compute time once sized stage 0 at math.MinInt64.
+		{"zero compute", []StageTimes{{1, 1, 1, 1}, {}, {1, 1, 0, 0}}, nil},
+		{"zero compute first", []StageTimes{{}, {1, 1, 0, 0}}, nil},
+		{"nan compute", []StageTimes{{1, 1, 0, 0}, {math.NaN(), 1, 0, 0}}, nil},
+		{"inf compute", []StageTimes{{1, 1, 0, 0}, {math.Inf(1), 1, 0, 0}}, nil},
+		{"negative compute", []StageTimes{{1, 1, 0, 0}, {-1, 3, 0, 0}}, nil},
+		{"nan comm", []StageTimes{{1, 1, math.NaN(), 0}, {1, 1, 0, 0}}, nil},
+		{"inf comm", []StageTimes{{1, 1, 0, math.Inf(1)}, {1, 1, 0, 0}}, nil},
+		{"negative comm", []StageTimes{{1, 1, -1, 0}, {1, 1, 0, 0}}, nil},
+		{"overflow", []StageTimes{{1, 1, 1e300, 0}, {1e-300, 0, 0, 0}}, nil},
+		{"no stages", nil, nil},
+	} {
+		p, err := ResidencyP(c.times)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: ResidencyP = %v, want an error", c.name, p)
+			}
+			continue
 		}
-	}
-	// Comm equal to compute: P_s = 2(S−s) − 1 (paper §4.3).
-	withComm := []StageTimes{
-		{Tf: 1, Tb: 2, CommF: 1.5, CommB: 1.5},
-		{Tf: 1, Tb: 2, CommF: 1.5, CommB: 1.5},
-		{Tf: 1, Tb: 2},
-	}
-	p = ResidencyP(withComm)
-	for s, want := range []int{5, 3, 1} {
-		if p[s] != want {
-			t.Fatalf("comm-heavy P = %v, want [5 3 1]", p)
+		if err != nil || !slices.Equal(p, c.want) {
+			t.Errorf("%s: ResidencyP = %v, %v; want %v", c.name, p, err, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,11 +32,26 @@ import (
 // any other shape is refused from its header (link.recv) and aborts the
 // round.
 //
-// Tensor ownership. 1F1B keeps at most S−s micro-batches in flight on stage
-// s, and a stage hands what the schedule frees straight to the next
-// micro-batch: every tensor of a warm round comes out of the tensor pool and
-// goes back into it, by one rule, nn.Pass.release, applied to one record per
-// micro-batch in flight. Who returns what:
+// Residency. Stage s keeps K_s micro-batches in flight: it runs K_s forwards
+// before its first backward (pipeline.Order), and K_s = min(P_s, m), where
+// P_s is Eq. 3 (pipeline.ResidencyP, the rule Schedule sizes its stages
+// with) over the last clean round's measurement: each stage's median
+// forward and backward time per micro-batch, and each link's median one-way
+// time in each direction (measure). A pipeline's first round, before
+// anything was measured, runs P_s = S−s, Eq. 3's answer when links cost
+// nothing. Over real links a hop costs more than a stage's op, and S−s
+// leaves every stage but the last waiting for gradients; P_s keeps as many
+// forwards in flight as it takes to hide the round trip behind compute. The
+// numbers cannot move with K: backward ops run in ascending micro-batch
+// order under any K, so the gradients accumulate in the same order. Sends
+// never block under any K ≤ m, since each link's queue holds a round's
+// frames (link.start). And P_s falls strictly along the stages, so no stage
+// waits for an activation its upstream holds back until a gradient comes.
+//
+// Tensor ownership. A stage hands what the schedule frees straight to the
+// next micro-batch: every tensor of a warm round comes out of the tensor
+// pool and goes back into it, by one rule, nn.Pass.release, applied to one
+// record per micro-batch in flight. Who returns what:
 //
 //	received activation      the record, after the micro-batch's Backward
 //	                         (it owns its input on stages > 0)
@@ -64,9 +80,9 @@ import (
 // An aborted round returns nothing more to the pool: a failing stage drops
 // its records where they stand, a failed link's writer drops what is queued,
 // and the garbage collector takes them. Between rounds the pipeline keeps
-// slice headers only — records, op orders, the loss slice — and its links;
-// the tensors themselves wait in the pool, which the GC trims when training
-// stops.
+// slice headers only — records, op orders, clocks, the micro-batch views
+// with their data cleared, the loss slice — and its links; the tensors
+// themselves wait in the pool, which the GC trims when training stops.
 //
 // Connections. The pipeline dials its S−1 connection pairs on its first
 // round and holds them, link state and armed deadlines included, for every
@@ -118,7 +134,18 @@ type DistPipeline struct {
 
 	// Round scaffolding that survives a round, headers only (see above).
 	stages []stageScratch
-	losses []float64
+	round  syncRound
+	errs   []error
+	// clocks[s] is stage s's timestamps of the round, one per micro-batch.
+	clocks [][]microClock
+
+	// Residency sizing (see above). times is the last clean round's
+	// measurement, nil before one; p is the P_s the last one that sized
+	// gave, nil until then (the round runs S−s). residency is
+	// pipeline.ResidencyP; tests substitute other shapes through it.
+	times     []pipeline.StageTimes
+	p         []int
+	residency func([]pipeline.StageTimes) ([]int, error)
 
 	// The held links: ups[s] is stage s's link to stage s+1, downs[s] its
 	// link to stage s−1. Nil from construction, and after a round that
@@ -132,7 +159,8 @@ type DistPipeline struct {
 
 // stageScratch is what one stage worker keeps from round to round.
 type stageScratch struct {
-	// ops is the stage's 1F1B order for len(ops)/2 micro-batches.
+	// ops is the stage's 1F1B order for len(ops)/2 micro-batches and
+	// len(recs) of them in flight.
 	ops []pipeline.Op
 	// recs holds one forward record per micro-batch the schedule lets be in
 	// flight here; micro-batch i uses recs[i%len(recs)], which 1F1B has
@@ -140,15 +168,91 @@ type stageScratch struct {
 	recs []nn.Pass
 }
 
-// prepare sizes the scratch of stage s of S for m micro-batches. The
-// residency is S−s: pipeline.ResidencyP's answer when links cost nothing.
-func (st *stageScratch) prepare(s, S, m int) {
-	if len(st.ops) != 2*m {
-		st.ops = pipeline.Order(pipeline.OneFOneBSync, m, S-s)
+// prepare sizes the scratch for m micro-batches, k of them in flight. A
+// clean round leaves every record released, so records are reused whatever
+// k was before.
+func (st *stageScratch) prepare(m, k int) {
+	if len(st.ops) != 2*m || len(st.recs) != k {
+		st.ops = pipeline.Order(st.ops, pipeline.OneFOneBSync, m, k)
 	}
-	if k := min(m, S-s); len(st.recs) != k {
+	if cap(st.recs) < k {
 		st.recs = make([]nn.Pass, k)
 	}
+	st.recs = st.recs[:k]
+}
+
+// microClock is one stage's timestamps for one micro-batch of a round, as
+// offsets from the round's start on the monotonic clock.
+type microClock struct {
+	fwd, bwd time.Duration // the forward and the backward pass's compute time
+	// actSent and gradSent are when the stage queued the micro-batch's
+	// activation on its up link and its gradient on its down link.
+	actSent, gradSent time.Duration
+	// actWait and actGot bracket the stage's recv of the activation,
+	// gradWait and gradGot its recv of the gradient.
+	actWait, actGot, gradWait, gradGot time.Duration
+}
+
+// measure turns one clean round's clocks, clocks[s][i] for stage s and
+// micro-batch i, into Eq. 3's terms per micro-batch: each stage's median
+// forward and backward time, and each link's median one-way time in each
+// direction, received − queued. Only frames whose receiver was already
+// blocked in recv when they were queued count: one that waited for a busy
+// receiver measures the receiver, not the link. A link direction with no
+// such frame keeps its estimate in prev (zero when prev is nil). The last
+// stage has no link up, so its transfer terms are zero.
+func measure(clocks [][]microClock, prev []pipeline.StageTimes) []pipeline.StageTimes {
+	out := make([]pipeline.StageTimes, len(clocks))
+	var buf [64]time.Duration
+	for s, here := range clocks {
+		samples := buf[:0]
+		for _, c := range here {
+			samples = append(samples, c.fwd)
+		}
+		out[s].Tf, _ = median(samples)
+		samples = samples[:0]
+		for _, c := range here {
+			samples = append(samples, c.bwd)
+		}
+		out[s].Tb, _ = median(samples)
+		if s == len(clocks)-1 {
+			break
+		}
+		if prev != nil {
+			out[s].CommF, out[s].CommB = prev[s].CommF, prev[s].CommB
+		}
+		next := clocks[s+1]
+		samples = samples[:0]
+		for i, c := range here {
+			if next[i].actWait <= c.actSent {
+				samples = append(samples, next[i].actGot-c.actSent)
+			}
+		}
+		if v, ok := median(samples); ok {
+			out[s].CommF = v
+		}
+		samples = samples[:0]
+		for i, c := range here {
+			if c.gradWait <= next[i].gradSent {
+				samples = append(samples, c.gradGot-next[i].gradSent)
+			}
+		}
+		if v, ok := median(samples); ok {
+			out[s].CommB = v
+		}
+	}
+	return out
+}
+
+// median returns the median of xs in seconds, sorting xs; false when xs is
+// empty.
+func median(xs []time.Duration) (float64, bool) {
+	n := len(xs)
+	if n == 0 {
+		return 0, false
+	}
+	slices.Sort(xs)
+	return (xs[(n-1)/2] + xs[n/2]).Seconds() / 2, true
 }
 
 // RoundStats are wall-clock measurements of one executed sync-round — the
@@ -164,6 +268,14 @@ type RoundStats struct {
 	// Aborted reports whether the round failed mid-flight; no weights were
 	// committed if so.
 	Aborted bool
+	// Residency is each stage's K_s this round: the micro-batches it let be
+	// in flight, min(P_s, m) with P_s sized from the last clean round's
+	// Times (S−s before one).
+	Residency []int
+	// Times is what this round measured per micro-batch (see measure), the
+	// terms the next round's residency is sized from; nil for an aborted
+	// round.
+	Times []pipeline.StageTimes
 }
 
 // StageUtilization returns each stage's measured busy fraction.
@@ -233,8 +345,12 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		rng:    rand.New(rand.NewSource(int64(len(cuts)) + 1)),
 		delays: make([]atomic.Int64, S),
 		stages: make([]stageScratch, S),
+		errs:   make([]error, S),
+		clocks: make([][]microClock, S),
 		ups:    make([]*link, S),
 		downs:  make([]*link, S),
+
+		residency: pipeline.ResidencyP,
 	}
 	sample := tr.InputShape
 	for s := 0; s < S; s++ { // stage s runs blocks [b[s], b[s+1])
@@ -308,8 +424,9 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		return 0, fmt.Errorf("runtime: %d rows vs %d labels", rows, len(labels))
 	}
 	S := d.NumStages()
-	r := &syncRound{rows: rows}
-	r.micros, r.labels = splitMicroBatches(x, labels, mbs)
+	r := &d.round
+	r.split(x, labels, mbs)
+	defer r.end()
 	m := len(r.micros)
 
 	if S > 1 && d.ups[0] == nil {
@@ -322,23 +439,8 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 			d.downs[s+1].start(m)
 		}
 	}
-	// abort force-closes every connection: goroutines parked in a blocking
-	// recv or a stuck write unwind with an error instead of leaking. Invoked
-	// by the first stage that fails; idempotent.
-	var abortOnce sync.Once
-	aborted := false
-	abort := func() {
-		abortOnce.Do(func() {
-			aborted = true
-			abortsTotal.Inc()
-			for s := 0; s < S-1; s++ {
-				d.ups[s].conn.Close()
-				d.downs[s+1].conn.Close()
-			}
-		})
-	}
 	defer func() {
-		reuse := !aborted
+		reuse := !r.aborted
 		for s := 0; s < S-1; s++ {
 			d.ups[s].close()
 			d.downs[s+1].close()
@@ -350,36 +452,48 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	}()
 
 	d.net.ZeroGrads()
-	if cap(d.losses) < m {
-		d.losses = make([]float64, m)
+	clear(d.errs)
+	r.aborted, r.abortOnce = false, sync.Once{}
+	stats := &RoundStats{ComputeTime: make([]time.Duration, S), Residency: make([]int, S)}
+	for s := range S {
+		// K_s = min(P_s, m), P_s = S−s until a clean round has sized it.
+		k := S - s
+		if d.p != nil {
+			k = d.p[s]
+		}
+		k = min(k, m)
+		stats.Residency[s] = k
+		d.sm[s].residency.Set(float64(k))
+		d.stages[s].prepare(m, k)
+		if cap(d.clocks[s]) < m {
+			d.clocks[s] = make([]microClock, m)
+		}
+		d.clocks[s] = d.clocks[s][:m]
 	}
-	r.losses = d.losses[:m]
-	errs := make([]error, S)
-	stats := &RoundStats{ComputeTime: make([]time.Duration, S)}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		d.stages[s].prepare(s, S, m)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if errs[s] = d.runStage(s, r, &stats.ComputeTime[s]); errs[s] != nil {
-				abort()
-			}
-		}(s)
+	r.start = time.Now()
+	for s := range S {
+		r.wg.Add(1)
+		go d.stageWorker(s, &stats.ComputeTime[s])
 	}
-	wg.Wait()
-	stats.WallTime = time.Since(start)
-	stats.Aborted = aborted
+	r.wg.Wait()
+	stats.WallTime = time.Since(r.start)
+	stats.Aborted = r.aborted
+	if !r.aborted {
+		d.times = measure(d.clocks, d.times)
+		stats.Times = d.times
+		if p, err := d.residency(d.times); err == nil {
+			d.p = p
+		}
+	}
 	d.mu.Lock()
 	d.lastStats = stats
 	d.mu.Unlock()
-	if aborted {
+	if r.aborted {
 		// The records of the micro-batches in flight still hold their
 		// tensors; they go to the garbage collector with the scratch.
 		d.stages = make([]stageScratch, S)
 		re := &RoundError{}
-		for s, err := range errs {
+		for s, err := range d.errs {
 			if err != nil {
 				re.Stages = append(re.Stages, s)
 				re.Errs = append(re.Errs, err)
@@ -395,6 +509,29 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 		loss += l * float64(len(r.labels[i]))
 	}
 	return loss / float64(rows), nil
+}
+
+// stageWorker runs stage s for the round; the first stage to fail aborts
+// it.
+func (d *DistPipeline) stageWorker(s int, busy *time.Duration) {
+	defer d.round.wg.Done()
+	if d.errs[s] = d.runStage(s, &d.round, busy); d.errs[s] != nil {
+		d.abort()
+	}
+}
+
+// abort force-closes every connection: goroutines parked in a blocking recv
+// or a stuck write unwind with an error instead of leaking. Idempotent
+// within a round.
+func (d *DistPipeline) abort() {
+	d.round.abortOnce.Do(func() {
+		d.round.aborted = true
+		abortsTotal.Inc()
+		for s := range d.NumStages() - 1 {
+			d.ups[s].conn.Close()
+			d.downs[s+1].conn.Close()
+		}
+	})
 }
 
 // dialLinks dials the S−1 connection pairs (retrying transient failures
@@ -439,12 +576,64 @@ func (d *DistPipeline) Close() {
 	clear(d.downs)
 }
 
-// syncRound is what the stage workers of one round share.
+// syncRound is what the stage workers of one round share. The pipeline
+// keeps it from round to round, and end drops what it holds of the caller's
+// batch.
 type syncRound struct {
 	micros []*tensor.Tensor // stage 0's inputs: views of the caller's batch
 	labels [][]int
 	rows   int       // samples in the whole mini-batch
 	losses []float64 // per micro-batch, written by the last stage
+	// start is the round's start; the stages' clocks are offsets from it.
+	start time.Time
+	// wg waits for the stage workers; the first to fail aborts the round.
+	wg        sync.WaitGroup
+	abortOnce sync.Once
+	aborted   bool
+	// views and shapes are the storage of micros.
+	views  []tensor.Tensor
+	shapes []int
+}
+
+// split slices a mini-batch into micro-batches of mbs samples, preserving
+// the per-sample tensor shape (e.g. NCHW for CNNs), over r's storage, grown
+// as needed. Nothing is copied: each micro-batch is a view of its rows of x,
+// so it must be treated like x itself — read, never written, never returned
+// to the tensor pool.
+func (r *syncRound) split(x *tensor.Tensor, labels []int, mbs int) {
+	rows, dims := x.Rows(), len(x.Shape)
+	sampleLen := x.Cols()
+	m := (rows + mbs - 1) / mbs
+	r.rows = rows
+	if cap(r.views) < m {
+		r.views = make([]tensor.Tensor, m)
+		r.micros = make([]*tensor.Tensor, m)
+		r.labels = make([][]int, m)
+		r.losses = make([]float64, m)
+	}
+	if cap(r.shapes) < m*dims {
+		r.shapes = make([]int, m*dims)
+	}
+	r.views, r.micros, r.labels, r.losses = r.views[:m], r.micros[:m], r.labels[:m], r.losses[:m]
+	for i := range r.micros {
+		start := i * mbs
+		end := min(start+mbs, rows)
+		shape := r.shapes[i*dims : (i+1)*dims : (i+1)*dims]
+		copy(shape, x.Shape)
+		shape[0] = end - start
+		r.views[i] = tensor.Tensor{Shape: shape, Data: x.Data[start*sampleLen : end*sampleLen : end*sampleLen]}
+		r.micros[i] = &r.views[i]
+		r.labels[i] = labels[start:end]
+	}
+}
+
+// end drops the round's references to the caller's batch: between rounds
+// the pipeline keeps headers only.
+func (r *syncRound) end() {
+	for i := range r.views {
+		r.views[i].Data = nil
+	}
+	clear(r.labels)
 }
 
 // runStage executes segment s's 1F1B order, exchanging tensors with its
@@ -455,10 +644,12 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 	sm := d.sm[s]
 	jr := d.journal
 	st := &d.stages[s]
+	clock := d.clocks[s]
 	down, up := d.downs[s], d.ups[s]
 	first, last := s == 0, up == nil
 	for _, o := range st.ops {
 		rec := &st.recs[o.Micro%len(st.recs)]
+		clk := &clock[o.Micro]
 		if o.Kind == pipeline.TaskForward {
 			in := r.micros[o.Micro]
 			if !first {
@@ -466,7 +657,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				t0 := time.Now()
 				d.in[s][0] = len(r.labels[o.Micro])
 				micro, t, err := down.recv(d.in[s])
-				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
+				t1 := time.Now()
+				sm.stallNanos.Add(t1.Sub(t0).Nanoseconds())
+				clk.actWait, clk.actGot = t0.Sub(r.start), t1.Sub(r.start)
 				endStageSpan(wait, s, "pipe.wait-act", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv act: %w", s, err)
@@ -482,12 +675,15 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			if dl := d.stageDelay(s); dl > 0 {
 				time.Sleep(dl)
 			}
-			el := time.Since(t0)
+			t1 := time.Now()
+			el := t1.Sub(t0)
 			*busy += el
+			clk.fwd = el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.fwd.Inc()
 			endStageSpan(sp, s, "pipe.fwd", o.Micro)
 			if !last {
+				clk.actSent = t1.Sub(r.start)
 				if err := up.send(o.Micro, out); err != nil {
 					return fmt.Errorf("stage %d send act: %w", s, err)
 				}
@@ -504,7 +700,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				wait := jr.Begin()
 				t0 := time.Now()
 				micro, t, err := up.recv(rec.Output().Shape)
-				sm.stallNanos.Add(time.Since(t0).Nanoseconds())
+				t1 := time.Now()
+				sm.stallNanos.Add(t1.Sub(t0).Nanoseconds())
+				clk.gradWait, clk.gradGot = t0.Sub(r.start), t1.Sub(r.start)
 				endStageSpan(wait, s, "pipe.wait-grad", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv grad: %w", s, err)
@@ -526,12 +724,15 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			if dl := d.stageDelay(s); dl > 0 {
 				time.Sleep(dl)
 			}
-			el := time.Since(t0)
+			t1 := time.Now()
+			el := t1.Sub(t0)
 			*busy += el
+			clk.bwd = el
 			sm.busyNanos.Add(el.Nanoseconds())
 			sm.bwd.Inc()
 			endStageSpan(sp, s, "pipe.bwd", o.Micro)
 			if !first {
+				clk.gradSent = t1.Sub(r.start)
 				if err := down.give(o.Micro, dx); err != nil {
 					return fmt.Errorf("stage %d send grad: %w", s, err)
 				}

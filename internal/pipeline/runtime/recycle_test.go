@@ -17,6 +17,7 @@ import (
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/leakcheck"
+	"ecofl/internal/pipeline"
 	"ecofl/internal/tensor"
 )
 
@@ -175,6 +176,84 @@ func TestRecyclingStagesMatchReference(t *testing.T) {
 					}
 				}
 			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestResidencyKeepsWeightsBitIdentical trains every case at three
+// residencies through the sizing seam — K = S−s, K = 2(S−s)−1, and K = m−1
+// on every stage but the last — over in-process pipes and over TCP at once,
+// and holds each to the sequential reference: every loss and, at the end,
+// every weight bit-identical. Backward ops run in ascending micro-batch
+// order under any K, so how many forwards a stage keeps in flight cannot
+// move a bit. 26 rows in micro-batches of 4 are 7 micro-batches.
+func TestResidencyKeepsWeightsBitIdentical(t *testing.T) {
+	const seed, rounds, rows, mbs, m = 9, 8, 26, 4, 7
+	shapes := map[string]func(S, s int) int{
+		"S-s":      func(S, s int) int { return S - s },
+		"2(S-s)-1": func(S, s int) int { return 2*(S-s) - 1 },
+		"m-1": func(S, s int) int {
+			if s == S-1 {
+				return 1
+			}
+			return m - 1
+		},
+	}
+	var wg sync.WaitGroup
+	for _, c := range recyclingCases {
+		for shape, k := range shapes {
+			for name, dial := range map[string]Dialer{"pipe": PipeLinks(), "tcp": TCPLinks()} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fail := func(format string, args ...any) {
+						t.Errorf("%s at K=%s over %s: %s", c.name, shape, name, fmt.Sprintf(format, args...))
+					}
+					tr := c.build(seed)
+					ref := newSequential(tr.Clone())
+					dp, err := NewDistributed(tr, c.cuts, dial)
+					if err != nil {
+						fail("%v", err)
+						return
+					}
+					defer dp.Close()
+					S := len(c.cuts) + 1
+					p, want := make([]int, S), make([]int, S)
+					for s := range p {
+						p[s] = k(S, s)
+						want[s] = min(p[s], m)
+					}
+					dp.residency = func([]pipeline.StageTimes) ([]int, error) { return slices.Clone(p), nil }
+					xs, ys := c.batches(seed, 3, rows)
+					optRef, optDist := &nn.SGD{LR: 0.05, Momentum: 0.5}, &nn.SGD{LR: 0.05, Momentum: 0.5}
+					for r := 0; r < rounds; r++ {
+						x, y := xs[r%len(xs)], ys[r%len(xs)]
+						wantLoss, err := ref.TrainSyncRound(x, y, mbs, optRef)
+						if err != nil {
+							fail("reference round %d: %v", r, err)
+							return
+						}
+						got, err := dp.TrainSyncRound(x, y, mbs, optDist)
+						if err != nil {
+							fail("round %d: %v", r, err)
+							return
+						}
+						if math.Float64bits(got) != math.Float64bits(wantLoss) {
+							fail("round %d: loss %v, sequential %v", r, got, wantLoss)
+							return
+						}
+						// The first round runs S−s; every later one the seam's K.
+						if k := dp.LastRoundStats().Residency; r > 0 && !slices.Equal(k, want) {
+							fail("round %d ran K=%v, want %v", r, k, want)
+							return
+						}
+					}
+					if err := sameBits(dp.Network(), ref.Network()); err != nil {
+						fail("after %d rounds: %v", rounds, err)
+					}
+				}()
+			}
 		}
 	}
 	wg.Wait()

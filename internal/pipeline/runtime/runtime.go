@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"ecofl/internal/metrics"
-	"ecofl/internal/tensor"
 )
 
 // Observability: per-stage counters on the Default registry plus optional
@@ -36,6 +35,7 @@ type stageMetrics struct {
 	fwd, bwd   *metrics.Counter // micro-batch ops executed
 	busyNanos  *metrics.Counter // time inside Forward/Backward
 	stallNanos *metrics.Counter // time blocked waiting for inputs (queue-wait)
+	residency  *metrics.Gauge   // K_s of the stage's last round
 }
 
 func newStageMetrics(s int) stageMetrics {
@@ -49,30 +49,7 @@ func newStageMetrics(s int) stageMetrics {
 			"time per stage spent inside Forward/Backward", "stage", lbl),
 		stallNanos: metrics.GetCounter("ecofl_pipeline_stage_stall_nanoseconds_total",
 			"time per stage spent blocked on activation/gradient links", "stage", lbl),
+		residency: metrics.GetGauge("ecofl_pipeline_stage_residency",
+			"micro-batches the stage's last round let be in flight (K_s)", "stage", lbl),
 	}
-}
-
-// splitMicroBatches slices a mini-batch into micro-batches of mbs samples,
-// preserving the per-sample tensor shape (e.g. NCHW for CNNs). Nothing is
-// copied: each micro-batch is a view of its rows of x, so it must be treated
-// like x itself — read, never written, never returned to the tensor pool.
-func splitMicroBatches(x *tensor.Tensor, labels []int, mbs int) ([]*tensor.Tensor, [][]int) {
-	rows := x.Rows()
-	sampleLen := x.Cols()
-	m := (rows + mbs - 1) / mbs
-	views := make([]tensor.Tensor, m)
-	shapes := make([]int, m*len(x.Shape))
-	micros := make([]*tensor.Tensor, m)
-	microLabels := make([][]int, m)
-	for i := range micros {
-		start := i * mbs
-		end := min(start+mbs, rows)
-		shape := shapes[i*len(x.Shape) : (i+1)*len(x.Shape) : (i+1)*len(x.Shape)]
-		copy(shape, x.Shape)
-		shape[0] = end - start
-		views[i] = tensor.Tensor{Shape: shape, Data: x.Data[start*sampleLen : end*sampleLen : end*sampleLen]}
-		micros[i] = &views[i]
-		microLabels[i] = labels[start:end]
-	}
-	return micros, microLabels
 }

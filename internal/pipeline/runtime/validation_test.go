@@ -1,14 +1,12 @@
 package runtime
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
 
-	"ecofl/internal/device"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/journal"
@@ -16,41 +14,34 @@ import (
 )
 
 // TestExecutedOrderMatchesSchedule holds every stage's executed op sequence,
-// read off a clockless journal, to pipeline.Schedule's task order for the same
-// partition on an ideal device (free links, ample memory, where the plan's
-// K_s is S−s), and the stage's record pool to K_s. Micro-batch counts below
-// the stage count are included.
+// read off a clockless journal, to the op order pipeline.Schedule times,
+// pipeline.Order(OneFOneBSync, m, K_s), at the K_s the round reports, and the
+// stage's record pool to K_s. K_s is min(S−s, m) on a pipeline's first round
+// and min(P_s, m) after it, P_s being pipeline.ResidencyP of the previous
+// clean round's measured times. One pipeline runs every micro-batch count in
+// turn, counts below the stage count included.
 func TestExecutedOrderMatchesSchedule(t *testing.T) {
 	const mbs = 2
 	spanKinds := map[string]pipeline.TaskKind{"pipe.fwd": pipeline.TaskForward, "pipe.bwd": pipeline.TaskBackward}
-	ideal := &device.Device{Name: "ideal", ComputeRate: 1e9, MemoryBytes: 1 << 40, LinkBandwidth: math.Inf(1)}
 	for S := 1; S <= 5; S++ {
 		tr := model.NewTrainableMLP(rand.New(rand.NewSource(int64(S))), "order", 6, []int{8, 8, 8, 8}, 3)
 		cuts := make([]int, S-1)
-		var stages []pipeline.Stage
-		for s := range S {
-			if s > 0 {
-				cuts[s-1] = s
-			}
-			stages = append(stages, pipeline.Stage{Device: ideal, From: s, To: s + 1})
+		for s := range cuts {
+			cuts[s] = s + 1
 		}
-		stages[S-1].To = len(tr.Blocks)
 		dp, err := NewDistributed(tr, cuts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var p []int // P_s sized from the last clean round; nil before one
 		for m := 1; m <= 7; m++ {
-			res, err := pipeline.Schedule(&pipeline.Config{Spec: tr.Spec, Stages: stages,
-				MicroBatchSize: mbs, NumMicroBatches: m, Strategy: pipeline.OneFOneBSync})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rec := journal.NewClock(0, 1<<12, nil)
 			dp.SetTrace(rec)
 			x, labels := makeData(rand.New(rand.NewSource(int64(m))), m*mbs, 6, 3)
 			if _, err := dp.TrainSyncRound(x, labels, mbs, &nn.SGD{LR: 0.01}); err != nil {
 				t.Fatal(err)
 			}
+			stats := dp.LastRoundStats()
 			executed := make([][]pipeline.Op, S)
 			for _, e := range rec.Events() {
 				if k, ok := spanKinds[e.Kind]; ok {
@@ -59,19 +50,96 @@ func TestExecutedOrderMatchesSchedule(t *testing.T) {
 				}
 			}
 			for s := range S {
-				var scheduled []pipeline.Op
-				for _, task := range res.Tasks {
-					if task.Stage == s && (task.Kind == pipeline.TaskForward || task.Kind == pipeline.TaskBackward) {
-						scheduled = append(scheduled, pipeline.Op{Kind: task.Kind, Micro: task.Micro})
-					}
+				want := S - s
+				if p != nil {
+					want = p[s]
 				}
-				if !slices.Equal(executed[s], scheduled) {
+				want = min(want, m)
+				if k := stats.Residency[s]; k != want {
+					t.Fatalf("S=%d m=%d stage %d ran K=%d, want %d (P from the last round: %v)", S, m, s, k, want, p)
+				}
+				if scheduled := pipeline.Order(nil, pipeline.OneFOneBSync, m, want); !slices.Equal(executed[s], scheduled) {
 					t.Fatalf("S=%d m=%d stage %d executed %v, scheduled %v", S, m, s, executed[s], scheduled)
 				}
-				if got := len(dp.stages[s].recs); got != res.Ks[s] {
-					t.Fatalf("S=%d m=%d stage %d holds %d records, the plan's K_s is %d", S, m, s, got, res.Ks[s])
+				if got := len(dp.stages[s].recs); got != want {
+					t.Fatalf("S=%d m=%d stage %d holds %d records, K_s is %d", S, m, s, got, want)
 				}
 			}
+			if len(stats.Times) != S {
+				t.Fatalf("S=%d m=%d: a clean round measured %v", S, m, stats.Times)
+			}
+			if next, err := pipeline.ResidencyP(stats.Times); err == nil {
+				p = next
+			}
+		}
+		dp.Close()
+	}
+}
+
+// TestMeasureFromClocks drives measure with synthetic timestamps. Every
+// stage computes 10 µs forward and 20 µs backward per micro-batch. Link 0
+// carries activations in 100 µs to a waiting receiver and in 1000 µs to a
+// busy one, which must not count, and gradients in 50 µs. Link 1 carries
+// activations in 60 µs and has no gradient that found its receiver waiting,
+// so that direction keeps its previous estimate.
+func TestMeasureFromClocks(t *testing.T) {
+	const S, m = 3, 4
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	clocks := make([][]microClock, S)
+	for s := range clocks {
+		clocks[s] = make([]microClock, m)
+		for i := range clocks[s] {
+			clocks[s][i].fwd, clocks[s][i].bwd = us(10), us(20)
+		}
+	}
+	// hop times a frame queued at sent over a link of the given one-way
+	// time; busy says its receiver entered recv only after it was queued.
+	hop := func(sent time.Duration, oneWay int, busy bool) (wait, got time.Duration) {
+		if busy {
+			return sent + us(5), sent + us(oneWay)
+		}
+		return sent - us(5), sent + us(oneWay)
+	}
+	for i := range m {
+		base := us(1000 * i)
+		c0, c1, c2 := &clocks[0][i], &clocks[1][i], &clocks[2][i]
+		c0.actSent = base
+		if busy := i%2 == 1; busy {
+			c1.actWait, c1.actGot = hop(c0.actSent, 1000, busy)
+		} else {
+			c1.actWait, c1.actGot = hop(c0.actSent, 100, busy)
+		}
+		c1.gradSent = base + us(500)
+		c0.gradWait, c0.gradGot = hop(c1.gradSent, 50, false)
+		c1.actSent = base + us(200)
+		c2.actWait, c2.actGot = hop(c1.actSent, 60, false)
+		c2.gradSent = base + us(400)
+		c1.gradWait, c1.gradGot = hop(c2.gradSent, 70, true)
+	}
+	sec := func(n int) float64 { return us(n).Seconds() }
+	for _, c := range []struct {
+		name   string
+		prev   []pipeline.StageTimes
+		commB1 float64
+		wantP  []int
+	}{
+		// Ratios: stage 2, (30+60+0)/30 = 3; stage 1, (30+100+50)/30 = 6.
+		{"no previous estimate", nil, 0, []int{10, 4, 1}},
+		// With link 1's gradients kept at 30 µs, stage 2's ratio is 4.
+		{"previous estimate", []pipeline.StageTimes{{}, {CommF: sec(999), CommB: sec(30)}, {}}, sec(30), []int{11, 5, 1}},
+	} {
+		got := measure(clocks, c.prev)
+		want := []pipeline.StageTimes{
+			{Tf: sec(10), Tb: sec(20), CommF: sec(100), CommB: sec(50)},
+			{Tf: sec(10), Tb: sec(20), CommF: sec(60), CommB: c.commB1},
+			{Tf: sec(10), Tb: sec(20)},
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: measure = %+v, want %+v", c.name, got, want)
+		}
+		p, err := pipeline.ResidencyP(got)
+		if err != nil || !slices.Equal(p, c.wantP) {
+			t.Errorf("%s: ResidencyP = %v, %v; want %v", c.name, p, err, c.wantP)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,10 +69,12 @@ type Op struct {
 
 // Order returns a stage's static execution order for m micro-batches under
 // the strategy, with k forward passes resident before the first backward
-// (1F1B; BAF runs all m). Schedule times this order and the runtime executes
-// it, so the two cannot disagree on what a stage does next.
-func Order(strategy Strategy, m, k int) []Op {
-	ops := make([]Op, 0, 2*m)
+// (1F1B; BAF runs all m). It writes the order over ops's storage, grown as
+// needed, so a caller that keeps its order from round to round rewrites it
+// in place. Schedule times this order and the runtime executes it, so the
+// two cannot disagree on what a stage does next.
+func Order(ops []Op, strategy Strategy, m, k int) []Op {
+	ops = slices.Grow(ops[:0], 2*m)
 	switch strategy {
 	case GPipeBAF:
 		for i := 0; i < m; i++ {
@@ -138,7 +141,7 @@ func Schedule(c *Config) (*Result, error) {
 	linkFreeF := make([]float64, S)
 	linkFreeB := make([]float64, S)
 	for s := 0; s < S; s++ {
-		orders[s] = Order(c.Strategy, M, ks[s])
+		orders[s] = Order(nil, c.Strategy, M, ks[s])
 	}
 
 	var tasks []Task

@@ -237,8 +237,10 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # the hostile-shape pin: a refused frame hands back any pooled tensor it was
 # read into, and a double return shows here. So does the view-layer pin: a
 # Flatten at a stage edge hands a received tensor's storage on to the send
-# queue, and only the sent-before-released gate keeps it from the pool.
-go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical)$' ./internal/pipeline/runtime
+# queue, and only the sent-before-released gate keeps it from the pool. So does
+# the residency pin: a stage that keeps more micro-batches in flight holds
+# more records at once, and a record freed early shows as a moved bit.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestResidencyKeepsWeightsBitIdentical|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical)$' ./internal/pipeline/runtime
 
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
 # (measured stage dominance; monitor-triggered rebalance), repeated so that a
