@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"ecofl/internal/device"
@@ -26,26 +25,7 @@ import (
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline"
 	"ecofl/internal/scenario"
-	"ecofl/internal/tensor"
 )
-
-// configureParallelism applies the ECOFL_PROCS override to the compute
-// substrate. Unset means tensor's default (GOMAXPROCS); 1 forces the fully
-// serial path. Results are bit-identical at every setting (the kernels
-// guarantee serial equivalence), so the knob only controls CPU usage —
-// experiments stay reproducible across machines.
-func configureParallelism() {
-	s := os.Getenv("ECOFL_PROCS")
-	if s == "" {
-		return
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		fmt.Fprintf(os.Stderr, "ecofl: ignoring invalid ECOFL_PROCS=%q (want a positive integer)\n", s)
-		return
-	}
-	tensor.SetParallelism(n)
-}
 
 // extractGlobalFlag strips one global flag (valid before or after the
 // subcommand, as --name=value or --name value) from args and returns the
@@ -92,7 +72,6 @@ func dumpMetricsJSON(path string) error {
 }
 
 func main() {
-	configureParallelism()
 	args, metricsJSON := extractGlobalFlag(os.Args[1:], "metrics-json")
 	if len(args) < 1 {
 		usage()

@@ -10,6 +10,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -416,10 +417,12 @@ var intScratch = sync.Pool{New: func() any { return new([]int) }}
 // pooled buffer that goes back to the pool when the update is done. It
 // touches only client-owned state (the client's network clone and LastLoss),
 // so distinct clients may run concurrently. It returns the client's weight
-// slab itself, not a copy; ref must not be that slab (see detachRef).
-func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []int) []float64 {
+// slab itself, not a copy; ref must not be that slab (see detachRef). Its
+// kernels fan out at most width wide (0 is the whole box).
+func (p *Population) trainPlanned(c *Client, ref []float64, mu float64, plan []int, width int) []float64 {
 	cfg := p.Config
 	c.net.SetFlatWeights(ref)
+	c.net.Width = width
 	opt := &nn.SGD{LR: cfg.LR, Mu: mu, Global: ref}
 	ds, n := c.Train.Parent, c.Train.Len()
 	size := min(cfg.BatchSize, n)
@@ -477,7 +480,7 @@ func detachRef(ref []float64, clients ...*Client) (_ []float64, start *tensor.Te
 func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu float64) []float64 {
 	ref, start := detachRef(ref, c)
 	plan := p.planLocal(rng, c)
-	update := p.trainPlanned(c, ref, mu, *plan)
+	update := p.trainPlanned(c, ref, mu, *plan, 0)
 	intScratch.Put(plan)
 	p.corrupt(c, ref, update)
 	tensor.PutBuf(start)
@@ -485,13 +488,14 @@ func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu flo
 }
 
 // TrainClients runs the local updates of the selected clients from the
-// shared reference weights ref, fanning the compute across up to
-// tensor.Parallelism() trainer goroutines, and returns the updated weight
-// vectors indexed like sel. Each client owns its network clone and data shard, so
-// the work is embarrassingly parallel; updates land in pre-indexed slots
-// and all randomness is drawn sequentially up front (see planLocal), so
-// aggregation order, the rng stream, and therefore every experiment curve
-// are identical to a serial round at any parallelism level. sel must not
+// shared reference weights ref, fanning the compute across up to GOMAXPROCS
+// trainer goroutines, each with its share of the box (tensor.Split), and
+// returns the updated weight vectors indexed like sel. Each client owns its
+// network clone and data shard, so the work is embarrassingly parallel;
+// updates land in pre-indexed slots and all randomness is drawn
+// sequentially up front (see planLocal), so aggregation order, the rng
+// stream, and therefore every experiment curve are identical to a serial
+// round at any parallelism level. sel must not
 // contain duplicates (strategies select distinct clients per round). Like
 // LocalTrain's, each update is its client's weight slab, valid until that
 // client's next local update; ref may be one of them.
@@ -503,13 +507,10 @@ func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, 
 	for i, c := range sel {
 		plans[i] = p.planLocal(rng, c)
 	}
+	workers, width := tensor.Split(runtime.GOMAXPROCS(0), len(sel))
 	train := func(i int) {
-		updates[i] = p.trainPlanned(sel[i], ref, mu, *plans[i])
+		updates[i] = p.trainPlanned(sel[i], ref, mu, *plans[i], width)
 		intScratch.Put(plans[i])
-	}
-	workers := tensor.Parallelism()
-	if workers > len(sel) {
-		workers = len(sel)
 	}
 	if workers < 2 {
 		for i := range sel {

@@ -2,18 +2,16 @@ package fl
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
-
-	"ecofl/internal/tensor"
 )
 
-// withParallelism runs fn with the tensor knob set to n, restoring the
-// previous setting afterwards.
+// withParallelism runs fn with GOMAXPROCS set to n — the box TrainClients
+// shares between its trainers, and the width of a lone trainer's kernels —
+// restoring the previous setting afterwards.
 func withParallelism(n int, fn func()) {
-	prev := tensor.Parallelism()
-	tensor.SetParallelism(n)
-	defer tensor.SetParallelism(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	fn()
 }
 

@@ -241,6 +241,10 @@ func (s *Server) handle(conn net.Conn) {
 	s.mu.Lock()
 	dec := requestDecoder{dim: len(s.cur.weights)}
 	s.mu.Unlock()
+	// A body longer than the model's raw frame is one dispatch refuses, as
+	// it refuses the scratch release drops: listed, it would let a portal
+	// pin a MaxPayload-sized buffer.
+	fr.Keep = 8 * dec.dim
 	for {
 		h, payload, trailer, err := fr.Next()
 		if err != nil {

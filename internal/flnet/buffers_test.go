@@ -241,6 +241,44 @@ func TestHostileSparseScratchNotListed(t *testing.T) {
 	}
 }
 
+// TestRefusedOversizedBodyNotListed sends raw pushes longer than the model:
+// the raw codec views them, dispatch refuses them, and each frame body must
+// go to the GC rather than onto wire's process-wide large list, where eight
+// of them would pin up to MaxPayload each. The probe is wire.Borrow: asked
+// for more than the model's frame, it hands over a listed buffer that holds
+// it, and a fresh one rounded to 64 KiB otherwise.
+func TestRefusedOversizedBodyNotListed(t *testing.T) {
+	const n, hostile = 10_000, 3*10_000 + 7 // an 80 KB model frame; 8·hostile is no 64 KiB multiple
+	s := startServer(t, make([]float64, n), 0.5)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw, fr := wire.Writer{W: conn}, wire.Reader{R: conn}
+	if err := fw.WriteFrame(&wire.Header{Kind: wire.KindHello}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, _, err := fr.Next(); err != nil || h.Kind != wire.KindHelloAck {
+		t.Fatalf("hello: kind %d, %v", h.Kind, err)
+	}
+	push := make([]float64, hostile)
+	for seq := uint64(1); seq <= 4; seq++ {
+		if err := fw.WriteRawFrame(&wire.Header{Kind: wire.KindPush, B: 1, Seq: seq}, push, nil); err != nil {
+			t.Fatal(err)
+		}
+		// The server hands the push's frame back before it writes the reply.
+		if h, _, trailer, err := fr.Next(); err != nil || h.Kind != wire.KindReply || len(trailer) == 0 {
+			t.Fatalf("a %d-weight raw push to a %d-weight model: kind %d, error %q, %v; want a refusal", hostile, n, h.Kind, trailer, err)
+		}
+	}
+	for range 4 * wire.ListDepth {
+		if b := wire.Borrow(8*n + 1); cap(b) == 8*hostile {
+			t.Fatalf("the large list holds a refused %d-byte push body; the model's frame is %d bytes", cap(b), 8*n)
+		}
+	}
+}
+
 // largestListed returns the capacity of the largest buffer on l, and leaves
 // l as it found it.
 func largestListed[T any](l *wire.Spares[T]) int {

@@ -321,6 +321,10 @@ func Return(b []byte) {
 type Reader struct {
 	R   io.Reader
 	Lim Limits
+	// Keep is the largest body Release lists for another frame, 0 for any.
+	// A receiver that knows its largest legitimate frame sets it, so a body
+	// it refuses for its size is dropped, not held by the large list.
+	Keep int
 
 	hdr              [HeaderSize]byte
 	payload, trailer []byte // the current frame's borrowed bodies
@@ -384,8 +388,11 @@ func (r *Reader) header() (Header, error) {
 // for it are invalid afterwards. The next Next or NextOwned calls it first,
 // so a caller calls it itself only to let the buffers go before then.
 func (r *Reader) Release() {
-	Return(r.payload)
-	Return(r.trailer)
+	for _, b := range [2][]byte{r.payload, r.trailer} {
+		if r.Keep == 0 || cap(b) <= max(r.Keep, spareMin) {
+			Return(b)
+		}
+	}
 	r.payload, r.trailer = nil, nil
 }
 

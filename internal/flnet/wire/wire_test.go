@@ -375,6 +375,45 @@ func TestLargeBuffersAreBorrowed(t *testing.T) {
 	}
 }
 
+// TestReaderKeepsNoBodyOverKeep pins Reader.Keep: a body over it goes to the
+// GC on Release, a large one within it and a small one of any size go back to
+// their lists, and Keep 0 lists every body.
+func TestReaderKeepsNoBodyOverKeep(t *testing.T) {
+	const keep = 100_000
+	for _, c := range []struct {
+		keep, payload, trailer int
+		wantSmall, wantLarge   int
+	}{
+		{keep, 3 * keep, 0, 0, 0},     // a refused oversized push
+		{keep, keep, 10, 1, 1},        // the model's own frame and a telemetry trailer
+		{keep, 2 * keep, keep, 0, 1},  // only the body within Keep is listed
+		{10, 1000, 0, 1, 0},           // a tiny model still lists its small buffers
+		{0, 3 * keep, 2 * keep, 0, 2}, // no Keep: every body is listed
+	} {
+		drainSpares()
+		var buf bytes.Buffer
+		h := Header{Kind: KindPush, Codec: CodecRaw}
+		if err := (&Writer{W: &buf}).WriteFrame(&h, make([]byte, c.payload), make([]byte, c.trailer)); err != nil {
+			t.Fatal(err)
+		}
+		drainSpares() // the writer's own buffers are not this test's
+		r := Reader{R: &buf, Keep: c.keep}
+		if _, _, _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+		if len(smalls.free) != c.wantSmall || len(larges.free) != c.wantLarge {
+			t.Errorf("Keep %d, bodies of %d and %d bytes: %d small and %d large listed, want %d and %d",
+				c.keep, c.payload, c.trailer, len(smalls.free), len(larges.free), c.wantSmall, c.wantLarge)
+		}
+		for _, b := range larges.free {
+			if c.keep > 0 && cap(b) > c.keep {
+				t.Errorf("Keep %d: a %d-byte body is listed", c.keep, cap(b))
+			}
+		}
+	}
+}
+
 func TestQuantCodecRoundTrip(t *testing.T) {
 	data := []uint8{0, 1, 127, 255}
 	p := AppendQuant(nil, -1.5, 0.25, data)

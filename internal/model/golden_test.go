@@ -63,21 +63,21 @@ func TestTrainBatchGoldenChecksums(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values are amd64's: arm64 and others fuse multiply-add")
 	}
-	prev := tensor.Parallelism()
-	defer tensor.SetParallelism(prev)
-	for _, procs := range []int{1, 4} {
-		tensor.SetParallelism(procs)
+	for _, width := range []int{1, 4} {
 		// The fedround-train shape: MLP 32→64→10, batch 10, µ = 0.05.
 		rng := rand.New(rand.NewSource(20220829))
-		if got := trainedSum(t, nn.NewMLP(rng, 32, 64, 10), rng, 10, []int{32}, 10); got != goldenFedroundMLP {
-			t.Errorf("procs=%d fedround MLP: weights hash %#x, golden %#x", procs, got, goldenFedroundMLP)
+		mlp := nn.NewMLP(rng, 32, 64, 10)
+		mlp.Width = width
+		if got := trainedSum(t, mlp, rng, 10, []int{32}, 10); got != goldenFedroundMLP {
+			t.Errorf("width=%d fedround MLP: weights hash %#x, golden %#x", width, got, goldenFedroundMLP)
 		}
 		// Conv2D, ReLU, MaxPool2D, Residual, Flatten, Dense; batch 6 and 12×12
 		// images leave remainders mod 4 in every kernel dimension.
 		rng = rand.New(rand.NewSource(20220829))
 		cnn := MicroMobileNet(rng, 1, 12, 10, 1).Network()
+		cnn.Width = width
 		if got := trainedSum(t, cnn, rng, 6, []int{1, 12, 12}, 10); got != goldenMicroMobileNet {
-			t.Errorf("procs=%d MicroMobileNet: weights hash %#x, golden %#x", procs, got, goldenMicroMobileNet)
+			t.Errorf("width=%d MicroMobileNet: weights hash %#x, golden %#x", width, got, goldenMicroMobileNet)
 		}
 	}
 }

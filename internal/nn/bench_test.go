@@ -47,7 +47,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(x)
+		c.Forward(x, 0)
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	c := NewConv2D(rng, 8, 16, 3, 1, 1)
 	x := tensor.Randn(rng, 1, 4, 8, 16, 16)
-	y, cache := c.Forward(x)
+	y, cache := c.Forward(x, 0)
 	dy := tensor.Randn(rng, 1, y.Shape...)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,9 +64,9 @@ func BenchmarkConv2DBackward(b *testing.B) {
 		// fresh forward runs off the clock each iteration.
 		b.StopTimer()
 		tensor.PutBuf(y)
-		y, cache = c.Forward(x)
+		y, cache = c.Forward(x, 0)
 		b.StartTimer()
-		tensor.PutBuf(c.Backward(cache, dy))
+		tensor.PutBuf(c.Backward(cache, dy, 0))
 	}
 }
 
@@ -77,16 +77,16 @@ func BenchmarkConv2DStepPooled(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewConv2D(rng, 8, 16, 3, 1, 1)
 	x := tensor.Randn(rng, 1, 4, 8, 16, 16)
-	y, cache := c.Forward(x)
+	y, cache := c.Forward(x, 0)
 	dy := tensor.Randn(rng, 1, y.Shape...)
-	dx := c.Backward(cache, dy)
+	dx := c.Backward(cache, dy, 0)
 	tensor.PutBuf(y)
 	tensor.PutBuf(dx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y, cache := c.Forward(x)
-		dx := c.Backward(cache, dy)
+		y, cache := c.Forward(x, 0)
+		dx := c.Backward(cache, dy, 0)
 		tensor.PutBuf(y)
 		tensor.PutBuf(dx)
 	}

@@ -90,10 +90,10 @@ type (
 	biasRows convJob
 )
 
-// run fans the loop out over the batch; work is its scalar-operation count.
-// The job holds its tensors only while it runs.
-func (j *convJob) run(rows tensor.RowJob, batch, work int) {
-	tensor.ParallelRows(batch, work, rows)
+// run fans the loop out over the batch, at most width wide; work is its
+// scalar-operation count. The job holds its tensors only while it runs.
+func (j *convJob) run(rows tensor.RowJob, batch, work, width int) {
+	tensor.ParallelRows(batch, work, width, rows)
 	j.src, j.dst = nil, nil
 }
 
@@ -174,7 +174,7 @@ func (j *biasRows) Rows(nLo, nHi int) {
 	}
 }
 
-func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+func (c *Conv2D) Forward(x *tensor.Tensor, width int) (*tensor.Tensor, Cache) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D wants (batch,%d,H,W), got %v", c.InC, x.Shape))
 	}
@@ -188,27 +188,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	cc.x, cc.cols, cc.h, cc.w, cc.oh, cc.ow = x, tensor.GetBufUninit(batch*oh*ow, fan), h, w, oh, ow
 	j := &cc.job
 	*j = convJob{c: c, src: x, dst: cc.cols, h: h, w: w, oh: oh, ow: ow}
-	j.run((*im2colRows)(j), batch, batch*oh*ow*fan)
+	j.run((*im2colRows)(j), batch, batch*oh*ow*fan, width)
 	// (batch·OH·OW, fan) × (OutC, fan)ᵀ → (batch·OH·OW, OutC)
-	flat := tensor.MatMulBTInto(tensor.GetBufUninit(batch*oh*ow, c.OutC), cc.cols, c.W.Value)
+	flat := tensor.MatMulBTInto(tensor.GetBufUninit(batch*oh*ow, c.OutC), cc.cols, c.W.Value, width)
 	out := tensor.GetBufUninit(batch, c.OutC, oh, ow)
 	j.src, j.dst = flat, out
-	j.run((*biasRows)(j), batch, batch*c.OutC*oh*ow)
+	j.run((*biasRows)(j), batch, batch*c.OutC*oh*ow, width)
 	tensor.PutBuf(flat)
 	return out, cc
 }
 
-func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor, width int) *tensor.Tensor {
 	cache := cc.(*convCache)
-	flat := c.accumulate(cache, dy)
+	flat := c.accumulate(cache, dy, width)
 	// dcols = flat × W
 	batch, oh, ow := cache.x.Shape[0], cache.oh, cache.ow
-	dcols := tensor.MatMulInto(tensor.GetBufUninit(batch*oh*ow, c.InC*c.K*c.K), flat, c.W.Value)
+	dcols := tensor.MatMulInto(tensor.GetBufUninit(batch*oh*ow, c.InC*c.K*c.K), flat, c.W.Value, width)
 	tensor.PutBuf(flat)
 	dx := tensor.GetBufUninit(batch, c.InC, cache.h, cache.w)
 	j := &cache.job
 	j.src, j.dst = dcols, dx
-	j.run((*col2imRows)(j), batch, batch*oh*ow*c.InC*c.K*c.K)
+	j.run((*col2imRows)(j), batch, batch*oh*ow*c.InC*c.K*c.K, width)
 	tensor.PutBuf(dcols)
 	cache.recycle()
 	return dx
@@ -216,16 +216,16 @@ func (c *Conv2D) Backward(cc Cache, dy *tensor.Tensor) *tensor.Tensor {
 
 // paramGrads is Backward without the input gradient: it accumulates dW and
 // db and recycles the cache.
-func (c *Conv2D) paramGrads(cc Cache, dy *tensor.Tensor) {
+func (c *Conv2D) paramGrads(cc Cache, dy *tensor.Tensor, width int) {
 	cache := cc.(*convCache)
-	tensor.PutBuf(c.accumulate(cache, dy))
+	tensor.PutBuf(c.accumulate(cache, dy, width))
 	cache.recycle()
 }
 
 // accumulate adds one Forward's contribution to dW and db and returns dy laid
 // out as the (batch·OH·OW, OutC) matrix flat, a pooled tensor the caller
 // returns.
-func (c *Conv2D) accumulate(cache *convCache, dy *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) accumulate(cache *convCache, dy *tensor.Tensor, width int) *tensor.Tensor {
 	if cache.x == nil {
 		panic("nn: Conv2D cache passed to Backward twice (caches are single-use)")
 	}
@@ -233,7 +233,7 @@ func (c *Conv2D) accumulate(cache *convCache, dy *tensor.Tensor) *tensor.Tensor 
 	oh, ow := cache.oh, cache.ow
 	// Re-layout dy (batch, OutC, OH, OW) → (batch·OH·OW, OutC). Kept serial:
 	// the bias gradient accumulates across samples here, and its float64
-	// summation order must not depend on the parallelism setting.
+	// summation order must not depend on the width.
 	flat := tensor.GetBufUninit(batch*oh*ow, c.OutC)
 	bg := c.B.Grad.Data
 	for n := 0; n < batch; n++ {
@@ -248,7 +248,7 @@ func (c *Conv2D) accumulate(cache *convCache, dy *tensor.Tensor) *tensor.Tensor 
 		}
 	}
 	// dW = flatᵀ × cols
-	dw := tensor.MatMulATInto(tensor.GetBufUninit(c.OutC, c.InC*c.K*c.K), flat, cache.cols)
+	dw := tensor.MatMulATInto(tensor.GetBufUninit(c.OutC, c.InC*c.K*c.K), flat, cache.cols, width)
 	c.W.Grad.Add(dw)
 	tensor.PutBuf(dw)
 	return flat
@@ -288,7 +288,7 @@ type poolCache struct {
 	argmax  []int // flat input index of each output element
 }
 
-func (p MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+func (p MaxPool2D) Forward(x *tensor.Tensor, _ int) (*tensor.Tensor, Cache) {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D wants NCHW, got %v", x.Shape))
 	}
@@ -323,7 +323,7 @@ func (p MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return out, &poolCache{inShape: x.Shape, argmax: arg}
 }
 
-func (p MaxPool2D) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+func (p MaxPool2D) Backward(c Cache, dy *tensor.Tensor, _ int) *tensor.Tensor {
 	cache := c.(*poolCache)
 	dx := tensor.GetBuf(cache.inShape...)
 	for i, idx := range cache.argmax {
@@ -345,12 +345,12 @@ func (p MaxPool2D) OutShape(in []int) []int {
 // this a metadata-only operation.
 type Flatten struct{}
 
-func (Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+func (Flatten) Forward(x *tensor.Tensor, _ int) (*tensor.Tensor, Cache) {
 	out := &tensor.Tensor{Shape: []int{x.Rows(), x.Cols()}, Data: x.Data}
 	return out, x.Shape
 }
 
-func (Flatten) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+func (Flatten) Backward(c Cache, dy *tensor.Tensor, _ int) *tensor.Tensor {
 	shape := c.([]int)
 	return &tensor.Tensor{Shape: append([]int(nil), shape...), Data: dy.Data}
 }

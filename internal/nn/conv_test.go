@@ -45,7 +45,7 @@ func TestConv2DOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewConv2D(rng, 3, 8, 3, 2, 1)
 	x := tensor.Randn(rng, 1, 2, 3, 9, 9)
-	y, _ := c.Forward(x)
+	y, _ := c.Forward(x, 0)
 	// (9 + 2 − 3)/2 + 1 = 5
 	want := []int{2, 8, 5, 5}
 	for i, d := range want {
@@ -67,7 +67,7 @@ func TestConv2DKnownValue(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}}
-	y, _ := c.Forward(x)
+	y, _ := c.Forward(x, 0)
 	want := []float64{1, 2, 4, 5}
 	for i, w := range want {
 		if y.Data[i] != w {
@@ -84,7 +84,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 		0, 0, 9, 2,
 		3, 1, 2, 0,
 	}}
-	y, cache := p.Forward(x)
+	y, cache := p.Forward(x, 0)
 	want := []float64{4, 5, 3, 9}
 	for i, w := range want {
 		if y.Data[i] != w {
@@ -93,7 +93,7 @@ func TestMaxPoolForwardAndRouting(t *testing.T) {
 	}
 	// Gradient routes only to the argmax positions.
 	dy := &tensor.Tensor{Shape: []int{1, 1, 2, 2}, Data: []float64{10, 20, 30, 40}}
-	dx := p.Backward(cache, dy)
+	dx := p.Backward(cache, dy, 0)
 	if dx.Data[4] != 10 || dx.Data[2] != 20 || dx.Data[12] != 30 || dx.Data[10] != 40 {
 		t.Fatalf("pool gradient misrouted: %v", dx.Data)
 	}
@@ -110,11 +110,11 @@ func TestFlattenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.Randn(rng, 1, 2, 3, 4, 5)
 	f := Flatten{}
-	y, cache := f.Forward(x)
+	y, cache := f.Forward(x, 0)
 	if y.Rows() != 2 || y.Cols() != 60 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
-	dx := f.Backward(cache, y)
+	dx := f.Backward(cache, y, 0)
 	for i, d := range x.Shape {
 		if dx.Shape[i] != d {
 			t.Fatalf("backward must restore shape: %v vs %v", dx.Shape, x.Shape)
@@ -142,7 +142,7 @@ func TestResidualSkipPath(t *testing.T) {
 	clear(inner.B.Value.Data)
 	r := &Residual{Inner: []Layer{inner}}
 	x := tensor.Randn(rng, 1, 2, 3)
-	y, _ := r.Forward(x)
+	y, _ := r.Forward(x, 0)
 	if !sameTensor(x, y) {
 		t.Fatal("zero inner stack must make residual an identity")
 	}
@@ -200,8 +200,8 @@ func TestInvalidGeometryPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"conv-zero-k":   func() { NewConv2D(rng, 1, 1, 0, 1, 0) },
 		"conv-neg-pad":  func() { NewConv2D(rng, 1, 1, 3, 1, -1) },
-		"conv-wrong-in": func() { c := NewConv2D(rng, 3, 1, 3, 1, 0); c.Forward(tensor.New(1, 2, 8, 8)) },
-		"pool-not-4d":   func() { MaxPool2D{K: 2, Stride: 2}.Forward(tensor.New(4, 4)) },
+		"conv-wrong-in": func() { c := NewConv2D(rng, 3, 1, 3, 1, 0); c.Forward(tensor.New(1, 2, 8, 8), 0) },
+		"pool-not-4d":   func() { MaxPool2D{K: 2, Stride: 2}.Forward(tensor.New(4, 4), 0) },
 	} {
 		func() {
 			defer func() {

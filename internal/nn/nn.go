@@ -53,14 +53,17 @@ func (p *Param) view() *Param {
 type Cache interface{}
 
 // Layer is a differentiable module. Backward must accumulate (+=) parameter
-// gradients so that micro-batch gradients sum naturally.
+// gradients so that micro-batch gradients sum naturally. Forward and Backward
+// run their kernels at most width wide: the width of the Network they run in
+// (see Network.Width), never one a layer keeps, since a layer is shared by
+// every Sub of its network.
 type Layer interface {
 	// Forward maps a (batch × in) tensor to (batch × out) plus a cache.
-	Forward(x *tensor.Tensor) (*tensor.Tensor, Cache)
+	Forward(x *tensor.Tensor, width int) (*tensor.Tensor, Cache)
 	// Backward consumes the cache from the matching Forward call and the
 	// upstream gradient, accumulates parameter gradients, and returns the
 	// gradient with respect to the input.
-	Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor
+	Backward(c Cache, dy *tensor.Tensor, width int) *tensor.Tensor
 	Params() []*Param
 	// OutShape maps a per-sample input shape (no batch dimension) to that
 	// of Forward's output, from the layer's geometry alone.
@@ -90,8 +93,8 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	}
 }
 
-func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y := tensor.MatMulInto(tensor.GetBufUninit(x.Rows(), d.Out), x, d.W.Value)
+func (d *Dense) Forward(x *tensor.Tensor, width int) (*tensor.Tensor, Cache) {
+	y := tensor.MatMulInto(tensor.GetBufUninit(x.Rows(), d.Out), x, d.W.Value, width)
 	for i := 0; i < y.Rows(); i++ {
 		row := tensor.Tensor{Data: y.RowView(i)}
 		row.Add(d.B.Value)
@@ -99,16 +102,16 @@ func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, x
 }
 
-func (d *Dense) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	d.paramGrads(c, dy)
-	return tensor.MatMulBTInto(tensor.GetBufUninit(dy.Rows(), d.In), dy, d.W.Value)
+func (d *Dense) Backward(c Cache, dy *tensor.Tensor, width int) *tensor.Tensor {
+	d.paramGrads(c, dy, width)
+	return tensor.MatMulBTInto(tensor.GetBufUninit(dy.Rows(), d.In), dy, d.W.Value, width)
 }
 
 // paramGrads is Backward without the input gradient: it accumulates dW and
 // db and nothing else.
-func (d *Dense) paramGrads(c Cache, dy *tensor.Tensor) {
+func (d *Dense) paramGrads(c Cache, dy *tensor.Tensor, width int) {
 	x := c.(*tensor.Tensor)
-	dw := tensor.MatMulATInto(tensor.GetBufUninit(d.In, d.Out), x, dy)
+	dw := tensor.MatMulATInto(tensor.GetBufUninit(d.In, d.Out), x, dy, width)
 	d.W.Grad.Add(dw)
 	tensor.PutBuf(dw)
 	for i := 0; i < dy.Rows(); i++ {
@@ -133,7 +136,7 @@ func (d *Dense) Clone() Layer {
 // that only picks one of two integers compiles to a CMOV on amd64.
 type ReLU struct{}
 
-func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+func (ReLU) Forward(x *tensor.Tensor, _ int) (*tensor.Tensor, Cache) {
 	y := tensor.GetBufUninit(x.Shape...)
 	out := y.Data[:len(x.Data)]
 	for i, v := range x.Data {
@@ -146,7 +149,7 @@ func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, x
 }
 
-func (ReLU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+func (ReLU) Backward(c Cache, dy *tensor.Tensor, _ int) *tensor.Tensor {
 	x := c.(*tensor.Tensor)
 	dx := tensor.GetBufUninit(dy.Shape...)
 	in, out := dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
@@ -210,11 +213,11 @@ type Residual struct {
 	Inner []Layer
 }
 
-func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
+func (r *Residual) Forward(x *tensor.Tensor, width int) (*tensor.Tensor, Cache) {
 	caches := make([]Cache, len(r.Inner))
 	y := x
 	for i, l := range r.Inner {
-		y, caches[i] = l.Forward(y)
+		y, caches[i] = l.Forward(y, width)
 	}
 	if y.Len() != x.Len() {
 		panic(fmt.Sprintf("nn: Residual inner stack changed size %v → %v", x.Shape, y.Shape))
@@ -222,11 +225,11 @@ func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return pooledCopy(y).Add(x), caches
 }
 
-func (r *Residual) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+func (r *Residual) Backward(c Cache, dy *tensor.Tensor, width int) *tensor.Tensor {
 	caches := c.([]Cache)
 	d := dy
 	for i := len(r.Inner) - 1; i >= 0; i-- {
-		d = r.Inner[i].Backward(caches[i], d)
+		d = r.Inner[i].Backward(caches[i], d, width)
 	}
 	return pooledCopy(d).Add(dy)
 }
@@ -265,6 +268,11 @@ func pooledCopy(t *tensor.Tensor) *tensor.Tensor {
 // use: beside the weights, it keeps the record of the step in progress.
 type Network struct {
 	Layers []Layer
+	// Width is how many cores the layers' kernels may fan out to: the share
+	// of the box the network's caller owns (tensor.Split), 0 for all of it.
+	// It is this Network's own, not its layers' nor a Sub's, so a pipeline
+	// stage's share leaves the model it views at its own.
+	Width int
 
 	w, g []float64
 	// offs[i]−offs[0] is where layer i's parameters start in w and g;
@@ -337,7 +345,7 @@ func NewMLP(rng *rand.Rand, sizes ...int) *Network {
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []Cache) {
 	caches := make([]Cache, len(n.Layers))
 	for i, l := range n.Layers {
-		x, caches[i] = l.Forward(x)
+		x, caches[i] = l.Forward(x, n.Width)
 	}
 	return x, caches
 }
@@ -345,7 +353,7 @@ func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []Cache) {
 // Backward propagates dy through all layers in reverse, accumulating grads.
 func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(caches[i], dy)
+		dy = n.Layers[i].Backward(caches[i], dy, n.Width)
 	}
 	return dy
 }
@@ -422,7 +430,7 @@ func (n *Network) ForwardPass(p *Pass, x *tensor.Tensor, ownsInput bool) *tensor
 	}
 	p.acts[0], p.ownsInput = x, ownsInput
 	for i, l := range n.Layers {
-		x, p.caches[i] = l.Forward(x)
+		x, p.caches[i] = l.Forward(x, n.Width)
 		p.acts[i+1] = x
 	}
 	return x
@@ -450,9 +458,9 @@ func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor, wantDx bool) *tensor.
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		var dx *tensor.Tensor
 		if i > stop || wantDx {
-			dx = n.Layers[i].Backward(p.caches[i], dy)
+			dx = n.Layers[i].Backward(p.caches[i], dy, n.Width)
 		} else if i == stop {
-			paramGrads(n.Layers[i], p.caches[i], dy)
+			paramGrads(n.Layers[i], p.caches[i], dy, n.Width)
 		}
 		p.release(i, dy, dx)
 		dy = dx
@@ -464,12 +472,14 @@ func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor, wantDx bool) *tensor.
 // paramGrads accumulates l's parameter gradients from the cache and upstream
 // gradient of one Forward, without the input gradient where the layer can
 // skip it; where it cannot, the input gradient is computed and dropped.
-func paramGrads(l Layer, c Cache, dy *tensor.Tensor) {
-	if pl, ok := l.(interface{ paramGrads(Cache, *tensor.Tensor) }); ok {
-		pl.paramGrads(c, dy)
+func paramGrads(l Layer, c Cache, dy *tensor.Tensor, width int) {
+	if pl, ok := l.(interface {
+		paramGrads(Cache, *tensor.Tensor, int)
+	}); ok {
+		pl.paramGrads(c, dy, width)
 		return
 	}
-	if dx := l.Backward(c, dy); !tensor.SharesStorage(dx, dy) {
+	if dx := l.Backward(c, dy, width); !tensor.SharesStorage(dx, dy) {
 		tensor.PutBuf(dx)
 	}
 }

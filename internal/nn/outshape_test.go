@@ -39,7 +39,7 @@ func TestOutShapeMatchesForward(t *testing.T) {
 		{"Flatten/2-D", nn.Flatten{}, []int{5}},
 		{"Residual", &nn.Residual{Inner: []nn.Layer{nn.NewConv2D(rng, 3, 3, 3, 1, 1), nn.ReLU{}}}, []int{3, 4, 4}},
 	} {
-		check(c.name, c.in, c.l.OutShape(c.in), func(x *tensor.Tensor) (*tensor.Tensor, any) { return c.l.Forward(x) })
+		check(c.name, c.in, c.l.OutShape(c.in), func(x *tensor.Tensor) (*tensor.Tensor, any) { return c.l.Forward(x, 0) })
 	}
 
 	cnn := model.NewTrainableCNN(rng, "cnn", 1, 8, 4, []model.CNNBlockSpec{

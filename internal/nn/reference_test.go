@@ -48,8 +48,8 @@ var reluSpecials = []float64{
 func checkReLUBodies(t *testing.T, x, dy []float64) {
 	t.Helper()
 	xt := &tensor.Tensor{Shape: []int{len(x)}, Data: x}
-	y, cache := ReLU{}.Forward(xt)
-	dx := ReLU{}.Backward(cache, &tensor.Tensor{Shape: []int{len(dy)}, Data: dy})
+	y, cache := ReLU{}.Forward(xt, 0)
+	dx := ReLU{}.Backward(cache, &tensor.Tensor{Shape: []int{len(dy)}, Data: dy}, 0)
 	wantY, wantDx := refReLUForward(x), refReLUBackward(x, dy)
 	for i := range x {
 		if math.Float64bits(y.Data[i]) != math.Float64bits(wantY[i]) {

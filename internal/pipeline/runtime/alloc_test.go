@@ -86,7 +86,7 @@ func warmRoundAllocs(t *testing.T, dial Dialer) float64 {
 	}
 	dp.residency = pipeline.ResidencyP
 	// Counted by hand and not with testing.AllocsPerRun, which measures at
-	// GOMAXPROCS 1: the stages and the matmul fan-out should run as they do.
+	// GOMAXPROCS 1: the stages should run at once, as they do on the host.
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	goruntime "runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -322,7 +323,9 @@ func (d *DistPipeline) LastRoundStats() *RoundStats {
 // model is split, strictly increasing within (0, numBlocks), len(cuts)+1
 // stages — and a link dialer; a nil dialer means PipeLinks. A pipeline with
 // no cuts is one stage and dials nothing. The model must declare its
-// per-sample input shape.
+// per-sample input shape. The stages share the box: each one's kernels fan
+// out to at most max(1, GOMAXPROCS ÷ S) cores (tensor.Split), as a stage on a
+// device of its own would compute on that device's cores alone.
 func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline, error) {
 	if len(tr.InputShape) == 0 {
 		return nil, errors.New("runtime: the model declares no input shape")
@@ -353,8 +356,10 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		residency: pipeline.ResidencyP,
 	}
 	sample := tr.InputShape
+	_, width := tensor.Split(goruntime.GOMAXPROCS(0), S)
 	for s := 0; s < S; s++ { // stage s runs blocks [b[s], b[s+1])
 		seg := tr.SegmentNet(b[s], b[s+1])
+		seg.Width = width
 		d.segments = append(d.segments, seg)
 		d.in = append(d.in, append([]int{0}, sample...))
 		sample = seg.OutShape(sample)

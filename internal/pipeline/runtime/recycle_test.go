@@ -92,6 +92,18 @@ var recyclingCases = []recyclingCase{
 	},
 }
 
+// wideCase's dense products, 4 × 96 · 96 × 96, clear the fan-out bar: a
+// stage granted a width above 1 splits them across the worker pool, which
+// the other cases' products are too small to reach.
+var wideCase = recyclingCase{
+	name:  "wide",
+	input: []int{96},
+	build: func(seed int64) *model.Trainable {
+		return model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "wide", 96, []int{96, 96}, 4)
+	},
+	cuts: []int{1, 2},
+}
+
 // batches draws n labelled mini-batches for a model.
 func (c recyclingCase) batches(seed int64, n, rows int) (xs []*tensor.Tensor, ys [][]int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -183,11 +195,15 @@ func TestRecyclingStagesMatchReference(t *testing.T) {
 
 // TestResidencyKeepsWeightsBitIdentical trains every case at three
 // residencies through the sizing seam — K = S−s, K = 2(S−s)−1, and K = m−1
-// on every stage but the last — over in-process pipes and over TCP at once,
-// and holds each to the sequential reference: every loss and, at the end,
-// every weight bit-identical. Backward ops run in ascending micro-batch
-// order under any K, so how many forwards a stage keeps in flight cannot
-// move a bit. 26 rows in micro-batches of 4 are 7 micro-batches.
+// on every stage but the last — at stage widths 1, 2 and 4, set on the
+// stages' networks, over in-process pipes and over TCP at once, and holds
+// each to the sequential reference: every loss and, at the end, every weight
+// bit-identical. Backward ops run in ascending micro-batch order under any K,
+// so how many forwards a stage keeps in flight cannot move a bit, and the
+// kernels are bit-identical at any width. In wideCase, stages granted a width
+// above 1 fan out onto the one worker pool at once (NewDistributed grants 1 a
+// stage on a box of fewer cores than stages). 26 rows in micro-batches of 4
+// are 7 micro-batches.
 func TestResidencyKeepsWeightsBitIdentical(t *testing.T) {
 	const seed, rounds, rows, mbs, m = 9, 8, 26, 4, 7
 	shapes := map[string]func(S, s int) int{
@@ -201,14 +217,17 @@ func TestResidencyKeepsWeightsBitIdentical(t *testing.T) {
 		},
 	}
 	var wg sync.WaitGroup
-	for _, c := range recyclingCases {
+	for _, c := range append(slices.Clip(recyclingCases), wideCase) {
+		run := 0
 		for shape, k := range shapes {
 			for name, dial := range map[string]Dialer{"pipe": PipeLinks(), "tcp": TCPLinks()} {
+				width := []int{1, 2, 4}[run%3] // each twice a case, over both links
+				run++
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					fail := func(format string, args ...any) {
-						t.Errorf("%s at K=%s over %s: %s", c.name, shape, name, fmt.Sprintf(format, args...))
+						t.Errorf("%s at K=%s, width %d over %s: %s", c.name, shape, width, name, fmt.Sprintf(format, args...))
 					}
 					tr := c.build(seed)
 					ref := newSequential(tr.Clone())
@@ -218,6 +237,9 @@ func TestResidencyKeepsWeightsBitIdentical(t *testing.T) {
 						return
 					}
 					defer dp.Close()
+					for _, seg := range dp.segments {
+						seg.Width = width
+					}
 					S := len(c.cuts) + 1
 					p, want := make([]int, S), make([]int, S)
 					for s := range p {

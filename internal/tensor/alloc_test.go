@@ -31,14 +31,10 @@ func TestMatMulAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(rng, 1, 64, 64)
 	y := Randn(rng, 1, 64, 64)
-	defer requestedParallelism.Store(0) // back to the GOMAXPROCS default
-
-	SetParallelism(1)
-	if got := testing.AllocsPerRun(100, func() { MatMul(x, y) }); got > matMulSerialAllocs {
+	if got := testing.AllocsPerRun(100, func() { MatMulInto(New(64, 64), x, y, 1) }); got > matMulSerialAllocs {
 		t.Errorf("serial MatMul allocates %.0f/op, budget %d — the kernel hot path regressed", got, matMulSerialAllocs)
 	}
-	SetParallelism(8)
-	if got := testing.AllocsPerRun(100, func() { MatMul(x, y) }); got > matMulSerialAllocs+matMulParallelExtras {
+	if got := testing.AllocsPerRun(100, func() { MatMulInto(New(64, 64), x, y, 8) }); got > matMulSerialAllocs+matMulParallelExtras {
 		t.Errorf("parallel MatMul allocates %.0f/op, budget %d", got, matMulSerialAllocs+matMulParallelExtras)
 	}
 }
@@ -53,20 +49,17 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 	x := Randn(rng, 1, 64, 64)
 	y := Randn(rng, 1, 64, 64)
 	dst := New(64, 64)
-	SetParallelism(1)
-	defer requestedParallelism.Store(0)
-	for name, kernel := range map[string]func(dst, a, b *Tensor) *Tensor{
-		"MatMulInto": MatMulInto, "MatMulATInto": MatMulATInto, "MatMulBTInto": MatMulBTInto,
-	} {
-		if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y) }); got != 0 {
+	for name, kernel := range intoKernels {
+		if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y, 1) }); got != 0 {
 			t.Errorf("serial %s allocates %.0f/op, want 0", name, got)
 		}
 	}
 }
 
 // TestParallelKernelAllocFree pins the fan-out: a product large enough to be
-// split across the pool allocates as little as one that is not. The three
-// matmul kernels cost nothing, and so does a ParallelRows job.
+// split across the pool allocates as little as one that is not, at widths 1
+// and 4. The three matmul kernels cost nothing, and so does a ParallelRows
+// job.
 func TestParallelKernelAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -75,28 +68,34 @@ func TestParallelKernelAllocFree(t *testing.T) {
 	x := Randn(rng, 1, 64, 64) // 2·64³ = 2¹⁹ scalar operations, above minParallelWork
 	y := Randn(rng, 1, 64, 64)
 	dst := New(64, 64)
-	SetParallelism(4)
-	defer requestedParallelism.Store(0)
-	split := parallelForParallel.Value()
-	for name, kernel := range map[string]func(dst, a, b *Tensor) *Tensor{
-		"MatMulInto": MatMulInto, "MatMulATInto": MatMulATInto, "MatMulBTInto": MatMulBTInto,
-	} {
-		kernel(dst, x, y) // start the workers, fill the completion pool
-		if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y) }); got != 0 {
-			t.Errorf("parallel %s allocates %.0f/op, want 0", name, got)
+	if p := blocksFor(x.Rows(), 2*64*64*64, 4); p != 4 {
+		t.Fatalf("a 64³ product at width 4 runs in %d blocks; the test would measure the serial path", p)
+	}
+	for _, width := range []int{1, 4} {
+		for name, kernel := range intoKernels {
+			kernel(dst, x, y, width) // start the workers, fill the completion pool
+			if got := testing.AllocsPerRun(100, func() { kernel(dst, x, y, width) }); got != 0 {
+				t.Errorf("%s at width %d allocates %.0f/op, want 0", name, width, got)
+			}
+		}
+		// A typed job held by pointer in storage the caller owns costs
+		// nothing either, split across the pool or kept on the caller.
+		job := &copyRows{dst: make([]float64, 64), src: x.Data}
+		for _, work := range []int{1, 1 << 20} {
+			if got := testing.AllocsPerRun(100, func() { ParallelRows(64, work, width, job) }); got != 0 {
+				t.Errorf("ParallelRows with work %d at width %d allocates %.0f/op, want 0", work, width, got)
+			}
 		}
 	}
-	// A typed job held by pointer in storage the caller owns costs nothing
-	// either, split across the pool or kept on the caller.
-	job := &copyRows{dst: make([]float64, 64), src: x.Data}
-	for _, work := range []int{1, 1 << 20} {
-		if got := testing.AllocsPerRun(100, func() { ParallelRows(64, work, job) }); got != 0 {
-			t.Errorf("ParallelRows with work %d allocates %.0f/op, want 0", work, got)
-		}
-	}
-	if parallelForParallel.Value() == split {
-		t.Fatal("nothing was split across the pool; the test measured the serial path")
-	}
+}
+
+// intoKernels are the three destination-passing kernels at one signature.
+// MatMulInto's width is optional, so it is called directly: a variadic
+// argument passed through a func value escapes, and allocates.
+var intoKernels = map[string]func(dst, a, b *Tensor, width int) *Tensor{
+	"MatMulInto":   func(dst, a, b *Tensor, width int) *Tensor { return MatMulInto(dst, a, b, width) },
+	"MatMulATInto": MatMulATInto,
+	"MatMulBTInto": MatMulBTInto,
 }
 
 // copyRows copies src into dst, one index per row.

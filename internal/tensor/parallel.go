@@ -4,17 +4,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"ecofl/internal/metrics"
 )
 
 // The kernels in this package split their output across a small package-level
 // worker pool when the operation is large enough to amortize the hand-off.
 // Each worker owns a disjoint block of output rows, so per-element float64
 // accumulation order is identical to the serial kernels and results are
-// bit-identical at any parallelism level — experiment curves never depend on
-// the machine the simulation ran on.
+// bit-identical at any width — experiment curves never depend on the machine
+// the simulation ran on.
+//
+// How wide a kernel may fan out is its caller's to say: the width is the
+// number of cores the caller grants the call, and the caller is whoever owns
+// the work — a pipeline stage its share of the box, a trainer its share of a
+// round's trainers (Split), a lone trainer the whole box. Width 1 keeps the
+// kernel on the caller's goroutine; width 0 is every core, GOMAXPROCS.
 //
 // A fan-out is described once, in a job drawn from a pool — the kernel and
 // its operands, or a RowJob, the range and the completion counter — and what
@@ -30,81 +33,36 @@ import (
 const minParallelWork = 1 << 16
 
 var (
-	// requestedParallelism is the knob set by SetParallelism; 0 means
-	// "unset", which falls back to GOMAXPROCS at call time.
-	requestedParallelism atomic.Int32
-
 	workerMu    sync.Mutex
 	workerCount int
 	workQueue   chan *job
 )
 
-// Pool observability: resident-worker busy/idle split and task throughput.
-// Tasks are chunky (ParallelRows only dispatches when the estimated work
-// exceeds minParallelWork), so the two time.Now calls per task are noise;
-// every update is a single atomic add. Inline fallbacks (queue saturated)
-// are counted separately and not timed — they run on the caller's clock.
-var (
-	poolWorkersGauge = metrics.GetGauge("ecofl_tensor_pool_workers",
-		"resident worker goroutines in the tensor compute pool")
-	poolTasksTotal = metrics.GetCounter("ecofl_tensor_pool_tasks_total",
-		"row-block tasks executed by pool workers")
-	poolInlineTotal = metrics.GetCounter("ecofl_tensor_pool_inline_tasks_total",
-		"row-block tasks run inline on the caller because the queue was full")
-	poolBusyNanos = metrics.GetCounter("ecofl_tensor_pool_busy_nanoseconds_total",
-		"total time pool workers spent executing tasks")
-	poolIdleNanos = metrics.GetCounter("ecofl_tensor_pool_idle_nanoseconds_total",
-		"total time resident pool workers spent waiting for tasks")
-	parallelForSerial = metrics.GetCounter("ecofl_tensor_parallel_for_total",
-		"fan-out decisions (matmul kernels and ParallelRows) by dispatch path", "path", "serial")
-	parallelForParallel = metrics.GetCounter("ecofl_tensor_parallel_for_total",
-		"fan-out decisions (matmul kernels and ParallelRows) by dispatch path", "path", "parallel")
-)
-
-// Parallelism returns the number of row-block workers kernels may use.
-// Defaults to runtime.GOMAXPROCS(0) until SetParallelism is called.
-func Parallelism() int {
-	if n := requestedParallelism.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetParallelism sets the number of row-block workers kernels may use.
-// n ≤ 1 forces every kernel onto the serial path (no goroutine hand-off),
-// which is also the automatic behaviour on single-CPU machines. Results are
-// bit-identical at every setting; the knob only trades wall-clock for CPUs.
-// Safe for concurrent use.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	requestedParallelism.Store(int32(n))
+// Split divides procs cores between n jobs that want to run at once: at most
+// procs of them run concurrently (callers), and each gets a width of
+// max(1, procs ÷ callers). A pipeline's S stages all run at once, so a stage
+// gets Split(procs, S)'s width; a round's trainers are Split's callers.
+func Split(procs, n int) (callers, width int) {
+	callers = max(1, min(procs, n))
+	return callers, max(1, procs/callers)
 }
 
 // ensureWorkers grows the pool to at least n resident workers. Workers are
-// never torn down: the pool is bounded by the largest parallelism ever
-// requested, which is itself bounded by the knob.
+// never torn down: the pool is bounded by the widest fan-out ever run, which
+// is bounded by the widths callers grant.
 func ensureWorkers(n int) {
 	workerMu.Lock()
 	if workQueue == nil {
-		workQueue = make(chan *job, 128) // one fan-out queues Parallelism()−1 blocks; beyond that, inline
+		workQueue = make(chan *job, 128) // one fan-out queues width−1 blocks; beyond that, inline
 	}
 	for workerCount < n {
 		workerCount++
 		go func() {
-			idleSince := time.Now()
 			for j := range workQueue {
-				t0 := time.Now()
-				poolIdleNanos.Add(t0.Sub(idleSince).Nanoseconds())
 				j.runBlock()
-				idleSince = time.Now()
-				poolBusyNanos.Add(idleSince.Sub(t0).Nanoseconds())
-				poolTasksTotal.Inc()
 			}
 		}()
 	}
-	poolWorkersGauge.Set(float64(workerCount))
 	workerMu.Unlock()
 }
 
@@ -154,27 +112,22 @@ func submit(j *job) {
 	select {
 	case workQueue <- j:
 	default:
-		poolInlineTotal.Inc()
 		j.runBlock()
 	}
 }
 
 // blocksFor decides how a kernel over n rows with the given work estimate
-// (total scalar operations) is dispatched, and counts the decision: 1 means
-// the body runs inline on the caller — the estimate is below minParallelWork
-// or only one worker is available — and p ≥ 2 means p contiguous row blocks
-// on the worker pool.
-func blocksFor(n, work int) int {
-	p := Parallelism()
-	if p > n {
-		p = n
-	}
-	if p < 2 || work < minParallelWork {
-		parallelForSerial.Inc()
+// (total scalar operations) and width is dispatched: 1 means the body runs
+// inline on the caller — the estimate is below minParallelWork or the width
+// is 1 — and p ≥ 2 means p contiguous row blocks on the worker pool.
+func blocksFor(n, work, width int) int {
+	if work < minParallelWork {
 		return 1
 	}
-	parallelForParallel.Inc()
-	return p
+	if width < 1 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(width, n))
 }
 
 // RowJob is a typed fan-out body: Rows(lo, hi) does the work of indices
@@ -184,16 +137,16 @@ func blocksFor(n, work int) int {
 // operands is put on the heap.
 type RowJob interface{ Rows(lo, hi int) }
 
-// ParallelRows splits [0, n) into up to Parallelism() contiguous blocks and
-// runs j.Rows(lo, hi) for each, returning when every block is done. work is
-// an estimate of the total scalar operations; when it is below an internal
-// threshold — or parallelism is 1 — j.Rows(0, n) runs inline on the caller.
+// ParallelRows splits [0, n) into up to width contiguous blocks and runs
+// j.Rows(lo, hi) for each, returning when every block is done. work is an
+// estimate of the total scalar operations; when it is below an internal
+// threshold — or width is 1 — j.Rows(0, n) runs inline on the caller.
 // Blocks may run on pool workers concurrently with the caller.
-func ParallelRows(n, work int, j RowJob) {
+func ParallelRows(n, work, width int, j RowJob) {
 	if n <= 0 {
 		return
 	}
-	if p := blocksFor(n, work); p > 1 {
+	if p := blocksFor(n, work, width); p > 1 {
 		fanOut(n, p, body{rows: j})
 	} else {
 		j.Rows(0, n)
@@ -219,10 +172,10 @@ func fanOut(n, p int, b body) {
 }
 
 // runRows computes all rows of dst with kernel, split across the worker pool
-// exactly as ParallelRows would; a product too small to split is computed by a
-// direct call.
-func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work int) {
-	if p := blocksFor(rows, work); p > 1 {
+// exactly as ParallelRows would at the same width; a product too small to
+// split is computed by a direct call.
+func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work, width int) {
+	if p := blocksFor(rows, work, width); p > 1 {
 		fanOut(rows, p, body{kernel: kernel, dst: dst, a: a, b: b})
 	} else {
 		kernel(dst, a, b, 0, rows)

@@ -3,18 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
-
-// withParallelism runs fn with the package knob set to n, restoring the
-// previous setting afterwards.
-func withParallelism(n int, fn func()) {
-	prev := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(prev)
-	fn()
-}
 
 // kernelShapes are deliberately awkward: degenerate rows/columns, prime
 // dimensions that never divide evenly across workers, and sizes straddling
@@ -43,22 +35,20 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		for i := 0; i < len(a.Data); i += 3 {
 			a.Data[i] = 0
 		}
-		var serial, parallel [3]*Tensor
-		withParallelism(1, func() {
-			serial[0] = MatMul(a, b)
-			serial[1] = MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)
-			serial[2] = MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)
-		})
-		for _, procs := range []int{2, 3, 8} {
-			withParallelism(procs, func() {
-				parallel[0] = MatMul(a, b)
-				parallel[1] = MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)
-				parallel[2] = MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)
-			})
+		kernels := func(width int) [3]*Tensor {
+			return [3]*Tensor{
+				MatMulInto(New(a.Rows(), b.Cols()), a, b, width),
+				MatMulATInto(New(aT.Cols(), b.Cols()), aT, b, width),
+				MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT, width),
+			}
+		}
+		serial := kernels(1)
+		for _, width := range []int{2, 3, 8} {
+			parallel := kernels(width)
 			for i, name := range []string{"MatMul", "MatMulAT", "MatMulBT"} {
 				if !Equal(serial[i], parallel[i]) {
-					t.Fatalf("%s %dx%dx%d: parallel(%d) result not bit-identical to serial",
-						name, s.m, s.k, s.n, procs)
+					t.Fatalf("%s %dx%dx%d: width %d result not bit-identical to serial",
+						name, s.m, s.k, s.n, width)
 				}
 			}
 		}
@@ -78,11 +68,11 @@ func TestMatMulIntoMatchesAllocatingKernels(t *testing.T) {
 		t.Fatal("MatMulInto differs from MatMul")
 	}
 	dst.Fill(math.NaN())
-	if got := MatMulATInto(dst, aT, b); !Equal(got, MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)) {
+	if got := MatMulATInto(dst, aT, b, 1); !Equal(got, MatMulATInto(New(aT.Cols(), b.Cols()), aT, b, 1)) {
 		t.Fatal("MatMulATInto differs from MatMulAT")
 	}
 	dst.Fill(math.NaN())
-	if got := MatMulBTInto(dst, a, bT); !Equal(got, MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT)) {
+	if got := MatMulBTInto(dst, a, bT, 1); !Equal(got, MatMulBTInto(New(a.Rows(), bT.Rows()), a, bT, 1)) {
 		t.Fatal("MatMulBTInto differs from MatMulBT")
 	}
 	if dst.Rows() != 23 || dst.Cols() != 17 {
@@ -105,34 +95,80 @@ type rowsFunc func(lo, hi int)
 func (f rowsFunc) Rows(lo, hi int) { f(lo, hi) }
 
 func TestParallelRowsCoversRangeExactlyOnce(t *testing.T) {
-	withParallelism(4, func() {
-		for _, n := range []int{0, 1, 3, 4, 5, 97} {
-			var mu sync.Mutex
-			seen := make([]int, n)
-			// Force the parallel path with a huge work estimate.
-			ParallelRows(n, 1<<30, rowsFunc(func(lo, hi int) {
-				mu.Lock()
-				defer mu.Unlock()
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-			}))
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d: index %d covered %d times", n, i, c)
-				}
+	for _, n := range []int{0, 1, 3, 4, 5, 97} {
+		var mu sync.Mutex
+		seen := make([]int, n)
+		// Force the parallel path with a huge work estimate.
+		ParallelRows(n, 1<<30, 4, rowsFunc(func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		}))
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d covered %d times", n, i, c)
 			}
 		}
-	})
+	}
 }
 
-func TestSetParallelismClampsToOne(t *testing.T) {
-	withParallelism(1, func() {
-		SetParallelism(-3)
-		if Parallelism() != 1 {
-			t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", Parallelism())
+// TestSplit pins how a box is shared: a stage of an S-stage pipeline, and
+// each of a round's trainers, computes at Split's width, and no more jobs run
+// at once than there are cores.
+func TestSplit(t *testing.T) {
+	for _, c := range []struct {
+		procs, n              int
+		wantCallers, wantWide int
+	}{
+		// A round's trainers: len(sel) ∈ {1, 2, procs, > procs}.
+		{procs: 8, n: 1, wantCallers: 1, wantWide: 8},
+		{procs: 8, n: 2, wantCallers: 2, wantWide: 4},
+		{procs: 8, n: 8, wantCallers: 8, wantWide: 1},
+		{procs: 8, n: 20, wantCallers: 8, wantWide: 1},
+		{procs: 2, n: 1, wantCallers: 1, wantWide: 2},
+		{procs: 2, n: 2, wantCallers: 2, wantWide: 1},
+		{procs: 2, n: 16, wantCallers: 2, wantWide: 1},
+		{procs: 1, n: 5, wantCallers: 1, wantWide: 1},
+		// A pipeline's stages: S ∈ {1, 3, > procs}.
+		{procs: 8, n: 3, wantCallers: 3, wantWide: 2},
+		{procs: 2, n: 3, wantCallers: 2, wantWide: 1},
+		{procs: 4, n: 9, wantCallers: 4, wantWide: 1},
+		{procs: 16, n: 3, wantCallers: 3, wantWide: 5},
+		// No job still leaves a caller a core.
+		{procs: 4, n: 0, wantCallers: 1, wantWide: 4},
+	} {
+		callers, width := Split(c.procs, c.n)
+		if callers != c.wantCallers || width != c.wantWide {
+			t.Errorf("Split(%d, %d) = (%d, %d), want (%d, %d)", c.procs, c.n, callers, width, c.wantCallers, c.wantWide)
 		}
-	})
+		if callers > c.procs || width < 1 || (c.n >= 1 && callers > c.n) {
+			t.Errorf("Split(%d, %d) = (%d, %d) oversubscribes or starves", c.procs, c.n, callers, width)
+		}
+	}
+}
+
+// TestBlocksForFollowsWidth pins the dispatch: a product below the work bar
+// or granted one core stays on the caller, a larger one splits into at most
+// the width granted — and no more blocks than rows — and width 0 is the box.
+func TestBlocksForFollowsWidth(t *testing.T) {
+	big := minParallelWork
+	for _, c := range []struct{ n, work, width, want int }{
+		{64, big - 1, 8, 1},
+		{64, big, 1, 1},
+		{64, big, 2, 2},
+		{64, big, 4, 4},
+		{3, big, 8, 3},
+		{1, big, 8, 1},
+	} {
+		if got := blocksFor(c.n, c.work, c.width); got != c.want {
+			t.Errorf("blocksFor(%d, %d, %d) = %d, want %d", c.n, c.work, c.width, got, c.want)
+		}
+	}
+	if got, want := blocksFor(1<<10, big, 0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("blocksFor at width 0 = %d, want GOMAXPROCS = %d", got, want)
+	}
 }
 
 func TestBufferPoolRoundTrip(t *testing.T) {

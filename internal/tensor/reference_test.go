@@ -144,7 +144,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		return v
 	}
 	forEachBody(t, func(t *testing.T) {
-		for _, procs := range []int{1, 4} {
+		for _, width := range []int{1, 4} {
 			for _, s := range shapes {
 				a := Randn(rng, 1, s.m, s.k)  // MatMul's and MatMulBT's left operand
 				aT := Randn(rng, 1, s.k, s.m) // MatMulAT's
@@ -180,21 +180,19 @@ func TestKernelsMatchReference(t *testing.T) {
 				}
 				bT.Data[rng.Intn(len(bT.Data))] = special[rng.Intn(len(special))]
 
-				withParallelism(procs, func() {
-					for _, c := range []struct {
-						name      string
-						got, want *Tensor
-					}{
-						{"MatMulInto", MatMulInto(New(s.m, s.n), a, b), refMatMul(a, b)},
-						{"MatMulATInto", MatMulATInto(New(s.m, s.n), aT, b), refMatMulAT(aT, b)},
-						{"MatMulBTInto", MatMulBTInto(New(s.m, s.n), a, bT), refMatMulBT(a, bT)},
-					} {
-						if i, ok := sameBits(c.got, c.want); !ok {
-							t.Fatalf("%s %dx%dx%d procs=%d: element %d is %v, reference %v",
-								c.name, s.m, s.k, s.n, procs, i, c.got.Data[i], c.want.Data[i])
-						}
+				for _, c := range []struct {
+					name      string
+					got, want *Tensor
+				}{
+					{"MatMulInto", MatMulInto(New(s.m, s.n), a, b, width), refMatMul(a, b)},
+					{"MatMulATInto", MatMulATInto(New(s.m, s.n), aT, b, width), refMatMulAT(aT, b)},
+					{"MatMulBTInto", MatMulBTInto(New(s.m, s.n), a, bT, width), refMatMulBT(a, bT)},
+				} {
+					if i, ok := sameBits(c.got, c.want); !ok {
+						t.Fatalf("%s %dx%dx%d width=%d: element %d is %v, reference %v",
+							c.name, s.m, s.k, s.n, width, i, c.got.Data[i], c.want.Data[i])
 					}
-				})
+				}
 			}
 		}
 		// The mix kernels at every length around the four- and eight-wide
@@ -301,7 +299,7 @@ func TestZeroSkipKeepsInfOut(t *testing.T) {
 			}
 			a.Data[k-1], aT.Data[k-1] = 0, 0
 			b.Data[(k-1)*2] = math.Inf(1)
-			for name, got := range map[string]*Tensor{"MatMul": MatMul(a, b), "MatMulATInto": MatMulATInto(New(aT.Cols(), b.Cols()), aT, b)} {
+			for name, got := range map[string]*Tensor{"MatMul": MatMul(a, b), "MatMulATInto": MatMulATInto(New(aT.Cols(), b.Cols()), aT, b, 1)} {
 				if got.Data[0] != float64(k-1) || got.Data[1] != float64(k-1) {
 					t.Fatalf("%s k=%d: got %v, want [%d %d]", name, k, got.Data, k-1, k-1)
 				}

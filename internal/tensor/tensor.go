@@ -102,9 +102,10 @@ func (t *Tensor) Add(src *Tensor) *Tensor { return t.AddScaled(1, src) }
 // The three matmul kernels share one structure. Each has a single body, a
 // row-range function that computes output rows [lo, hi); MatMul*Into hands it
 // to runRows, which calls it directly for a small product and splits the rows
-// across the worker pool for a large one. Workers own disjoint rows and every
-// output element accumulates its k products in ascending-k order whatever the
-// row range, so a result is bit-identical at any parallelism.
+// across the worker pool for a large one, into at most the width its caller
+// passed (parallel.go). Workers own disjoint rows and every output element
+// accumulates its k products in ascending-k order whatever the row range, so a
+// result is bit-identical at any width.
 //
 // Every body is made of two primitives that add scaled rows of b to an output
 // row: axpy (one row) and axpy4 (four, with one load and one store per output
@@ -185,10 +186,11 @@ func setShape2D(dst *Tensor, m, n int) {
 
 // MatMulInto computes a×b for 2-D tensors (m×k)·(k×n) → (m×n), overwriting
 // dst (which must hold exactly m·n elements and not alias a or b) and
-// returning it. Output rows are split across the package worker pool when
-// the operation is large enough; the result is bit-identical at any
-// parallelism.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
+// returning it. Output rows are split across the package worker pool, into at
+// most width blocks (see parallel.go), when the operation is large enough; the
+// result is bit-identical at any width. The width is optional here alone, for
+// callers that time the kernel in isolation: none is 0, the whole box.
+func MatMulInto(dst, a, b *Tensor, width ...int) *Tensor {
 	m, k, n := a.Rows(), a.Cols(), b.Cols()
 	if b.Rows() != k {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %v × %v", a.Shape, b.Shape))
@@ -197,7 +199,11 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	runRows(matMulRows, dst, a, b, m, 2*m*k*n)
+	w := 0
+	if len(width) > 0 {
+		w = width[0]
+	}
+	runRows(matMulRows, dst, a, b, m, 2*m*k*n, w)
 	return dst
 }
 
@@ -220,9 +226,9 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulATInto computes aᵀ×b for 2-D tensors (k×m)ᵀ·(k×n) → (m×n) into dst
-// (m·n elements, no aliasing), returning dst. Parallel over output rows;
-// bit-identical at any parallelism (see MatMulInto).
-func MatMulATInto(dst, a, b *Tensor) *Tensor {
+// (m·n elements, no aliasing), returning dst. Parallel over output rows at
+// the caller's width; bit-identical at any width (see MatMulInto).
+func MatMulATInto(dst, a, b *Tensor, width int) *Tensor {
 	k, m, n := a.Rows(), a.Cols(), b.Cols()
 	if b.Rows() != k {
 		panic(fmt.Sprintf("tensor: MatMulAT inner mismatch %v × %v", a.Shape, b.Shape))
@@ -231,7 +237,7 @@ func MatMulATInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulATInto dst has %d elements, want %d", len(dst.Data), m*n))
 	}
 	setShape2D(dst, m, n)
-	runRows(matMulATRows, dst, a, b, m, 2*m*k*n)
+	runRows(matMulATRows, dst, a, b, m, 2*m*k*n, width)
 	return dst
 }
 
@@ -249,9 +255,9 @@ func matMulATRows(dst, a, b *Tensor, lo, hi int) {
 }
 
 // MatMulBTInto computes a×bᵀ for 2-D tensors (m×k)·(n×k)ᵀ → (m×n) into dst
-// (m·n elements, no aliasing), returning dst. Parallel over output rows;
-// bit-identical at any parallelism (see MatMulInto).
-func MatMulBTInto(dst, a, b *Tensor) *Tensor {
+// (m·n elements, no aliasing), returning dst. Parallel over output rows at
+// the caller's width; bit-identical at any width (see MatMulInto).
+func MatMulBTInto(dst, a, b *Tensor, width int) *Tensor {
 	m, k, n := a.Rows(), a.Cols(), b.Rows()
 	if b.Cols() != k {
 		panic(fmt.Sprintf("tensor: MatMulBT inner mismatch %v × %v", a.Shape, b.Shape))
@@ -271,7 +277,7 @@ func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 			bt.Data[kk*n+j] = v
 		}
 	}
-	runRows(matMulBTRows, dst, a, bt, m, 2*m*k*n)
+	runRows(matMulBTRows, dst, a, bt, m, 2*m*k*n, width)
 	PutBuf(bt)
 	return dst
 }

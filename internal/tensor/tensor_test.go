@@ -88,11 +88,11 @@ func TestTransposedMatMulVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(rng, 1, 4, 3)
 	b := Randn(rng, 1, 4, 5)
-	if got, want := MatMulATInto(New(a.Cols(), b.Cols()), a, b), MatMul(transpose(a), b); !AlmostEqual(got, want, 1e-12) {
+	if got, want := MatMulATInto(New(a.Cols(), b.Cols()), a, b, 1), MatMul(transpose(a), b); !AlmostEqual(got, want, 1e-12) {
 		t.Fatal("MatMulAT disagrees with explicit transpose")
 	}
 	c := Randn(rng, 1, 5, 3) // (4×3)·(5×3)ᵀ → 4×5
-	if got, want := MatMulBTInto(New(a.Rows(), c.Rows()), a, c), MatMul(a, transpose(c)); !AlmostEqual(got, want, 1e-12) {
+	if got, want := MatMulBTInto(New(a.Rows(), c.Rows()), a, c, 1), MatMul(a, transpose(c)); !AlmostEqual(got, want, 1e-12) {
 		t.Fatal("MatMulBT disagrees with explicit transpose")
 	}
 }

@@ -239,7 +239,9 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # Flatten at a stage edge hands a received tensor's storage on to the send
 # queue, and only the sent-before-released gate keeps it from the pool. So does
 # the residency pin: a stage that keeps more micro-batches in flight holds
-# more records at once, and a record freed early shows as a moved bit.
+# more records at once, and a record freed early shows as a moved bit; it also
+# sets stage widths 2 and 4, the one way stages fan out onto the shared worker
+# pool at once on a box with fewer cores than stages.
 go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestResidencyKeepsWeightsBitIdentical|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical)$' ./internal/pipeline/runtime
 
 # The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
