@@ -142,7 +142,7 @@ func main() {
 		defer stop()
 	}
 	fleet := server.Fleet()
-	fleet.Straggler().SetThreshold(*stragglerThreshold, 0)
+	fleet.Straggler().SetThreshold(*stragglerThreshold)
 	if *fleetTrace != "" {
 		defer func() {
 			if err := journal.WriteChromeTraceFile(*fleetTrace, opts.Journal.WriteChromeTrace); err != nil {

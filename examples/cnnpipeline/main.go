@@ -1,11 +1,13 @@
-// Cnnpipeline: profile a real CNN, partition it from the measured costs,
-// and train it through a distributed pipeline over throttled TCP links.
+// Cnnpipeline: train a real CNN through the self-healing pipeline executor
+// over throttled TCP links, and print the profile the pipeline measured of
+// itself.
 //
-// This example closes the full §4 loop on a genuine convolutional model:
-// the profiler times every block's real forward/backward execution (§4.2's
-// profiling phase), the Eq. 1 partitioner splits the network using those
-// measurements, and the resulting stages train real image data over TCP
-// loopback links paced to the paper's 100 Mbps in-home wireless.
+// This example closes the §4 loop on a genuine convolutional model: the
+// Eq. 1 partitioner splits the network over two heterogeneous devices, the
+// stages train real image data over TCP loopback links paced to the paper's
+// 100 Mbps in-home wireless, and the running pipeline's own estimate of its
+// stages and links — §4.2's profile, read off the rounds it trains — is what
+// sizes each stage's residency (Eq. 3) and what any re-plan partitions by.
 //
 //	go run ./examples/cnnpipeline
 package main
@@ -16,14 +18,13 @@ import (
 	"math/rand"
 	"time"
 
+	"ecofl/internal/adaptive/executor"
 	"ecofl/internal/data"
 	"ecofl/internal/device"
+	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/partition"
 	"ecofl/internal/pipeline/runtime"
-	"ecofl/internal/profiler"
-
-	"ecofl/internal/model"
 )
 
 func main() {
@@ -35,54 +36,51 @@ func main() {
 	fmt.Printf("model: %s — %d conv/residual blocks, %d parameters\n",
 		tr.Spec.Name, len(tr.Blocks), tr.Network().NumParams())
 
-	// §4.2 profiling phase: time each block on real execution.
-	prof, err := profiler.Profile(rng, tr, 16, 3)
+	const mbs = 8
+	exec, err := executor.New(executor.Config{
+		Trainable:      tr,
+		Devices:        []*device.Device{device.TX2Q(), device.NanoH()},
+		MicroBatchSize: mbs,
+		Links:          runtime.ThrottledLinks(runtime.TCPLinks(), device.Bandwidth100Mbps, time.Millisecond),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nmeasured block profile (batch 16):")
-	for _, b := range prof.Blocks {
-		fmt.Printf("  %-8s fwd %8v  bwd %8v  act %6.1f KB/sample  params %7.1f KB\n",
-			b.Name, b.FwdTime.Round(10*time.Microsecond), b.BwdTime.Round(10*time.Microsecond),
-			b.ActivationBytes/1e3, b.ParamBytes/1e3)
-	}
-	fmt.Printf("measured backward/forward ratio: %.2f (model assumes %.1f)\n",
-		prof.MeasuredBackwardFactor(), model.BackwardFactor)
-
-	// Partition the MEASURED spec across two heterogeneous devices.
-	spec := prof.Spec(tr.Spec.Name+"-measured", 100e9)
-	devs := []*device.Device{device.TX2Q(), device.NanoH()}
-	plan, err := partition.DynamicProgramming(spec, devs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\npartition from measured costs:")
-	for i, st := range plan.Stages {
-		fmt.Printf("  stage %d on %-7s blocks [%d,%d)\n", i, st.Device.Name, st.From, st.To)
-	}
-
-	// Train through a distributed pipeline on 100 Mbps-paced TCP links.
-	cuts := plan.Cuts()
-	pipe, err := runtime.NewDistributed(tr, cuts,
-		runtime.ThrottledLinks(runtime.TCPLinks(), device.Bandwidth100Mbps, time.Millisecond))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer pipe.Close()
-	fmt.Printf("\ntraining %d-stage CNN pipeline over throttled TCP links:\n", pipe.NumStages())
+	fmt.Println("\ntraining the CNN pipeline over throttled TCP links:")
 	opt := &nn.SGD{LR: 0.01}
 	tx, ty := test.Materialize()
 	for epoch := 1; epoch <= 4; epoch++ {
 		var loss float64
 		batches := train.Batches(rng, 32)
 		for _, b := range batches {
-			l, err := pipe.TrainSyncRound(b.X, b.Y, 8, opt)
+			l, err := exec.TrainRound(b.X, b.Y, opt)
 			if err != nil {
 				log.Fatal(err)
 			}
 			loss += l
 		}
 		fmt.Printf("  epoch %d: loss %.4f, test accuracy %.1f%%\n",
-			epoch, loss/float64(len(batches)), pipe.Network().Accuracy(tx, ty)*100)
+			epoch, loss/float64(len(batches)), tr.Network().Accuracy(tx, ty)*100)
 	}
+
+	stages, times := exec.Estimate()
+	rates, bandwidths, err := partition.Measured(tr.Spec, partition.Cuts(stages), mbs, times)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nmeasured profile (per micro-batch of %d, smoothed over the rounds):\n", mbs)
+	var fwd, bwd float64
+	for s, st := range stages {
+		t := times[s]
+		fwd, bwd = fwd+t.Tf, bwd+t.Tb
+		fmt.Printf("  stage %d on %-7s blocks [%d,%d)  fwd %8.3f ms  bwd %8.3f ms  %6.2f GFLOP/s\n",
+			s, st.Device.Name, st.From, st.To, t.Tf*1e3, t.Tb*1e3, rates[s]/1e9)
+		if s < len(bandwidths) {
+			fmt.Printf("  link %d  activation %6.3f ms  gradient %6.3f ms  %6.2f MB/s\n",
+				s, t.CommF*1e3, t.CommB*1e3, bandwidths[s]/1e6)
+		}
+	}
+	fmt.Printf("measured backward/forward ratio: %.2f (the cost model assumes %.1f)\n", bwd/fwd, model.BackwardFactor)
+	st := exec.Stats()
+	fmt.Printf("%d rounds, %d re-planned migrations, %d bytes shipped\n", st.Rounds, st.Migrations, st.MigratedBytes)
 }

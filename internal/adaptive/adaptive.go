@@ -18,53 +18,64 @@ import (
 	"ecofl/internal/pipeline"
 )
 
-// Monitor detects execution-time deviations per stage. Workers report the
-// measured per-micro-batch execution time of their stage; the monitor keeps
-// an exponential moving average as "history" and flags a stage whose
-// current report deviates relatively by more than Threshold.
+// Alpha is the weight of a new sample in every smoothed measurement: the
+// monitor's history and the pipeline runtime's stage and link estimate.
+const Alpha = 0.3
+
+// Smooth folds sample x into the exponential moving average est, weighting x
+// by Alpha. An est of zero has folded nothing yet, and x seeds it. A
+// negative or non-finite x is refused — est comes back unchanged, with false
+// — so one bad reading cannot poison an estimate.
+func Smooth(est, x float64) (float64, bool) {
+	if !(x >= 0) || math.IsInf(x, 1) {
+		return est, false
+	}
+	if est == 0 {
+		return x, true
+	}
+	return (1-Alpha)*est + Alpha*x, true
+}
+
+// Monitor detects execution-time deviations per key. Each report is folded
+// into the key's history by Smooth, and a report that deviates relatively
+// from the history by more than Threshold is flagged.
 type Monitor struct {
 	// Threshold is the relative deviation |cur−hist|/hist that triggers
 	// re-scheduling. The zero value defaults to 0.25.
 	Threshold float64
-	// Alpha is the EMA smoothing factor (default 0.3).
-	Alpha   float64
-	history []float64
+	history   []float64
 }
 
-// Check is the deviation rule itself, shared with the fleet straggler
-// detector (internal/flnet): it records a measurement for key s, folds it
-// into the EMA history, and returns the relative deviation |cur−hist|/hist
-// from the pre-update history plus whether the measurement was slower than
-// history (deviating *fast* is not straggling). The first measurement for a
-// key seeds the history and reports zero deviation.
+// Check is the deviation rule of the fleet straggler detector
+// (internal/flnet): it folds a measurement for key s into the history and
+// returns the relative deviation |cur−hist|/hist from the pre-update history
+// plus whether the measurement was slower than history (deviating *fast* is
+// not straggling). The first measurement for a key seeds the history and
+// reports zero deviation.
 func (m *Monitor) Check(s int, execTime float64) (dev float64, slower bool) {
-	if m.Threshold == 0 {
-		m.Threshold = 0.25
-	}
-	if m.Alpha == 0 {
-		m.Alpha = 0.3
-	}
-	// Hostile or warm-up inputs never trigger: a negative key (an unmapped
-	// stage after a migration) and non-positive measurements (a clock
-	// hiccup, an idle probe) carry no deviation signal.
-	if s < 0 || execTime <= 0 {
+	// Hostile or warm-up inputs never trigger: a negative key and a
+	// measurement that is not finite and positive (a clock hiccup, an idle
+	// probe) carry no deviation signal.
+	if s < 0 || !(execTime > 0) {
 		return 0, false
 	}
 	for len(m.history) <= s {
 		m.history = append(m.history, 0)
 	}
-	if m.history[s] == 0 {
-		m.history[s] = execTime
+	h := m.history[s]
+	next, ok := Smooth(h, execTime)
+	if !ok {
 		return 0, false
 	}
-	dev = math.Abs(execTime-m.history[s]) / m.history[s]
-	slower = execTime > m.history[s]
-	m.history[s] = (1-m.Alpha)*m.history[s] + m.Alpha*execTime
-	return dev, slower
+	m.history[s] = next
+	if h == 0 {
+		return 0, false
+	}
+	return math.Abs(execTime-h) / h, execTime > h
 }
 
-// Exceeds reports whether a deviation returned by Check crosses the
-// monitor's (defaulted) threshold.
+// Exceeds reports whether a relative deviation crosses the monitor's
+// (defaulted) threshold.
 func (m *Monitor) Exceeds(dev float64) bool {
 	if m.Threshold == 0 {
 		m.Threshold = 0.25
@@ -72,21 +83,12 @@ func (m *Monitor) Exceeds(dev float64) bool {
 	return dev > m.Threshold
 }
 
-// History returns the smoothed execution time for stage s (0 if unseen).
+// History returns the smoothed execution time for key s (0 if unseen).
 func (m *Monitor) History(s int) float64 {
 	if s >= 0 && s < len(m.history) {
 		return m.history[s]
 	}
 	return 0
-}
-
-// Forget clears the history for key s. After a migration the workload
-// behind a key changes (the device runs different layers), so its history
-// no longer predicts anything: the next measurement re-seeds it.
-func (m *Monitor) Forget(s int) {
-	if s >= 0 && s < len(m.history) {
-		m.history[s] = 0
-	}
 }
 
 // MigrationPlan describes moving from one stage layout to another.

@@ -271,10 +271,12 @@ func TestMonitorHostileAndWarmupInputs(t *testing.T) {
 	if dev, slower := m.Check(2, -3); dev != 0 || slower {
 		t.Fatalf("negative measurement triggered: dev=%v slower=%v", dev, slower)
 	}
+	if dev, slower := m.Check(2, math.Inf(1)); dev != 0 || slower {
+		t.Fatalf("infinite measurement triggered: dev=%v slower=%v", dev, slower)
+	}
 	if h := m.History(-1); h != 0 {
 		t.Fatalf("negative key has history %v", h)
 	}
-	m.Forget(-1) // must not panic
 	// The first real measurement only seeds the history.
 	if dev, slower := m.Check(2, 0.5); dev != 0 || slower {
 		t.Fatalf("warm-up measurement triggered: dev=%v slower=%v", dev, slower)
@@ -284,19 +286,23 @@ func TestMonitorHostileAndWarmupInputs(t *testing.T) {
 	}
 }
 
-func TestMonitorForgetReseeds(t *testing.T) {
-	m := &Monitor{}
-	m.Check(0, 1.0)
-	if dev, _ := m.Check(0, 2.0); dev != 1.0 {
-		t.Fatalf("deviation before forget: %v", dev)
+// TestSmoothRefusesBadSamples: the one EMA fold seeds an empty estimate,
+// weights a new sample by Alpha, and refuses a negative or non-finite one
+// without touching the estimate.
+func TestSmoothRefusesBadSamples(t *testing.T) {
+	est, ok := Smooth(0, 2)
+	if !ok || est != 2 {
+		t.Fatalf("seeding: %v, %v", est, ok)
 	}
-	// After a migration the key's workload changed: Forget voids the
-	// history so the next measurement re-seeds instead of deviating.
-	m.Forget(0)
-	if h := m.History(0); h != 0 {
-		t.Fatalf("history survived Forget: %v", h)
+	if est, ok = Smooth(est, 4); !ok || math.Abs(est-(0.7*2+0.3*4)) > 1e-15 {
+		t.Fatalf("fold: %v, %v", est, ok)
 	}
-	if dev, slower := m.Check(0, 5.0); dev != 0 || slower {
-		t.Fatalf("re-seed measurement triggered: dev=%v slower=%v", dev, slower)
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, ok := Smooth(est, bad); ok || got != est {
+			t.Fatalf("Smooth(%v, %v) = %v, %v; want the estimate back, refused", est, bad, got, ok)
+		}
+	}
+	if got, ok := Smooth(est, 0); !ok || got != (1-Alpha)*est {
+		t.Fatalf("a zero sample is a reading: %v, %v", got, ok)
 	}
 }

@@ -2,9 +2,10 @@
 // executed recovery on the live distributed pipeline. Where
 // adaptive.Reschedule computes what *should* move, the Executor makes it
 // happen: it trains through runtime.DistPipeline, watches for link faults,
-// dead stage devices and measured slowdowns (the adaptive.Monitor deviation
-// rule over real per-stage step times), and on trouble runs the paper's
-// §4.4 state machine for real —
+// dead stage devices and measured slowdowns (a stage's smoothed compute time,
+// read off the pipeline's one estimate, against its value when the layout
+// was installed), and on trouble runs the paper's §4.4 state machine for
+// real —
 //
 //	detect → abort round → re-partition survivors → ship weights → resume
 //
@@ -23,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,8 +71,9 @@ const (
 type Config struct {
 	// Trainable is the model; its Blocks align 1-to-1 with Spec layers.
 	Trainable *model.Trainable
-	// Devices is the candidate fleet in pipeline order. The executor clones
-	// them (it mutates load factors from measurements).
+	// Devices is the candidate fleet in pipeline order. Their preset rates
+	// plan the first layout, and any re-plan before the pipeline has
+	// measured itself.
 	Devices []*device.Device
 	// MicroBatchSize is the per-micro-batch sample count.
 	MicroBatchSize int
@@ -83,8 +86,8 @@ type Config struct {
 	// fault state of pipeline link i, surviving re-dials. Migration links
 	// are fresh and clean (the portal re-establishes them out of band).
 	Chaos func(link int) *simnet.Chaos
-	// Monitor detects measured per-stage step-time deviations (§4.4). Nil
-	// means a default Monitor (25% threshold).
+	// Monitor's threshold is the measured per-stage slowdown that triggers a
+	// re-plan (§4.4). Nil means a default Monitor (25% threshold).
 	Monitor *adaptive.Monitor
 	// MaxHeals bounds recovery attempts per round before giving up
 	// (default 8; negative disables healing).
@@ -106,7 +109,8 @@ type Stats struct {
 	// Heals counts abort→recover cycles (transient retries and failovers).
 	Heals int
 	// Migrations counts executed weight migrations (failover or
-	// monitor-triggered rebalancing).
+	// monitor-triggered rebalancing); a re-plan that keeps the layout is
+	// none.
 	Migrations int
 	// MigratedBytes is the executed weight volume shipped over links.
 	MigratedBytes int64
@@ -122,22 +126,24 @@ type Stats struct {
 
 // Executor drives self-healing distributed training.
 type Executor struct {
-	cfg     Config
-	spec    *model.Spec
-	devs    []*device.Device // cloned fleet, pipeline order
-	monitor *adaptive.Monitor
-	rng     *rand.Rand
+	cfg  Config
+	spec *model.Spec
+	devs []*device.Device // cloned fleet, pipeline order
+	rng  *rand.Rand
 
-	mu       sync.Mutex
-	alive    []bool
-	stages   []pipeline.Stage // current plan over the alive devices
-	pipe     *runtime.DistPipeline
-	delays   []time.Duration // injected per-device external load
-	baseStep []float64       // first measured per-micro step time per device
-	killAt   map[int]int     // round → device index to kill at round start
-	taps     map[int][]net.Conn
-	round    int
-	stats    Stats
+	mu     sync.Mutex
+	alive  []bool
+	stages []pipeline.Stage // current plan over the alive devices
+	pipe   *runtime.DistPipeline
+	// installed is each stage's smoothed Tf+Tb when the layout was
+	// installed, zero until the estimate has one: the reference the
+	// deviation rule measures a slowdown against.
+	installed []float64
+	delays    []time.Duration // injected per-device external load
+	killAt    map[int]int     // round → device index to kill at round start
+	taps      map[int][]net.Conn
+	round     int
+	stats     Stats
 }
 
 // New validates the config, partitions the model over the fleet with the
@@ -159,21 +165,23 @@ func New(cfg Config) (*Executor, error) {
 		cfg.MaxHeals = 8
 	}
 	e := &Executor{
-		cfg:      cfg,
-		spec:     cfg.Trainable.Spec,
-		devs:     device.CloneAll(cfg.Devices),
-		monitor:  cfg.Monitor,
-		rng:      rand.New(rand.NewSource(int64(len(cfg.Devices)) + 7)),
-		alive:    make([]bool, len(cfg.Devices)),
-		delays:   make([]time.Duration, len(cfg.Devices)),
-		baseStep: make([]float64, len(cfg.Devices)),
-		killAt:   map[int]int{},
-		taps:     map[int][]net.Conn{},
+		cfg:    cfg,
+		spec:   cfg.Trainable.Spec,
+		devs:   device.CloneAll(cfg.Devices),
+		rng:    rand.New(rand.NewSource(int64(len(cfg.Devices)) + 7)),
+		alive:  make([]bool, len(cfg.Devices)),
+		delays: make([]time.Duration, len(cfg.Devices)),
+		killAt: map[int]int{},
+		taps:   map[int][]net.Conn{},
 	}
 	for i := range e.alive {
 		e.alive[i] = true
 	}
-	if err := e.rebuildLocked(e.aliveDevicesLocked()); err != nil {
+	plan, err := partition.DynamicProgrammingBatch(e.spec, e.devs, cfg.MicroBatchSize)
+	if err != nil {
+		return nil, fmt.Errorf("executor: partition over %d devices: %w", len(e.devs), err)
+	}
+	if err := e.installPlanLocked(plan.Stages, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -200,31 +208,22 @@ func (e *Executor) devIndex(d *device.Device) int {
 	return -1
 }
 
-// rebuildLocked plans a partition over devs and swaps in a fresh pipeline.
-// Caller holds e.mu.
-func (e *Executor) rebuildLocked(devs []*device.Device) error {
-	if len(devs) == 0 {
-		return ErrNoSurvivors
-	}
-	plan, err := partition.DynamicProgrammingBatch(e.spec, devs, e.cfg.MicroBatchSize)
-	if err != nil {
-		return fmt.Errorf("executor: repartition over %d devices: %w", len(devs), err)
-	}
-	return e.installPlanLocked(plan.Stages)
-}
-
-// installPlanLocked builds the DistPipeline for a stage layout and closes
-// the links of the one it replaces. Caller holds e.mu.
-func (e *Executor) installPlanLocked(stages []pipeline.Stage) error {
-	cuts := make([]int, 0, len(stages)-1)
-	for _, s := range stages[:len(stages)-1] {
-		cuts = append(cuts, s.To)
-	}
-	pipe, err := runtime.NewDistributed(e.cfg.Trainable, cuts, e.dialer())
+// installPlanLocked builds the DistPipeline for a stage layout, starting
+// its estimate from est when that is not nil, and closes the links of the
+// one it replaces. Caller holds e.mu.
+func (e *Executor) installPlanLocked(stages []pipeline.Stage, est []pipeline.StageTimes) error {
+	pipe, err := runtime.NewDistributed(e.cfg.Trainable, partition.Cuts(stages), e.dialer())
 	if err != nil {
 		return err
 	}
 	pipe.SetLinkOptions(e.cfg.LinkOptions)
+	e.installed = make([]float64, len(stages))
+	if est != nil {
+		pipe.SetEstimate(est)
+		for s, t := range est {
+			e.installed[s] = t.Compute()
+		}
+	}
 	// The journal stays off the pipe: per-op spans would bury the heal story.
 	if e.pipe != nil {
 		e.pipe.Close()
@@ -389,7 +388,7 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 				jr.Record("exec.round-commit", round, journal.None,
 					"loss", strconv.FormatFloat(loss, 'g', 6, 64), "attempt", strconv.Itoa(attempt))
 			}
-			e.observe(x.Rows())
+			e.observe()
 			return loss, nil
 		}
 		detect := time.Since(start)
@@ -443,23 +442,28 @@ func (e *Executor) heal() error {
 	return e.migrateTo(survivors)
 }
 
-// migrateTo re-partitions the model over devs, executes the weight
+// migrateTo re-plans the model over devs (replan), executes the weight
 // migration for every layer whose owner changed, and swaps in the rebuilt
 // pipeline. Weight shipping is real: each moved segment crosses a fresh
-// connection as a wire.KindSegment frame and is installed on arrival.
+// connection as a wire.KindSegment frame and is installed on arrival. A
+// plan equal to the layout in force is no migration: the pipeline, its held
+// links and its estimate stay.
 func (e *Executor) migrateTo(devs []*device.Device) error {
 	if len(devs) == 0 {
 		return ErrNoSurvivors
 	}
 	start := time.Now()
-	plan, err := partition.DynamicProgrammingBatch(e.spec, devs, e.cfg.MicroBatchSize)
+	plan, est, err := e.replan(devs)
 	if err != nil {
 		return fmt.Errorf("executor: repartition over %d devices: %w", len(devs), err)
 	}
 	e.mu.Lock()
-	oldStages := append([]pipeline.Stage(nil), e.stages...)
+	oldStages := slices.Clone(e.stages)
 	round := e.round
 	e.mu.Unlock()
+	if slices.Equal(plan.Stages, oldStages) {
+		return nil
+	}
 	var layout []string
 	for _, st := range plan.Stages {
 		layout = append(layout, fmt.Sprintf("%s[%d,%d)", st.Device.Name, st.From, st.To))
@@ -487,7 +491,7 @@ func (e *Executor) migrateTo(devs []*device.Device) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.installPlanLocked(plan.Stages); err != nil {
+	if err := e.installPlanLocked(plan.Stages, est); err != nil {
 		return err
 	}
 	dur := time.Since(start)
@@ -498,12 +502,65 @@ func (e *Executor) migrateTo(devs []*device.Device) error {
 	migrationsTotal.Inc()
 	migratedBytesTotal.Add(shipped)
 	migrationSeconds.Observe(dur.Seconds())
-	// Stage workloads changed everywhere: old step-time history is void.
-	for i := range e.devs {
-		e.monitor.Forget(i)
-		e.baseStep[i] = 0
-	}
 	return nil
+}
+
+// replan partitions the model over devs — the layout's devices, or the
+// survivors among them — in pipeline order, from the running pipeline's
+// estimate read as §4.2's profile (partition.Measured): each device runs at
+// the rate measured on its current stage, each link at the bandwidth
+// measured on it. Two survivors that never shared a link (a dead device sat between
+// them) are joined at the slowest bandwidth measured. Before the pipeline
+// has measured itself the plan reads the presets alone: no plan mixes
+// preset numbers with measured ones. A measured plan comes with what the
+// same numbers predict for the new layout, the new pipeline's starting
+// estimate: a stage's Tf and Tb are its device's measured ones scaled by
+// the segments' FLOPs, a link's one-way times its frames' bytes over its
+// bandwidth.
+func (e *Executor) replan(devs []*device.Device) (*partition.Plan, []pipeline.StageTimes, error) {
+	mbs := e.cfg.MicroBatchSize
+	stages, times := e.Estimate()
+	rates, bws, err := partition.Measured(e.spec, partition.Cuts(stages), mbs, times)
+	if err != nil {
+		plan, err := partition.DynamicProgrammingBatch(e.spec, devs, mbs)
+		return plan, nil, err
+	}
+	at := make(map[*device.Device]int, len(stages)) // a device's current stage
+	for s, st := range stages {
+		at[st.Device] = s
+	}
+	slowest := math.Inf(1)
+	for _, b := range bws {
+		slowest = min(slowest, b)
+	}
+	view := make([]*device.Device, len(devs))
+	bw := make([]float64, len(devs)-1)
+	for i, d := range devs {
+		view[i] = &device.Device{Name: d.Name, ComputeRate: rates[at[d]], LoadFactor: 1}
+		if i > 0 {
+			bw[i-1] = slowest
+			if s := at[devs[i-1]]; s+1 == at[d] {
+				bw[i-1] = bws[s]
+			}
+		}
+	}
+	plan, err := partition.DynamicProgrammingLinks(e.spec, view, mbs, bw)
+	if err != nil {
+		return nil, nil, err
+	}
+	est := make([]pipeline.StageTimes, len(plan.Stages))
+	for i, st := range plan.Stages {
+		s := at[devs[i]]
+		f := e.spec.SegmentFwdFLOPs(st.From, st.To) / e.spec.SegmentFwdFLOPs(stages[s].From, stages[s].To)
+		est[i].Tf, est[i].Tb = times[s].Tf*f, times[s].Tb*f
+		if i > 0 {
+			per := float64(mbs) / bw[i-1]
+			est[i-1].CommF = e.spec.CutActivationBytes(st.From) * per
+			est[i-1].CommB = e.spec.CutGradientBytes(st.From) * per
+		}
+		plan.Stages[i].Device = devs[i]
+	}
+	return plan, est, nil
 }
 
 // movedRange is a contiguous block range whose owner changed.
@@ -591,54 +648,37 @@ func (e *Executor) shipSegments(moved []movedRange, round int) (int64, error) {
 	return shipped, <-sendErr
 }
 
-// observe feeds the monitor with the round's measured per-stage step times
-// and rebalances proactively when a stage deviates slower than its history
-// beyond the threshold (§4.4's detection rule on live measurements).
-func (e *Executor) observe(rows int) {
+// Estimate returns the layout in force and the running pipeline's estimate
+// of its stages and links (runtime.RoundStats.Times), nil before its first
+// round.
+func (e *Executor) Estimate() ([]pipeline.Stage, []pipeline.StageTimes) {
 	e.mu.Lock()
-	st := e.pipe.LastRoundStats()
-	stages := append([]pipeline.Stage(nil), e.stages...)
-	e.mu.Unlock()
-	if st == nil || st.Aborted {
-		return
+	defer e.mu.Unlock()
+	if st := e.pipe.LastRoundStats(); st != nil {
+		return slices.Clone(e.stages), st.Times
 	}
-	m := (rows + e.cfg.MicroBatchSize - 1) / e.cfg.MicroBatchSize
-	if m == 0 {
-		return
-	}
+	return slices.Clone(e.stages), nil
+}
+
+// observe applies §4.4's deviation rule to the estimate the round left: a
+// stage whose smoothed Tf+Tb has grown past the monitor's threshold over
+// its value when the layout was installed triggers a re-plan.
+func (e *Executor) observe() {
+	e.mu.Lock()
 	trigger := false
-	for s, ct := range st.ComputeTime {
-		if s >= len(stages) {
-			break
-		}
-		di := e.devIndex(stages[s].Device)
-		if di < 0 {
-			continue
-		}
-		perMicro := ct.Seconds() / float64(m)
-		dev, slower := e.monitor.Check(di, perMicro)
-		e.mu.Lock()
-		if e.baseStep[di] == 0 {
-			e.baseStep[di] = perMicro
-		} else if perMicro > 0 {
-			e.devs[di].ApplyMeasuredSlowdown(perMicro / e.baseStep[di])
-		}
-		e.mu.Unlock()
-		if slower && e.monitor.Exceeds(dev) {
+	for s, t := range e.pipe.LastRoundStats().Times {
+		cur, ref := t.Compute(), e.installed[s]
+		if ref == 0 {
+			e.installed[s] = cur
+		} else if cur > ref && e.cfg.Monitor.Exceeds((cur-ref)/ref) {
 			trigger = true
 		}
 	}
-	if !trigger {
-		return
-	}
-	e.mu.Lock()
 	survivors := e.aliveDevicesLocked()
 	e.mu.Unlock()
-	// Rebalance on the measured rates; if the partitioner keeps the same
-	// layout the migration is a no-op diff and ships nothing.
-	if err := e.migrateTo(survivors); err != nil {
+	if trigger {
 		// A failed proactive rebalance is not fatal: training continues on
-		// the current (slower) layout and the next deviation retries.
-		return
+		// the current layout and the next deviation retries.
+		_ = e.migrateTo(survivors)
 	}
 }

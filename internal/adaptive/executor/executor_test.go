@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,24 +302,14 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestMonitorTriggeredRebalance injects an external-load delay on the
-// device carrying the most layers; the monitor must see the measured
-// per-stage slowdown and the executor must rebalance layers away from it.
+// TestMonitorTriggeredRebalance loads the device carrying the most layers
+// with an external workload that leaves it an eighth of its speed: each
+// forward and backward op of its stage sleeps so that a micro-batch's step
+// takes eight times the stage's smoothed Tf+Tb. The deviation rule must see
+// the measured slowdown, and the re-plan, on the measured rates, must move
+// layers off the device.
 func TestMonitorTriggeredRebalance(t *testing.T) {
-	if raceEnabled {
-		// The DP model's comm term dominates this tiny MLP's stage times, so
-		// a cut only moves once the measured slowdown ratio is in the
-		// thousands (the test injects 8000× its recorded baseline). Race
-		// instrumentation inflates the baseline step time roughly tenfold,
-		// so the delay hits its bound short of that ratio — the monitor
-		// fires but the repartition keeps the layout. The
-		// race-relevant machinery (abort, migration, link teardown) is
-		// exercised under -race by TestChaosSoak and
-		// TestKillFailoverBitIdentical; this test checks the wall-clock
-		// trigger math, which only holds uninstrumented.
-		t.Skip("measured-ratio threshold unreachable under race instrumentation")
-	}
-	const seed, mbs, lr = 5, 6, 0.05
+	const seed, mbs, lr, slowdown = 5, 6, 0.05, 8
 	rng := rand.New(rand.NewSource(3))
 	x, labels := makeData(rng, 24, 12, 4)
 	tr := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "ref", 12, []int{14, 12, 10}, 4)
@@ -327,13 +318,11 @@ func TestMonitorTriggeredRebalance(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	opt := &nn.SGD{LR: lr}
-	// Warm-up: seed the monitor history and the baseline step times.
-	for r := 0; r < 3; r++ {
+	for r := 0; r < 5; r++ {
 		if _, err := exec.TrainRound(x, labels, opt); err != nil {
 			t.Fatalf("warm-up round %d: %v", r, err)
 		}
 	}
-	// Find the device carrying the most layers and load it down.
 	stages := exec.Stages()
 	loaded, width := 0, 0
 	for s, st := range stages {
@@ -342,69 +331,144 @@ func TestMonitorTriggeredRebalance(t *testing.T) {
 			loaded = s
 		}
 	}
-	loadedDev := -1
-	for i := range fleet() {
-		if exec.devs[i] == stages[loaded].Device {
-			loadedDev = i
-		}
-	}
-	if loadedDev < 0 {
-		t.Fatal("could not map loaded stage to a fleet device")
-	}
-	// The executor turns a stage's measured step time into a slowdown ratio
-	// against the baseline it recorded for that device, and re-baselines
-	// every device after any rebalance — also a spurious one, which a noisy
-	// warm-up round can trigger (the threshold is 25%). So first make sure a
-	// baseline is on record: the round after a rebalance always records one
-	// and cannot itself trigger, the monitor's history being empty.
-	baseline := func() float64 {
-		exec.mu.Lock()
-		defer exec.mu.Unlock()
-		return exec.baseStep[loadedDev]
-	}
-	for r := 0; baseline() == 0; r++ {
-		if r == 3 {
-			t.Fatal("no baseline step time on record after three more warm-up rounds")
-		}
-		if _, err := exec.TrainRound(x, labels, opt); err != nil {
-			t.Fatalf("re-baselining round %d: %v", r, err)
-		}
-	}
-	// The load must be heavy enough that the measured slowdown drops the
-	// device's modelled rate below the point where compute, not link
-	// bandwidth, is its stage's bottleneck — otherwise the partitioner
-	// rightly keeps the layout. On this model that takes a ratio of ≈ 2,500;
-	// the injected delay aims for 8,000 of whatever baseline was recorded
-	// (a fixed delay is a fixed ratio only against a noise-free baseline),
-	// bounded so that a wildly inflated baseline cannot stall the test. A
-	// loaded stage sleeps once in Forward and once in Backward, so a
-	// micro-batch step grows by twice the delay.
-	const slowdown = 8000
-	delay := time.Duration(slowdown / 2 * baseline() * float64(time.Second))
-	delay = min(max(delay, 10*time.Millisecond), 500*time.Millisecond)
-	// Assert on the first round whose layout shrinks the loaded stage: after
-	// a migration the monitor re-baselines with the load included, so later
-	// noise can legitimately rebalance again.
-	exec.SetDeviceDelay(loadedDev, delay)
+	loadedDev := exec.devIndex(stages[loaded].Device)
+	// A loaded stage sleeps once in Forward and once in Backward.
+	step := exec.pipe.LastRoundStats().Times[loaded].Compute()
+	exec.SetDeviceDelay(loadedDev, time.Duration((slowdown-1)*step/2*float64(time.Second)))
 	before := exec.Stats().Migrations
-	for r := 0; r < 6; r++ {
+	for r := 0; r < 12; r++ {
 		if _, err := exec.TrainRound(x, labels, opt); err != nil {
 			t.Fatalf("loaded round %d: %v", r, err)
 		}
-		shrunk := false
 		for _, s := range exec.Stages() {
-			if s.Device == exec.devs[loadedDev] && s.To-s.From < width {
-				shrunk = true
+			if s.Device != exec.devs[loadedDev] || s.To-s.From >= width {
+				continue
 			}
-		}
-		if shrunk {
 			if got := exec.Stats(); got.Migrations <= before || got.MigratedBytes == 0 {
 				t.Fatalf("layout changed without an executed migration: %+v", got)
 			}
 			return
 		}
 	}
-	t.Fatalf("monitor never rebalanced layers off the loaded device: %+v", exec.Stats())
+	t.Fatalf("no re-plan moved layers off the loaded device: %+v, layout %v", exec.Stats(), exec.Stages())
+}
+
+// TestUnloadedRunRebuildsNothing: a re-plan whose plan is the layout in
+// force is no migration. A two-block model on two devices has one layout,
+// so a re-plan between any two rounds must keep the pipeline, the link it
+// holds and its estimate, and count nothing. Over the three-device fleet,
+// 200 unloaded rounds may re-plan as the estimate moves, but every pipeline
+// rebuild must be a counted migration that shipped weights.
+func TestUnloadedRunRebuildsNothing(t *testing.T) {
+	var dials atomic.Int32
+	pipes := runtime.PipeLinks()
+	links := func(i int) (net.Conn, net.Conn, error) {
+		dials.Add(1)
+		return pipes(i)
+	}
+	x, labels := makeData(rand.New(rand.NewSource(4)), 16, 8, 3)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(2)), "two", 8, []int{10}, 3)
+	exec, err := New(Config{Trainable: tr, Devices: fleet()[:2], MicroBatchSize: 4, Links: links})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	opt := &nn.SGD{LR: 0.1}
+	for r := 0; r < 20; r++ {
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		pipe, est := exec.pipe, exec.pipe.LastRoundStats()
+		if err := exec.migrateTo(exec.devs); err != nil {
+			t.Fatalf("re-plan after round %d: %v", r, err)
+		}
+		if exec.pipe != pipe || exec.pipe.LastRoundStats() != est {
+			t.Fatalf("a re-plan that kept the layout rebuilt the pipeline after round %d", r)
+		}
+	}
+	if st := exec.Stats(); st.Migrations != 0 || st.MigratedBytes != 0 || dials.Load() != 1 {
+		t.Fatalf("20 re-plans of the one layout: %+v, link dialed %d times, want no migration and one dial", st, dials.Load())
+	}
+
+	const rounds = 200
+	x, labels = makeData(rand.New(rand.NewSource(7)), 24, 12, 4)
+	tr = model.NewTrainableMLP(rand.New(rand.NewSource(42)), "ref", 12, []int{14, 12, 10}, 4)
+	if exec, err = New(Config{Trainable: tr, Devices: fleet(), MicroBatchSize: 6}); err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rebuilds := 0
+	for r := 0; r < rounds; r++ {
+		pipe := exec.pipe
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if exec.pipe != pipe {
+			rebuilds++
+		}
+	}
+	st := exec.Stats()
+	t.Logf("%d unloaded rounds: %d pipeline rebuilds, %+v", rounds, rebuilds, st)
+	if rebuilds != st.Migrations || st.Migrations > 0 && st.MigratedBytes == 0 {
+		t.Fatalf("%d rebuilds in %d unloaded rounds, against %+v: a rebuild that moved no layer", rebuilds, rounds, st)
+	}
+}
+
+// TestReplanReadsTheEstimate: a re-plan rates each device and link from the
+// pipeline's estimate (partition.Measured). With the middle device gone, the
+// survivors either side of it never shared a link: it is rated at the
+// slowest bandwidth measured, and the new pipeline's starting estimate
+// predicts its one-way times from that bandwidth, and each stage's times
+// from its device's measured ones scaled by the segments' FLOPs. Before
+// anything was measured, the plan is the presets' alone.
+func TestReplanReadsTheEstimate(t *testing.T) {
+	const mbs = 6
+	x, labels := makeData(rand.New(rand.NewSource(7)), 24, 12, 4)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(42)), "ref", 12, []int{14, 12, 10}, 4)
+	exec, err := New(Config{Trainable: tr, Devices: fleet(), MicroBatchSize: mbs,
+		Monitor: &adaptive.Monitor{Threshold: math.Inf(1)}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	stages := exec.Stages()
+	survivors := []*device.Device{stages[0].Device, stages[2].Device}
+	preset, err := partition.DynamicProgrammingBatch(tr.Spec, survivors, mbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, est, err := exec.replan(survivors)
+	if err != nil || est != nil || !slices.Equal(plan.Stages, preset.Stages) {
+		t.Fatalf("a re-plan before any round: %v, estimate %v, layout %v; want the presets' %v", err, est, plan, preset.Stages)
+	}
+	opt := &nn.SGD{LR: 0.05}
+	for r := 0; r < 5; r++ {
+		if _, err := exec.TrainRound(x, labels, opt); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	times := exec.pipe.LastRoundStats().Times
+	_, bws, err := partition.Measured(tr.Spec, partition.Cuts(stages), mbs, times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, est, err = exec.replan(survivors); err != nil || len(est) != 2 {
+		t.Fatalf("re-plan over two survivors: %v, estimate %v", err, est)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	cut := plan.Stages[0].To
+	slowest := min(bws[0], bws[1])
+	if f, b := tr.Spec.CutActivationBytes(cut)*mbs/slowest, tr.Spec.CutGradientBytes(cut)*mbs/slowest; !near(est[0].CommF, f) || !near(est[0].CommB, b) {
+		t.Fatalf("the unshared link's predicted one-way times are %g and %g s, want %g and %g at the slowest measured bandwidth %g B/s",
+			est[0].CommF, est[0].CommB, f, b, slowest)
+	}
+	for i, st := range plan.Stages {
+		old := stages[2*i] // survivor i ran stage 0 or 2
+		if st.Device != survivors[i] {
+			t.Fatalf("stage %d runs on %v, want survivor %v", i, st.Device, survivors[i])
+		}
+		f := tr.Spec.SegmentFwdFLOPs(st.From, st.To) / tr.Spec.SegmentFwdFLOPs(old.From, old.To)
+		if !near(est[i].Tf, times[2*i].Tf*f) || !near(est[i].Tb, times[2*i].Tb*f) {
+			t.Fatalf("stage %d's predicted times %+v, want the measured %+v scaled by %g", i, est[i], times[2*i], f)
+		}
+	}
 }
 
 // TestNoSurvivors verifies the terminal failure: killing every device makes

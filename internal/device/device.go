@@ -48,22 +48,6 @@ func (d *Device) EffectiveRateAt(b int) float64 {
 	return r * float64(b) / (float64(b) + d.SaturationBatch)
 }
 
-// ApplyMeasuredSlowdown folds an observed slowdown ratio — current measured
-// step time over the unloaded baseline step time — into the device's load
-// factor: the compute share left for training becomes baseline/current,
-// clamped to (0, 1]. The healing executor uses this to re-run the
-// partitioner on *measured* rates (§4.4's runtime profiling) instead of
-// configured ones, so a live external workload shifts layers away from the
-// loaded device. Ratios ≤ 1 (device back at or above baseline speed)
-// restore the full rate.
-func (d *Device) ApplyMeasuredSlowdown(ratio float64) {
-	if ratio <= 1 {
-		d.LoadFactor = 1
-		return
-	}
-	d.LoadFactor = 1 / ratio
-}
-
 // Clone returns a copy of the device.
 func (d *Device) Clone() *Device {
 	c := *d

@@ -31,14 +31,14 @@ type StragglerDetector struct {
 
 // NewStragglerDetector builds a detector exporting its gauges on reg
 // (metrics.Default when nil). threshold is the relative deviation that flags
-// a client and alpha the EMA smoothing factor; zero values take the adaptive
-// monitor's defaults (0.25 and 0.3).
-func NewStragglerDetector(reg *metrics.Registry, threshold, alpha float64) *StragglerDetector {
+// a client; zero takes the adaptive monitor's default, 0.25. Latencies are
+// smoothed by adaptive.Smooth.
+func NewStragglerDetector(reg *metrics.Registry, threshold float64) *StragglerDetector {
 	if reg == nil {
 		reg = metrics.Default
 	}
 	return &StragglerDetector{
-		mon:        adaptive.Monitor{Threshold: threshold, Alpha: alpha},
+		mon:        adaptive.Monitor{Threshold: threshold},
 		reg:        reg,
 		flags:      make(map[int]*metrics.Gauge),
 		latencies:  make(map[int]*metrics.Gauge),
@@ -46,16 +46,13 @@ func NewStragglerDetector(reg *metrics.Registry, threshold, alpha float64) *Stra
 	}
 }
 
-// SetThreshold adjusts the deviation threshold and EMA smoothing factor
-// (zero keeps the current value). Call before observations start.
-func (d *StragglerDetector) SetThreshold(threshold, alpha float64) {
+// SetThreshold adjusts the deviation threshold (zero keeps the current
+// value). Call before observations start.
+func (d *StragglerDetector) SetThreshold(threshold float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if threshold > 0 {
 		d.mon.Threshold = threshold
-	}
-	if alpha > 0 {
-		d.mon.Alpha = alpha
 	}
 }
 

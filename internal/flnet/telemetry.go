@@ -175,7 +175,7 @@ type Fleet struct {
 func newFleet() *Fleet {
 	return &Fleet{
 		reg:      metrics.NewRegistry(),
-		detector: NewStragglerDetector(metrics.Default, 0, 0),
+		detector: NewStragglerDetector(metrics.Default, 0),
 		lastPush: make(map[int]time.Time),
 	}
 }

@@ -220,7 +220,7 @@ func lookup(r *metrics.Registry, name string) (metrics.Sample, bool) {
 
 func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	reg := metrics.NewRegistry()
-	d := NewStragglerDetector(reg, 0.25, 0.3)
+	d := NewStragglerDetector(reg, 0.25)
 	for i := 0; i < 5; i++ {
 		if d.Observe(3, 1.0) {
 			t.Fatal("steady client must not be flagged")

@@ -47,9 +47,9 @@ func TestTrainableCNNSegmentsCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := MicroMobileNet(rng, 1, 16, 3, 1)
 	x := tensor.Randn(rng, 1, 2, 1, 16, 16)
-	full, _ := tr.Network().Forward(x)
-	mid, _ := tr.SegmentNet(0, 2).Forward(x)
-	out, _ := tr.SegmentNet(2, len(tr.Blocks)).Forward(mid)
+	full := tr.Network().ForwardPass(new(nn.Pass), x, false)
+	mid := tr.SegmentNet(0, 2).ForwardPass(new(nn.Pass), x, false)
+	out := tr.SegmentNet(2, len(tr.Blocks)).ForwardPass(new(nn.Pass), mid, false)
 	if !slices.Equal(full.Shape, out.Shape) || !slices.Equal(full.Data, out.Data) {
 		t.Fatal("CNN segments must compose to the full forward pass")
 	}

@@ -135,12 +135,12 @@ func TestTrainableSegmentsComposeToFullNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := NewTrainableMLP(rng, "test", 6, []int{10, 8}, 3)
 	x := tensor.Randn(rng, 1, 4, 6)
-	full, _ := tr.Network().Forward(x)
+	full := tr.Network().ForwardPass(new(nn.Pass), x, false)
 
 	seg1 := tr.SegmentNet(0, 2)
 	seg2 := tr.SegmentNet(2, 3)
-	mid, _ := seg1.Forward(x)
-	out, _ := seg2.Forward(mid)
+	mid := seg1.ForwardPass(new(nn.Pass), x, false)
+	out := seg2.ForwardPass(new(nn.Pass), mid, false)
 	if !slices.Equal(full.Shape, out.Shape) || !slices.Equal(full.Data, out.Data) {
 		t.Fatal("segment composition must equal full forward")
 	}

@@ -341,23 +341,6 @@ func NewMLP(rng *rand.Rand, sizes ...int) *Network {
 	return NewNetwork(layers...)
 }
 
-// Forward runs all layers, returning the output and the per-layer caches.
-func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, []Cache) {
-	caches := make([]Cache, len(n.Layers))
-	for i, l := range n.Layers {
-		x, caches[i] = l.Forward(x, n.Width)
-	}
-	return x, caches
-}
-
-// Backward propagates dy through all layers in reverse, accumulating grads.
-func (n *Network) Backward(caches []Cache, dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(caches[i], dy, n.Width)
-	}
-	return dy
-}
-
 // OutShape maps a per-sample input shape to that of the network's output
 // (see Layer.OutShape).
 func (n *Network) OutShape(in []int) []int {
@@ -414,7 +397,7 @@ type Pass struct {
 	ownsInput bool
 }
 
-// ForwardPass runs all layers on x like Forward, recording every layer's
+// ForwardPass runs all layers on x, recording every layer's
 // output and cache in p, and returns the last output, which stays p's. With
 // ownsInput the record takes x over too and returns it with the rest;
 // without, x is the caller's and never goes to the pool, whatever views of
@@ -439,8 +422,7 @@ func (n *Network) ForwardPass(p *Pass, x *tensor.Tensor, ownsInput bool) *tensor
 // Output returns the last layer's output of a live record.
 func (p *Pass) Output() *tensor.Tensor { return p.acts[len(p.acts)-1] }
 
-// BackwardPass propagates dy through all layers in reverse like Backward,
-// accumulating parameter gradients, and returns to the pool every tensor of
+// BackwardPass propagates dy through all layers in reverse, accumulating parameter gradients, and returns to the pool every tensor of
 // the pass as it dies — dy included, which must be the caller's to give.
 //
 // With wantDx the result, the gradient with respect to the input, is the

@@ -172,7 +172,10 @@ func TestEvaluateLeavesBatchAndViewsAlone(t *testing.T) {
 		// Draw and dirty every buffer the passes returned: were x among
 		// them, this would overwrite it.
 		for k := 0; k < 8; k++ {
-			tensor.GetBufUninit(x.Len()).Fill(math.NaN())
+			buf := tensor.GetBufUninit(x.Len())
+			for j := range buf.Data {
+				buf.Data[j] = math.NaN()
+			}
 		}
 		if !sameTensor(x, before) {
 			t.Fatalf("net %d: evaluating returned the caller's batch to the pool", i)

@@ -25,10 +25,10 @@ type Plan struct {
 	LaggerTime float64
 }
 
-// Cuts returns the layer indices at which the plan splits the model.
-func (p *Plan) Cuts() []int {
-	var cuts []int
-	for _, s := range p.Stages[:len(p.Stages)-1] {
+// Cuts returns the layer indices at which a stage layout splits the model.
+func Cuts(stages []pipeline.Stage) []int {
+	cuts := make([]int, 0, len(stages)-1)
+	for _, s := range stages[:len(stages)-1] {
 		cuts = append(cuts, s.To)
 	}
 	return cuts
@@ -68,6 +68,36 @@ func stageTime(spec *model.Spec, d *device.Device, i, j, mbs int) float64 {
 	return spec.SegmentFwdFLOPs(i, j) * (1 + model.BackwardFactor) / d.EffectiveRateAt(mbs)
 }
 
+// Measured reads §4.2's profile off a running pipeline: it turns the
+// pipeline's estimate of its stages and links (runtime.RoundStats.Times),
+// measured at micro-batch size mbs on a model cut at cuts, into the
+// partitioner's and the simulator's units. rates[s] is stage s's device's
+// compute rate in FLOP/s: its segment's forward and backward FLOPs for one
+// micro-batch over the smoothed Tf+Tb. bandwidths[s] is link s's, between
+// stages s and s+1, in bytes/s: one micro-batch's activation and gradient
+// bytes over the smoothed one-way times, +Inf for a link nothing measured
+// (Eq. 3 counts it free). It fails when a stage has no compute time or no
+// FLOPs.
+func Measured(spec *model.Spec, cuts []int, mbs int, times []pipeline.StageTimes) (rates, bandwidths []float64, err error) {
+	if len(times) != len(cuts)+1 || mbs <= 0 {
+		return nil, nil, fmt.Errorf("partition: an estimate of %d stages over cuts %v at micro-batch size %d", len(times), cuts, mbs)
+	}
+	b := append(append([]int{0}, cuts...), spec.NumLayers())
+	per := float64(mbs)
+	for s, t := range times {
+		r := spec.SegmentFwdFLOPs(b[s], b[s+1]) * (1 + model.BackwardFactor) * per / t.Compute()
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, nil, fmt.Errorf("partition: stage %d has no measured compute time or no FLOPs", s)
+		}
+		rates = append(rates, r)
+		if s < len(cuts) {
+			bytes := (spec.CutActivationBytes(b[s+1]) + spec.CutGradientBytes(b[s+1])) * per
+			bandwidths = append(bandwidths, bytes/(t.CommF+t.CommB))
+		}
+	}
+	return rates, bandwidths, nil
+}
+
 // DynamicProgramming computes the Eq. 1 partition of spec across devices in
 // the given order: A(0→j, D_n) = min over cuts s of max{A(0→s, D_{n−1}),
 // (a_s+g_s)/B_{n−2}, T(s+1→j, n−1)}. Every device receives at least one
@@ -79,12 +109,28 @@ func DynamicProgramming(spec *model.Spec, devs []*device.Device) (*Plan, error) 
 
 // DynamicProgrammingBatch is DynamicProgramming with device rates evaluated
 // at the given micro-batch size, so profiling matches execution (§4.2's
-// profiling phase measures T_l at the deployed micro-batch size).
+// profiling phase measures T_l at the deployed micro-batch size). A link
+// runs at the slower LinkBandwidth of its two devices.
 func DynamicProgrammingBatch(spec *model.Spec, devs []*device.Device, mbs int) (*Plan, error) {
+	if len(devs) == 0 {
+		return nil, errors.New("partition: no devices")
+	}
+	bw := make([]float64, len(devs)-1)
+	for n := range bw {
+		bw[n] = linkBandwidth(devs[n], devs[n+1])
+	}
+	return DynamicProgrammingLinks(spec, devs, mbs, bw)
+}
+
+// DynamicProgrammingLinks is DynamicProgrammingBatch with the bandwidth of
+// the link between devs[n] and devs[n+1] given as bw[n], in bytes/s (+Inf for
+// a link that costs nothing): the re-plan of a running pipeline passes the
+// bandwidths it measured on its links.
+func DynamicProgrammingLinks(spec *model.Spec, devs []*device.Device, mbs int, bw []float64) (*Plan, error) {
 	L := spec.NumLayers()
 	N := len(devs)
-	if N == 0 {
-		return nil, errors.New("partition: no devices")
+	if N == 0 || len(bw) != N-1 {
+		return nil, fmt.Errorf("partition: %d devices and %d link bandwidths", N, len(bw))
 	}
 	if N > L {
 		return nil, fmt.Errorf("partition: %d devices but only %d layers", N, L)
@@ -105,14 +151,13 @@ func DynamicProgrammingBatch(spec *model.Spec, devs []*device.Device, mbs int) (
 		a[1][j] = stageTime(spec, devs[0], 0, j, mbs)
 	}
 	for n := 2; n <= N; n++ {
-		bw := linkBandwidth(devs[n-2], devs[n-1])
 		for j := n; j <= L; j++ {
 			best, bestCut := inf, -1
 			for s := n - 1; s < j; s++ {
 				if a[n-1][s] == inf {
 					continue
 				}
-				comm := (spec.CutActivationBytes(s) + spec.CutGradientBytes(s)) / bw
+				comm := (spec.CutActivationBytes(s) + spec.CutGradientBytes(s)) / bw[n-2]
 				v := math.Max(a[n-1][s], math.Max(comm, stageTime(spec, devs[n-1], s, j, mbs)))
 				if v < best {
 					best, bestCut = v, s

@@ -38,8 +38,8 @@ func TestPlanTilesModel(t *testing.T) {
 	if next != spec.NumLayers() {
 		t.Fatalf("stages cover %d of %d layers", next, spec.NumLayers())
 	}
-	if len(plan.Cuts()) != 2 {
-		t.Fatalf("3 stages must have 2 cuts, got %v", plan.Cuts())
+	if len(Cuts(plan.Stages)) != 2 {
+		t.Fatalf("3 stages must have 2 cuts, got %v", Cuts(plan.Stages))
 	}
 }
 

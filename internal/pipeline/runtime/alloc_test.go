@@ -74,7 +74,7 @@ func warmRoundAllocs(t *testing.T, dial Dialer) float64 {
 	// holds more tensors in flight than the pool has seen: a residency
 	// deeper than any before draws its extra tensors once, and that is the
 	// pool filling, not the round's cost.
-	dp.residency = func(times []pipeline.StageTimes) ([]int, error) {
+	dp.est.residency = func(times []pipeline.StageTimes) ([]int, error) {
 		p, err := pipeline.ResidencyP(times)
 		if err == nil {
 			p[0], p[1] = 16, 16
@@ -84,7 +84,7 @@ func warmRoundAllocs(t *testing.T, dial Dialer) float64 {
 	for i := 0; i < 5; i++ {
 		round()
 	}
-	dp.residency = pipeline.ResidencyP
+	dp.est.residency = pipeline.ResidencyP
 	// Counted by hand and not with testing.AllocsPerRun, which measures at
 	// GOMAXPROCS 1: the stages should run at once, as they do on the host.
 	var before, after goruntime.MemStats

@@ -36,18 +36,18 @@ import (
 // Residency. Stage s keeps K_s micro-batches in flight: it runs K_s forwards
 // before its first backward (pipeline.Order), and K_s = min(P_s, m), where
 // P_s is Eq. 3 (pipeline.ResidencyP, the rule Schedule sizes its stages
-// with) over the last clean round's measurement: each stage's median
-// forward and backward time per micro-batch, and each link's median one-way
-// time in each direction (measure). A pipeline's first round, before
-// anything was measured, runs P_s = S−s, Eq. 3's answer when links cost
-// nothing. Over real links a hop costs more than a stage's op, and S−s
-// leaves every stage but the last waiting for gradients; P_s keeps as many
-// forwards in flight as it takes to hide the round trip behind compute. The
-// numbers cannot move with K: backward ops run in ascending micro-batch
-// order under any K, so the gradients accumulate in the same order. Sends
-// never block under any K ≤ m, since each link's queue holds a round's
-// frames (link.start). And P_s falls strictly along the stages, so no stage
-// waits for an activation its upstream holds back until a gradient comes.
+// with) over the pipeline's one estimate of its stages and links, switched
+// as a whole vector (estimate.go). Before anything was measured a pipeline
+// runs P_s = S−s, Eq. 3's answer when links cost nothing, unless SetEstimate
+// started it from another pipeline's estimate. Over real links a hop costs
+// more than a stage's op, and S−s leaves every stage but the last waiting
+// for gradients; P_s keeps as many forwards in flight as it takes to hide
+// the round trip behind compute. The numbers cannot move with K: backward
+// ops run in ascending micro-batch order under any K, so the gradients
+// accumulate in the same order. Sends never block under any K ≤ m, since
+// each link's queue holds a round's frames (link.start). And P_s falls
+// strictly along the stages, so no stage waits for an activation its
+// upstream holds back until a gradient comes.
 //
 // Tensor ownership. A stage hands what the schedule frees straight to the
 // next micro-batch: every tensor of a warm round comes out of the tensor
@@ -140,13 +140,9 @@ type DistPipeline struct {
 	// clocks[s] is stage s's timestamps of the round, one per micro-batch.
 	clocks [][]microClock
 
-	// Residency sizing (see above). times is the last clean round's
-	// measurement, nil before one; p is the P_s the last one that sized
-	// gave, nil until then (the round runs S−s). residency is
-	// pipeline.ResidencyP; tests substitute other shapes through it.
-	times     []pipeline.StageTimes
-	p         []int
-	residency func([]pipeline.StageTimes) ([]int, error)
+	// est is the stage and link estimate residency is sized from (see
+	// above).
+	est estimate
 
 	// The held links: ups[s] is stage s's link to stage s+1, downs[s] its
 	// link to stage s−1. Nil from construction, and after a round that
@@ -194,68 +190,6 @@ type microClock struct {
 	actWait, actGot, gradWait, gradGot time.Duration
 }
 
-// measure turns one clean round's clocks, clocks[s][i] for stage s and
-// micro-batch i, into Eq. 3's terms per micro-batch: each stage's median
-// forward and backward time, and each link's median one-way time in each
-// direction, received − queued. Only frames whose receiver was already
-// blocked in recv when they were queued count: one that waited for a busy
-// receiver measures the receiver, not the link. A link direction with no
-// such frame keeps its estimate in prev (zero when prev is nil). The last
-// stage has no link up, so its transfer terms are zero.
-func measure(clocks [][]microClock, prev []pipeline.StageTimes) []pipeline.StageTimes {
-	out := make([]pipeline.StageTimes, len(clocks))
-	var buf [64]time.Duration
-	for s, here := range clocks {
-		samples := buf[:0]
-		for _, c := range here {
-			samples = append(samples, c.fwd)
-		}
-		out[s].Tf, _ = median(samples)
-		samples = samples[:0]
-		for _, c := range here {
-			samples = append(samples, c.bwd)
-		}
-		out[s].Tb, _ = median(samples)
-		if s == len(clocks)-1 {
-			break
-		}
-		if prev != nil {
-			out[s].CommF, out[s].CommB = prev[s].CommF, prev[s].CommB
-		}
-		next := clocks[s+1]
-		samples = samples[:0]
-		for i, c := range here {
-			if next[i].actWait <= c.actSent {
-				samples = append(samples, next[i].actGot-c.actSent)
-			}
-		}
-		if v, ok := median(samples); ok {
-			out[s].CommF = v
-		}
-		samples = samples[:0]
-		for i, c := range here {
-			if c.gradWait <= next[i].gradSent {
-				samples = append(samples, c.gradGot-next[i].gradSent)
-			}
-		}
-		if v, ok := median(samples); ok {
-			out[s].CommB = v
-		}
-	}
-	return out
-}
-
-// median returns the median of xs in seconds, sorting xs; false when xs is
-// empty.
-func median(xs []time.Duration) (float64, bool) {
-	n := len(xs)
-	if n == 0 {
-		return 0, false
-	}
-	slices.Sort(xs)
-	return (xs[(n-1)/2] + xs[n/2]).Seconds() / 2, true
-}
-
 // RoundStats are wall-clock measurements of one executed sync-round — the
 // prototype-side counterpart of the simulator's schedule metrics, used to
 // cross-validate the two (see TestSimulatorMatchesPrototype).
@@ -270,12 +204,13 @@ type RoundStats struct {
 	// committed if so.
 	Aborted bool
 	// Residency is each stage's K_s this round: the micro-batches it let be
-	// in flight, min(P_s, m) with P_s sized from the last clean round's
-	// Times (S−s before one).
+	// in flight, min(P_s, m) with P_s sized from the estimate (S−s before
+	// one).
 	Residency []int
-	// Times is what this round measured per micro-batch (see measure), the
-	// terms the next round's residency is sized from; nil for an aborted
-	// round.
+	// Times is the pipeline's estimate after this round, per micro-batch:
+	// each term the EMA of the clean rounds' measurements, zero until one
+	// measured it. The next round's residency is sized from it; an aborted
+	// round leaves it as it was.
 	Times []pipeline.StageTimes
 }
 
@@ -352,8 +287,7 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		clocks: make([][]microClock, S),
 		ups:    make([]*link, S),
 		downs:  make([]*link, S),
-
-		residency: pipeline.ResidencyP,
+		est:    newEstimate(S),
 	}
 	sample := tr.InputShape
 	_, width := tensor.Split(goruntime.GOMAXPROCS(0), S)
@@ -381,6 +315,18 @@ func (d *DistPipeline) SetLinkOptions(opts LinkOptions) {
 	}
 }
 
+// SetEstimate starts the pipeline's estimate from times, one entry per
+// stage (see RoundStats.Times), in place of what it has measured, and sizes
+// the residency from it at once: a pipeline rebuilt on a new layout starts
+// from what the old one measured instead of from S−s. A term that is not
+// finite and positive is left unmeasured.
+func (d *DistPipeline) SetEstimate(times []pipeline.StageTimes) {
+	clear(d.est.times)
+	d.est.p, d.est.behind = nil, 0
+	d.est.fold(times)
+	d.est.size(0)
+}
+
 // SetStageDelay injects an artificial per-op compute delay into stage s —
 // an emulated external workload consuming the device. Measured stage times
 // include the delay, so deviation monitors react to it exactly as to a real
@@ -389,14 +335,6 @@ func (d *DistPipeline) SetStageDelay(s int, delay time.Duration) {
 	if s >= 0 && s < len(d.delays) {
 		d.delays[s].Store(int64(delay))
 	}
-}
-
-// stageDelay returns stage s's current injected delay.
-func (d *DistPipeline) stageDelay(s int) time.Duration {
-	if s < 0 || s >= len(d.delays) {
-		return 0
-	}
-	return time.Duration(d.delays[s].Load())
 }
 
 // SetTrace attaches a recorder to the stage workers: subsequent rounds record
@@ -461,10 +399,9 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	r.aborted, r.abortOnce = false, sync.Once{}
 	stats := &RoundStats{ComputeTime: make([]time.Duration, S), Residency: make([]int, S)}
 	for s := range S {
-		// K_s = min(P_s, m), P_s = S−s until a clean round has sized it.
-		k := S - s
-		if d.p != nil {
-			k = d.p[s]
+		k := S - s // P_s = S−s until the estimate has sized it
+		if d.est.p != nil {
+			k = d.est.p[s]
 		}
 		k = min(k, m)
 		stats.Residency[s] = k
@@ -484,12 +421,9 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	stats.WallTime = time.Since(r.start)
 	stats.Aborted = r.aborted
 	if !r.aborted {
-		d.times = measure(d.clocks, d.times)
-		stats.Times = d.times
-		if p, err := d.residency(d.times); err == nil {
-			d.p = p
-		}
+		d.est.observe(d.clocks, m)
 	}
+	stats.Times = slices.Clone(d.est.times)
 	d.mu.Lock()
 	d.lastStats = stats
 	d.mu.Unlock()
@@ -677,7 +611,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sp := jr.Begin()
 			t0 := time.Now()
 			out := seg.ForwardPass(rec, in, !first)
-			if dl := d.stageDelay(s); dl > 0 {
+			if dl := time.Duration(d.delays[s].Load()); dl > 0 {
 				time.Sleep(dl)
 			}
 			t1 := time.Now()
@@ -726,7 +660,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sp := jr.Begin()
 			t0 := time.Now()
 			dx := seg.BackwardPass(rec, dy, !first) // stage 0 has no one to send dx to
-			if dl := d.stageDelay(s); dl > 0 {
+			if dl := time.Duration(d.delays[s].Load()); dl > 0 {
 				time.Sleep(dl)
 			}
 			t1 := time.Now()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/tensor"
@@ -147,29 +148,28 @@ func TestDistributedEquivalenceOverThrottledLinks(t *testing.T) {
 	distEquivalence(t, ThrottledLinks(PipeLinks(), 2e6, time.Millisecond))
 }
 
-// Throttling must actually slow the round down, proportionally to payload.
+// Throttling must show in the estimate: the throttle holds each frame for
+// its bytes over the bandwidth before it writes it, so no one-way time the
+// pipeline measures on the link can be shorter than that, and neither can
+// their smoothed value.
 func TestThrottledLinksAddTransferTime(t *testing.T) {
+	const bandwidth, mbs = 5e5, 8
 	rng := rand.New(rand.NewSource(9))
-	tr1 := model.NewTrainableMLP(rand.New(rand.NewSource(10)), "a", 64, []int{64}, 4)
-	tr2 := model.NewTrainableMLP(rand.New(rand.NewSource(10)), "b", 64, []int{64}, 4)
+	tr := model.NewTrainableMLP(rand.New(rand.NewSource(10)), "b", 64, []int{64}, 4)
 	x, labels := makeData(rng, 32, 64, 4)
-
-	run := func(tr *model.Trainable, dial Dialer) time.Duration {
-		p, err := NewDistributed(tr, []int{1}, dial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := p.TrainSyncRound(x, labels, 8, &nn.SGD{LR: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+	p, err := NewDistributed(tr, []int{1}, ThrottledLinks(PipeLinks(), bandwidth, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := run(tr1, PipeLinks())
-	// 4 micro-batches × (8×64 activations + 8×64 grads) × 8B ≈ 33 KB at
-	// 500 KB/s ≈ 65 ms minimum.
-	slow := run(tr2, ThrottledLinks(PipeLinks(), 5e5, 0))
-	if slow < fast+30*time.Millisecond {
-		t.Fatalf("throttled round (%v) should be visibly slower than unthrottled (%v)", slow, fast)
+	defer p.Close()
+	for r := 0; r < 3; r++ {
+		if _, err := p.TrainSyncRound(x, labels, mbs, &nn.SGD{LR: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both directions carry 8×64 float64s a frame: ≈ 8.3 ms at 500 KB/s.
+	floor := float64(wire.HeaderSize+mbs*64*8) / bandwidth
+	if est := p.LastRoundStats().Times[0]; est.CommF < floor || est.CommB < floor {
+		t.Fatalf("estimated one-way times %g s (activations) and %g s (gradients), want each at least %g s", est.CommF, est.CommB, floor)
 	}
 }

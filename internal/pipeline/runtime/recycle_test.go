@@ -246,7 +246,7 @@ func TestResidencyKeepsWeightsBitIdentical(t *testing.T) {
 						p[s] = k(S, s)
 						want[s] = min(p[s], m)
 					}
-					dp.residency = func([]pipeline.StageTimes) ([]int, error) { return slices.Clone(p), nil }
+					dp.est.residency = func([]pipeline.StageTimes) ([]int, error) { return slices.Clone(p), nil }
 					xs, ys := c.batches(seed, 3, rows)
 					optRef, optDist := &nn.SGD{LR: 0.05, Momentum: 0.5}, &nn.SGD{LR: 0.05, Momentum: 0.5}
 					for r := 0; r < rounds; r++ {

@@ -39,10 +39,15 @@ func (r sequential) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, opt 
 	for start := 0; start < rows; start += mbs {
 		end := min(start+mbs, rows)
 		xi := &tensor.Tensor{Shape: append([]int{end - start}, x.Shape[1:]...), Data: x.Data[start*sampleLen : end*sampleLen]}
-		out, caches := r.net.Forward(xi)
+		out, caches := xi, make([]nn.Cache, len(r.net.Layers))
+		for i, layer := range r.net.Layers {
+			out, caches[i] = layer.Forward(out, r.net.Width)
+		}
 		l, dy := nn.SoftmaxCrossEntropy(out, labels[start:end])
 		dy.Scale(float64(end-start) / float64(rows))
-		r.net.Backward(caches, dy)
+		for i := len(r.net.Layers) - 1; i >= 0; i-- {
+			dy = r.net.Layers[i].Backward(caches[i], dy, r.net.Width)
+		}
 		loss += l * float64(end-start)
 	}
 	opt.Step(r.net)

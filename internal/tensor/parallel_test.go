@@ -260,3 +260,10 @@ func TestAlmostEqualNaN(t *testing.T) {
 		t.Fatal("finite vs NaN must not be almost-equal either")
 	}
 }
+
+// Fill sets all elements to v; no program fills a tensor with one value.
+func (t *Tensor) Fill(v float64) {
+	for i := range t.Data {
+		t.Data[i] = v
+	}
+}

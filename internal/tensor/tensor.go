@@ -72,13 +72,6 @@ func (t *Tensor) RowView(i int) []float64 {
 	return t.Data[i*c : (i+1)*c]
 }
 
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Scale multiplies every element by a in place and returns t.
 func (t *Tensor) Scale(a float64) *Tensor {
 	for i := range t.Data {

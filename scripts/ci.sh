@@ -241,14 +241,19 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # the residency pin: a stage that keeps more micro-batches in flight holds
 # more records at once, and a record freed early shows as a moved bit; it also
 # sets stage widths 2 and 4, the one way stages fan out onto the shared worker
-# pool at once on a box with fewer cores than stages.
-go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestResidencyKeepsWeightsBitIdentical|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical)$' ./internal/pipeline/runtime
+# pool at once on a box with fewer cores than stages. So does the smoother:
+# the stage and link estimate and its whole-vector switch, on synthetic
+# clocks. And so does the monitor-triggered rebalance: the re-plan reads the
+# estimate the last round's stage goroutines measured, ships weights over
+# fresh links and rebuilds the pipeline, with a delay the stages read as they
+# run.
+go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestResidencyKeepsWeightsBitIdentical|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical|TestEstimateSwitchesWholeVector)$' ./internal/pipeline/runtime
+go test -race -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
-# The two wall-clock-shaped tests that used to flake on a busy 2-vCPU box
-# (measured stage dominance; monitor-triggered rebalance), repeated so that a
-# returning flake shows here and not in some later change's gate.
+# The wall-clock-shaped simulator check (Schedule's round time from the
+# measured profile against the prototype's), repeated so that a flake shows
+# here and not in some later change's gate.
 go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/runtime
-go test -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network or a checkpoint file, two frame readers trading borrowed buffers, the churn-trace loader, the divergence
@@ -305,8 +310,8 @@ if grep -rnE -- '--experiment|--csv|ecofl (fl|all|pipeline|migrate)\b' README.md
 fi
 
 # The examples are roots of the function-reach check above (scripts/reach.go;
-# they alone reach internal/profiler), so each must run: an example that
-# cannot run is not a reason to keep code.
+# cnnpipeline alone reaches the CNN layers), so each must run: an example
+# that cannot run is not a reason to keep code.
 examples_start=$SECONDS
 for main in examples/*/main.go; do
 	go run "./$(dirname "$main")" >/dev/null
