@@ -42,7 +42,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := flnet.NewServer(ln, tr.Network().FlatWeights(), 0.5)
+	server, err := flnet.NewServerOpts(ln, tr.Network().FlatWeights(), flnet.ServerOptions{Alpha: 0.5})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer server.Close()
 	fmt.Printf("Eco-FL server listening on %s\n", server.Addr())
 
@@ -75,7 +78,7 @@ func runHome(id int, serverAddr string, proto *model.Trainable, shard *data.Subs
 		return err
 	}
 	defer pipe.Close()
-	client, err := flnet.Dial(serverAddr, id)
+	client, err := flnet.DialOptions(serverAddr, id, flnet.Options{})
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,8 @@ type Config struct {
 	Trainable *model.Trainable
 	// Devices is the candidate fleet in pipeline order. Their preset rates
 	// plan the first layout, and any re-plan before the pipeline has
-	// measured itself.
+	// measured itself. A stage runs as its device (runtime's Emulate): a
+	// device's LoadFactor is the external load on it.
 	Devices []*device.Device
 	// MicroBatchSize is the per-micro-batch sample count.
 	MicroBatchSize int
@@ -139,8 +140,7 @@ type Executor struct {
 	// installed, zero until the estimate has one: the reference the
 	// deviation rule measures a slowdown against.
 	installed []float64
-	delays    []time.Duration // injected per-device external load
-	killAt    map[int]int     // round → device index to kill at round start
+	killAt    map[int]int // round → device index to kill at round start
 	taps      map[int][]net.Conn
 	round     int
 	stats     Stats
@@ -170,7 +170,6 @@ func New(cfg Config) (*Executor, error) {
 		devs:   device.CloneAll(cfg.Devices),
 		rng:    rand.New(rand.NewSource(int64(len(cfg.Devices)) + 7)),
 		alive:  make([]bool, len(cfg.Devices)),
-		delays: make([]time.Duration, len(cfg.Devices)),
 		killAt: map[int]int{},
 		taps:   map[int][]net.Conn{},
 	}
@@ -230,12 +229,14 @@ func (e *Executor) installPlanLocked(stages []pipeline.Stage, est []pipeline.Sta
 	}
 	e.stages = stages
 	e.pipe = pipe
-	for s, st := range stages {
-		if di := e.devIndex(st.Device); di >= 0 {
-			pipe.SetStageDelay(s, e.delays[di])
-		}
-	}
 	return nil
+}
+
+// pipeLocked returns the pipeline in force, its stages emulating their
+// devices as they are now. Caller holds e.mu.
+func (e *Executor) pipeLocked() *runtime.DistPipeline {
+	e.pipe.Emulate((&pipeline.Config{Spec: e.spec, Stages: e.stages, MicroBatchSize: e.cfg.MicroBatchSize}).Times())
+	return e.pipe
 }
 
 // dialer wraps the base links with chaos injection, the dead-device kill
@@ -336,23 +337,6 @@ func (e *Executor) ScheduleKill(r, dev int) {
 	e.killAt[r] = dev
 }
 
-// SetDeviceDelay injects an external-load delay on fleet device i: every
-// forward/backward op of the stage it runs sleeps this long extra. The
-// monitor sees the measured slowdown and rebalances (§4.4). Zero clears it.
-func (e *Executor) SetDeviceDelay(i int, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.devs) {
-		return
-	}
-	e.delays[i] = d
-	for s, st := range e.stages {
-		if e.devIndex(st.Device) == i {
-			e.pipe.SetStageDelay(s, d)
-		}
-	}
-}
-
 // Stats returns a snapshot of the executor's counters.
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
@@ -372,7 +356,7 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 		e.KillDevice(dev)
 		e.mu.Lock()
 	}
-	pipe := e.pipe
+	pipe := e.pipeLocked()
 	round := e.round
 	e.mu.Unlock()
 
@@ -412,7 +396,7 @@ func (e *Executor) TrainRound(x *tensor.Tensor, labels []int, opt *nn.SGD) (floa
 		}
 		e.cfg.Journal.Record("exec.resume", round, journal.None, "attempt", strconv.Itoa(attempt+1))
 		e.mu.Lock()
-		pipe = e.pipe
+		pipe = e.pipeLocked()
 		e.mu.Unlock()
 	}
 }

@@ -45,6 +45,17 @@ func fleet() []*device.Device {
 	return []*device.Device{device.TX2N(), device.TX2Q(), device.NanoH()}
 }
 
+// slowFleet is fleet slowed 10⁵ times: an op of the MLPs here then takes
+// about a millisecond on its device, and the microseconds the host computes
+// it in do not show.
+func slowFleet() []*device.Device {
+	devs := fleet()
+	for _, d := range devs {
+		d.ComputeRate /= 1e5
+	}
+	return devs
+}
+
 // trainRef trains an identically-seeded model for the same rounds on a
 // fault-free single-stage pipeline — the bit-identity oracle
 // (1F1B-Sync gradient accumulation is partition-independent).
@@ -302,18 +313,18 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestMonitorTriggeredRebalance loads the device carrying the most layers
-// with an external workload that leaves it an eighth of its speed: each
-// forward and backward op of its stage sleeps so that a micro-batch's step
-// takes eight times the stage's smoothed Tf+Tb. The deviation rule must see
-// the measured slowdown, and the re-plan, on the measured rates, must move
+// TestMonitorTriggeredRebalance puts a load spike on the device carrying
+// the most layers: its LoadFactor falls to an eighth, so each op of its
+// stage takes eight times as long (the devices are slow enough that their
+// emulated time is nearly all of an op). The deviation rule must see the
+// measured slowdown, and the re-plan, on the measured rates, must move
 // layers off the device.
 func TestMonitorTriggeredRebalance(t *testing.T) {
 	const seed, mbs, lr, slowdown = 5, 6, 0.05, 8
 	rng := rand.New(rand.NewSource(3))
 	x, labels := makeData(rng, 24, 12, 4)
 	tr := model.NewTrainableMLP(rand.New(rand.NewSource(seed)), "ref", 12, []int{14, 12, 10}, 4)
-	exec, err := New(Config{Trainable: tr, Devices: fleet(), MicroBatchSize: mbs})
+	exec, err := New(Config{Trainable: tr, Devices: slowFleet(), MicroBatchSize: mbs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -332,9 +343,7 @@ func TestMonitorTriggeredRebalance(t *testing.T) {
 		}
 	}
 	loadedDev := exec.devIndex(stages[loaded].Device)
-	// A loaded stage sleeps once in Forward and once in Backward.
-	step := exec.pipe.LastRoundStats().Times[loaded].Compute()
-	exec.SetDeviceDelay(loadedDev, time.Duration((slowdown-1)*step/2*float64(time.Second)))
+	exec.devs[loadedDev].LoadFactor = 1.0 / slowdown
 	before := exec.Stats().Migrations
 	for r := 0; r < 12; r++ {
 		if _, err := exec.TrainRound(x, labels, opt); err != nil {

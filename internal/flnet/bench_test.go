@@ -15,9 +15,12 @@ func benchServer(b *testing.B, n int) (*Server, *Client) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewServer(ln, make([]float64, n), 0.5)
+	s, err := NewServerOpts(ln, make([]float64, n), ServerOptions{Alpha: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Cleanup(func() { s.Close() })
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func BenchmarkServerIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { s.Close() })
-			c, err := Dial(s.Addr(), 0)
+			c, err := DialOptions(s.Addr(), 0, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -160,7 +163,7 @@ func BenchmarkServerIngest(b *testing.B) {
 				b.Cleanup(func() { s.Close() })
 				clients := make([]*Client, pushers)
 				for id := range clients {
-					c, err := Dial(s.Addr(), id)
+					c, err := DialOptions(s.Addr(), id, Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -166,7 +166,7 @@ func TestIdleSessionsHoldNoBuffers(t *testing.T) {
 		s := openServer(t, make([]float64, n), ServerOptions{Alpha: 0.5})
 		cs := make([]*Client, sessions)
 		for i := range cs {
-			c, err := Dial(s.Addr(), i)
+			c, err := DialOptions(s.Addr(), i, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

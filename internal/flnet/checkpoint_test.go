@@ -17,7 +17,7 @@ import (
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	s := startServer(t, []float64{0, 0}, 0.5)
-	c, err := Dial(s.Addr(), 4)
+	c, err := DialOptions(s.Addr(), 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestResumeRejectsModelMismatch(t *testing.T) {
 // stop, so a graceful shutdown never loses accepted pushes.
 func TestStartCheckpointing(t *testing.T) {
 	s := startServer(t, []float64{0}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -471,7 +471,7 @@ func TestLargeFramesAcrossConnections(t *testing.T) {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
-					c, err := Dial(s.Addr(), id)
+					c, err := DialOptions(s.Addr(), id, Options{})
 					if err != nil {
 						t.Error(err)
 						return

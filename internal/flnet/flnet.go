@@ -186,19 +186,8 @@ type Server struct {
 	spare chan *model // released models, recycled by the next commits
 }
 
-// NewServer creates a server holding the initial global weights and starts
-// accepting connections on ln. Close the server to stop.
-func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
-	s, err := NewServerOpts(ln, init, ServerOptions{Alpha: alpha})
-	if err != nil {
-		// There is no Resume here, so only an alpha that is not a finite
-		// number in [0, 1] fails.
-		panic(err)
-	}
-	return s
-}
-
-// NewServerOpts is NewServer with fault-tolerance options. With
+// NewServerOpts creates a server holding the initial global weights and
+// starts accepting connections on ln; Close the server to stop. With
 // opts.Resume, the server starts from the checkpointed state (weights,
 // version, push count, per-client sequence numbers) instead of init; init's
 // length must match the checkpointed model. opts.Alpha must be a finite
@@ -260,7 +249,7 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 	return s, nil
 }
 
-// Addr returns the listen address, e.g. to hand to Dial.
+// Addr returns the listen address, e.g. to hand to DialOptions.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting connections, severs every open portal connection
@@ -695,12 +684,6 @@ type Client struct {
 // server (both 0 on a healthy link).
 func (c *Client) Stats() (retries, reconnects int64) {
 	return c.retries.Load(), c.reconnects.Load()
-}
-
-// Dial connects a portal to the server with default fault tolerance
-// (30s round-trip deadline, 3 retries with exponential backoff).
-func Dial(addr string, id int) (*Client, error) {
-	return DialOptions(addr, id, Options{})
 }
 
 // Close severs the connection and interrupts any backoff wait. It is

@@ -18,7 +18,10 @@ func startServer(t *testing.T, init []float64, alpha float64) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ln, init, alpha)
+	s, err := NewServerOpts(ln, init, ServerOptions{Alpha: alpha})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -26,7 +29,7 @@ func startServer(t *testing.T, init []float64, alpha float64) *Server {
 func TestPullPushRoundTrip(t *testing.T) {
 	init := []float64{1, 2, 3}
 	s := startServer(t, init, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestPullPushRoundTrip(t *testing.T) {
 
 func TestStaleUpdateAttenuated(t *testing.T) {
 	s := startServer(t, []float64{0}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestStaleUpdateAttenuated(t *testing.T) {
 
 func TestSizeMismatchRejected(t *testing.T) {
 	s := startServer(t, []float64{1, 2}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestFederatedTrainingOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), id)
+			c, err := DialOptions(s.Addr(), id, Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -172,7 +175,7 @@ func TestConcurrentClientsRace(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), id)
+			c, err := DialOptions(s.Addr(), id, Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -246,7 +249,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 
 func TestPushQuantized(t *testing.T) {
 	s := startServer(t, []float64{0, 0, 0, 0}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestFederatedTrainingQuantizedUplink(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), id)
+			c, err := DialOptions(s.Addr(), id, Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -320,7 +323,7 @@ func TestFederatedTrainingQuantizedUplink(t *testing.T) {
 
 func TestPushWithoutPayloadRejected(t *testing.T) {
 	s := startServer(t, []float64{1}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

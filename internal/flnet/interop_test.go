@@ -114,7 +114,7 @@ func TestSparseLosslessBitIdentical(t *testing.T) {
 	run := func(sparse bool) ([]float64, int) {
 		s := startServerOpts(t, make([]float64, n), ServerOptions{Alpha: 0.5})
 		s.stalenessExp = 0
-		c, err := Dial(s.Addr(), 0)
+		c, err := DialOptions(s.Addr(), 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func TestJournalMergedTimeline(t *testing.T) {
 // records the dedup decision.
 func TestJournalDedupDropEvent(t *testing.T) {
 	s, fj := journalServer(t, []float64{0})
-	c, err := Dial(s.Addr(), 3)
+	c, err := DialOptions(s.Addr(), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestJournalPushOutcomesCarrySeq(t *testing.T) {
 	lc := newLeaseClock()
 	jn := journal.NewFleet(256, journal.New(-1, 256))
 	s := startLeaseServer(t, []float64{0, 0}, 10*time.Second, lc, jn)
-	c, err := Dial(s.Addr(), 3)
+	c, err := DialOptions(s.Addr(), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJournalSparseResyncEvent(t *testing.T) {
 // land in the server lane.
 func TestJournalCheckpointEvents(t *testing.T) {
 	s, fj := journalServer(t, []float64{0})
-	c, err := Dial(s.Addr(), 1)
+	c, err := DialOptions(s.Addr(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestJournalCheckpointEvents(t *testing.T) {
 // window (a P growing its timer heap, say) does not count.
 func TestPushAllocsFlatWithJournalOff(t *testing.T) {
 	s := startServer(t, make([]float64, 4), 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCodecPushAllocBudget(t *testing.T) {
 	for _, codec := range codecPushes {
 		t.Run(codec.name, func(t *testing.T) {
 			s := startServer(t, make([]float64, 64), 0.5)
-			c, err := Dial(s.Addr(), 0)
+			c, err := DialOptions(s.Addr(), 0, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +387,7 @@ func TestLargePushAllocBudget(t *testing.T) {
 						}
 					}
 					s := startServer(t, make([]float64, n), 0.5)
-					c, err := Dial(s.Addr(), 0)
+					c, err := DialOptions(s.Addr(), 0, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

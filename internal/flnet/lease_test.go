@@ -74,7 +74,7 @@ func TestLeaseLifecycleOrdering(t *testing.T) {
 	s := startLeaseServer(t, []float64{0, 0}, 10*time.Second, lc, jn)
 	journaltest.DumpOnFailure(t, 64, jn.Local())
 
-	c, err := Dial(s.Addr(), 7)
+	c, err := DialOptions(s.Addr(), 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestLeaseLifecycleOrdering(t *testing.T) {
 func TestLeaseExpiredPushResyncs(t *testing.T) {
 	lc := newLeaseClock()
 	s := startLeaseServer(t, []float64{0, 0}, 10*time.Second, lc, nil)
-	c, err := Dial(s.Addr(), 3)
+	c, err := DialOptions(s.Addr(), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLeaseExpiredPushResyncs(t *testing.T) {
 func TestLeaseExpiryDropsSparseRef(t *testing.T) {
 	lc := newLeaseClock()
 	s := startLeaseServer(t, make([]float64, 64), 10*time.Second, lc, nil)
-	c, err := Dial(s.Addr(), 1)
+	c, err := DialOptions(s.Addr(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLeaseExpiryDropsSparseRef(t *testing.T) {
 // leases are granted, membership is empty, and reaping is a nop.
 func TestLeaseDisabledIsInert(t *testing.T) {
 	s := startServer(t, []float64{0}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLeaseConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), id)
+			c, err := DialOptions(s.Addr(), id, Options{})
 			if err != nil {
 				t.Error(err)
 				return

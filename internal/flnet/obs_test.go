@@ -39,7 +39,7 @@ func TestMetricsScrapeAfterRoundTrip(t *testing.T) {
 	before := snapshotValues()
 
 	s := startServer(t, []float64{1, 2, 3}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,8 @@ func (o Options) withDefaults(id int) Options {
 }
 
 // DialOptions connects a portal to the server with explicit fault-tolerance
-// options.
+// options; the zero Options are the defaults (30s round-trip deadline, 3
+// retries with exponential backoff).
 func DialOptions(addr string, id int, opts Options) (*Client, error) {
 	opts = opts.withDefaults(id)
 	conn, err := opts.Dialer(addr)

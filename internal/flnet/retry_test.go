@@ -68,7 +68,10 @@ func TestClientRidesThroughServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := []float64{0, 0}
-	s1 := NewServer(ln, init, 0.5)
+	s1, err := NewServerOpts(ln, init, ServerOptions{Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr := s1.Addr()
 	c, err := DialOptions(addr, 0, fastOptions(60))
 	if err != nil {
@@ -171,7 +174,7 @@ func TestBlackHoledHelloRetried(t *testing.T) {
 // window, not mixed twice — the FedAsync update is not idempotent.
 func TestRetriedPushDeduplicated(t *testing.T) {
 	s := startServer(t, []float64{0}, 0.5)
-	c, err := Dial(s.Addr(), 3)
+	c, err := DialOptions(s.Addr(), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +228,7 @@ func TestRetriedPushDeduplicated(t *testing.T) {
 func TestDedupIsPerClient(t *testing.T) {
 	s := startServer(t, []float64{0}, 0.5)
 	for _, id := range []int{3, 9} {
-		c, err := Dial(s.Addr(), id)
+		c, err := DialOptions(s.Addr(), id, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,10 +270,13 @@ func TestServerCloseWithIdleConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ln, []float64{1}, 0.5)
+	s, err := NewServerOpts(ln, []float64{1}, ServerOptions{Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var clients []*Client
 	for id := 0; id < 3; id++ {
-		c, err := Dial(s.Addr(), id)
+		c, err := DialOptions(s.Addr(), id, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +352,10 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ln, []float64{0, 0, 0}, 0.5)
+	s, err := NewServerOpts(ln, []float64{0, 0, 0}, ServerOptions{Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var clients []*Client
 	for id := 0; id < 4; id++ {
 		c, err := DialOptions(s.Addr(), id, fastOptions(2))

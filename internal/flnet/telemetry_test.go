@@ -34,7 +34,7 @@ func TestTelemetryFederatesMetricsAndTraces(t *testing.T) {
 		rec := journal.New(id, 64)
 		rec.SpanAt(0.5, 0.75, 0, "portal.train", journal.None, journal.None)
 
-		c, err := Dial(s.Addr(), id)
+		c, err := DialOptions(s.Addr(), id, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestTelemetrySkipsNonFinite(t *testing.T) {
 	reg.Gauge("ecofl_test_inf", "likewise").Set(math.Inf(1))
 	reg.Counter("ecofl_test_rounds_total", "rounds trained").Add(3)
 
-	c, err := Dial(s.Addr(), 5)
+	c, err := DialOptions(s.Addr(), 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMalformedStreamCountsDecodeError(t *testing.T) {
 	if w, v := s.Snapshot(); v != 0 || w[0] != 1 || s.Pushes() != 0 {
 		t.Fatalf("a protocol violation moved the model: %v v%d", w, v)
 	}
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func runSequentialFL(t *testing.T, telemetry bool) []float64 {
 	proto := nn.NewMLP(rand.New(rand.NewSource(43)), ds.Dim, 16, ds.NumClasses)
 	s := startServer(t, proto.FlatWeights(), 0.5)
 	for id := 0; id < 2; id++ {
-		c, err := Dial(s.Addr(), id)
+		c, err := DialOptions(s.Addr(), id, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func TestQuarantineNonFinitePerCodec(t *testing.T) {
 // normal ack, and the next honest push applies.
 func TestNaNPushAckedNotMixed(t *testing.T) {
 	s := startServer(t, []float64{1, 2}, 0.5)
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestNormGateQuarantinesOutlier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr(), 0)
+	c, err := DialOptions(s.Addr(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,11 +234,12 @@ func (c *Config) CapacityQ() []int {
 	return out
 }
 
-// Residency returns (P_s, Q_s, K_s = min(P_s, Q_s)) and an error when the
-// chosen strategy cannot fit: GPipe requires Q_s ≥ M on every stage (it
-// cannot throttle resident forwards), 1F1B variants require Q_s ≥ 1.
-func (c *Config) Residency() (ps, qs, ks []int, err error) {
-	if ps, err = ResidencyP(c.Times()); err != nil {
+// residency returns (P_s, Q_s, K_s = min(P_s, Q_s)) for the stages' times
+// and an error when the chosen strategy cannot fit: GPipe requires Q_s ≥ M
+// on every stage (it cannot throttle resident forwards), 1F1B variants
+// require Q_s ≥ 1.
+func (c *Config) residency(times []StageTimes) (ps, qs, ks []int, err error) {
+	if ps, err = ResidencyP(times); err != nil {
 		return nil, nil, nil, err
 	}
 	qs = c.CapacityQ()

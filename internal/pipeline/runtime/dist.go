@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecofl/internal/model"
@@ -127,11 +126,9 @@ type DistPipeline struct {
 	opts LinkOptions
 	rng  *rand.Rand // jitter stream for link dial backoff
 
-	// delays holds per-stage injected compute delay in nanoseconds — the
-	// in-process stand-in for an external workload stealing the device
-	// (§4.4 load spikes). The sleep lands inside the measured compute time,
-	// so monitors observe the slowdown exactly as they would on hardware.
-	delays []atomic.Int64
+	// emu[s] holds the least time stage s's forward and backward ops take
+	// (Tf, Tb): the device the stage emulates (Emulate), zero for none.
+	emu []pipeline.StageTimes
 
 	// Round scaffolding that survives a round, headers only (see above).
 	stages []stageScratch
@@ -182,13 +179,17 @@ func (st *stageScratch) prepare(m, k int) {
 // offsets from the round's start on the monotonic clock.
 type microClock struct {
 	fwd, bwd time.Duration // the forward and the backward pass's compute time
-	// actSent and gradSent are when the stage queued the micro-batch's
-	// activation on its up link and its gradient on its down link.
-	actSent, gradSent time.Duration
-	// actWait and actGot bracket the stage's recv of the activation,
-	// gradWait and gradGot its recv of the gradient.
-	actWait, actGot, gradWait, gradGot time.Duration
+	// link is the micro-batch's activation and gradient on the stage's up
+	// link (none on the last stage's), sent by this stage and the next.
+	link [2]frameClock
 }
+
+const actFrame, gradFrame = 0, 1 // the frames of microClock.link
+
+// frameClock is one frame: when its sender queued it, when its receiver
+// entered recv for it and got it, and how long the sender's link writer
+// took to write it (read once the link's round is closed).
+type frameClock struct{ sent, wait, got, wrote time.Duration }
 
 // RoundStats are wall-clock measurements of one executed sync-round — the
 // prototype-side counterpart of the simulator's schedule metrics, used to
@@ -197,8 +198,8 @@ type RoundStats struct {
 	// WallTime is the end-to-end round duration. For an aborted round this
 	// is the detection latency: fault occurrence to full unwind.
 	WallTime time.Duration
-	// ComputeTime is each stage's time spent inside Forward/Backward
-	// (including any injected external-load delay).
+	// ComputeTime is each stage's time spent inside Forward/Backward,
+	// an emulated device's sleep included (Emulate).
 	ComputeTime []time.Duration
 	// Aborted reports whether the round failed mid-flight; no weights were
 	// committed if so.
@@ -281,7 +282,7 @@ func NewDistributed(tr *model.Trainable, cuts []int, dial Dialer) (*DistPipeline
 		net:    tr.Network(),
 		dial:   dial,
 		rng:    rand.New(rand.NewSource(int64(len(cuts)) + 1)),
-		delays: make([]atomic.Int64, S),
+		emu:    make([]pipeline.StageTimes, S),
 		stages: make([]stageScratch, S),
 		errs:   make([]error, S),
 		clocks: make([][]microClock, S),
@@ -327,14 +328,26 @@ func (d *DistPipeline) SetEstimate(times []pipeline.StageTimes) {
 	d.est.size(0)
 }
 
-// SetStageDelay injects an artificial per-op compute delay into stage s —
-// an emulated external workload consuming the device. Measured stage times
-// include the delay, so deviation monitors react to it exactly as to a real
-// load spike. A zero duration clears the delay. Safe to call mid-round.
-func (d *DistPipeline) SetStageDelay(s int, delay time.Duration) {
-	if s >= 0 && s < len(d.delays) {
-		d.delays[s].Store(int64(delay))
+// Emulate runs each stage as a device: from the next round on, every
+// forward op of stage s takes at least times[s].Tf seconds and every
+// backward op times[s].Tb, sleeping out what its compute left, as
+// pipeline.Config.Times() prices a plan's devices for Schedule; transfers
+// are the links' (ThrottledLinks). A stage with no times takes what it
+// computes. Not concurrently with TrainSyncRound.
+func (d *DistPipeline) Emulate(times []pipeline.StageTimes) {
+	clear(d.emu)
+	copy(d.emu, times)
+}
+
+// holdUntil sleeps until an op that started at t0 has taken at least sec
+// seconds, its emulated device's time, and returns when the op ended.
+func holdUntil(t0 time.Time, sec float64) time.Time {
+	t1 := time.Now()
+	if dur := time.Duration(sec * float64(time.Second)); t1.Sub(t0) < dur {
+		time.Sleep(dur - t1.Sub(t0))
+		t1 = time.Now()
 	}
+	return t1
 }
 
 // SetTrace attaches a recorder to the stage workers: subsequent rounds record
@@ -382,18 +395,6 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 			d.downs[s+1].start(m)
 		}
 	}
-	defer func() {
-		reuse := !r.aborted
-		for s := 0; s < S-1; s++ {
-			d.ups[s].close()
-			d.downs[s+1].close()
-			reuse = reuse && d.ups[s].sendErr() == nil && d.downs[s+1].sendErr() == nil
-		}
-		if !reuse {
-			d.Close()
-		}
-	}()
-
 	d.net.ZeroGrads()
 	clear(d.errs)
 	r.aborted, r.abortOnce = false, sync.Once{}
@@ -420,6 +421,15 @@ func (d *DistPipeline) TrainSyncRound(x *tensor.Tensor, labels []int, mbs int, o
 	r.wg.Wait()
 	stats.WallTime = time.Since(r.start)
 	stats.Aborted = r.aborted
+	reuse := !r.aborted
+	for s := 0; s < S-1; s++ {
+		d.ups[s].close()
+		d.downs[s+1].close()
+		reuse = reuse && d.ups[s].sendErr() == nil && d.downs[s+1].sendErr() == nil
+	}
+	if !reuse {
+		d.Close()
+	}
 	if !r.aborted {
 		d.est.observe(d.clocks, m)
 	}
@@ -585,6 +595,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 	st := &d.stages[s]
 	clock := d.clocks[s]
 	down, up := d.downs[s], d.ups[s]
+	emu := d.emu[s]
 	first, last := s == 0, up == nil
 	for _, o := range st.ops {
 		rec := &st.recs[o.Micro%len(st.recs)]
@@ -598,7 +609,8 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				micro, t, err := down.recv(d.in[s])
 				t1 := time.Now()
 				sm.stallNanos.Add(t1.Sub(t0).Nanoseconds())
-				clk.actWait, clk.actGot = t0.Sub(r.start), t1.Sub(r.start)
+				f := &d.clocks[s-1][o.Micro].link[actFrame] // the down link is stage s−1's up link
+				f.wait, f.got = t0.Sub(r.start), t1.Sub(r.start)
 				endStageSpan(wait, s, "pipe.wait-act", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv act: %w", s, err)
@@ -611,10 +623,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sp := jr.Begin()
 			t0 := time.Now()
 			out := seg.ForwardPass(rec, in, !first)
-			if dl := time.Duration(d.delays[s].Load()); dl > 0 {
-				time.Sleep(dl)
-			}
-			t1 := time.Now()
+			t1 := holdUntil(t0, emu.Tf)
 			el := t1.Sub(t0)
 			*busy += el
 			clk.fwd = el
@@ -622,8 +631,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sm.fwd.Inc()
 			endStageSpan(sp, s, "pipe.fwd", o.Micro)
 			if !last {
-				clk.actSent = t1.Sub(r.start)
-				if err := up.send(o.Micro, out); err != nil {
+				f := &clk.link[actFrame]
+				f.sent = t1.Sub(r.start)
+				if err := up.send(o.Micro, out, &f.wrote); err != nil {
 					return fmt.Errorf("stage %d send act: %w", s, err)
 				}
 			}
@@ -641,7 +651,8 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 				micro, t, err := up.recv(rec.Output().Shape)
 				t1 := time.Now()
 				sm.stallNanos.Add(t1.Sub(t0).Nanoseconds())
-				clk.gradWait, clk.gradGot = t0.Sub(r.start), t1.Sub(r.start)
+				f := &clk.link[gradFrame]
+				f.wait, f.got = t0.Sub(r.start), t1.Sub(r.start)
 				endStageSpan(wait, s, "pipe.wait-grad", o.Micro)
 				if err != nil {
 					return fmt.Errorf("stage %d recv grad: %w", s, err)
@@ -660,10 +671,7 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sp := jr.Begin()
 			t0 := time.Now()
 			dx := seg.BackwardPass(rec, dy, !first) // stage 0 has no one to send dx to
-			if dl := time.Duration(d.delays[s].Load()); dl > 0 {
-				time.Sleep(dl)
-			}
-			t1 := time.Now()
+			t1 := holdUntil(t0, emu.Tb)
 			el := t1.Sub(t0)
 			*busy += el
 			clk.bwd = el
@@ -671,8 +679,9 @@ func (d *DistPipeline) runStage(s int, r *syncRound, busy *time.Duration) error 
 			sm.bwd.Inc()
 			endStageSpan(sp, s, "pipe.bwd", o.Micro)
 			if !first {
-				clk.gradSent = t1.Sub(r.start)
-				if err := down.give(o.Micro, dx); err != nil {
+				f := &d.clocks[s-1][o.Micro].link[gradFrame]
+				f.sent = t1.Sub(r.start)
+				if err := down.give(o.Micro, dx, &f.wrote); err != nil {
 					return fmt.Errorf("stage %d send grad: %w", s, err)
 				}
 			}

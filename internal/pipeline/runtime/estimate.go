@@ -44,7 +44,7 @@ func newEstimate(S int) estimate {
 // observe folds one clean round of m micro-batches, clocks[s][i] for stage
 // s and micro-batch i, into the estimate and sizes P from it.
 func (e *estimate) observe(clocks [][]microClock, m int) {
-	measure(clocks, e.sample)
+	measure(clocks, e.times, e.sample)
 	e.fold(e.sample)
 	e.size(m)
 }
@@ -82,13 +82,10 @@ func (e *estimate) size(m int) {
 
 // measure writes one clean round's Eq. 3 terms per micro-batch to out, from
 // clocks[s][i] for stage s and micro-batch i: each stage's median forward
-// and backward time, and each link's median one-way time in each direction,
-// received − queued. Only frames whose receiver was already blocked in recv
-// when they were queued count: one that waited for a busy receiver measures
-// the receiver, not the link. A link direction with no such frame measures
-// NaN, which the estimate refuses. The last stage has no link up, so its
-// transfer terms are zero.
-func measure(clocks [][]microClock, out []pipeline.StageTimes) {
+// and backward time, and each link's median one-way time in each direction
+// (oneWay, given the estimate est so far). The last stage has no link up,
+// so its transfer terms are zero.
+func measure(clocks [][]microClock, est, out []pipeline.StageTimes) {
 	var buf [64]time.Duration
 	for s, here := range clocks {
 		samples := buf[:0]
@@ -101,26 +98,33 @@ func measure(clocks [][]microClock, out []pipeline.StageTimes) {
 			samples = append(samples, c.bwd)
 		}
 		out[s].Tb = median(samples)
-		if s == len(clocks)-1 {
-			out[s].CommF, out[s].CommB = 0, 0
-			break
+		out[s].CommF, out[s].CommB = 0, 0
+		if s < len(clocks)-1 {
+			out[s].CommF = oneWay(here, actFrame, est[s].CommF > 0, buf[:0])
+			out[s].CommB = oneWay(here, gradFrame, est[s].CommB > 0, buf[:0])
 		}
-		next := clocks[s+1]
-		samples = samples[:0]
-		for i, c := range here {
-			if next[i].actWait <= c.actSent {
-				samples = append(samples, next[i].actGot-c.actSent)
-			}
-		}
-		out[s].CommF = median(samples)
-		samples = samples[:0]
-		for i, c := range here {
-			if c.gradWait <= next[i].gradSent {
-				samples = append(samples, c.gradGot-next[i].gradSent)
-			}
-		}
-		out[s].CommB = median(samples)
 	}
+}
+
+// oneWay is the median one-way time of frame dir of each clock, appended
+// to samples. A frame is timed received − queued when its receiver was
+// already in recv as it was queued: one that waited for a busy receiver
+// measures the receiver, not the link. When no frame was, the direction
+// measures NaN, which the estimate refuses, keeping what it knew; if it
+// knew nothing, each frame is timed at its sender, by how long the writer
+// took to write it, rather than price the link as free.
+func oneWay(clocks []microClock, dir int, known bool, samples []time.Duration) float64 {
+	for _, c := range clocks {
+		if f := c.link[dir]; f.wait <= f.sent {
+			samples = append(samples, f.got-f.sent)
+		}
+	}
+	if len(samples) == 0 && !known {
+		for _, c := range clocks {
+			samples = append(samples, c.link[dir].wrote)
+		}
+	}
+	return median(samples)
 }
 
 // median returns the median of xs in seconds, sorting xs; NaN when xs is

@@ -16,6 +16,7 @@ import (
 	"ecofl/internal/model"
 	"ecofl/internal/nn"
 	"ecofl/internal/obs/leakcheck"
+	"ecofl/internal/pipeline"
 )
 
 // countingDialer wraps a Dialer, counting the dials of each link and keeping
@@ -219,9 +220,10 @@ func TestLinksOutliveCleanRounds(t *testing.T) {
 	})
 
 	t.Run("cut-keepalive", func(t *testing.T) {
-		// Two stages, two micro-batches. Stage 0 lingers over each op, so
-		// stage 1's gradient link idles after its last frame and writes a
-		// keepalive that close cuts off mid-frame once the round is done.
+		// Two stages, two micro-batches. Stage 0 emulates a device that
+		// takes 20 ms an op, so stage 1's gradient link idles after its last
+		// frame and writes a keepalive that close cuts off mid-frame once
+		// the round is done.
 		const mbs, rows = 4, 8
 		var ka *cutKeepalive
 		var first atomic.Bool
@@ -239,7 +241,7 @@ func TestLinksOutliveCleanRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		dp.SetLinkOptions(LinkOptions{Heartbeat: time.Millisecond})
-		dp.SetStageDelay(0, 20*time.Millisecond)
+		dp.Emulate([]pipeline.StageTimes{{Tf: 0.02, Tb: 0.02}})
 		x, y := makeData(rand.New(rand.NewSource(4)), rows, 10, 4)
 		opt := &nn.SGD{LR: 0.05}
 		if _, err := dp.TrainSyncRound(x, y, mbs, opt); err != nil {
@@ -248,7 +250,7 @@ func TestLinksOutliveCleanRounds(t *testing.T) {
 		if !ka.cut.Load() {
 			t.Fatal("no keepalive was cut: the test did not exercise its case")
 		}
-		dp.SetStageDelay(0, 0)
+		dp.Emulate(nil)
 		if _, err := dp.TrainSyncRound(x, y, mbs, opt); err != nil {
 			t.Fatalf("the round after the cut keepalive: %v", err)
 		}

@@ -148,12 +148,13 @@ func encodeFrame(buf []byte, micro int, t *tensor.Tensor) []byte {
 }
 
 // outFrame is one queued send. An owned tensor is the writer's to return to
-// the pool once the frame buffer holds its copy. A frame with no tensor ends
-// the writer's round.
+// the pool once the frame buffer holds its copy; wrote gets how long the
+// frame took to write. A frame with no tensor ends the writer's round.
 type outFrame struct {
 	micro int
 	t     *tensor.Tensor
 	owned bool
+	wrote *time.Duration
 }
 
 // link is one duplex neighbour connection. Sends are asynchronous through a
@@ -251,10 +252,7 @@ func (l *link) writer() {
 				tensor.PutBuf(f.t)
 			}
 			l.serialized.Add(1)
-			if l.write(*buf) {
-				linkFramesSent.Inc()
-				linkBytesSent.Add(int64(len(*buf)))
-			}
+			*f.wrote = l.write(*buf)
 		case <-tickC:
 			l.heartbeat()
 		}
@@ -291,14 +289,17 @@ func (l *link) armWriteDeadline() {
 }
 
 // write hands one whole data frame to the connection in a single Write under
-// the send deadline. Returns whether it went out.
-func (l *link) write(frame []byte) bool {
+// the send deadline, and returns how long the Write took.
+func (l *link) write(frame []byte) time.Duration {
 	l.armWriteDeadline()
+	t0 := time.Now()
 	if _, err := l.conn.Write(frame); err != nil {
 		l.fail(err)
-		return false
+	} else {
+		linkFramesSent.Inc()
+		linkBytesSent.Add(int64(len(frame)))
 	}
-	return true
+	return time.Since(t0)
 }
 
 // heartbeat writes one keepalive, in a single Write like any frame. A peer
@@ -342,16 +343,17 @@ func (l *link) heartbeat() {
 	}
 }
 
-// send queues t for micro-batch micro. The tensor stays the caller's, who
-// must keep it intact until the writer has serialized it (sent reports that).
-func (l *link) send(micro int, t *tensor.Tensor) error {
-	return l.enqueue(outFrame{micro: micro, t: t})
+// send queues t for micro-batch micro, wrote to get how long it took to
+// write once the round is closed. The tensor stays the caller's, who must
+// keep it intact until the writer has serialized it (sent reports that).
+func (l *link) send(micro int, t *tensor.Tensor, wrote *time.Duration) error {
+	return l.enqueue(outFrame{micro: micro, t: t, wrote: wrote})
 }
 
 // give is send with the tensor handed over: the writer returns it to the
 // pool once it is framed, and the caller must not touch it again.
-func (l *link) give(micro int, t *tensor.Tensor) error {
-	return l.enqueue(outFrame{micro: micro, t: t, owned: true})
+func (l *link) give(micro int, t *tensor.Tensor, wrote *time.Duration) error {
+	return l.enqueue(outFrame{micro: micro, t: t, owned: true, wrote: wrote})
 }
 
 func (l *link) enqueue(f outFrame) error {

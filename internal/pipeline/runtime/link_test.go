@@ -84,7 +84,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][]int{{4, 6}, {16, 96}, {2, 3, 5, 7}, {9000}} // the last one is above 64 KiB
 	for i, sh := range shapes {
-		if err := l.send(i, tensor.Randn(rng, 1, sh...)); err != nil {
+		if err := l.send(i, tensor.Randn(rng, 1, sh...), new(time.Duration)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond) // idle long enough for heartbeats in between
@@ -216,7 +216,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 	rx := &link{conn: b}
 	src := tensor.Randn(rand.New(rand.NewSource(3)), 1, 16, 96)
 	got := testing.AllocsPerRun(200, func() {
-		if err := tx.send(0, src); err != nil {
+		if err := tx.send(0, src, new(time.Duration)); err != nil {
 			t.Fatal(err)
 		}
 		_, r, err := rx.recv(src.Shape)

@@ -104,10 +104,23 @@ func Order(ops []Op, strategy Strategy, m, k int) []Op {
 // config's strategy, enforcing stage-serial execution in 1F1B/BAF policy
 // order, link-serial transfers, and the K_s residency limits.
 func Schedule(c *Config) (*Result, error) {
+	return ScheduleTimes(c, nil)
+}
+
+// ScheduleTimes is Schedule with each stage's times given, such as a
+// running pipeline measured them (runtime.RoundStats.Times), in place of
+// its device's (Config.Times); nil means Config.Times. The devices still
+// bound each stage's memory (Q_s).
+func ScheduleTimes(c *Config, times []StageTimes) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	ps, qs, ks, err := c.Residency()
+	if times == nil {
+		times = c.Times()
+	} else if len(times) != len(c.Stages) {
+		return nil, fmt.Errorf("pipeline: times of %d stages for %d", len(times), len(c.Stages))
+	}
+	ps, qs, ks, err := c.residency(times)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +136,6 @@ func Schedule(c *Config) (*Result, error) {
 
 	S := len(c.Stages)
 	M := c.NumMicroBatches
-	times := c.Times()
 
 	finF := make([][]float64, S)
 	finB := make([][]float64, S)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -90,4 +91,26 @@ func TestThrottleValidation(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	Throttle(a, 0, 0)
+}
+
+// A link buffers what it has transmitted: writes return once paced, with
+// nobody reading yet, the peer then reads them in order, and a write after
+// Close fails.
+func TestWritesWaitInTheSendBuffer(t *testing.T) {
+	a, b := pipePair()
+	defer b.Close()
+	l := Throttle(a, 1e9, 0)
+	for i := range 3 {
+		if _, err := l.Write([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 3)
+	if _, err := io.ReadFull(b, got); err != nil || string(got) != "\x00\x01\x02" {
+		t.Fatalf("the peer read %q, %v", got, err)
+	}
+	l.Close()
+	if _, err := l.Write([]byte{3}); err == nil {
+		t.Fatal("a write after Close succeeded")
+	}
 }

@@ -245,10 +245,19 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # the stage and link estimate and its whole-vector switch, on synthetic
 # clocks. And so does the monitor-triggered rebalance: the re-plan reads the
 # estimate the last round's stage goroutines measured, ships weights over
-# fresh links and rebuilds the pipeline, with a delay the stages read as they
-# run.
+# fresh links and rebuilds the pipeline, after a load spike on a device the
+# stages emulate.
 go test -race -count=10 -run '^(TestRecyclingStagesMatchReference|TestResidencyKeepsWeightsBitIdentical|TestAbortThenRetryWithRecycling|TestLinksOutliveCleanRounds|TestHostileShapesAbortRound|TestViewLayerStagesBitIdentical|TestEstimateSwitchesWholeVector)$' ./internal/pipeline/runtime
 go test -race -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adaptive/executor
+
+# The runtime executes pipeline.Schedule to the nanosecond: in a
+# testing/synctest bubble (go1.24 has it behind GOEXPERIMENT=synctest) only
+# the emulated devices and the throttled links move the clock, so each op's
+# end, each round's time and K must equal Schedule's. Repeated, and once
+# under the race detector on the short table: the stages, the link writers
+# and the throttled links' deliverers all run in the bubble.
+GOEXPERIMENT=synctest go test -count=3 -run '^TestScheduleIsExecuted$' ./internal/pipeline/runtime ./internal/adaptive/executor
+GOEXPERIMENT=synctest go test -race -short -run '^TestScheduleIsExecuted$' ./internal/pipeline/runtime ./internal/adaptive/executor
 
 # The wall-clock-shaped simulator check (Schedule's round time from the
 # measured profile against the prototype's), repeated so that a flake shows

@@ -45,7 +45,6 @@ var allowed = []struct{ name, why string }{
 	{"ecofl/internal/nn.MaxPool2D.Clone", "satisfies nn.Layer; no binary clones a CNN"},
 	{"ecofl/internal/nn.Flatten.Clone", "satisfies nn.Layer; no binary clones a CNN"},
 	{"ecofl/internal/nn.(*Residual).Clone", "satisfies nn.Layer; no binary clones a CNN"},
-	{"ecofl/internal/adaptive/executor.(*Executor).SetDeviceDelay", "device emulation for tests until ROADMAP item 3a makes it one mechanism"},
 	{"ecofl/internal/adaptive.(*Monitor).History", "the measured-latency path reads the smoothed latency through it; ROADMAP item 1c wires that path into a binary"},
 	{"ecofl/internal/fl.(*Population).ApplyMeasuredLatencies", "measured-latency grouping, tested; ROADMAP item 1c wires it into a binary"},
 	{"ecofl/internal/fl.(*Population).EvictStragglers", "measured-latency grouping, tested; ROADMAP item 1c wires it into a binary"},
