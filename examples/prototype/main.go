@@ -1,6 +1,6 @@
 // Prototype: the complete Eco-FL system over real network connections.
 //
-// Four smart homes each train a shared CNN through a 3-stage 1F1B-Sync
+// Four smart homes each train a shared MLP through a 3-stage 1F1B-Sync
 // pipeline whose inter-stage activations and gradients travel over genuine
 // TCP loopback connections (the in-home device links), and federate through
 // an Eco-FL server reached over TCP (the wide-area link), which applies

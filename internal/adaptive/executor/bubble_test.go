@@ -108,3 +108,56 @@ func TestScheduleIsExecuted(t *testing.T) {
 		}
 	})
 }
+
+// TestKeptPlanReplansOnce: a deviation whose re-plan keeps the layout is
+// one re-plan, not one per round while the load holds. The narrowest
+// stage's device slows to 1/1.5 of its speed: its estimate climbs past the
+// monitor's 25 % over a few rounds and settles at 1.5×, and the DP keeps
+// the layout, since the stage holds one block. The estimate that plan read
+// becomes the deviation rule's reference, so the rest of the climb (under
+// 25 % over it), 100 rounds of the held load and the load's end re-plan
+// nothing more.
+func TestKeptPlanReplansOnce(t *testing.T) {
+	synctest.Run(func() {
+		const mbs, slowdown, bw = 6, 1.5, 1e7
+		x, labels := makeData(rand.New(rand.NewSource(3)), 24, 12, 4)
+		tr := model.NewTrainableMLP(rand.New(rand.NewSource(5)), "ref", 12, []int{14, 12, 10}, 4)
+		devs := slowFleet()
+		for _, d := range devs {
+			d.LinkBandwidth = bw
+		}
+		exec, err := New(Config{Trainable: tr, Devices: devs, MicroBatchSize: mbs, Links: runtime.ThrottledLinks(runtime.PipeLinks(), bw, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { exec.pipe.Close() }()
+		opt := &nn.SGD{LR: 0.05}
+		rounds := func(n int) {
+			for range n {
+				if _, err := exec.TrainRound(x, labels, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rounds(3)
+		layout := exec.Stages()
+		loaded := 0
+		for s, st := range layout {
+			if st.To-st.From < layout[loaded].To-layout[loaded].From {
+				loaded = s
+			}
+		}
+		dev := layout[loaded].Device
+		dev.LoadFactor = 1 / slowdown
+		rounds(100)
+		if st := exec.Stats(); st.Replans != 1 || st.Migrations != 0 || !slices.Equal(exec.Stages(), layout) {
+			t.Fatalf("100 rounds of %s at 1/%g speed: %d re-plans, %d migrations, layout %v → %v; want one re-plan that keeps the layout",
+				dev.Name, slowdown, st.Replans, st.Migrations, layout, exec.Stages())
+		}
+		dev.LoadFactor = 1
+		rounds(20)
+		if got := exec.Stats().Replans; got != 1 {
+			t.Fatalf("the load's end re-planned: %d re-plans, want the one", got)
+		}
+	})
+}

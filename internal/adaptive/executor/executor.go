@@ -113,6 +113,9 @@ type Stats struct {
 	// monitor-triggered rebalancing); a re-plan that keeps the layout is
 	// none.
 	Migrations int
+	// Replans counts the re-plans the deviation rule ran, those that kept
+	// the layout included.
+	Replans int
 	// MigratedBytes is the executed weight volume shipped over links.
 	MigratedBytes int64
 	// PlannedMoveBytes is what adaptive.PlanMigration predicted for the
@@ -431,7 +434,8 @@ func (e *Executor) heal() error {
 // pipeline. Weight shipping is real: each moved segment crosses a fresh
 // connection as a wire.KindSegment frame and is installed on arrival. A
 // plan equal to the layout in force is no migration: the pipeline, its held
-// links and its estimate stay.
+// links and its estimate stay, and the estimate it was planned from becomes
+// the deviation rule's reference, as a new layout's forecast does.
 func (e *Executor) migrateTo(devs []*device.Device) error {
 	if len(devs) == 0 {
 		return ErrNoSurvivors
@@ -444,10 +448,16 @@ func (e *Executor) migrateTo(devs []*device.Device) error {
 	e.mu.Lock()
 	oldStages := slices.Clone(e.stages)
 	round := e.round
-	e.mu.Unlock()
 	if slices.Equal(plan.Stages, oldStages) {
+		if st := e.pipe.LastRoundStats(); st != nil {
+			for s, t := range st.Times {
+				e.installed[s] = t.Compute()
+			}
+		}
+		e.mu.Unlock()
 		return nil
 	}
+	e.mu.Unlock()
 	var layout []string
 	for _, st := range plan.Stages {
 		layout = append(layout, fmt.Sprintf("%s[%d,%d)", st.Device.Name, st.From, st.To))
@@ -659,6 +669,9 @@ func (e *Executor) observe() {
 		}
 	}
 	survivors := e.aliveDevicesLocked()
+	if trigger {
+		e.stats.Replans++
+	}
 	e.mu.Unlock()
 	if trigger {
 		// A failed proactive rebalance is not fatal: training continues on

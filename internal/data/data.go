@@ -32,28 +32,16 @@ type Dataset struct {
 	Dim        int
 	X          *tensor.Tensor // n × Dim feature matrix (row-major samples)
 	Y          []int          // n labels in [0, NumClasses)
-	// SampleShape, when set, is the per-sample tensor shape (e.g. C,H,W
-	// for images); Materialize and Batches emit (n, SampleShape...) then.
-	// Nil means flat (n, Dim) samples.
-	SampleShape []int
-}
-
-// appendShape appends the tensor shape for n samples of this dataset to dst.
-func (d *Dataset) appendShape(dst []int, n int) []int {
-	if d.SampleShape == nil {
-		return append(dst, n, d.Dim)
-	}
-	return append(append(dst, n), d.SampleShape...)
 }
 
 // Gather copies the examples idx names into b: row r of b.X and b.Y[r] become
 // example idx[r]. b.X and b.Y need room for len(idx) examples and may have
 // room for more — a short last batch reuses the full-size buffer — and are
-// cut to exactly len(idx): b.X is reshaped to (len(idx), SampleShape...).
+// cut to exactly len(idx): b.X is reshaped to (len(idx), Dim).
 func (d *Dataset) Gather(b *Batch, idx []int) {
 	dim := d.Dim
 	b.X.Data = b.X.Data[:len(idx)*dim]
-	b.X.Shape = d.appendShape(b.X.Shape[:0], len(idx))
+	b.X.Shape = append(b.X.Shape[:0], len(idx), dim)
 	b.Y = b.Y[:len(idx)]
 	for row, i := range idx {
 		copy(b.X.Data[row*dim:(row+1)*dim], d.X.Data[i*dim:(i+1)*dim])
@@ -117,40 +105,6 @@ const (
 	noiseCIFAR   = 1.8
 )
 
-// ImageLike generates n single-channel size×size images over k classes:
-// class c brightens a class-specific column band on top of Gaussian noise —
-// spatial structure a convolutional model can exploit. SampleShape is
-// (1, size, size).
-func ImageLike(rng *rand.Rand, n, size, k int, noise float64) *Dataset {
-	if size < k {
-		panic(fmt.Sprintf("data: image size %d must be ≥ classes %d", size, k))
-	}
-	dim := size * size
-	x := tensor.New(n, dim)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i % k
-		y[i] = c
-		row := x.Data[i*dim : (i+1)*dim]
-		for j := range row {
-			row[j] = rng.NormFloat64() * noise
-		}
-		col := c * size / k
-		for r := 0; r < size; r++ {
-			row[r*size+col] += 2.5
-		}
-	}
-	perm := rng.Perm(n)
-	xs := tensor.New(n, dim)
-	ys := make([]int, n)
-	for to, from := range perm {
-		copy(xs.Data[to*dim:(to+1)*dim], x.Data[from*dim:(from+1)*dim])
-		ys[to] = y[from]
-	}
-	return &Dataset{Name: "image-like", NumClasses: k, Dim: dim, X: xs, Y: ys,
-		SampleShape: []int{1, size, size}}
-}
-
 // MNISTLike returns an easy 10-class dataset (stands in for MNIST).
 func MNISTLike(rng *rand.Rand, n int) *Dataset {
 	return Synthetic(rng, "mnist-like", n, 32, 10, noiseMNIST)
@@ -192,8 +146,7 @@ type Subset struct {
 // Len returns the number of examples in the subset.
 func (s *Subset) Len() int { return len(s.Indices) }
 
-// Materialize copies the subset into a dense (X, Y) pair, shaped per the
-// parent dataset's SampleShape.
+// Materialize copies the subset into a dense (X, Y) pair.
 func (s *Subset) Materialize() (*tensor.Tensor, []int) {
 	b := s.Parent.newBatch(len(s.Indices))
 	s.Parent.Gather(&b, s.Indices)

@@ -240,50 +240,3 @@ func TestPartitionDisjointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestImageLikeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	d := ImageLike(rng, 60, 12, 4, 0.4)
-	if d.Dim != 144 || len(d.SampleShape) != 3 {
-		t.Fatalf("bad image dataset: dim %d shape %v", d.Dim, d.SampleShape)
-	}
-	sub, _ := d.Split(1.0)
-	x, y := sub.Materialize()
-	want := []int{60, 1, 12, 12}
-	for i, dim := range want {
-		if x.Shape[i] != dim {
-			t.Fatalf("materialized shape %v, want %v", x.Shape, want)
-		}
-	}
-	if len(y) != 60 {
-		t.Fatalf("labels %d", len(y))
-	}
-	for _, b := range sub.Batches(rng, 16) {
-		if len(b.X.Shape) != 4 || b.X.Shape[1] != 1 {
-			t.Fatalf("batch shape %v must be NCHW", b.X.Shape)
-		}
-	}
-}
-
-func TestImageLikeLearnableByCNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	d := ImageLike(rng, 120, 12, 4, 0.4)
-	train, test := d.Split(0.8)
-	net := nn.NewNetwork(
-		nn.NewConv2D(rand.New(rand.NewSource(1)), 1, 4, 3, 1, 1),
-		nn.ReLU{},
-		nn.MaxPool2D{K: 2, Stride: 2},
-		nn.Flatten{},
-		nn.NewDense(rand.New(rand.NewSource(2)), 4*6*6, 4),
-	)
-	opt := &nn.SGD{LR: 0.05, Momentum: 0.9}
-	for e := 0; e < 15; e++ {
-		for _, b := range train.Batches(rng, 16) {
-			net.TrainBatch(b.X, b.Y, opt)
-		}
-	}
-	tx, ty := test.Materialize()
-	if acc := net.Accuracy(tx, ty); acc < 0.8 {
-		t.Fatalf("CNN should learn image-like data, acc %.3f", acc)
-	}
-}

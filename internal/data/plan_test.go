@@ -23,11 +23,7 @@ func referenceBatches(s *Subset, rng *rand.Rand, batchSize int) []Batch {
 		if end > len(idx) {
 			end = len(idx)
 		}
-		shape := []int{end - start, d.Dim}
-		if d.SampleShape != nil {
-			shape = append([]int{end - start}, d.SampleShape...)
-		}
-		b := Batch{X: tensor.New(shape...), Y: make([]int, end-start)}
+		b := Batch{X: tensor.New(end-start, d.Dim), Y: make([]int, end-start)}
 		for row, i := range idx[start:end] {
 			copy(b.X.Data[row*d.Dim:(row+1)*d.Dim], d.X.Data[i*d.Dim:(i+1)*d.Dim])
 			b.Y[row] = d.Y[i]
@@ -41,14 +37,12 @@ func referenceBatches(s *Subset, rng *rand.Rand, batchSize int) []Batch {
 // and an index plan gathered batch by batch into one reused buffer, as fl's
 // local update does — yield the reference's batches exactly (shape, feature
 // bytes, labels, order) and leave the rng where the reference leaves it, on a
-// flat and on an image-shaped shard whose length the batch size does not
-// divide, over two epochs.
+// shard whose length the batch size does not divide, over two epochs.
 func TestPlanAndGatherReproduceBatches(t *testing.T) {
 	const batchSize, epochs = 10, 2
 	gen := rand.New(rand.NewSource(11))
 	for name, d := range map[string]*Dataset{
-		"flat":  FashionLike(gen, 300),
-		"image": ImageLike(gen, 300, 6, 4, 0.5),
+		"flat": FashionLike(gen, 300),
 	} {
 		// An interior, non-contiguous shard of 47 examples: 4 full batches + 7.
 		shard := &Subset{Parent: d}

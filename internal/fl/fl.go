@@ -299,24 +299,15 @@ func (p *Population) corrupt(c *Client, ref, update []float64) {
 // corrupted so far in this population's run (0 without an adversary).
 func (p *Population) Corruptions() int { return p.adversary().Corruptions() }
 
-// NewPopulation builds clients from pre-partitioned shards with a default
-// MLP global model, sampling each client's base delay from
-// N(MeanDelay, StdDelay²) clipped at MeanDelay/4, and assigning a random
-// collaborative degree (§6.1).
+// NewPopulation builds clients from pre-partitioned shards with an MLP
+// global model, of which every client trains an independent clone, sampling
+// each client's base delay from N(MeanDelay, StdDelay²) clipped at
+// MeanDelay/4, and assigning a random collaborative degree (§6.1).
 func NewPopulation(rng *rand.Rand, shards []*data.Subset, testX *tensor.Tensor, testY []int, cfg Config) *Population {
-	dim := shards[0].Parent.Dim
-	classes := shards[0].Parent.NumClasses
-	return NewPopulationWithProto(rng, shards, testX, testY, cfg, nn.NewMLP(rng, dim, 64, classes))
-}
-
-// NewPopulationWithProto is NewPopulation with a caller-supplied global
-// model architecture (e.g. a CNN for image-shaped shards). Every client
-// trains an independent clone.
-func NewPopulationWithProto(rng *rand.Rand, shards []*data.Subset, testX *tensor.Tensor, testY []int, cfg Config, proto *nn.Network) *Population {
+	proto := nn.NewMLP(rng, shards[0].Parent.Dim, 64, shards[0].Parent.NumClasses)
 	cfg = cfg.withDefaults()
 	cfg.NumClients = len(shards)
-	p := &Population{TestX: testX, TestY: testY, Config: cfg}
-	p.Proto = proto
+	p := &Population{TestX: testX, TestY: testY, Config: cfg, Proto: proto}
 	for i, sh := range shards {
 		base := cfg.MeanDelay + rng.NormFloat64()*cfg.StdDelay
 		if base < cfg.MeanDelay/4 {

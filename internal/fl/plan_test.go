@@ -30,25 +30,22 @@ func batchesLocalTrain(p *Population, rng *rand.Rand, c *Client, ref []float64, 
 // TestLocalTrainMatchesBatchesPath trains clients through LocalTrain (index
 // plan, one gathered buffer) and through the materialising reference from
 // identically seeded rngs: same weights, same LastLoss, same rng state — on
-// flat shards with an MLP and on image-shaped shards with a CNN, shard
-// lengths the batch size does not divide (so every epoch ends in a short
-// batch and the next begins in the same buffer), and a batch size larger
-// than a shard.
+// shard lengths the batch size does not divide (so every epoch ends in a
+// short batch and the next begins in the same buffer), with two epochs and
+// with one, and with a batch size larger than a shard.
 func TestLocalTrainMatchesBatchesPath(t *testing.T) {
 	cfg := fastConfig() // 2 local epochs, batch 10
 	gen := rand.New(rand.NewSource(21))
 	flat := data.FashionLike(gen, 4*47)
-	image := data.ImageLike(gen, 4*47, 12, 4, 0.4)
-	cnn := nn.NewNetwork(nn.NewConv2D(gen, 1, 4, 3, 1, 1), nn.ReLU{}, nn.MaxPool2D{K: 2, Stride: 2},
-		nn.Flatten{}, nn.NewDense(gen, 4*6*6, 4))
 	big := cfg
 	big.BatchSize = 64 // > 47: one short batch per epoch
+	one := cfg
+	one.LocalEpochs = 1
 
 	for name, pop := range map[string]*Population{
-		"mlp/flat":      populationOver(gen, flat, cfg, nil),
-		"cnn/image":     populationOver(gen, image, cfg, cnn),
-		"mlp/bigbatch":  populationOver(gen, flat, big, nil),
-		"cnn/one-epoch": populationOver(gen, image, func() Config { c := cfg; c.LocalEpochs = 1; return c }(), cnn.Clone()),
+		"mlp/flat":      populationOver(gen, flat, cfg),
+		"mlp/bigbatch":  populationOver(gen, flat, big),
+		"mlp/one-epoch": populationOver(gen, flat, one),
 	} {
 		ref := pop.GlobalInit()
 		rngA, rngB := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
@@ -73,14 +70,9 @@ func TestLocalTrainMatchesBatchesPath(t *testing.T) {
 	}
 }
 
-// populationOver builds a 4-client IID population over d, with the default
-// MLP when proto is nil.
-func populationOver(rng *rand.Rand, d *data.Dataset, cfg Config, proto *nn.Network) *Population {
+// populationOver builds a 4-client IID population over d.
+func populationOver(rng *rand.Rand, d *data.Dataset, cfg Config) *Population {
 	_, test := d.Split(0.9)
 	tx, ty := test.Materialize()
-	shards := data.PartitionIID(rng, d, 4)
-	if proto == nil {
-		return NewPopulation(rng, shards, tx, ty, cfg)
-	}
-	return NewPopulationWithProto(rng, shards, tx, ty, cfg, proto)
+	return NewPopulation(rng, data.PartitionIID(rng, d, 4), tx, ty, cfg)
 }

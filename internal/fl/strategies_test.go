@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"ecofl/internal/data"
 	"ecofl/internal/metrics"
-	"ecofl/internal/nn"
 )
 
 func TestGroupSyncEveryDelaysGlobalMixing(t *testing.T) {
@@ -143,34 +141,6 @@ func TestParticipationTracked(t *testing.T) {
 	}
 	if len(res.Participation) != len(pop.Clients) {
 		t.Fatal("participation vector must cover all clients")
-	}
-}
-
-// Federated learning with a convolutional global model on image-shaped
-// shards — the paper's CNN setting end to end.
-func TestHierarchicalWithCNNProto(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
-	ds := data.ImageLike(rng, 720, 12, 4, 0.4)
-	_, test := ds.Split(0.85)
-	shards := data.PartitionByClasses(rng, ds, 12, 2)
-	tx, ty := test.Materialize()
-	proto := nn.NewNetwork(
-		nn.NewConv2D(rand.New(rand.NewSource(51)), 1, 4, 3, 1, 1),
-		nn.ReLU{},
-		nn.MaxPool2D{K: 2, Stride: 2},
-		nn.Flatten{},
-		nn.NewDense(rand.New(rand.NewSource(52)), 4*6*6, 4),
-	)
-	cfg := fastConfig()
-	cfg.Duration = 500
-	cfg.LocalEpochs = 1
-	pop := NewPopulationWithProto(rng, shards, tx, ty, cfg, proto)
-	res := RunHierarchical(pop, HierOptions{Grouping: GroupEcoFL, DynamicRegroup: true})
-	if res.Rounds == 0 {
-		t.Fatal("CNN FL must complete rounds")
-	}
-	if res.FinalAccuracy < 0.5 {
-		t.Fatalf("CNN FL accuracy %.3f too low", res.FinalAccuracy)
 	}
 }
 

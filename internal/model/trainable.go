@@ -17,8 +17,7 @@ import (
 type Trainable struct {
 	Spec   *Spec
 	Blocks [][]nn.Layer // Blocks[i] executes Spec.Layers[i]
-	// InputShape is the per-sample input tensor shape (e.g. [dim] for an
-	// MLP, [C,H,W] for a CNN).
+	// InputShape is the per-sample input tensor shape, [dim] for the MLP.
 	InputShape []int
 
 	net *nn.Network

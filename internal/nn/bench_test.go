@@ -40,58 +40,6 @@ func BenchmarkTrainBatchMLP(b *testing.B) {
 	}
 }
 
-func BenchmarkConv2DForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	c := NewConv2D(rng, 8, 16, 3, 1, 1)
-	x := tensor.Randn(rng, 1, 4, 8, 16, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Forward(x, 0)
-	}
-}
-
-func BenchmarkConv2DBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	c := NewConv2D(rng, 8, 16, 3, 1, 1)
-	x := tensor.Randn(rng, 1, 4, 8, 16, 16)
-	y, cache := c.Forward(x, 0)
-	dy := tensor.Randn(rng, 1, y.Shape...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Caches are single-use (Backward recycles the im2col buffer), so a
-		// fresh forward runs off the clock each iteration.
-		b.StopTimer()
-		tensor.PutBuf(y)
-		y, cache = c.Forward(x, 0)
-		b.StartTimer()
-		tensor.PutBuf(c.Backward(cache, dy, 0))
-	}
-}
-
-// BenchmarkConv2DStepPooled measures a steady-state Conv2D training step
-// with the caller recycling the tensors it owns — the buffer-reuse path a
-// training loop hits. allocs/op should sit at ~0 after warm-up.
-func BenchmarkConv2DStepPooled(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	c := NewConv2D(rng, 8, 16, 3, 1, 1)
-	x := tensor.Randn(rng, 1, 4, 8, 16, 16)
-	y, cache := c.Forward(x, 0)
-	dy := tensor.Randn(rng, 1, y.Shape...)
-	dx := c.Backward(cache, dy, 0)
-	tensor.PutBuf(y)
-	tensor.PutBuf(dx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		y, cache := c.Forward(x, 0)
-		dx := c.Backward(cache, dy, 0)
-		tensor.PutBuf(y)
-		tensor.PutBuf(dx)
-	}
-}
-
 func BenchmarkSoftmaxCrossEntropy(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	logits := tensor.Randn(rng, 1, 64, 10)

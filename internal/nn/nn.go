@@ -205,61 +205,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return loss / n, grad
 }
 
-// ---------------------------------------------------------------- Residual
-
-// Residual wraps an inner stack with a skip connection: y = x + f(x).
-// The inner stack must preserve shape.
-type Residual struct {
-	Inner []Layer
-}
-
-func (r *Residual) Forward(x *tensor.Tensor, width int) (*tensor.Tensor, Cache) {
-	caches := make([]Cache, len(r.Inner))
-	y := x
-	for i, l := range r.Inner {
-		y, caches[i] = l.Forward(y, width)
-	}
-	if y.Len() != x.Len() {
-		panic(fmt.Sprintf("nn: Residual inner stack changed size %v → %v", x.Shape, y.Shape))
-	}
-	return pooledCopy(y).Add(x), caches
-}
-
-func (r *Residual) Backward(c Cache, dy *tensor.Tensor, width int) *tensor.Tensor {
-	caches := c.([]Cache)
-	d := dy
-	for i := len(r.Inner) - 1; i >= 0; i-- {
-		d = r.Inner[i].Backward(caches[i], d, width)
-	}
-	return pooledCopy(d).Add(dy)
-}
-
-func (r *Residual) Params() []*Param {
-	var ps []*Param
-	for _, l := range r.Inner {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-func (r *Residual) OutShape(in []int) []int { return (&Network{Layers: r.Inner}).OutShape(in) }
-
-func (r *Residual) Clone() Layer {
-	inner := make([]Layer, len(r.Inner))
-	for i, l := range r.Inner {
-		inner[i] = l.Clone()
-	}
-	return &Residual{Inner: inner}
-}
-
-// pooledCopy is a copy of t drawn from the tensor pool: the copy is the
-// caller's to return with tensor.PutBuf once it is dead.
-func pooledCopy(t *tensor.Tensor) *tensor.Tensor {
-	c := tensor.GetBufUninit(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // ---------------------------------------------------------------- Network
 
 // Network is a sequential stack of layers over one model vector: every
@@ -428,7 +373,7 @@ func (p *Pass) Output() *tensor.Tensor { return p.acts[len(p.acts)-1] }
 // With wantDx the result, the gradient with respect to the input, is the
 // caller's. Without it nothing computes that gradient and the result is nil:
 // the lowest layer with parameters only accumulates its parameter gradients
-// (Dense and Conv2D skip their input-gradient product), and the layers below
+// (Dense skips its input-gradient product), and the layers below
 // it, having nothing to accumulate, only give their tensors back.
 func (n *Network) BackwardPass(p *Pass, dy *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	stop := 0
@@ -480,8 +425,9 @@ func (p *Pass) Release() {
 // that came into the layer, and the layer's own output (layers i+1… are done
 // with it, and layer i's cache is spent). After layer 0 an owned input is
 // dead too. A tensor whose storage a still-live tensor shares does not go
-// back: a Flatten's output is a view of its input and its input gradient a
-// view of the gradient it was given. Such storage is returned once, by the
+// back: Layer is an interface, so a layer may return its input, or a view of
+// it, as its output, and the gradient it was given as its input gradient
+// (and stage 0's input is a view of the caller's batch). Such storage is returned once, by the
 // last tensor of the alias chain to die — the earliest activation, the final
 // gradient — or never, when the chain starts at a caller's batch.
 // (Activations and gradients are separate chains: no layer's Backward returns

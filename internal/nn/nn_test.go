@@ -294,9 +294,8 @@ func TestFedProxWrongReferenceLeavesModel(t *testing.T) {
 func TestNetworkIsOneSlab(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := NewNetwork(
-		NewConv2D(rng, 1, 2, 3, 1, 1), ReLU{}, Flatten{},
-		&Residual{Inner: []Layer{NewDense(rng, 4, 4), ReLU{}}},
-		NewDense(rng, 4, 4), NewDense(rng, 4, 3),
+		NewDense(rng, 4, 4), ReLU{}, flat{},
+		NewDense(rng, 4, 4), NewDense(rng, 4, 4), NewDense(rng, 4, 3),
 	)
 	off := 0
 	for i, l := range n.Layers {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecofl/internal/tensor"
@@ -14,6 +15,65 @@ import (
 // step draws it next. These tests hold TrainBatch against the composition it
 // replaced, which returns nothing to the pool and so cannot go wrong that way.
 
+// flat is a view layer: it reshapes each sample to one row and hands on the
+// storage it was given, its input forward and its upstream gradient backward.
+// No layer the program builds is a view, but Layer is an interface and stage
+// 0's micro-batches are views of the caller's batch, so the release rule
+// (Pass.release, paramGrads) must hold for one; flat is the fixture.
+type flat struct{}
+
+func (flat) Forward(x *tensor.Tensor, _ int) (*tensor.Tensor, Cache) {
+	return &tensor.Tensor{Shape: []int{x.Shape[0], x.Len() / x.Shape[0]}, Data: x.Data}, slices.Clone(x.Shape)
+}
+
+func (flat) Backward(c Cache, dy *tensor.Tensor, _ int) *tensor.Tensor {
+	return &tensor.Tensor{Shape: c.([]int), Data: dy.Data}
+}
+
+func (flat) Params() []*Param { return nil }
+
+func (flat) OutShape(in []int) []int {
+	n := 1
+	for _, d := range in {
+		n *= d
+	}
+	return []int{n}
+}
+
+func (flat) Clone() Layer { return flat{} }
+
+// shift adds a learned bias, y = x + b, and has no paramGrads method: a
+// backward pass that wants no input gradient must run its Backward (the
+// fallback paramGrads keeps for a Layer it does not know), and the input
+// gradient that returns is the gradient it was given.
+type shift struct{ b *Param }
+
+func newShift(n int) *shift {
+	return &shift{b: &Param{Name: "shift.b", Value: tensor.New(n), Grad: tensor.New(n)}}
+}
+
+func (s *shift) Forward(x *tensor.Tensor, _ int) (*tensor.Tensor, Cache) {
+	y := tensor.GetBufUninit(x.Shape...)
+	copy(y.Data, x.Data)
+	for i := 0; i < y.Rows(); i++ {
+		row := tensor.Tensor{Data: y.RowView(i)}
+		row.Add(s.b.Value)
+	}
+	return y, nil
+}
+
+func (s *shift) Backward(_ Cache, dy *tensor.Tensor, _ int) *tensor.Tensor {
+	for i := 0; i < dy.Rows(); i++ {
+		row := tensor.Tensor{Data: dy.RowView(i)}
+		s.b.Grad.Add(&row)
+	}
+	return dy
+}
+
+func (s *shift) Params() []*Param        { return []*Param{s.b} }
+func (s *shift) OutShape(in []int) []int { return in }
+func (s *shift) Clone() Layer            { return &shift{b: s.b.view()} }
+
 // ownershipNets builds, from a seed, the networks the ownership test trains,
 // with the per-sample input shape of each. Between them they hold every layer
 // type and a view layer in every position that matters: first (its output is
@@ -21,24 +81,26 @@ import (
 // view of the previous activation).
 func ownershipNets(seed int64) (nets []*Network, inputs [][]int) {
 	rng := rand.New(rand.NewSource(seed))
-	// Every layer type: (1,8,8) → conv → (3,8,8) → pool → (3,4,4) → residual
-	// → flatten → 48 → 16, a Flatten of the 16 (a view in the middle) → 16 →
-	// 5. The view sits between two Dense layers of one output size, so a
-	// storage returned twice comes back as both, and the second multiplies
+	// (1,8,8) → flat → 64 → 16, a flat of the 16 (a view in the middle) →
+	// 16 → 5. The view sits between two Dense layers of one output size, so
+	// a storage returned twice comes back as both, and the second multiplies
 	// into its own input.
 	nets = append(nets, NewNetwork(
-		NewConv2D(rng, 1, 3, 3, 1, 1), ReLU{}, MaxPool2D{K: 2, Stride: 2},
-		&Residual{Inner: []Layer{NewConv2D(rng, 3, 3, 3, 1, 1), ReLU{}}},
-		Flatten{}, NewDense(rng, 48, 16), Flatten{}, NewDense(rng, 16, 16), ReLU{},
-		NewDense(rng, 16, 5)))
+		flat{}, NewDense(rng, 64, 16), ReLU{}, flat{}, NewDense(rng, 16, 16), ReLU{},
+		NewDense(rng, 16, 5), newShift(5)))
 	inputs = append(inputs, []int{1, 8, 8})
-	// Flatten first, Flatten last.
+	// flat first, flat last.
 	nets = append(nets, NewNetwork(
-		Flatten{}, NewDense(rng, 18, 12), ReLU{}, NewDense(rng, 12, 5), Flatten{}))
+		flat{}, NewDense(rng, 18, 12), ReLU{}, NewDense(rng, 12, 5), flat{}))
 	inputs = append(inputs, []int{2, 3, 3})
-	// A Flatten of a Flatten first (a view of a view of the caller's batch),
-	// and nothing between the last Dense and the logits.
-	nets = append(nets, NewNetwork(Flatten{}, Flatten{}, NewDense(rng, 18, 5)))
+	// A flat of a flat first (a view of a view of the caller's batch), and
+	// nothing between the last Dense and the logits.
+	nets = append(nets, NewNetwork(flat{}, flat{}, NewDense(rng, 18, 5)))
+	inputs = append(inputs, []int{2, 3, 3})
+	// A shift lowest of the layers with parameters: its input gradient is
+	// the gradient it was given, which must go back once, or the next step
+	// draws it as two of its activations at once.
+	nets = append(nets, NewNetwork(flat{}, newShift(18), NewDense(rng, 18, 18), ReLU{}, NewDense(rng, 18, 5)))
 	inputs = append(inputs, []int{2, 3, 3})
 	return nets, inputs
 }
@@ -113,19 +175,17 @@ func TestTrainBatchMatchesNonRecyclingStep(t *testing.T) {
 
 // TestBackwardPassWithoutDxSameParamGrads: a backward pass that computes no
 // input gradient accumulates the same parameter gradients, bit for bit, as
-// one that does — for an MLP, a stack whose lowest layer with parameters is a
-// Conv2D or (behind a Flatten) a Dense, both of which skip their dx product,
-// and one where it is a Residual, which cannot and drops its dx instead.
+// one that does — for an MLP, a stack whose lowest layer with parameters is
+// (behind a view) a Dense, which skips its dx product, and one where it is a
+// shift, which cannot and whose dx is the gradient it was given.
 func TestBackwardPassWithoutDxSameParamGrads(t *testing.T) {
 	build := func() (nets []*Network, inputs [][]int) {
 		rng := rand.New(rand.NewSource(5))
 		nets = append(nets, NewMLP(rng, 6, 8, 4))
 		inputs = append(inputs, []int{6})
-		nets = append(nets, NewNetwork(NewConv2D(rng, 2, 3, 3, 1, 1), ReLU{}, Flatten{}, NewDense(rng, 3*5*5, 4)))
-		inputs = append(inputs, []int{2, 5, 5})
-		nets = append(nets, NewNetwork(Flatten{}, NewDense(rng, 18, 8), ReLU{}, NewDense(rng, 8, 4)))
+		nets = append(nets, NewNetwork(flat{}, NewDense(rng, 18, 8), ReLU{}, NewDense(rng, 8, 4)))
 		inputs = append(inputs, []int{2, 3, 3})
-		nets = append(nets, NewNetwork(Flatten{}, &Residual{Inner: []Layer{NewDense(rng, 18, 18), ReLU{}}}, NewDense(rng, 18, 4)))
+		nets = append(nets, NewNetwork(flat{}, newShift(18), ReLU{}, NewDense(rng, 18, 4)))
 		inputs = append(inputs, []int{2, 3, 3})
 		return nets, inputs
 	}

@@ -65,8 +65,8 @@ import (
 //	dx, stage 0              the stage, at once
 //	dx, stages > 0           the down link's writer, once it is framed (give)
 //
-// Storage shared between tensors (a Flatten at a stage edge makes the output
-// a view of the input, dx a view of dy) goes back once, by the last of the
+// Storage shared between tensors (a view layer at a stage edge makes the
+// output a view of the input, dx a view of dy) goes back once, by the last of the
 // chain to die; that is the record's business too.
 //
 // The one reader the record cannot see is the send queue: the segment output

@@ -90,7 +90,7 @@ func TestDistributedValidation(t *testing.T) {
 	}
 	// Stages refuse any tensor not shaped as they expect, which they work
 	// out from the model's input shape.
-	bare := handTrainable("bare", nil, []nn.Layer{nn.NewConv2D(rng, 1, 2, 3, 1, 1)}, []nn.Layer{nn.Flatten{}})
+	bare := handTrainable("bare", nil, []nn.Layer{nn.NewDense(rng, 4, 2)}, []nn.Layer{flat{}})
 	if _, err := NewDistributed(bare, []int{1}, nil); err == nil {
 		t.Fatal("a model with no input shape must be rejected")
 	}

@@ -284,16 +284,16 @@ func TestLinkTrafficCounters(t *testing.T) {
 }
 
 // viewTrainable builds a model whose cut points leave view layers at the
-// edges of stages: a stage that is nothing but a Flatten (its output is a
-// view of its input, its dx of its dy), a stage that starts and ends with a
-// Flatten around real compute, and a second Flatten-only stage.
+// edges of stages: a stage that is nothing but a flat (its output is a view
+// of its input, its dx of its dy), a stage that starts and ends with a flat
+// around real compute, and a second flat-only stage.
 func viewTrainable(seed int64) *model.Trainable {
 	rng := rand.New(rand.NewSource(seed))
 	return handTrainable("views", []int{10},
 		[]nn.Layer{nn.NewDense(rng, 10, 14), nn.ReLU{}},
-		[]nn.Layer{nn.Flatten{}},
-		[]nn.Layer{nn.Flatten{}, nn.NewDense(rng, 14, 12), nn.ReLU{}, nn.Flatten{}},
-		[]nn.Layer{nn.Flatten{}},
+		[]nn.Layer{flat{}},
+		[]nn.Layer{flat{}, nn.NewDense(rng, 14, 12), nn.ReLU{}, flat{}},
+		[]nn.Layer{flat{}},
 		[]nn.Layer{nn.NewDense(rng, 12, 4)})
 }
 

@@ -58,8 +58,7 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 
 // TestParallelKernelAllocFree pins the fan-out: a product large enough to be
 // split across the pool allocates as little as one that is not, at widths 1
-// and 4. The three matmul kernels cost nothing, and so does a ParallelRows
-// job.
+// and 4. The three matmul kernels cost nothing.
 func TestParallelKernelAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -78,14 +77,6 @@ func TestParallelKernelAllocFree(t *testing.T) {
 				t.Errorf("%s at width %d allocates %.0f/op, want 0", name, width, got)
 			}
 		}
-		// A typed job held by pointer in storage the caller owns costs
-		// nothing either, split across the pool or kept on the caller.
-		job := &copyRows{dst: make([]float64, 64), src: x.Data}
-		for _, work := range []int{1, 1 << 20} {
-			if got := testing.AllocsPerRun(100, func() { ParallelRows(64, work, width, job) }); got != 0 {
-				t.Errorf("ParallelRows with work %d at width %d allocates %.0f/op, want 0", work, width, got)
-			}
-		}
 	}
 }
 
@@ -97,8 +88,3 @@ var intoKernels = map[string]func(dst, a, b *Tensor, width int) *Tensor{
 	"MatMulATInto": MatMulATInto,
 	"MatMulBTInto": MatMulBTInto,
 }
-
-// copyRows copies src into dst, one index per row.
-type copyRows struct{ dst, src []float64 }
-
-func (j *copyRows) Rows(lo, hi int) { copy(j.dst[lo:hi], j.src[lo:hi]) }

@@ -6,15 +6,14 @@ import (
 )
 
 // Buffer pool: per-size free lists for the transient tensors the training
-// hot path churns through — im2col matrices, matmul scratch, and every
-// activation and gradient of a training step. GetBuf/PutBuf are opt-in: a
-// pooled tensor that is never returned behaves exactly like one from New and
-// is reclaimed by the GC, and PutBuf accepts a tensor from New as readily as
-// one from GetBuf.
+// hot path churns through — matmul scratch, and every activation and
+// gradient of a training step. GetBufUninit/PutBuf are opt-in: a pooled
+// tensor that is never returned behaves exactly like one from New and is
+// reclaimed by the GC, and PutBuf accepts a tensor from New as readily as one
+// from GetBufUninit.
 //
 // Who returns what: a kernel's own scratch goes back inside the call that
-// drew it (Dense/Conv2D weight-gradient buffers, im2col matrices); a
-// layer's outputs belong to whoever called Forward/Backward, and the callers
+// drew it (Dense's weight-gradient buffer); a layer's outputs belong to whoever called Forward/Backward, and the callers
 // that know a tensor is dead return it. For the activations and gradients of
 // a forward/backward pass that knowledge is written once, in nn.Pass: the
 // single-device step (nn.Network.TrainBatch, Loss, Accuracy) runs one record,
@@ -26,10 +25,10 @@ import (
 // client pins nothing.
 //
 // Ownership discipline: Put a tensor only when nothing still reads its
-// storage. A tensor whose storage is a view of another's (nn.Flatten shares
-// Data with its input; the pipeline's micro-batches are views of the caller's
-// batch) must not go back while the other is in use — SharesStorage is the
-// test.
+// storage. A tensor whose storage is a view of another's (the pipeline's
+// micro-batches are views of the caller's batch, and nn.Layer is an
+// interface, so a layer may hand its input on under a new header) must not go
+// back while the other is in use — SharesStorage is the test.
 
 var bufPools sync.Map // element count → *sync.Pool of *Tensor
 
@@ -41,15 +40,6 @@ func poolFor(n int) *sync.Pool {
 		New: func() any { return &Tensor{Data: make([]float64, n)} },
 	})
 	return p.(*sync.Pool)
-}
-
-// GetBuf returns a zero-filled pooled tensor with the given shape.
-func GetBuf(shape ...int) *Tensor {
-	t := GetBufUninit(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-	return t
 }
 
 // GetBufUninit returns a pooled tensor with the given shape whose contents
@@ -65,7 +55,7 @@ func GetBufUninit(shape ...int) *Tensor {
 	return t
 }
 
-// PutBuf returns t to the pool for reuse by a later GetBuf of the same
+// PutBuf returns t to the pool for reuse by a later GetBufUninit of the same
 // element count. The caller must not use t afterwards.
 func PutBuf(t *Tensor) {
 	if t == nil || len(t.Data) == 0 {
@@ -75,9 +65,8 @@ func PutBuf(t *Tensor) {
 }
 
 // SharesStorage reports whether a and b overlap in memory. A view layer hands
-// its input's storage on under a new header (nn.Flatten shares Data with its
-// input in both directions), so what a stack of layers returns can be a
-// tensor it was given in disguise — the caller's batch, an activation a later Backward
+// its input's storage on under a new header, so what a stack of layers
+// returns can be a tensor it was given in disguise — the caller's batch, an activation a later Backward
 // still reads, a tensor still queued on a link. Such a tensor must not go
 // back to the pool while the other is live.
 func SharesStorage(a, b *Tensor) bool {

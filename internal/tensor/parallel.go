@@ -20,12 +20,10 @@ import (
 // kernel on the caller's goroutine; width 0 is every core, GOMAXPROCS.
 //
 // A fan-out is described once, in a job drawn from a pool — the kernel and
-// its operands, or a RowJob, the range and the completion counter — and what
-// travels over the one work queue is a pointer to it: whoever receives it
-// claims the job's next block. No closure is built and nothing is allocated:
-// a parallel MatMul*Into costs what a serial one does, zero
-// (TestParallelKernelAllocFree), and neither does a ParallelRows job kept in
-// storage its caller already owns.
+// its operands, the range and the completion counter — and what travels over
+// the one work queue is a pointer to it: whoever receives it claims the job's
+// next block. No closure is built and nothing is allocated: a parallel
+// MatMul*Into costs what a serial one does, zero (TestParallelKernelAllocFree).
 
 // minParallelWork is the approximate scalar-operation count below which a
 // kernel stays on the calling goroutine: small matrices would spend more
@@ -70,33 +68,21 @@ func ensureWorkers(n int) {
 // dst from a and b.
 type rowKernel func(dst, a, b *Tensor, lo, hi int)
 
-// body is what a fan-out runs over its row range: a matmul kernel on dst, a
-// and b or — when kernel is nil — a RowJob.
-type body struct {
+// job is one fan-out in progress: kernel over dst, a and b's rows [0, n) in
+// blocks of chunk rows. Blocks are claimed, not assigned — next counts the
+// claims — which changes who computes a block, never what it computes.
+type job struct {
 	kernel    rowKernel
 	dst, a, b *Tensor
-	rows      RowJob
-}
-
-// job is one fan-out in progress: the body over [0, n) in blocks of chunk
-// rows. Blocks are claimed, not assigned — next counts the claims — which
-// changes who computes a block, never what it computes.
-type job struct {
-	body
-	n, chunk int
-	next     atomic.Int32
-	done     sync.WaitGroup
+	n, chunk  int
+	next      atomic.Int32
+	done      sync.WaitGroup
 }
 
 // runBlock claims the job's next block and runs it.
 func (j *job) runBlock() {
 	lo := int(j.next.Add(1)-1) * j.chunk
-	hi := min(lo+j.chunk, j.n)
-	if j.kernel != nil {
-		j.kernel(j.dst, j.a, j.b, lo, hi)
-	} else {
-		j.rows.Rows(lo, hi)
-	}
+	j.kernel(j.dst, j.a, j.b, lo, min(lo+j.chunk, j.n))
 	j.done.Done()
 }
 
@@ -130,36 +116,20 @@ func blocksFor(n, work, width int) int {
 	return max(1, min(width, n))
 }
 
-// RowJob is a typed fan-out body: Rows(lo, hi) does the work of indices
-// [lo, hi), touching only state that belongs to them. A job kept in storage
-// its caller already owns — a field of a pooled cache, say — and handed over
-// by pointer costs no allocation, where a closure capturing the same
-// operands is put on the heap.
-type RowJob interface{ Rows(lo, hi int) }
-
-// ParallelRows splits [0, n) into up to width contiguous blocks and runs
-// j.Rows(lo, hi) for each, returning when every block is done. work is an
-// estimate of the total scalar operations; when it is below an internal
-// threshold — or width is 1 — j.Rows(0, n) runs inline on the caller.
-// Blocks may run on pool workers concurrently with the caller.
-func ParallelRows(n, work, width int, j RowJob) {
-	if n <= 0 {
+// runRows computes all rows of dst with kernel: in p ≥ 2 contiguous blocks,
+// one on the caller and the rest on pool workers, when blocksFor says so, or
+// by a direct call when the product is too small to split.
+func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work, width int) {
+	p := blocksFor(rows, work, width)
+	if p == 1 {
+		kernel(dst, a, b, 0, rows)
 		return
 	}
-	if p := blocksFor(n, work, width); p > 1 {
-		fanOut(n, p, body{rows: j})
-	} else {
-		j.Rows(0, n)
-	}
-}
-
-// fanOut runs b over [0, n) in p ≥ 2 contiguous blocks: one on the caller,
-// the rest on pool workers.
-func fanOut(n, p int, b body) {
 	ensureWorkers(p - 1)
 	j := jobs.Get().(*job)
-	j.body, j.n, j.chunk = b, n, (n+p-1)/p
-	blocks := (n + j.chunk - 1) / j.chunk
+	j.kernel, j.dst, j.a, j.b = kernel, dst, a, b
+	j.n, j.chunk = rows, (rows+p-1)/p
+	blocks := (rows + j.chunk - 1) / j.chunk
 	j.next.Store(0)
 	j.done.Add(blocks)
 	for i := 1; i < blocks; i++ {
@@ -167,17 +137,6 @@ func fanOut(n, p int, b body) {
 	}
 	j.runBlock()
 	j.done.Wait()
-	j.body = body{} // a pooled job must not keep operands alive
+	j.dst, j.a, j.b = nil, nil, nil // a pooled job must not keep operands alive
 	jobs.Put(j)
-}
-
-// runRows computes all rows of dst with kernel, split across the worker pool
-// exactly as ParallelRows would at the same width; a product too small to
-// split is computed by a direct call.
-func runRows(kernel rowKernel, dst, a, b *Tensor, rows, work, width int) {
-	if p := blocksFor(rows, work, width); p > 1 {
-		fanOut(rows, p, body{kernel: kernel, dst: dst, a: a, b: b})
-	} else {
-		kernel(dst, a, b, 0, rows)
-	}
 }

@@ -12,10 +12,11 @@ if [ -n "$unformatted" ]; then
 fi
 
 # Function reach: every non-test function is kept by the linker in some
-# binary — cmd/, the benchmark or an example — or is on scripts/reach.go's
-# allow-list with its reason (the two test instruments, a few functions
-# waiting for a ROADMAP item). A function nothing runs is deleted or moved into
-# a _test.go file, not kept green. It links all ten main packages (≈ 8 s warm).
+# binary — cmd/ or the benchmark; an example keeps nothing alive — or is on
+# scripts/reach.go's allow-list with its reason (the test instruments, a few
+# functions waiting for a ROADMAP item). A function nothing runs is deleted or
+# moved into a _test.go file, not kept green. It links the four main packages
+# (≈ 4 s warm).
 reach_start=$SECONDS
 go run scripts/reach.go
 echo "reach: $((SECONDS - reach_start))s"
@@ -236,7 +237,7 @@ go test -race -count=5 -run '^TestLargeFramesAcrossConnections$' ./internal/flne
 # and a keepalive cut at a round's end races the close that cuts it. So does
 # the hostile-shape pin: a refused frame hands back any pooled tensor it was
 # read into, and a double return shows here. So does the view-layer pin: a
-# Flatten at a stage edge hands a received tensor's storage on to the send
+# view layer at a stage edge hands a received tensor's storage on to the send
 # queue, and only the sent-before-released gate keeps it from the pool. So does
 # the residency pin: a stage that keeps more micro-batches in flight holds
 # more records at once, and a record freed early shows as a moved bit; it also
@@ -255,9 +256,10 @@ go test -race -count=10 -run '^TestMonitorTriggeredRebalance$' ./internal/adapti
 # the emulated devices and the throttled links move the clock, so each op's
 # end, each round's time and K must equal Schedule's. Repeated, and once
 # under the race detector on the short table: the stages, the link writers
-# and the throttled links' deliverers all run in the bubble.
-GOEXPERIMENT=synctest go test -count=3 -run '^TestScheduleIsExecuted$' ./internal/pipeline/runtime ./internal/adaptive/executor
-GOEXPERIMENT=synctest go test -race -short -run '^TestScheduleIsExecuted$' ./internal/pipeline/runtime ./internal/adaptive/executor
+# and the throttled links' deliverers all run in the bubble. The executor's
+# re-plan count under a held load rides along: one deviation, one re-plan.
+GOEXPERIMENT=synctest go test -count=3 -run '^(TestScheduleIsExecuted|TestKeptPlanReplansOnce)$' ./internal/pipeline/runtime ./internal/adaptive/executor
+GOEXPERIMENT=synctest go test -race -short -run '^(TestScheduleIsExecuted|TestKeptPlanReplansOnce)$' ./internal/pipeline/runtime ./internal/adaptive/executor
 
 # The wall-clock-shaped simulator check (Schedule's round time from the
 # measured profile against the prototype's), repeated so that a flake shows
@@ -318,9 +320,8 @@ if grep -rnE -- '--experiment|--csv|ecofl (fl|all|pipeline|migrate)\b' README.md
 	exit 1
 fi
 
-# The examples are roots of the function-reach check above (scripts/reach.go;
-# cnnpipeline alone reaches the CNN layers), so each must run: an example
-# that cannot run is not a reason to keep code.
+# Each example must run. The examples are not roots of the function-reach
+# check above, so code only an example calls is reported there, not kept.
 examples_start=$SECONDS
 for main in examples/*/main.go; do
 	go run "./$(dirname "$main")" >/dev/null

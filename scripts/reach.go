@@ -1,8 +1,10 @@
 //go:build ignore
 
 // Reach checks that every function of the program is reached by a binary:
-// that some main package's linked executable keeps it. Run it from the repo
-// root:
+// that some main package's linked executable keeps it. The roots are the
+// main packages under cmd/ and benchmark/. The examples are neither roots nor
+// checked: an example may call anything, but keeps nothing alive. Run it from
+// the repo root:
 //
 //	go run scripts/reach.go
 //
@@ -36,15 +38,21 @@ import (
 	"strings"
 )
 
+// throttled is why the paced links stay although no binary reaches them:
+// two packages' tests use them, so no one package's _test.go can hold them.
+const throttled = "test instrument: the runtime and executor tests pace their links with it, and TestScheduleIsExecuted holds those links to pipeline.Schedule"
+
 // allowed names what stays although no binary reaches it, each with its
 // reason: a whole package by import path, or one function by its symbol.
 var allowed = []struct{ name, why string }{
 	{"ecofl/internal/obs/leakcheck", "test instrument: tests import it to fail on a leaked goroutine"},
 	{"ecofl/internal/obs/journal/journaltest", "test instrument: a failing test prints its journals' timeline through it"},
-	{"ecofl/internal/nn.(*Conv2D).Clone", "satisfies nn.Layer; no binary clones a CNN"},
-	{"ecofl/internal/nn.MaxPool2D.Clone", "satisfies nn.Layer; no binary clones a CNN"},
-	{"ecofl/internal/nn.Flatten.Clone", "satisfies nn.Layer; no binary clones a CNN"},
-	{"ecofl/internal/nn.(*Residual).Clone", "satisfies nn.Layer; no binary clones a CNN"},
+	{"ecofl/internal/pipeline/runtime.ThrottledLinks", throttled},
+	{"ecofl/internal/simnet.Throttle", throttled},
+	{"ecofl/internal/simnet.(*Link).Write", throttled},
+	{"ecofl/internal/simnet.(*Link).deliver", throttled},
+	{"ecofl/internal/simnet.(*Link).SetWriteDeadline", throttled},
+	{"ecofl/internal/simnet.(*Link).Close", throttled},
 	{"ecofl/internal/adaptive.(*Monitor).History", "the measured-latency path reads the smoothed latency through it; ROADMAP item 1c wires that path into a binary"},
 	{"ecofl/internal/fl.(*Population).ApplyMeasuredLatencies", "measured-latency grouping, tested; ROADMAP item 1c wires it into a binary"},
 	{"ecofl/internal/fl.(*Population).EvictStragglers", "measured-latency grouping, tested; ROADMAP item 1c wires it into a binary"},
@@ -163,8 +171,8 @@ func run() error {
 	return nil
 }
 
-// listPackages lists the module's packages with the non-test Go files this
-// platform builds.
+// listPackages lists the module's packages, the examples left out, with the
+// non-test Go files this platform builds.
 func listPackages() ([]pkg, error) {
 	out, err := exec.Command("go", "list", "-f",
 		"{{.ImportPath}}\t{{.Name}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...").Output()
@@ -176,6 +184,9 @@ func listPackages() ([]pkg, error) {
 		f := strings.Split(l, "\t")
 		if len(f) != 4 {
 			return nil, fmt.Errorf("go list: unexpected line %q", l)
+		}
+		if strings.HasPrefix(f[0], "ecofl/examples/") {
+			continue
 		}
 		pkgs = append(pkgs, pkg{path: f[0], name: f[1], dir: f[2], files: strings.Fields(f[3])})
 	}
