@@ -97,7 +97,7 @@ func TestPartitionIIDBalanced(t *testing.T) {
 			t.Fatalf("client %d has %d samples", i, s.Len())
 		}
 		// IID shard should be close to uniform.
-		if js := stats.JS(stats.FromCounts(s.LabelCounts()), stats.NewUniform(10)); js > 0.05 {
+		if js := stats.JSCounts(s.LabelCounts(), nil); js > 0.05 {
 			t.Fatalf("client %d JS from uniform = %v, too skewed for IID", i, js)
 		}
 	}
@@ -124,7 +124,7 @@ func TestPartitionByClassesSkew(t *testing.T) {
 		if distinct > 3 {
 			t.Fatalf("client %d has %d distinct classes, want ≤3", i, distinct)
 		}
-		if js := stats.JS(stats.FromCounts(s.LabelCounts()), stats.NewUniform(10)); js < 0.3 {
+		if js := stats.JSCounts(s.LabelCounts(), nil); js < 0.3 {
 			t.Fatalf("client %d insufficiently skewed: JS %v", i, js)
 		}
 	}
@@ -185,7 +185,7 @@ func TestPartitionRLGIIDUniformGroups(t *testing.T) {
 				counts[c] += n
 			}
 		}
-		if js := stats.JS(stats.FromCounts(counts), stats.NewUniform(10)); js > 0.02 {
+		if js := stats.JSCounts(counts, nil); js > 0.02 {
 			t.Fatalf("group %d not IID: JS %v", g, js)
 		}
 	}

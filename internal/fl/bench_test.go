@@ -3,6 +3,8 @@ package fl
 import (
 	"math/rand"
 	"testing"
+
+	"ecofl/internal/data"
 )
 
 func BenchmarkLocalTrain(b *testing.B) {
@@ -55,5 +57,25 @@ func BenchmarkTopKDelta(b *testing.B) {
 				idx, vals = TopKDelta(w, ref, 1000, idx, vals)
 			}
 		})
+	}
+}
+
+// BenchmarkInitialGrouping is §5.2's initial grouping at the paper's scale,
+// the fleet the benchmark's sim-ecofl workload builds (experiments.Full:
+// 300 clients of two classes each on the fashion-mnist preset, λ = 500,
+// RT 15, 5 groups): K-means on latency, then some 2×10⁴ Eq. 4 costs. It is
+// the layer number beside that workload's fl.grouping_s.
+func BenchmarkInitialGrouping(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ds := data.FashionLike(rng, 12000)
+	_, test := ds.Split(0.85)
+	shards := data.PartitionByClasses(rng, ds, 300, 2)
+	tx, ty := test.Materialize()
+	pop := NewPopulation(rng, shards, tx, ty, Config{Seed: 1, Lambda: 500, NumGroups: 5, RTThreshold: 15})
+	gr := &Grouper{Lambda: 500, RT: 15, NumClasses: pop.TestClasses()}
+	gr.InitialGrouping(rand.New(rand.NewSource(1)), pop.Clients, 5) // count the shards' labels
+	b.ReportAllocs()
+	for b.Loop() {
+		gr.InitialGrouping(rand.New(rand.NewSource(1)), pop.Clients, 5)
 	}
 }

@@ -58,6 +58,10 @@ type Client struct {
 	LastLoss float64
 
 	net *nn.Network
+	// counts are the label counts of the shard countsOf, which labelCounts
+	// keeps equal to Train.
+	counts   []int
+	countsOf *data.Subset
 }
 
 // Latency returns the client's current response latency: the telemetry
@@ -72,7 +76,19 @@ func (c *Client) Latency() float64 {
 
 // SetShard replaces the client's local data (used by experiment setups that
 // assign data after latencies are known, e.g. the RLG protocols of §6.1).
+// The label counts grouping reads follow: they are counted again from s.
 func (c *Client) SetShard(s *data.Subset) { c.Train = s }
+
+// labelCounts returns the per-class example counts of the client's shard,
+// counted once per shard: Eq. 4's cost, Group.Add and Group.Remove read them
+// on every call, some 10⁴ calls per paper-scale grouping. The shard they were
+// counted from is kept with them, so a new Train is counted anew.
+func (c *Client) labelCounts() []int {
+	if c.countsOf != c.Train {
+		c.counts, c.countsOf = c.Train.LabelCounts(), c.Train
+	}
+	return c.counts
+}
 
 // MaybeRedraw re-samples the collaborative degree with probability p — the
 // paper's dynamic setting where available edge resources fluctuate.
@@ -489,49 +505,87 @@ func (p *Population) LocalTrain(rng *rand.Rand, c *Client, ref []float64, mu flo
 // round at any parallelism level. sel must not
 // contain duplicates (strategies select distinct clients per round). Like
 // LocalTrain's, each update is its client's weight slab, valid until that
-// client's next local update; ref may be one of them.
-func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, mu float64) [][]float64 {
+// client's next local update; ref may be one of them. The returned slice is
+// updates' storage, grown if it is short (nil allocates): a caller training
+// round after round passes the previous round's.
+func (p *Population) TrainClients(rng *rand.Rand, sel []*Client, ref []float64, mu float64, updates [][]float64) [][]float64 {
 	ref, start := detachRef(ref, sel...)
 	defer tensor.PutBuf(start)
-	updates := make([][]float64, len(sel))
-	plans := make([]*[]int, len(sel))
-	for i, c := range sel {
-		plans[i] = p.planLocal(rng, c)
+	updates = slices.Grow(updates[:0], len(sel))[:len(sel)]
+	f := fanOuts.Get().(*fanOut)
+	f.p, f.sel, f.ref, f.mu, f.updates = p, sel, ref, mu, updates
+	for _, c := range sel {
+		f.plans = append(f.plans, p.planLocal(rng, c))
 	}
-	workers, width := tensor.Split(runtime.GOMAXPROCS(0), len(sel))
-	train := func(i int) {
-		updates[i] = p.trainPlanned(sel[i], ref, mu, *plans[i], width)
-		intScratch.Put(plans[i])
-	}
+	var workers int
+	workers, f.width = tensor.Split(runtime.GOMAXPROCS(0), len(sel))
 	if workers < 2 {
 		for i := range sel {
-			train(i)
+			f.train(i)
 		}
-		p.corruptAll(sel, ref, updates)
-		return updates
-	}
-	// Work-stealing over client indices: shard sizes (and therefore local
-	// update costs) vary, so static chunking would leave workers idle.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	work := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(sel) {
-				return
-			}
-			train(i)
+	} else {
+		f.next.Store(0)
+		f.wg.Add(workers)
+		ensureTrainers(workers)
+		for k := 0; k < workers; k++ {
+			trainerQueue <- f.work
 		}
+		f.wg.Wait()
 	}
-	ensureTrainers(workers)
-	for k := 0; k < workers; k++ {
-		trainerQueue <- work
-	}
-	wg.Wait()
+	f.release()
 	p.corruptAll(sel, ref, updates)
 	return updates
+}
+
+// fanOut is one TrainClients call's state, shared with the trainers that run
+// its updates: the call's arguments, the clients' index plans and the
+// work-stealing counter. It is pooled with its work function bound, so a round
+// allocates none of it; release drops what it referenced before it goes back.
+type fanOut struct {
+	p       *Population
+	sel     []*Client
+	ref     []float64
+	mu      float64
+	width   int
+	updates [][]float64
+	plans   []*[]int
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	work    func() // f.steal
+}
+
+var fanOuts = sync.Pool{New: func() any {
+	f := new(fanOut)
+	f.work = f.steal
+	return f
+}}
+
+// train runs the i-th selected client's update from its plan.
+func (f *fanOut) train(i int) {
+	f.updates[i] = f.p.trainPlanned(f.sel[i], f.ref, f.mu, *f.plans[i], f.width)
+	intScratch.Put(f.plans[i])
+}
+
+// steal is one trainer's share: work-stealing over client indices, because
+// shard sizes (and therefore local update costs) vary, so static chunking
+// would leave workers idle.
+func (f *fanOut) steal() {
+	defer f.wg.Done()
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.sel) {
+			return
+		}
+		f.train(i)
+	}
+}
+
+// release returns f to the pool, holding no population, client or weights.
+func (f *fanOut) release() {
+	clear(f.plans)
+	f.plans = f.plans[:0]
+	f.p, f.sel, f.ref, f.updates = nil, nil, nil, nil
+	fanOuts.Put(f)
 }
 
 // TrainClients' work runs on trainer goroutines that live for the process,

@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecofl/internal/data"
@@ -271,6 +272,45 @@ func TestCostLambdaEndpoints(t *testing.T) {
 	}
 }
 
+// TestCostFollowsSetShard: Eq. 4 reads each client's label counts, counted
+// once per shard, and BuildPopulation's RLG path re-shards the clients after
+// NewPopulation has made them. A re-sharded client's cost, and what Add and
+// Remove do to a group's counts, must be the new shard's.
+func TestCostFollowsSetShard(t *testing.T) {
+	pop := testPopulation(8, 20, fastConfig())
+	gr := &Grouper{Lambda: 100, RT: 1e9, NumClasses: 10}
+	g := NewGroup(0, 10, 30)
+	g.Add(pop.Clients[0])
+	c := pop.Clients[1]
+	old := gr.Cost(g, c) // counts c's first shard
+	var next *data.Subset
+	for _, other := range pop.Clients[2:] {
+		if js := stats.JSCounts(g.counts, other.Train.LabelCounts()); gr.Lambda*js+math.Abs(g.Center-c.Latency()) != old {
+			next = other.Train
+			break
+		}
+	}
+	if next == nil {
+		t.Fatal("no shard in the fleet changes the client's cost")
+	}
+	c.SetShard(next)
+	want := math.Abs(g.Center-c.Latency()) + gr.Lambda*stats.JSCounts(g.counts, next.LabelCounts())
+	if got := gr.Cost(g, c); got != want {
+		t.Fatalf("after SetShard the cost is %v, the new shard's is %v (the old one's %v)", got, want, old)
+	}
+	before := append([]int(nil), g.counts...)
+	g.Add(c)
+	for i, n := range next.LabelCounts() {
+		if g.counts[i] != before[i]+n {
+			t.Fatalf("Add after SetShard: class %d count %d, want %d", i, g.counts[i], before[i]+n)
+		}
+	}
+	g.Remove(c)
+	if !slices.Equal(g.counts, before) {
+		t.Fatalf("Remove after SetShard left counts %v, want %v", g.counts, before)
+	}
+}
+
 func TestInitialGroupingRespectsRT(t *testing.T) {
 	pop := testPopulation(9, 40, fastConfig())
 	gr := &Grouper{Lambda: 100, RT: 10, NumClasses: 10}
@@ -303,12 +343,12 @@ func TestEcoFLGroupingBalancesDataVsLatencyOnly(t *testing.T) {
 	mk := func(lambda float64) float64 {
 		gr := &Grouper{Lambda: lambda, RT: 1e9, NumClasses: 10}
 		groups := gr.InitialGrouping(rand.New(rand.NewSource(2)), pop.Clients, 5)
-		return AvgGroupJS(groups, 10)
+		return AvgGroupJS(groups)
 	}
 	latOnly := func() float64 {
 		gr := &Grouper{Lambda: 0, RT: 1e9, NumClasses: 10}
 		groups := gr.LatencyOnlyGrouping(rand.New(rand.NewSource(2)), pop.Clients, 5)
-		return AvgGroupJS(groups, 10)
+		return AvgGroupJS(groups)
 	}()
 	if mk(2000) >= latOnly {
 		t.Fatalf("λ=2000 grouping JS (%v) must beat latency-only (%v)", mk(2000), latOnly)
@@ -327,7 +367,7 @@ func TestDataOnlyGroupingNearUniform(t *testing.T) {
 		if len(g.Members) == 0 {
 			t.Fatal("data-only grouping must fill all groups")
 		}
-		if js := stats.JS(g.Distribution(), stats.NewUniform(10)); js > 0.25 {
+		if js := stats.JSCounts(g.counts, nil); js > 0.25 {
 			t.Fatalf("group %d JS %v too skewed for Astraea-style balancing", g.ID, js)
 		}
 	}

@@ -21,13 +21,10 @@ func NewGroup(id, numClasses int, center float64) *Group {
 	return &Group{ID: id, Center: center, counts: make([]int, numClasses)}
 }
 
-// Distribution returns the aggregate label distribution π_g of the group.
-func (g *Group) Distribution() stats.Distribution { return stats.FromCounts(g.counts) }
-
 // Add inserts a client and updates the aggregate label counts.
 func (g *Group) Add(c *Client) {
 	g.Members = append(g.Members, c)
-	for i, n := range c.Train.LabelCounts() {
+	for i, n := range c.labelCounts() {
 		g.counts[i] += n
 	}
 }
@@ -37,7 +34,7 @@ func (g *Group) Remove(c *Client) {
 	for i, m := range g.Members {
 		if m == c {
 			g.Members = append(g.Members[:i], g.Members[i+1:]...)
-			for j, n := range c.Train.LabelCounts() {
+			for j, n := range c.labelCounts() {
 				g.counts[j] -= n
 			}
 			return
@@ -81,16 +78,11 @@ type Grouper struct {
 	NumClasses int
 }
 
-// Cost evaluates Eq. 4: COST_n^g = |L_g − L_n| + λ·JS(π_{g∪n}, π_iid).
+// Cost evaluates Eq. 4: COST_n^g = |L_g − L_n| + λ·JS(π_{g∪n}, π_iid), in
+// O(classes) and without allocating: the JS term is stats.JSCounts of the
+// group's aggregate counts and the client's counts of its shard.
 func (gr *Grouper) Cost(g *Group, c *Client) float64 {
-	lat := math.Abs(g.Center - c.Latency())
-	union := make([]int, gr.NumClasses)
-	copy(union, g.counts)
-	for i, n := range c.Train.LabelCounts() {
-		union[i] += n
-	}
-	js := stats.JS(stats.FromCounts(union), stats.NewUniform(gr.NumClasses))
-	return lat + gr.Lambda*js
+	return math.Abs(g.Center-c.Latency()) + gr.Lambda*stats.JSCounts(g.counts, c.labelCounts())
 }
 
 // InitialGrouping implements §5.2's initial phase: K-means clusters client
@@ -189,13 +181,7 @@ func (gr *Grouper) DataOnlyGrouping(rng *rand.Rand, clients []*Client, k int) []
 			if len(g.Members) >= capacity {
 				continue
 			}
-			union := make([]int, gr.NumClasses)
-			copy(union, g.counts)
-			for i, n := range c.Train.LabelCounts() {
-				union[i] += n
-			}
-			js := stats.JS(stats.FromCounts(union), stats.NewUniform(gr.NumClasses))
-			if js < bestScore {
+			if js := stats.JSCounts(g.counts, c.labelCounts()); js < bestScore {
 				best, bestScore = g, js
 			}
 		}
@@ -232,8 +218,12 @@ func (gr *Grouper) Regroup(c *Client, groups []*Group) *Group {
 // number of clients moved or dropped.
 func (gr *Grouper) CheckAndRegroup(g *Group, groups []*Group) int {
 	changed := 0
-	for _, c := range append([]*Client(nil), g.Members...) {
+	// A moved client's new group is never g, whose center stays put until
+	// the end, so the walk only ever deletes the member it stands on.
+	for i := 0; i < len(g.Members); {
+		c := g.Members[i]
 		if math.Abs(g.Center-c.Latency()) <= gr.RT {
+			i++
 			continue
 		}
 		g.Remove(c)
@@ -265,14 +255,14 @@ func (gr *Grouper) TryReadmit(c *Client, groups []*Group) bool {
 
 // AvgGroupJS returns the mean JS divergence of group distributions from
 // IID — the Fig. 9 left axis.
-func AvgGroupJS(groups []*Group, numClasses int) float64 {
+func AvgGroupJS(groups []*Group) float64 {
 	var s float64
 	n := 0
 	for _, g := range groups {
 		if len(g.Members) == 0 {
 			continue
 		}
-		s += stats.JS(g.Distribution(), stats.NewUniform(numClasses))
+		s += stats.JSCounts(g.counts, nil)
 		n++
 	}
 	if n == 0 {

@@ -33,7 +33,7 @@ func TestUpdateSurvivesOtherClientsUpdates(t *testing.T) {
 	want := slices.Clone(held)
 	pop.LocalTrain(rng, pop.Clients[1], ref, pop.Config.Mu)
 	withParallelism(4, func() {
-		pop.TrainClients(rng, pop.Clients[2:], held, pop.Config.Mu)
+		pop.TrainClients(rng, pop.Clients[2:], held, pop.Config.Mu, nil)
 	})
 	sameBits(t, "client 0's update after clients 1–7 trained", held, want)
 }
@@ -65,8 +65,8 @@ func TestLocalTrainFromOwnPreviousUpdate(t *testing.T) {
 	// A round whose shared ref is one selected client's view: that client
 	// overwrites it while the others, fanned out, still train from it.
 	withParallelism(4, func() {
-		gotAll := popA.TrainClients(rngA, popA.Clients, got, cfg.Mu)
-		wantAll := popB.TrainClients(rngB, popB.Clients, slices.Clone(want), cfg.Mu)
+		gotAll := popA.TrainClients(rngA, popA.Clients, got, cfg.Mu, nil)
+		wantAll := popB.TrainClients(rngB, popB.Clients, slices.Clone(want), cfg.Mu, nil)
 		for i := range wantAll {
 			sameBits(t, "round from a selected client's view vs from a copy", gotAll[i], wantAll[i])
 		}

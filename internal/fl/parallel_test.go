@@ -42,7 +42,7 @@ func TestTrainClientsMatchesSerialLocalTrain(t *testing.T) {
 	rngB := rand.New(rand.NewSource(33))
 	var parallel [][]float64
 	withParallelism(4, func() {
-		parallel = pop.TrainClients(rngB, sel, ref, pop.Config.Mu)
+		parallel = pop.TrainClients(rngB, sel, ref, pop.Config.Mu, nil)
 	})
 	if rngA.Int63() != rngB.Int63() {
 		t.Fatal("TrainClients consumed a different amount of shared randomness than the serial loop")
@@ -101,7 +101,7 @@ func TestConcurrentRoundRaceClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := pop.GlobalInit()
 	withParallelism(8, func() {
-		updates := pop.TrainClients(rng, pop.Clients, ref, pop.Config.Mu)
+		updates := pop.TrainClients(rng, pop.Clients, ref, pop.Config.Mu, nil)
 		if len(updates) != len(pop.Clients) {
 			t.Fatalf("got %d updates for %d clients", len(updates), len(pop.Clients))
 		}

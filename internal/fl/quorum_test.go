@@ -191,7 +191,7 @@ func TestEvictStragglers(t *testing.T) {
 	if pop.EvictStragglers([]int{2}) != 0 {
 		t.Fatal("re-evicting an already-dropped client must not count")
 	}
-	sel := sample(rand.New(rand.NewSource(1)), pop.Clients, 10)
+	sel := sample(rand.New(rand.NewSource(1)), pop.Clients, 10, nil)
 	for _, c := range sel {
 		if c.Dropped {
 			t.Fatal("selection must skip evicted clients")

@@ -116,9 +116,11 @@ func (d *dynamics) advance(rng *rand.Rand, pop *Population, now float64) bool {
 	return changed
 }
 
-// sample draws k distinct clients that are neither dropped nor offline.
-func sample(rng *rand.Rand, clients []*Client, k int) []*Client {
-	var active []*Client
+// sample draws k distinct clients that are neither dropped nor offline. The
+// selection is built in active's storage, grown if it is short: a lane passes
+// its previous selection, which its last round has finished reading.
+func sample(rng *rand.Rand, clients []*Client, k int, active []*Client) []*Client {
+	active = active[:0]
 	for _, c := range clients {
 		if !c.Dropped && !c.Offline {
 			active = append(active, c)
@@ -320,6 +322,10 @@ type lane struct {
 	// snapshot taken at dispatch for an async lane.
 	base      []float64
 	sinceSync int // committed rounds since the group model was last mixed into the global one
+	// sel is the lane's last selection. Its round reads it when it resolves,
+	// after other lanes have selected, so each lane keeps its own; the lane's
+	// next selection reuses its storage.
+	sel []*Client
 }
 
 // run is the one round lifecycle every strategy goes through. Each lane
@@ -400,6 +406,11 @@ func run(pop *Population, pol policy) *RunResult {
 			[]float64{0, 1, 2, 4, 8, 16, 32})
 	}
 
+	// A round resolves whole before the next one fires, so the resolving
+	// round's sample weights and updates are one set of slices for the run.
+	var weights []float64
+	var updates [][]float64
+
 	dyn := dynamics{next: cfg.DynamicInterval, cfg: cfg}
 	ch := newChurnState(cfg, res)
 	lastEval := math.Inf(-1)
@@ -425,7 +436,8 @@ func run(pop *Population, pol policy) *RunResult {
 			members = g.Members
 		}
 		ch.sync(start, members, res.Rounds)
-		sel := sample(rng, members, perRound)
+		sel := sample(rng, members, perRound, ln.sel)
+		ln.sel = sel
 		if len(sel) == 0 {
 			// Nobody to select — the members are offline or dropped, or the
 			// group is empty. Look again after a mean delay: traces bring
@@ -470,12 +482,12 @@ func run(pop *Population, pol policy) *RunResult {
 				res.QuorumFailures++
 				res.rm.failed.Inc()
 			} else {
-				weights := make([]float64, len(cut.committee))
-				for i, c := range cut.committee {
-					weights[i] = float64(c.Train.Len())
+				weights = weights[:0]
+				for _, c := range cut.committee {
+					weights = append(weights, float64(c.Train.Len()))
 					res.Participation[c.ID]++
 				}
-				updates := pop.TrainClients(rng, cut.committee, ln.base, mu)
+				updates = pop.TrainClients(rng, cut.committee, ln.base, mu, updates)
 				res.rm.selected.Add(int64(len(updates)))
 				if pol.async {
 					if clip != nil {
@@ -553,7 +565,7 @@ func run(pop *Population, pol policy) *RunResult {
 	}
 	eng.Run(0)
 	if groups != nil {
-		res.AvgJS = AvgGroupJS(groups, pop.TestClasses())
+		res.AvgJS = AvgGroupJS(groups)
 		res.AvgLatency = AvgGroupLatency(groups)
 		for _, c := range pop.Clients {
 			if c.Dropped {

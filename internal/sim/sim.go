@@ -4,10 +4,7 @@
 // order, so runs are exactly reproducible.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a virtual clock with an event queue. The zero value is ready to
 // use at time 0.
@@ -23,23 +20,54 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). The order is
+// total — no two events share a seq — so the pop order is the one any correct
+// heap yields. It is typed, not a container/heap.Interface, so that an event
+// is not boxed into an interface on every push and pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q[n] = event{} // the queue's array keeps no fired closure alive
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Now returns the current virtual time.
@@ -59,7 +87,7 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) before now (%v)", t, e.now))
 	}
-	heap.Push(&e.pq, event{at: t, seq: e.seq, fn: fn})
+	e.pq.push(event{at: t, seq: e.seq, fn: fn})
 	e.seq++
 }
 
@@ -69,7 +97,7 @@ func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.pq).(event)
+	ev := e.pq.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

@@ -111,3 +111,64 @@ func TestMonotoneClockProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFiringOrderIsTimeThenSeq holds the typed heap to the rule it keeps:
+// every event fires in (time, scheduling order), here against a linear scan
+// over the pending events, with times drawn from a few values so that most
+// events tie and fired events schedule more at and after the current time.
+func TestFiringOrderIsTimeThenSeq(t *testing.T) {
+	type pending struct {
+		at       float64
+		seq, id  int
+		children int
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var e Engine
+		var got []int
+		var ref []pending // the reference queue: scheduled, not yet fired
+		seq, ids := 0, 0
+		var schedule func(at float64, children int)
+		schedule = func(at float64, children int) {
+			id := ids
+			ids++
+			ref = append(ref, pending{at: at, seq: seq, id: id, children: children})
+			seq++
+			e.ScheduleAt(at, func() {
+				got = append(got, id)
+				for range children {
+					schedule(e.Now()+float64(rng.Intn(3)), 0)
+				}
+			})
+		}
+		for range 40 {
+			schedule(float64(rng.Intn(5)), rng.Intn(3))
+		}
+		e.Run(0)
+		// Replay the same schedule on the reference: always fire the pending
+		// event with the least (at, seq).
+		var want []int
+		for len(ref) > 0 {
+			first := 0
+			for i, p := range ref {
+				if p.at < ref[first].at || p.at == ref[first].at && p.seq < ref[first].seq {
+					first = i
+				}
+			}
+			want = append(want, ref[first].id)
+			ref = append(ref[:first], ref[first+1:]...)
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

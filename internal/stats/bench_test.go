@@ -25,3 +25,17 @@ func BenchmarkKMeans1D300(b *testing.B) {
 		KMeans1D(rand.New(rand.NewSource(int64(i))), values, 5)
 	}
 }
+
+// BenchmarkJSCounts is Eq. 4's divergence at the grouping's shape: a group's
+// counts pooled with a candidate's, over 10 classes.
+func BenchmarkJSCounts(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, c := make([]int, 10), make([]int, 10)
+	for i := range g {
+		g[i], c[i] = rng.Intn(600), rng.Intn(40)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		JSCounts(g, c)
+	}
+}

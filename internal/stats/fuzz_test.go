@@ -29,3 +29,29 @@ func FuzzJSBounds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJSCountsMatchesJS holds JSCounts to the composition it replaced,
+// JS(FromCounts(a+b), NewUniform(k)), bit for bit, on fuzzed count vectors:
+// the bytes of raw are read in threes as one class's group and client counts
+// (up to 2¹⁶ and 2⁸), so k runs from 0 upward and whole rows can be zero.
+func FuzzJSCountsMatchesJS(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 2, 3, 4, 5, 6})
+	f.Add([]byte{255, 255, 0, 0, 0, 255, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		k := len(raw) / 3
+		a, b := make([]int, k), make([]int, k)
+		for i := range a {
+			a[i] = int(raw[3*i])<<8 | int(raw[3*i+1])
+			b[i] = int(raw[3*i+2])
+		}
+		got, want := JSCounts(a, b), referenceJSCounts(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("JSCounts(%v, %v) = %v, the composition gives %v", a, b, got, want)
+		}
+		if got < 0 || got > 1+1e-12 {
+			t.Fatalf("JSCounts(%v, %v) = %v, out of [0, 1]", a, b, got)
+		}
+	})
+}

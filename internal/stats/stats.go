@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives Eco-FL's grouping
-// scheduler relies on: label-distribution divergences (KL, Jensen–Shannon)
-// and a small deterministic K-means used to cluster clients by response
-// latency (paper §5.2).
+// scheduler relies on: the Jensen–Shannon divergence of pooled label counts
+// from the IID distribution (Eq. 4) and a small deterministic K-means used to
+// cluster clients by response latency (paper §5.2).
 package stats
 
 import (
@@ -11,72 +11,46 @@ import (
 	"sort"
 )
 
-// Distribution is a discrete probability distribution over class labels.
-type Distribution []float64
-
-// NewUniform returns the uniform (IID) distribution over k classes.
-func NewUniform(k int) Distribution {
-	d := make(Distribution, k)
-	for i := range d {
-		d[i] = 1 / float64(k)
+// JSCounts returns the Jensen–Shannon divergence, in bits, of the label
+// distribution of the pooled counts a+b from the uniform (IID) distribution
+// over len(a) classes: Eq. 4's JS(π_{g∪n}, π_iid), with a a group's counts
+// and b a candidate client's. b may be nil, for a's distribution alone. It is
+// O(len(a)) and allocates nothing.
+//
+// It is, bit for bit, the composition JS(FromCounts(a+b), NewUniform(len(a)))
+// that the tests keep as its reference: the same floating-point operations in
+// the same order. p_i = c_i/total, or the uniform 1/k when every count is 0;
+// m_i = 0.5·p_i + 0.5·u_i, as the mixture forms it; KL(p‖m) and KL(u‖m) each
+// summed over ascending classes, skipping p_i = 0; then 0.5·KLp + 0.5·KLu,
+// clamped at 0. A grouping decided on it is the grouping decided before.
+func JSCounts(a, b []int) float64 {
+	if b != nil && len(b) != len(a) {
+		panic(fmt.Sprintf("stats: JSCounts length mismatch %d vs %d", len(a), len(b)))
 	}
-	return d
-}
-
-// FromCounts normalizes label counts into a distribution. An all-zero count
-// vector yields the uniform distribution.
-func FromCounts(counts []int) Distribution {
-	d := make(Distribution, len(counts))
 	total := 0
-	for _, c := range counts {
+	for i, c := range a {
+		if b != nil {
+			c += b[i]
+		}
 		total += c
 	}
-	if total == 0 {
-		return NewUniform(len(counts))
-	}
-	for i, c := range counts {
-		d[i] = float64(c) / float64(total)
-	}
-	return d
-}
-
-// Mix returns the weighted mixture w·a + (1−w)·b.
-func Mix(a, b Distribution, w float64) Distribution {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: Mix length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Distribution, len(a))
-	for i := range a {
-		out[i] = w*a[i] + (1-w)*b[i]
-	}
-	return out
-}
-
-// KL returns the Kullback–Leibler divergence D(p‖q) in bits (log base 2).
-// Terms with p_i = 0 contribute 0; p_i > 0 with q_i = 0 yields +Inf.
-func KL(p, q Distribution) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("stats: KL length mismatch %d vs %d", len(p), len(q)))
-	}
-	var s float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
+	u := 1 / float64(len(a))
+	var klp, klu float64
+	for i, c := range a {
+		if b != nil {
+			c += b[i]
 		}
-		if q[i] == 0 {
-			return math.Inf(1)
+		p := u
+		if total != 0 {
+			p = float64(c) / float64(total)
 		}
-		s += p[i] * math.Log2(p[i]/q[i])
+		m := 0.5*p + 0.5*u
+		if p != 0 {
+			klp += p * math.Log2(p/m)
+		}
+		klu += u * math.Log2(u/m)
 	}
-	return s
-}
-
-// JS returns the Jensen–Shannon divergence between p and q in bits.
-// It is symmetric and bounded in [0, 1], the properties the paper cites
-// for preferring it over raw KL (§5.2, Eq. 4).
-func JS(p, q Distribution) float64 {
-	m := Mix(p, q, 0.5)
-	js := 0.5*KL(p, m) + 0.5*KL(q, m)
+	js := 0.5*klp + 0.5*klu
 	// Clamp tiny negative values from floating-point noise.
 	if js < 0 {
 		return 0

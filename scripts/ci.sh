@@ -268,7 +268,7 @@ go test -count=10 -run '^TestSimulatorMatchesPrototype$' ./internal/pipeline/run
 
 # A short real fuzzing budget for every fuzz target — the parsers that face
 # the network or a checkpoint file, two frame readers trading borrowed buffers, the churn-trace loader, the divergence
-# bounds, the tensor kernels' assembly bodies (axpy, mix) against their Go
+# bounds, Eq. 4's count kernel against the composition it replaced, the tensor kernels' assembly bodies (axpy, mix) against their Go
 # ones, and the branch-free ReLU and the uplink encoders against the bodies they
 # replaced (plain `go test` above only replays their seed corpora). Minimization is capped
 # so shrinking one interesting input cannot eat the whole budget.
@@ -282,6 +282,7 @@ fuzz FuzzQuantizeRoundTrip ./internal/flnet
 fuzz FuzzLinkRecvDecode ./internal/pipeline/runtime
 fuzz FuzzParseTraceSet ./internal/device
 fuzz FuzzJSBounds ./internal/stats
+fuzz FuzzJSCountsMatchesJS ./internal/stats
 fuzz FuzzAxpyBodies ./internal/tensor
 fuzz FuzzQuantizeBodies ./internal/tensor
 fuzz FuzzMixBodies ./internal/tensor
